@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/faults"
 	"cyberhd/internal/metrics"
-	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
 	"cyberhd/internal/rng"
@@ -140,8 +138,7 @@ func cmdTrain(args []string) error {
 	}
 
 	// Full quality report on a fresh evaluation split.
-	_, test, norm := d.NormalizedSplit(0.75, *seed)
-	_ = norm
+	_, test, _ := d.NormalizedSplit(0.75, *seed)
 	conf := metrics.NewConfusion(d.ClassNames)
 	preds := det.Model.PredictBatch(test.X)
 	conf.AddAll(test.Y, preds)
@@ -228,71 +225,237 @@ func cmdFaults(args []string) error {
 	return nil
 }
 
+// serving is the part of a run detect and ingest share: the flags both
+// take (registered by newServing alone, so the two cannot drift) and,
+// after open, what was built from them. The commands differ only in the
+// Stream they pump the source through.
+type serving struct {
+	cmd                         string // subcommand name: the prefix on its error messages
+	trainSessions, liveSessions int
+	seed                        uint64
+	capture, pcap               string
+	batch, width                int
+	tick                        float64
+	overload                    string
+	jsonl, metricsAddr          string
+	metricsLinger               float64
+	verbose                     bool
+
+	pol       cyberhd.OverloadPolicy // -tenant-rate lands here directly; open sets the mode
+	src       cyberhd.PacketSource
+	live      *cyberhd.TrafficStream // set for generated traffic: carries ground-truth labels
+	sinks     []cyberhd.AlertSink
+	jsonlSink *cyberhd.JSONLSink
+	jsonlFile *os.File
+	metrics   *cyberhd.MetricsServer // the -metrics endpoint, once the command has bound it
+}
+
+// newServing starts cmd's flag set with the shared serving flags.
+func newServing(cmd string) (*flag.FlagSet, *serving) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	sv := &serving{cmd: cmd}
+	fs.IntVar(&sv.trainSessions, "train", 3000, "training capture size (sessions)")
+	fs.IntVar(&sv.liveSessions, "sessions", 1000, "live capture size (sessions)")
+	fs.Uint64Var(&sv.seed, "seed", 42, "random seed")
+	fs.StringVar(&sv.capture, "capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
+	fs.StringVar(&sv.pcap, "pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
+	fs.IntVar(&sv.batch, "batch", 0, "micro-batch size per engine (0 = classify per flow)")
+	fs.IntVar(&sv.width, "width", 0, "quantized inference bitwidth: 1, 2, 4, 8, 16 or 32 (0 = float32)")
+	fs.Float64Var(&sv.tick, "tick", 1, "auto-tick interval in capture seconds (bounds batched-verdict delay; < 0 disables)")
+	fs.StringVar(&sv.overload, "overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
+	fs.Float64Var(&sv.pol.TenantRate, "tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
+	fs.StringVar(&sv.jsonl, "jsonl", "", "append alerts as JSON lines to this file ('-' = stdout)")
+	fs.StringVar(&sv.metricsAddr, "metrics", "", "serve live /metrics (Prometheus), /stats (JSON) and /healthz on this address for the whole run (detect adds the /model control plane; ingest serves the cluster-wide rollup)")
+	fs.Float64Var(&sv.metricsLinger, "metrics-linger", 0, "keep the -metrics endpoint up this many seconds after the run (for scrapers that poll final counters)")
+	fs.BoolVar(&sv.verbose, "v", false, "print every alert")
+	return fs, sv
+}
+
+// open validates the shared flags, opens the packet source and builds the
+// alert sinks — all before the (slow) training step, so a typo'd flag or
+// path fails at once. After a nil return the caller defers close.
+func (sv *serving) open() error {
+	if sv.width != 0 && !bitpack.Width(sv.width).Valid() {
+		return fmt.Errorf("%s: -width %d not one of %v", sv.cmd, sv.width, bitpack.Widths)
+	}
+	switch {
+	case sv.overload == "bounded":
+		sv.pol.Mode = cyberhd.OverloadBounded
+	case sv.overload != "lossless":
+		return fmt.Errorf("%s: -overload %q not one of lossless, bounded", sv.cmd, sv.overload)
+	case sv.pol.TenantRate > 0:
+		return fmt.Errorf("%s: -tenant-rate requires -overload bounded (lossless never drops)", sv.cmd)
+	}
+
+	// Ingest: an O(1)-memory capture or PCAP replay, or generated live
+	// traffic.
+	switch {
+	case sv.capture != "" && sv.pcap != "":
+		return fmt.Errorf("%s: -capture and -pcap are mutually exclusive", sv.cmd)
+	case sv.pcap != "":
+		pf, err := cyberhd.OpenPCAP(sv.pcap)
+		if err != nil {
+			return err
+		}
+		sv.src = pf
+	case sv.capture != "":
+		cf, err := cyberhd.OpenCapture(sv.capture)
+		if err != nil {
+			return err
+		}
+		sv.src = cf
+	default:
+		sv.live = cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: sv.liveSessions, Seed: sv.seed + 1})
+		sv.src = cyberhd.NewSliceSource(sv.live.Packets)
+	}
+
+	// Egress: optional verbose printing and JSONL export ride along as
+	// alert sinks.
+	if sv.verbose {
+		sv.sinks = append(sv.sinks, cyberhd.SinkFunc(func(a cyberhd.Alert) {
+			fmt.Printf("ALERT t=%9.2fs %-12s %4d pkts %9.0f bytes\n",
+				a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes())
+		}))
+	}
+	if sv.jsonl != "" {
+		w := io.Writer(os.Stdout)
+		if sv.jsonl != "-" {
+			f, err := os.Create(sv.jsonl)
+			if err != nil {
+				sv.close()
+				return err
+			}
+			sv.jsonlFile, w = f, f
+		}
+		sv.jsonlSink = cyberhd.NewJSONLSink(w)
+		sv.sinks = append(sv.sinks, sv.jsonlSink)
+	}
+	return nil
+}
+
+// close releases the source file, the JSONL file and the -metrics
+// endpoint. The source is only read; the JSONL file's checked close is
+// finish's, this one the backstop for error returns.
+func (sv *serving) close() {
+	if c, ok := sv.src.(io.Closer); ok {
+		c.Close()
+	}
+	if sv.jsonlFile != nil {
+		sv.jsonlFile.Close()
+	}
+	if sv.metrics != nil {
+		sv.metrics.Close()
+	}
+}
+
+// train fits the detector both commands serve.
+func (sv *serving) train() (*cyberhd.Detector, error) {
+	det, err := cyberhd.TrainDetector(cyberhd.CICIDS2017(sv.trainSessions, sv.seed), cyberhd.DefaultConfig())
+	if err == nil {
+		fmt.Println("detector:", det)
+	}
+	return det, err
+}
+
+// banner announces the inference width and the overload policy.
+func (sv *serving) banner() {
+	if sv.width != 0 {
+		fmt.Printf("quantized inference: %d-bit packed class memory\n", sv.width)
+	}
+	switch {
+	case sv.pol.Mode != cyberhd.OverloadBounded:
+		fmt.Println("overload policy: lossless (blocking ingress, never drops)")
+	case sv.pol.TenantRate > 0:
+		fmt.Printf("overload policy: bounded (max-wait %v, tenant-rate %g pkt/s per v4 /24 or v6 /48)\n",
+			pipeline.DefaultMaxWait, sv.pol.TenantRate)
+	default:
+		fmt.Printf("overload policy: bounded (max-wait %v)\n", pipeline.DefaultMaxWait)
+	}
+}
+
+// finish checks the alert export and prints the accounting lines of a
+// completed run — byte for byte the same from detect and ingest, which is
+// what CI diffs to pin the cluster's bit-identity contract.
+func (sv *serving) finish(st cyberhd.EngineStats) error {
+	// A failed alert export must fail the run: a truncated JSONL file that
+	// exits 0 looks like a successful export to anything scripted on top.
+	if sv.jsonlSink != nil {
+		if err := sv.jsonlSink.Err(); err != nil {
+			return fmt.Errorf("jsonl sink: %w", err)
+		}
+		if sv.jsonlFile != nil {
+			if err := sv.jsonlFile.Close(); err != nil {
+				return err
+			}
+		}
+	}
+	fmt.Printf("\nprocessed %d packets -> %d flows, %d alerts\n", st.Packets, st.Flows, st.Alerts)
+	if pf, ok := sv.src.(*cyberhd.PCAPFile); ok && pf.Skipped() > 0 {
+		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", pf.Skipped())
+	}
+	if sv.pol.Mode == cyberhd.OverloadBounded {
+		// Always printed in bounded mode (even when zero): the accounting
+		// line CI greps, offered = processed + dropped.
+		fmt.Printf("dropped %d packets (backpressure=%d new_flow_shed=%d tenant_rate=%d)\n",
+			st.DroppedTotal(), st.Dropped[cyberhd.DropBackpressure],
+			st.Dropped[cyberhd.DropNewFlowShed], st.Dropped[cyberhd.DropTenantRate])
+	}
+	return nil
+}
+
+// linger runs last, after every report is printed: scrapers polling final
+// counters get their window without stalling the operator's output.
+func (sv *serving) linger() {
+	if sv.metrics != nil && sv.metricsLinger > 0 {
+		fmt.Printf("metrics endpoint stays up %.0fs (http://%s/metrics)\n", sv.metricsLinger, sv.metrics.Addr())
+		time.Sleep(time.Duration(sv.metricsLinger * float64(time.Second)))
+	}
+}
+
 func cmdDetect(args []string) error {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	trainSessions := fs.Int("train", 3000, "training capture size (sessions)")
-	liveSessions := fs.Int("sessions", 1000, "live capture size (sessions)")
-	seed := fs.Uint64("seed", 42, "random seed")
-	capture := fs.String("capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
-	pcap := fs.String("pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
+	fs, sv := newServing("detect")
 	shards := fs.Int("shards", 1, "engine shards (1 = single in-process engine; 0 = one per core)")
-	batch := fs.Int("batch", 0, "micro-batch size per engine (0 = classify per flow)")
-	width := fs.Int("width", 0, "quantized inference bitwidth: 1, 2, 4, 8, 16 or 32 (0 = float32)")
-	tick := fs.Float64("tick", 1, "auto-tick interval in capture seconds (bounds batched-verdict delay; < 0 disables)")
-	overload := fs.String("overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
-	tenantRate := fs.Float64("tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
-	jsonl := fs.String("jsonl", "", "append alerts as JSON lines to this file ('-' = stdout)")
-	metricsAddr := fs.String("metrics", "", "serve live /metrics (Prometheus), /stats (JSON), /healthz and the /model control plane on this address for the whole run")
-	metricsLinger := fs.Float64("metrics-linger", 0, "keep the -metrics endpoint up this many seconds after the run (for scrapers that poll final counters)")
 	saveModel := fs.String("save-model", "", "write the trained model as a versioned snapshot to this file (load with the /model control plane or cyberhd.LoadModelSnapshotFile)")
 	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables)")
-	verbose := fs.Bool("v", false, "print every alert")
 	fs.Parse(args)
-	if *width != 0 && !bitpack.Width(*width).Valid() {
-		return fmt.Errorf("detect: -width %d not one of %v", *width, bitpack.Widths)
+	if err := sv.open(); err != nil {
+		return err
 	}
-	var pol cyberhd.OverloadPolicy
-	switch *overload {
-	case "lossless":
-		if *tenantRate > 0 {
-			return fmt.Errorf("detect: -tenant-rate requires -overload bounded (lossless never drops)")
-		}
-	case "bounded":
-		pol.Mode = cyberhd.OverloadBounded
-		pol.TenantRate = *tenantRate
-	default:
-		return fmt.Errorf("detect: -overload %q not one of lossless, bounded", *overload)
-	}
+	defer sv.close()
 
 	// Bind the admin endpoint before the (slow) training step: liveness is
 	// answerable immediately, counters read zero until serving starts. The
 	// /model control plane mounts lazily — it answers 503 until the
-	// detector exists, then hot-swaps in (one atomic pointer store).
-	// CIC-derived detectors label verdicts with the traffic labels.
-	classNames := traffic.LabelNames()
+	// detector exists, then hot-swaps in (one atomic pointer store, safe
+	// against in-flight requests). CIC-derived detectors label verdicts
+	// with the traffic labels.
 	var tel *cyberhd.Telemetry
-	var metricsSrv *cyberhd.MetricsServer
-	var lazyPlane *lazyHandler
-	if *metricsAddr != "" {
-		tel = cyberhd.NewTelemetry(classNames)
-		lazyPlane = &lazyHandler{}
-		srv, err := cyberhd.ServeMetricsWith(*metricsAddr, tel, map[string]http.Handler{
-			"/model":  lazyPlane,
-			"/model/": lazyPlane,
+	var planeRoutes atomic.Pointer[http.Handler]
+	if sv.metricsAddr != "" {
+		tel = cyberhd.NewTelemetry(traffic.LabelNames())
+		model := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if h := planeRoutes.Load(); h != nil {
+				(*h).ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, `{"error":"model control plane not ready (detector still training)"}`)
+		})
+		srv, err := cyberhd.ServeMetricsWith(sv.metricsAddr, tel, map[string]http.Handler{
+			"/model": model, "/model/": model,
 		})
 		if err != nil {
 			return err
 		}
-		metricsSrv = srv
-		defer metricsSrv.Close()
+		sv.metrics = srv
 		fmt.Printf("metrics endpoint: http://%s/metrics (also /stats, /healthz, /model)\n", srv.Addr())
 	}
 
-	det, err := cyberhd.TrainDetector(cyberhd.CICIDS2017(*trainSessions, *seed), cyberhd.DefaultConfig())
+	det, err := sv.train()
 	if err != nil {
 		return err
 	}
-	fmt.Println("detector:", det)
 	k := cyberhd.Kernels()
 	fmt.Printf("kernels: float=%s packed=%s\n", k.Float, k.Packed)
 
@@ -301,7 +464,7 @@ func cmdDetect(args []string) error {
 	// snapshot file captures the same publication.
 	var cow *cyberhd.COWModel
 	var tap *cyberhd.ShadowTap
-	if *saveModel != "" || lazyPlane != nil {
+	if *saveModel != "" || sv.metrics != nil {
 		cow = cyberhd.NewCOWModel(det.Model)
 	}
 	if *saveModel != "" {
@@ -310,62 +473,32 @@ func cmdDetect(args []string) error {
 		}
 		fmt.Printf("model snapshot: %s (version %d)\n", *saveModel, cow.Version())
 	}
-	if lazyPlane != nil {
+	if sv.metrics != nil {
 		tap = cyberhd.NewShadowTap()
 		plane, err := cyberhd.NewControlPlane(cyberhd.ControlPlaneConfig{
-			Model: cow, Width: cyberhd.Width(*width), Shadow: tap,
+			Model: cow, Width: cyberhd.Width(sv.width), Shadow: tap,
 		})
 		if err != nil {
 			return err
 		}
-		lazyPlane.set(plane.Handler())
+		routes := plane.Handler()
+		planeRoutes.Store(&routes)
 	}
 
-	// Ingest: an O(1)-memory capture or PCAP replay, or generated live
-	// traffic.
-	if *capture != "" && *pcap != "" {
-		return fmt.Errorf("detect: -capture and -pcap are mutually exclusive")
-	}
-	var src cyberhd.PacketSource
-	var live *cyberhd.TrafficStream
-	var pcapSrc *cyberhd.PCAPFile
-	if *pcap != "" {
-		pf, err := cyberhd.OpenPCAP(*pcap)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		src = pf
-		pcapSrc = pf
-	} else if *capture != "" {
-		cf, err := cyberhd.OpenCapture(*capture)
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		src = cf
-	} else {
-		live = cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: *liveSessions, Seed: *seed + 1})
-		src = cyberhd.NewSliceSource(live.Packets)
-	}
-
-	// Egress: optional verbose printing and JSONL export ride along as
-	// alert sinks on the one serving path.
+	// A nil collector or tap is the option's default (private collector,
+	// no shadow); a nil *COWModel would not be a nil Classifier.
 	opts := []cyberhd.EngineOption{
-		cyberhd.WithBatchSize(*batch),
-		cyberhd.WithQuantized(cyberhd.Width(*width)),
+		cyberhd.WithBatchSize(sv.batch),
+		cyberhd.WithQuantized(cyberhd.Width(sv.width)),
 		cyberhd.WithShards(*shards),
-		cyberhd.WithTickInterval(*tick),
-		cyberhd.WithOverloadPolicy(pol),
-	}
-	if tel != nil {
-		opts = append(opts, cyberhd.WithTelemetry(tel))
+		cyberhd.WithTickInterval(sv.tick),
+		cyberhd.WithOverloadPolicy(sv.pol),
+		cyberhd.WithSinks(sv.sinks...),
+		cyberhd.WithTelemetry(tel),
+		cyberhd.WithShadow(tap),
 	}
 	if cow != nil {
 		opts = append(opts, cyberhd.WithModel(cow))
-	}
-	if tap != nil {
-		opts = append(opts, cyberhd.WithShadow(tap))
 	}
 	if *progress > 0 {
 		opts = append(opts, cyberhd.WithProgress(*progress, func(s cyberhd.TelemetrySnapshot) {
@@ -373,78 +506,24 @@ func cmdDetect(args []string) error {
 				s.Packets, s.Flows, s.Alerts, s.Pending())
 		}))
 	}
-	if *verbose {
-		opts = append(opts, cyberhd.WithSinks(cyberhd.SinkFunc(func(a cyberhd.Alert) {
-			fmt.Printf("ALERT t=%9.2fs %-12s %4d pkts %9.0f bytes\n",
-				a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes())
-		})))
+	cfg := det.EngineConfig(opts...)
+	// WithShards resolved 0 to one per core; a resolved count of 1 serves
+	// the plain single-core engine.
+	if cfg.Shards > 1 {
+		fmt.Printf("sharded engine: %d flow-hash shards\n", cfg.Shards)
 	}
-	var jsonlSink *cyberhd.JSONLSink
-	var jsonlFile *os.File
-	if *jsonl != "" {
-		w := io.Writer(os.Stdout)
-		if *jsonl != "-" {
-			f, err := os.Create(*jsonl)
-			if err != nil {
-				return err
-			}
-			jsonlFile = f
-			defer f.Close() // backstop for error returns; success path closes and checks below
-			w = f
-		}
-		jsonlSink = cyberhd.NewJSONLSink(w)
-		opts = append(opts, cyberhd.WithSinks(jsonlSink))
-	}
-	if *width != 0 {
-		fmt.Printf("quantized inference: %d-bit packed class memory\n", *width)
-	}
-	// Mirror the runner's shard resolution (0 = one per core; a resolved
-	// count of 1 serves the plain single-core engine).
-	if n := *shards; n != 1 {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > 1 {
-			fmt.Printf("sharded engine: %d flow-hash shards\n", n)
-		}
-	}
-	if pol.Mode == cyberhd.OverloadBounded {
-		if pol.TenantRate > 0 {
-			fmt.Printf("overload policy: bounded (max-wait %v, tenant-rate %g pkt/s per v4 /24 or v6 /48)\n",
-				pipeline.DefaultMaxWait, pol.TenantRate)
-		} else {
-			fmt.Printf("overload policy: bounded (max-wait %v)\n", pipeline.DefaultMaxWait)
-		}
-	} else {
-		fmt.Println("overload policy: lossless (blocking ingress, never drops)")
-	}
+	sv.banner()
 
-	st, err := cyberhd.Serve(context.Background(), det, src, opts...)
+	r, err := cyberhd.NewServeRunner(cfg, sv.src)
 	if err != nil {
 		return err
 	}
-	// A failed alert export must fail the run: a truncated JSONL file that
-	// exits 0 looks like a successful export to anything scripted on top.
-	if jsonlSink != nil {
-		if err := jsonlSink.Err(); err != nil {
-			return fmt.Errorf("jsonl sink: %w", err)
-		}
-		if jsonlFile != nil {
-			if err := jsonlFile.Close(); err != nil {
-				return err
-			}
-		}
+	st, err := r.Run(context.Background())
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\nprocessed %d packets -> %d flows, %d alerts\n", st.Packets, st.Flows, st.Alerts)
-	if pcapSrc != nil && pcapSrc.Skipped() > 0 {
-		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", pcapSrc.Skipped())
-	}
-	if pol.Mode == cyberhd.OverloadBounded {
-		// Always printed in bounded mode (even when zero): the accounting
-		// line CI greps, offered = processed + dropped.
-		fmt.Printf("dropped %d packets (backpressure=%d new_flow_shed=%d tenant_rate=%d)\n",
-			st.DroppedTotal(), st.Dropped[cyberhd.DropBackpressure],
-			st.Dropped[cyberhd.DropNewFlowShed], st.Dropped[cyberhd.DropTenantRate])
+	if err := sv.finish(st); err != nil {
+		return err
 	}
 	if tel != nil {
 		s := tel.Snapshot()
@@ -456,9 +535,7 @@ func cmdDetect(args []string) error {
 			}
 			fmt.Println()
 		}
-		if cow != nil {
-			fmt.Printf("serving model version: %d\n", cow.Version())
-		}
+		fmt.Printf("serving model version: %d\n", cow.Version()) // -metrics always serves through cow
 		if s.ShadowFlows > 0 {
 			fmt.Printf("shadow serving: %d flows scored, %d diverged from primary\n",
 				s.ShadowFlows, s.ShadowDivergedTotal())
@@ -468,47 +545,27 @@ func cmdDetect(args []string) error {
 	// Score verdicts against ground truth where available (generated
 	// traffic only — captures carry no labels), using the same inference
 	// the engine served: the packed quantized model when -width is set.
-	if live != nil {
-		scoreModel := pipeline.Classifier(det.Model)
-		if *width != 0 {
-			q, err := quantize.FromCore(det.Model, bitpack.Width(*width))
+	if sv.live != nil {
+		truth := datasets.FromStream("live", sv.live, det.ClassNames, func(l traffic.Label) int { return int(l) })
+		det.Normalizer.Apply(truth)
+		predict := det.Model.PredictBatch
+		if sv.width != 0 {
+			q, err := quantize.FromCore(det.Model, bitpack.Width(sv.width))
 			if err != nil {
 				return err
 			}
-			scoreModel = q
+			predict = q.PredictBatch
 		}
-		conf := metrics.NewConfusion(det.ClassNames)
-		scored := 0
-		a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) {
-			label, ok := live.Labels[f.Key]
-			if !ok {
-				return
-			}
-			feat := f.Features()
-			x := make([]float32, len(feat))
-			copy(x, feat)
-			det.Normalizer.ApplyVec(x)
-			conf.Add(int(label), scoreModel.Predict(x))
-			scored++
-		})
-		for i := range live.Packets {
-			a.Add(&live.Packets[i])
-		}
-		a.Flush()
-		if scored > 0 {
+		if truth.Len() > 0 {
+			conf := metrics.NewConfusion(det.ClassNames)
+			conf.AddAll(truth.Y, predict(truth.X))
 			fmt.Printf("scored %d labeled flows: accuracy %.4f, detection rate %.4f, false alarms %.4f\n",
-				scored, conf.Accuracy(), conf.DetectionRate(0), conf.FalseAlarmRate(0))
+				truth.Len(), conf.Accuracy(), conf.DetectionRate(0), conf.FalseAlarmRate(0))
 			fmt.Println("\nconfusion matrix:")
 			fmt.Print(conf)
 		}
 	}
-
-	// Linger last, after every report is printed: scrapers polling final
-	// counters get their window without stalling the operator's output.
-	if metricsSrv != nil && *metricsLinger > 0 {
-		fmt.Printf("metrics endpoint stays up %.0fs (http://%s/metrics)\n", *metricsLinger, metricsSrv.Addr())
-		time.Sleep(time.Duration(*metricsLinger * float64(time.Second)))
-	}
+	sv.linger()
 	return nil
 }
 
@@ -534,64 +591,30 @@ func cmdServe(args []string) error {
 	return w.Serve()
 }
 
-// cmdIngest trains a detector exactly like detect, then fans the capture
-// out across a worker fleet instead of a local engine. The summary line
-// is detect's, byte for byte — CI diffs the two to pin the cluster's
-// bit-identity contract.
+// cmdIngest is detect with the local engine swapped for a worker fleet:
+// same flags, training, source, sinks and summary lines — only the Stream
+// differs, a cluster client fanning the capture out by flow hash.
 func cmdIngest(args []string) error {
-	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
+	fs, sv := newServing("ingest")
 	workers := fs.String("workers", "", "comma-separated worker addresses (required)")
-	trainSessions := fs.Int("train", 3000, "training capture size (sessions)")
-	liveSessions := fs.Int("sessions", 1000, "live capture size (sessions)")
-	seed := fs.Uint64("seed", 42, "random seed")
-	capture := fs.String("capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
-	pcap := fs.String("pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
-	batch := fs.Int("batch", 0, "micro-batch size per worker engine (0 = classify per flow)")
-	width := fs.Int("width", 0, "quantized inference bitwidth on each worker: 1, 2, 4, 8, 16 or 32 (0 = float32)")
 	workerShards := fs.Int("worker-shards", 1, "engine shards inside each worker (1 = single engine per worker)")
-	tick := fs.Float64("tick", 1, "auto-tick interval in capture seconds, broadcast to every worker (< 0 disables)")
-	overload := fs.String("overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
-	tenantRate := fs.Float64("tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
-	jsonl := fs.String("jsonl", "", "append merged alerts as JSON lines to this file ('-' = stdout)")
-	metricsAddr := fs.String("metrics", "", "serve the cluster-wide rollup /metrics (Prometheus), /stats (JSON) and /healthz on this address")
-	metricsLinger := fs.Float64("metrics-linger", 0, "keep the -metrics endpoint up this many seconds after the run")
-	verbose := fs.Bool("v", false, "print every merged alert")
 	fs.Parse(args)
-	if *workers == "" {
+	fleet := strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' || r == ' ' })
+	if len(fleet) == 0 {
 		return fmt.Errorf("ingest: -workers required (comma-separated host:port list)")
 	}
-	var fleet []string
-	for _, a := range strings.Split(*workers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			fleet = append(fleet, a)
-		}
+	if err := sv.open(); err != nil {
+		return err
 	}
-	if len(fleet) == 0 {
-		return fmt.Errorf("ingest: -workers lists no addresses")
-	}
-	if *width != 0 && !bitpack.Width(*width).Valid() {
-		return fmt.Errorf("ingest: -width %d not one of %v", *width, bitpack.Widths)
-	}
-	var pol cyberhd.OverloadPolicy
-	switch *overload {
-	case "lossless":
-		if *tenantRate > 0 {
-			return fmt.Errorf("ingest: -tenant-rate requires -overload bounded (lossless never drops)")
-		}
-	case "bounded":
-		pol.Mode = cyberhd.OverloadBounded
-		pol.TenantRate = *tenantRate
-	default:
-		return fmt.Errorf("ingest: -overload %q not one of lossless, bounded", *overload)
-	}
+	defer sv.close()
 
 	// Bind the rollup endpoint before the (slow) training step. Counters
 	// come from the merged worker telemetry, so the handler reads through
 	// an atomic pointer that flips from an empty snapshot to the live
 	// cluster once dialed.
 	var clientPtr atomic.Pointer[cyberhd.ClusterClient]
-	if *metricsAddr != "" {
-		srv, err := cyberhd.ServeMetricsFrom(*metricsAddr, func() cyberhd.TelemetrySnapshot {
+	if sv.metricsAddr != "" {
+		srv, err := cyberhd.ServeMetricsFrom(sv.metricsAddr, func() cyberhd.TelemetrySnapshot {
 			if c := clientPtr.Load(); c != nil {
 				return c.MergedSnapshot()
 			}
@@ -600,157 +623,56 @@ func cmdIngest(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
+		sv.metrics = srv
 		fmt.Printf("cluster rollup endpoint: http://%s/metrics (also /stats, /healthz)\n", srv.Addr())
 	}
 
-	det, err := cyberhd.TrainDetector(cyberhd.CICIDS2017(*trainSessions, *seed), cyberhd.DefaultConfig())
+	det, err := sv.train()
 	if err != nil {
 		return err
 	}
-	fmt.Println("detector:", det)
-
-	// Egress sinks ride on the merged alert stream, same as detect.
-	var sinks []cyberhd.AlertSink
-	if *verbose {
-		sinks = append(sinks, cyberhd.SinkFunc(func(a cyberhd.Alert) {
-			fmt.Printf("ALERT t=%9.2fs %-12s %4d pkts %9.0f bytes\n",
-				a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes())
-		}))
-	}
-	var jsonlSink *cyberhd.JSONLSink
-	var jsonlFile *os.File
-	if *jsonl != "" {
-		w := io.Writer(os.Stdout)
-		if *jsonl != "-" {
-			f, err := os.Create(*jsonl)
-			if err != nil {
-				return err
-			}
-			jsonlFile = f
-			defer f.Close() // backstop for error returns; success path closes and checks below
-			w = f
-		}
-		jsonlSink = cyberhd.NewJSONLSink(w)
-		sinks = append(sinks, jsonlSink)
-	}
-
 	client, err := cyberhd.DialCluster(cyberhd.ClusterConfig{
 		Workers:      fleet,
 		Model:        cyberhd.NewCOWModel(det.Model),
 		Normalizer:   det.Normalizer,
 		ClassNames:   det.ClassNames,
-		BatchSize:    *batch,
-		Width:        cyberhd.Width(*width),
+		BatchSize:    sv.batch,
+		Width:        cyberhd.Width(sv.width),
 		WorkerShards: *workerShards,
-		Sinks:        sinks,
+		Sinks:        sv.sinks,
 	})
 	if err != nil {
 		return err
 	}
+	// Every return from here says bye to the fleet; after a completed run
+	// the runner has already closed the client and this is a no-op.
+	defer client.Close()
 	clientPtr.Store(client)
 	fmt.Printf("cluster: %d workers, flow-hash fan-out\n", len(fleet))
-	if *width != 0 {
-		fmt.Printf("quantized inference: %d-bit packed class memory\n", *width)
-	}
-
-	if *capture != "" && *pcap != "" {
-		return fmt.Errorf("ingest: -capture and -pcap are mutually exclusive")
-	}
-	var src cyberhd.PacketSource
-	var pcapSrc *cyberhd.PCAPFile
-	if *pcap != "" {
-		pf, err := cyberhd.OpenPCAP(*pcap)
-		if err != nil {
-			return err
-		}
-		defer pf.Close()
-		src = pf
-		pcapSrc = pf
-	} else if *capture != "" {
-		cf, err := cyberhd.OpenCapture(*capture)
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		src = cf
-	} else {
-		live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: *liveSessions, Seed: *seed + 1})
-		src = cyberhd.NewSliceSource(live.Packets)
-	}
+	sv.banner()
 
 	// The admission gate sits between the source and the fan-out stream,
 	// exactly where it sits in front of a local engine: shed at ingress,
 	// before the cluster transport spends anything on the packet.
 	stream := cyberhd.Stream(client)
-	if pol.Mode == cyberhd.OverloadBounded {
-		stream = cyberhd.NewGate(client, pol)
-		if pol.TenantRate > 0 {
-			fmt.Printf("overload policy: bounded (max-wait %v, tenant-rate %g pkt/s per v4 /24 or v6 /48)\n",
-				pipeline.DefaultMaxWait, pol.TenantRate)
-		} else {
-			fmt.Printf("overload policy: bounded (max-wait %v)\n", pipeline.DefaultMaxWait)
-		}
-	} else {
-		fmt.Println("overload policy: lossless (blocking ingress, never drops)")
+	if sv.pol.Mode == cyberhd.OverloadBounded {
+		stream = cyberhd.NewGate(client, sv.pol)
 	}
-
-	st, err := (&cyberhd.Runner{Stream: stream, Source: src, TickInterval: *tick}).Run(context.Background())
+	st, err := (&cyberhd.Runner{Stream: stream, Source: sv.src, TickInterval: sv.tick}).Run(context.Background())
 	if err != nil {
 		return err
 	}
 	if err := client.Err(); err != nil {
 		return fmt.Errorf("cluster transport: %w", err)
 	}
-	if jsonlSink != nil {
-		if err := jsonlSink.Err(); err != nil {
-			return fmt.Errorf("jsonl sink: %w", err)
-		}
-		if jsonlFile != nil {
-			if err := jsonlFile.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("\nprocessed %d packets -> %d flows, %d alerts\n", st.Packets, st.Flows, st.Alerts)
-	if pcapSrc != nil && pcapSrc.Skipped() > 0 {
-		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", pcapSrc.Skipped())
-	}
-	if pol.Mode == cyberhd.OverloadBounded {
-		// Always printed in bounded mode (even when zero): the accounting
-		// line CI greps, offered = processed + dropped. Byte-identical to
-		// detect's line so the two paths diff clean.
-		fmt.Printf("dropped %d packets (backpressure=%d new_flow_shed=%d tenant_rate=%d)\n",
-			st.DroppedTotal(), st.Dropped[cyberhd.DropBackpressure],
-			st.Dropped[cyberhd.DropNewFlowShed], st.Dropped[cyberhd.DropTenantRate])
+	if err := sv.finish(st); err != nil {
+		return err
 	}
 	sent := client.SentPerWorker()
 	versions := client.WorkerVersions()
 	for i, addr := range client.WorkerAddrs() {
 		fmt.Printf("worker %s: %d packets, serving model version %d\n", addr, sent[i], versions[i])
 	}
-	if *metricsAddr != "" && *metricsLinger > 0 {
-		fmt.Printf("rollup endpoint stays up %.0fs\n", *metricsLinger)
-		time.Sleep(time.Duration(*metricsLinger * float64(time.Second)))
-	}
+	sv.linger()
 	return nil
-}
-
-// lazyHandler lets the admin endpoint bind before the control plane
-// exists: requests answer 503 until set stores the real handler (one
-// atomic pointer swap, safe against in-flight requests).
-type lazyHandler struct {
-	h atomic.Pointer[http.Handler]
-}
-
-func (l *lazyHandler) set(h http.Handler) { l.h.Store(&h) }
-
-func (l *lazyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h := l.h.Load(); h != nil {
-		(*h).ServeHTTP(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	fmt.Fprintln(w, `{"error":"model control plane not ready (detector still training)"}`)
 }

@@ -265,13 +265,7 @@ func NewCOWModel(m *Model) *COWModel { return core.NewCOWModel(m) }
 // source to sinks) or d.EngineConfig with options instead; this remains
 // the minimal hand-driven form.
 func (d *Detector) NewEngine(benignClass int, onAlert func(Alert)) (*Engine, error) {
-	return NewEngine(EngineConfig{
-		Model:       d.Model,
-		Normalizer:  d.Normalizer,
-		ClassNames:  d.ClassNames,
-		BenignClass: benignClass,
-		OnAlert:     onAlert,
-	})
+	return NewEngine(d.EngineConfig(WithBenignClass(benignClass), WithOnAlert(onAlert)))
 }
 
 // EffectiveDim reports the detector's effective dimensionality D* (physical

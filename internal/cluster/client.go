@@ -452,7 +452,7 @@ func (c *Client) Flush() {
 
 // Close sends bye to every worker, then waits for each to drain its
 // engine, deliver every remaining alert, report settled telemetry and
-// close the session. After Close, Stats/Snapshot are exact cluster-wide
+// close the session. After Close, Stats holds exact cluster-wide
 // totals. Idempotent; Feed/Tick/Flush after Close are defined no-ops.
 func (c *Client) Close() {
 	c.closeOnce.Do(func() {
@@ -517,35 +517,13 @@ func (c *Client) MergedSnapshot() telemetry.Snapshot {
 // Stats snapshots the merged cluster counters (see MergedSnapshot for
 // freshness; exact after Close).
 func (c *Client) Stats() pipeline.Stats {
-	return statsOfSnapshot(c.MergedSnapshot())
+	return pipeline.StatsOf(c.MergedSnapshot())
 }
-
-// Snapshot is Stats under the live-observability name; identical.
-func (c *Client) Snapshot() pipeline.Stats { return c.Stats() }
 
 // Telemetry returns nil: the cluster's telemetry is the merge of remote
 // collectors, served via MergedSnapshot (telemetry.HandlerFrom), not one
 // local collector. Runner and the admin surface nil-check this.
 func (c *Client) Telemetry() *telemetry.Collector { return nil }
-
-// statsOfSnapshot converts a merged telemetry snapshot to the engine
-// counter shape.
-func statsOfSnapshot(s telemetry.Snapshot) pipeline.Stats {
-	st := pipeline.Stats{
-		Packets:    int(s.Packets),
-		Flows:      int(s.Flows),
-		Alerts:     int(s.Alerts),
-		FeedbackOK: int(s.FeedbackOK),
-		ByClass:    make([]int, len(s.ByClass)),
-	}
-	for i, v := range s.ByClass {
-		st.ByClass[i] = int(v)
-	}
-	for i, v := range s.Dropped {
-		st.Dropped[i] = int(v)
-	}
-	return st
-}
 
 // Feedback applies one labeled flow to the ingest node's serving model
 // and, when the model changed, replicates the new snapshot to every

@@ -243,12 +243,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			_ = s.sendAlert(&wa)
 		},
 	}
-	var eng pipeline.Stream
-	if h.Shards > 1 {
-		eng, err = pipeline.NewSharded(cfg)
-	} else {
-		eng, err = pipeline.New(cfg)
-	}
+	eng, err := pipeline.NewStream(cfg)
 	if err != nil {
 		_ = s.sendAck(ackState{Msg: err.Error()})
 		return err

@@ -1,13 +1,11 @@
 // Package metrics provides classification quality measures (confusion
-// matrix, per-class precision/recall/F1, macro averages) and wall-clock
-// measurement helpers shared by the experiment harness and the pipeline.
+// matrix, per-class precision/recall/F1, macro averages) shared by the
+// experiment harness and the CLI.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
 
 // Confusion is a k×k confusion matrix: Counts[actual][predicted].
@@ -184,52 +182,4 @@ func (c *Confusion) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Timer measures repeated wall-clock intervals.
-type Timer struct {
-	start time.Time
-	laps  []time.Duration
-}
-
-// Start begins (or restarts) an interval.
-func (t *Timer) Start() { t.start = time.Now() }
-
-// Lap records the interval since Start and returns it. Lap on a timer
-// that was never started records a zero-length lap and arms the timer —
-// without the guard it would measure from the zero time.Time, centuries
-// ago — so subsequent laps measure from here.
-func (t *Timer) Lap() time.Duration {
-	if t.start.IsZero() {
-		t.start = time.Now()
-		t.laps = append(t.laps, 0)
-		return 0
-	}
-	d := time.Since(t.start)
-	t.laps = append(t.laps, d)
-	return d
-}
-
-// Total returns the sum of recorded laps.
-func (t *Timer) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range t.laps {
-		sum += d
-	}
-	return sum
-}
-
-// Median returns the median lap (0 when none): the middle lap for odd
-// counts, the mean of the two middle laps for even counts.
-func (t *Timer) Median() time.Duration {
-	n := len(t.laps)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), t.laps...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if n%2 == 0 {
-		return (sorted[n/2-1] + sorted[n/2]) / 2
-	}
-	return sorted[n/2]
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func sample() *Confusion {
@@ -97,60 +96,5 @@ func TestStringContainsClasses(t *testing.T) {
 		if !strings.Contains(s, cl) {
 			t.Fatalf("String() missing %q:\n%s", cl, s)
 		}
-	}
-}
-
-func TestTimer(t *testing.T) {
-	var tm Timer
-	for i := 0; i < 3; i++ {
-		tm.Start()
-		time.Sleep(time.Millisecond)
-		tm.Lap()
-	}
-	if tm.Total() < 3*time.Millisecond {
-		t.Fatalf("Total = %v", tm.Total())
-	}
-	if tm.Median() <= 0 {
-		t.Fatalf("Median = %v", tm.Median())
-	}
-	var empty Timer
-	if empty.Median() != 0 {
-		t.Fatal("empty median should be 0")
-	}
-}
-
-// TestTimerLapBeforeStart pins the unstarted-Lap guard: without it the
-// first lap measures since the zero time.Time — about 2000 years.
-func TestTimerLapBeforeStart(t *testing.T) {
-	var tm Timer
-	if d := tm.Lap(); d != 0 {
-		t.Fatalf("unstarted Lap = %v, want 0", d)
-	}
-	if tm.Total() != 0 {
-		t.Fatalf("Total after unstarted Lap = %v", tm.Total())
-	}
-	// The guard arms the timer: the next lap measures from the first Lap
-	// call, not from zero and not negatively.
-	time.Sleep(time.Millisecond)
-	d := tm.Lap()
-	if d < time.Millisecond || d > time.Minute {
-		t.Fatalf("lap after unstarted Lap = %v", d)
-	}
-}
-
-// TestTimerMedianEven pins even-count medians to the mean of the two
-// middle laps (previously the upper-middle lap was returned).
-func TestTimerMedianEven(t *testing.T) {
-	tm := Timer{laps: []time.Duration{40, 10, 20, 30}}
-	if got := tm.Median(); got != 25 {
-		t.Fatalf("even-count Median = %v, want 25", got)
-	}
-	tm.laps = append(tm.laps, 100)
-	if got := tm.Median(); got != 30 {
-		t.Fatalf("odd-count Median = %v, want 30", got)
-	}
-	one := Timer{laps: []time.Duration{7}}
-	if got := one.Median(); got != 7 {
-		t.Fatalf("single-lap Median = %v, want 7", got)
 	}
 }

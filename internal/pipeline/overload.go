@@ -253,7 +253,7 @@ var _ Stream = (*Gate)(nil)
 // OverloadBounded — a lossless run simply does not install a gate).
 // The gate shares inner's telemetry collector; when the wrapped stream
 // exposes none (a cluster ingest client, say) the gate keeps a private
-// collector so drops still count, and folds them into Stats/Snapshot.
+// collector so drops still count, and folds them into Stats.
 func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 	pol.Mode = OverloadBounded
 	defaultTenantKey := pol.TenantKey == nil
@@ -541,20 +541,12 @@ func (g *Gate) Close() { g.inner.Close() }
 // Stats reads the wrapped stream's counters (drops included — gate and
 // engine share one collector; a gate-private collector's drops are
 // folded in).
-func (g *Gate) Stats() Stats { return g.foldDrops(g.inner.Stats()) }
-
-// Snapshot reads the wrapped stream's counters — identical to Stats.
-func (g *Gate) Snapshot() Stats { return g.foldDrops(g.inner.Snapshot()) }
-
-// foldDrops merges the gate's private drop counters into a wrapped
-// stream's stats when the two do not share a collector.
-func (g *Gate) foldDrops(st Stats) Stats {
-	if !g.ownTel {
-		return st
-	}
-	s := g.tel.Snapshot()
-	for i, v := range s.Dropped {
-		st.Dropped[i] += int(v)
+func (g *Gate) Stats() Stats {
+	st := g.inner.Stats()
+	if g.ownTel {
+		for i, v := range g.tel.Snapshot().Dropped {
+			st.Dropped[i] += int(v)
+		}
 	}
 	return st
 }

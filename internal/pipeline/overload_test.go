@@ -582,8 +582,8 @@ func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
 	if st.Dropped[telemetry.DropTenantRate] != 9 {
 		t.Fatalf("tenant-rate drops = %d, want 9", st.Dropped[telemetry.DropTenantRate])
 	}
-	if got := g.Snapshot().DroppedTotal(); got != 9 {
-		t.Fatalf("Snapshot folded %d drops, want 9", got)
+	if got := st.DroppedTotal(); got != 9 {
+		t.Fatalf("Stats folded %d drops, want 9", got)
 	}
 	labels := map[string]int64{}
 	for _, td := range g.Telemetry().Snapshot().DroppedByTenant {

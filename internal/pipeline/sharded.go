@@ -32,9 +32,8 @@ import (
 //   - Close is deterministic: it stops ingress, drains every shard's
 //     channel, flushes all in-progress flows and pending micro-batches,
 //     and waits for every worker to exit. Feed/Tick/Flush after Close are
-//     defined no-ops. Stats/Snapshot are safe from any goroutine at any
-//     time (all shards count into one atomic collector); after Close they
-//     are exact.
+//     defined no-ops. Stats is safe from any goroutine at any time (all
+//     shards count into one atomic collector); after Close it is exact.
 //
 // Online learning: Feedback is safe to call concurrently with live
 // classification only when the model's Update is — wrap the model in
@@ -42,19 +41,18 @@ import (
 // feedback publishes new versions with an atomic swap. With a plain
 // *core.Model, call Feedback only while no traffic is being fed.
 type Sharded struct {
-	cfg    Config
 	shards []shardWorker
 	once   sync.Once
 
-	// tel is the one collector every shard records into, so Snapshot and
-	// Stats are single reads with no per-shard merge.
+	// tel is the one collector every shard records into, so Stats is a
+	// single read with no per-shard merge.
 	tel *telemetry.Collector
 
 	// alertMu serializes OnAlert and sink delivery across shard goroutines.
 	alertMu sync.Mutex
 
-	// fb serializes online feedback against the shared model.
-	fb feedbacker
+	// fbMu serializes online feedback against the shared model.
+	fbMu sync.Mutex
 
 	// closeMu makes Close safe against in-flight Feed/Tick/Flush: senders
 	// hold the read side, Close takes the write side before closing the
@@ -91,9 +89,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if buffer <= 0 {
 		buffer = 1024
 	}
-	tel := resolveTelemetry(&cfg)
-	s := &Sharded{cfg: cfg, tel: tel}
-	s.fb.tel = tel
+	s := &Sharded{tel: resolveTelemetry(&cfg)}
 	shardCfg := cfg
 	if cfg.OnAlert != nil || len(cfg.Sinks) > 0 {
 		// One serialized delivery path wraps both the callback and the
@@ -139,6 +135,14 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	return s, nil
 }
 
+// NewConcurrent builds the one-worker form of the sharded engine — packet
+// ingestion decoupled from classification by a single bounded channel of
+// the given size (<= 0 selects 1024), with no flow hashing on the way in.
+func NewConcurrent(cfg Config, buffer int) (*Sharded, error) {
+	cfg.Shards, cfg.ShardBuffer = 1, buffer
+	return NewSharded(cfg)
+}
+
 // NumShards returns the worker count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -146,55 +150,59 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // ingress buffer is full (lossless by design: an IDS that silently drops
 // packets hides exactly the traffic an attacker would send). Packets must
 // arrive in time order per flow. After Close it is a defined no-op.
-func (s *Sharded) Feed(p netflow.Packet) {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return
-	}
-	i := int(p.ShardKey() % uint64(len(s.shards)))
-	s.shards[i].in <- streamMsg{pkt: p}
-}
+func (s *Sharded) Feed(p netflow.Packet) { s.admit(&p, blockUntilAdmitted) }
 
 // TryFeed routes one packet to its flow's shard only when that cannot
 // block, reporting whether it was admitted. False when the shard's
 // buffer is full right now or after Close.
-func (s *Sharded) TryFeed(p netflow.Packet) bool {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return false
-	}
-	i := int(p.ShardKey() % uint64(len(s.shards)))
-	select {
-	case s.shards[i].in <- streamMsg{pkt: p}:
-		return true
-	default:
-		return false
-	}
-}
+func (s *Sharded) TryFeed(p netflow.Packet) bool { return s.admit(&p, 0) }
 
 // FeedWithin routes one packet to its flow's shard, waiting at most wait
 // for buffer space, reporting whether it was admitted. Like Feed, a
 // waiting sender holds the close gate's read side, so a concurrent Close
 // waits out at most one admission bound. False after Close.
 func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
-	if s.TryFeed(p) {
-		return true
+	if wait < 0 {
+		wait = 0
 	}
-	if wait <= 0 {
-		return false
-	}
+	return s.admit(&p, wait)
+}
+
+// blockUntilAdmitted is admit's wait value for the lossless Feed path.
+const blockUntilAdmitted time.Duration = -1
+
+// admit is the one ingress path: under the close gate's read side it
+// picks the packet's shard — by flow hash, or shard 0 outright when there
+// is only one to pick — and sends, blocking (blockUntilAdmitted), not at
+// all (0) or for at most wait. False means the packet was not ingested:
+// the engine is closed or the shard's buffer stayed full.
+func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
 		return false
 	}
-	i := int(p.ShardKey() % uint64(len(s.shards)))
+	in := s.shards[0].in
+	if n := uint64(len(s.shards)); n > 1 {
+		in = s.shards[p.ShardKey()%n].in
+	}
+	m := streamMsg{pkt: *p}
+	if wait == blockUntilAdmitted {
+		in <- m
+		return true
+	}
+	select {
+	case in <- m:
+		return true
+	default:
+	}
+	if wait == 0 {
+		return false
+	}
 	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
-	case s.shards[i].in <- streamMsg{pkt: p}:
+	case in <- m:
 		return true
 	case <-t.C:
 		return false
@@ -264,11 +272,7 @@ func (s *Sharded) Close() {
 // Stats returns the engine counters. Every shard records into one shared
 // telemetry collector, so this is a single atomic read, safe from any
 // goroutine at any time; exact after Close.
-func (s *Sharded) Stats() Stats { return s.Snapshot() }
-
-// Snapshot reads the engine counters — identical to Stats, named for the
-// Stream contract's any-time read.
-func (s *Sharded) Snapshot() Stats { return statsOf(s.tel.Snapshot()) }
+func (s *Sharded) Stats() Stats { return StatsOf(s.tel.Snapshot()) }
 
 // Telemetry returns the collector shared by every shard, for richer
 // observation (latency histogram, suppression totals, Prometheus export).
@@ -280,5 +284,9 @@ func (s *Sharded) Telemetry() *telemetry.Collector { return s.tel }
 // against live classification is the model's contract: use core.COWModel
 // for lock-free snapshot reads with atomically swapped updates.
 func (s *Sharded) Feedback(f *netflow.Flow, label int) bool {
-	return s.fb.apply(&s.cfg, f, label)
+	// Every shard engine holds the same model and normalizer, and an
+	// engine's Feedback shares no state with its worker goroutine.
+	s.fbMu.Lock()
+	defer s.fbMu.Unlock()
+	return s.shards[0].eng.Feedback(f, label)
 }

@@ -9,10 +9,10 @@ import (
 
 // Stream is the uniform serving contract of the detection engines: one
 // packet-in/alert-out surface implemented identically by Engine (single
-// core, synchronous), Concurrent (one background worker) and Sharded
-// (flow-hash partitioned multi-core). Sources (netflow.PacketSource) feed
-// a Stream and sinks (AlertSink) consume from it, usually through a
-// Runner rather than by hand.
+// core, synchronous) and Sharded (flow-hash partitioned across N
+// channel-fronted workers; one worker via NewConcurrent). Sources
+// (netflow.PacketSource) feed a Stream and sinks (AlertSink) consume from
+// it, usually through a Runner rather than by hand.
 //
 // Lifecycle and ordering guarantees, uniform across implementations:
 //
@@ -24,28 +24,27 @@ import (
 //     admitted. A false return means the packet was NOT ingested — the
 //     caller owns the drop (the overload Gate counts it into telemetry).
 //     On the synchronous Engine admission always succeeds (there is no
-//     ingress buffer to fill); on Concurrent and Sharded, TryFeed fails
-//     when the (shard's) buffer is full right now and FeedWithin when it
-//     stays full for the whole wait.
+//     ingress buffer to fill); on Sharded, TryFeed fails when the shard's
+//     buffer is full right now and FeedWithin when it stays full for the
+//     whole wait.
 //   - Post-Close, TryFeed and FeedWithin return false — unlike Feed,
 //     whose post-Close no-op is silent, the admission variants make the
 //     refusal observable so a gate never miscounts a packet fed to a
 //     retired stream as admitted.
 //   - Tick and Flush are ordered with packets: their effects apply after
 //     every previously fed packet and before any later one (per shard for
-//     Sharded). On Engine they act synchronously; on Concurrent and
-//     Sharded they enqueue and return.
+//     Sharded). On Engine they act synchronously; on Sharded they enqueue
+//     and return.
 //   - Close stops ingestion, completes all in-progress flows, drains every
 //     pending micro-batch and buffered packet, and waits until all of it
 //     has classified — Close ≡ drain, deterministically, on every
 //     implementation. Close is idempotent, and Feed/Tick/Flush after Close
 //     are defined no-ops (they drop silently — never a panic).
-//   - Stats and Snapshot are safe from any goroutine at any time: engines
-//     count through lock-free telemetry collectors, so a mid-run read
-//     never races (pinned by TestSnapshotDuringLiveFeedRaceFree). A mid-run
+//   - Stats is safe from any goroutine at any time: engines count
+//     through lock-free telemetry collectors, so a mid-run read never
+//     races (pinned by TestSnapshotDuringLiveFeedRaceFree). A mid-run
 //     read is eventually consistent across counters (see the telemetry
-//     package's consistency contract); after Close it is exact, and
-//     Snapshot equals Stats bit for bit at all times.
+//     package's consistency contract); after Close it is exact.
 //   - Feedback may be called from any goroutine, including alert
 //     callbacks; concurrent safety against live classification is the
 //     model's contract (use core.COWModel).
@@ -71,9 +70,6 @@ type Stream interface {
 	// Stats snapshots the engine counters — safe from any goroutine at
 	// any time, exact after Close.
 	Stats() Stats
-	// Snapshot is Stats under the name the live-observability surface
-	// uses; the two are identical at all times.
-	Snapshot() Stats
 	// Telemetry returns the engine's collector — the richer live surface
 	// (latency histogram, suppression totals, Prometheus export).
 	Telemetry() *telemetry.Collector
@@ -82,17 +78,45 @@ type Stream interface {
 	Feedback(f *netflow.Flow, label int) bool
 }
 
-// All three engines implement the Stream contract.
+// Both engines implement the Stream contract.
 var (
 	_ Stream = (*Engine)(nil)
-	_ Stream = (*Concurrent)(nil)
 	_ Stream = (*Sharded)(nil)
 )
 
-// streamMsg is one ingress item for the channel-fed engines (Concurrent,
-// Sharded): a packet, a tick at capture time, or a flush request. Control
-// messages keep their order relative to packets within a channel, so
-// eviction and batch draining stay deterministic per worker.
+// NewStream builds the stream cfg describes — the one place the serving
+// path chooses an engine, shared by NewRunner and the cluster worker.
+// Sharding is an explicit choice, not a default: cfg.Shards > 1 builds
+// the flow-sharded multi-core engine with that many shards (stats stay
+// bit-identical, but alert interleaving across shards is
+// scheduling-dependent); any other count builds the synchronous
+// single-core Engine, whose alert order is deterministic run to run. For
+// one shard per core pass runtime.GOMAXPROCS(0) — the facade's
+// WithShards(0) resolves to exactly that. A bounded cfg.Overload wraps
+// either engine in the admission Gate; the lossless default installs
+// nothing, keeping the no-gate path bit-identical to every release before
+// overload control.
+func NewStream(cfg Config) (Stream, error) {
+	var s Stream
+	var err error
+	if cfg.Shards > 1 {
+		s, err = NewSharded(cfg)
+	} else {
+		s, err = New(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Overload.Mode == OverloadBounded {
+		s = NewGate(s, cfg.Overload)
+	}
+	return s, nil
+}
+
+// streamMsg is one ingress item for the channel-fed Sharded engine: a
+// packet, a tick at capture time, or a flush request. Control messages
+// keep their order relative to packets within a channel, so eviction and
+// batch draining stay deterministic per worker.
 type streamMsg struct {
 	pkt  netflow.Packet
 	tick float64

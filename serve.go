@@ -23,12 +23,8 @@ import (
 //	    cyberhd.WithSinks(cyberhd.NewJSONLSink(os.Stdout)))
 type (
 	// Stream is the uniform serving contract (Feed/Tick/Flush/Close/
-	// Stats/Feedback) implemented by Engine, ConcurrentEngine and
-	// ShardedEngine.
+	// Stats/Feedback) implemented by Engine and ShardedEngine.
 	Stream = pipeline.Stream
-	// ConcurrentEngine decouples ingestion from classification with one
-	// background worker (see pipeline.NewConcurrent).
-	ConcurrentEngine = pipeline.Concurrent
 	// PacketSource yields a time-ordered packet stream (see NewSliceSource,
 	// OpenCapture, ReplayTraffic).
 	PacketSource = netflow.PacketSource
@@ -392,12 +388,6 @@ func (d *Detector) Serve(ctx context.Context, src PacketSource, opts ...EngineOp
 	return r.Run(ctx)
 }
 
-// Serve runs det.Serve — the package-level spelling of the one-call
-// serving path.
-func Serve(ctx context.Context, det *Detector, src PacketSource, opts ...EngineOption) (EngineStats, error) {
-	return det.Serve(ctx, src, opts...)
-}
-
 // ServeWithMetrics is Serve plus a live admin endpoint: it binds addr,
 // serves /metrics (Prometheus text format), /stats (JSON) and /healthz
 // for the duration of the run, and closes the endpoint when the run
@@ -406,17 +396,14 @@ func Serve(ctx context.Context, det *Detector, src PacketSource, opts ...EngineO
 // several runs on one endpoint.
 func (d *Detector) ServeWithMetrics(ctx context.Context, addr string, src PacketSource, opts ...EngineOption) (EngineStats, error) {
 	cfg := d.EngineConfig(opts...)
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.New(cfg.ClassNames)
+	tel := cfg.Telemetry
+	if tel == nil {
+		tel = telemetry.New(cfg.ClassNames)
 	}
-	srv, err := telemetry.ListenAndServe(addr, cfg.Telemetry)
+	srv, err := telemetry.ListenAndServe(addr, tel)
 	if err != nil {
 		return EngineStats{}, err
 	}
 	defer srv.Close()
-	r, err := NewServeRunner(cfg, src)
-	if err != nil {
-		return EngineStats{}, err
-	}
-	return r.Run(ctx)
+	return d.Serve(ctx, src, append(opts[:len(opts):len(opts)], WithTelemetry(tel))...)
 }

@@ -117,7 +117,7 @@ func TestServeShardedQuantized(t *testing.T) {
 	sh.Close()
 	want := sh.Stats()
 
-	got, err := Serve(context.Background(), det, NewSliceSource(live.Packets),
+	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
 		WithShards(4), WithBatchSize(32), WithQuantized(W8))
 	if err != nil {
 		t.Fatal(err)
