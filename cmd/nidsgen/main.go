@@ -92,9 +92,7 @@ func main() {
 			lastTime = stream.Packets[nPackets-1].Time
 		}
 		if *capture != "" {
-			// Stream the log through CaptureWriter — O(1) append, and on a
-			// seekable file the output is byte-identical to SaveCapture.
-			if err := writeCapture(*capture, stream.Packets); err != nil {
+			if err := netflow.SaveCapture(*capture, stream.Packets); err != nil {
 				fmt.Fprintln(os.Stderr, "nidsgen:", err)
 				os.Exit(1)
 			}
@@ -119,21 +117,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s: %d flows × %d features\n", *out, ds.Len(), ds.NumFeatures())
 	}
-}
-
-// writeCapture writes packets to path, auto-selecting the v1 record for
-// pure-IPv4 untagged traffic (byte-identical to the pre-v2 format) and
-// the v2 record when any packet carries IPv6 or a VLAN tag.
-func writeCapture(path string, packets []netflow.Packet) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := netflow.WriteCapture(f, packets); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writePCAPFile writes packets as a classic nanosecond-resolution

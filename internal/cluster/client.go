@@ -277,14 +277,8 @@ func (c *Client) readLoop(wc *workerConn) {
 			return
 		}
 		switch t {
-		case frameAlert:
-			if err := decodeAlert(payload, &wa); err != nil {
-				wc.fail(err)
-				return
-			}
-			c.deliver(&wa)
-		case frameAlert2:
-			if err := decodeAlert2(payload, &wa); err != nil {
+		case frameAlert, frameAlert2:
+			if err := decodeAlert(t, payload, &wa); err != nil {
 				wc.fail(err)
 				return
 			}

@@ -112,14 +112,14 @@ func FuzzDecodeFrame(f *testing.F) {
 				_, _ = decodeHello(payload)
 			case frameAck:
 				_, _ = decodeAck(payload)
-			case framePacket:
+			case framePacket, framePacket2:
 				var p netflow.Packet
-				_ = decodePacket(payload, &p)
+				_ = decodePacket(ft, payload, &p)
 			case frameTick:
 				_, _ = decodeTick(payload)
-			case frameAlert:
+			case frameAlert, frameAlert2:
 				var a wireAlert
-				_ = decodeAlert(payload, &a)
+				_ = decodeAlert(ft, payload, &a)
 			case frameTelemetry:
 				_, _, _ = decodeTelemetry(payload)
 			}

@@ -52,14 +52,14 @@ const (
 	frameHello     frameType = 1  // gob helloState: session configuration
 	frameSnapshot  frameType = 2  // v2 model snapshot bytes, verbatim
 	frameAck       frameType = 3  // gob ackState: snapshot/hello outcome
-	framePacket    frameType = 4  // one v1 capture packet record (32 bytes, IPv4 untagged)
+	framePacket    frameType = 4  // one narrow (v1) capture packet record: 32 bytes, IPv4 untagged
 	frameTick      frameType = 5  // capture-clock tick (float64 bits)
 	frameFlush     frameType = 6  // flush all open flows (empty)
 	frameBye       frameType = 7  // end of stream (empty)
-	frameAlert     frameType = 8  // one v1 alert record (fixed binary, IPv4 flows)
+	frameAlert     frameType = 8  // one narrow (v1) alert record: 49 bytes, IPv4 flows
 	frameTelemetry frameType = 9  // settled flag byte + gob telemetry.Snapshot
-	framePacket2   frameType = 10 // one v2 capture packet record (16-byte addrs + VLAN)
-	frameAlert2    frameType = 11 // one v2 alert record (16-byte addresses)
+	framePacket2   frameType = 10 // one wide (v2) capture packet record: 60 bytes, 16-byte addrs + VLAN
+	frameAlert2    frameType = 11 // one wide (v2) alert record: 85 bytes, 16-byte addresses
 )
 
 // frameHeaderSize is the fixed frame header: type byte, payload length
@@ -262,21 +262,16 @@ func (fr *frameReader) readPayload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodePacket decodes a v1 packet frame payload.
-func decodePacket(payload []byte, p *netflow.Packet) error {
-	if len(payload) != netflow.PacketRecordSize {
-		return fmt.Errorf("cluster: packet frame is %d bytes, want %d", len(payload), netflow.PacketRecordSize)
+// decodePacket decodes a packet frame payload; t picks the record width.
+func decodePacket(t frameType, payload []byte, p *netflow.Packet) error {
+	switch {
+	case t == framePacket && len(payload) == netflow.PacketRecordSize:
+		netflow.DecodePacketRecord(payload, p)
+	case t == framePacket2 && len(payload) == netflow.PacketRecordSizeV2:
+		netflow.DecodePacketRecordV2(payload, p)
+	default:
+		return fmt.Errorf("cluster: packet frame type %d is %d bytes", t, len(payload))
 	}
-	netflow.DecodePacketRecord(payload, p)
-	return nil
-}
-
-// decodePacket2 decodes a v2 packet frame payload.
-func decodePacket2(payload []byte, p *netflow.Packet) error {
-	if len(payload) != netflow.PacketRecordSizeV2 {
-		return fmt.Errorf("cluster: packet2 frame is %d bytes, want %d", len(payload), netflow.PacketRecordSizeV2)
-	}
-	netflow.DecodePacketRecordV2(payload, p)
 	return nil
 }
 
@@ -386,8 +381,8 @@ func decodeAck(payload []byte) (ackState, error) {
 
 // wireAlert is the fixed-binary alert record a worker streams back: the
 // verdict identity (flow key, class, time — the bit-identity fingerprint)
-// plus the flow summary fields the alert sinks render. Little-endian,
-// alertRecordSize bytes.
+// plus the flow summary fields the alert sinks render. Little-endian, one
+// layout at two address widths: alertRecordSize or alertRecordSizeV2 bytes.
 type wireAlert struct {
 	Time        float64 // verdict time = the flow's LastTime
 	FirstTime   float64
@@ -405,86 +400,51 @@ func (a *wireAlert) encodableV1() bool {
 	return a.Key.IPA.Is4() && a.Key.IPB.Is4() && a.InitSrcIP.Is4()
 }
 
-// encodeAlert renders a v1 alert record into dst[:alertRecordSize]. The
-// caller must ensure a.encodableV1(); the layout stores 4-byte addresses
-// and is byte-identical to the pre-v2 wire for IPv4 flows.
-func encodeAlert(dst []byte, a *wireAlert) {
+// encodeAlert renders an alert record into dst — the one encoder of the
+// alert layout. The caller must ensure a.encodableV1() for a narrow
+// record, which is byte-identical to the pre-v2 wire.
+func encodeAlert(dst []byte, a *wireAlert, wide bool) {
 	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(a.Time))
 	binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(a.FirstTime))
-	binary.LittleEndian.PutUint32(dst[16:], a.Key.IPA.V4())
-	binary.LittleEndian.PutUint32(dst[20:], a.Key.IPB.V4())
-	binary.LittleEndian.PutUint16(dst[24:], a.Key.PortA)
-	binary.LittleEndian.PutUint16(dst[26:], a.Key.PortB)
-	dst[28] = byte(a.Key.Proto)
-	binary.LittleEndian.PutUint16(dst[29:], a.Class)
-	binary.LittleEndian.PutUint32(dst[31:], a.InitSrcIP.V4())
-	binary.LittleEndian.PutUint16(dst[35:], a.InitSrcPort)
-	binary.LittleEndian.PutUint32(dst[37:], a.Packets)
-	binary.LittleEndian.PutUint64(dst[41:], math.Float64bits(a.Bytes))
+	w := a.Key.IPA.Put(dst[16:], wide)
+	a.Key.IPB.Put(dst[16+w:], wide)
+	b := dst[16+2*w:]
+	binary.LittleEndian.PutUint16(b[0:], a.Key.PortA)
+	binary.LittleEndian.PutUint16(b[2:], a.Key.PortB)
+	b[4] = byte(a.Key.Proto)
+	binary.LittleEndian.PutUint16(b[5:], a.Class)
+	a.InitSrcIP.Put(b[7:], wide)
+	b = b[7+w:]
+	binary.LittleEndian.PutUint16(b[0:], a.InitSrcPort)
+	binary.LittleEndian.PutUint32(b[2:], a.Packets)
+	binary.LittleEndian.PutUint64(b[6:], math.Float64bits(a.Bytes))
 }
 
-// decodeAlert parses a v1 alert frame payload.
-func decodeAlert(payload []byte, a *wireAlert) error {
-	if len(payload) != alertRecordSize {
-		return fmt.Errorf("cluster: alert frame is %d bytes, want %d", len(payload), alertRecordSize)
+// decodeAlert parses an alert frame payload; t picks the address width.
+func decodeAlert(t frameType, payload []byte, a *wireAlert) error {
+	wide, want := false, alertRecordSize
+	if t == frameAlert2 {
+		wide, want = true, alertRecordSizeV2
+	}
+	if len(payload) != want {
+		return fmt.Errorf("cluster: alert frame type %d is %d bytes, want %d", t, len(payload), want)
 	}
 	*a = wireAlert{
 		Time:      math.Float64frombits(binary.LittleEndian.Uint64(payload[0:])),
 		FirstTime: math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
-		Key: netflow.FlowKey{
-			IPA:   netflow.AddrV4(binary.LittleEndian.Uint32(payload[16:])),
-			IPB:   netflow.AddrV4(binary.LittleEndian.Uint32(payload[20:])),
-			PortA: binary.LittleEndian.Uint16(payload[24:]),
-			PortB: binary.LittleEndian.Uint16(payload[26:]),
-			Proto: netflow.Proto(payload[28]),
-		},
-		Class:       binary.LittleEndian.Uint16(payload[29:]),
-		InitSrcIP:   netflow.AddrV4(binary.LittleEndian.Uint32(payload[31:])),
-		InitSrcPort: binary.LittleEndian.Uint16(payload[35:]),
-		Packets:     binary.LittleEndian.Uint32(payload[37:]),
-		Bytes:       math.Float64frombits(binary.LittleEndian.Uint64(payload[41:])),
 	}
-	return nil
-}
-
-// encodeAlert2 renders a v2 alert record into dst[:alertRecordSizeV2]:
-// the same field order with full 16-byte addresses.
-func encodeAlert2(dst []byte, a *wireAlert) {
-	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(a.Time))
-	binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(a.FirstTime))
-	copy(dst[16:32], a.Key.IPA[:])
-	copy(dst[32:48], a.Key.IPB[:])
-	binary.LittleEndian.PutUint16(dst[48:], a.Key.PortA)
-	binary.LittleEndian.PutUint16(dst[50:], a.Key.PortB)
-	dst[52] = byte(a.Key.Proto)
-	binary.LittleEndian.PutUint16(dst[53:], a.Class)
-	copy(dst[55:71], a.InitSrcIP[:])
-	binary.LittleEndian.PutUint16(dst[71:], a.InitSrcPort)
-	binary.LittleEndian.PutUint32(dst[73:], a.Packets)
-	binary.LittleEndian.PutUint64(dst[77:], math.Float64bits(a.Bytes))
-}
-
-// decodeAlert2 parses a v2 alert frame payload.
-func decodeAlert2(payload []byte, a *wireAlert) error {
-	if len(payload) != alertRecordSizeV2 {
-		return fmt.Errorf("cluster: alert2 frame is %d bytes, want %d", len(payload), alertRecordSizeV2)
-	}
-	*a = wireAlert{
-		Time:      math.Float64frombits(binary.LittleEndian.Uint64(payload[0:])),
-		FirstTime: math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
-		Key: netflow.FlowKey{
-			PortA: binary.LittleEndian.Uint16(payload[48:]),
-			PortB: binary.LittleEndian.Uint16(payload[50:]),
-			Proto: netflow.Proto(payload[52]),
-		},
-		Class:       binary.LittleEndian.Uint16(payload[53:]),
-		InitSrcPort: binary.LittleEndian.Uint16(payload[71:]),
-		Packets:     binary.LittleEndian.Uint32(payload[73:]),
-		Bytes:       math.Float64frombits(binary.LittleEndian.Uint64(payload[77:])),
-	}
-	copy(a.Key.IPA[:], payload[16:32])
-	copy(a.Key.IPB[:], payload[32:48])
-	copy(a.InitSrcIP[:], payload[55:71])
+	w := a.Key.IPA.Get(payload[16:], wide)
+	a.Key.IPB.Get(payload[16+w:], wide)
+	b := payload[16+2*w:]
+	a.Key.PortA = binary.LittleEndian.Uint16(b[0:])
+	a.Key.PortB = binary.LittleEndian.Uint16(b[2:])
+	a.Key.Proto = netflow.Proto(b[4])
+	a.Class = binary.LittleEndian.Uint16(b[5:])
+	a.InitSrcIP.Get(b[7:], wide)
+	b = b[7+w:]
+	a.InitSrcPort = binary.LittleEndian.Uint16(b[0:])
+	a.Packets = binary.LittleEndian.Uint32(b[2:])
+	a.Bytes = math.Float64frombits(binary.LittleEndian.Uint64(b[6:]))
 	return nil
 }
 
@@ -492,10 +452,10 @@ func decodeAlert2(payload []byte, a *wireAlert) error {
 // (byte-identical to the pre-v2 wire) and the v2 frame otherwise.
 func (fw *frameWriter) writeAlert(a *wireAlert) error {
 	if a.encodableV1() {
-		encodeAlert(fw.rec[:alertRecordSize], a)
+		encodeAlert(fw.rec[:alertRecordSize], a, false)
 		return fw.writeFrame(frameAlert, fw.rec[:alertRecordSize])
 	}
-	encodeAlert2(fw.rec[:alertRecordSizeV2], a)
+	encodeAlert(fw.rec[:alertRecordSizeV2], a, true)
 	return fw.writeFrame(frameAlert2, fw.rec[:alertRecordSizeV2])
 }
 

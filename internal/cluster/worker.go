@@ -118,16 +118,16 @@ type session struct {
 	wErr    error // first write error, latched under writeMu
 }
 
-// send frames one payload and flushes it to the peer, latching the first
-// write error (after which the session loop tears down — the peer is
-// gone, alerts have nowhere to go).
-func (s *session) send(t frameType, payload []byte) error {
+// write runs one framing call under the write lock and flushes it to the
+// peer, latching the first write error (after which the session loop
+// tears down — the peer is gone, alerts have nowhere to go).
+func (s *session) write(frame func(*frameWriter) error) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if s.wErr != nil {
 		return s.wErr
 	}
-	if err := s.fw.writeFrame(t, payload); err == nil {
+	if err := frame(s.fw); err == nil {
 		s.wErr = s.fw.flush()
 	} else {
 		s.wErr = err
@@ -135,19 +135,14 @@ func (s *session) send(t frameType, payload []byte) error {
 	return s.wErr
 }
 
-// sendAlert frames one alert record under the write lock.
+// send frames one payload.
+func (s *session) send(t frameType, payload []byte) error {
+	return s.write(func(fw *frameWriter) error { return fw.writeFrame(t, payload) })
+}
+
+// sendAlert frames one alert record.
 func (s *session) sendAlert(a *wireAlert) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.wErr != nil {
-		return s.wErr
-	}
-	if err := s.fw.writeAlert(a); err == nil {
-		s.wErr = s.fw.flush()
-	} else {
-		s.wErr = err
-	}
-	return s.wErr
+	return s.write(func(fw *frameWriter) error { return fw.writeAlert(a) })
 }
 
 // sendAck frames one ack.
@@ -263,13 +258,8 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			return err
 		}
 		switch t {
-		case framePacket:
-			if err := decodePacket(payload, &p); err != nil {
-				return err
-			}
-			eng.Feed(p)
-		case framePacket2:
-			if err := decodePacket2(payload, &p); err != nil {
+		case framePacket, framePacket2:
+			if err := decodePacket(t, payload, &p); err != nil {
 				return err
 			}
 			eng.Feed(p)

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
@@ -47,6 +46,24 @@ type persistedOptions struct {
 
 const modelStateVersion = 1
 
+// persistOptions is the one Options → persistedOptions mapping.
+func persistOptions(o Options) persistedOptions {
+	return persistedOptions{
+		Classes: o.Classes, LearningRate: o.LearningRate,
+		Epochs: o.Epochs, RegenCycles: o.RegenCycles,
+		RegenRate: o.RegenRate, Seed: o.Seed,
+	}
+}
+
+// options is the inverse of persistOptions.
+func (p persistedOptions) options() Options {
+	return Options{
+		Classes: p.Classes, LearningRate: p.LearningRate,
+		Epochs: p.Epochs, RegenCycles: p.RegenCycles,
+		RegenRate: p.RegenRate, Seed: p.Seed,
+	}
+}
+
 // Save serializes the model with encoding/gob.
 func (m *Model) Save(w io.Writer) error {
 	encState, err := encoder.CaptureState(m.Enc)
@@ -59,12 +76,8 @@ func (m *Model) Save(w io.Writer) error {
 		ClassData:    m.Class.Data,
 		EffectiveDim: m.EffectiveDim,
 		History:      m.History,
-		Opts: persistedOptions{
-			Classes: m.opts.Classes, LearningRate: m.opts.LearningRate,
-			Epochs: m.opts.Epochs, RegenCycles: m.opts.RegenCycles,
-			RegenRate: m.opts.RegenRate, Seed: m.opts.Seed,
-		},
-		Encoder: encState,
+		Opts:         persistOptions(m.opts),
+		Encoder:      encState,
 	}
 	return gob.NewEncoder(w).Encode(&state)
 }
@@ -78,6 +91,14 @@ func Load(r io.Reader) (*Model, error) {
 	if state.Version != modelStateVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", state.Version)
 	}
+	return state.model()
+}
+
+// model rebuilds the Model a decoded state describes — the one state →
+// *Model path, shared by Load and the v2 snapshot decoder (whose state
+// carries the same fields under the same names): class-matrix size check,
+// encoder restore, dimension cross-check, options, norm cache.
+func (state *modelState) model() (*Model, error) {
 	if len(state.ClassData) != state.ClassRows*state.ClassCols {
 		return nil, fmt.Errorf("core: corrupt class matrix (%d values for %d×%d)",
 			len(state.ClassData), state.ClassRows, state.ClassCols)
@@ -97,35 +118,8 @@ func Load(r io.Reader) (*Model, error) {
 		},
 		EffectiveDim: state.EffectiveDim,
 		History:      state.History,
-		opts: Options{
-			Classes: state.Opts.Classes, LearningRate: state.Opts.LearningRate,
-			Epochs: state.Opts.Epochs, RegenCycles: state.Opts.RegenCycles,
-			RegenRate: state.Opts.RegenRate, Seed: state.Opts.Seed,
-		},
+		opts:         state.Opts.options(),
 	}
 	m.refreshNorms()
 	return m, nil
-}
-
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

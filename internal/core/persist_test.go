@@ -92,21 +92,6 @@ func TestLoadedModelContinuesTraining(t *testing.T) {
 	}
 }
 
-func TestSaveFileLoadFile(t *testing.T) {
-	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
-	path := t.TempDir() + "/model.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Class.Equal(m.Class) {
-		t.Fatal("file round trip changed class matrix")
-	}
-}
-
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("garbage accepted")

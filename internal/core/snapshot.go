@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"cyberhd/internal/encoder"
-	"cyberhd/internal/hdc"
 )
 
 // This file is the v2 snapshot format of the model control plane: a
@@ -131,12 +130,8 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 		Norms:        append([]float64(nil), snap.scorer.norms...),
 		EffectiveDim: c.writer.EffectiveDim,
 		History:      append([]CycleStats(nil), c.writer.History...),
-		Opts: persistedOptions{
-			Classes: c.writer.opts.Classes, LearningRate: c.writer.opts.LearningRate,
-			Epochs: c.writer.opts.Epochs, RegenCycles: c.writer.opts.RegenCycles,
-			RegenRate: c.writer.opts.RegenRate, Seed: c.writer.opts.Seed,
-		},
-		Encoder: encState,
+		Opts:         persistOptions(c.writer.opts),
+		Encoder:      encState,
 	}
 	if dw, ok := snap.derived.(interface{ DeriveWidth() int }); ok {
 		state.DerivedWidth = dw.DeriveWidth()
@@ -236,36 +231,18 @@ func decodeSnapshot(r io.Reader) (*Model, SnapshotInfo, *snapshotState, error) {
 		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: snapshot body %d×%d contradicts header %d×%d",
 			state.ClassRows, state.ClassCols, hdr.Rows, hdr.Cols)
 	}
-	if len(state.ClassData) != state.ClassRows*state.ClassCols {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: corrupt class matrix (%d values for %d×%d)",
-			len(state.ClassData), state.ClassRows, state.ClassCols)
-	}
 	if len(state.Norms) != 0 && len(state.Norms) != state.ClassRows {
 		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: corrupt norm cache (%d norms for %d classes)",
 			len(state.Norms), state.ClassRows)
 	}
-	enc, err := encoder.FromState(state.Encoder)
+	m, err := (&modelState{
+		ClassRows: state.ClassRows, ClassCols: state.ClassCols,
+		ClassData: state.ClassData, EffectiveDim: state.EffectiveDim,
+		History: state.History, Opts: state.Opts, Encoder: state.Encoder,
+	}).model()
 	if err != nil {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: %w", err)
+		return nil, SnapshotInfo{}, nil, err
 	}
-	if enc.Dim() != state.ClassCols {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: encoder dim %d != class dim %d", enc.Dim(), state.ClassCols)
-	}
-	m := &Model{
-		Enc: enc,
-		Class: &hdc.Matrix{
-			Rows: state.ClassRows, Cols: state.ClassCols,
-			Data: append([]float32(nil), state.ClassData...),
-		},
-		EffectiveDim: state.EffectiveDim,
-		History:      state.History,
-		opts: Options{
-			Classes: state.Opts.Classes, LearningRate: state.Opts.LearningRate,
-			Epochs: state.Opts.Epochs, RegenCycles: state.Opts.RegenCycles,
-			RegenRate: state.Opts.RegenRate, Seed: state.Opts.Seed,
-		},
-	}
-	m.refreshNorms()
 	if len(state.Norms) == state.ClassRows {
 		copy(m.Scorer().norms, state.Norms)
 	}

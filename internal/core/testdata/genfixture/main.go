@@ -48,7 +48,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "genfixture:", err)
 		os.Exit(1)
 	}
-	if err := m.SaveFile("testdata/model_v1.snapshot"); err != nil {
+	f, err := os.Create("testdata/model_v1.snapshot")
+	if err == nil {
+		if err = m.Save(f); err == nil {
+			err = f.Close()
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "genfixture:", err)
 		os.Exit(1)
 	}

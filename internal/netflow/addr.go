@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -81,6 +82,28 @@ func (a Addr) V4() uint32 {
 
 // As16 returns the raw 16-byte value.
 func (a Addr) As16() [16]byte { return a }
+
+// Put writes the address to the head of dst in the capture-record and
+// wire encoding and returns the bytes used: the raw 16 bytes when wide,
+// else V4() as 4 little-endian bytes (the v1 encodings; only meaningful
+// when Is4).
+func (a Addr) Put(dst []byte, wide bool) int {
+	if wide {
+		return copy(dst[:16], a[:])
+	}
+	binary.LittleEndian.PutUint32(dst, a.V4())
+	return 4
+}
+
+// Get is the inverse of Put: it sets *a from the head of src and returns
+// the bytes consumed. A narrow address decodes to its v4-mapped form.
+func (a *Addr) Get(src []byte, wide bool) int {
+	if wide {
+		return copy(a[:], src[:16])
+	}
+	*a = AddrV4(binary.LittleEndian.Uint32(src))
+	return 4
+}
 
 // Compare orders addresses byte-lexicographically: -1 if a < o, 0 if
 // equal, +1 if a > o. For two v4-mapped addresses this equals numeric

@@ -13,6 +13,12 @@ import (
 // traffic can be written once and replayed across experiments (the role
 // PCAP files play for the real CIC datasets). Fixed-width little-endian
 // records, no compression, fully deterministic.
+//
+// The v1 and v2 records are one layout at two address widths: the same
+// field order, 4-byte addresses in v1 and 16-byte addresses plus a
+// VLAN+reserve tail in v2. encodeRecord/decodeRecord are the only bodies
+// that know the field offsets; the version is picked from what the data
+// needs (EncodableV1) on write and from the header on read.
 
 const (
 	captureMagic       = uint32(0xCBD0CAF7)
@@ -21,11 +27,16 @@ const (
 	packetRecordSize   = 8 + 4 + 4 + 2 + 2 + 1 + 4 + 4 + 1 + 2           // 32 bytes
 	packetRecordSizeV2 = 8 + 16 + 16 + 2 + 2 + 1 + 4 + 4 + 1 + 2 + 2 + 2 // 60 bytes
 
-	// captureCountStreaming is the header count sentinel written by
-	// CaptureWriter when the record count is not known upfront and the
-	// destination cannot be seeked back to patch it: records simply run
-	// until EOF.
+	// captureCountStreaming is the header count sentinel of a capture
+	// whose writer did not know the record count upfront: records simply
+	// run until EOF. This program never writes it, but such files may
+	// exist outside it, so the reader keeps accepting them.
 	captureCountStreaming = ^uint32(0)
+
+	// captureHintCap bounds how many records ReadCapture preallocates on
+	// the header's say-so; past it the slice grows with the records that
+	// actually arrive, so a hostile count cannot demand memory upfront.
+	captureHintCap = 4 << 10
 )
 
 // PacketRecordSize is the fixed encoded size of one v1 capture packet
@@ -38,84 +49,80 @@ const PacketRecordSize = packetRecordSize
 // record in bytes: 16-byte addresses (IPv4 v4-mapped) plus the VLAN tag.
 const PacketRecordSizeV2 = packetRecordSizeV2
 
+// recordSize returns the packet record size at the given address width.
+func recordSize(wide bool) int {
+	if wide {
+		return packetRecordSizeV2
+	}
+	return packetRecordSize
+}
+
+// encodeRecord writes p into dst[:recordSize(wide)] — the one encoder of
+// the packet record layout. Narrow records drop the VLAN tail and store
+// addresses as 4 bytes; the caller guarantees p.EncodableV1() for them.
+func encodeRecord(dst []byte, p *Packet, wide bool) {
+	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(p.Time))
+	w := p.SrcIP.Put(dst[8:], wide)
+	p.DstIP.Put(dst[8+w:], wide)
+	b := dst[8+2*w:]
+	binary.LittleEndian.PutUint16(b[0:], p.SrcPort)
+	binary.LittleEndian.PutUint16(b[2:], p.DstPort)
+	b[4] = byte(p.Proto)
+	binary.LittleEndian.PutUint32(b[5:], uint32(p.Length))
+	binary.LittleEndian.PutUint32(b[9:], uint32(p.HeaderLen))
+	b[13] = p.Flags
+	binary.LittleEndian.PutUint16(b[14:], p.WindowSize)
+	if wide {
+		binary.LittleEndian.PutUint16(b[16:], p.VLAN)
+		b[18], b[19] = 0, 0 // reserved
+	}
+}
+
+// decodeRecord reads one record of recordSize(wide) bytes from src into
+// *p — the one decoder of the packet record layout, inverse of
+// encodeRecord.
+func decodeRecord(src []byte, p *Packet, wide bool) {
+	*p = Packet{Time: math.Float64frombits(binary.LittleEndian.Uint64(src[0:]))}
+	w := p.SrcIP.Get(src[8:], wide)
+	p.DstIP.Get(src[8+w:], wide)
+	b := src[8+2*w:]
+	p.SrcPort = binary.LittleEndian.Uint16(b[0:])
+	p.DstPort = binary.LittleEndian.Uint16(b[2:])
+	p.Proto = Proto(b[4])
+	p.Length = int(binary.LittleEndian.Uint32(b[5:]))
+	p.HeaderLen = int(binary.LittleEndian.Uint32(b[9:]))
+	p.Flags = b[13]
+	p.WindowSize = binary.LittleEndian.Uint16(b[14:])
+	if wide {
+		p.VLAN = binary.LittleEndian.Uint16(b[16:])
+	}
+}
+
 // EncodePacketRecord encodes p into dst, which must hold at least
 // PacketRecordSize bytes. The layout is the v1 capture record format:
 // fixed-width little-endian fields, fully deterministic. The caller must
 // ensure p.EncodableV1() — v1 records store 4-byte addresses and no VLAN,
 // so a v6 or VLAN-tagged packet would be silently mangled here; use
 // EncodePacketRecordV2 for those.
-func EncodePacketRecord(dst []byte, p *Packet) {
-	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(p.Time))
-	binary.LittleEndian.PutUint32(dst[8:], p.SrcIP.V4())
-	binary.LittleEndian.PutUint32(dst[12:], p.DstIP.V4())
-	binary.LittleEndian.PutUint16(dst[16:], p.SrcPort)
-	binary.LittleEndian.PutUint16(dst[18:], p.DstPort)
-	dst[20] = byte(p.Proto)
-	binary.LittleEndian.PutUint32(dst[21:], uint32(p.Length))
-	binary.LittleEndian.PutUint32(dst[25:], uint32(p.HeaderLen))
-	dst[29] = p.Flags
-	binary.LittleEndian.PutUint16(dst[30:], p.WindowSize)
-}
+func EncodePacketRecord(dst []byte, p *Packet) { encodeRecord(dst, p, false) }
 
 // DecodePacketRecord decodes one v1 capture packet record from src, which
 // must hold at least PacketRecordSize bytes, into *p. The inverse of
 // EncodePacketRecord; every record round-trips bit-identically.
-func DecodePacketRecord(src []byte, p *Packet) {
-	*p = Packet{
-		Time:       math.Float64frombits(binary.LittleEndian.Uint64(src[0:])),
-		SrcIP:      AddrV4(binary.LittleEndian.Uint32(src[8:])),
-		DstIP:      AddrV4(binary.LittleEndian.Uint32(src[12:])),
-		SrcPort:    binary.LittleEndian.Uint16(src[16:]),
-		DstPort:    binary.LittleEndian.Uint16(src[18:]),
-		Proto:      Proto(src[20]),
-		Length:     int(binary.LittleEndian.Uint32(src[21:])),
-		HeaderLen:  int(binary.LittleEndian.Uint32(src[25:])),
-		Flags:      src[29],
-		WindowSize: binary.LittleEndian.Uint16(src[30:]),
-	}
-}
+func DecodePacketRecord(src []byte, p *Packet) { decodeRecord(src, p, false) }
 
 // EncodePacketRecordV2 encodes p into dst, which must hold at least
 // PacketRecordSizeV2 bytes: the v2 capture record — full 16-byte
 // addresses (IPv4 v4-mapped) and the 802.1Q VLAN tag. Fixed-width
 // little-endian fields, fully deterministic, any packet.
-func EncodePacketRecordV2(dst []byte, p *Packet) {
-	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(p.Time))
-	copy(dst[8:24], p.SrcIP[:])
-	copy(dst[24:40], p.DstIP[:])
-	binary.LittleEndian.PutUint16(dst[40:], p.SrcPort)
-	binary.LittleEndian.PutUint16(dst[42:], p.DstPort)
-	dst[44] = byte(p.Proto)
-	binary.LittleEndian.PutUint32(dst[45:], uint32(p.Length))
-	binary.LittleEndian.PutUint32(dst[49:], uint32(p.HeaderLen))
-	dst[53] = p.Flags
-	binary.LittleEndian.PutUint16(dst[54:], p.WindowSize)
-	binary.LittleEndian.PutUint16(dst[56:], p.VLAN)
-	dst[58], dst[59] = 0, 0 // reserved
-}
+func EncodePacketRecordV2(dst []byte, p *Packet) { encodeRecord(dst, p, true) }
 
 // DecodePacketRecordV2 decodes one v2 capture packet record from src,
 // which must hold at least PacketRecordSizeV2 bytes, into *p. The inverse
 // of EncodePacketRecordV2; every record round-trips bit-identically.
-func DecodePacketRecordV2(src []byte, p *Packet) {
-	*p = Packet{
-		Time:       math.Float64frombits(binary.LittleEndian.Uint64(src[0:])),
-		SrcPort:    binary.LittleEndian.Uint16(src[40:]),
-		DstPort:    binary.LittleEndian.Uint16(src[42:]),
-		Proto:      Proto(src[44]),
-		Length:     int(binary.LittleEndian.Uint32(src[45:])),
-		HeaderLen:  int(binary.LittleEndian.Uint32(src[49:])),
-		Flags:      src[53],
-		WindowSize: binary.LittleEndian.Uint16(src[54:]),
-		VLAN:       binary.LittleEndian.Uint16(src[56:]),
-	}
-	copy(p.SrcIP[:], src[8:24])
-	copy(p.DstIP[:], src[24:40])
-}
+func DecodePacketRecordV2(src []byte, p *Packet) { decodeRecord(src, p, true) }
 
-// WriteCapture serializes packets to w. The slice form of CaptureWriter —
-// use the writer directly when packets stream from a source too large to
-// hold in memory.
+// WriteCapture serializes packets to w — the only capture writer.
 //
 // The capture version is chosen automatically: when every packet fits the
 // legacy 32-byte record (pure IPv4, untagged), the output is a v1 capture
@@ -129,6 +136,7 @@ func WriteCapture(w io.Writer, packets []Packet) error {
 			break
 		}
 	}
+	wide := version == captureVersion2
 	bw := bufio.NewWriter(w)
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], captureMagic)
@@ -137,143 +145,25 @@ func WriteCapture(w io.Writer, packets []Packet) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var rec [packetRecordSizeV2]byte
+	var buf [packetRecordSizeV2]byte
+	rec := buf[:recordSize(wide)]
 	for i := range packets {
-		if version == captureVersion {
-			EncodePacketRecord(rec[:packetRecordSize], &packets[i])
-			if _, err := bw.Write(rec[:packetRecordSize]); err != nil {
-				return err
-			}
-			continue
-		}
-		EncodePacketRecordV2(rec[:], &packets[i])
-		if _, err := bw.Write(rec[:]); err != nil {
+		encodeRecord(rec, &packets[i], wide)
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// CaptureWriter appends packets to a capture stream one record at a time
-// in O(1) memory — the writing counterpart of CaptureScanner, for sources
-// too large (or too live) to buffer as a []Packet first.
-//
-// The header's record count is not known until Close. When the
-// destination is seekable (an *os.File), Close seeks back and patches the
-// true count, producing a capture byte-identical to WriteCapture over the
-// same packets. Otherwise the header carries a streaming sentinel and
-// readers count records until EOF; CaptureScanner understands both forms.
-type CaptureWriter struct {
-	bw      *bufio.Writer
-	seeker  io.WriteSeeker // non-nil when the header count is patchable
-	n       uint32
-	closed  bool
-	version uint32
-	rec     [packetRecordSizeV2]byte
-}
-
-// NewCaptureWriter writes a v1 capture header to w and returns a writer
-// positioned for the first record. See CaptureWriter for how the record
-// count in the header is resolved at Close. The v1 record holds IPv4
-// untagged packets only; Write rejects anything else (the version is in
-// the already-written header, so the writer cannot upgrade mid-stream) —
-// use NewCaptureWriterV2 when the stream may contain v6 or VLAN packets.
-func NewCaptureWriter(w io.Writer) (*CaptureWriter, error) {
-	return newCaptureWriter(w, captureVersion)
-}
-
-// NewCaptureWriterV2 is NewCaptureWriter emitting the v2 capture format:
-// 16-byte addresses and VLAN tags, accepting any packet.
-func NewCaptureWriterV2(w io.Writer) (*CaptureWriter, error) {
-	return newCaptureWriter(w, captureVersion2)
-}
-
-func newCaptureWriter(w io.Writer, version uint32) (*CaptureWriter, error) {
-	cw := &CaptureWriter{bw: bufio.NewWriter(w), version: version}
-	cw.seeker, _ = w.(io.WriteSeeker)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], captureMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], captureCountStreaming)
-	if _, err := cw.bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("netflow: capture header: %w", err)
-	}
-	return cw, nil
-}
-
-// Write appends one packet record. Returns an error after Close, or when
-// a v1 writer is handed a packet only the v2 record can carry.
-func (cw *CaptureWriter) Write(p *Packet) error {
-	if cw.closed {
-		return fmt.Errorf("netflow: CaptureWriter: write after Close")
-	}
-	if cw.n == captureCountStreaming-1 {
-		return fmt.Errorf("netflow: CaptureWriter: capture full (%d records)", cw.n)
-	}
-	if cw.version == captureVersion {
-		if !p.EncodableV1() {
-			return fmt.Errorf("netflow: CaptureWriter: packet needs the v2 record (IPv6 or VLAN); use NewCaptureWriterV2")
-		}
-		EncodePacketRecord(cw.rec[:packetRecordSize], p)
-		if _, err := cw.bw.Write(cw.rec[:packetRecordSize]); err != nil {
-			return err
-		}
-	} else {
-		EncodePacketRecordV2(cw.rec[:], p)
-		if _, err := cw.bw.Write(cw.rec[:]); err != nil {
-			return err
-		}
-	}
-	cw.n++
-	return nil
-}
-
-// Count returns how many records have been written so far.
-func (cw *CaptureWriter) Count() int { return int(cw.n) }
-
-// Close flushes buffered records and finalizes the header: on a seekable
-// destination the true record count is patched in place (and the write
-// position restored); otherwise the streaming sentinel stands and the
-// capture ends at EOF. Close does not close the underlying writer.
-// Idempotent.
-func (cw *CaptureWriter) Close() error {
-	if cw.closed {
-		return nil
-	}
-	cw.closed = true
-	if err := cw.bw.Flush(); err != nil {
-		return err
-	}
-	if cw.seeker == nil {
-		return nil
-	}
-	end, err := cw.seeker.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fmt.Errorf("netflow: CaptureWriter: locating end: %w", err)
-	}
-	if _, err := cw.seeker.Seek(8, io.SeekStart); err != nil {
-		return fmt.Errorf("netflow: CaptureWriter: seeking header: %w", err)
-	}
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], cw.n)
-	if _, err := cw.seeker.Write(cnt[:]); err != nil {
-		return fmt.Errorf("netflow: CaptureWriter: patching count: %w", err)
-	}
-	if _, err := cw.seeker.Seek(end, io.SeekStart); err != nil {
-		return fmt.Errorf("netflow: CaptureWriter: restoring position: %w", err)
-	}
-	return nil
-}
-
-// CaptureScanner streams packets out of a capture written by WriteCapture
-// or CaptureWriter one record at a time — replaying a multi-gigabyte
-// capture costs one record buffer, not the whole file. It implements
-// PacketSource.
+// CaptureScanner streams packets out of a capture one record at a time —
+// replaying a multi-gigabyte capture costs one record buffer, not the
+// whole file. It implements PacketSource.
 type CaptureScanner struct {
 	br        *bufio.Reader
-	left      uint32
-	streaming bool // sentinel count: records run until EOF
-	version   uint32
+	left      uint32 // records not yet read; meaningless when streaming
+	streaming bool   // sentinel count: records run until EOF
+	wide      bool   // v2 records
 	// rec is the reused record buffer — a local would escape through the
 	// io.ReadFull interface call and cost one allocation per packet.
 	rec [packetRecordSizeV2]byte
@@ -296,10 +186,10 @@ func NewCaptureScanner(r io.Reader) (*CaptureScanner, error) {
 		return nil, fmt.Errorf("netflow: unsupported capture version %d", v)
 	}
 	count := binary.LittleEndian.Uint32(hdr[8:])
-	if count == captureCountStreaming {
-		return &CaptureScanner{br: br, streaming: true, version: v}, nil
-	}
-	return &CaptureScanner{br: br, left: count, version: v}, nil
+	return &CaptureScanner{
+		br: br, left: count, streaming: count == captureCountStreaming,
+		wide: v == captureVersion2,
+	}, nil
 }
 
 // Remaining returns how many records have not been read yet, or -1 for a
@@ -317,10 +207,7 @@ func (s *CaptureScanner) Next(p *Packet) error {
 	if !s.streaming && s.left == 0 {
 		return io.EOF
 	}
-	rec := s.rec[:packetRecordSize]
-	if s.version == captureVersion2 {
-		rec = s.rec[:packetRecordSizeV2]
-	}
+	rec := s.rec[:recordSize(s.wide)]
 	if _, err := io.ReadFull(s.br, rec); err != nil {
 		if err == io.EOF {
 			if s.streaming {
@@ -337,34 +224,8 @@ func (s *CaptureScanner) Next(p *Packet) error {
 	if !s.streaming {
 		s.left--
 	}
-	if s.version == captureVersion2 {
-		DecodePacketRecordV2(rec, p)
-	} else {
-		DecodePacketRecord(rec, p)
-	}
+	decodeRecord(rec, p, s.wide)
 	return nil
-}
-
-// ScanCapture streams a capture through fn one packet at a time (the
-// callback form of CaptureScanner). fn receives a reused *Packet — copy it
-// to retain it. A non-nil error from fn stops the scan and is returned.
-func ScanCapture(r io.Reader, fn func(*Packet) error) error {
-	s, err := NewCaptureScanner(r)
-	if err != nil {
-		return err
-	}
-	var p Packet
-	for {
-		if err := s.Next(&p); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if err := fn(&p); err != nil {
-			return err
-		}
-	}
 }
 
 // ReadCapture deserializes a packet log written by WriteCapture into
@@ -375,9 +236,14 @@ func ReadCapture(r io.Reader) ([]Packet, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The header count is only a hint and the input may be hostile: cap
+	// it, and let append follow the records actually read. A streaming
+	// capture (-1) has no total until EOF.
 	hint := s.Remaining()
 	if hint < 0 {
-		hint = 0 // streaming capture: total unknown until EOF
+		hint = 0
+	} else if hint > captureHintCap {
+		hint = captureHintCap
 	}
 	packets := make([]Packet, 0, hint)
 	var p Packet

@@ -86,25 +86,6 @@ func TestGoldenV1CaptureCompat(t *testing.T) {
 		t.Fatalf("WriteCapture output differs from golden v1 bytes (%d vs %d bytes)", buf.Len(), len(raw))
 	}
 
-	// The streaming writer too (non-seekable destinations carry the
-	// streaming count sentinel, so compare record bytes after the header).
-	var sbuf bytes.Buffer
-	cw, err := NewCaptureWriter(&sbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pkts {
-		if err := cw.Write(&pkts[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sbuf.Bytes()[12:], raw[12:]) {
-		t.Fatal("CaptureWriter records differ from golden v1 bytes")
-	}
-
 	// Every packet of the golden capture is v1-encodable by construction.
 	for i := range pkts {
 		if !pkts[i].EncodableV1() {

@@ -32,7 +32,7 @@ func RoundToNanos(t float64) float64 {
 }
 
 // PCAPWriter streams packets as classic nanosecond PCAP frames in O(1)
-// memory — the interchange-format counterpart of CaptureWriter.
+// memory.
 type PCAPWriter struct {
 	bw     *bufio.Writer
 	frame  []byte
