@@ -90,11 +90,14 @@ type workerConn struct {
 	fw   *frameWriter
 	fr   *frameReader
 
-	writeMu sync.Mutex // serializes frame writes (feed path vs pushes)
-	sent    int64      // packets routed here, guarded by writeMu
+	writeMu sync.Mutex // serializes frame writes (feed path vs pushes); guards open and sent
+	open    []byte     // the open packets frame's payload: records fed since the last frame went out
+	sent    int64      // packets routed here
 
 	acks chan ackState
 	done chan struct{} // closed when the read loop exits
+
+	telDec *telemetryDecoder // the session's telemetry stream; read loop only
 
 	mu       sync.Mutex // guards the fields below
 	err      error      // first transport/decode error, latched
@@ -214,6 +217,7 @@ func dialWorker(addr string, timeout time.Duration, hello, snap []byte) (*worker
 	wc := &workerConn{
 		addr: addr, conn: conn,
 		fw: newFrameWriter(conn), fr: newFrameReader(conn),
+		open: make([]byte, 0, maxPacketsPayload), telDec: newTelemetryDecoder(),
 		acks: make(chan ackState, 1), done: make(chan struct{}),
 	}
 	fail := func(err error) (*workerConn, error) {
@@ -284,7 +288,7 @@ func (c *Client) readLoop(wc *workerConn) {
 			}
 			c.deliver(&wa)
 		case frameTelemetry:
-			s, settled, err := decodeTelemetry(payload)
+			s, settled, err := wc.telDec.decode(payload)
 			if err != nil {
 				wc.fail(err)
 				return
@@ -335,9 +339,11 @@ func (c *Client) deliver(wa *wireAlert) {
 	f.FwdLen.N = int(wa.Packets)
 	f.FwdLen.Sum = wa.Bytes
 	class := int(wa.Class)
-	name := fmt.Sprintf("class%d", class)
+	var name string
 	if class < len(c.cfg.ClassNames) {
 		name = c.cfg.ClassNames[class]
+	} else {
+		name = fmt.Sprintf("class%d", class)
 	}
 	a := pipeline.Alert{Flow: f, Class: class, ClassName: name, Time: wa.Time}
 	c.alertMu.Lock()
@@ -357,10 +363,12 @@ func (c *Client) route(p *netflow.Packet) *workerConn {
 	return c.conns[int(p.ShardKey()%uint64(len(c.conns)))]
 }
 
-// Feed routes one packet to its flow's worker. Lossless: a slow worker
-// blocks the feed (TCP backpressure), it never drops. No-op after Close
-// or after the worker's connection failed (the error surfaces on Err and
-// Close).
+// Feed routes one packet to its flow's worker: the packet joins that
+// worker's open packets frame, and the frame goes out when it is full or
+// at the next Tick, Flush, Close or snapshot push. Lossless: a slow worker
+// blocks the feed (TCP backpressure), it never drops. No-op after Close;
+// after the worker's connection failed, packets are discarded frame by
+// frame (the error surfaces on Err and Close).
 func (c *Client) Feed(p netflow.Packet) {
 	if c.closed.Load() {
 		return
@@ -368,14 +376,46 @@ func (c *Client) Feed(p netflow.Packet) {
 	wc := c.route(&p)
 	wc.writeMu.Lock()
 	defer wc.writeMu.Unlock()
-	if wc.broken() {
-		return
+	if len(wc.open)+maxTaggedRecord > maxPacketsPayload {
+		wc.closeFrame()
 	}
-	if err := wc.fw.writePacket(&p); err != nil {
-		wc.fail(err)
-		return
-	}
+	wc.open = appendPacket(wc.open, &p)
 	wc.sent++
+}
+
+// closeFrame writes the open packets frame, if it holds anything, into
+// the connection's write buffer. Caller holds writeMu.
+func (wc *workerConn) closeFrame() {
+	if len(wc.open) == 0 {
+		return
+	}
+	if !wc.broken() {
+		if err := wc.fw.writeFrame(framePackets, wc.open); err != nil {
+			wc.fail(err)
+		}
+	}
+	wc.open = wc.open[:0]
+}
+
+// control closes the open packets frame, then writes one more frame and
+// flushes the connection — the shape of every tick, flush, bye and
+// snapshot push, which is what keeps them ordered with the packets fed
+// before them. It returns the write error, already latched.
+func (wc *workerConn) control(t frameType, payload []byte) error {
+	wc.writeMu.Lock()
+	defer wc.writeMu.Unlock()
+	wc.closeFrame()
+	if wc.broken() {
+		return fmt.Errorf("connection failed")
+	}
+	err := wc.fw.writeFrame(t, payload)
+	if err == nil {
+		err = wc.fw.flush()
+	}
+	if err != nil {
+		wc.fail(err)
+	}
+	return err
 }
 
 // broken reports whether the connection has latched an error.
@@ -406,41 +446,21 @@ func (c *Client) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 // packets: each worker receives it after every previously routed packet
 // and before any later one — the Runner's tick-before-crossing-packet
 // semantics hold per worker, which is what verdict determinism needs.
-// Ticks also flush buffered packet frames, so a replay's wire batching
+// Ticks also send the open packets frames, so a replay's wire batching
 // never exceeds one capture tick. No-op after Close.
-func (c *Client) Tick(now float64) {
-	if c.closed.Load() {
-		return
-	}
-	for _, wc := range c.conns {
-		wc.writeMu.Lock()
-		if !wc.broken() {
-			if err := wc.fw.writeTick(now); err != nil {
-				wc.fail(err)
-			} else if err := wc.fw.flush(); err != nil {
-				wc.fail(err)
-			}
-		}
-		wc.writeMu.Unlock()
-	}
-}
+func (c *Client) Tick(now float64) { c.broadcast(frameTick, encodeTick(now)) }
 
 // Flush broadcasts an end-of-capture flush to every worker (ordered with
 // packets, like Tick). No-op after Close.
-func (c *Client) Flush() {
+func (c *Client) Flush() { c.broadcast(frameFlush, nil) }
+
+// broadcast sends one control frame to every worker unless closed.
+func (c *Client) broadcast(t frameType, payload []byte) {
 	if c.closed.Load() {
 		return
 	}
 	for _, wc := range c.conns {
-		wc.writeMu.Lock()
-		if !wc.broken() {
-			if err := wc.fw.writeFrame(frameFlush, nil); err != nil {
-				wc.fail(err)
-			} else if err := wc.fw.flush(); err != nil {
-				wc.fail(err)
-			}
-		}
-		wc.writeMu.Unlock()
+		_ = wc.control(t, payload) // latched on the connection; Err reports it
 	}
 }
 
@@ -452,15 +472,7 @@ func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
 		for _, wc := range c.conns {
-			wc.writeMu.Lock()
-			if !wc.broken() {
-				if err := wc.fw.writeFrame(frameBye, nil); err != nil {
-					wc.fail(err)
-				} else if err := wc.fw.flush(); err != nil {
-					wc.fail(err)
-				}
-			}
-			wc.writeMu.Unlock()
+			_ = wc.control(frameBye, nil) // latched on the connection; Err reports it
 		}
 		for _, wc := range c.conns {
 			<-wc.done // read loop exits on the worker's bye (or error)
@@ -588,22 +600,12 @@ func (wc *workerConn) push(snap []byte) PushResult {
 	wc.mu.Lock()
 	res.Version = wc.version
 	wc.mu.Unlock()
-	wc.writeMu.Lock()
-	if wc.broken() {
-		wc.writeMu.Unlock()
-		res.Err = "connection failed"
-		return res
-	}
-	err := wc.fw.writeFrame(frameSnapshot, snap)
-	if err == nil {
-		err = wc.fw.flush()
-	}
-	wc.writeMu.Unlock()
-	if err != nil {
-		wc.fail(err)
+	if err := wc.control(frameSnapshot, snap); err != nil {
 		res.Err = err.Error()
 		return res
 	}
+	timeout := time.NewTimer(ackTimeout)
+	defer timeout.Stop()
 	select {
 	case a := <-wc.acks:
 		res.OK, res.Err = a.OK, a.Msg
@@ -613,7 +615,7 @@ func (wc *workerConn) push(snap []byte) PushResult {
 		wc.mu.Unlock()
 	case <-wc.done:
 		res.Err = "connection closed before ack"
-	case <-time.After(ackTimeout):
+	case <-timeout.C:
 		res.Err = "timed out waiting for snapshot ack"
 	}
 	return res

@@ -36,10 +36,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	var pktBuf bytes.Buffer
 	pw := newFrameWriter(&pktBuf)
 	p := netflow.Packet{Time: 2.5, SrcIP: netflow.AddrV4(10), DstIP: netflow.AddrV4(20), SrcPort: 80, DstPort: 8080, Proto: netflow.TCP, Length: 900, HeaderLen: 40, Flags: 0x02}
-	if err := pw.writePacket(&p); err != nil {
+	p6 := p
+	p6.SrcIP, p6.DstIP, p6.VLAN = netflow.MustParseAddr("2001:db8::1"), netflow.MustParseAddr("2001:db8::2"), 7
+	pkts := appendPacket(appendPacket(appendPacket(nil, &p), &p6), &p)
+	if err := pw.writeFrame(framePackets, pkts); err != nil {
 		f.Fatal(err)
 	}
-	if err := pw.writeTick(17.25); err != nil {
+	if err := pw.writeFrame(frameTick, encodeTick(17.25)); err != nil {
 		f.Fatal(err)
 	}
 	var wa wireAlert
@@ -56,7 +59,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		seed(frameSnapshot, []byte("not a real snapshot, length is what matters")),
 		seed(frameFlush, nil),
 		seed(frameBye, nil),
-		pktBuf.Bytes(), // packet + tick + alert back to back
+		pktBuf.Bytes(), // packets + tick + alert back to back
+		// Packets frames that pass the CRC and fail record validation: a
+		// truncated trailing record, a bare trailing tag, an unknown tag.
+		seed(framePackets, pkts[:len(pkts)-1]),
+		seed(framePackets, append(append([]byte(nil), pkts...), recordWide)),
+		seed(framePackets, append(append([]byte(nil), pkts...), 9)),
 	}
 	for _, fr := range frames {
 		f.Add(fr)
@@ -87,12 +95,17 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(hostile(byte(frameSnapshot), 0xffffffff))
 	f.Add(hostile(byte(frameHello), 1<<20))
 	f.Add(hostile(byte(frameAck), 1<<30))
+	f.Add(hostile(byte(framePackets), 0))                   // empty packets frame
+	f.Add(hostile(byte(framePackets), maxPacketsPayload+1)) // over-cap packets frame
+	f.Add(hostile(4, 32))                                   // retired one-record frames
+	f.Add(hostile(10, 60))
 	f.Add(hostile(0, 0))
 	f.Add(hostile(250, 12))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := newFrameReader(bytes.NewReader(data))
+		tel := newTelemetryDecoder()
 		for {
 			ft, payload, err := fr.next()
 			if err != nil {
@@ -112,16 +125,17 @@ func FuzzDecodeFrame(f *testing.F) {
 				_, _ = decodeHello(payload)
 			case frameAck:
 				_, _ = decodeAck(payload)
-			case framePacket, framePacket2:
-				var p netflow.Packet
-				_ = decodePacket(ft, payload, &p)
+			case framePackets:
+				if pkts, err := decodePackets(payload, nil); (err == nil) == (pkts == nil) {
+					t.Fatalf("decodePackets returned %d packets and err %v", len(pkts), err)
+				}
 			case frameTick:
 				_, _ = decodeTick(payload)
 			case frameAlert, frameAlert2:
 				var a wireAlert
 				_ = decodeAlert(ft, payload, &a)
 			case frameTelemetry:
-				_, _, _ = decodeTelemetry(payload)
+				_, _, _ = tel.decode(payload)
 			}
 		}
 	})

@@ -1,0 +1,149 @@
+package cluster
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"cyberhd/internal/core"
+	"cyberhd/internal/datasets"
+	"cyberhd/internal/netflow"
+)
+
+// TestHelloProtoMismatchRejectedAtHello pins where a mixed-version pair
+// fails: an ingest node speaking session protocol 1 (one packet per frame,
+// self-describing telemetry) is turned away by the worker's hello ack —
+// which names both versions — and the session ends there, before the
+// snapshot that engine construction waits for was ever read.
+func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
+	ended := make(chan string, 1)
+	addrs := startWorkers(t, 1, WorkerConfig{Logf: func(format string, args ...any) {
+		if strings.Contains(format, "ended") {
+			ended <- args[1].(error).Error()
+		}
+	}})
+	conn, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeWireMagic(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := readWireMagic(conn); err != nil {
+		t.Fatal(err)
+	}
+	h := testHello()
+	h.Proto = 1
+	var hello bytes.Buffer
+	if err := gobEncode(&hello, &h); err != nil {
+		t.Fatal(err)
+	}
+	fw, fr := newFrameWriter(conn), newFrameReader(conn)
+	if err := fw.writeFrame(frameHello, hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := fr.next()
+	if err != nil || ft != frameAck {
+		t.Fatalf("after a protocol-1 hello: frame type %d err %v, want an ack", ft, err)
+	}
+	ack, err := decodeAck(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.OK || !strings.Contains(ack.Msg, "protocol 1") || !strings.Contains(ack.Msg, "speaks 2") {
+		t.Fatalf("hello ack %+v: want a rejection naming protocol 1 and protocol 2", ack)
+	}
+	if _, _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the rejecting ack: %v, want the session closed (io.EOF)", err)
+	}
+	select {
+	case why := <-ended:
+		if !strings.Contains(why, "protocol 1") {
+			t.Fatalf("session ended with %q, want the hello rejection", why)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker session did not end after rejecting the hello")
+	}
+}
+
+// TestCorruptTelemetryLatchesSessionError pins the failure mode of the
+// per-session telemetry stream: a telemetry frame that passes the CRC but
+// is not the stream's next gob message ends that worker's session with a
+// latched error — the stream cannot resynchronize, so nothing later is
+// trusted — and Close still returns.
+func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	workerErr := make(chan error, 1)
+	go func() {
+		// A worker that completes the handshake, then reports garbage.
+		workerErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			if err := writeWireMagic(conn); err != nil {
+				return err
+			}
+			if err := readWireMagic(conn); err != nil {
+				return err
+			}
+			fr, s := newFrameReader(conn), &session{fw: newFrameWriter(conn)}
+			for range 2 { // hello, snapshot
+				if _, _, err := fr.next(); err != nil {
+					return err
+				}
+				if err := s.sendAck(ackState{OK: true, Version: 1}); err != nil {
+					return err
+				}
+			}
+			if err := s.send(frameTelemetry, []byte{0, 0xde, 0xad}); err != nil {
+				return err
+			}
+			_, _, err = fr.next() // the client hangs up
+			if err == nil {
+				return io.ErrNoProgress
+			}
+			return nil
+		}()
+	}()
+
+	names := []string{"benign", "attack"}
+	client, err := Dial(ClientConfig{
+		Workers: []string{ln.Addr().String()},
+		Model:   core.NewCOWModel(tinyModel(t, len(names), 8, 64, 5)),
+		Normalizer: &datasets.Normalizer{
+			Mean:   make([]float32, netflow.NumFeatures),
+			InvStd: make([]float32, netflow.NumFeatures),
+		},
+		ClassNames: names,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-client.conns[0].done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("read loop still running after a corrupt telemetry frame")
+	}
+	if err := client.Err(); err == nil || !strings.Contains(err.Error(), "decoding telemetry") {
+		t.Fatalf("Err() = %v, want the latched telemetry decode error", err)
+	}
+	client.Feed(netflow.Packet{Time: 1, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), Proto: netflow.UDP})
+	client.Tick(2)
+	client.Close()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("fake worker: %v", err)
+	}
+}

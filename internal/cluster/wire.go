@@ -46,20 +46,21 @@ const wireMagic = "CYHDWIR1"
 // frameType tags one wire frame.
 type frameType uint8
 
-// Wire frame types. Ingest→worker: hello, snapshot, packet, tick, flush,
-// bye. Worker→ingest: ack, alert, telemetry, bye.
+// Wire frame types. Ingest→worker: hello, snapshot, packets, tick, flush,
+// bye. Worker→ingest: ack, alert, telemetry, bye. Types 4 and 10 carried
+// one packet record per frame under hello protocol 1; they are reserved,
+// not reused, and a peer that sends one is rejected as an unknown type.
 const (
 	frameHello     frameType = 1  // gob helloState: session configuration
 	frameSnapshot  frameType = 2  // v2 model snapshot bytes, verbatim
 	frameAck       frameType = 3  // gob ackState: snapshot/hello outcome
-	framePacket    frameType = 4  // one narrow (v1) capture packet record: 32 bytes, IPv4 untagged
 	frameTick      frameType = 5  // capture-clock tick (float64 bits)
 	frameFlush     frameType = 6  // flush all open flows (empty)
 	frameBye       frameType = 7  // end of stream (empty)
 	frameAlert     frameType = 8  // one narrow (v1) alert record: 49 bytes, IPv4 flows
-	frameTelemetry frameType = 9  // settled flag byte + gob telemetry.Snapshot
-	framePacket2   frameType = 10 // one wide (v2) capture packet record: 60 bytes, 16-byte addrs + VLAN
+	frameTelemetry frameType = 9  // settled flag byte + the next message of the session's gob telemetry stream
 	frameAlert2    frameType = 11 // one wide (v2) alert record: 85 bytes, 16-byte addresses
+	framePackets   frameType = 12 // a run of width-tagged capture packet records: tag byte + 32 or 60 bytes each
 )
 
 // frameHeaderSize is the fixed frame header: type byte, payload length
@@ -75,6 +76,7 @@ const (
 	maxSnapshotPayload  = 1<<28 + 256
 	maxAckPayload       = 1 << 16
 	maxTelemetryPayload = 1 << 20
+	maxPacketsPayload   = 64 << 10 // the reader's retained buffer (reuseCap): ~1985 narrow records
 	tickPayloadSize     = 8
 	alertRecordSize     = 8 + 8 + 4 + 4 + 2 + 2 + 1 + 2 + 4 + 2 + 4 + 8    // 49 bytes
 	alertRecordSizeV2   = 8 + 8 + 16 + 16 + 2 + 2 + 1 + 2 + 16 + 2 + 4 + 8 // 85 bytes
@@ -90,8 +92,8 @@ func payloadBounds(t frameType) (min, max int, ok bool) {
 		return 0, maxSnapshotPayload, true
 	case frameAck:
 		return 0, maxAckPayload, true
-	case framePacket:
-		return netflow.PacketRecordSize, netflow.PacketRecordSize, true
+	case framePackets:
+		return 1 + netflow.PacketRecordSize, maxPacketsPayload, true
 	case frameTick:
 		return tickPayloadSize, tickPayloadSize, true
 	case frameFlush, frameBye:
@@ -100,8 +102,6 @@ func payloadBounds(t frameType) (min, max int, ok bool) {
 		return alertRecordSize, alertRecordSize, true
 	case frameTelemetry:
 		return 1, maxTelemetryPayload, true
-	case framePacket2:
-		return netflow.PacketRecordSizeV2, netflow.PacketRecordSizeV2, true
 	case frameAlert2:
 		return alertRecordSizeV2, alertRecordSizeV2, true
 	}
@@ -133,7 +133,7 @@ func readWireMagic(r io.Reader) error {
 type frameWriter struct {
 	w   *bufio.Writer
 	hdr [frameHeaderSize]byte
-	rec [alertRecordSizeV2]byte // scratch for fixed-size frames (≥ packet/tick sizes)
+	rec [alertRecordSizeV2]byte // scratch for alert records
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
@@ -159,22 +159,64 @@ func (fw *frameWriter) writeFrame(t frameType, payload []byte) error {
 
 func (fw *frameWriter) flush() error { return fw.w.Flush() }
 
-// writePacket frames one packet as a capture record: the legacy v1 frame
-// whenever the packet fits it (pure IPv4, untagged — byte-identical to the
-// pre-v2 wire), the v2 frame otherwise.
-func (fw *frameWriter) writePacket(p *netflow.Packet) error {
+// Width tags of the records in a packets frame — the capture format's
+// record versions.
+const (
+	recordNarrow = 1 // v1 record, netflow.PacketRecordSize bytes: IPv4, untagged
+	recordWide   = 2 // v2 record, netflow.PacketRecordSizeV2 bytes: 16-byte addresses + VLAN
+)
+
+// maxTaggedRecord is the most one packet adds to a packets frame.
+const maxTaggedRecord = 1 + netflow.PacketRecordSizeV2
+
+// appendPacket appends p to a packets-frame payload as one tagged capture
+// record: the v1 record whenever the packet fits it (pure IPv4, untagged),
+// the v2 record otherwise — the record bodies are the capture format's,
+// byte for byte.
+func appendPacket(payload []byte, p *netflow.Packet) []byte {
+	n := len(payload)
 	if p.EncodableV1() {
-		netflow.EncodePacketRecord(fw.rec[:netflow.PacketRecordSize], p)
-		return fw.writeFrame(framePacket, fw.rec[:netflow.PacketRecordSize])
+		payload = append(payload, make([]byte, 1+netflow.PacketRecordSize)...)
+		payload[n] = recordNarrow
+		netflow.EncodePacketRecord(payload[n+1:], p)
+		return payload
 	}
-	netflow.EncodePacketRecordV2(fw.rec[:netflow.PacketRecordSizeV2], p)
-	return fw.writeFrame(framePacket2, fw.rec[:netflow.PacketRecordSizeV2])
+	payload = append(payload, make([]byte, 1+netflow.PacketRecordSizeV2)...)
+	payload[n] = recordWide
+	netflow.EncodePacketRecordV2(payload[n+1:], p)
+	return payload
 }
 
-// writeTick frames one capture-clock tick.
-func (fw *frameWriter) writeTick(now float64) error {
-	binary.LittleEndian.PutUint64(fw.rec[:tickPayloadSize], math.Float64bits(now))
-	return fw.writeFrame(frameTick, fw.rec[:tickPayloadSize])
+// decodePackets decodes a packets frame payload into dst[:0]. Every
+// record's tag and length is checked as it is reached and any failure
+// returns no packets at all, so a frame is fed whole or not at all.
+func decodePackets(payload []byte, dst []netflow.Packet) ([]netflow.Packet, error) {
+	dst = dst[:0]
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("cluster: empty packets frame")
+	}
+	for off := 0; off < len(payload); {
+		size, wide := netflow.PacketRecordSize, false
+		switch payload[off] {
+		case recordNarrow:
+		case recordWide:
+			size, wide = netflow.PacketRecordSizeV2, true
+		default:
+			return nil, fmt.Errorf("cluster: packets frame record %d has unknown width tag %d", len(dst), payload[off])
+		}
+		body := payload[off+1:]
+		if len(body) < size {
+			return nil, fmt.Errorf("cluster: packets frame record %d truncated: %d of %d bytes", len(dst), len(body), size)
+		}
+		dst = append(dst, netflow.Packet{})
+		if wide {
+			netflow.DecodePacketRecordV2(body, &dst[len(dst)-1])
+		} else {
+			netflow.DecodePacketRecord(body, &dst[len(dst)-1])
+		}
+		off += 1 + size
+	}
+	return dst, nil
 }
 
 // frameReader decodes frames off a buffered stream. The returned payload
@@ -262,17 +304,9 @@ func (fr *frameReader) readPayload(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodePacket decodes a packet frame payload; t picks the record width.
-func decodePacket(t frameType, payload []byte, p *netflow.Packet) error {
-	switch {
-	case t == framePacket && len(payload) == netflow.PacketRecordSize:
-		netflow.DecodePacketRecord(payload, p)
-	case t == framePacket2 && len(payload) == netflow.PacketRecordSizeV2:
-		netflow.DecodePacketRecordV2(payload, p)
-	default:
-		return fmt.Errorf("cluster: packet frame type %d is %d bytes", t, len(payload))
-	}
-	return nil
+// encodeTick renders a tick frame payload: the capture time's float64 bits.
+func encodeTick(now float64) []byte {
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, tickPayloadSize), math.Float64bits(now))
 }
 
 // decodeTick decodes a tick frame payload.
@@ -283,10 +317,13 @@ func decodeTick(payload []byte) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(payload)), nil
 }
 
-// helloProto is the session-configuration schema version inside hello
-// frames, separate from the stream magic so compatible additions do not
-// break the preamble.
-const helloProto = 1
+// helloProto is the session protocol version inside hello frames,
+// separate from the stream magic so the preamble outlives protocol
+// revisions: it covers the hello schema and everything the session sends
+// after it. Version 2 moved packets to the multi-record packets frame and
+// telemetry to one gob stream per session; a version-1 peer is turned away
+// at hello, with both versions named in the ack, never mid-stream.
+const helloProto = 2
 
 // helloState is the session configuration the ingest node sends before
 // any traffic: everything a worker needs to assemble a pipeline engine
@@ -329,7 +366,7 @@ func decodeHello(payload []byte) (helloState, error) {
 		return helloState{}, fmt.Errorf("cluster: decoding hello: %w", err)
 	}
 	if h.Proto != helloProto {
-		return helloState{}, fmt.Errorf("cluster: hello protocol %d, want %d", h.Proto, helloProto)
+		return helloState{}, fmt.Errorf("cluster: ingest node speaks session protocol %d, this worker speaks %d: run the same release on both sides", h.Proto, helloProto)
 	}
 	if len(h.ClassNames) == 0 || len(h.ClassNames) > maxHelloClasses {
 		return helloState{}, fmt.Errorf("cluster: hello declares %d classes (bounds [1, %d])", len(h.ClassNames), maxHelloClasses)
@@ -459,29 +496,66 @@ func (fw *frameWriter) writeAlert(a *wireAlert) error {
 	return fw.writeFrame(frameAlert2, fw.rec[:alertRecordSizeV2])
 }
 
-// encodeTelemetry renders a telemetry frame payload: one settled-flag
-// byte (1 = the engine has drained and every counter is final) followed
-// by the gob-encoded snapshot.
-func encodeTelemetry(s telemetry.Snapshot, settled bool) ([]byte, error) {
-	var buf bytes.Buffer
+// Telemetry rides one gob stream per session, a message per frame: the
+// worker's encoder and the ingest side's decoder live as long as the
+// session, so gob compiles and sends the Snapshot type description once,
+// not with every per-tick report. The frames are therefore not
+// self-describing — each decodes only after every earlier one of its
+// session, in order, which a single TCP stream gives for free.
+
+// telemetryEncoder renders a session's telemetry frame payloads.
+type telemetryEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+func newTelemetryEncoder() *telemetryEncoder {
+	e := &telemetryEncoder{}
+	e.enc = gob.NewEncoder(&e.buf)
+	return e
+}
+
+// encode renders the next telemetry frame payload: one settled-flag byte
+// (1 = the engine has drained and every counter is final) followed by the
+// snapshot's gob message. The slice is valid until the next call.
+func (e *telemetryEncoder) encode(s telemetry.Snapshot, settled bool) ([]byte, error) {
+	e.buf.Reset()
 	flag := byte(0)
 	if settled {
 		flag = 1
 	}
-	buf.WriteByte(flag)
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+	e.buf.WriteByte(flag)
+	if err := e.enc.Encode(&s); err != nil {
 		return nil, fmt.Errorf("cluster: encoding telemetry: %w", err)
 	}
-	return buf.Bytes(), nil
+	return e.buf.Bytes(), nil
 }
 
-// decodeTelemetry parses a telemetry frame payload.
-func decodeTelemetry(payload []byte) (s telemetry.Snapshot, settled bool, err error) {
+// telemetryDecoder parses a session's telemetry frame payloads, in order.
+// After an error the gob stream is out of step and the session is over.
+type telemetryDecoder struct {
+	buf bytes.Buffer
+	dec *gob.Decoder
+}
+
+func newTelemetryDecoder() *telemetryDecoder {
+	d := &telemetryDecoder{}
+	d.dec = gob.NewDecoder(&d.buf)
+	return d
+}
+
+// decode parses the next telemetry frame payload.
+func (d *telemetryDecoder) decode(payload []byte) (s telemetry.Snapshot, settled bool, err error) {
 	if len(payload) < 1 {
 		return s, false, fmt.Errorf("cluster: empty telemetry frame")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&s); err != nil {
+	d.buf.Reset()
+	d.buf.Write(payload[1:])
+	if err := d.dec.Decode(&s); err != nil {
 		return telemetry.Snapshot{}, false, fmt.Errorf("cluster: decoding telemetry: %w", err)
+	}
+	if d.buf.Len() != 0 {
+		return telemetry.Snapshot{}, false, fmt.Errorf("cluster: telemetry frame has %d bytes past its snapshot", d.buf.Len())
 	}
 	return s, payload[0] != 0, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,62 +154,140 @@ func TestAckRoundTrip(t *testing.T) {
 // one encoder and one decoder serving both address widths, a round trip
 // alone cannot tell when the two drift together.
 
+// packetsFrame renders pkts as one packets frame (header + payload).
+func packetsFrame(t testing.TB, pkts ...netflow.Packet) []byte {
+	t.Helper()
+	var payload []byte
+	for i := range pkts {
+		payload = appendPacket(payload, &pkts[i])
+	}
+	var buf bytes.Buffer
+	fw := newFrameWriter(&buf)
+	if err := fw.writeFrame(framePackets, payload); err != nil {
+		t.Fatalf("writeFrame(packets, %d bytes): %v", len(payload), err)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func TestPacketFrameRoundTrip(t *testing.T) {
-	// A pure-v4 untagged packet rides the v1 frame byte-identically to the
-	// pre-v2 wire; a v6 or VLAN-tagged one rides the v2 frame. Either
-	// payload is the capture record verbatim.
+	// The packets frame is the only way a packet crosses the wire: a run of
+	// records, each the capture record verbatim (the 32- and 60-byte hex
+	// below is TestPacketRecordGoldenBytes') behind a one-byte width tag,
+	// under one header. The whole frame is pinned, header included: type
+	// 0c, payload length, CRC32-IEEE of the payload.
+	v4 := netflow.Packet{
+		Time:  123.456789,
+		SrcIP: netflow.AddrV4(0x0a000001), DstIP: netflow.AddrV4(0xc0a80102),
+		SrcPort: 443, DstPort: 51515,
+		Proto: netflow.TCP, Length: 1500, HeaderLen: 40,
+		Flags: 0x18, WindowSize: 4096,
+	}
+	v6vlan := netflow.Packet{
+		Time:  123.456789,
+		SrcIP: netflow.MustParseAddr("2001:db8::1"), DstIP: netflow.MustParseAddr("2001:db8::2"),
+		SrcPort: 443, DstPort: 51515,
+		Proto: netflow.TCP, Length: 1500, HeaderLen: 60,
+		Flags: 0x18, WindowSize: 4096, VLAN: 42,
+	}
+	reply := v4
+	reply.SrcIP, reply.DstIP, reply.SrcPort, reply.DstPort = v4.DstIP, v4.SrcIP, v4.DstPort, v4.SrcPort
+	const (
+		v4Hex     = "0b0bee073cdd5e400100000a0201a8c0bb013bc906dc05000028000000180010"
+		replyHex  = "0b0bee073cdd5e400201a8c00100000a3bc9bb0106dc05000028000000180010"
+		v6vlanHex = "0b0bee073cdd5e4020010db800000000000000000000000120010db8000000000000000000000002bb013bc906dc0500003c0000001800102a000000"
+	)
 	for _, tc := range []struct {
-		name  string
-		frame frameType
-		want  netflow.Packet
-		hex   string
+		name string
+		want []netflow.Packet
+		hex  string
 	}{
-		{"v1", framePacket, netflow.Packet{
-			Time:  123.456789,
-			SrcIP: netflow.AddrV4(0x0a000001), DstIP: netflow.AddrV4(0xc0a80102),
-			SrcPort: 443, DstPort: 51515,
-			Proto: netflow.TCP, Length: 1500, HeaderLen: 40,
-			Flags: 0x18, WindowSize: 4096,
-		}, "0b0bee073cdd5e400100000a0201a8c0bb013bc906dc05000028000000180010"},
-		{"v2", framePacket2, netflow.Packet{
-			Time:  123.456789,
-			SrcIP: netflow.MustParseAddr("2001:db8::1"), DstIP: netflow.MustParseAddr("2001:db8::2"),
-			SrcPort: 443, DstPort: 51515,
-			Proto: netflow.TCP, Length: 1500, HeaderLen: 60,
-			Flags: 0x18, WindowSize: 4096, VLAN: 42,
-		}, "0b0bee073cdd5e4020010db800000000000000000000000120010db8000000000000000000000002bb013bc906dc0500003c0000001800102a000000"},
+		{"all-v4", []netflow.Packet{v4, reply},
+			"0c" + "42000000" + "44e5e65b" + "01" + v4Hex + "01" + replyHex},
+		{"mixed", []netflow.Packet{v4, v6vlan, reply},
+			"0c" + "7f000000" + "c1b7690f" + "01" + v4Hex + "02" + v6vlanHex + "01" + replyHex},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			fw := newFrameWriter(&buf)
-			if err := fw.writePacket(&tc.want); err != nil {
-				t.Fatalf("writePacket: %v", err)
+			raw := packetsFrame(t, tc.want...)
+			if got := hex.EncodeToString(raw); got != tc.hex {
+				t.Fatalf("packets frame bytes:\n got %s\nwant %s", got, tc.hex)
 			}
-			if err := fw.flush(); err != nil {
-				t.Fatalf("flush: %v", err)
+			ft, payload, err := readOne(t, raw)
+			if err != nil || ft != framePackets {
+				t.Fatalf("next: type %d err %v, want type %d", ft, err, framePackets)
 			}
-			ft, payload, err := readOne(t, buf.Bytes())
-			if err != nil || ft != tc.frame {
-				t.Fatalf("next: type %d err %v, want type %d", ft, err, tc.frame)
+			got, err := decodePackets(payload, nil)
+			if err != nil {
+				t.Fatalf("decodePackets: %v", err)
 			}
-			if got := hex.EncodeToString(payload); got != tc.hex {
-				t.Fatalf("packet payload bytes:\n got %s\nwant %s", got, tc.hex)
-			}
-			var got netflow.Packet
-			if err := decodePacket(ft, payload, &got); err != nil {
-				t.Fatalf("decodePacket: %v", err)
-			}
-			if got != tc.want {
-				t.Fatalf("packet round trip:\n got %+v\nwant %+v", got, tc.want)
-			}
-			if err := decodePacket(ft, payload[:10], &got); err == nil {
-				t.Fatal("decodePacket accepted short payload")
-			}
-			if err := decodePacket(framePacket+framePacket2-ft, payload, &got); err == nil {
-				t.Fatal("decodePacket accepted the other width's payload")
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("packets round trip:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}
+}
+
+// TestPacketFrameRejects pins the all-or-nothing validation of a packets
+// frame: a payload with a bad record anywhere — even after good ones —
+// decodes to an error and no packets, so the session loop feeds nothing
+// from it; empty and over-cap frames never get past the frame bounds.
+func TestPacketFrameRejects(t *testing.T) {
+	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
+	good := appendPacket(appendPacket(nil, &p), &p)
+	scratch := make([]netflow.Packet, 0, 4)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		errSub  string
+	}{
+		{"truncated trailing record", good[:len(good)-1], "truncated"},
+		{"trailing tag only", append(append([]byte(nil), good...), recordNarrow), "truncated"},
+		{"unknown width tag", append(append([]byte(nil), good...), 3), "width tag"},
+		{"unknown width tag first", append([]byte{0}, good...), "width tag"},
+		{"empty", nil, "empty"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := decodePackets(tc.payload, scratch)
+			if err == nil || !strings.Contains(err.Error(), tc.errSub) {
+				t.Fatalf("decodePackets: err %v, want substring %q", err, tc.errSub)
+			}
+			if got != nil {
+				t.Fatalf("decodePackets returned %d packets with its error", len(got))
+			}
+		})
+	}
+	// The frame bounds: the writer refuses to frame them, the reader
+	// refuses the length claim before reading a payload byte.
+	fw := newFrameWriter(io.Discard)
+	if err := fw.writeFrame(framePackets, nil); err == nil {
+		t.Fatal("writeFrame accepted an empty packets frame")
+	}
+	if err := fw.writeFrame(framePackets, make([]byte, maxPacketsPayload+1)); err == nil {
+		t.Fatal("writeFrame accepted an over-cap packets frame")
+	}
+	for _, n := range []uint32{0, maxPacketsPayload + 1} {
+		if _, _, err := readOne(t, hostileHeader(framePackets, n)); err == nil ||
+			!strings.Contains(err.Error(), "bounds") {
+			t.Fatalf("packets frame claiming %d bytes: %v", n, err)
+		}
+	}
+	// The retired one-record frames are unknown types now.
+	for _, ft := range []frameType{4, 10} {
+		if _, _, err := readOne(t, hostileHeader(ft, 32)); err == nil ||
+			!strings.Contains(err.Error(), "unknown frame type") {
+			t.Fatalf("reserved frame type %d: %v", ft, err)
+		}
+	}
+}
+
+// hostileHeader is a bare frame header claiming n payload bytes.
+func hostileHeader(ft frameType, n uint32) []byte {
+	h := make([]byte, frameHeaderSize)
+	h[0] = byte(ft)
+	h[1], h[2], h[3], h[4] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+	return h
 }
 
 func TestAlertFrameRoundTrip(t *testing.T) {
@@ -269,15 +348,7 @@ func TestAlertFrameRoundTrip(t *testing.T) {
 
 func TestTickFrameRoundTrip(t *testing.T) {
 	for _, want := range []float64{0, 1, 3600.5, 1e9, -1} {
-		var buf bytes.Buffer
-		fw := newFrameWriter(&buf)
-		if err := fw.writeTick(want); err != nil {
-			t.Fatalf("writeTick(%v): %v", want, err)
-		}
-		if err := fw.flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		ft, payload, err := readOne(t, buf.Bytes())
+		ft, payload, err := readOne(t, frameBytes(t, frameTick, encodeTick(want)))
 		if err != nil || ft != frameTick {
 			t.Fatalf("next: type %d err %v", ft, err)
 		}
@@ -291,45 +362,78 @@ func TestTickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTelemetryFrameRoundTrip(t *testing.T) {
+// TestTelemetryStream pins the per-session telemetry codec: a run of
+// snapshots through one encoder/decoder pair round-trips exactly (zeroed
+// fields included — each decodes into a fresh value), the type
+// description travels once, and a payload that is not the stream's next
+// message is an error.
+func TestTelemetryStream(t *testing.T) {
 	c := telemetry.New([]string{"benign", "dos"})
-	c.AddPackets(100)
-	for i := 0; i < 7; i++ {
+	enc, dec := newTelemetryEncoder(), newTelemetryDecoder()
+	var sizes []int
+	for i := 0; i < 6; i++ {
+		c.AddPackets(100)
 		c.FlowCompleted()
-	}
-	c.Verdict(1, true, 0.5)
-	c.AddDropped(telemetry.DropBackpressure, 3)
-	c.AddDroppedTenant(42, 3)
-	want := c.Snapshot()
-	for _, settled := range []bool{false, true} {
-		payload, err := encodeTelemetry(want, settled)
-		if err != nil {
-			t.Fatalf("encodeTelemetry: %v", err)
+		c.Verdict(i%2, i%2 == 1, 0.5)
+		if i == 3 {
+			c.AddDropped(telemetry.DropBackpressure, 3)
+			c.AddDroppedTenant(42, 3)
 		}
+		want := c.Snapshot()
+		if i == 4 {
+			want = telemetry.Snapshot{} // a later, emptier report must not inherit earlier fields
+		}
+		settled := i == 5
+		payload, err := enc.encode(want, settled)
+		if err != nil {
+			t.Fatalf("encode %d: %v", i, err)
+		}
+		sizes = append(sizes, len(payload))
 		ft, raw, err := readOne(t, frameBytes(t, frameTelemetry, payload))
 		if err != nil || ft != frameTelemetry {
 			t.Fatalf("next: type %d err %v", ft, err)
 		}
-		got, gotSettled, err := decodeTelemetry(raw)
+		got, gotSettled, err := dec.decode(raw)
 		if err != nil {
-			t.Fatalf("decodeTelemetry: %v", err)
+			t.Fatalf("decode %d: %v", i, err)
 		}
 		if gotSettled != settled {
-			t.Fatalf("settled flag: got %v want %v", gotSettled, settled)
+			t.Fatalf("snapshot %d settled flag: got %v want %v", i, gotSettled, settled)
 		}
-		if got.Packets != 100 || got.Flows != 7 || got.Alerts != 1 ||
-			got.Dropped[telemetry.DropBackpressure] != 3 {
-			t.Fatalf("telemetry counters: %+v", got)
-		}
-		if len(got.DroppedByTenant) != 1 || got.DroppedByTenant[0].Key != 42 {
-			t.Fatalf("telemetry tenant drops: %+v", got.DroppedByTenant)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %d round trip:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if _, _, err := decodeTelemetry(nil); err == nil {
-		t.Fatal("decodeTelemetry accepted empty payload")
+	if sizes[1] >= sizes[0]/2 {
+		t.Fatalf("frame sizes %v: the type description should ride the first frame only", sizes)
 	}
-	if _, _, err := decodeTelemetry([]byte{0, 0xde, 0xad}); err == nil {
-		t.Fatal("decodeTelemetry accepted garbage gob")
+
+	if _, _, err := dec.decode(nil); err == nil {
+		t.Fatal("decode accepted an empty payload")
+	}
+	if _, _, err := newTelemetryDecoder().decode([]byte{0, 0xde, 0xad}); err == nil {
+		t.Fatal("decode accepted garbage gob")
+	}
+	// A mid-session frame is not self-describing: a fresh decoder has not
+	// seen the type description and must refuse it.
+	late, err := enc.encode(c.Snapshot(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := newTelemetryDecoder().decode(late); err == nil {
+		t.Fatal("a fresh decoder accepted a mid-session telemetry frame")
+	}
+	// Two messages in one frame: the second would desynchronize the stream.
+	one, err := enc.encode(c.Snapshot(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := append(append([]byte(nil), one...), one[1:]...)
+	if _, _, err := dec.decode(late); err != nil {
+		t.Fatalf("decode in order: %v", err)
+	}
+	if _, _, err := dec.decode(double); err == nil || !strings.Contains(err.Error(), "past its snapshot") {
+		t.Fatalf("decode of a two-message frame: %v", err)
 	}
 }
 
@@ -395,12 +499,7 @@ func TestFrameTruncationErrors(t *testing.T) {
 // payloads: out-of-bounds claims error before allocation, in-bounds
 // claims on a truncated stream error after reading only what arrived.
 func TestHostileLengthPrefix(t *testing.T) {
-	hdr := func(ft frameType, n uint32) []byte {
-		h := make([]byte, frameHeaderSize)
-		h[0] = byte(ft)
-		h[1], h[2], h[3], h[4] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-		return h
-	}
+	hdr := hostileHeader
 	// Claim above the type cap: bounds error, no read attempt.
 	if _, _, err := readOne(t, hdr(frameAck, 1<<30)); err == nil ||
 		!strings.Contains(err.Error(), "bounds") {
@@ -412,9 +511,9 @@ func TestHostileLengthPrefix(t *testing.T) {
 		t.Fatalf("unknown type: %v", err)
 	}
 	// Fixed-size type with the wrong length: bounds error.
-	if _, _, err := readOne(t, hdr(framePacket, 31)); err == nil ||
+	if _, _, err := readOne(t, hdr(frameTick, 7)); err == nil ||
 		!strings.Contains(err.Error(), "bounds") {
-		t.Fatalf("short packet claim: %v", err)
+		t.Fatalf("short tick claim: %v", err)
 	}
 	// In-bounds snapshot claim (256 MiB) with no payload bytes behind it:
 	// must error from truncation without staging the full claim.
@@ -444,10 +543,10 @@ func TestFrameSequence(t *testing.T) {
 	var buf bytes.Buffer
 	fw := newFrameWriter(&buf)
 	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
-	if err := fw.writePacket(&p); err != nil {
+	if err := fw.writeFrame(framePackets, appendPacket(nil, &p)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.writeTick(2.0); err != nil {
+	if err := fw.writeFrame(frameTick, encodeTick(2.0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.writeFrame(frameFlush, nil); err != nil {
@@ -460,7 +559,7 @@ func TestFrameSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := newFrameReader(bytes.NewReader(buf.Bytes()))
-	wantTypes := []frameType{framePacket, frameTick, frameFlush, frameBye}
+	wantTypes := []frameType{framePackets, frameTick, frameFlush, frameBye}
 	for i, want := range wantTypes {
 		ft, _, err := fr.next()
 		if err != nil || ft != want {

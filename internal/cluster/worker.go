@@ -116,6 +116,8 @@ type session struct {
 	fw      *frameWriter
 	writeMu sync.Mutex
 	wErr    error // first write error, latched under writeMu
+
+	telEnc *telemetryEncoder // the session's telemetry stream; frame loop only
 }
 
 // write runs one framing call under the write lock and flushes it to the
@@ -156,7 +158,7 @@ func (s *session) sendAck(a ackState) error {
 
 // sendTelemetry frames one telemetry snapshot.
 func (s *session) sendTelemetry(tel *telemetry.Collector, settled bool) error {
-	payload, err := encodeTelemetry(tel.Snapshot(), settled)
+	payload, err := s.telEnc.encode(tel.Snapshot(), settled)
 	if err != nil {
 		return err
 	}
@@ -174,7 +176,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		return err
 	}
 	fr := newFrameReader(conn)
-	s := &session{fw: newFrameWriter(conn)}
+	s := &session{fw: newFrameWriter(conn), telEnc: newTelemetryEncoder()}
 
 	// Session configuration first: everything but the model.
 	t, payload, err := fr.next()
@@ -251,18 +253,20 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	// The frame loop: the session's single clock. Packets, ticks and
 	// flushes apply in arrival order — the same total order the ingest
 	// Runner issued them in — so verdicts are deterministic.
-	var p netflow.Packet
+	var pkts []netflow.Packet
 	for {
 		t, payload, err := fr.next()
 		if err != nil {
 			return err
 		}
 		switch t {
-		case framePacket, framePacket2:
-			if err := decodePacket(t, payload, &p); err != nil {
+		case framePackets:
+			if pkts, err = decodePackets(payload, pkts); err != nil {
 				return err
 			}
-			eng.Feed(p)
+			for i := range pkts {
+				eng.Feed(pkts[i])
+			}
 		case frameTick:
 			now, err := decodeTick(payload)
 			if err != nil {

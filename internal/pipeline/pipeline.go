@@ -179,9 +179,11 @@ type Config struct {
 	// handing the config to a runner. Ignored by New; NewConcurrent
 	// overrides it with 1.
 	Shards int
-	// ShardBuffer is the bounded ingress buffer per shard for NewSharded
-	// (<= 0 selects 1024). Ignored by New; NewConcurrent overrides it with
-	// its buffer argument.
+	// ShardBuffer is the bounded ingress buffer per shard for NewSharded,
+	// in packets (<= 0 selects 1024): open chunk plus channel never hold
+	// more per shard, and it also sizes the handoff chunk (a quarter of
+	// it, at most 256 packets). Ignored by New; NewConcurrent overrides it
+	// with its buffer argument.
 	ShardBuffer int
 	// Overload is the ingress admission policy applied by NewStream (so
 	// by NewRunner and the facade's Serve). The zero value is the lossless

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cyberhd/internal/netflow"
@@ -14,6 +15,16 @@ import (
 // per-core Engine shards, each with its own assembler, micro-batch buffer
 // and pooled scratch, running on its own goroutine behind a bounded
 // lossless ingress channel.
+//
+// The unit of handoff is a chunk of packets, not a packet. Feed appends to
+// its shard's open chunk and the chunk crosses the channel when it fills
+// (maxChunk packets, fewer under a small ShardBuffer); Tick, Flush and
+// Close hand every shard's open chunk off together with their own effect,
+// so a packet waits in an open chunk for at most one tick and the order of
+// packets and control effects per shard is exactly the order they were
+// issued in. A caller that feeds by hand and never ticks sees the tail of
+// its packets classified at Flush or Close. ShardBuffer stays a bound in
+// packets: open chunk plus channel never hold more than that per shard.
 //
 // Because every packet of a flow hashes to the same shard, flow assembly,
 // feature extraction and classification are per-flow identical to a single
@@ -44,6 +55,8 @@ type Sharded struct {
 	shards []shardWorker
 	once   sync.Once
 
+	chunk int // packets per full chunk
+
 	// tel is the one collector every shard records into, so Stats is a
 	// single read with no per-shard merge.
 	tel *telemetry.Collector
@@ -67,7 +80,29 @@ type shardWorker struct {
 	eng  *Engine
 	in   chan streamMsg
 	done chan struct{}
+
+	// space carries at most one wake-up for feeders waiting on a full
+	// channel: the worker offers one after every receive, and a feeder
+	// that stops waiting passes one on.
+	space chan struct{}
+	// taken counts the packets the worker has received off the channel.
+	taken atomic.Int64
+	// free returns drained chunks from the worker to the feeders. The
+	// shard owns slots+2 chunks — one open, one per channel slot, one in
+	// dispatch — and free has room for all of them, so neither side ever
+	// waits on it: a handoff leaves at most slots+1 chunks elsewhere.
+	free chan []netflow.Packet
+
+	mu   sync.Mutex       // guards open and sent
+	open []netflow.Packet // packets admitted but not yet handed off; never full between calls
+	sent int64            // packets handed off to the channel
 }
+
+// maxChunk is the largest run of packets one channel send carries: big
+// enough that the send, the receive and the goroutine wake-up they cost
+// vanish per packet, small enough (18 KiB of packets) to stay in L1/L2
+// between the feeder that fills it and the shard that drains it.
+const maxChunk = 256
 
 // NewSharded builds and starts a sharded engine: cfg.Shards workers
 // (0 selects runtime.GOMAXPROCS), each a full Engine over a copy of cfg
@@ -89,7 +124,12 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if buffer <= 0 {
 		buffer = 1024
 	}
-	s := &Sharded{tel: resolveTelemetry(&cfg)}
+	// Chunks are a quarter of the buffer (so feeder and shard overlap) up
+	// to maxChunk, and the channel gets the slots that keep open chunk
+	// (at most chunk-1 packets between calls) plus channel within buffer.
+	chunk := min(max(buffer/4, 1), maxChunk)
+	slots := (buffer+1)/chunk - 1
+	s := &Sharded{tel: resolveTelemetry(&cfg), chunk: chunk}
 	shardCfg := cfg
 	if cfg.OnAlert != nil || len(cfg.Sinks) > 0 {
 		// One serialized delivery path wraps both the callback and the
@@ -117,9 +157,15 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			return nil, err
 		}
 		s.shards[i] = shardWorker{
-			eng:  eng,
-			in:   make(chan streamMsg, buffer),
-			done: make(chan struct{}),
+			eng:   eng,
+			in:    make(chan streamMsg, slots), // slots*chunk packets: ShardBuffer less the open chunk
+			done:  make(chan struct{}),
+			space: make(chan struct{}, 1),
+			free:  make(chan []netflow.Packet, slots+2),
+			open:  make([]netflow.Packet, 0, chunk),
+		}
+		for range slots + 1 {
+			s.shards[i].free <- make([]netflow.Packet, 0, chunk)
 		}
 	}
 	for i := range s.shards {
@@ -127,7 +173,12 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		go func() {
 			defer close(w.done)
 			for m := range w.in {
+				w.taken.Add(int64(len(m.pkts)))
+				w.wake()
 				w.eng.dispatch(m)
+				if m.pkts != nil {
+					w.free <- m.pkts[:0]
+				}
 			}
 			w.eng.Flush()
 		}()
@@ -173,74 +224,127 @@ const blockUntilAdmitted time.Duration = -1
 
 // admit is the one ingress path: under the close gate's read side it
 // picks the packet's shard — by flow hash, or shard 0 outright when there
-// is only one to pick — and sends, blocking (blockUntilAdmitted), not at
-// all (0) or for at most wait. False means the packet was not ingested:
-// the engine is closed or the shard's buffer stayed full.
+// is only one to pick — and appends to that shard's open chunk. The packet
+// that fills the chunk is admitted only with the chunk handed off, waiting
+// for a channel slot forever (blockUntilAdmitted), not at all (0) or for
+// at most wait. False means the packet was not ingested: the engine is
+// closed or the shard's buffer stayed full.
 func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
 		return false
 	}
-	in := s.shards[0].in
+	w := &s.shards[0]
 	if n := uint64(len(s.shards)); n > 1 {
-		in = s.shards[p.ShardKey()%n].in
+		w = &s.shards[p.ShardKey()%n]
 	}
-	m := streamMsg{pkt: *p}
-	if wait == blockUntilAdmitted {
-		in <- m
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.open)+1 < cap(w.open) {
+		w.open = append(w.open, *p)
 		return true
 	}
-	select {
-	case in <- m:
-		return true
-	default:
-	}
-	if wait == 0 {
-		return false
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case in <- m:
-		return true
-	case <-t.C:
-		return false
+	return w.handoff(p, streamMsg{}, wait)
+}
+
+// handoff sends the shard's open chunk — completed by p when p is non-nil
+// — and m's control effect to the worker as one message, then opens a
+// fresh chunk. It waits for a channel slot as admit's wait says; while it
+// waits it releases w.mu, so other feeders are never held behind this
+// one's wait, and it rebuilds the message from whatever the open chunk is
+// when it gets the lock back. On false nothing was sent and the open chunk
+// is as it was. Caller holds w.mu.
+func (w *shardWorker) handoff(p *netflow.Packet, m streamMsg, wait time.Duration) bool {
+	var timeout <-chan time.Time // nil never fires: blockUntilAdmitted
+	for waited := false; ; waited = true {
+		m.pkts = nil
+		if p != nil {
+			m.pkts = append(w.open, *p) // w.open itself stays one short of full
+		} else if len(w.open) > 0 {
+			m.pkts = w.open
+		}
+		select {
+		case w.in <- m:
+			if m.pkts != nil {
+				w.sent += int64(len(m.pkts))
+				w.open = <-w.free
+			}
+			return true
+		default:
+		}
+		if wait == 0 {
+			return false
+		}
+		if !waited {
+			// Whoever stops waiting passes the wake-up on, so a receive
+			// that frees two slots cannot strand a second waiter.
+			defer w.wake()
+			if wait > 0 {
+				t := time.NewTimer(wait)
+				defer t.Stop()
+				timeout = t.C
+			}
+		}
+		w.mu.Unlock()
+		expired := false
+		select {
+		case <-w.space:
+		case <-timeout:
+			expired = true
+		}
+		w.mu.Lock()
+		if expired {
+			return false
+		}
 	}
 }
 
-// occupancy reports the fill of the fullest shard buffer and the
-// per-shard capacity — the queue-pressure signal the overload gate's
-// state machine polls (the hottest shard stalls ingress first, so the
-// max is the signal that matters).
+// wake offers one wake-up to the feeders waiting in handoff; one already
+// pending is enough.
+func (w *shardWorker) wake() {
+	select {
+	case w.space <- struct{}{}:
+	default:
+	}
+}
+
+// occupancy reports the packets waiting on the fullest shard — open chunk
+// plus channel — and the per-shard capacity in packets: the queue-pressure
+// signal the overload gate's state machine polls (the hottest shard stalls
+// ingress first, so the max is the signal that matters).
 func (s *Sharded) occupancy() (int, int) {
-	maxFill, capacity := 0, 0
+	maxFill := 0
 	for i := range s.shards {
-		if n := len(s.shards[i].in); n > maxFill {
+		w := &s.shards[i]
+		w.mu.Lock()
+		n := int(w.sent-w.taken.Load()) + len(w.open)
+		w.mu.Unlock()
+		if n > maxFill {
 			maxFill = n
 		}
-		capacity = cap(s.shards[i].in)
 	}
-	return maxFill, capacity
+	return maxFill, cap(s.shards[0].in)*s.chunk + s.chunk - 1
 }
 
 // Tick broadcasts an idle-eviction tick at capture time now to every
-// shard. Each shard processes the tick in order with its packets, so
-// eviction and micro-batch draining stay deterministic per shard. After
-// Close it is a defined no-op.
+// shard, handing off each shard's open chunk with it. Each shard processes
+// the tick in order with its packets, so eviction and micro-batch draining
+// stay deterministic per shard. After Close it is a defined no-op.
 func (s *Sharded) Tick(now float64) {
 	s.broadcast(streamMsg{tick: now, kind: msgTick})
 }
 
 // Flush broadcasts an end-of-capture flush, ordered with the packets
-// around it per shard: all flows in progress at this point in the feed
-// order complete and classify. It does not wait — Close does. After
-// Close it is a defined no-op.
+// around it per shard (open chunks go with it): all flows in progress at
+// this point in the feed order complete and classify. It does not wait —
+// Close does. After Close it is a defined no-op.
 func (s *Sharded) Flush() {
 	s.broadcast(streamMsg{kind: msgFlush})
 }
 
-// broadcast sends one control message to every shard unless closed.
+// broadcast hands every shard its open chunk and m's control effect as
+// one message, unless closed. Lossless like Feed: it waits for a slot.
 func (s *Sharded) broadcast(m streamMsg) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
@@ -248,7 +352,10 @@ func (s *Sharded) broadcast(m streamMsg) {
 		return
 	}
 	for i := range s.shards {
-		s.shards[i].in <- m
+		w := &s.shards[i]
+		w.mu.Lock()
+		w.handoff(nil, m, blockUntilAdmitted)
+		w.mu.Unlock()
 	}
 }
 
@@ -260,8 +367,16 @@ func (s *Sharded) Close() {
 		s.closeMu.Lock()
 		s.closed = true
 		s.closeMu.Unlock()
+		// No admit or broadcast is in flight past the close gate, so the
+		// open chunks are final: hand them off and end the channels.
 		for i := range s.shards {
-			close(s.shards[i].in)
+			w := &s.shards[i]
+			w.mu.Lock()
+			if len(w.open) > 0 {
+				w.handoff(nil, streamMsg{}, blockUntilAdmitted)
+			}
+			w.mu.Unlock()
+			close(w.in)
 		}
 	})
 	for i := range s.shards {

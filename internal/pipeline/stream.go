@@ -34,7 +34,11 @@ import (
 //   - Tick and Flush are ordered with packets: their effects apply after
 //     every previously fed packet and before any later one (per shard for
 //     Sharded). On Engine they act synchronously; on Sharded they enqueue
-//     and return.
+//     and return. Sharded hands packets to its shards in chunks and the
+//     cluster Client in multi-record frames; both close their open batch
+//     with every Tick, Flush and Close, so batching never reorders a
+//     packet against a control call and never holds one back for longer
+//     than one tick.
 //   - Close stops ingestion, completes all in-progress flows, drains every
 //     pending micro-batch and buffered packet, and waits until all of it
 //     has classified — Close ≡ drain, deterministically, on every
@@ -113,30 +117,32 @@ func NewStream(cfg Config) (Stream, error) {
 	return s, nil
 }
 
-// streamMsg is one ingress item for the channel-fed Sharded engine: a
-// packet, a tick at capture time, or a flush request. Control messages
-// keep their order relative to packets within a channel, so eviction and
-// batch draining stay deterministic per worker.
+// streamMsg is one ingress item for the channel-fed Sharded engine: a run
+// of packets in feed order (possibly empty) followed by one control effect
+// — nothing, a tick at capture time, or a flush. The control effect applies
+// after the message's own packets, and messages keep their order within a
+// channel, so eviction and batch draining stay deterministic per worker.
 type streamMsg struct {
-	pkt  netflow.Packet
+	pkts []netflow.Packet
 	tick float64
 	kind msgKind
 }
 
-// msgKind discriminates streamMsg.
+// msgKind names the control effect that follows a streamMsg's packets.
 type msgKind uint8
 
 const (
-	msgPacket msgKind = iota
+	msgPackets msgKind = iota // packets only
 	msgTick
 	msgFlush
 )
 
 // dispatch applies one ingress message to an engine.
 func (e *Engine) dispatch(m streamMsg) {
+	for i := range m.pkts {
+		e.Feed(m.pkts[i])
+	}
 	switch m.kind {
-	case msgPacket:
-		e.Feed(m.pkt)
 	case msgTick:
 		e.Tick(m.tick)
 	case msgFlush:

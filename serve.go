@@ -264,8 +264,8 @@ func WithShards(n int) EngineOption {
 	}
 }
 
-// WithShardBuffer bounds each shard's lossless ingress buffer (<= 0
-// selects 1024).
+// WithShardBuffer bounds each shard's lossless ingress buffer, in packets
+// (<= 0 selects 1024).
 func WithShardBuffer(n int) EngineOption {
 	return func(cfg *EngineConfig) { cfg.ShardBuffer = n }
 }
