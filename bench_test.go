@@ -1,18 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark measures the wall-clock cost of the
-// experiment's unit of work and reports the experiment's headline numbers
-// as custom metrics, so `go test -bench=. -benchmem` reproduces the whole
-// evaluation in one run:
-//
-//	BenchmarkFig3*   — accuracy comparison (acc_pct metric per model/dataset)
-//	BenchmarkFig4*   — training time and per-query inference latency
-//	BenchmarkTable1* — quantized inference per bitwidth + modeled CPU/FPGA
-//	                   energy efficiencies
-//	BenchmarkFig5*   — fault-injection robustness (loss_pp metric)
-//	BenchmarkAblation* — design-choice ablations
-//
-// Scale is reduced relative to cmd/experiments (benchmarks run the whole
-// grid repeatedly); the experiment harness behind both is identical.
+// Kernel and engine micro-benchmarks: the blocked kernels against their
+// row-at-a-time references, and the serving engines (single, sharded,
+// quantized, runner-driven) over one cached capture — what CI smoke-runs
+// for one iteration each, plus the telemetry-overhead pin. The paper's
+// tables and figures are regenerated by cmd/experiments, and the
+// benchmark of record is bench/ (see BENCHMARK.json).
 package cyberhd
 
 import (
@@ -22,25 +13,21 @@ import (
 	"sync"
 	"testing"
 
-	"cyberhd/internal/baseline/mlp"
-	"cyberhd/internal/baseline/svm"
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/experiments"
-	"cyberhd/internal/faults"
 	"cyberhd/internal/hdc"
-	"cyberhd/internal/hwmodel"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
-	"cyberhd/internal/quantize"
 	"cyberhd/internal/rng"
 	"cyberhd/internal/telemetry"
 	"cyberhd/internal/traffic"
 )
 
-// benchSamples keeps per-iteration cost manageable across the full grid.
+// benchSamples sizes the cached dataset split the kernel benchmarks
+// train their model on.
 const benchSamples = 2500
 
 var (
@@ -62,298 +49,6 @@ func benchSplit(b *testing.B, name string) (train, test *datasets.Dataset) {
 	}
 	benchSplits[name] = [2]*datasets.Dataset{tr, te}
 	return tr, te
-}
-
-// ---------------------------------------------------------------- Fig 3
-
-// BenchmarkFig3 trains each model per iteration and reports held-out
-// accuracy — the bar heights of Fig 3.
-func BenchmarkFig3(b *testing.B) {
-	for _, ds := range datasets.PaperDatasets() {
-		for _, model := range experiments.ModelNames {
-			b.Run(model+"/"+ds, func(b *testing.B) {
-				train, test := benchSplit(b, ds)
-				var acc float64
-				for i := 0; i < b.N; i++ {
-					acc = benchTrainEval(b, model, train, test)
-				}
-				b.ReportMetric(100*acc, "acc_pct")
-			})
-		}
-	}
-}
-
-func benchTrainEval(b *testing.B, model string, train, test *datasets.Dataset) float64 {
-	b.Helper()
-	switch model {
-	case "DNN":
-		m, err := mlp.Train(train.X, train.Y, train.NumClasses(), mlp.Options{Epochs: experiments.DNNEpochs, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.Evaluate(test.X, test.Y)
-	case "SVM":
-		m, err := svm.TrainLinear(train.X, train.Y, train.NumClasses(), svm.LinearOptions{Epochs: experiments.SVMEpochs, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.Evaluate(test.X, test.Y)
-	case "BaselineHD-0.5k":
-		m, err := experiments.TrainBaselineHD(train, experiments.PhysDim, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.Evaluate(test.X, test.Y)
-	case "BaselineHD-4k":
-		m, err := experiments.TrainBaselineHD(train, experiments.EffDim, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.Evaluate(test.X, test.Y)
-	case "CyberHD":
-		m, err := experiments.TrainCyberHD(train, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m.Evaluate(test.X, test.Y)
-	}
-	b.Fatalf("unknown model %q", model)
-	return 0
-}
-
-// ---------------------------------------------------------------- Fig 4
-
-// BenchmarkFig4Train measures wall-clock training per model (Fig 4 left).
-// The benchmark time per op IS the figure's bar.
-func BenchmarkFig4Train(b *testing.B) {
-	for _, ds := range datasets.PaperDatasets() {
-		for _, model := range experiments.ModelNames {
-			b.Run(model+"/"+ds, func(b *testing.B) {
-				train, test := benchSplit(b, ds)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchTrainOnly(b, model, train)
-				}
-				_ = test
-			})
-		}
-	}
-}
-
-func benchTrainOnly(b *testing.B, model string, train *datasets.Dataset) {
-	b.Helper()
-	switch model {
-	case "DNN":
-		if _, err := mlp.Train(train.X, train.Y, train.NumClasses(), mlp.Options{Epochs: experiments.DNNEpochs, Seed: 2}); err != nil {
-			b.Fatal(err)
-		}
-	case "SVM":
-		if _, err := svm.TrainLinear(train.X, train.Y, train.NumClasses(), svm.LinearOptions{Epochs: experiments.SVMEpochs, Seed: 3}); err != nil {
-			b.Fatal(err)
-		}
-	case "BaselineHD-0.5k":
-		if _, err := experiments.TrainBaselineHD(train, experiments.PhysDim, 4); err != nil {
-			b.Fatal(err)
-		}
-	case "BaselineHD-4k":
-		if _, err := experiments.TrainBaselineHD(train, experiments.EffDim, 4); err != nil {
-			b.Fatal(err)
-		}
-	case "CyberHD":
-		if _, err := experiments.TrainCyberHD(train, 4); err != nil {
-			b.Fatal(err)
-		}
-	default:
-		b.Fatalf("unknown model %q", model)
-	}
-}
-
-// BenchmarkFig4Inference measures per-query latency (Fig 4 right) on
-// NSL-KDD; ns/op is the figure's bar.
-func BenchmarkFig4Inference(b *testing.B) {
-	train, test := benchSplit(b, "nsl-kdd")
-	q := test.X.Row(0)
-
-	dnn, err := mlp.Train(train.X, train.Y, train.NumClasses(), mlp.Options{Epochs: 3, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("DNN", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = dnn.Predict(q)
-		}
-	})
-
-	lsvm, err := svm.TrainLinear(train.X, train.Y, train.NumClasses(), svm.LinearOptions{Epochs: 2, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("SVM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = lsvm.Predict(q)
-		}
-	})
-
-	hd4k, err := experiments.TrainBaselineHD(train, experiments.EffDim, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("BaselineHD-4k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = hd4k.Predict(q)
-		}
-	})
-
-	cyber, err := experiments.TrainCyberHD(train, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("CyberHD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = cyber.Predict(q)
-		}
-	})
-}
-
-// -------------------------------------------------------------- Table I
-
-// BenchmarkTable1 measures quantized class-memory scoring at each bitwidth
-// and the paper's effective dimensionality, and reports the calibrated
-// platform-model efficiencies as metrics — the three rows of Table I.
-func BenchmarkTable1(b *testing.B) {
-	rows, err := hwmodel.Table(hwmodel.DefaultCPU(), hwmodel.DefaultFPGA(), hwmodel.PaperEffectiveDims)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const classes = 5
-	for _, row := range rows {
-		b.Run(fmt.Sprintf("%dbit", row.Width), func(b *testing.B) {
-			r := rng.New(uint64(row.Width))
-			flat := make([]float32, classes*row.EffectiveDim)
-			r.FillNorm(flat, 0, 1)
-			mem := bitpack.QuantizeMatrix(flat, classes, row.EffectiveDim, row.Width)
-			qv := make([]float32, row.EffectiveDim)
-			r.FillNorm(qv, 0, 1)
-			query := bitpack.Quantize(qv, row.Width)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = mem.Classify(query)
-			}
-			b.ReportMetric(float64(row.EffectiveDim), "eff_dim")
-			b.ReportMetric(row.CPUEff, "cpu_eff_x")
-			b.ReportMetric(row.FPGAEff, "fpga_eff_x")
-		})
-	}
-}
-
-// ---------------------------------------------------------------- Fig 5
-
-// BenchmarkFig5 measures one fault-injection round (clone, corrupt,
-// re-evaluate) per model configuration and reports the accuracy loss in
-// percentage points — the cells of Fig 5 at the 10% error rate.
-func BenchmarkFig5(b *testing.B) {
-	const rate = 0.10
-	train, test := benchSplit(b, "nsl-kdd")
-
-	dnn, err := mlp.Train(train.X, train.Y, train.NumClasses(), mlp.Options{Epochs: experiments.DNNEpochs, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dnnClean := dnn.Evaluate(test.X, test.Y)
-	b.Run("DNN", func(b *testing.B) {
-		r := rng.New(9)
-		var loss float64
-		for i := 0; i < b.N; i++ {
-			hurt := dnn.Clone()
-			for _, ws := range hurt.Weights() {
-				faults.InjectFloat32Bits(ws, rate, 1, r)
-			}
-			loss = dnnClean - hurt.Evaluate(test.X, test.Y)
-		}
-		b.ReportMetric(100*loss, "loss_pp")
-	})
-
-	for _, w := range experiments.Fig5Widths {
-		b.Run(fmt.Sprintf("CyberHD-%dbit", w), func(b *testing.B) {
-			m, err := experiments.TrainBaselineHD(train, experiments.Fig5Dim(w), 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := quantize.FromCore(m, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clean := q.Evaluate(test.X, test.Y)
-			r := rng.New(uint64(w) + 9)
-			b.ResetTimer()
-			var loss float64
-			for i := 0; i < b.N; i++ {
-				hurt := q.Clone()
-				faults.InjectQuantizedBits(hurt.Class, rate, r)
-				loss = clean - hurt.Evaluate(test.X, test.Y)
-			}
-			b.ReportMetric(100*loss, "loss_pp")
-		})
-	}
-}
-
-// ------------------------------------------------------------ Ablations
-
-// BenchmarkAblationDropStrategy compares variance-guided against random
-// dimension selection per iteration (ablation index).
-func BenchmarkAblationDropStrategy(b *testing.B) {
-	train, test := benchSplit(b, "nsl-kdd")
-	strategies := map[string]func(m *core.Model, drop int) []int{
-		"variance": nil,
-	}
-	dropRng := rng.New(7)
-	strategies["random"] = func(m *core.Model, drop int) []int {
-		return dropRng.Perm(m.Dim())[:drop]
-	}
-	for name, sel := range strategies {
-		b.Run(name, func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				enc := NewRBFEncoder(train.NumFeatures(), experiments.PhysDim, 0, 4)
-				m, err := core.Train(enc, train.X, train.Y, core.Options{
-					Classes: train.NumClasses(), Epochs: experiments.CyberEpochs,
-					RegenCycles: experiments.RegenCycles, RegenRate: experiments.RegenRate,
-					LearningRate: experiments.HDLearningRate, Seed: 5, DropSelector: sel,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = m.Evaluate(test.X, test.Y)
-			}
-			b.ReportMetric(100*acc, "acc_pct")
-		})
-	}
-}
-
-// BenchmarkAblationRegenRate sweeps the regeneration rate R.
-func BenchmarkAblationRegenRate(b *testing.B) {
-	train, test := benchSplit(b, "nsl-kdd")
-	for _, rate := range []float64{0.1, 0.2, 0.4} {
-		b.Run(fmt.Sprintf("R=%.0f%%", 100*rate), func(b *testing.B) {
-			var acc float64
-			var effDim int
-			for i := 0; i < b.N; i++ {
-				enc := NewRBFEncoder(train.NumFeatures(), experiments.PhysDim, 0, 4)
-				m, err := core.Train(enc, train.X, train.Y, core.Options{
-					Classes: train.NumClasses(), Epochs: experiments.CyberEpochs,
-					RegenCycles: experiments.RegenCycles, RegenRate: rate,
-					LearningRate: experiments.HDLearningRate, Seed: 5,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = m.Evaluate(test.X, test.Y)
-				effDim = m.EffectiveDim
-			}
-			b.ReportMetric(100*acc, "acc_pct")
-			b.ReportMetric(float64(effDim), "eff_dim")
-		})
-	}
 }
 
 // ------------------------------------------------ Kernel layer (PR 1)

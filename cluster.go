@@ -1,9 +1,6 @@
 package cyberhd
 
-import (
-	"cyberhd/internal/cluster"
-	"cyberhd/internal/telemetry"
-)
+import "cyberhd/internal/cluster"
 
 // Cluster serving: the layer that scales the runtime past one process. An
 // ingest node partitions a packet stream by flow hash across N detector
@@ -41,8 +38,4 @@ var (
 	// the initial model snapshot, and returns a serving-ready
 	// ClusterClient.
 	DialCluster = cluster.Dial
-	// ServeMetricsFrom starts an admin endpoint whose counters come from
-	// a snapshot function instead of a local collector — the cluster
-	// rollup surface: pass the ClusterClient's MergedSnapshot.
-	ServeMetricsFrom = telemetry.ListenAndServeFrom
 )

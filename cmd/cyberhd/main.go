@@ -233,7 +233,7 @@ type serving struct {
 	cmd                         string // subcommand name: the prefix on its error messages
 	trainSessions, liveSessions int
 	seed                        uint64
-	capture, pcap               string
+	capture                     string
 	batch, width                int
 	tick                        float64
 	overload                    string
@@ -243,6 +243,7 @@ type serving struct {
 
 	pol       cyberhd.OverloadPolicy // -tenant-rate lands here directly; open sets the mode
 	src       cyberhd.PacketSource
+	file      *cyberhd.CaptureFile   // src when -capture names a file: closed by close, Skipped reported by finish
 	live      *cyberhd.TrafficStream // set for generated traffic: carries ground-truth labels
 	sinks     []cyberhd.AlertSink
 	jsonlSink *cyberhd.JSONLSink
@@ -257,8 +258,7 @@ func newServing(cmd string) (*flag.FlagSet, *serving) {
 	fs.IntVar(&sv.trainSessions, "train", 3000, "training capture size (sessions)")
 	fs.IntVar(&sv.liveSessions, "sessions", 1000, "live capture size (sessions)")
 	fs.Uint64Var(&sv.seed, "seed", 42, "random seed")
-	fs.StringVar(&sv.capture, "capture", "", "replay a binary capture instead of generating live traffic (streamed in O(1) memory)")
-	fs.StringVar(&sv.pcap, "pcap", "", "replay a PCAP or pcapng capture through the decode stack (Ethernet/VLAN/IPv4/IPv6; streamed in O(1) memory)")
+	fs.StringVar(&sv.capture, "capture", "", "replay a packet log instead of generating live traffic: a binary capture, or a PCAP or pcapng file through the decode stack (Ethernet/VLAN/IPv4/IPv6) — told apart by magic, streamed in O(1) memory")
 	fs.IntVar(&sv.batch, "batch", 0, "micro-batch size per engine (0 = classify per flow)")
 	fs.IntVar(&sv.width, "width", 0, "quantized inference bitwidth: 1, 2, 4, 8, 16 or 32 (0 = float32)")
 	fs.Float64Var(&sv.tick, "tick", 1, "auto-tick interval in capture seconds (bounds batched-verdict delay; < 0 disables)")
@@ -287,24 +287,14 @@ func (sv *serving) open() error {
 		return fmt.Errorf("%s: -tenant-rate requires -overload bounded (lossless never drops)", sv.cmd)
 	}
 
-	// Ingest: an O(1)-memory capture or PCAP replay, or generated live
-	// traffic.
-	switch {
-	case sv.capture != "" && sv.pcap != "":
-		return fmt.Errorf("%s: -capture and -pcap are mutually exclusive", sv.cmd)
-	case sv.pcap != "":
-		pf, err := cyberhd.OpenPCAP(sv.pcap)
+	// Ingest: an O(1)-memory file replay, or generated live traffic.
+	if sv.capture != "" {
+		f, err := cyberhd.OpenCapture(sv.capture)
 		if err != nil {
 			return err
 		}
-		sv.src = pf
-	case sv.capture != "":
-		cf, err := cyberhd.OpenCapture(sv.capture)
-		if err != nil {
-			return err
-		}
-		sv.src = cf
-	default:
+		sv.src, sv.file = f, f
+	} else {
 		sv.live = cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: sv.liveSessions, Seed: sv.seed + 1})
 		sv.src = cyberhd.NewSliceSource(sv.live.Packets)
 	}
@@ -337,8 +327,8 @@ func (sv *serving) open() error {
 // endpoint. The source is only read; the JSONL file's checked close is
 // finish's, this one the backstop for error returns.
 func (sv *serving) close() {
-	if c, ok := sv.src.(io.Closer); ok {
-		c.Close()
+	if sv.file != nil {
+		sv.file.Close()
 	}
 	if sv.jsonlFile != nil {
 		sv.jsonlFile.Close()
@@ -390,8 +380,8 @@ func (sv *serving) finish(st cyberhd.EngineStats) error {
 		}
 	}
 	fmt.Printf("\nprocessed %d packets -> %d flows, %d alerts\n", st.Packets, st.Flows, st.Alerts)
-	if pf, ok := sv.src.(*cyberhd.PCAPFile); ok && pf.Skipped() > 0 {
-		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", pf.Skipped())
+	if sv.file != nil && sv.file.Skipped() > 0 {
+		fmt.Printf("pcap: skipped %d frames outside the decode stack\n", sv.file.Skipped())
 	}
 	if sv.pol.Mode == cyberhd.OverloadBounded {
 		// Always printed in bounded mode (even when zero): the accounting
@@ -442,7 +432,7 @@ func cmdDetect(args []string) error {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, `{"error":"model control plane not ready (detector still training)"}`)
 		})
-		srv, err := cyberhd.ServeMetricsWith(sv.metricsAddr, tel, map[string]http.Handler{
+		srv, err := cyberhd.ServeMetrics(sv.metricsAddr, tel.Snapshot, map[string]http.Handler{
 			"/model": model, "/model/": model,
 		})
 		if err != nil {
@@ -614,7 +604,7 @@ func cmdIngest(args []string) error {
 	// cluster once dialed.
 	var clientPtr atomic.Pointer[cyberhd.ClusterClient]
 	if sv.metricsAddr != "" {
-		srv, err := cyberhd.ServeMetricsFrom(sv.metricsAddr, func() cyberhd.TelemetrySnapshot {
+		srv, err := cyberhd.ServeMetrics(sv.metricsAddr, func() cyberhd.TelemetrySnapshot {
 			if c := clientPtr.Load(); c != nil {
 				return c.MergedSnapshot()
 			}

@@ -35,11 +35,11 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 // TestSharedServingFlags pins the flag surface detect and ingest share:
-// the same names with the same defaults on both commands, and exactly the
-// set the CLI shipped with.
+// the same names with the same defaults on both commands, and exactly
+// this set — -capture replays every container, so there is no -pcap.
 func TestSharedServingFlags(t *testing.T) {
 	want := map[string]string{
-		"train": "3000", "sessions": "1000", "seed": "42", "capture": "", "pcap": "",
+		"train": "3000", "sessions": "1000", "seed": "42", "capture": "",
 		"batch": "0", "width": "0", "tick": "1", "overload": "lossless", "tenant-rate": "0",
 		"jsonl": "", "metrics": "", "metrics-linger": "0", "v": "false",
 	}
@@ -58,17 +58,21 @@ func TestSharedServingFlags(t *testing.T) {
 	}
 }
 
-// TestSourceErrorsPrecedeTraining pins the ordering fix: contradictory or
-// typo'd source flags fail with the command's own prefix before any
-// training (or dialing) has happened.
+// TestSourceErrorsPrecedeTraining pins the ordering fix: a source file
+// that is missing or in no known container fails, naming the file, before
+// any training (or dialing) has happened.
 func TestSourceErrorsPrecedeTraining(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such.cap")
+	unknown := filepath.Join(t.TempDir(), "unknown.bin")
+	if err := os.WriteFile(unknown, []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, cmd := range map[string]func([]string) error{"detect": cmdDetect, "ingest": cmdIngest} {
 		for _, tc := range []struct {
 			args    []string
 			wantErr string
 		}{
-			{[]string{"-capture", "x.cap", "-pcap", "y.pcap"}, name + ": -capture and -pcap are mutually exclusive"},
+			{[]string{"-capture", unknown}, "unknown.bin: netflow: not a pcap or pcapng capture (magic deadbeef)"},
 			{[]string{"-capture", missing}, "no-such.cap"},
 		} {
 			args := tc.args
@@ -84,6 +88,59 @@ func TestSourceErrorsPrecedeTraining(t *testing.T) {
 				t.Errorf("%s %v printed before failing:\n%s", name, args, out)
 			}
 		}
+	}
+}
+
+// TestDetectReplaysCaptureAndPcapAlike is the pcap-smoke contract
+// in-process: one mixed v4/v6, VLAN-tagged workload written as a binary
+// capture and as a PCAP, both replayed with -capture, must print
+// string-equal `processed` lines and no `pcap: skipped` line.
+func TestDetectReplaysCaptureAndPcapAlike(t *testing.T) {
+	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 120, Seed: 9})
+	for i := range live.Packets {
+		p := &live.Packets[i]
+		// Both directions of a flow see the same XOR, so a flow moves to
+		// IPv6 whole; the header grows by the 20 bytes v6 adds.
+		if (p.SrcIP.V4()^p.DstIP.V4())&1 == 1 {
+			for _, a := range []*netflow.Addr{&p.SrcIP, &p.DstIP} {
+				v := a.V4()
+				*a = netflow.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 12: byte(v >> 24), 13: byte(v >> 16), 14: byte(v >> 8), 15: byte(v)})
+			}
+			p.HeaderLen += 20
+			p.Length += 20
+		}
+		p.VLAN = 42
+		p.Time = netflow.RoundToNanos(p.Time)
+	}
+	dir := t.TempDir()
+	capture, pcap := filepath.Join(dir, "mix.cap"), filepath.Join(dir, "mix.pcap")
+	if err := netflow.SaveCapture(capture, live.Packets); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(pcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netflow.WritePCAP(f, live.Packets); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(`(?m)^processed [1-9]\d* packets -> [1-9]\d* flows, \d+ alerts$`)
+	var lines []string
+	for _, path := range []string{capture, pcap} {
+		out, err := captureStdout(t, func() error { return cmdDetect([]string{"-train", "300", "-capture", path}) })
+		if err != nil {
+			t.Fatalf("detect -capture %s: %v\n%s", path, err, out)
+		}
+		if strings.Contains(out, "pcap: skipped") {
+			t.Errorf("detect -capture %s skipped frames of a faithful round trip:\n%s", path, out)
+		}
+		lines = append(lines, re.FindString(out))
+	}
+	if lines[0] == "" || lines[0] != lines[1] {
+		t.Errorf("processed line diverged:\n  capture: %q\n  pcap:    %q", lines[0], lines[1])
 	}
 }
 

@@ -9,10 +9,8 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -65,7 +63,7 @@ func main() {
 		// assembles into flows without ever living in memory. Replayed
 		// captures carry no ground truth; every flow is labeled benign so
 		// the feature table is still usable (e.g. for inference runs).
-		cf, skipped, err := openReplay(*replay)
+		cf, err := netflow.Open(*replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nidsgen:", err)
 			os.Exit(1)
@@ -79,7 +77,7 @@ func main() {
 			os.Exit(1)
 		}
 		nPackets, lastTime = tap.n, tap.last
-		if n := skipped(); n > 0 {
+		if n := cf.Skipped(); n > 0 {
 			fmt.Fprintf(os.Stderr, "replay: skipped %d frames outside the decode stack\n", n)
 		}
 	} else {
@@ -183,42 +181,6 @@ func toV6Site(a netflow.Addr) netflow.Addr {
 	v := a.V4()
 	b[12], b[13], b[14], b[15] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 	return netflow.AddrFrom16(b)
-}
-
-// openReplay opens path for streaming replay, sniffing the four-byte
-// magic to pick the reader: the internal binary capture, or classic
-// PCAP / pcapng through the Ethernet/VLAN/IP decode stack. The returned
-// func reports frames the pcap decoder skipped (always zero for
-// captures).
-func openReplay(path string) (interface {
-	netflow.PacketSource
-	Close() error
-}, func() int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr != nil {
-		return nil, nil, fmt.Errorf("%s: too short to carry a capture or pcap magic", path)
-	}
-	// The internal capture leads with 0xCBD0CAF7 little-endian; anything
-	// else goes to the pcap front door, which recognizes classic PCAP in
-	// both endiannesses and pcapng, and rejects the rest by name.
-	if binary.LittleEndian.Uint32(magic[:]) == 0xCBD0CAF7 {
-		cf, err := netflow.OpenCapture(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cf, func() int { return 0 }, nil
-	}
-	pf, err := netflow.OpenPCAP(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pf, pf.Skipped, nil
 }
 
 // tapSource forwards a PacketSource while counting packets and tracking

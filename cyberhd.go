@@ -29,7 +29,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
@@ -68,9 +67,6 @@ type (
 	Width = bitpack.Width
 	// Engine is the streaming NIDS pipeline; Alert its verdict type.
 	Engine = pipeline.Engine
-	// ShardedEngine is the multi-core streaming pipeline: flow-hash
-	// partitioned per-core engines with merged stats (see NewShardedEngine).
-	ShardedEngine = pipeline.Sharded
 	// EngineConfig assembles an Engine.
 	EngineConfig = pipeline.Config
 	// EngineStats is the engine counter snapshot returned by Stats.
@@ -238,19 +234,6 @@ func (d *Detector) Classify(features []float32) string {
 // bitwidths as a live inference mode).
 func NewEngine(cfg EngineConfig) (*Engine, error) { return pipeline.New(cfg) }
 
-// NewShardedEngine builds the multi-core streaming engine: packets are
-// hash-partitioned by flow 5-tuple across cfg.Shards per-core engines
-// (0 selects one per CPU), with lossless bounded ingress, serialized
-// alert delivery, a deterministic Close/drain, and merged Stats that are
-// bit-identical to a single Engine over the same capture. For live
-// analyst feedback during classification, set cfg.Model to a COWModel
-// (NewCOWModel) so updates publish atomically against concurrent reads;
-// combined with cfg.Quantize, every feedback publication also re-packs
-// the quantized class memory the shards score against.
-func NewShardedEngine(cfg EngineConfig) (*ShardedEngine, error) {
-	return pipeline.NewSharded(cfg)
-}
-
 // NewCOWModel wraps a trained model in copy-on-write snapshots, making
 // concurrent classification and online feedback race-free: readers load
 // an immutable (encoder, class-matrix) snapshot through one atomic
@@ -304,19 +287,6 @@ func (d *Detector) Save(w io.Writer) error {
 	})
 }
 
-// SaveFile writes the detector to path.
-func (d *Detector) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := d.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // LoadDetector reads a detector written by Detector.Save.
 func LoadDetector(r io.Reader) (*Detector, error) {
 	var state detectorState
@@ -336,14 +306,4 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 		ClassNames:   state.ClassNames,
 		TestAccuracy: state.TestAccuracy,
 	}, nil
-}
-
-// LoadDetectorFile reads a detector from path.
-func LoadDetectorFile(path string) (*Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadDetector(f)
 }

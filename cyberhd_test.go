@@ -2,6 +2,7 @@ package cyberhd
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -85,9 +86,9 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestShardedEngineFacade runs the multi-core engine with a COW-wrapped
-// model from the public API and checks its merged stats against a single
-// engine over the same capture.
+// TestShardedEngineFacade runs the multi-core engine (WithShards) with a
+// COW-wrapped model from the public API and checks its merged stats
+// against a single engine over the same capture.
 func TestShardedEngineFacade(t *testing.T) {
 	ds := CICIDS2017(1200, 3)
 	det, err := TrainDetector(ds, DefaultConfig())
@@ -107,21 +108,11 @@ func TestShardedEngineFacade(t *testing.T) {
 	want := single.Stats()
 
 	cow := NewCOWModel(det.Model)
-	sh, err := NewShardedEngine(EngineConfig{
-		Model:      cow,
-		Normalizer: det.Normalizer,
-		ClassNames: det.ClassNames,
-		Shards:     4,
-		BatchSize:  32,
-	})
+	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
+		WithModel(cow), WithShards(4), WithBatchSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range live.Packets {
-		sh.Feed(live.Packets[i])
-	}
-	sh.Close()
-	got := sh.Stats()
 	if got.Flows != want.Flows || got.Alerts != want.Alerts {
 		t.Fatalf("sharded %+v != single %+v", got, want)
 	}
@@ -178,11 +169,11 @@ func TestDetectorSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/det.gob"
-	if err := det.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDetectorFile(path)
+	back, err := LoadDetector(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

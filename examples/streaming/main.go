@@ -38,14 +38,15 @@ func main() {
 	// engine, auto-ticks from capture timestamps so idle flows evict and
 	// verdicts never stall, drains on end of stream, and returns exact
 	// final stats. (Here the "wire" is the traffic simulator; swap in
-	// cyberhd.OpenCapture for an on-disk log, or any PacketSource.)
+	// cyberhd.OpenCapture for an on-disk capture, pcap or pcapng file, or
+	// any PacketSource.)
 	//
 	// WithProgress is the operator's mid-run view: a telemetry snapshot
 	// every 120 capture-seconds — throughput, verdict counts, and how long
 	// verdicts waited in micro-batch buffers. The same snapshot backs the
-	// HTTP admin endpoint: det.ServeWithMetrics(ctx, ":9090", src, ...)
-	// serves it as Prometheus /metrics and JSON /stats while the run is
-	// live.
+	// HTTP admin endpoint: cyberhd.ServeMetrics(":9090", tel.Snapshot, nil)
+	// over a collector shared through WithTelemetry(tel) serves it as
+	// Prometheus /metrics and JSON /stats while the run is live.
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 1500, Seed: 1234})
 	st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets),
 		cyberhd.WithSinks(counter, printer),

@@ -16,7 +16,7 @@ import (
 	"cyberhd/internal/telemetry"
 )
 
-// DefaultDialTimeout bounds one worker connection attempt.
+// DefaultDialTimeout bounds each worker connection attempt of Dial.
 const DefaultDialTimeout = 10 * time.Second
 
 // ackTimeout bounds the wait for a worker's snapshot-push ack. Generous:
@@ -27,6 +27,7 @@ const ackTimeout = 60 * time.Second
 // Normalizer and ClassNames are required; everything else mirrors the
 // matching pipeline.Config field and is forwarded to every worker so the
 // cluster serves exactly the configuration a single-process engine would.
+// Each connection attempt is bounded by DefaultDialTimeout.
 type ClientConfig struct {
 	// Workers are the detector node addresses (host:port). The partition
 	// function is FlowKey.Hash % len(Workers) — the sharded engine's
@@ -65,9 +66,6 @@ type ClientConfig struct {
 	// Sinks receive every merged alert after OnAlert, serialized the same
 	// way.
 	Sinks []pipeline.AlertSink
-	// DialTimeout bounds each worker connection attempt (0 selects
-	// DefaultDialTimeout).
-	DialTimeout time.Duration
 }
 
 // PushResult is one worker's outcome of a snapshot replication.
@@ -126,10 +124,10 @@ func (wc *workerConn) fail(err error) {
 // updates the local serving model and replicates the new snapshot.
 //
 // Ingestion is lossless-blocking like the in-process engines: a slow
-// worker exerts TCP backpressure on Feed rather than dropping. TryFeed
-// and FeedWithin therefore admit whenever the client is open — bounded
-// admission belongs on a Gate in front of the client, exactly as with
-// local engines.
+// worker exerts TCP backpressure on Feed rather than dropping. FeedWithin
+// therefore admits whenever the client is open — bounded admission
+// belongs on a Gate in front of the client, exactly as with local
+// engines.
 type Client struct {
 	cfg   ClientConfig
 	conns []*workerConn
@@ -185,13 +183,9 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if err := core.SaveSnapshot(&snap, cfg.Model); err != nil {
 		return nil, fmt.Errorf("cluster: snapshotting model: %w", err)
 	}
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = DefaultDialTimeout
-	}
 	c := &Client{cfg: cfg}
 	for _, addr := range cfg.Workers {
-		wc, err := dialWorker(addr, dialTimeout, hello, snap.Bytes())
+		wc, err := dialWorker(addr, hello, snap.Bytes())
 		if err != nil {
 			for _, open := range c.conns {
 				_ = open.conn.Close()
@@ -209,8 +203,8 @@ func Dial(cfg ClientConfig) (*Client, error) {
 
 // dialWorker runs one session handshake synchronously (the read loop
 // starts only after both acks, so handshake frames never race it).
-func dialWorker(addr string, timeout time.Duration, hello, snap []byte) (*workerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing worker %s: %w", addr, err)
 	}
@@ -425,21 +419,16 @@ func (wc *workerConn) broken() bool {
 	return wc.err != nil
 }
 
-// TryFeed feeds p, reporting admission. The network client is
+// FeedWithin feeds p, reporting admission. The network client is
 // lossless-blocking like the local engines' Feed, so admission succeeds
-// whenever the client is open; false after Close.
-func (c *Client) TryFeed(p netflow.Packet) bool {
+// whenever the client is open and the wait bound is not needed; false
+// after Close.
+func (c *Client) FeedWithin(p netflow.Packet, _ time.Duration) bool {
 	if c.closed.Load() {
 		return false
 	}
 	c.Feed(p)
 	return true
-}
-
-// FeedWithin feeds p, reporting admission (see TryFeed; the wait bound is
-// not needed on a blocking transport). False after Close.
-func (c *Client) FeedWithin(p netflow.Packet, wait time.Duration) bool {
-	return c.TryFeed(p)
 }
 
 // Tick broadcasts the capture-clock tick to every worker, ordered with
@@ -527,7 +516,7 @@ func (c *Client) Stats() pipeline.Stats {
 }
 
 // Telemetry returns nil: the cluster's telemetry is the merge of remote
-// collectors, served via MergedSnapshot (telemetry.HandlerFrom), not one
+// collectors, served via MergedSnapshot (telemetry.Handler), not one
 // local collector. Runner and the admin surface nil-check this.
 func (c *Client) Telemetry() *telemetry.Collector { return nil }
 

@@ -15,15 +15,14 @@ import (
 	"cyberhd/internal/telemetry"
 )
 
-// WorkerConfig tunes a detector worker. The zero value serves.
+// WorkerConfig tunes a detector worker. The zero value serves. A
+// replicated snapshot is capped at control.DefaultMaxUploadBytes, like an
+// HTTP upload.
 type WorkerConfig struct {
 	// Sanity, when non-empty, replaces the control plane's built-in
 	// sanity batch for replicated-snapshot validation (see
 	// control.Config.Sanity).
 	Sanity control.SanityBatch
-	// MaxSnapshotBytes caps one replicated snapshot (0 selects
-	// control.DefaultMaxUploadBytes).
-	MaxSnapshotBytes int64
 	// Logf, when set, receives session lifecycle lines (accept, model
 	// swaps, session summaries). Keep it cheap; it runs on session
 	// goroutines.
@@ -218,8 +217,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	// The control plane guards every later snapshot swap with the same
 	// gates an HTTP upload would clear.
 	plane, err := control.New(control.Config{
-		Model: cow, Width: bitpack.Width(h.Width),
-		Sanity: w.cfg.Sanity, MaxUploadBytes: w.cfg.MaxSnapshotBytes,
+		Model: cow, Width: bitpack.Width(h.Width), Sanity: w.cfg.Sanity,
 	})
 	if err != nil {
 		_ = s.sendAck(ackState{Msg: err.Error()})

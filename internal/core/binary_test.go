@@ -74,57 +74,3 @@ func TestBinaryPredictBatchMatchesPredict(t *testing.T) {
 		}
 	}
 }
-
-func TestOnlineTrainerConvergesOnStream(t *testing.T) {
-	x, y := blobs(3000, 8, 3, 0.3, 404, 1)
-	xt, yt := blobs(600, 8, 3, 0.3, 404, 2)
-	tr, err := NewOnlineTrainer(encoder.NewRBF(8, 256, 0, 5),
-		Options{Classes: 3, LearningRate: 0.1, RegenRate: 0.2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows; i++ {
-		if _, err := tr.Observe(x.Row(i), y[i]); err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && i%1000 == 0 {
-			tr.Regenerate()
-		}
-	}
-	if tr.Seen() != 3000 {
-		t.Fatalf("Seen = %d", tr.Seen())
-	}
-	if tr.Updates() == 0 || tr.Updates() > tr.Seen() {
-		t.Fatalf("Updates = %d", tr.Updates())
-	}
-	m := tr.Model()
-	if m.EffectiveDim <= 256 {
-		t.Fatalf("regeneration did not grow D*: %d", m.EffectiveDim)
-	}
-	if acc := m.Evaluate(xt, yt); acc < 0.85 {
-		t.Errorf("online accuracy = %v, want >= 0.85", acc)
-	}
-}
-
-func TestOnlineTrainerRejectsBadLabel(t *testing.T) {
-	tr, err := NewOnlineTrainer(encoder.NewRBF(4, 32, 0, 1), Options{Classes: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Observe(make([]float32, 4), 7); err == nil {
-		t.Fatal("accepted out-of-range label")
-	}
-}
-
-func TestOnlineTrainerNoRegenWithZeroRate(t *testing.T) {
-	tr, err := NewOnlineTrainer(encoder.NewRBF(4, 32, 0, 1), Options{Classes: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tr.Regenerate(); n != 0 {
-		t.Fatalf("zero-rate trainer regenerated %d dims", n)
-	}
-	if tr.Model().EffectiveDim != 32 {
-		t.Fatal("effective dim changed")
-	}
-}

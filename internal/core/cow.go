@@ -42,7 +42,7 @@ func (s *Snapshot) PredictEncoded(h []float32) int { return s.scorer.PredictEnco
 // COWModel makes one Model safe for concurrent classification and online
 // learning by copy-on-write snapshots: readers classify against an
 // immutable Snapshot loaded through one atomic pointer read, while the
-// single writer applies Feedback/OnlineTrainer updates to a private
+// single writer applies Feedback updates to a private
 // working copy and publishes the result as the next snapshot with an
 // atomic swap. Class norms are cached per snapshot via the existing
 // Scorer, so a publication costs one k×D matrix clone plus one norm pass.
@@ -53,7 +53,7 @@ func (s *Snapshot) PredictEncoded(h []float32) int { return s.scorer.PredictEnco
 //
 // Writers (serialized internally by a mutex):
 //
-//	Update, Apply, ApplyEncoderMutation
+//	Update, ReplaceModel
 //
 // COWModel implements pipeline.Classifier, pipeline.BatchClassifier and
 // pipeline.Updater, so it drops into any engine — including
@@ -156,7 +156,7 @@ func (c *COWModel) ReplaceModel(m *Model) error {
 
 // SetDerive installs fn as the snapshot derivation hook and republishes so
 // the live snapshot immediately carries a derived artifact. On every
-// subsequent publication — Update, Apply, ApplyEncoderMutation — fn runs
+// subsequent publication — Update, ReplaceModel — fn runs
 // on the writer's post-update state and its result rides the snapshot
 // (Snapshot.Derived), giving readers a consistent (model, artifact) pair
 // behind the same single atomic load.
@@ -241,42 +241,4 @@ func (c *COWModel) Update(x []float32, label int) bool {
 		c.publishLocked()
 	}
 	return changed
-}
-
-// Apply runs fn on the private working copy under the writer lock and
-// publishes a new snapshot when fn reports a change. Use it to route
-// OnlineTrainer.Observe (or any class-matrix mutation) through the
-// copy-on-write discipline:
-//
-//	cow.Apply(func(m *core.Model) bool { ch, _ := trainer.Observe(x, y); return ch })
-//
-// fn must not mutate the encoder — regeneration goes through
-// ApplyEncoderMutation, which clones it first.
-func (c *COWModel) Apply(fn func(m *Model) bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	changed := fn(c.writer)
-	if changed {
-		c.publishLocked()
-	}
-	return changed
-}
-
-// ApplyEncoderMutation runs fn on the working copy like Apply, but first
-// replaces the working encoder with a deep clone so fn (typically
-// OnlineTrainer.Regenerate, which redraws base vectors) mutates a private
-// copy: published snapshots keep encoding with the version they were
-// paired with. A new snapshot is always published. Returns an error when
-// the encoder does not support cloning (encoder.Cloneable).
-func (c *COWModel) ApplyEncoderMutation(fn func(m *Model)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clone, ok := encoder.Clone(c.writer.Enc)
-	if !ok {
-		return fmt.Errorf("core: encoder %T does not support cloning (encoder.Cloneable)", c.writer.Enc)
-	}
-	c.writer.Enc = clone
-	fn(c.writer)
-	c.publishLocked()
-	return nil
 }

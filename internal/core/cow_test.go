@@ -73,7 +73,7 @@ func TestCOWUpdateMatchesModelAndPublishes(t *testing.T) {
 }
 
 func TestCOWSnapshotImmutable(t *testing.T) {
-	m, _, x, y := cowModel(t)
+	m, next, x, y := cowModel(t)
 	cow := NewCOWModel(m)
 	old := cow.Snapshot()
 	oldClass := old.Class.Clone()
@@ -83,12 +83,13 @@ func TestCOWSnapshotImmutable(t *testing.T) {
 	for i := 0; i < x.Rows; i++ {
 		cow.Update(x.Row(i), (y[i]+1)%3)
 	}
-	if err := cow.ApplyEncoderMutation(func(w *Model) {
-		dims := []int{0, 1, 2, 3}
-		w.Class.ZeroColumns(dims)
-		w.Enc.Regenerate(dims)
-		w.Scorer().Refresh()
-	}); err != nil {
+	// A hot reload brings in a model whose encoder has regenerated
+	// dimensions: the published snapshot must keep its own pair.
+	dims := []int{0, 1, 2, 3}
+	next.Class.ZeroColumns(dims)
+	next.Enc.Regenerate(dims)
+	next.Scorer().Refresh()
+	if err := cow.ReplaceModel(next); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,61 +100,11 @@ func TestCOWSnapshotImmutable(t *testing.T) {
 	old.Enc.Encode(x.Row(0), h)
 	for d := range h {
 		if h[d] != oldEnc[d] {
-			t.Fatalf("published snapshot's encoder changed at dim %d after regeneration", d)
+			t.Fatalf("published snapshot's encoder changed at dim %d after the reload", d)
 		}
 	}
 	if cur := cow.Snapshot(); cur.Version <= old.Version {
 		t.Fatalf("live version %d did not advance past %d", cur.Version, old.Version)
-	}
-}
-
-func TestCOWApplyRoutesOnlineTrainer(t *testing.T) {
-	x, y := blobs(200, 8, 3, 0.6, 60, 61)
-	tr, err := NewOnlineTrainer(encoder.NewRBF(8, 64, 0, 9), Options{Classes: 3, RegenCycles: 1, RegenRate: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cow := NewCOWModel(tr.Model())
-	for i := 0; i < x.Rows; i++ {
-		i := i
-		cow.Apply(func(*Model) bool {
-			ch, err := tr.Observe(x.Row(i), y[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ch
-		})
-	}
-	if tr.Updates() == 0 {
-		t.Fatal("online trainer never updated")
-	}
-	if err := cow.ApplyEncoderMutation(func(*Model) {
-		if tr.Regenerate() == 0 {
-			t.Fatal("regeneration dropped no dimensions")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i := 0; i < x.Rows; i++ {
-		if cow.Predict(x.Row(i)) == y[i] {
-			correct++
-		}
-	}
-	if frac := float64(correct) / float64(x.Rows); frac < 0.8 {
-		t.Fatalf("online-trained COW accuracy %.2f, want >= 0.8", frac)
-	}
-}
-
-// uncloneableEncoder satisfies Encoder but not encoder.Cloneable.
-type uncloneableEncoder struct{ encoder.Encoder }
-
-func TestCOWEncoderMutationRequiresCloneable(t *testing.T) {
-	m, _, _, _ := cowModel(t)
-	m.Enc = uncloneableEncoder{m.Enc}
-	cow := NewCOWModel(m)
-	if err := cow.ApplyEncoderMutation(func(*Model) {}); err == nil {
-		t.Fatal("ApplyEncoderMutation accepted a non-cloneable encoder")
 	}
 }
 
@@ -200,7 +151,8 @@ func TestCOWSetDerive(t *testing.T) {
 
 // TestCOWConcurrentReadersAndWriter is the race-detector workout for the
 // copy-on-write swap: reader goroutines classify continuously while the
-// writer interleaves feedback updates and an encoder regeneration.
+// writer interleaves feedback updates and hot reloads of a model with
+// regenerated encoder dimensions.
 // Correctness here is "no race, no torn state": every prediction must be
 // a valid class index and every loaded snapshot internally consistent.
 func TestCOWConcurrentReadersAndWriter(t *testing.T) {
@@ -241,12 +193,12 @@ func TestCOWConcurrentReadersAndWriter(t *testing.T) {
 		for i := 0; i < x.Rows; i++ {
 			cow.Update(x.Row(i), (y[i]+1+pass)%3)
 		}
-		if err := cow.ApplyEncoderMutation(func(w *Model) {
-			dims := []int{pass, pass + 8, pass + 16}
-			w.Class.ZeroColumns(dims)
-			w.Enc.Regenerate(dims)
-			w.Scorer().Refresh()
-		}); err != nil {
+		next, _, _, _ := cowModel(t)
+		dims := []int{pass, pass + 8, pass + 16}
+		next.Class.ZeroColumns(dims)
+		next.Enc.Regenerate(dims)
+		next.Scorer().Refresh()
+		if err := cow.ReplaceModel(next); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -359,10 +359,6 @@ func (m *Model) evaluateEncoded(enc2 *hdc.Matrix, y []int) float64 {
 	return float64(correct) / float64(enc2.Rows)
 }
 
-// TotalRegenerated returns the number of dimensions regenerated across all
-// cycles (D* − D).
-func (m *Model) TotalRegenerated() int { return m.EffectiveDim - m.Dim() }
-
 // Update performs one online adaptive step on a labeled sample (the
 // streaming pipeline's feedback path): the sample is encoded and, on
 // misprediction, the class hypervectors are corrected with the paper's

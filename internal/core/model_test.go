@@ -83,8 +83,8 @@ func TestRegenerationAccounting(t *testing.T) {
 	if want := 100 + 4*25; m.EffectiveDim != want {
 		t.Errorf("EffectiveDim = %d, want %d", m.EffectiveDim, want)
 	}
-	if m.TotalRegenerated() != 100 {
-		t.Errorf("TotalRegenerated = %d, want 100", m.TotalRegenerated())
+	if got := m.EffectiveDim - m.Dim(); got != 100 {
+		t.Errorf("regenerated %d dimensions, want 100", got)
 	}
 	if len(m.History) != 5 {
 		t.Fatalf("history length = %d, want 5", len(m.History))

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cyberhd/internal/core"
-	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/rng"
 )
@@ -162,10 +161,4 @@ func WriteAblation(w io.Writer, title string, rows []AblationResult) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-24s acc=%6.2f%%  D*=%d\n", r.Name, 100*r.Accuracy, r.EffectiveDim)
 	}
-}
-
-// LoadSplitByName is a convenience re-export for callers outside the
-// experiment drivers (CLI, examples).
-func LoadSplitByName(name string, samples int, seed uint64) (train, test *datasets.Dataset, err error) {
-	return LoadSplit(name, Config{Samples: samples, Seed: seed})
 }

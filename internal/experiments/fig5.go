@@ -59,7 +59,7 @@ func hwEffDim(w bitpack.Width) int {
 
 // Fig5 regenerates the robustness comparison on the NSL-KDD
 // reconstruction: random bit flips are injected into the DNN's float32
-// weights (saturating injector — see faults.InjectFloat32Clamped) and into
+// weights (saturating injector — see faults.InjectFloat32Bits) and into
 // CyberHD's quantized class memories at 1/2/4/8 bits, each at its
 // iso-accuracy dimensionality; the loss is clean accuracy minus corrupted
 // accuracy at that precision, averaged over trials.

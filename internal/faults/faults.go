@@ -143,46 +143,13 @@ func InjectFloat32Bits(w []float32, rate, mul float64, r *rng.Rand) int {
 
 // DefaultClampMul is the saturation multiplier calibrated so the DNN's
 // loss curve matches the paper's Fig 5 gradient (≈2pp at 1% error rising
-// to ≈45pp at 15%).
+// to ≈45pp at 15%). Without any clamping, a single high-exponent flip
+// multiplies a weight by up to 10³⁸ and a handful of flips destroys the
+// network outright even at a 1% error rate — the paper's graded DNN
+// losses (3.9pp at 1% → 41.2pp at 15%) imply bounded corruption, as on
+// deployment targets whose weight storage saturates (fixed-point or
+// range-calibrated formats).
 const DefaultClampMul = 8
-
-// InjectFloat32Clamped injects like InjectFloat32 but saturates each
-// corrupted weight at mul × the slice's pre-fault magnitude range,
-// modeling deployment targets whose weight storage saturates (fixed-point
-// or range-calibrated formats). Without any clamping, a single
-// high-exponent flip multiplies a weight by up to 10³⁸ and a handful of
-// flips destroys the network outright even at a 1% error rate — the
-// paper's graded DNN losses (3.9pp at 1% → 41.2pp at 15%) imply bounded
-// corruption, so this is the injector the Fig 5 harness uses for the DNN.
-// mul <= 0 selects DefaultClampMul.
-func InjectFloat32Clamped(w []float32, rate, mul float64, r *rng.Rand) int {
-	if mul <= 0 {
-		mul = DefaultClampMul
-	}
-	var maxAbs float32
-	for _, v := range w {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	n := InjectFloat32(w, rate, r)
-	if maxAbs == 0 {
-		return n
-	}
-	lim := maxAbs * float32(mul)
-	for i, v := range w {
-		if v > lim {
-			w[i] = lim
-		} else if v < -lim {
-			w[i] = -lim
-		}
-	}
-	return n
-}
 
 // sampleWithoutReplacement returns k distinct indices from [0, n) using
 // Floyd's algorithm (O(k) expected, no O(n) allocation).

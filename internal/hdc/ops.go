@@ -1,9 +1,7 @@
 package hdc
 
-import "sort"
-
-// Classic HDC algebra: bundling (superposition), binding (element-wise
-// product) and permutation (cyclic shift). The CyberHD pipeline uses the
+// Classic HDC algebra: bundling (superposition) and binding (element-wise
+// product). The CyberHD pipeline uses the
 // RBF encoder rather than explicit bind/bundle record construction, but
 // the record-based encoder (encoder.IDLevel) and downstream users building
 // structured hypervectors need the primitive set.
@@ -39,40 +37,4 @@ func Bind(a, b []float32) []float32 {
 		out[i] = a[i] * b[i]
 	}
 	return out
-}
-
-// Permute cyclically rotates v right by k positions into a new vector
-// (position encoding for sequences; negative k rotates left).
-func Permute(v []float32, k int) []float32 {
-	n := len(v)
-	out := make([]float32, n)
-	if n == 0 {
-		return out
-	}
-	k %= n
-	if k < 0 {
-		k += n
-	}
-	copy(out[k:], v[:n-k])
-	copy(out[:k], v[n-k:])
-	return out
-}
-
-// TopK returns the indices of the k largest values in v, in descending
-// value order (ties broken by lower index). k is clamped to len(v).
-func TopK(v []float64, k int) []int {
-	if k > len(v) {
-		k = len(v)
-	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if v[idx[a]] != v[idx[b]] {
-			return v[idx[a]] > v[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
 }

@@ -92,64 +92,3 @@ func TestBindQuasiOrthogonal(t *testing.T) {
 		t.Errorf("bound vector not quasi-orthogonal to operand: %v", s)
 	}
 }
-
-func TestPermute(t *testing.T) {
-	v := []float32{1, 2, 3, 4, 5}
-	if got := Permute(v, 2); got[0] != 4 || got[1] != 5 || got[2] != 1 {
-		t.Fatalf("Permute right = %v", got)
-	}
-	if got := Permute(v, -1); got[0] != 2 || got[4] != 1 {
-		t.Fatalf("Permute left = %v", got)
-	}
-	if got := Permute(v, 5); got[0] != 1 {
-		t.Fatalf("full rotation changed vector: %v", got)
-	}
-	if got := Permute(nil, 3); len(got) != 0 {
-		t.Fatalf("Permute(nil) = %v", got)
-	}
-}
-
-func TestPermuteRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(200)
-		k := r.Intn(3*n) - n
-		v := make([]float32, n)
-		r.FillNorm(v, 0, 1)
-		back := Permute(Permute(v, k), -k)
-		for i := range v {
-			if back[i] != v[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPermuteDecorrelates(t *testing.T) {
-	r := rng.New(5)
-	v := randBipolar(r, 8192)
-	if s := Cosine(v, Permute(v, 1)); s > 0.05 || s < -0.05 {
-		t.Errorf("permuted vector not decorrelated: %v", s)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	v := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
-	got := TopK(v, 3)
-	want := []int{1, 3, 2} // ties by lower index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if len(TopK(v, 99)) != len(v) {
-		t.Fatal("TopK did not clamp k")
-	}
-	if len(TopK(nil, 3)) != 0 {
-		t.Fatal("TopK(nil) not empty")
-	}
-}

@@ -39,17 +39,6 @@ func (c *Confusion) AddAll(actual, predicted []int) {
 	}
 }
 
-// Total returns the number of recorded observations.
-func (c *Confusion) Total() int {
-	t := 0
-	for _, row := range c.Counts {
-		for _, n := range row {
-			t += n
-		}
-	}
-	return t
-}
-
 // Accuracy returns the fraction of correct predictions (0 when empty).
 func (c *Confusion) Accuracy() float64 {
 	total, correct := 0, 0

@@ -21,14 +21,11 @@ func TestAccuracy(t *testing.T) {
 	if got := c.Accuracy(); math.Abs(got-16.0/20) > 1e-12 {
 		t.Fatalf("Accuracy = %v", got)
 	}
-	if c.Total() != 20 {
-		t.Fatalf("Total = %d", c.Total())
-	}
 }
 
 func TestEmptyConfusion(t *testing.T) {
 	c := NewConfusion([]string{"a", "b"})
-	if c.Accuracy() != 0 || c.MacroF1() != 0 || c.Total() != 0 {
+	if c.Accuracy() != 0 || c.MacroF1() != 0 {
 		t.Fatal("empty confusion should be zeros")
 	}
 }

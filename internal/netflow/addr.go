@@ -120,9 +120,6 @@ func (a Addr) Compare(o Addr) int {
 	return 0
 }
 
-// Less reports a.Compare(o) < 0.
-func (a Addr) Less(o Addr) bool { return a.Compare(o) < 0 }
-
 // String renders the conventional form: dotted-quad for IPv4 (v4-mapped
 // unwrapped), RFC 5952 for IPv6.
 func (a Addr) String() string {

@@ -229,8 +229,8 @@ func (s *CaptureScanner) Next(p *Packet) error {
 }
 
 // ReadCapture deserializes a packet log written by WriteCapture into
-// memory. Streaming replay should use NewCaptureScanner or OpenCapture
-// instead, which cost O(1) memory.
+// memory. Streaming replay should use NewCaptureScanner or Open instead,
+// which cost O(1) memory.
 func ReadCapture(r io.Reader) ([]Packet, error) {
 	s, err := NewCaptureScanner(r)
 	if err != nil {
@@ -280,28 +280,3 @@ func LoadCapture(path string) ([]Packet, error) {
 	defer f.Close()
 	return ReadCapture(f)
 }
-
-// CaptureFile is an open on-disk capture streamed as a PacketSource.
-// Close it when done (the runner does not own file handles).
-type CaptureFile struct {
-	*CaptureScanner
-	f *os.File
-}
-
-// OpenCapture opens the capture at path for streaming replay in O(1)
-// memory: packets decode record-by-record as the source is drained.
-func OpenCapture(path string) (*CaptureFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewCaptureScanner(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &CaptureFile{CaptureScanner: s, f: f}, nil
-}
-
-// Close releases the underlying file.
-func (c *CaptureFile) Close() error { return c.f.Close() }

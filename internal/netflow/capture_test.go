@@ -154,13 +154,13 @@ func TestCaptureScannerStreamsMultiMB(t *testing.T) {
 	}
 
 	// Record-by-record streaming decodes the identical packet sequence.
-	src, err := OpenCapture(path)
+	src, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if src.Remaining() != n {
-		t.Fatalf("Remaining = %d, want %d", src.Remaining(), n)
+	if left := src.PacketSource.(*CaptureScanner).Remaining(); left != n {
+		t.Fatalf("Remaining = %d, want %d", left, n)
 	}
 	var p Packet
 	for i := 0; ; i++ {
@@ -190,7 +190,7 @@ func TestCaptureScannerConstantMemory(t *testing.T) {
 	path := t.TempDir() + "/big.cap"
 	syntheticCapture(t, path, n)
 	allocs := testing.AllocsPerRun(3, func() {
-		src, err := OpenCapture(path)
+		src, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // PCAP/pcapng front door: a dependency-free streaming PacketSource over
@@ -539,29 +538,3 @@ func decodeTransport(p *Packet, proto Proto, data []byte) bool {
 	}
 	return false
 }
-
-// PCAPFile is an open on-disk PCAP/pcapng capture streamed as a
-// PacketSource. Close it when done (the runner does not own file
-// handles).
-type PCAPFile struct {
-	*PCAPSource
-	f *os.File
-}
-
-// OpenPCAP opens the PCAP or pcapng capture at path for streaming replay
-// in O(1) memory — the interchange-format counterpart of OpenCapture.
-func OpenPCAP(path string) (*PCAPFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewPCAPSource(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &PCAPFile{PCAPSource: s, f: f}, nil
-}
-
-// Close releases the underlying file.
-func (c *PCAPFile) Close() error { return c.f.Close() }

@@ -26,7 +26,7 @@ func pcapTestPackets() []Packet {
 	}
 }
 
-func drainPCAP(t *testing.T, src *PCAPSource) []Packet {
+func drainPCAP(t *testing.T, src PacketSource) []Packet {
 	t.Helper()
 	var out []Packet
 	var p Packet
@@ -89,9 +89,11 @@ func TestPCAPWriterRejects(t *testing.T) {
 	}
 }
 
-// TestPCAPSkipsForeignFrames feeds frames outside the decode stack (ARP,
-// QinQ-wrapped v4, a later fragment) and checks skip-vs-decode behavior.
-func TestPCAPSkipsForeignFrames(t *testing.T) {
+// foreignFramePCAP is a classic PCAP of four records: one good packet, an
+// ARP frame, a QinQ-wrapped IPv4/UDP packet and a later IPv4 fragment —
+// two decodable, two outside the decode stack.
+func foreignFramePCAP(t *testing.T) []byte {
+	t.Helper()
 	// Start from one good packet, then splice hand-built records after it.
 	good := pcapTestPackets()[:1]
 	var buf bytes.Buffer
@@ -119,8 +121,13 @@ func TestPCAPSkipsForeignFrames(t *testing.T) {
 	frag[14+6] = 0x00
 	frag[14+7] = 0x10 // offset 16
 	addRec(frag)
+	return buf.Bytes()
+}
 
-	src, err := NewPCAPSource(bytes.NewReader(buf.Bytes()))
+// TestPCAPSkipsForeignFrames feeds frames outside the decode stack (ARP,
+// QinQ-wrapped v4, a later fragment) and checks skip-vs-decode behavior.
+func TestPCAPSkipsForeignFrames(t *testing.T) {
+	src, err := NewPCAPSource(bytes.NewReader(foreignFramePCAP(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestShardedChunkBoundaries(t *testing.T) {
 							ok := false
 							switch i % 3 {
 							case 0:
-								ok = s.TryFeed(op.pkt)
+								ok = s.FeedWithin(op.pkt, 0)
 							case 1:
 								ok = s.FeedWithin(op.pkt, time.Millisecond)
 							}

@@ -84,7 +84,8 @@ const (
 	// target that drives the state machine.
 	DefaultLatencyBound = 1.0
 	// DefaultPressureOccupancy is the ingress-buffer fill fraction that
-	// enters the pressured state.
+	// enters the pressured state. The synchronous Engine has no ingress
+	// buffer; its gate is driven by latency and tenant buckets alone.
 	DefaultPressureOccupancy = 0.5
 	// DefaultShedOccupancy is the ingress-buffer fill fraction that
 	// enters the shedding state.
@@ -92,10 +93,10 @@ const (
 	// DefaultEvalEvery is the state-machine evaluation cadence in
 	// offered packets.
 	DefaultEvalEvery = 256
-	// DefaultFlowIdle is how long (capture seconds) the gate remembers
-	// an admitted flow for shed preference — matching the assembler's
-	// CIC idle timeout, so the gate's notion of "already assembled"
-	// tracks the engine's.
+	// DefaultFlowIdle is how long (capture seconds) after its last
+	// packet the gate remembers an admitted flow for shed preference —
+	// matching the assembler's CIC idle timeout, so the gate's notion of
+	// "already assembled" tracks the engine's.
 	DefaultFlowIdle = 120.0
 	// DefaultTenantBits is the IPv4 subnet prefix length of the default
 	// tenant key (netflow.Packet.TenantPrefixKey).
@@ -107,7 +108,9 @@ const (
 
 // OverloadPolicy configures the admission gate. The zero value is the
 // lossless default (no gate); set Mode to OverloadBounded to opt in.
-// Every other field has a working default, resolved at gate build.
+// Every other field has a working default, resolved at gate build; the
+// occupancy thresholds and the flow memory are the constants
+// DefaultPressureOccupancy, DefaultShedOccupancy and DefaultFlowIdle.
 type OverloadPolicy struct {
 	// Mode selects lossless-blocking (default) or bounded-latency
 	// admission.
@@ -120,12 +123,6 @@ type OverloadPolicy struct {
 	// gate sheds, and above half of it the gate pressures (default
 	// DefaultLatencyBound).
 	LatencyBound float64
-	// PressureOccupancy and ShedOccupancy are the ingress-buffer fill
-	// fractions (0..1] entering the pressured and shedding states
-	// (defaults DefaultPressureOccupancy, DefaultShedOccupancy). The
-	// synchronous Engine has no ingress buffer; its gate is driven by
-	// latency and tenant buckets alone.
-	PressureOccupancy, ShedOccupancy float64
 	// TenantRate caps each tenant at this many packets per capture
 	// second through a token bucket (0 disables tenant policing).
 	// Refill follows the capture clock, so replays police
@@ -142,9 +139,6 @@ type OverloadPolicy struct {
 	// EvalEvery is the state-machine evaluation cadence in offered
 	// packets (default DefaultEvalEvery).
 	EvalEvery int
-	// FlowIdle is how long (capture seconds) an admitted flow keeps its
-	// shed preference after its last packet (default DefaultFlowIdle).
-	FlowIdle float64
 	// OnDrop, when set, observes every refused packet with its reason.
 	// It runs on the feeding goroutine under the gate lock — keep it
 	// fast, and never call back into the gate or its stream.
@@ -159,12 +153,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	if p.LatencyBound <= 0 {
 		p.LatencyBound = DefaultLatencyBound
 	}
-	if p.PressureOccupancy <= 0 {
-		p.PressureOccupancy = DefaultPressureOccupancy
-	}
-	if p.ShedOccupancy <= 0 {
-		p.ShedOccupancy = DefaultShedOccupancy
-	}
 	if p.TenantBurst <= 0 {
 		p.TenantBurst = 2 * p.TenantRate
 		if p.TenantBurst < 8 {
@@ -178,9 +166,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	}
 	if p.EvalEvery <= 0 {
 		p.EvalEvery = DefaultEvalEvery
-	}
-	if p.FlowIdle <= 0 {
-		p.FlowIdle = DefaultFlowIdle
 	}
 	return p
 }
@@ -212,7 +197,7 @@ func (b *tokenBucket) take(now, rate, burst float64) bool {
 }
 
 // Gate is the admission-controlled ingress of a Stream: it implements
-// Stream itself, delegating everything but Feed/TryFeed/FeedWithin to
+// Stream itself, delegating everything but Feed/FeedWithin to
 // the wrapped engine and applying the bounded-overload policy on the
 // way in. Drops count into the wrapped engine's telemetry collector
 // (cyberhd_packets_dropped_total{reason=...}), so one snapshot carries
@@ -352,12 +337,9 @@ func (g *Gate) State() OverloadState {
 // Unlike the lossless engines' Feed, it never blocks past MaxWait.
 func (g *Gate) Feed(p netflow.Packet) { g.admit(p, g.pol.MaxWait) }
 
-// TryFeed offers one packet non-blocking: policy applies, but a full
-// buffer refuses immediately instead of waiting out MaxWait.
-func (g *Gate) TryFeed(p netflow.Packet) bool { return g.admit(p, 0) }
-
 // FeedWithin offers one packet with an explicit admission wait bound in
-// place of the policy's MaxWait.
+// place of the policy's MaxWait: policy applies, and a non-positive wait
+// makes a full buffer refuse immediately.
 func (g *Gate) FeedWithin(p netflow.Packet, wait time.Duration) bool { return g.admit(p, wait) }
 
 // admit runs the admission policy for one packet: tenant bucket, state
@@ -391,7 +373,7 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	}
 	flowKey, _ := netflow.KeyOf(&p)
 	last, known := g.flows[flowKey]
-	if known && g.now-last > g.pol.FlowIdle {
+	if known && g.now-last > DefaultFlowIdle {
 		known = false // the engine's assembler will treat this as a new flow too
 	}
 	if g.state == OverloadShedding && !known {
@@ -403,10 +385,7 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 
 	// Deliver outside the gate lock: only the admission wait may block,
 	// never another feeder's bookkeeping.
-	ok := g.inner.TryFeed(p)
-	if !ok && wait > 0 {
-		ok = g.inner.FeedWithin(p, wait)
-	}
+	ok := g.inner.FeedWithin(p, wait)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !ok {
@@ -453,9 +432,9 @@ func (g *Gate) evaluate() {
 
 	target := OverloadNormal
 	switch {
-	case occ >= g.pol.ShedOccupancy || (observed > 0 && p99 > g.pol.LatencyBound):
+	case occ >= DefaultShedOccupancy || (observed > 0 && p99 > g.pol.LatencyBound):
 		target = OverloadShedding
-	case occ >= g.pol.PressureOccupancy || (observed > 0 && p99 > g.pol.LatencyBound/2):
+	case occ >= DefaultPressureOccupancy || (observed > 0 && p99 > g.pol.LatencyBound/2):
 		target = OverloadPressured
 	}
 	switch {
@@ -469,12 +448,12 @@ func (g *Gate) evaluate() {
 	if g.evals >= 64 || len(g.flows) > 1<<16 {
 		g.evals = 0
 		for k, last := range g.flows {
-			if g.now-last > g.pol.FlowIdle {
+			if g.now-last > DefaultFlowIdle {
 				delete(g.flows, k)
 			}
 		}
 		for k, b := range g.buckets {
-			if g.now-b.last > g.pol.FlowIdle {
+			if g.now-b.last > DefaultFlowIdle {
 				delete(g.buckets, k)
 			}
 		}

@@ -68,24 +68,24 @@ func tcpPkt(src, dst uint32, sport, dport uint16, at float64, flags uint8) netfl
 }
 
 // TestTryFeedEngineAlwaysAdmits pins the synchronous engine's admission
-// contract: no ingress buffer means TryFeed/FeedWithin always succeed —
-// until Close, after which both observably refuse (unlike Feed's silent
-// no-op).
+// contract: no ingress buffer means FeedWithin always succeeds, with or
+// without a wait — until Close, after which it observably refuses (unlike
+// Feed's silent no-op).
 func TestTryFeedEngineAlwaysAdmits(t *testing.T) {
 	eng, err := New(fastCfg(stubModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := tcpPkt(1, 2, 10, 20, 0.1, 0)
-	if !eng.TryFeed(p) {
-		t.Fatal("TryFeed refused on an open synchronous engine")
-	}
 	if !eng.FeedWithin(p, 0) {
+		t.Fatal("non-blocking FeedWithin refused on an open synchronous engine")
+	}
+	if !eng.FeedWithin(p, time.Millisecond) {
 		t.Fatal("FeedWithin refused on an open synchronous engine")
 	}
 	eng.Close()
-	if eng.TryFeed(p) {
-		t.Fatal("TryFeed admitted after Close")
+	if eng.FeedWithin(p, 0) {
+		t.Fatal("non-blocking FeedWithin admitted after Close")
 	}
 	if eng.FeedWithin(p, time.Millisecond) {
 		t.Fatal("FeedWithin admitted after Close")
@@ -112,9 +112,9 @@ func fillConcurrent(t *testing.T, s Stream, m *blockingModel) {
 }
 
 // TestTryFeedConcurrentFullBuffer pins the bounded-admission semantics
-// of the background-worker engine: a full ingress buffer refuses TryFeed
-// immediately and FeedWithin after its wait, and admission reopens when
-// the worker drains.
+// of the background-worker engine: a full ingress buffer refuses a
+// non-blocking FeedWithin immediately and a waiting one after its wait,
+// and admission reopens when the worker drains.
 func TestTryFeedConcurrentFullBuffer(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	c, err := NewConcurrent(fastCfg(m), 1)
@@ -123,8 +123,8 @@ func TestTryFeedConcurrentFullBuffer(t *testing.T) {
 	}
 	fillConcurrent(t, c, m)
 	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
-	if c.TryFeed(p) {
-		t.Fatal("TryFeed admitted into a full buffer")
+	if c.FeedWithin(p, 0) {
+		t.Fatal("non-blocking FeedWithin admitted into a full buffer")
 	}
 	if c.FeedWithin(p, 2*time.Millisecond) {
 		t.Fatal("FeedWithin admitted into a buffer that stayed full")
@@ -134,7 +134,7 @@ func TestTryFeedConcurrentFullBuffer(t *testing.T) {
 		t.Fatal("FeedWithin refused after the worker drained")
 	}
 	c.Close()
-	if c.TryFeed(p) || c.FeedWithin(p, time.Millisecond) {
+	if c.FeedWithin(p, 0) || c.FeedWithin(p, time.Millisecond) {
 		t.Fatal("admission variants admitted after Close")
 	}
 	if got := c.Stats().Packets; got != 4 {
@@ -156,15 +156,15 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 	}
 	fillConcurrent(t, s, m)
 	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
-	if s.TryFeed(p) {
-		t.Fatal("TryFeed admitted into a full shard buffer")
+	if s.FeedWithin(p, 0) {
+		t.Fatal("non-blocking FeedWithin admitted into a full shard buffer")
 	}
 	if s.FeedWithin(p, 2*time.Millisecond) {
 		t.Fatal("FeedWithin admitted into a shard buffer that stayed full")
 	}
 	close(m.release)
 	s.Close()
-	if s.TryFeed(p) || s.FeedWithin(p, time.Millisecond) {
+	if s.FeedWithin(p, 0) || s.FeedWithin(p, time.Millisecond) {
 		t.Fatal("admission variants admitted after Close")
 	}
 }
@@ -242,7 +242,7 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 		tel.ObserveLatency(2.0)
 	}
 	newFlow := tcpPkt(3, 4, 30, 40, 1.1, 0)
-	if g.TryFeed(newFlow) {
+	if g.FeedWithin(newFlow, 0) {
 		t.Fatal("new flow admitted during a latency spike")
 	}
 	if got := g.State(); got != OverloadShedding {
@@ -254,13 +254,13 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 	// Quiet windows (no new latency observations) step the state down
 	// one evaluation at a time — and mid-flow traffic of the known flow
 	// was admissible even while still shedding.
-	if !g.TryFeed(tcpPkt(1, 2, 10, 20, 1.2, 0)) {
+	if !g.FeedWithin(tcpPkt(1, 2, 10, 20, 1.2, 0), 0) {
 		t.Fatal("known-flow packet refused while recovering")
 	}
 	if got := g.State(); got != OverloadPressured {
 		t.Fatalf("state = %v after one quiet window, want pressured", got)
 	}
-	if !g.TryFeed(newFlow) {
+	if !g.FeedWithin(newFlow, 0) {
 		t.Fatal("new flow refused in pressured state (only shedding refuses)")
 	}
 	if got := g.State(); got != OverloadNormal {
@@ -286,7 +286,10 @@ func TestGateBackpressureCounted(t *testing.T) {
 		MaxWait: time.Millisecond,
 		OnDrop:  func(_ netflow.Packet, r telemetry.DropReason) { reasons = append(reasons, r) },
 	})
-	fillConcurrent(t, g, m)
+	// Set-up goes through the lossless inner stream: fed through the gate,
+	// a shard goroutine not scheduled within MaxWait would shed the RST
+	// packet and the worker would never reach Predict.
+	fillConcurrent(t, c, m)
 	g.Feed(tcpPkt(1, 2, 12, 22, 0.4, 0)) // buffer full: waits MaxWait, then drops
 	if got := g.Stats().Dropped[telemetry.DropBackpressure]; got != 1 {
 		t.Fatalf("backpressure drops = %d, want 1", got)
@@ -302,6 +305,43 @@ func TestGateBackpressureCounted(t *testing.T) {
 	}
 	if st.Packets+st.DroppedTotal() != 4 {
 		t.Fatalf("accounting: %d admitted + %d dropped != 4 offered", st.Packets, st.DroppedTotal())
+	}
+}
+
+// refusingStream is a Stream whose ingress never has room: FeedWithin
+// counts the call and refuses. Its other ingress methods are the nil
+// embedded Stream's — the gate calling one is a panic.
+type refusingStream struct {
+	Stream
+	calls int
+}
+
+func (r *refusingStream) FeedWithin(netflow.Packet, time.Duration) bool {
+	r.calls++
+	return false
+}
+func (r *refusingStream) Telemetry() *telemetry.Collector { return nil }
+func (r *refusingStream) Stats() Stats                    { return Stats{} }
+
+// TestGateDeliversOnce pins the gate's delivery cost: one FeedWithin on
+// the wrapped stream per offered packet, whether the gate waits or not —
+// a refused packet is not offered a second time — and every refusal
+// counted as backpressure.
+func TestGateDeliversOnce(t *testing.T) {
+	inner := &refusingStream{}
+	g := NewGate(inner, OverloadPolicy{MaxWait: time.Millisecond})
+	for i := 0; i < 5; i++ {
+		g.Feed(tcpPkt(1, 2, uint16(10+i), 20, 0.1, 0))
+	}
+	if g.FeedWithin(tcpPkt(1, 2, 30, 20, 0.2, 0), 0) || g.FeedWithin(tcpPkt(1, 2, 31, 20, 0.2, 0), time.Millisecond) {
+		t.Fatal("gate reported a refused packet as admitted")
+	}
+	if inner.calls != 7 {
+		t.Fatalf("wrapped stream saw %d FeedWithin calls for 7 offered packets", inner.calls)
+	}
+	st := g.Stats()
+	if st.Dropped[telemetry.DropBackpressure] != 7 || st.DroppedTotal() != 7 || st.Packets != 0 {
+		t.Fatalf("stats = %+v, want 7 backpressure drops and nothing admitted", st)
 	}
 }
 

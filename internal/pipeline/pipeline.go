@@ -363,21 +363,18 @@ func (e *Engine) Feed(p netflow.Packet) {
 	e.asm.Add(&p)
 }
 
-// TryFeed processes one packet synchronously, reporting whether it was
-// admitted. The synchronous engine has no ingress buffer, so admission
-// succeeds whenever the engine is open; after Close it returns false
-// (the packet was not ingested).
-func (e *Engine) TryFeed(p netflow.Packet) bool {
+// FeedWithin processes one packet synchronously, reporting whether it was
+// admitted. The synchronous engine has no ingress buffer whose space
+// could be waited for, so admission succeeds whenever the engine is open,
+// whatever the wait; after Close it returns false (the packet was not
+// ingested).
+func (e *Engine) FeedWithin(p netflow.Packet, _ time.Duration) bool {
 	if e.closed {
 		return false
 	}
 	e.Feed(p)
 	return true
 }
-
-// FeedWithin is exactly TryFeed on the synchronous engine — there is no
-// buffer whose space could be waited for. False after Close.
-func (e *Engine) FeedWithin(p netflow.Packet, _ time.Duration) bool { return e.TryFeed(p) }
 
 // Tick evicts flows idle at capture time now (call periodically on live
 // streams with silence gaps) and drains any partially-filled micro-batch

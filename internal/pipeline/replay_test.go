@@ -370,7 +370,7 @@ func TestGateTransitionsObservable(t *testing.T) {
 	// The whole walk must be readable from the admin surface: pressured
 	// was entered twice (onset and the relaxation step down from
 	// shedding), shedding once, normal once (the recovery re-entry).
-	srv := httptest.NewServer(telemetry.Handler(tel))
+	srv := httptest.NewServer(telemetry.Handler(tel.Snapshot, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {

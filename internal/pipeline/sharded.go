@@ -203,15 +203,11 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // arrive in time order per flow. After Close it is a defined no-op.
 func (s *Sharded) Feed(p netflow.Packet) { s.admit(&p, blockUntilAdmitted) }
 
-// TryFeed routes one packet to its flow's shard only when that cannot
-// block, reporting whether it was admitted. False when the shard's
-// buffer is full right now or after Close.
-func (s *Sharded) TryFeed(p netflow.Packet) bool { return s.admit(&p, 0) }
-
 // FeedWithin routes one packet to its flow's shard, waiting at most wait
-// for buffer space, reporting whether it was admitted. Like Feed, a
-// waiting sender holds the close gate's read side, so a concurrent Close
-// waits out at most one admission bound. False after Close.
+// for buffer space (not at all when wait <= 0), reporting whether it was
+// admitted. Like Feed, a waiting sender holds the close gate's read side,
+// so a concurrent Close waits out at most one admission bound. False when
+// the shard's buffer stayed full, or after Close.
 func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 	if wait < 0 {
 		wait = 0

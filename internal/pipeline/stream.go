@@ -19,18 +19,17 @@ import (
 //   - Feed ingests one packet. Packets must arrive in capture-time order
 //     (per flow for Sharded). Ingestion is lossless: a concurrent
 //     implementation blocks when its buffers fill, it never drops.
-//   - TryFeed and FeedWithin are the admission-controlled variants: they
-//     never block indefinitely and report whether the packet was
-//     admitted. A false return means the packet was NOT ingested — the
-//     caller owns the drop (the overload Gate counts it into telemetry).
-//     On the synchronous Engine admission always succeeds (there is no
-//     ingress buffer to fill); on Sharded, TryFeed fails when the shard's
-//     buffer is full right now and FeedWithin when it stays full for the
-//     whole wait.
-//   - Post-Close, TryFeed and FeedWithin return false — unlike Feed,
-//     whose post-Close no-op is silent, the admission variants make the
-//     refusal observable so a gate never miscounts a packet fed to a
-//     retired stream as admitted.
+//   - FeedWithin is the admission-controlled variant: it never blocks
+//     past its wait (a non-positive wait does not block at all) and
+//     reports whether the packet was admitted. A false return means the
+//     packet was NOT ingested — the caller owns the drop (the overload
+//     Gate counts it into telemetry). On the synchronous Engine admission
+//     always succeeds (there is no ingress buffer to fill); on Sharded it
+//     fails when the shard's buffer stays full for the whole wait.
+//   - Post-Close, FeedWithin returns false — unlike Feed, whose
+//     post-Close no-op is silent, the admission variant makes the refusal
+//     observable so a gate never miscounts a packet fed to a retired
+//     stream as admitted.
 //   - Tick and Flush are ordered with packets: their effects apply after
 //     every previously fed packet and before any later one (per shard for
 //     Sharded). On Engine they act synchronously; on Sharded they enqueue
@@ -55,12 +54,9 @@ import (
 type Stream interface {
 	// Feed ingests one packet in capture-time order. No-op after Close.
 	Feed(p netflow.Packet)
-	// TryFeed ingests one packet only when that cannot block, reporting
-	// whether it was admitted. False after Close.
-	TryFeed(p netflow.Packet) bool
 	// FeedWithin ingests one packet, waiting at most wait for ingress
 	// buffer space, reporting whether it was admitted. A non-positive
-	// wait is exactly TryFeed. False after Close.
+	// wait admits only when that cannot block. False after Close.
 	FeedWithin(p netflow.Packet, wait time.Duration) bool
 	// Tick evicts flows idle at capture time now and drains partial
 	// micro-batches, bounding verdict latency across quiet stretches.

@@ -127,7 +127,7 @@ func TestNewConcurrentIsOneShard(t *testing.T) {
 	}
 }
 
-// TestNewConcurrentCloseRacesFeeders drives TryFeed and FeedWithin from
+// TestNewConcurrentCloseRacesFeeders drives FeedWithin, waiting and not, from
 // several goroutines while Close lands mid-stream (lossless Feed racing
 // Close is TestPostCloseConcurrentFeeders'): no panic, every post-Close
 // offer refused, and Packets equal to exactly the admitted count. Run
@@ -149,7 +149,7 @@ func TestNewConcurrentCloseRacesFeeders(t *testing.T) {
 				if g == 0 && i == len(live.Packets)/2 {
 					close(half)
 				}
-				ok := s.TryFeed(live.Packets[i])
+				ok := s.FeedWithin(live.Packets[i], 0)
 				if !ok && i%2 == 1 {
 					ok = s.FeedWithin(live.Packets[i], 50*time.Microsecond)
 				}
@@ -162,7 +162,7 @@ func TestNewConcurrentCloseRacesFeeders(t *testing.T) {
 	<-half
 	s.Close()
 	wg.Wait()
-	if s.TryFeed(live.Packets[0]) || s.FeedWithin(live.Packets[0], time.Millisecond) {
+	if s.FeedWithin(live.Packets[0], 0) || s.FeedWithin(live.Packets[0], time.Millisecond) {
 		t.Fatal("admission succeeded after Close")
 	}
 	s.Feed(live.Packets[0]) // defined no-op

@@ -56,7 +56,7 @@ func AttachLive(cow *core.COWModel, w bitpack.Width) (*Live, error) {
 func (l *Live) Width() bitpack.Width { return l.width }
 
 // COW returns the wrapped copy-on-write model (for feedback routed
-// outside the engine, e.g. core.OnlineTrainer through Apply).
+// outside the engine, through its Update).
 func (l *Live) COW() *core.COWModel { return l.cow }
 
 // Model returns the quantized model paired with the live snapshot.

@@ -60,7 +60,7 @@ func TestControlPlaneCounters(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(Handler(c))
+	srv := httptest.NewServer(Handler(c.Snapshot, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -90,13 +90,13 @@ func TestControlPlaneCounters(t *testing.T) {
 	}
 }
 
-// TestHandlerWithExtraRoutes pins ListenAndServeWith's contract: extra
+// TestHandlerWithExtraRoutes pins Handler's extra-routes contract: extra
 // handlers mount on the same mux as the scrape surfaces and cannot
 // shadow them.
 func TestHandlerWithExtraRoutes(t *testing.T) {
 	c := New([]string{"benign"})
 	called := false
-	h := HandlerWith(c, map[string]http.Handler{
+	h := Handler(c.Snapshot, map[string]http.Handler{
 		"/model": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			called = true
 			w.WriteHeader(http.StatusOK)

@@ -227,29 +227,22 @@ func jsonOf(s Snapshot) statsJSON {
 	return out
 }
 
-// Handler serves the admin endpoints for a collector:
+// Handler serves the admin endpoints from a snapshot source:
 //
 //	/metrics — Prometheus text exposition format
 //	/stats   — the same snapshot as JSON
 //	/healthz — 200 "ok" (liveness)
-func Handler(c *Collector) http.Handler { return HandlerWith(c, nil) }
-
-// HandlerWith is Handler plus caller-mounted routes: each extra
-// pattern/handler pair is registered on the same mux, so subsystems like
-// the model control plane (POST /model) share the admin endpoint instead
-// of binding a second port. Extra patterns must not collide with
-// /metrics, /stats or /healthz (ServeMux panics on duplicates, at build
-// time rather than mid-serve).
-func HandlerWith(c *Collector, extra map[string]http.Handler) http.Handler {
-	return HandlerFrom(c.Snapshot, extra)
-}
-
-// HandlerFrom serves the same admin endpoints from an arbitrary snapshot
-// source instead of a single Collector — the generalization behind
-// cluster rollups, where every scrape merges the workers' latest
-// snapshots into one fleet-level page. fn is called once per request and
-// must be safe for concurrent use.
-func HandlerFrom(fn func() Snapshot, extra map[string]http.Handler) http.Handler {
+//
+// fn is called once per request and must be safe for concurrent use: a
+// collector's Snapshot method, or — for a cluster rollup — a function
+// that merges the workers' latest snapshots into one fleet-level page.
+//
+// Each extra pattern/handler pair (nil for none) is registered on the
+// same mux, so subsystems like the model control plane (POST /model)
+// share the admin endpoint instead of binding a second port. Extra
+// patterns must not collide with /metrics, /stats or /healthz (ServeMux
+// panics on duplicates, at build time rather than mid-serve).
+func Handler(fn func() Snapshot, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -278,29 +271,15 @@ type Server struct {
 }
 
 // ListenAndServe binds addr (host:port; an empty host or port 0 work the
-// usual net way) and serves the collector's admin endpoints on it in a
-// background goroutine. The returned server is already accepting when
-// this returns — read the resolved address from Addr.
-func ListenAndServe(addr string, c *Collector) (*Server, error) {
-	return ListenAndServeWith(addr, c, nil)
-}
-
-// ListenAndServeWith is ListenAndServe with caller-mounted extra routes
-// (see HandlerWith) — how a serving process exposes the model control
-// plane on its existing admin endpoint.
-func ListenAndServeWith(addr string, c *Collector, extra map[string]http.Handler) (*Server, error) {
-	return ListenAndServeFrom(addr, c.Snapshot, extra)
-}
-
-// ListenAndServeFrom is ListenAndServeWith over an arbitrary snapshot
-// source (see HandlerFrom) — the cluster ingest node serves its merged
-// worker telemetry through this.
-func ListenAndServeFrom(addr string, fn func() Snapshot, extra map[string]http.Handler) (*Server, error) {
+// usual net way) and serves Handler(fn, extra) on it in a background
+// goroutine. The returned server is already accepting when this returns
+// — read the resolved address from Addr.
+func ListenAndServe(addr string, fn func() Snapshot, extra map[string]http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: HandlerFrom(fn, extra), ReadHeaderTimeout: 5 * time.Second}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(fn, extra), ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

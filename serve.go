@@ -22,19 +22,18 @@ import (
 //	    cyberhd.WithBatchSize(64),
 //	    cyberhd.WithSinks(cyberhd.NewJSONLSink(os.Stdout)))
 type (
-	// Stream is the uniform serving contract (Feed/Tick/Flush/Close/
-	// Stats/Feedback) implemented by Engine and ShardedEngine.
+	// Stream is the uniform serving contract (Feed/FeedWithin/Tick/Flush/
+	// Close/Stats/Telemetry/Feedback) implemented by Engine, by the
+	// flow-sharded engine WithShards selects, by Gate and by ClusterClient.
 	Stream = pipeline.Stream
 	// PacketSource yields a time-ordered packet stream (see NewSliceSource,
 	// OpenCapture, ReplayTraffic).
 	PacketSource = netflow.PacketSource
 	// SliceSource replays an in-memory packet slice.
 	SliceSource = netflow.SliceSource
-	// CaptureFile streams an on-disk binary capture in O(1) memory.
-	CaptureFile = netflow.CaptureFile
-	// PCAPFile streams an on-disk PCAP or pcapng capture in O(1) memory
-	// (see OpenPCAP).
-	PCAPFile = netflow.PCAPFile
+	// CaptureFile is an open on-disk packet log — binary capture, PCAP or
+	// pcapng — streamed in O(1) memory (see OpenCapture).
+	CaptureFile = netflow.File
 	// PCAPSource streams packets out of classic PCAP or pcapng bytes —
 	// the dependency-free interchange-format front door (Ethernet/VLAN/
 	// IPv4/IPv6/TCP/UDP/ICMP decode).
@@ -82,7 +81,7 @@ type (
 	OverloadState = pipeline.OverloadState
 	// DropReason labels why an ingress packet was refused (backpressure,
 	// new-flow shedding, tenant rate) — the label on
-	// cyberhd_packets_dropped_total and on WithDropCallback deliveries.
+	// cyberhd_packets_dropped_total and on OverloadPolicy.OnDrop deliveries.
 	DropReason = telemetry.DropReason
 	// Gate is the admission-controlled ingress wrapper around any Stream;
 	// Serve installs one automatically under a bounded OverloadPolicy.
@@ -99,7 +98,7 @@ type (
 	// ControlPlane serves the model-management HTTP routes (GET/POST
 	// /model, /model/promote, /model/demote) over one serving COWModel —
 	// validated hot reload, shadow attach and promotion, each one atomic
-	// swap. Build with NewControlPlane, mount via ServeMetricsWith.
+	// swap. Build with NewControlPlane, mount via ServeMetrics.
 	ControlPlane = control.Plane
 	// ControlPlaneConfig assembles a ControlPlane: the serving COWModel,
 	// its quantization width, the engine's ShadowTap and the sanity gate.
@@ -152,12 +151,12 @@ func Kernels() KernelDispatch {
 var (
 	// NewSliceSource wraps an in-memory packet slice as a PacketSource.
 	NewSliceSource = netflow.NewSliceSource
-	// OpenCapture opens a binary capture for O(1)-memory streaming replay.
-	OpenCapture = netflow.OpenCapture
-	// OpenPCAP opens a PCAP or pcapng capture for O(1)-memory streaming
-	// replay through the decode stack — real-world captures as a
-	// PacketSource, no external dependencies.
-	OpenPCAP = netflow.OpenPCAP
+	// OpenCapture opens a packet log for O(1)-memory streaming replay,
+	// whichever container it is in: the binary capture format, classic
+	// PCAP or pcapng, told apart by the file's first four bytes. PCAP
+	// frames go through the dependency-free decode stack; Skipped counts
+	// the ones outside it.
+	OpenCapture = netflow.Open
 	// NewPCAPSource streams a PCAP or pcapng byte stream (magic-sniffed)
 	// as a PacketSource.
 	NewPCAPSource = netflow.NewPCAPSource
@@ -173,16 +172,16 @@ var (
 	// to WithTelemetry and a ServeMetrics endpoint to watch a run live.
 	NewTelemetry = telemetry.New
 	// ServeMetrics starts the admin endpoint (/metrics, /stats, /healthz)
-	// for a collector on addr; close the returned server when done.
+	// on addr, in the background; close the returned server when done.
+	// Counters come from a snapshot function — a collector's Snapshot
+	// method, or a ClusterClient's MergedSnapshot for the cluster rollup —
+	// and extra routes (nil for none) share the mux: the way to mount a
+	// ControlPlane's Handler at "/model" and "/model/".
 	ServeMetrics = telemetry.ListenAndServe
 	// NewGate wraps a hand-built Stream in the bounded-overload admission
 	// gate — Serve and NewServeRunner do this automatically when the
 	// config's OverloadPolicy is bounded.
 	NewGate = pipeline.NewGate
-	// ServeMetricsWith is ServeMetrics plus extra routes on the same
-	// admin mux — the way to mount a ControlPlane's Handler at "/model"
-	// and "/model/" alongside /metrics, /stats and /healthz.
-	ServeMetricsWith = telemetry.ListenAndServeWith
 	// NewShadowTap returns an empty shadow tap; attach it to an engine
 	// with WithShadow and to a ControlPlane via ControlPlaneConfig.
 	NewShadowTap = pipeline.NewShadow
@@ -264,22 +263,9 @@ func WithShards(n int) EngineOption {
 	}
 }
 
-// WithShardBuffer bounds each shard's lossless ingress buffer, in packets
-// (<= 0 selects 1024).
-func WithShardBuffer(n int) EngineOption {
-	return func(cfg *EngineConfig) { cfg.ShardBuffer = n }
-}
-
 // WithBenignClass sets the class index that does not alert (default 0).
 func WithBenignClass(class int) EngineOption {
 	return func(cfg *EngineConfig) { cfg.BenignClass = class }
-}
-
-// WithFlowTimeouts overrides flow assembly: idle seconds end a silent
-// flow, gap seconds split its active periods (defaults: the CIC
-// conventions, 120 s and 1 s).
-func WithFlowTimeouts(idle, gap float64) EngineOption {
-	return func(cfg *EngineConfig) { cfg.IdleTimeout, cfg.ActivityGap = idle, gap }
 }
 
 // WithOnAlert installs a synchronous alert callback (runs before sinks).
@@ -316,28 +302,9 @@ func WithProgress(every float64, fn func(TelemetrySnapshot)) EngineOption {
 // (cyberhd_packets_dropped_total{reason=...}), shedding is flow-aware and
 // tenants are rate-isolated — see OverloadPolicy for every knob. The
 // default (and the zero policy) is lossless-blocking, bit-identical to
-// serving without the option. Later WithTenantKey/WithDropCallback
-// options adjust the same policy in place.
+// serving without the option.
 func WithOverloadPolicy(p OverloadPolicy) EngineOption {
 	return func(cfg *EngineConfig) { cfg.Overload = p }
-}
-
-// WithTenantKey overrides how the overload gate's token buckets group
-// packets into tenants (default: the /24 subnet of the canonical flow
-// key's lower endpoint, so both directions of a flow bill the same
-// tenant). Only meaningful together with a bounded overload policy that
-// sets a tenant rate.
-func WithTenantKey(fn func(*Packet) uint64) EngineOption {
-	return func(cfg *EngineConfig) { cfg.Overload.TenantKey = fn }
-}
-
-// WithDropCallback observes every packet the overload gate refuses,
-// with its reason — the hook for mirroring shed traffic to a pcap ring
-// or a sampler. fn runs on the feeding goroutine under the gate lock:
-// keep it fast and never call back into the stream or gate. Only
-// meaningful together with a bounded overload policy.
-func WithDropCallback(fn func(Packet, DropReason)) EngineOption {
-	return func(cfg *EngineConfig) { cfg.Overload.OnDrop = fn }
 }
 
 // WithTickInterval sets the auto-tick period in capture seconds used by
@@ -351,8 +318,8 @@ func WithTickInterval(seconds float64) EngineOption {
 
 // EngineConfig assembles the detector's serving configuration: the
 // trained model, its normalizer and class names, with opts applied in
-// order. Pass the result to NewEngine/NewShardedEngine/NewServeRunner, or
-// adjust fields directly for anything without an option.
+// order. Pass the result to NewEngine or NewServeRunner, or adjust fields
+// directly for anything without an option.
 func (d *Detector) EngineConfig(opts ...EngineOption) EngineConfig {
 	cfg := EngineConfig{
 		Model:      d.Model,
@@ -386,24 +353,4 @@ func (d *Detector) Serve(ctx context.Context, src PacketSource, opts ...EngineOp
 		return EngineStats{}, err
 	}
 	return r.Run(ctx)
-}
-
-// ServeWithMetrics is Serve plus a live admin endpoint: it binds addr,
-// serves /metrics (Prometheus text format), /stats (JSON) and /healthz
-// for the duration of the run, and closes the endpoint when the run
-// ends. The engine and the endpoint share one collector — pass your own
-// with WithTelemetry to keep scraping after the run, or to aggregate
-// several runs on one endpoint.
-func (d *Detector) ServeWithMetrics(ctx context.Context, addr string, src PacketSource, opts ...EngineOption) (EngineStats, error) {
-	cfg := d.EngineConfig(opts...)
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New(cfg.ClassNames)
-	}
-	srv, err := telemetry.ListenAndServe(addr, tel)
-	if err != nil {
-		return EngineStats{}, err
-	}
-	defer srv.Close()
-	return d.Serve(ctx, src, append(opts[:len(opts):len(opts)], WithTelemetry(tel))...)
 }

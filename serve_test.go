@@ -3,10 +3,13 @@ package cyberhd
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"testing"
+
+	"cyberhd/internal/pipeline"
 )
 
 // serveDetector trains one CIC detector shared by the serving tests.
@@ -29,9 +32,7 @@ func TestEngineOptionsCompose(t *testing.T) {
 		WithBatchSize(64),
 		WithQuantized(W4),
 		WithShards(8),
-		WithShardBuffer(256),
 		WithBenignClass(0),
-		WithFlowTimeouts(60, 2),
 		WithOnAlert(onAlert),
 		WithSinks(sink),
 		WithTickInterval(5),
@@ -39,11 +40,8 @@ func TestEngineOptionsCompose(t *testing.T) {
 	if cfg.Model != det.Model || cfg.Normalizer != det.Normalizer {
 		t.Fatal("detector base config not applied")
 	}
-	if cfg.BatchSize != 64 || cfg.Quantize != W4 || cfg.Shards != 8 || cfg.ShardBuffer != 256 {
+	if cfg.BatchSize != 64 || cfg.Quantize != W4 || cfg.Shards != 8 || cfg.TickInterval != 5 {
 		t.Fatalf("engine options not applied: %+v", cfg)
-	}
-	if cfg.IdleTimeout != 60 || cfg.ActivityGap != 2 || cfg.TickInterval != 5 {
-		t.Fatalf("timing options not applied: %+v", cfg)
 	}
 	if cfg.OnAlert == nil || len(cfg.Sinks) != 1 {
 		t.Fatal("alert options not applied")
@@ -107,7 +105,7 @@ func TestServeShardedQuantized(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	sh, err := NewShardedEngine(det.EngineConfig(WithShards(4), WithBatchSize(32), WithQuantized(W8)))
+	sh, err := pipeline.NewSharded(det.EngineConfig(WithShards(4), WithBatchSize(32), WithQuantized(W8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +159,53 @@ func TestServeReplayTraffic(t *testing.T) {
 	}
 }
 
-// TestServeWithMetrics runs the one-call metrics path: the admin endpoint
-// is scrapeable during the run (healthz) and its final counters match the
-// returned stats exactly; Prometheus output is well-formed.
+// TestServeWithMetrics runs Serve beside a ServeMetrics endpoint sharing
+// its collector: the endpoint answers /healthz before the run and
+// /metrics during it (scraped from a progress callback), and the
+// collector's final counters match the returned stats exactly;
+// Prometheus output is well-formed.
 func TestServeWithMetrics(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	// Share a collector so counters stay readable after the endpoint
-	// closed with the run.
 	tel := NewTelemetry(det.ClassNames)
-	var snaps []TelemetrySnapshot
-	st, err := det.ServeWithMetrics(context.Background(), "127.0.0.1:0", NewSliceSource(live.Packets),
-		WithTelemetry(tel), WithBatchSize(16),
-		WithProgress(5, func(s TelemetrySnapshot) { snaps = append(snaps, s) }))
+	srv, err := ServeMetrics("127.0.0.1:0", tel.Snapshot, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The listener is accepting before ServeMetrics returns, so liveness
+	// answers before the first packet.
+	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+	var snaps []TelemetrySnapshot
+	scraped := ""
+	st, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
+		WithTelemetry(tel), WithBatchSize(16),
+		WithProgress(5, func(s TelemetrySnapshot) {
+			snaps = append(snaps, s)
+			if scraped == "" && s.Packets > 0 {
+				resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				scraped = string(body)
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scraped, "cyberhd_packets_total") || strings.Contains(scraped, "cyberhd_packets_total 0\n") {
+		t.Fatalf("mid-run scrape shows no traffic:\n%s", scraped)
 	}
 	final := tel.Snapshot()
 	if int(final.Packets) != st.Packets || int(final.Flows) != st.Flows || int(final.Alerts) != st.Alerts {
@@ -195,48 +224,23 @@ func TestServeWithMetrics(t *testing.T) {
 	if !strings.Contains(prom.String(), "cyberhd_flows_total") {
 		t.Fatalf("prometheus output missing flows:\n%s", prom.String())
 	}
-
-	// The live endpoint itself: scrape while a (tiny) run is in flight —
-	// ListenAndServe guarantees the listener is accepting before Serve
-	// pumps, so /healthz during the run can never miss.
-	tel2 := NewTelemetry(det.ClassNames)
-	srv, err := ServeMetrics("127.0.0.1:0", tel2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("healthz status %d", resp.StatusCode)
-	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := det.Serve(context.Background(), NewSliceSource(live.Packets), WithTelemetry(tel2)); err != nil {
-		t.Fatal(err)
-	}
-	if tel2.Snapshot().Packets == 0 {
-		t.Fatal("shared collector saw no traffic")
 	}
 }
 
 // TestServeWithMetricsBadAddr pins the error path: an unbindable address
 // fails up front instead of serving blind.
 func TestServeWithMetricsBadAddr(t *testing.T) {
-	det := serveDetector(t)
-	live := GenerateTraffic(TrafficConfig{Sessions: 10, Seed: 1})
-	if _, err := det.ServeWithMetrics(context.Background(), "256.0.0.1:99999", NewSliceSource(live.Packets)); err == nil {
+	if _, err := ServeMetrics("256.0.0.1:99999", NewTelemetry(nil).Snapshot, nil); err == nil {
 		t.Fatal("bound an impossible address")
 	}
 }
 
 // TestOverloadOptionsMatchStruct pins satellite-free equivalence of the
-// two construction paths: WithOverloadPolicy/WithTenantKey/
-// WithDropCallback land on the same EngineConfig.Overload fields a
-// struct-literal caller sets, both paths install the same Gate through
+// two construction paths: WithOverloadPolicy lands on the same
+// EngineConfig.Overload a struct-literal caller sets, hooks included,
+// both paths install the same Gate through
 // NewServeRunner, and a permissive bounded policy over the synchronous
 // engine serves verdicts bit-identical to the lossless default with
 // every drop counter at zero.
@@ -246,11 +250,9 @@ func TestOverloadOptionsMatchStruct(t *testing.T) {
 
 	tenant := func(p *Packet) uint64 { return uint64(p.SrcIP.V4()) }
 	onDrop := func(Packet, DropReason) {}
-	viaOpts := det.EngineConfig(
-		WithOverloadPolicy(OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}),
-		WithTenantKey(tenant),
-		WithDropCallback(onDrop),
-	)
+	viaOpts := det.EngineConfig(WithOverloadPolicy(OverloadPolicy{
+		Mode: OverloadBounded, TenantRate: 5, TenantKey: tenant, OnDrop: onDrop,
+	}))
 	viaStruct := det.EngineConfig()
 	viaStruct.Overload = OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}
 	viaStruct.Overload.TenantKey = tenant
@@ -261,7 +263,7 @@ func TestOverloadOptionsMatchStruct(t *testing.T) {
 		t.Fatalf("option path %+v != struct path %+v", viaOpts.Overload, viaStruct.Overload)
 	}
 	if viaOpts.Overload.TenantKey == nil || viaOpts.Overload.OnDrop == nil {
-		t.Fatal("WithTenantKey/WithDropCallback did not land on the policy")
+		t.Fatal("the policy's TenantKey/OnDrop hooks did not land on the config")
 	}
 	for name, cfg := range map[string]EngineConfig{"options": viaOpts, "struct": viaStruct} {
 		r, err := NewServeRunner(cfg, NewSliceSource(nil))
