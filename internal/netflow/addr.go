@@ -59,18 +59,17 @@ func MustParseAddr(s string) Addr {
 	return a
 }
 
+// words returns the address as two big-endian 64-bit words, so that
+// byte-lexicographic order is numeric order on (hi, lo).
+func (a *Addr) words() (hi, lo uint64) {
+	return binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
+}
+
 // Is4 reports whether the address is IPv4 (v4-mapped), including the zero
 // Addr, which stands for the unspecified IPv4 0.0.0.0.
 func (a Addr) Is4() bool {
-	if a == (Addr{}) {
-		return true
-	}
-	for i := 0; i < 10; i++ {
-		if a[i] != 0 {
-			return false
-		}
-	}
-	return a[10] == 0xff && a[11] == 0xff
+	hi, lo := a.words()
+	return hi == 0 && (lo>>32 == 0xffff || lo == 0)
 }
 
 // V4 returns the IPv4 address as a big-endian uint32 (the old
@@ -109,13 +108,16 @@ func (a *Addr) Get(src []byte, wide bool) int {
 // equal, +1 if a > o. For two v4-mapped addresses this equals numeric
 // uint32 order, preserving the old canonical-key orientation.
 func (a Addr) Compare(o Addr) int {
-	for i := 0; i < 16; i++ {
-		switch {
-		case a[i] < o[i]:
-			return -1
-		case a[i] > o[i]:
-			return 1
-		}
+	x, xl := a.words()
+	y, yl := o.words()
+	if x == y {
+		x, y = xl, yl
+	}
+	if x < y {
+		return -1
+	}
+	if x > y {
+		return 1
 	}
 	return 0
 }

@@ -1,0 +1,155 @@
+package netflow
+
+import (
+	"fmt"
+	"sort"
+)
+
+// This file opens the assembler to the external test package (which,
+// unlike this one, can import internal/traffic): the assembler the
+// package had before the flow table, kept as the reference the
+// differential tests compare against, and hooks on the table's
+// unexported seed, hash and invariants.
+
+// RefAssembler is the reference: a map keyed by FlowKey, a walk over
+// every live flow per EvictIdle, sort.Slice over the victims.
+type RefAssembler struct {
+	idleTimeout, activityGap float64
+	flows                    map[FlowKey]*Flow
+	onEvict                  func(*Flow)
+	evicted                  int
+}
+
+// NewRefAssembler mirrors NewAssembler, defaults aside.
+func NewRefAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *RefAssembler {
+	return &RefAssembler{idleTimeout: idleTimeout, activityGap: activityGap,
+		flows: make(map[FlowKey]*Flow), onEvict: onEvict}
+}
+
+func (a *RefAssembler) Add(p *Packet) {
+	key, aToB := KeyOf(p)
+	f, ok := a.flows[key]
+	if ok && p.Time-f.LastTime > a.idleTimeout {
+		a.evict(f)
+		ok = false
+	}
+	if !ok {
+		a.flows[key] = newFlow(p)
+		return
+	}
+	f.update(p, aToB, a.activityGap)
+	if f.terminated(p) {
+		a.evict(f)
+	}
+}
+
+func (a *RefAssembler) EvictIdle(now float64) {
+	var victims []*Flow
+	for _, f := range a.flows {
+		if now-f.LastTime > a.idleTimeout {
+			victims = append(victims, f)
+		}
+	}
+	a.evictOrdered(victims)
+}
+
+func (a *RefAssembler) Flush() {
+	var victims []*Flow
+	for _, f := range a.flows {
+		victims = append(victims, f)
+	}
+	a.evictOrdered(victims)
+}
+
+func (a *RefAssembler) evictOrdered(victims []*Flow) {
+	sort.Slice(victims, func(i, j int) bool {
+		x, y := victims[i], victims[j]
+		if x.FirstTime != y.FirstTime {
+			return x.FirstTime < y.FirstTime
+		}
+		return x.Key.compare(&y.Key) < 0
+	})
+	for _, f := range victims {
+		a.evict(f)
+	}
+}
+
+func (a *RefAssembler) evict(f *Flow) {
+	delete(a.flows, f.Key)
+	f.finish()
+	a.evicted++
+	a.onEvict(f)
+}
+
+func (a *RefAssembler) Active() int  { return len(a.flows) }
+func (a *RefAssembler) Evicted() int { return a.evicted }
+
+// SetTableSeed replaces the random seed of an empty assembler's table.
+// The zero seed is degenerate by construction: every product of the
+// address stage has a zero multiplicand for IPv4 tuples, so keys that
+// share ports and protocol share all 64 hash bits, whatever their
+// addresses — the handle tests use to pile keys into one probe run.
+func (a *Assembler) SetTableSeed(seed [4]uint64) {
+	if a.table.live != 0 {
+		panic("SetTableSeed on a table in use")
+	}
+	a.table.seed = seed
+}
+
+// TableHash returns the table hash of p's key under the current seed.
+func (a *Assembler) TableHash(p *Packet) uint64 {
+	_, h, _ := a.table.lookup(p)
+	return h
+}
+
+// TableSlots returns the table's current slot count.
+func (a *Assembler) TableSlots() int { return len(a.table.slots) }
+
+// CheckTable verifies the table and list invariants the assembler relies
+// on: load at most one half, every live flow reachable from its home slot
+// without crossing an empty one, and the last-seen list holding exactly
+// the live flows, doubly linked, in non-decreasing LastTime behind any
+// NaNs.
+func (a *Assembler) CheckTable() error {
+	t := &a.table
+	mask := uint64(len(t.slots) - 1)
+	if len(t.slots)&int(mask) != 0 || 2*t.live > len(t.slots) {
+		return fmt.Errorf("%d live flows in %d slots", t.live, len(t.slots))
+	}
+	n := 0
+	for i, f := range t.slots {
+		if f == nil {
+			continue
+		}
+		n++
+		if f.evicted {
+			return fmt.Errorf("slot %d holds evicted flow %v", i, f.Key)
+		}
+		for j := f.hash & mask; j != uint64(i); j = (j + 1) & mask {
+			if t.slots[j] == nil {
+				return fmt.Errorf("flow %v at slot %d is cut off from its home %d by empty slot %d", f.Key, i, f.hash&mask, j)
+			}
+		}
+	}
+	if n != t.live {
+		return fmt.Errorf("%d occupied slots, live = %d", n, t.live)
+	}
+	n = 0
+	var prev *Flow
+	for f := t.head; f != nil; prev, f = f, f.next {
+		n++
+		if n > t.live {
+			return fmt.Errorf("list longer than the %d live flows", t.live)
+		}
+		if f.prev != prev {
+			return fmt.Errorf("flow %v: prev link does not match the flow before it", f.Key)
+		}
+		if prev != nil && prev.LastTime == prev.LastTime && !(prev.LastTime <= f.LastTime) {
+			return fmt.Errorf("list out of order: LastTime %v before %v", prev.LastTime, f.LastTime)
+		}
+	}
+	if t.tail != prev || n != t.live {
+		return fmt.Errorf("list holds %d flows (tail ok: %v), live = %d", n, t.tail == prev, t.live)
+	}
+	return nil
+}

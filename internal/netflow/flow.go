@@ -5,6 +5,11 @@ package netflow
 // packet (the initiator), matching CICFlowMeter.
 type Flow struct {
 	Key FlowKey
+	// The assembler's bookkeeping, next to Key so that a table probe and
+	// a list move touch one cache line of a neighbouring flow: the table
+	// hash of Key and the links of the last-seen list.
+	hash       uint64
+	prev, next *Flow
 	// InitSrcIP/InitSrcPort identify the initiator (first packet source).
 	InitSrcIP   Addr
 	InitSrcPort uint16
@@ -35,10 +40,14 @@ type Flow struct {
 	// finSeen per canonical orientation (A→B, B→A) for eviction.
 	finA, finB bool
 	rstSeen    bool
+	// evicted marks a flow already delivered to onEvict, so an eviction
+	// pass whose callback re-entered the assembler skips it.
+	evicted bool
 }
 
 // newFlow starts a flow from its first packet.
-func newFlow(key FlowKey, p *Packet) *Flow {
+func newFlow(p *Packet) *Flow {
+	key, aToB := KeyOf(p)
 	f := &Flow{
 		Key:         key,
 		InitSrcIP:   p.SrcIP,
@@ -48,7 +57,7 @@ func newFlow(key FlowKey, p *Packet) *Flow {
 		activeStart: p.Time,
 	}
 	f.FwdSegSizeMin = 1 << 30
-	f.update(p, 0)
+	f.update(p, aToB, 0)
 	return f
 }
 
@@ -57,12 +66,13 @@ func (f *Flow) isForward(p *Packet) bool {
 	return p.SrcIP == f.InitSrcIP && p.SrcPort == f.InitSrcPort
 }
 
-// update folds packet p into the flow. activityGap > 0 splits active/idle
-// periods on gaps longer than the threshold.
-func (f *Flow) update(p *Packet, activityGap float64) {
+// update folds packet p, travelling A→B in the key's orientation when
+// aToB, into the flow. activityGap > 0 splits active/idle periods on gaps
+// longer than the threshold.
+func (f *Flow) update(p *Packet, aToB bool, activityGap float64) {
 	fwd := f.isForward(p)
 	if p.Time > f.LastTime {
-		if f.FlowIAT.N >= 0 && p.Time != f.FirstTime {
+		if p.Time != f.FirstTime {
 			f.FlowIAT.Add(p.Time - f.LastTime)
 		}
 		if activityGap > 0 && p.Time-f.LastTime > activityGap {
@@ -125,7 +135,6 @@ func (f *Flow) update(p *Packet, activityGap float64) {
 		}
 	}
 	if p.Flags&FIN != 0 {
-		_, aToB := KeyOf(p)
 		if aToB {
 			f.finA = true
 		} else {

@@ -1,0 +1,174 @@
+package netflow
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"math/rand/v2"
+)
+
+// flowTable indexes the live flows of one Assembler two ways.
+//
+// By key: open addressing with linear probing over slots, whose length
+// is a power of two and at least twice the live count, so a probe always
+// ends at an empty slot. The hash is seeded per table from a random
+// source, like the built-in map's: a sender who picks 5-tuples cannot aim
+// them at one probe run. It is kept on the Flow, never leaves the table
+// and orders no output — FlowKey.Hash is the partition function, not
+// this. Removal shifts the rest of the run back over the hole, so there
+// are no tombstones and an emptied table probes like a new one. The
+// table never shrinks (nor did the map).
+//
+// By last-seen time: an intrusive list, head to tail in non-decreasing
+// LastTime (flows whose LastTime is NaN, which compares with nothing,
+// collect at the head). Idle eviction reads victims off the head and
+// stops at the first flow still fresh; nothing walks the slots.
+type flowTable struct {
+	slots      []*Flow
+	live       int
+	seed       [4]uint64
+	head, tail *Flow
+}
+
+// minSlots is the table's first allocation.
+const minSlots = 64
+
+func newFlowTable() flowTable {
+	return flowTable{
+		slots: make([]*Flow, minSlots),
+		seed:  [4]uint64{rand.Uint64(), rand.Uint64(), rand.Uint64(), rand.Uint64()},
+	}
+}
+
+// mum is the multiply-fold step of wyhash: the two halves of the 128-bit
+// product, xored.
+func mum(x, y uint64) uint64 {
+	hi, lo := bits.Mul64(x, y)
+	return hi ^ lo
+}
+
+// lookup finds p's flow without building its key. It returns the live
+// flow or nil, the table hash of p's key (to keep on a new flow), and
+// whether p travels A→B. Orientation and hash come from the same four
+// word loads (see Addr.words). Every
+// multiplicand of the hash carries a secret word, so no input of the
+// sender's choosing zeroes a product.
+func (t *flowTable) lookup(p *Packet) (f *Flow, h uint64, aToB bool) {
+	a0, a1 := p.SrcIP.words()
+	b0, b1 := p.DstIP.words()
+	pa, pb := uint64(p.SrcPort), uint64(p.DstPort)
+	aToB = p.aToB()
+	if !aToB {
+		a0, a1, b0, b1, pa, pb = b0, b1, a0, a1, pb, pa
+	}
+	pp := pa<<32 | pb<<16 | uint64(p.Proto)
+	h = mum(a0^t.seed[0], a1^t.seed[1]) ^ mum(b0^t.seed[2], b1^t.seed[3])
+	h = mum(h^pp, t.seed[1]^0x9e3779b97f4a7c15)
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		f = t.slots[i]
+		if f == nil {
+			return
+		}
+		if k := &f.Key; f.hash == h &&
+			binary.BigEndian.Uint64(k.IPA[8:]) == a1 && binary.BigEndian.Uint64(k.IPB[8:]) == b1 &&
+			uint64(k.PortA)<<32|uint64(k.PortB)<<16|uint64(k.Proto) == pp &&
+			binary.BigEndian.Uint64(k.IPA[:8]) == a0 && binary.BigEndian.Uint64(k.IPB[:8]) == b0 {
+			return
+		}
+	}
+}
+
+// insert adds f, whose hash is set and whose key is not in the table.
+func (t *flowTable) insert(f *Flow) {
+	if 2*(t.live+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]*Flow, 2*len(old))
+		for _, g := range old {
+			if g != nil {
+				t.place(g)
+			}
+		}
+	}
+	t.place(f)
+	t.live++
+	t.link(f)
+}
+
+// place puts f in the first empty slot of its probe run.
+func (t *flowTable) place(f *Flow) {
+	mask := uint64(len(t.slots) - 1)
+	i := f.hash & mask
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = f
+}
+
+// remove takes f, found by identity, out of the table and the list.
+func (t *flowTable) remove(f *Flow) {
+	mask := uint64(len(t.slots) - 1)
+	i := f.hash & mask
+	for t.slots[i] != f {
+		i = (i + 1) & mask
+	}
+	// Close the hole at i: a later flow g of the run, at j, moves back
+	// into it unless its home slot lies in (i, j] — moving it before its
+	// home would take it off its own probe path.
+	for j := (i + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		g := t.slots[j]
+		if (j-g.hash)&mask >= (j-i)&mask {
+			t.slots[i] = g
+			i = j
+		}
+	}
+	t.slots[i] = nil
+	t.live--
+	t.unlink(f)
+}
+
+// link threads f, not on the list, at its place in LastTime order,
+// walking back from the tail: one step for a packet stream in time order,
+// as many as there are later-seen flows for a timestamp that runs
+// backward.
+func (t *flowTable) link(f *Flow) {
+	at := t.tail
+	for at != nil && !(at.LastTime <= f.LastTime) {
+		at = at.prev
+	}
+	f.prev = at
+	if at == nil {
+		f.next, t.head = t.head, f
+	} else {
+		f.next, at.next = at.next, f
+	}
+	if f.next == nil {
+		t.tail = f
+	} else {
+		f.next.prev = f
+	}
+}
+
+// unlink takes f off the list and clears its links: an evicted flow
+// outlives the table in its consumers' hands and must not pin its old
+// neighbours.
+func (t *flowTable) unlink(f *Flow) {
+	if f.prev == nil {
+		t.head = f.next
+	} else {
+		f.prev.next = f.next
+	}
+	if f.next == nil {
+		t.tail = f.prev
+	} else {
+		f.next.prev = f.prev
+	}
+	f.prev, f.next = nil, nil
+}
+
+// touch restores list order after f.LastTime grew.
+func (t *flowTable) touch(f *Flow) {
+	if f.next != nil {
+		t.unlink(f)
+		t.link(f)
+	}
+}

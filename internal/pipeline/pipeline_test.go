@@ -351,3 +351,54 @@ func TestOnFlowAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// alwaysAttack alerts on every flow.
+type alwaysAttack struct{}
+
+func (alwaysAttack) Predict([]float32) int { return 1 }
+
+// TestTickSurvivesOnAlertFeedingBack pins the per-flow path's callback
+// contract end to end: OnAlert may Feed packets back while Tick is
+// evicting. Here the packet re-uses the 5-tuple of a flow the same tick
+// has yet to evict, past its idle timeout, which ends that flow on the
+// packet path and starts a successor. Every flow must still be classified
+// exactly once and every packet belong to exactly one of them.
+func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
+	cfg := fastCfg(alwaysAttack{})
+	cfg.IdleTimeout = 10
+	var eng *Engine
+	var alerted []*netflow.Flow
+	cfg.OnAlert = func(a Alert) {
+		alerted = append(alerted, a.Flow)
+		if len(alerted) == 1 {
+			eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 100, netflow.ACK))
+		}
+	}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Feed(tcpPkt(0x0a000001, 0x0a000002, 40000, 443, 0, netflow.SYN))
+	eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 1, netflow.SYN))
+	eng.Tick(100)
+	if st := eng.Stats(); st.Flows != 2 || st.Alerts != 2 {
+		t.Fatalf("after Tick: %d flows, %d alerts; want the two idle flows, once each", st.Flows, st.Alerts)
+	}
+	eng.Close()
+	st := eng.Stats()
+	if st.Flows != 3 || st.Alerts != 3 || len(alerted) != 3 {
+		t.Fatalf("after Close: %d flows, %d alerts, %d callbacks; want 3 each (the successor survived the tick)", st.Flows, st.Alerts, len(alerted))
+	}
+	pkts := 0
+	seen := map[*netflow.Flow]bool{}
+	for _, f := range alerted {
+		if seen[f] {
+			t.Fatalf("flow %v classified twice", f.Key)
+		}
+		seen[f] = true
+		pkts += f.TotalPackets()
+	}
+	if pkts != st.Packets || pkts != 3 {
+		t.Fatalf("flows hold %d packets, engine counted %d, fed 3", pkts, st.Packets)
+	}
+}
