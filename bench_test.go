@@ -57,7 +57,6 @@ func benchSplit(b *testing.B, name string) (train, test *datasets.Dataset) {
 // seed's row-at-a-time kernels, kept here as explicit naive references:
 // RBF encoding was one float64 hdc.Dot plus math.Cos per output dimension
 // and prediction recomputed every class norm per call (hdc.ArgmaxCosine).
-// BENCH_1.json is the frozen snapshot of these speedups.
 
 // naiveRBFEncode is the seed's RBF.Encode.
 func naiveRBFEncode(base *hdc.Matrix, bias []float32, x, dst []float32) {
@@ -188,7 +187,7 @@ func BenchmarkPredictEncoded(b *testing.B) {
 	b.Run("cached", benchPredictEncodedCached)
 }
 
-// benchStream caches the BENCH_1 engine shape (512-dim model over
+// benchStream caches the engine benchmarks' shape (512-dim model over
 // CICIDS2017 flows, 400-session live capture) so the sharded sweep does
 // not retrain the model per measurement. The model is only ever read by
 // the engine benchmarks, so sharing it across engines is safe.
@@ -279,8 +278,7 @@ func benchShardedEngine(b *testing.B, shards, batch int) {
 
 // BenchmarkShardedClassify measures streaming throughput of the
 // flow-sharded engine at 1/2/4/8 shards (shards1 is what NewConcurrent
-// builds), all with 64-flow micro-batches (the BENCH_1 fast
-// configuration). Scaling tracks available cores: on a 1-CPU host every
+// builds), all with 64-flow micro-batches. Scaling tracks available cores: on a 1-CPU host every
 // variant is ingress-bound and roughly flat.
 func BenchmarkShardedClassify(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {

@@ -72,31 +72,54 @@ func usage() {
 	os.Exit(2)
 }
 
-// loadOrGen builds a dataset from -in CSV or synthesizes -dataset.
-func loadOrGen(in, name string, n int, seed uint64) (*cyberhd.Dataset, error) {
-	if in != "" {
-		return cyberhd.LoadCSV(in)
+// dataset is the flag group gen, train, quantize and faults share — which
+// dataset, how much of it, which seed — registered by newDataset alone so
+// the four cannot drift.
+type dataset struct {
+	in, name string
+	n        int
+	seed     uint64
+}
+
+// newDataset starts cmd's flag set with the dataset flags. gen only
+// synthesizes, so it takes no -in, and writes a larger file by default
+// than the others train on.
+func newDataset(cmd string) (*flag.FlagSet, *dataset) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	ds := &dataset{}
+	n := 10000
+	if cmd != "gen" {
+		fs.StringVar(&ds.in, "in", "", "input CSV (from gen); empty = synthesize -dataset")
+		n = 8000
 	}
-	d, ok := cyberhd.DatasetByName(name, n, seed)
+	fs.StringVar(&ds.name, "dataset", "nsl-kdd", "dataset to synthesize")
+	fs.IntVar(&ds.n, "n", n, "samples to synthesize (sessions for CIC sets)")
+	fs.Uint64Var(&ds.seed, "seed", 42, "random seed")
+	return fs, ds
+}
+
+// load reads the -in CSV or synthesizes -dataset.
+func (ds *dataset) load() (*cyberhd.Dataset, error) {
+	if ds.in != "" {
+		return cyberhd.LoadCSV(ds.in)
+	}
+	d, ok := cyberhd.DatasetByName(ds.name, ds.n, ds.seed)
 	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q (want one of %v)", name, datasets.PaperDatasets())
+		return nil, fmt.Errorf("unknown dataset %q (want one of %v)", ds.name, datasets.PaperDatasets())
 	}
 	return d, nil
 }
 
 func cmdGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	name := fs.String("dataset", "nsl-kdd", "dataset to synthesize")
-	n := fs.Int("n", 10000, "samples (sessions for CIC sets)")
-	seed := fs.Uint64("seed", 42, "random seed")
+	fs, ds := newDataset("gen")
 	out := fs.String("out", "", "output CSV path (required)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("gen: -out required")
 	}
-	d, ok := cyberhd.DatasetByName(*name, *n, *seed)
-	if !ok {
-		return fmt.Errorf("unknown dataset %q", *name)
+	d, err := ds.load()
+	if err != nil {
+		return err
 	}
 	if err := cyberhd.SaveCSV(*out, d); err != nil {
 		return err
@@ -107,11 +130,7 @@ func cmdGen(args []string) error {
 }
 
 func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	in := fs.String("in", "", "input CSV (from gen); empty = synthesize")
-	name := fs.String("dataset", "nsl-kdd", "dataset when -in is empty")
-	n := fs.Int("n", 8000, "samples when synthesizing")
-	seed := fs.Uint64("seed", 42, "random seed")
+	fs, ds := newDataset("train")
 	dim := fs.Int("dim", 512, "physical hyperspace dimensionality")
 	epochs := fs.Int("epochs", 8, "adaptive epochs per cycle")
 	cycles := fs.Int("cycles", 7, "regeneration cycles (0 = static BaselineHD)")
@@ -119,13 +138,13 @@ func cmdTrain(args []string) error {
 	lr := fs.Float64("lr", 0.1, "learning rate η")
 	fs.Parse(args)
 
-	d, err := loadOrGen(*in, *name, *n, *seed)
+	d, err := ds.load()
 	if err != nil {
 		return err
 	}
 	cfg := cyberhd.Config{
 		Dim: *dim, Epochs: *epochs, RegenCycles: *cycles, RegenRate: *rate,
-		LearningRate: *lr, TrainFraction: 0.75, Seed: *seed,
+		LearningRate: *lr, TrainFraction: 0.75, Seed: ds.seed,
 	}
 	det, err := cyberhd.TrainDetector(d, cfg)
 	if err != nil {
@@ -138,7 +157,7 @@ func cmdTrain(args []string) error {
 	}
 
 	// Full quality report on a fresh evaluation split.
-	_, test, _ := d.NormalizedSplit(0.75, *seed)
+	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
 	conf := metrics.NewConfusion(d.ClassNames)
 	preds := det.Model.PredictBatch(test.X)
 	conf.AddAll(test.Y, preds)
@@ -155,14 +174,10 @@ func cmdTrain(args []string) error {
 }
 
 func cmdQuantize(args []string) error {
-	fs := flag.NewFlagSet("quantize", flag.ExitOnError)
-	in := fs.String("in", "", "input CSV; empty = synthesize")
-	name := fs.String("dataset", "nsl-kdd", "dataset when -in is empty")
-	n := fs.Int("n", 8000, "samples when synthesizing")
-	seed := fs.Uint64("seed", 42, "random seed")
+	fs, ds := newDataset("quantize")
 	fs.Parse(args)
 
-	d, err := loadOrGen(*in, *name, *n, *seed)
+	d, err := ds.load()
 	if err != nil {
 		return err
 	}
@@ -170,7 +185,7 @@ func cmdQuantize(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, test, _ := d.NormalizedSplit(0.75, *seed)
+	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
 	fmt.Printf("float32 accuracy: %.4f   class memory: %d bits\n",
 		det.Model.Evaluate(test.X, test.Y),
 		det.Model.NumClasses()*det.Model.Dim()*32)
@@ -186,17 +201,13 @@ func cmdQuantize(args []string) error {
 }
 
 func cmdFaults(args []string) error {
-	fs := flag.NewFlagSet("faults", flag.ExitOnError)
-	in := fs.String("in", "", "input CSV; empty = synthesize")
-	name := fs.String("dataset", "nsl-kdd", "dataset when -in is empty")
-	n := fs.Int("n", 8000, "samples when synthesizing")
-	seed := fs.Uint64("seed", 42, "random seed")
+	fs, ds := newDataset("faults")
 	rate := fs.Float64("rate", 0.1, "fraction of elements hit by a bit flip")
 	bits := fs.Int("bits", 1, "HDC element bitwidth")
 	trials := fs.Int("trials", 5, "injection trials")
 	fs.Parse(args)
 
-	d, err := loadOrGen(*in, *name, *n, *seed)
+	d, err := ds.load()
 	if err != nil {
 		return err
 	}
@@ -204,13 +215,13 @@ func cmdFaults(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, test, _ := d.NormalizedSplit(0.75, *seed)
+	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
 	q, err := quantize.FromCore(det.Model, bitpack.Width(*bits))
 	if err != nil {
 		return err
 	}
 	clean := q.Evaluate(test.X, test.Y)
-	r := rng.New(*seed + 1)
+	r := rng.New(ds.seed + 1)
 	var lossSum float64
 	for i := 0; i < *trials; i++ {
 		hurt := q.Clone()
@@ -405,7 +416,7 @@ func (sv *serving) linger() {
 func cmdDetect(args []string) error {
 	fs, sv := newServing("detect")
 	shards := fs.Int("shards", 1, "engine shards (1 = single in-process engine; 0 = one per core)")
-	saveModel := fs.String("save-model", "", "write the trained model as a versioned snapshot to this file (load with the /model control plane or cyberhd.LoadModelSnapshotFile)")
+	saveModel := fs.String("save-model", "", "write the trained model to this file as a model-only v2 snapshot: no normalizer or class names, so POST /model and cyberhd.LoadModelSnapshotFile load it, cyberhd.LoadDetector does not")
 	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables)")
 	fs.Parse(args)
 	if err := sv.open(); err != nil {

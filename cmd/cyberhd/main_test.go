@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -54,6 +55,25 @@ func TestSharedServingFlags(t *testing.T) {
 			if d, ok := got[name]; !ok || d != def {
 				t.Errorf("%s: -%s default %q (present %v), want %q", cmd, name, d, ok, def)
 			}
+		}
+	}
+}
+
+// TestSharedDatasetFlags pins the dataset flags gen, train, quantize and
+// faults take from newDataset: the names and defaults each command
+// declared for itself before the four were folded.
+func TestSharedDatasetFlags(t *testing.T) {
+	for cmd, want := range map[string]map[string]string{
+		"gen":      {"dataset": "nsl-kdd", "n": "10000", "seed": "42"},
+		"train":    {"in": "", "dataset": "nsl-kdd", "n": "8000", "seed": "42"},
+		"quantize": {"in": "", "dataset": "nsl-kdd", "n": "8000", "seed": "42"},
+		"faults":   {"in": "", "dataset": "nsl-kdd", "n": "8000", "seed": "42"},
+	} {
+		fs, _ := newDataset(cmd)
+		got := map[string]string{}
+		fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: dataset flags %v, want %v", cmd, got, want)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 
 	"cyberhd/internal/bitpack"
+	"cyberhd/internal/control"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
@@ -227,13 +228,6 @@ func (d *Detector) Classify(features []float32) string {
 	return d.ClassNames[d.Model.Predict(x)]
 }
 
-// NewEngine builds a streaming detection engine from an explicit
-// configuration — the entry point for non-default setups such as
-// micro-batch classification (EngineConfig.BatchSize) or packed
-// reduced-precision serving (EngineConfig.Quantize, the paper's Table I
-// bitwidths as a live inference mode).
-func NewEngine(cfg EngineConfig) (*Engine, error) { return pipeline.New(cfg) }
-
 // NewCOWModel wraps a trained model in copy-on-write snapshots, making
 // concurrent classification and online feedback race-free: readers load
 // an immutable (encoder, class-matrix) snapshot through one atomic
@@ -241,15 +235,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return pipeline.New(cfg) }
 // wrapped model becomes the wrapper's private working copy — stop using
 // it directly.
 func NewCOWModel(m *Model) *COWModel { return core.NewCOWModel(m) }
-
-// NewEngine builds a streaming detection engine around the detector.
-// benignClass is the class index that does not alert (0 in all four
-// datasets); onAlert may be nil. Most callers want Serve (one call,
-// source to sinks) or d.EngineConfig with options instead; this remains
-// the minimal hand-driven form.
-func (d *Detector) NewEngine(benignClass int, onAlert func(Alert)) (*Engine, error) {
-	return NewEngine(d.EngineConfig(WithBenignClass(benignClass), WithOnAlert(onAlert)))
-}
 
 // EffectiveDim reports the detector's effective dimensionality D* (physical
 // dims plus regenerated dims — the paper's headline metric).
@@ -261,21 +246,26 @@ func (d *Detector) String() string {
 		len(d.ClassNames), d.Model.Dim(), d.Model.EffectiveDim, 100*d.TestAccuracy)
 }
 
-// detectorState is the gob wire format of a Detector (the model travels
-// through core's own serializer).
+// detectorState is the gob wire format of a Detector: an envelope — class
+// names, normalizer, held-out accuracy — around one model snapshot.
 type detectorState struct {
 	Version      int
 	ClassNames   []string
 	Mean, InvStd []float32
 	TestAccuracy float64
-	Model        []byte
+	// Model is a core.SaveSnapshot stream; files written before v2 became
+	// the only model format carry a v1 body here, which the same decoder
+	// reads.
+	Model []byte
 }
 
 // Save serializes the detector — model, normalizer, class names — so a
 // deployment can reload it with LoadDetector and classify identically.
 func (d *Detector) Save(w io.Writer) error {
+	// The COW wrapper exists to be snapshotted and is dropped unwritten,
+	// so d.Model stays the caller's.
 	var model bytes.Buffer
-	if err := d.Model.Save(&model); err != nil {
+	if err := core.SaveSnapshot(&model, core.NewCOWModel(d.Model)); err != nil {
 		return err
 	}
 	return gob.NewEncoder(w).Encode(&detectorState{
@@ -287,7 +277,11 @@ func (d *Detector) Save(w io.Writer) error {
 	})
 }
 
-// LoadDetector reads a detector written by Detector.Save.
+// LoadDetector reads a detector written by Detector.Save. The model
+// inside clears the control plane's admission gate against the envelope
+// around it — as many classes as there are names, as many encoder inputs
+// as the normalizer has statistics — so a file that decodes is a detector
+// whose Classify cannot index past either.
 func LoadDetector(r io.Reader) (*Detector, error) {
 	var state detectorState
 	if err := gob.NewDecoder(r).Decode(&state); err != nil {
@@ -296,9 +290,15 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	if state.Version != 1 {
 		return nil, fmt.Errorf("cyberhd: unsupported detector version %d", state.Version)
 	}
-	m, err := core.Load(bytes.NewReader(state.Model))
+	if len(state.Mean) != len(state.InvStd) {
+		return nil, fmt.Errorf("cyberhd: detector normalizer has %d means, %d deviations",
+			len(state.Mean), len(state.InvStd))
+	}
+	m, _, err := control.Admit(bytes.NewReader(state.Model), control.Geometry{
+		Classes: len(state.ClassNames), Inputs: len(state.Mean),
+	}, control.SanityBatch{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cyberhd: detector model: %w", err)
 	}
 	return &Detector{
 		Model:        m,

@@ -3,8 +3,12 @@ package cyberhd
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"os"
 	"strings"
 	"testing"
+
+	"cyberhd/internal/pipeline"
 )
 
 func TestTrainDetectorQuickstart(t *testing.T) {
@@ -72,7 +76,7 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := 0
-	eng, err := det.NewEngine(0, func(Alert) { alerts++ })
+	eng, err := pipeline.New(det.EngineConfig(WithOnAlert(func(Alert) { alerts++ })))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestShardedEngineFacade(t *testing.T) {
 	}
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	single, err := det.NewEngine(0, nil)
+	single, err := pipeline.New(det.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +177,7 @@ func TestDetectorSaveLoad(t *testing.T) {
 	if err := det.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := append([]byte(nil), buf.Bytes()...)
 	back, err := LoadDetector(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -185,10 +190,69 @@ func TestDetectorSaveLoad(t *testing.T) {
 			t.Fatalf("prediction diverged at row %d", i)
 		}
 	}
+
+	// An envelope that disagrees with the model inside it is refused at
+	// load: each of these used to come back as a detector whose Classify
+	// panicked (ClassNames[pred], Normalizer.ApplyVec).
+	var good detectorState
+	if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&good); err != nil {
+		t.Fatal(err)
+	}
+	for name, bend := range map[string]func(*detectorState){
+		"class names short of the model's classes": func(s *detectorState) { s.ClassNames = s.ClassNames[:2] },
+		"mean and inv-std of different lengths":    func(s *detectorState) { s.InvStd = s.InvStd[:len(s.InvStd)-1] },
+		"normalizer narrower than the encoder": func(s *detectorState) {
+			s.Mean, s.InvStd = s.Mean[:10], s.InvStd[:10]
+		},
+	} {
+		bent := good
+		bend(&bent)
+		var file bytes.Buffer
+		if err := gob.NewEncoder(&file).Encode(&bent); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := LoadDetector(&file); err == nil {
+			t.Errorf("%s: loaded", name)
+			for i := 0; i < 50; i++ {
+				d.Classify(ds.X.Row(i)) // ... and panics here
+			}
+		}
+	}
+
+	// A detector file written by the release before v2 became the only
+	// model format (a v1 body inside the envelope; NSL-KDD 600 samples
+	// seed 8, Dim 64, 3 epochs, 2 cycles) loads through the same path and
+	// classifies like the same detector trained now.
+	old, err := os.Open("testdata/detector_v1model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	oldDet, err := LoadDetector(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallCfg := DefaultConfig()
+	smallCfg.Dim, smallCfg.Epochs, smallCfg.RegenCycles = 64, 3, 2
+	small := NSLKDD(600, 8)
+	fresh, err := TrainDetector(small, smallCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldDet.TestAccuracy != fresh.TestAccuracy || oldDet.TestAccuracy != 0.7417218543046358 {
+		t.Errorf("TestAccuracy: file %v, retrained %v, recorded when written 0.7417218543046358",
+			oldDet.TestAccuracy, fresh.TestAccuracy)
+	}
+	for i := 0; i < small.Len(); i++ {
+		if got, want := oldDet.Classify(small.X.Row(i)), fresh.Classify(small.X.Row(i)); got != want {
+			t.Fatalf("row %d: parent-written detector says %q, retrained %q", i, got, want)
+		}
+	}
+
 	// Engines require flow-feature detectors: an NSL-KDD (41-feature)
 	// detector must be rejected up front, and a reloaded CIC detector must
 	// drive an engine.
-	if _, err := back.NewEngine(0, nil); err == nil {
+	if _, err := pipeline.New(back.EngineConfig()); err == nil {
 		t.Fatal("engine accepted a non-flow-feature detector")
 	}
 	cic, err := TrainDetector(CICIDS2017(800, 9), DefaultConfig())
@@ -203,7 +267,7 @@ func TestDetectorSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cicBack.NewEngine(0, nil)
+	eng, err := pipeline.New(cicBack.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

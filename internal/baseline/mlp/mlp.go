@@ -345,15 +345,6 @@ func (n *Network) Weights() [][]float32 {
 	return out
 }
 
-// NumParams returns the total trainable parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.w.Data) + len(l.b)
-	}
-	return total
-}
-
 // Clone deep-copies the network (momentum buffers excluded — clones are
 // for inference/corruption experiments, not resumed training).
 func (n *Network) Clone() *Network {

@@ -145,18 +145,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestNumParams(t *testing.T) {
-	x, y := blobs(50, 10, 2, 0.1, 61, 1)
-	n, err := Train(x, y, 2, Options{Hidden: []int{8, 4}, Epochs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (10*8 + 8) + (8*4 + 4) + (4*2 + 2)
-	if got := n.NumParams(); got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
-	}
-}
-
 func TestSoftmaxDegenerate(t *testing.T) {
 	out := make([]float32, 3)
 	softmax([]float32{float32(math.Inf(1)), float32(math.Inf(1)), 0}, out)

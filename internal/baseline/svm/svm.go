@@ -228,21 +228,6 @@ func (m *Kernel) Evaluate(x *hdc.Matrix, y []int) float64 {
 	return accuracy(m.PredictBatch(x), y)
 }
 
-// SupportVectors returns the number of training points with non-zero dual
-// coefficient for any class.
-func (m *Kernel) SupportVectors() int {
-	n := 0
-	for i := 0; i < m.X.Rows; i++ {
-		for c := 0; c < m.classes; c++ {
-			if m.Alpha[c][i] != 0 {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 func validate(x *hdc.Matrix, y []int, classes int) error {
 	if classes < 2 {
 		return fmt.Errorf("svm: need at least 2 classes, got %d", classes)

@@ -103,18 +103,6 @@ func TestKernelLearnsBlobs(t *testing.T) {
 	}
 }
 
-func TestKernelSupportVectors(t *testing.T) {
-	x, y := blobs(400, 6, 2, 0.4, 31, 1)
-	m, err := TrainKernel(x, y, 2, KernelOptions{Epochs: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := m.SupportVectors()
-	if sv == 0 || sv > x.Rows {
-		t.Fatalf("SupportVectors = %d", sv)
-	}
-}
-
 func TestLinearDeterministic(t *testing.T) {
 	x, y := blobs(300, 5, 3, 0.3, 41, 1)
 	a, err := TrainLinear(x, y, 3, LinearOptions{Epochs: 3, Seed: 7})

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -10,7 +12,10 @@ import (
 
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
+	"cyberhd/internal/encoder"
+	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/traffic"
 )
 
 // TestHelloProtoMismatchRejectedAtHello pins where a mixed-version pair
@@ -70,6 +75,86 @@ func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker session did not end after rejecting the hello")
+	}
+}
+
+// TestOpeningSnapshotClearsTheGate pins that a session's first snapshot
+// goes through the same decode → geometry → sanity gate as every later
+// one: a model the session could not serve — an encoder narrower than a
+// flow's features, more classes than the hello named, a predict that
+// panics — is refused in the snapshot ack with the reason, and the worker
+// is still there for the next session. Before the gate the first of these
+// was acked and the first completed flow took the whole worker process
+// down with "RBF.Encode length mismatch".
+func TestOpeningSnapshotClearsTheGate(t *testing.T) {
+	names := []string{"benign", "dos", "scan"}
+	norm := &datasets.Normalizer{
+		Mean:   make([]float32, netflow.NumFeatures),
+		InvStd: make([]float32, netflow.NumFeatures),
+	}
+	pkts := traffic.Generate(traffic.Config{Sessions: 60, Seed: 3}).Packets
+	addrs := startWorkers(t, 1, WorkerConfig{})
+	dial := func(m *core.Model) (*Client, error) {
+		return Dial(ClientConfig{
+			Workers: addrs, Model: core.NewCOWModel(m),
+			Normalizer: norm, ClassNames: names,
+		})
+	}
+
+	// An ID-level encoder over a NaN range turns every feature into level
+	// int(NaN): where that is the most negative int (amd64) and the
+	// dimension is odd, Encode slices its level table out of range. The
+	// case is kept only where this platform makes that predict panic.
+	nan := float32(math.NaN())
+	poisoned := &core.Model{
+		Enc:   encoder.NewIDLevel(netflow.NumFeatures, 63, 8, nan, nan, 5),
+		Class: hdc.NewMatrix(len(names), 63),
+	}
+	type refused struct {
+		name   string
+		model  *core.Model
+		reason string
+	}
+	cases := []refused{
+		{"input width", tinyModel(t, len(names), 10, 64, 5), "10 input features"},
+		{"class count", tinyModel(t, len(names)+1, netflow.NumFeatures, 64, 5), "4 classes"},
+	}
+	if func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		poisoned.Predict(make([]float32, netflow.NumFeatures))
+		return
+	}() {
+		cases = append(cases, refused{"panicking predict", poisoned, "prediction panicked"})
+	}
+	for _, tc := range cases {
+		client, err := dial(tc.model)
+		if err == nil {
+			t.Errorf("%s: worker acked the snapshot", tc.name)
+			// ... and this is what it does with its first completed flow.
+			for i := range pkts {
+				client.Feed(pkts[i])
+			}
+			client.Flush()
+			client.Close()
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+		if !strings.Contains(err.Error(), "worker rejected") || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: want the worker's rejection naming %q", tc.name, tc.reason)
+		}
+	}
+
+	// Same worker, next session, a model that fits.
+	client, err := dial(tinyModel(t, len(names), netflow.NumFeatures, 64, 5))
+	if err != nil {
+		t.Fatalf("well-formed session after the rejected ones: %v", err)
+	}
+	st, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
+	if err != nil || client.Err() != nil {
+		t.Fatalf("well-formed session: run %v, transport %v", err, client.Err())
+	}
+	if st.Packets != len(pkts) || st.Flows == 0 {
+		t.Fatalf("well-formed session served %d of %d packets, %d flows", st.Packets, len(pkts), st.Flows)
 	}
 }
 

@@ -194,7 +194,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		return err
 	}
 
-	// Then the initial model snapshot, which fixes the serving geometry.
+	// Then the initial model snapshot, which fixes the serving dimension.
 	t, payload, err = fr.next()
 	if err != nil {
 		return err
@@ -202,20 +202,19 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	if t != frameSnapshot {
 		return fmt.Errorf("cluster: second frame is type %d, want snapshot", t)
 	}
-	cow, _, err := core.LoadSnapshot(bytes.NewReader(payload))
+	// It clears the gate every later snapshot (plane.Apply) and every HTTP
+	// upload clears; with nothing serving yet, the geometry it must fit is
+	// what the session will feed it and index its verdicts into: flow
+	// features in, the hello's class names out.
+	m, info, err := control.Admit(bytes.NewReader(payload), control.Geometry{
+		Classes: len(h.ClassNames), Inputs: netflow.NumFeatures, Width: bitpack.Width(h.Width),
+	}, w.cfg.Sanity)
 	if err != nil {
 		err = fmt.Errorf("cluster: initial snapshot: %w", err)
 		_ = s.sendAck(ackState{Msg: err.Error()})
 		return err
 	}
-	if cow.NumClasses() != len(h.ClassNames) {
-		err = fmt.Errorf("cluster: snapshot has %d classes, hello declared %d", cow.NumClasses(), len(h.ClassNames))
-		_ = s.sendAck(ackState{Msg: err.Error()})
-		return err
-	}
-
-	// The control plane guards every later snapshot swap with the same
-	// gates an HTTP upload would clear.
+	cow := core.RestoreSnapshot(m, info)
 	plane, err := control.New(control.Config{
 		Model: cow, Width: bitpack.Width(h.Width), Sanity: w.cfg.Sanity,
 	})

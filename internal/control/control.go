@@ -10,21 +10,26 @@
 //	POST   /model/demote       — detach the shadow
 //	GET    /model              — serving status (version, geometry, shadow)
 //
-// Uploads are model snapshots in either persistence format (core.Save v1
-// or core.SaveSnapshot v2). Every upload is decoded, validated against
-// the serving geometry (hyperspace dimensionality, class count, input
-// feature count, recorded quantization width) and scored on a sanity
-// batch BEFORE the serving model is touched; publication is one atomic
-// COW swap (core.COWModel.ReplaceModel), under which a live
+// Uploads are model snapshots: core.SaveSnapshot's v2, or the v1 body
+// earlier releases wrote. Every upload clears Admit — decoded, validated
+// against the serving geometry (hyperspace dimensionality, class count,
+// input feature count, recorded quantization width) and scored on a
+// sanity batch — BEFORE the serving model is touched; publication is one
+// atomic COW swap (core.COWModel.ReplaceModel), under which a live
 // quantize.AttachLive derive hook re-packs the class memory
 // automatically. A rejected upload therefore leaves the serving version
 // and the verdict stream bit-identically untouched — pinned by the
 // control-plane tests and the differential-replay suite.
+//
+// Admit is also the gate in front of every other path that turns outside
+// bytes into a serving model: a cluster worker's session-opening snapshot
+// and the model inside a detector file.
 package control
 
 import (
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -265,17 +270,16 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	m, info, err := core.DecodeSnapshot(model)
+	m, info, err := Admit(model, p.serving(), sanity)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding model: "+err.Error())
-		return
-	}
-	if err := p.validate(m, info); err != nil {
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	}
-	if err := p.runSanity(m, sanity); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		// Which gate refused picks the status: 400 undecodable, 409 wrong
+		// geometry, 422 failed sanity.
+		status := http.StatusBadRequest
+		var rej *rejection
+		if errors.As(err, &rej) {
+			status = rej.status
+		}
+		httpError(w, status, err.Error())
 		return
 	}
 
@@ -293,7 +297,7 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, "no shadow tap attached to the serving engine")
 			return
 		}
-		cand, err := p.servingClassifier(m)
+		cand, err := servingClassifier(m, p.width)
 		if err != nil {
 			httpError(w, http.StatusConflict, err.Error())
 			return
@@ -308,30 +312,19 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Apply runs one model snapshot stream through the full upload gates —
-// decode, geometry validation against the serving model, sanity scoring
-// at the serving width — and publishes it as the primary with one atomic
-// COW swap. It is the transport-free form of POST /model (mode=reload):
-// the cluster worker applies replicated snapshots through it, so a
-// snapshot pushed over the wire clears exactly the gates an HTTP upload
-// would. The returned version is the serving version after the call; on
-// error the serving model, its version, and the verdict stream are
-// bit-identically untouched.
+// Apply admits one model snapshot stream against the serving model and
+// publishes it as the primary with one atomic COW swap. It is the
+// transport-free form of POST /model (mode=reload): the cluster worker
+// applies replicated snapshots through it, so a snapshot pushed over the
+// wire clears exactly the gate an HTTP upload would. The returned version
+// is the serving version after the call; on error the serving model, its
+// version, and the verdict stream are bit-identically untouched.
 func (p *Plane) Apply(r io.Reader) (uint64, error) {
-	m, info, err := core.DecodeSnapshot(io.LimitReader(r, p.maxUp))
-	if err != nil {
-		return p.cow.Version(), fmt.Errorf("decoding model: %w", err)
+	m, _, err := Admit(io.LimitReader(r, p.maxUp), p.serving(), p.sanity)
+	if err == nil {
+		err = p.cow.ReplaceModel(m)
 	}
-	if err := p.validate(m, info); err != nil {
-		return p.cow.Version(), err
-	}
-	if err := p.runSanity(m, p.sanity); err != nil {
-		return p.cow.Version(), err
-	}
-	if err := p.cow.ReplaceModel(m); err != nil {
-		return p.cow.Version(), err
-	}
-	return p.cow.Version(), nil
+	return p.cow.Version(), err
 }
 
 // handlePromote publishes the current shadow candidate as the primary —
@@ -372,43 +365,100 @@ func (p *Plane) handleDemote(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, map[string]any{"demoted": had})
 }
 
-// validate checks an uploaded model against the serving geometry. The
-// serving engine featurizes flows into a fixed input space and scores in
-// a fixed hyperspace, so every mismatch here would be a panic or a
-// silently wrong verdict stream if it reached publication.
-func (p *Plane) validate(m *core.Model, info core.SnapshotInfo) error {
-	if got, want := m.Dim(), p.cow.Dim(); got != want {
-		return fmt.Errorf("model dim %d, serving %d", got, want)
+// Geometry is what a model must fit before it may serve: the serving
+// engine featurizes flows into a fixed input space, scores in a fixed
+// hyperspace and indexes a fixed class-name list, so every mismatch
+// would be a panic or a silently wrong verdict stream if it got through.
+type Geometry struct {
+	// Dim is the hyperspace dimensionality; 0 accepts the model's own
+	// (nothing is serving yet, so there is nothing to contradict).
+	Dim int
+	// Classes and Inputs are the class count and the encoder's input
+	// feature count.
+	Classes, Inputs int
+	// Width is the serving quantization width (0 = float32): the sanity
+	// batch is scored at it, and a snapshot recording a different nonzero
+	// width is refused.
+	Width bitpack.Width
+}
+
+// serving is the geometry of the model the plane publishes into.
+func (p *Plane) serving() Geometry {
+	snap := p.cow.Snapshot()
+	return Geometry{
+		Dim: snap.Class.Cols, Classes: snap.Class.Rows,
+		Inputs: snap.Enc.InDim(), Width: p.width,
 	}
-	if got, want := m.NumClasses(), p.cow.NumClasses(); got != want {
-		return fmt.Errorf("model has %d classes, serving %d", got, want)
+}
+
+// rejection is an Admit error tagged with the HTTP status of the gate
+// that refused, for the one caller that answers over HTTP.
+type rejection struct {
+	status int
+	err    error
+}
+
+func (r *rejection) Error() string { return r.err.Error() }
+func (r *rejection) Unwrap() error { return r.err }
+
+// Admit is the one gate between outside bytes and a serving model:
+// decode (core.DecodeSnapshot, either format), geometry against want,
+// then a panic-guarded sanity batch scored at want.Width — sb when it has
+// rows, otherwise 64 built-in in-domain vectors that are range-checked
+// only. POST /model, Plane.Apply, a cluster worker's session-opening
+// snapshot and cyberhd.LoadDetector all admit through it and keep only
+// their transport; they differ in where want comes from (the model
+// already serving, the session hello, the detector envelope). Nothing is
+// published here: on success the caller owns a model that has already
+// predicted at the width it will serve at.
+func Admit(r io.Reader, want Geometry, sb SanityBatch) (*core.Model, core.SnapshotInfo, error) {
+	m, info, err := core.DecodeSnapshot(r)
+	if err != nil {
+		return nil, core.SnapshotInfo{}, &rejection{http.StatusBadRequest, fmt.Errorf("decoding model: %w", err)}
 	}
-	if got, want := m.Enc.InDim(), p.cow.Snapshot().Enc.InDim(); got != want {
-		return fmt.Errorf("model encodes %d input features, serving %d", got, want)
+	if err := want.check(m, info); err != nil {
+		return nil, core.SnapshotInfo{}, &rejection{http.StatusConflict, err}
 	}
-	if info.DerivedWidth != 0 && p.width != 0 && info.DerivedWidth != int(p.width) {
+	if err := runSanity(m, want.Width, sb); err != nil {
+		return nil, core.SnapshotInfo{}, &rejection{http.StatusUnprocessableEntity, err}
+	}
+	return m, info, nil
+}
+
+// check compares a decoded model with the geometry it must fit.
+func (g Geometry) check(m *core.Model, info core.SnapshotInfo) error {
+	if g.Dim != 0 && m.Dim() != g.Dim {
+		return fmt.Errorf("model dim %d, serving %d", m.Dim(), g.Dim)
+	}
+	if m.NumClasses() != g.Classes {
+		return fmt.Errorf("model has %d classes, serving %d", m.NumClasses(), g.Classes)
+	}
+	if m.Enc.InDim() != g.Inputs {
+		return fmt.Errorf("model encodes %d input features, serving %d", m.Enc.InDim(), g.Inputs)
+	}
+	if info.DerivedWidth != 0 && g.Width != 0 && info.DerivedWidth != int(g.Width) {
 		// The float class matrix is saved either way, so re-packing would
 		// be exact — but a snapshot validated at one deployment width and
 		// uploaded to another is an operator mistake worth refusing.
-		return fmt.Errorf("snapshot recorded %d-bit serving, this plane serves %d-bit",
-			info.DerivedWidth, int(p.width))
+		return fmt.Errorf("snapshot recorded %d-bit serving, this deployment serves %d-bit",
+			info.DerivedWidth, int(g.Width))
 	}
 	return nil
 }
 
-// servingClassifier lowers m to the plane's serving width — exactly what
-// the engine computes — for sanity scoring and shadow attachment.
-func (p *Plane) servingClassifier(m *core.Model) (pipeline.Classifier, error) {
-	if p.width == 0 {
+// servingClassifier lowers m to the serving width — exactly what the
+// engine computes — for sanity scoring and shadow attachment.
+func servingClassifier(m *core.Model, width bitpack.Width) (pipeline.Classifier, error) {
+	if width == 0 {
 		return m, nil
 	}
-	return quantize.FromCore(m, p.width)
+	return quantize.FromCore(m, width)
 }
 
 // runSanity scores the candidate on the effective sanity batch at the
 // serving width. A panic during prediction is converted to a rejection —
-// an upload must never be able to crash the serving process.
-func (p *Plane) runSanity(m *core.Model, sb SanityBatch) (err error) {
+// outside bytes must never be able to crash the serving process.
+func runSanity(m *core.Model, width bitpack.Width, sb SanityBatch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sanity batch: prediction panicked: %v", r)
@@ -420,7 +470,7 @@ func (p *Plane) runSanity(m *core.Model, sb SanityBatch) (err error) {
 	if sb.X.Cols != m.Enc.InDim() {
 		return fmt.Errorf("sanity batch has %d features, model encodes %d", sb.X.Cols, m.Enc.InDim())
 	}
-	c, err := p.servingClassifier(m)
+	c, err := servingClassifier(m, width)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -384,22 +385,31 @@ func TestMethodAndModeErrors(t *testing.T) {
 
 func TestV1UploadAccepted(t *testing.T) {
 	// Operators hold v1 files from before the snapshot format existed;
-	// the upload path must accept them (LoadSnapshot's fallback).
+	// the upload path must accept them (DecodeSnapshot's fallback). core's
+	// frozen v1 fixture has the serving geometry here: 3 classes, 8
+	// inputs, 64 dimensions.
+	const fixture = "../core/testdata/model_v1.snapshot"
 	cow, _, srv := planeServer(t, Config{})
-	cand, x, _ := trainModel(t, 3, 8, 64, 77)
-	var buf bytes.Buffer
-	if err := cand.Save(&buf); err != nil {
+	body, err := os.ReadFile(fixture)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, out := postModel(t, srv.URL+"/model", buf.Bytes())
+	cand, _, err := core.LoadSnapshotFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postModel(t, srv.URL+"/model", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v1 upload rejected: %d %v", resp.StatusCode, out)
 	}
 	if f, _ := out["source_format"].(float64); int(f) != core.SnapshotFormatV1 {
 		t.Fatalf("source_format %v, want v1", out["source_format"])
 	}
-	if got, want := cow.Predict(x.Row(0)), cand.Predict(x.Row(0)); got != want {
-		t.Fatalf("v1 reload serving predicts %d, uploaded model %d", got, want)
+	_, x, _ := trainModel(t, 3, 8, 64, 77)
+	for i := 0; i < x.Rows; i += 7 {
+		if got, want := cow.Predict(x.Row(i)), cand.Predict(x.Row(i)); got != want {
+			t.Fatalf("row %d: v1 reload serving predicts %d, uploaded model %d", i, got, want)
+		}
 	}
 }
 

@@ -9,19 +9,13 @@ import (
 	"cyberhd/internal/hdc"
 )
 
-// modelState is the gob wire format of a Model. The encoder is captured
-// through encoder.State, including its RNG continuation, so a reloaded
-// model classifies identically and future regeneration draws continue the
-// saved stream.
-//
-// Format note (v1 limitation): this format predates the COW/quantize
-// serving stack. Save serializes a bare Model — it silently drops the
-// COW publication version, the Scorer's cached row norms and the
-// quantized derived artifact attached by quantize.AttachLive, and Load
-// rebuilds the norm cache from the class data (refreshNorms) while
-// leaving quantized state to be re-derived by the serving config. Use
-// SaveSnapshot/LoadSnapshot (snapshot.go) for serving-ready persistence;
-// v1 files keep loading through both Load and LoadSnapshot.
+// modelState is the gob body of a v1 model file: a bare Model, with the
+// encoder captured through encoder.State (including its RNG
+// continuation). Nothing writes v1 any more — SaveSnapshot's v2 is the
+// only model format written — but files and detector envelopes from
+// earlier releases carry it, so DecodeSnapshot keeps reading it
+// (testdata/model_v1.snapshot is the frozen pin). It also names the
+// fields the v2 body shares, which is why both rebuild through model().
 type modelState struct {
 	Version              int
 	ClassRows, ClassCols int
@@ -64,26 +58,9 @@ func (p persistedOptions) options() Options {
 	}
 }
 
-// Save serializes the model with encoding/gob.
-func (m *Model) Save(w io.Writer) error {
-	encState, err := encoder.CaptureState(m.Enc)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	state := modelState{
-		Version:   modelStateVersion,
-		ClassRows: m.Class.Rows, ClassCols: m.Class.Cols,
-		ClassData:    m.Class.Data,
-		EffectiveDim: m.EffectiveDim,
-		History:      m.History,
-		Opts:         persistOptions(m.opts),
-		Encoder:      encState,
-	}
-	return gob.NewEncoder(w).Encode(&state)
-}
-
-// Load deserializes a model written by Save.
-func Load(r io.Reader) (*Model, error) {
+// loadV1 decodes a v1 body: the stream DecodeSnapshot is left with when
+// the v2 magic is absent.
+func loadV1(r io.Reader) (*Model, error) {
 	var state modelState
 	if err := gob.NewDecoder(r).Decode(&state); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
@@ -95,9 +72,9 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // model rebuilds the Model a decoded state describes — the one state →
-// *Model path, shared by Load and the v2 snapshot decoder (whose state
-// carries the same fields under the same names): class-matrix size check,
-// encoder restore, dimension cross-check, options, norm cache.
+// *Model path, shared by the v1 and v2 decoders (the v2 body carries the
+// same fields under the same names): class-matrix size check, encoder
+// restore, dimension cross-check, options, norm cache.
 func (state *modelState) model() (*Model, error) {
 	if len(state.ClassData) != state.ClassRows*state.ClassCols {
 		return nil, fmt.Errorf("core: corrupt class matrix (%d values for %d×%d)",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"cyberhd/internal/encoder"
@@ -17,6 +18,21 @@ func trainSmall(t *testing.T, enc encoder.Encoder) (*Model, interface{}) {
 	return m, nil
 }
 
+// roundTrip writes m the one way models are written and reads it back the
+// one way they are read.
+func roundTrip(t *testing.T, m *Model) *Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveSnapshot(&buf, NewCOWModel(m)); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
 func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
 	encs := map[string]encoder.Encoder{
 		"rbf":     encoder.NewRBF(8, 64, 0, 9),
@@ -26,14 +42,7 @@ func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
 	x, _ := blobs(200, 8, 3, 0.3, 300, 2)
 	for name, enc := range encs {
 		m, _ := trainSmall(t, enc)
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
+		back := roundTrip(t, m)
 		if !back.Class.Equal(m.Class) {
 			t.Fatalf("%s: class matrix changed", name)
 		}
@@ -53,47 +62,44 @@ func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
 
 func TestLoadedModelContinuesTraining(t *testing.T) {
 	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, m)
 	// Online updates must work on a loaded model (norm cache rebuilt).
 	x, y := blobs(50, 8, 3, 0.3, 300, 3)
 	for i := 0; i < x.Rows; i++ {
 		back.Update(x.Row(i), y[i])
 	}
 	// Regeneration draws must continue the saved stream: regenerating the
-	// same dims on original and loaded encoders yields identical bases.
+	// same dims on original and loaded encoders yields identical bases —
+	// from a v2 round trip and from the frozen v1 file of the same model.
 	dims := []int{1, 5, 9}
 	m.Enc.Regenerate(dims)
-	loaded2, err := Load(func() *bytes.Buffer {
-		var b bytes.Buffer
-		m2, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
-		m2.Save(&b)
-		return &b
-	}())
+	m2, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	fixture, err := os.Open("testdata/model_v1.snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded2.Enc.Regenerate(dims)
+	defer fixture.Close()
+	v1, err := loadV1(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probe := make([]float32, 8)
 	a := make([]float32, 64)
 	b := make([]float32, 64)
 	m.Enc.Encode(probe, a)
-	loaded2.Enc.Encode(probe, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("regeneration stream diverged after reload at dim %d", i)
+	for name, loaded := range map[string]*Model{"v2": roundTrip(t, m2), "v1 fixture": v1} {
+		loaded.Enc.Regenerate(dims)
+		loaded.Enc.Encode(probe, b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: regeneration stream diverged after reload at dim %d", name, i)
+			}
 		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
+	if _, err := loadV1(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -19,10 +19,10 @@ import (
 // the quantized derived artifact — restorable into a serving-ready
 // COWModel whose verdicts are bit-identical to the original
 // (TestSaveLoadSnapshotBitIdentical and the differential-replay suite in
-// internal/pipeline pin this). v1 files written by Model.Save load
-// through the same entry points: LoadSnapshot sniffs the stream and
-// falls back to the v1 decoder, rebuilding the norm cache explicitly
-// (see the format note on persist.go).
+// internal/pipeline pin this). It is the only model format written. v1
+// files from earlier releases load through the same entry points:
+// DecodeSnapshot sniffs the stream and falls back to the v1 body decoder
+// (persist.go), which rebuilds the norm cache from the class data.
 
 // snapshotMagic opens every v2 snapshot stream. gob matches structs by
 // field name, not by declared version, so a v1 modelState and a v2
@@ -33,8 +33,8 @@ var snapshotMagic = [8]byte{'C', 'Y', 'H', 'D', 'S', 'N', 'P', '2'}
 
 // Snapshot format identifiers reported in SnapshotInfo.Format.
 const (
-	// SnapshotFormatV1 is the original Model.Save format: bare model, no
-	// version counter, no norms, no derived-artifact record.
+	// SnapshotFormatV1 is the original bare-model format (read, never
+	// written): no version counter, no norms, no derived-artifact record.
 	SnapshotFormatV1 = 1
 	// SnapshotFormatV2 is the COW-aware format written by SaveSnapshot.
 	SnapshotFormatV2 = 2
@@ -163,54 +163,45 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 }
 
 // DecodeSnapshot reads a model snapshot in either format — v2
-// (SaveSnapshot) or v1 (Model.Save) — returning the restored bare model
-// and what the stream declared. Most callers want LoadSnapshot, which
-// wraps the result in a serving-ready COWModel; DecodeSnapshot is the
-// validation-side entry point (the control plane decodes and validates
-// an upload fully before touching the serving model).
+// (SaveSnapshot) or the v1 body earlier releases wrote — returning the
+// restored bare model, its Scorer carrying the saved norm cache, and what
+// the stream declared. It is the one decoder: everything that admits
+// model bytes (control.Admit) decodes here and validates the result
+// before anything serves it; RestoreSnapshot or LoadSnapshot make the
+// result serving-ready.
 func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
-	m, info, _, err := decodeSnapshot(r)
-	return m, info, err
-}
-
-// decodeSnapshot is DecodeSnapshot plus the raw v2 state (nil for v1
-// streams), so LoadSnapshot can transplant the saved norms and version
-// counter into the COWModel it builds.
-func decodeSnapshot(r io.Reader) (*Model, SnapshotInfo, *snapshotState, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(snapshotMagic))
 	if err != nil || !bytes.Equal(head, snapshotMagic[:]) {
 		// Not a v2 stream (or shorter than one magic header): hand the
 		// whole stream to the v1 decoder, whose gob layer reports the
-		// error for genuinely corrupt input. A v1 restore rebuilds its
-		// derived state — the norm cache — explicitly via refreshNorms
-		// inside Load; the quantized artifact has no recorded width in v1,
-		// so re-attachment is the serving config's job (pipeline engines
-		// run quantize.AttachLive when Config.Quantize is set).
-		m, err := Load(br)
+		// error for genuinely corrupt input. v1 recorded no width for a
+		// quantized artifact, so re-attachment is the serving config's job
+		// (pipeline engines run quantize.AttachLive when Config.Quantize
+		// is set).
+		m, err := loadV1(br)
 		if err != nil {
-			return nil, SnapshotInfo{}, nil, err
+			return nil, SnapshotInfo{}, err
 		}
-		info := SnapshotInfo{
+		return m, SnapshotInfo{
 			Format:       SnapshotFormatV1,
 			ModelVersion: 1,
 			Classes:      m.Class.Rows,
 			Dim:          m.Class.Cols,
-		}
-		return m, info, nil, nil
+		}, nil
 	}
 	if _, err := br.Discard(len(snapshotMagic)); err != nil {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: decoding snapshot: %w", err)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
 	var hdr snapshotHeader
 	if err := binary.Read(br, binary.BigEndian, &hdr); err != nil {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: decoding snapshot header: %w", err)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: decoding snapshot header: %w", err)
 	}
 	if hdr.Rows == 0 || hdr.Rows > maxSnapshotClasses || hdr.Cols == 0 || hdr.Cols > maxSnapshotDim {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: implausible snapshot shape %d×%d", hdr.Rows, hdr.Cols)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: implausible snapshot shape %d×%d", hdr.Rows, hdr.Cols)
 	}
 	if hdr.BodyLen == 0 || hdr.BodyLen > maxSnapshotBody {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: implausible snapshot body length %d", hdr.BodyLen)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: implausible snapshot body length %d", hdr.BodyLen)
 	}
 	// Read exactly the declared body and verify its checksum before gob
 	// sees a byte: corruption is rejected here instead of surfacing as a
@@ -218,21 +209,21 @@ func decodeSnapshot(r io.Reader) (*Model, SnapshotInfo, *snapshotState, error) {
 	// bounds every allocation gob can make from it.
 	bodyBytes := make([]byte, hdr.BodyLen)
 	if _, err := io.ReadFull(br, bodyBytes); err != nil {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: snapshot truncated: %w", err)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: snapshot truncated: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(bodyBytes); got != hdr.BodyCRC {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: snapshot checksum mismatch (%08x != %08x)", got, hdr.BodyCRC)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: snapshot checksum mismatch (%08x != %08x)", got, hdr.BodyCRC)
 	}
 	var state snapshotState
 	if err := gob.NewDecoder(bytes.NewReader(bodyBytes)).Decode(&state); err != nil {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: decoding snapshot: %w", err)
+		return nil, SnapshotInfo{}, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
 	if state.ClassRows != int(hdr.Rows) || state.ClassCols != int(hdr.Cols) {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: snapshot body %d×%d contradicts header %d×%d",
+		return nil, SnapshotInfo{}, fmt.Errorf("core: snapshot body %d×%d contradicts header %d×%d",
 			state.ClassRows, state.ClassCols, hdr.Rows, hdr.Cols)
 	}
 	if len(state.Norms) != 0 && len(state.Norms) != state.ClassRows {
-		return nil, SnapshotInfo{}, nil, fmt.Errorf("core: corrupt norm cache (%d norms for %d classes)",
+		return nil, SnapshotInfo{}, fmt.Errorf("core: corrupt norm cache (%d norms for %d classes)",
 			len(state.Norms), state.ClassRows)
 	}
 	m, err := (&modelState{
@@ -241,48 +232,53 @@ func decodeSnapshot(r io.Reader) (*Model, SnapshotInfo, *snapshotState, error) {
 		History: state.History, Opts: state.Opts, Encoder: state.Encoder,
 	}).model()
 	if err != nil {
-		return nil, SnapshotInfo{}, nil, err
+		return nil, SnapshotInfo{}, err
 	}
-	if len(state.Norms) == state.ClassRows {
-		copy(m.Scorer().norms, state.Norms)
-	}
+	// model() computed norms from the class data; the saved cache, when
+	// present, replaces them so scoring divides by exactly the bits the
+	// original process used.
+	copy(m.Scorer().norms, state.Norms)
 	if state.ModelVersion == 0 {
 		state.ModelVersion = 1
 	}
-	info := SnapshotInfo{
+	return m, SnapshotInfo{
 		Format:       SnapshotFormatV2,
 		ModelVersion: state.ModelVersion,
 		DerivedWidth: state.DerivedWidth,
 		Classes:      state.ClassRows,
 		Dim:          state.ClassCols,
-	}
-	return m, info, &state, nil
+	}, nil
 }
 
-// LoadSnapshot restores a serving-ready COWModel from a snapshot stream
-// in either format. The restored model's live publication carries the
-// saved Scorer norms (v2) and continues the saved version counter, so
-// verdicts are bit-identical to the process that wrote the snapshot and
-// the first post-restore reload is observably a newer version. Quantized
-// serving state is re-derived, not deserialized: hand the model to a
-// pipeline config with Quantize set (or call quantize.AttachLive) and
-// the recorded SnapshotInfo.DerivedWidth is reproduced bit for bit.
-func LoadSnapshot(r io.Reader) (*COWModel, SnapshotInfo, error) {
-	m, info, state, err := decodeSnapshot(r)
-	if err != nil {
-		return nil, SnapshotInfo{}, err
-	}
+// RestoreSnapshot wraps a model DecodeSnapshot returned in a
+// serving-ready COWModel. The live publication carries the model's norm
+// cache (the saved one, for v2) and continues the saved version counter,
+// so verdicts are bit-identical to the process that wrote the snapshot
+// and the first post-restore reload is observably a newer version. m
+// becomes the wrapper's private working copy, as with NewCOWModel.
+// Quantized serving state is re-derived, not deserialized: hand the model
+// to a pipeline config with Quantize set (or call quantize.AttachLive)
+// and the recorded SnapshotInfo.DerivedWidth is reproduced bit for bit.
+func RestoreSnapshot(m *Model, info SnapshotInfo) *COWModel {
 	c := &COWModel{writer: m, version: info.ModelVersion - 1}
 	c.mu.Lock()
 	c.publishLocked()
-	if state != nil && len(state.Norms) == m.Class.Rows {
-		// The fresh publication recomputed norms from the class data;
-		// overwrite them with the saved cache before any reader exists so
-		// scoring divides by exactly the bits the original process used.
-		copy(c.snap.Load().scorer.norms, state.Norms)
-	}
+	// The fresh publication recomputed norms from the class data;
+	// overwrite them before any reader exists.
+	copy(c.snap.Load().scorer.norms, m.Scorer().norms)
 	c.mu.Unlock()
-	return c, info, nil
+	return c
+}
+
+// LoadSnapshot is DecodeSnapshot followed by RestoreSnapshot, for callers
+// that trust the stream (their own file); bytes from outside go through
+// control.Admit in between.
+func LoadSnapshot(r io.Reader) (*COWModel, SnapshotInfo, error) {
+	m, info, err := DecodeSnapshot(r)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	return RestoreSnapshot(m, info), info, nil
 }
 
 // SaveSnapshotFile writes the live publication of c to path in the v2

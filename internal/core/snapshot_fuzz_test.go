@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
 
 	"cyberhd/internal/encoder"
@@ -27,16 +28,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 	if err := SaveSnapshot(&v2, NewCOWModel(m)); err != nil {
 		f.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := m.Save(&v1); err != nil {
+	v1, err := os.ReadFile("testdata/model_v1.snapshot")
+	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
+	f.Add(v1)
 	f.Add(v2.Bytes()[:8])
 	f.Add(v2.Bytes()[:12])
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
-	f.Add(v1.Bytes()[:len(v1.Bytes())/3])
+	f.Add(v1[:len(v1)/3])
 	flip := append([]byte(nil), v2.Bytes()...)
 	flip[len(flip)/2] ^= 0x40
 	f.Add(flip)

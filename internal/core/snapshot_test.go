@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"cyberhd/internal/encoder"
@@ -73,15 +78,12 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 }
 
 func TestSnapshotV1Fallback(t *testing.T) {
-	// A pre-control-plane core.Save file must keep loading: LoadSnapshot
-	// sniffs the missing magic and rebuilds the derived state (norms via
-	// refreshNorms, version restarted at 1).
+	// A v1 file from before the snapshot format must keep loading:
+	// LoadSnapshot sniffs the missing magic and rebuilds the derived state
+	// (norms via refreshNorms, version restarted at 1). The frozen fixture
+	// is the v1 form of exactly the model trainSmall trains.
 	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, info, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	back, info, err := LoadSnapshotFile("testdata/model_v1.snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +93,42 @@ func TestSnapshotV1Fallback(t *testing.T) {
 	if back.Version() != 1 {
 		t.Fatalf("v1 load version %d, want 1", back.Version())
 	}
+	if !back.Snapshot().Class.Equal(m.Class) {
+		t.Fatal("v1-loaded class matrix differs from the model the fixture was written from")
+	}
 	x, _ := blobs(200, 8, 3, 0.3, 300, 12)
 	for i := 0; i < x.Rows; i++ {
 		if got, want := back.Predict(x.Row(i)), m.Predict(x.Row(i)); got != want {
 			t.Fatalf("row %d: v1-loaded model predicts %d, original %d", i, got, want)
 		}
+	}
+}
+
+// TestSaveSnapshotBytesPinned pins the v2 writer's output for the fixture
+// model: a change to SaveSnapshot, snapshotState or any type it reaches
+// that moves a byte of the one model format written shows up here, not in
+// a deployment that can no longer read its files. gob numbers the types
+// it describes in the order a process first uses them, so the bytes are
+// taken in a child process that has touched nothing else.
+func TestSaveSnapshotBytesPinned(t *testing.T) {
+	const want = "79c7e256becba1f1fe0b75ccc015ec0e481210335320a4f4067b254cf0f4468a"
+	if os.Getenv("CYBERHD_SNAPSHOT_PIN_CHILD") == "1" {
+		m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+		h := sha256.New()
+		if err := SaveSnapshot(h, NewCOWModel(m)); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("snapshot-sha256 %x\n", h.Sum(nil))
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSaveSnapshotBytesPinned$")
+	cmd.Env = append(os.Environ(), "CYBERHD_SNAPSHOT_PIN_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "snapshot-sha256 "+want+"\n") {
+		t.Fatalf("SaveSnapshot bytes moved; want sha256 %s, child printed:\n%s", want, out)
 	}
 }
 
@@ -168,14 +201,13 @@ func TestSaveSnapshotNilAndShortReaders(t *testing.T) {
 }
 
 // goldenV1Predictions are the fixture model's verdicts on the golden
-// probe set, printed by testdata/genfixture when the fixture was
-// written.
+// probe set, recorded when the fixture was written.
 var goldenV1Predictions = []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0}
 
 // TestLoadSnapshotV1Golden pins backward compatibility to a checked-in
-// fixture: a v1 core.Save file written by the pre-snapshot persistence
-// code (testdata/genfixture regenerates it). If this test breaks, a
-// persistence change has orphaned every deployed v1 model file.
+// fixture: a v1 file written by the pre-snapshot persistence code, frozen
+// now that nothing writes v1. If this test breaks, a persistence change
+// has orphaned every deployed v1 model file.
 func TestLoadSnapshotV1Golden(t *testing.T) {
 	back, info, err := LoadSnapshotFile("testdata/model_v1.snapshot")
 	if err != nil {
@@ -187,9 +219,8 @@ func TestLoadSnapshotV1Golden(t *testing.T) {
 	if back.NumClasses() != 3 || back.Dim() != 64 {
 		t.Fatalf("fixture geometry %dx%d, want 3x64", back.NumClasses(), back.Dim())
 	}
-	// The fixture generator prints these verdicts for the deterministic
-	// probe set; they are hardcoded so decode changes can't hide behind a
-	// conveniently regenerated expectation.
+	// The verdicts for the deterministic probe set are hardcoded so decode
+	// changes can't hide behind a conveniently regenerated expectation.
 	x, _ := blobs(16, 8, 3, 0.3, 300, 21)
 	want := goldenV1Predictions
 	for i := 0; i < x.Rows; i++ {

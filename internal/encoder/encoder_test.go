@@ -361,49 +361,3 @@ func TestEncodeBatchIntoValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestCloneEncoderIndependent: a clone must encode bit-identically, and
-// regenerating either copy must not affect the other — the invariant
-// core.COWModel's snapshot publication relies on.
-func TestCloneEncoderIndependent(t *testing.T) {
-	x := make([]float32, 7)
-	for i := range x {
-		x[i] = float32(i) * 0.3
-	}
-	for name, e := range map[string]Encoder{
-		"rbf":     NewRBF(7, 64, 0, 3),
-		"linear":  NewLinear(7, 64, 3),
-		"idlevel": NewIDLevel(7, 64, 8, -2, 2, 3),
-	} {
-		c, ok := Clone(e)
-		if !ok {
-			t.Fatalf("%s: not cloneable", name)
-		}
-		orig := make([]float32, e.Dim())
-		dup := make([]float32, e.Dim())
-		e.Encode(x, orig)
-		c.Encode(x, dup)
-		for d := range orig {
-			if orig[d] != dup[d] {
-				t.Fatalf("%s: clone differs at dim %d: %v != %v", name, d, orig[d], dup[d])
-			}
-		}
-		c.Regenerate([]int{0, 1, 2, 3, 4, 5, 6, 7})
-		after := make([]float32, e.Dim())
-		e.Encode(x, after)
-		for d := range orig {
-			if orig[d] != after[d] {
-				t.Fatalf("%s: regenerating the clone mutated the original at dim %d", name, d)
-			}
-		}
-		// Both copies continue the same random stream from the clone point.
-		e.Regenerate([]int{0, 1, 2, 3, 4, 5, 6, 7})
-		e.Encode(x, orig)
-		c.Encode(x, dup)
-		for d := range orig {
-			if orig[d] != dup[d] {
-				t.Fatalf("%s: random streams diverged after clone at dim %d", name, d)
-			}
-		}
-	}
-}

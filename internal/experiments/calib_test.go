@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"testing"
 
 	"cyberhd/internal/baseline/mlp"
@@ -37,31 +36,13 @@ func TestCalibDNNClamp(t *testing.T) {
 				for i := 0; i < trials; i++ {
 					hurt := dnn.Clone()
 					for _, ws := range hurt.Weights() {
-						injectClampMul(ws, rate, clampMul, r)
+						faults.InjectFloat32Bits(ws, rate, clampMul, r)
 					}
 					loss += (clean - hurt.Evaluate(test.X, test.Y)) / trials
 				}
 				t.Logf("hidden=%v clamp=%.0fx rate=%4.0f%% loss=%6.2fpp (clean %.3f)",
 					hidden, clampMul, 100*rate, 100*loss, clean)
 			}
-		}
-	}
-}
-
-func injectClampMul(w []float32, rate, mul float64, r *rng.Rand) {
-	var maxAbs float32
-	for _, v := range w {
-		if a := float32(math.Abs(float64(v))); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	faults.InjectFloat32(w, rate, r)
-	lim := maxAbs * float32(mul)
-	for i, v := range w {
-		if v > lim {
-			w[i] = lim
-		} else if v < -lim {
-			w[i] = -lim
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -48,7 +47,9 @@ func TestFig3Rendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Sprint(func(w io.Writer) { WriteFig3(w, results) })
+	var b strings.Builder
+	WriteFig3(&b, results)
+	out := b.String()
 	for _, want := range append([]string{"Fig 3", "nsl-kdd"}, ModelNames...) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig3 output missing %q:\n%s", want, out)
@@ -57,11 +58,13 @@ func TestFig3Rendering(t *testing.T) {
 }
 
 func TestFig4Rendering(t *testing.T) {
-	results, err := Fig4([]string{"nsl-kdd"}, smallCfg)
+	results, err := Fig3([]string{"nsl-kdd"}, smallCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Sprint(func(w io.Writer) { WriteFig4(w, results) })
+	var b strings.Builder
+	WriteFig4(&b, results)
+	out := b.String()
 	for _, want := range []string{"Training time", "Inference latency", "speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig4 output missing %q", want)
@@ -77,7 +80,9 @@ func TestTable1PaperDims(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	out := Sprint(func(w io.Writer) { WriteTable1(w, rows) })
+	var b strings.Builder
+	WriteTable1(&b, rows)
+	out := b.String()
 	for _, want := range []string{"Table I", "Effective D", "CPU", "FPGA"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 output missing %q", want)
@@ -103,7 +108,9 @@ func TestFig5ShapeAndMonotonicity(t *testing.T) {
 	if last.HDLoss[bitpack.W1] > last.HDLoss[bitpack.W8]+0.02 {
 		t.Errorf("1-bit loss %.3f above 8-bit loss %.3f", last.HDLoss[bitpack.W1], last.HDLoss[bitpack.W8])
 	}
-	out := Sprint(func(w io.Writer) { WriteFig5(w, rows) })
+	var b strings.Builder
+	WriteFig5(&b, rows)
+	out := b.String()
 	if !strings.Contains(out, "CyberHD 1bit") || !strings.Contains(out, "DNN") {
 		t.Errorf("Fig5 output malformed:\n%s", out)
 	}
@@ -145,7 +152,9 @@ func TestAblations(t *testing.T) {
 	if len(encs) != 3 {
 		t.Fatalf("encoder ablation rows = %d", len(encs))
 	}
-	out := Sprint(func(w io.Writer) { WriteAblation(w, "encoders", encs) })
+	var b strings.Builder
+	WriteAblation(&b, "encoders", encs)
+	out := b.String()
 	if !strings.Contains(out, "rbf (CyberHD)") {
 		t.Errorf("ablation output malformed:\n%s", out)
 	}
@@ -209,7 +218,9 @@ func TestScaleSweepSmall(t *testing.T) {
 	if svmGrowth < hdGrowth {
 		t.Logf("warning: svm growth %.2f not above hd growth %.2f at tiny scale", svmGrowth, hdGrowth)
 	}
-	out := Sprint(func(w io.Writer) { WriteScaleSweep(w, points) })
+	var b strings.Builder
+	WriteScaleSweep(&b, points)
+	out := b.String()
 	if !strings.Contains(out, "Scalability") {
 		t.Errorf("scale output malformed:\n%s", out)
 	}

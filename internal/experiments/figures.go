@@ -3,23 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
-// Fig3 runs the accuracy comparison (paper Fig. 3) over the given datasets
-// (nil = all four paper datasets) and returns results grouped per dataset.
+// Fig3 runs the model comparison over the given datasets (nil = all four
+// paper datasets) and returns results grouped per dataset. The same
+// results render as the accuracy comparison (WriteFig3, paper Fig. 3) and
+// the efficiency comparison (WriteFig4, paper Fig. 4).
 func Fig3(names []string, cfg Config) (map[string][]Result, error) {
-	return runAll(names, cfg)
-}
-
-// Fig4 runs the efficiency comparison (paper Fig. 4). It reuses the same
-// trained models as Fig 3 — call runAll once and render both views when
-// you need both figures.
-func Fig4(names []string, cfg Config) (map[string][]Result, error) {
-	return runAll(names, cfg)
-}
-
-func runAll(names []string, cfg Config) (map[string][]Result, error) {
 	if names == nil {
 		names = paperDatasetNames()
 	}
@@ -164,11 +154,4 @@ func meanRatio(results map[string][]Result, num, den string, f func(Result) floa
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// Sprint renders any table writer into a string (test helper and CLI glue).
-func Sprint(render func(io.Writer)) string {
-	var b strings.Builder
-	render(&b)
-	return b.String()
 }

@@ -47,35 +47,6 @@ func InjectQuantized(m *bitpack.Matrix, rate float64, r *rng.Rand) int {
 	return n
 }
 
-// InjectFloat32 flips one random bit in a fraction rate of the float32
-// words, choosing words without replacement. Flips that produce NaN are
-// re-rolled onto a different bit of the same word (a NaN weight would make
-// the comparison about NaN propagation rather than robustness; the paper's
-// accuracy-loss numbers imply finite corrupted weights). Returns the number
-// of words corrupted.
-func InjectFloat32(w []float32, rate float64, r *rng.Rand) int {
-	if rate < 0 || rate > 1 {
-		panic("faults: rate outside [0, 1]")
-	}
-	n := int(math.Round(rate * float64(len(w))))
-	if n == 0 {
-		return 0
-	}
-	picks := sampleWithoutReplacement(len(w), n, r)
-	for _, p := range picks {
-		bits := math.Float32bits(w[p])
-		for attempt := 0; attempt < 8; attempt++ {
-			b := uint(r.Intn(32))
-			flipped := math.Float32frombits(bits ^ 1<<b)
-			if !math.IsNaN(float64(flipped)) {
-				w[p] = flipped
-				break
-			}
-		}
-	}
-	return n
-}
-
 // InjectQuantizedBits flips a fraction rate of the *storage bits* of the
 // packed class memory, chosen uniformly without replacement. This is the
 // Fig 5 fault model: at a fixed bit-error rate, an 8-bit element absorbs

@@ -88,9 +88,13 @@ func TestInjectFloat32(t *testing.T) {
 	w := make([]float32, 1000)
 	r.FillNorm(w, 0, 1)
 	orig := append([]float32(nil), w...)
-	n := InjectFloat32(w, 0.15, r)
-	if n != 150 {
-		t.Fatalf("reported %d, want 150", n)
+	var maxAbs float64
+	for _, v := range orig {
+		maxAbs = math.Max(maxAbs, math.Abs(float64(v)))
+	}
+	n := InjectFloat32Bits(w, 0.15, 0, r)
+	if n != 4800 {
+		t.Fatalf("reported %d bits, want 15%% of 32000", n)
 	}
 	diffs := 0
 	for i := range w {
@@ -100,19 +104,22 @@ func TestInjectFloat32(t *testing.T) {
 		if math.IsNaN(float64(w[i])) {
 			t.Fatalf("NaN produced at %d", i)
 		}
+		if a := math.Abs(float64(w[i])); a > DefaultClampMul*maxAbs*1.0001 {
+			t.Fatalf("word %d = %v escapes the %v× clamp on |w| <= %v", i, w[i], DefaultClampMul, maxAbs)
+		}
 	}
-	if diffs != n {
-		t.Errorf("%d words differ, %d reported", diffs, n)
+	if diffs == 0 || diffs > n {
+		t.Errorf("%d words differ after %d bit flips", diffs, n)
 	}
 }
 
 func TestInjectFloat32CanBlowUpMagnitude(t *testing.T) {
-	// The mechanism behind DNN fragility: across many injections some
-	// exponent MSB flip should produce a huge weight.
+	// The mechanism behind DNN fragility: with the clamp out of the way,
+	// some exponent MSB flip among many injections produces a huge weight.
 	r := rng.New(9)
 	w := make([]float32, 20000)
 	r.FillNorm(w, 0, 1)
-	InjectFloat32(w, 0.5, r)
+	InjectFloat32Bits(w, 0.02, 1e30, r)
 	var maxAbs float64
 	for _, v := range w {
 		if a := math.Abs(float64(v)); a > maxAbs {
@@ -129,8 +136,8 @@ func TestInjectFloat32Deterministic(t *testing.T) {
 	rng.New(3).FillNorm(base, 0, 1)
 	a := append([]float32(nil), base...)
 	b := append([]float32(nil), base...)
-	InjectFloat32(a, 0.2, rng.New(42))
-	InjectFloat32(b, 0.2, rng.New(42))
+	InjectFloat32Bits(a, 0.02, 0, rng.New(42))
+	InjectFloat32Bits(b, 0.02, 0, rng.New(42))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same-seed injection differs")

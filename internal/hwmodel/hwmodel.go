@@ -39,13 +39,9 @@ type CPUModel struct {
 }
 
 // FPGAModel is the fabric-budget energy model of the accelerator.
-// Per-element energy = C2·b² + C1·b + C0; query latency assumes
-// LaneBudgetBits/b parallel lanes at FreqMHz.
+// Per-element energy = C2·b² + C1·b + C0.
 type FPGAModel struct {
 	C2, C1, C0 float64
-	// LaneBudgetBits is the total datapath width the fabric can tile with
-	// b-bit lanes (controls latency, not energy).
-	LaneBudgetBits int
 	// FreqMHz is the accelerator clock (paper: 200 MHz).
 	FreqMHz float64
 	// PowerW is the board power (paper: < 20 W on the Alveo U50).
@@ -59,7 +55,7 @@ func DefaultCPU() CPUModel { return CPUModel{MemKappa: 0.115} }
 func DefaultFPGA() FPGAModel {
 	return FPGAModel{
 		C2: 1, C1: 4.073, C0: 100.2,
-		LaneBudgetBits: 4096, FreqMHz: 200, PowerW: 19,
+		FreqMHz: 200, PowerW: 19,
 	}
 }
 
@@ -92,17 +88,6 @@ func (f FPGAModel) EnergyPerQuery(dEff int, w bitpack.Width) float64 {
 	// normalization divides everything by the 1-bit CPU energy anyway.
 	const fabricScale = 1.0 / 2727.0 // calibrated to FPGA(1-bit) = 26× CPU(1-bit)
 	return float64(dEff) * perElem * fabricScale
-}
-
-// LatencyPerQuery returns seconds for one query: ceil(dEff/lanes) cycles
-// per class-vector dot product at FreqMHz. lanes = LaneBudgetBits/b.
-func (f FPGAModel) LatencyPerQuery(dEff, classes int, w bitpack.Width) float64 {
-	lanes := f.LaneBudgetBits / int(w)
-	if lanes < 1 {
-		lanes = 1
-	}
-	cycles := (dEff + lanes - 1) / lanes * classes
-	return float64(cycles) / (f.FreqMHz * 1e6)
 }
 
 // Row is one column of Table I (a bitwidth configuration).

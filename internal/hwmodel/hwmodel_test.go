@@ -104,21 +104,6 @@ func TestTableRejectsInvalidWidth(t *testing.T) {
 	}
 }
 
-func TestFPGALatency(t *testing.T) {
-	f := DefaultFPGA()
-	// 4096-bit budget at 1-bit width = 4096 lanes; 8800 dims → 3 cycles
-	// per class; 5 classes → 15 cycles at 200 MHz = 75 ns.
-	got := f.LatencyPerQuery(8800, 5, bitpack.W1)
-	want := 15.0 / (200e6)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("latency = %v, want %v", got, want)
-	}
-	// Wider elements get fewer lanes and (at same dEff) higher latency.
-	if f.LatencyPerQuery(1000, 5, bitpack.W32) <= f.LatencyPerQuery(1000, 5, bitpack.W1) {
-		t.Fatal("32-bit latency should exceed 1-bit at equal dims")
-	}
-}
-
 func TestFPGAPowerBudget(t *testing.T) {
 	// Paper: "power consumption of the CyberHD accelerator is less than
 	// 20 W under 200 MHz frequency" — the defaults must respect that.

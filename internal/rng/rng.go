@@ -154,31 +154,6 @@ func (r *Rand) Exp(lambda float64) float64 {
 	}
 }
 
-// Poisson returns a Poisson variate with the given mean using inversion for
-// small means and normal approximation above 64 (adequate for traffic
-// synthesis, where counts feed aggregate statistics).
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := mean + math.Sqrt(mean)*r.Norm()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -194,14 +169,6 @@ func (r *Rand) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

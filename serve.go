@@ -318,8 +318,8 @@ func WithTickInterval(seconds float64) EngineOption {
 
 // EngineConfig assembles the detector's serving configuration: the
 // trained model, its normalizer and class names, with opts applied in
-// order. Pass the result to NewEngine or NewServeRunner, or adjust fields
-// directly for anything without an option.
+// order. Pass the result to NewServeRunner, or adjust fields directly for
+// anything without an option.
 func (d *Detector) EngineConfig(opts ...EngineOption) EngineConfig {
 	cfg := EngineConfig{
 		Model:      d.Model,

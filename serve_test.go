@@ -60,7 +60,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	eng, err := NewEngine(det.EngineConfig(WithBatchSize(32)))
+	eng, err := pipeline.New(det.EngineConfig(WithBatchSize(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
