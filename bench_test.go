@@ -67,7 +67,7 @@ func naiveRBFEncode(base *hdc.Matrix, bias []float32, x, dst []float32) {
 
 // benchEncShape builds matching shapes for the naive and blocked paths:
 // a 512-dim RBF over the 78 CIC flow features.
-func benchEncShape(samples int) (base *hdc.Matrix, bias []float32, x *hdc.Matrix, enc encoder.BatchEncoder) {
+func benchEncShape(samples int) (base *hdc.Matrix, bias []float32, x *hdc.Matrix, enc *encoder.RBF) {
 	const inDim, dim = netflow.NumFeatures, 512
 	r := rng.New(11)
 	base = hdc.NewMatrix(dim, inDim)

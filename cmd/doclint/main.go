@@ -9,6 +9,11 @@
 //
 // The default set is the serving surface: the cyberhd facade plus
 // internal/bitpack, internal/quantize and internal/pipeline.
+//
+// Either way it also checks, over every Go file of the module it is run
+// from, that a Markdown file named in a comment exists: a comment that
+// sends the reader to a document nobody wrote is reported like a
+// missing doc comment.
 package main
 
 import (
@@ -16,7 +21,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -38,14 +46,77 @@ func main() {
 		}
 		problems = append(problems, ps...)
 	}
-	if len(problems) > 0 {
-		sort.Strings(problems)
-		fmt.Fprintf(os.Stderr, "doclint: %d exported identifiers without doc comments:\n", len(problems))
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, " ", p)
-		}
+	dangling, err := lintDocRefs(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
 		os.Exit(1)
 	}
+	bad := report(problems, "exported identifiers without doc comments")
+	bad = report(dangling, "comments naming a Markdown file that does not exist") || bad
+	if bad {
+		os.Exit(1)
+	}
+}
+
+// report prints one sorted block of problem lines and says whether there
+// were any.
+func report(problems []string, what string) bool {
+	if len(problems) == 0 {
+		return false
+	}
+	sort.Strings(problems)
+	fmt.Fprintf(os.Stderr, "doclint: %d %s:\n", len(problems), what)
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, " ", p)
+	}
+	return true
+}
+
+// mdRef matches a Markdown file name, with or without a directory, in
+// comment text.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// lintDocRefs walks the Go files of the module rooted at root — tests
+// included; nested modules, testdata and hidden directories skipped — and
+// returns one problem line per comment that names a *.md file which does
+// not exist relative to root.
+func lintDocRefs(root string) ([]string, error) {
+	var problems []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, name := range mdRef.FindAllString(c.Text, -1) {
+					if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+						p := fset.Position(c.Pos())
+						problems = append(problems, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, name))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return problems, err
 }
 
 // lintDir parses every non-test Go file directly in dir and returns one

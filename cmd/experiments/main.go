@@ -7,7 +7,7 @@
 //	experiments -exp fig4 -kernel-svm    # include the O(n²) kernel SVM
 //	experiments -exp table1 -measure     # measure effective dims (slow)
 //	experiments -exp fig5 -trials 10
-//	experiments -exp ablation
+//	experiments -exp ablation            # drop strategy and regeneration rate
 package main
 
 import (
@@ -85,16 +85,6 @@ func main() {
 			return err
 		}
 		experiments.WriteAblation(os.Stdout, "regeneration rate R", rates)
-		encs, err := experiments.AblationEncoder(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblation(os.Stdout, "encoder family", encs)
-		lineage, err := experiments.AblationHDCLineage(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblation(os.Stdout, "HDC lineage", lineage)
 		return nil
 	})
 

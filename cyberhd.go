@@ -54,8 +54,10 @@ type (
 	// TrainOptions configures HDC training (core semantics: RegenCycles=0
 	// is a static BaselineHD model).
 	TrainOptions = core.Options
-	// Encoder maps feature vectors into hyperspace.
-	Encoder = encoder.Encoder
+	// Encoder is the RBF random-feature encoder that maps feature
+	// vectors into hyperspace — the one encoder; models hold it as
+	// *Encoder.
+	Encoder = encoder.RBF
 	// QuantizedModel is a reduced-precision model for edge deployment.
 	QuantizedModel = quantize.Model
 	// QuantizedLive pairs a COWModel with re-quantized packed snapshots:
@@ -135,7 +137,7 @@ var (
 // NewRBFEncoder builds the paper's RBF random-feature encoder: inDim input
 // features to dim hyperspace dimensions; gamma <= 0 selects the default
 // bandwidth.
-func NewRBFEncoder(inDim, dim int, gamma float64, seed uint64) Encoder {
+func NewRBFEncoder(inDim, dim int, gamma float64, seed uint64) *Encoder {
 	return encoder.NewRBF(inDim, dim, gamma, seed)
 }
 

@@ -2,7 +2,11 @@ package control
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -14,6 +18,7 @@ import (
 	"cyberhd/internal/core"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
+	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
 	"cyberhd/internal/rng"
@@ -498,5 +503,107 @@ func TestApplyRunsTheUploadGates(t *testing.T) {
 	}
 	if cow.Version() != v0+1 {
 		t.Fatalf("geometry rejection moved the version to %d", cow.Version())
+	}
+}
+
+// wireState names the fields of core's gob bodies (v1 and v2 share them;
+// gob matches by field name) so a test can write streams that no code in
+// the tree can write any more.
+type wireState struct {
+	Version              int // v1 only
+	ClassRows, ClassCols int
+	ClassData            []float32
+	Encoder              encoder.State
+}
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// v2Stream frames a gob body the way core.SaveSnapshot does: magic, then
+// the big-endian shape/length/CRC header.
+func v2Stream(t *testing.T, st wireState) []byte {
+	t.Helper()
+	body := gobBytes(t, &st)
+	out := []byte("CYHDSNP2")
+	for _, v := range []uint32{uint32(st.ClassRows), uint32(st.ClassCols), uint32(len(body)), crc32.ChecksumIEEE(body)} {
+		out = binary.BigEndian.AppendUint32(out, v)
+	}
+	return append(out, body...)
+}
+
+// TestZeroDimensionModelRefused pins the decode-side shape check: a v1
+// body declaring a 0-dimensional RBF encoder and a 3×0 class matrix
+// satisfies every length-equals-product test, fits the geometry the
+// cluster worker and LoadDetector ask for (Dim unconstrained), predicts
+// class 0 for every sanity row — and used to be admitted as an IDS that
+// never alerts. It is a decode rejection now.
+func TestZeroDimensionModelRefused(t *testing.T) {
+	body := gobBytes(t, &wireState{
+		Version: 1, ClassRows: 3, ClassCols: 0,
+		Encoder: encoder.State{Kind: "rbf", Dim: 0, InDim: netflow.NumFeatures},
+	})
+	m, _, err := Admit(bytes.NewReader(body), Geometry{Classes: 3, Inputs: netflow.NumFeatures}, SanityBatch{})
+	if err == nil {
+		t.Fatalf("admitted a model with Dim() == %d", m.Dim())
+	}
+	var rej *rejection
+	if !errors.As(err, &rej) || rej.status != http.StatusBadRequest {
+		t.Fatalf("want a decode rejection (400), got %v", err)
+	}
+}
+
+// TestRetiredEncoderKindsRefused: "linear" and "idlevel" encoder states
+// were loadable once; nothing writes them now, and a stream that carries
+// one is refused at decode — by name, before geometry or sanity — from
+// Admit and so from POST /model.
+func TestRetiredEncoderKindsRefused(t *testing.T) {
+	cow, _, srv := planeServer(t, Config{})
+	cand, _, _ := trainModel(t, 3, 8, 64, 77)
+	want := Geometry{Dim: 64, Classes: 3, Inputs: 8}
+	for _, kind := range []string{"rbf", "idlevel", "linear"} {
+		st := wireState{
+			ClassRows: cand.Class.Rows, ClassCols: cand.Class.Cols, ClassData: cand.Class.Data,
+			Encoder: encoder.CaptureState(cand.Enc),
+		}
+		st.Encoder.Kind = kind
+		stream := v2Stream(t, st)
+		_, _, err := Admit(bytes.NewReader(stream), want, SanityBatch{})
+		if kind == "rbf" { // the hand-framed stream itself is well-formed
+			if err != nil {
+				t.Fatalf("hand-framed rbf snapshot refused: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), kind) {
+			t.Errorf("%s: Admit error %v, want a refusal naming the retired kind", kind, err)
+		}
+		resp, out := postModel(t, srv.URL+"/model", stream)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"].(string), kind) {
+			t.Errorf("%s: POST /model answered %d %v, want 400 naming the kind", kind, resp.StatusCode, out)
+		}
+	}
+	if cow.Version() != 1 {
+		t.Fatalf("a refused upload moved the serving version to %d", cow.Version())
+	}
+}
+
+// TestSanityGuardsPanickingPredict pins the gate's panic guard on a model
+// no decoder would hand it: a class matrix whose storage is shorter than
+// its declared shape panics inside the first predict, and the gate turns
+// that into a rejection instead of taking the serving process down.
+func TestSanityGuardsPanickingPredict(t *testing.T) {
+	m := &core.Model{
+		Enc:   encoder.NewRBF(8, 64, 0, 5),
+		Class: &hdc.Matrix{Rows: 3, Cols: 64, Data: make([]float32, 64)},
+	}
+	err := runSanity(m, 0, SanityBatch{})
+	if err == nil || !strings.Contains(err.Error(), "prediction panicked") {
+		t.Fatalf("runSanity over an inconsistent model: %v, want the panic converted", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 type Snapshot struct {
 	// Enc encodes queries for this version. Regeneration publishes a new
 	// encoder rather than mutating this one.
-	Enc encoder.Encoder
+	Enc *encoder.RBF
 	// Class is this version's class hypervector matrix (k×D).
 	Class *hdc.Matrix
 	// Version counts publications, starting at 1.

@@ -87,7 +87,7 @@ type CycleStats struct {
 // Model is a trained HDC classifier: an encoder plus one hypervector per
 // class.
 type Model struct {
-	Enc encoder.Encoder
+	Enc *encoder.RBF
 	// Class is the k×D class hypervector matrix. Prediction divides by
 	// cached row norms (see Scorer), so callers that mutate Class
 	// directly — rather than through Update/Train — must call
@@ -146,7 +146,7 @@ func (m *Model) Scorer() *Scorer {
 // x is the n×f feature matrix, y the n labels in [0, opts.Classes).
 // The encoder enc is mutated by regeneration and owned by the returned
 // model afterwards.
-func Train(enc encoder.Encoder, x *hdc.Matrix, y []int, opts Options) (*Model, error) {
+func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, error) {
 	opts.defaults()
 	if err := opts.validate(); err != nil {
 		return nil, err

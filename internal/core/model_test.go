@@ -31,7 +31,7 @@ func blobs(n, features, k int, noise float64, meanSeed, noiseSeed uint64) (*hdc.
 
 func TestTrainValidation(t *testing.T) {
 	x, y := blobs(10, 4, 2, 0.1, 100, 1)
-	enc := func() encoder.Encoder { return encoder.NewRBF(4, 32, 0, 1) }
+	enc := func() *encoder.RBF { return encoder.NewRBF(4, 32, 0, 1) }
 
 	if _, err := Train(enc(), x, y, Options{Classes: 1}); err == nil {
 		t.Error("accepted 1 class")
@@ -240,24 +240,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	for _, i := range []int{0, 50, 150, 299} {
 		if single := m.Predict(x.Row(i)); single != batch[i] {
 			t.Fatalf("row %d: batch %d != single %d", i, batch[i], single)
-		}
-	}
-}
-
-func TestTrainWithIDLevelAndLinearEncoders(t *testing.T) {
-	x, y := blobs(1200, 8, 3, 0.3, 106, 14)
-	xt, yt := blobs(400, 8, 3, 0.3, 106, 15)
-	encs := map[string]encoder.Encoder{
-		"linear":  encoder.NewLinear(8, 256, 31),
-		"idlevel": encoder.NewIDLevel(8, 256, 32, -4, 4, 31),
-	}
-	for name, enc := range encs {
-		m, err := Train(enc, x, y, Options{Classes: 3, Epochs: 5, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if acc := m.Evaluate(xt, yt); acc < 0.8 {
-			t.Errorf("%s: accuracy %v < 0.8", name, acc)
 		}
 	}
 }

@@ -73,9 +73,15 @@ func loadV1(r io.Reader) (*Model, error) {
 
 // model rebuilds the Model a decoded state describes — the one state →
 // *Model path, shared by the v1 and v2 decoders (the v2 body carries the
-// same fields under the same names): class-matrix size check, encoder
-// restore, dimension cross-check, options, norm cache.
+// same fields under the same names): class-matrix shape and size check,
+// encoder restore, dimension cross-check, options, norm cache. Both
+// class dimensions must be positive — the v2 header enforces that
+// before the body is read, a v1 body has only this check: a 3×0 matrix
+// passes every product test and scores every flow as class 0.
 func (state *modelState) model() (*Model, error) {
+	if state.ClassRows <= 0 || state.ClassCols <= 0 {
+		return nil, fmt.Errorf("core: degenerate class matrix %d×%d", state.ClassRows, state.ClassCols)
+	}
 	if len(state.ClassData) != state.ClassRows*state.ClassCols {
 		return nil, fmt.Errorf("core: corrupt class matrix (%d values for %d×%d)",
 			len(state.ClassData), state.ClassRows, state.ClassCols)

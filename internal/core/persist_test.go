@@ -8,7 +8,7 @@ import (
 	"cyberhd/internal/encoder"
 )
 
-func trainSmall(t *testing.T, enc encoder.Encoder) (*Model, interface{}) {
+func trainSmall(t *testing.T, enc *encoder.RBF) (*Model, interface{}) {
 	t.Helper()
 	x, y := blobs(600, 8, 3, 0.3, 300, 1)
 	m, err := Train(enc, x, y, Options{Classes: 3, Epochs: 3, RegenCycles: 2, RegenRate: 0.1, Seed: 5})
@@ -34,28 +34,21 @@ func roundTrip(t *testing.T, m *Model) *Model {
 }
 
 func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
-	encs := map[string]encoder.Encoder{
-		"rbf":     encoder.NewRBF(8, 64, 0, 9),
-		"linear":  encoder.NewLinear(8, 64, 9),
-		"idlevel": encoder.NewIDLevel(8, 64, 16, -4, 4, 9),
-	}
 	x, _ := blobs(200, 8, 3, 0.3, 300, 2)
-	for name, enc := range encs {
-		m, _ := trainSmall(t, enc)
-		back := roundTrip(t, m)
-		if !back.Class.Equal(m.Class) {
-			t.Fatalf("%s: class matrix changed", name)
-		}
-		if back.EffectiveDim != m.EffectiveDim {
-			t.Fatalf("%s: effective dim %d != %d", name, back.EffectiveDim, m.EffectiveDim)
-		}
-		if len(back.History) != len(m.History) {
-			t.Fatalf("%s: history length changed", name)
-		}
-		for i := 0; i < x.Rows; i++ {
-			if m.Predict(x.Row(i)) != back.Predict(x.Row(i)) {
-				t.Fatalf("%s: prediction diverged at row %d", name, i)
-			}
+	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	back := roundTrip(t, m)
+	if !back.Class.Equal(m.Class) {
+		t.Fatal("class matrix changed")
+	}
+	if back.EffectiveDim != m.EffectiveDim {
+		t.Fatalf("effective dim %d != %d", back.EffectiveDim, m.EffectiveDim)
+	}
+	if len(back.History) != len(m.History) {
+		t.Fatal("history length changed")
+	}
+	for i := 0; i < x.Rows; i++ {
+		if m.Predict(x.Row(i)) != back.Predict(x.Row(i)) {
+			t.Fatalf("prediction diverged at row %d", i)
 		}
 	}
 }

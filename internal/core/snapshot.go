@@ -118,11 +118,6 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 	// (every writer mutation republishes before releasing the lock).
 	c.mu.Lock()
 	snap := c.snap.Load()
-	encState, err := encoder.CaptureState(snap.Enc)
-	if err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("core: %w", err)
-	}
 	state := snapshotState{
 		ModelVersion: snap.Version,
 		ClassRows:    snap.Class.Rows, ClassCols: snap.Class.Cols,
@@ -131,7 +126,7 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 		EffectiveDim: c.writer.EffectiveDim,
 		History:      append([]CycleStats(nil), c.writer.History...),
 		Opts:         persistOptions(c.writer.opts),
-		Encoder:      encState,
+		Encoder:      encoder.CaptureState(snap.Enc),
 	}
 	if dw, ok := snap.derived.(interface{ DeriveWidth() int }); ok {
 		state.DerivedWidth = dw.DeriveWidth()

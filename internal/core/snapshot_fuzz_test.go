@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"os"
 	"testing"
 
@@ -47,6 +48,18 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(hostile.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("CYHDSNP2"))
+	// A v1 body whose shapes are all zero-width: every length matches its
+	// product, and before the positive-shape checks it decoded into a
+	// model that predicts class 0 forever (control's
+	// TestZeroDimensionModelRefused carries the same stream to the gate).
+	var degenerate bytes.Buffer
+	if err := gob.NewEncoder(&degenerate).Encode(&modelState{
+		Version: modelStateVersion, ClassRows: 3,
+		Encoder: encoder.State{Kind: "rbf", InDim: 78},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(degenerate.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, info, err := LoadSnapshot(bytes.NewReader(data))
@@ -57,6 +70,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		// into a model that panics on first predict is the same bug.
 		if c == nil {
 			t.Fatal("nil model with nil error")
+		}
+		if c.Dim() <= 0 || c.NumClasses() <= 0 {
+			t.Fatalf("decoded a degenerate %d×%d model", c.NumClasses(), c.Dim())
 		}
 		if info.Classes != c.NumClasses() || info.Dim != c.Dim() {
 			t.Fatalf("info %dx%d disagrees with model %dx%d", info.Classes, info.Dim, c.NumClasses(), c.Dim())

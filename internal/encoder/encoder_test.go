@@ -1,9 +1,8 @@
 package encoder
 
 import (
-	"math"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"cyberhd/internal/hdc"
 	"cyberhd/internal/rng"
@@ -15,12 +14,9 @@ func randInput(r *rng.Rand, n int) []float32 {
 	return x
 }
 
-func encoders(inDim, dim int, seed uint64) map[string]Encoder {
-	return map[string]Encoder{
-		"rbf":     NewRBF(inDim, dim, 0, seed),
-		"linear":  NewLinear(inDim, dim, seed),
-		"idlevel": NewIDLevel(inDim, dim, 16, -3, 3, seed),
-	}
+// encoders is the table the shared tests range over.
+func encoders(inDim, dim int, seed uint64) map[string]*RBF {
+	return map[string]*RBF{"rbf": NewRBF(inDim, dim, 0, seed)}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
@@ -83,8 +79,7 @@ func TestRegenerateChangesOnlyListedDims(t *testing.T) {
 			}
 		}
 		// At least one regenerated dim should actually differ (overwhelmingly
-		// likely with continuous draws; idlevel coordinate redraws can
-		// occasionally repeat, so require any change across the set).
+		// likely with continuous draws).
 		changed := false
 		for _, d := range dims {
 			if after[d] != before[d] {
@@ -158,80 +153,6 @@ func TestRBFSimilarInputsSimilarCodes(t *testing.T) {
 	}
 }
 
-func TestLinearEncodeIsLinear(t *testing.T) {
-	e := NewLinear(5, 64, 3)
-	r := rng.New(21)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		x := randInput(rr, 5)
-		y := randInput(rr, 5)
-		sum := make([]float32, 5)
-		for i := range sum {
-			sum[i] = x[i] + y[i]
-		}
-		hx := make([]float32, 64)
-		hy := make([]float32, 64)
-		hs := make([]float32, 64)
-		e.Encode(x, hx)
-		e.Encode(y, hy)
-		e.Encode(sum, hs)
-		for i := range hs {
-			if math.Abs(float64(hs[i]-(hx[i]+hy[i]))) > 1e-4 {
-				return false
-			}
-		}
-		return true
-	}
-	_ = r
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIDLevelQuantizeBounds(t *testing.T) {
-	e := NewIDLevel(3, 32, 8, 0, 1, 1)
-	if e.quantize(-5) != 0 {
-		t.Error("below-range value should map to level 0")
-	}
-	if e.quantize(5) != 7 {
-		t.Error("above-range value should map to top level")
-	}
-	if e.quantize(0.5) != 4 {
-		t.Errorf("mid value mapped to %d", e.quantize(0.5))
-	}
-}
-
-func TestIDLevelNearbyLevelsCorrelated(t *testing.T) {
-	e := NewIDLevel(4, 4096, 32, -1, 1, 77)
-	l0 := e.level.Row(0)
-	l1 := e.level.Row(1)
-	lLast := e.level.Row(31)
-	near := hdc.Cosine(l0, l1)
-	far := hdc.Cosine(l0, lLast)
-	if near < 0.8 {
-		t.Errorf("adjacent levels cosine = %v, want high", near)
-	}
-	if far > 0.5 {
-		t.Errorf("extreme levels cosine = %v, want low", far)
-	}
-}
-
-func TestIDLevelValuesBipolarSum(t *testing.T) {
-	// Each dimension of an encoding is a sum of inDim ±1 products, so its
-	// parity matches inDim and magnitude is bounded by inDim.
-	e := NewIDLevel(6, 64, 8, -2, 2, 5)
-	r := rng.New(33)
-	x := randInput(r, 6)
-	dst := make([]float32, 64)
-	e.Encode(x, dst)
-	for i, v := range dst {
-		iv := int(v)
-		if float32(iv) != v || iv < -6 || iv > 6 || (iv+6)%2 != 0 {
-			t.Fatalf("dim %d: %v is not a sum of 6 bipolar terms", i, v)
-		}
-	}
-}
-
 func TestEncodeBatch(t *testing.T) {
 	r := rng.New(41)
 	x := hdc.NewMatrix(500, 7)
@@ -286,9 +207,7 @@ func TestEncodeDimsBatchRefreshesCache(t *testing.T) {
 func TestNewEncoderPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewRBF(0, 10, 0, 1) },
-		func() { NewLinear(10, 0, 1) },
-		func() { NewIDLevel(10, 10, 1, 0, 1, 1) },
-		func() { NewIDLevel(10, 10, 4, 1, 1, 1) },
+		func() { NewRBF(10, 0, 0, 1) },
 	}
 	for i, f := range cases {
 		func() {
@@ -324,9 +243,8 @@ func BenchmarkRBFEncode4096(b *testing.B) {
 	}
 }
 
-// TestEncodeBatchBitIdenticalAllEncoders pins the blocked batch kernels
-// (RBF panel GEMM, Linear MatMulT, generic fallback for IDLevel) to
-// row-at-a-time Encode, bitwise.
+// TestEncodeBatchBitIdenticalAllEncoders pins the blocked batch kernel
+// (RBF panel GEMM) to row-at-a-time Encode, bitwise.
 func TestEncodeBatchBitIdenticalAllEncoders(t *testing.T) {
 	r := rng.New(61)
 	x := hdc.NewMatrix(333, 9) // sample count straddles chunk boundaries
@@ -359,5 +277,57 @@ func TestEncodeBatchIntoValidation(t *testing.T) {
 			}()
 			EncodeBatchInto(e, x, out)
 		}()
+	}
+}
+
+// TestStateRoundTrip pins CaptureState → FromState: same codes, and the
+// RNG continuation makes post-restore regeneration draw the same stream.
+func TestStateRoundTrip(t *testing.T) {
+	e := NewRBF(6, 40, 0, 9)
+	e.Regenerate([]int{3, 17})
+	got, err := FromState(CaptureState(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randInput(rng.New(4), 6)
+	a, b := make([]float32, 40), make([]float32, 40)
+	for _, regen := range []bool{false, true} {
+		if regen {
+			e.Regenerate([]int{0, 39})
+			got.Regenerate([]int{0, 39})
+		}
+		e.Encode(x, a)
+		got.Encode(x, b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("regen=%v: restored encoder differs at %d", regen, i)
+			}
+		}
+	}
+}
+
+// TestFromStateRefuses covers the decode-side checks: degenerate shapes
+// (which satisfy every product check), mismatched storage, and the
+// retired kinds, refused by name.
+func TestFromStateRefuses(t *testing.T) {
+	ok := CaptureState(NewRBF(3, 4, 0, 1))
+	with := func(f func(*State)) State { s := ok; f(&s); return s }
+	cases := []struct {
+		name, want string
+		s          State
+	}{
+		{"zero dim", "non-positive", State{Kind: "rbf", InDim: 78}},
+		{"zero indim", "non-positive", State{Kind: "rbf", Dim: 16}},
+		{"negative dim", "non-positive", with(func(s *State) { s.Dim = -4 })},
+		{"short base", "shape mismatch", with(func(s *State) { s.Base = s.Base[:5] })},
+		{"short bias", "shape mismatch", with(func(s *State) { s.Bias = s.Bias[:1] })},
+		{"linear", `retired encoder kind "linear"`, with(func(s *State) { s.Kind = "linear" })},
+		{"idlevel", `retired encoder kind "idlevel"`, with(func(s *State) { s.Kind = "idlevel" })},
+		{"unknown", `unknown encoder kind "fft"`, with(func(s *State) { s.Kind = "fft" })},
+	}
+	for _, c := range cases {
+		if _, err := FromState(c.s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

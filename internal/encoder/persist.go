@@ -7,93 +7,64 @@ import (
 	"cyberhd/internal/rng"
 )
 
-// State is the serializable form of any built-in encoder, used by model
-// persistence. Exactly one of the kind-specific fields is populated,
-// selected by Kind.
+// State is the serializable form of the encoder, used by model
+// persistence. The field set is frozen: gob writes every field's name and
+// type into each snapshot's type descriptor, so removing one would change
+// the bytes core.SaveSnapshot writes (pinned by SHA-256 in internal/core).
 type State struct {
-	Kind string // "rbf", "linear" or "idlevel"
+	Kind string // "rbf"; "linear" and "idlevel" are retired and refused
 
-	// Common shape.
 	InDim, Dim int
 
 	// RNG continuation so regeneration draws after a reload continue the
 	// exact stream of the saved encoder.
 	RNG rng.State
 
-	// rbf / linear
-	Base  []float32
-	Bias  []float32 // rbf only
-	Gamma float64   // rbf only
+	Base  []float32 // Dim × InDim, row-major
+	Bias  []float32
+	Gamma float64
 
-	// idlevel
+	// Decode-only: fields of the retired "idlevel" kind, never set and
+	// never read. They stay so the wire type descriptor does not move.
 	Levels  int
 	Lo, Hi  float32
 	ID      []float32
 	LevelHV []float32
 }
 
-// CaptureState extracts the serializable state of a built-in encoder. It
-// fails for encoder implementations this package does not know.
-func CaptureState(e Encoder) (State, error) {
-	switch enc := e.(type) {
-	case *RBF:
-		return State{
-			Kind: "rbf", InDim: enc.InDim(), Dim: enc.Dim(),
-			RNG:   enc.r.State(),
-			Base:  append([]float32(nil), enc.base.Data...),
-			Bias:  append([]float32(nil), enc.bias...),
-			Gamma: enc.gamma,
-		}, nil
-	case *Linear:
-		return State{
-			Kind: "linear", InDim: enc.InDim(), Dim: enc.Dim(),
-			RNG:  enc.r.State(),
-			Base: append([]float32(nil), enc.base.Data...),
-		}, nil
-	case *IDLevel:
-		return State{
-			Kind: "idlevel", InDim: enc.InDim(), Dim: enc.Dim(),
-			RNG:    enc.r.State(),
-			Levels: enc.levels, Lo: enc.lo, Hi: enc.hi,
-			ID:      append([]float32(nil), enc.id.Data...),
-			LevelHV: append([]float32(nil), enc.level.Data...),
-		}, nil
+// CaptureState extracts the serializable state of e.
+func CaptureState(e *RBF) State {
+	return State{
+		Kind: "rbf", InDim: e.InDim(), Dim: e.Dim(),
+		RNG:   e.r.State(),
+		Base:  append([]float32(nil), e.base.Data...),
+		Bias:  append([]float32(nil), e.bias...),
+		Gamma: e.gamma,
 	}
-	return State{}, fmt.Errorf("encoder: cannot capture state of %T", e)
 }
 
-// FromState reconstructs an encoder from its captured state.
-func FromState(s State) (Encoder, error) {
+// FromState reconstructs an encoder from its captured state. It is the
+// decode-side shape check for outside bytes: both dimensions must be
+// positive (a zero-dimension encoder satisfies every product check and
+// predicts class 0 forever) and the base and bias must match them.
+func FromState(s State) (*RBF, error) {
 	switch s.Kind {
 	case "rbf":
-		if len(s.Base) != s.Dim*s.InDim || len(s.Bias) != s.Dim {
-			return nil, fmt.Errorf("encoder: rbf state shape mismatch")
-		}
-		e := &RBF{
-			base:  &hdc.Matrix{Rows: s.Dim, Cols: s.InDim, Data: append([]float32(nil), s.Base...)},
-			bias:  append([]float32(nil), s.Bias...),
-			gamma: s.Gamma,
-			r:     rng.FromState(s.RNG),
-		}
-		return e, nil
-	case "linear":
-		if len(s.Base) != s.Dim*s.InDim {
-			return nil, fmt.Errorf("encoder: linear state shape mismatch")
-		}
-		return &Linear{
-			base: &hdc.Matrix{Rows: s.Dim, Cols: s.InDim, Data: append([]float32(nil), s.Base...)},
-			r:    rng.FromState(s.RNG),
-		}, nil
-	case "idlevel":
-		if len(s.ID) != s.InDim*s.Dim || len(s.LevelHV) != s.Levels*s.Dim || s.Levels < 2 {
-			return nil, fmt.Errorf("encoder: idlevel state shape mismatch")
-		}
-		return &IDLevel{
-			inDim: s.InDim, dim: s.Dim, levels: s.Levels, lo: s.Lo, hi: s.Hi,
-			id:    &hdc.Matrix{Rows: s.InDim, Cols: s.Dim, Data: append([]float32(nil), s.ID...)},
-			level: &hdc.Matrix{Rows: s.Levels, Cols: s.Dim, Data: append([]float32(nil), s.LevelHV...)},
-			r:     rng.FromState(s.RNG),
-		}, nil
+	case "linear", "idlevel":
+		return nil, fmt.Errorf("encoder: retired encoder kind %q (only \"rbf\" is supported)", s.Kind)
+	default:
+		return nil, fmt.Errorf("encoder: unknown encoder kind %q", s.Kind)
 	}
-	return nil, fmt.Errorf("encoder: unknown encoder kind %q", s.Kind)
+	if s.Dim <= 0 || s.InDim <= 0 {
+		return nil, fmt.Errorf("encoder: rbf state has non-positive shape %d×%d", s.Dim, s.InDim)
+	}
+	if len(s.Base) != s.Dim*s.InDim || len(s.Bias) != s.Dim {
+		return nil, fmt.Errorf("encoder: rbf state shape mismatch")
+	}
+	return &RBF{
+		base:  &hdc.Matrix{Rows: s.Dim, Cols: s.InDim, Data: append([]float32(nil), s.Base...)},
+		bias:  append([]float32(nil), s.Bias...),
+		gamma: s.Gamma,
+		r:     rng.FromState(s.RNG),
+	}, nil
 }

@@ -89,72 +89,6 @@ func AblationRegenRate(cfg Config) ([]AblationResult, error) {
 	return out, nil
 }
 
-// AblationEncoder compares encoder families at CyberHD's physical
-// dimensionality: the RBF choice (paper §III) against linear projection
-// and ID-level record encoding.
-func AblationEncoder(cfg Config) ([]AblationResult, error) {
-	cfg.defaults()
-	train, test, err := LoadSplit("nsl-kdd", cfg)
-	if err != nil {
-		return nil, err
-	}
-	encs := []struct {
-		name string
-		enc  encoder.Encoder
-	}{
-		{"rbf (CyberHD)", encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed)},
-		{"linear", encoder.NewLinear(train.NumFeatures(), PhysDim, cfg.Seed)},
-		{"id-level", encoder.NewIDLevel(train.NumFeatures(), PhysDim, 32, -10, 10, cfg.Seed)},
-	}
-	var out []AblationResult
-	for _, e := range encs {
-		opts := core.Options{
-			Classes: train.NumClasses(), Epochs: CyberEpochs,
-			RegenCycles: RegenCycles, RegenRate: RegenRate,
-			LearningRate: HDLearningRate, Seed: cfg.Seed + 1,
-		}
-		m, err := core.Train(e.enc, train.X, train.Y, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationResult{e.name, m.Evaluate(test.X, test.Y), m.EffectiveDim})
-	}
-	return out, nil
-}
-
-// AblationHDCLineage compares the three HDC generations the paper spans:
-// binary majority-vote HDC (Rahimi et al. ISLPED'16 — "SOTA HDCs [1]"),
-// float adaptive static-encoder HDC, and CyberHD's dynamic regeneration,
-// all at the same physical dimensionality.
-func AblationHDCLineage(cfg Config) ([]AblationResult, error) {
-	cfg.defaults()
-	train, test, err := LoadSplit("nsl-kdd", cfg)
-	if err != nil {
-		return nil, err
-	}
-	var out []AblationResult
-
-	bin, err := core.TrainBinary(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed),
-		train.X, train.Y, train.NumClasses())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"binary majority (ISLPED'16)", bin.Evaluate(test.X, test.Y), PhysDim})
-
-	static, err := TrainBaselineHD(train, PhysDim, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"float adaptive (static enc)", static.Evaluate(test.X, test.Y), static.EffectiveDim})
-
-	cyber, err := TrainCyberHD(train, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"CyberHD (dynamic regen)", cyber.Evaluate(test.X, test.Y), cyber.EffectiveDim})
-	return out, nil
-}
-
 // WriteAblation renders one ablation block.
 func WriteAblation(w io.Writer, title string, rows []AblationResult) {
 	fmt.Fprintf(w, "Ablation — %s\n", title)

@@ -145,17 +145,10 @@ func TestAblations(t *testing.T) {
 		}
 	}
 
-	encs, err := AblationEncoder(smallCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(encs) != 3 {
-		t.Fatalf("encoder ablation rows = %d", len(encs))
-	}
 	var b strings.Builder
-	WriteAblation(&b, "encoders", encs)
+	WriteAblation(&b, "dimension-drop strategy", drop)
 	out := b.String()
-	if !strings.Contains(out, "rbf (CyberHD)") {
+	if !strings.Contains(out, "variance-drop (CyberHD)") {
 		t.Errorf("ablation output malformed:\n%s", out)
 	}
 }
@@ -174,24 +167,6 @@ func TestMeasureEffectiveDimsSmall(t *testing.T) {
 	// 1-bit must not need fewer dimensions than 32-bit.
 	if dims[bitpack.W1] < dims[bitpack.W32] {
 		t.Errorf("1-bit dims %d < 32-bit dims %d", dims[bitpack.W1], dims[bitpack.W32])
-	}
-}
-
-func TestAblationHDCLineage(t *testing.T) {
-	rows, err := AblationHDCLineage(smallCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("lineage rows = %d", len(rows))
-	}
-	// CyberHD should be at least as good as the binary ISLPED'16 model at
-	// the same physical dimensionality.
-	if rows[2].Accuracy < rows[0].Accuracy-0.02 {
-		t.Errorf("CyberHD %.3f below binary HDC %.3f", rows[2].Accuracy, rows[0].Accuracy)
-	}
-	if rows[2].EffectiveDim <= PhysDim {
-		t.Errorf("CyberHD D* = %d", rows[2].EffectiveDim)
 	}
 }
 

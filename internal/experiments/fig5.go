@@ -121,7 +121,7 @@ func Fig5(cfg Config, trials int) ([]Fig5Row, error) {
 }
 
 // WriteFig5 renders the robustness grid in the paper's layout (losses in
-// percentage points; paper values in parentheses in EXPERIMENTS.md).
+// percentage points); `go run ./cmd/experiments -exp fig5` prints it.
 func WriteFig5(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintf(w, "Fig 5 — Accuracy loss (pp) under random hardware bit flips\n%-14s", "hardware err")
 	for _, r := range rows {

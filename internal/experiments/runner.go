@@ -13,7 +13,8 @@ import (
 )
 
 // Default experiment hyperparameters, calibrated once against the paper's
-// qualitative results (see EXPERIMENTS.md) and shared by every figure.
+// qualitative results (`go run ./cmd/experiments` reproduces them) and
+// shared by every figure.
 const (
 	// PhysDim is CyberHD's physical dimensionality (the paper's D = 0.5k).
 	PhysDim = 512

@@ -125,7 +125,7 @@ func TestQuantizeWidthConflictAcrossEngines(t *testing.T) {
 func TestQuantizedEngineMatchesDirectModel(t *testing.T) {
 	cfg, live := buildModel(t)
 	m := cfg.Model.(*core.Model)
-	for _, w := range []bitpack.Width{bitpack.W1, bitpack.W4, bitpack.W16} {
+	for _, w := range bitpack.Widths {
 		q, err := quantize.FromCore(m, w)
 		if err != nil {
 			t.Fatal(err)
@@ -134,36 +134,40 @@ func TestQuantizedEngineMatchesDirectModel(t *testing.T) {
 		direct.Model = q
 		want := runCapture(t, direct, live.Packets)
 
-		viaCfg := cfg
-		viaCfg.Quantize = w
-		sameStats(t, fmt.Sprintf("w%d sync", w), runCapture(t, viaCfg, live.Packets), want)
-
-		batched := viaCfg
-		batched.BatchSize = 64
-		sameStats(t, fmt.Sprintf("w%d batch64", w), runCapture(t, batched, live.Packets), want)
+		for _, batch := range []int{1, 64} {
+			viaCfg := cfg
+			viaCfg.Quantize = w
+			viaCfg.BatchSize = batch
+			sameStats(t, fmt.Sprintf("w%d batch%d", w, batch), runCapture(t, viaCfg, live.Packets), want)
+		}
 	}
 }
 
 // TestQuantizedShardedMatchesSingleEngine extends the sharded bit-identity
-// contract to packed inference: merged stats at any shard count equal the
-// single quantized engine over the same capture.
+// contract to packed inference: at every width and batch size, merged
+// stats at any shard count equal the single quantized engine over the
+// same capture.
 func TestQuantizedShardedMatchesSingleEngine(t *testing.T) {
 	cfg, live := buildModel(t)
-	cfg.Quantize = bitpack.W2
-	cfg.BatchSize = 32
-	want := runCapture(t, cfg, live.Packets)
-	for _, shards := range []int{1, 3} {
-		scfg := cfg
-		scfg.Shards = shards
-		sh, err := NewSharded(scfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, w := range bitpack.Widths {
+		for _, batch := range []int{1, 32, 64} {
+			cfg.Quantize = w
+			cfg.BatchSize = batch
+			want := runCapture(t, cfg, live.Packets)
+			for _, shards := range []int{1, 3} {
+				scfg := cfg
+				scfg.Shards = shards
+				sh, err := NewSharded(scfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range live.Packets {
+					sh.Feed(live.Packets[i])
+				}
+				sh.Close()
+				sameStats(t, fmt.Sprintf("w%d batch%d shards%d", w, batch, shards), sh.Stats(), want)
+			}
 		}
-		for i := range live.Packets {
-			sh.Feed(live.Packets[i])
-		}
-		sh.Close()
-		sameStats(t, fmt.Sprintf("shards%d", shards), sh.Stats(), want)
 	}
 }
 

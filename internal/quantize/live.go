@@ -18,7 +18,7 @@ import (
 // half-updated or version-skewed pair.
 //
 // Live implements pipeline.Classifier, pipeline.BatchClassifier and
-// pipeline.Updater, so it drops into Engine, Concurrent and Sharded; the
+// pipeline.Updater, so it drops into Engine and Sharded; the
 // engines build it automatically when Config.Quantize is set and
 // Config.Model is a *core.COWModel. Steady-state classification (no
 // publications in flight) is allocation-free; each publication pays one

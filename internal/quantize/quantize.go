@@ -37,7 +37,7 @@ type Model struct {
 	// predicted — must call Scorer().Refresh() afterwards.
 	Class *bitpack.Matrix
 	// Enc is the (float) encoder shared with the source model.
-	Enc encoder.Encoder
+	Enc *encoder.RBF
 
 	// hPool recycles encode buffers, encPool batch-encoding matrices, and
 	// qPool packed-query vectors, so repeated Predict/PredictBatchInto
