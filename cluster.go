@@ -9,11 +9,7 @@ import "cyberhd/internal/cluster"
 // gates. Cluster verdicts over a capture are bit-identical to a
 // single-process engine over the same capture.
 type (
-	// ClusterWorker is a detector node: it accepts ingest connections and
-	// serves one detection session per connection, driven entirely over
-	// the wire. Build with NewClusterWorker, run with Serve.
-	ClusterWorker = cluster.Worker
-	// ClusterWorkerConfig tunes a ClusterWorker; the zero value serves.
+	// ClusterWorkerConfig tunes a detector worker; the zero value serves.
 	ClusterWorkerConfig = cluster.WorkerConfig
 	// ClusterClient is an ingest node's handle on its worker fleet. It
 	// implements the engine Stream contract, so the standard Runner (and
@@ -24,15 +20,12 @@ type (
 	// serving COWModel, the normalizer and class names, plus the engine
 	// settings forwarded to every worker.
 	ClusterConfig = cluster.ClientConfig
-	// ClusterPushResult is one worker's outcome of a snapshot
-	// replication: accepted (with its new serving version) or rejected
-	// with the gate's reason, its previous version still serving.
-	ClusterPushResult = cluster.PushResult
 )
 
 var (
 	// NewClusterWorker binds a listen address and returns a detector
-	// worker ready to Serve.
+	// worker ready to Serve: it accepts ingest connections and serves one
+	// detection session per connection, driven entirely over the wire.
 	NewClusterWorker = cluster.NewWorker
 	// DialCluster connects to every worker in a ClusterConfig, replicates
 	// the initial model snapshot, and returns a serving-ready

@@ -23,6 +23,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -110,6 +111,23 @@ func (ds *dataset) load() (*cyberhd.Dataset, error) {
 	return d, nil
 }
 
+// train loads the dataset and trains a detector on it with cfg at -seed,
+// returning the detector and the held-out split TrainDetector scored it on:
+// rows the model never saw, normalized by the detector's own normalizer.
+func (ds *dataset) train(cfg cyberhd.Config) (*cyberhd.Detector, *cyberhd.Dataset, error) {
+	d, err := ds.load()
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Seed = ds.seed
+	det, err := cyberhd.TrainDetector(d, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, test, _ := d.NormalizedSplit(cfg.TrainFraction, cfg.Seed)
+	return det, test, nil
+}
+
 func cmdGen(args []string) error {
 	fs, ds := newDataset("gen")
 	out := fs.String("out", "", "output CSV path (required)")
@@ -131,22 +149,15 @@ func cmdGen(args []string) error {
 
 func cmdTrain(args []string) error {
 	fs, ds := newDataset("train")
-	dim := fs.Int("dim", 512, "physical hyperspace dimensionality")
-	epochs := fs.Int("epochs", 8, "adaptive epochs per cycle")
-	cycles := fs.Int("cycles", 7, "regeneration cycles (0 = static BaselineHD)")
-	rate := fs.Float64("rate", 0.2, "regeneration rate R")
-	lr := fs.Float64("lr", 0.1, "learning rate η")
+	cfg := cyberhd.DefaultConfig()
+	fs.IntVar(&cfg.Dim, "dim", cfg.Dim, "physical hyperspace dimensionality")
+	fs.IntVar(&cfg.Epochs, "epochs", cfg.Epochs, "adaptive epochs per cycle")
+	fs.IntVar(&cfg.RegenCycles, "cycles", cfg.RegenCycles, "regeneration cycles (0 = static BaselineHD)")
+	fs.Float64Var(&cfg.RegenRate, "rate", cfg.RegenRate, "regeneration rate R")
+	fs.Float64Var(&cfg.LearningRate, "lr", cfg.LearningRate, "learning rate η")
 	fs.Parse(args)
 
-	d, err := ds.load()
-	if err != nil {
-		return err
-	}
-	cfg := cyberhd.Config{
-		Dim: *dim, Epochs: *epochs, RegenCycles: *cycles, RegenRate: *rate,
-		LearningRate: *lr, TrainFraction: 0.75, Seed: ds.seed,
-	}
-	det, err := cyberhd.TrainDetector(d, cfg)
+	det, test, err := ds.train(cfg)
 	if err != nil {
 		return err
 	}
@@ -156,9 +167,8 @@ func cmdTrain(args []string) error {
 			h.Cycle, h.Dropped, h.EffectiveDim, h.TrainAcc)
 	}
 
-	// Full quality report on a fresh evaluation split.
-	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
-	conf := metrics.NewConfusion(d.ClassNames)
+	// Full quality report on the held-out split.
+	conf := metrics.NewConfusion(det.ClassNames)
 	preds := det.Model.PredictBatch(test.X)
 	conf.AddAll(test.Y, preds)
 	fmt.Printf("\naccuracy: %.4f   macro-F1: %.4f   detection: %.4f   false-alarm: %.4f\n",
@@ -177,15 +187,10 @@ func cmdQuantize(args []string) error {
 	fs, ds := newDataset("quantize")
 	fs.Parse(args)
 
-	d, err := ds.load()
+	det, test, err := ds.train(cyberhd.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	det, err := cyberhd.TrainDetector(d, cyberhd.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
 	fmt.Printf("float32 accuracy: %.4f   class memory: %d bits\n",
 		det.Model.Evaluate(test.X, test.Y),
 		det.Model.NumClasses()*det.Model.Dim()*32)
@@ -207,15 +212,10 @@ func cmdFaults(args []string) error {
 	trials := fs.Int("trials", 5, "injection trials")
 	fs.Parse(args)
 
-	d, err := ds.load()
+	det, test, err := ds.train(cyberhd.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	det, err := cyberhd.TrainDetector(d, cyberhd.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	_, test, _ := d.NormalizedSplit(0.75, ds.seed)
 	q, err := quantize.FromCore(det.Model, bitpack.Width(*bits))
 	if err != nil {
 		return err
@@ -419,6 +419,9 @@ func cmdDetect(args []string) error {
 	saveModel := fs.String("save-model", "", "write the trained model to this file as a model-only v2 snapshot: no normalizer or class names, so POST /model and cyberhd.LoadModelSnapshotFile load it, cyberhd.LoadDetector does not")
 	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables)")
 	fs.Parse(args)
+	if *shards == 0 {
+		*shards = runtime.GOMAXPROCS(0)
+	}
 	if err := sv.open(); err != nil {
 		return err
 	}
@@ -486,40 +489,36 @@ func cmdDetect(args []string) error {
 		planeRoutes.Store(&routes)
 	}
 
-	// A nil collector or tap is the option's default (private collector,
-	// no shadow); a nil *COWModel would not be a nil Classifier.
-	opts := []cyberhd.EngineOption{
-		cyberhd.WithBatchSize(sv.batch),
-		cyberhd.WithQuantized(cyberhd.Width(sv.width)),
-		cyberhd.WithShards(*shards),
-		cyberhd.WithTickInterval(sv.tick),
-		cyberhd.WithOverloadPolicy(sv.pol),
-		cyberhd.WithSinks(sv.sinks...),
-		cyberhd.WithTelemetry(tel),
-		cyberhd.WithShadow(tap),
+	// A nil collector or tap is the field's default (private collector, no
+	// shadow); a nil *COWModel would not be a nil Model, so that field is
+	// set only when there is a wrapper to serve through.
+	cfg := cyberhd.EngineConfig{
+		BatchSize:    sv.batch,
+		Quantize:     cyberhd.Width(sv.width),
+		Shards:       *shards,
+		TickInterval: sv.tick,
+		Overload:     sv.pol,
+		Sinks:        sv.sinks,
+		Telemetry:    tel,
+		Shadow:       tap,
 	}
 	if cow != nil {
-		opts = append(opts, cyberhd.WithModel(cow))
+		cfg.Model = cow
 	}
 	if *progress > 0 {
-		opts = append(opts, cyberhd.WithProgress(*progress, func(s cyberhd.TelemetrySnapshot) {
+		cfg.ProgressInterval = *progress
+		cfg.Progress = func(s cyberhd.TelemetrySnapshot) {
 			fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
 				s.Packets, s.Flows, s.Alerts, s.Pending())
-		}))
+		}
 	}
-	cfg := det.EngineConfig(opts...)
-	// WithShards resolved 0 to one per core; a resolved count of 1 serves
-	// the plain single-core engine.
+	// A count of 1 serves the plain single-core engine.
 	if cfg.Shards > 1 {
 		fmt.Printf("sharded engine: %d flow-hash shards\n", cfg.Shards)
 	}
 	sv.banner()
 
-	r, err := cyberhd.NewServeRunner(cfg, sv.src)
-	if err != nil {
-		return err
-	}
-	st, err := r.Run(context.Background())
+	st, err := det.Serve(context.Background(), sv.src, cfg)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -200,6 +201,40 @@ func TestDetectAndIngestPrintTheSameAccounting(t *testing.T) {
 		d, i := re.FindString(detect), re.FindString(ingest)
 		if d == "" || d != i {
 			t.Errorf("accounting line diverged:\n  detect: %q\n  ingest: %q", d, i)
+		}
+	}
+}
+
+// TestQuantizeAndFaultsScoreTheHeldOutSplit pins which rows quantize and
+// faults evaluate on: the split the detector was trained against at -seed,
+// under the detector's own normalizer — so the float32 line of quantize is
+// the detector's TestAccuracy, and faults' clean accuracy is quantize's
+// line at the same width. Both used to train at seed 1 and score a -seed
+// split that was three quarters training rows.
+func TestQuantizeAndFaultsScoreTheHeldOutSplit(t *testing.T) {
+	for _, seed := range []string{"42", "7"} {
+		args := []string{"-dataset", "nsl-kdd", "-n", "1500", "-seed", seed}
+		out, err := captureStdout(t, func() error { return cmdQuantize(args) })
+		if err != nil {
+			t.Fatalf("quantize: %v\n%s", err, out)
+		}
+		fs, ds := newDataset("quantize")
+		fs.Parse(args)
+		det, _, err := ds.train(cyberhd.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("float32 accuracy: %.4f ", det.TestAccuracy); !strings.HasPrefix(out, want) {
+			t.Errorf("-seed %s: quantize printed %q, want the detector's TestAccuracy %q",
+				seed, strings.SplitN(out, "\n", 2)[0], want)
+		}
+		oneBit := regexp.MustCompile(`(?m)^ 1-bit accuracy:  (\d\.\d{4}) `).FindStringSubmatch(out)
+		out, err = captureStdout(t, func() error { return cmdFaults(append(args, "-bits", "1", "-trials", "1")) })
+		if err != nil {
+			t.Fatalf("faults: %v\n%s", err, out)
+		}
+		if oneBit == nil || !strings.Contains(out, "(clean "+oneBit[1]+")") {
+			t.Errorf("-seed %s: faults' clean accuracy is not quantize's 1-bit line %v:\n%s", seed, oneBit, out)
 		}
 	}
 }

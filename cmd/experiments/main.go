@@ -4,7 +4,6 @@
 //
 //	experiments -exp all                 # everything at default scale
 //	experiments -exp fig3 -samples 20000 # accuracy comparison, bigger run
-//	experiments -exp fig4 -kernel-svm    # include the O(n²) kernel SVM
 //	experiments -exp table1 -measure     # measure effective dims (slow)
 //	experiments -exp fig5 -trials 10
 //	experiments -exp ablation            # drop strategy and regeneration rate
@@ -22,12 +21,11 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig3, fig4, table1, fig5, ablation, scale, all")
 	samples := flag.Int("samples", 8000, "samples per tabular dataset (sessions scale for CIC sets)")
 	seed := flag.Uint64("seed", 42, "master random seed")
-	kernelSVM := flag.Bool("kernel-svm", false, "use the O(n²) RBF-kernel SVM (paper's slow SVM) instead of linear")
 	measure := flag.Bool("measure", false, "table1: measure effective dims by iso-accuracy search instead of paper values")
 	trials := flag.Int("trials", 5, "fig5: fault-injection trials per cell")
 	flag.Parse()
 
-	cfg := experiments.Config{Samples: *samples, Seed: *seed, IncludeKernelSVM: *kernelSVM}
+	cfg := experiments.Config{Samples: *samples, Seed: *seed}
 	run := func(name string, f func() error) {
 		if *exp != name && !(*exp == "all" && name != "scale") {
 			return

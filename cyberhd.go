@@ -13,15 +13,18 @@
 //	class := det.Classify(features)
 //
 // Live traffic is one call more: det.Serve pumps any PacketSource through
-// a detection engine and fans alerts to sinks (see serve.go and the
-// serving-runtime section of ARCHITECTURE.md):
+// the detection engine an EngineConfig describes and fans alerts to sinks
+// (see serve.go and the serving-runtime section of ARCHITECTURE.md):
 //
-//	stats, err := det.Serve(ctx, source, cyberhd.WithBatchSize(64),
-//	    cyberhd.WithSinks(cyberhd.NewJSONLSink(os.Stdout)))
+//	stats, err := det.Serve(ctx, source, cyberhd.EngineConfig{
+//	    BatchSize: 64,
+//	    Sinks:     []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)},
+//	})
 //
-// Lower-level control (custom encoders, quantization, fault injection,
-// experiment reproduction) is exposed through type aliases into the
-// implementation packages, so the full system is scriptable from here.
+// Lower-level control (a hand-built encoder, quantization, cluster
+// serving, the model control plane) is exposed through type aliases into
+// the implementation packages — one for each name the commands and
+// examples of this module use.
 package cyberhd
 
 import (
@@ -35,8 +38,6 @@ import (
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
-	"cyberhd/internal/netflow"
-	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
 	"cyberhd/internal/traffic"
 )
@@ -44,51 +45,20 @@ import (
 // Re-exported core types. Aliases keep the implementation internal while
 // giving users stable names rooted at this package.
 type (
-	// Dataset is a labeled feature table (see NSLKDD, UNSWNB15,
-	// CICIDS2017, CICIDS2018, LoadCSV).
+	// Dataset is a labeled feature table (see NSLKDD, CICIDS2017,
+	// DatasetByName, LoadCSV).
 	Dataset = datasets.Dataset
-	// Normalizer carries train-split feature statistics.
-	Normalizer = datasets.Normalizer
 	// Model is a trained HDC classifier.
 	Model = core.Model
 	// TrainOptions configures HDC training (core semantics: RegenCycles=0
 	// is a static BaselineHD model).
 	TrainOptions = core.Options
-	// Encoder is the RBF random-feature encoder that maps feature
-	// vectors into hyperspace — the one encoder; models hold it as
-	// *Encoder.
-	Encoder = encoder.RBF
-	// QuantizedModel is a reduced-precision model for edge deployment.
-	QuantizedModel = quantize.Model
-	// QuantizedLive pairs a COWModel with re-quantized packed snapshots:
-	// online feedback retrains the float working copy and every published
-	// version carries a freshly packed class memory. Engines build one
-	// automatically when EngineConfig.Quantize is set and the model is a
-	// COWModel.
-	QuantizedLive = quantize.Live
 	// Width is a quantization bitwidth (1, 2, 4, 8, 16 or 32).
 	Width = bitpack.Width
-	// Engine is the streaming NIDS pipeline; Alert its verdict type.
-	Engine = pipeline.Engine
-	// EngineConfig assembles an Engine.
-	EngineConfig = pipeline.Config
-	// EngineStats is the engine counter snapshot returned by Stats.
-	EngineStats = pipeline.Stats
 	// COWModel is the concurrency-safe copy-on-write model wrapper:
 	// classification reads immutable atomic snapshots while online
 	// feedback publishes new versions (see NewCOWModel).
 	COWModel = core.COWModel
-	// ModelSnapshot is one immutable published model version.
-	ModelSnapshot = core.Snapshot
-	// Alert is one non-benign detection.
-	Alert = pipeline.Alert
-	// Packet is a raw packet record for the streaming engine.
-	Packet = netflow.Packet
-	// Addr is a packet endpoint address: 16 bytes, IPv4 stored v4-mapped
-	// (see AddrV4, ParseAddr).
-	Addr = netflow.Addr
-	// FlowKey identifies a bidirectional flow (the canonical 5-tuple).
-	FlowKey = netflow.FlowKey
 	// TrafficConfig parameterizes the synthetic traffic generator.
 	TrafficConfig = traffic.Config
 	// TrafficStream is a generated labeled capture.
@@ -106,19 +76,16 @@ const (
 )
 
 // Dataset constructors (synthetic reconstructions; see the Datasets
-// section of README.md for the substitution rationale).
+// section of README.md for the substitution rationale) and the low-level
+// model constructors beneath TrainDetector.
 var (
 	// NSLKDD synthesizes the 41-feature, 5-class NSL-KDD reconstruction.
 	NSLKDD = datasets.NSLKDD
-	// UNSWNB15 synthesizes the 42-feature, 10-class UNSW-NB15
-	// reconstruction.
-	UNSWNB15 = datasets.UNSWNB15
 	// CICIDS2017 derives the 78-feature, 8-class CIC-IDS-2017
 	// reconstruction from simulated packet traffic.
 	CICIDS2017 = datasets.CICIDS2017
-	// CICIDS2018 derives the 7-class CSE-CIC-IDS-2018 reconstruction.
-	CICIDS2018 = datasets.CICIDS2018
-	// DatasetByName builds any of the four by canonical name.
+	// DatasetByName builds any of the four paper datasets — nsl-kdd,
+	// unsw-nb15, cic-ids-2017, cic-ids-2018 — by canonical name.
 	DatasetByName = datasets.ByName
 	// LoadCSV and SaveCSV persist datasets.
 	LoadCSV = datasets.LoadCSV
@@ -126,29 +93,25 @@ var (
 	SaveCSV = datasets.SaveCSV
 	// GenerateTraffic synthesizes a labeled packet capture.
 	GenerateTraffic = traffic.Generate
-	// AddrV4 builds an Addr from a numeric IPv4 address (v4-mapped).
-	AddrV4 = netflow.AddrV4
-	// ParseAddr parses a textual IPv4 or IPv6 address into an Addr.
-	ParseAddr = netflow.ParseAddr
-	// MustParseAddr is ParseAddr, panicking on error (for literals).
-	MustParseAddr = netflow.MustParseAddr
+	// NewRBFEncoder builds the paper's RBF random-feature encoder — the one
+	// encoder — mapping inDim input features to dim hyperspace dimensions;
+	// gamma <= 0 selects the default bandwidth.
+	NewRBFEncoder = encoder.NewRBF
+	// Train fits an HDC model on a feature matrix with the given encoder.
+	// Most callers want TrainDetector instead; this is the low-level entry
+	// point.
+	Train = core.Train
+	// Quantize lowers a trained model to the given bitwidth: a
+	// reduced-precision model for edge deployment.
+	Quantize = quantize.FromCore
+	// NewCOWModel wraps a trained model in copy-on-write snapshots, making
+	// concurrent classification and online feedback race-free: readers load
+	// an immutable (encoder, class-matrix) snapshot through one atomic
+	// pointer read; Update builds the next version and swaps it in. The
+	// wrapped model becomes the wrapper's private working copy — stop using
+	// it directly.
+	NewCOWModel = core.NewCOWModel
 )
-
-// NewRBFEncoder builds the paper's RBF random-feature encoder: inDim input
-// features to dim hyperspace dimensions; gamma <= 0 selects the default
-// bandwidth.
-func NewRBFEncoder(inDim, dim int, gamma float64, seed uint64) *Encoder {
-	return encoder.NewRBF(inDim, dim, gamma, seed)
-}
-
-// Train fits an HDC model on a feature matrix with the given encoder. Most
-// callers want TrainDetector instead; this is the low-level entry point.
-var Train = core.Train
-
-// Quantize lowers a trained model to the given bitwidth.
-func Quantize(m *Model, w Width) (*QuantizedModel, error) {
-	return quantize.FromCore(m, w)
-}
 
 // Config is the one-call training configuration for TrainDetector.
 type Config struct {
@@ -187,7 +150,7 @@ type Detector struct {
 	Model *Model
 	// Normalizer carries the feature statistics of the training split;
 	// every query must be normalized with it before prediction.
-	Normalizer *Normalizer
+	Normalizer *datasets.Normalizer
 	// ClassNames label the model's class indices.
 	ClassNames []string
 	// TestAccuracy is the held-out accuracy measured during TrainDetector.
@@ -229,14 +192,6 @@ func (d *Detector) Classify(features []float32) string {
 	d.Normalizer.ApplyVec(x)
 	return d.ClassNames[d.Model.Predict(x)]
 }
-
-// NewCOWModel wraps a trained model in copy-on-write snapshots, making
-// concurrent classification and online feedback race-free: readers load
-// an immutable (encoder, class-matrix) snapshot through one atomic
-// pointer read; Update builds the next version and swaps it in. The
-// wrapped model becomes the wrapper's private working copy — stop using
-// it directly.
-func NewCOWModel(m *Model) *COWModel { return core.NewCOWModel(m) }
 
 // EffectiveDim reports the detector's effective dimensionality D* (physical
 // dims plus regenerated dims — the paper's headline metric).

@@ -76,7 +76,9 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	alerts := 0
-	eng, err := pipeline.New(det.EngineConfig(WithOnAlert(func(Alert) { alerts++ })))
+	cfg := det.EngineConfig()
+	cfg.OnAlert = func(Alert) { alerts++ }
+	eng, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestShardedEngineFacade runs the multi-core engine (WithShards) with a
+// TestShardedEngineFacade runs the multi-core engine (Shards > 1) with a
 // COW-wrapped model from the public API and checks its merged stats
 // against a single engine over the same capture.
 func TestShardedEngineFacade(t *testing.T) {
@@ -113,7 +115,7 @@ func TestShardedEngineFacade(t *testing.T) {
 
 	cow := NewCOWModel(det.Model)
 	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithModel(cow), WithShards(4), WithBatchSize(32))
+		EngineConfig{Model: cow, Shards: 4, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestDatasetByNameFacade(t *testing.T) {
 }
 
 func TestCSVFacade(t *testing.T) {
-	d := UNSWNB15(150, 5)
+	d, _ := DatasetByName("unsw-nb15", 150, 5)
 	path := t.TempDir() + "/u.csv"
 	if err := SaveCSV(path, d); err != nil {
 		t.Fatal(err)

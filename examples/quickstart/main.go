@@ -43,7 +43,8 @@ func main() {
 		q.MemoryBits(), 32.0)
 
 	// Next step: live serving. A detector trained on CIC flow features
-	// monitors packet streams in one call — det.Serve(ctx, source, opts...)
-	// pumps any PacketSource through the engine and fans alerts to sinks.
+	// monitors packet streams in one call — det.Serve(ctx, source, cfg)
+	// pumps any PacketSource through the engine an EngineConfig describes
+	// and fans alerts to its sinks.
 	// See examples/streaming and examples/quantization.
 }

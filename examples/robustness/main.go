@@ -12,6 +12,7 @@ import (
 
 	"cyberhd"
 	"cyberhd/internal/baseline/mlp"
+	"cyberhd/internal/experiments"
 	"cyberhd/internal/faults"
 	"cyberhd/internal/rng"
 )
@@ -33,8 +34,8 @@ func main() {
 		}
 		return m
 	}
-	m1 := train1(3754) // 8.8k x (512/1200)
-	m8 := train1(1536) // 3.6k x (512/1200)
+	m1 := train1(experiments.Fig5Dim(cyberhd.W1)) // 8.8k x (512/1200)
+	m8 := train1(experiments.Fig5Dim(cyberhd.W8)) // 3.6k x (512/1200)
 	dnn, err := mlp.Train(train.X, train.Y, train.NumClasses(), mlp.Options{Epochs: 15, Seed: 2})
 	if err != nil {
 		log.Fatal(err)

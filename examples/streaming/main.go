@@ -41,20 +41,22 @@ func main() {
 	// cyberhd.OpenCapture for an on-disk capture, pcap or pcapng file, or
 	// any PacketSource.)
 	//
-	// WithProgress is the operator's mid-run view: a telemetry snapshot
-	// every 120 capture-seconds — throughput, verdict counts, and how long
+	// Progress is the operator's mid-run view: a telemetry snapshot every
+	// 120 capture-seconds — throughput, verdict counts, and how long
 	// verdicts waited in micro-batch buffers. The same snapshot backs the
 	// HTTP admin endpoint: cyberhd.ServeMetrics(":9090", tel.Snapshot, nil)
-	// over a collector shared through WithTelemetry(tel) serves it as
-	// Prometheus /metrics and JSON /stats while the run is live.
+	// over a collector shared through the config's Telemetry field serves
+	// it as Prometheus /metrics and JSON /stats while the run is live.
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 1500, Seed: 1234})
-	st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets),
-		cyberhd.WithSinks(counter, printer),
-		cyberhd.WithBatchSize(32),
-		cyberhd.WithProgress(120, func(s cyberhd.TelemetrySnapshot) {
+	st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets), cyberhd.EngineConfig{
+		Sinks:            []cyberhd.AlertSink{counter, printer},
+		BatchSize:        32,
+		ProgressInterval: 120,
+		Progress: func(s cyberhd.TelemetrySnapshot) {
 			fmt.Printf("  · progress: %d pkts, %d flows, %d alerts (%d suppressed), mean verdict wait %.2fs\n",
 				s.Packets, s.Flows, s.Alerts, s.Suppressed, meanWait(s))
-		}))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

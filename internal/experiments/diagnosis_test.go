@@ -1,0 +1,123 @@
+package experiments
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"cyberhd"
+	"cyberhd/internal/bitpack"
+	"cyberhd/internal/datasets"
+	"cyberhd/internal/metrics"
+	"cyberhd/internal/quantize"
+	"cyberhd/internal/traffic"
+)
+
+// TestServedW1Diagnosis is ROADMAP item 1(a): why the 1-bit model a
+// detector serves (quantize.FromCore of the regenerated float model, at
+// the float dimensionality) scores half of what the float model does on a
+// scan storm, while the paper's 1-bit numbers — and this repo's Fig 5 —
+// come from a static-encoder model at Table I's wider dimensionality.
+// One table per detector seed puts the served model beside each candidate
+// explanation on the benchmark's serve_short traffic mix, labelled through
+// the dataset path: a static encoder at the same width, a static encoder
+// at Fig5Dim(W1), quantization-aware retraining of the served model, and
+// the 4- and 8-bit served models. It asserts only the defect as ROADMAP
+// records it (float ≥ 0.95, W1 as served ≤ 0.70, every seed), so the PR
+// that fixes item 1 turns it red and replaces the bound.
+func TestServedW1Diagnosis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains five models per detector seed")
+	}
+	storm := datasets.FromStream("scan-storm", traffic.Generate(traffic.Config{
+		Sessions: 3000, Duration: 300, Seed: 11,
+		Mix: map[traffic.Label]float64{traffic.PortScan: 0.7, traffic.BruteForce: 0.1, traffic.Benign: 0.2},
+	}), traffic.LabelNames(), func(l traffic.Label) int { return int(l) })
+	classes := []traffic.Label{traffic.Benign, traffic.PortScan, traffic.BruteForce}
+
+	var table strings.Builder
+	for seed := uint64(1); seed <= 3; seed++ {
+		// The detector the benchmark serves: CICIDS2017(1500), DefaultConfig.
+		trainSet := datasets.CICIDS2017(1500, 100+seed)
+		cfg := cyberhd.DefaultConfig()
+		cfg.Seed = seed
+		det, err := cyberhd.TrainDetector(trainSet, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The rows TrainDetector fitted on, under the same normalizer.
+		train, _, _ := trainSet.NormalizedSplit(cfg.TrainFraction, cfg.Seed)
+		x := storm.X.Clone()
+		for i := 0; i < x.Rows; i++ {
+			det.Normalizer.ApplyVec(x.Row(i))
+		}
+
+		served := func(w bitpack.Width) evaluator {
+			q, err := quantize.FromCore(det.Model, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+		static := func(dim int) evaluator {
+			m, err := TrainBaselineHD(train, dim, seed+4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := quantize.FromCore(m, bitpack.W1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+		retrained, err := quantize.Retrain(det.Model, bitpack.W1, train.X, train.Y, BaselineEpochs, HDLearningRate, seed+5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		columns := []struct {
+			name string
+			m    evaluator
+		}{
+			{"float", det.Model},
+			{"W1 served", served(bitpack.W1)},
+			{fmt.Sprintf("W1 static %d", PhysDim), static(PhysDim)},
+			{fmt.Sprintf("W1 static %d", Fig5Dim(bitpack.W1)), static(Fig5Dim(bitpack.W1))},
+			{"W1 retrained", retrained},
+			{"W4 served", served(bitpack.W4)},
+			{"W8 served", served(bitpack.W8)},
+		}
+
+		// rows[0] is accuracy, rows[1+k] the recall of classes[k].
+		rows := make([][]float64, 1+len(classes))
+		for _, col := range columns {
+			conf := metrics.NewConfusion(storm.ClassNames)
+			conf.AddAll(storm.Y, col.m.PredictBatch(x))
+			rows[0] = append(rows[0], conf.Accuracy())
+			report := conf.Report()
+			for k, c := range classes {
+				rows[1+k] = append(rows[1+k], report[c].Recall)
+			}
+		}
+		fmt.Fprintf(&table, "seed %d (%d flows)   ", seed, storm.Len())
+		for _, col := range columns {
+			fmt.Fprintf(&table, " %14s", col.name)
+		}
+		for r, row := range rows {
+			name := "accuracy"
+			if r > 0 {
+				name = "recall " + classes[r-1].String()
+			}
+			fmt.Fprintf(&table, "\n%-20s", name)
+			for _, v := range row {
+				fmt.Fprintf(&table, " %14.4f", v)
+			}
+		}
+		table.WriteString("\n\n")
+
+		if float, w1 := rows[0][0], rows[0][1]; float < 0.95 || w1 > 0.70 {
+			t.Errorf("seed %d: float %.4f (want >= 0.95), W1 as served %.4f (want <= 0.70 until ROADMAP item 1 lands)",
+				seed, float, w1)
+		}
+	}
+	t.Logf("served-model diagnosis on the scan storm:\n%s", table.String())
+}

@@ -7,6 +7,7 @@ import (
 	"cyberhd/internal/baseline/mlp"
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/faults"
+	"cyberhd/internal/hwmodel"
 	"cyberhd/internal/quantize"
 	"cyberhd/internal/rng"
 )
@@ -37,24 +38,7 @@ type Fig5Row struct {
 // so each precision is evaluated at its deployment-appropriate D — the
 // paper's Fig 5 presumes the iso-accurate configurations of Table I).
 func Fig5Dim(w bitpack.Width) int {
-	return hwEffDim(w) * PhysDim / 1200
-}
-
-func hwEffDim(w bitpack.Width) int {
-	switch w {
-	case bitpack.W32:
-		return 1200
-	case bitpack.W16:
-		return 2100
-	case bitpack.W8:
-		return 3600
-	case bitpack.W4:
-		return 5600
-	case bitpack.W2:
-		return 7500
-	default:
-		return 8800
-	}
+	return hwmodel.PaperEffectiveDims[w] * PhysDim / hwmodel.PaperEffectiveDims[bitpack.W32]
 }
 
 // Fig5 regenerates the robustness comparison on the NSL-KDD

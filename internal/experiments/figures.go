@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"cyberhd/internal/datasets"
 )
 
 // Fig3 runs the model comparison over the given datasets (nil = all four
@@ -11,7 +13,7 @@ import (
 // the efficiency comparison (WriteFig4, paper Fig. 4).
 func Fig3(names []string, cfg Config) (map[string][]Result, error) {
 	if names == nil {
-		names = paperDatasetNames()
+		names = datasets.PaperDatasets()
 	}
 	out := make(map[string][]Result, len(names))
 	for _, name := range names {
@@ -22,10 +24,6 @@ func Fig3(names []string, cfg Config) (map[string][]Result, error) {
 		out[name] = res
 	}
 	return out, nil
-}
-
-func paperDatasetNames() []string {
-	return []string{"nsl-kdd", "unsw-nb15", "cic-ids-2017", "cic-ids-2018"}
 }
 
 // WriteFig3 renders the accuracy table in the layout of the paper's bar
@@ -94,7 +92,7 @@ func inferPerQuery(r Result) float64 { return float64(r.PerQuery().Nanoseconds()
 
 func orderedDatasets(results map[string][]Result) []string {
 	var names []string
-	for _, d := range paperDatasetNames() {
+	for _, d := range datasets.PaperDatasets() {
 		if _, ok := results[d]; ok {
 			names = append(names, d)
 		}

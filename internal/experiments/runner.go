@@ -70,9 +70,6 @@ type Config struct {
 	Samples int
 	// Seed drives dataset synthesis, splits and model initialization.
 	Seed uint64
-	// IncludeKernelSVM adds the O(n²) RBF-kernel SVM (the paper's slow
-	// SVM). Off by default: it dominates runtime by design.
-	IncludeKernelSVM bool
 }
 
 func (c *Config) defaults() {
@@ -161,21 +158,12 @@ func RunComparison(name string, cfg Config) ([]Result, error) {
 	}
 	add("DNN", time.Since(t0), dnn)
 
-	if cfg.IncludeKernelSVM {
-		t0 = time.Now()
-		ksvm, err := svm.TrainKernel(train.X, train.Y, train.NumClasses(), svm.KernelOptions{Epochs: 2, Seed: cfg.Seed + 3})
-		if err != nil {
-			return nil, err
-		}
-		add("SVM", time.Since(t0), ksvm)
-	} else {
-		t0 = time.Now()
-		lsvm, err := svm.TrainLinear(train.X, train.Y, train.NumClasses(), svm.LinearOptions{Epochs: SVMEpochs, Seed: cfg.Seed + 3})
-		if err != nil {
-			return nil, err
-		}
-		add("SVM", time.Since(t0), lsvm)
+	t0 = time.Now()
+	lsvm, err := svm.TrainLinear(train.X, train.Y, train.NumClasses(), svm.LinearOptions{Epochs: SVMEpochs, Seed: cfg.Seed + 3})
+	if err != nil {
+		return nil, err
 	}
+	add("SVM", time.Since(t0), lsvm)
 
 	t0 = time.Now()
 	hdLow, err := TrainBaselineHD(train, PhysDim, cfg.Seed+4)

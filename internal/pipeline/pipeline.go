@@ -175,7 +175,7 @@ type Config struct {
 	// runtime.GOMAXPROCS). NewStream treats sharding as explicit: only
 	// Shards > 1 builds the sharded engine, anything else serves the
 	// deterministic single-core Engine — resolve "one per core" yourself
-	// (runtime.GOMAXPROCS(0), or the facade's WithShards(0)) before
+	// (runtime.GOMAXPROCS(0), as `cyberhd detect -shards 0` does) before
 	// handing the config to a runner. Ignored by New; NewConcurrent
 	// overrides it with 1.
 	Shards int

@@ -331,7 +331,7 @@ func TestRunnerConcurrentStream(t *testing.T) {
 // TestNewRunnerEngineSelection pins the shard-count contract: sharding
 // is explicit — only Shards > 1 builds the Sharded engine; 0 and 1 both
 // serve the deterministic synchronous Engine (per-core sharding is
-// resolved by the caller, e.g. the facade's WithShards(0)).
+// resolved by the caller, as `cyberhd detect -shards 0` does).
 func TestNewRunnerEngineSelection(t *testing.T) {
 	cfg := trivialConfig()
 	src := func() netflow.PacketSource { return netflow.NewSliceSource(nil) }

@@ -91,8 +91,8 @@ var (
 // bit-identical, but alert interleaving across shards is
 // scheduling-dependent); any other count builds the synchronous
 // single-core Engine, whose alert order is deterministic run to run. For
-// one shard per core pass runtime.GOMAXPROCS(0) — the facade's
-// WithShards(0) resolves to exactly that. A bounded cfg.Overload wraps
+// one shard per core pass runtime.GOMAXPROCS(0), as `cyberhd detect
+// -shards 0` does. A bounded cfg.Overload wraps
 // either engine in the admission Gate; the lossless default installs
 // nothing, keeping the no-gate path bit-identical to every release before
 // overload control.

@@ -263,7 +263,7 @@ func TestVerdictLatencyHistogram(t *testing.T) {
 	})
 }
 
-// TestConfigTelemetryShared pins the WithTelemetry path: a caller-supplied
+// TestConfigTelemetryShared pins the Config.Telemetry path: a caller-supplied
 // collector sees the engine's counters (that is what an admin server
 // scrapes), and a class-count mismatch is rejected up front.
 func TestConfigTelemetryShared(t *testing.T) {

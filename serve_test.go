@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 
+	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
+	"cyberhd/internal/telemetry"
+	"cyberhd/internal/traffic"
 )
 
 // serveDetector trains one CIC detector shared by the serving tests.
@@ -22,34 +24,35 @@ func serveDetector(t *testing.T) *Detector {
 	return det
 }
 
-// TestEngineOptionsCompose pins the builder form of EngineConfig: every
-// option lands on its field, over the detector's base config.
-func TestEngineOptionsCompose(t *testing.T) {
+// TestServeFillsDetectorFields pins what Serve takes from the detector:
+// the model, normalizer and class names a config leaves unset — and only
+// those, so a config that names its own model serves that one.
+func TestServeFillsDetectorFields(t *testing.T) {
 	det := serveDetector(t)
-	onAlert := func(Alert) {}
-	sink := SinkFunc(func(Alert) {})
-	cfg := det.EngineConfig(
-		WithBatchSize(64),
-		WithQuantized(W4),
-		WithShards(8),
-		WithBenignClass(0),
-		WithOnAlert(onAlert),
-		WithSinks(sink),
-		WithTickInterval(5),
-	)
-	if cfg.Model != det.Model || cfg.Normalizer != det.Normalizer {
-		t.Fatal("detector base config not applied")
+	base := det.EngineConfig()
+	if base.Model != det.Model || base.Normalizer != det.Normalizer || len(base.ClassNames) != len(det.ClassNames) {
+		t.Fatal("EngineConfig() is not the detector's model, normalizer and class names")
 	}
-	if cfg.BatchSize != 64 || cfg.Quantize != W4 || cfg.Shards != 8 || cfg.TickInterval != 5 {
-		t.Fatalf("engine options not applied: %+v", cfg)
+	live := GenerateTraffic(TrafficConfig{Sessions: 100, Seed: 77})
+	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets), base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.OnAlert == nil || len(cfg.Sinks) != 1 {
-		t.Fatal("alert options not applied")
+	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// WithShards(0) resolves to one shard per core at option time, so the
-	// stored config says what will actually run.
-	if got := det.EngineConfig(WithShards(0)).Shards; got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("WithShards(0) = %d shards, want GOMAXPROCS", got)
+	if got.Flows == 0 || got.Flows != want.Flows || got.Alerts != want.Alerts {
+		t.Fatalf("zero config served %+v, the detector's own config %+v", got, want)
+	}
+	cow := NewCOWModel(det.Model)
+	tel := NewTelemetry(det.ClassNames)
+	if _, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
+		EngineConfig{Model: cow, Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	if s := tel.Snapshot(); s.ModelVersion != cow.Version() {
+		t.Fatalf("served model version %d, want the config's COW model at %d", s.ModelVersion, cow.Version())
 	}
 }
 
@@ -60,7 +63,9 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	eng, err := pipeline.New(det.EngineConfig(WithBatchSize(32)))
+	cfg := det.EngineConfig()
+	cfg.BatchSize = 32
+	eng, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	var jsonl bytes.Buffer
 	sink := NewJSONLSink(&jsonl)
 	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithBatchSize(32), WithSinks(sink))
+		EngineConfig{BatchSize: 32, Sinks: []AlertSink{sink}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,9 @@ func TestServeShardedQuantized(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 
-	sh, err := pipeline.NewSharded(det.EngineConfig(WithShards(4), WithBatchSize(32), WithQuantized(W8)))
+	cfg := det.EngineConfig()
+	cfg.Shards, cfg.BatchSize, cfg.Quantize = 4, 32, W8
+	sh, err := pipeline.NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestServeShardedQuantized(t *testing.T) {
 	want := sh.Stats()
 
 	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithShards(4), WithBatchSize(32), WithQuantized(W8))
+		EngineConfig{Shards: 4, BatchSize: 32, Quantize: W8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestServeCancel(t *testing.T) {
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first packet
-	st, err := det.Serve(ctx, NewSliceSource(live.Packets))
+	st, err := det.Serve(ctx, NewSliceSource(live.Packets), EngineConfig{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -146,11 +153,11 @@ func TestServeCancel(t *testing.T) {
 func TestServeReplayTraffic(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	a, err := det.Serve(context.Background(), NewSliceSource(live.Packets))
+	a, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := det.Serve(context.Background(), ReplayTraffic(live, 0))
+	b, err := det.Serve(context.Background(), traffic.Replay(live, 0), EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +193,9 @@ func TestServeWithMetrics(t *testing.T) {
 	}
 	var snaps []TelemetrySnapshot
 	scraped := ""
-	st, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithTelemetry(tel), WithBatchSize(16),
-		WithProgress(5, func(s TelemetrySnapshot) {
+	st, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{
+		Telemetry: tel, BatchSize: 16, ProgressInterval: 5,
+		Progress: func(s TelemetrySnapshot) {
 			snaps = append(snaps, s)
 			if scraped == "" && s.Packets > 0 {
 				resp, err := http.Get("http://" + srv.Addr() + "/metrics")
@@ -200,7 +207,8 @@ func TestServeWithMetrics(t *testing.T) {
 				body, _ := io.ReadAll(resp.Body)
 				scraped = string(body)
 			}
-		}))
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,53 +245,38 @@ func TestServeWithMetricsBadAddr(t *testing.T) {
 	}
 }
 
-// TestOverloadOptionsMatchStruct pins satellite-free equivalence of the
-// two construction paths: WithOverloadPolicy lands on the same
-// EngineConfig.Overload a struct-literal caller sets, hooks included,
-// both paths install the same Gate through
-// NewServeRunner, and a permissive bounded policy over the synchronous
-// engine serves verdicts bit-identical to the lossless default with
-// every drop counter at zero.
-func TestOverloadOptionsMatchStruct(t *testing.T) {
+// TestBoundedOverloadPolicy pins the overload field of the config: a
+// bounded policy — hooks included — makes NewServeRunner install a Gate,
+// and a permissive bounded policy over the synchronous engine serves
+// verdicts bit-identical to the lossless default with every drop counter
+// at zero.
+func TestBoundedOverloadPolicy(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 200, Seed: 31})
 
-	tenant := func(p *Packet) uint64 { return uint64(p.SrcIP.V4()) }
-	onDrop := func(Packet, DropReason) {}
-	viaOpts := det.EngineConfig(WithOverloadPolicy(OverloadPolicy{
-		Mode: OverloadBounded, TenantRate: 5, TenantKey: tenant, OnDrop: onDrop,
-	}))
-	viaStruct := det.EngineConfig()
-	viaStruct.Overload = OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}
-	viaStruct.Overload.TenantKey = tenant
-	viaStruct.Overload.OnDrop = onDrop
-
-	if viaOpts.Overload.Mode != viaStruct.Overload.Mode ||
-		viaOpts.Overload.TenantRate != viaStruct.Overload.TenantRate {
-		t.Fatalf("option path %+v != struct path %+v", viaOpts.Overload, viaStruct.Overload)
+	cfg := det.EngineConfig()
+	cfg.Overload = OverloadPolicy{
+		Mode: OverloadBounded, TenantRate: 5,
+		TenantKey: func(p *netflow.Packet) uint64 { return uint64(p.SrcIP.V4()) },
+		OnDrop:    func(netflow.Packet, telemetry.DropReason) {},
 	}
-	if viaOpts.Overload.TenantKey == nil || viaOpts.Overload.OnDrop == nil {
-		t.Fatal("the policy's TenantKey/OnDrop hooks did not land on the config")
+	r, err := NewServeRunner(cfg, NewSliceSource(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, cfg := range map[string]EngineConfig{"options": viaOpts, "struct": viaStruct} {
-		r, err := NewServeRunner(cfg, NewSliceSource(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.Stream.(*Gate); !ok {
-			t.Fatalf("%s path: bounded policy built %T, want *Gate", name, r.Stream)
-		}
-		r.Stream.Close()
+	if _, ok := r.Stream.(*pipeline.Gate); !ok {
+		t.Fatalf("bounded policy built %T, want *pipeline.Gate", r.Stream)
 	}
+	r.Stream.Close()
 
 	// Functional equivalence: lossless default vs permissive bounded
 	// policy (no tenant rate, synchronous engine that always admits).
-	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets))
+	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		WithOverloadPolicy(OverloadPolicy{Mode: OverloadBounded}))
+		EngineConfig{Overload: OverloadPolicy{Mode: OverloadBounded}})
 	if err != nil {
 		t.Fatal(err)
 	}
