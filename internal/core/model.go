@@ -169,18 +169,26 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 		opts:         opts,
 	}
 	r := rng.New(opts.Seed)
-	enc2 := encoder.EncodeBatch(enc, x) // A: encode once, refresh per cycle
+	// A: encode once, refresh per cycle. Everything a round needs besides
+	// is allocated here, once per fit.
+	f := &fit{
+		enc:   encoder.EncodeBatch(enc, x),
+		norms: make([]float64, x.Rows),
+		order: make([]int, x.Rows),
+		preds: make([]int, x.Rows),
+		sims:  make([]float64, opts.Classes),
+	}
 
 	// Bootstrap pass (one-shot bundling) gives adaptive learning a
 	// non-degenerate similarity landscape to start from.
 	for i := 0; i < x.Rows; i++ {
-		hdc.Axpy(1, enc2.Row(i), m.Class.Row(y[i]))
+		hdc.Axpy(1, f.enc.Row(i), m.Class.Row(y[i]))
 	}
 	m.refreshNorms()
 
-	m.adaptiveEpochs(enc2, y, r)
+	m.adaptiveEpochs(f, y, r)
 	m.History = append(m.History, CycleStats{
-		Cycle: 0, EffectiveDim: m.EffectiveDim, TrainAcc: m.evaluateEncoded(enc2, y),
+		Cycle: 0, EffectiveDim: m.EffectiveDim, TrainAcc: m.evaluateEncoded(f, y),
 	})
 
 	drop := int(opts.RegenRate * float64(enc.Dim()))
@@ -188,46 +196,67 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 		if drop == 0 {
 			break
 		}
-		dims := m.insignificantDims(drop) // D,E,F,G
+		var dims []int
 		if opts.DropSelector != nil {
 			dims = opts.DropSelector(m, drop)
+		} else {
+			dims = m.insignificantDims(drop) // D,E,F,G
 		}
 		m.Class.ZeroColumns(dims)
 		enc.Regenerate(dims) // H
-		encoder.EncodeDimsBatch(enc, x, enc2, dims)
+		encoder.EncodeDimsBatch(enc, x, f.enc, dims)
 		m.EffectiveDim += len(dims)
 		m.refreshNorms()
-		m.adaptiveEpochs(enc2, y, r)
+		m.adaptiveEpochs(f, y, r)
 		m.History = append(m.History, CycleStats{
 			Cycle: cycle, Dropped: len(dims), EffectiveDim: m.EffectiveDim,
-			TrainAcc: m.evaluateEncoded(enc2, y),
+			TrainAcc: m.evaluateEncoded(f, y),
 		})
 	}
 	return m, nil
 }
 
+// fit is the per-round state of one Train call: the cached encoding of
+// the training set, the norm of each of its rows (stale whenever the
+// encoding is refreshed; adaptiveEpochs recomputes it on entry, so a row's
+// norm is taken once per round rather than once per visit), the visiting
+// order, the end-of-round predictions and the similarity buffer.
+type fit struct {
+	enc   *hdc.Matrix
+	norms []float64
+	order []int
+	preds []int
+	sims  []float64
+}
+
 // adaptiveEpochs runs opts.Epochs passes of similarity-weighted updates
-// over the encoded training set in shuffled order.
-func (m *Model) adaptiveEpochs(enc2 *hdc.Matrix, y []int, r *rng.Rand) {
-	order := make([]int, enc2.Rows)
-	for i := range order {
-		order[i] = i
+// over the encoded training set in shuffled order. The norm pass on entry
+// is row-parallel; the update loop is sequential and allocation-free.
+func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
+	hdc.ParallelFor(f.enc.Rows, func(i int) { f.norms[i] = hdc.Norm(f.enc.Row(i)) })
+	for i := range f.order {
+		f.order[i] = i
 	}
-	sims := make([]float64, m.Class.Rows)
 	for e := 0; e < m.opts.Epochs; e++ {
-		r.ShuffleInts(order)
-		for _, i := range order {
-			m.updateOne(enc2.Row(i), y[i], sims)
+		r.ShuffleInts(f.order)
+		for _, i := range f.order {
+			m.updateNormed(f.enc.Row(i), f.norms[i], y[i], f.sims)
 		}
 	}
 }
 
-// updateOne applies the paper's adaptive rule to a single encoded sample:
-// on misprediction, C_l += η(1−δ_l)·H and C_l' −= η(1−δ_l')·H, where a high
-// similarity δ means the pattern is already represented and the update is
-// scaled down.
+// updateOne applies the adaptive rule to a single encoded sample whose
+// norm nobody has cached (the online feedback path).
 func (m *Model) updateOne(h []float32, label int, sims []float64) bool {
-	hdc.Similarities(m.Class, h, m.scorer.Norms(), sims)
+	return m.updateNormed(h, hdc.Norm(h), label, sims)
+}
+
+// updateNormed applies the paper's adaptive rule to an encoded sample of
+// norm hNorm: on misprediction, C_l += η(1−δ_l)·H and C_l' −= η(1−δ_l')·H,
+// where a high similarity δ means the pattern is already represented and
+// the update is scaled down.
+func (m *Model) updateNormed(h []float32, hNorm float64, label int, sims []float64) bool {
+	hdc.Similarities(m.Class, h, hNorm, m.scorer.Norms(), sims)
 	pred := argmax(sims)
 	if pred == label {
 		return false
@@ -347,16 +376,16 @@ func (m *Model) Evaluate(x *hdc.Matrix, y []int) float64 {
 	return float64(correct) / float64(len(y))
 }
 
-// evaluateEncoded returns accuracy over a pre-encoded matrix.
-func (m *Model) evaluateEncoded(enc2 *hdc.Matrix, y []int) float64 {
-	preds := m.PredictBatchEncoded(enc2)
+// evaluateEncoded returns accuracy over the fit's cached encoding.
+func (m *Model) evaluateEncoded(f *fit, y []int) float64 {
+	m.Scorer().PredictBatchEncoded(f.enc, f.preds)
 	correct := 0
-	for i, p := range preds {
+	for i, p := range f.preds {
 		if p == y[i] {
 			correct++
 		}
 	}
-	return float64(correct) / float64(enc2.Rows)
+	return float64(correct) / float64(len(y))
 }
 
 // Update performs one online adaptive step on a labeled sample (the

@@ -9,8 +9,8 @@
 //
 // RBF supports per-dimension Regenerate, the mechanism behind CyberHD's
 // dynamic dimensionality: dropping an insignificant dimension re-draws
-// only that dimension's base parameters, and EncodeDims recomputes only
-// the affected coordinates of already-encoded data.
+// only that dimension's base parameters, and EncodeDimsBatch recomputes
+// only the affected coordinates of already-encoded data.
 //
 // State is the encoder's serialized form. Its field set is frozen for
 // byte stability of model snapshots, and the retired "linear" and
@@ -62,13 +62,38 @@ func EncodeBatchInto(e *RBF, x, out *hdc.Matrix) {
 
 // EncodeDimsBatch recomputes the listed output dimensions for every row of
 // x into the corresponding rows of enc (n×Dim), in parallel. Used after
-// Regenerate to refresh a cached encoding without re-encoding everything.
+// Regenerate to refresh a cached encoding without re-encoding everything:
+// the listed base rows and phases are gathered into one contiguous panel,
+// each sample runs the same DotPanel + CosInto as Encode over it, and the
+// results are scattered to their columns — bit-identical to a full
+// re-encode of those dimensions.
 func EncodeDimsBatch(e *RBF, x, enc *hdc.Matrix, dims []int) {
-	if x.Rows != enc.Rows {
-		panic("encoder: EncodeDimsBatch row mismatch")
+	if x.Cols != e.InDim() {
+		panic(fmt.Sprintf("encoder: batch has %d features, encoder wants %d", x.Cols, e.InDim()))
 	}
-	hdc.ParallelFor(x.Rows, func(i int) {
-		e.EncodeDims(x.Row(i), enc.Row(i), dims)
+	if enc.Rows != x.Rows || enc.Cols != e.Dim() {
+		panic(fmt.Sprintf("encoder: cached encoding is %dx%d, want %dx%d", enc.Rows, enc.Cols, x.Rows, e.Dim()))
+	}
+	f := e.base.Cols
+	panel := make([]float32, len(dims)*f)
+	bias := make([]float32, len(dims))
+	for j, d := range dims {
+		if d < 0 || d >= e.Dim() {
+			panic(fmt.Sprintf("encoder: dimension %d outside [0, %d)", d, e.Dim()))
+		}
+		copy(panel[j*f:], e.base.Row(d))
+		bias[j] = e.bias[d]
+	}
+	hdc.ParallelChunks(x.Rows, func(lo, hi int) {
+		h := make([]float32, len(dims))
+		for i := lo; i < hi; i++ {
+			hdc.DotPanel(x.Row(i), panel, f, h)
+			hdc.CosInto(h, h, bias)
+			row := enc.Row(i)
+			for j, d := range dims {
+				row[d] = h[j]
+			}
+		}
 	})
 }
 
@@ -112,7 +137,8 @@ func (e *RBF) InDim() int { return e.base.Cols }
 
 // Encode writes cos(B·x + b) into dst through the panel kernel: blocked
 // lane-wise dot products (hdc.DotPanel) with the fused table-cosine
-// epilogue (hdc.CosInto). Bit-identical to EncodeBatchInto and EncodeDims.
+// epilogue (hdc.CosInto). Bit-identical to EncodeBatchInto and
+// EncodeDimsBatch.
 func (e *RBF) Encode(x, dst []float32) {
 	if len(x) != e.InDim() || len(dst) != e.Dim() {
 		panic("encoder: RBF.Encode length mismatch")
@@ -144,14 +170,6 @@ func (e *RBF) encodeChunk(x, out *hdc.Matrix, lo, hi int) {
 			hdc.DotPanel(x.Row(i), panel, f, pre[:j1-j0])
 			hdc.CosInto(out.Row(i)[j0:j1], pre[:j1-j0], e.bias[j0:j1])
 		}
-	}
-}
-
-// EncodeDims recomputes only the listed dimensions, with the same kernel
-// numerics as Encode (hdc.DotLanes is the scalar form of hdc.DotPanel).
-func (e *RBF) EncodeDims(x, dst []float32, dims []int) {
-	for _, d := range dims {
-		dst[d] = hdc.Cos32(hdc.DotLanes(e.base.Row(d), x) + e.bias[d])
 	}
 }
 

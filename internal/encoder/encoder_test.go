@@ -45,6 +45,15 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// EncodeDims is the scalar reference of the per-dimension refresh:
+// hdc.DotLanes and hdc.Cos32 one dimension at a time, the forms
+// hdc.DotPanel and hdc.CosInto are pinned bit-identical to.
+func (e *RBF) EncodeDims(x, dst []float32, dims []int) {
+	for _, d := range dims {
+		dst[d] = hdc.Cos32(hdc.DotLanes(e.base.Row(d), x) + e.bias[d])
+	}
+}
+
 func TestEncodeDimsMatchesEncode(t *testing.T) {
 	r := rng.New(2)
 	x := randInput(r, 10)
@@ -201,6 +210,52 @@ func TestEncodeDimsBatchRefreshesCache(t *testing.T) {
 				t.Fatalf("cache row %d dim %d stale after refresh", i, d)
 			}
 		}
+	}
+}
+
+// TestEncodeDimsBatchMatchesScalarReference: the gathered-panel refresh
+// equals the per-dimension scalar form bit for bit — few and many
+// dimensions (past one 64-row panel), none at all, batches on both sides
+// of the parallel threshold — and leaves unlisted columns alone.
+func TestEncodeDimsBatchMatchesScalarReference(t *testing.T) {
+	r := rng.New(61)
+	for _, rows := range []int{1, 40, 700} {
+		for _, dims := range [][]int{nil, {129}, {0, 5, 63, 64, 129}, r.Perm(130)[:101]} {
+			x := hdc.NewMatrix(rows, 13)
+			r.FillNorm(x.Data, 0, 1)
+			e := NewRBF(13, 130, 0, 4)
+			got := EncodeBatch(e, x)
+			want := EncodeBatch(e, x)
+			e.Regenerate(dims)
+			EncodeDimsBatch(e, x, got, dims)
+			for i := 0; i < rows; i++ {
+				e.EncodeDims(x.Row(i), want.Row(i), dims)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("rows=%d dims=%d: batch refresh differs from the scalar reference", rows, len(dims))
+			}
+		}
+	}
+}
+
+func TestEncodeDimsBatchShapePanics(t *testing.T) {
+	e := NewRBF(7, 96, 0, 2)
+	x := hdc.NewMatrix(5, 7)
+	for name, f := range map[string]func(){
+		"feature count":  func() { EncodeDimsBatch(e, hdc.NewMatrix(5, 6), hdc.NewMatrix(5, 96), []int{1}) },
+		"row count":      func() { EncodeDimsBatch(e, x, hdc.NewMatrix(4, 96), []int{1}) },
+		"cache width":    func() { EncodeDimsBatch(e, x, hdc.NewMatrix(5, 95), []int{1}) },
+		"dimension high": func() { EncodeDimsBatch(e, x, hdc.NewMatrix(5, 96), []int{1, 96}) },
+		"dimension low":  func() { EncodeDimsBatch(e, x, hdc.NewMatrix(5, 96), []int{-1}) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "encoder: ") {
+					t.Errorf("%s: recovered %q, want an encoder: shape panic", name, msg)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

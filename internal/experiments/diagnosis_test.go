@@ -22,7 +22,7 @@ import (
 // explanation on the benchmark's serve_short traffic mix, labelled through
 // the dataset path: a static encoder at the same width, a static encoder
 // at Fig5Dim(W1), quantization-aware retraining of the served model, and
-// the 4- and 8-bit served models. It asserts only the defect as ROADMAP
+// the 2-, 4- and 8-bit served models. It asserts only the defect as ROADMAP
 // records it (float ≥ 0.95, W1 as served ≤ 0.70, every seed), so the PR
 // that fixes item 1 turns it red and replaces the bound.
 func TestServedW1Diagnosis(t *testing.T) {
@@ -83,6 +83,7 @@ func TestServedW1Diagnosis(t *testing.T) {
 			{fmt.Sprintf("W1 static %d", PhysDim), static(PhysDim)},
 			{fmt.Sprintf("W1 static %d", Fig5Dim(bitpack.W1)), static(Fig5Dim(bitpack.W1))},
 			{"W1 retrained", retrained},
+			{"W2 served", served(bitpack.W2)},
 			{"W4 served", served(bitpack.W4)},
 			{"W8 served", served(bitpack.W8)},
 		}

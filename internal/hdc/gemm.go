@@ -3,7 +3,6 @@ package hdc
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // This file is the high-performance kernel layer behind encoding and
@@ -12,23 +11,31 @@ import (
 //
 // # Numerics
 //
-// The kernels accumulate in eight float32 lanes — lane j sums the products
-// at indices congruent to j mod 8 — and fold the lanes sequentially
-// (l0+l1+...+l7) into a float32 result that callers widen to float64.
-// This lane structure is what an 8-wide vector unit computes with unfused
-// multiply/add, so the amd64 AVX path and the portable Go path produce
-// bit-identical results, and so does any tiling of the surrounding loops:
-// each output's summation order depends only on its own row, never on how
-// outputs are grouped into panels or goroutines. DotLanes is the scalar
-// reference for that contract; every kernel in this file matches it
-// exactly, which the package tests assert.
+// There are two lane contracts, and every kernel in this file is
+// bit-identical to the scalar function that defines its contract — on the
+// amd64 AVX path, on the portable Go path, and under any tiling of the
+// surrounding loops, because each output's summation order depends only
+// on its own row, never on how outputs are grouped into panels or
+// goroutines. The package tests assert both.
 //
-// Lane-wise float32 accumulation trades the float64 partial products of
-// Dot for ~an order of magnitude of throughput. Over the vector lengths
-// used here (tens to a few thousand elements of roughly unit scale) the
+// 8 × float32 = DotLanes: lane j sums the products at indices congruent
+// to j mod 8 with unfused multiply/add, and the lanes fold sequentially
+// (l0+l1+...+l7) into a float32 result that callers widen to float64.
+// DotPanel, MatMulT and everything a serving pass runs — encoding, class
+// scoring — use it: it trades the float64 partial products of Dot for
+// ~an order of magnitude of throughput, and over the vector lengths used
+// here (tens to a few thousand elements of roughly unit scale) the
 // relative error stays within a few 1e-6, well below the discrimination
-// scale of HDC class similarities; norms and learning-rule similarities
-// keep the float64 Dot path.
+// scale of HDC class similarities.
+//
+// 4 × float64 = Dot: each float32 pair is widened and multiplied exactly
+// in float64, lane j sums the products at indices congruent to j mod 4
+// over the whole groups of four, the tail elements go to lane 0, and the
+// fold is ((s0+s1)+s2)+s3. DotPanel64 is its panel form and Similarities
+// its caller, so whatever moves a class hypervector — the adaptive
+// learning rule in core.Train, online feedback (Model.Update,
+// COWModel.Update) and quantize.Retrain — keeps float64 similarities at
+// panel speed. Norms stay the sequential float64 sum of Norm.
 
 // panelTargetBytes sizes the row panels MatMulT streams through the inner
 // kernel: a panel of B rows should sit in L1 alongside the current A row
@@ -71,12 +78,7 @@ func DotLanes(a, b []float32) float32 {
 // scoring, dispatching to the AVX implementation when available.
 func DotPanel(x, b []float32, stride int, out []float32) {
 	n, rows := len(x), len(out)
-	if stride < n {
-		panic("hdc: DotPanel stride shorter than vector")
-	}
-	if rows > 0 && (rows-1)*stride+n > len(b) {
-		panic("hdc: DotPanel panel out of range")
-	}
+	checkPanel(n, len(b), stride, rows)
 	if rows == 0 {
 		return
 	}
@@ -91,6 +93,33 @@ func DotPanel(x, b []float32, stride int, out []float32) {
 		return
 	}
 	dotPanelGeneric(x, b, stride, out)
+}
+
+// DotPanel64 computes out[r] = Dot(b[r*stride : r*stride+len(x)], x) for
+// every r in [0, len(out)): DotPanel's shape under the float64 lane
+// contract. The AVX kernel converts the query once per four rows and
+// folds in registers; the portable form is Dot itself, row by row.
+func DotPanel64(x, b []float32, stride int, out []float64) {
+	n, rows := len(x), len(out)
+	checkPanel(n, len(b), stride, rows)
+	if useAVX && n > 0 && rows > 0 {
+		dotPanel64AVX(&x[0], &b[0], &out[0], n, stride, rows)
+		return
+	}
+	for r := range out {
+		out[r] = Dot(b[r*stride:][:n:n], x)
+	}
+}
+
+// checkPanel panics unless rows rows of n elements, stride apart, fit in
+// a panel of size elements.
+func checkPanel(n, size, stride, rows int) {
+	if stride < n {
+		panic("hdc: panel stride shorter than vector")
+	}
+	if rows > 0 && (rows-1)*stride+n > size {
+		panic("hdc: panel out of range")
+	}
 }
 
 // dotPanelGeneric is the portable DotPanel: four rows per pass share the
@@ -183,54 +212,6 @@ func matMulTChunk(a, b, dst *Matrix, lo, hi int) {
 		panel := b.Data[j0*b.Cols:]
 		for i := lo; i < hi; i++ {
 			DotPanel(a.Row(i), panel, b.Cols, dst.Row(i)[j0:j1])
-		}
-	}
-}
-
-// matmulScratch recycles the transposed-operand buffer of MatMul.
-var matmulScratch = sync.Pool{New: func() any { return new(Matrix) }}
-
-// MatMul computes dst = a · b where a is m×k and b is k×n. The row-major
-// layout makes b's columns strided, so the kernel transposes b once into
-// pooled scratch and runs the blocked MatMulT path; results are
-// bit-identical to MatMulT on the transposed operand by construction.
-func MatMul(a, b, dst *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("hdc: MatMul inner dims %d != %d", a.Cols, b.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("hdc: MatMul dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	bt := matmulScratch.Get().(*Matrix)
-	bt.Resize(b.Cols, b.Rows)
-	Transpose(b, bt)
-	MatMulT(a, bt, dst)
-	matmulScratch.Put(bt)
-}
-
-// Transpose writes bᵀ into dst (dst must be b.Cols × b.Rows).
-func Transpose(b, dst *Matrix) {
-	if dst.Rows != b.Cols || dst.Cols != b.Rows {
-		panic("hdc: Transpose shape mismatch")
-	}
-	// Block 32×32 so both matrices are touched in cache-line-sized runs.
-	const tb = 32
-	for i0 := 0; i0 < b.Rows; i0 += tb {
-		i1 := i0 + tb
-		if i1 > b.Rows {
-			i1 = b.Rows
-		}
-		for j0 := 0; j0 < b.Cols; j0 += tb {
-			j1 := j0 + tb
-			if j1 > b.Cols {
-				j1 = b.Cols
-			}
-			for i := i0; i < i1; i++ {
-				row := b.Row(i)
-				for j := j0; j < j1; j++ {
-					dst.Data[j*dst.Cols+i] = row[j]
-				}
-			}
 		}
 	}
 }

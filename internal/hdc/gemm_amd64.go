@@ -12,6 +12,14 @@ import "cyberhd/internal/cpufeat"
 //go:noescape
 func dotPanelAVX(x, b, out *float32, n, stride, rows int)
 
+// dotPanel64AVX is the AVX implementation of DotPanel64's contract: x·row
+// in four float64 lanes (VCVTPS2PD, unfused VMULPD+VADDPD), tail elements
+// into lane 0, folded ((s0+s1)+s2)+s3 — bit-identical to Dot. Implemented
+// in gemm_amd64.s.
+//
+//go:noescape
+func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+
 // cosIntoAVX2 evaluates dst[i] = Cos32(pre[i] + bias[i]) eight lanes at a
 // time with the same single-rounded float32 operations as the scalar
 // form, so results are bit-identical. Implemented in gemm_amd64.s.

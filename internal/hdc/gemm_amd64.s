@@ -227,6 +227,153 @@ done:
 	VZEROUPPER
 	RET
 
+// FOLD64 writes ((s0+s1)+s2)+s3 to off(DX), where lo holds lanes s0,s1
+// and hi lanes s2,s3 of one float64 accumulator.
+#define FOLD64(lo, hi, off) \
+	VPERMILPD $1, lo, X13 \
+	VADDSD    X13, lo, X13 \
+	VADDSD    hi, X13, X13 \
+	VPERMILPD $1, hi, X14 \
+	VADDSD    X14, X13, X13 \
+	VMOVSD    X13, off(DX)
+
+// func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+//
+// out[r] = sum_i float64(x[i])*float64(b[r*stride+i]), accumulated in 4
+// float64 lanes (lane = i mod 4 over the whole groups of four, unfused
+// VMULPD+VADDPD; the n mod 4 tail elements added to lane 0 in order) and
+// folded ((s0+s1)+s2)+s3 — bit-identical to Dot. Four rows per pass share
+// the converted x.
+//
+// Register map: SI=x, DI=panel cursor, DX=out cursor, R8=n bytes,
+// R9=stride bytes, R10=rows left, BX=main-loop byte bound, R11=byte
+// offset, R12..R15=row pointers, Y0..Y3=accumulators (X0..X3 their low
+// halves, lanes 0-1), Y4=x vector, Y5..Y8=row vectors, X9..X12=high
+// halves (lanes 2-3) split off before the scalar tail, X13..X14=fold
+// temps.
+TEXT ·dotPanel64AVX(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ out+16(FP), DX
+	MOVQ n+24(FP), R8
+	MOVQ stride+32(FP), R9
+	SHLQ $2, R9
+	MOVQ rows+40(FP), R10
+
+	MOVQ R8, BX
+	ANDQ $-4, BX
+	SHLQ $2, BX
+	SHLQ $2, R8
+
+d64rows4:
+	CMPQ R10, $4
+	JLT  d64rows1
+	MOVQ DI, R12
+	LEAQ (DI)(R9*1), R13
+	LEAQ (R13)(R9*1), R14
+	LEAQ (R14)(R9*1), R15
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ R11, R11
+	CMPQ BX, $0
+	JEQ  d64split4
+
+d64loop4:
+	VCVTPS2PD (SI)(R11*1), Y4
+	VCVTPS2PD (R12)(R11*1), Y5
+	VMULPD    Y4, Y5, Y5
+	VADDPD    Y5, Y0, Y0
+	VCVTPS2PD (R13)(R11*1), Y6
+	VMULPD    Y4, Y6, Y6
+	VADDPD    Y6, Y1, Y1
+	VCVTPS2PD (R14)(R11*1), Y7
+	VMULPD    Y4, Y7, Y7
+	VADDPD    Y7, Y2, Y2
+	VCVTPS2PD (R15)(R11*1), Y8
+	VMULPD    Y4, Y8, Y8
+	VADDPD    Y8, Y3, Y3
+	ADDQ $16, R11
+	CMPQ R11, BX
+	JLT  d64loop4
+
+d64split4:
+	VEXTRACTF128 $1, Y0, X9
+	VEXTRACTF128 $1, Y1, X10
+	VEXTRACTF128 $1, Y2, X11
+	VEXTRACTF128 $1, Y3, X12
+
+d64tail4:
+	CMPQ R11, R8
+	JGE  d64fold4
+	VCVTSS2SD (SI)(R11*1), X4, X4
+	VCVTSS2SD (R12)(R11*1), X5, X5
+	VMULSD    X4, X5, X5
+	VADDSD    X5, X0, X0
+	VCVTSS2SD (R13)(R11*1), X6, X6
+	VMULSD    X4, X6, X6
+	VADDSD    X6, X1, X1
+	VCVTSS2SD (R14)(R11*1), X7, X7
+	VMULSD    X4, X7, X7
+	VADDSD    X7, X2, X2
+	VCVTSS2SD (R15)(R11*1), X8, X8
+	VMULSD    X4, X8, X8
+	VADDSD    X8, X3, X3
+	ADDQ $4, R11
+	JMP  d64tail4
+
+d64fold4:
+	FOLD64(X0, X9, 0)
+	FOLD64(X1, X10, 8)
+	FOLD64(X2, X11, 16)
+	FOLD64(X3, X12, 24)
+	ADDQ $32, DX
+	LEAQ (R15)(R9*1), DI
+	SUBQ $4, R10
+	JMP  d64rows4
+
+d64rows1:
+	CMPQ R10, $0
+	JEQ  d64done
+	VXORPD Y0, Y0, Y0
+	XORQ R11, R11
+	CMPQ BX, $0
+	JEQ  d64split1
+
+d64loop1:
+	VCVTPS2PD (SI)(R11*1), Y4
+	VCVTPS2PD (DI)(R11*1), Y5
+	VMULPD    Y4, Y5, Y5
+	VADDPD    Y5, Y0, Y0
+	ADDQ $16, R11
+	CMPQ R11, BX
+	JLT  d64loop1
+
+d64split1:
+	VEXTRACTF128 $1, Y0, X9
+
+d64tail1:
+	CMPQ R11, R8
+	JGE  d64fold1
+	VCVTSS2SD (SI)(R11*1), X4, X4
+	VCVTSS2SD (DI)(R11*1), X5, X5
+	VMULSD    X4, X5, X5
+	VADDSD    X5, X0, X0
+	ADDQ $4, R11
+	JMP  d64tail1
+
+d64fold1:
+	FOLD64(X0, X9, 0)
+	ADDQ $8, DX
+	ADDQ R9, DI
+	DECQ R10
+	JMP  d64rows1
+
+d64done:
+	VZEROUPPER
+	RET
+
 // Broadcast constant tables for the cosine kernel (8 × float32 each).
 #define COSCONST(name, bits) \
 	DATA name<>+0x00(SB)/4, $bits \

@@ -15,6 +15,10 @@ func dotPanelAVX(x, b, out *float32, n, stride, rows int) {
 	panic("hdc: dotPanelAVX without AVX support")
 }
 
+func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int) {
+	panic("hdc: dotPanel64AVX without AVX support")
+}
+
 func cosIntoAVX2(dst, pre, bias *float32, n int) {
 	panic("hdc: cosIntoAVX2 without AVX2 support")
 }

@@ -113,6 +113,124 @@ func TestDotPanelEdgeCases(t *testing.T) {
 	}()
 }
 
+// mixedMagnitude fills v with normal draws scaled across ~16 decades, so
+// float64 sums of their products round differently under any other
+// association than Dot's.
+func mixedMagnitude(r *rng.Rand, v []float32) {
+	r.FillNorm(v, 0, 1)
+	for i := range v {
+		v[i] *= float32(math.Pow(10, float64(r.Intn(17)-8)))
+	}
+}
+
+// checkDotPanel64 runs one DotPanel64 call and requires every output to
+// equal Dot of its row bit for bit.
+func checkDotPanel64(t *testing.T, x, b []float32, stride, rows int) {
+	t.Helper()
+	n := len(x)
+	out := make([]float64, rows)
+	DotPanel64(x, b, stride, out)
+	for i := range out {
+		want := Dot(b[i*stride:][:n:n], x)
+		if math.Float64bits(out[i]) != math.Float64bits(want) && !(math.IsNaN(out[i]) && math.IsNaN(want)) {
+			t.Fatalf("n=%d rows=%d stride=%d row %d: DotPanel64 %v != Dot %v", n, rows, stride, i, out[i], want)
+		}
+	}
+}
+
+// TestDotPanel64MatchesDot pins the second lane contract: the dispatched
+// float64 panel kernel is Dot, exactly, on every row — lengths around the
+// 4-lane loop and its scalar tail, row counts around the 4-row tile,
+// strides wider than the vector, values of mixed magnitude.
+func TestDotPanel64MatchesDot(t *testing.T) {
+	t.Logf("useAVX=%v", useAVX)
+	r := rng.New(11)
+	for _, n := range []int{0, 1, 3, 4, 5, 78, 511, 512, 513} {
+		for _, rows := range []int{0, 1, 3, 4, 5, 8, 9, 65} {
+			stride := n + 1 + r.Intn(3)
+			x := make([]float32, n)
+			b := make([]float32, rows*stride+n)
+			mixedMagnitude(r, x)
+			mixedMagnitude(r, b)
+			checkDotPanel64(t, x, b, stride, rows)
+		}
+	}
+}
+
+// TestDotPanel64AVXMatchesDot calls the assembly directly, so the pin
+// holds even if the dispatch in DotPanel64 ever changes.
+func TestDotPanel64AVXMatchesDot(t *testing.T) {
+	if !useAVX {
+		t.Skip("AVX unavailable")
+	}
+	r := rng.New(12)
+	for _, n := range raggedSizes {
+		rows := 1 + r.Intn(9)
+		x := make([]float32, n)
+		b := make([]float32, rows*n)
+		mixedMagnitude(r, x)
+		mixedMagnitude(r, b)
+		got := make([]float64, rows)
+		dotPanel64AVX(&x[0], &b[0], &got[0], n, n, rows)
+		for i := range got {
+			if want := Dot(b[i*n:][:n:n], x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d rows=%d row %d: asm %v != Dot %v", n, rows, i, got[i], want)
+			}
+		}
+	}
+}
+
+func TestDotPanel64EdgeCases(t *testing.T) {
+	out := []float64{7, 7}
+	DotPanel64(nil, nil, 0, out)
+	if out[0] != 0 || out[1] != 0 {
+		t.Errorf("empty vectors should zero the output, got %v", out)
+	}
+	DotPanel64([]float32{1}, []float32{2}, 1, nil) // rows == 0: no-op
+	for name, f := range map[string]func(){
+		"short stride":  func() { DotPanel64(make([]float32, 4), make([]float32, 8), 2, make([]float64, 1)) },
+		"panel overrun": func() { DotPanel64(make([]float32, 4), make([]float32, 7), 4, make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on %s", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzDotPanel64 reads the fuzz bytes as float32 bit patterns — the
+// first n the query, the rest the panel — so infinities, NaNs, denormals
+// and cancelling sums all reach the kernel; NaN results only have to be
+// NaN on both sides (payload propagation is not part of the contract).
+func FuzzDotPanel64(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64}, uint8(1), uint8(0))
+	f.Add(make([]byte, 4*5*6), uint8(5), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, n8, pad uint8) {
+		v := make([]float32, len(raw)/4)
+		for i := range v {
+			v[i] = math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
+		}
+		n := int(n8)
+		if n > len(v) {
+			n = len(v)
+		}
+		x, b := v[:n], v[n:]
+		stride := n + int(pad%4)
+		rows := 0
+		if len(b) >= n {
+			rows = 1
+			if stride > 0 {
+				rows += (len(b) - n) / stride
+			}
+		}
+		checkDotPanel64(t, x, b, stride, rows)
+	})
+}
+
 // matMulTNaive is the unblocked reference: the kernel dot of every row
 // pair, no tiling, no parallelism.
 func matMulTNaive(a, b, dst *Matrix) {
@@ -147,39 +265,10 @@ func TestMatMulTMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulMatchesNaive(t *testing.T) {
-	r := rng.New(5)
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 2}, {7, 13, 11}, {33, 29, 17}, {64, 78, 40},
-	}
-	for _, s := range shapes {
-		a := NewMatrix(s.m, s.k)
-		b := NewMatrix(s.k, s.n)
-		r.FillNorm(a.Data, 0, 1)
-		r.FillNorm(b.Data, 0, 1)
-		got := NewMatrix(s.m, s.n)
-		MatMul(a, b, got)
-		// Reference: transpose then the naive kernel loop.
-		bt := NewMatrix(s.n, s.k)
-		for i := 0; i < s.k; i++ {
-			for j := 0; j < s.n; j++ {
-				bt.Set(j, i, b.At(i, j))
-			}
-		}
-		want := NewMatrix(s.m, s.n)
-		matMulTNaive(a, bt, want)
-		if !got.Equal(want) {
-			t.Fatalf("%dx%d·%dx%d: MatMul != naive", s.m, s.k, s.k, s.n)
-		}
-	}
-}
-
 func TestMatMulTShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { MatMulT(NewMatrix(2, 3), NewMatrix(2, 4), NewMatrix(2, 2)) },
 		func() { MatMulT(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3)) },
-		func() { MatMul(NewMatrix(2, 3), NewMatrix(4, 2), NewMatrix(2, 2)) },
-		func() { MatMul(NewMatrix(2, 3), NewMatrix(3, 2), NewMatrix(3, 2)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -190,21 +279,6 @@ func TestMatMulTShapePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	r := rng.New(6)
-	b := NewMatrix(37, 53)
-	r.FillNorm(b.Data, 0, 1)
-	bt := NewMatrix(53, 37)
-	Transpose(b, bt)
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			if b.At(i, j) != bt.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
 	}
 }
 
@@ -299,6 +373,21 @@ func BenchmarkDotPanelScoreShape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DotPanel(q, m.Data, 512, out)
+	}
+}
+
+// BenchmarkDotPanel64ScoreShape is one adaptive-update similarity pass at
+// the paper's shape: 8 class rows of D = 512 under the float64 contract.
+func BenchmarkDotPanel64ScoreShape(b *testing.B) {
+	q := make([]float32, 512)
+	m := NewMatrix(8, 512)
+	out := make([]float64, 8)
+	r := rng.New(13)
+	r.FillNorm(q, 0, 1)
+	r.FillNorm(m.Data, 0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DotPanel64(q, m.Data, 512, out)
 	}
 }
 

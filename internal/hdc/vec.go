@@ -89,16 +89,11 @@ func Zero(v []float32) {
 	}
 }
 
-// Clone returns a copy of v.
-func Clone(v []float32) []float32 {
-	out := make([]float32, len(v))
-	copy(out, v)
-	return out
-}
-
 // ArgmaxCosine returns the index of the row of m most cosine-similar to q
-// together with that similarity. Rows are the class hypervectors. When
-// norms of the rows are precomputed, use ArgmaxCosineNormed instead.
+// together with that similarity. Rows are the class hypervectors. This is
+// the float64 reference form; core.Scorer implements the same zero-norm
+// and tie-break conventions over the float32 kernel layer with cached row
+// norms — keep the two in agreement.
 func ArgmaxCosine(m *Matrix, q []float32) (best int, sim float64) {
 	best, sim = -1, math.Inf(-1)
 	nq := Norm(q)
@@ -119,72 +114,21 @@ func ArgmaxCosine(m *Matrix, q []float32) (best int, sim float64) {
 	return best, sim
 }
 
-// ArgmaxCosineNormed is ArgmaxCosine with precomputed row norms: it skips
-// the per-call norm recomputation that dominates repeated prediction.
-// rowNorms must hold Norm of every row (see Matrix.RowNorms). This is the
-// float64 reference form; core.Scorer implements the same zero-norm and
-// tie-break conventions over the float32 kernel layer — keep the three in
-// agreement.
-func ArgmaxCosineNormed(m *Matrix, q []float32, rowNorms []float64) (best int, sim float64) {
-	if len(rowNorms) != m.Rows {
-		panic("hdc: ArgmaxCosineNormed norms length mismatch")
-	}
-	best, sim = -1, math.Inf(-1)
-	nq := Norm(q)
-	if nq == 0 {
-		return 0, 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		var s float64
-		if nr := rowNorms[r]; nr > 0 {
-			s = Dot(m.Row(r), q) / (nr * nq)
-		}
-		if s > sim {
-			best, sim = r, s
-		}
-	}
-	return best, sim
-}
-
 // Similarities writes the cosine similarity of q against every row of m
-// into out (len(out) must equal m.Rows) using precomputed row norms
-// rowNorms (may be nil, in which case norms are computed on the fly).
-func Similarities(m *Matrix, q []float32, rowNorms []float64, out []float64) {
-	if len(out) != m.Rows {
-		panic("hdc: Similarities out length mismatch")
+// into out: one DotPanel64 pass — float64 dots, bit-identical to Dot row by
+// row — divided by the caller's cached norms. qNorm is Norm(q) and
+// rowNorms holds Norm of every row (see Matrix.RowNorms); a zero norm on
+// either side scores 0.
+func Similarities(m *Matrix, q []float32, qNorm float64, rowNorms, out []float64) {
+	if len(q) != m.Cols || len(rowNorms) != m.Rows || len(out) != m.Rows {
+		panic("hdc: Similarities length mismatch")
 	}
-	nq := Norm(q)
-	for r := 0; r < m.Rows; r++ {
-		if nq == 0 {
+	DotPanel64(q, m.Data, m.Cols, out)
+	for r, nr := range rowNorms {
+		if nr == 0 || qNorm == 0 {
 			out[r] = 0
-			continue
-		}
-		row := m.Row(r)
-		var nr float64
-		if rowNorms != nil {
-			nr = rowNorms[r]
 		} else {
-			nr = Norm(row)
-		}
-		if nr == 0 {
-			out[r] = 0
-			continue
-		}
-		out[r] = Dot(row, q) / (nr * nq)
-	}
-}
-
-// Hamming returns the number of positions where sign(a) != sign(b),
-// treating zero as positive. It panics if the lengths differ.
-func Hamming(a, b []float32) int {
-	if len(a) != len(b) {
-		panic("hdc: Hamming length mismatch")
-	}
-	d := 0
-	for i := range a {
-		if (a[i] < 0) != (b[i] < 0) {
-			d++
+			out[r] /= nr * qNorm
 		}
 	}
-	return d
 }

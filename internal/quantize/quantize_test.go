@@ -1,6 +1,9 @@
 package quantize
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -151,6 +154,30 @@ func TestRetrainImprovesOneBit(t *testing.T) {
 	}
 	if retrained.Width != bitpack.W1 || retrained.Dim() != m.Class.Cols {
 		t.Errorf("retrained shape wrong: w=%d dim=%d", retrained.Width, retrained.Dim())
+	}
+}
+
+// TestRetrainGoldenDigest pins the retrained class memory — packed words
+// and scales — at three widths to digests recorded before Retrain's
+// similarities moved onto hdc.DotPanel64 with cached shadow-row norms:
+// quantization-aware retraining is specified bit for bit, like training.
+func TestRetrainGoldenDigest(t *testing.T) {
+	m, x, y, _, _ := trainedModel(t)
+	for w, want := range map[bitpack.Width]uint64{
+		bitpack.W1: 0x26c7a1fe14a5687, bitpack.W4: 0x5429b6a9ea5cd7b, bitpack.W32: 0xfd808b65d6a60bfe,
+	} {
+		q, err := Retrain(m, w, x, y, 4, 0.1, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, r := range q.Class.Rows {
+			binary.Write(h, binary.LittleEndian, r.Words)
+			binary.Write(h, binary.LittleEndian, math.Float32bits(r.Scale))
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("W%d: retrained class memory digest %#x, want %#x", w, got, want)
+		}
 	}
 }
 
