@@ -329,7 +329,7 @@ func (m *Model) Predict(x []float32) int {
 
 // PredictEncoded classifies an already-encoded hypervector using the
 // scorer's cached row norms (the naive path recomputed every class norm
-// per call; see hdc.ArgmaxCosine).
+// per call).
 func (m *Model) PredictEncoded(h []float32) int {
 	return m.Scorer().PredictEncoded(h)
 }
@@ -354,13 +354,6 @@ func (m *Model) PredictBatchInto(x *hdc.Matrix, out []int) {
 	encoder.EncodeBatchInto(m.Enc, x, enc)
 	m.Scorer().PredictBatchEncoded(enc, out)
 	m.encScratch.Put(enc)
-}
-
-// PredictBatchEncoded classifies every row of an already-encoded matrix.
-func (m *Model) PredictBatchEncoded(enc *hdc.Matrix) []int {
-	out := make([]int, enc.Rows)
-	m.Scorer().PredictBatchEncoded(enc, out)
-	return out
 }
 
 // Evaluate returns accuracy of the model on the feature matrix x with

@@ -19,7 +19,8 @@ import (
 // positive constant across classes, so scoring skips it entirely —
 // argmax_r dot_r/‖row_r‖ picks the same class, without a D-element norm
 // pass per query. Zero rows score 0, and an all-zero query scores 0
-// against everything, matching hdc.ArgmaxCosine's conventions.
+// against everything, the conventions of the float64 reference argmax
+// the package tests hold it to.
 type Scorer struct {
 	class *hdc.Matrix
 	norms []float64
@@ -90,7 +91,7 @@ func (s *Scorer) PredictEncoded(h []float32) int {
 }
 
 // PredictBatchEncoded classifies every row of enc into out (len enc.Rows)
-// through one blocked class-matrix×query GEMM.
+// through one class-matrix×query MatMulT.
 func (s *Scorer) PredictBatchEncoded(enc *hdc.Matrix, out []int) {
 	if len(out) != enc.Rows {
 		panic("core: PredictBatchEncoded output length mismatch")
@@ -116,8 +117,7 @@ func (s *Scorer) argmaxRows(scores *hdc.Matrix, out []int, lo, hi int) {
 }
 
 // argmaxNormed returns the index maximizing scores[r]/norms[r], with zero
-// rows scoring 0 and ties resolved to the lowest index — the same rule as
-// hdc.ArgmaxCosine.
+// rows scoring 0 and ties resolved to the lowest index.
 func (s *Scorer) argmaxNormed(scores []float32) int {
 	best, bv := -1, math.Inf(-1)
 	for r, sc := range scores {

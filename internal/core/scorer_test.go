@@ -1,12 +1,61 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
 	"cyberhd/internal/rng"
 )
+
+// argmaxCosine is the scorer's float64 reference: the row of m most
+// cosine-similar to q (float64 Dot over per-call Norms) with that
+// similarity. A zero query picks row 0 with similarity 0, a zero row
+// scores 0, and ties go to the lowest index — the conventions Scorer
+// keeps over the float32 kernels with cached row norms.
+func argmaxCosine(m *hdc.Matrix, q []float32) (best int, sim float64) {
+	best, sim = -1, math.Inf(-1)
+	nq := hdc.Norm(q)
+	if nq == 0 {
+		return 0, 0
+	}
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		nr := hdc.Norm(row)
+		var s float64
+		if nr > 0 {
+			s = hdc.Dot(row, q) / (nr * nq)
+		}
+		if s > sim {
+			best, sim = r, s
+		}
+	}
+	return best, sim
+}
+
+func TestArgmaxCosineReference(t *testing.T) {
+	m := hdc.NewMatrix(3, 4)
+	copy(m.Row(0), []float32{1, 0, 0, 0})
+	copy(m.Row(1), []float32{0, 1, 0, 0})
+	copy(m.Row(2), []float32{0, 0, 1, 1})
+	q := []float32{0, 0, 2, 2}
+	best, sim := argmaxCosine(m, q)
+	if best != 2 {
+		t.Fatalf("best = %d, want 2", best)
+	}
+	if math.Abs(sim-1) > 1e-6 {
+		t.Fatalf("sim = %v, want 1", sim)
+	}
+}
+
+func TestArgmaxCosineReferenceZeroQuery(t *testing.T) {
+	m := hdc.NewMatrix(2, 3)
+	best, sim := argmaxCosine(m, []float32{0, 0, 0})
+	if best != 0 || sim != 0 {
+		t.Fatalf("zero query: got (%d, %v)", best, sim)
+	}
+}
 
 // scorerModel trains a small model for scorer-path tests.
 func scorerModel(t testing.TB, classes, dim int) (*Model, *hdc.Matrix, []int) {
@@ -29,7 +78,7 @@ func TestScorerMatchesArgmaxCosine(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Enc.Encode(x.Row(i), h)
 		got := m.PredictEncoded(h)
-		naive, _ := hdc.ArgmaxCosine(m.Class, h)
+		naive, _ := argmaxCosine(m.Class, h)
 		if got != naive {
 			t.Fatalf("sample %d: scorer %d != naive argmax %d", i, got, naive)
 		}
@@ -51,7 +100,8 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 	}
 	// And the pre-encoded batch entry point.
 	enc := encoder.EncodeBatch(m.Enc, x)
-	encBatch := m.PredictBatchEncoded(enc)
+	encBatch := make([]int, enc.Rows)
+	m.Scorer().PredictBatchEncoded(enc, encBatch)
 	for i := range batch {
 		if encBatch[i] != batch[i] {
 			t.Fatalf("sample %d: PredictBatchEncoded %d != PredictBatch %d", i, encBatch[i], batch[i])
@@ -118,7 +168,7 @@ func TestScorerManyClasses(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		r.FillNorm(q, 0, 1)
 		got := s.PredictEncoded(q)
-		want, _ := hdc.ArgmaxCosine(class, q)
+		want, _ := argmaxCosine(class, q)
 		if got != want {
 			t.Fatalf("trial %d: pooled-path scorer %d != naive %d", trial, got, want)
 		}
@@ -148,7 +198,7 @@ func TestKernelAccuracyParity(t *testing.T) {
 	enc := encoder.EncodeBatch(m.Enc, x)
 	kernelAcc, refAcc, disagree := 0, 0, 0
 	for i := 0; i < x.Rows; i++ {
-		ref, _ := hdc.ArgmaxCosine(m.Class, enc.Row(i))
+		ref, _ := argmaxCosine(m.Class, enc.Row(i))
 		if preds[i] == y[i] {
 			kernelAcc++
 		}
@@ -167,7 +217,7 @@ func TestKernelAccuracyParity(t *testing.T) {
 	}
 }
 
-// TestScorerZeroQueryAndRows matches hdc.ArgmaxCosine conventions.
+// TestScorerZeroQueryAndRows matches argmaxCosine conventions.
 func TestScorerZeroQueryAndRows(t *testing.T) {
 	class := hdc.NewMatrix(3, 8)
 	s := NewScorer(class) // all rows zero

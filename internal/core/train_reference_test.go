@@ -58,8 +58,9 @@ func trainScalarReference(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options
 			}
 		}
 		m.refreshNorms()
-		correct := 0
-		for i, p := range m.PredictBatchEncoded(enc2) {
+		correct, preds := 0, make([]int, x.Rows)
+		m.Scorer().PredictBatchEncoded(enc2, preds)
+		for i, p := range preds {
 			if p == y[i] {
 				correct++
 			}

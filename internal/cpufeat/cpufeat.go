@@ -6,15 +6,18 @@
 // gate on these flags without their own build-tag plumbing.
 package cpufeat
 
-// Feature flags, fixed at package init. AVX and AVX2 are only reported
-// when the OS has enabled YMM state saving (XGETBV), so a true flag means
-// the corresponding instructions are actually executable, not merely
-// present in CPUID.
+// Feature flags, fixed at package init. AVX, AVX2 and AVX-512F are only
+// reported when the OS has enabled the matching register state (XGETBV),
+// so a true flag means the corresponding instructions are actually
+// executable, not merely present in CPUID.
 var (
 	// HasAVX reports AVX (256-bit float vectors) plus OS YMM support.
 	HasAVX bool
 	// HasAVX2 reports AVX2 (256-bit integer vectors) plus OS YMM support.
 	HasAVX2 bool
+	// HasAVX512F reports AVX-512 Foundation (512-bit vectors) plus OS
+	// support for the opmask and all 32 ZMM registers. It implies HasAVX2.
+	HasAVX512F bool
 	// HasPOPCNT reports the POPCNT instruction.
 	HasPOPCNT bool
 )

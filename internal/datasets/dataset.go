@@ -169,15 +169,19 @@ func (n *Normalizer) Apply(d *Dataset) {
 }
 
 // ApplyVec normalizes one feature vector in place, clamping to ±10
-// standard deviations so adversarial outliers cannot blow up encodings.
+// standard deviations so adversarial outliers cannot blow up encodings,
+// and NaN, which no clamp catches, to 0: the training mean.
 func (n *Normalizer) ApplyVec(x []float32) {
 	for c := range x {
 		v := (x[c] - n.Mean[c]) * n.InvStd[c]
-		if v > 10 {
+		switch {
+		case v >= -10 && v <= 10: // the common case first; NaN fails both
+		case v > 10:
 			v = 10
-		}
-		if v < -10 {
+		case v < -10:
 			v = -10
+		default:
+			v = 0
 		}
 		x[c] = v
 	}

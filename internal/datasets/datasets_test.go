@@ -199,6 +199,22 @@ func TestNormalizerConstantColumn(t *testing.T) {
 	}
 }
 
+// TestApplyVecNonFinite: ±Inf clamp to ±10 like any outlier, and NaN —
+// which no comparison catches, including Inf·0 on a constant column —
+// becomes 0, the training mean; finite values pass through bit for bit.
+func TestApplyVecNonFinite(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	n := &Normalizer{Mean: []float32{0, 0, 0, 0, 0, 0, 0}, InvStd: []float32{1, 1, 1, 1, 0, 1, 1}}
+	x := []float32{nan, inf, -inf, 3.5, inf, 10, float32(math.Copysign(0, -1))}
+	want := []float32{0, 10, -10, 3.5, 0, 10, float32(math.Copysign(0, -1))}
+	n.ApplyVec(x)
+	for c := range x {
+		if math.Float32bits(x[c]) != math.Float32bits(want[c]) {
+			t.Errorf("feature %d normalizes to %v, want %v", c, x[c], want[c])
+		}
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	d := UNSWNB15(300, 13)
 	var buf bytes.Buffer

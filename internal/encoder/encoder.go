@@ -25,11 +25,10 @@ import (
 	"cyberhd/internal/rng"
 )
 
-// encPanel is the number of encoder base rows processed per kernel panel:
-// 64 rows of float32 features keep a panel within L1 alongside the input
-// row and pre-activation buffer. Output values are independent of the
-// panel size; it only affects cache behavior.
-const encPanel = 64
+// blockBytes sizes the slice of the encode panel EncodeBatchInto runs
+// across a chunk's samples before moving on: a few groups that stay in
+// L1 alongside the sample rows. Output values do not depend on it.
+const blockBytes = 24 << 10
 
 // EncodeBatch encodes every row of x (n×InDim) into a new n×Dim matrix
 // through the blocked batch kernel.
@@ -41,11 +40,9 @@ func EncodeBatch(e *RBF, x *hdc.Matrix) *hdc.Matrix {
 
 // EncodeBatchInto encodes every row of x into the matching row of out
 // (n×Dim), reusing out's storage — the allocation-free form of
-// EncodeBatch for pooled buffers. It is one blocked pass: the base matrix
-// is walked in L1-sized panels reused across all samples of a chunk, so
-// the batch costs one cache-resident GEMM plus the cosine epilogue
-// instead of n independent matvecs. Bit-identical to row-at-a-time
-// Encode.
+// EncodeBatch for pooled buffers. It is one blocked pass: the encode
+// panel is walked a few L1-sized groups at a time, each slice reused
+// across all samples of a chunk. Bit-identical to row-at-a-time Encode.
 func EncodeBatchInto(e *RBF, x, out *hdc.Matrix) {
 	if x.Cols != e.InDim() {
 		panic(fmt.Sprintf("encoder: batch has %d features, encoder wants %d", x.Cols, e.InDim()))
@@ -63,10 +60,10 @@ func EncodeBatchInto(e *RBF, x, out *hdc.Matrix) {
 // EncodeDimsBatch recomputes the listed output dimensions for every row of
 // x into the corresponding rows of enc (n×Dim), in parallel. Used after
 // Regenerate to refresh a cached encoding without re-encoding everything:
-// the listed base rows and phases are gathered into one contiguous panel,
-// each sample runs the same DotPanel + CosInto as Encode over it, and the
-// results are scattered to their columns — bit-identical to a full
-// re-encode of those dimensions.
+// the listed rows are gathered sixteen at a time into a one-group encode
+// panel, each sample runs the encode kernel over it, and the results are
+// scattered to their columns — bit-identical to a full re-encode of those
+// dimensions.
 func EncodeDimsBatch(e *RBF, x, enc *hdc.Matrix, dims []int) {
 	if x.Cols != e.InDim() {
 		panic(fmt.Sprintf("encoder: batch has %d features, encoder wants %d", x.Cols, e.InDim()))
@@ -74,24 +71,29 @@ func EncodeDimsBatch(e *RBF, x, enc *hdc.Matrix, dims []int) {
 	if enc.Rows != x.Rows || enc.Cols != e.Dim() {
 		panic(fmt.Sprintf("encoder: cached encoding is %dx%d, want %dx%d", enc.Rows, enc.Cols, x.Rows, e.Dim()))
 	}
-	f := e.base.Cols
-	panel := make([]float32, len(dims)*f)
-	bias := make([]float32, len(dims))
-	for j, d := range dims {
+	for _, d := range dims {
 		if d < 0 || d >= e.Dim() {
 			panic(fmt.Sprintf("encoder: dimension %d outside [0, %d)", d, e.Dim()))
 		}
-		copy(panel[j*f:], e.base.Row(d))
-		bias[j] = e.bias[d]
 	}
 	hdc.ParallelChunks(x.Rows, func(lo, hi int) {
-		h := make([]float32, len(dims))
-		for i := lo; i < hi; i++ {
-			hdc.DotPanel(x.Row(i), panel, f, h)
-			hdc.CosInto(h, h, bias)
-			row := enc.Row(i)
-			for j, d := range dims {
-				row[d] = h[j]
+		const G = hdc.EncodeGroup
+		panel := make([]float32, G*e.inDim)
+		var bias, h [G]float32
+		for j0 := 0; j0 < len(dims); j0 += G {
+			group := dims[j0:min(j0+G, len(dims))]
+			for k, d := range group {
+				for i := 0; i < e.inDim; i++ {
+					panel[hdc.PanelIndex(k, i, e.inDim)] = e.panel[hdc.PanelIndex(d, i, e.inDim)]
+				}
+				bias[k] = e.bias[d]
+			}
+			for i := lo; i < hi; i++ {
+				hdc.EncodePanel(x.Row(i), panel, bias[:], h[:len(group)])
+				row := enc.Row(i)
+				for k, d := range group {
+					row[d] = h[k]
+				}
 			}
 		}
 	})
@@ -101,11 +103,26 @@ func EncodeDimsBatch(e *RBF, x, enc *hdc.Matrix, dims []int) {
 // base_d ~ N(0, gamma²·I), bias_d ~ U[0, 2π). With unit-variance inputs this
 // approximates an RBF kernel feature map, giving HDC the non-linearity the
 // paper needs for attack patterns.
+//
+// The base matrix is stored once, as an hdc.EncodePanel panel: rows in
+// groups of hdc.EncodeGroup, interleaved element by element, the last
+// group padded with zero rows (and zero phases). State carries it
+// row-major; CaptureState and FromState convert.
 type RBF struct {
-	base  *hdc.Matrix // Dim × InDim
-	bias  []float32
-	gamma float64
-	r     *rng.Rand
+	panel      []float32 // Dim × InDim base, at hdc.PanelIndex positions
+	bias       []float32 // one phase per panel row
+	inDim, dim int
+	gamma      float64
+	r          *rng.Rand
+}
+
+// newRBF allocates an all-zero encoder of the given shape.
+func newRBF(inDim, dim int, gamma float64, r *rng.Rand) *RBF {
+	rows := (dim + hdc.EncodeGroup - 1) / hdc.EncodeGroup * hdc.EncodeGroup
+	return &RBF{
+		panel: make([]float32, rows*inDim), bias: make([]float32, rows),
+		inDim: inDim, dim: dim, gamma: gamma, r: r,
+	}
 }
 
 // NewRBF builds an RBF encoder with dim output dimensions for inDim input
@@ -118,57 +135,49 @@ func NewRBF(inDim, dim int, gamma float64, seed uint64) *RBF {
 	if gamma <= 0 {
 		gamma = 1 / math.Sqrt(float64(inDim))
 	}
-	e := &RBF{
-		base:  hdc.NewMatrix(dim, inDim),
-		bias:  make([]float32, dim),
-		gamma: gamma,
-		r:     rng.New(seed),
+	e := newRBF(inDim, dim, gamma, rng.New(seed))
+	for d := 0; d < dim; d++ {
+		e.drawRow(d)
 	}
-	e.r.FillNorm(e.base.Data, 0, gamma)
-	e.r.FillUniform(e.bias, 0, 2*math.Pi)
+	e.r.FillUniform(e.bias[:dim], 0, 2*math.Pi)
 	return e
 }
 
+// drawRow draws base row d from N(0, gamma²·I), element by element in the
+// order a row-major fill would take.
+func (e *RBF) drawRow(d int) {
+	for i := 0; i < e.inDim; i++ {
+		k := hdc.PanelIndex(d, i, e.inDim)
+		e.r.FillNorm(e.panel[k:k+1], 0, e.gamma)
+	}
+}
+
 // Dim returns the hyperspace dimensionality.
-func (e *RBF) Dim() int { return e.base.Rows }
+func (e *RBF) Dim() int { return e.dim }
 
 // InDim returns the expected feature count.
-func (e *RBF) InDim() int { return e.base.Cols }
+func (e *RBF) InDim() int { return e.inDim }
 
-// Encode writes cos(B·x + b) into dst through the panel kernel: blocked
-// lane-wise dot products (hdc.DotPanel) with the fused table-cosine
-// epilogue (hdc.CosInto). Bit-identical to EncodeBatchInto and
+// Encode writes cos(B·x + b) into dst through the encode kernel
+// (hdc.EncodePanel). Bit-identical to EncodeBatchInto and
 // EncodeDimsBatch.
 func (e *RBF) Encode(x, dst []float32) {
 	if len(x) != e.InDim() || len(dst) != e.Dim() {
 		panic("encoder: RBF.Encode length mismatch")
 	}
-	f := e.base.Cols
-	var pre [encPanel]float32
-	for j0 := 0; j0 < e.base.Rows; j0 += encPanel {
-		j1 := j0 + encPanel
-		if j1 > e.base.Rows {
-			j1 = e.base.Rows
-		}
-		hdc.DotPanel(x, e.base.Data[j0*f:], f, pre[:j1-j0])
-		hdc.CosInto(dst[j0:j1], pre[:j1-j0], e.bias[j0:j1])
-	}
+	hdc.EncodePanel(x, e.panel, e.bias, dst)
 }
 
-// encodeChunk encodes sample rows [lo, hi), reusing each base panel
-// across the whole chunk.
+// encodeChunk encodes sample rows [lo, hi), reusing each L1-sized slice
+// of the panel across the whole chunk.
 func (e *RBF) encodeChunk(x, out *hdc.Matrix, lo, hi int) {
-	f := e.base.Cols
-	var pre [encPanel]float32
-	for j0 := 0; j0 < e.base.Rows; j0 += encPanel {
-		j1 := j0 + encPanel
-		if j1 > e.base.Rows {
-			j1 = e.base.Rows
-		}
-		panel := e.base.Data[j0*f:]
+	const G = hdc.EncodeGroup
+	step := max(1, blockBytes/(4*G*e.inDim)) * G
+	for r0 := 0; r0 < e.dim; r0 += step {
+		r1 := min(r0+step, e.dim)
+		panel, bias := e.panel[r0*e.inDim:], e.bias[r0:]
 		for i := lo; i < hi; i++ {
-			hdc.DotPanel(x.Row(i), panel, f, pre[:j1-j0])
-			hdc.CosInto(out.Row(i)[j0:j1], pre[:j1-j0], e.bias[j0:j1])
+			hdc.EncodePanel(x.Row(i), panel, bias, out.Row(i)[r0:r1])
 		}
 	}
 }
@@ -181,7 +190,7 @@ func (e *RBF) Regenerate(dims []int) {
 		if d < 0 || d >= e.Dim() {
 			panic("encoder: Regenerate dimension out of range")
 		}
-		e.r.FillNorm(e.base.Row(d), 0, e.gamma)
+		e.drawRow(d)
 		e.bias[d] = float32(2 * math.Pi * e.r.Float64())
 	}
 }

@@ -46,12 +46,21 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // EncodeDims is the scalar reference of the per-dimension refresh:
-// hdc.DotLanes and hdc.Cos32 one dimension at a time, the forms
-// hdc.DotPanel and hdc.CosInto are pinned bit-identical to.
+// hdc.DotLanes and hdc.Cos32 one dimension at a time, the expression
+// hdc.EncodePanel is pinned bit-identical to.
 func (e *RBF) EncodeDims(x, dst []float32, dims []int) {
 	for _, d := range dims {
-		dst[d] = hdc.Cos32(hdc.DotLanes(e.base.Row(d), x) + e.bias[d])
+		dst[d] = hdc.Cos32(hdc.DotLanes(e.baseRow(d), x) + e.bias[d])
 	}
+}
+
+// baseRow gathers base row d out of the encode panel.
+func (e *RBF) baseRow(d int) []float32 {
+	row := make([]float32, e.inDim)
+	for i := range row {
+		row[i] = e.panel[hdc.PanelIndex(d, i, e.inDim)]
+	}
+	return row
 }
 
 func TestEncodeDimsMatchesEncode(t *testing.T) {

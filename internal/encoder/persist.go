@@ -32,13 +32,18 @@ type State struct {
 	LevelHV []float32
 }
 
-// CaptureState extracts the serializable state of e.
+// CaptureState extracts the serializable state of e, the base matrix
+// row-major as State has always carried it.
 func CaptureState(e *RBF) State {
+	base := make([]float32, e.dim*e.inDim)
+	for j := range base {
+		base[j] = e.panel[hdc.PanelIndex(j/e.inDim, j%e.inDim, e.inDim)]
+	}
 	return State{
 		Kind: "rbf", InDim: e.InDim(), Dim: e.Dim(),
 		RNG:   e.r.State(),
-		Base:  append([]float32(nil), e.base.Data...),
-		Bias:  append([]float32(nil), e.bias...),
+		Base:  base,
+		Bias:  append([]float32(nil), e.bias[:e.dim]...),
 		Gamma: e.gamma,
 	}
 }
@@ -61,10 +66,10 @@ func FromState(s State) (*RBF, error) {
 	if len(s.Base) != s.Dim*s.InDim || len(s.Bias) != s.Dim {
 		return nil, fmt.Errorf("encoder: rbf state shape mismatch")
 	}
-	return &RBF{
-		base:  &hdc.Matrix{Rows: s.Dim, Cols: s.InDim, Data: append([]float32(nil), s.Base...)},
-		bias:  append([]float32(nil), s.Bias...),
-		gamma: s.Gamma,
-		r:     rng.FromState(s.RNG),
-	}, nil
+	e := newRBF(s.InDim, s.Dim, s.Gamma, rng.FromState(s.RNG))
+	for j, v := range s.Base {
+		e.panel[hdc.PanelIndex(j/s.InDim, j%s.InDim, s.InDim)] = v
+	}
+	copy(e.bias, s.Bias)
+	return e, nil
 }

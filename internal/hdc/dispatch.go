@@ -2,11 +2,14 @@ package hdc
 
 // KernelPath reports which float-kernel implementation this build selected
 // at init, so benchmarks and the serving /stats surface can attribute
-// numbers to a code path: "avx2" (AVX dot panels + AVX2 cosine kernel),
-// "avx" (AVX dot panels, scalar cosine), or "generic" (portable Go —
-// non-amd64 targets, the noasm build tag, or a CPU/OS without YMM state).
+// numbers to a code path: "avx512" (AVX-512 encode kernel, AVX dot
+// panels), "avx2" (AVX2 encode kernel, AVX dot panels), "avx" (AVX dot
+// panels, portable encode kernel), or "generic" (portable Go — non-amd64
+// targets, the noasm build tag, or a CPU/OS without YMM state).
 func KernelPath() string {
 	switch {
+	case useAVX512:
+		return "avx512"
 	case useAVX2:
 		return "avx2"
 	case useAVX:

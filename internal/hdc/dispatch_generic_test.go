@@ -1,0 +1,12 @@
+//go:build !amd64 || noasm
+
+package hdc
+
+import "testing"
+
+// encodePaths runs f on the one EncodePanel path a portable build has.
+func encodePaths(t testing.TB, f func(path string)) {
+	t.Helper()
+	t.Logf("encode paths avx512, avx2: not in this build, skipped")
+	f("generic")
+}

@@ -7,16 +7,18 @@ import (
 
 // This file is the high-performance kernel layer behind encoding and
 // scoring: multi-row dot panels, cache-blocked matrix products, and the
-// fused cosine epilogue of the RBF encoder.
+// RBF encode kernel with its cosine fused in.
 //
 // # Numerics
 //
 // There are two lane contracts, and every kernel in this file is
 // bit-identical to the scalar function that defines its contract — on the
-// amd64 AVX path, on the portable Go path, and under any tiling of the
+// amd64 AVX paths, on the portable Go path, and under any tiling of the
 // surrounding loops, because each output's summation order depends only
 // on its own row, never on how outputs are grouped into panels or
-// goroutines. The package tests assert both.
+// goroutines. The package tests assert both, for finite inputs: a NaN
+// operand yields NaN on every path, but which NaN payload survives is
+// not part of either contract.
 //
 // 8 × float32 = DotLanes: lane j sums the products at indices congruent
 // to j mod 8 with unfused multiply/add, and the lanes fold sequentially
@@ -26,7 +28,11 @@ import (
 // ~an order of magnitude of throughput, and over the vector lengths used
 // here (tens to a few thousand elements of roughly unit scale) the
 // relative error stays within a few 1e-6, well below the discrimination
-// scale of HDC class similarities.
+// scale of HDC class similarities. DotPanel vectorizes it along a row —
+// one vector lane per lane class, a horizontal fold per output — while
+// EncodePanel vectorizes across rows: each lane class is one vector
+// accumulator holding that class for sixteen rows, and the fold is seven
+// vertical adds. Both keep each output's operations in DotLanes order.
 //
 // 4 × float64 = Dot: each float32 pair is widened and multiplied exactly
 // in float64, lane j sums the products at indices congruent to j mod 4
@@ -37,11 +43,6 @@ import (
 // COWModel.Update) and quantize.Retrain — keeps float64 similarities at
 // panel speed. Norms stay the sequential float64 sum of Norm.
 
-// panelTargetBytes sizes the row panels MatMulT streams through the inner
-// kernel: a panel of B rows should sit in L1 alongside the current A row
-// and the output tile, so every A row reuses the panel from cache.
-const panelTargetBytes = 16 << 10
-
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,
 // folded sequentially. DotPanel and everything built on it produce
@@ -50,32 +51,29 @@ func DotLanes(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("hdc: DotLanes length mismatch")
 	}
-	var l [8]float32
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		l[0] += a[i] * b[i]
-		l[1] += a[i+1] * b[i+1]
-		l[2] += a[i+2] * b[i+2]
-		l[3] += a[i+3] * b[i+3]
-		l[4] += a[i+4] * b[i+4]
-		l[5] += a[i+5] * b[i+5]
-		l[6] += a[i+6] * b[i+6]
-		l[7] += a[i+7] * b[i+7]
+	var l0, l1, l2, l3, l4, l5, l6, l7 float32
+	for len(a) >= 8 && len(b) >= 8 {
+		l0 += a[0] * b[0]
+		l1 += a[1] * b[1]
+		l2 += a[2] * b[2]
+		l3 += a[3] * b[3]
+		l4 += a[4] * b[4]
+		l5 += a[5] * b[5]
+		l6 += a[6] * b[6]
+		l7 += a[7] * b[7]
+		a, b = a[8:], b[8:]
 	}
-	for ; i < len(a); i++ {
-		l[i&7] += a[i] * b[i]
+	l := [8]float32{l0, l1, l2, l3, l4, l5, l6, l7}
+	for i := range a { // the len mod 8 tail, into lanes 0.. in order
+		l[i] += a[i] * b[i]
 	}
-	s := l[0]
-	for _, v := range l[1:] {
-		s += v
-	}
-	return s
+	return l[0] + l[1] + l[2] + l[3] + l[4] + l[5] + l[6] + l[7]
 }
 
 // DotPanel computes out[r] = DotLanes(x, b[r*stride : r*stride+len(x)])
 // for every r in [0, len(out)) — one query against a panel of contiguous
-// rows. It is the inner kernel of MatMulT, batch encoding, and class
-// scoring, dispatching to the AVX implementation when available.
+// rows. It is the inner kernel of MatMulT and class scoring, dispatching
+// to the AVX implementation when available.
 func DotPanel(x, b []float32, stride int, out []float32) {
 	n, rows := len(x), len(out)
 	checkPanel(n, len(b), stride, rows)
@@ -122,67 +120,20 @@ func checkPanel(n, size, stride, rows int) {
 	}
 }
 
-// dotPanelGeneric is the portable DotPanel: four rows per pass share the
-// query loads, each row accumulating in the DotLanes pattern.
+// dotPanelGeneric is the portable DotPanel: DotLanes row by row.
 func dotPanelGeneric(x, b []float32, stride int, out []float32) {
 	n := len(x)
-	r := 0
-	for ; r+4 <= len(out); r += 4 {
-		r0 := b[(r+0)*stride:][:n:n]
-		r1 := b[(r+1)*stride:][:n:n]
-		r2 := b[(r+2)*stride:][:n:n]
-		r3 := b[(r+3)*stride:][:n:n]
-		var l0, l1, l2, l3 [8]float32
-		i := 0
-		for ; i+8 <= n; i += 8 {
-			for j := 0; j < 8; j++ {
-				xv := x[i+j]
-				l0[j] += xv * r0[i+j]
-				l1[j] += xv * r1[i+j]
-				l2[j] += xv * r2[i+j]
-				l3[j] += xv * r3[i+j]
-			}
-		}
-		for ; i < n; i++ {
-			xv := x[i]
-			l0[i&7] += xv * r0[i]
-			l1[i&7] += xv * r1[i]
-			l2[i&7] += xv * r2[i]
-			l3[i&7] += xv * r3[i]
-		}
-		out[r+0] = foldLanes(&l0)
-		out[r+1] = foldLanes(&l1)
-		out[r+2] = foldLanes(&l2)
-		out[r+3] = foldLanes(&l3)
-	}
-	for ; r < len(out); r++ {
+	for r := range out {
 		out[r] = DotLanes(x, b[r*stride:][:n:n])
 	}
 }
 
-func foldLanes(l *[8]float32) float32 {
-	s := l[0]
-	for _, v := range l[1:] {
-		s += v
-	}
-	return s
-}
-
-// panelRows picks the B-panel height for an inner dimension of cols so a
-// panel stays within panelTargetBytes (at least 4 rows, multiple of 4).
-func panelRows(cols int) int {
-	p := panelTargetBytes / (4 * cols)
-	if p < 4 {
-		return 4
-	}
-	return p &^ 3
-}
-
 // MatMulT computes dst = a · bᵀ where a is m×k and b is n×k, so dst is
-// m×n: dst[i][j] is the kernel dot of a's row i with b's row j. It blocks
-// b into L1-sized panels, parallelizes over rows of a with ParallelChunks,
-// and produces bit-identical results to the naive DotLanes double loop
-// regardless of blocking or worker count.
+// m×n: dst[i][j] is the kernel dot of a's row i with b's row j — one
+// DotPanel over b per row of a, rows fanned out with ParallelChunks. Each
+// output is bit-identical to the naive DotLanes double loop regardless of
+// worker count. b is a class matrix here, small enough to stay in cache
+// across the rows of a.
 func MatMulT(a, b, dst *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("hdc: MatMulT inner dims %d != %d", a.Cols, b.Cols))
@@ -190,39 +141,26 @@ func MatMulT(a, b, dst *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("hdc: MatMulT dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if a.Rows == 0 || b.Rows == 0 {
-		return
-	}
 	if Serial(a.Rows) {
-		matMulTChunk(a, b, dst, 0, a.Rows)
+		matMulTRows(a, b, dst, 0, a.Rows)
 		return
 	}
-	ParallelChunks(a.Rows, func(lo, hi int) { matMulTChunk(a, b, dst, lo, hi) })
+	ParallelChunks(a.Rows, func(lo, hi int) { matMulTRows(a, b, dst, lo, hi) })
 }
 
-// matMulTChunk computes rows [lo, hi) of MatMulT, walking b in L1-sized
-// panels reused across the chunk's rows of a.
-func matMulTChunk(a, b, dst *Matrix, lo, hi int) {
-	pr := panelRows(b.Cols)
-	for j0 := 0; j0 < b.Rows; j0 += pr {
-		j1 := j0 + pr
-		if j1 > b.Rows {
-			j1 = b.Rows
-		}
-		panel := b.Data[j0*b.Cols:]
-		for i := lo; i < hi; i++ {
-			DotPanel(a.Row(i), panel, b.Cols, dst.Row(i)[j0:j1])
-		}
+func matMulTRows(a, b, dst *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		DotPanel(a.Row(i), b.Data, b.Cols, dst.Row(i))
 	}
 }
 
 // Kernel cosine constants: single-precision half-period reduction
 // (Cody–Waite split of π) plus a degree-12 even Taylor polynomial on
 // [-π/2, π/2] and a parity sign flip. Every step is a single-rounded
-// float32 operation, so the scalar form below and the 8-lane AVX2 form in
-// gemm_amd64.s (same ops, vectorized) are bit-identical. Worst absolute
-// error is a few float32 ulps (~2e-7) — below the resolution of the
-// unit-range outputs the RBF encoder stores. Callers needing float64
+// float32 operation, so the scalar form below and the AVX2 and AVX-512
+// forms in gemm_amd64.s (same ops, vectorized) are bit-identical. Worst
+// absolute error is a few float32 ulps (~2e-7) — below the resolution of
+// the unit-range outputs the RBF encoder stores. Callers needing float64
 // cosines want math.Cos, not this.
 const (
 	cosInvPi = float32(1 / math.Pi)
@@ -237,10 +175,10 @@ const (
 )
 
 // Cos32 is the kernel cosine. Every RBF encode path (single, batch,
-// per-dimension refresh) evaluates exactly this function — scalar here,
-// vectorized in assembly — so their outputs are bit-identical. Arguments
-// are assumed moderate (|x| ≲ 2^15, far beyond any encoder
-// pre-activation); it is not a general-range math.Cos replacement.
+// per-dimension refresh) evaluates exactly this function through
+// EncodePanel — scalar here, vectorized in assembly — so their outputs are
+// bit-identical. Arguments are assumed moderate (|x| ≲ 2^15, far beyond
+// any encoder pre-activation); it is not a general-range math.Cos.
 func Cos32(x float32) float32 {
 	v := x * cosInvPi
 	n := float32(math.RoundToEven(float64(v)))
@@ -258,21 +196,76 @@ func Cos32(x float32) float32 {
 	return math.Float32frombits(math.Float32bits(p) ^ uint32(int32(n))<<31)
 }
 
-// CosInto writes the fused RBF epilogue dst[i] = Cos32(pre[i] + bias[i]):
-// the pre-activations of a dot panel plus the encoder phases, in one
-// vectorized pass.
-func CosInto(dst, pre, bias []float32) {
-	if len(pre) != len(dst) || len(bias) != len(dst) {
-		panic("hdc: CosInto length mismatch")
+// EncodeGroup is the row-group height of an encode panel: sixteen rows,
+// one 512-bit vector or two 256-bit halves.
+const EncodeGroup = 16
+
+// PanelIndex is the position of element i of row r in an encode panel
+// whose rows hold n elements each.
+func PanelIndex(r, i, n int) int {
+	return (r/EncodeGroup*n+i)*EncodeGroup + r%EncodeGroup
+}
+
+// EncodePanel writes the RBF encoding dst[r] = Cos32(DotLanes(B[r], x) +
+// bias[r]) for every r in [0, len(dst)), reading the base matrix B as an
+// encode panel: rows in groups of EncodeGroup, interleaved so element i of
+// row r sits at panel[PanelIndex(r, i, len(x))]. A partial last group
+// still occupies a whole group of panel and bias (one phase per panel
+// row); what its padding rows hold does not matter.
+//
+// Each group runs the DotLanes lane classes as eight accumulators of
+// EncodeGroup rows, folds them and adds the bias; Cos32 then runs on the
+// sums (in assembly as a second pass over dst, so the cosine chains of
+// successive groups overlap). Outputs are bit-identical to the scalar.
+func EncodePanel(x, panel, bias, dst []float32) {
+	n, rows := len(x), len(dst)
+	padded := (rows + EncodeGroup - 1) / EncodeGroup * EncodeGroup
+	if len(panel) < padded*n || len(bias) < padded {
+		panic("hdc: EncodePanel panel shorter than its rows")
 	}
-	if len(dst) == 0 {
+	switch {
+	case n == 0 || rows == 0:
+	case useAVX512:
+		encodePanelAVX512(&x[0], &panel[0], &bias[0], &dst[0], n, rows)
+		return
+	case useAVX2:
+		encodePanelAVX2(&x[0], &panel[0], &bias[0], &dst[0], n, rows)
 		return
 	}
-	if useAVX2 {
-		cosIntoAVX2(&dst[0], &pre[0], &bias[0], len(dst))
-		return
-	}
-	for i, p := range pre {
-		dst[i] = Cos32(p + bias[i])
+	encodePanelGeneric(x, panel, bias, dst)
+}
+
+// encodePanelGeneric is the portable EncodePanel: each row walks its
+// interleaved column with the eight lane accumulators in locals, and a
+// group's cosines run as one loop.
+func encodePanelGeneric(x, panel, bias, dst []float32) {
+	const G = EncodeGroup
+	n := len(x)
+	var dots [G]float32
+	for r0 := 0; r0 < len(dst); r0 += G {
+		p, d := panel[r0*n:][:G*n], dst[r0:min(r0+G, len(dst))]
+		for j := range d {
+			var l0, l1, l2, l3, l4, l5, l6, l7 float32
+			xs, q := x, p[min(j, len(p)):] // p is empty when x is
+			for len(xs) >= 8 && len(q) > 7*G {
+				l0 += xs[0] * q[0]
+				l1 += xs[1] * q[G]
+				l2 += xs[2] * q[2*G]
+				l3 += xs[3] * q[3*G]
+				l4 += xs[4] * q[4*G]
+				l5 += xs[5] * q[5*G]
+				l6 += xs[6] * q[6*G]
+				l7 += xs[7] * q[7*G]
+				xs, q = xs[8:], q[min(8*G, len(q)):]
+			}
+			l := [8]float32{l0, l1, l2, l3, l4, l5, l6, l7}
+			for k, xv := range xs { // the n mod 8 tail, lanes 0.. as in DotLanes
+				l[k] += xv * q[k*G]
+			}
+			dots[j] = l[0] + l[1] + l[2] + l[3] + l[4] + l[5] + l[6] + l[7]
+		}
+		for j := range d {
+			d[j] = Cos32(dots[j] + bias[r0+j])
+		}
 	}
 }

@@ -20,15 +20,18 @@ func dotPanelAVX(x, b, out *float32, n, stride, rows int)
 //go:noescape
 func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
 
-// cosIntoAVX2 evaluates dst[i] = Cos32(pre[i] + bias[i]) eight lanes at a
-// time with the same single-rounded float32 operations as the scalar
-// form, so results are bit-identical. Implemented in gemm_amd64.s.
+// encodePanelAVX2 and encodePanelAVX512 are EncodePanel for n, rows >= 1:
+// x[i] broadcast against element i of a group's rows into accumulator
+// i mod 8, fold and bias into dst, then Cos32 over dst, a partial last
+// group under a mask. Implemented in gemm_amd64.s.
 //
 //go:noescape
-func cosIntoAVX2(dst, pre, bias *float32, n int)
+func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 
-// useAVX gates the dot kernel on AVX plus OS support for YMM state;
-// useAVX2 additionally gates the cosine kernel (VPSLLD on YMM). Detection
-// lives in internal/cpufeat, shared with the packed kernels of
-// internal/bitpack.
-var useAVX, useAVX2 = cpufeat.HasAVX, cpufeat.HasAVX2
+//go:noescape
+func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
+
+// useAVX gates the dot kernels, useAVX2 and useAVX512 the encode kernel.
+// Detection, OS register-state checks included, lives in internal/cpufeat,
+// shared with the packed kernels of internal/bitpack.
+var useAVX, useAVX2, useAVX512 = cpufeat.HasAVX, cpufeat.HasAVX2, cpufeat.HasAVX512F

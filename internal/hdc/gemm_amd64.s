@@ -374,7 +374,8 @@ d64done:
 	VZEROUPPER
 	RET
 
-// Broadcast constant tables for the cosine kernel (8 × float32 each).
+// Constant tables for the encode kernel's cosine (8 × float32 each: AVX2
+// reads them as vectors, AVX-512 broadcasts the first element).
 #define COSCONST(name, bits) \
 	DATA name<>+0x00(SB)/4, $bits \
 	DATA name<>+0x04(SB)/4, $bits \
@@ -397,111 +398,549 @@ COSCONST(cosC2V, 0x3d2aaaab)
 COSCONST(cosC1V, 0xbf000000)
 COSCONST(cosOneV, 0x3f800000)
 
-// func cosIntoAVX2(dst, pre, bias *float32, n int)
+// ENCSTEP adds x[i]·panel[g][i] to one lane-class accumulator: xoff is
+// the byte offset of x[i] from AX, poff that of the group's element-i
+// vector from BX (64 bytes per element); bc and prod are scratch.
+#define ENCSTEP(bc, prod, xoff, poff, acc) \
+	VBROADCASTSS xoff(AX), bc \
+	VMULPS       poff(BX), bc, prod \
+	VADDPS       prod, acc, acc
+
+// COS256 replaces the pre-activations in x with Cos32(x), eight lanes,
+// leaving the result in p (n and z are scratch): x·(1/π) rounded to even
+// gives the half-period index n; r = x − n·πhi − n·πlo; a degree-12 even
+// polynomial in z = r²; the parity of n flips the sign bit. The same
+// single-rounded float32 steps as the scalar Cos32.
+#define COS256(x, n, z, p) \
+	VMULPS     cosInvPiV<>(SB), x, n \
+	VROUNDPS   $0, n, n \
+	VMULPS     cosPiHiV<>(SB), n, z \
+	VSUBPS     z, x, x \
+	VMULPS     cosPiLoV<>(SB), n, z \
+	VSUBPS     z, x, x \
+	VMULPS     x, x, z \
+	VMOVUPS    cosC6V<>(SB), p \
+	VMULPS     z, p, p \
+	VADDPS     cosC5V<>(SB), p, p \
+	VMULPS     z, p, p \
+	VADDPS     cosC4V<>(SB), p, p \
+	VMULPS     z, p, p \
+	VADDPS     cosC3V<>(SB), p, p \
+	VMULPS     z, p, p \
+	VADDPS     cosC2V<>(SB), p, p \
+	VMULPS     z, p, p \
+	VADDPS     cosC1V<>(SB), p, p \
+	VMULPS     z, p, p \
+	VADDPS     cosOneV<>(SB), p, p \
+	VCVTTPS2DQ n, z \
+	VPSLLD     $31, z, z \
+	VXORPS     z, p, p
+
+// E2STEP adds x[i]·panel[g][i] to one lane class of both 8-row halves of
+// a group: xoff is the byte offset of x[i] from AX, poff that of the
+// group's element-i vector from BX; Y8 and Y9 are scratch.
+#define E2STEP(xoff, poff, lo, hi) \
+	VBROADCASTSS xoff(AX), Y8 \
+	VMULPS       poff(BX), Y8, Y9 \
+	VADDPS       Y9, lo, lo \
+	VMULPS       poff+32(BX), Y8, Y9 \
+	VADDPS       Y9, hi, hi
+
+// func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 //
-// dst[i] = Cos32(pre[i] + bias[i]), eight lanes per step: x·(1/π) rounded
-// to even gives the half-period index n; r = x − n·πhi − n·πlo; a
-// degree-12 even Taylor polynomial in r² gives cos(r); the parity of n
-// flips the sign bit. Identical single-rounded float32 ops to the scalar
-// Cos32, so results match bitwise.
+// EncodePanel over rows outputs in two passes. The accumulate pass runs
+// each 16-row group as two 8-row halves sharing every broadcast of x[i],
+// and — sixteen accumulators being more than AVX2 has registers — in two
+// sweeps over the elements: lane classes 0..3 (Y0..Y3 low half, Y4..Y7
+// high half), folded ((l0+l1)+l2)+l3 into Y10/Y11, then classes 4..7 in
+// the same registers, added on in order. Each add is an unfused VMULPS
+// then VADDPS in increasing i, and the fold is DotLanes' sequential one.
+// The bias goes on and the group's pre-activations go to dst, the last
+// rows through a maskTab mask. The cosine pass then runs COS256 over dst,
+// whose groups are independent, so their latency chains overlap instead
+// of stalling the next group. Every output is bit-identical to
+// Cos32(DotLanes(row, x) + bias).
 //
-// Registers: DI=dst, SI=pre, DX=bias, R8=n, R9=byte offset, BX=main
-// bound, CX=tail count, Y10=tail mask, Y11..Y15 working.
-TEXT ·cosIntoAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ pre+8(FP), SI
+// Register map: SI=x, DI=group base, DX=bias cursor, R8=dst cursor, R9=n,
+// R10=rows left, R11=group bytes (64n), R12=n mod 8, R13/R14=dst and rows
+// for the cosine pass, AX=x cursor, BX=element cursor, CX=count, Y0..Y7
+// accumulators, Y8 broadcast, Y9 product, Y10/Y11 folded halves, Y12 the
+// rows mod 8 mask.
+TEXT ·encodePanelAVX2(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), SI
+	MOVQ panel+8(FP), DI
 	MOVQ bias+16(FP), DX
-	MOVQ n+24(FP), R8
+	MOVQ dst+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ rows+40(FP), R10
+	MOVQ R8, R13
+	MOVQ R10, R14
+	MOVQ R9, R11
+	SHLQ $6, R11
+	MOVQ R9, R12
+	ANDQ $7, R12
+	TESTQ R10, R10
+	JZ    e2done
 
-	MOVQ R8, BX
-	ANDQ $-8, BX
-	SHLQ $2, BX
-
-	MOVQ R8, CX
-	ANDQ $7, CX
-	JZ   noctail
+	// Y12 masks the rows mod 8 tail (all ones when there is none).
+	MOVQ R10, AX
+	ANDQ $7, AX
+	JNZ  e2mask
 	MOVQ $8, AX
-	SUBQ CX, AX
-	SHLQ $2, AX
-	LEAQ maskTab<>(SB), R9
-	ADDQ AX, R9
-	VMOVDQU (R9), Y10
+e2mask:
+	NEGQ AX
+	LEAQ maskTab<>+32(SB), CX
+	VMOVDQU (CX)(AX*4), Y12
 
-noctail:
-	XORQ R9, R9
-	CMPQ BX, $0
-	JEQ  ctail
+e2group:
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   e2tailA
 
-closs:
-	VMOVUPS (SI)(R9*1), Y15
-	VADDPS  (DX)(R9*1), Y15, Y15
+e2loopA:
+	E2STEP(0, 0, Y0, Y4)
+	E2STEP(4, 64, Y1, Y5)
+	E2STEP(8, 128, Y2, Y6)
+	E2STEP(12, 192, Y3, Y7)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  e2loopA
 
-	VMULPS   cosInvPiV<>(SB), Y15, Y14
-	VROUNDPS $0, Y14, Y14
-	VMULPS   cosPiHiV<>(SB), Y14, Y13
-	VSUBPS   Y13, Y15, Y15
-	VMULPS   cosPiLoV<>(SB), Y14, Y13
-	VSUBPS   Y13, Y15, Y15
-	VMULPS   Y15, Y15, Y13
+e2tailA:
+	CMPQ R12, $0
+	JEQ  e2foldA
+	E2STEP(0, 0, Y0, Y4)
+	CMPQ R12, $1
+	JEQ  e2foldA
+	E2STEP(4, 64, Y1, Y5)
+	CMPQ R12, $2
+	JEQ  e2foldA
+	E2STEP(8, 128, Y2, Y6)
+	CMPQ R12, $3
+	JEQ  e2foldA
+	E2STEP(12, 192, Y3, Y7)
 
-	VMOVUPS cosC6V<>(SB), Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC5V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC4V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC3V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC2V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC1V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosOneV<>(SB), Y12, Y12
+e2foldA:
+	VADDPS Y1, Y0, Y10
+	VADDPS Y5, Y4, Y11
+	VADDPS Y2, Y10, Y10
+	VADDPS Y6, Y11, Y11
+	VADDPS Y3, Y10, Y10
+	VADDPS Y7, Y11, Y11
 
-	VCVTTPS2DQ Y14, Y11
-	VPSLLD     $31, Y11, Y11
-	VXORPS     Y11, Y12, Y12
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   e2tailB
 
-	VMOVUPS Y12, (DI)(R9*1)
-	ADDQ $32, R9
-	CMPQ R9, BX
-	JLT  closs
+e2loopB:
+	E2STEP(16, 256, Y0, Y4)
+	E2STEP(20, 320, Y1, Y5)
+	E2STEP(24, 384, Y2, Y6)
+	E2STEP(28, 448, Y3, Y7)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  e2loopB
 
-ctail:
-	CMPQ CX, $0
-	JEQ  cdone
-	VMASKMOVPS (SI)(R9*1), Y10, Y15
-	VMASKMOVPS (DX)(R9*1), Y10, Y13
-	VADDPS  Y13, Y15, Y15
+e2tailB:
+	CMPQ R12, $4
+	JLE  e2foldB
+	E2STEP(16, 256, Y0, Y4)
+	CMPQ R12, $5
+	JEQ  e2foldB
+	E2STEP(20, 320, Y1, Y5)
+	CMPQ R12, $6
+	JEQ  e2foldB
+	E2STEP(24, 384, Y2, Y6)
 
-	VMULPS   cosInvPiV<>(SB), Y15, Y14
-	VROUNDPS $0, Y14, Y14
-	VMULPS   cosPiHiV<>(SB), Y14, Y13
-	VSUBPS   Y13, Y15, Y15
-	VMULPS   cosPiLoV<>(SB), Y14, Y13
-	VSUBPS   Y13, Y15, Y15
-	VMULPS   Y15, Y15, Y13
+e2foldB:
+	VADDPS Y0, Y10, Y10
+	VADDPS Y4, Y11, Y11
+	VADDPS Y1, Y10, Y10
+	VADDPS Y5, Y11, Y11
+	VADDPS Y2, Y10, Y10
+	VADDPS Y6, Y11, Y11
+	VADDPS Y3, Y10, Y10
+	VADDPS Y7, Y11, Y11
+	VADDPS (DX), Y10, Y10
+	VADDPS 32(DX), Y11, Y11
 
-	VMOVUPS cosC6V<>(SB), Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC5V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC4V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC3V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC2V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosC1V<>(SB), Y12, Y12
-	VMULPS  Y13, Y12, Y12
-	VADDPS  cosOneV<>(SB), Y12, Y12
+	CMPQ R10, $16
+	JLT  e2last
+	VMOVUPS Y10, (R8)
+	VMOVUPS Y11, 32(R8)
+	ADDQ $64, DX
+	ADDQ $64, R8
+	ADDQ R11, DI
+	SUBQ $16, R10
+	JNZ  e2group
+	JMP  e2cos
 
-	VCVTTPS2DQ Y14, Y11
-	VPSLLD     $31, Y11, Y11
-	VXORPS     Y11, Y12, Y12
+e2last:
+	CMPQ R10, $8
+	JGT  e2lasthi
+	JEQ  e2last8
+	VMASKMOVPS Y10, Y12, (R8)
+	JMP  e2cos
+e2last8:
+	VMOVUPS Y10, (R8)
+	JMP  e2cos
+e2lasthi:
+	VMOVUPS    Y10, (R8)
+	VMASKMOVPS Y11, Y12, 32(R8)
 
-	VMASKMOVPS Y12, Y10, (DI)(R9*1)
+e2cos:
+	CMPQ R14, $8
+	JLE  e2coslast
+	VMOVUPS (R13), Y0
+	COS256(Y0, Y1, Y2, Y3)
+	VMOVUPS Y3, (R13)
+	ADDQ $32, R13
+	SUBQ $8, R14
+	JMP  e2cos
 
-cdone:
+e2coslast:
+	VMASKMOVPS (R13), Y12, Y0
+	COS256(Y0, Y1, Y2, Y3)
+	VMASKMOVPS Y3, Y12, (R13)
+
+e2done:
+	VZEROUPPER
+	RET
+
+// COS512 is COS256 on sixteen lanes with the constants in registers
+// (Z24..Z31, Z14, Z15; see encodePanelAVX512): VRNDSCALEPS $0 is VROUNDPS
+// $0, and VPXORD stands in for VXORPS, which needs AVX512DQ at this width.
+#define COS512(x, n, z, p) \
+	VMULPS      Z24, x, n \
+	VRNDSCALEPS $0, n, n \
+	VMULPS      Z25, n, z \
+	VSUBPS      z, x, x \
+	VMULPS      Z26, n, z \
+	VSUBPS      z, x, x \
+	VMULPS      x, x, z \
+	VMULPS      z, Z27, p \
+	VADDPS      Z28, p, p \
+	VMULPS      z, p, p \
+	VADDPS      Z29, p, p \
+	VMULPS      z, p, p \
+	VADDPS      Z30, p, p \
+	VMULPS      z, p, p \
+	VADDPS      Z31, p, p \
+	VMULPS      z, p, p \
+	VADDPS      Z14, p, p \
+	VMULPS      z, p, p \
+	VADDPS      Z15, p, p \
+	VCVTTPS2DQ  n, z \
+	VPSLLD      $31, z, z \
+	VPXORD      z, p, p
+
+// func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
+//
+// encodePanelAVX2's two passes on 16-row ZMM groups. The accumulate pass
+// takes two groups per pass while 32 rows remain — one broadcast of x[i]
+// feeds both groups' accumulators, Z0..Z7 and Z16..Z23 — then single
+// groups, the last one stored under the opmask K1.
+//
+// Register map: as encodePanelAVX2 with Z for Y and no half offset; Z8
+// broadcast, Z9/Z10 products, cosine constants as COS512.
+TEXT ·encodePanelAVX512(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), SI
+	MOVQ panel+8(FP), DI
+	MOVQ bias+16(FP), DX
+	MOVQ dst+24(FP), R8
+	MOVQ n+32(FP), R9
+	MOVQ rows+40(FP), R10
+	MOVQ R8, R13
+	MOVQ R10, R14
+	MOVQ R9, R11
+	SHLQ $6, R11
+	TESTQ R10, R10
+	JZ    e5done
+
+	// K1 masks the rows mod 16 tail (all ones when there is none).
+	MOVQ R10, CX
+	ANDQ $15, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	TESTQ CX, CX
+	JNZ  e5mask
+	MOVL $0xffff, AX
+e5mask:
+	KMOVW AX, K1
+
+e5pair:
+	CMPQ R10, $32
+	JLT  e5group
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   e5ptail
+
+e5ploop:
+	VBROADCASTSS 0(AX), Z8
+	VMULPS       0(BX), Z8, Z9
+	VADDPS       Z9, Z0, Z0
+	VMULPS       0(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z16, Z16
+	VBROADCASTSS 4(AX), Z8
+	VMULPS       64(BX), Z8, Z9
+	VADDPS       Z9, Z1, Z1
+	VMULPS       64(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z17, Z17
+	VBROADCASTSS 8(AX), Z8
+	VMULPS       128(BX), Z8, Z9
+	VADDPS       Z9, Z2, Z2
+	VMULPS       128(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z18, Z18
+	VBROADCASTSS 12(AX), Z8
+	VMULPS       192(BX), Z8, Z9
+	VADDPS       Z9, Z3, Z3
+	VMULPS       192(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z19, Z19
+	VBROADCASTSS 16(AX), Z8
+	VMULPS       256(BX), Z8, Z9
+	VADDPS       Z9, Z4, Z4
+	VMULPS       256(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z20, Z20
+	VBROADCASTSS 20(AX), Z8
+	VMULPS       320(BX), Z8, Z9
+	VADDPS       Z9, Z5, Z5
+	VMULPS       320(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z21, Z21
+	VBROADCASTSS 24(AX), Z8
+	VMULPS       384(BX), Z8, Z9
+	VADDPS       Z9, Z6, Z6
+	VMULPS       384(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z22, Z22
+	VBROADCASTSS 28(AX), Z8
+	VMULPS       448(BX), Z8, Z9
+	VADDPS       Z9, Z7, Z7
+	VMULPS       448(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z23, Z23
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  e5ploop
+
+e5ptail:
+	MOVQ R9, CX
+	ANDQ $7, CX
+	JZ   e5pfold
+	VBROADCASTSS 0(AX), Z8
+	VMULPS       0(BX), Z8, Z9
+	VADDPS       Z9, Z0, Z0
+	VMULPS       0(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z16, Z16
+	CMPQ CX, $1
+	JEQ  e5pfold
+	VBROADCASTSS 4(AX), Z8
+	VMULPS       64(BX), Z8, Z9
+	VADDPS       Z9, Z1, Z1
+	VMULPS       64(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z17, Z17
+	CMPQ CX, $2
+	JEQ  e5pfold
+	VBROADCASTSS 8(AX), Z8
+	VMULPS       128(BX), Z8, Z9
+	VADDPS       Z9, Z2, Z2
+	VMULPS       128(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z18, Z18
+	CMPQ CX, $3
+	JEQ  e5pfold
+	VBROADCASTSS 12(AX), Z8
+	VMULPS       192(BX), Z8, Z9
+	VADDPS       Z9, Z3, Z3
+	VMULPS       192(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z19, Z19
+	CMPQ CX, $4
+	JEQ  e5pfold
+	VBROADCASTSS 16(AX), Z8
+	VMULPS       256(BX), Z8, Z9
+	VADDPS       Z9, Z4, Z4
+	VMULPS       256(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z20, Z20
+	CMPQ CX, $5
+	JEQ  e5pfold
+	VBROADCASTSS 20(AX), Z8
+	VMULPS       320(BX), Z8, Z9
+	VADDPS       Z9, Z5, Z5
+	VMULPS       320(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z21, Z21
+	CMPQ CX, $6
+	JEQ  e5pfold
+	VBROADCASTSS 24(AX), Z8
+	VMULPS       384(BX), Z8, Z9
+	VADDPS       Z9, Z6, Z6
+	VMULPS       384(BX)(R11*1), Z8, Z10
+	VADDPS       Z10, Z22, Z22
+
+e5pfold:
+	VADDPS Z1, Z0, Z0
+	VADDPS Z17, Z16, Z16
+	VADDPS Z2, Z0, Z0
+	VADDPS Z18, Z16, Z16
+	VADDPS Z3, Z0, Z0
+	VADDPS Z19, Z16, Z16
+	VADDPS Z4, Z0, Z0
+	VADDPS Z20, Z16, Z16
+	VADDPS Z5, Z0, Z0
+	VADDPS Z21, Z16, Z16
+	VADDPS Z6, Z0, Z0
+	VADDPS Z22, Z16, Z16
+	VADDPS Z7, Z0, Z0
+	VADDPS Z23, Z16, Z16
+	VADDPS  (DX), Z0, Z0
+	VADDPS  64(DX), Z16, Z16
+	VMOVUPS Z0, (R8)
+	VMOVUPS Z16, 64(R8)
+	ADDQ $128, DX
+	ADDQ $128, R8
+	LEAQ (DI)(R11*2), DI
+	SUBQ $32, R10
+	JNZ  e5pair
+	JMP  e5cospass
+
+e5group:
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   e5tail
+
+e5loop:
+	ENCSTEP(Z8, Z9, 0, 0, Z0)
+	ENCSTEP(Z8, Z9, 4, 64, Z1)
+	ENCSTEP(Z8, Z9, 8, 128, Z2)
+	ENCSTEP(Z8, Z9, 12, 192, Z3)
+	ENCSTEP(Z8, Z9, 16, 256, Z4)
+	ENCSTEP(Z8, Z9, 20, 320, Z5)
+	ENCSTEP(Z8, Z9, 24, 384, Z6)
+	ENCSTEP(Z8, Z9, 28, 448, Z7)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  e5loop
+
+e5tail:
+	MOVQ R9, CX
+	ANDQ $7, CX
+	JZ   e5fold
+	ENCSTEP(Z8, Z9, 0, 0, Z0)
+	CMPQ CX, $1
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 4, 64, Z1)
+	CMPQ CX, $2
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 8, 128, Z2)
+	CMPQ CX, $3
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 12, 192, Z3)
+	CMPQ CX, $4
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 16, 256, Z4)
+	CMPQ CX, $5
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 20, 320, Z5)
+	CMPQ CX, $6
+	JEQ  e5fold
+	ENCSTEP(Z8, Z9, 24, 384, Z6)
+
+e5fold:
+	VADDPS Z1, Z0, Z0
+	VADDPS Z2, Z0, Z0
+	VADDPS Z3, Z0, Z0
+	VADDPS Z4, Z0, Z0
+	VADDPS Z5, Z0, Z0
+	VADDPS Z6, Z0, Z0
+	VADDPS Z7, Z0, Z0
+	VADDPS (DX), Z0, Z0
+	CMPQ R10, $16
+	JLE  e5last
+	VMOVUPS Z0, (R8)
+	ADDQ $64, DX
+	ADDQ $64, R8
+	ADDQ R11, DI
+	SUBQ $16, R10
+	JMP  e5group
+
+e5last:
+	VMOVUPS Z0, K1, (R8)
+
+e5cospass:
+	VBROADCASTSS cosInvPiV<>(SB), Z24
+	VBROADCASTSS cosPiHiV<>(SB), Z25
+	VBROADCASTSS cosPiLoV<>(SB), Z26
+	VBROADCASTSS cosC6V<>(SB), Z27
+	VBROADCASTSS cosC5V<>(SB), Z28
+	VBROADCASTSS cosC4V<>(SB), Z29
+	VBROADCASTSS cosC3V<>(SB), Z30
+	VBROADCASTSS cosC2V<>(SB), Z31
+	VBROADCASTSS cosC1V<>(SB), Z14
+	VBROADCASTSS cosOneV<>(SB), Z15
+
+e5cos:
+	CMPQ R14, $16
+	JLE  e5coslast
+	VMOVUPS (R13), Z0
+	COS512(Z0, Z1, Z2, Z3)
+	VMOVUPS Z3, (R13)
+	ADDQ $64, R13
+	SUBQ $16, R14
+	JMP  e5cos
+
+e5coslast:
+	VMOVUPS (R13), K1, Z0
+	COS512(Z0, Z1, Z2, Z3)
+	VMOVUPS Z3, K1, (R13)
+
+e5done:
 	VZEROUPPER
 	RET

@@ -7,8 +7,9 @@ package hdc
 // portable kernels, which are bit-identical to the AVX paths by
 // construction.
 const (
-	useAVX  = false
-	useAVX2 = false
+	useAVX    = false
+	useAVX2   = false
+	useAVX512 = false
 )
 
 func dotPanelAVX(x, b, out *float32, n, stride, rows int) {
@@ -19,6 +20,10 @@ func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int) {
 	panic("hdc: dotPanel64AVX without AVX support")
 }
 
-func cosIntoAVX2(dst, pre, bias *float32, n int) {
-	panic("hdc: cosIntoAVX2 without AVX2 support")
+func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int) {
+	panic("hdc: encodePanelAVX2 without AVX2 support")
+}
+
+func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int) {
+	panic("hdc: encodePanelAVX512 without AVX-512 support")
 }

@@ -312,37 +312,6 @@ func TestCos32Accuracy(t *testing.T) {
 	}
 }
 
-// TestCosIntoMatchesScalar pins the vectorized epilogue (AVX2 when
-// available) to the scalar Cos32 mirror, bitwise, across ragged lengths.
-func TestCosIntoMatchesScalar(t *testing.T) {
-	t.Logf("useAVX2=%v", useAVX2)
-	r := rng.New(7)
-	for _, n := range raggedSizes {
-		pre := make([]float32, n)
-		bias := make([]float32, n)
-		dst := make([]float32, n)
-		r.FillNorm(pre, 0, 2)
-		r.FillUniform(bias, 0, 2*math.Pi)
-		CosInto(dst, pre, bias)
-		for i := range dst {
-			if want := Cos32(pre[i] + bias[i]); dst[i] != want {
-				t.Fatalf("n=%d: CosInto[%d] = %v, want scalar %v", n, i, dst[i], want)
-			}
-			if dst[i] < -1.000001 || dst[i] > 1.000001 {
-				t.Fatalf("CosInto[%d] = %v out of range", i, dst[i])
-			}
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic on length mismatch")
-			}
-		}()
-		CosInto(make([]float32, 4), make([]float32, 3), make([]float32, 4))
-	}()
-}
-
 func TestMatMulTAllocFree(t *testing.T) {
 	a := NewMatrix(32, 78)
 	b := NewMatrix(512, 78)
@@ -415,17 +384,4 @@ func BenchmarkCos32(b *testing.B) {
 		}
 	}
 	_ = sink
-}
-
-func BenchmarkCosInto(b *testing.B) {
-	r := rng.New(10)
-	pre := make([]float32, 512)
-	bias := make([]float32, 512)
-	dst := make([]float32, 512)
-	r.FillNorm(pre, 0, 2)
-	r.FillUniform(bias, 0, 2*math.Pi)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CosInto(dst, pre, bias)
-	}
 }

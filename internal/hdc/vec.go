@@ -89,31 +89,6 @@ func Zero(v []float32) {
 	}
 }
 
-// ArgmaxCosine returns the index of the row of m most cosine-similar to q
-// together with that similarity. Rows are the class hypervectors. This is
-// the float64 reference form; core.Scorer implements the same zero-norm
-// and tie-break conventions over the float32 kernel layer with cached row
-// norms — keep the two in agreement.
-func ArgmaxCosine(m *Matrix, q []float32) (best int, sim float64) {
-	best, sim = -1, math.Inf(-1)
-	nq := Norm(q)
-	if nq == 0 {
-		return 0, 0
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		nr := Norm(row)
-		var s float64
-		if nr > 0 {
-			s = Dot(row, q) / (nr * nq)
-		}
-		if s > sim {
-			best, sim = r, s
-		}
-	}
-	return best, sim
-}
-
 // Similarities writes the cosine similarity of q against every row of m
 // into out: one DotPanel64 pass — float64 dots, bit-identical to Dot row by
 // row — divided by the caller's cached norms. qNorm is Norm(q) and

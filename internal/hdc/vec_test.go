@@ -146,29 +146,6 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestArgmaxCosine(t *testing.T) {
-	m := NewMatrix(3, 4)
-	copy(m.Row(0), []float32{1, 0, 0, 0})
-	copy(m.Row(1), []float32{0, 1, 0, 0})
-	copy(m.Row(2), []float32{0, 0, 1, 1})
-	q := []float32{0, 0, 2, 2}
-	best, sim := ArgmaxCosine(m, q)
-	if best != 2 {
-		t.Fatalf("best = %d, want 2", best)
-	}
-	if !almost(sim, 1, 1e-6) {
-		t.Fatalf("sim = %v, want 1", sim)
-	}
-}
-
-func TestArgmaxCosineZeroQuery(t *testing.T) {
-	m := NewMatrix(2, 3)
-	best, sim := ArgmaxCosine(m, []float32{0, 0, 0})
-	if best != 0 || sim != 0 {
-		t.Fatalf("zero query: got (%d, %v)", best, sim)
-	}
-}
-
 func TestSimilarities(t *testing.T) {
 	m := NewMatrix(3, 2)
 	copy(m.Row(0), []float32{1, 0})

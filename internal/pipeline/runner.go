@@ -143,28 +143,29 @@ loop:
 			err = fmt.Errorf("pipeline: packet source: %w", serr)
 			break
 		}
-		if first {
+		// The capture clock seeds from and advances on finite times only (a
+		// NaN or ±Inf stamp would stop the ticks); the packet is fed anyway.
+		finite := !math.IsNaN(p.Time) && !math.IsInf(p.Time, 0)
+		if finite && first {
 			nextTick = p.Time + interval
 			nextProg = p.Time + progEvery
 			first = false
 		}
-		if interval > 0 {
-			if p.Time >= nextTick {
-				// Tick once at the last interval boundary the stream
-				// slept through. Ticks carry boundary times, not packet
-				// times, so eviction is anchored to the capture clock;
-				// and because nothing runs between packets anyway, the
-				// intermediate boundaries of a long quiet gap would all
-				// be processed back-to-back right here — one tick at the
-				// newest boundary evicts the same flows without pumping
-				// O(gap/interval) no-op messages through the engine.
-				boundary := nextTick + interval*math.Floor((p.Time-nextTick)/interval)
-				r.Stream.Tick(boundary)
-				nextTick = boundary + interval
-			}
+		if finite && interval > 0 && p.Time >= nextTick {
+			// Tick once at the last interval boundary the stream slept
+			// through. Ticks carry boundary times, not packet times, so
+			// eviction is anchored to the capture clock; and because
+			// nothing runs between packets anyway, the intermediate
+			// boundaries of a long quiet gap would all be processed
+			// back-to-back right here — one tick at the newest boundary
+			// evicts the same flows without pumping O(gap/interval) no-op
+			// messages through the engine.
+			boundary := nextTick + interval*math.Floor((p.Time-nextTick)/interval)
+			r.Stream.Tick(boundary)
+			nextTick = boundary + interval
 		}
 		r.Stream.Feed(p)
-		if r.Progress != nil && progEvery > 0 && p.Time >= nextProg {
+		if finite && r.Progress != nil && progEvery > 0 && p.Time >= nextProg {
 			if tel := r.Stream.Telemetry(); tel != nil {
 				r.Progress(tel.Snapshot())
 			}

@@ -101,13 +101,13 @@ const (
 )
 
 // Kernels reports which kernel implementations this build+CPU selected at
-// startup: the float32 path (hdc GEMM/cosine — "avx2", "avx" or
-// "generic") and the quantized path (bitpack packed dots and quantizers —
-// "avx2", "avx" or "popcnt-swar"). Engines stamp the same report into
-// their telemetry collector, so live runs expose it at /stats ("kernels")
-// and /metrics (cyberhd_kernel_info); this function answers the question
-// without building an engine — e.g. in startup banners and benchmark
-// records.
+// startup: the float32 path (hdc encode and dot kernels — "avx512",
+// "avx2", "avx" or "generic") and the quantized path (bitpack packed dots
+// and quantizers — "avx2", "avx" or "popcnt-swar"). Engines stamp the
+// same report into their telemetry collector, so live runs expose it at
+// /stats ("kernels") and /metrics (cyberhd_kernel_info); this function
+// answers the question without building an engine — e.g. in startup
+// banners and benchmark records.
 func Kernels() telemetry.Kernels {
 	return telemetry.Kernels{Float: hdc.KernelPath(), Packed: bitpack.KernelPath()}
 }
