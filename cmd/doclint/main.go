@@ -11,12 +11,17 @@
 // internal/bitpack, internal/quantize and internal/pipeline.
 //
 // Either way it also checks, over every Go file of the module it is run
-// from, that a Markdown file named in a comment exists: a comment that
-// sends the reader to a document nobody wrote is reported like a
-// missing doc comment.
+// from, that what a comment cites exists: a Markdown or Go file, beside
+// the comment or from the module root, and a test function of the module,
+// where a trailing * stands for every test with that prefix. Test names
+// cited in README.md and ARCHITECTURE.md are checked too; CHANGES.md and
+// ROADMAP.md are history and may name tests since removed. A comment that
+// sends the reader to something nobody wrote is reported like a missing
+// doc comment.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -52,7 +57,7 @@ func main() {
 		os.Exit(1)
 	}
 	bad := report(problems, "exported identifiers without doc comments")
-	bad = report(dangling, "comments naming a Markdown file that does not exist") || bad
+	bad = report(dangling, "citations of a file or test that does not exist") || bad
 	if bad {
 		os.Exit(1)
 	}
@@ -72,16 +77,27 @@ func report(problems []string, what string) bool {
 	return true
 }
 
-// mdRef matches a Markdown file name, with or without a directory, in
-// comment text.
-var mdRef = regexp.MustCompile(`[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+// Citation patterns in comment text: a Markdown or Go file name, with or
+// without a directory, and a test function name, or a prefix of some
+// ending in *.
+var (
+	fileRef = regexp.MustCompile(`(?:[A-Za-z0-9_-]+/)*[A-Za-z0-9_][A-Za-z0-9_.-]*\.(?:md|go)\b`)
+	testRef = regexp.MustCompile(`\bTest[A-Z]\w*\*?`)
+)
+
+// testedDocs are the Markdown files whose test citations are checked.
+var testedDocs = []string{"README.md", "ARCHITECTURE.md"}
 
 // lintDocRefs walks the Go files of the module rooted at root — tests
 // included; nested modules, testdata and hidden directories skipped — and
-// returns one problem line per comment that names a *.md file which does
-// not exist relative to root.
+// returns one problem line per citation, in a comment or in testedDocs, of
+// a file or test function that does not exist. A cited file is looked up
+// beside the comment and from root.
 func lintDocRefs(root string) ([]string, error) {
 	var problems []string
+	tests := map[string]bool{}
+	type citation struct{ where, name string }
+	var cited []citation
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -104,19 +120,60 @@ func lintDocRefs(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+					tests[fn.Name.Name] = true
+				}
+			}
+		}
 		for _, group := range file.Comments {
 			for _, c := range group.List {
-				for _, name := range mdRef.FindAllString(c.Text, -1) {
-					if _, err := os.Stat(filepath.Join(root, name)); err != nil {
-						p := fset.Position(c.Pos())
-						problems = append(problems, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, name))
+				p := fset.Position(c.Pos())
+				where := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+				for _, name := range fileRef.FindAllString(c.Text, -1) {
+					_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
+					_, fromRoot := os.Stat(filepath.Join(root, name))
+					if beside != nil && fromRoot != nil {
+						problems = append(problems, fmt.Sprintf("%s: %s", where, name))
 					}
+				}
+				for _, name := range testRef.FindAllString(c.Text, -1) {
+					cited = append(cited, citation{where, name})
 				}
 			}
 		}
 		return nil
 	})
-	return problems, err
+	if err != nil {
+		return nil, err
+	}
+	for _, doc := range testedDocs {
+		path := filepath.Join(root, doc)
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, name := range testRef.FindAllString(line, -1) {
+				cited = append(cited, citation{fmt.Sprintf("%s:%d", path, i+1), name})
+			}
+		}
+	}
+	for _, c := range cited {
+		found := tests[c.name]
+		if prefix, ok := strings.CutSuffix(c.name, "*"); ok {
+			for name := range tests {
+				found = found || strings.HasPrefix(name, prefix)
+			}
+		}
+		if !found {
+			problems = append(problems, fmt.Sprintf("%s: %s", c.where, c.name))
+		}
+	}
+	return problems, nil
 }
 
 // lintDir parses every non-test Go file directly in dir and returns one

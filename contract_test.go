@@ -1,12 +1,19 @@
 package cyberhd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"cyberhd/internal/cluster"
+	"cyberhd/internal/core"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
@@ -26,18 +33,54 @@ type verdicts map[verdict]int
 
 func (v verdicts) add(a Alert) { v[verdict{a.Flow.Key, a.Class, a.Flow.LastTime}]++ }
 
+// rewrite picks what contractTraffic does to a flow from its endpoints
+// alone, so both directions pick alike: 0 moves it to IPv6, 1 tags it,
+// anything else leaves it plain IPv4.
+func rewrite(a, b netflow.Addr, pa, pb uint16) uint32 { return (a.V4() ^ b.V4() ^ uint32(pa^pb)) % 3 }
+
+// contractTraffic returns the matrix's capture and its pure-v4 subset:
+// generated sessions with a third of the flows moved to an IPv6 site and a
+// third carrying an 802.1Q tag, so the v2 capture records and the
+// cluster's v2 packet and alert frames all carry verdicts, and every time
+// on the nanosecond grid, so the PCAP replays bit-identically.
+func contractTraffic() (mixed, v4 []netflow.Packet) {
+	mixed = GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77}).Packets
+	for i := range mixed {
+		p := &mixed[i]
+		p.Time = netflow.RoundToNanos(p.Time)
+		switch rewrite(p.SrcIP, p.DstIP, p.SrcPort, p.DstPort) {
+		case 0:
+			for _, a := range []*netflow.Addr{&p.SrcIP, &p.DstIP} {
+				b := [16]byte{0x20, 0x01, 0x0d, 0xb8}
+				copy(b[12:], a[12:])
+				*a = netflow.AddrFrom16(b)
+			}
+			// The IPv6 header is 20 bytes longer than the IPv4 one.
+			p.HeaderLen += 20
+			p.Length += 20
+		case 1:
+			p.VLAN = 42
+		default:
+			v4 = append(v4, *p)
+		}
+	}
+	return mixed, v4
+}
+
 // TestContractMatrix is the determinism and conservation contracts as one
 // table: every serving width on every engine at both batch settings must
-// reproduce a hand-driven synchronous engine over the same capture — the
+// reproduce a hand-driven synchronous engine over the same packets — the
 // same verdict multiset, the same Stats, and offered == processed +
 // dropped with nothing dropped on these lossless paths. The oracle packs
-// its model itself (quantize.FromCore) and takes no ticks; the cells go
-// through the configured width (Config.Quantize, the cluster's Width) and
-// the Runner's auto-tick and drain.
+// its model itself (quantize.FromCore), takes no ticks and reads memory;
+// the cells go through the configured width (Config.Quantize, the
+// cluster's Width), the Runner's auto-tick and drain, and at float and W1
+// also through every packet source netflow.Open reads, a permissive
+// admission gate and a snapshot save→load of the model. Cluster cells
+// also conserve packets per worker.
 func TestContractMatrix(t *testing.T) {
-	det := serveDetector(t)
-	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	offered := len(live.Packets)
+	det := trainedDetector(t)
+	mixed, v4 := contractTraffic()
 
 	var fleet []string
 	for i := 0; i < 2; i++ {
@@ -52,72 +95,196 @@ func TestContractMatrix(t *testing.T) {
 	// The float model becomes the wrapper's working copy; nothing below
 	// updates it, so it stays readable alongside.
 	cow := NewCOWModel(det.Model)
-
-	engines := map[string]func(cfg EngineConfig) (Stream, error){
-		"sync":       func(cfg EngineConfig) (Stream, error) { return pipeline.New(cfg) },
-		"concurrent": func(cfg EngineConfig) (Stream, error) { return pipeline.NewConcurrent(cfg, 0) },
-		"sharded-4": func(cfg EngineConfig) (Stream, error) {
-			cfg.Shards = 4
-			return pipeline.NewSharded(cfg)
-		},
-		"cluster-2": func(cfg EngineConfig) (Stream, error) {
-			return cluster.Dial(cluster.ClientConfig{
-				Workers: fleet, Model: cow, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
-				BatchSize: cfg.BatchSize, Width: cfg.Quantize, OnAlert: cfg.OnAlert,
-			})
-		},
+	var snap bytes.Buffer
+	if err := core.SaveSnapshot(&snap, cow); err != nil {
+		t.Fatal(err)
 	}
 
-	for _, w := range []Width{0, W1, W4, W8} {
-		oracle := det.EngineConfig()
+	dir := t.TempDir()
+	write := func(name string, pkts []netflow.Packet, to func(io.Writer, []netflow.Packet) error) string {
+		var buf bytes.Buffer
+		if err := to(&buf, pkts); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Every cell runs the first variant. At float and W1 each engine ×
+	// batch pair runs all four, so every source, both gate settings and
+	// both models meet every pair.
+	variants := []struct {
+		source     string
+		v4         bool   // replays the pure-v4 subset
+		path       string // "" replays from memory
+		gate, load bool
+	}{
+		{"slice", false, "", false, false},
+		{"capture-v1", true, write("v4.cap", v4, netflow.WriteCapture), true, true},
+		{"capture-v2", false, write("mixed.cap", mixed, netflow.WriteCapture), false, true},
+		{"pcap", false, write("mixed.pcap", mixed, netflow.WritePCAP), true, false},
+	}
+	// admitAll is a bounded policy that never refuses: a wait no lossless
+	// engine runs out, and no load evaluation within the capture.
+	admitAll := pipeline.OverloadPolicy{MaxWait: time.Hour, EvalEvery: math.MaxInt}
+
+	dial := func(shards int) func(EngineConfig, *COWModel) (Stream, error) {
+		return func(cfg EngineConfig, m *COWModel) (Stream, error) {
+			return cluster.Dial(cluster.ClientConfig{
+				Workers: fleet, Model: m, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
+				BatchSize: cfg.BatchSize, Width: cfg.Quantize, OnAlert: cfg.OnAlert,
+				WorkerShards: shards, WorkerShardBuffer: 64,
+			})
+		}
+	}
+	engines := []struct {
+		name  string
+		build func(EngineConfig, *COWModel) (Stream, error)
+	}{
+		{"sync", func(cfg EngineConfig, _ *COWModel) (Stream, error) { return pipeline.NewStream(cfg) }},
+		{"concurrent", func(cfg EngineConfig, _ *COWModel) (Stream, error) { return pipeline.NewConcurrent(cfg, 0) }},
+		{"sharded-4", func(cfg EngineConfig, _ *COWModel) (Stream, error) {
+			cfg.Shards = 4
+			return pipeline.NewStream(cfg)
+		}},
+		{"cluster-2", dial(0)},
+		{"cluster-2-sharded", dial(2)},
+	}
+
+	type outcome struct {
+		verdicts verdicts
+		stats    EngineStats
+	}
+	oracle := func(w Width, pkts []netflow.Packet) outcome {
+		cfg := det.EngineConfig()
 		if w != 0 {
 			q, err := quantize.FromCore(det.Model, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.Model = q
+			cfg.Model = q
 		}
-		want := verdicts{}
-		oracle.OnAlert = want.add
-		ref, err := pipeline.New(oracle)
+		o := outcome{verdicts: verdicts{}}
+		cfg.OnAlert = o.verdicts.add
+		ref, err := pipeline.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range live.Packets {
-			ref.Feed(live.Packets[i])
+		for i := range pkts {
+			ref.Feed(pkts[i])
 		}
 		ref.Flush()
-		wantStats := ref.Stats()
-		if wantStats.Alerts == 0 || wantStats.Packets != offered {
-			t.Fatalf("width %d: degenerate oracle %+v over %d packets", w, wantStats, offered)
+		o.stats = ref.Stats()
+		if o.stats.Alerts == 0 || o.stats.Packets != len(pkts) {
+			t.Fatalf("width %d: degenerate oracle %+v over %d packets", w, o.stats, len(pkts))
 		}
+		return o
+	}
+	v6, tagged := 0, 0
+	for v := range oracle(0, mixed).verdicts {
+		k := v.Key
+		if !k.IPA.Is4() {
+			v6++
+		} else if rewrite(k.IPA, k.IPB, k.PortA, k.PortB) == 1 {
+			tagged++
+		}
+	}
+	if v6 == 0 || tagged == 0 {
+		t.Fatalf("%d IPv6 and %d VLAN-tagged flows alert; the v2 encodings carry no verdict", v6, tagged)
+	}
 
-		for name, build := range engines {
+	for _, w := range []Width{0, W1, W2, W4, W8, W16, W32} {
+		wants := [2]outcome{oracle(w, mixed), oracle(w, v4)}
+		n := 1
+		if w == 0 || w == W1 {
+			n = len(variants)
+		}
+		for _, e := range engines {
 			for _, batch := range []int{0, 64} {
-				t.Run(fmt.Sprintf("w%d/%s/batch%d", w, name, batch), func(t *testing.T) {
-					got := verdicts{}
-					cfg := det.EngineConfig()
-					cfg.Quantize, cfg.BatchSize, cfg.OnAlert = w, batch, got.add
-					stream, err := build(cfg)
-					if err != nil {
-						t.Fatal(err)
+				for i, v := range variants[:n] {
+					name := fmt.Sprintf("w%d/%s/batch%d", w, e.name, batch)
+					if i > 0 {
+						name += "/" + v.source
+						if v.gate {
+							name += "+gate"
+						}
+						if v.load {
+							name += "+snapshot"
+						}
 					}
-					st, err := (&Runner{Stream: stream, Source: NewSliceSource(live.Packets)}).Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.Packets+st.DroppedTotal() != offered || st.DroppedTotal() != 0 {
-						t.Errorf("conservation: offered %d, processed %d, dropped %d on a lossless path",
-							offered, st.Packets, st.DroppedTotal())
-					}
-					if !reflect.DeepEqual(st, wantStats) {
-						t.Errorf("stats %+v, hand-driven sync engine %+v", st, wantStats)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("verdict multiset differs from the hand-driven sync engine: %d distinct alerts, want %d",
-							len(got), len(want))
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						pkts, want := mixed, wants[0]
+						if v.v4 {
+							pkts, want = v4, wants[1]
+						}
+						got := verdicts{}
+						cfg := det.EngineConfig()
+						cfg.Quantize, cfg.BatchSize, cfg.OnAlert = w, batch, got.add
+						model := cow
+						if v.load {
+							loaded, _, err := core.LoadSnapshot(bytes.NewReader(snap.Bytes()))
+							if err != nil {
+								t.Fatal(err)
+							}
+							cfg.Model, model = loaded, loaded
+						}
+						stream, err := e.build(cfg, model)
+						if err != nil {
+							t.Fatal(err)
+						}
+						driven := stream
+						if v.gate {
+							driven = pipeline.NewGate(stream, admitAll)
+						}
+						var source PacketSource = NewSliceSource(pkts)
+						if v.path != "" {
+							f, err := netflow.Open(v.path)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer func() {
+								if n := f.Skipped(); n != 0 {
+									t.Errorf("%s: %d frames skipped", v.source, n)
+								}
+								f.Close()
+							}()
+							source = f
+						}
+						st, err := (&Runner{Stream: driven, Source: source}).Run(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if st.Packets+st.DroppedTotal() != len(pkts) || st.DroppedTotal() != 0 {
+							t.Errorf("conservation: offered %d, processed %d, dropped %d on a lossless path",
+								len(pkts), st.Packets, st.DroppedTotal())
+						}
+						if !reflect.DeepEqual(st, want.stats) {
+							t.Errorf("stats %+v, hand-driven sync engine %+v", st, want.stats)
+						}
+						if !reflect.DeepEqual(got, want.verdicts) {
+							t.Errorf("verdict multiset differs from the hand-driven sync engine: %d distinct alerts, want %d",
+								len(got), len(want.verdicts))
+						}
+						if c, ok := stream.(*cluster.Client); ok {
+							if err := c.Err(); err != nil {
+								t.Errorf("cluster transport: %v", err)
+							}
+							sent, settled := c.SentPerWorker(), c.WorkerSnapshots()
+							var total int64
+							for i := range sent {
+								if sent[i] == 0 || settled[i].Packets != sent[i] {
+									t.Errorf("worker %d: routed %d packets, settled %d", i, sent[i], settled[i].Packets)
+								}
+								total += sent[i]
+							}
+							if int(total) != len(pkts) {
+								t.Errorf("workers were routed %d of %d packets", total, len(pkts))
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package cyberhd
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"os"
 	"strings"
@@ -70,11 +69,7 @@ func TestQuantizeFacade(t *testing.T) {
 }
 
 func TestDetectorEngineOnLiveTraffic(t *testing.T) {
-	ds := CICIDS2017(1200, 3)
-	det, err := TrainDetector(ds, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := serveDetector(t)
 	alerts := 0
 	cfg := det.EngineConfig()
 	cfg.OnAlert = func(Alert) { alerts++ }
@@ -89,46 +84,6 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 	eng.Flush()
 	if alerts == 0 {
 		t.Error("no alerts on attack traffic")
-	}
-}
-
-// TestShardedEngineFacade runs the multi-core engine (Shards > 1) with a
-// COW-wrapped model from the public API and checks its merged stats
-// against a single engine over the same capture.
-func TestShardedEngineFacade(t *testing.T) {
-	ds := CICIDS2017(1200, 3)
-	det, err := TrainDetector(ds, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-
-	single, err := pipeline.New(det.EngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		single.Feed(live.Packets[i])
-	}
-	single.Flush()
-	want := single.Stats()
-
-	cow := NewCOWModel(det.Model)
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{Model: cow, Shards: 4, BatchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Flows != want.Flows || got.Alerts != want.Alerts {
-		t.Fatalf("sharded %+v != single %+v", got, want)
-	}
-	for c := range want.ByClass {
-		if got.ByClass[c] != want.ByClass[c] {
-			t.Fatalf("class %d: sharded %d != single %d", c, got.ByClass[c], want.ByClass[c])
-		}
-	}
-	if cow.Version() != 1 {
-		t.Fatalf("classification-only run published %d versions, want 1", cow.Version())
 	}
 }
 

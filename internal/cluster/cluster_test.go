@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
-	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -12,29 +9,50 @@ import (
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
-	"cyberhd/internal/netflow"
-	"cyberhd/internal/pipeline"
 	"cyberhd/internal/rng"
 	"cyberhd/internal/traffic"
 )
 
-// clusterModel trains the pipeline test model (same data, encoder and
-// options as the pipeline package's differential pins) and generates the
-// replay capture.
-func clusterModel(t testing.TB) (*core.Model, *datasets.Normalizer, []string, []netflow.Packet) {
+// trained is the cluster tests' model — the pipeline package's test
+// detector: same data, encoder and options — trained once per test binary
+// and kept as snapshot bytes.
+var trained struct {
+	once  sync.Once
+	snap  []byte
+	norm  *datasets.Normalizer
+	names []string
+	err   error
+}
+
+// clusterModel returns a private copy of the shared model, decoded from
+// its snapshot — bit-identical to the model trained — with its normalizer
+// and class names.
+func clusterModel(t testing.TB) (*core.Model, *datasets.Normalizer, []string) {
 	t.Helper()
-	train := datasets.CICIDS2017(1500, 21)
-	trainSet, _, norm := train.NormalizedSplit(0.9, 3)
-	m, err := core.Train(
-		encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
-		trainSet.X, trainSet.Y,
-		core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
-	)
+	trained.once.Do(func() {
+		train := datasets.CICIDS2017(1500, 21)
+		trainSet, _, norm := train.NormalizedSplit(0.9, 3)
+		m, err := core.Train(
+			encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
+			trainSet.X, trainSet.Y,
+			core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
+		)
+		if err != nil {
+			trained.err = err
+			return
+		}
+		var buf bytes.Buffer
+		trained.err = core.SaveSnapshot(&buf, core.NewCOWModel(m))
+		trained.snap, trained.norm, trained.names = buf.Bytes(), norm, train.ClassNames
+	})
+	if trained.err != nil {
+		t.Fatal(trained.err)
+	}
+	m, _, err := core.DecodeSnapshot(bytes.NewReader(trained.snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
-	return m, norm, train.ClassNames, live.Packets
+	return m, trained.norm, trained.names
 }
 
 // startWorkers brings up n loopback workers and returns their addresses
@@ -54,99 +72,17 @@ func startWorkers(t *testing.T, n int, cfg WorkerConfig) []string {
 	return addrs
 }
 
-// fingerprint is the replay identity of one alert: flow key, class,
-// verdict time — the same triple the pipeline package's differential
-// tests compare.
-func fingerprint(a pipeline.Alert) string {
-	return fmt.Sprintf("%v|%d|%.6f", a.Flow.Key, a.Class, a.Time)
-}
-
 // TestClusterBitIdenticalToSingleProcess is the cluster's central pin:
-// the same capture replayed through (a) one local engine and (b) a
-// 1-ingest + 2-worker loopback cluster — both driven by the standard
-// Runner with the same tick interval — must produce bit-identical
-// verdicts: equal alert fingerprint multisets, equal stats, and exact
-// packet/flow conservation across the workers.
+// the same capture through one local engine and through a 2-worker
+// loopback cluster gives bit-identical verdicts (versusSingle), and
+// packets and flows are conserved exactly across the workers.
 func TestClusterBitIdenticalToSingleProcess(t *testing.T) {
-	m, norm, names, pkts := clusterModel(t)
+	pkts := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99}).Packets
+	_, st, client := versusSingle(t, pkts)
 
-	// (a) Single-process reference run.
-	var muA sync.Mutex
-	var alertsA []string
-	eng, err := pipeline.New(pipeline.Config{
-		Model: m, Normalizer: norm, ClassNames: names, BatchSize: 8,
-		OnAlert: func(a pipeline.Alert) {
-			muA.Lock()
-			alertsA = append(alertsA, fingerprint(a))
-			muA.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runA := &pipeline.Runner{Stream: eng, Source: netflow.NewSliceSource(pkts), TickInterval: 1}
-	stA, err := runA.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// (b) Cluster run over loopback TCP: two workers, flow-hash fan-out.
-	addrs := startWorkers(t, 2, WorkerConfig{})
-	var muB sync.Mutex
-	var alertsB []string
-	client, err := Dial(ClientConfig{
-		Workers:    addrs,
-		Model:      core.NewCOWModel(m),
-		Normalizer: norm, ClassNames: names, BatchSize: 8,
-		OnAlert: func(a pipeline.Alert) {
-			muB.Lock()
-			alertsB = append(alertsB, fingerprint(a))
-			muB.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Err(); err != nil {
-		t.Fatalf("cluster transport error: %v", err)
-	}
-
-	// Bit-identical verdict streams: the sorted fingerprint multisets and
-	// the counter set must match exactly.
-	sort.Strings(alertsA)
-	sort.Strings(alertsB)
-	if len(alertsA) == 0 {
-		t.Fatal("reference run produced no alerts; the differential is vacuous")
-	}
-	if len(alertsA) != len(alertsB) {
-		t.Fatalf("alert count: single %d, cluster %d", len(alertsA), len(alertsB))
-	}
-	for i := range alertsA {
-		if alertsA[i] != alertsB[i] {
-			t.Fatalf("alert %d diverged:\n  single:  %s\n  cluster: %s", i, alertsA[i], alertsB[i])
-		}
-	}
-	if stA.Packets != stB.Packets || stA.Flows != stB.Flows || stA.Alerts != stB.Alerts {
-		t.Fatalf("stats diverged: single %d/%d/%d, cluster %d/%d/%d",
-			stA.Packets, stA.Flows, stA.Alerts, stB.Packets, stB.Flows, stB.Alerts)
-	}
-	if len(stA.ByClass) != len(stB.ByClass) {
-		t.Fatalf("ByClass length: %d != %d", len(stA.ByClass), len(stB.ByClass))
-	}
-	for c := range stA.ByClass {
-		if stA.ByClass[c] != stB.ByClass[c] {
-			t.Fatalf("ByClass[%d]: single %d, cluster %d", c, stA.ByClass[c], stB.ByClass[c])
-		}
-	}
-
-	// Conservation: every packet the ingest node routed is accounted for
-	// by exactly one worker, and the workers together saw the capture.
-	sent := client.SentPerWorker()
-	snaps := client.WorkerSnapshots()
+	// Every packet the ingest node routed is accounted for by exactly one
+	// worker, and the workers together saw the capture.
+	sent, snaps := client.SentPerWorker(), client.WorkerSnapshots()
 	var sentTotal, seenTotal, flowTotal int64
 	for i := range sent {
 		if snaps[i].Packets != sent[i] {
@@ -162,8 +98,8 @@ func TestClusterBitIdenticalToSingleProcess(t *testing.T) {
 	if int(sentTotal) != len(pkts) || int(seenTotal) != len(pkts) {
 		t.Fatalf("packet conservation: %d in capture, %d routed, %d settled", len(pkts), sentTotal, seenTotal)
 	}
-	if int(flowTotal) != stA.Flows {
-		t.Fatalf("flow conservation: single %d flows, workers settled %d", stA.Flows, flowTotal)
+	if int(flowTotal) != st.Flows {
+		t.Fatalf("flow conservation: single %d flows, workers settled %d", st.Flows, flowTotal)
 	}
 }
 
@@ -195,7 +131,7 @@ func tinyModel(t *testing.T, classes, inDim, dim int, seed uint64) *core.Model {
 // wrong-geometry model fails validation, and a well-formed snapshot
 // swaps every worker to one new version atomically.
 func TestClusterSnapshotReplicationGates(t *testing.T) {
-	m, norm, names, _ := clusterModel(t)
+	m, norm, names := clusterModel(t)
 	addrs := startWorkers(t, 2, WorkerConfig{})
 	cow := core.NewCOWModel(m)
 	client, err := Dial(ClientConfig{
@@ -269,7 +205,7 @@ func TestClusterSnapshotReplicationGates(t *testing.T) {
 
 // TestDialRejectsBadConfig pins client-side configuration validation.
 func TestDialRejectsBadConfig(t *testing.T) {
-	m, norm, names, _ := clusterModel(t)
+	m, norm, names := clusterModel(t)
 	cow := core.NewCOWModel(m)
 	if _, err := Dial(ClientConfig{Model: cow, Normalizer: norm, ClassNames: names}); err == nil {
 		t.Error("Dial accepted zero workers")
@@ -288,69 +224,5 @@ func TestDialRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Dial(ClientConfig{Workers: []string{"127.0.0.1:1"}, Model: cow, Normalizer: norm, ClassNames: names}); err == nil {
 		t.Error("Dial connected to a dead worker")
-	}
-}
-
-// TestClusterShardedWorkers spins the same differential with each worker
-// running an internal 2-shard engine: worker-internal sharding must not
-// change verdicts either.
-func TestClusterShardedWorkers(t *testing.T) {
-	m, norm, names, pkts := clusterModel(t)
-	pkts = pkts[:len(pkts)/2] // half the capture keeps the double differential cheap
-
-	var muA sync.Mutex
-	var alertsA []string
-	eng, err := pipeline.New(pipeline.Config{
-		Model: m, Normalizer: norm, ClassNames: names,
-		OnAlert: func(a pipeline.Alert) {
-			muA.Lock()
-			alertsA = append(alertsA, fingerprint(a))
-			muA.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA, err := (&pipeline.Runner{Stream: eng, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addrs := startWorkers(t, 2, WorkerConfig{})
-	var muB sync.Mutex
-	var alertsB []string
-	client, err := Dial(ClientConfig{
-		Workers: addrs, Model: core.NewCOWModel(m),
-		Normalizer: norm, ClassNames: names,
-		WorkerShards: 2, WorkerShardBuffer: 64,
-		OnAlert: func(a pipeline.Alert) {
-			muB.Lock()
-			alertsB = append(alertsB, fingerprint(a))
-			muB.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Err(); err != nil {
-		t.Fatalf("cluster transport error: %v", err)
-	}
-	sort.Strings(alertsA)
-	sort.Strings(alertsB)
-	if len(alertsA) != len(alertsB) {
-		t.Fatalf("alert count: single %d, sharded cluster %d", len(alertsA), len(alertsB))
-	}
-	for i := range alertsA {
-		if alertsA[i] != alertsB[i] {
-			t.Fatalf("alert %d diverged:\n  single:  %s\n  cluster: %s", i, alertsA[i], alertsB[i])
-		}
-	}
-	if stA.Packets != stB.Packets || stA.Flows != stB.Flows || stA.Alerts != stB.Alerts {
-		t.Fatalf("stats diverged: single %d/%d/%d, cluster %d/%d/%d",
-			stA.Packets, stA.Flows, stA.Alerts, stB.Packets, stB.Flows, stB.Alerts)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"cyberhd/internal/core"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
+	"cyberhd/internal/traffic"
 )
 
 // goldenFingerprint renders one alert in the refactor-stable format the
@@ -41,7 +44,7 @@ func TestClusterGoldenCaptureCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, norm, names, _ := clusterModel(t)
+	m, norm, names := clusterModel(t)
 
 	check := func(t *testing.T, alerts []string, st pipeline.Stats) {
 		t.Helper()
@@ -120,12 +123,66 @@ func TestClusterGoldenCaptureCompat(t *testing.T) {
 	})
 }
 
+// versusSingle replays pkts through (a) one local engine and (b) a
+// 1-ingest + 2-worker loopback cluster — both driven by the standard
+// Runner at one tick per capture second, BatchSize 8 — and fails unless
+// the verdicts are bit-identical: equal sorted alert fingerprints, equal
+// Stats, no transport error. It returns the reference fingerprints and
+// Stats, and the client for the caller's own checks.
+func versusSingle(t *testing.T, pkts []netflow.Packet) ([]string, pipeline.Stats, *Client) {
+	t.Helper()
+	m, norm, names := clusterModel(t)
+	run := func(mk func(pipeline.Config) (pipeline.Stream, error)) ([]string, pipeline.Stats) {
+		var mu sync.Mutex
+		var alerts []string
+		s, err := mk(pipeline.Config{
+			Model: m, Normalizer: norm, ClassNames: names, BatchSize: 8,
+			OnAlert: func(a pipeline.Alert) {
+				mu.Lock()
+				alerts = append(alerts, goldenFingerprint(a))
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := (&pipeline.Runner{Stream: s, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(alerts)
+		return alerts, st
+	}
+	single, stA := run(func(c pipeline.Config) (pipeline.Stream, error) { return pipeline.New(c) })
+	var client *Client
+	clustered, stB := run(func(c pipeline.Config) (pipeline.Stream, error) {
+		var err error
+		client, err = Dial(ClientConfig{
+			Workers: startWorkers(t, 2, WorkerConfig{}), Model: core.NewCOWModel(m),
+			Normalizer: norm, ClassNames: names, BatchSize: c.BatchSize, OnAlert: c.OnAlert,
+		})
+		return client, err
+	})
+	if err := client.Err(); err != nil {
+		t.Fatalf("cluster transport error: %v", err)
+	}
+	if len(single) == 0 {
+		t.Fatal("reference run produced no alerts; the differential is vacuous")
+	}
+	if !slices.Equal(single, clustered) {
+		t.Fatalf("alerts diverged: single %d, cluster %d", len(single), len(clustered))
+	}
+	if !reflect.DeepEqual(stA, stB) {
+		t.Fatalf("stats diverged:\n  single:  %+v\n  cluster: %+v", stA, stB)
+	}
+	return single, stA, client
+}
+
 // TestClusterV6VLANBitIdentical drives IPv6 and VLAN-tagged flows over
 // the cluster transport — the v2 packet and alert wire frames — and
 // pins that a 2-worker cluster verdicts them bit-identically to one
 // local engine.
 func TestClusterV6VLANBitIdentical(t *testing.T) {
-	m, norm, names, pkts := clusterModel(t)
 	// Rewrite half the hosts into a v6 site (the v4 address embedded in
 	// 2001:db8::/32) and tag a third of the packets — a mixed workload
 	// where flows keep their pairing across the address rewrite.
@@ -133,86 +190,24 @@ func TestClusterV6VLANBitIdentical(t *testing.T) {
 		if !a.Is4() || a.V4()%2 == 0 {
 			return a
 		}
-		var b [16]byte
-		b[0], b[1], b[2], b[3] = 0x20, 0x01, 0x0d, 0xb8
+		b := [16]byte{0x20, 0x01, 0x0d, 0xb8}
 		copy(b[12:], a[12:16])
 		return netflow.AddrFrom16(b)
 	}
-	mixed := make([]netflow.Packet, len(pkts))
-	for i, p := range pkts {
+	pkts := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99}).Packets
+	hasV6 := false
+	for i := range pkts {
+		p := &pkts[i]
 		p.SrcIP, p.DstIP = toV6(p.SrcIP), toV6(p.DstIP)
 		if i%3 == 0 {
 			p.VLAN = 42
 		}
-		mixed[i] = p
-	}
-	hasV6 := false
-	for i := range mixed {
-		if !mixed[i].EncodableV1() {
-			hasV6 = true
-			break
-		}
+		hasV6 = hasV6 || !p.EncodableV1()
 	}
 	if !hasV6 {
 		t.Fatal("rewrite produced no v2-frame packets; the differential is vacuous")
 	}
-
-	run := func(t *testing.T, mk func(onAlert func(pipeline.Alert)) (pipeline.Stream, func() error)) ([]string, pipeline.Stats) {
-		t.Helper()
-		var mu sync.Mutex
-		var alerts []string
-		stream, errf := mk(func(a pipeline.Alert) {
-			mu.Lock()
-			alerts = append(alerts, goldenFingerprint(a))
-			mu.Unlock()
-		})
-		st, err := (&pipeline.Runner{Stream: stream, Source: netflow.NewSliceSource(mixed), TickInterval: 1}).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := errf(); err != nil {
-			t.Fatalf("transport error: %v", err)
-		}
-		sort.Strings(alerts)
-		return alerts, st
-	}
-
-	single, stA := run(t, func(onAlert func(pipeline.Alert)) (pipeline.Stream, func() error) {
-		eng, err := pipeline.New(pipeline.Config{
-			Model: m, Normalizer: norm, ClassNames: names, BatchSize: 8, OnAlert: onAlert,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng, func() error { return nil }
-	})
-	if len(single) == 0 {
-		t.Fatal("reference run produced no alerts; the differential is vacuous")
-	}
-	clustered, stB := run(t, func(onAlert func(pipeline.Alert)) (pipeline.Stream, func() error) {
-		addrs := startWorkers(t, 2, WorkerConfig{})
-		client, err := Dial(ClientConfig{
-			Workers: addrs, Model: core.NewCOWModel(m),
-			Normalizer: norm, ClassNames: names, BatchSize: 8, OnAlert: onAlert,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return client, client.Err
-	})
-
-	if len(single) != len(clustered) {
-		t.Fatalf("alert count: single %d, cluster %d", len(single), len(clustered))
-	}
-	for i := range single {
-		if single[i] != clustered[i] {
-			t.Fatalf("alert %d diverged:\n  single:  %s\n  cluster: %s", i, single[i], clustered[i])
-		}
-	}
-	if stA.Packets != stB.Packets || stA.Flows != stB.Flows || stA.Alerts != stB.Alerts {
-		t.Fatalf("stats diverged: single %d/%d/%d, cluster %d/%d/%d",
-			stA.Packets, stA.Flows, stA.Alerts, stB.Packets, stB.Flows, stB.Alerts)
-	}
+	single, _, _ := versusSingle(t, pkts)
 	v6Alerts := 0
 	for _, fp := range single {
 		if strings.Contains(fp, ":") {

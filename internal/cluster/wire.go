@@ -13,8 +13,8 @@
 // over the wire), and alert merging serializes per-worker streams exactly
 // like the sharded engine serializes per-shard callbacks. Under those
 // three contracts cluster verdicts over a capture are bit-identical to a
-// single-process engine over the same capture — pinned by
-// TestClusterBitIdenticalToSingleProcess.
+// single-process engine over the same capture — pinned by the cluster
+// cells of the root package's TestContractMatrix.
 //
 // The wire format is a compact length-prefixed binary framing with the
 // same hostile-input discipline as the model snapshot codec

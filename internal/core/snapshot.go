@@ -18,11 +18,12 @@ import (
 // Scorer's cached row norms, the model version counter and the width of
 // the quantized derived artifact — restorable into a serving-ready
 // COWModel whose verdicts are bit-identical to the original
-// (TestSaveLoadSnapshotBitIdentical and the differential-replay suite in
-// internal/pipeline pin this). It is the only model format written. v1
-// files from earlier releases load through the same entry points:
-// DecodeSnapshot sniffs the stream and falls back to the v1 body decoder
-// (persist.go), which rebuilds the norm cache from the class data.
+// (TestSnapshotV2RoundTrip, and the snapshot cells of the root package's
+// TestContractMatrix on every engine, pin this). It is the only model
+// format written. v1 files from earlier releases load through the same
+// entry points: DecodeSnapshot sniffs the stream and falls back to the v1
+// body decoder (persist.go), which rebuilds the norm cache from the class
+// data.
 
 // snapshotMagic opens every v2 snapshot stream. gob matches structs by
 // field name, not by declared version, so a v1 modelState and a v2

@@ -50,7 +50,7 @@ type Result struct {
 	// TrainTime is wall-clock fit time.
 	TrainTime time.Duration
 	// InferTime is wall-clock batch-prediction time over the whole test
-	// split; PerQuery = InferTime / TestSamples.
+	// split, whose size is the next field.
 	InferTime   time.Duration
 	TestSamples int
 }

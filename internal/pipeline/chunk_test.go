@@ -134,7 +134,7 @@ func TestShardedChunkBoundaries(t *testing.T) {
 		}
 	}
 	for _, buffer := range []int{1, 4, 64, 0} {
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 2, 3, 4} {
 			for rot := 0; rot < 3; rot++ {
 				t.Run(fmt.Sprintf("buffer%d/shards%d/rot%d", buffer, shards, rot), func(t *testing.T) {
 					got := map[verdict]int{}

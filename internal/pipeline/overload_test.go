@@ -405,19 +405,12 @@ func TestRunnerInstallsGateOnlyWhenBounded(t *testing.T) {
 // counter reads zero.
 func TestGatePermissiveBoundedBitIdentical(t *testing.T) {
 	cfg, live := buildModel(t)
-	want := directDrive(t, cfg, live.Packets)
-
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(eng, OverloadPolicy{})
-	for i := range live.Packets {
-		g.Feed(live.Packets[i])
-	}
-	g.Close()
-	got := g.Stats()
-	statsEqual(t, "gated", got, want)
+	got := feedAll(NewGate(eng, OverloadPolicy{}), live.Packets)
+	statsEqual(t, "gated", got, directDrive(t, cfg, live.Packets))
 	if got.DroppedTotal() != 0 {
 		t.Fatalf("permissive gate dropped %d packets", got.DroppedTotal())
 	}

@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
 	"cyberhd/internal/core"
@@ -10,26 +13,50 @@ import (
 	"cyberhd/internal/traffic"
 )
 
-// buildModel trains a detector on one capture and returns everything the
-// engine needs plus a second capture for streaming.
+// trained is the detector of the pipeline tests, trained once per test
+// binary and kept as snapshot bytes, with the capture they stream.
+var trained struct {
+	once  sync.Once
+	snap  []byte
+	norm  *datasets.Normalizer
+	names []string
+	live  *traffic.Stream
+	err   error
+}
+
+// buildModel returns an engine config around a private copy of the shared
+// detector, decoded from its snapshot — bit-identical to the model
+// trained, and a test that feeds back into its copy changes no other
+// test's — plus the capture to stream, whose packets are the caller's own.
 func buildModel(t testing.TB) (Config, *traffic.Stream) {
 	t.Helper()
-	train := datasets.CICIDS2017(1500, 21)
-	trainSet, _, norm := train.NormalizedSplit(0.9, 3)
-	m, err := core.Train(
-		encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
-		trainSet.X, trainSet.Y,
-		core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
-	)
+	trained.once.Do(func() {
+		train := datasets.CICIDS2017(1500, 21)
+		trainSet, _, norm := train.NormalizedSplit(0.9, 3)
+		m, err := core.Train(
+			encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
+			trainSet.X, trainSet.Y,
+			core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
+		)
+		if err != nil {
+			trained.err = err
+			return
+		}
+		var buf bytes.Buffer
+		trained.err = core.SaveSnapshot(&buf, core.NewCOWModel(m))
+		trained.snap, trained.norm, trained.names = buf.Bytes(), norm, train.ClassNames
+		trained.live = traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
+	})
+	if trained.err != nil {
+		t.Fatal(trained.err)
+	}
+	m, _, err := core.DecodeSnapshot(bytes.NewReader(trained.snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
-	return Config{
-		Model:      m,
-		Normalizer: norm,
-		ClassNames: train.ClassNames,
-	}, live
+	live := *trained.live
+	live.Packets = slices.Clone(live.Packets)
+	return Config{Model: m, Normalizer: trained.norm, ClassNames: trained.names}, &live
 }
 
 func TestNewValidation(t *testing.T) {
@@ -197,29 +224,28 @@ func (staticModel) Predict([]float32) int { return 0 }
 
 func TestConcurrentMatchesSynchronous(t *testing.T) {
 	cfg, live := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
-	syncStats := eng.Stats()
-
 	conc, err := NewConcurrent(cfg, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range live.Packets {
-		conc.Feed(p)
-	}
-	conc.Close()
-	concStats := conc.Stats()
+	statsEqual(t, "concurrent", feedAll(conc, live.Packets), directDrive(t, cfg, live.Packets))
+}
 
-	if syncStats.Flows != concStats.Flows || syncStats.Alerts != concStats.Alerts {
-		t.Fatalf("sync %+v != concurrent %+v", syncStats, concStats)
+// TestBatchModeMatchesSync streams the same capture through a synchronous
+// engine and a micro-batched one: the kernel batch path is bit-identical
+// to per-flow prediction, so every counter must agree exactly.
+func TestBatchModeMatchesSync(t *testing.T) {
+	cfg, live := buildModel(t)
+	bcfg := cfg
+	bcfg.BatchSize = 64
+	batched, err := New(bcfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if batched.batch == nil {
+		t.Fatal("core.Model did not engage the batch classifier path")
+	}
+	statsEqual(t, "batch64", feedAll(batched, live.Packets), directDrive(t, cfg, live.Packets))
 }
 
 func TestConcurrentCloseIdempotent(t *testing.T) {
@@ -230,41 +256,6 @@ func TestConcurrentCloseIdempotent(t *testing.T) {
 	}
 	conc.Close()
 	conc.Close() // must not panic
-}
-
-// TestBatchModeMatchesSync streams the same capture through a synchronous
-// engine and a micro-batched one: the kernel batch path is bit-identical
-// to per-flow prediction, so every counter must agree exactly.
-func TestBatchModeMatchesSync(t *testing.T) {
-	cfg, live := buildModel(t)
-	sync, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcfg := cfg
-	bcfg.BatchSize = 64
-	batched, err := New(bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.batch == nil {
-		t.Fatal("core.Model did not engage the batch classifier path")
-	}
-	for i := range live.Packets {
-		sync.Feed(live.Packets[i])
-		batched.Feed(live.Packets[i])
-	}
-	sync.Flush()
-	batched.Flush()
-	ss, bs := sync.Stats(), batched.Stats()
-	if ss.Flows != bs.Flows || ss.Alerts != bs.Alerts {
-		t.Fatalf("sync flows/alerts %d/%d != batch %d/%d", ss.Flows, ss.Alerts, bs.Flows, bs.Alerts)
-	}
-	for c := range ss.ByClass {
-		if ss.ByClass[c] != bs.ByClass[c] {
-			t.Fatalf("class %d: sync %d != batch %d", c, ss.ByClass[c], bs.ByClass[c])
-		}
-	}
 }
 
 // TestBatchModeFlushesOnTick bounds verdict latency: a partial batch must

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -9,33 +8,6 @@ import (
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/quantize"
 )
-
-// runCapture streams the capture through a fresh engine built from cfg and
-// returns its stats.
-func runCapture(t *testing.T, cfg Config, live []netflow.Packet) Stats {
-	t.Helper()
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live {
-		eng.Feed(live[i])
-	}
-	eng.Flush()
-	return eng.Stats()
-}
-
-func sameStats(t *testing.T, name string, got, want Stats) {
-	t.Helper()
-	if got.Flows != want.Flows || got.Alerts != want.Alerts {
-		t.Fatalf("%s: flows/alerts %d/%d != %d/%d", name, got.Flows, got.Alerts, want.Flows, want.Alerts)
-	}
-	for c := range want.ByClass {
-		if got.ByClass[c] != want.ByClass[c] {
-			t.Fatalf("%s: ByClass[%d] = %d != %d", name, c, got.ByClass[c], want.ByClass[c])
-		}
-	}
-}
 
 // TestQuantizeConfigValidation rejects invalid widths, width mismatches
 // with pre-quantized models, and unquantizable model types.
@@ -115,59 +87,6 @@ func TestQuantizeWidthConflictAcrossEngines(t *testing.T) {
 	conflict.Quantize = bitpack.W1
 	if _, err := New(conflict); err == nil {
 		t.Error("different-width attach on a serving COWModel accepted")
-	}
-}
-
-// TestQuantizedEngineMatchesDirectModel pins that Config.Quantize is pure
-// plumbing: an engine built with Quantize=w produces bit-identical stats
-// to one handed a quantize.FromCore model directly, and the micro-batch
-// path is bit-identical to per-flow classification at every width.
-func TestQuantizedEngineMatchesDirectModel(t *testing.T) {
-	cfg, live := buildModel(t)
-	m := cfg.Model.(*core.Model)
-	for _, w := range bitpack.Widths {
-		q, err := quantize.FromCore(m, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := cfg
-		direct.Model = q
-		want := runCapture(t, direct, live.Packets)
-
-		for _, batch := range []int{1, 64} {
-			viaCfg := cfg
-			viaCfg.Quantize = w
-			viaCfg.BatchSize = batch
-			sameStats(t, fmt.Sprintf("w%d batch%d", w, batch), runCapture(t, viaCfg, live.Packets), want)
-		}
-	}
-}
-
-// TestQuantizedShardedMatchesSingleEngine extends the sharded bit-identity
-// contract to packed inference: at every width and batch size, merged
-// stats at any shard count equal the single quantized engine over the
-// same capture.
-func TestQuantizedShardedMatchesSingleEngine(t *testing.T) {
-	cfg, live := buildModel(t)
-	for _, w := range bitpack.Widths {
-		for _, batch := range []int{1, 32, 64} {
-			cfg.Quantize = w
-			cfg.BatchSize = batch
-			want := runCapture(t, cfg, live.Packets)
-			for _, shards := range []int{1, 3} {
-				scfg := cfg
-				scfg.Shards = shards
-				sh, err := NewSharded(scfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range live.Packets {
-					sh.Feed(live.Packets[i])
-				}
-				sh.Close()
-				sameStats(t, fmt.Sprintf("w%d batch%d shards%d", w, batch, shards), sh.Stats(), want)
-			}
-		}
 	}
 }
 

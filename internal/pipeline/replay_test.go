@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -19,12 +20,12 @@ import (
 	"cyberhd/internal/telemetry"
 )
 
-// replayRun streams the capture through an engine built from cfg
-// (sharded when cfg.Shards > 1) and returns its stats plus a sorted
+// replayRun streams packets through the stream mk builds from cfg, with
+// OnAlert set to record, and returns its drained stats plus a sorted
 // fingerprint of every alert — flow key, class and capture time — so two
-// runs can be compared for identical verdicts even when shard
-// interleaving reorders delivery.
-func replayRun(t *testing.T, cfg Config, live []netflow.Packet) (Stats, []string) {
+// runs compare for identical verdicts even when shard interleaving
+// reorders delivery.
+func replayRun(t *testing.T, cfg Config, packets []netflow.Packet, mk func(Config) (Stream, error)) (Stats, []string) {
 	t.Helper()
 	var mu sync.Mutex
 	var alerts []string
@@ -33,45 +34,13 @@ func replayRun(t *testing.T, cfg Config, live []netflow.Packet) (Stats, []string
 		alerts = append(alerts, fmt.Sprintf("%v|%d|%.6f", a.Flow.Key, a.Class, a.Time))
 		mu.Unlock()
 	}
-	var s Stream
-	var err error
-	if cfg.Shards > 1 {
-		s, err = NewSharded(cfg)
-	} else {
-		s, err = New(cfg)
-	}
+	s, err := mk(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range live {
-		s.Feed(live[i])
-	}
-	s.Flush()
-	s.Close() // sharded Flush is asynchronous; Close waits for the drain
-	st := s.Stats()
+	st := feedAll(s, packets)
 	sort.Strings(alerts)
 	return st, alerts
-}
-
-func sameReplay(t *testing.T, name string, stA, stB Stats, alA, alB []string) {
-	t.Helper()
-	if stA.Packets != stB.Packets || stA.Flows != stB.Flows || stA.Alerts != stB.Alerts {
-		t.Fatalf("%s: stats diverged: %d/%d/%d != %d/%d/%d",
-			name, stA.Packets, stA.Flows, stA.Alerts, stB.Packets, stB.Flows, stB.Alerts)
-	}
-	for c := range stA.ByClass {
-		if stA.ByClass[c] != stB.ByClass[c] {
-			t.Fatalf("%s: ByClass[%d] %d != %d", name, c, stA.ByClass[c], stB.ByClass[c])
-		}
-	}
-	if len(alA) != len(alB) {
-		t.Fatalf("%s: alert count %d != %d", name, len(alA), len(alB))
-	}
-	for i := range alA {
-		if alA[i] != alB[i] {
-			t.Fatalf("%s: alert %d diverged:\n  a: %s\n  b: %s", name, i, alA[i], alB[i])
-		}
-	}
 }
 
 // TestDifferentialReplaySaveLoadServe is the persistence pin of the
@@ -90,13 +59,6 @@ func TestDifferentialReplaySaveLoadServe(t *testing.T) {
 	for _, w := range []bitpack.Width{0, bitpack.W1, bitpack.W4, bitpack.W8} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("w%d_shards%d", w, shards), func(t *testing.T) {
-				// Fresh COW wrappers per run: a live quantized derivation
-				// binds the wrapper to one width for its lifetime.
-				cfgA := base
-				cfgA.Model = core.NewCOWModel(m)
-				cfgA.Quantize, cfgA.Shards, cfgA.BatchSize = w, shards, 32
-				stA, alA := replayRun(t, cfgA, live.Packets)
-
 				loaded, info, err := core.LoadSnapshot(bytes.NewReader(snap.Bytes()))
 				if err != nil {
 					t.Fatal(err)
@@ -104,13 +66,20 @@ func TestDifferentialReplaySaveLoadServe(t *testing.T) {
 				if info.Format != core.SnapshotFormatV2 {
 					t.Fatalf("snapshot decoded as format %d", info.Format)
 				}
-				cfgB := base
-				cfgB.Model = loaded
-				cfgB.Quantize, cfgB.Shards, cfgB.BatchSize = w, shards, 32
-				stB, alB := replayRun(t, cfgB, live.Packets)
-
-				sameReplay(t, "save/load/serve", stA, stB, alA, alB)
-				if stA.Alerts == 0 {
+				// A fresh COW wrapper per run: a live quantized derivation
+				// binds the wrapper to one width for its lifetime.
+				var st [2]Stats
+				var alerts [2][]string
+				for i, model := range []Classifier{core.NewCOWModel(m), loaded} {
+					cfg := base
+					cfg.Model, cfg.Quantize, cfg.Shards, cfg.BatchSize = model, w, shards, 32
+					st[i], alerts[i] = replayRun(t, cfg, live.Packets, NewStream)
+				}
+				statsEqual(t, "save/load/serve", st[1], st[0])
+				if !slices.Equal(alerts[1], alerts[0]) {
+					t.Fatalf("save/load/serve: alerts diverged (%d vs %d)", len(alerts[1]), len(alerts[0]))
+				}
+				if st[0].Alerts == 0 {
 					t.Fatal("degenerate comparison: no alerts raised")
 				}
 			})
@@ -133,8 +102,7 @@ func TestShadowZeroDivergence(t *testing.T) {
 		cfg.Telemetry = tel
 		cfg.Shadow = tap
 		tap.Set(cand)
-		st, _ := replayRun(t, cfg, live.Packets)
-		return st, tel.Snapshot()
+		return directDrive(t, cfg, live.Packets), tel.Snapshot()
 	}
 
 	t.Run("identical float", func(t *testing.T) {

@@ -22,8 +22,8 @@ import (
 // A Runner drives one source into one stream exactly once; build a new
 // one per run. Verdicts are bit-identical to hand-feeding the same
 // packets: auto-ticks only move evictions earlier in the feed order,
-// never change which flows exist or how they featurize (pinned by
-// TestRunnerMatchesDirectDrive).
+// never change which flows exist or how they featurize (pinned by the
+// root package's TestContractMatrix).
 type Runner struct {
 	// Stream is the engine being driven. Required.
 	Stream Stream

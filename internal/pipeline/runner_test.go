@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -43,6 +45,11 @@ func directDrive(t *testing.T, cfg Config, packets []netflow.Packet) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return feedAll(s, packets)
+}
+
+// feedAll hand-feeds packets into s, drains it and returns its Stats.
+func feedAll(s Stream, packets []netflow.Packet) Stats {
 	for i := range packets {
 		s.Feed(packets[i])
 	}
@@ -52,29 +59,26 @@ func directDrive(t *testing.T, cfg Config, packets []netflow.Packet) Stats {
 
 // TestRunnerMatchesDirectDrive pins the acceptance contract of the
 // serving runtime: Runner-driven verdicts — auto-ticks included — are
-// bit-identical to the old hand-rolled feed/finish loops, for the float
-// synchronous engine, the micro-batched engine, quantized serving at 1
-// and 8 bits, and the flow-sharded engine. Auto-ticks only move idle
-// evictions earlier in the feed order; they never change which flows
-// exist or how they featurize.
+// bit-identical to a hand-rolled feed loop, for the float synchronous
+// engine, the micro-batched engine, quantized serving at 1 and 8 bits,
+// and the flow-sharded engine. Auto-ticks only move idle evictions
+// earlier in the feed order; they never change which flows exist or how
+// they featurize.
 func TestRunnerMatchesDirectDrive(t *testing.T) {
 	base, live := buildModel(t)
-	configs := []struct {
+	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"float-sync", func(c *Config) {}},
 		{"float-batch64", func(c *Config) { c.BatchSize = 64 }},
-		{"quant-w1-batch64", func(c *Config) { c.Quantize = bitpack.W1; c.BatchSize = 64 }},
+		{"quant-w1-batch64", func(c *Config) { c.Quantize, c.BatchSize = bitpack.W1, 64 }},
 		{"quant-w8", func(c *Config) { c.Quantize = bitpack.W8 }},
-		{"sharded4-batch64", func(c *Config) { c.Shards = 4; c.BatchSize = 64 }},
-	}
-	for _, tc := range configs {
+		{"sharded4-batch64", func(c *Config) { c.Shards, c.BatchSize = 4, 64 }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mut(&cfg)
-			want := directDrive(t, cfg, live.Packets)
-
 			r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
 			if err != nil {
 				t.Fatal(err)
@@ -83,12 +87,27 @@ func TestRunnerMatchesDirectDrive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			statsEqual(t, tc.name, got, want)
+			statsEqual(t, tc.name, got, directDrive(t, cfg, live.Packets))
 			if got.Flows == 0 || got.Alerts == 0 {
-				t.Fatalf("%s: degenerate capture (flows=%d alerts=%d)", tc.name, got.Flows, got.Alerts)
+				t.Fatalf("degenerate capture (flows=%d alerts=%d)", got.Flows, got.Alerts)
 			}
 		})
 	}
+}
+
+// TestRunnerConcurrentStream drives the Concurrent wrapper through the
+// Runner — the Stream contract makes the worker-backed engine a drop-in.
+func TestRunnerConcurrentStream(t *testing.T) {
+	cfg, live := buildModel(t)
+	conc, err := NewConcurrent(cfg, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (&Runner{Stream: conc, Source: netflow.NewSliceSource(live.Packets)}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsEqual(t, "concurrent", got, directDrive(t, cfg, live.Packets))
 }
 
 // cancelAfterSource cancels a context once n packets have been delivered,
@@ -278,19 +297,47 @@ func (f *failingSource) Next(p *netflow.Packet) error {
 }
 
 // TestRunnerSourceErrorDrains pins that a failing source still drains the
-// stream (the fed packets' flows classify) and surfaces the wrapped error.
+// stream and surfaces the source's error: the packets it yielded before
+// failing classify exactly as a direct drive of them does. One source
+// fails outright; the other is a PCAP cut off mid-record, whose reader
+// reports an unexpected EOF after the last whole frame.
 func TestRunnerSourceErrorDrains(t *testing.T) {
-	cfg := trivialConfig()
-	r, err := NewRunner(cfg, &failingSource{n: 3})
-	if err != nil {
+	cfg, live := buildModel(t)
+	var pcap bytes.Buffer
+	if err := netflow.WritePCAP(&pcap, live.Packets); err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.Run(context.Background())
-	if err == nil || err == io.EOF {
-		t.Fatalf("Run error = %v, want the source failure", err)
-	}
-	if st.Packets != 3 || st.Flows != 1 {
-		t.Fatalf("drain after source error: packets=%d flows=%d, want 3/1", st.Packets, st.Flows)
+	for _, c := range []struct {
+		name    string
+		open    func() netflow.PacketSource
+		wantErr error // nil: any error but io.EOF
+	}{
+		{"failing", func() netflow.PacketSource { return &failingSource{n: 3} }, nil},
+		{"truncated-pcap", func() netflow.PacketSource {
+			s, err := netflow.NewPCAPSource(bytes.NewReader(pcap.Bytes()[:pcap.Len()/2]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, io.ErrUnexpectedEOF},
+	} {
+		var prefix []netflow.Packet
+		src, p := c.open(), netflow.Packet{}
+		for src.Next(&p) == nil {
+			prefix = append(prefix, p)
+		}
+		if len(prefix) == 0 || len(prefix) >= len(live.Packets) {
+			t.Fatalf("%s: the source yields %d packets before failing", c.name, len(prefix))
+		}
+		r, err := NewRunner(cfg, c.open())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := r.Run(context.Background())
+		if err == nil || errors.Is(err, io.EOF) || c.wantErr != nil && !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: Run error = %v, want the source failure", c.name, err)
+		}
+		statsEqual(t, c.name, st, directDrive(t, cfg, prefix))
 	}
 }
 
@@ -309,23 +356,6 @@ func TestRunnerNilValidation(t *testing.T) {
 	if _, err := r.Run(context.Background()); err == nil {
 		t.Fatal("empty runner ran")
 	}
-}
-
-// TestRunnerConcurrentStream drives the Concurrent wrapper through the
-// Runner — the Stream contract makes the worker-backed engine a drop-in.
-func TestRunnerConcurrentStream(t *testing.T) {
-	cfg, live := buildModel(t)
-	want := directDrive(t, cfg, live.Packets)
-	conc, err := NewConcurrent(cfg, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Stream: conc, Source: netflow.NewSliceSource(live.Packets)}
-	got, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsEqual(t, "concurrent", got, want)
 }
 
 // TestNewRunnerEngineSelection pins the shard-count contract: sharding

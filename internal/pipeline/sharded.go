@@ -29,7 +29,7 @@ import (
 // Because every packet of a flow hashes to the same shard, flow assembly,
 // feature extraction and classification are per-flow identical to a single
 // Engine: the merged Stats of a capture are bit-identical to feeding the
-// same capture through one Engine (tested by TestShardedMatchesSingleEngine).
+// same capture through one Engine (pinned by the root's TestContractMatrix).
 //
 // Delivery guarantees:
 //

@@ -16,20 +16,10 @@ import (
 // extraction and classification are per-flow unchanged.
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	cfg, live := buildModel(t)
-	single, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		single.Feed(live.Packets[i])
-	}
-	single.Flush()
-	want := single.Stats()
-
+	want := directDrive(t, cfg, live.Packets)
 	for _, tc := range []struct {
-		name   string
-		shards int
-		batch  int
+		name          string
+		shards, batch int
 	}{
 		{"shards1", 1, 0},
 		{"shards4", 4, 0},
@@ -38,9 +28,8 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scfg := cfg
-			scfg.Shards = tc.shards
-			scfg.BatchSize = tc.batch
-			scfg.ShardBuffer = 64 // small buffer exercises backpressure
+			// A small buffer exercises backpressure.
+			scfg.Shards, scfg.BatchSize, scfg.ShardBuffer = tc.shards, tc.batch, 64
 			sh, err := NewSharded(scfg)
 			if err != nil {
 				t.Fatal(err)
@@ -48,19 +37,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 			if sh.NumShards() != tc.shards {
 				t.Fatalf("NumShards %d, want %d", sh.NumShards(), tc.shards)
 			}
-			for i := range live.Packets {
-				sh.Feed(live.Packets[i])
-			}
-			sh.Close()
-			got := sh.Stats()
-			if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts {
-				t.Fatalf("merged stats %+v != single engine %+v", got, want)
-			}
-			for c := range want.ByClass {
-				if got.ByClass[c] != want.ByClass[c] {
-					t.Fatalf("class %d: sharded %d != single %d", c, got.ByClass[c], want.ByClass[c])
-				}
-			}
+			statsEqual(t, tc.name, feedAll(sh, live.Packets), want)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"sync"
 
 	"cyberhd/internal/telemetry"
@@ -42,7 +43,9 @@ func (c ChanSink) Consume(a Alert) { c <- a }
 
 // AlertRecord is the JSON shape JSONLSink writes: the alert's verdict
 // plus the flow identity and summary statistics a downstream consumer
-// (SIEM, notebook, jq) needs, without the full feature vector.
+// (SIEM, notebook, jq) needs, without the full feature vector. A NaN or
+// infinite Time, Bytes or Duration, which no JSON number can carry, is
+// written as null.
 type AlertRecord struct {
 	// Time is the flow's last-packet time in capture seconds.
 	Time float64 `json:"time"`
@@ -92,6 +95,28 @@ func recordOf(a Alert) AlertRecord {
 	}
 }
 
+// nullableRecord writes an AlertRecord with a non-finite float: each of
+// the three fields is null when its value is not finite. They shadow the
+// embedded record's fields and sit where those do, so the keys keep
+// AlertRecord's order.
+type nullableRecord struct {
+	Time *float64 `json:"time"`
+	AlertRecord
+	Bytes    *float64 `json:"bytes"`
+	Duration *float64 `json:"duration"`
+}
+
+// nonFinite reports whether v is NaN or ±Inf.
+func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// orNull returns &v, or nil for a non-finite v.
+func orNull(v float64) *float64 {
+	if nonFinite(v) {
+		return nil
+	}
+	return &v
+}
+
 // JSONLSink writes one JSON object per alert (JSON Lines) to a writer —
 // the wire format of AlertRecord. Writes are serialized by the sink's own
 // lock, so one JSONLSink may fan in from several engines; the first write
@@ -115,7 +140,14 @@ func (s *JSONLSink) Consume(a Alert) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(recordOf(a))
+	rec := recordOf(a)
+	if nonFinite(rec.Time) || nonFinite(rec.Bytes) || nonFinite(rec.Duration) {
+		s.err = s.enc.Encode(nullableRecord{
+			Time: orNull(rec.Time), AlertRecord: rec, Bytes: orNull(rec.Bytes), Duration: orNull(rec.Duration),
+		})
+		return
+	}
+	s.err = s.enc.Encode(rec)
 }
 
 // Err returns the first write error, if any.

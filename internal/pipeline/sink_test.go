@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,30 +33,40 @@ func TestChanSink(t *testing.T) {
 	}
 }
 
+// TestJSONLSink pins the record a line carries, byte for byte, and that an
+// alert whose time or duration is not a finite number is written with
+// null in their place rather than ending the export.
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	sink.Consume(alertFor(1, 5))
+	sink.Consume(alertFor(2, math.NaN()))
+	unbounded := alertFor(2, 6)
+	unbounded.Flow.FirstTime = math.Inf(-1)
+	sink.Consume(unbounded)
 	sink.Consume(alertFor(2, 6.5))
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
+	const rest = `"class":2,"class_name":"attack","src_ip":"10.0.0.1","src_port":1234,"dst_ip":"172.16.0.10","dst_port":443,"proto":"tcp","packets":0,"bytes":0,`
+	want := []string{
+		`{"time":5,"class":1,"class_name":"attack","src_ip":"10.0.0.1","src_port":1234,"dst_ip":"172.16.0.10","dst_port":443,"proto":"tcp","packets":0,"bytes":0,"duration":1}`,
+		`{"time":null,` + rest + `"duration":null}`,
+		`{"time":6,` + rest + `"duration":null}`,
+		`{"time":6.5,` + rest + `"duration":1}`,
 	}
-	var rec AlertRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatal(err)
+	if len(lines) != len(want) {
+		t.Fatalf("wrote %d lines, want %d:\n%s", len(lines), len(want), buf.String())
 	}
-	if rec.SrcIP != "10.0.0.1" || rec.DstIP != "172.16.0.10" || rec.SrcPort != 1234 || rec.DstPort != 443 {
-		t.Fatalf("flow identity mangled: %+v", rec)
-	}
-	if rec.Proto != "tcp" || rec.Class != 1 || rec.ClassName != "attack" || rec.Time != 5 {
-		t.Fatalf("verdict mangled: %+v", rec)
-	}
-	if rec.Duration != 1 {
-		t.Fatalf("duration = %v, want 1", rec.Duration)
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Fatalf("line %d:\n%s\nwant\n%s", i, lines[i], want[i])
+		}
+		var rec AlertRecord
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
+			t.Fatalf("line %d does not decode as an AlertRecord: %v", i, err)
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cyberhd/internal/netflow"
@@ -14,10 +16,40 @@ import (
 	"cyberhd/internal/traffic"
 )
 
-// serveDetector trains one CIC detector shared by the serving tests.
+// served is the CIC detector of the serving tests, trained once per test
+// binary, and its saved bytes.
+var served struct {
+	once sync.Once
+	det  *Detector
+	file []byte
+	err  error
+}
+
+// trainedDetector returns the shared detector as trained. Its callers
+// only read it; serveDetector hands out copies to change.
+func trainedDetector(t *testing.T) *Detector {
+	t.Helper()
+	served.once.Do(func() {
+		served.det, served.err = TrainDetector(CICIDS2017(1200, 3), DefaultConfig())
+		if served.err == nil {
+			var buf bytes.Buffer
+			served.err = served.det.Save(&buf)
+			served.file = buf.Bytes()
+		}
+	})
+	if served.err != nil {
+		t.Fatal(served.err)
+	}
+	return served.det
+}
+
+// serveDetector returns a private copy of the shared detector, loaded from
+// its saved bytes: the model is bit-identical to the one trained, and a
+// test that changes its copy changes no other test's.
 func serveDetector(t *testing.T) *Detector {
 	t.Helper()
-	det, err := TrainDetector(CICIDS2017(1200, 3), DefaultConfig())
+	trainedDetector(t)
+	det, err := LoadDetector(bytes.NewReader(served.file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +58,8 @@ func serveDetector(t *testing.T) *Detector {
 
 // TestServeFillsDetectorFields pins what Serve takes from the detector:
 // the model, normalizer and class names a config leaves unset — and only
-// those, so a config that names its own model serves that one.
+// those, so a config that names its own model serves that one (on the
+// sharded engine here, which classifying alone never republishes).
 func TestServeFillsDetectorFields(t *testing.T) {
 	det := serveDetector(t)
 	base := det.EngineConfig()
@@ -48,12 +81,28 @@ func TestServeFillsDetectorFields(t *testing.T) {
 	cow := NewCOWModel(det.Model)
 	tel := NewTelemetry(det.ClassNames)
 	if _, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{Model: cow, Telemetry: tel}); err != nil {
+		EngineConfig{Model: cow, Telemetry: tel, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if s := tel.Snapshot(); s.ModelVersion != cow.Version() {
-		t.Fatalf("served model version %d, want the config's COW model at %d", s.ModelVersion, cow.Version())
+	if s := tel.Snapshot(); s.ModelVersion != cow.Version() || cow.Version() != 1 {
+		t.Fatalf("served model version %d, want the config's COW model at %d, unpublished since its first version",
+			s.ModelVersion, cow.Version())
 	}
+}
+
+// driveByHand feeds packets into the stream pipeline.NewStream builds from
+// cfg, drains it and returns its Stats.
+func driveByHand(t *testing.T, cfg EngineConfig, packets []netflow.Packet) EngineStats {
+	t.Helper()
+	s, err := pipeline.NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range packets {
+		s.Feed(packets[i])
+	}
+	s.Close()
+	return s.Stats()
 }
 
 // TestServeMatchesDirectEngine pins the one-call path end to end: Serve
@@ -62,18 +111,9 @@ func TestServeFillsDetectorFields(t *testing.T) {
 func TestServeMatchesDirectEngine(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-
 	cfg := det.EngineConfig()
 	cfg.BatchSize = 32
-	eng, err := pipeline.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Close()
-	want := eng.Stats()
+	want := driveByHand(t, cfg, live.Packets)
 
 	var jsonl bytes.Buffer
 	sink := NewJSONLSink(&jsonl)
@@ -82,52 +122,33 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Serve %+v != direct %+v", got, want)
-	}
-	for c := range want.ByClass {
-		if got.ByClass[c] != want.ByClass[c] {
-			t.Fatalf("ByClass[%d]: serve %d != direct %d", c, got.ByClass[c], want.ByClass[c])
-		}
 	}
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(jsonl.String(), "\n")
-	if lines != got.Alerts {
+	if lines := strings.Count(jsonl.String(), "\n"); lines != got.Alerts || got.Alerts == 0 {
 		t.Fatalf("JSONL sink wrote %d lines for %d alerts", lines, got.Alerts)
-	}
-	if got.Alerts == 0 {
-		t.Fatal("degenerate capture: no alerts")
 	}
 }
 
 // TestServeShardedQuantized exercises the one-call path at its heaviest:
-// flow-sharded, micro-batched, 8-bit quantized — stats must match the
-// plain float engine bit-for-bit except where quantization changes
-// verdicts, so pin against a sharded direct drive at the same width.
+// flow-sharded, micro-batched, 8-bit quantized — pinned against a sharded
+// direct drive at the same width.
 func TestServeShardedQuantized(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-
 	cfg := det.EngineConfig()
 	cfg.Shards, cfg.BatchSize, cfg.Quantize = 4, 32, W8
-	sh, err := pipeline.NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		sh.Feed(live.Packets[i])
-	}
-	sh.Close()
-	want := sh.Stats()
+	want := driveByHand(t, cfg, live.Packets)
 
 	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
 		EngineConfig{Shards: 4, BatchSize: 32, Quantize: W8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Flows != want.Flows || got.Alerts != want.Alerts {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Serve %+v != direct sharded %+v", got, want)
 	}
 }
