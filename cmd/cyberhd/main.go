@@ -36,6 +36,7 @@ import (
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
 	"cyberhd/internal/rng"
+	"cyberhd/internal/telemetry"
 	"cyberhd/internal/traffic"
 )
 
@@ -612,11 +613,11 @@ func cmdIngest(args []string) error {
 	// come from the merged worker telemetry, so the handler reads through
 	// an atomic pointer that flips from an empty snapshot to the live
 	// cluster once dialed.
-	var clientPtr atomic.Pointer[cyberhd.ClusterClient]
+	var rollup atomic.Pointer[func() cyberhd.TelemetrySnapshot]
 	if sv.metricsAddr != "" {
 		srv, err := cyberhd.ServeMetrics(sv.metricsAddr, func() cyberhd.TelemetrySnapshot {
-			if c := clientPtr.Load(); c != nil {
-				return c.MergedSnapshot()
+			if snap := rollup.Load(); snap != nil {
+				return (*snap)()
 			}
 			return cyberhd.TelemetrySnapshot{Classes: traffic.LabelNames()}
 		}, nil)
@@ -647,17 +648,11 @@ func cmdIngest(args []string) error {
 	// Every return from here says bye to the fleet; after a completed run
 	// the runner has already closed the client and this is a no-op.
 	defer client.Close()
-	clientPtr.Store(client)
 	fmt.Printf("cluster: %d workers, flow-hash fan-out\n", len(fleet))
 	sv.banner()
 
-	// The admission gate sits between the source and the fan-out stream,
-	// exactly where it sits in front of a local engine: shed at ingress,
-	// before the cluster transport spends anything on the packet.
-	stream := cyberhd.Stream(client)
-	if sv.pol.Mode == cyberhd.OverloadBounded {
-		stream = cyberhd.NewGate(client, sv.pol)
-	}
+	stream, snapshot := gateCluster(client, sv.pol)
+	rollup.Store(&snapshot)
 	st, err := (&cyberhd.Runner{Stream: stream, Source: sv.src, TickInterval: sv.tick}).Run(context.Background())
 	if err != nil {
 		return err
@@ -675,4 +670,21 @@ func cmdIngest(args []string) error {
 	}
 	sv.linger()
 	return nil
+}
+
+// gateCluster returns the stream ingest runs and the snapshot its rollup
+// endpoint serves. In bounded mode the admission gate sits between the
+// source and the fan-out stream, exactly where it sits in front of a
+// local engine: shed at ingress, before the cluster transport spends
+// anything on the packet. The client has no local collector, so the gate
+// counts its drops, tenant breakdown and state into its own, which the
+// rollup folds in.
+func gateCluster(client *cyberhd.ClusterClient, pol cyberhd.OverloadPolicy) (cyberhd.Stream, func() cyberhd.TelemetrySnapshot) {
+	if pol.Mode != cyberhd.OverloadBounded {
+		return client, client.MergedSnapshot
+	}
+	gate := cyberhd.NewGate(client, pol)
+	return gate, func() cyberhd.TelemetrySnapshot {
+		return telemetry.Merge(client.MergedSnapshot(), gate.Telemetry().Snapshot())
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -168,7 +169,8 @@ func TestDetectReplaysCaptureAndPcapAlike(t *testing.T) {
 // TestDetectAndIngestPrintTheSameAccounting runs one small capture through
 // detect and through ingest against two in-process workers, bounded mode
 // with tenant policing on, and requires string-equal `processed` and
-// `dropped` lines — the CLI form of the cluster bit-identity contract.
+// `dropped` lines — the CLI form of the cluster bit-identity contract —
+// and an ingest rollup whose tenant_rate counter matches the line.
 func TestDetectAndIngestPrintTheSameAccounting(t *testing.T) {
 	capture := filepath.Join(t.TempDir(), "small.cap")
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 150, Seed: 5})
@@ -202,6 +204,39 @@ func TestDetectAndIngestPrintTheSameAccounting(t *testing.T) {
 		if d == "" || d != i {
 			t.Errorf("accounting line diverged:\n  detect: %q\n  ingest: %q", d, i)
 		}
+	}
+
+	// The rollup endpoint counts the gate's drops: the same run through the
+	// stream and snapshot ingest builds reports the summary line's
+	// tenant_rate count.
+	fs, sv := newServing("ingest")
+	fs.Parse(shared)
+	if err := sv.open(); err != nil {
+		t.Fatal(err)
+	}
+	defer sv.close()
+	var det *cyberhd.Detector
+	if out, err := captureStdout(t, func() (err error) { det, err = sv.train(); return err }); err != nil {
+		t.Fatalf("train: %v\n%s", err, out)
+	}
+	client, err := cyberhd.DialCluster(cyberhd.ClusterConfig{
+		Workers: addrs, Model: cyberhd.NewCOWModel(det.Model),
+		Normalizer: det.Normalizer, ClassNames: det.ClassNames, BatchSize: sv.batch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	stream, rollup := gateCluster(client, sv.pol)
+	st, err := (&cyberhd.Runner{Stream: stream, Source: sv.src, TickInterval: sv.tick}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rollup().Dropped[cyberhd.DropTenantRate]
+	summary := regexp.MustCompile(`tenant_rate=(\d+)\)`).FindStringSubmatch(ingest)
+	if got == 0 || got != int64(st.Dropped[cyberhd.DropTenantRate]) || summary == nil || fmt.Sprint(got) != summary[1] {
+		t.Errorf("rollup tenant_rate = %d, want the run's %d and the summary line's %v, nonzero",
+			got, st.Dropped[cyberhd.DropTenantRate], summary)
 	}
 }
 

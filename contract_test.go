@@ -135,7 +135,7 @@ func TestContractMatrix(t *testing.T) {
 			return cluster.Dial(cluster.ClientConfig{
 				Workers: fleet, Model: m, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
 				BatchSize: cfg.BatchSize, Width: cfg.Quantize, OnAlert: cfg.OnAlert,
-				WorkerShards: shards, WorkerShardBuffer: 64,
+				WorkerShards: shards,
 			})
 		}
 	}

@@ -41,8 +41,6 @@ type ClientConfig struct {
 	Normalizer *datasets.Normalizer
 	// ClassNames label verdict classes on every worker. Required.
 	ClassNames []string
-	// BenignClass is the no-alert class index (pipeline.Config.BenignClass).
-	BenignClass int
 	// BatchSize is each worker's micro-batch size (pipeline.Config.BatchSize).
 	BatchSize int
 	// Width is each worker's serving quantization width (pipeline.Config.Quantize).
@@ -50,14 +48,6 @@ type ClientConfig struct {
 	// WorkerShards is each worker's internal shard count
 	// (pipeline.Config.Shards; 0/1 = single-core engine per worker).
 	WorkerShards int
-	// WorkerShardBuffer is each worker's per-shard ingress buffer
-	// (pipeline.Config.ShardBuffer).
-	WorkerShardBuffer int
-	// IdleTimeout and ActivityGap are the flow-assembly timeouts in
-	// capture seconds (pipeline.Config fields; zero selects the CIC
-	// defaults on the worker).
-	IdleTimeout float64
-	ActivityGap float64
 	// OnAlert, when set, observes every merged alert. Calls are
 	// serialized across workers (the sharded engine's callback contract);
 	// interleaving between workers is unspecified, per-worker order is
@@ -166,15 +156,10 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if len(cfg.ClassNames) == 0 {
 		return nil, fmt.Errorf("cluster: no class names")
 	}
-	if cfg.BenignClass < 0 || cfg.BenignClass >= len(cfg.ClassNames) {
-		return nil, fmt.Errorf("cluster: benign class %d of %d", cfg.BenignClass, len(cfg.ClassNames))
-	}
 	hello, err := encodeHello(helloState{
 		ClassNames: cfg.ClassNames,
 		NormMean:   cfg.Normalizer.Mean, NormInvStd: cfg.Normalizer.InvStd,
-		BenignClass: cfg.BenignClass, BatchSize: cfg.BatchSize,
-		Width: int(cfg.Width), Shards: cfg.WorkerShards, ShardBuffer: cfg.WorkerShardBuffer,
-		IdleTimeout: cfg.IdleTimeout, ActivityGap: cfg.ActivityGap,
+		BatchSize: cfg.BatchSize, Width: int(cfg.Width), Shards: cfg.WorkerShards,
 	})
 	if err != nil {
 		return nil, err

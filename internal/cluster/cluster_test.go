@@ -219,9 +219,6 @@ func TestDialRejectsBadConfig(t *testing.T) {
 	if _, err := Dial(ClientConfig{Workers: []string{"x"}, Model: cow, Normalizer: norm}); err == nil {
 		t.Error("Dial accepted empty class names")
 	}
-	if _, err := Dial(ClientConfig{Workers: []string{"x"}, Model: cow, Normalizer: norm, ClassNames: names, BenignClass: 99}); err == nil {
-		t.Error("Dial accepted out-of-range benign class")
-	}
 	if _, err := Dial(ClientConfig{Workers: []string{"127.0.0.1:1"}, Model: cow, Normalizer: norm, ClassNames: names}); err == nil {
 		t.Error("Dial connected to a dead worker")
 	}

@@ -328,18 +328,17 @@ const helloProto = 2
 // helloState is the session configuration the ingest node sends before
 // any traffic: everything a worker needs to assemble a pipeline engine
 // identical (snapshot aside) to the one a single-process run would build.
+// gob matches fields by name and ignores ones the receiver lacks, so a
+// peer whose hello has more fields interoperates as long as they are
+// zero.
 type helloState struct {
-	Proto       uint32
-	ClassNames  []string
-	NormMean    []float32
-	NormInvStd  []float32
-	BenignClass int
-	BatchSize   int
-	Width       int
-	Shards      int
-	ShardBuffer int
-	IdleTimeout float64
-	ActivityGap float64
+	Proto      uint32
+	ClassNames []string
+	NormMean   []float32
+	NormInvStd []float32
+	BatchSize  int
+	Width      int
+	Shards     int
 }
 
 // maxHelloClasses bounds the class list a hello may declare — far above
@@ -371,9 +370,6 @@ func decodeHello(payload []byte) (helloState, error) {
 	if len(h.ClassNames) == 0 || len(h.ClassNames) > maxHelloClasses {
 		return helloState{}, fmt.Errorf("cluster: hello declares %d classes (bounds [1, %d])", len(h.ClassNames), maxHelloClasses)
 	}
-	if h.BenignClass < 0 || h.BenignClass >= len(h.ClassNames) {
-		return helloState{}, fmt.Errorf("cluster: hello benign class %d of %d", h.BenignClass, len(h.ClassNames))
-	}
 	if len(h.NormMean) != netflow.NumFeatures || len(h.NormInvStd) != netflow.NumFeatures {
 		return helloState{}, fmt.Errorf("cluster: hello normalizer has %d/%d features, want %d",
 			len(h.NormMean), len(h.NormInvStd), netflow.NumFeatures)
@@ -383,10 +379,6 @@ func decodeHello(payload []byte) (helloState, error) {
 	}
 	if h.Shards < 0 || h.Shards > 1<<10 {
 		return helloState{}, fmt.Errorf("cluster: hello shard count %d out of range", h.Shards)
-	}
-	if math.IsNaN(h.IdleTimeout) || math.IsNaN(h.ActivityGap) ||
-		math.IsInf(h.IdleTimeout, 0) || math.IsInf(h.ActivityGap, 0) {
-		return helloState{}, fmt.Errorf("cluster: hello timeouts not finite")
 	}
 	return h, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"io"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,9 +49,7 @@ func testHello() helloState {
 	return helloState{
 		ClassNames: []string{"benign", "dos", "scan"},
 		NormMean:   mean, NormInvStd: inv,
-		BenignClass: 0, BatchSize: 64, Width: 8,
-		Shards: 2, ShardBuffer: 128,
-		IdleTimeout: 120, ActivityGap: 5,
+		BatchSize: 64, Width: 8, Shards: 2,
 	}
 }
 
@@ -72,9 +69,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	want.Proto = helloProto
-	if h.BenignClass != want.BenignClass || h.BatchSize != want.BatchSize ||
-		h.Width != want.Width || h.Shards != want.Shards || h.ShardBuffer != want.ShardBuffer ||
-		h.IdleTimeout != want.IdleTimeout || h.ActivityGap != want.ActivityGap {
+	if h.BatchSize != want.BatchSize || h.Width != want.Width || h.Shards != want.Shards {
 		t.Fatalf("hello scalar mismatch: %+v", h)
 	}
 	if len(h.ClassNames) != 3 || h.ClassNames[1] != "dos" {
@@ -96,11 +91,9 @@ func TestDecodeHelloRejectsInvalid(t *testing.T) {
 		{"wrong proto", func(h *helloState) { h.Proto = 99 }, "protocol"},
 		{"no classes", func(h *helloState) { h.ClassNames = nil }, "classes"},
 		{"too many classes", func(h *helloState) { h.ClassNames = make([]string, maxHelloClasses+1) }, "classes"},
-		{"benign out of range", func(h *helloState) { h.BenignClass = 7 }, "benign"},
 		{"short normalizer", func(h *helloState) { h.NormMean = h.NormMean[:3] }, "normalizer"},
 		{"negative batch", func(h *helloState) { h.BatchSize = -1 }, "batch"},
 		{"huge shards", func(h *helloState) { h.Shards = 1 << 20 }, "shard"},
-		{"NaN timeout", func(h *helloState) { h.IdleTimeout = math.NaN() }, "finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

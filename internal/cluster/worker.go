@@ -16,13 +16,9 @@ import (
 )
 
 // WorkerConfig tunes a detector worker. The zero value serves. A
-// replicated snapshot is capped at control.DefaultMaxUploadBytes, like an
-// HTTP upload.
+// replicated snapshot clears the control plane's built-in sanity batch and
+// is capped at control.DefaultMaxUploadBytes, like an HTTP upload.
 type WorkerConfig struct {
-	// Sanity, when non-empty, replaces the control plane's built-in
-	// sanity batch for replicated-snapshot validation (see
-	// control.Config.Sanity).
-	Sanity control.SanityBatch
 	// Logf, when set, receives session lifecycle lines (accept, model
 	// swaps, session summaries). Keep it cheap; it runs on session
 	// goroutines.
@@ -208,16 +204,14 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	// features in, the hello's class names out.
 	m, info, err := control.Admit(bytes.NewReader(payload), control.Geometry{
 		Classes: len(h.ClassNames), Inputs: netflow.NumFeatures, Width: bitpack.Width(h.Width),
-	}, w.cfg.Sanity)
+	}, control.SanityBatch{})
 	if err != nil {
 		err = fmt.Errorf("cluster: initial snapshot: %w", err)
 		_ = s.sendAck(ackState{Msg: err.Error()})
 		return err
 	}
 	cow := core.RestoreSnapshot(m, info)
-	plane, err := control.New(control.Config{
-		Model: cow, Width: bitpack.Width(h.Width), Sanity: w.cfg.Sanity,
-	})
+	plane, err := control.New(control.Config{Model: cow, Width: bitpack.Width(h.Width)})
 	if err != nil {
 		_ = s.sendAck(ackState{Msg: err.Error()})
 		return err
@@ -227,10 +221,9 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	cfg := pipeline.Config{
 		Model:      cow,
 		Normalizer: &datasets.Normalizer{Mean: h.NormMean, InvStd: h.NormInvStd},
-		ClassNames: h.ClassNames, BenignClass: h.BenignClass,
-		IdleTimeout: h.IdleTimeout, ActivityGap: h.ActivityGap,
-		BatchSize: h.BatchSize, Quantize: bitpack.Width(h.Width),
-		Shards: h.Shards, ShardBuffer: h.ShardBuffer,
+		ClassNames: h.ClassNames,
+		BatchSize:  h.BatchSize, Quantize: bitpack.Width(h.Width),
+		Shards:    h.Shards,
 		Telemetry: tel,
 		OnAlert: func(a pipeline.Alert) {
 			wa := wireAlertOf(&a)

@@ -126,25 +126,21 @@ type Config struct {
 	// Shadow, when set, is the engine-attached tap shadow uploads and
 	// promote/demote operate on; without it shadow mode is rejected.
 	Shadow *pipeline.Shadow
-	// Sanity, when non-empty, replaces the built-in sanity batch (64
-	// deterministic in-domain vectors, range-checked only). A
-	// caller-supplied batch on an individual upload overrides both.
-	Sanity SanityBatch
-	// MaxUploadBytes caps one upload (0 selects DefaultMaxUploadBytes).
-	MaxUploadBytes int64
 }
 
 // Plane is the model control plane over one serving COWModel. Build with
 // New, mount Handler on the admin endpoint
 // (telemetry.ListenAndServe). All handlers are safe for concurrent
 // requests; upload validation runs outside the swap, so a slow or
-// rejected upload never stalls or perturbs serving.
+// rejected upload never stalls or perturbs serving. Every upload clears
+// the built-in sanity batch (64 deterministic in-domain vectors,
+// range-checked only) unless it carries its own, and is capped at
+// DefaultMaxUploadBytes.
 type Plane struct {
 	cow    *core.COWModel
 	width  bitpack.Width
 	shadow *pipeline.Shadow
-	sanity SanityBatch
-	maxUp  int64
+	maxUp  int64 // DefaultMaxUploadBytes
 
 	// mu guards the shadow bookkeeping (which float model the tap's
 	// candidate was packed from), so promote swaps in exactly the model
@@ -161,17 +157,9 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.Width != 0 && !cfg.Width.Valid() {
 		return nil, fmt.Errorf("control: invalid width %d", cfg.Width)
 	}
-	if cfg.Sanity.X != nil && cfg.Sanity.Y != nil && len(cfg.Sanity.Y) != cfg.Sanity.X.Rows {
-		return nil, fmt.Errorf("control: sanity batch has %d rows, %d labels",
-			cfg.Sanity.X.Rows, len(cfg.Sanity.Y))
-	}
-	maxUp := cfg.MaxUploadBytes
-	if maxUp <= 0 {
-		maxUp = DefaultMaxUploadBytes
-	}
 	return &Plane{
 		cow: cfg.Model, width: cfg.Width, shadow: cfg.Shadow,
-		sanity: cfg.Sanity, maxUp: maxUp,
+		maxUp: DefaultMaxUploadBytes,
 	}, nil
 }
 
@@ -244,10 +232,10 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, p.maxUp)
 	model := io.Reader(body)
-	sanity := p.sanity
+	var sanity SanityBatch
 	if ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && ct == "multipart/form-data" {
 		// Multipart form: required "model" part, optional "sanity" part
-		// (EncodeSanityBatch wire format) overriding the server-side batch.
+		// (EncodeSanityBatch wire format) replacing the built-in batch.
 		if err := r.ParseMultipartForm(p.maxUp); err != nil {
 			httpError(w, http.StatusBadRequest, "parsing multipart upload: "+err.Error())
 			return
@@ -320,7 +308,7 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 // is the serving version after the call; on error the serving model, its
 // version, and the verdict stream are bit-identically untouched.
 func (p *Plane) Apply(r io.Reader) (uint64, error) {
-	m, _, err := Admit(io.LimitReader(r, p.maxUp), p.serving(), p.sanity)
+	m, _, err := Admit(io.LimitReader(r, p.maxUp), p.serving(), SanityBatch{})
 	if err == nil {
 		err = p.cow.ReplaceModel(m)
 	}

@@ -348,7 +348,15 @@ func TestWidthConflictRejected(t *testing.T) {
 }
 
 func TestUploadCap(t *testing.T) {
-	cow, _, srv := planeServer(t, Config{MaxUploadBytes: 128})
+	m, _, _ := trainModel(t, 3, 8, 64, 11)
+	cow := core.NewCOWModel(m)
+	p, err := New(Config{Model: cow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.maxUp = 128
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
 	huge := make([]byte, 4096)
 	resp, err := http.Post(srv.URL+"/model", "application/octet-stream", bytes.NewReader(huge))
 	if err != nil {

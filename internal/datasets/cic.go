@@ -33,7 +33,7 @@ func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.Fl
 	classNames []string, classOf func(traffic.Label) int) (*Dataset, error) {
 	var feats [][]float32
 	var labels []int
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) {
+	a := netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, func(f *netflow.Flow) {
 		label := traffic.Benign
 		if flowLabels != nil {
 			l, ok := flowLabels[f.Key]

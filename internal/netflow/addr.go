@@ -130,3 +130,28 @@ func (a Addr) String() string {
 	}
 	return netip.AddrFrom16(a).Unmap().String()
 }
+
+// Tenant returns the admission-fairness key of the flow: the source prefix
+// of the canonical key's IPA (the byte-wise smaller endpoint address), so
+// both directions of a flow always bill the same tenant and one subnet's
+// token bucket never charges another's. The key is the prefix itself: an
+// IPv4 /24 is ip>>8, below 2^24; an IPv6 /48 is its 48 bits with bit 63
+// set, disjoint from every IPv4 key. TenantLabel turns it back into CIDR.
+func (k FlowKey) Tenant() uint64 {
+	if k.IPA.Is4() {
+		return uint64(k.IPA.V4() >> 8)
+	}
+	hi, _ := k.IPA.words()
+	return 1<<63 | hi>>16
+}
+
+// TenantLabel renders a Tenant key as its prefix in CIDR form:
+// "10.0.1.0/24" or "2001:db8:aaaa::/48".
+func TenantLabel(key uint64) string {
+	if key < 1<<63 {
+		return fmt.Sprintf("%d.%d.%d.0/24", byte(key>>16), byte(key>>8), byte(key))
+	}
+	var a [16]byte
+	binary.BigEndian.PutUint64(a[:8], key<<16)
+	return netip.AddrFrom16(a).String() + "/48"
+}

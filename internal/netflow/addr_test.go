@@ -121,48 +121,16 @@ func TestKeyOfDirectionInvariance128(t *testing.T) {
 	}
 }
 
-// TestTenant128 pins the v6 tenant key: direction-invariant, /48-granular,
-// width-sensitive, and disjoint from every possible IPv4 tenant key.
+// TestTenant128 pins the IPv6 tenant key: direction-invariant, one key per
+// /48 site, and carrying the family bit so it is disjoint from every IPv4
+// key.
 func TestTenant128(t *testing.T) {
-	fwd := &Packet{SrcIP: MustParseAddr("2001:db8:aaaa::1"), DstIP: MustParseAddr("2001:db8:bbbb::2"), SrcPort: 443, DstPort: 51000, Proto: TCP}
-	bwd := &Packet{SrcIP: MustParseAddr("2001:db8:bbbb::2"), DstIP: MustParseAddr("2001:db8:aaaa::1"), SrcPort: 51000, DstPort: 443, Proto: TCP}
-	for _, bits := range []int{32, 48, 64, 128} {
-		if a, b := fwd.TenantKey(bits), bwd.TenantKey(bits); a != b {
-			t.Fatalf("bits=%d: fwd tenant %x != bwd tenant %x", bits, a, b)
-		}
-		if fwd.TenantKey(bits)&(1<<63) == 0 {
-			t.Fatalf("bits=%d: v6 tenant key lacks the family bit (could collide with v4 keys)", bits)
-		}
-	}
-	// Same /48 site, different host → one tenant at /48.
-	sameSite := &Packet{SrcIP: MustParseAddr("2001:db8:aaaa::ffff"), DstIP: MustParseAddr("2001:db8:bbbb::2"), SrcPort: 9, DstPort: 9, Proto: UDP}
-	if fwd.TenantKey(48) != sameSite.TenantKey(48) {
-		t.Fatal("hosts in one /48 billed to different tenants")
-	}
-	// Different /48 site → different tenant.
-	otherSite := &Packet{SrcIP: MustParseAddr("2001:db8:cccc::1"), DstIP: MustParseAddr("2001:db8:bbbb::2"), SrcPort: 9, DstPort: 9, Proto: UDP}
-	if fwd.TenantKey(48) == otherSite.TenantKey(48) {
-		t.Fatal("distinct /48 sites billed to one tenant")
-	}
-	// Width contributes to the key (a /48 pool never aliases a /64 pool).
-	if fwd.TenantKey(48) == fwd.TenantKey(64) {
-		t.Fatal("prefix width does not contribute to the v6 tenant key")
-	}
-	// Out-of-range widths key per exact /128 address.
-	k, _ := KeyOf(fwd)
-	for _, bits := range []int{0, -3, 129, 1000} {
-		if k.Tenant(bits) != k.Tenant(128) {
-			t.Fatalf("bits=%d: out-of-range width should key per /128", bits)
-		}
-	}
-	// TenantPrefix picks the family width.
-	k4, _ := KeyOf(&Packet{SrcIP: AddrV4(0x0A000102), DstIP: AddrV4(0x0B010203), SrcPort: 1, DstPort: 2, Proto: TCP})
-	if k4.TenantPrefix(24, 48) != k4.Tenant(24) {
-		t.Fatal("TenantPrefix ignored bits4 for a v4 key")
-	}
-	if k.TenantPrefix(24, 48) != k.Tenant(48) {
-		t.Fatal("TenantPrefix ignored bits6 for a v6 key")
-	}
+	checkTenants(t, []tenantCase{
+		{"v6", "2001:db8:aaaa::1", "2001:db8:bbbb::2", 1<<63 | 0x20010db8aaaa, "2001:db8:aaaa::/48"},
+		{"v6 same /48", "2001:db8:aaaa:ffff::9", "2001:db8:bbbb::2", 1<<63 | 0x20010db8aaaa, "2001:db8:aaaa::/48"},
+		{"v6 other /48", "2001:db8:cccc::1", "2001:db8:dddd::2", 1<<63 | 0x20010db8cccc, "2001:db8:cccc::/48"},
+		{"v6 zero prefix", "::1", "2001:db8::1", 1 << 63, "::/48"},
+	})
 }
 
 // TestCaptureV2RoundTrip pins the v2 record: IPv6 and VLAN-tagged packets

@@ -5,6 +5,17 @@ import (
 	"slices"
 )
 
+// The CICFlowMeter timeouts, in capture seconds: every training set is
+// assembled with them and every serving engine assembles with them, so
+// served flows featurize exactly like the flows the model learned from.
+const (
+	// CICIdleTimeout ends a flow when no packet arrives for this long.
+	CICIdleTimeout = 120.0
+	// CICActivityGap splits a flow's active periods when consecutive
+	// packets are further apart than this.
+	CICActivityGap = 1.0
+)
+
 // Assembler groups a time-ordered packet stream into bidirectional flows
 // and evicts them when complete. Eviction happens on TCP termination
 // (both FINs or a RST), on idle timeout, or on Flush.
@@ -15,11 +26,11 @@ import (
 // flow it evicts is skipped by the eviction pass that was under way.
 type Assembler struct {
 	// IdleTimeout ends a flow when no packet arrives for this many
-	// seconds (CICFlowMeter default is 120 s).
+	// seconds (default CICIdleTimeout).
 	IdleTimeout float64
 	// ActivityGap splits a flow's active periods when consecutive packets
-	// are further apart than this many seconds (CIC default 1 s). Active/
-	// idle statistics and subflow counts derive from it.
+	// are further apart than this many seconds (default CICActivityGap).
+	// Active/idle statistics and subflow counts derive from it.
 	ActivityGap float64
 
 	table   flowTable
@@ -32,13 +43,13 @@ type Assembler struct {
 }
 
 // NewAssembler builds an assembler delivering completed flows to onEvict.
-// Non-positive timeouts select the CIC defaults (120 s idle, 1 s activity).
+// Non-positive timeouts select CICIdleTimeout and CICActivityGap.
 func NewAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *Assembler {
 	if idleTimeout <= 0 {
-		idleTimeout = 120
+		idleTimeout = CICIdleTimeout
 	}
 	if activityGap <= 0 {
-		activityGap = 1
+		activityGap = CICActivityGap
 	}
 	return &Assembler{
 		IdleTimeout: idleTimeout,

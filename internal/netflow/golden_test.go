@@ -117,7 +117,7 @@ func TestGoldenV1CaptureCompat(t *testing.T) {
 		if s := g.key.Hash() % 4; s != g.shard4 {
 			t.Fatalf("key %d: shard = %d, golden %d", i, s, g.shard4)
 		}
-		if ten := g.key.Tenant(24); ten != g.ten24 {
+		if ten := g.key.Tenant(); ten != g.ten24 {
 			t.Fatalf("key %d: /24 tenant = %d, golden %d", i, ten, g.ten24)
 		}
 	}

@@ -75,71 +75,3 @@ func (p *Packet) ShardKey() uint64 {
 	}
 	return hashTuple(&p.DstIP, &p.SrcIP, p.DstPort, p.SrcPort, p.Proto)
 }
-
-// Tenant returns the admission-fairness key of the flow: the /bits prefix
-// of the canonical key's IPA (the byte-wise smaller endpoint address), so
-// both directions of a flow always bill the same tenant and one subnet's
-// token bucket never charges another's.
-//
-// IPv4 keys are unchanged from the uint32 era: the numeric /bits prefix,
-// with bits outside (0, 32) keying per exact address; results are always
-// < 2^32. IPv6 prefixes can't fit a uint64 directly, so the key is an
-// FNV-1a hash of the masked /bits prefix (bits clamped to (0, 128],
-// default exact /128) with bit 63 forced set — disjoint from every
-// possible IPv4 key.
-func (k FlowKey) Tenant(bits int) uint64 {
-	if k.IPA.Is4() {
-		ip := k.IPA.V4()
-		if bits <= 0 || bits >= 32 {
-			return uint64(ip)
-		}
-		return uint64(ip >> (32 - bits))
-	}
-	if bits <= 0 || bits > 128 {
-		bits = 128
-	}
-	h := uint64(fnvOffset64)
-	full, rem := bits/8, bits%8
-	for i := 0; i < 16; i++ {
-		b := k.IPA[i]
-		switch {
-		case i < full:
-			// Whole byte inside the prefix: keep.
-		case i == full && rem > 0:
-			b &= 0xff << (8 - rem)
-		default:
-			b = 0
-		}
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	h ^= uint64(bits)
-	h *= fnvPrime64
-	return h | 1<<63
-}
-
-// TenantPrefix is Tenant with per-family prefix widths: bits4 applies to
-// IPv4 keys, bits6 to IPv6. The overload gate's default billing key is
-// TenantPrefix(24, 48) — /24 subnets for v4, /48 sites for v6.
-func (k FlowKey) TenantPrefix(bits4, bits6 int) uint64 {
-	if k.IPA.Is4() {
-		return k.Tenant(bits4)
-	}
-	return k.Tenant(bits6)
-}
-
-// TenantKey returns the per-tenant admission key of p's bidirectional
-// flow — Tenant(bits) of the canonical FlowKey, identical for both
-// directions (the single-width form of the overload gate's token-bucket
-// key).
-func (p *Packet) TenantKey(bits int) uint64 {
-	k, _ := KeyOf(p)
-	return k.Tenant(bits)
-}
-
-// TenantPrefixKey is TenantKey with per-family prefix widths (see
-// FlowKey.TenantPrefix).
-func (p *Packet) TenantPrefixKey(bits4, bits6 int) uint64 {
-	k, _ := KeyOf(p)
-	return k.TenantPrefix(bits4, bits6)
-}

@@ -392,31 +392,48 @@ func TestFlushOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestTenantKeyDirectionInvariant pins the overload gate's fairness
-// key: both directions of a flow bill the same tenant, and the tenant
-// is the /bits prefix of the canonical key's lower endpoint.
+// tenantCase is one flow (endpoints a and b) with the tenant key and
+// CIDR label its canonical key must bill.
+type tenantCase struct {
+	name, a, b string
+	key        uint64
+	label      string
+}
+
+// checkTenants pins the overload gate's fairness key for each case: both
+// directions of the flow bill one tenant, the key is the /24 (IPv4,
+// ip>>8) or /48 (IPv6, at or above 2^63) prefix of the canonical key's
+// lower endpoint, and TenantLabel renders the key back as that prefix.
+func checkTenants(t *testing.T, cases []tenantCase) {
+	t.Helper()
+	for _, tc := range cases {
+		fwd := &Packet{SrcIP: MustParseAddr(tc.a), DstIP: MustParseAddr(tc.b), SrcPort: 443, DstPort: 51000, Proto: TCP}
+		bwd := &Packet{SrcIP: fwd.DstIP, DstIP: fwd.SrcIP, SrcPort: 51000, DstPort: 443, Proto: TCP}
+		kf, _ := KeyOf(fwd)
+		kb, _ := KeyOf(bwd)
+		if kf.Tenant() != kb.Tenant() {
+			t.Fatalf("%s: fwd tenant %x != bwd tenant %x", tc.name, kf.Tenant(), kb.Tenant())
+		}
+		if got := kf.Tenant(); got != tc.key {
+			t.Fatalf("%s: tenant %x, want %x", tc.name, got, tc.key)
+		}
+		if v6 := tc.key >= 1<<63; v6 == kf.IPA.Is4() {
+			t.Fatalf("%s: tenant %x on the wrong side of 2^63 for its family", tc.name, tc.key)
+		}
+		if got := TenantLabel(tc.key); got != tc.label {
+			t.Fatalf("%s: label %q, want %q", tc.name, got, tc.label)
+		}
+	}
+}
+
+// TestTenantKeyDirectionInvariant pins the IPv4 tenant key: hosts of one
+// /24 share a key, /24s never do, and a v4-mapped endpoint bills its
+// plain IPv4 /24.
 func TestTenantKeyDirectionInvariant(t *testing.T) {
-	fwd := &Packet{SrcIP: AddrV4(0x0A000102), DstIP: AddrV4(0x0B010203), SrcPort: 443, DstPort: 51000, Proto: TCP}
-	bwd := &Packet{SrcIP: AddrV4(0x0B010203), DstIP: AddrV4(0x0A000102), SrcPort: 51000, DstPort: 443, Proto: TCP}
-	for _, bits := range []int{8, 16, 24, 32} {
-		if a, b := fwd.TenantKey(bits), bwd.TenantKey(bits); a != b {
-			t.Fatalf("bits=%d: fwd tenant %x != bwd tenant %x", bits, a, b)
-		}
-	}
-	// /24 of the numerically smaller endpoint (10.0.1.2 < 11.1.2.3).
-	if got, want := fwd.TenantKey(24), uint64(0x0A0001); got != want {
-		t.Fatalf("/24 tenant = %x, want %x", got, want)
-	}
-	// Out-of-range widths key per exact address.
-	k, _ := KeyOf(fwd)
-	for _, bits := range []int{0, -3, 32, 40} {
-		if got := k.Tenant(bits); got != uint64(k.IPA.V4()) {
-			t.Fatalf("bits=%d tenant = %x, want exact address %x", bits, got, k.IPA)
-		}
-	}
-	// Distinct subnets stay distinct tenants.
-	other := &Packet{SrcIP: AddrV4(0x0A000202), DstIP: AddrV4(0x0B010203), SrcPort: 443, DstPort: 51000, Proto: TCP}
-	if fwd.TenantKey(24) == other.TenantKey(24) {
-		t.Fatal("different /24 subnets billed the same tenant")
-	}
+	checkTenants(t, []tenantCase{
+		{"v4", "10.0.1.2", "11.1.2.3", 0x0A000102 >> 8, "10.0.1.0/24"},
+		{"v4 same /24", "10.0.1.250", "12.0.0.1", 0x0A000102 >> 8, "10.0.1.0/24"},
+		{"v4 other /24", "10.0.2.2", "11.1.2.3", 0x0A000202 >> 8, "10.0.2.0/24"},
+		{"v4-mapped", "::ffff:10.0.1.9", "11.1.2.3", 0x0A000102 >> 8, "10.0.1.0/24"},
+	})
 }

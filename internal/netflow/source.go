@@ -16,8 +16,7 @@ import (
 // Concrete sources: SliceSource (in-memory captures and generated
 // traffic), CaptureScanner and PCAPSource (the binary capture format
 // and PCAP/pcapng, streamed in O(1) memory; Open picks between them for
-// a file on disk), and traffic.Replay (the synthetic generator in
-// live-replay mode).
+// a file on disk).
 type PacketSource interface {
 	// Next stores the next packet into *p and returns nil, or returns
 	// io.EOF when the stream ends (leaving *p unspecified), or another

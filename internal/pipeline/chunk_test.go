@@ -107,7 +107,7 @@ func chunkReplay(shards int, phases [3][]int) []chunkOp {
 }
 
 // TestShardedChunkBoundaries is the differential pin of the chunked
-// handoff: for every chunk size a ShardBuffer selects and every shard
+// handoff: for every chunk size a shard buffer selects and every shard
 // count, per-shard packet runs that stop one short of a chunk boundary, on
 // it and one past it — before a tick, before a flush and before Close, so
 // each finds open chunks on some shards only — give the alert multiset and
@@ -139,14 +139,14 @@ func TestShardedChunkBoundaries(t *testing.T) {
 				t.Run(fmt.Sprintf("buffer%d/shards%d/rot%d", buffer, shards, rot), func(t *testing.T) {
 					got := map[verdict]int{}
 					scfg := cfg
-					scfg.Shards, scfg.ShardBuffer = shards, buffer
+					scfg.Shards = shards
 					scfg.OnAlert = collect(got)
-					s, err := NewSharded(scfg)
+					s, err := newSharded(scfg, buffer)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if _, capacity := s.occupancy(); buffer > 0 && capacity > buffer {
-						t.Fatalf("occupancy capacity %d packets exceeds ShardBuffer %d", capacity, buffer)
+						t.Fatalf("occupancy capacity %d packets exceeds the buffer %d", capacity, buffer)
 					}
 					// A chunk less one, exactly one, one plus one — rotated so
 					// every shard meets every case in every phase.
@@ -243,11 +243,13 @@ func TestShardedChunkBoundaries(t *testing.T) {
 // wait-outside-the-lock path.
 func TestShardedFeedersWaitTogether(t *testing.T) {
 	cfg := fastCfg(slowModel{delay: 5 * time.Microsecond})
-	cfg.Shards, cfg.ShardBuffer = 2, 8 // chunks of 2 packets, 3 channel slots
-	cfg.IdleTimeout = 1e-3             // every tick completes flows, so the shards stay busy
-	s, err := NewSharded(cfg)
+	cfg.Shards = 2
+	s, err := newSharded(cfg, 8) // chunks of 2 packets, 3 channel slots
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range s.shards {
+		s.shards[i].eng.asm.IdleTimeout = 1e-3 // every tick completes flows, so the shards stay busy
 	}
 	const feeders, perFeeder = 4, 3000
 	var wg sync.WaitGroup

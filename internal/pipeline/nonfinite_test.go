@@ -33,7 +33,6 @@ func TestRunnerNonFiniteTimesKeepTheClock(t *testing.T) {
 	run := func(pkts []netflow.Packet) ([]float64, Stats) {
 		t.Helper()
 		cfg := trivialConfig()
-		cfg.IdleTimeout = 100
 		eng, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +96,7 @@ func TestNaNTimestampClassifiesAtTheTrainingMean(t *testing.T) {
 	pkts[len(pkts)-1].Time = math.NaN()
 
 	var flows []*netflow.Flow
-	asm := netflow.NewAssembler(cfg.IdleTimeout, cfg.ActivityGap, func(f *netflow.Flow) { flows = append(flows, f) })
+	asm := netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, func(f *netflow.Flow) { flows = append(flows, f) })
 	for i := range pkts {
 		asm.Add(&pkts[i])
 	}

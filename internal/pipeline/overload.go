@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -95,15 +94,9 @@ const (
 	DefaultEvalEvery = 256
 	// DefaultFlowIdle is how long (capture seconds) after its last
 	// packet the gate remembers an admitted flow for shed preference —
-	// matching the assembler's CIC idle timeout, so the gate's notion of
-	// "already assembled" tracks the engine's.
-	DefaultFlowIdle = 120.0
-	// DefaultTenantBits is the IPv4 subnet prefix length of the default
-	// tenant key (netflow.Packet.TenantPrefixKey).
-	DefaultTenantBits = 24
-	// DefaultTenantBitsV6 is the IPv6 prefix length of the default
-	// tenant key: /48, the conventional site-assignment boundary.
-	DefaultTenantBitsV6 = 48
+	// the assembler's idle timeout, so the gate's notion of "already
+	// assembled" tracks the engine's.
+	DefaultFlowIdle = netflow.CICIdleTimeout
 )
 
 // OverloadPolicy configures the admission gate. The zero value is the
@@ -111,6 +104,9 @@ const (
 // Every other field has a working default, resolved at gate build; the
 // occupancy thresholds and the flow memory are the constants
 // DefaultPressureOccupancy, DefaultShedOccupancy and DefaultFlowIdle.
+// Tenants are the /24 (IPv4) or /48 (IPv6) source prefixes of the
+// canonical flow key (netflow.FlowKey.Tenant), so both directions of a
+// flow bill one tenant.
 type OverloadPolicy struct {
 	// Mode selects lossless-blocking (default) or bounded-latency
 	// admission.
@@ -124,25 +120,14 @@ type OverloadPolicy struct {
 	// DefaultLatencyBound).
 	LatencyBound float64
 	// TenantRate caps each tenant at this many packets per capture
-	// second through a token bucket (0 disables tenant policing).
-	// Refill follows the capture clock, so replays police
+	// second through a token bucket of depth max(2×TenantRate, 8) — the
+	// burst a tenant may spend ahead of its rate (0 disables tenant
+	// policing). Refill follows the capture clock, so replays police
 	// deterministically at any drain speed.
 	TenantRate float64
-	// TenantBurst is the bucket depth in packets (default 2×TenantRate,
-	// at least 8): the burst a tenant may spend ahead of its rate.
-	TenantBurst float64
-	// TenantKey maps a packet to its tenant bucket. The default keys by
-	// the /DefaultTenantBits subnet of the canonical flow key
-	// (netflow.Packet.TenantKey), so both directions of a flow bill the
-	// same tenant.
-	TenantKey func(*netflow.Packet) uint64
 	// EvalEvery is the state-machine evaluation cadence in offered
 	// packets (default DefaultEvalEvery).
 	EvalEvery int
-	// OnDrop, when set, observes every refused packet with its reason.
-	// It runs on the feeding goroutine under the gate lock — keep it
-	// fast, and never call back into the gate or its stream.
-	OnDrop func(netflow.Packet, telemetry.DropReason)
 }
 
 // withDefaults resolves every unset policy field.
@@ -152,17 +137,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	}
 	if p.LatencyBound <= 0 {
 		p.LatencyBound = DefaultLatencyBound
-	}
-	if p.TenantBurst <= 0 {
-		p.TenantBurst = 2 * p.TenantRate
-		if p.TenantBurst < 8 {
-			p.TenantBurst = 8
-		}
-	}
-	if p.TenantKey == nil {
-		p.TenantKey = func(pkt *netflow.Packet) uint64 {
-			return pkt.TenantPrefixKey(DefaultTenantBits, DefaultTenantBitsV6)
-		}
 	}
 	if p.EvalEvery <= 0 {
 		p.EvalEvery = DefaultEvalEvery
@@ -209,16 +183,10 @@ func (b *tokenBucket) take(now, rate, burst float64) bool {
 type Gate struct {
 	inner  Stream
 	pol    OverloadPolicy
+	burst  float64 // tenant bucket depth: max(2×TenantRate, 8)
 	tel    *telemetry.Collector
 	ownTel bool     // tel is gate-private (wrapped stream exposes none)
 	occ    occupier // nil when the wrapped stream has no ingress buffer
-
-	// labelMu guards labels, the bounded v6 tenant-key → CIDR registry
-	// behind the default tenant labeler. The default v6 key is a prefix
-	// hash (not invertible), so the drop path records each shedding
-	// tenant's "2001:db8:aaaa::/48"-style label as it first appears.
-	labelMu sync.RWMutex
-	labels  map[uint64]string
 
 	mu      sync.Mutex
 	state   OverloadState
@@ -238,14 +206,14 @@ var _ Stream = (*Gate)(nil)
 // OverloadBounded — a lossless run simply does not install a gate).
 // The gate shares inner's telemetry collector; when the wrapped stream
 // exposes none (a cluster ingest client, say) the gate keeps a private
-// collector so drops still count, and folds them into Stats.
+// collector so drops still count, and folds them into Stats. Per-tenant
+// drops are labeled by their prefix in CIDR form (netflow.TenantLabel).
 func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 	pol.Mode = OverloadBounded
-	defaultTenantKey := pol.TenantKey == nil
-	pol = pol.withDefaults()
 	g := &Gate{
 		inner:   inner,
-		pol:     pol,
+		pol:     pol.withDefaults(),
+		burst:   max(2*pol.TenantRate, 8),
 		tel:     inner.Telemetry(),
 		flows:   make(map[netflow.FlowKey]float64),
 		buckets: make(map[uint64]*tokenBucket),
@@ -254,75 +222,12 @@ func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 		g.tel = telemetry.New(nil)
 		g.ownTel = true
 	}
-	if defaultTenantKey {
-		// The default key is the /DefaultTenantBits (v4) or
-		// /DefaultTenantBitsV6 (v6) source prefix of the canonical flow
-		// endpoint — label the per-tenant drop metric in CIDR form
-		// instead of a bare integer. IPv4 prefixes invert from the key
-		// directly; IPv6 keys are prefix hashes, resolved through the
-		// registry the drop path populates. Custom keys keep the decimal
-		// default (or install their own via SetTenantLabeler).
-		g.labels = make(map[uint64]string)
-		g.tel.SetTenantLabeler(func(key uint64) string {
-			if key < 1<<32 {
-				ip := uint32(key) << (32 - DefaultTenantBits)
-				return fmt.Sprintf("%d.%d.%d.%d/%d",
-					byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip), DefaultTenantBits)
-			}
-			g.labelMu.RLock()
-			label, ok := g.labels[key]
-			g.labelMu.RUnlock()
-			if ok {
-				return label
-			}
-			return fmt.Sprintf("v6:%x", key)
-		})
-	}
+	g.tel.SetTenantLabeler(netflow.TenantLabel)
 	if o, ok := inner.(occupier); ok {
 		g.occ = o
 	}
 	g.tel.LatencyCountsInto(&g.lastLat)
 	return g
-}
-
-// maxTenantLabels bounds the gate's v6 tenant-label registry; tenants
-// past the bound label by key hash (the drop counts stay exact).
-const maxTenantLabels = 1024
-
-// recordTenantLabel resolves and remembers the CIDR label of a dropped
-// v6 packet's default tenant key.
-func (g *Gate) recordTenantLabel(p *netflow.Packet, key uint64) {
-	g.labelMu.RLock()
-	_, ok := g.labels[key]
-	full := len(g.labels) >= maxTenantLabels
-	g.labelMu.RUnlock()
-	if ok || full {
-		return
-	}
-	k, _ := netflow.KeyOf(p)
-	label := v6PrefixLabel(k.IPA, DefaultTenantBitsV6)
-	g.labelMu.Lock()
-	if len(g.labels) < maxTenantLabels {
-		g.labels[key] = label
-	}
-	g.labelMu.Unlock()
-}
-
-// v6PrefixLabel renders the /bits prefix of a as a CIDR label.
-func v6PrefixLabel(a netflow.Addr, bits int) string {
-	masked := a
-	full, rem := bits/8, bits%8
-	for i := full; i < 16; i++ {
-		if i == full && rem > 0 {
-			masked[i] &= 0xff << (8 - rem)
-			continue
-		}
-		masked[i] = 0
-	}
-	if masked == (netflow.Addr{}) {
-		return fmt.Sprintf("::/%d", bits)
-	}
-	return fmt.Sprintf("%s/%d", masked.String(), bits)
 }
 
 // State returns the gate's current load-shedding state.
@@ -358,26 +263,26 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	if g.offered >= g.pol.EvalEvery {
 		g.evaluate()
 	}
+	flowKey, _ := netflow.KeyOf(&p)
+	tenant := flowKey.Tenant()
 	if g.pol.TenantRate > 0 {
-		key := g.pol.TenantKey(&p)
-		b := g.buckets[key]
+		b := g.buckets[tenant]
 		if b == nil {
-			b = &tokenBucket{tokens: g.pol.TenantBurst, last: p.Time}
-			g.buckets[key] = b
+			b = &tokenBucket{tokens: g.burst, last: p.Time}
+			g.buckets[tenant] = b
 		}
-		if !b.take(p.Time, g.pol.TenantRate, g.pol.TenantBurst) {
-			g.drop(p, telemetry.DropTenantRate)
+		if !b.take(p.Time, g.pol.TenantRate, g.burst) {
+			g.drop(tenant, telemetry.DropTenantRate)
 			g.mu.Unlock()
 			return false
 		}
 	}
-	flowKey, _ := netflow.KeyOf(&p)
 	last, known := g.flows[flowKey]
 	if known && g.now-last > DefaultFlowIdle {
 		known = false // the engine's assembler will treat this as a new flow too
 	}
 	if g.state == OverloadShedding && !known {
-		g.drop(p, telemetry.DropNewFlowShed)
+		g.drop(tenant, telemetry.DropNewFlowShed)
 		g.mu.Unlock()
 		return false
 	}
@@ -389,7 +294,7 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !ok {
-		g.drop(p, telemetry.DropBackpressure)
+		g.drop(tenant, telemetry.DropBackpressure)
 		return false
 	}
 	g.flows[flowKey] = p.Time
@@ -399,16 +304,9 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 // drop counts one refused packet — the reason total plus the per-tenant
 // attribution, so every shed packet is billable to the tenant that
 // offered it. Caller holds the gate lock.
-func (g *Gate) drop(p netflow.Packet, r telemetry.DropReason) {
-	key := g.pol.TenantKey(&p)
+func (g *Gate) drop(tenant uint64, r telemetry.DropReason) {
 	g.tel.AddDropped(r, 1)
-	g.tel.AddDroppedTenant(key, 1)
-	if g.labels != nil && key >= 1<<32 {
-		g.recordTenantLabel(&p, key)
-	}
-	if g.pol.OnDrop != nil {
-		g.pol.OnDrop(p, r)
-	}
+	g.tel.AddDroppedTenant(tenant, 1)
 }
 
 // evaluate advances the state machine from its two signals — ingress

@@ -149,8 +149,7 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	cfg := fastCfg(m)
 	cfg.Shards = 1
-	cfg.ShardBuffer = 1
-	s, err := NewSharded(cfg)
+	s, err := newSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,49 +170,39 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 
 // TestGateTenantRateDeterministic pins per-tenant fairness on the
 // capture clock: a noisy subnet exhausts its token bucket and drops
-// exactly its excess, a quiet subnet paced within its rate loses
-// nothing — deterministically, independent of wall-clock speed.
+// exactly its excess, a quiet subnet that has spent its burst is
+// admitted exactly as fast as the capture clock refills it —
+// deterministically, independent of wall-clock speed.
 func TestGateTenantRateDeterministic(t *testing.T) {
 	eng, err := New(fastCfg(stubModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dropped []telemetry.DropReason
-	g := NewGate(eng, OverloadPolicy{
-		TenantRate:  1,
-		TenantBurst: 2,
-		OnDrop:      func(_ netflow.Packet, r telemetry.DropReason) { dropped = append(dropped, r) },
-	})
-	// Noisy tenant 10.0.0.0/24: ten flows in the same capture instant,
-	// burst 2 -> 2 admitted, 8 refused.
+	g := NewGate(eng, OverloadPolicy{TenantRate: 1})
+	// Noisy tenant 10.0.0.0/24: sixteen flows in the same capture instant,
+	// burst 8 -> 8 admitted, 8 refused.
 	noisySrc, noisyDst := uint32(0x0A000001), uint32(0x0B000001)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 16; i++ {
 		g.Feed(tcpPkt(noisySrc, noisyDst, uint16(1000+i), 80, 1.0, 0))
 	}
-	// Quiet tenant 12.0.0.0/24: three flows paced at its refill rate, all
-	// admitted (burst 2, +0.5 tokens per half capture second).
+	// Quiet tenant 12.0.0.0/24: eight flows at t=1 empty its bucket, then
+	// one flow per capture second lives on the refill alone (+1 token per
+	// second); a second flow in the same second finds the bucket empty.
 	quietSrc, quietDst := uint32(0x0C000001), uint32(0x0D000001)
-	for i, at := range []float64{1.0, 1.5, 2.0} {
+	quiet := []float64{1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 3}
+	for i, at := range quiet {
 		g.Feed(tcpPkt(quietSrc, quietDst, uint16(2000+i), 80, at, 0))
 	}
 	g.Close()
 	st := g.Stats()
-	if st.Packets != 5 {
-		t.Fatalf("admitted %d packets, want 5 (2 noisy + 3 quiet)", st.Packets)
+	if st.Packets != 18 {
+		t.Fatalf("admitted %d packets, want 18 (8 noisy + 8 quiet burst + 2 quiet refill)", st.Packets)
 	}
-	if st.Dropped[telemetry.DropTenantRate] != 8 {
-		t.Fatalf("tenant-rate drops = %d, want 8", st.Dropped[telemetry.DropTenantRate])
+	if st.Dropped[telemetry.DropTenantRate] != 9 {
+		t.Fatalf("tenant-rate drops = %d, want 9 (8 noisy + 1 quiet)", st.Dropped[telemetry.DropTenantRate])
 	}
-	if st.DroppedTotal() != 8 {
-		t.Fatalf("DroppedTotal = %d, want 8", st.DroppedTotal())
-	}
-	if len(dropped) != 8 {
-		t.Fatalf("OnDrop saw %d packets, want 8", len(dropped))
-	}
-	for _, r := range dropped {
-		if r != telemetry.DropTenantRate {
-			t.Fatalf("OnDrop reason = %v, want tenant_rate", r)
-		}
+	if st.DroppedTotal() != 9 {
+		t.Fatalf("DroppedTotal = %d, want 9, every one for tenant rate", st.DroppedTotal())
 	}
 }
 
@@ -274,28 +263,21 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 
 // TestGateBackpressureCounted pins the third drop reason: a wedged
 // worker with a full buffer makes the gate's bounded wait expire, and
-// the refusal counts as backpressure (with the callback observing it).
+// the refusal counts as backpressure, the one drop reason counted.
 func TestGateBackpressureCounted(t *testing.T) {
 	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	c, err := NewConcurrent(fastCfg(m), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reasons []telemetry.DropReason
-	g := NewGate(c, OverloadPolicy{
-		MaxWait: time.Millisecond,
-		OnDrop:  func(_ netflow.Packet, r telemetry.DropReason) { reasons = append(reasons, r) },
-	})
+	g := NewGate(c, OverloadPolicy{MaxWait: time.Millisecond})
 	// Set-up goes through the lossless inner stream: fed through the gate,
 	// a shard goroutine not scheduled within MaxWait would shed the RST
 	// packet and the worker would never reach Predict.
 	fillConcurrent(t, c, m)
 	g.Feed(tcpPkt(1, 2, 12, 22, 0.4, 0)) // buffer full: waits MaxWait, then drops
-	if got := g.Stats().Dropped[telemetry.DropBackpressure]; got != 1 {
-		t.Fatalf("backpressure drops = %d, want 1", got)
-	}
-	if len(reasons) != 1 || reasons[0] != telemetry.DropBackpressure {
-		t.Fatalf("OnDrop reasons = %v, want [backpressure]", reasons)
+	if st := g.Stats(); st.Dropped[telemetry.DropBackpressure] != 1 || st.DroppedTotal() != 1 {
+		t.Fatalf("drops by reason = %v, want one backpressure drop", st.Dropped)
 	}
 	close(m.release)
 	g.Close()
@@ -426,19 +408,18 @@ func TestGatePermissiveBoundedBitIdentical(t *testing.T) {
 func TestBoundedSaturationAccounting(t *testing.T) {
 	cfg := fastCfg(slowModel{delay: 200 * time.Microsecond})
 	cfg.Shards = 2
-	cfg.ShardBuffer = 4
-	cfg.TickInterval = -1 // pure feed pressure, no tick messages in the buffers
-	cfg.Overload = OverloadPolicy{
-		Mode:      OverloadBounded,
-		MaxWait:   50 * time.Microsecond,
-		EvalEvery: 32,
-	}
 	live := traffic.Generate(traffic.Config{Sessions: 300, Seed: 5})
 	offered := len(live.Packets)
 
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
+	eng, err := newSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	r := &Runner{
+		Stream: NewGate(eng, OverloadPolicy{MaxWait: 50 * time.Microsecond, EvalEvery: 32}),
+		Source: netflow.NewSliceSource(live.Packets),
+		// Pure feed pressure, no tick messages in the buffers.
+		TickInterval: -1,
 	}
 	start := time.Now()
 	st, err := r.Run(context.Background())
@@ -497,13 +478,13 @@ func TestGateAttributesDropsByTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(eng, OverloadPolicy{TenantRate: 1, TenantBurst: 2})
+	g := NewGate(eng, OverloadPolicy{TenantRate: 1})
 	// Two noisy tenants in distinct /24s, offered in the same capture
-	// instant: burst 2 admits two flows each, the rest shed.
-	for i := 0; i < 10; i++ {
+	// instant: burst 8 admits eight flows each, the rest shed.
+	for i := 0; i < 16; i++ {
 		g.Feed(tcpPkt(0x0A000001, 0x0B000001, uint16(1000+i), 80, 1.0, 0)) // 10.0.0.0/24
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		g.Feed(tcpPkt(0x0C000001, 0x0D000001, uint16(2000+i), 80, 1.0, 0)) // 12.0.0.0/24
 	}
 	g.Close()
@@ -580,15 +561,14 @@ func (telemetrylessStream) Telemetry() *telemetry.Collector { return nil }
 // TestGatePrivateTelemetryAndV6TenantLabels pins two halves of the gate
 // over a telemetry-less stream: drops land on the gate's private
 // collector and still fold into Stats/Snapshot (offered = admitted +
-// dropped), and the default tenant labeler renders both families in
-// CIDR form — v4 keys invert directly, v6 keys resolve through the
-// registry the drop path populates.
+// dropped), and tenant drops are labeled in CIDR form for both families,
+// read back from the prefix the key carries.
 func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
 	eng, err := New(fastCfg(stubModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(telemetrylessStream{eng}, OverloadPolicy{TenantRate: 1, TenantBurst: 2})
+	g := NewGate(telemetrylessStream{eng}, OverloadPolicy{TenantRate: 1})
 	v6pkt := func(host byte, port uint16) netflow.Packet {
 		src := netflow.MustParseAddr("2001:db8:1:2::0")
 		src[15] = host
@@ -597,20 +577,20 @@ func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
 			SrcPort: port, DstPort: 80, Proto: netflow.TCP, Length: 80, HeaderLen: 60,
 		}
 	}
-	// A v6 /48 floods in one capture instant: burst 2 -> 2 admitted, 6
+	// A v6 /48 floods in one capture instant: burst 8 -> 8 admitted, 6
 	// refused, all billed to the same /48 tenant.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 14; i++ {
 		g.Feed(v6pkt(byte(i+1), uint16(1000+i)))
 	}
-	// A noisy v4 /24 alongside: 2 admitted, 3 refused — the two families
+	// A noisy v4 /24 alongside: 8 admitted, 3 refused — the two families
 	// can never share a bucket (v6 keys carry bit 63).
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 11; i++ {
 		g.Feed(tcpPkt(0x0A000001, 0x0B000001, uint16(2000+i), 80, 1.0, 0))
 	}
 	g.Close()
 	st := g.Stats()
-	if st.Packets != 4 {
-		t.Fatalf("admitted %d packets, want 4 (2 v6 + 2 v4)", st.Packets)
+	if st.Packets != 16 {
+		t.Fatalf("admitted %d packets, want 16 (8 v6 + 8 v4)", st.Packets)
 	}
 	if st.Dropped[telemetry.DropTenantRate] != 9 {
 		t.Fatalf("tenant-rate drops = %d, want 9", st.Dropped[telemetry.DropTenantRate])

@@ -112,13 +112,9 @@ type Config struct {
 	// Normalizer maps raw flow features to the model's input space
 	// (fitted on the training split). Required.
 	Normalizer *datasets.Normalizer
-	// ClassNames label model outputs. Required.
+	// ClassNames label model outputs. Required. Class 0 is benign, as in
+	// every dataset the engine serves: its verdicts never alert.
 	ClassNames []string
-	// BenignClass is the class index that does not alert (default 0).
-	BenignClass int
-	// IdleTimeout and ActivityGap configure flow assembly (defaults: 120 s
-	// and 1 s, the CIC conventions).
-	IdleTimeout, ActivityGap float64
 	// BatchSize > 1 buffers completed flows and classifies them in
 	// micro-batches through the model's BatchClassifier path, trading a
 	// bounded verdict delay (at most BatchSize-1 flows, cleared by Tick
@@ -179,12 +175,6 @@ type Config struct {
 	// handing the config to a runner. Ignored by New; NewConcurrent
 	// overrides it with 1.
 	Shards int
-	// ShardBuffer is the bounded ingress buffer per shard for NewSharded,
-	// in packets (<= 0 selects 1024): open chunk plus channel never hold
-	// more per shard, and it also sizes the handoff chunk (a quarter of
-	// it, at most 256 packets). Ignored by New; NewConcurrent overrides it
-	// with its buffer argument.
-	ShardBuffer int
 	// Overload is the ingress admission policy applied by NewStream (so
 	// by NewRunner and the facade's Serve). The zero value is the lossless
 	// default: no gate is installed and serving is bit-identical to every
@@ -284,9 +274,6 @@ func validate(cfg Config) error {
 	if len(cfg.ClassNames) == 0 {
 		return fmt.Errorf("pipeline: no class names")
 	}
-	if cfg.BenignClass < 0 || cfg.BenignClass >= len(cfg.ClassNames) {
-		return fmt.Errorf("pipeline: benign class %d out of range", cfg.BenignClass)
-	}
 	if got := len(cfg.Normalizer.Mean); got != netflow.NumFeatures {
 		return fmt.Errorf("pipeline: normalizer expects %d features but flows have %d — the model must be trained on CIC-style flow features (e.g. datasets.CICIDS2017)", got, netflow.NumFeatures)
 	}
@@ -337,7 +324,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, tel: resolveTelemetry(&cfg)}
-	e.asm = netflow.NewAssembler(cfg.IdleTimeout, cfg.ActivityGap, e.onFlow)
+	e.asm = netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, e.onFlow)
 	if cfg.BatchSize > 1 {
 		if bc, ok := cfg.Model.(BatchClassifier); ok {
 			e.batch = bc
@@ -492,12 +479,12 @@ func (e *Engine) flushBatch() {
 
 // verdict records one classification — counters plus the capture-time
 // latency since the flow completed at doneAt — and raises an alert when
-// non-benign.
+// non-benign (class 0 is benign).
 func (e *Engine) verdict(f *netflow.Flow, class int, doneAt float64) {
 	if class < 0 || class >= len(e.cfg.ClassNames) {
-		class = e.cfg.BenignClass // defensive: never drop a flow on a bad verdict
+		class = 0 // defensive: never drop a flow on a bad verdict
 	}
-	alert := class != e.cfg.BenignClass
+	alert := class != 0
 	e.tel.Verdict(class, alert, e.now-doneAt)
 	if alert && (e.cfg.OnAlert != nil || len(e.cfg.Sinks) > 0) {
 		a := Alert{Flow: f, Class: class, ClassName: e.cfg.ClassNames[class], Time: f.LastTime}

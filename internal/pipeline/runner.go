@@ -104,13 +104,6 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 		ctx = context.Background()
 	}
 
-	// A paced source (traffic.Replay) sleeps between packets; hand it the
-	// context so cancellation interrupts the sleep instead of waiting out
-	// the inter-packet gap.
-	if cs, ok := r.Source.(interface{ SetContext(context.Context) }); ok {
-		cs.SetContext(ctx)
-	}
-
 	interval := r.TickInterval
 	if interval == 0 {
 		interval = 1
@@ -137,7 +130,7 @@ loop:
 				break
 			}
 			if cerr := ctx.Err(); cerr != nil && errors.Is(serr, cerr) {
-				err = cerr // a context-aware source aborted its pacing sleep
+				err = cerr // a source watching the same context gave up
 				break
 			}
 			err = fmt.Errorf("pipeline: packet source: %w", serr)

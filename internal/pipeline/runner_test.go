@@ -229,17 +229,16 @@ func trivialConfig() Config {
 
 // TestRunnerAutoTickBoundsVerdictDelay pins the latency contract: with
 // auto-ticking, a flow that completes (goes idle) mid-capture classifies
-// within IdleTimeout + one tick interval of capture time even though it
+// within the idle timeout + one tick interval of capture time even though it
 // sits in a partially-filled micro-batch and its own packets never
 // terminate it; without auto-ticking it would wait for the end-of-capture
 // drain. Today nothing else ticks — the runner is what bounds the delay.
 func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	pkts := quietGapCapture()
-	const idle = 100.0 // flow A evictable at 0.5+100 = 100.5s capture time
+	const idle = netflow.CICIdleTimeout // flow A evictable at 0.5+120 = 120.5s capture time
 
 	run := func(tickInterval float64) (firstAlertAt float64, alerts int) {
 		cfg := trivialConfig()
-		cfg.IdleTimeout = idle
 		cfg.BatchSize = 64 // far larger than the 2 flows in the capture
 		firstAlertAt = -1
 		probe := &tickProbe{} // the sink timestamps deliveries off its clock
@@ -262,7 +261,7 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	}
 
 	// Auto-tick at 1 s: flow A's verdict lands at the first tick boundary
-	// past its idle deadline — within one interval of 100.5s — not at the
+	// past its idle deadline — within one interval of 120.5s — not at the
 	// end of the 200 s capture.
 	gotAt, alerts := run(1)
 	if alerts != 2 { // flow A plus the drumbeat flow at drain

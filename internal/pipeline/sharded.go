@@ -18,13 +18,13 @@ import (
 //
 // The unit of handoff is a chunk of packets, not a packet. Feed appends to
 // its shard's open chunk and the chunk crosses the channel when it fills
-// (maxChunk packets, fewer under a small ShardBuffer); Tick, Flush and
-// Close hand every shard's open chunk off together with their own effect,
-// so a packet waits in an open chunk for at most one tick and the order of
+// (maxChunk packets, fewer under a small buffer); Tick, Flush and Close
+// hand every shard's open chunk off together with their own effect, so a
+// packet waits in an open chunk for at most one tick and the order of
 // packets and control effects per shard is exactly the order they were
 // issued in. A caller that feeds by hand and never ticks sees the tail of
-// its packets classified at Flush or Close. ShardBuffer stays a bound in
-// packets: open chunk plus channel never hold more than that per shard.
+// its packets classified at Flush or Close. The per-shard buffer stays a
+// bound in packets: open chunk plus channel never hold more than that.
 //
 // Because every packet of a flow hashes to the same shard, flow assembly,
 // feature extraction and classification are per-flow identical to a single
@@ -104,10 +104,28 @@ type shardWorker struct {
 // between the feeder that fills it and the shard that drains it.
 const maxChunk = 256
 
+// defaultShardBuffer is the per-shard ingress buffer of NewSharded, in
+// packets.
+const defaultShardBuffer = 1024
+
 // NewSharded builds and starts a sharded engine: cfg.Shards workers
 // (0 selects runtime.GOMAXPROCS), each a full Engine over a copy of cfg
-// with the alert callback wrapped for serialized delivery.
-func NewSharded(cfg Config) (*Sharded, error) {
+// with the alert callback wrapped for serialized delivery, each behind a
+// bounded ingress buffer of 1024 packets.
+func NewSharded(cfg Config) (*Sharded, error) { return newSharded(cfg, defaultShardBuffer) }
+
+// NewConcurrent builds the one-worker form of the sharded engine — packet
+// ingestion decoupled from classification by a single bounded channel of
+// the given size (<= 0 selects 1024), with no flow hashing on the way in.
+func NewConcurrent(cfg Config, buffer int) (*Sharded, error) {
+	cfg.Shards = 1
+	return newSharded(cfg, buffer)
+}
+
+// newSharded is NewSharded with the per-shard ingress buffer in packets
+// (<= 0 selects 1024): open chunk plus channel never hold more per shard,
+// and it also sizes the handoff chunk (a quarter of it, at most maxChunk).
+func newSharded(cfg Config, buffer int) (*Sharded, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -120,9 +138,8 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	buffer := cfg.ShardBuffer
 	if buffer <= 0 {
-		buffer = 1024
+		buffer = defaultShardBuffer
 	}
 	// Chunks are a quarter of the buffer (so feeder and shard overlap) up
 	// to maxChunk, and the channel gets the slots that keep open chunk
@@ -158,7 +175,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		}
 		s.shards[i] = shardWorker{
 			eng:   eng,
-			in:    make(chan streamMsg, slots), // slots*chunk packets: ShardBuffer less the open chunk
+			in:    make(chan streamMsg, slots), // slots*chunk packets: buffer less the open chunk
 			done:  make(chan struct{}),
 			space: make(chan struct{}, 1),
 			free:  make(chan []netflow.Packet, slots+2),
@@ -184,14 +201,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		}()
 	}
 	return s, nil
-}
-
-// NewConcurrent builds the one-worker form of the sharded engine — packet
-// ingestion decoupled from classification by a single bounded channel of
-// the given size (<= 0 selects 1024), with no flow hashing on the way in.
-func NewConcurrent(cfg Config, buffer int) (*Sharded, error) {
-	cfg.Shards, cfg.ShardBuffer = 1, buffer
-	return NewSharded(cfg)
 }
 
 // NumShards returns the worker count.

@@ -29,8 +29,8 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			scfg := cfg
 			// A small buffer exercises backpressure.
-			scfg.Shards, scfg.BatchSize, scfg.ShardBuffer = tc.shards, tc.batch, 64
-			sh, err := NewSharded(scfg)
+			scfg.Shards, scfg.BatchSize = tc.shards, tc.batch
+			sh, err := newSharded(scfg, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,6 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 	cfg, _ := buildModel(t)
 	cfg.Shards = 3
 	cfg.BatchSize = 64
-	cfg.IdleTimeout = 10
 	alerts := make(chan Alert, 16)
 	cfg.Model = attackModel{}
 	cfg.OnAlert = func(a Alert) { alerts <- a }
@@ -120,7 +119,7 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
-	sh.Tick(100)
+	sh.Tick(200) // past the 120 s idle timeout
 	select {
 	case <-alerts:
 	case <-time.After(5 * time.Second):

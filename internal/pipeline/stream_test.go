@@ -79,8 +79,8 @@ func TestNewStream(t *testing.T) {
 
 // TestNewConcurrentIsOneShard pins what NewConcurrent is: a 1-shard
 // Sharded whose ingress capacity is the buffer argument, whatever the
-// config's Shards and ShardBuffer say, and whose alerts and Stats on the
-// golden capture equal the sync Engine's.
+// config's Shards says, and whose alerts and Stats on the golden capture
+// equal the sync Engine's.
 func TestNewConcurrentIsOneShard(t *testing.T) {
 	cfg, _ := buildModel(t)
 	pkts, err := netflow.LoadCapture("../netflow/testdata/golden_v1.cap")
@@ -88,7 +88,7 @@ func TestNewConcurrentIsOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats, wantAlerts := replayRun(t, cfg, pkts, NewStream)
-	cfg.Shards, cfg.ShardBuffer = 5, 99
+	cfg.Shards = 5
 	gotStats, gotAlerts := replayRun(t, cfg, pkts, func(c Config) (Stream, error) {
 		s, err := NewConcurrent(c, 7)
 		if err == nil && (s.NumShards() != 1 || cap(s.shards[0].in) != 7) {

@@ -76,8 +76,8 @@ type (
 	// at any time.
 	ShadowTap = pipeline.Shadow
 	// ControlPlaneConfig assembles the model control plane: the serving
-	// COWModel, its quantization width, the engine's ShadowTap and the
-	// sanity gate (see NewControlPlane).
+	// COWModel, its quantization width and the engine's ShadowTap (see
+	// NewControlPlane).
 	ControlPlaneConfig = control.Config
 )
 

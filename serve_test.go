@@ -12,8 +12,6 @@ import (
 
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
-	"cyberhd/internal/telemetry"
-	"cyberhd/internal/traffic"
 )
 
 // served is the CIC detector of the serving tests, trained once per test
@@ -169,24 +167,6 @@ func TestServeCancel(t *testing.T) {
 	}
 }
 
-// TestServeReplayTraffic drives Serve from the traffic generator's
-// live-replay source (unpaced) and pins equivalence with the slice source.
-func TestServeReplayTraffic(t *testing.T) {
-	det := serveDetector(t)
-	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	a, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := det.Serve(context.Background(), traffic.Replay(live, 0), EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Packets != b.Packets || a.Flows != b.Flows || a.Alerts != b.Alerts {
-		t.Fatalf("replay source %+v != slice source %+v", b, a)
-	}
-}
-
 // TestServeWithMetrics runs Serve beside a ServeMetrics endpoint sharing
 // its collector: the endpoint answers /healthz before the run and
 // /metrics during it (scraped from a progress callback), and the
@@ -267,20 +247,15 @@ func TestServeWithMetricsBadAddr(t *testing.T) {
 }
 
 // TestBoundedOverloadPolicy pins the overload field of the config: a
-// bounded policy — hooks included — makes NewServeRunner install a Gate,
-// and a permissive bounded policy over the synchronous engine serves
-// verdicts bit-identical to the lossless default with every drop counter
-// at zero.
+// bounded policy makes NewServeRunner install a Gate, and a permissive
+// bounded policy over the synchronous engine serves verdicts bit-identical
+// to the lossless default with every drop counter at zero.
 func TestBoundedOverloadPolicy(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 200, Seed: 31})
 
 	cfg := det.EngineConfig()
-	cfg.Overload = OverloadPolicy{
-		Mode: OverloadBounded, TenantRate: 5,
-		TenantKey: func(p *netflow.Packet) uint64 { return uint64(p.SrcIP.V4()) },
-		OnDrop:    func(netflow.Packet, telemetry.DropReason) {},
-	}
+	cfg.Overload = OverloadPolicy{Mode: OverloadBounded, TenantRate: 5}
 	r, err := NewServeRunner(cfg, NewSliceSource(nil))
 	if err != nil {
 		t.Fatal(err)
