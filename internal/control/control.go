@@ -101,12 +101,16 @@ func decodeSanityBatch(r io.Reader) (SanityBatch, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return SanityBatch{}, fmt.Errorf("control: decoding sanity batch: %w", err)
 	}
-	if wire.Rows <= 0 || wire.Cols <= 0 || len(wire.X) != wire.Rows*wire.Cols {
+	// Rows ≤ len(X)/Cols comes first: the product could overflow into a match.
+	if wire.Rows <= 0 || wire.Cols <= 0 || wire.Rows > len(wire.X)/wire.Cols || len(wire.X) != wire.Rows*wire.Cols {
 		return SanityBatch{}, fmt.Errorf("control: corrupt sanity batch (%d values for %d×%d)",
 			len(wire.X), wire.Rows, wire.Cols)
 	}
 	if wire.Y != nil && len(wire.Y) != wire.Rows {
 		return SanityBatch{}, fmt.Errorf("control: sanity batch has %d rows, %d labels", wire.Rows, len(wire.Y))
+	}
+	if !(wire.MinAccuracy >= 0 && wire.MinAccuracy <= 1) { // NaN too: it would switch the gate off
+		return SanityBatch{}, fmt.Errorf("control: sanity batch minimum accuracy %v outside [0, 1]", wire.MinAccuracy)
 	}
 	return SanityBatch{
 		X: &hdc.Matrix{Rows: wire.Rows, Cols: wire.Cols, Data: wire.X},

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -463,6 +464,47 @@ func TestEncodeSanityBatchValidation(t *testing.T) {
 	if back.X.Rows != 3 || back.X.Cols != 2 || back.MinAccuracy != 0.5 || len(back.Y) != 3 {
 		t.Fatalf("round trip mangled the batch: %+v", back)
 	}
+	one := []float32{0}
+	for name, w := range map[string]sanityWire{
+		"overflowing shape": {Rows: 4, Cols: 1 << 62},
+		"short data":        {Rows: 3, Cols: 2, X: make([]float32, 5)},
+		"NaN accuracy":      {Rows: 1, Cols: 1, X: one, Y: []int{0}, MinAccuracy: math.NaN()},
+		"accuracy above 1":  {Rows: 1, Cols: 1, X: one, MinAccuracy: 1.5},
+		"negative accuracy": {Rows: 1, Cols: 1, X: one, MinAccuracy: -0.1},
+	} {
+		if _, err := decodeSanityBatch(bytes.NewReader(sanityWireBytes(t, w))); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+func sanityWireBytes(t testing.TB, w sanityWire) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDecodeSanityBatch: any bytes decode to an error or to a batch whose
+// data is exactly Rows×Cols values, never a panic.
+func FuzzDecodeSanityBatch(f *testing.F) {
+	var good bytes.Buffer
+	if err := EncodeSanityBatch(&good, SanityBatch{X: hdc.NewMatrix(3, 2), Y: []int{0, 1, 0}, MinAccuracy: 0.5}); err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{good.Len(), good.Len() - 1, good.Len() / 2, 1} {
+		f.Add(good.Bytes()[:n])
+	}
+	f.Add(sanityWireBytes(f, sanityWire{Rows: 4, Cols: 1 << 62}))
+	f.Add(sanityWireBytes(f, sanityWire{Rows: 1 << 62, Cols: 4, X: make([]float32, 4)}))
+	f.Add(sanityWireBytes(f, sanityWire{Rows: -2, Cols: -1, X: make([]float32, 2)}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sb, err := decodeSanityBatch(bytes.NewReader(b))
+		if err == nil && (sb.X.Cols <= 0 || len(sb.X.Data)%sb.X.Cols != 0 || len(sb.X.Data)/sb.X.Cols != sb.X.Rows) {
+			t.Fatalf("decoded %d values as %d×%d", len(sb.X.Data), sb.X.Rows, sb.X.Cols)
+		}
+	})
 }
 
 func TestStatusShape(t *testing.T) {

@@ -184,7 +184,7 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 	for i := 0; i < x.Rows; i++ {
 		hdc.Axpy(1, f.enc.Row(i), m.Class.Row(y[i]))
 	}
-	m.refreshNorms()
+	m.Scorer().Refresh()
 
 	m.adaptiveEpochs(f, y, r)
 	m.History = append(m.History, CycleStats{
@@ -206,7 +206,7 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 		enc.Regenerate(dims) // H
 		encoder.EncodeDimsBatch(enc, x, f.enc, dims)
 		m.EffectiveDim += len(dims)
-		m.refreshNorms()
+		m.Scorer().Refresh()
 		m.adaptiveEpochs(f, y, r)
 		m.History = append(m.History, CycleStats{
 			Cycle: cycle, Dropped: len(dims), EffectiveDim: m.EffectiveDim,
@@ -231,9 +231,10 @@ type fit struct {
 
 // adaptiveEpochs runs opts.Epochs passes of similarity-weighted updates
 // over the encoded training set in shuffled order. The norm pass on entry
-// is row-parallel; the update loop is sequential and allocation-free.
+// is chunk-parallel; the update loop is sequential and allocation-free.
 func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
-	hdc.ParallelFor(f.enc.Rows, func(i int) { f.norms[i] = hdc.Norm(f.enc.Row(i)) })
+	c := f.enc.Cols
+	hdc.ParallelChunks(f.enc.Rows, func(lo, hi int) { hdc.Norms(f.enc.Data[lo*c:hi*c], c, f.norms[lo:hi]) })
 	for i := range f.order {
 		f.order[i] = i
 	}
@@ -256,7 +257,7 @@ func (m *Model) updateOne(h []float32, label int, sims []float64) bool {
 // where a high similarity δ means the pattern is already represented and
 // the update is scaled down.
 func (m *Model) updateNormed(h []float32, hNorm float64, label int, sims []float64) bool {
-	hdc.Similarities(m.Class, h, hNorm, m.scorer.Norms(), sims)
+	m.scorer.Similarities(h, hNorm, sims)
 	pred := argmax(sims)
 	if pred == label {
 		return false
@@ -293,11 +294,6 @@ func (m *Model) insignificantDims(drop int) []int {
 	out := append([]int(nil), idx[:drop]...)
 	sort.Ints(out)
 	return out
-}
-
-func (m *Model) refreshNorms() {
-	s := m.Scorer()
-	s.Refresh()
 }
 
 func argmax(v []float64) int {

@@ -180,7 +180,7 @@ func TestUpdateOneNoChangeWhenCorrect(t *testing.T) {
 	m := &Model{Class: hdc.NewMatrix(2, 4), opts: Options{LearningRate: 0.1}}
 	copy(m.Class.Row(0), []float32{1, 0, 0, 0})
 	copy(m.Class.Row(1), []float32{0, 1, 0, 0})
-	m.refreshNorms()
+	m.Scorer().Refresh()
 	before := m.Class.Clone()
 	sims := make([]float64, 2)
 	if m.updateOne([]float32{2, 0.1, 0, 0}, 0, sims) {
@@ -195,7 +195,7 @@ func TestUpdateOneMovesTowardLabel(t *testing.T) {
 	m := &Model{Class: hdc.NewMatrix(2, 4), opts: Options{LearningRate: 0.5}}
 	copy(m.Class.Row(0), []float32{1, 0, 0, 0})
 	copy(m.Class.Row(1), []float32{0, 1, 0, 0})
-	m.refreshNorms()
+	m.Scorer().Refresh()
 	h := []float32{0, 2, 0, 0} // looks like class 1, labelled 0
 	sims := make([]float64, 2)
 	simBefore := hdc.Cosine(m.Class.Row(0), h)
@@ -206,9 +206,8 @@ func TestUpdateOneMovesTowardLabel(t *testing.T) {
 		t.Errorf("label similarity did not increase: %v -> %v", simBefore, after)
 	}
 	// Norm cache must match fresh norms after the update.
-	fresh := m.Class.RowNorms()
-	for i := range fresh {
-		if math.Abs(fresh[i]-m.Scorer().Norms()[i]) > 1e-9 {
+	for i, cached := range m.Scorer().norms {
+		if math.Abs(hdc.Norm(m.Class.Row(i))-cached) > 1e-9 {
 			t.Fatalf("stale norm cache at row %d", i)
 		}
 	}

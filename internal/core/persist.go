@@ -103,6 +103,6 @@ func (state *modelState) model() (*Model, error) {
 		History:      state.History,
 		opts:         state.Opts.options(),
 	}
-	m.refreshNorms()
+	m.Scorer().Refresh()
 	return m, nil
 }

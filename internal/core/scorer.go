@@ -21,9 +21,15 @@ import (
 // pass per query. Zero rows score 0, and an all-zero query scores 0
 // against everything, the conventions of the float64 reference argmax
 // the package tests hold it to.
+//
+// Similarities, the learning rule's side, scores against the panel: a
+// float64 copy of the class memory that its first call builds and Refresh
+// and RefreshRow then keep current. A predict-only scorer (every published
+// Snapshot's) never builds one.
 type Scorer struct {
 	class *hdc.Matrix
 	norms []float64
+	panel *hdc.Panel64
 
 	// scorePool recycles per-query score buffers for class counts too
 	// large for the stack; batchPool recycles batch score matrices.
@@ -39,23 +45,43 @@ func NewScorer(class *hdc.Matrix) *Scorer {
 	return s
 }
 
-// Refresh recomputes every cached row norm. Call after bulk mutation of
-// the class matrix (training cycles, ZeroColumns, deserialization).
+// Refresh recomputes every cached row norm and the built panel. Call after
+// bulk mutation of the class matrix (training cycles, ZeroColumns,
+// deserialization).
 func (s *Scorer) Refresh() {
-	for r := 0; r < s.class.Rows; r++ {
-		s.norms[r] = hdc.Norm(s.class.Row(r))
+	hdc.Norms(s.class.Data, s.class.Cols, s.norms)
+	if s.panel != nil {
+		s.panel.Set(s.class)
 	}
 }
 
-// RefreshRow recomputes the cached norm of one row. Call after mutating
-// that row (the adaptive update touches exactly two rows per step).
+// RefreshRow recomputes the cached norm and panel row of one row. Call
+// after mutating that row (the adaptive update touches two rows per step).
 func (s *Scorer) RefreshRow(r int) {
-	s.norms[r] = hdc.Norm(s.class.Row(r))
+	row := s.class.Row(r)
+	s.norms[r] = hdc.Norm(row)
+	if s.panel != nil {
+		s.panel.SetRow(r, row)
+	}
 }
 
-// Norms exposes the cached row norms (aliased, not copied) for callers
-// that combine them with other kernels, e.g. hdc.Similarities.
-func (s *Scorer) Norms() []float64 { return s.norms }
+// Similarities writes the cosine of h against every class row into out:
+// float64 dots, bit-identical to hdc.Dot, over the cached row norm times
+// hNorm, which is hdc.Norm(h). A zero norm on either side scores 0.
+func (s *Scorer) Similarities(h []float32, hNorm float64, out []float64) {
+	if s.panel == nil {
+		s.panel = new(hdc.Panel64)
+		s.panel.Set(s.class)
+	}
+	s.panel.Dots(h, out)
+	for r, nr := range s.norms {
+		if nr == 0 || hNorm == 0 {
+			out[r] = 0
+		} else {
+			out[r] /= nr * hNorm
+		}
+	}
+}
 
 // stackClasses is the class-count ceiling for stack-allocated score
 // buffers; beyond it PredictEncoded falls back to the pool.

@@ -110,17 +110,15 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 }
 
 // TestScorerNormInvalidation covers the three mutation paths: adaptive
-// updates (RefreshRow via updateOne), column drops (Refresh via
-// refreshNorms), and manual row edits.
+// updates (RefreshRow via updateOne), column drops (Refresh), and manual
+// row edits.
 func TestScorerNormInvalidation(t *testing.T) {
 	m, x, y := scorerModel(t, 3, 64)
 	check := func(stage string) {
 		t.Helper()
-		fresh := m.Class.RowNorms()
-		norms := m.Scorer().Norms()
-		for r := range fresh {
-			if diff := fresh[r] - norms[r]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%s: stale norm at row %d: cached %v fresh %v", stage, r, norms[r], fresh[r])
+		for r, cached := range m.Scorer().norms {
+			if fresh := hdc.Norm(m.Class.Row(r)); math.Abs(fresh-cached) > 1e-9 {
+				t.Fatalf("%s: stale norm at row %d: cached %v fresh %v", stage, r, cached, fresh)
 			}
 		}
 	}
@@ -130,8 +128,60 @@ func TestScorerNormInvalidation(t *testing.T) {
 	}
 	check("after updates")
 	m.Class.ZeroColumns([]int{0, 5, 9})
-	m.refreshNorms()
+	m.Scorer().Refresh()
 	check("after ZeroColumns+refresh")
+}
+
+func TestSimilarities(t *testing.T) {
+	m := hdc.NewMatrix(3, 2)
+	copy(m.Row(0), []float32{1, 0})
+	copy(m.Row(1), []float32{0, 1})
+	s, q, out := NewScorer(m), []float32{1, 1}, make([]float64, 3)
+	s.Similarities(q, hdc.Norm(q), out)
+	inv := 1 / math.Sqrt2
+	if math.Abs(out[0]-inv) > 1e-6 || math.Abs(out[1]-inv) > 1e-6 || out[2] != 0 {
+		t.Fatalf("Similarities = %v, want [%v %v 0] (a zero row scores 0)", out, inv, inv)
+	}
+	if s.Similarities([]float32{0, 0}, 0, out); out[0] != 0 || out[1] != 0 || out[2] != 0 {
+		t.Fatalf("zero query: Similarities = %v, want all 0", out)
+	}
+}
+
+// TestSimilaritiesTracksUpdates drives the learning rule's access pattern
+// — random Axpy into one row then RefreshRow, and a Refresh after dropped
+// columns — and requires Similarities to equal the hdc.Dot / hdc.Norm
+// reference exactly at every step. A COWModel's writer builds the panel;
+// the snapshots it publishes must not.
+func TestSimilaritiesTracksUpdates(t *testing.T) {
+	r := rng.New(21)
+	class := hdc.NewMatrix(9, 130)
+	r.FillNorm(class.Data, 0, 1)
+	s, h, got := NewScorer(class), make([]float32, 130), make([]float64, 9)
+	for step := 0; step < 200; step++ {
+		r.FillNorm(h, 0, 1)
+		s.Similarities(h, hdc.Norm(h), got)
+		for c, g := range got {
+			want := hdc.Dot(class.Row(c), h) / (hdc.Norm(class.Row(c)) * hdc.Norm(h))
+			if math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("step %d class %d: Similarities %v != reference %v", step, c, g, want)
+			}
+		}
+		c := r.Intn(9)
+		hdc.Axpy(r.NormFloat32(), h, class.Row(c))
+		s.RefreshRow(c)
+		if step == 100 {
+			class.ZeroColumns([]int{0, 3, 64, 129})
+			s.Refresh()
+		}
+	}
+	m, _, x, y := cowModel(t)
+	cow := NewCOWModel(m)
+	for i := 0; i < x.Rows && !cow.Update(x.Row(i), (y[i]+1)%3); i++ {
+	}
+	if cow.Version() < 2 || m.scorer.panel == nil || cow.Snapshot().scorer.panel != nil {
+		t.Fatalf("version %d: writer panel built %v, published snapshot's %v",
+			cow.Version(), m.scorer.panel != nil, cow.Snapshot().scorer.panel != nil)
+	}
 }
 
 // TestPredictAllocFree pins the pooled-scratch contract: steady-state

@@ -80,7 +80,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 func TestSnapshotV1Fallback(t *testing.T) {
 	// A v1 file from before the snapshot format must keep loading:
 	// LoadSnapshot sniffs the missing magic and rebuilds the derived state
-	// (norms via refreshNorms, version restarted at 1). The frozen fixture
+	// (norms via Scorer().Refresh(), version restarted at 1). The frozen fixture
 	// is the v1 form of exactly the model trainSmall trains.
 	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
 	back, info, err := LoadSnapshotFile("testdata/model_v1.snapshot")

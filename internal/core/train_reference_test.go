@@ -29,7 +29,10 @@ func trainScalarReference(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options
 	updates := 0
 	dot := hdc.Dot // the scalar definition of the float64 lane contract
 	round := func(cycle, dropped int) {
-		norms := m.Class.RowNorms()
+		norms := make([]float64, opts.Classes)
+		for c := range norms {
+			norms[c] = hdc.Norm(m.Class.Row(c))
+		}
 		order := make([]int, x.Rows)
 		for i := range order {
 			order[i] = i
@@ -57,7 +60,7 @@ func trainScalarReference(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options
 				norms[pred] = hdc.Norm(m.Class.Row(pred))
 			}
 		}
-		m.refreshNorms()
+		m.Scorer().Refresh()
 		correct, preds := 0, make([]int, x.Rows)
 		m.Scorer().PredictBatchEncoded(enc2, preds)
 		for i, p := range preds {
@@ -104,11 +107,12 @@ func sameBits(a, b []float32) bool {
 }
 
 // TestTrainMatchesScalarReference: the kernel-layer training loop
-// (DotPanel64 similarities, query norms once per round, panel re-encode
-// of regenerated dimensions) trains the same bytes as the scalar loop it
-// replaced — class memory, regenerated encoder, history and D* — at
-// dimensions on and off the kernels' lane multiples and class counts
-// around the 4-row tile, with and without regeneration and a selector.
+// (Scorer.Similarities on the float64 class panel, query norms once per
+// round, panel re-encode of regenerated dimensions) trains the same bytes
+// as the scalar loop it replaced — class memory, regenerated encoder,
+// history and D* — at dimensions on and off the kernels' lane multiples
+// and class counts below, at and past the eight-row pass, with and without
+// regeneration and a selector.
 func TestTrainMatchesScalarReference(t *testing.T) {
 	everyOther := func(m *Model, drop int) []int {
 		dims := make([]int, drop)

@@ -15,6 +15,9 @@ var (
 	HasAVX bool
 	// HasAVX2 reports AVX2 (256-bit integer vectors) plus OS YMM support.
 	HasAVX2 bool
+	// HasFMA reports FMA3 (fused multiply-add on XMM/YMM vectors) plus OS
+	// YMM support. It implies HasAVX.
+	HasFMA bool
 	// HasAVX512F reports AVX-512 Foundation (512-bit vectors) plus OS
 	// support for the opmask and all 32 ZMM registers. It implies HasAVX2.
 	HasAVX512F bool

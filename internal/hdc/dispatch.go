@@ -5,7 +5,10 @@ package hdc
 // numbers to a code path: "avx512" (AVX-512 encode kernel, AVX dot
 // panels), "avx2" (AVX2 encode kernel, AVX dot panels), "avx" (AVX dot
 // panels, portable encode kernel), or "generic" (portable Go — non-amd64
-// targets, the noasm build tag, or a CPU/OS without YMM state).
+// targets, the noasm build tag, or a CPU/OS without YMM state). The
+// learning rule's float64 panel (Panel64) takes the assembly on a CPU
+// with AVX2 and FMA (Intel since Haswell, AMD since Excavator) and the
+// portable Go form otherwise, "avx" included.
 func KernelPath() string {
 	switch {
 	case useAVX512:

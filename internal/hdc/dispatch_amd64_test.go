@@ -28,3 +28,18 @@ func encodePaths(t testing.TB, f func(path string)) {
 		f(p.name)
 	}
 }
+
+// panel64Paths runs f once per Panel64.Dots dispatch path this CPU can
+// execute — fma, generic — with useFMA set for that path.
+func panel64Paths(t testing.TB, f func(path string)) {
+	t.Helper()
+	have := useFMA
+	defer func() { useFMA = have }()
+	if have {
+		f("fma")
+	} else {
+		t.Logf("panel path fma: not supported by this CPU, skipped")
+	}
+	useFMA = false
+	f("generic")
+}

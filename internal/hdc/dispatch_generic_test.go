@@ -10,3 +10,10 @@ func encodePaths(t testing.TB, f func(path string)) {
 	t.Logf("encode paths avx512, avx2: not in this build, skipped")
 	f("generic")
 }
+
+// panel64Paths runs f on the one Panel64.Dots path a portable build has.
+func panel64Paths(t testing.TB, f func(path string)) {
+	t.Helper()
+	t.Logf("panel path fma: not in this build, skipped")
+	f("generic")
+}

@@ -37,11 +37,14 @@ import (
 // 4 × float64 = Dot: each float32 pair is widened and multiplied exactly
 // in float64, lane j sums the products at indices congruent to j mod 4
 // over the whole groups of four, the tail elements go to lane 0, and the
-// fold is ((s0+s1)+s2)+s3. DotPanel64 is its panel form and Similarities
-// its caller, so whatever moves a class hypervector — the adaptive
-// learning rule in core.Train, online feedback (Model.Update,
-// COWModel.Update) and quantize.Retrain — keeps float64 similarities at
-// panel speed. Norms stay the sequential float64 sum of Norm.
+// fold is ((s0+s1)+s2)+s3. Panel64 is its panel form: the class memory
+// widened to float64 once, so a visit of the learning rule converts only
+// the query, and a float32×float32 product is exact in float64, so a
+// fused multiply-add rounds exactly where Dot's multiply and add do.
+// core.Scorer owns the panel for whatever moves a class hypervector — the
+// adaptive learning rule in core.Train, online feedback (Model.Update,
+// COWModel.Update) and quantize.Retrain. Norms stay the sequential
+// float64 sum of Norm.
 
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,
@@ -76,14 +79,14 @@ func DotLanes(a, b []float32) float32 {
 // to the AVX implementation when available.
 func DotPanel(x, b []float32, stride int, out []float32) {
 	n, rows := len(x), len(out)
-	checkPanel(n, len(b), stride, rows)
-	if rows == 0 {
-		return
+	if stride < n {
+		panic("hdc: panel stride shorter than vector")
 	}
-	if n == 0 {
-		for r := range out {
-			out[r] = 0
-		}
+	if rows > 0 && (rows-1)*stride+n > len(b) {
+		panic("hdc: panel out of range")
+	}
+	if rows == 0 || n == 0 {
+		clear(out)
 		return
 	}
 	if useAVX {
@@ -93,30 +96,76 @@ func DotPanel(x, b []float32, stride int, out []float32) {
 	dotPanelGeneric(x, b, stride, out)
 }
 
-// DotPanel64 computes out[r] = Dot(b[r*stride : r*stride+len(x)], x) for
-// every r in [0, len(out)): DotPanel's shape under the float64 lane
-// contract. The AVX kernel converts the query once per four rows and
-// folds in registers; the portable form is Dot itself, row by row.
-func DotPanel64(x, b []float32, stride int, out []float64) {
-	n, rows := len(x), len(out)
-	checkPanel(n, len(b), stride, rows)
-	if useAVX && n > 0 && rows > 0 {
-		dotPanel64AVX(&x[0], &b[0], &out[0], n, stride, rows)
-		return
+// Panel64 is a k×n matrix widened to float64 and interleaved in lane
+// groups of four for Dots. Elements 4g…4g+3 of row r sit at (g·K + r)·4,
+// so one pointer walks every row of a group; K is k padded with zero rows
+// to a multiple of eight, the rows of one kernel pass. The n mod 4 tail
+// elements follow the last group, one group each: tail element i of row r
+// sits in lane 0 at ((n/4 + i)·K + r)·4, and lanes 1–3 stay zero. The
+// zero value is an empty panel.
+type Panel64 struct {
+	rows, cols, stride int // k, n and K
+	data               []float64
+}
+
+// Set widens m into p, reusing p's storage when it is large enough.
+func (p *Panel64) Set(m *Matrix) {
+	p.rows, p.cols, p.stride = m.Rows, m.Cols, (m.Rows+7)&^7
+	size := (m.Cols/4 + m.Cols%4) * p.stride * 4
+	if cap(p.data) < size {
+		p.data = make([]float64, size)
 	}
-	for r := range out {
-		out[r] = Dot(b[r*stride:][:n:n], x)
+	p.data = p.data[:size]
+	clear(p.data)
+	for r := range m.Rows {
+		p.SetRow(r, m.Row(r))
 	}
 }
 
-// checkPanel panics unless rows rows of n elements, stride apart, fit in
-// a panel of size elements.
-func checkPanel(n, size, stride, rows int) {
-	if stride < n {
-		panic("hdc: panel stride shorter than vector")
+// SetRow widens row into row r of p: call it after changing that row of
+// the matrix p was Set from.
+func (p *Panel64) SetRow(r int, row []float32) {
+	if r < 0 || r >= p.rows || len(row) != p.cols {
+		panic("hdc: Panel64.SetRow out of range")
 	}
-	if rows > 0 && (rows-1)*stride+n > size {
-		panic("hdc: panel out of range")
+	whole := p.cols &^ 3
+	for i, v := range row[:whole] {
+		p.data[(i/4*p.stride+r)*4+i%4] = float64(v)
+	}
+	for i, v := range row[whole:] { // one group per tail element, lane 0
+		p.data[((whole/4+i)*p.stride+r)*4] = float64(v)
+	}
+}
+
+// Dots writes out[r] = Dot(row r, x) for every row of p, bit for bit. The
+// assembly converts the query once per lane group and issues one FMA per
+// row, eight rows per pass; it runs on AVX2 with FMA, and the portable
+// form below reads the same panel row by row.
+func (p *Panel64) Dots(x []float32, out []float64) {
+	if len(x) != p.cols || len(out) != p.rows {
+		panic("hdc: Panel64.Dots length mismatch")
+	}
+	if useFMA && p.rows > 0 && p.cols > 0 {
+		dots64FMA(&x[0], &p.data[0], &out[0], p.cols, p.stride, p.rows)
+		return
+	}
+	whole, step := p.cols&^3, p.stride*4
+	for r := range out {
+		var s0, s1, s2, s3 float64
+		at := r * 4
+		for i := 0; i < whole; i += 4 {
+			d := p.data[at : at+4 : at+4]
+			s0 += float64(x[i]) * d[0]
+			s1 += float64(x[i+1]) * d[1]
+			s2 += float64(x[i+2]) * d[2]
+			s3 += float64(x[i+3]) * d[3]
+			at += step
+		}
+		for _, v := range x[whole:] {
+			s0 += float64(v) * p.data[at]
+			at += step
+		}
+		out[r] = s0 + s1 + s2 + s3
 	}
 }
 

@@ -12,13 +12,13 @@ import "cyberhd/internal/cpufeat"
 //go:noescape
 func dotPanelAVX(x, b, out *float32, n, stride, rows int)
 
-// dotPanel64AVX is the AVX implementation of DotPanel64's contract: x·row
-// in four float64 lanes (VCVTPS2PD, unfused VMULPD+VADDPD), tail elements
-// into lane 0, folded ((s0+s1)+s2)+s3 — bit-identical to Dot. Implemented
-// in gemm_amd64.s.
+// dots64FMA is Panel64.Dots for n, rows >= 1 over a panel whose rows are
+// padded to stride: per lane group one VCVTPS2PD of the query and one
+// VFMADD231PD per row into eight accumulators, folded ((s0+s1)+s2)+s3 —
+// bit-identical to Dot. Implemented in gemm_amd64.s.
 //
 //go:noescape
-func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+func dots64FMA(x *float32, p, out *float64, n, stride, rows int)
 
 // encodePanelAVX2 and encodePanelAVX512 are EncodePanel for n, rows >= 1:
 // x[i] broadcast against element i of a group's rows into accumulator
@@ -31,7 +31,8 @@ func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 //go:noescape
 func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
 
-// useAVX gates the dot kernels, useAVX2 and useAVX512 the encode kernel.
-// Detection, OS register-state checks included, lives in internal/cpufeat,
-// shared with the packed kernels of internal/bitpack.
-var useAVX, useAVX2, useAVX512 = cpufeat.HasAVX, cpufeat.HasAVX2, cpufeat.HasAVX512F
+// useAVX gates the float32 dot kernel, useAVX2 and useAVX512 the encode
+// kernel, useFMA the float64 panel kernel. Detection, OS register-state
+// checks included, lives in internal/cpufeat, shared with the packed
+// kernels of internal/bitpack.
+var useAVX, useAVX2, useAVX512, useFMA = cpufeat.HasAVX, cpufeat.HasAVX2, cpufeat.HasAVX512F, cpufeat.HasAVX2 && cpufeat.HasFMA

@@ -237,140 +237,103 @@ done:
 	VADDSD    X14, X13, X13 \
 	VMOVSD    X13, off(DX)
 
-// func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int)
+// P64STEP adds one lane group to a pass of eight rows: BX points at the
+// group's row 0 (32 bytes per row) and Y8 holds the group's widened query
+// elements; Y0..Y7 accumulate rows 0..7.
+#define P64STEP \
+	VFMADD231PD 0(BX), Y8, Y0 \
+	VFMADD231PD 32(BX), Y8, Y1 \
+	VFMADD231PD 64(BX), Y8, Y2 \
+	VFMADD231PD 96(BX), Y8, Y3 \
+	VFMADD231PD 128(BX), Y8, Y4 \
+	VFMADD231PD 160(BX), Y8, Y5 \
+	VFMADD231PD 192(BX), Y8, Y6 \
+	VFMADD231PD 224(BX), Y8, Y7
+
+// P64STORE folds accumulator acc (lo its low half) into off(DX) and
+// returns once the last real row is stored.
+#define P64STORE(acc, lo, off) \
+	VEXTRACTF128 $1, acc, X9 \
+	FOLD64(lo, X9, off) \
+	DECQ R10 \
+	JZ   p64done
+
+// func dots64FMA(x *float32, p, out *float64, n, stride, rows int)
 //
-// out[r] = sum_i float64(x[i])*float64(b[r*stride+i]), accumulated in 4
-// float64 lanes (lane = i mod 4 over the whole groups of four, unfused
-// VMULPD+VADDPD; the n mod 4 tail elements added to lane 0 in order) and
-// folded ((s0+s1)+s2)+s3 — bit-identical to Dot. Four rows per pass share
-// the converted x.
+// Panel64.Dots: out[r] = sum_i float64(x[i])*p[row r, i] in 4 float64
+// lanes (lane = i mod 4 over the whole groups of four), folded
+// ((s0+s1)+s2)+s3. Each pass runs eight panel rows over every lane group:
+// one VCVTPS2PD of the query group, then one VFMADD231PD per row. A
+// float32×float32 product is exact in float64, so the fused multiply-add
+// rounds exactly where Dot's multiply and add do. The n mod 4 tail
+// elements are groups of their own whose panel lanes 1-3 are zero, and
+// VMOVSS zeroes the query's lanes 1-3, so they land in lane 0 in order and
+// lanes 1-3 gain +0 (an accumulator starting at +0 is never -0). Padding
+// rows are computed but not stored — bit-identical to Dot.
 //
-// Register map: SI=x, DI=panel cursor, DX=out cursor, R8=n bytes,
-// R9=stride bytes, R10=rows left, BX=main-loop byte bound, R11=byte
-// offset, R12..R15=row pointers, Y0..Y3=accumulators (X0..X3 their low
-// halves, lanes 0-1), Y4=x vector, Y5..Y8=row vectors, X9..X12=high
-// halves (lanes 2-3) split off before the scalar tail, X13..X14=fold
-// temps.
-TEXT ·dotPanel64AVX(SB), NOSPLIT, $0-48
+// Register map: SI=x, DI=pass base, DX=out cursor, R8=n, R9=group stride
+// bytes, R10=rows left, AX=x cursor, BX=group cursor, CX=count,
+// Y0..Y7=accumulators, Y8=query group, X9=high half, X13..X14=fold temps.
+TEXT ·dots64FMA(SB), NOSPLIT, $0-48
 	MOVQ x+0(FP), SI
-	MOVQ b+8(FP), DI
+	MOVQ p+8(FP), DI
 	MOVQ out+16(FP), DX
 	MOVQ n+24(FP), R8
 	MOVQ stride+32(FP), R9
-	SHLQ $2, R9
+	SHLQ $5, R9
 	MOVQ rows+40(FP), R10
 
-	MOVQ R8, BX
-	ANDQ $-4, BX
-	SHLQ $2, BX
-	SHLQ $2, R8
-
-d64rows4:
-	CMPQ R10, $4
-	JLT  d64rows1
-	MOVQ DI, R12
-	LEAQ (DI)(R9*1), R13
-	LEAQ (R13)(R9*1), R14
-	LEAQ (R14)(R9*1), R15
+p64pass:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	XORQ R11, R11
-	CMPQ BX, $0
-	JEQ  d64split4
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ R8, CX
+	SHRQ $2, CX
+	JZ   p64tail
 
-d64loop4:
-	VCVTPS2PD (SI)(R11*1), Y4
-	VCVTPS2PD (R12)(R11*1), Y5
-	VMULPD    Y4, Y5, Y5
-	VADDPD    Y5, Y0, Y0
-	VCVTPS2PD (R13)(R11*1), Y6
-	VMULPD    Y4, Y6, Y6
-	VADDPD    Y6, Y1, Y1
-	VCVTPS2PD (R14)(R11*1), Y7
-	VMULPD    Y4, Y7, Y7
-	VADDPD    Y7, Y2, Y2
-	VCVTPS2PD (R15)(R11*1), Y8
-	VMULPD    Y4, Y8, Y8
-	VADDPD    Y8, Y3, Y3
-	ADDQ $16, R11
-	CMPQ R11, BX
-	JLT  d64loop4
+p64loop:
+	VCVTPS2PD (AX), Y8
+	P64STEP
+	ADDQ $16, AX
+	ADDQ R9, BX
+	DECQ CX
+	JNZ  p64loop
 
-d64split4:
-	VEXTRACTF128 $1, Y0, X9
-	VEXTRACTF128 $1, Y1, X10
-	VEXTRACTF128 $1, Y2, X11
-	VEXTRACTF128 $1, Y3, X12
+p64tail:
+	MOVQ R8, CX
+	ANDQ $3, CX
+	JZ   p64fold
 
-d64tail4:
-	CMPQ R11, R8
-	JGE  d64fold4
-	VCVTSS2SD (SI)(R11*1), X4, X4
-	VCVTSS2SD (R12)(R11*1), X5, X5
-	VMULSD    X4, X5, X5
-	VADDSD    X5, X0, X0
-	VCVTSS2SD (R13)(R11*1), X6, X6
-	VMULSD    X4, X6, X6
-	VADDSD    X6, X1, X1
-	VCVTSS2SD (R14)(R11*1), X7, X7
-	VMULSD    X4, X7, X7
-	VADDSD    X7, X2, X2
-	VCVTSS2SD (R15)(R11*1), X8, X8
-	VMULSD    X4, X8, X8
-	VADDSD    X8, X3, X3
-	ADDQ $4, R11
-	JMP  d64tail4
+p64tloop:
+	VMOVSS    (AX), X8
+	VCVTPS2PD X8, Y8
+	P64STEP
+	ADDQ $4, AX
+	ADDQ R9, BX
+	DECQ CX
+	JNZ  p64tloop
 
-d64fold4:
-	FOLD64(X0, X9, 0)
-	FOLD64(X1, X10, 8)
-	FOLD64(X2, X11, 16)
-	FOLD64(X3, X12, 24)
-	ADDQ $32, DX
-	LEAQ (R15)(R9*1), DI
-	SUBQ $4, R10
-	JMP  d64rows4
+p64fold:
+	P64STORE(Y0, X0, 0)
+	P64STORE(Y1, X1, 8)
+	P64STORE(Y2, X2, 16)
+	P64STORE(Y3, X3, 24)
+	P64STORE(Y4, X4, 32)
+	P64STORE(Y5, X5, 40)
+	P64STORE(Y6, X6, 48)
+	P64STORE(Y7, X7, 56)
+	ADDQ $64, DX
+	ADDQ $256, DI
+	JMP  p64pass
 
-d64rows1:
-	CMPQ R10, $0
-	JEQ  d64done
-	VXORPD Y0, Y0, Y0
-	XORQ R11, R11
-	CMPQ BX, $0
-	JEQ  d64split1
-
-d64loop1:
-	VCVTPS2PD (SI)(R11*1), Y4
-	VCVTPS2PD (DI)(R11*1), Y5
-	VMULPD    Y4, Y5, Y5
-	VADDPD    Y5, Y0, Y0
-	ADDQ $16, R11
-	CMPQ R11, BX
-	JLT  d64loop1
-
-d64split1:
-	VEXTRACTF128 $1, Y0, X9
-
-d64tail1:
-	CMPQ R11, R8
-	JGE  d64fold1
-	VCVTSS2SD (SI)(R11*1), X4, X4
-	VCVTSS2SD (DI)(R11*1), X5, X5
-	VMULSD    X4, X5, X5
-	VADDSD    X5, X0, X0
-	ADDQ $4, R11
-	JMP  d64tail1
-
-d64fold1:
-	FOLD64(X0, X9, 0)
-	ADDQ $8, DX
-	ADDQ R9, DI
-	DECQ R10
-	JMP  d64rows1
-
-d64done:
+p64done:
 	VZEROUPPER
 	RET
 

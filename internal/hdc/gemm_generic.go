@@ -10,14 +10,15 @@ const (
 	useAVX    = false
 	useAVX2   = false
 	useAVX512 = false
+	useFMA    = false
 )
 
 func dotPanelAVX(x, b, out *float32, n, stride, rows int) {
 	panic("hdc: dotPanelAVX without AVX support")
 }
 
-func dotPanel64AVX(x, b *float32, out *float64, n, stride, rows int) {
-	panic("hdc: dotPanel64AVX without AVX support")
+func dots64FMA(x *float32, p, out *float64, n, stride, rows int) {
+	panic("hdc: dots64FMA without FMA support")
 }
 
 func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int) {

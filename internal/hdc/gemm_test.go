@@ -123,73 +123,84 @@ func mixedMagnitude(r *rng.Rand, v []float32) {
 	}
 }
 
-// checkDotPanel64 runs one DotPanel64 call and requires every output to
-// equal Dot of its row bit for bit.
-func checkDotPanel64(t *testing.T, x, b []float32, stride, rows int) {
+// checkDotPanel64 requires every output of Dots on p, which holds m, to
+// equal Dot of its row bit for bit (NaN results only have to be NaN on
+// both sides: payload propagation is not part of the contract).
+func checkDotPanel64(t *testing.T, p *Panel64, m *Matrix, x []float32) {
 	t.Helper()
-	n := len(x)
-	out := make([]float64, rows)
-	DotPanel64(x, b, stride, out)
+	out := make([]float64, m.Rows)
+	p.Dots(x, out)
 	for i := range out {
-		want := Dot(b[i*stride:][:n:n], x)
+		want := Dot(m.Row(i), x)
 		if math.Float64bits(out[i]) != math.Float64bits(want) && !(math.IsNaN(out[i]) && math.IsNaN(want)) {
-			t.Fatalf("n=%d rows=%d stride=%d row %d: DotPanel64 %v != Dot %v", n, rows, stride, i, out[i], want)
+			t.Fatalf("fma=%v k=%d n=%d row %d: Dots %v != Dot %v", useFMA, m.Rows, m.Cols, i, out[i], want)
 		}
 	}
 }
 
-// TestDotPanel64MatchesDot pins the second lane contract: the dispatched
-// float64 panel kernel is Dot, exactly, on every row — lengths around the
-// 4-lane loop and its scalar tail, row counts around the 4-row tile,
-// strides wider than the vector, values of mixed magnitude.
+// TestDotPanel64MatchesDot pins the second lane contract on the float64
+// dot panel, Panel64, on every dispatch path: Dots is Dot, exactly, on
+// every row, for row counts around the eight-row pass, lengths around the
+// lane groups and their tail, values of mixed magnitude, a zero row, a
+// zero query, a row rewritten by SetRow, and storage reused across shapes.
 func TestDotPanel64MatchesDot(t *testing.T) {
-	t.Logf("useAVX=%v", useAVX)
-	r := rng.New(11)
-	for _, n := range []int{0, 1, 3, 4, 5, 78, 511, 512, 513} {
-		for _, rows := range []int{0, 1, 3, 4, 5, 8, 9, 65} {
-			stride := n + 1 + r.Intn(3)
-			x := make([]float32, n)
-			b := make([]float32, rows*stride+n)
-			mixedMagnitude(r, x)
-			mixedMagnitude(r, b)
-			checkDotPanel64(t, x, b, stride, rows)
+	panel64Paths(t, func(string) {
+		r := rng.New(11)
+		var p Panel64
+		for k := 1; k <= 17; k++ {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 67, 130, 511, 512, 513} {
+				m, x := NewMatrix(k, n), make([]float32, n)
+				mixedMagnitude(r, m.Data)
+				Zero(m.Row(k / 2))
+				p.Set(m)
+				checkDotPanel64(t, &p, m, x)
+				mixedMagnitude(r, x)
+				checkDotPanel64(t, &p, m, x)
+				Axpy(0.5, x, m.Row(k-1))
+				p.SetRow(k-1, m.Row(k-1))
+				checkDotPanel64(t, &p, m, x)
+			}
 		}
-	}
+	})
 }
 
 // TestDotPanel64AVXMatchesDot calls the assembly directly, so the pin
-// holds even if the dispatch in DotPanel64 ever changes.
+// holds even if the dispatch in Dots ever changes.
 func TestDotPanel64AVXMatchesDot(t *testing.T) {
-	if !useAVX {
-		t.Skip("AVX unavailable")
+	if !useFMA {
+		t.Skip("AVX2 and FMA unavailable")
 	}
 	r := rng.New(12)
+	var p Panel64
 	for _, n := range raggedSizes {
-		rows := 1 + r.Intn(9)
-		x := make([]float32, n)
-		b := make([]float32, rows*n)
+		m, x := NewMatrix(1+r.Intn(17), n), make([]float32, n)
+		mixedMagnitude(r, m.Data)
 		mixedMagnitude(r, x)
-		mixedMagnitude(r, b)
-		got := make([]float64, rows)
-		dotPanel64AVX(&x[0], &b[0], &got[0], n, n, rows)
+		p.Set(m)
+		got := make([]float64, m.Rows)
+		dots64FMA(&x[0], &p.data[0], &got[0], n, p.stride, m.Rows)
 		for i := range got {
-			if want := Dot(b[i*n:][:n:n], x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("n=%d rows=%d row %d: asm %v != Dot %v", n, rows, i, got[i], want)
+			if want := Dot(m.Row(i), x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d k=%d row %d: asm %v != Dot %v", n, m.Rows, i, got[i], want)
 			}
 		}
 	}
 }
 
 func TestDotPanel64EdgeCases(t *testing.T) {
+	var p Panel64
+	p.Dots(nil, nil) // the zero value is an empty panel
+	p.Set(NewMatrix(2, 0))
 	out := []float64{7, 7}
-	DotPanel64(nil, nil, 0, out)
-	if out[0] != 0 || out[1] != 0 {
-		t.Errorf("empty vectors should zero the output, got %v", out)
+	if p.Dots(nil, out); out[0] != 0 || out[1] != 0 {
+		t.Errorf("empty rows should zero the output, got %v", out)
 	}
-	DotPanel64([]float32{1}, []float32{2}, 1, nil) // rows == 0: no-op
+	p.Set(NewMatrix(2, 4))
 	for name, f := range map[string]func(){
-		"short stride":  func() { DotPanel64(make([]float32, 4), make([]float32, 8), 2, make([]float64, 1)) },
-		"panel overrun": func() { DotPanel64(make([]float32, 4), make([]float32, 7), 4, make([]float64, 2)) },
+		"short query":      func() { p.Dots(make([]float32, 3), make([]float64, 2)) },
+		"short output":     func() { p.Dots(make([]float32, 4), make([]float64, 1)) },
+		"row out of range": func() { p.SetRow(2, make([]float32, 4)) },
+		"short row":        func() { p.SetRow(0, make([]float32, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -203,9 +214,8 @@ func TestDotPanel64EdgeCases(t *testing.T) {
 }
 
 // FuzzDotPanel64 reads the fuzz bytes as float32 bit patterns — the
-// first n the query, the rest the panel — so infinities, NaNs, denormals
-// and cancelling sums all reach the kernel; NaN results only have to be
-// NaN on both sides (payload propagation is not part of the contract).
+// first n the query, the rest whole rows of a panel — so infinities, NaNs,
+// denormals and cancelling sums all reach Dots on every dispatch path.
 func FuzzDotPanel64(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64}, uint8(1), uint8(0))
 	f.Add(make([]byte, 4*5*6), uint8(5), uint8(2))
@@ -214,20 +224,14 @@ func FuzzDotPanel64(f *testing.F) {
 		for i := range v {
 			v[i] = math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
 		}
-		n := int(n8)
-		if n > len(v) {
-			n = len(v)
+		n := min(int(n8), len(v))
+		k := int(pad % 4)
+		if n > 0 {
+			k = (len(v) - n) / n
 		}
-		x, b := v[:n], v[n:]
-		stride := n + int(pad%4)
-		rows := 0
-		if len(b) >= n {
-			rows = 1
-			if stride > 0 {
-				rows += (len(b) - n) / stride
-			}
-		}
-		checkDotPanel64(t, x, b, stride, rows)
+		m, p := &Matrix{Rows: k, Cols: n, Data: v[n : n+k*n]}, new(Panel64)
+		p.Set(m)
+		panel64Paths(t, func(string) { checkDotPanel64(t, p, m, v[:n]) })
 	})
 }
 
@@ -345,18 +349,20 @@ func BenchmarkDotPanelScoreShape(b *testing.B) {
 	}
 }
 
-// BenchmarkDotPanel64ScoreShape is one adaptive-update similarity pass at
+// BenchmarkPanel64ScoreShape is one adaptive-update similarity pass at
 // the paper's shape: 8 class rows of D = 512 under the float64 contract.
-func BenchmarkDotPanel64ScoreShape(b *testing.B) {
+func BenchmarkPanel64ScoreShape(b *testing.B) {
 	q := make([]float32, 512)
 	m := NewMatrix(8, 512)
 	out := make([]float64, 8)
 	r := rng.New(13)
 	r.FillNorm(q, 0, 1)
 	r.FillNorm(m.Data, 0, 1)
+	var p Panel64
+	p.Set(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DotPanel64(q, m.Data, 512, out)
+		p.Dots(q, out)
 	}
 }
 

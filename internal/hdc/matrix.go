@@ -113,15 +113,6 @@ func (m *Matrix) NormalizeRows() {
 	}
 }
 
-// RowNorms returns the Euclidean norm of every row.
-func (m *Matrix) RowNorms() []float64 {
-	out := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = Norm(m.Row(r))
-	}
-	return out
-}
-
 // Equal reports whether m and o have identical shape and contents.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {

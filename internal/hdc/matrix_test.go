@@ -135,12 +135,22 @@ func TestNormalizeRows(t *testing.T) {
 	}
 }
 
+// TestRowNorms: Norms, four rows per pass, is Norm bit for bit for row
+// counts around the pass and lengths off its multiples.
 func TestRowNorms(t *testing.T) {
-	m := NewMatrix(2, 2)
-	copy(m.Row(0), []float32{3, 4})
-	n := m.RowNorms()
-	if !almost(n[0], 5, 1e-6) || n[1] != 0 {
-		t.Fatalf("RowNorms = %v", n)
+	r := rng.New(5)
+	for rows := 0; rows <= 9; rows++ {
+		for _, n := range []int{0, 1, 511, 513} {
+			data := make([]float32, rows*n)
+			r.FillNorm(data, 0, 3)
+			out := make([]float64, rows)
+			Norms(data, n, out)
+			for i, got := range out {
+				if want := Norm(data[i*n : (i+1)*n]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rows=%d n=%d row %d: Norms %v != Norm %v", rows, n, i, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -41,6 +41,29 @@ func Norm(v []float32) float64 {
 	return math.Sqrt(s)
 }
 
+// Norms writes out[r] = Norm(data[r*n : (r+1)*n]) for every r, bit for
+// bit: the rows of an n-column row-major block, four per pass as four
+// independent float64 chains whose latencies overlap. Each chain is
+// still Norm's sequential sum.
+func Norms(data []float32, n int, out []float64) {
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		a := data[r*n : (r+1)*n]
+		b, c, d := data[(r+1)*n:][:len(a)], data[(r+2)*n:][:len(a)], data[(r+3)*n:][:len(a)]
+		var sa, sb, sc, sd float64
+		for i, v := range a {
+			sa += float64(v) * float64(v)
+			sb += float64(b[i]) * float64(b[i])
+			sc += float64(c[i]) * float64(c[i])
+			sd += float64(d[i]) * float64(d[i])
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = math.Sqrt(sa), math.Sqrt(sb), math.Sqrt(sc), math.Sqrt(sd)
+	}
+	for ; r < len(out); r++ {
+		out[r] = Norm(data[r*n : (r+1)*n])
+	}
+}
+
 // Cosine returns the cosine similarity of a and b, or 0 when either vector
 // is all-zero (the conventional choice: a zero vector is similar to nothing).
 func Cosine(a, b []float32) float64 {
@@ -86,24 +109,5 @@ func Normalize(v []float32) float64 {
 func Zero(v []float32) {
 	for i := range v {
 		v[i] = 0
-	}
-}
-
-// Similarities writes the cosine similarity of q against every row of m
-// into out: one DotPanel64 pass — float64 dots, bit-identical to Dot row by
-// row — divided by the caller's cached norms. qNorm is Norm(q) and
-// rowNorms holds Norm of every row (see Matrix.RowNorms); a zero norm on
-// either side scores 0.
-func Similarities(m *Matrix, q []float32, qNorm float64, rowNorms, out []float64) {
-	if len(q) != m.Cols || len(rowNorms) != m.Rows || len(out) != m.Rows {
-		panic("hdc: Similarities length mismatch")
-	}
-	DotPanel64(q, m.Data, m.Cols, out)
-	for r, nr := range rowNorms {
-		if nr == 0 || qNorm == 0 {
-			out[r] = 0
-		} else {
-			out[r] /= nr * qNorm
-		}
 	}
 }

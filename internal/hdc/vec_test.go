@@ -146,23 +146,6 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestSimilarities(t *testing.T) {
-	m := NewMatrix(3, 2)
-	copy(m.Row(0), []float32{1, 0})
-	copy(m.Row(1), []float32{0, 1})
-	q := []float32{1, 1}
-	out := make([]float64, 3)
-	Similarities(m, q, Norm(q), m.RowNorms(), out)
-	inv := 1 / math.Sqrt2
-	if !almost(out[0], inv, 1e-6) || !almost(out[1], inv, 1e-6) || out[2] != 0 {
-		t.Fatalf("Similarities = %v, want [%v %v 0] (a zero row scores 0)", out, inv, inv)
-	}
-	Similarities(m, []float32{0, 0}, 0, m.RowNorms(), out)
-	if out[0] != 0 || out[1] != 0 || out[2] != 0 {
-		t.Fatalf("zero query: Similarities = %v, want all 0", out)
-	}
-}
-
 func TestZero(t *testing.T) {
 	v := []float32{1, 2, 3}
 	Zero(v)

@@ -214,8 +214,9 @@ func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs in
 		order[i] = i
 	}
 	sims := make([]float64, shadow.Rows)
-	// Shadow-row norms, kept current: an update refreshes the two it moves.
-	norms := shadow.RowNorms()
+	// The shadow's norms and float64 panel, kept current: an update
+	// refreshes the two rows it moves.
+	sc := core.NewScorer(shadow)
 	qv := bitpack.NewVector(shadow.Cols, w) // packed-query scratch, reused per sample
 	for e := 0; e < epochs; e++ {
 		r.ShuffleInts(order)
@@ -226,11 +227,11 @@ func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs in
 			if pred == y[i] {
 				continue
 			}
-			hdc.Similarities(shadow, h, hdc.Norm(h), norms, sims)
+			sc.Similarities(h, hdc.Norm(h), sims)
 			hdc.Axpy(float32(eta*(1-sims[y[i]])), h, shadow.Row(y[i]))
 			hdc.Axpy(float32(-eta*(1-sims[pred])), h, shadow.Row(pred))
-			norms[y[i]] = hdc.Norm(shadow.Row(y[i]))
-			norms[pred] = hdc.Norm(shadow.Row(pred))
+			sc.RefreshRow(y[i])
+			sc.RefreshRow(pred)
 		}
 		packed = bitpack.QuantizeMatrix(shadow.Data, shadow.Rows, shadow.Cols, w)
 	}

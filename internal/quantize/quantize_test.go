@@ -159,7 +159,7 @@ func TestRetrainImprovesOneBit(t *testing.T) {
 
 // TestRetrainGoldenDigest pins the retrained class memory — packed words
 // and scales — at three widths to digests recorded before Retrain's
-// similarities moved onto hdc.DotPanel64 with cached shadow-row norms:
+// similarities moved onto a float64 panel kernel with cached norms:
 // quantization-aware retraining is specified bit for bit, like training.
 func TestRetrainGoldenDigest(t *testing.T) {
 	m, x, y, _, _ := trainedModel(t)
