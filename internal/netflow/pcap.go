@@ -11,8 +11,8 @@ import (
 // PCAP/pcapng front door: a dependency-free streaming PacketSource over
 // the two interchange formats real captures arrive in. Like
 // CaptureScanner, a PCAPSource costs O(1) memory regardless of capture
-// size — one bounded record buffer, no per-packet allocation once the
-// buffer has grown to the capture's snap length.
+// size: one read buffer of maxPCAPBlock bytes, from which every record
+// and block is decoded in place, and no per-packet allocation.
 //
 // The decode stack covers what the flow features need: Ethernet with
 // 802.1Q VLAN tags (including QinQ stacking), raw-IP link layers, IPv4,
@@ -41,6 +41,8 @@ const (
 	// covers every real snap length (tcpdump's default cap is 262144).
 	maxPCAPPacket = 1 << 18
 	// maxPCAPBlock bounds one pcapng block (frame + options + padding).
+	// It is also the read buffer's size, so every legal classic record
+	// and pcapng block can be peeked whole.
 	maxPCAPBlock = maxPCAPPacket + 4096
 )
 
@@ -65,13 +67,12 @@ const (
 // a PacketSource like CaptureScanner, but over the interchange formats.
 // Packet.Time is the capture's absolute timestamp in seconds.
 type PCAPSource struct {
-	br      *bufio.Reader
-	ng      bool // pcapng container (classic otherwise)
+	br      *bufio.Reader // maxPCAPBlock bytes: records are peeked whole, then discarded
+	ng      bool          // pcapng container (classic otherwise)
 	bo      binary.ByteOrder
 	tsdiv   float64 // classic: ticks per second (1e6 or 1e9)
 	link    uint32  // classic: the capture's single link type
 	ifaces  []pcapIface
-	buf     []byte // reused record/block buffer, bounded by maxPCAPBlock
 	skipped int
 }
 
@@ -82,6 +83,16 @@ type pcapIface struct {
 	tsdiv float64
 }
 
+// pcapFrame is one captured frame as the container walk hands it to
+// decodeFrame. data points into the read buffer and is valid until the
+// record holding it is discarded.
+type pcapFrame struct {
+	data []byte
+	link uint32
+	ts   float64
+	orig int
+}
+
 var _ PacketSource = (*PCAPSource)(nil)
 
 // NewPCAPSource sniffs r's magic and returns a streaming source over a
@@ -89,7 +100,7 @@ var _ PacketSource = (*PCAPSource)(nil)
 // capture. Unknown magic is an error — see NewCaptureScanner for the
 // internal capture format.
 func NewPCAPSource(r io.Reader) (*PCAPSource, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, maxPCAPBlock)
 	magic, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("netflow: pcap magic: %w", err)
@@ -116,14 +127,29 @@ func NewPCAPSource(r io.Reader) (*PCAPSource, error) {
 
 // classicHeader consumes the 24-byte classic global header.
 func (s *PCAPSource) classicHeader(bo binary.ByteOrder, tsdiv float64) (*PCAPSource, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
+	hdr, err := s.peek(24)
+	if err != nil {
 		return nil, fmt.Errorf("netflow: pcap header: %w", err)
 	}
 	s.bo = bo
 	s.tsdiv = tsdiv
 	s.link = bo.Uint32(hdr[20:])
+	_, _ = s.br.Discard(24)
 	return s, nil
+}
+
+// peek returns the next n bytes in place, without consuming them (n is at
+// most maxPCAPBlock, the buffer's size). A short read maps the way
+// io.ReadFull's does: io.EOF only when the input ended before any of the
+// n bytes, io.ErrUnexpectedEOF when it ended partway. Bytes peeked whole
+// are consumed with Discard, which then cannot come up short, so its
+// result is dropped.
+func (s *PCAPSource) peek(n int) ([]byte, error) {
+	b, err := s.br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // Skipped returns how many captured frames were passed over because the
@@ -137,151 +163,139 @@ func (s *PCAPSource) Skipped() int { return s.skipped }
 // claims — is an error.
 func (s *PCAPSource) Next(p *Packet) error {
 	for {
-		var data []byte
-		var link uint32
-		var ts float64
-		var orig int
+		var f pcapFrame
+		var size int
 		var err error
 		if s.ng {
-			data, link, ts, orig, err = s.nextNG()
+			f, size, err = s.nextNG()
 		} else {
-			data, link, ts, orig, err = s.nextClassic()
+			f, size, err = s.nextClassic()
 		}
 		if err != nil {
 			return err
 		}
-		if decodeFrame(p, link, data, orig, ts) {
+		ok := decodeFrame(p, f.link, f.data, f.orig, f.ts)
+		_, _ = s.br.Discard(size)
+		if ok {
 			return nil
 		}
 		s.skipped++
 	}
 }
 
-// grow returns s.buf resized to n bytes, reusing its backing array.
-func (s *PCAPSource) grow(n int) []byte {
-	if cap(s.buf) < n {
-		s.buf = make([]byte, n)
-	}
-	s.buf = s.buf[:n]
-	return s.buf
-}
-
-// nextClassic reads one classic pcap record: 16-byte header + frame.
-func (s *PCAPSource) nextClassic() ([]byte, uint32, float64, int, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
+// nextClassic peeks one classic pcap record — 16-byte header + frame —
+// and returns its frame and its size in bytes, left for Next to discard.
+func (s *PCAPSource) nextClassic() (pcapFrame, int, error) {
+	hdr, err := s.peek(16)
+	if err != nil {
 		if err == io.EOF {
-			return nil, 0, 0, 0, io.EOF
+			return pcapFrame{}, 0, io.EOF
 		}
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcap record header: %w", err)
+		return pcapFrame{}, 0, fmt.Errorf("netflow: pcap record header: %w", err)
 	}
 	sec := s.bo.Uint32(hdr[0:])
 	tick := s.bo.Uint32(hdr[4:])
 	caplen := s.bo.Uint32(hdr[8:])
 	orig := s.bo.Uint32(hdr[12:])
 	if caplen > maxPCAPPacket {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcap record claims %d captured bytes", caplen)
+		return pcapFrame{}, 0, fmt.Errorf("netflow: pcap record claims %d captured bytes", caplen)
 	}
-	data := s.grow(int(caplen))
-	if _, err := io.ReadFull(s.br, data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcap record body: %w", err)
+	size := 16 + int(caplen)
+	rec, err := s.peek(size)
+	if err != nil {
+		return pcapFrame{}, 0, fmt.Errorf("netflow: pcap record body: %w", err)
 	}
 	ts := float64(sec) + float64(tick)/s.tsdiv
-	return data, s.link, ts, int(orig), nil
+	return pcapFrame{data: rec[16:], link: s.link, ts: ts, orig: int(orig)}, size, nil
 }
 
 // nextNG walks pcapng blocks until a packet block surfaces, tracking
-// section byte order and interface descriptions along the way.
-func (s *PCAPSource) nextNG() ([]byte, uint32, float64, int, error) {
+// section byte order and interface descriptions along the way. Blocks it
+// passes are discarded here; the packet block's size is returned for Next
+// to discard once the frame is decoded.
+func (s *PCAPSource) nextNG() (pcapFrame, int, error) {
 	for {
-		var bh [8]byte
-		if _, err := io.ReadFull(s.br, bh[:]); err != nil {
+		bh, err := s.peek(8)
+		if err != nil {
 			if err == io.EOF {
-				return nil, 0, 0, 0, io.EOF
+				return pcapFrame{}, 0, io.EOF
 			}
-			return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng block header: %w", err)
+			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block header: %w", err)
 		}
 		// The SHB type is a palindrome, readable before its section fixes
 		// the byte order; every other block uses the current section's.
 		typLE := binary.LittleEndian.Uint32(bh[0:])
 		if typLE == pcapngBlockSHB {
-			if err := s.sectionHeader(bh); err != nil {
-				return nil, 0, 0, 0, err
+			if err := s.sectionHeader(); err != nil {
+				return pcapFrame{}, 0, err
 			}
 			continue
 		}
 		if s.bo == nil {
-			return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng block before section header")
+			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block before section header")
 		}
 		typ := s.bo.Uint32(bh[0:])
 		total := s.bo.Uint32(bh[4:])
 		if total < 12 || total%4 != 0 || total > maxPCAPBlock {
-			return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng block length %d", total)
+			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block length %d", total)
 		}
-		body := s.grow(int(total) - 8)
-		if _, err := io.ReadFull(s.br, body); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng block body: %w", err)
+		block, err := s.peek(int(total))
+		if err != nil {
+			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block body: %w", err)
 		}
-		if trail := s.bo.Uint32(body[len(body)-4:]); trail != total {
-			return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng block length mismatch (%d vs %d)", total, trail)
+		if trail := s.bo.Uint32(block[total-4:]); trail != total {
+			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block length mismatch (%d vs %d)", total, trail)
 		}
-		body = body[:len(body)-4]
+		body := block[8 : total-4]
 		switch typ {
 		case pcapngBlockIDB:
 			if err := s.interfaceBlock(body); err != nil {
-				return nil, 0, 0, 0, err
+				return pcapFrame{}, 0, err
 			}
 		case pcapngBlockEPB:
-			return s.enhancedPacket(body)
+			f, err := s.enhancedPacket(body)
+			return f, int(total), err
 		case pcapngBlockSPB:
-			return s.simplePacket(body)
+			f, err := s.simplePacket(body)
+			return f, int(total), err
 		default:
 			// Name resolution, statistics, custom blocks: skip.
 		}
+		_, _ = s.br.Discard(int(total))
 	}
 }
 
-// sectionHeader parses an SHB given its already-read first 8 bytes: the
-// byte-order magic fixes the section's endianness, and a new section
-// resets the interface table.
-func (s *PCAPSource) sectionHeader(bh [8]byte) error {
-	var bom [4]byte
-	if _, err := io.ReadFull(s.br, bom[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+// sectionHeader parses the SHB at the read position: the byte-order magic
+// after its 8-byte block header fixes the section's endianness, and a new
+// section resets the interface table.
+func (s *PCAPSource) sectionHeader() error {
+	head, err := s.peek(12)
+	if err != nil {
 		return fmt.Errorf("netflow: pcapng section header: %w", err)
 	}
+	bom := head[8:12]
 	switch {
-	case binary.LittleEndian.Uint32(bom[:]) == pcapngByteOrder:
+	case binary.LittleEndian.Uint32(bom) == pcapngByteOrder:
 		s.bo = binary.LittleEndian
-	case binary.BigEndian.Uint32(bom[:]) == pcapngByteOrder:
+	case binary.BigEndian.Uint32(bom) == pcapngByteOrder:
 		s.bo = binary.BigEndian
 	default:
 		return fmt.Errorf("netflow: pcapng byte-order magic %02x%02x%02x%02x", bom[0], bom[1], bom[2], bom[3])
 	}
-	total := s.bo.Uint32(bh[4:])
+	total := s.bo.Uint32(head[4:])
 	if total < 28 || total%4 != 0 || total > maxPCAPBlock {
 		return fmt.Errorf("netflow: pcapng section header length %d", total)
 	}
 	// Version (4), section length (8), options, trailing length — all
-	// already bounded; consume and validate the trailer.
-	rest := s.grow(int(total) - 12)
-	if _, err := io.ReadFull(s.br, rest); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	// already bounded; validate the trailer and consume the block.
+	block, err := s.peek(int(total))
+	if err != nil {
 		return fmt.Errorf("netflow: pcapng section header: %w", err)
 	}
-	if trail := s.bo.Uint32(rest[len(rest)-4:]); trail != total {
+	if trail := s.bo.Uint32(block[total-4:]); trail != total {
 		return fmt.Errorf("netflow: pcapng section header length mismatch (%d vs %d)", total, trail)
 	}
+	_, _ = s.br.Discard(int(total))
 	s.ifaces = s.ifaces[:0]
 	return nil
 }
@@ -325,39 +339,39 @@ func (s *PCAPSource) interfaceBlock(body []byte) error {
 }
 
 // enhancedPacket unpacks an EPB body (trailer already stripped).
-func (s *PCAPSource) enhancedPacket(body []byte) ([]byte, uint32, float64, int, error) {
+func (s *PCAPSource) enhancedPacket(body []byte) (pcapFrame, error) {
 	if len(body) < 20 {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng packet block %d bytes", len(body))
+		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet block %d bytes", len(body))
 	}
 	ifc := s.bo.Uint32(body[0:])
 	if int(ifc) >= len(s.ifaces) {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng packet references interface %d of %d", ifc, len(s.ifaces))
+		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet references interface %d of %d", ifc, len(s.ifaces))
 	}
 	ts := uint64(s.bo.Uint32(body[4:]))<<32 | uint64(s.bo.Uint32(body[8:]))
 	caplen := int(s.bo.Uint32(body[12:]))
 	orig := int(s.bo.Uint32(body[16:]))
 	if caplen < 0 || caplen > len(body)-20 {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng packet claims %d captured bytes in a %d-byte block", caplen, len(body))
+		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet claims %d captured bytes in a %d-byte block", caplen, len(body))
 	}
 	iface := s.ifaces[ifc]
-	return body[20 : 20+caplen], iface.link, float64(ts) / iface.tsdiv, orig, nil
+	return pcapFrame{data: body[20 : 20+caplen], link: iface.link, ts: float64(ts) / iface.tsdiv, orig: orig}, nil
 }
 
 // simplePacket unpacks an SPB body (trailer already stripped): original
 // length + frame, no timestamp, implicitly interface 0.
-func (s *PCAPSource) simplePacket(body []byte) ([]byte, uint32, float64, int, error) {
+func (s *PCAPSource) simplePacket(body []byte) (pcapFrame, error) {
 	if len(s.ifaces) == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng simple packet before any interface block")
+		return pcapFrame{}, fmt.Errorf("netflow: pcapng simple packet before any interface block")
 	}
 	if len(body) < 4 {
-		return nil, 0, 0, 0, fmt.Errorf("netflow: pcapng simple packet block %d bytes", len(body))
+		return pcapFrame{}, fmt.Errorf("netflow: pcapng simple packet block %d bytes", len(body))
 	}
 	orig := int(s.bo.Uint32(body[0:]))
 	data := body[4:]
 	if orig >= 0 && orig < len(data) {
 		data = data[:orig]
 	}
-	return data, s.ifaces[0].link, 0, orig, nil
+	return pcapFrame{data: data, link: s.ifaces[0].link, orig: orig}, nil
 }
 
 // decodeFrame walks one captured frame down to a transport header and

@@ -3,24 +3,68 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // The PCAP front door ingests untrusted files. Both fuzz targets pin the
 // robustness contract: any byte stream either decodes or errors —
-// never a panic, never an allocation sized by a hostile length claim.
-// drainFuzz caps the packet count so a fuzz input can't loop unbounded.
-func drainFuzz(data []byte) {
-	src, err := NewPCAPSource(bytes.NewReader(data))
-	if err != nil {
-		return
+// never a panic, never an allocation sized by a hostile length claim —
+// and decodes the same however its bytes arrive.
+//
+// drainFuzz decodes data four ways in lockstep: whole, one byte per
+// Read, half of each Read, and with EOF riding on the last data. All four
+// must yield the same packets, the same Skipped count and the same
+// terminal error, so no refill boundary changes what a capture means. It
+// caps the packet count so a fuzz input can't loop unbounded.
+func drainFuzz(t *testing.T, data []byte) {
+	wraps := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"bytes.Reader", func(r io.Reader) io.Reader { return r }},
+		{"OneByteReader", iotest.OneByteReader},
+		{"HalfReader", iotest.HalfReader},
+		{"DataErrReader", iotest.DataErrReader},
 	}
-	var p Packet
-	for i := 0; i < 1<<16; i++ {
-		if err := src.Next(&p); err != nil {
+	srcs := make([]*PCAPSource, len(wraps))
+	errs := make([]error, len(wraps))
+	pkts := make([]Packet, len(wraps))
+	for i, w := range wraps {
+		srcs[i], errs[i] = NewPCAPSource(w.wrap(bytes.NewReader(data)))
+	}
+	for n := 0; ; n++ {
+		for i := 1; i < len(wraps); i++ {
+			if !sameEnd(errs[i], errs[0]) {
+				t.Fatalf("record %d: %s ends with %v, %s with %v", n, wraps[i].name, errs[i], wraps[0].name, errs[0])
+			}
+			if errs[0] == nil && pkts[i] != pkts[0] {
+				t.Fatalf("record %d: %s decodes %+v, %s %+v", n, wraps[i].name, pkts[i], wraps[0].name, pkts[0])
+			}
+			if srcs[0] != nil && srcs[i].Skipped() != srcs[0].Skipped() {
+				t.Fatalf("record %d: %s skipped %d, %s %d", n, wraps[i].name, srcs[i].Skipped(), wraps[0].name, srcs[0].Skipped())
+			}
+		}
+		if errs[0] != nil || n == 1<<16 {
 			return
 		}
+		for i, src := range srcs {
+			errs[i] = src.Next(&pkts[i])
+		}
 	}
+}
+
+// sameEnd reports whether two decode outcomes match: both nil, or the
+// same message wrapping the same end-of-input sentinel (or neither).
+func sameEnd(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error() &&
+		errors.Is(a, io.EOF) == errors.Is(b, io.EOF) &&
+		errors.Is(a, io.ErrUnexpectedEOF) == errors.Is(b, io.ErrUnexpectedEOF)
 }
 
 func FuzzDecodePCAP(f *testing.F) {
@@ -66,7 +110,7 @@ func FuzzDecodePCAP(f *testing.F) {
 	binary.LittleEndian.PutUint32(bo[0:], pcapMagicMicro)
 	f.Add(bo)
 
-	f.Fuzz(func(t *testing.T, data []byte) { drainFuzz(data) })
+	f.Fuzz(func(t *testing.T, data []byte) { drainFuzz(t, data) })
 }
 
 func FuzzDecodePcapng(f *testing.F) {
@@ -111,5 +155,5 @@ func FuzzDecodePcapng(f *testing.F) {
 	}
 	f.Add(weird)
 
-	f.Fuzz(func(t *testing.T, data []byte) { drainFuzz(data) })
+	f.Fuzz(func(t *testing.T, data []byte) { drainFuzz(t, data) })
 }

@@ -3,6 +3,7 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -212,6 +213,136 @@ func TestPcapngRoundTrip(t *testing.T) {
 		// ns timestamps through a uint64 tick counter: identical floats.
 		if got[i] != pkts[i] {
 			t.Errorf("packet %d changed:\n got %+v\nwant %+v", i, got[i], pkts[i])
+		}
+	}
+}
+
+// reencodePCAP rewrites a classic little-endian nanosecond PCAP (what
+// WritePCAP emits) in byte order bo, with microsecond ticks when micro.
+func reencodePCAP(t *testing.T, raw []byte, bo binary.ByteOrder, micro bool) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	out := bytes.Clone(raw)
+	magic := uint32(pcapMagicNano)
+	if micro {
+		magic = pcapMagicMicro
+	}
+	bo.PutUint32(out[0:], magic)
+	bo.PutUint16(out[4:], le.Uint16(raw[4:]))
+	bo.PutUint16(out[6:], le.Uint16(raw[6:]))
+	bo.PutUint32(out[16:], le.Uint32(raw[16:]))
+	bo.PutUint32(out[20:], le.Uint32(raw[20:]))
+	for off := 24; off < len(raw); {
+		if off+16 > len(raw) {
+			t.Fatalf("record header at %d runs past the capture", off)
+		}
+		tick := le.Uint32(raw[off+4:])
+		if micro {
+			tick /= 1000
+		}
+		caplen := le.Uint32(raw[off+8:])
+		bo.PutUint32(out[off:], le.Uint32(raw[off:]))
+		bo.PutUint32(out[off+4:], tick)
+		bo.PutUint32(out[off+8:], caplen)
+		bo.PutUint32(out[off+12:], le.Uint32(raw[off+12:]))
+		off += 16 + int(caplen)
+	}
+	return out
+}
+
+// TestPCAPSourceAllocFree pins the package comment's promise: once the
+// first record is read, Next allocates nothing per packet — classic PCAP
+// in both resolutions and byte orders, pcapng, and CaptureScanner over
+// v1 and v2 captures.
+func TestPCAPSourceAllocFree(t *testing.T) {
+	var pkts, v4 []Packet
+	for range 64 {
+		pkts = append(pkts, pcapTestPackets()...)
+	}
+	for _, p := range pkts {
+		if p.EncodableV1() {
+			v4 = append(v4, p)
+		}
+	}
+	var classic, capV1, capV2 bytes.Buffer
+	if err := WritePCAP(&classic, pkts); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCapture(&capV1, v4); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCapture(&capV2, pkts); err != nil {
+		t.Fatal(err)
+	}
+	pcap := func(r io.Reader) (PacketSource, error) { return NewPCAPSource(r) }
+	capture := func(r io.Reader) (PacketSource, error) { return NewCaptureScanner(r) }
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		open func(io.Reader) (PacketSource, error)
+		n    int
+	}{
+		{"classic-us-le", reencodePCAP(t, classic.Bytes(), binary.LittleEndian, true), pcap, len(pkts)},
+		{"classic-ns-be", reencodePCAP(t, classic.Bytes(), binary.BigEndian, false), pcap, len(pkts)},
+		{"pcapng", writePcapng(t, pkts), pcap, len(pkts)},
+		{"capture-v1", capV1.Bytes(), capture, len(v4)},
+		{"capture-v2", capV2.Bytes(), capture, len(pkts)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := tc.open(bytes.NewReader(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Packet
+			next := func() {
+				if err := src.Next(&p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next() // the first record may size what later ones reuse
+			if n := testing.AllocsPerRun(tc.n-2, next); n != 0 {
+				t.Errorf("%.2f allocations per packet, want 0", n)
+			}
+		})
+	}
+}
+
+// TestPCAPTruncationErrors pins what a capture cut short reports: a cut
+// inside any header, record or block wraps io.ErrUnexpectedEOF under the
+// name of the part it cut, and a cut on a record boundary is a clean EOF.
+func TestPCAPTruncationErrors(t *testing.T) {
+	var classic bytes.Buffer
+	if err := WritePCAP(&classic, pcapTestPackets()); err != nil {
+		t.Fatal(err)
+	}
+	ng := writePcapng(t, pcapTestPackets())
+	first := 24 + 16 + int(binary.LittleEndian.Uint32(classic.Bytes()[24+8:]))
+	for _, tc := range []struct {
+		raw  []byte
+		want string // "" for a clean end
+	}{
+		{classic.Bytes()[:10], "netflow: pcap header: unexpected EOF"},
+		{classic.Bytes()[:24+5], "netflow: pcap record header: unexpected EOF"},
+		{classic.Bytes()[:24+16+9], "netflow: pcap record body: unexpected EOF"},
+		{classic.Bytes()[:first], ""},
+		{ng[:10], "netflow: pcapng section header: unexpected EOF"},
+		{ng[:20], "netflow: pcapng section header: unexpected EOF"},
+		{ng[:28+4], "netflow: pcapng block header: unexpected EOF"},
+		{ng[:28+10], "netflow: pcapng block body: unexpected EOF"},
+		{ng[:28+28], ""},
+	} {
+		src, err := NewPCAPSource(bytes.NewReader(tc.raw))
+		for p := (Packet{}); err == nil; {
+			err = src.Next(&p)
+		}
+		if tc.want == "" {
+			if err != io.EOF {
+				t.Errorf("%d bytes: got %v, want a clean io.EOF", len(tc.raw), err)
+			}
+			continue
+		}
+		if err.Error() != tc.want || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d bytes: got %q, want %q wrapping io.ErrUnexpectedEOF", len(tc.raw), err, tc.want)
 		}
 	}
 }

@@ -72,13 +72,14 @@ type File struct {
 // everything else goes to NewPCAPSource, which takes classic PCAP in
 // both magics and byte orders and pcapng, and rejects the rest naming
 // the bytes it saw. Both read through the one buffered reader the sniff
-// used, so no byte is read twice.
+// used, so no byte is read twice: it is sized for NewPCAPSource, which
+// then keeps it rather than wrapping it again.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(f)
+	br := bufio.NewReaderSize(f, maxPCAPBlock)
 	var src PacketSource
 	if magic, _ := br.Peek(4); len(magic) == 4 && binary.LittleEndian.Uint32(magic) == captureMagic {
 		src, err = NewCaptureScanner(br)

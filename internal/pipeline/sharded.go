@@ -67,10 +67,11 @@ type Sharded struct {
 	// fbMu serializes online feedback against the shared model.
 	fbMu sync.Mutex
 
-	// closeMu makes Close safe against in-flight Feed/Tick/Flush: senders
-	// hold the read side, Close takes the write side before closing the
-	// shard channels, and post-Close sends become defined no-ops instead
-	// of "send on closed channel" panics.
+	// closeMu keeps Tick and Flush whole against Close: broadcast holds
+	// the read side across every shard, Close takes the write side, so a
+	// control effect reaches every shard or none and post-Close broadcasts
+	// are defined no-ops. Packet admission never takes it — each shard has
+	// its own close gate under its mutex (shardWorker.closing).
 	closeMu sync.RWMutex
 	closed  bool
 }
@@ -93,9 +94,17 @@ type shardWorker struct {
 	// waits on it: a handoff leaves at most slots+1 chunks elsewhere.
 	free chan []netflow.Packet
 
-	mu   sync.Mutex       // guards open and sent
+	mu   sync.Mutex       // guards open, sent, closing and waiting
 	open []netflow.Packet // packets admitted but not yet handed off; never full between calls
 	sent int64            // packets handed off to the channel
+	// closing is the shard's close gate: once Close sets it, admit
+	// refuses. waiting counts senders parked in handoff with mu released;
+	// Close waits on idle until it is zero before it ends the channel, so
+	// a sender already waiting is waited out, never sent onto a closed
+	// channel.
+	closing bool
+	waiting int
+	idle    sync.Cond // L is &mu
 }
 
 // maxChunk is the largest run of packets one channel send carries: big
@@ -105,26 +114,34 @@ type shardWorker struct {
 const maxChunk = 256
 
 // defaultShardBuffer is the per-shard ingress buffer of NewSharded, in
-// packets.
-const defaultShardBuffer = 1024
+// packets: 15 channel slots of maxChunk-packet chunks plus the open chunk
+// (17 chunks counting the one in dispatch, about 300 KiB per shard). On a
+// 2-vCPU guest a goroutine parked on a channel can take 60–80 µs to run
+// after it is woken, and at 1024 packets one such late wake-up behind a
+// micro-batch flush filled the buffer and parked the feeder too. On the
+// pcap_sharded benchmark 2048–8192 measured alike; 4096 is the smallest
+// that beat 1024 in every paired group.
+const defaultShardBuffer = 4096
 
 // NewSharded builds and starts a sharded engine: cfg.Shards workers
 // (0 selects runtime.GOMAXPROCS), each a full Engine over a copy of cfg
 // with the alert callback wrapped for serialized delivery, each behind a
-// bounded ingress buffer of 1024 packets.
+// bounded ingress buffer of defaultShardBuffer (4096) packets.
 func NewSharded(cfg Config) (*Sharded, error) { return newSharded(cfg, defaultShardBuffer) }
 
 // NewConcurrent builds the one-worker form of the sharded engine — packet
 // ingestion decoupled from classification by a single bounded channel of
-// the given size (<= 0 selects 1024), with no flow hashing on the way in.
+// the given size (<= 0 selects defaultShardBuffer), with no flow hashing on
+// the way in.
 func NewConcurrent(cfg Config, buffer int) (*Sharded, error) {
 	cfg.Shards = 1
 	return newSharded(cfg, buffer)
 }
 
 // newSharded is NewSharded with the per-shard ingress buffer in packets
-// (<= 0 selects 1024): open chunk plus channel never hold more per shard,
-// and it also sizes the handoff chunk (a quarter of it, at most maxChunk).
+// (<= 0 selects defaultShardBuffer): open chunk plus channel never hold
+// more per shard, and it also sizes the handoff chunk (a quarter of it, at
+// most maxChunk).
 func newSharded(cfg Config, buffer int) (*Sharded, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -181,6 +198,7 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 			free:  make(chan []netflow.Packet, slots+2),
 			open:  make([]netflow.Packet, 0, chunk),
 		}
+		s.shards[i].idle.L = &s.shards[i].mu
 		for range slots + 1 {
 			s.shards[i].free <- make([]netflow.Packet, 0, chunk)
 		}
@@ -214,9 +232,9 @@ func (s *Sharded) Feed(p netflow.Packet) { s.admit(&p, blockUntilAdmitted) }
 
 // FeedWithin routes one packet to its flow's shard, waiting at most wait
 // for buffer space (not at all when wait <= 0), reporting whether it was
-// admitted. Like Feed, a waiting sender holds the close gate's read side,
-// so a concurrent Close waits out at most one admission bound. False when
-// the shard's buffer stayed full, or after Close.
+// admitted. Like Feed, a waiting sender is counted at its shard's close
+// gate, so a concurrent Close waits out at most one admission bound. False
+// when the shard's buffer stayed full, or after Close.
 func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 	if wait < 0 {
 		wait = 0
@@ -227,25 +245,23 @@ func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 // blockUntilAdmitted is admit's wait value for the lossless Feed path.
 const blockUntilAdmitted time.Duration = -1
 
-// admit is the one ingress path: under the close gate's read side it
-// picks the packet's shard — by flow hash, or shard 0 outright when there
-// is only one to pick — and appends to that shard's open chunk. The packet
-// that fills the chunk is admitted only with the chunk handed off, waiting
-// for a channel slot forever (blockUntilAdmitted), not at all (0) or for
-// at most wait. False means the packet was not ingested: the engine is
-// closed or the shard's buffer stayed full.
+// admit is the one ingress path: it picks the packet's shard — by flow
+// hash, or shard 0 outright when there is only one to pick — and under
+// that shard's mutex checks its close gate and appends to its open chunk.
+// The packet that fills the chunk is admitted only with the chunk handed
+// off, waiting for a channel slot forever (blockUntilAdmitted), not at all
+// (0) or for at most wait. False means the packet was not ingested: the
+// engine is closed or the shard's buffer stayed full.
 func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return false
-	}
 	w := &s.shards[0]
 	if n := uint64(len(s.shards)); n > 1 {
 		w = &s.shards[p.ShardKey()%n]
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.closing {
+		return false
+	}
 	if len(w.open)+1 < cap(w.open) {
 		w.open = append(w.open, *p)
 		return true
@@ -258,8 +274,9 @@ func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
 // fresh chunk. It waits for a channel slot as admit's wait says; while it
 // waits it releases w.mu, so other feeders are never held behind this
 // one's wait, and it rebuilds the message from whatever the open chunk is
-// when it gets the lock back. On false nothing was sent and the open chunk
-// is as it was. Caller holds w.mu.
+// when it gets the lock back. While it waits it is counted in w.waiting,
+// so Close does not end the channel under it. On false nothing was sent
+// and the open chunk is as it was. Caller holds w.mu.
 func (w *shardWorker) handoff(p *netflow.Packet, m streamMsg, wait time.Duration) bool {
 	var timeout <-chan time.Time // nil never fires: blockUntilAdmitted
 	for waited := false; ; waited = true {
@@ -291,6 +308,7 @@ func (w *shardWorker) handoff(p *netflow.Packet, m streamMsg, wait time.Duration
 				timeout = t.C
 			}
 		}
+		w.waiting++
 		w.mu.Unlock()
 		expired := false
 		select {
@@ -299,6 +317,9 @@ func (w *shardWorker) handoff(p *netflow.Packet, m streamMsg, wait time.Duration
 			expired = true
 		}
 		w.mu.Lock()
+		if w.waiting--; w.waiting == 0 && w.closing {
+			w.idle.Broadcast()
+		}
 		if expired {
 			return false
 		}
@@ -369,19 +390,26 @@ func (s *Sharded) broadcast(m streamMsg) {
 // Idempotent; every call waits for the full drain.
 func (s *Sharded) Close() {
 	s.once.Do(func() {
+		// The write side waits out any broadcast in flight and keeps the
+		// next one from starting.
 		s.closeMu.Lock()
+		defer s.closeMu.Unlock()
 		s.closed = true
-		s.closeMu.Unlock()
-		// No admit or broadcast is in flight past the close gate, so the
-		// open chunks are final: hand them off and end the channels.
 		for i := range s.shards {
 			w := &s.shards[i]
 			w.mu.Lock()
+			// Shut the shard's gate, then wait out the senders already
+			// parked in handoff: after that the open chunk is final, so
+			// hand it off and end the channel.
+			w.closing = true
+			for w.waiting > 0 {
+				w.idle.Wait()
+			}
 			if len(w.open) > 0 {
 				w.handoff(nil, streamMsg{}, blockUntilAdmitted)
 			}
-			w.mu.Unlock()
 			close(w.in)
+			w.mu.Unlock()
 		}
 	})
 	for i := range s.shards {

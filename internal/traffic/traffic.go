@@ -13,9 +13,10 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/rng"
@@ -134,7 +135,8 @@ func Generate(cfg Config) *Stream {
 		label := Label(g.r.Categorical(weights))
 		g.session(label, start)
 	}
-	sort.SliceStable(g.pkts, func(i, j int) bool { return g.pkts[i].Time < g.pkts[j].Time })
+	// Every generated time is finite, so cmp.Compare orders exactly as <.
+	slices.SortStableFunc(g.pkts, func(a, b netflow.Packet) int { return cmp.Compare(a.Time, b.Time) })
 	return &Stream{Packets: g.pkts, Labels: g.labels}
 }
 

@@ -1,11 +1,51 @@
 package traffic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"cyberhd/internal/netflow"
 )
+
+// TestGenerateGoldenDigest pins Generate's output — every packet field in
+// stream order, and the label of every packet's flow — for a default-mix
+// and a scan-heavy config, to digests recorded while the time sort was
+// still sort.SliceStable: the stable order among equal timestamps is part
+// of the stream.
+func TestGenerateGoldenDigest(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{Sessions: 300, Seed: 11}, 0x280bda849db22f32},
+		{Config{Sessions: 400, Seed: 12, Mix: map[Label]float64{Benign: 0.3, PortScan: 0.5, DoS: 0.2}}, 0xb129e55a37929},
+	} {
+		s := Generate(tc.cfg)
+		h := fnv.New64a()
+		var rec []byte
+		for i := range s.Packets {
+			p := &s.Packets[i]
+			key, _ := netflow.KeyOf(p)
+			rec = binary.LittleEndian.AppendUint64(rec[:0], math.Float64bits(p.Time))
+			rec = append(rec, p.SrcIP[:]...)
+			rec = append(rec, p.DstIP[:]...)
+			rec = binary.LittleEndian.AppendUint16(rec, p.SrcPort)
+			rec = binary.LittleEndian.AppendUint16(rec, p.DstPort)
+			rec = append(rec, byte(p.Proto), p.Flags, byte(s.Labels[key]))
+			rec = binary.LittleEndian.AppendUint64(rec, uint64(p.Length))
+			rec = binary.LittleEndian.AppendUint64(rec, uint64(p.HeaderLen))
+			rec = binary.LittleEndian.AppendUint16(rec, p.WindowSize)
+			rec = binary.LittleEndian.AppendUint16(rec, p.VLAN)
+			h.Write(rec)
+		}
+		if got := h.Sum64(); got != tc.want || len(s.Labels) == 0 {
+			t.Errorf("sessions %d seed %d: %d packets, %d flows, digest %#x, want %#x",
+				tc.cfg.Sessions, tc.cfg.Seed, len(s.Packets), len(s.Labels), got, tc.want)
+		}
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{Sessions: 200, Seed: 7})
