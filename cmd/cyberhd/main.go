@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -260,6 +261,7 @@ type serving struct {
 	sinks     []cyberhd.AlertSink
 	jsonlSink *cyberhd.JSONLSink
 	jsonlFile *os.File
+	jsonlBuf  *bufio.Writer          // jsonlFile's buffer: flushed by finish, and by close on error paths
 	metrics   *cyberhd.MetricsServer // the -metrics endpoint, once the command has bound it
 }
 
@@ -327,7 +329,10 @@ func (sv *serving) open() error {
 				sv.close()
 				return err
 			}
-			sv.jsonlFile, w = f, f
+			// A file takes the lines in 64 KiB writes, not one write(2) per
+			// alert; stdout stays unbuffered, so a reader sees each alert at once.
+			sv.jsonlFile, sv.jsonlBuf = f, bufio.NewWriterSize(f, 64<<10)
+			w = sv.jsonlBuf
 		}
 		sv.jsonlSink = cyberhd.NewJSONLSink(w)
 		sv.sinks = append(sv.sinks, sv.jsonlSink)
@@ -336,13 +341,14 @@ func (sv *serving) open() error {
 }
 
 // close releases the source file, the JSONL file and the -metrics
-// endpoint. The source is only read; the JSONL file's checked close is
-// finish's, this one the backstop for error returns.
+// endpoint. The source is only read; the JSONL file's checked flush and
+// close are finish's, these the backstop for error returns.
 func (sv *serving) close() {
 	if sv.file != nil {
 		sv.file.Close()
 	}
 	if sv.jsonlFile != nil {
+		sv.jsonlBuf.Flush()
 		sv.jsonlFile.Close()
 	}
 	if sv.metrics != nil {
@@ -386,8 +392,11 @@ func (sv *serving) finish(st cyberhd.EngineStats) error {
 			return fmt.Errorf("jsonl sink: %w", err)
 		}
 		if sv.jsonlFile != nil {
+			if err := sv.jsonlBuf.Flush(); err != nil {
+				return fmt.Errorf("jsonl sink: %w", err)
+			}
 			if err := sv.jsonlFile.Close(); err != nil {
-				return err
+				return fmt.Errorf("jsonl sink: %w", err)
 			}
 		}
 	}

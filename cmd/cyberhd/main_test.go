@@ -2,17 +2,20 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"cyberhd"
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/pipeline"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a file and returns
@@ -116,7 +119,10 @@ func TestSourceErrorsPrecedeTraining(t *testing.T) {
 // TestDetectReplaysCaptureAndPcapAlike is the pcap-smoke contract
 // in-process: one mixed v4/v6, VLAN-tagged workload written as a binary
 // capture and as a PCAP, both replayed with -capture, must print
-// string-equal `processed` lines and no `pcap: skipped` line.
+// string-equal `processed` lines and no `pcap: skipped` line, and export
+// through -jsonl one decodable line per counted alert, the same multiset
+// from both (which pins the file's buffer flush). An export that cannot
+// be written fails the run.
 func TestDetectReplaysCaptureAndPcapAlike(t *testing.T) {
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 120, Seed: 9})
 	for i := range live.Packets {
@@ -149,21 +155,56 @@ func TestDetectReplaysCaptureAndPcapAlike(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re := regexp.MustCompile(`(?m)^processed [1-9]\d* packets -> [1-9]\d* flows, \d+ alerts$`)
+	re := regexp.MustCompile(`(?m)^processed [1-9]\d* packets -> [1-9]\d* flows, ([1-9]\d*) alerts$`)
 	var lines []string
-	for _, path := range []string{capture, pcap} {
-		out, err := captureStdout(t, func() error { return cmdDetect([]string{"-train", "300", "-capture", path}) })
+	var exports [][]string
+	for i, path := range []string{capture, pcap} {
+		jsonl := filepath.Join(dir, fmt.Sprintf("alerts%d.jsonl", i))
+		out, err := captureStdout(t, func() error { return cmdDetect([]string{"-train", "300", "-capture", path, "-jsonl", jsonl}) })
 		if err != nil {
 			t.Fatalf("detect -capture %s: %v\n%s", path, err, out)
 		}
 		if strings.Contains(out, "pcap: skipped") {
 			t.Errorf("detect -capture %s skipped frames of a faithful round trip:\n%s", path, out)
 		}
-		lines = append(lines, re.FindString(out))
+		m := re.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("detect -capture %s printed no processed line with alerts:\n%s", path, out)
+		}
+		lines = append(lines, m[0])
+		data, err := os.ReadFile(jsonl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if fmt.Sprint(len(recs)) != m[1] {
+			t.Fatalf("detect -capture %s: %d JSONL lines for %s alerts", path, len(recs), m[1])
+		}
+		for _, r := range recs {
+			var rec pipeline.AlertRecord
+			if err := json.Unmarshal([]byte(r), &rec); err != nil {
+				t.Fatalf("detect -capture %s: JSONL line %q: %v", path, r, err)
+			}
+		}
+		slices.Sort(recs)
+		exports = append(exports, recs)
 	}
-	if lines[0] == "" || lines[0] != lines[1] {
+	if lines[0] != lines[1] {
 		t.Errorf("processed line diverged:\n  capture: %q\n  pcap:    %q", lines[0], lines[1])
 	}
+	if !slices.Equal(exports[0], exports[1]) {
+		t.Errorf("sorted JSONL exports diverged between the capture and the pcap replay")
+	}
+
+	t.Run("unwritable jsonl fails the run", func(t *testing.T) {
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("no /dev/full here")
+		}
+		out, err := captureStdout(t, func() error { return cmdDetect([]string{"-train", "300", "-capture", capture, "-jsonl", "/dev/full"}) })
+		if err == nil || !strings.Contains(err.Error(), "jsonl") {
+			t.Fatalf("detect -jsonl /dev/full: err = %v, want the jsonl export named\n%s", err, out)
+		}
+	})
 }
 
 // TestDetectAndIngestPrintTheSameAccounting runs one small capture through

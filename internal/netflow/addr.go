@@ -124,11 +124,14 @@ func (a Addr) Compare(o Addr) int {
 
 // String renders the conventional form: dotted-quad for IPv4 (v4-mapped
 // unwrapped), RFC 5952 for IPv6.
-func (a Addr) String() string {
+func (a Addr) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo appends the String form of the address to b.
+func (a Addr) AppendTo(b []byte) []byte {
 	if a == (Addr{}) {
-		return "0.0.0.0"
+		return append(b, "0.0.0.0"...)
 	}
-	return netip.AddrFrom16(a).Unmap().String()
+	return netip.AddrFrom16(a).Unmap().AppendTo(b)
 }
 
 // Tenant returns the admission-fairness key of the flow: the source prefix

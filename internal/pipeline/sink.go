@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 
 	"cyberhd/internal/telemetry"
@@ -71,66 +72,23 @@ type AlertRecord struct {
 	Duration float64 `json:"duration"`
 }
 
-// recordOf flattens an alert into its wire record.
-func recordOf(a Alert) AlertRecord {
-	f := a.Flow
-	src, dst := f.Key.IPA, f.Key.IPB
-	sp, dp := f.Key.PortA, f.Key.PortB
-	if f.InitSrcIP != src || f.InitSrcPort != sp {
-		src, dst = dst, src
-		sp, dp = dp, sp
-	}
-	return AlertRecord{
-		Time:      a.Time,
-		Class:     a.Class,
-		ClassName: a.ClassName,
-		SrcIP:     src.String(),
-		SrcPort:   sp,
-		DstIP:     dst.String(),
-		DstPort:   dp,
-		Proto:     f.Key.Proto.String(),
-		Packets:   f.TotalPackets(),
-		Bytes:     f.TotalBytes(),
-		Duration:  f.Duration(),
-	}
-}
-
-// nullableRecord writes an AlertRecord with a non-finite float: each of
-// the three fields is null when its value is not finite. They shadow the
-// embedded record's fields and sit where those do, so the keys keep
-// AlertRecord's order.
-type nullableRecord struct {
-	Time *float64 `json:"time"`
-	AlertRecord
-	Bytes    *float64 `json:"bytes"`
-	Duration *float64 `json:"duration"`
-}
-
-// nonFinite reports whether v is NaN or ±Inf.
-func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-
-// orNull returns &v, or nil for a non-finite v.
-func orNull(v float64) *float64 {
-	if nonFinite(v) {
-		return nil
-	}
-	return &v
-}
-
 // JSONLSink writes one JSON object per alert (JSON Lines) to a writer —
-// the wire format of AlertRecord. Writes are serialized by the sink's own
-// lock, so one JSONLSink may fan in from several engines; the first write
-// error latches and suppresses further output (check Err after Close of
-// the stream).
+// the wire format of AlertRecord, byte for byte what encoding/json writes
+// for it (FuzzJSONLSink pins the equality). Each line reaches the writer
+// in its own Write, so a line-buffered consumer sees every alert at once.
+// Writes are serialized by the sink's own lock, so one JSONLSink may fan
+// in from several engines; the first write error latches and suppresses
+// further output (check Err after Close of the stream).
 type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	err error
+	mu   sync.Mutex
+	w    io.Writer
+	line []byte // reused line buffer
+	err  error
 }
 
 // NewJSONLSink writes alert records to w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+	return &JSONLSink{w: w}
 }
 
 // Consume encodes one alert as a JSON line.
@@ -140,14 +98,82 @@ func (s *JSONLSink) Consume(a Alert) {
 	if s.err != nil {
 		return
 	}
-	rec := recordOf(a)
-	if nonFinite(rec.Time) || nonFinite(rec.Bytes) || nonFinite(rec.Duration) {
-		s.err = s.enc.Encode(nullableRecord{
-			Time: orNull(rec.Time), AlertRecord: rec, Bytes: orNull(rec.Bytes), Duration: orNull(rec.Duration),
-		})
-		return
+	s.line = appendAlert(s.line[:0], a)
+	_, s.err = s.w.Write(s.line)
+}
+
+// appendAlert appends the alert's AlertRecord as one JSON line, keys in
+// the struct's order and the flow initiator as src.
+func appendAlert(b []byte, a Alert) []byte {
+	f := a.Flow
+	src, dst := f.Key.IPA, f.Key.IPB
+	sp, dp := f.Key.PortA, f.Key.PortB
+	if f.InitSrcIP != src || f.InitSrcPort != sp {
+		src, dst = dst, src
+		sp, dp = dp, sp
 	}
-	s.err = s.enc.Encode(rec)
+	b = append(b, `{"time":`...)
+	b = appendFloat(b, a.Time)
+	b = append(b, `,"class":`...)
+	b = strconv.AppendInt(b, int64(a.Class), 10)
+	b = append(b, `,"class_name":`...)
+	b = appendString(b, a.ClassName)
+	b = append(b, `,"src_ip":"`...)
+	b = src.AppendTo(b)
+	b = append(b, `","src_port":`...)
+	b = strconv.AppendUint(b, uint64(sp), 10)
+	b = append(b, `,"dst_ip":"`...)
+	b = dst.AppendTo(b)
+	b = append(b, `","dst_port":`...)
+	b = strconv.AppendUint(b, uint64(dp), 10)
+	b = append(b, `,"proto":`...)
+	b = appendString(b, f.Key.Proto.String())
+	b = append(b, `,"packets":`...)
+	b = strconv.AppendInt(b, int64(f.TotalPackets()), 10)
+	b = append(b, `,"bytes":`...)
+	b = appendFloat(b, f.TotalBytes())
+	b = append(b, `,"duration":`...)
+	b = appendFloat(b, f.Duration())
+	return append(b, "}\n"...)
+}
+
+// appendFloat appends v as encoding/json writes a float64 — shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21 on, "e-07"
+// shortened to "e-7" — and null for NaN or ±Inf, which no JSON number
+// can carry. A nonzero integer below 1e15 (below 2^53, so exact) takes
+// the integer formatter, which writes the same digits.
+func appendFloat(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return append(b, "null"...)
+	case v != 0 && abs < 1e15 && v == math.Trunc(v):
+		return strconv.AppendInt(b, int64(v), 10)
+	case v != 0 && (abs < 1e-6 || abs >= 1e21):
+		b = strconv.AppendFloat(b, v, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, v, 'f', -1, 64)
+}
+
+// appendString appends s as a JSON string. Printable ASCII that needs no
+// escape is copied between quotes; anything else goes through
+// encoding/json, whose HTML, U+2028/U+2029 and invalid-UTF-8 escaping
+// the line must repeat.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Err returns the first write error, if any.
