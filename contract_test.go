@@ -92,8 +92,8 @@ func TestContractMatrix(t *testing.T) {
 		defer w.Close()
 		fleet = append(fleet, w.Addr())
 	}
-	// The float model becomes the wrapper's working copy; nothing below
-	// updates it, so it stays readable alongside.
+	// The wrapper publishes the float model as is; nothing mutates a
+	// trained model, so it stays readable alongside.
 	cow := NewCOWModel(det.Model)
 	var snap bytes.Buffer
 	if err := core.SaveSnapshot(&snap, cow); err != nil {

@@ -55,9 +55,9 @@ type (
 	TrainOptions = core.Options
 	// Width is a quantization bitwidth (1, 2, 4, 8, 16 or 32).
 	Width = bitpack.Width
-	// COWModel is the concurrency-safe copy-on-write model wrapper:
-	// classification reads immutable atomic snapshots while online
-	// feedback publishes new versions (see NewCOWModel).
+	// COWModel is the concurrency-safe model wrapper: classification reads
+	// immutable atomic snapshots while hot reloads publish new versions
+	// (see NewCOWModel).
 	COWModel = core.COWModel
 	// TrafficConfig parameterizes the synthetic traffic generator.
 	TrafficConfig = traffic.Config
@@ -104,12 +104,11 @@ var (
 	// Quantize lowers a trained model to the given bitwidth: a
 	// reduced-precision model for edge deployment.
 	Quantize = quantize.FromCore
-	// NewCOWModel wraps a trained model in copy-on-write snapshots, making
-	// concurrent classification and online feedback race-free: readers load
-	// an immutable (encoder, class-matrix) snapshot through one atomic
-	// pointer read; Update builds the next version and swaps it in. The
-	// wrapped model becomes the wrapper's private working copy — stop using
-	// it directly.
+	// NewCOWModel publishes a trained model for concurrent classification
+	// and hot reload: readers load an immutable (encoder, class-matrix)
+	// snapshot through one atomic pointer read; ReplaceModel swaps the next
+	// version in. The model is published as is — do not mutate it
+	// afterwards.
 	NewCOWModel = core.NewCOWModel
 )
 

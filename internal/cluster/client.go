@@ -34,7 +34,7 @@ type ClientConfig struct {
 	// modulus contract — so worker order is part of the replay identity.
 	Workers []string
 	// Model is the serving authority: its snapshot is replicated to every
-	// worker at dial and after each Feedback that changes it. Required.
+	// worker at dial and on every PushSnapshot. Required.
 	Model *core.COWModel
 	// Normalizer carries the feature statistics every worker must apply
 	// (pipeline.Config.Normalizer). Required.
@@ -110,8 +110,8 @@ func (wc *workerConn) fail(err error) {
 // implements pipeline.Stream, so the standard Runner (or any caller of
 // the Stream contract) drives a multi-node cluster exactly like a local
 // engine: Feed partitions by flow hash, Tick/Flush broadcast in stream
-// order, Close drains every worker and settles their telemetry, Feedback
-// updates the local serving model and replicates the new snapshot.
+// order, Close drains every worker and settles their telemetry, and
+// PushSnapshot replicates the serving model to every worker.
 //
 // Ingestion is lossless-blocking like the in-process engines: a slow
 // worker exerts TCP backpressure on Feed rather than dropping. FeedWithin
@@ -123,10 +123,6 @@ type Client struct {
 	conns []*workerConn
 
 	alertMu sync.Mutex // serializes OnAlert/sink delivery across workers
-
-	fbMu  sync.Mutex // serializes Feedback's featurize+update
-	fbBuf []float32
-	fbOK  atomic.Int64
 
 	pushMu sync.Mutex // one snapshot replication in flight at a time
 
@@ -472,9 +468,8 @@ func (c *Client) Err() error {
 }
 
 // MergedSnapshot folds every worker's latest telemetry report into one
-// cluster-level snapshot (telemetry.Merge), plus the ingest node's own
-// feedback accounting. Mid-run it is fresh to the last tick; after Close
-// it is exact (every worker's report is settled).
+// cluster-level snapshot (telemetry.Merge). Mid-run it is fresh to the
+// last tick; after Close it is exact (every worker's report is settled).
 func (c *Client) MergedSnapshot() telemetry.Snapshot {
 	snaps := make([]telemetry.Snapshot, 0, len(c.conns))
 	for _, wc := range c.conns {
@@ -490,7 +485,6 @@ func (c *Client) MergedSnapshot() telemetry.Snapshot {
 		m.ByClass = make([]int64, len(c.cfg.ClassNames))
 		m.ShadowDiverged = make([]int64, len(c.cfg.ClassNames))
 	}
-	m.FeedbackOK += c.fbOK.Load()
 	return m
 }
 
@@ -504,30 +498,6 @@ func (c *Client) Stats() pipeline.Stats {
 // collectors, served via MergedSnapshot (telemetry.Handler), not one
 // local collector. Runner and the admin surface nil-check this.
 func (c *Client) Telemetry() *telemetry.Collector { return nil }
-
-// Feedback applies one labeled flow to the ingest node's serving model
-// and, when the model changed, replicates the new snapshot to every
-// worker through their control-plane gates — the cluster form of online
-// learning: one authority, atomic per-worker swaps. Returns whether the
-// model changed. Push outcomes are per-worker; a worker that rejects
-// keeps serving its previous version (see PushSnapshot).
-func (c *Client) Feedback(f *netflow.Flow, label int) bool {
-	u, ok := any(c.cfg.Model).(pipeline.Updater)
-	if !ok {
-		return false
-	}
-	c.fbMu.Lock()
-	c.fbBuf = f.AppendFeatures(c.fbBuf[:0])
-	c.cfg.Normalizer.ApplyVec(c.fbBuf)
-	changed := u.Update(c.fbBuf, label)
-	c.fbMu.Unlock()
-	if !changed {
-		c.fbOK.Add(1)
-		return false
-	}
-	_, _ = c.PushSnapshot()
-	return true
-}
 
 // PushSnapshot serializes the current serving model and replicates it to
 // every worker. Each worker validates through its control plane (decode,

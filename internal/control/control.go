@@ -147,8 +147,9 @@ type Plane struct {
 	maxUp  int64 // DefaultMaxUploadBytes
 
 	// mu guards the shadow bookkeeping (which float model the tap's
-	// candidate was packed from), so promote swaps in exactly the model
-	// the operator watched diverge.
+	// candidate was packed from) and is held across a promotion's swap,
+	// so promote publishes exactly the model the operator watched
+	// diverge, once.
 	mu          sync.Mutex
 	shadowModel *core.Model
 }
@@ -324,22 +325,26 @@ func (p *Plane) Apply(r io.Reader) (uint64, error) {
 // serving, divergence is zero by construction, so the tap carries no
 // signal until the next candidate arrives).
 func (p *Plane) handlePromote(w http.ResponseWriter) {
+	// Read, swap and clear under one hold of p.mu: racing promotes publish
+	// the candidate once, and an attach cannot land between the swap and
+	// the clear. Nothing takes p.mu while holding the COWModel's lock.
 	p.mu.Lock()
 	m := p.shadowModel
-	p.mu.Unlock()
 	if m == nil || p.shadow == nil {
+		p.mu.Unlock()
 		httpError(w, http.StatusConflict, "no shadow candidate to promote")
 		return
 	}
 	if err := p.cow.ReplaceModel(m); err != nil {
+		p.mu.Unlock()
 		httpError(w, http.StatusConflict, err.Error())
 		return
 	}
-	p.mu.Lock()
 	p.shadowModel = nil
 	p.shadow.Clear()
+	version := p.cow.Version()
 	p.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "version": p.cow.Version()})
+	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "version": version})
 }
 
 // handleDemote detaches the shadow candidate (one atomic tap swap); the

@@ -14,7 +14,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"cyberhd/internal/core"
 	"cyberhd/internal/encoder"
@@ -312,6 +314,58 @@ func TestShadowAttachPromoteDemote(t *testing.T) {
 	}
 	if cow.Version() != v0+1 {
 		t.Fatalf("demote changed serving version to %d", cow.Version())
+	}
+}
+
+// TestConcurrentPromotesPublishOnce: promotes racing for one staged
+// candidate publish it once — exactly one 200, every other caller a 409,
+// and the serving version one past where it stood. A slow derive hook
+// (a large class memory being packed) holds each publication open long
+// enough for the racing promotes to meet inside it.
+func TestConcurrentPromotesPublishOnce(t *testing.T) {
+	cow, tap, srv := planeServer(t, Config{})
+	cand, _, _ := trainModel(t, 3, 8, 64, 77)
+	if resp, out := postModel(t, srv.URL+"/model?mode=shadow", snapshotBytes(t, cand)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("shadow attach rejected: %d %v", resp.StatusCode, out)
+	}
+	cow.SetDerive(func(*core.Model) any {
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	})
+	v0 := cow.Version()
+	const callers = 8
+	start := make(chan struct{})
+	codes := make(chan int, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(srv.URL+"/model/promote", "application/octet-stream", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(codes)
+	count := map[int]int{}
+	for c := range codes {
+		count[c]++
+	}
+	if count[http.StatusOK] != 1 || count[http.StatusConflict] != callers-1 {
+		t.Fatalf("promote answers %v, want one 200 and %d 409s", count, callers-1)
+	}
+	if got := cow.Version(); got != v0+1 {
+		t.Fatalf("version %d after racing promotes, want %d", got, v0+1)
+	}
+	if tap.Active() {
+		t.Fatal("tap still active after promote")
 	}
 }
 

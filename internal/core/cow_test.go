@@ -9,8 +9,8 @@ import (
 )
 
 // cowModel trains two bit-identical small models (training is fully
-// seeded) so tests can mutate one through a COWModel and compare against
-// the other mutated directly.
+// seeded) so tests can publish one through a COWModel and compare against
+// the other, or publish the second as a later version.
 func cowModel(t *testing.T) (*Model, *Model, *hdc.Matrix, []int) {
 	t.Helper()
 	x, y := blobs(300, 8, 3, 0.6, 50, 51)
@@ -43,46 +43,14 @@ func TestCOWPredictMatchesModel(t *testing.T) {
 	}
 }
 
-func TestCOWUpdateMatchesModelAndPublishes(t *testing.T) {
-	m, ref, x, y := cowModel(t)
-	cow := NewCOWModel(m)
-	v0 := cow.Version()
-	changed := 0
-	for i := 0; i < x.Rows; i++ {
-		wrong := (y[i] + 1) % 3
-		cw := cow.Update(x.Row(i), wrong)
-		rw := ref.Update(x.Row(i), wrong)
-		if cw != rw {
-			t.Fatalf("sample %d: cow changed=%v, model changed=%v", i, cw, rw)
-		}
-		if cw {
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Fatal("no update changed the model; test is vacuous")
-	}
-	if got := cow.Version(); got != v0+uint64(changed) {
-		t.Fatalf("version %d after %d changes from %d", got, changed, v0)
-	}
-	for i := 0; i < x.Rows; i++ {
-		if got, want := cow.Predict(x.Row(i)), ref.Predict(x.Row(i)); got != want {
-			t.Fatalf("post-update sample %d: cow %d != model %d", i, got, want)
-		}
-	}
-}
-
 func TestCOWSnapshotImmutable(t *testing.T) {
-	m, next, x, y := cowModel(t)
+	m, next, x, _ := cowModel(t)
 	cow := NewCOWModel(m)
 	old := cow.Snapshot()
 	oldClass := old.Class.Clone()
 	oldEnc := make([]float32, old.Class.Cols)
 	old.Enc.Encode(x.Row(0), oldEnc)
 
-	for i := 0; i < x.Rows; i++ {
-		cow.Update(x.Row(i), (y[i]+1)%3)
-	}
 	// A hot reload brings in a model whose encoder has regenerated
 	// dimensions: the published snapshot must keep its own pair.
 	dims := []int{0, 1, 2, 3}
@@ -94,7 +62,7 @@ func TestCOWSnapshotImmutable(t *testing.T) {
 	}
 
 	if !old.Class.Equal(oldClass) {
-		t.Fatal("published snapshot's class matrix was mutated by later updates")
+		t.Fatal("published snapshot's class matrix changed after a later publication")
 	}
 	h := make([]float32, old.Class.Cols)
 	old.Enc.Encode(x.Row(0), h)
@@ -109,36 +77,34 @@ func TestCOWSnapshotImmutable(t *testing.T) {
 }
 
 // TestCOWSetDerive checks the derive hook: it republishes immediately,
-// runs again on every subsequent publication, and its artifact rides the
-// snapshot the readers load.
+// runs again on every subsequent publication with the model published,
+// and its artifact rides the snapshot the readers load.
 func TestCOWSetDerive(t *testing.T) {
-	m, _, x, y := cowModel(t)
+	m, next, _, _ := cowModel(t)
 	cow := NewCOWModel(m)
 	if cow.Snapshot().Derived() != nil {
 		t.Fatal("derived artifact present before SetDerive")
 	}
 	v0 := cow.Version()
 	calls := 0
+	var got *Model
 	cow.SetDerive(func(w *Model) any {
 		calls++
+		got = w
 		return w.Class.Rows * 1000 // any artifact; count identifies the call
 	})
 	if cow.Version() != v0+1 {
 		t.Fatalf("SetDerive did not republish: version %d -> %d", v0, cow.Version())
 	}
-	if calls != 1 || cow.Snapshot().Derived() != 3000 {
-		t.Fatalf("derive ran %d times, artifact %v", calls, cow.Snapshot().Derived())
+	if calls != 1 || got != m || cow.Snapshot().Derived() != 3000 {
+		t.Fatalf("derive ran %d times (on the live model: %v), artifact %v", calls, got == m, cow.Snapshot().Derived())
 	}
-	// A model-changing update must re-derive; a no-op update must not.
-	changed := false
-	for i := 0; i < x.Rows && !changed; i++ {
-		changed = cow.Update(x.Row(i), (y[i]+1)%3)
+	// A hot reload must re-derive, from the model it publishes.
+	if err := cow.ReplaceModel(next); err != nil {
+		t.Fatal(err)
 	}
-	if !changed {
-		t.Fatal("no update changed the model")
-	}
-	if calls != 2 {
-		t.Fatalf("derive ran %d times after a publishing update, want 2", calls)
+	if calls != 2 || got != next {
+		t.Fatalf("derive ran %d times after a publication (on the published model: %v), want 2", calls, got == next)
 	}
 	snap := cow.Snapshot()
 	if snap.Derived() != 3000 {
@@ -150,13 +116,13 @@ func TestCOWSetDerive(t *testing.T) {
 }
 
 // TestCOWConcurrentReadersAndWriter is the race-detector workout for the
-// copy-on-write swap: reader goroutines classify continuously while the
-// writer interleaves feedback updates and hot reloads of a model with
-// regenerated encoder dimensions.
+// atomic swap: reader goroutines classify continuously while the
+// publisher alternates hot reloads of models with regenerated encoder
+// dimensions and of the original.
 // Correctness here is "no race, no torn state": every prediction must be
 // a valid class index and every loaded snapshot internally consistent.
 func TestCOWConcurrentReadersAndWriter(t *testing.T) {
-	m, _, x, y := cowModel(t)
+	m, _, x, _ := cowModel(t)
 	cow := NewCOWModel(m)
 	const readers = 4
 	stop := make(chan struct{})
@@ -190,16 +156,15 @@ func TestCOWConcurrentReadersAndWriter(t *testing.T) {
 		}(r)
 	}
 	for pass := 0; pass < 3; pass++ {
-		for i := 0; i < x.Rows; i++ {
-			cow.Update(x.Row(i), (y[i]+1+pass)%3)
-		}
 		next, _, _, _ := cowModel(t)
 		dims := []int{pass, pass + 8, pass + 16}
 		next.Class.ZeroColumns(dims)
 		next.Enc.Regenerate(dims)
 		next.Scorer().Refresh()
-		if err := cow.ReplaceModel(next); err != nil {
-			t.Fatal(err)
+		for _, pub := range []*Model{next, m} {
+			if err := cow.ReplaceModel(pub); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)

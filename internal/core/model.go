@@ -90,8 +90,9 @@ type Model struct {
 	Enc *encoder.RBF
 	// Class is the k×D class hypervector matrix. Prediction divides by
 	// cached row norms (see Scorer), so callers that mutate Class
-	// directly — rather than through Update/Train — must call
-	// Scorer().Refresh() afterwards or predictions will use stale norms.
+	// directly — rather than through Train — must call Scorer().Refresh()
+	// afterwards or predictions will use stale norms. A model handed to a
+	// COWModel is published as is and must not be mutated at all.
 	Class *hdc.Matrix
 	// EffectiveDim is D* = D + Σ dimensions regenerated during training.
 	EffectiveDim int
@@ -102,9 +103,8 @@ type Model struct {
 	// scorer caches class-row norms and runs all predictions through the
 	// kernel layer (scorerOnce guards its lazy construction so first-use
 	// races between concurrent Predict calls are safe); predictScratch
-	// recycles per-call encode buffers and similarity slices so
-	// steady-state Predict/Update never allocate; encScratch recycles
-	// batch-encoding matrices.
+	// recycles per-call encode buffers so steady-state Predict never
+	// allocates; encScratch recycles batch-encoding matrices.
 	scorer     *Scorer
 	scorerOnce sync.Once
 
@@ -112,20 +112,18 @@ type Model struct {
 	encScratch     sync.Pool
 }
 
-// modelScratch bundles the per-call buffers of Predict and Update.
+// modelScratch is the pooled encode buffer of Model.Predict and
+// COWModel.Predict.
 type modelScratch struct {
-	h    []float32
-	sims []float64
+	h []float32
 }
 
-// scratch fetches (or builds) a pooled scratch sized for this model.
-func (m *Model) scratch() *modelScratch {
-	sc, _ := m.predictScratch.Get().(*modelScratch)
-	if sc == nil || len(sc.h) != m.Enc.Dim() || len(sc.sims) != m.Class.Rows {
-		sc = &modelScratch{
-			h:    make([]float32, m.Enc.Dim()),
-			sims: make([]float64, m.Class.Rows),
-		}
+// pooledScratch fetches (or builds) an encode buffer of dim elements
+// from pool.
+func pooledScratch(pool *sync.Pool, dim int) *modelScratch {
+	sc, _ := pool.Get().(*modelScratch)
+	if sc == nil || len(sc.h) != dim {
+		sc = &modelScratch{h: make([]float32, dim)}
 	}
 	return sc
 }
@@ -246,12 +244,6 @@ func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
 	}
 }
 
-// updateOne applies the adaptive rule to a single encoded sample whose
-// norm nobody has cached (the online feedback path).
-func (m *Model) updateOne(h []float32, label int, sims []float64) bool {
-	return m.updateNormed(h, hdc.Norm(h), label, sims)
-}
-
 // updateNormed applies the paper's adaptive rule to an encoded sample of
 // norm hNorm: on misprediction, C_l += η(1−δ_l)·H and C_l' −= η(1−δ_l')·H,
 // where a high similarity δ means the pattern is already represented and
@@ -316,7 +308,7 @@ func (m *Model) NumClasses() int { return m.Class.Rows }
 // Scratch comes from the model's pool, so steady-state calls are
 // allocation-free.
 func (m *Model) Predict(x []float32) int {
-	sc := m.scratch()
+	sc := pooledScratch(&m.predictScratch, m.Enc.Dim())
 	m.Enc.Encode(x, sc.h)
 	pred := m.Scorer().PredictEncoded(sc.h)
 	m.predictScratch.Put(sc)
@@ -375,20 +367,4 @@ func (m *Model) evaluateEncoded(f *fit, y []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(y))
-}
-
-// Update performs one online adaptive step on a labeled sample (the
-// streaming pipeline's feedback path): the sample is encoded and, on
-// misprediction, the class hypervectors are corrected with the paper's
-// similarity-weighted rule. It reports whether the model changed.
-func (m *Model) Update(x []float32, label int) bool {
-	if label < 0 || label >= m.NumClasses() {
-		panic("core: Update label out of range")
-	}
-	m.Scorer() // ensure the norm cache exists before updateOne reads it
-	sc := m.scratch()
-	m.Enc.Encode(x, sc.h)
-	changed := m.updateOne(sc.h, label, sc.sims)
-	m.predictScratch.Put(sc)
-	return changed
 }

@@ -183,7 +183,8 @@ func TestUpdateOneNoChangeWhenCorrect(t *testing.T) {
 	m.Scorer().Refresh()
 	before := m.Class.Clone()
 	sims := make([]float64, 2)
-	if m.updateOne([]float32{2, 0.1, 0, 0}, 0, sims) {
+	h := []float32{2, 0.1, 0, 0}
+	if m.updateNormed(h, hdc.Norm(h), 0, sims) {
 		t.Fatal("correct prediction reported an update")
 	}
 	if !m.Class.Equal(before) {
@@ -199,7 +200,7 @@ func TestUpdateOneMovesTowardLabel(t *testing.T) {
 	h := []float32{0, 2, 0, 0} // looks like class 1, labelled 0
 	sims := make([]float64, 2)
 	simBefore := hdc.Cosine(m.Class.Row(0), h)
-	if !m.updateOne(h, 0, sims) {
+	if !m.updateNormed(h, hdc.Norm(h), 0, sims) {
 		t.Fatal("misprediction did not update")
 	}
 	if after := hdc.Cosine(m.Class.Row(0), h); after <= simBefore {

@@ -110,8 +110,8 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 }
 
 // TestScorerNormInvalidation covers the three mutation paths: adaptive
-// updates (RefreshRow via updateOne), column drops (Refresh), and manual
-// row edits.
+// updates (RefreshRow via updateNormed), column drops (Refresh), and
+// manual row edits.
 func TestScorerNormInvalidation(t *testing.T) {
 	m, x, y := scorerModel(t, 3, 64)
 	check := func(stage string) {
@@ -123,8 +123,10 @@ func TestScorerNormInvalidation(t *testing.T) {
 		}
 	}
 	check("after training")
+	h, sims := make([]float32, m.Dim()), make([]float64, m.NumClasses())
 	for i := 0; i < 50; i++ {
-		m.Update(x.Row(i), y[i])
+		m.Enc.Encode(x.Row(i), h)
+		m.updateNormed(h, hdc.Norm(h), (y[i]+1)%m.NumClasses(), sims)
 	}
 	check("after updates")
 	m.Class.ZeroColumns([]int{0, 5, 9})
@@ -150,8 +152,8 @@ func TestSimilarities(t *testing.T) {
 // TestSimilaritiesTracksUpdates drives the learning rule's access pattern
 // — random Axpy into one row then RefreshRow, and a Refresh after dropped
 // columns — and requires Similarities to equal the hdc.Dot / hdc.Norm
-// reference exactly at every step. A COWModel's writer builds the panel;
-// the snapshots it publishes must not.
+// reference exactly at every step. Training builds the panel; the
+// snapshots a COWModel publishes must not.
 func TestSimilaritiesTracksUpdates(t *testing.T) {
 	r := rng.New(21)
 	class := hdc.NewMatrix(9, 130)
@@ -174,18 +176,20 @@ func TestSimilaritiesTracksUpdates(t *testing.T) {
 			s.Refresh()
 		}
 	}
-	m, _, x, y := cowModel(t)
+	m, next, _, _ := cowModel(t)
 	cow := NewCOWModel(m)
-	for i := 0; i < x.Rows && !cow.Update(x.Row(i), (y[i]+1)%3); i++ {
+	if err := cow.ReplaceModel(next); err != nil {
+		t.Fatal(err)
 	}
-	if cow.Version() < 2 || m.scorer.panel == nil || cow.Snapshot().scorer.panel != nil {
-		t.Fatalf("version %d: writer panel built %v, published snapshot's %v",
-			cow.Version(), m.scorer.panel != nil, cow.Snapshot().scorer.panel != nil)
+	if cow.Version() != 2 || next.scorer.panel == nil || cow.Snapshot().scorer.panel != nil {
+		t.Fatalf("version %d: trained model's panel built %v, published snapshot's %v",
+			cow.Version(), next.scorer.panel != nil, cow.Snapshot().scorer.panel != nil)
 	}
 }
 
 // TestPredictAllocFree pins the pooled-scratch contract: steady-state
-// Predict, Update, and micro-batch prediction perform zero allocations.
+// Predict, the learning rule's updateNormed, and micro-batch prediction
+// perform zero allocations.
 func TestPredictAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -196,9 +200,12 @@ func TestPredictAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { m.Predict(q) }); allocs != 0 {
 		t.Errorf("Predict allocates %.1f objects per call", allocs)
 	}
-	m.Update(q, y[0])
-	if allocs := testing.AllocsPerRun(100, func() { m.Update(q, y[0]) }); allocs != 0 {
-		t.Errorf("Update allocates %.1f objects per call", allocs)
+	h, sims := make([]float32, m.Dim()), make([]float64, m.NumClasses())
+	m.Enc.Encode(q, h)
+	hNorm := hdc.Norm(h)
+	m.updateNormed(h, hNorm, y[0], sims)
+	if allocs := testing.AllocsPerRun(100, func() { m.updateNormed(h, hNorm, y[0], sims) }); allocs != 0 {
+		t.Errorf("updateNormed allocates %.1f objects per call", allocs)
 	}
 	batch := &hdc.Matrix{Rows: 64, Cols: x.Cols, Data: x.Data[:64*x.Cols]}
 	out := make([]int, 64)

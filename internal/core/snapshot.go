@@ -114,25 +114,23 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 	if c == nil {
 		return fmt.Errorf("core: SaveSnapshot: nil model")
 	}
-	// Capture under the writer lock so the snapshot, the writer's
-	// training metadata and the encoder state are one consistent version
-	// (every writer mutation republishes before releasing the lock).
-	c.mu.Lock()
+	// One load: a published snapshot and the model it carries never
+	// change, so everything below describes one version.
 	snap := c.snap.Load()
+	m := snap.model
 	state := snapshotState{
 		ModelVersion: snap.Version,
 		ClassRows:    snap.Class.Rows, ClassCols: snap.Class.Cols,
-		ClassData:    append([]float32(nil), snap.Class.Data...),
-		Norms:        append([]float64(nil), snap.scorer.norms...),
-		EffectiveDim: c.writer.EffectiveDim,
-		History:      append([]CycleStats(nil), c.writer.History...),
-		Opts:         persistOptions(c.writer.opts),
+		ClassData:    snap.Class.Data,
+		Norms:        snap.scorer.norms,
+		EffectiveDim: m.EffectiveDim,
+		History:      m.History,
+		Opts:         persistOptions(m.opts),
 		Encoder:      encoder.CaptureState(snap.Enc),
 	}
 	if dw, ok := snap.derived.(interface{ DeriveWidth() int }); ok {
 		state.DerivedWidth = dw.DeriveWidth()
 	}
-	c.mu.Unlock()
 
 	// Buffer the gob body first: the header carries its length and CRC.
 	var body bytes.Buffer
@@ -250,15 +248,15 @@ func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
 // serving-ready COWModel. The live publication carries the model's norm
 // cache (the saved one, for v2) and continues the saved version counter,
 // so verdicts are bit-identical to the process that wrote the snapshot
-// and the first post-restore reload is observably a newer version. m
-// becomes the wrapper's private working copy, as with NewCOWModel.
+// and the first post-restore reload is observably a newer version. m is
+// published as is, as with NewCOWModel.
 // Quantized serving state is re-derived, not deserialized: hand the model
 // to a pipeline config with Quantize set (or call quantize.AttachLive)
 // and the recorded SnapshotInfo.DerivedWidth is reproduced bit for bit.
 func RestoreSnapshot(m *Model, info SnapshotInfo) *COWModel {
-	c := &COWModel{writer: m, version: info.ModelVersion - 1}
+	c := &COWModel{version: info.ModelVersion - 1}
 	c.mu.Lock()
-	c.publishLocked()
+	c.publishLocked(m)
 	// The fresh publication recomputed norms from the class data;
 	// overwrite them before any reader exists.
 	copy(c.snap.Load().scorer.norms, m.Scorer().norms)

@@ -14,17 +14,18 @@ import (
 	"cyberhd/internal/encoder"
 )
 
-// snapCOW trains a small model, wraps it in COW and advances it through
-// a few online updates so the saved state carries a non-initial version
-// and update-shifted norms — the state a live deployment would snapshot.
+// snapCOW trains a small model, wraps it in COW and hot-reloads a second
+// one, so the saved state carries a non-initial version — the state a
+// live deployment would snapshot.
 func snapCOW(t *testing.T) (*COWModel, []float32) {
 	t.Helper()
 	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
 	c := NewCOWModel(m)
-	x, y := blobs(40, 8, 3, 0.3, 300, 7)
-	for i := 0; i < x.Rows; i++ {
-		c.Update(x.Row(i), y[i])
+	next, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 10))
+	if err := c.ReplaceModel(next); err != nil {
+		t.Fatal(err)
 	}
+	x, _ := blobs(40, 8, 3, 0.3, 300, 7)
 	probe := make([]float32, 8)
 	copy(probe, x.Row(3))
 	return c, probe

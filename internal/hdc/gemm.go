@@ -42,9 +42,8 @@ import (
 // the query, and a float32×float32 product is exact in float64, so a
 // fused multiply-add rounds exactly where Dot's multiply and add do.
 // core.Scorer owns the panel for whatever moves a class hypervector — the
-// adaptive learning rule in core.Train, online feedback (Model.Update,
-// COWModel.Update) and quantize.Retrain. Norms stay the sequential
-// float64 sum of Norm.
+// adaptive learning rule in core.Train and quantize.Retrain. Norms stay
+// the sequential float64 sum of Norm.
 
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,

@@ -430,6 +430,3 @@ func (g *Gate) Stats() Stats {
 
 // Telemetry returns the shared collector.
 func (g *Gate) Telemetry() *telemetry.Collector { return g.tel }
-
-// Feedback forwards one labeled flow to the wrapped stream's model.
-func (g *Gate) Feedback(f *netflow.Flow, label int) bool { return g.inner.Feedback(f, label) }

@@ -70,8 +70,6 @@ type Stats struct {
 	// ByClass counts verdicts per class index; it sums to Flows after a
 	// drain.
 	ByClass []int
-	// FeedbackOK counts feedback samples that required no model change.
-	FeedbackOK int
 	// Dropped counts packets refused at ingress per telemetry.DropReason,
 	// always zero under the default lossless policy. The bounded-overload
 	// accounting invariant is offered = Packets + DroppedTotal().
@@ -90,11 +88,10 @@ func (s Stats) DroppedTotal() int {
 // StatsOf converts a telemetry snapshot to the engine counter shape.
 func StatsOf(s telemetry.Snapshot) Stats {
 	st := Stats{
-		Packets:    int(s.Packets),
-		Flows:      int(s.Flows),
-		Alerts:     int(s.Alerts),
-		FeedbackOK: int(s.FeedbackOK),
-		ByClass:    make([]int, len(s.ByClass)),
+		Packets: int(s.Packets),
+		Flows:   int(s.Flows),
+		Alerts:  int(s.Alerts),
+		ByClass: make([]int, len(s.ByClass)),
 	}
 	for i, v := range s.ByClass {
 		st.ByClass[i] = int(v)
@@ -124,9 +121,9 @@ type Config struct {
 	// Quantize, when set to a valid bitpack.Width, lowers classification
 	// to packed w-bit integer inference (the paper's Table I bitwidths as
 	// a live serving mode): a *core.Model is packed once at engine build
-	// (quantize.FromCore — static thereafter, Feedback is a no-op), and a
-	// *core.COWModel is wrapped in quantize.AttachLive so every Feedback
-	// publication re-quantizes the class memory atomically with the
+	// (quantize.FromCore), and a *core.COWModel is wrapped in
+	// quantize.AttachLive so every publication — a hot reload, a shadow
+	// promotion — quantizes the new class memory atomically with the
 	// snapshot swap. An already-quantized model (*quantize.Model or
 	// *quantize.Live) is accepted if its width matches. Zero serves
 	// float32. Verdicts at a given width are independent of BatchSize and
@@ -210,10 +207,6 @@ type Engine struct {
 	pendFlows []*netflow.Flow
 	pendDone  []float64
 	preds     []int
-	// fbBuf is Feedback's scratch, touched by nothing else: that is what
-	// lets Sharded.Feedback run a shard engine's Feedback under its own
-	// lock while the shard's worker goroutine drives the rest.
-	fbBuf []float32
 	// flushing guards re-entrancy: an OnAlert callback may Feed packets
 	// back into the engine, completing flows while a batch is mid-flush;
 	// those classify synchronously instead of corrupting the pending
@@ -296,8 +289,8 @@ func resolveTelemetry(cfg *Config) *telemetry.Collector {
 	}
 	cfg.Telemetry.SetKernels(telemetry.Kernels{Float: hdc.KernelPath(), Packed: bitpack.KernelPath()})
 	// Versioned models stamp every COW publication into the collector
-	// (cyberhd_model_version), so hot reloads, shadow promotions and
-	// online feedback are observable from /stats and /metrics.
+	// (cyberhd_model_version), so hot reloads and shadow promotions are
+	// observable from /stats and /metrics.
 	// Re-resolution from the same config (each shard of a Sharded)
 	// reinstalls the same observer — last write wins, harmless.
 	tel := cfg.Telemetry
@@ -495,30 +488,4 @@ func (e *Engine) verdict(f *netflow.Flow, class int, doneAt float64) {
 			s.Consume(a)
 		}
 	}
-}
-
-// Updater is the optional feedback interface (core.Model, core.COWModel
-// and quantize.Live implement it): analysts confirm or correct verdicts
-// and the model adapts online.
-type Updater interface {
-	// Update applies one labeled sample and reports whether the model
-	// changed.
-	Update(x []float32, label int) bool
-}
-
-// Feedback applies one labeled flow to the model when it supports online
-// updates. It returns true if the model changed (i.e. the flow had been
-// mispredicted).
-func (e *Engine) Feedback(f *netflow.Flow, label int) bool {
-	u, ok := e.cfg.Model.(Updater)
-	if !ok {
-		return false
-	}
-	e.fbBuf = f.AppendFeatures(e.fbBuf[:0])
-	e.cfg.Normalizer.ApplyVec(e.fbBuf)
-	changed := u.Update(e.fbBuf, label)
-	if !changed {
-		e.tel.FeedbackUnchanged()
-	}
-	return changed
 }

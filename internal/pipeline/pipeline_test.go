@@ -26,8 +26,8 @@ var trained struct {
 
 // buildModel returns an engine config around a private copy of the shared
 // detector, decoded from its snapshot — bit-identical to the model
-// trained, and a test that feeds back into its copy changes no other
-// test's — plus the capture to stream, whose packets are the caller's own.
+// trained, and a test that changes its copy changes no other test's —
+// plus the capture to stream, whose packets are the caller's own.
 func buildModel(t testing.TB) (Config, *traffic.Stream) {
 	t.Helper()
 	trained.once.Do(func() {
@@ -169,49 +169,7 @@ func TestTickEvictsIdleFlows(t *testing.T) {
 	}
 }
 
-func TestFeedbackAdaptsModel(t *testing.T) {
-	cfg, live := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect a completed attack flow with its truth label.
-	var flows []*netflow.Flow
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) { flows = append(flows, f) })
-	for i := range live.Packets {
-		a.Add(&live.Packets[i])
-	}
-	a.Flush()
-	changedAny := false
-	for _, f := range flows {
-		label, ok := live.Labels[f.Key]
-		if !ok {
-			continue
-		}
-		if eng.Feedback(f, int(label)) {
-			changedAny = true
-		}
-	}
-	st := eng.Stats()
-	if !changedAny && st.FeedbackOK == 0 {
-		t.Fatal("feedback had no observable effect at all")
-	}
-}
-
-func TestFeedbackNonUpdaterModel(t *testing.T) {
-	cfg, _ := buildModel(t)
-	cfg.Model = staticModel{}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &netflow.Flow{}
-	if eng.Feedback(f, 0) {
-		t.Fatal("static model reported an update")
-	}
-}
-
-// staticModel is a Classifier without Update support.
+// staticModel is a Classifier that calls every flow benign.
 type staticModel struct{}
 
 func (staticModel) Predict([]float32) int { return 0 }

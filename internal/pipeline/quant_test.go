@@ -91,11 +91,12 @@ func TestQuantizeWidthConflictAcrossEngines(t *testing.T) {
 }
 
 // TestQuantizedCOWFeedbackRequantizes: with a COWModel behind Quantize,
-// engine Feedback must reach the float working copy and republish a
-// re-packed class memory.
+// building the engine attaches the re-quantizing derive hook, and a hot
+// reload mid-traffic republishes a re-packed class memory.
 func TestQuantizedCOWFeedbackRequantizes(t *testing.T) {
 	cfg, live := buildModel(t)
-	cow := core.NewCOWModel(cfg.Model.(*core.Model))
+	m := cfg.Model.(*core.Model)
+	cow := core.NewCOWModel(m)
 	cfg.Model = cow
 	cfg.Quantize = bitpack.W8
 	eng, err := New(cfg)
@@ -103,41 +104,33 @@ func TestQuantizedCOWFeedbackRequantizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := cow.Version()
-	if _, ok := cow.Snapshot().Derived().(*quantize.Model); !ok {
+	q0, ok := cow.Snapshot().Derived().(*quantize.Model)
+	if !ok {
 		t.Fatal("engine build did not attach a quantized derive hook")
 	}
-	var flows []*netflow.Flow
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) { flows = append(flows, f) })
-	for i := range live.Packets {
+	half := len(live.Packets) / 2
+	for i := range live.Packets[:half] {
 		eng.Feed(live.Packets[i])
-		a.Add(&live.Packets[i])
+	}
+	if err := cow.ReplaceModel(perturbedCopy(m)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range live.Packets[half:] {
+		eng.Feed(live.Packets[half+i])
 	}
 	eng.Flush()
-	a.Flush()
 	if eng.Stats().Flows == 0 {
 		t.Fatal("no flows classified")
 	}
-	// Mislabel flows until one changes the model.
-	changed := false
-	for _, f := range flows {
-		label, ok := live.Labels[f.Key]
-		if !ok {
-			continue
-		}
-		if eng.Feedback(f, (int(label)+1)%len(cfg.ClassNames)) {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("no feedback changed the model")
-	}
-	if cow.Version() <= v0 {
-		t.Fatal("feedback did not publish a new version")
+	if cow.Version() != v0+1 {
+		t.Fatalf("version %d after one reload from %d", cow.Version(), v0)
 	}
 	q, ok := cow.Snapshot().Derived().(*quantize.Model)
 	if !ok || q.Width != bitpack.W8 {
 		t.Fatalf("published snapshot lacks an 8-bit quantized memory: %T", cow.Snapshot().Derived())
+	}
+	if q == q0 {
+		t.Fatal("the reload did not re-quantize the class memory")
 	}
 }
 

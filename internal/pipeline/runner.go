@@ -36,7 +36,7 @@ type Runner struct {
 	// timestamps cross each ProgressInterval boundary of the capture
 	// clock, plus one final settled snapshot after the drain. It runs on
 	// the Run goroutine and must not call back into the stream's Feed,
-	// Tick, Flush or Close (Feedback and Stats are fine).
+	// Tick, Flush or Close (Stats is fine).
 	Progress func(telemetry.Snapshot)
 	// ProgressInterval is the Progress cadence in capture seconds: 0
 	// selects 10 s, negative disables periodic snapshots (the final one

@@ -38,19 +38,12 @@ import (
 //   - OnAlert callbacks and sinks are serialized (never concurrent) and
 //     arrive in verdict order within a shard — i.e. per flow key.
 //     Interleaving across shards is unspecified. Callbacks and sinks must
-//     not call Feed, Tick, Flush or Close (they run on shard goroutines);
-//     Feedback is allowed.
+//     not call Feed, Tick, Flush or Close (they run on shard goroutines).
 //   - Close is deterministic: it stops ingress, drains every shard's
 //     channel, flushes all in-progress flows and pending micro-batches,
 //     and waits for every worker to exit. Feed/Tick/Flush after Close are
 //     defined no-ops. Stats is safe from any goroutine at any time (all
 //     shards count into one atomic collector); after Close it is exact.
-//
-// Online learning: Feedback is safe to call concurrently with live
-// classification only when the model's Update is — wrap the model in
-// core.NewCOWModel so shards classify against immutable snapshots while
-// feedback publishes new versions with an atomic swap. With a plain
-// *core.Model, call Feedback only while no traffic is being fed.
 type Sharded struct {
 	shards []shardWorker
 	once   sync.Once
@@ -63,9 +56,6 @@ type Sharded struct {
 
 	// alertMu serializes OnAlert and sink delivery across shard goroutines.
 	alertMu sync.Mutex
-
-	// fbMu serializes online feedback against the shared model.
-	fbMu sync.Mutex
 
 	// closeMu keeps Tick and Flush whole against Close: broadcast holds
 	// the read side across every shard, Close takes the write side, so a
@@ -147,7 +137,7 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 		return nil, err
 	}
 	// Resolve quantization once so every shard scores against the same
-	// packed classifier (and Feedback reaches its Updater, if any).
+	// packed classifier.
 	if err := applyQuantize(&cfg); err != nil {
 		return nil, err
 	}
@@ -425,16 +415,3 @@ func (s *Sharded) Stats() Stats { return StatsOf(s.tel.Snapshot()) }
 // Telemetry returns the collector shared by every shard, for richer
 // observation (latency histogram, suppression totals, Prometheus export).
 func (s *Sharded) Telemetry() *telemetry.Collector { return s.tel }
-
-// Feedback applies one labeled flow to the shared model when it supports
-// online updates, returning true if the model changed. Safe to call from
-// any goroutine — including OnAlert callbacks — but concurrent safety
-// against live classification is the model's contract: use core.COWModel
-// for lock-free snapshot reads with atomically swapped updates.
-func (s *Sharded) Feedback(f *netflow.Flow, label int) bool {
-	// Every shard engine holds the same model and normalizer, and an
-	// engine's Feedback shares no state with its worker goroutine.
-	s.fbMu.Lock()
-	defer s.fbMu.Unlock()
-	return s.shards[0].eng.Feedback(f, label)
-}

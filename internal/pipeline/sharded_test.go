@@ -1,12 +1,10 @@
 package pipeline
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cyberhd/internal/core"
 	"cyberhd/internal/netflow"
 )
 
@@ -132,61 +130,6 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 type attackModel struct{}
 
 func (attackModel) Predict([]float32) int { return 1 }
-
-// TestShardedFeedbackDuringTraffic drives the full concurrent-learning
-// path: shards classify a live capture against COW snapshots while
-// analyst feedback retrains the shared model from another goroutine. Run
-// under -race this is the engine's central data-race regression test.
-func TestShardedFeedbackDuringTraffic(t *testing.T) {
-	cfg, live := buildModel(t)
-	m, ok := cfg.Model.(*core.Model)
-	if !ok {
-		t.Fatal("buildModel no longer returns *core.Model")
-	}
-	cow := core.NewCOWModel(m)
-	cfg.Model = cow
-	cfg.Shards = 4
-	cfg.BatchSize = 32
-
-	// Harvest labeled flows up front to replay as analyst feedback.
-	var flows []*netflow.Flow
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) { flows = append(flows, f) })
-	for i := range live.Packets {
-		a.Add(&live.Packets[i])
-	}
-	a.Flush()
-
-	sh, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0 := cow.Version()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i, f := range flows {
-			label, ok := live.Labels[f.Key]
-			if !ok {
-				label = 0
-			}
-			// Deliberately mislabel a stripe so updates actually publish.
-			sh.Feedback(f, (int(label)+i%2)%cow.NumClasses())
-		}
-	}()
-	for i := range live.Packets {
-		sh.Feed(live.Packets[i])
-	}
-	wg.Wait()
-	sh.Close()
-	st := sh.Stats()
-	if st.Packets != len(live.Packets) || st.Flows == 0 {
-		t.Fatalf("bad merged stats under feedback: %+v", st)
-	}
-	if cow.Version() == v0 {
-		t.Fatal("no feedback update published a new model version")
-	}
-}
 
 // TestConcurrentStatsAfterClose: once Close returns, the worker goroutine
 // has exited and Stats is stable and safe to read repeatedly.

@@ -14,7 +14,7 @@ import (
 // egress half of the serving runtime. Engines deliver serialized and in
 // verdict order (per shard for Sharded), after any Config.OnAlert
 // callback. A sink must not call back into the engine's Feed, Tick, Flush
-// or Close; Feedback is allowed.
+// or Close.
 type AlertSink interface {
 	// Consume receives one alert. Calls are serialized by the engine.
 	Consume(a Alert)

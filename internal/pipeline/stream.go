@@ -48,9 +48,6 @@ import (
 //     races (pinned by TestSnapshotDuringLiveFeedRaceFree). A mid-run
 //     read is eventually consistent across counters (see the telemetry
 //     package's consistency contract); after Close it is exact.
-//   - Feedback may be called from any goroutine, including alert
-//     callbacks; concurrent safety against live classification is the
-//     model's contract (use core.COWModel).
 type Stream interface {
 	// Feed ingests one packet in capture-time order. No-op after Close.
 	Feed(p netflow.Packet)
@@ -73,9 +70,6 @@ type Stream interface {
 	// Telemetry returns the engine's collector — the richer live surface
 	// (latency histogram, suppression totals, Prometheus export).
 	Telemetry() *telemetry.Collector
-	// Feedback applies one labeled flow when the model learns online,
-	// reporting whether the model changed.
-	Feedback(f *netflow.Flow, label int) bool
 }
 
 // Both engines implement the Stream contract.

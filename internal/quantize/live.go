@@ -10,19 +10,18 @@ import (
 
 // Live binds a core.COWModel to quantized serving at a fixed bitwidth.
 // Every published model version carries a freshly packed w-bit class
-// memory — the COW derive hook re-quantizes on publish — so analyst
-// feedback (Update) retrains the float working copy and the packed memory
-// the shards actually score against is rebuilt atomically with the
+// memory — the COW derive hook quantizes on publish — so a hot reload
+// rebuilds the packed memory the shards score against atomically with the
 // snapshot swap. Classification loads one snapshot and uses its encoder
 // and its quantized memory together: a verdict is never computed against a
-// half-updated or version-skewed pair.
+// version-skewed pair.
 //
-// Live implements pipeline.Classifier, pipeline.BatchClassifier and
-// pipeline.Updater, so it drops into Engine and Sharded; the
-// engines build it automatically when Config.Quantize is set and
-// Config.Model is a *core.COWModel. Steady-state classification (no
-// publications in flight) is allocation-free; each publication pays one
-// re-quantization of the class memory on the writer's goroutine.
+// Live implements pipeline.Classifier and pipeline.BatchClassifier, so it
+// drops into Engine and Sharded; the engines build it automatically when
+// Config.Quantize is set and Config.Model is a *core.COWModel.
+// Steady-state classification (no publications in flight) is
+// allocation-free; each publication pays one quantization of the class
+// memory on the publisher's goroutine.
 type Live struct {
 	cow   *core.COWModel
 	width bitpack.Width
@@ -55,8 +54,8 @@ func AttachLive(cow *core.COWModel, w bitpack.Width) (*Live, error) {
 // Width returns the serving bitwidth.
 func (l *Live) Width() bitpack.Width { return l.width }
 
-// COW returns the wrapped copy-on-write model (for feedback routed
-// outside the engine, through its Update).
+// COW returns the wrapped model (hot reloads go through its
+// ReplaceModel).
 func (l *Live) COW() *core.COWModel { return l.cow }
 
 // Model returns the quantized model paired with the live snapshot.
@@ -83,8 +82,3 @@ func (l *Live) Predict(x []float32) int { return l.Model().Predict(x) }
 // PredictBatchInto classifies every row of x into out (len x.Rows)
 // through one version's batch encode + packed panel scoring.
 func (l *Live) PredictBatchInto(x *hdc.Matrix, out []int) { l.Model().PredictBatchInto(x, out) }
-
-// Update applies one online feedback sample to the float working copy
-// and, when the model changed, publishes the next version — including its
-// re-quantized class memory. It reports whether the model changed.
-func (l *Live) Update(x []float32, label int) bool { return l.cow.Update(x, label) }

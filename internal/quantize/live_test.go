@@ -1,11 +1,13 @@
 package quantize
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
+	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
 )
 
@@ -97,7 +99,7 @@ func TestAttachLiveWidthConflict(t *testing.T) {
 	}
 }
 
-// TestLiveMatchesFromCore: with no feedback in flight, the live view must
+// TestLiveMatchesFromCore: with no publication in flight, the live view must
 // predict exactly like a one-shot FromCore at the same width.
 func TestLiveMatchesFromCore(t *testing.T) {
 	m, _, _, xt, _ := trainedModel(t)
@@ -125,26 +127,33 @@ func TestLiveMatchesFromCore(t *testing.T) {
 	}
 }
 
-// TestLiveRequantizesOnPublish: feedback that changes the model must
-// publish a new version whose packed memory reflects the update.
+// retrained fits a second model on trainedModel's data and geometry with
+// another encoder and shuffle seed: a hot-reload candidate.
+func retrained(t *testing.T, x *hdc.Matrix, y []int) *core.Model {
+	t.Helper()
+	m, err := core.Train(encoder.NewRBF(12, 512, 0, 8), x, y, core.Options{Classes: 4, Epochs: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestLiveRequantizesOnPublish: publishing a retrained model must publish
+// a new version whose packed memory is rebuilt from it.
 func TestLiveRequantizesOnPublish(t *testing.T) {
 	m, x, y, _, _ := trainedModel(t)
-	live, err := AttachLive(core.NewCOWModel(m), bitpack.W8)
+	cow := core.NewCOWModel(m)
+	live, err := AttachLive(cow, bitpack.W8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v0 := live.Version()
 	q0 := live.Model()
-	// Feed deliberately mislabeled samples until one flips the model.
-	changed := false
-	for i := 0; i < x.Rows && !changed; i++ {
-		changed = live.Update(x.Row(i), (y[i]+1)%4)
+	if err := cow.ReplaceModel(retrained(t, x, y)); err != nil {
+		t.Fatal(err)
 	}
-	if !changed {
-		t.Fatal("no feedback sample changed the model")
-	}
-	if live.Version() <= v0 {
-		t.Fatalf("version did not advance: %d -> %d", v0, live.Version())
+	if live.Version() != v0+1 {
+		t.Fatalf("version did not advance by one: %d -> %d", v0, live.Version())
 	}
 	q1 := live.Model()
 	if q1 == q0 {
@@ -171,14 +180,40 @@ func TestLiveRequantizesOnPublish(t *testing.T) {
 	}
 }
 
-// TestLiveConcurrentPredictAndUpdate drives classification from several
-// goroutines while feedback publishes new versions — the COW contract the
-// sharded engine relies on (meaningful under -race).
+// TestLiveConcurrentPredictAndUpdate drives single and batch
+// classification from several goroutines while hot reloads alternate two
+// models — the COW contract the sharded engine relies on (meaningful
+// under -race). Every verdict must be model a's or model b's verdict for
+// its row; b learned shifted labels, so the two disagree.
 func TestLiveConcurrentPredictAndUpdate(t *testing.T) {
-	m, x, y, _, _ := trainedModel(t)
-	live, err := AttachLive(core.NewCOWModel(m), bitpack.W2)
+	a, x, y, xt, _ := trainedModel(t)
+	shifted := make([]int, len(y))
+	for i, l := range y {
+		shifted[i] = (l + 1) % 4
+	}
+	b := retrained(t, x, shifted)
+	verdicts := func(m *core.Model) []int {
+		q, err := FromCore(m, bitpack.W2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.PredictBatch(xt)
+	}
+	wa, wb := verdicts(a), verdicts(b)
+	if slices.Equal(wa, wb) {
+		t.Fatal("the two models agree on every row; the test is vacuous")
+	}
+	cow := core.NewCOWModel(a)
+	live, err := AttachLive(cow, bitpack.W2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	check := func(r, p int) bool {
+		if p != wa[r] && p != wb[r] {
+			t.Errorf("row %d: verdict %d is neither model's (%d, %d)", r, p, wa[r], wb[r])
+			return false
+		}
+		return true
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -186,22 +221,37 @@ func TestLiveConcurrentPredictAndUpdate(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			out := make([]int, xt.Rows)
 			for i := g; ; i += 4 {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				p := live.Predict(x.Row(i % x.Rows))
-				if p < 0 || p >= 4 {
-					t.Errorf("prediction %d out of range", p)
-					return
+				if g%2 == 0 {
+					if r := i % xt.Rows; !check(r, live.Predict(xt.Row(r))) {
+						return
+					}
+					continue
+				}
+				live.PredictBatchInto(xt, out)
+				for r, p := range out {
+					if !check(r, p) {
+						return
+					}
 				}
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		live.Update(x.Row(i), (y[i]+1)%4)
+		next := a
+		if i%2 == 0 {
+			next = b
+		}
+		if err := cow.ReplaceModel(next); err != nil {
+			t.Error(err)
+			break
+		}
 	}
 	close(stop)
 	wg.Wait()

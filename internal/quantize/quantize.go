@@ -4,8 +4,8 @@
 // kernel layer of internal/bitpack (blocked panel dots, cached row norms,
 // pooled query packing) so the streaming engine classifies flows in the
 // integer domain with zero steady-state allocations, and Live pairs a
-// core.COWModel with per-version re-quantization so online feedback and
-// packed inference coexist.
+// core.COWModel with per-version quantization so hot reloads and packed
+// inference coexist.
 //
 // Quantization is post-training: the float32 class hypervectors are packed
 // to b-bit integers (see internal/bitpack); queries are encoded in float

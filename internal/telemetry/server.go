@@ -22,8 +22,6 @@ const (
 	MetricAlerts = "cyberhd_alerts_total"
 	// MetricSuppressed is the rate-limited-alerts counter.
 	MetricSuppressed = "cyberhd_alerts_suppressed_total"
-	// MetricFeedbackOK is the feedback-unchanged counter.
-	MetricFeedbackOK = "cyberhd_feedback_unchanged_total"
 	// MetricVerdicts is the per-class verdict counter (label: class).
 	MetricVerdicts = "cyberhd_verdicts_total"
 	// MetricLatency is the verdict-latency histogram (capture seconds
@@ -48,7 +46,7 @@ const (
 	MetricOverloadTransitions = "cyberhd_overload_transitions_total"
 	// MetricModelVersion is the serving model's COW publication version
 	// gauge (0 when serving an unversioned model) — it moves on hot
-	// reloads, shadow promotions and online feedback.
+	// reloads and shadow promotions.
 	MetricModelVersion = "cyberhd_model_version"
 	// MetricShadowFlows counts flows also scored by a shadow model.
 	MetricShadowFlows = "cyberhd_shadow_flows_total"
@@ -70,7 +68,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	counter(MetricFlows, "Completed flows handed to classification.", s.Flows)
 	counter(MetricAlerts, "Non-benign verdicts.", s.Alerts)
 	counter(MetricSuppressed, "Alerts dropped by rate limiting.", s.Suppressed)
-	counter(MetricFeedbackOK, "Feedback samples that required no model change.", s.FeedbackOK)
 	fmt.Fprintf(&b, "# HELP %s Verdicts per class.\n# TYPE %s counter\n", MetricVerdicts, MetricVerdicts)
 	for i, n := range s.ByClass {
 		fmt.Fprintf(&b, "%s{class=\"%s\"} %d\n", MetricVerdicts, escapeLabel(s.className(i)), n)
@@ -156,7 +153,6 @@ type statsJSON struct {
 	Pending       int64            `json:"pending"`
 	Alerts        int64            `json:"alerts"`
 	Suppressed    int64            `json:"suppressed"`
-	FeedbackOK    int64            `json:"feedback_ok"`
 	Dropped       map[string]int64 `json:"dropped_by_reason"`
 	DroppedTenant map[string]int64 `json:"dropped_by_tenant"`
 	DroppedTotal  int64            `json:"dropped_total"`
@@ -209,7 +205,7 @@ func jsonOf(s Snapshot) statsJSON {
 	}
 	out := statsJSON{
 		Packets: s.Packets, Flows: s.Flows, Pending: s.Pending(),
-		Alerts: s.Alerts, Suppressed: s.Suppressed, FeedbackOK: s.FeedbackOK,
+		Alerts: s.Alerts, Suppressed: s.Suppressed,
 		Dropped: dropped, DroppedTenant: droppedTenant, DroppedTotal: s.DroppedTotal(),
 		OverloadState: s.OverloadStateName(),
 		Transitions:   transitions,

@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer of the serving runtime:
 // lock-free atomic counters for everything the engines process (packets,
-// completed flows, per-class verdicts, alerts, suppressed alerts, online
-// feedback) plus a fixed-bucket histogram of capture-time verdict latency
+// completed flows, per-class verdicts, alerts, suppressed alerts) plus a
+// fixed-bucket histogram of capture-time verdict latency
 // — the delay between a flow completing and its verdict being issued,
 // which is exactly the batch/tick delay the micro-batching engines trade
 // for throughput.
@@ -86,7 +86,6 @@ type Collector struct {
 	packets    atomic.Int64
 	flows      atomic.Int64
 	alerts     atomic.Int64
-	feedbackOK atomic.Int64
 	suppressed atomic.Int64
 	byClass    []atomic.Int64
 	classes    []string
@@ -197,10 +196,6 @@ func (c *Collector) ObserveLatency(seconds float64) {
 	c.latSumMicro.Add(int64(seconds * 1e6))
 }
 
-// FeedbackUnchanged counts one feedback sample that required no model
-// change (the verdict was already correct).
-func (c *Collector) FeedbackUnchanged() { c.feedbackOK.Add(1) }
-
 // AddDropped counts n packets refused by the admission gate for the
 // given reason. Out-of-range reasons are ignored defensively.
 func (c *Collector) AddDropped(r DropReason, n int) {
@@ -264,8 +259,8 @@ func (c *Collector) OverloadTransition(s int32) {
 
 // SetModelVersion publishes the serving model's COW publication version.
 // Safe from any goroutine; last write wins (engines install it as the
-// COWModel's publication observer, so hot reloads and online feedback
-// both move the gauge).
+// COWModel's publication observer, so hot reloads and shadow promotions
+// move the gauge).
 func (c *Collector) SetModelVersion(v uint64) { c.modelVersion.Store(v) }
 
 // ShadowVerdict records one shadow-model scoring of a flow: the
@@ -302,8 +297,6 @@ type Snapshot struct {
 	Flows int64
 	// Alerts counts non-benign verdicts.
 	Alerts int64
-	// FeedbackOK counts feedback samples that required no model change.
-	FeedbackOK int64
 	// Suppressed counts alerts dropped by rate limiting.
 	Suppressed int64
 	// Dropped counts packets refused by the admission gate, by reason
@@ -421,7 +414,6 @@ func (s Snapshot) Pending() int64 {
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Suppressed:     c.suppressed.Load(),
-		FeedbackOK:     c.feedbackOK.Load(),
 		OverloadState:  c.overloadState.Load(),
 		ModelVersion:   c.modelVersion.Load(),
 		Alerts:         c.alerts.Load(),
@@ -522,7 +514,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		m.Packets += s.Packets
 		m.Flows += s.Flows
 		m.Alerts += s.Alerts
-		m.FeedbackOK += s.FeedbackOK
 		m.Suppressed += s.Suppressed
 		m.ShadowFlows += s.ShadowFlows
 		for i := range s.Dropped {

@@ -19,10 +19,9 @@ func TestCollectorCounters(t *testing.T) {
 	c.FlowCompleted()
 	c.Verdict(0, false, 0)
 	c.Verdict(1, true, 0.3)
-	c.FeedbackUnchanged()
 	c.AddSuppressed(4)
 	s := c.Snapshot()
-	if s.Packets != 15 || s.Flows != 2 || s.Alerts != 1 || s.FeedbackOK != 1 || s.Suppressed != 4 {
+	if s.Packets != 15 || s.Flows != 2 || s.Alerts != 1 || s.Suppressed != 4 {
 		t.Fatalf("snapshot %+v", s)
 	}
 	if s.ByClass[0] != 1 || s.ByClass[1] != 1 || s.ByClass[2] != 0 {
@@ -83,7 +82,6 @@ func TestCollectorHotPathAllocFree(t *testing.T) {
 		c.AddPackets(1)
 		c.FlowCompleted()
 		c.Verdict(1, true, 0.42)
-		c.FeedbackUnchanged()
 		c.AddSuppressed(1)
 	})
 	if allocs != 0 {

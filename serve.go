@@ -37,8 +37,8 @@ type (
 	// Alert is one non-benign detection.
 	Alert = pipeline.Alert
 	// Stream is the uniform serving contract (Feed/FeedWithin/Tick/Flush/
-	// Close/Stats/Telemetry/Feedback) implemented by both engines, by the
-	// admission gate and by ClusterClient.
+	// Close/Stats/Telemetry) implemented by both engines, by the admission
+	// gate and by ClusterClient.
 	Stream = pipeline.Stream
 	// PacketSource yields a time-ordered packet stream (see NewSliceSource,
 	// OpenCapture).
@@ -176,8 +176,7 @@ func (d *Detector) EngineConfig() EngineConfig {
 // flow-sharded engine, anything else the deterministic single-core
 // engine) and a Runner that will pump src through it: the
 // assembled-but-not-started form of Serve, for callers that need the
-// Runner (custom contexts, access to the Stream for Feedback) rather
-// than one call.
+// Runner (custom contexts, access to the Stream) rather than one call.
 func NewServeRunner(cfg EngineConfig, src PacketSource) (*Runner, error) {
 	return pipeline.NewRunner(cfg, src)
 }
