@@ -48,8 +48,7 @@ func TrainLinear(x *hdc.Matrix, y []int, classes int, opts LinearOptions) (*Line
 		return nil, err
 	}
 	m := &Linear{W: hdc.NewMatrix(classes, x.Cols), B: make([]float32, classes), classes: classes}
-	// Train the per-class binary problems in parallel: they are independent.
-	hdc.ParallelFor(classes, func(c int) {
+	for c := 0; c < classes; c++ {
 		r := rng.New(opts.Seed + uint64(c)*0x9e3779b9)
 		w := m.W.Row(c)
 		var b float64
@@ -77,7 +76,7 @@ func TrainLinear(x *hdc.Matrix, y []int, classes int, opts LinearOptions) (*Line
 			}
 		}
 		m.B[c] = float32(b)
-	})
+	}
 	return m, nil
 }
 
@@ -95,7 +94,11 @@ func (m *Linear) Predict(x []float32) int {
 // PredictBatch classifies every row of x in parallel.
 func (m *Linear) PredictBatch(x *hdc.Matrix) []int {
 	out := make([]int, x.Rows)
-	hdc.ParallelFor(x.Rows, func(i int) { out[i] = m.Predict(x.Row(i)) })
+	hdc.ParallelChunks(x.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = m.Predict(x.Row(i))
+		}
+	})
 	return out
 }
 
@@ -158,7 +161,7 @@ func TrainKernel(x *hdc.Matrix, y []int, classes int, opts KernelOptions) (*Kern
 	}
 	steps := opts.Epochs * x.Rows
 	m.T = steps
-	hdc.ParallelFor(classes, func(c int) {
+	for c := 0; c < classes; c++ {
 		r := rng.New(opts.Seed + uint64(c)*0x85ebca6b)
 		alpha := m.Alpha[c]
 		for t := 1; t <= steps; t++ {
@@ -172,7 +175,7 @@ func TrainKernel(x *hdc.Matrix, y []int, classes int, opts KernelOptions) (*Kern
 				alpha[i] += yi
 			}
 		}
-	})
+	}
 	return m, nil
 }
 
@@ -219,7 +222,11 @@ func (m *Kernel) Predict(x []float32) int {
 // PredictBatch classifies every row of x in parallel.
 func (m *Kernel) PredictBatch(x *hdc.Matrix) []int {
 	out := make([]int, x.Rows)
-	hdc.ParallelFor(x.Rows, func(i int) { out[i] = m.Predict(x.Row(i)) })
+	hdc.ParallelChunks(x.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = m.Predict(x.Row(i))
+		}
+	})
 	return out
 }
 

@@ -16,7 +16,6 @@ package bitpack
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 )
 
@@ -401,38 +400,19 @@ func packSigns(x []float32, v *Vector, allPos bool) {
 
 // Dot returns the inner product Σ a_i·b_i of two packed vectors of
 // identical dim and width, in the integer domain (the float-domain product
-// is Dot·a.Scale·b.Scale). It runs on the word-level kernels of kernels.go:
-// XNOR/popcount at W1, SWAR popcounts at W2, exact widened-integer
-// accumulation at W4–W16, and 4-lane float64 accumulation at W32 (32-bit
-// element products summed over thousands of dimensions overflow int64;
-// the fixed lane scheme — lane = index mod 4, lanes folded sequentially —
-// makes the summation order deterministic across the scalar and vector
-// paths). MatVecInto is the blocked batch form scoring a query against a
-// whole class memory.
+// is Dot·a.Scale·b.Scale). It is a one-row panel: kernels.go's dotPanel4
+// with a repeated in every row slot and b as the query — XNOR/popcount at
+// W1, SWAR popcounts at W2, exact widened-integer accumulation at W4–W16,
+// and 4-lane float64 accumulation at W32 (32-bit element products summed
+// over thousands of dimensions overflow int64; the fixed lane scheme —
+// lane = index mod 4, lanes folded sequentially — makes the summation
+// order deterministic across the scalar and vector paths). MatVecInto is
+// the batch form scoring a query against a whole class memory.
 func Dot(a, b *Vector) float64 {
 	compatible(a, b)
-	return dotKernel(a, b)
-}
-
-// dot1 computes the bipolar dot product via popcount: matches − mismatches
-// = Dim − 2·hamming. Whole 4-word blocks go through the AVX2 popcount;
-// the word loop and masked partial word finish the rest.
-func dot1(a, b *Vector) int64 {
-	var ham int64
-	full := a.Dim / 64
-	start := 0
-	if useAVX2 && full >= 4 {
-		start = full &^ 3
-		ham = xnorPopcntAVX2(&a.Words[0], &b.Words[0], start)
-	}
-	for i := start; i < full; i++ {
-		ham += int64(bits.OnesCount64(a.Words[i] ^ b.Words[i]))
-	}
-	if rem := a.Dim % 64; rem != 0 {
-		mask := uint64(1)<<uint(rem) - 1
-		ham += int64(bits.OnesCount64((a.Words[full] ^ b.Words[full]) & mask))
-	}
-	return int64(a.Dim) - 2*ham
+	var out [4]float64
+	dotPanel4(a, a, a, a, b, out[:])
+	return out[0]
 }
 
 // Cosine returns the cosine similarity of two packed vectors in the integer
@@ -501,13 +481,28 @@ func (m *Matrix) FlipBit(k int) {
 }
 
 // Classify returns the row index with the highest integer-domain cosine
-// similarity to q, which must match the rows' dim and width. It recomputes
-// every row norm per call — the stateless reference; hot paths classify
-// through a Scorer, which caches norms and scores via the blocked panels.
+// similarity to q, which must match the rows' dim and width. It scores
+// through MatVecInto and recomputes every row norm per call — the
+// stateless reference; hot paths classify through a Scorer, which caches
+// the row norms. Each score is Cosine's arithmetic (a zero norm scores 0),
+// and ties resolve to the lowest index.
 func (m *Matrix) Classify(q *Vector) int {
+	var stack [stackClasses]float64
+	var dots []float64
+	if k := len(m.Rows); k <= stackClasses {
+		dots = stack[:k]
+	} else {
+		dots = make([]float64, k)
+	}
+	MatVecInto(m, q, dots)
+	nq := math.Sqrt(NormSq(q))
 	best, bestSim := 0, math.Inf(-1)
 	for i, r := range m.Rows {
-		if s := Cosine(r, q); s > bestSim {
+		var s float64
+		if nr := math.Sqrt(NormSq(r)); nr != 0 && nq != 0 {
+			s = dots[i] / (nr * nq)
+		}
+		if s > bestSim {
 			best, bestSim = i, s
 		}
 	}

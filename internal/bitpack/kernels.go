@@ -9,9 +9,12 @@ import (
 // This file is the quantized analog of internal/hdc's kernel layer: blocked
 // batch kernels over packed words, so the streaming engine can score flows
 // in the integer domain at GEMM rates instead of element-at-a-time Get
-// loops. Each width has a pure-Go word-level path plus, on amd64 without
-// the noasm tag, a vectorized fast path (kernels_amd64.s) selected at init
-// via internal/cpufeat — see KernelPath:
+// loops. Each width has exactly one dot kernel, a 4-row panel that scores
+// four rows against one query in a single pass over the query words
+// (dotPanel4); a single Dot is a one-row panel with the row repeated. The
+// panel has a pure-Go word-level path plus, on amd64 without the noasm
+// tag, a vectorized fast path (kernels_amd64.s) selected at init via
+// internal/cpufeat — see KernelPath:
 //
 //   - W1: XNOR + bits.OnesCount64 over whole words (matches − mismatches
 //     = Dim − 2·hamming); AVX2 path XORs 256 bits per step and popcounts
@@ -34,9 +37,11 @@ import (
 // assembly chunks plus scalar tails included — produces the same value.
 // W32 is float64 arithmetic, so its summation order IS the contract: the
 // 4-lane scheme above, which both the scalar and AVX paths implement
-// group-by-group. MatVecInto's 4-row panels share query word loads but
-// never reorder a row's summation, so results are bit-identical to the
-// per-sample Dot regardless of panel grouping or caller-side batching.
+// group-by-group. The panel shares query word loads across its rows but
+// never reorders a row's summation, so a row's score is bit-identical
+// whichever panel slot it occupies — alone in Dot, padded in MatVecInto's
+// remainder panel, or in a full panel — and regardless of caller-side
+// batching.
 // The package tests pin kernel ≡ scalar Get-loop equality at every width,
 // including partial last words and slack-bit pollution.
 
@@ -54,68 +59,6 @@ func compatible(a, b *Vector) {
 	}
 }
 
-// dotInt is the W2–W16 scalar reference kernel: per word, each element is
-// extracted with a shift pair (left-align, arithmetic right to
-// sign-extend) and the products accumulate in int64 — exact, and
-// therefore equal to the float64 element-order reference for any
-// realistic dimensionality (|sum| < 2^53).
-func dotInt(aw, bw []uint64, dim, w int) int64 {
-	per := 64 / w
-	// Constant shift amounts: the low element is sign-extended with a
-	// fixed (shl, sar) pair and the word shifted down by w per slot —
-	// x86 variable-amount shifts serialize through CL, so keeping every
-	// shift count loop-invariant is worth ~2x on this kernel.
-	inv := uint(64 - w)
-	uw := uint(w)
-	var s int64
-	k := 0
-	for rem := dim; rem > 0; k++ {
-		slots := per
-		if rem < per {
-			slots = rem
-		}
-		a, b := aw[k], bw[k]
-		for slot := 0; slot < slots; slot++ {
-			av := int64(a<<inv) >> inv
-			bv := int64(b<<inv) >> inv
-			s += av * bv
-			a >>= uw
-			b >>= uw
-		}
-		rem -= slots
-	}
-	return s
-}
-
-// dotFast is the W4/W8/W16 dispatcher: whole 4-word blocks go through the
-// AVX2 lane kernels, the remainder (and every call on fallback builds or
-// past maxSIMDDim) through dotInt. Both halves are exact integers, so the
-// split is invisible in the result.
-func dotFast(aw, bw []uint64, dim, w int) int64 {
-	if useAVX2 && dim <= maxSIMDDim {
-		per := 64 / w
-		n4 := (dim / per) &^ 3
-		if n4 >= 4 {
-			var s int64
-			switch w {
-			case 4:
-				s = dotNibblesAVX2(&aw[0], &bw[0], n4)
-			case 8:
-				s = dotBytesAVX2(&aw[0], &bw[0], n4)
-			case 16:
-				s = dotShortsAVX2(&aw[0], &bw[0], n4)
-			default:
-				return dotInt(aw, bw, dim, w)
-			}
-			if rem := dim - n4*per; rem > 0 {
-				s += dotInt(aw[n4:], bw[n4:], rem, w)
-			}
-			return s
-		}
-	}
-	return dotInt(aw, bw, dim, w)
-}
-
 // crumbMask selects the low bit of every 2-bit element in a word.
 const crumbMask = 0x5555555555555555
 
@@ -124,8 +67,8 @@ const crumbMask = 0x5555555555555555
 // elements expands to lo·lo − 2·(lo·hi + hi·lo) + 4·hi·hi — and since
 // each bit product over a whole word is just a popcount of an AND, one
 // word of 32 element products reduces to four popcounts. Exact integers,
-// bit-identical to dotInt at w=2. The caller pre-splits one operand
-// (bLo/bHi), which the 4-row panel shares across rows.
+// bit-identical to dotPanelIntAccum at w=2. The caller pre-splits one
+// operand (bLo/bHi), which the 4-row panel shares across rows.
 func dotCrumbsPre(a, bLo, bHi uint64) int64 {
 	aLo, aHi := a&crumbMask, (a>>1)&crumbMask
 	n11 := int64(bits.OnesCount64(aHi & bHi))
@@ -133,41 +76,6 @@ func dotCrumbsPre(a, bLo, bHi uint64) int64 {
 	n01 := int64(bits.OnesCount64(aLo & bHi))
 	n00 := int64(bits.OnesCount64(aLo & bLo))
 	return n00 + 4*n11 - 2*(n10+n01)
-}
-
-// dot2 is the W2 kernel: SWAR over whole words, with the partial last
-// word's slack crumbs masked out of the query operand (a zeroed element
-// contributes nothing to any of the four popcounts, so polluted slack
-// bits in the other operand cannot leak in).
-func dot2(aw, bw []uint64, dim int) int64 {
-	full := dim / 32
-	var s int64
-	for k := 0; k < full; k++ {
-		b := bw[k]
-		s += dotCrumbsPre(aw[k], b&crumbMask, (b>>1)&crumbMask)
-	}
-	if rem := dim % 32; rem != 0 {
-		mask := uint64(1)<<(uint(rem)*2) - 1
-		b := bw[full] & mask
-		s += dotCrumbsPre(aw[full], b&crumbMask, (b>>1)&crumbMask)
-	}
-	return s
-}
-
-// dot32LanesGo accumulates full (a multiple of 4) leading elements into
-// the 4 float64 lanes of the W32 contract: lane = element index mod 4,
-// groups in ascending order — the scalar reference the AVX path matches
-// bit-for-bit.
-func dot32LanesGo(aw, bw []uint64, full int, l *[4]float64) {
-	for i := 0; i < full; i += 4 {
-		k := i >> 1
-		a0, b0 := aw[k], bw[k]
-		a1, b1 := aw[k+1], bw[k+1]
-		l[0] += float64(int32(uint32(a0))) * float64(int32(uint32(b0)))
-		l[1] += float64(int32(uint32(a0>>32))) * float64(int32(uint32(b0>>32)))
-		l[2] += float64(int32(uint32(a1))) * float64(int32(uint32(b1)))
-		l[3] += float64(int32(uint32(a1>>32))) * float64(int32(uint32(b1>>32)))
-	}
 }
 
 // dot32Tail folds the up-to-3 trailing elements into their lanes.
@@ -182,40 +90,13 @@ func dot32Tail(aw, bw []uint64, full, dim int, l *[4]float64) {
 // the W32 contract.
 func foldLanes(l *[4]float64) float64 { return ((l[0] + l[1]) + l[2]) + l[3] }
 
-// dot32 is the W32 kernel: 4-lane float64 accumulation (32-bit element
-// products summed over thousands of dimensions overflow int64, so this
-// width stays in floating point, with the lane scheme fixing the order).
-func dot32(aw, bw []uint64, dim int) float64 {
-	var l [4]float64
-	full := dim &^ 3
-	if useAVX && full >= 8 {
-		dotLanes32AVX(&aw[0], &bw[0], full>>2, &l)
-	} else if full > 0 {
-		dot32LanesGo(aw, bw, full, &l)
-	}
-	dot32Tail(aw, bw, full, dim, &l)
-	return foldLanes(&l)
-}
-
-// dotKernel dispatches Dot to the word-level kernel for the vector width.
-func dotKernel(a, b *Vector) float64 {
-	switch a.Width {
-	case W1:
-		return float64(dot1(a, b))
-	case W2:
-		return float64(dot2(a.Words, b.Words, a.Dim))
-	case W32:
-		return dot32(a.Words, b.Words, a.Dim)
-	default:
-		return float64(dotFast(a.Words, b.Words, a.Dim, int(a.Width)))
-	}
-}
-
 // MatVecInto scores one packed query against every row of m:
 // out[r] = Dot(m.Rows[r], q), blocked into 4-row panels that share the
 // query's word loads (and, on the AVX2 paths, its vector expansion).
-// Each row's sum keeps its own kernel contract, so the results are
-// bit-identical to per-row Dot calls (pinned by tests).
+// When the row count is not a multiple of 4, the last 1–3 rows form one
+// panel padded with repeats of the last row (rows are only read). Each
+// row's sum keeps its width's contract, so the results are bit-identical
+// to per-row Dot calls (pinned by tests).
 func MatVecInto(m *Matrix, q *Vector, out []float64) {
 	if len(out) != len(m.Rows) {
 		panic("bitpack: MatVecInto output length mismatch")
@@ -229,9 +110,16 @@ func MatVecInto(m *Matrix, q *Vector, out []float64) {
 		compatible(rows[r+3], q)
 		dotPanel4(rows[r], rows[r+1], rows[r+2], rows[r+3], q, out[r:r+4:r+4])
 	}
-	for ; r < len(rows); r++ {
-		compatible(rows[r], q)
-		out[r] = dotKernel(rows[r], q)
+	if r < len(rows) {
+		last := rows[len(rows)-1]
+		p := [4]*Vector{last, last, last, last}
+		copy(p[:], rows[r:])
+		for _, row := range rows[r:] {
+			compatible(row, q)
+		}
+		var tail [4]float64
+		dotPanel4(p[0], p[1], p[2], p[3], q, tail[:])
+		copy(out[r:], tail[:])
 	}
 }
 
@@ -252,7 +140,7 @@ func dotPanel4(r0, r1, r2, r3, q *Vector, out []float64) {
 
 // dotPanel1x4 is the 4-row bipolar panel: one XNOR/popcount per row per
 // query word — 4-word AVX2 blocks first, then scalar words, then the
-// partial last word masked exactly like dot1.
+// partial last word masked to the query's valid bits.
 func dotPanel1x4(r0, r1, r2, r3, q *Vector, out []float64) {
 	var h [4]int64
 	full := q.Dim / 64
@@ -313,11 +201,17 @@ func dotPanel2x4(a0, a1, a2, a3, qw []uint64, dim int, out []float64) {
 }
 
 // dotPanelIntAccum is the 4-row widened-integer scalar core for W2–W16:
-// the query element is extracted once per slot and multiplied into four
-// independent int64 accumulators, added into s — callable on word-slice
-// tails after an assembly block.
+// each element is extracted with a shift pair (left-align, arithmetic
+// right to sign-extend), the query element once per slot, and the
+// products accumulate into four independent int64 accumulators, added
+// into s — exact, and callable on word-slice tails after an assembly
+// block.
 func dotPanelIntAccum(a0, a1, a2, a3, qw []uint64, dim, w int, s *[4]int64) {
 	per := 64 / w
+	// Constant shift amounts: the low element is sign-extended with a
+	// fixed (shl, sar) pair and the word shifted down by w per slot —
+	// x86 variable-amount shifts serialize through CL, so keeping every
+	// shift count loop-invariant is worth ~2x on this kernel.
 	inv := uint(64 - w)
 	uw := uint(w)
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
@@ -347,37 +241,29 @@ func dotPanelIntAccum(a0, a1, a2, a3, qw []uint64, dim, w int, s *[4]int64) {
 }
 
 // dotPanelFastx4 is the 4-row W4/W8/W16 dispatcher: AVX2 panel kernels
-// over whole 4-word blocks, scalar accumulation for the remainder.
+// over whole 4-word blocks, scalar accumulation for the remainder (all of
+// it on fallback builds or past maxSIMDDim). Both halves are exact
+// integers, so the split is invisible in the result.
 func dotPanelFastx4(a0, a1, a2, a3, qw []uint64, dim, w int, out []float64) {
 	var s [4]int64
+	per := 64 / w
+	n4 := 0 // whole words the assembly covers, a multiple of 4
 	if useAVX2 && dim <= maxSIMDDim {
-		per := 64 / w
-		n4 := (dim / per) &^ 3
-		if n4 >= 4 {
-			ok := true
-			switch w {
-			case 4:
-				dotNibblesPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
-			case 8:
-				dotBytesPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
-			case 16:
-				dotShortsPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
-			default:
-				ok = false
-			}
-			if ok {
-				if rem := dim - n4*per; rem > 0 {
-					dotPanelIntAccum(a0[n4:], a1[n4:], a2[n4:], a3[n4:], qw[n4:], rem, w, &s)
-				}
-				out[0] = float64(s[0])
-				out[1] = float64(s[1])
-				out[2] = float64(s[2])
-				out[3] = float64(s[3])
-				return
-			}
+		n4 = (dim / per) &^ 3
+	}
+	if n4 > 0 {
+		switch w {
+		case 4:
+			dotNibblesPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
+		case 8:
+			dotBytesPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
+		case 16:
+			dotShortsPanel4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &qw[0], n4, &s)
 		}
 	}
-	dotPanelIntAccum(a0, a1, a2, a3, qw, dim, w, &s)
+	if rem := dim - n4*per; rem > 0 {
+		dotPanelIntAccum(a0[n4:], a1[n4:], a2[n4:], a3[n4:], qw[n4:], rem, w, &s)
+	}
 	out[0] = float64(s[0])
 	out[1] = float64(s[1])
 	out[2] = float64(s[2])
@@ -418,7 +304,7 @@ func dot32LanesPanelGo(a0, a1, a2, a3, qw []uint64, full int, l *[16]float64) {
 }
 
 // dotPanel32x4 is the 4-row W32 panel: 4 float64 lanes per row under the
-// same lane contract as dot32, sharing the query's conversions.
+// W32 lane contract, sharing the query's conversions.
 func dotPanel32x4(a0, a1, a2, a3, qw []uint64, dim int, out []float64) {
 	var l [16]float64
 	full := dim &^ 3
@@ -435,21 +321,14 @@ func dotPanel32x4(a0, a1, a2, a3, qw []uint64, dim int, out []float64) {
 	}
 }
 
-// NormSq returns the integer-domain squared Euclidean norm of v through
-// the word-level kernels: Dim for W1 (every element is ±1), exact int64
-// sums of squares for W2–W16, and 4-lane float64 accumulation for W32 —
-// the same values the scalar Get-loop produces.
+// NormSq returns the integer-domain squared Euclidean norm of v: Dim for
+// W1 (every element is ±1), Dot(v, v) at every other width — the same
+// values the scalar Get-loop produces.
 func NormSq(v *Vector) float64 {
-	switch v.Width {
-	case W1:
+	if v.Width == W1 {
 		return float64(v.Dim)
-	case W2:
-		return float64(dot2(v.Words, v.Words, v.Dim))
-	case W32:
-		return dot32(v.Words, v.Words, v.Dim)
-	default:
-		return float64(dotFast(v.Words, v.Words, v.Dim, int(v.Width)))
 	}
+	return Dot(v, v)
 }
 
 // QuantizeInto is Quantize writing into v, reusing its word storage when

@@ -19,63 +19,39 @@ var useAVX, useAVX2 = cpufeat.HasAVX, cpufeat.HasAVX2
 // or the same 4-lane float64 accumulation as the scalar W32 contract, so
 // the split point never changes a result bit.
 
-// xnorPopcntAVX2 returns the total popcount of (a[i]^q[i]) over n words
-// (n > 0, multiple of 4), 256 bits per step via the nibble-LUT popcount.
-//
-//go:noescape
-func xnorPopcntAVX2(a, q *uint64, n int) int64
-
-// xnorPopcntPanel4AVX2 is the 4-row form: out[r] = popcount over n words
-// of rows r0..r3 XORed against the shared query q.
+// xnorPopcntPanel4AVX2 sets out[r] to the popcount of (a_r[i]^q[i]) over
+// n words (n > 0, multiple of 4) for the four rows a0..a3, 256 bits per
+// step via the nibble-LUT popcount.
 //
 //go:noescape
 func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 
-// dotBytesAVX2 returns Σ a_i·b_i over the n·8 signed bytes packed in n
-// words (n > 0, multiple of 4), exact (int32 lanes folded to int64; the
-// caller bounds n so lanes cannot overflow — see maxSIMDDim).
-//
-//go:noescape
-func dotBytesAVX2(a, b *uint64, n int) int64
-
-// dotBytesPanel4AVX2 is the 4-row byte-dot sharing the query expansion.
+// dotBytesPanel4AVX2 sets out[r] to Σ a_r,i·q_i over the n·8 signed bytes
+// packed in n words (n > 0, multiple of 4) for the four rows a0..a3,
+// sign-extending the query once per step. Exact: int32 lanes folded to
+// int64, and the caller bounds n so lanes cannot overflow (maxSIMDDim).
 //
 //go:noescape
 func dotBytesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 
-// dotNibblesAVX2 returns Σ a_i·b_i over the n·16 signed nibbles packed in
-// n words (n > 0, multiple of 4): nibbles are sign-extended to bytes with
-// a shuffle LUT and fed through the byte-lane core.
-//
-//go:noescape
-func dotNibblesAVX2(a, b *uint64, n int) int64
-
-// dotNibblesPanel4AVX2 is the 4-row nibble-dot sharing the query expansion.
+// dotNibblesPanel4AVX2 is dotBytesPanel4AVX2 over the n·16 signed nibbles
+// packed in n words: nibbles are sign-extended to bytes with a shuffle LUT
+// and fed through the byte-lane core.
 //
 //go:noescape
 func dotNibblesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 
-// dotShortsAVX2 returns Σ a_i·b_i over the n·4 signed int16 packed in n
-// words (n > 0, multiple of 4), widening each VPMADDWD result to int64
-// immediately (two int16² products reach 2^31−2^17+2, so int32 lanes
-// cannot hold a running sum).
-//
-//go:noescape
-func dotShortsAVX2(a, b *uint64, n int) int64
-
-// dotShortsPanel4AVX2 is the 4-row int16 dot sharing the query loads.
+// dotShortsPanel4AVX2 sets out[r] to Σ a_r,i·q_i over the n·4 signed int16
+// packed in n words (n > 0, multiple of 4) for the four rows a0..a3,
+// widening each VPMADDWD result to int64 immediately (two int16² products
+// reach 2^31−2^17+2, so int32 lanes cannot hold a running sum).
 //
 //go:noescape
 func dotShortsPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 
-// dotLanes32AVX accumulates ng > 0 groups of 4 int32 products into 4
-// float64 lanes (lane = element index mod 4), the W32 kernel contract.
-//
-//go:noescape
-func dotLanes32AVX(a, b *uint64, ng int, lanes *[4]float64)
-
-// dotLanes32Panel4AVX is the 4-row W32 lane kernel; row r's lanes land in
-// lanes[4r..4r+3].
+// dotLanes32Panel4AVX accumulates ng > 0 groups of 4 int32 products into
+// 4 float64 lanes per row (lane = element index mod 4, the W32 contract);
+// row r's lanes land in lanes[4r..4r+3].
 //
 //go:noescape
 func dotLanes32Panel4AVX(a0, a1, a2, a3, q *uint64, ng int, lanes *[16]float64)

@@ -34,50 +34,13 @@ DATA absMaskV<>+0x10(SB)/8, $0x7fffffff7fffffff
 DATA absMaskV<>+0x18(SB)/8, $0x7fffffff7fffffff
 GLOBL absMaskV<>(SB), RODATA|NOPTR, $32
 
-// func xnorPopcntAVX2(a, q *uint64, n int) int64
-//
-// Total popcount of a[i]^q[i] over n (multiple of 4) words: 4 words per
-// step through the nibble-LUT popcount (VPSHUFB) and VPSADBW byte sums
-// into 4 int64 lanes, folded at the end. Exact integers, so the Go
-// caller's word split cannot change the result.
-TEXT ·xnorPopcntAVX2(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ q+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	VMOVDQU nibMaskV<>(SB), Y7
-	VMOVDQU popLUTV<>(SB), Y6
-	VPXOR   Y5, Y5, Y5
-	VPXOR   Y0, Y0, Y0
-	XORQ    R11, R11
-
-xploop:
-	VMOVDQU (SI)(R11*1), Y1
-	VPXOR   (DI)(R11*1), Y1, Y1
-	VPAND   Y7, Y1, Y2
-	VPSRLW  $4, Y1, Y3
-	VPAND   Y7, Y3, Y3
-	VPSHUFB Y2, Y6, Y2
-	VPSHUFB Y3, Y6, Y3
-	VPADDB  Y3, Y2, Y2
-	VPSADBW Y5, Y2, Y2
-	VPADDQ  Y2, Y0, Y0
-	ADDQ    $32, R11
-	CMPQ    R11, CX
-	JLT     xploop
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSRLDQ      $8, X0, X1
-	VPADDQ       X1, X0, X0
-	MOVQ         X0, AX
-	MOVQ         AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //
-// Four-row form of xnorPopcntAVX2 sharing the query load per step.
+// Per row, the popcount of a_r[i]^q[i] over n (multiple of 4) words: the
+// query is loaded once per step and XORed into each row, 4 words at a
+// time through the nibble-LUT popcount (VPSHUFB) and VPSADBW byte sums
+// into 4 int64 lanes per row, folded at the end. Exact integers, so the
+// Go caller's word split cannot change the result.
 TEXT ·xnorPopcntPanel4AVX2(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
@@ -170,51 +133,13 @@ xpploop:
 	VZEROUPPER
 	RET
 
-// func dotBytesAVX2(a, b *uint64, n int) int64
-//
-// Σ a_i·b_i over n·8 signed bytes (n a multiple of 4 words): bytes are
-// sign-extended to int16 (VPMOVSXBW), multiplied pairwise into int32
-// lanes (VPMADDWD) and accumulated; lanes widen to int64 at the fold.
-// The caller bounds total elements (maxSIMDDim) so int32 lanes never
-// overflow.
-TEXT ·dotBytesAVX2(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	VPXOR Y0, Y0, Y0
-	XORQ  R11, R11
-
-dbloop:
-	VPMOVSXBW (SI)(R11*1), Y1
-	VPMOVSXBW 16(SI)(R11*1), Y2
-	VPMOVSXBW (DI)(R11*1), Y3
-	VPMOVSXBW 16(DI)(R11*1), Y4
-	VPMADDWD  Y3, Y1, Y1
-	VPMADDWD  Y4, Y2, Y2
-	VPADDD    Y1, Y0, Y0
-	VPADDD    Y2, Y0, Y0
-	ADDQ      $32, R11
-	CMPQ      R11, CX
-	JLT       dbloop
-
-	VEXTRACTI128 $1, Y0, X1
-	VPMOVSXDQ    X0, Y2
-	VPMOVSXDQ    X1, Y3
-	VPADDQ       Y3, Y2, Y2
-	VEXTRACTI128 $1, Y2, X1
-	VPADDQ       X1, X2, X2
-	VPSRLDQ      $8, X2, X1
-	VPADDQ       X1, X2, X2
-	MOVQ         X2, AX
-	MOVQ         AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func dotBytesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //
-// Four-row byte dot: the query is sign-extended once per step (Y8/Y9)
-// and multiplied into four independent int32 accumulators.
+// Per row, Σ a_i·q_i over n·8 signed bytes (n a multiple of 4 words):
+// the query is sign-extended to int16 once per step (VPMOVSXBW, Y8/Y9)
+// and multiplied pairwise (VPMADDWD) into four independent int32
+// accumulators; lanes widen to int64 at the fold. The caller bounds total
+// elements (maxSIMDDim) so int32 lanes never overflow.
 TEXT ·dotBytesPanel4AVX2(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
@@ -305,81 +230,15 @@ dbploop:
 	VZEROUPPER
 	RET
 
-// func dotNibblesAVX2(a, b *uint64, n int) int64
-//
-// Σ a_i·b_i over n·16 signed nibbles (n a multiple of 4 words): nibbles
-// are split out with mask/shift, sign-extended to bytes via the sxLUT
-// shuffle, and fed through the byte-lane core. Element i of the low
-// nibble stream aligns with element i of b's low nibble stream (both are
-// global elements 2i), so two byte dots cover the chunk exactly.
-TEXT ·dotNibblesAVX2(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	VMOVDQU nibMaskV<>(SB), Y7
-	VMOVDQU sxLUTV<>(SB), Y6
-	VPXOR   Y0, Y0, Y0
-	XORQ    R11, R11
-
-dnloop:
-	VMOVDQU (SI)(R11*1), Y1
-	VMOVDQU (DI)(R11*1), Y2
-	VPAND   Y7, Y1, Y3
-	VPSRLW  $4, Y1, Y4
-	VPAND   Y7, Y4, Y4
-	VPAND   Y7, Y2, Y5
-	VPSRLW  $4, Y2, Y8
-	VPAND   Y7, Y8, Y8
-	VPSHUFB Y3, Y6, Y3
-	VPSHUFB Y4, Y6, Y4
-	VPSHUFB Y5, Y6, Y5
-	VPSHUFB Y8, Y6, Y8
-
-	VEXTRACTI128 $1, Y3, X9
-	VPMOVSXBW    X3, Y10
-	VPMOVSXBW    X9, Y11
-	VEXTRACTI128 $1, Y5, X9
-	VPMOVSXBW    X5, Y12
-	VPMOVSXBW    X9, Y13
-	VPMADDWD     Y12, Y10, Y10
-	VPMADDWD     Y13, Y11, Y11
-	VPADDD       Y10, Y0, Y0
-	VPADDD       Y11, Y0, Y0
-
-	VEXTRACTI128 $1, Y4, X9
-	VPMOVSXBW    X4, Y10
-	VPMOVSXBW    X9, Y11
-	VEXTRACTI128 $1, Y8, X9
-	VPMOVSXBW    X8, Y12
-	VPMOVSXBW    X9, Y13
-	VPMADDWD     Y12, Y10, Y10
-	VPMADDWD     Y13, Y11, Y11
-	VPADDD       Y10, Y0, Y0
-	VPADDD       Y11, Y0, Y0
-
-	ADDQ $32, R11
-	CMPQ R11, CX
-	JLT  dnloop
-
-	VEXTRACTI128 $1, Y0, X1
-	VPMOVSXDQ    X0, Y2
-	VPMOVSXDQ    X1, Y3
-	VPADDQ       Y3, Y2, Y2
-	VEXTRACTI128 $1, Y2, X1
-	VPADDQ       X1, X2, X2
-	VPSRLDQ      $8, X2, X1
-	VPADDQ       X1, X2, X2
-	MOVQ         X2, AX
-	MOVQ         AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func dotNibblesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //
-// Four-row nibble dot: the query chunk is expanded once per step into
-// four int16 vectors (lo/hi nibble streams × 128-bit halves, Y11–Y14)
-// and multiplied into four independent int32 accumulators.
+// Per row, Σ a_i·q_i over n·16 signed nibbles (n a multiple of 4 words):
+// nibbles are split out with mask/shift and sign-extended to bytes via
+// the sxLUT shuffle. The query chunk is expanded once per step into four
+// int16 vectors (lo/hi nibble streams × 128-bit halves, Y11–Y14) and
+// multiplied into four independent int32 accumulators. Element i of a
+// row's low nibble stream aligns with element i of the query's, so the
+// two streams cover the chunk exactly.
 TEXT ·dotNibblesPanel4AVX2(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
@@ -538,44 +397,12 @@ dnploop:
 	VZEROUPPER
 	RET
 
-// func dotShortsAVX2(a, b *uint64, n int) int64
-//
-// Σ a_i·b_i over n·4 signed int16 (n a multiple of 4 words). Each
-// VPMADDWD lane holds the sum of two int16 products — up to 2^31−2^18+2,
-// which fits int32 but cannot be accumulated there — so every step
-// widens to int64 before adding.
-TEXT ·dotShortsAVX2(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHLQ $3, CX
-	VPXOR Y0, Y0, Y0
-	XORQ  R11, R11
-
-dsloop:
-	VMOVDQU      (SI)(R11*1), Y1
-	VPMADDWD     (DI)(R11*1), Y1, Y1
-	VEXTRACTI128 $1, Y1, X2
-	VPMOVSXDQ    X1, Y3
-	VPMOVSXDQ    X2, Y4
-	VPADDQ       Y3, Y0, Y0
-	VPADDQ       Y4, Y0, Y0
-	ADDQ         $32, R11
-	CMPQ         R11, CX
-	JLT          dsloop
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSRLDQ      $8, X0, X1
-	VPADDQ       X1, X0, X0
-	MOVQ         X0, AX
-	MOVQ         AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func dotShortsPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //
-// Four-row int16 dot sharing the query load, int64 accumulators per row.
+// Per row, Σ a_i·q_i over n·4 signed int16 (n a multiple of 4 words),
+// sharing the query load. Each VPMADDWD lane holds the sum of two int16
+// products — up to 2^31−2^18+2, which fits int32 but cannot be
+// accumulated there — so every step widens to int64 before adding.
 TEXT ·dotShortsPanel4AVX2(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
@@ -653,38 +480,14 @@ dsploop:
 	VZEROUPPER
 	RET
 
-// func dotLanes32AVX(a, b *uint64, ng int, lanes *[4]float64)
-//
-// The W32 lane kernel: ng groups of 4 int32 are converted to float64,
-// multiplied, and accumulated vertically into 4 lanes (lane = element
-// index mod 4) — exactly the scalar dot32LanesGo contract, group by
-// group, so the result is bit-identical by construction.
-TEXT ·dotLanes32AVX(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ ng+16(FP), CX
-	SHLQ $4, CX
-	VXORPD Y0, Y0, Y0
-	XORQ   R11, R11
-
-dlloop:
-	VCVTDQ2PD (SI)(R11*1), Y1
-	VCVTDQ2PD (DI)(R11*1), Y2
-	VMULPD    Y2, Y1, Y1
-	VADDPD    Y1, Y0, Y0
-	ADDQ      $16, R11
-	CMPQ      R11, CX
-	JLT       dlloop
-
-	MOVQ    lanes+24(FP), DX
-	VMOVUPD Y0, (DX)
-	VZEROUPPER
-	RET
-
 // func dotLanes32Panel4AVX(a0, a1, a2, a3, q *uint64, ng int, lanes *[16]float64)
 //
-// Four-row W32 lane kernel sharing the query conversion; row r's lanes
-// land at lanes[4r..4r+3].
+// The W32 lane kernel: ng groups of 4 int32 are converted to float64
+// (the query once per group, shared by the rows), multiplied, and
+// accumulated vertically into 4 lanes per row (lane = element index mod
+// 4) — exactly the Go dot32LanesPanelGo contract, group by group, so the
+// result is bit-identical by construction. Row r's lanes land at
+// lanes[4r..4r+3].
 TEXT ·dotLanes32Panel4AVX(SB), NOSPLIT, $0-56
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9

@@ -31,37 +31,43 @@ func randWords(r *rng.Rand, n int) []uint64 {
 // spanning one to many 256-bit steps).
 var asmBlockSizes = []int{4, 8, 12, 16, 64, 252}
 
+// TestAsmXnorPopcntMatchesGo pins the W1 XNOR panel against the Go word
+// loop: per row, the popcount of row^query summed over whole words.
 func TestAsmXnorPopcntMatchesGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("AVX2 unavailable")
 	}
 	r := rng.New(101)
 	for _, n := range asmBlockSizes {
-		a, q := randWords(r, n), randWords(r, n)
-		var want int64
-		for k := 0; k < n; k++ {
-			want += int64(bits.OnesCount64(a[k] ^ q[k]))
-		}
-		if got := xnorPopcntAVX2(&a[0], &q[0], n); got != want {
-			t.Errorf("n=%d: asm %d != go %d", n, got, want)
+		rows := [4][]uint64{randWords(r, n), randWords(r, n), randWords(r, n), randWords(r, n)}
+		q := randWords(r, n)
+		var got [4]int64
+		xnorPopcntPanel4AVX2(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], n, &got)
+		for i, row := range rows {
+			var want int64
+			for k := 0; k < n; k++ {
+				want += int64(bits.OnesCount64(row[k] ^ q[k]))
+			}
+			if got[i] != want {
+				t.Errorf("n=%d row=%d: asm %d != go %d", n, i, got[i], want)
+			}
 		}
 	}
 }
 
-// TestAsmDotBlocksMatchGo pins each integer block kernel, single and
-// 4-row panel, against the scalar extraction reference on random words.
+// TestAsmDotBlocksMatchGo pins each integer panel kernel against the Go
+// panel dotPanelIntAccum on random words.
 func TestAsmDotBlocksMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("AVX2 unavailable")
 	}
 	kernels := []struct {
-		w      int
-		single func(a, b *uint64, n int) int64
-		panel  func(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
+		w     int
+		panel func(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 	}{
-		{4, dotNibblesAVX2, dotNibblesPanel4AVX2},
-		{8, dotBytesAVX2, dotBytesPanel4AVX2},
-		{16, dotShortsAVX2, dotShortsPanel4AVX2},
+		{4, dotNibblesPanel4AVX2},
+		{8, dotBytesPanel4AVX2},
+		{16, dotShortsPanel4AVX2},
 	}
 	r := rng.New(202)
 	for _, k := range kernels {
@@ -69,37 +75,18 @@ func TestAsmDotBlocksMatchGo(t *testing.T) {
 			dim := n * (64 / k.w)
 			rows := [4][]uint64{randWords(r, n), randWords(r, n), randWords(r, n), randWords(r, n)}
 			q := randWords(r, n)
-			for i, row := range rows {
-				want := dotInt(row, q, dim, k.w)
-				if got := k.single(&row[0], &q[0], n); got != want {
-					t.Errorf("w=%d n=%d row=%d: asm %d != go %d", k.w, n, i, got, want)
-				}
-			}
-			var out [4]int64
-			k.panel(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], n, &out)
-			for i, row := range rows {
-				if want := dotInt(row, q, dim, k.w); out[i] != want {
-					t.Errorf("w=%d n=%d: panel[%d] %d != go %d", k.w, n, i, out[i], want)
-				}
-			}
-			// XNOR panel on the same words.
-			var hout [4]int64
-			xnorPopcntPanel4AVX2(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], n, &hout)
-			for i, row := range rows {
-				var want int64
-				for j := 0; j < n; j++ {
-					want += int64(bits.OnesCount64(row[j] ^ q[j]))
-				}
-				if hout[i] != want {
-					t.Errorf("xnor panel n=%d row=%d: %d != %d", n, i, hout[i], want)
-				}
+			var got, want [4]int64
+			k.panel(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], n, &got)
+			dotPanelIntAccum(rows[0], rows[1], rows[2], rows[3], q, dim, k.w, &want)
+			if got != want {
+				t.Errorf("w=%d n=%d: asm %v != go %v", k.w, n, got, want)
 			}
 		}
 	}
 }
 
-// TestAsmLanes32MatchesGo pins the W32 float64-lane kernels bit-for-bit
-// against the Go lane reference.
+// TestAsmLanes32MatchesGo pins the W32 float64-lane panel bit-for-bit
+// against the Go lane panel.
 func TestAsmLanes32MatchesGo(t *testing.T) {
 	if !useAVX {
 		t.Skip("AVX unavailable")
@@ -109,20 +96,11 @@ func TestAsmLanes32MatchesGo(t *testing.T) {
 		n := ng * 2
 		rows := [4][]uint64{randWords(r, n), randWords(r, n), randWords(r, n), randWords(r, n)}
 		q := randWords(r, n)
-		for i, row := range rows {
-			var want, got [4]float64
-			dot32LanesGo(row, q, ng*4, &want)
-			dotLanes32AVX(&row[0], &q[0], ng, &got)
-			if got != want {
-				t.Errorf("ng=%d row=%d: asm lanes %v != go %v", ng, i, got, want)
-			}
-		}
-		var pgot [16]float64
-		var pwant [16]float64
-		dotLanes32Panel4AVX(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], ng, &pgot)
-		dot32LanesPanelGo(rows[0], rows[1], rows[2], rows[3], q, ng*4, &pwant)
-		if pgot != pwant {
-			t.Errorf("ng=%d: panel lanes %v != go %v", ng, pgot, pwant)
+		var got, want [16]float64
+		dotLanes32Panel4AVX(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], ng, &got)
+		dot32LanesPanelGo(rows[0], rows[1], rows[2], rows[3], q, ng*4, &want)
+		if got != want {
+			t.Errorf("ng=%d: asm lanes %v != go %v", ng, got, want)
 		}
 	}
 }

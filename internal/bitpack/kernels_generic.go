@@ -11,40 +11,20 @@ const (
 	useAVX2 = false
 )
 
-func xnorPopcntAVX2(a, q *uint64, n int) int64 {
-	panic("bitpack: xnorPopcntAVX2 without AVX2 support")
-}
-
 func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
 	panic("bitpack: xnorPopcntPanel4AVX2 without AVX2 support")
-}
-
-func dotBytesAVX2(a, b *uint64, n int) int64 {
-	panic("bitpack: dotBytesAVX2 without AVX2 support")
 }
 
 func dotBytesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
 	panic("bitpack: dotBytesPanel4AVX2 without AVX2 support")
 }
 
-func dotNibblesAVX2(a, b *uint64, n int) int64 {
-	panic("bitpack: dotNibblesAVX2 without AVX2 support")
-}
-
 func dotNibblesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
 	panic("bitpack: dotNibblesPanel4AVX2 without AVX2 support")
 }
 
-func dotShortsAVX2(a, b *uint64, n int) int64 {
-	panic("bitpack: dotShortsAVX2 without AVX2 support")
-}
-
 func dotShortsPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
 	panic("bitpack: dotShortsPanel4AVX2 without AVX2 support")
-}
-
-func dotLanes32AVX(a, b *uint64, ng int, lanes *[4]float64) {
-	panic("bitpack: dotLanes32AVX without AVX support")
 }
 
 func dotLanes32Panel4AVX(a0, a1, a2, a3, q *uint64, ng int, lanes *[16]float64) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"testing"
 
 	"cyberhd/internal/baseline/mlp"
@@ -11,13 +12,30 @@ import (
 	"cyberhd/internal/rng"
 )
 
+// calibFull reports whether the manual calibration harnesses run at the
+// scale their logged numbers are read at: set CYBERHD_CALIB=1 and run one
+// with -run and -v. Otherwise TestCalibDNNClamp, TestCalibBinaryHD and
+// TestProbeOrdering run a smoke pass on a tenth of the samples, which
+// only checks that every model they compare still trains and evaluates,
+// and TestSweepHD skips.
+func calibFull() bool { return os.Getenv("CYBERHD_CALIB") != "" }
+
+// calibSamples scales a harness's sample count down to the smoke pass
+// unless calibFull.
+func calibSamples(n int) int {
+	if calibFull() {
+		return n
+	}
+	return n / 10
+}
+
 // TestCalibDNNClamp probes DNN fault sensitivity vs clamp factor (manual
 // calibration tool; skipped in -short).
 func TestCalibDNNClamp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")
 	}
-	cfg := Config{Samples: 6000, Seed: 42}
+	cfg := Config{Samples: calibSamples(6000), Seed: 42}
 	train, test, err := LoadSplit("nsl-kdd", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +71,7 @@ func TestCalibBinaryHD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")
 	}
-	cfg := Config{Samples: 6000, Seed: 42}
+	cfg := Config{Samples: calibSamples(6000), Seed: 42}
 	train, test, err := LoadSplit("nsl-kdd", cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"testing"
 
 	"cyberhd/internal/core"
@@ -9,10 +8,10 @@ import (
 	"cyberhd/internal/encoder"
 )
 
-// TestSweepHD is a manual calibration harness (skipped in -short):
-// go test ./internal/experiments/ -run TestSweepHD -v
+// TestSweepHD is a manual calibration harness (see calibFull):
+// CYBERHD_CALIB=1 go test ./internal/experiments/ -run TestSweepHD -v
 func TestSweepHD(t *testing.T) {
-	if os.Getenv("CYBERHD_CALIB") == "" {
+	if !calibFull() {
 		t.Skip("calibration sweep: set CYBERHD_CALIB=1 to run")
 	}
 	d := datasets.NSLKDD(8000, 42)

@@ -154,18 +154,6 @@ func TestRowNorms(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 1000, 4096} {
-		hits := make([]int32, n)
-		ParallelFor(n, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
 func TestParallelChunksCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 300, 5000} {
 		hits := make([]int32, n)

@@ -18,45 +18,10 @@ func Serial(n int) bool {
 	return n < parallelThreshold || runtime.GOMAXPROCS(0) <= 1
 }
 
-// ParallelFor runs body(i) for i in [0, n) across GOMAXPROCS workers,
-// splitting the range into contiguous chunks so adjacent indices stay on
-// the same core (cache-friendly for row-major batch work). It runs inline
-// when n is small enough that goroutine overhead would dominate.
-func ParallelFor(n int, body func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelThreshold || workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelChunks runs body(lo, hi) over contiguous chunks covering [0, n).
-// Use when per-chunk setup (scratch buffers) matters.
+// ParallelChunks runs body(lo, hi) over contiguous chunks covering [0, n),
+// one per GOMAXPROCS worker, so adjacent indices stay on the same core
+// (cache-friendly for row-major batch work). It runs inline as a single
+// chunk when n is small enough that goroutine overhead would dominate.
 func ParallelChunks(n int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if n < parallelThreshold || workers <= 1 {

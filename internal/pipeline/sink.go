@@ -23,7 +23,6 @@ type AlertSink interface {
 // Every concrete sink satisfies AlertSink.
 var (
 	_ AlertSink = SinkFunc(nil)
-	_ AlertSink = ChanSink(nil)
 	_ AlertSink = (*JSONLSink)(nil)
 	_ AlertSink = (*RateLimitSink)(nil)
 )
@@ -33,14 +32,6 @@ type SinkFunc func(Alert)
 
 // Consume calls the function.
 func (f SinkFunc) Consume(a Alert) { f(a) }
-
-// ChanSink delivers alerts into a channel. Sends block when the channel
-// is full — lossless like the rest of the pipeline — so the consumer must
-// keep draining (or buffer generously) or it will stall ingestion.
-type ChanSink chan<- Alert
-
-// Consume sends the alert on the channel.
-func (c ChanSink) Consume(a Alert) { c <- a }
 
 // AlertRecord is the JSON shape JSONLSink writes: the alert's verdict
 // plus the flow identity and summary statistics a downstream consumer

@@ -26,16 +26,6 @@ func alertFor(class int, at float64) Alert {
 	return Alert{Flow: f, Class: class, ClassName: "attack", Time: at}
 }
 
-func TestChanSink(t *testing.T) {
-	ch := make(chan Alert, 4)
-	var sink AlertSink = ChanSink(ch)
-	sink.Consume(alertFor(1, 5))
-	got := <-ch
-	if got.Class != 1 || got.Time != 5 {
-		t.Fatalf("channel delivered %+v", got)
-	}
-}
-
 // TestJSONLSink pins the record a line carries, byte for byte, and that an
 // alert whose time or duration is not a finite number is written with
 // null in their place rather than ending the export.
