@@ -473,10 +473,9 @@ func runSanity(m *core.Model, width bitpack.Width, sb SanityBatch) (err error) {
 	}
 	classes := m.NumClasses()
 	correct := 0
-	row := make([]float32, sb.X.Cols)
-	for i := 0; i < sb.X.Rows; i++ {
-		copy(row, sb.X.Row(i)) // models may use pooled scratch; never hand them the batch's backing array
-		pred := c.Predict(row)
+	preds := make([]int, sb.X.Rows)
+	c.PredictBatchInto(sb.X, preds)
+	for i, pred := range preds {
 		if pred < 0 || pred >= classes {
 			return fmt.Errorf("sanity batch: row %d predicted class %d of %d", i, pred, classes)
 		}

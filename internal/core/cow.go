@@ -10,10 +10,9 @@ import (
 )
 
 // Snapshot is one published version of a model: its encoder and class
-// hypervector matrix, which nothing mutates once published, plus a
-// Scorer caching the class-row norms of exactly this version. Readers
-// that load a Snapshot see a consistent (encoder, class) pair however
-// many versions are published after it.
+// hypervector matrix, which nothing mutates once published. Readers that
+// load a Snapshot see a consistent (encoder, class) pair however many
+// versions are published after it.
 type Snapshot struct {
 	// Enc encodes queries for this version.
 	Enc *encoder.RBF
@@ -23,52 +22,40 @@ type Snapshot struct {
 	Version uint64
 
 	model   *Model
-	scorer  *Scorer
 	derived any
 }
-
-// Scorer returns the snapshot's norm cache (built once at publication).
-func (s *Snapshot) Scorer() *Scorer { return s.scorer }
 
 // Derived returns the artifact the COWModel's derive hook built for this
 // version (nil when no hook is installed) — e.g. the packed quantized
 // class memory paired with exactly this snapshot. See COWModel.SetDerive.
 func (s *Snapshot) Derived() any { return s.derived }
 
-// PredictEncoded classifies an already-encoded hypervector against this
-// snapshot's class matrix.
-func (s *Snapshot) PredictEncoded(h []float32) int { return s.scorer.PredictEncoded(h) }
-
 // COWModel is an atomically swapped immutable model plus a derived
-// artifact. Each publication pairs a trained model with a fresh norm
-// cache and, when a derive hook is installed, the artifact the hook
-// builds from it, and stores the package behind one atomic pointer:
-// readers load it once per verdict, so a verdict is always computed
-// against one consistent version. Nothing mutates a Model after Train
-// returns, so a publication copies nothing — it costs one norm pass plus
-// the derive hook.
+// artifact. Each publication pairs a trained model with, when a derive
+// hook is installed, the artifact the hook builds from it, and stores the
+// package behind one atomic pointer: readers load it once per verdict and
+// classify through the published model itself, so a verdict is always
+// computed against one consistent version. Nothing mutates a Model after
+// Train returns, so a publication copies and computes nothing beyond the
+// derive hook.
 //
 // Readers (any number of goroutines, no locking):
 //
-//	Predict, PredictBatchInto, PredictEncoded, Snapshot
+//	Predict, PredictBatchInto, Snapshot
 //
 // Publishers (serialized internally by a mutex):
 //
 //	ReplaceModel, SetDerive
 //
-// COWModel implements pipeline.Classifier and pipeline.BatchClassifier,
-// so it drops into any engine — including pipeline.Sharded, where
-// per-core workers classify while the control plane hot-reloads the
-// model.
+// COWModel implements pipeline.Classifier, so it drops into any engine —
+// including pipeline.Sharded, where per-core workers classify while the
+// control plane hot-reloads the model.
 type COWModel struct {
 	mu        sync.Mutex // serializes publications; guards version, derive, onPublish
 	version   uint64
 	derive    func(m *Model) any
 	onPublish func(version uint64)
 	snap      atomic.Pointer[Snapshot]
-
-	predictScratch sync.Pool // *modelScratch
-	encScratch     sync.Pool // *hdc.Matrix
 }
 
 // NewCOWModel publishes m as version 1. m is published as is, not
@@ -81,10 +68,9 @@ func NewCOWModel(m *Model) *COWModel {
 	return c
 }
 
-// publishLocked pairs m with a norm cache of its own (so a served
-// snapshot never carries the training panel of m's Scorer) and, when a
-// derive hook is installed, a freshly derived artifact, and swaps the
-// package in as the live snapshot. Callers hold c.mu.
+// publishLocked pairs m with, when a derive hook is installed, a freshly
+// derived artifact, and swaps the package in as the live snapshot.
+// Callers hold c.mu.
 func (c *COWModel) publishLocked(m *Model) {
 	c.version++
 	snap := &Snapshot{
@@ -92,7 +78,6 @@ func (c *COWModel) publishLocked(m *Model) {
 		Class:   m.Class,
 		Version: c.version,
 		model:   m,
-		scorer:  NewScorer(m.Class),
 	}
 	if c.derive != nil {
 		snap.derived = c.derive(m)
@@ -183,32 +168,11 @@ func (c *COWModel) NumClasses() int { return c.snap.Load().Class.Rows }
 // against the same snapshot's class matrix — one atomic load, so the
 // (encoder, class) pair is always consistent. Safe for any number of
 // concurrent callers; allocation-free in steady state.
-func (c *COWModel) Predict(x []float32) int {
-	snap := c.snap.Load()
-	sc := pooledScratch(&c.predictScratch, snap.Class.Cols)
-	snap.Enc.Encode(x, sc.h)
-	pred := snap.scorer.PredictEncoded(sc.h)
-	c.predictScratch.Put(sc)
-	return pred
-}
-
-// PredictEncoded classifies an already-encoded hypervector against the
-// live snapshot.
-func (c *COWModel) PredictEncoded(h []float32) int {
-	return c.snap.Load().PredictEncoded(h)
-}
+func (c *COWModel) Predict(x []float32) int { return c.snap.Load().model.Predict(x) }
 
 // PredictBatchInto classifies every row of x into out (len x.Rows)
 // through the blocked encode/score kernels, against one consistent
 // snapshot. Safe for concurrent callers.
 func (c *COWModel) PredictBatchInto(x *hdc.Matrix, out []int) {
-	snap := c.snap.Load()
-	enc, _ := c.encScratch.Get().(*hdc.Matrix)
-	if enc == nil {
-		enc = new(hdc.Matrix)
-	}
-	enc.Resize(x.Rows, snap.Class.Cols)
-	encoder.EncodeBatchInto(snap.Enc, x, enc)
-	snap.scorer.PredictBatchEncoded(enc, out)
-	c.encScratch.Put(enc)
+	c.snap.Load().model.PredictBatchInto(x, out)
 }

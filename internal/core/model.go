@@ -112,29 +112,13 @@ type Model struct {
 	encScratch     sync.Pool
 }
 
-// modelScratch is the pooled encode buffer of Model.Predict and
-// COWModel.Predict.
-type modelScratch struct {
-	h []float32
-}
-
-// pooledScratch fetches (or builds) an encode buffer of dim elements
-// from pool.
-func pooledScratch(pool *sync.Pool, dim int) *modelScratch {
-	sc, _ := pool.Get().(*modelScratch)
-	if sc == nil || len(sc.h) != dim {
-		sc = &modelScratch{h: make([]float32, dim)}
-	}
-	return sc
-}
-
 // Scorer returns the model's norm-caching scorer, building it on first
 // use (models assembled field-by-field have none yet). Safe for
 // concurrent first use from Predict.
 func (m *Model) Scorer() *Scorer {
 	m.scorerOnce.Do(func() {
 		if m.scorer == nil {
-			m.scorer = NewScorer(m.Class)
+			m.scorer = newScorer(m.Class)
 		}
 	})
 	return m.scorer
@@ -308,10 +292,14 @@ func (m *Model) NumClasses() int { return m.Class.Rows }
 // Scratch comes from the model's pool, so steady-state calls are
 // allocation-free.
 func (m *Model) Predict(x []float32) int {
-	sc := pooledScratch(&m.predictScratch, m.Enc.Dim())
-	m.Enc.Encode(x, sc.h)
-	pred := m.Scorer().PredictEncoded(sc.h)
-	m.predictScratch.Put(sc)
+	h, _ := m.predictScratch.Get().(*[]float32)
+	if h == nil {
+		h = new([]float32)
+		*h = make([]float32, m.Enc.Dim())
+	}
+	m.Enc.Encode(x, *h)
+	pred := m.Scorer().PredictEncoded(*h)
+	m.predictScratch.Put(h)
 	return pred
 }
 

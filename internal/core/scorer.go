@@ -24,8 +24,8 @@ import (
 //
 // Similarities, the learning rule's side, scores against the panel: a
 // float64 copy of the class memory that its first call builds and Refresh
-// and RefreshRow then keep current. A predict-only scorer (every published
-// Snapshot's) never builds one.
+// and RefreshRow then keep current. A predict-only scorer (a model decoded
+// from a snapshot) never builds one.
 type Scorer struct {
 	class *hdc.Matrix
 	norms []float64
@@ -37,9 +37,9 @@ type Scorer struct {
 	batchPool sync.Pool
 }
 
-// NewScorer builds a scorer over class (shared, not copied) and computes
+// newScorer builds a scorer over class (shared, not copied) and computes
 // the initial row norms.
-func NewScorer(class *hdc.Matrix) *Scorer {
+func newScorer(class *hdc.Matrix) *Scorer {
 	s := &Scorer{class: class, norms: make([]float64, class.Rows)}
 	s.Refresh()
 	return s

@@ -138,7 +138,7 @@ func TestSimilarities(t *testing.T) {
 	m := hdc.NewMatrix(3, 2)
 	copy(m.Row(0), []float32{1, 0})
 	copy(m.Row(1), []float32{0, 1})
-	s, q, out := NewScorer(m), []float32{1, 1}, make([]float64, 3)
+	s, q, out := newScorer(m), []float32{1, 1}, make([]float64, 3)
 	s.Similarities(q, hdc.Norm(q), out)
 	inv := 1 / math.Sqrt2
 	if math.Abs(out[0]-inv) > 1e-6 || math.Abs(out[1]-inv) > 1e-6 || out[2] != 0 {
@@ -152,13 +152,12 @@ func TestSimilarities(t *testing.T) {
 // TestSimilaritiesTracksUpdates drives the learning rule's access pattern
 // — random Axpy into one row then RefreshRow, and a Refresh after dropped
 // columns — and requires Similarities to equal the hdc.Dot / hdc.Norm
-// reference exactly at every step. Training builds the panel; the
-// snapshots a COWModel publishes must not.
+// reference exactly at every step.
 func TestSimilaritiesTracksUpdates(t *testing.T) {
 	r := rng.New(21)
 	class := hdc.NewMatrix(9, 130)
 	r.FillNorm(class.Data, 0, 1)
-	s, h, got := NewScorer(class), make([]float32, 130), make([]float64, 9)
+	s, h, got := newScorer(class), make([]float32, 130), make([]float64, 9)
 	for step := 0; step < 200; step++ {
 		r.FillNorm(h, 0, 1)
 		s.Similarities(h, hdc.Norm(h), got)
@@ -175,15 +174,6 @@ func TestSimilaritiesTracksUpdates(t *testing.T) {
 			class.ZeroColumns([]int{0, 3, 64, 129})
 			s.Refresh()
 		}
-	}
-	m, next, _, _ := cowModel(t)
-	cow := NewCOWModel(m)
-	if err := cow.ReplaceModel(next); err != nil {
-		t.Fatal(err)
-	}
-	if cow.Version() != 2 || next.scorer.panel == nil || cow.Snapshot().scorer.panel != nil {
-		t.Fatalf("version %d: trained model's panel built %v, published snapshot's %v",
-			cow.Version(), next.scorer.panel != nil, cow.Snapshot().scorer.panel != nil)
 	}
 }
 
@@ -220,7 +210,7 @@ func TestScorerManyClasses(t *testing.T) {
 	r := rng.New(9)
 	class := hdc.NewMatrix(stackClasses+13, 96)
 	r.FillNorm(class.Data, 0, 1)
-	s := NewScorer(class)
+	s := newScorer(class)
 	q := make([]float32, 96)
 	for trial := 0; trial < 20; trial++ {
 		r.FillNorm(q, 0, 1)
@@ -235,7 +225,7 @@ func TestScorerManyClasses(t *testing.T) {
 // TestScorerQueryLengthPanics preserves the seed's contract: a query of
 // the wrong dimensionality must panic, not silently score a prefix.
 func TestScorerQueryLengthPanics(t *testing.T) {
-	s := NewScorer(hdc.NewMatrix(3, 8))
+	s := newScorer(hdc.NewMatrix(3, 8))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on short query")
@@ -277,7 +267,7 @@ func TestKernelAccuracyParity(t *testing.T) {
 // TestScorerZeroQueryAndRows matches argmaxCosine conventions.
 func TestScorerZeroQueryAndRows(t *testing.T) {
 	class := hdc.NewMatrix(3, 8)
-	s := NewScorer(class) // all rows zero
+	s := newScorer(class) // all rows zero
 	q := make([]float32, 8)
 	if got := s.PredictEncoded(q); got != 0 {
 		t.Errorf("all-zero scoring should return class 0, got %d", got)

@@ -122,7 +122,7 @@ func SaveSnapshot(w io.Writer, c *COWModel) error {
 		ModelVersion: snap.Version,
 		ClassRows:    snap.Class.Rows, ClassCols: snap.Class.Cols,
 		ClassData:    snap.Class.Data,
-		Norms:        snap.scorer.norms,
+		Norms:        m.Scorer().norms,
 		EffectiveDim: m.EffectiveDim,
 		History:      m.History,
 		Opts:         persistOptions(m.opts),
@@ -245,11 +245,11 @@ func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
 }
 
 // RestoreSnapshot wraps a model DecodeSnapshot returned in a
-// serving-ready COWModel. The live publication carries the model's norm
-// cache (the saved one, for v2) and continues the saved version counter,
-// so verdicts are bit-identical to the process that wrote the snapshot
-// and the first post-restore reload is observably a newer version. m is
-// published as is, as with NewCOWModel.
+// serving-ready COWModel. The live publication serves through the
+// model's norm cache (the saved one, for v2) and continues the saved
+// version counter, so verdicts are bit-identical to the process that
+// wrote the snapshot and the first post-restore reload is observably a
+// newer version. m is published as is, as with NewCOWModel.
 // Quantized serving state is re-derived, not deserialized: hand the model
 // to a pipeline config with Quantize set (or call quantize.AttachLive)
 // and the recorded SnapshotInfo.DerivedWidth is reproduced bit for bit.
@@ -257,9 +257,6 @@ func RestoreSnapshot(m *Model, info SnapshotInfo) *COWModel {
 	c := &COWModel{version: info.ModelVersion - 1}
 	c.mu.Lock()
 	c.publishLocked(m)
-	// The fresh publication recomputed norms from the class data;
-	// overwrite them before any reader exists.
-	copy(c.snap.Load().scorer.norms, m.Scorer().norms)
 	c.mu.Unlock()
 	return c
 }

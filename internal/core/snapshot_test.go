@@ -61,7 +61,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	if !back.Snapshot().Class.Equal(c.Snapshot().Class) {
 		t.Fatal("class matrix changed across snapshot round trip")
 	}
-	a, b := c.Snapshot().scorer.norms, back.Snapshot().scorer.norms
+	a, b := c.Snapshot().model.Scorer().norms, back.Snapshot().model.Scorer().norms
 	if len(a) != len(b) {
 		t.Fatalf("norms length %d != %d", len(b), len(a))
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cyberhd/internal/datasets"
+	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 )
 
@@ -23,6 +24,8 @@ func (bitsModel) Predict(x []float32) int {
 	}
 	return int(h>>7) & 1
 }
+
+func (m bitsModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
 
 // chunkOp is one step of a hand-driven replay.
 type chunkOp struct {

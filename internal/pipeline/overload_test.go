@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cyberhd/internal/datasets"
+	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/telemetry"
 	"cyberhd/internal/traffic"
@@ -15,9 +16,7 @@ import (
 
 // stubModel answers benign instantly — for admission tests that never
 // look at verdicts, sparing the training cost of buildModel.
-type stubModel struct{}
-
-func (stubModel) Predict([]float32) int { return 0 }
+type stubModel = staticModel
 
 // slowModel spends a fixed wall-clock delay per verdict, turning any
 // feed loop into an overload: ingestion outruns classification by
@@ -28,6 +27,8 @@ func (m slowModel) Predict([]float32) int {
 	time.Sleep(m.delay)
 	return 0
 }
+
+func (m slowModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
 
 // blockingModel parks every Predict until release closes, signalling
 // entry on entered — the deterministic way to wedge a worker goroutine
@@ -45,6 +46,8 @@ func (m *blockingModel) Predict([]float32) int {
 	<-m.release
 	return 0
 }
+
+func (m *blockingModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
 
 // fastCfg assembles a valid engine config around model with no trained
 // detector: an identity-shaped normalizer and two classes.

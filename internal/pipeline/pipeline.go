@@ -27,19 +27,15 @@ import (
 )
 
 // Classifier is the model interface the engine drives. core.Model,
-// core.COWModel, quantize.Model and quantize.Live all satisfy it.
+// core.COWModel, quantize.Model and quantize.Live all satisfy it. The
+// engine classifies every flow through PredictBatchInto, which must be
+// bit-identical to per-row Predict so the batch size never changes a
+// verdict.
 type Classifier interface {
 	// Predict returns the class index for one normalized feature vector.
 	Predict(x []float32) int
-}
-
-// BatchClassifier is the optional micro-batch interface (core.Model,
-// core.COWModel, quantize.Model and quantize.Live implement it): classify
-// every row of x into out through the blocked encode/score kernels.
-// Implementations must be bit-identical to per-row Predict so batch mode
-// never changes verdicts.
-type BatchClassifier interface {
-	// PredictBatchInto classifies every row of x into out (len x.Rows).
+	// PredictBatchInto classifies every row of x into out (len x.Rows)
+	// through the blocked encode/score kernels.
 	PredictBatchInto(x *hdc.Matrix, out []int)
 }
 
@@ -113,10 +109,9 @@ type Config struct {
 	// every dataset the engine serves: its verdicts never alert.
 	ClassNames []string
 	// BatchSize > 1 buffers completed flows and classifies them in
-	// micro-batches through the model's BatchClassifier path, trading a
-	// bounded verdict delay (at most BatchSize-1 flows, cleared by Tick
-	// and Flush) for GEMM-rate throughput. 0 or 1 classifies every flow
-	// immediately; models without PredictBatchInto also run immediately.
+	// micro-batches, trading a bounded verdict delay (at most BatchSize-1
+	// flows, cleared by Tick and Flush) for GEMM-rate throughput. 0 or 1
+	// classifies every flow at once, as a batch of one.
 	BatchSize int
 	// Quantize, when set to a valid bitpack.Width, lowers classification
 	// to packed w-bit integer inference (the paper's Table I bitwidths as
@@ -136,7 +131,9 @@ type Config struct {
 	// mid-traffic; a Sharded engine shares it across all shards. See
 	// Shadow.
 	Shadow *Shadow
-	// OnAlert, when set, receives every alert synchronously.
+	// OnAlert, when set, receives every alert synchronously. On Engine it
+	// may call Feed, Tick, Flush and Close; those calls apply, in order,
+	// when the flush emitting the alert returns.
 	OnAlert func(Alert)
 	// Sinks receive every alert after OnAlert, in order. Delivery follows
 	// the engine's alert contract: serialized, in verdict order (per shard
@@ -187,7 +184,6 @@ type Engine struct {
 	cfg Config
 	asm *netflow.Assembler
 	tel *telemetry.Collector
-	buf []float32
 
 	// now is the engine's capture clock: the newest packet or tick
 	// timestamp seen. Verdict latency is measured against it.
@@ -195,23 +191,24 @@ type Engine struct {
 	// closed makes post-Close operations defined no-ops (Stream contract).
 	closed bool
 
-	// Micro-batch state: pending features accumulate as rows of pendX
+	// Batch state: every completed flow's features become a row of pendX
 	// (viewed through pendView at the current fill) and classify into
-	// preds when the batch fills, Tick fires, or Flush drains; pendDone
-	// records the capture time each pending flow completed, so the batch
-	// wait shows up in the verdict-latency histogram. All buffers are
-	// preallocated so the steady-state path never allocates.
-	batch     BatchClassifier
+	// preds when the batch fills — at once when BatchSize <= 1 — Tick
+	// fires, or Flush drains; pendDone records the capture time each
+	// pending flow completed, so the batch wait shows up in the
+	// verdict-latency histogram. All buffers are preallocated so the
+	// steady-state path never allocates.
 	pendX     *hdc.Matrix
 	pendView  hdc.Matrix
 	pendFlows []*netflow.Flow
 	pendDone  []float64
 	preds     []int
-	// flushing guards re-entrancy: an OnAlert callback may Feed packets
-	// back into the engine, completing flows while a batch is mid-flush;
-	// those classify synchronously instead of corrupting the pending
-	// buffers.
+	// flushing is set while flushBatch emits verdicts. The Feed, Tick,
+	// Flush and Close calls alert callbacks make meanwhile wait in
+	// deferred, so the pending buffers never change mid-emit and sinks
+	// see alerts in verdict order.
 	flushing bool
+	deferred []streamMsg
 }
 
 // applyQuantize resolves cfg.Quantize: the model is lowered to packed
@@ -318,22 +315,19 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, tel: resolveTelemetry(&cfg)}
 	e.asm = netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, e.onFlow)
-	if cfg.BatchSize > 1 {
-		if bc, ok := cfg.Model.(BatchClassifier); ok {
-			e.batch = bc
-			e.pendX = hdc.NewMatrix(cfg.BatchSize, netflow.NumFeatures)
-			e.pendFlows = make([]*netflow.Flow, 0, cfg.BatchSize)
-			e.pendDone = make([]float64, 0, cfg.BatchSize)
-			e.preds = make([]int, cfg.BatchSize)
-		}
-	}
+	n := max(cfg.BatchSize, 1)
+	e.pendX = hdc.NewMatrix(n, netflow.NumFeatures)
+	e.pendFlows = make([]*netflow.Flow, 0, n)
+	e.pendDone = make([]float64, 0, n)
+	e.preds = make([]int, n)
 	return e, nil
 }
 
 // Feed processes one packet. Packets must arrive in time order. After
 // Close it is a defined no-op.
 func (e *Engine) Feed(p netflow.Packet) {
-	if e.closed {
+	// The one-packet slice is built only mid-flush.
+	if e.closed || e.flushing && e.queued(streamMsg{pkts: []netflow.Packet{p}}) {
 		return
 	}
 	e.tel.AddPackets(1)
@@ -361,7 +355,7 @@ func (e *Engine) FeedWithin(p netflow.Packet, _ time.Duration) bool {
 // so verdict latency stays bounded during quiet periods. After Close it
 // is a defined no-op.
 func (e *Engine) Tick(now float64) {
-	if e.closed {
+	if e.closed || e.queued(streamMsg{kind: msgTick, tick: now}) {
 		return
 	}
 	if now > e.now {
@@ -375,7 +369,7 @@ func (e *Engine) Tick(now float64) {
 // everything still pending in the micro-batch buffer. After Close it is
 // a defined no-op.
 func (e *Engine) Flush() {
-	if e.closed {
+	if e.closed || e.queued(streamMsg{kind: msgFlush}) {
 		return
 	}
 	e.asm.Flush()
@@ -386,7 +380,7 @@ func (e *Engine) Flush() {
 // Flush — and retires it: later Feed/Tick/Flush calls are defined
 // no-ops, per the Stream contract. Idempotent.
 func (e *Engine) Close() {
-	if e.closed {
+	if e.closed || e.queued(streamMsg{kind: msgClose}) {
 		return
 	}
 	e.Flush()
@@ -401,59 +395,44 @@ func (e *Engine) Stats() Stats { return StatsOf(e.tel.Snapshot()) }
 // (latency histogram, suppression totals, Prometheus export).
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
 
-// onFlow featurizes, normalizes and classifies one completed flow —
-// immediately in synchronous mode, or once a micro-batch fills in batch
-// mode. Both paths reuse preallocated buffers, so steady-state
-// classification performs no allocations.
-func (e *Engine) onFlow(f *netflow.Flow) {
-	e.tel.FlowCompleted()
-	if e.batch != nil && !e.flushing {
-		i := len(e.pendFlows)
-		c := e.pendX.Cols
-		row := f.AppendFeatures(e.pendX.Data[i*c : i*c : (i+1)*c])
-		e.cfg.Normalizer.ApplyVec(row)
-		e.pendFlows = append(e.pendFlows, f)
-		e.pendDone = append(e.pendDone, e.now)
-		if len(e.pendFlows) == e.cfg.BatchSize {
-			e.flushBatch()
-		}
-		return
+// queued reports whether the call m stands for waits: while a flush
+// emits verdicts, what an alert callback calls is queued, and the flush
+// applies it, in call order, when it returns.
+func (e *Engine) queued(m streamMsg) bool {
+	if e.flushing {
+		e.deferred = append(e.deferred, m)
 	}
-	if e.buf == nil {
-		e.buf = make([]float32, 0, netflow.NumFeatures)
-	}
-	e.buf = f.AppendFeatures(e.buf[:0])
-	e.cfg.Normalizer.ApplyVec(e.buf)
-	pred := e.cfg.Model.Predict(e.buf)
-	e.shadowScore(e.buf, pred)
-	e.verdict(f, pred, e.now)
+	return e.flushing
 }
 
-// shadowScore runs the shadow tap's candidate (if any) on one normalized
-// feature vector and counts divergence from the primary's verdict. One
-// atomic load when no tap is configured or attached.
-func (e *Engine) shadowScore(x []float32, primary int) {
-	if e.cfg.Shadow == nil {
-		return
+// onFlow featurizes and normalizes one completed flow into the next row
+// of the batch buffer, and classifies the batch once it is full — at once
+// when BatchSize <= 1. Steady-state classification allocates nothing.
+func (e *Engine) onFlow(f *netflow.Flow) {
+	e.tel.FlowCompleted()
+	i := len(e.pendFlows)
+	c := e.pendX.Cols
+	row := f.AppendFeatures(e.pendX.Data[i*c : i*c : (i+1)*c])
+	e.cfg.Normalizer.ApplyVec(row)
+	e.pendFlows = append(e.pendFlows, f)
+	e.pendDone = append(e.pendDone, e.now)
+	if len(e.pendFlows) == e.pendX.Rows {
+		e.flushBatch()
 	}
-	m := e.cfg.Shadow.Get()
-	if m == nil {
-		return
-	}
-	e.tel.ShadowVerdict(primary, m.Predict(x) != primary)
 }
 
 // flushBatch classifies all pending flows through one blocked batch
-// predict and emits their verdicts in arrival order.
+// predict, emits their verdicts in arrival order, then applies the calls
+// alert callbacks queued meanwhile, in call order. Each of those calls'
+// own flushes applies what its callbacks queue, so the queue is empty
+// again when this returns.
 func (e *Engine) flushBatch() {
 	n := len(e.pendFlows)
-	if n == 0 || e.flushing {
+	if n == 0 {
 		return
 	}
-	e.flushing = true
-	defer func() { e.flushing = false }()
 	e.pendView = hdc.Matrix{Rows: n, Cols: e.pendX.Cols, Data: e.pendX.Data[:n*e.pendX.Cols]}
-	e.batch.PredictBatchInto(&e.pendView, e.preds[:n])
+	e.cfg.Model.PredictBatchInto(&e.pendView, e.preds[:n])
 	if e.cfg.Shadow != nil {
 		// One candidate load per batch, so every row of this flush is
 		// scored against the same shadow version.
@@ -463,11 +442,18 @@ func (e *Engine) flushBatch() {
 			}
 		}
 	}
+	e.flushing = true
 	for i, f := range e.pendFlows {
 		e.verdict(f, e.preds[i], e.pendDone[i])
 	}
+	e.flushing = false
 	e.pendFlows = e.pendFlows[:0]
 	e.pendDone = e.pendDone[:0]
+	q := e.deferred
+	e.deferred = nil
+	for _, m := range q {
+		e.dispatch(m)
+	}
 }
 
 // verdict records one classification — counters plus the capture-time

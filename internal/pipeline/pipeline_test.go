@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
+	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/traffic"
 )
@@ -169,10 +171,19 @@ func TestTickEvictsIdleFlows(t *testing.T) {
 	}
 }
 
+// predictRows is the per-row test models' batch method.
+func predictRows(predict func([]float32) int, x *hdc.Matrix, out []int) {
+	for i := range out {
+		out[i] = predict(x.Row(i))
+	}
+}
+
 // staticModel is a Classifier that calls every flow benign.
 type staticModel struct{}
 
 func (staticModel) Predict([]float32) int { return 0 }
+
+func (staticModel) PredictBatchInto(x *hdc.Matrix, out []int) { clear(out) }
 
 func TestConcurrentMatchesSynchronous(t *testing.T) {
 	cfg, live := buildModel(t)
@@ -193,9 +204,6 @@ func TestBatchModeMatchesSync(t *testing.T) {
 	batched, err := New(bcfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if batched.batch == nil {
-		t.Fatal("core.Model did not engage the batch classifier path")
 	}
 	statsEqual(t, "batch64", feedAll(batched, live.Packets), directDrive(t, cfg, live.Packets))
 }
@@ -231,26 +239,6 @@ func TestBatchModeFlushesOnTick(t *testing.T) {
 	}
 	if sum != 1 {
 		t.Fatalf("verdict still pending after Tick: ByClass sums to %d", sum)
-	}
-}
-
-// TestBatchModeFallsBackWithoutBatchClassifier keeps plain Classifier
-// models working when BatchSize is set.
-func TestBatchModeFallsBackWithoutBatchClassifier(t *testing.T) {
-	cfg, _ := buildModel(t)
-	cfg.Model = staticModel{}
-	cfg.BatchSize = 32
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.batch != nil {
-		t.Fatal("static model must not engage batch mode")
-	}
-	eng.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
-	eng.Flush()
-	if eng.Stats().Flows != 1 {
-		t.Fatal("fallback engine dropped the flow")
 	}
 }
 
@@ -295,51 +283,57 @@ func TestOnFlowAllocFree(t *testing.T) {
 }
 
 // alwaysAttack alerts on every flow.
-type alwaysAttack struct{}
+type alwaysAttack = constAttackModel
 
-func (alwaysAttack) Predict([]float32) int { return 1 }
-
-// TestTickSurvivesOnAlertFeedingBack pins the per-flow path's callback
-// contract end to end: OnAlert may Feed packets back while Tick is
-// evicting. Here the packet re-uses the 5-tuple of a flow the same tick
-// has yet to evict, past its idle timeout, which ends that flow on the
-// packet path and starts a successor. Every flow must still be classified
-// exactly once and every packet belong to exactly one of them.
+// TestTickSurvivesOnAlertFeedingBack pins the callback contract, per flow
+// and batched: while Tick evicts, the first alert's callback feeds a packet
+// that ends an expired flow the tick has yet to evict and starts its
+// successor, a SYN+RST flow, a tick that evicts the successor, one more
+// flow, and a flush. Every flow must alert exactly once, within the outer
+// Tick, every packet belong to one of them, and a sink see the alerts in
+// verdict order — the order OnAlert saw them.
 func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
-	cfg := fastCfg(alwaysAttack{})
-	var eng *Engine
-	var alerted []*netflow.Flow
-	cfg.OnAlert = func(a Alert) {
-		alerted = append(alerted, a.Flow)
-		if len(alerted) == 1 {
-			eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 200, netflow.ACK))
-		}
-	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Feed(tcpPkt(0x0a000001, 0x0a000002, 40000, 443, 0, netflow.SYN))
-	eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 1, netflow.SYN))
-	eng.Tick(200) // past the 120 s idle timeout of both flows
-	if st := eng.Stats(); st.Flows != 2 || st.Alerts != 2 {
-		t.Fatalf("after Tick: %d flows, %d alerts; want the two idle flows, once each", st.Flows, st.Alerts)
-	}
-	eng.Close()
-	st := eng.Stats()
-	if st.Flows != 3 || st.Alerts != 3 || len(alerted) != 3 {
-		t.Fatalf("after Close: %d flows, %d alerts, %d callbacks; want 3 each (the successor survived the tick)", st.Flows, st.Alerts, len(alerted))
-	}
-	pkts := 0
-	seen := map[*netflow.Flow]bool{}
-	for _, f := range alerted {
-		if seen[f] {
-			t.Fatalf("flow %v classified twice", f.Key)
-		}
-		seen[f] = true
-		pkts += f.TotalPackets()
-	}
-	if pkts != st.Packets || pkts != 3 {
-		t.Fatalf("flows hold %d packets, engine counted %d, fed 3", pkts, st.Packets)
+	for _, batch := range []int{0, 1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			cfg := fastCfg(alwaysAttack{})
+			cfg.BatchSize = batch
+			var eng *Engine
+			var alerted []*netflow.Flow // in verdict order
+			var order []int             // the sink's alerts, as indices into alerted
+			cfg.OnAlert = func(a Alert) {
+				alerted = append(alerted, a.Flow)
+				if len(alerted) == 1 {
+					eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 200, netflow.ACK))
+					eng.Feed(tcpPkt(0x0a000005, 0x0a000006, 40001, 443, 200, netflow.SYN))
+					eng.Feed(tcpPkt(0x0a000005, 0x0a000006, 40001, 443, 200, netflow.RST))
+					eng.Tick(400) // past the successor's idle timeout
+					eng.Feed(tcpPkt(0x0a000007, 0x0a000008, 40002, 443, 400, netflow.SYN))
+					eng.Flush()
+				}
+			}
+			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { order = append(order, slices.Index(alerted, a.Flow)) })}
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Feed(tcpPkt(0x0a000001, 0x0a000002, 40000, 443, 0, netflow.SYN))
+			eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 1, netflow.SYN))
+			eng.Tick(200) // past the 120 s idle timeout of both flows
+			n := len(alerted)
+			eng.Close()
+			if st := eng.Stats(); n != 5 || st.Flows != 5 || st.Alerts != 5 {
+				t.Fatalf("%d alerts by the end of Tick, then %d flows and %d alerts after Close; want 5 each", n, st.Flows, st.Alerts)
+			}
+			if !slices.Equal(order, []int{0, 1, 2, 3, 4}) { // so the 5 flows are distinct
+				t.Fatalf("sink saw the verdicts in order %v", order)
+			}
+			pkts, st := 0, eng.Stats()
+			for _, f := range alerted {
+				pkts += f.TotalPackets()
+			}
+			if pkts != st.Packets || pkts != 6 {
+				t.Fatalf("flows hold %d packets, engine counted %d, fed 6", pkts, st.Packets)
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@ import "sync/atomic"
 // Attach the tap through Config.Shadow before building an engine; Set,
 // Clear and Get are safe from any goroutine at any time, so a candidate
 // can be attached, replaced or detached mid-traffic. Engines load the
-// candidate once per flow (per micro-batch in batch mode), so one flow
-// is never scored against two different candidates.
+// candidate once per batch flush (so once per flow when BatchSize <= 1),
+// so one flow is never scored against two different candidates.
 //
 // The candidate's Predict must be safe for concurrent callers (all
 // models in this tree are) and must accept the same normalized feature

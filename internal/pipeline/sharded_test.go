@@ -127,9 +127,7 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 }
 
 // attackModel predicts class 1 for everything.
-type attackModel struct{}
-
-func (attackModel) Predict([]float32) int { return 1 }
+type attackModel = constAttackModel
 
 // TestConcurrentStatsAfterClose: once Close returns, the worker goroutine
 // has exited and Stats is stable and safe to read repeatedly.

@@ -125,6 +125,7 @@ const (
 	msgPackets msgKind = iota // packets only
 	msgTick
 	msgFlush
+	msgClose // only an alert callback's, queued on Engine
 )
 
 // dispatch applies one ingress message to an engine.
@@ -137,5 +138,7 @@ func (e *Engine) dispatch(m streamMsg) {
 		e.Tick(m.tick)
 	case msgFlush:
 		e.Flush()
+	case msgClose:
+		e.Close()
 	}
 }

@@ -234,9 +234,6 @@ func TestVerdictLatencyHistogram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.batch == nil {
-			t.Fatal("batch mode not engaged")
-		}
 		// Two short flows completing at t≈1, then a tick 5 capture-seconds
 		// later: their verdicts waited ~5 s in the batch buffer.
 		mk := func(sport uint16, t0 float64, flags uint8) netflow.Packet {

@@ -16,9 +16,9 @@ import (
 // and its quantized memory together: a verdict is never computed against a
 // version-skewed pair.
 //
-// Live implements pipeline.Classifier and pipeline.BatchClassifier, so it
-// drops into Engine and Sharded; the engines build it automatically when
-// Config.Quantize is set and Config.Model is a *core.COWModel.
+// Live implements pipeline.Classifier, so it drops into Engine and
+// Sharded; the engines build it automatically when Config.Quantize is set
+// and Config.Model is a *core.COWModel.
 // Steady-state classification (no publications in flight) is
 // allocation-free; each publication pays one quantization of the class
 // memory on the publisher's goroutine.

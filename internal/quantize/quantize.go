@@ -216,7 +216,7 @@ func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs in
 	sims := make([]float64, shadow.Rows)
 	// The shadow's norms and float64 panel, kept current: an update
 	// refreshes the two rows it moves.
-	sc := core.NewScorer(shadow)
+	sc := (&core.Model{Class: shadow}).Scorer()
 	qv := bitpack.NewVector(shadow.Cols, w) // packed-query scratch, reused per sample
 	for e := 0; e < epochs; e++ {
 		r.ShuffleInts(order)

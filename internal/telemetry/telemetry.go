@@ -92,6 +92,7 @@ type Collector struct {
 
 	// latency histogram: per-bucket counts (not cumulative), plus the
 	// observation sum in capture microseconds so it can be an integer add.
+	// The sum saturates at math.MaxInt64 instead of wrapping.
 	latCounts   [NumLatencyBuckets]atomic.Int64
 	latSumMicro atomic.Int64
 
@@ -180,7 +181,9 @@ func (c *Collector) Verdict(class int, alert bool, latencySeconds float64) {
 }
 
 // ObserveLatency records one verdict-latency observation in capture
-// seconds. NaN/Inf are dropped; negatives clamp to zero.
+// seconds. NaN/Inf are dropped; negatives clamp to zero. The sum
+// saturates: an observation or a total past math.MaxInt64 microseconds
+// (capture timestamps are any float64) pins it there.
 func (c *Collector) ObserveLatency(seconds float64) {
 	if math.IsNaN(seconds) || math.IsInf(seconds, 0) {
 		return
@@ -193,7 +196,13 @@ func (c *Collector) ObserveLatency(seconds float64) {
 		i++
 	}
 	c.latCounts[i].Add(1)
-	c.latSumMicro.Add(int64(seconds * 1e6))
+	us := int64(math.MaxInt64)
+	if v := seconds * 1e6; v < 1<<63 {
+		us = int64(v)
+	}
+	if c.latSumMicro.Add(us) < 0 { // every term is non-negative: it wrapped
+		c.latSumMicro.Store(math.MaxInt64)
+	}
 }
 
 // AddDropped counts n packets refused by the admission gate for the
@@ -447,7 +456,11 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Latency.Counts[i] = n
 		s.Latency.Count += n
 	}
-	s.Latency.Sum = float64(c.latSumMicro.Load()) / 1e6
+	sum := c.latSumMicro.Load()
+	if sum < 0 { // an Add wrapped and its Store is still to come
+		sum = math.MaxInt64
+	}
+	s.Latency.Sum = float64(sum) / 1e6
 	s.Flows = c.flows.Load()
 	s.Packets = c.packets.Load()
 	if k := c.kernels.Load(); k != nil {
@@ -468,19 +481,8 @@ func (c *Collector) tenantSnapshot() ([]TenantDrops, int64) {
 	for k, n := range c.tenantDrops {
 		all = append(all, TenantDrops{Key: k, Dropped: n})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dropped != all[j].Dropped {
-			return all[i].Dropped > all[j].Dropped
-		}
-		return all[i].Key < all[j].Key
-	})
-	other := c.tenantOther
-	if len(all) > TopTenantDrops {
-		for _, t := range all[TopTenantDrops:] {
-			other += t.Dropped
-		}
-		all = all[:TopTenantDrops]
-	}
+	all, folded := topTenants(all)
+	other := c.tenantOther + folded
 	label := c.tenantLabel
 	for i := range all {
 		if label != nil {
@@ -564,19 +566,29 @@ func Merge(snaps ...Snapshot) Snapshot {
 		for _, t := range tenants {
 			all = append(all, t)
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Dropped != all[j].Dropped {
-				return all[i].Dropped > all[j].Dropped
-			}
-			return all[i].Key < all[j].Key
-		})
-		if len(all) > TopTenantDrops {
-			for _, t := range all[TopTenantDrops:] {
-				m.DroppedByTenantOther += t.Dropped
-			}
-			all = all[:TopTenantDrops]
-		}
-		m.DroppedByTenant = all
+		var folded int64
+		m.DroppedByTenant, folded = topTenants(all)
+		m.DroppedByTenantOther += folded
 	}
 	return m
+}
+
+// topTenants ranks tenants most-dropped first (ties by key) and keeps the
+// top TopTenantDrops, returning the drops of the rest to fold into
+// "other".
+func topTenants(all []TenantDrops) ([]TenantDrops, int64) {
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Dropped != all[j].Dropped {
+			return all[i].Dropped > all[j].Dropped
+		}
+		return all[i].Key < all[j].Key
+	})
+	var folded int64
+	if len(all) > TopTenantDrops {
+		for _, t := range all[TopTenantDrops:] {
+			folded += t.Dropped
+		}
+		all = all[:TopTenantDrops]
+	}
+	return all, folded
 }

@@ -76,6 +76,21 @@ func TestLatencyBucketing(t *testing.T) {
 	}
 }
 
+// TestLatencySumSaturates: capture times are any float64 (a flow done at
+// t=2 may classify at 1e300), so one wait, or a total, can pass an int64
+// of microseconds. Either pins the sum at math.MaxInt64 µs, never wraps.
+func TestLatencySumSaturates(t *testing.T) {
+	for _, obs := range [][]float64{{1e300 - 2}, {9e12, 9e12}, {9e12, 9e12, 1, 9e12}} {
+		c := New(nil)
+		for _, v := range obs {
+			c.ObserveLatency(v)
+		}
+		if got := c.Snapshot().Latency.Sum; got != float64(math.MaxInt64)/1e6 {
+			t.Errorf("%v: latency sum %g, want it saturated", obs, got)
+		}
+	}
+}
+
 func TestCollectorHotPathAllocFree(t *testing.T) {
 	c := New([]string{"benign", "dos"})
 	allocs := testing.AllocsPerRun(1000, func() {
