@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/pipeline"
 	"cyberhd/internal/telemetry"
 )
 
@@ -336,6 +338,16 @@ func TestAlertFrameRoundTrip(t *testing.T) {
 				t.Fatal("decodeAlert accepted the other width's payload")
 			}
 		})
+	}
+}
+
+// TestWireAlertSaturatesPackets: a flow of 2^32+5 packets reaches the
+// client as the 32-bit ceiling, not wrapped to 5.
+func TestWireAlertSaturatesPackets(t *testing.T) {
+	f := &netflow.Flow{}
+	f.FwdLen.N = 1<<32 + 5
+	if got := wireAlertOf(&pipeline.Alert{Flow: f}).Packets; got != math.MaxUint32 {
+		t.Fatalf("packets = %d, want %d", got, uint32(math.MaxUint32))
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
@@ -299,13 +300,14 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 }
 
-// wireAlertOf flattens an engine alert to its wire record.
+// wireAlertOf flattens an engine alert to its wire record. A packet
+// count past the 32-bit field saturates at math.MaxUint32.
 func wireAlertOf(a *pipeline.Alert) wireAlert {
 	f := a.Flow
 	return wireAlert{
 		Time: a.Time, FirstTime: f.FirstTime, Key: f.Key,
 		Class:     uint16(a.Class),
 		InitSrcIP: f.InitSrcIP, InitSrcPort: f.InitSrcPort,
-		Packets: uint32(f.TotalPackets()), Bytes: f.TotalBytes(),
+		Packets: uint32(min(f.TotalPackets(), math.MaxUint32)), Bytes: f.TotalBytes(),
 	}
 }

@@ -143,7 +143,6 @@ func (a *Assembler) evictOrdered(victims []*Flow) {
 // out of it before the callback runs.
 func (a *Assembler) evict(f *Flow) {
 	a.table.remove(f)
-	f.evicted = true
 	f.finish()
 	a.evicted++
 	if a.onEvict != nil {

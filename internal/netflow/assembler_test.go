@@ -548,8 +548,9 @@ func TestNaNTimestampDoesNotBlockEviction(t *testing.T) {
 
 // TestAssemblerAllocations pins the packet path's allocation budget: a
 // packet of a live flow and a tick with nothing idle allocate nothing, a
-// tick with victims allocates nothing once its scratch has grown, and a
-// new flow is one allocation — the Flow — while the table has room.
+// tick with victims allocates nothing once its scratch has grown, a new
+// flow is one allocation — the Flow — while the table has room, and its
+// first activity gap one more.
 func TestAssemblerAllocations(t *testing.T) {
 	a := netflow.NewAssembler(10, 1, func(*netflow.Flow) {})
 	now := 0.0
@@ -564,6 +565,16 @@ func TestAssemblerAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { a.EvictIdle(now + 1) }); n != 0 {
 		t.Errorf("EvictIdle with nothing idle: %v allocs, want 0", n)
+	}
+	// The packet 100 s on starts a new flow; the two after it are gaps.
+	if n := testing.AllocsPerRun(50, func() {
+		for _, dt := range []float64{100, 2, 2} {
+			now += dt
+			hit.Time = now
+			a.Add(hit)
+		}
+	}); n != 2 {
+		t.Errorf("a new flow and two activity gaps: %v allocs, want 2 (the Flow and one activity record)", n)
 	}
 
 	// Eight flows per round, all idle at the round's tick. The warm-up

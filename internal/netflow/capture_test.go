@@ -85,39 +85,6 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCaptureReplayThroughAssembler(t *testing.T) {
-	// A replayed capture must produce identical flows to the original.
-	var buf bytes.Buffer
-	pkts := tcpExchange(0)
-	raw := make([]Packet, len(pkts))
-	for i, p := range pkts {
-		raw[i] = *p
-	}
-	if err := WriteCapture(&buf, raw); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	featuresOf := func(ps []Packet) []float32 {
-		var out []float32
-		a := NewAssembler(120, 1, func(f *Flow) { out = f.Features() })
-		for i := range ps {
-			a.Add(&ps[i])
-		}
-		a.Flush()
-		return out
-	}
-	orig := featuresOf(raw)
-	back := featuresOf(replayed)
-	for i := range orig {
-		if orig[i] != back[i] {
-			t.Fatalf("feature %d differs after replay", i)
-		}
-	}
-}
-
 // syntheticCapture writes n deterministic packets to path and returns the
 // expected slice. At n in the hundreds of thousands the file spans
 // multiple megabytes, so the streaming assertions below exercise real

@@ -105,7 +105,8 @@ func safeDiv(a, b float64) float64 {
 
 // Features extracts the 78-element CIC-style feature vector from a
 // completed flow. Call only after the assembler evicts the flow (finish
-// has run).
+// has run). A packet counter past math.MaxUint32 reports the ceiling;
+// Min and Max of an empty Stats report 0.
 func (f *Flow) Features() []float32 {
 	return f.AppendFeatures(make([]float32, 0, NumFeatures))
 }
@@ -115,13 +116,11 @@ func (f *Flow) Features() []float32 {
 // that reuse buffers (the streaming engine's classification hot path).
 func (f *Flow) AppendFeatures(v []float32) []float32 {
 	dur := f.Duration()
-	var all Stats
-	// Combined packet-length stats from the directional accumulators
-	// would lose the exact std, so recompute from the moments we kept:
-	// simplest correct approach is to merge Welford states.
-	all = mergeStats(f.FwdLen, f.BwdLen)
+	// Merging the directional Welford states keeps the exact std.
+	all := mergeStats(f.FwdLen, f.BwdLen)
 
-	subflows := f.Active.N
+	active, idle := f.Activity()
+	subflows := active.N
 	if subflows == 0 {
 		subflows = 1
 	}
@@ -139,30 +138,30 @@ func (f *Flow) AppendFeatures(v []float32) []float32 {
 	push(float64(f.BwdLen.N))
 	push(f.FwdLen.Sum)
 	push(f.BwdLen.Sum)
-	push(f.FwdLen.SafeMax())
-	push(f.FwdLen.SafeMin())
+	push(f.FwdLen.Max)
+	push(f.FwdLen.Min)
 	push(f.FwdLen.Mean())
 	push(f.FwdLen.Std())
-	push(f.BwdLen.SafeMax())
-	push(f.BwdLen.SafeMin())
+	push(f.BwdLen.Max)
+	push(f.BwdLen.Min)
 	push(f.BwdLen.Mean())
 	push(f.BwdLen.Std())
 	push(safeDiv(f.TotalBytes(), dur))
 	push(safeDiv(float64(f.TotalPackets()), dur))
 	push(f.FlowIAT.Mean())
 	push(f.FlowIAT.Std())
-	push(f.FlowIAT.SafeMax())
-	push(f.FlowIAT.SafeMin())
+	push(f.FlowIAT.Max)
+	push(f.FlowIAT.Min)
 	push(f.FwdIAT.Sum)
 	push(f.FwdIAT.Mean())
 	push(f.FwdIAT.Std())
-	push(f.FwdIAT.SafeMax())
-	push(f.FwdIAT.SafeMin())
+	push(f.FwdIAT.Max)
+	push(f.FwdIAT.Min)
 	push(f.BwdIAT.Sum)
 	push(f.BwdIAT.Mean())
 	push(f.BwdIAT.Std())
-	push(f.BwdIAT.SafeMax())
-	push(f.BwdIAT.SafeMin())
+	push(f.BwdIAT.Max)
+	push(f.BwdIAT.Min)
 	push(float64(f.FwdPSH))
 	push(float64(f.BwdPSH))
 	push(float64(f.FwdURG))
@@ -171,8 +170,8 @@ func (f *Flow) AppendFeatures(v []float32) []float32 {
 	push(float64(f.BwdHeaderBytes))
 	push(safeDiv(float64(f.FwdLen.N), dur))
 	push(safeDiv(float64(f.BwdLen.N), dur))
-	push(all.SafeMin())
-	push(all.SafeMax())
+	push(all.Min)
+	push(all.Max)
 	push(all.Mean())
 	push(all.Std())
 	push(all.Variance())
@@ -188,12 +187,12 @@ func (f *Flow) AppendFeatures(v []float32) []float32 {
 	push(safeDiv(f.TotalBytes(), float64(f.TotalPackets())))
 	push(f.FwdLen.Mean())
 	push(f.BwdLen.Mean())
-	push(f.FwdLen.Sum / fsub)                 // fwd bytes per bulk/active period
-	push(float64(f.FwdLen.N) / fsub)          // fwd pkts per bulk
-	push(safeDiv(f.FwdLen.Sum, f.Active.Sum)) // fwd bulk rate
+	push(f.FwdLen.Sum / fsub)               // fwd bytes per bulk/active period
+	push(float64(f.FwdLen.N) / fsub)        // fwd pkts per bulk
+	push(safeDiv(f.FwdLen.Sum, active.Sum)) // fwd bulk rate
 	push(f.BwdLen.Sum / fsub)
 	push(float64(f.BwdLen.N) / fsub)
-	push(safeDiv(f.BwdLen.Sum, f.Active.Sum))
+	push(safeDiv(f.BwdLen.Sum, active.Sum))
 	push(float64(f.FwdLen.N) / fsub) // subflow fwd packets
 	push(f.FwdLen.Sum / fsub)        // subflow fwd bytes
 	push(float64(f.BwdLen.N) / fsub)
@@ -202,14 +201,14 @@ func (f *Flow) AppendFeatures(v []float32) []float32 {
 	push(float64(f.InitBwdWin))
 	push(float64(f.FwdActDataPkts))
 	push(float64(segMin))
-	push(f.Active.Mean())
-	push(f.Active.Std())
-	push(f.Active.SafeMax())
-	push(f.Active.SafeMin())
-	push(f.Idle.Mean())
-	push(f.Idle.Std())
-	push(f.Idle.SafeMax())
-	push(f.Idle.SafeMin())
+	push(active.Mean())
+	push(active.Std())
+	push(active.Max)
+	push(active.Min)
+	push(idle.Mean())
+	push(idle.Std())
+	push(idle.Max)
+	push(idle.Min)
 	push(float64(f.Key.Proto))
 	// Destination port from the initiator's perspective: the responder
 	// endpoint's port.

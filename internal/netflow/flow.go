@@ -1,10 +1,21 @@
 package netflow
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Flow accumulates bidirectional per-flow statistics online, one packet at
 // a time. The "forward" direction is the direction of the flow's first
 // packet (the initiator), matching CICFlowMeter.
+//
+// A Flow is 448 bytes, one allocation per flow; a flow that sees an
+// activity gap adds one activity record. The packet counters are 32-bit
+// and saturate at math.MaxUint32; below that every feature is exact.
 type Flow struct {
 	Key FlowKey
+	// FIN seen per canonical orientation (A→B, B→A), in Key's padding.
+	finA, finB bool
 	// The assembler's bookkeeping, next to Key so that a table probe and
 	// a list move touch one cache line of a neighbouring flow: the table
 	// hash of Key and the links of the last-seen list.
@@ -13,50 +24,48 @@ type Flow struct {
 	// InitSrcIP/InitSrcPort identify the initiator (first packet source).
 	InitSrcIP   Addr
 	InitSrcPort uint16
+	rstSeen     bool
+	// evicted marks a finished flow, so an eviction pass whose callback
+	// re-entered the assembler skips it.
+	evicted bool
 
 	FirstTime, LastTime float64
 	lastFwdTime         float64
 	lastBwdTime         float64
-	hasFwd, hasBwd      bool
 
 	FwdLen, BwdLen Stats // per-direction packet lengths
 	FlowIAT        Stats // inter-arrival over all packets
 	FwdIAT, BwdIAT Stats
 
 	FwdHeaderBytes, BwdHeaderBytes int
-	FwdPSH, BwdPSH, FwdURG, BwdURG int
-	FlagCounts                     [8]int // indexed by flag bit position
+	FwdPSH, BwdPSH, FwdURG, BwdURG uint32
+	FlagCounts                     [8]uint32 // indexed by flag bit position
 
-	InitFwdWin, InitBwdWin int
-	fwdWinSet, bwdWinSet   bool
-	FwdActDataPkts         int // forward packets with payload
-	FwdSegSizeMin          int
+	InitFwdWin, InitBwdWin uint32
+	FwdActDataPkts         uint32 // forward packets with payload
+	FwdSegSizeMin          int32  // smallest forward header length
 
-	// Activity tracking: periods of activity separated by gaps longer
-	// than the assembler's ActivityGap.
-	Active, Idle Stats
-	activeStart  float64
+	activity *activity // nil until the first activity gap
+}
 
-	// finSeen per canonical orientation (A→B, B→A) for eviction.
-	finA, finB bool
-	rstSeen    bool
-	// evicted marks a flow already delivered to onEvict, so an eviction
-	// pass whose callback re-entered the assembler skips it.
-	evicted bool
+// activity is a flow's periods of activity separated by gaps, allocated
+// out of line because most flows never see a gap.
+type activity struct {
+	active, idle Stats
+	start        float64 // start of the current active period
 }
 
 // newFlow starts a flow from its first packet.
 func newFlow(p *Packet) *Flow {
 	key, aToB := KeyOf(p)
 	f := &Flow{
-		Key:         key,
-		InitSrcIP:   p.SrcIP,
-		InitSrcPort: p.SrcPort,
-		FirstTime:   p.Time,
-		LastTime:    p.Time,
-		activeStart: p.Time,
+		Key:           key,
+		InitSrcIP:     p.SrcIP,
+		InitSrcPort:   p.SrcPort,
+		FirstTime:     p.Time,
+		LastTime:      p.Time,
+		FwdSegSizeMin: 1 << 30,
 	}
-	f.FwdSegSizeMin = 1 << 30
 	f.update(p, aToB, 0)
 	return f
 }
@@ -66,84 +75,77 @@ func (f *Flow) isForward(p *Packet) bool {
 	return p.SrcIP == f.InitSrcIP && p.SrcPort == f.InitSrcPort
 }
 
+// inc adds one to a packet counter, saturating at math.MaxUint32.
+func inc(c *uint32) {
+	if *c != math.MaxUint32 {
+		*c++
+	}
+}
+
 // update folds packet p, travelling A→B in the key's orientation when
 // aToB, into the flow. activityGap > 0 splits active/idle periods on gaps
-// longer than the threshold.
+// longer than the threshold. Every packet of a flow has the key's Proto,
+// so the first packet of a direction decides its initial window.
 func (f *Flow) update(p *Packet, aToB bool, activityGap float64) {
-	fwd := f.isForward(p)
 	if p.Time > f.LastTime {
 		if p.Time != f.FirstTime {
 			f.FlowIAT.Add(p.Time - f.LastTime)
 		}
 		if activityGap > 0 && p.Time-f.LastTime > activityGap {
-			f.Active.Add(f.LastTime - f.activeStart)
-			f.Idle.Add(p.Time - f.LastTime)
-			f.activeStart = p.Time
+			if f.activity == nil {
+				f.activity = &activity{start: f.FirstTime}
+			}
+			a := f.activity
+			a.active.Add(f.LastTime - a.start)
+			a.idle.Add(p.Time - f.LastTime)
+			a.start = p.Time
 		}
 		f.LastTime = p.Time
 	}
-	payload := p.Length - p.HeaderLen
-	if payload < 0 {
-		payload = 0
-	}
-	if fwd {
-		if f.hasFwd {
+	if f.isForward(p) {
+		if f.FwdLen.N > 0 {
 			f.FwdIAT.Add(p.Time - f.lastFwdTime)
+		} else if p.Proto == TCP {
+			f.InitFwdWin = uint32(p.WindowSize)
 		}
 		f.lastFwdTime = p.Time
-		f.hasFwd = true
 		f.FwdLen.Add(float64(p.Length))
 		f.FwdHeaderBytes += p.HeaderLen
 		if p.Flags&PSH != 0 {
-			f.FwdPSH++
+			inc(&f.FwdPSH)
 		}
 		if p.Flags&URG != 0 {
-			f.FwdURG++
+			inc(&f.FwdURG)
 		}
-		if !f.fwdWinSet && p.Proto == TCP {
-			f.InitFwdWin = int(p.WindowSize)
-			f.fwdWinSet = true
+		if p.Length > p.HeaderLen {
+			inc(&f.FwdActDataPkts)
 		}
-		if payload > 0 {
-			f.FwdActDataPkts++
-		}
-		if p.HeaderLen < f.FwdSegSizeMin {
-			f.FwdSegSizeMin = p.HeaderLen
+		if p.HeaderLen < int(f.FwdSegSizeMin) {
+			f.FwdSegSizeMin = int32(max(p.HeaderLen, math.MinInt32))
 		}
 	} else {
-		if f.hasBwd {
+		if f.BwdLen.N > 0 {
 			f.BwdIAT.Add(p.Time - f.lastBwdTime)
+		} else if p.Proto == TCP {
+			f.InitBwdWin = uint32(p.WindowSize)
 		}
 		f.lastBwdTime = p.Time
-		f.hasBwd = true
 		f.BwdLen.Add(float64(p.Length))
 		f.BwdHeaderBytes += p.HeaderLen
 		if p.Flags&PSH != 0 {
-			f.BwdPSH++
+			inc(&f.BwdPSH)
 		}
 		if p.Flags&URG != 0 {
-			f.BwdURG++
-		}
-		if !f.bwdWinSet && p.Proto == TCP {
-			f.InitBwdWin = int(p.WindowSize)
-			f.bwdWinSet = true
+			inc(&f.BwdURG)
 		}
 	}
-	for bit := 0; bit < 8; bit++ {
-		if p.Flags&(1<<bit) != 0 {
-			f.FlagCounts[bit]++
-		}
+	for fl := p.Flags; fl != 0; fl &= fl - 1 {
+		inc(&f.FlagCounts[bits.TrailingZeros8(fl)])
 	}
-	if p.Flags&FIN != 0 {
-		if aToB {
-			f.finA = true
-		} else {
-			f.finB = true
-		}
-	}
-	if p.Flags&RST != 0 {
-		f.rstSeen = true
-	}
+	fin := p.Flags&FIN != 0
+	f.finA = f.finA || fin && aToB
+	f.finB = f.finB || fin && !aToB
+	f.rstSeen = f.rstSeen || p.Flags&RST != 0
 }
 
 // terminated reports whether the TCP state machine finished: a RST at any
@@ -157,11 +159,25 @@ func (f *Flow) terminated(p *Packet) bool {
 	return f.finA && f.finB && p.Flags&FIN == 0 && p.Flags&ACK != 0
 }
 
-// finish closes the last active period so Active/Idle stats include it.
+// finish marks the flow evicted and closes its last active period.
 func (f *Flow) finish() {
-	if f.LastTime > f.activeStart || f.Active.N == 0 {
-		f.Active.Add(f.LastTime - f.activeStart)
+	f.evicted = true
+	if a := f.activity; a != nil && f.LastTime > a.start {
+		a.active.Add(f.LastTime - a.start)
 	}
+}
+
+// Activity returns the statistics of the flow's active periods and the
+// idle gaps between them. The current period counts once the flow is
+// finished; a finished flow without a gap has one, its duration.
+func (f *Flow) Activity() (active, idle Stats) {
+	if f.activity != nil {
+		return f.activity.active, f.activity.idle
+	}
+	if f.evicted {
+		active.Add(f.LastTime - f.FirstTime)
+	}
+	return active, idle
 }
 
 // Duration returns the flow duration in seconds.

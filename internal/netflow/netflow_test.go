@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cyberhd/internal/rng"
 )
@@ -29,7 +30,7 @@ func TestStatsBasic(t *testing.T) {
 
 func TestStatsEmpty(t *testing.T) {
 	var s Stats
-	if s.Mean() != 0 || s.Std() != 0 || s.SafeMin() != 0 || s.SafeMax() != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatal("empty stats should be all zero")
 	}
 }
@@ -70,22 +71,6 @@ func TestKeyOfBidirectional(t *testing.T) {
 	}
 	if aToBf == aToBb {
 		t.Fatal("orientation flag identical for opposite directions")
-	}
-}
-
-func TestIPv4(t *testing.T) {
-	a := IPv4(192, 168, 1, 10)
-	if a.V4() != 0xc0a8010a {
-		t.Fatalf("IPv4.V4 = %x", a.V4())
-	}
-	if !a.Is4() {
-		t.Fatal("IPv4 address not recognized as v4-mapped")
-	}
-	if a != AddrV4(0xc0a8010a) {
-		t.Fatal("IPv4 and AddrV4 disagree")
-	}
-	if a.String() != "192.168.1.10" {
-		t.Fatalf("String = %q", a.String())
 	}
 }
 
@@ -282,20 +267,40 @@ func TestSinglePacketFlowFeaturesFinite(t *testing.T) {
 func TestActivityPeriods(t *testing.T) {
 	var flows []*Flow
 	a := NewAssembler(120, 1, func(f *Flow) { flows = append(flows, f) })
-	mk := func(ts float64) *Packet {
-		return &Packet{Time: ts, SrcIP: AddrV4(1), DstIP: AddrV4(2), SrcPort: 7, DstPort: 9, Proto: UDP, Length: 100, HeaderLen: 28}
+	mk := func(ts float64, port uint16) *Packet {
+		return &Packet{Time: ts, SrcIP: AddrV4(1), DstIP: AddrV4(2), SrcPort: port, DstPort: 9, Proto: UDP, Length: 100, HeaderLen: 28}
 	}
-	// Two bursts separated by a 5 s gap (> 1 s activity gap).
+	// Two bursts separated by a 5 s gap (> 1 s activity gap) from port 7,
+	// and one gap-free burst from port 8.
 	for _, ts := range []float64{0, 0.1, 0.2, 5.2, 5.3} {
-		a.Add(mk(ts))
+		a.Add(mk(ts, 7))
+		a.Add(mk(ts/10, 8))
 	}
 	a.Flush()
-	f := flows[0]
-	if f.Active.N != 2 {
-		t.Fatalf("active periods = %d, want 2", f.Active.N)
+	active, idle := flows[0].Activity()
+	if active.N != 2 {
+		t.Fatalf("active periods = %d, want 2", active.N)
 	}
-	if f.Idle.N != 1 || math.Abs(f.Idle.Sum-5) > 1e-9 {
-		t.Fatalf("idle: N=%d sum=%v", f.Idle.N, f.Idle.Sum)
+	if idle.N != 1 || math.Abs(idle.Sum-5) > 1e-9 {
+		t.Fatalf("idle: N=%d sum=%v", idle.N, idle.Sum)
+	}
+	if active, idle := flows[1].Activity(); active.N != 1 || active.Sum != flows[1].Duration() || idle != (Stats{}) {
+		t.Fatalf("gap-free flow: active %+v, idle %+v; want one period of %v and no idle", active, idle, flows[1].Duration())
+	}
+}
+
+// TestFlowLayout pins the Flow's size, its first cache line (Key, the
+// table hash and the list links) and the saturating packet counters.
+func TestFlowLayout(t *testing.T) {
+	if size, end := unsafe.Sizeof(Flow{}), unsafe.Offsetof(Flow{}.next)+unsafe.Sizeof(Flow{}.next); size != 448 || end > 64 {
+		t.Fatalf("Flow is %d bytes and next ends at byte %d, want 448 and at most 64", size, end)
+	}
+	p := &Packet{SrcIP: AddrV4(1), DstIP: AddrV4(2), Proto: TCP, Length: 100, HeaderLen: 40, Flags: PSH}
+	f := newFlow(p)
+	f.FlagCounts[3], f.FwdPSH, f.FwdActDataPkts = math.MaxUint32, math.MaxUint32, math.MaxUint32
+	f.update(p, true, 0)
+	if f.FlagCounts[3] != math.MaxUint32 || f.FwdPSH != math.MaxUint32 || f.FwdActDataPkts != math.MaxUint32 {
+		t.Fatalf("counters at the ceiling moved: PSH count %d, FwdPSH %d, FwdActDataPkts %d", f.FlagCounts[3], f.FwdPSH, f.FwdActDataPkts)
 	}
 }
 

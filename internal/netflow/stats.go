@@ -3,7 +3,8 @@ package netflow
 import "math"
 
 // Stats is an online accumulator (Welford) for min/max/mean/std/sum of a
-// stream of float64 observations. The zero value is ready to use.
+// stream of float64 observations. The zero value is ready to use; Min
+// and Max read 0 until the first observation.
 type Stats struct {
 	N        int
 	Min, Max float64
@@ -43,20 +44,3 @@ func (s *Stats) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (s *Stats) Std() float64 { return math.Sqrt(s.Variance()) }
-
-// SafeMin returns Min, or 0 when no samples were recorded (so feature
-// vectors of degenerate flows stay finite).
-func (s *Stats) SafeMin() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Min
-}
-
-// SafeMax returns Max, or 0 when empty.
-func (s *Stats) SafeMax() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Max
-}
