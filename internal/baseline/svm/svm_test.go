@@ -146,29 +146,3 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkLinearPredict(b *testing.B) {
-	x, y := blobs(1000, 40, 5, 0.3, 71, 1)
-	m, err := TrainLinear(x, y, 5, LinearOptions{Epochs: 3, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Predict(q)
-	}
-}
-
-func BenchmarkKernelPredict(b *testing.B) {
-	x, y := blobs(1000, 40, 5, 0.3, 71, 1)
-	m, err := TrainKernel(x, y, 5, KernelOptions{Epochs: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Predict(q)
-	}
-}

@@ -468,8 +468,9 @@ func (c *Client) Err() error {
 }
 
 // MergedSnapshot folds every worker's latest telemetry report into one
-// cluster-level snapshot (telemetry.Merge). Mid-run it is fresh to the
-// last tick; after Close it is exact (every worker's report is settled).
+// cluster-level snapshot (telemetry.Merge). Mid-run it is at most 100 ms
+// of wall time stale (a worker reports on a tick at most that often, and
+// on every Flush); after Close it is exact (every report is settled).
 func (c *Client) MergedSnapshot() telemetry.Snapshot {
 	snaps := make([]telemetry.Snapshot, 0, len(c.conns))
 	for _, wc := range c.conns {

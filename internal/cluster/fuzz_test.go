@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"cyberhd/internal/netflow"
@@ -14,17 +15,6 @@ import (
 // type's declared cap, no matter what the length prefix claims.
 func FuzzDecodeFrame(f *testing.F) {
 	// Valid single frames of every type seed the corpus.
-	seed := func(ft frameType, payload []byte) []byte {
-		var buf bytes.Buffer
-		fw := newFrameWriter(&buf)
-		if err := fw.writeFrame(ft, payload); err != nil {
-			f.Fatalf("seed frame type %d: %v", ft, err)
-		}
-		if err := fw.flush(); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	hello, err := encodeHello(testHello())
 	if err != nil {
 		f.Fatal(err)
@@ -33,38 +23,25 @@ func FuzzDecodeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var pktBuf bytes.Buffer
-	pw := newFrameWriter(&pktBuf)
 	p := netflow.Packet{Time: 2.5, SrcIP: netflow.AddrV4(10), DstIP: netflow.AddrV4(20), SrcPort: 80, DstPort: 8080, Proto: netflow.TCP, Length: 900, HeaderLen: 40, Flags: 0x02}
 	p6 := p
 	p6.SrcIP, p6.DstIP, p6.VLAN = netflow.MustParseAddr("2001:db8::1"), netflow.MustParseAddr("2001:db8::2"), 7
 	pkts := appendPacket(appendPacket(appendPacket(nil, &p), &p6), &p)
-	if err := pw.writeFrame(framePackets, pkts); err != nil {
-		f.Fatal(err)
-	}
-	if err := pw.writeFrame(frameTick, encodeTick(17.25)); err != nil {
-		f.Fatal(err)
-	}
 	var wa wireAlert
 	wa.Time, wa.Class, wa.Packets = 9.5, 2, 44
-	if err := pw.writeAlert(&wa); err != nil {
-		f.Fatal(err)
-	}
-	if err := pw.flush(); err != nil {
-		f.Fatal(err)
-	}
 	frames := [][]byte{
-		seed(frameHello, hello),
-		seed(frameAck, ack),
-		seed(frameSnapshot, []byte("not a real snapshot, length is what matters")),
-		seed(frameFlush, nil),
-		seed(frameBye, nil),
-		pktBuf.Bytes(), // packets + tick + alert back to back
+		frameBytes(f, frameHello, hello),
+		frameBytes(f, frameAck, ack),
+		frameBytes(f, frameSnapshot, []byte("not a real snapshot, length is what matters")),
+		frameBytes(f, frameFlush, nil),
+		frameBytes(f, frameBye, nil),
+		// Packets, tick and alert back to back.
+		slices.Concat(frameBytes(f, framePackets, pkts), frameBytes(f, frameTick, encodeTick(17.25)), alertBytes(f, &wa)),
 		// Packets frames that pass the CRC and fail record validation: a
 		// truncated trailing record, a bare trailing tag, an unknown tag.
-		seed(framePackets, pkts[:len(pkts)-1]),
-		seed(framePackets, append(append([]byte(nil), pkts...), recordWide)),
-		seed(framePackets, append(append([]byte(nil), pkts...), 9)),
+		frameBytes(f, framePackets, pkts[:len(pkts)-1]),
+		frameBytes(f, framePackets, append(append([]byte(nil), pkts...), recordWide)),
+		frameBytes(f, framePackets, append(append([]byte(nil), pkts...), 9)),
 	}
 	for _, fr := range frames {
 		f.Add(fr)
@@ -85,22 +62,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Hostile length prefixes: in-bounds huge claims with no bytes behind
 	// them, out-of-bounds claims, unknown types, empty input.
-	hostile := func(ft byte, n uint32) []byte {
-		h := make([]byte, frameHeaderSize)
-		h[0] = ft
-		h[1], h[2], h[3], h[4] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-		return h
-	}
-	f.Add(hostile(byte(frameSnapshot), 1<<28))
-	f.Add(hostile(byte(frameSnapshot), 0xffffffff))
-	f.Add(hostile(byte(frameHello), 1<<20))
-	f.Add(hostile(byte(frameAck), 1<<30))
-	f.Add(hostile(byte(framePackets), 0))                   // empty packets frame
-	f.Add(hostile(byte(framePackets), maxPacketsPayload+1)) // over-cap packets frame
-	f.Add(hostile(4, 32))                                   // retired one-record frames
-	f.Add(hostile(10, 60))
-	f.Add(hostile(0, 0))
-	f.Add(hostile(250, 12))
+	f.Add(hostileHeader(frameSnapshot, 1<<28))
+	f.Add(hostileHeader(frameSnapshot, 0xffffffff))
+	f.Add(hostileHeader(frameHello, 1<<20))
+	f.Add(hostileHeader(frameAck, 1<<30))
+	f.Add(hostileHeader(framePackets, 0))                   // empty packets frame
+	f.Add(hostileHeader(framePackets, maxPacketsPayload+1)) // over-cap packets frame
+	f.Add(hostileHeader(4, 32))                             // retired one-record frames
+	f.Add(hostileHeader(10, 60))
+	f.Add(hostileHeader(0, 0))
+	f.Add(hostileHeader(250, 12))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/pipeline"
 	"cyberhd/internal/traffic"
 )
 
@@ -75,6 +77,11 @@ func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
 	}
 }
 
+// zeroNorm is a normalizer of the flow feature width that zeroes every feature.
+func zeroNorm() *datasets.Normalizer {
+	return &datasets.Normalizer{Mean: make([]float32, netflow.NumFeatures), InvStd: make([]float32, netflow.NumFeatures)}
+}
+
 // TestOpeningSnapshotClearsTheGate pins that a session's first snapshot
 // goes through the same decode → geometry → sanity gate as every later
 // one: a model the session could not serve — an encoder narrower than a
@@ -86,10 +93,7 @@ func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
 // it lives: control's TestSanityGuardsPanickingPredict.)
 func TestOpeningSnapshotClearsTheGate(t *testing.T) {
 	names := []string{"benign", "dos", "scan"}
-	norm := &datasets.Normalizer{
-		Mean:   make([]float32, netflow.NumFeatures),
-		InvStd: make([]float32, netflow.NumFeatures),
-	}
+	norm := zeroNorm()
 	pkts := traffic.Generate(traffic.Config{Sessions: 60, Seed: 3}).Packets
 	addrs := startWorkers(t, 1, WorkerConfig{})
 	dial := func(m *core.Model) (*Client, error) {
@@ -188,13 +192,9 @@ func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
 
 	names := []string{"benign", "attack"}
 	client, err := Dial(ClientConfig{
-		Workers: []string{ln.Addr().String()},
-		Model:   core.NewCOWModel(tinyModel(t, len(names), 8, 64, 5)),
-		Normalizer: &datasets.Normalizer{
-			Mean:   make([]float32, netflow.NumFeatures),
-			InvStd: make([]float32, netflow.NumFeatures),
-		},
-		ClassNames: names,
+		Workers:    []string{ln.Addr().String()},
+		Model:      core.NewCOWModel(tinyModel(t, len(names), 8, 64, 5)),
+		Normalizer: zeroNorm(), ClassNames: names,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,5 +212,98 @@ func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
 	client.Close()
 	if err := <-workerErr; err != nil {
 		t.Fatalf("fake worker: %v", err)
+	}
+}
+
+// countingListener counts the Write calls of every connection it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return countingConn{c, l.writes}, err
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestWorkerWritesOncePerFrame pins the worker's return path: a frame's
+// alerts, ack and telemetry leave in one write, so a replay delivering
+// many alerts per tick costs far fewer writes than alerts. A worker that
+// flushes every alert makes at least one write per alert and per tick.
+func TestWorkerWritesOncePerFrame(t *testing.T) {
+	m, norm, names := clusterModel(t)
+	w, err := NewWorker("127.0.0.1:0", WorkerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes, alerts atomic.Int64
+	w.ln = countingListener{w.ln, &writes}
+	go func() { _ = w.Serve() }()
+	t.Cleanup(func() { _ = w.Close() })
+	client, err := Dial(ClientConfig{
+		Workers: []string{w.Addr()}, Model: core.NewCOWModel(m), Normalizer: norm,
+		ClassNames: names, BatchSize: 8, OnAlert: func(pipeline.Alert) { alerts.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := traffic.Generate(traffic.Config{Sessions: 400, Duration: 10, Seed: 99}).Packets
+	if _, err := client.Runner(netflow.NewSliceSource(pkts), 1).Run(context.Background()); err != nil || client.Err() != nil {
+		t.Fatalf("run %v, transport %v", err, client.Err())
+	}
+	t.Logf("%d alerts in %d writes", alerts.Load(), writes.Load())
+	if a := alerts.Load(); a == 0 || writes.Load() >= a/4 {
+		t.Fatalf("%d writes for %d alerts: want fewer than one per 4 alerts", writes.Load(), a)
+	}
+}
+
+// TestShardedWorkerAlertsFlushWithoutClose pins the other half of the
+// write rule, which every run ending in Close hides (bye flushes all): a
+// 2-shard worker's shards deliver Flush's alerts after the flush frame
+// is done, and each such write flushes itself — every alert reaches the
+// client with the session still open.
+func TestShardedWorkerAlertsFlushWithoutClose(t *testing.T) {
+	m, norm, names := clusterModel(t)
+	pkts := traffic.Generate(traffic.Config{Sessions: 200, Seed: 5}).Packets
+	var want, got atomic.Int64
+	feed := func(s pipeline.Stream) {
+		for i := range pkts {
+			s.Feed(pkts[i])
+		}
+		s.Flush()
+	}
+	ref, err := pipeline.New(pipeline.Config{Model: m, Normalizer: norm, ClassNames: names, BatchSize: 8,
+		OnAlert: func(pipeline.Alert) { want.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(ref)
+	ref.Close()
+	client, err := Dial(ClientConfig{
+		Workers: startWorkers(t, 1, WorkerConfig{}), Model: core.NewCOWModel(m), Normalizer: norm,
+		ClassNames: names, BatchSize: 8, WorkerShards: 2, OnAlert: func(pipeline.Alert) { got.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	feed(client)
+	for deadline := time.Now().Add(10 * time.Second); got.Load() < want.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d alerts delivered with the session open", got.Load(), want.Load())
+		}
+	}
+	if want.Load() == 0 {
+		t.Fatal("reference run produced no alerts; the check is vacuous")
 	}
 }

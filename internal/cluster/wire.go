@@ -491,7 +491,7 @@ func (fw *frameWriter) writeAlert(a *wireAlert) error {
 // Telemetry rides one gob stream per session, a message per frame: the
 // worker's encoder and the ingest side's decoder live as long as the
 // session, so gob compiles and sends the Snapshot type description once,
-// not with every per-tick report. The frames are therefore not
+// not with every report. The frames are therefore not
 // self-describing — each decodes only after every earlier one of its
 // session, in order, which a single TCP stream gives for free.
 

@@ -22,12 +22,26 @@ func gobEncode(w io.Writer, v any) error {
 }
 
 // frameBytes renders one frame (header + payload) to raw bytes.
-func frameBytes(t *testing.T, ft frameType, payload []byte) []byte {
+func frameBytes(t testing.TB, ft frameType, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := newFrameWriter(&buf)
 	if err := fw.writeFrame(ft, payload); err != nil {
 		t.Fatalf("writeFrame(%d, %d bytes): %v", ft, len(payload), err)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// alertBytes renders one alert frame to raw bytes.
+func alertBytes(t testing.TB, a *wireAlert) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := newFrameWriter(&buf)
+	if err := fw.writeAlert(a); err != nil {
+		t.Fatalf("writeAlert: %v", err)
 	}
 	if err := fw.flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -156,15 +170,7 @@ func packetsFrame(t testing.TB, pkts ...netflow.Packet) []byte {
 	for i := range pkts {
 		payload = appendPacket(payload, &pkts[i])
 	}
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if err := fw.writeFrame(framePackets, payload); err != nil {
-		t.Fatalf("writeFrame(packets, %d bytes): %v", len(payload), err)
-	}
-	if err := fw.flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
+	return frameBytes(t, framePackets, payload)
 }
 
 func TestPacketFrameRoundTrip(t *testing.T) {
@@ -309,15 +315,7 @@ func TestAlertFrameRoundTrip(t *testing.T) {
 			"713d0ad7a3b05840ae47e17a14ae284020010db800000000000000000000000120010db80000000000000000000000095000409c06030020010db8000000000000000000000009409c95030000000000000824fe40"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			fw := newFrameWriter(&buf)
-			if err := fw.writeAlert(&tc.want); err != nil {
-				t.Fatalf("writeAlert: %v", err)
-			}
-			if err := fw.flush(); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			ft, payload, err := readOne(t, buf.Bytes())
+			ft, payload, err := readOne(t, alertBytes(t, &tc.want))
 			if err != nil || ft != tc.frame {
 				t.Fatalf("next: type %d err %v, want type %d", ft, err, tc.frame)
 			}
@@ -504,40 +502,34 @@ func TestFrameTruncationErrors(t *testing.T) {
 // payloads: out-of-bounds claims error before allocation, in-bounds
 // claims on a truncated stream error after reading only what arrived.
 func TestHostileLengthPrefix(t *testing.T) {
-	hdr := hostileHeader
-	// Claim above the type cap: bounds error, no read attempt.
-	if _, _, err := readOne(t, hdr(frameAck, 1<<30)); err == nil ||
-		!strings.Contains(err.Error(), "bounds") {
-		t.Fatalf("oversized ack claim: %v", err)
-	}
-	// Unknown type: rejected before length is even considered.
-	if _, _, err := readOne(t, hdr(frameType(200), 4)); err == nil ||
-		!strings.Contains(err.Error(), "unknown frame type") {
-		t.Fatalf("unknown type: %v", err)
-	}
-	// Fixed-size type with the wrong length: bounds error.
-	if _, _, err := readOne(t, hdr(frameTick, 7)); err == nil ||
-		!strings.Contains(err.Error(), "bounds") {
-		t.Fatalf("short tick claim: %v", err)
-	}
-	// In-bounds snapshot claim (256 MiB) with no payload bytes behind it:
-	// must error from truncation without staging the full claim.
-	if _, _, err := readOne(t, hdr(frameSnapshot, 1<<28)); err == nil {
-		t.Fatal("truncated snapshot claim returned a frame")
+	for _, tc := range []struct {
+		ft     frameType
+		n      uint32
+		errSub string
+	}{
+		{frameAck, 1 << 30, "bounds"},             // above the type cap: no read attempt
+		{frameType(200), 4, "unknown frame type"}, // rejected before the length is considered
+		{frameTick, 7, "bounds"},                  // fixed-size type, wrong length
+		// In-bounds snapshot claim (256 MiB) with no payload bytes behind
+		// it: a truncation error, without staging the full claim.
+		{frameSnapshot, 1 << 28, ""},
+	} {
+		if _, _, err := readOne(t, hostileHeader(tc.ft, tc.n)); err == nil || !strings.Contains(err.Error(), tc.errSub) {
+			t.Fatalf("type %d claiming %d bytes: %v, want an error containing %q", tc.ft, tc.n, err, tc.errSub)
+		}
 	}
 }
 
 // TestFrameWriterRejectsOutOfBounds pins the writer-side bounds check.
 func TestFrameWriterRejectsOutOfBounds(t *testing.T) {
 	fw := newFrameWriter(io.Discard)
-	if err := fw.writeFrame(frameTick, make([]byte, 3)); err == nil {
-		t.Fatal("writeFrame accepted short tick")
-	}
-	if err := fw.writeFrame(frameType(99), nil); err == nil {
-		t.Fatal("writeFrame accepted unknown type")
-	}
-	if err := fw.writeFrame(frameAck, make([]byte, maxAckPayload+1)); err == nil {
-		t.Fatal("writeFrame accepted oversized ack")
+	for _, tc := range []struct {
+		ft frameType
+		n  int
+	}{{frameTick, 3}, {frameType(99), 0}, {frameAck, maxAckPayload + 1}} {
+		if err := fw.writeFrame(tc.ft, make([]byte, tc.n)); err == nil {
+			t.Fatalf("writeFrame accepted type %d with %d payload bytes", tc.ft, tc.n)
+		}
 	}
 }
 
@@ -545,20 +537,16 @@ func TestFrameWriterRejectsOutOfBounds(t *testing.T) {
 // back-to-back decode in order, and the reader's reused payload buffer
 // never bleeds between frames of different sizes.
 func TestFrameSequence(t *testing.T) {
+	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
 	var buf bytes.Buffer
 	fw := newFrameWriter(&buf)
-	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
-	if err := fw.writeFrame(framePackets, appendPacket(nil, &p)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.writeFrame(frameTick, encodeTick(2.0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.writeFrame(frameFlush, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.writeFrame(frameBye, nil); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct {
+		t       frameType
+		payload []byte
+	}{{framePackets, appendPacket(nil, &p)}, {frameTick, encodeTick(2.0)}, {frameFlush, nil}, {frameBye, nil}} {
+		if err := fw.writeFrame(f.t, f.payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fw.flush(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"time"
 
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/control"
@@ -112,35 +113,43 @@ type session struct {
 	fw      *frameWriter
 	writeMu sync.Mutex
 	wErr    error // first write error, latched under writeMu
+	inFrame bool  // the frame loop is handling a frame; under writeMu
 
-	telEnc *telemetryEncoder // the session's telemetry stream; frame loop only
+	telEnc   *telemetryEncoder // the session's telemetry stream; frame loop only
+	lastLive time.Time         // when the last report went out; frame loop only
 }
 
-// write runs one framing call under the write lock and flushes it to the
-// peer, latching the first write error (after which the session loop
-// tears down — the peer is gone, alerts have nowhere to go).
-func (s *session) write(frame func(*frameWriter) error) error {
+// liveReportEvery is the least wall time between two tick-driven live
+// telemetry reports. A replay ticks thousands of capture seconds a wall
+// second; no rollup scrape tells a report this old from a fresh one.
+const liveReportEvery = 100 * time.Millisecond
+
+// write runs one framing call under the write lock, latching the first
+// write error (after which the session loop tears down — the peer is
+// gone, alerts have nowhere to go). Inside a frame it only buffers, and
+// the frame's end flushes everything the frame wrote at once. Outside
+// one — a shard's alert after Sharded.Flush returned — it flushes.
+func (s *session) write(fn func(*frameWriter) error) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if s.wErr != nil {
-		return s.wErr
+	if s.wErr == nil {
+		s.wErr = fn(s.fw)
 	}
-	if err := frame(s.fw); err == nil {
+	if s.wErr == nil && !s.inFrame {
 		s.wErr = s.fw.flush()
-	} else {
-		s.wErr = err
 	}
 	return s.wErr
+}
+
+// frame marks the frame loop entering or leaving a frame; leaving one
+// flushes, as any write outside a frame does.
+func (s *session) frame(in bool) error {
+	return s.write(func(*frameWriter) error { s.inFrame = in; return nil })
 }
 
 // send frames one payload.
 func (s *session) send(t frameType, payload []byte) error {
 	return s.write(func(fw *frameWriter) error { return fw.writeFrame(t, payload) })
-}
-
-// sendAlert frames one alert record.
-func (s *session) sendAlert(a *wireAlert) error {
-	return s.write(func(fw *frameWriter) error { return fw.writeAlert(a) })
 }
 
 // sendAck frames one ack.
@@ -158,6 +167,7 @@ func (s *session) sendTelemetry(tel *telemetry.Collector, settled bool) error {
 	if err != nil {
 		return err
 	}
+	s.lastLive = time.Now()
 	return s.send(frameTelemetry, payload)
 }
 
@@ -228,7 +238,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		Telemetry: tel,
 		OnAlert: func(a pipeline.Alert) {
 			wa := wireAlertOf(&a)
-			_ = s.sendAlert(&wa)
+			_ = s.write(func(fw *frameWriter) error { return fw.writeAlert(&wa) })
 		},
 	}
 	eng, err := pipeline.NewStream(cfg)
@@ -243,13 +253,15 @@ func (w *Worker) serveConn(conn net.Conn) error {
 
 	// The frame loop: the session's single clock. Packets, ticks and
 	// flushes apply in arrival order — the same total order the ingest
-	// Runner issued them in — so verdicts are deterministic.
+	// Runner issued them in — so verdicts are deterministic. Everything a
+	// frame writes (alerts, ack, telemetry) leaves in one flush at its end.
 	var pkts []netflow.Packet
 	for {
 		t, payload, err := fr.next()
 		if err != nil {
 			return err
 		}
+		_ = s.frame(true) // a latched write error surfaces at the frame's end
 		switch t {
 		case framePackets:
 			if pkts, err = decodePackets(payload, pkts); err != nil {
@@ -264,10 +276,12 @@ func (w *Worker) serveConn(conn net.Conn) error {
 				return err
 			}
 			eng.Tick(now)
-			// A live (unsettled) telemetry report per tick keeps the
-			// ingest rollup fresh at capture-second granularity.
-			if err := s.sendTelemetry(tel, false); err != nil {
-				return err
+			// A live (unsettled) report keeps the ingest rollup at most
+			// liveReportEvery stale.
+			if time.Since(s.lastLive) >= liveReportEvery {
+				if err := s.sendTelemetry(tel, false); err != nil {
+					return err
+				}
 			}
 		case frameFlush:
 			eng.Flush()
@@ -293,9 +307,13 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			if err := s.sendTelemetry(tel, true); err != nil {
 				return err
 			}
-			return s.send(frameBye, nil)
+			_ = s.send(frameBye, nil)
+			return s.frame(false) // the settled report and bye go out, or the latched write error
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %d mid-session", t)
+		}
+		if err := s.frame(false); err != nil {
+			return err
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"cyberhd/internal/datasets"
 )
@@ -30,19 +31,7 @@ func Fig3(names []string, cfg Config) (map[string][]Result, error) {
 // chart: one row per model, one column per dataset, plus the paper's
 // summary deltas.
 func WriteFig3(w io.Writer, results map[string][]Result) {
-	names := orderedDatasets(results)
-	fmt.Fprintf(w, "Fig 3 — Accuracy (%%)\n%-16s", "model")
-	for _, d := range names {
-		fmt.Fprintf(w, " %14s", d)
-	}
-	fmt.Fprintln(w)
-	for _, model := range ModelNames {
-		fmt.Fprintf(w, "%-16s", model)
-		for _, d := range names {
-			fmt.Fprintf(w, " %14.2f", 100*find(results[d], model).Accuracy)
-		}
-		fmt.Fprintln(w)
-	}
+	writeTable(w, "Fig 3 — Accuracy (%)", results, orderedDatasets(results), " %14.2f", func(r Result) float64 { return 100 * r.Accuracy })
 	// Paper-style aggregate claims.
 	cyber := meanAcc(results, "CyberHD")
 	fmt.Fprintf(w, "\nmean CyberHD − SVM:             %+.2f pp (paper: +1.63)\n", 100*(cyber-meanAcc(results, "SVM")))
@@ -55,36 +44,32 @@ func WriteFig3(w io.Writer, results map[string][]Result) {
 // paper's two log-scale bar charts) plus the headline speedups.
 func WriteFig4(w io.Writer, results map[string][]Result) {
 	names := orderedDatasets(results)
-	fmt.Fprintf(w, "Fig 4a — Training time (s)\n%-16s", "model")
-	for _, d := range names {
-		fmt.Fprintf(w, " %14s", d)
-	}
-	fmt.Fprintln(w)
-	for _, model := range ModelNames {
-		fmt.Fprintf(w, "%-16s", model)
-		for _, d := range names {
-			fmt.Fprintf(w, " %14.3f", find(results[d], model).TrainTime.Seconds())
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "\nFig 4b — Inference latency per query (µs)\n%-16s", "model")
-	for _, d := range names {
-		fmt.Fprintf(w, " %14s", d)
-	}
-	fmt.Fprintln(w)
-	for _, model := range ModelNames {
-		fmt.Fprintf(w, "%-16s", model)
-		for _, d := range names {
-			fmt.Fprintf(w, " %14.2f", float64(find(results[d], model).PerQuery().Nanoseconds())/1e3)
-		}
-		fmt.Fprintln(w)
-	}
+	writeTable(w, "Fig 4a — Training time (s)", results, names, " %14.3f", trainSeconds)
+	writeTable(w, "\nFig 4b — Inference latency per query (µs)", results, names, " %14.2f",
+		func(r Result) float64 { return inferPerQuery(r) / 1e3 })
 	fmt.Fprintf(w, "\nmean DNN/CyberHD train speedup:        %.2f× (paper: 2.47×)\n",
 		meanRatio(results, "DNN", "CyberHD", trainSeconds))
 	fmt.Fprintf(w, "mean BaselineHD-4k/CyberHD train:      %.2f× (paper: 1.85×)\n",
 		meanRatio(results, "BaselineHD-4k", "CyberHD", trainSeconds))
 	fmt.Fprintf(w, "mean BaselineHD-4k/CyberHD inference:  %.2f× (paper: 15.29×)\n",
 		meanRatio(results, "BaselineHD-4k", "CyberHD", inferPerQuery))
+}
+
+// writeTable renders one figure as a table: a row per model, a column per
+// dataset in names, each cell format applied to cell of that result.
+func writeTable(w io.Writer, title string, results map[string][]Result, names []string, format string, cell func(Result) float64) {
+	fmt.Fprintf(w, "%s\n%-16s", title, "model")
+	for _, d := range names {
+		fmt.Fprintf(w, " %14s", d)
+	}
+	fmt.Fprintln(w)
+	for _, model := range ModelNames {
+		fmt.Fprintf(w, "%-16s", model)
+		for _, d := range names {
+			fmt.Fprintf(w, format, cell(find(results[d], model)))
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 func trainSeconds(r Result) float64  { return r.TrainTime.Seconds() }
@@ -98,20 +83,11 @@ func orderedDatasets(results map[string][]Result) []string {
 		}
 	}
 	for d := range results {
-		if !contains(names, d) {
+		if !slices.Contains(names, d) {
 			names = append(names, d)
 		}
 	}
 	return names
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // find returns the result for model within rs (zero Result if absent).

@@ -169,29 +169,3 @@ func TestParallelChunksCoversRange(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkDot4096(b *testing.B) {
-	r := rng.New(1)
-	x := make([]float32, 4096)
-	y := make([]float32, 4096)
-	r.FillNorm(x, 0, 1)
-	r.FillNorm(y, 0, 1)
-	b.SetBytes(4096 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(x, y)
-	}
-}
-
-func BenchmarkMulVec512x128(b *testing.B) {
-	r := rng.New(1)
-	m := NewMatrix(512, 128)
-	r.FillNorm(m.Data, 0, 1)
-	x := make([]float32, 128)
-	r.FillNorm(x, 0, 1)
-	dst := make([]float32, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(x, dst)
-	}
-}

@@ -236,17 +236,3 @@ func TestMul128(t *testing.T) {
 		t.Fatalf("mul128 zero: got (%d, %d)", hi, lo)
 	}
 }
-
-func BenchmarkUint64(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Uint64()
-	}
-}
-
-func BenchmarkNorm(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Norm()
-	}
-}
