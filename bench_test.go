@@ -92,71 +92,24 @@ func benchEncShape(samples int) (base *hdc.Matrix, bias []float32, x *hdc.Matrix
 	return
 }
 
-func benchEncodeBatchNaive(b *testing.B) {
-	base, bias, x, _ := benchEncShape(256)
-	out := hdc.NewMatrix(x.Rows, base.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < x.Rows; s++ {
-			naiveRBFEncode(base, bias, x.Row(s), out.Row(s))
-		}
-	}
-}
-
-func benchEncodeBatchBlocked(b *testing.B) {
-	_, _, x, enc := benchEncShape(256)
-	out := hdc.NewMatrix(x.Rows, enc.Dim())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encoder.EncodeBatchInto(enc, x, out)
-	}
-}
-
 // BenchmarkEncodeBatch measures batch RBF encoding (256 flows × 78
 // features → 512 dims): the seed's per-row matvec loop against the
 // blocked panel GEMM with fused cosine.
 func BenchmarkEncodeBatch(b *testing.B) {
-	b.Run("naive", benchEncodeBatchNaive)
-	b.Run("blocked", benchEncodeBatchBlocked)
-}
-
-// benchPredictModel trains one 512-dim model for the prediction paths.
-func benchPredictModel(b *testing.B) (*core.Model, []float32) {
-	b.Helper()
-	train, test := benchSplit(b, "nsl-kdd")
-	m, err := experiments.TrainBaselineHD(train, experiments.PhysDim, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, test.X.Row(0)
-}
-
-func benchPredictNaive(b *testing.B) {
-	base, bias, x, _ := benchEncShape(1)
-	r := rng.New(13)
-	class := hdc.NewMatrix(5, base.Rows)
-	r.FillNorm(class.Data, 0, 1)
-	q := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := make([]float32, base.Rows)
-		naiveRBFEncode(base, bias, q, h)
-		benchSink = naiveArgmaxCosine(class, h)
-	}
-}
-
-func benchPredictPooled(b *testing.B) {
-	base, _, x, enc := benchEncShape(1)
-	r := rng.New(13)
-	classData := hdc.NewMatrix(5, base.Rows)
-	r.FillNorm(classData.Data, 0, 1)
-	m := &core.Model{Enc: enc, Class: classData}
-	q := x.Row(0)
-	m.Predict(q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = m.Predict(q)
-	}
+	base, bias, x, enc := benchEncShape(256)
+	out := hdc.NewMatrix(x.Rows, enc.Dim())
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < x.Rows; s++ {
+				naiveRBFEncode(base, bias, x.Row(s), out.Row(s))
+			}
+		}
+	})
+	b.Run("blocked", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			encoder.EncodeBatchInto(enc, x, out)
+		}
+	})
 }
 
 var benchSink int
@@ -166,35 +119,47 @@ var benchSink int
 // (fresh encode buffer, float64 row-at-a-time encode, per-call class
 // norms) against the pooled kernel path.
 func BenchmarkPredict(b *testing.B) {
-	b.Run("naive", benchPredictNaive)
-	b.Run("pooled", benchPredictPooled)
-}
-
-func benchPredictEncodedNaive(b *testing.B) {
-	m, q := benchPredictModel(b)
-	h := make([]float32, m.Dim())
-	m.Enc.Encode(q, h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = naiveArgmaxCosine(m.Class, h)
-	}
-}
-
-func benchPredictEncodedCached(b *testing.B) {
-	m, q := benchPredictModel(b)
-	h := make([]float32, m.Dim())
-	m.Enc.Encode(q, h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = m.PredictEncoded(h)
-	}
+	base, bias, x, enc := benchEncShape(1)
+	class := hdc.NewMatrix(5, base.Rows)
+	rng.New(13).FillNorm(class.Data, 0, 1)
+	q := x.Row(0)
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h := make([]float32, base.Rows)
+			naiveRBFEncode(base, bias, q, h)
+			benchSink = naiveArgmaxCosine(class, h)
+		}
+	})
+	m := &core.Model{Enc: enc, Class: class}
+	m.Predict(q)
+	b.Run("pooled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = m.Predict(q)
+		}
+	})
 }
 
 // BenchmarkPredictEncoded isolates scoring: per-call norm recomputation
 // (naiveArgmaxCosine) against the Scorer's cached norms + kernel dots.
 func BenchmarkPredictEncoded(b *testing.B) {
-	b.Run("naive", benchPredictEncodedNaive)
-	b.Run("cached", benchPredictEncodedCached)
+	train, test := benchSplit(b, "nsl-kdd")
+	m, err := experiments.TrainBaselineHD(train, experiments.PhysDim, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := test.X.Row(0)
+	h := make([]float32, m.Dim())
+	m.Enc.Encode(q, h)
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = naiveArgmaxCosine(m.Class, h)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = m.PredictEncoded(h)
+		}
+	})
 }
 
 // benchStream caches the engine benchmarks' shape (512-dim model over
@@ -233,22 +198,30 @@ func benchStreamShape(b *testing.B) (pipeline.Config, *traffic.Stream) {
 	return benchStream.cfg, benchStream.live
 }
 
-// benchEngine streams a fixed capture through an engine per iteration and
-// reports flows/sec.
-func benchEngine(b *testing.B, batch int) {
+// benchEngine streams the shared capture through an engine per iteration
+// and reports flows/s: the synchronous Engine, or with shards > 0 the
+// flow-sharded engine (shards1 is what NewConcurrent builds), classifying
+// in micro-batches of batch flows at quantization width w (0: float32).
+func benchEngine(b *testing.B, batch, shards int, w bitpack.Width) {
 	cfg, live := benchStreamShape(b)
-	cfg.BatchSize = batch
+	cfg.BatchSize, cfg.Shards, cfg.Quantize = batch, shards, w
 	flows := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := pipeline.New(cfg)
+		var eng pipeline.Stream
+		var err error
+		if shards > 0 {
+			eng, err = pipeline.NewSharded(cfg)
+		} else {
+			eng, err = pipeline.New(cfg)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
 		for p := range live.Packets {
 			eng.Feed(live.Packets[p])
 		}
-		eng.Flush()
+		eng.Close()
 		flows = eng.Stats().Flows
 	}
 	b.ReportMetric(float64(flows)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
@@ -258,33 +231,11 @@ func benchEngine(b *testing.B, batch int) {
 // (packets → flows → featurize → classify) with per-flow prediction vs
 // 64-flow micro-batches.
 func BenchmarkEngineClassify(b *testing.B) {
-	b.Run("sync", func(b *testing.B) { benchEngine(b, 0) })
-	b.Run("batch64", func(b *testing.B) { benchEngine(b, 64) })
+	b.Run("sync", func(b *testing.B) { benchEngine(b, 0, 0, 0) })
+	b.Run("batch64", func(b *testing.B) { benchEngine(b, 64, 0, 0) })
 }
 
 // ------------------------------------------------ Sharded engine (PR 2)
-
-// benchShardedEngine streams the capture through the flow-sharded
-// multi-core engine with the given shard count.
-func benchShardedEngine(b *testing.B, shards, batch int) {
-	cfg, live := benchStreamShape(b)
-	cfg.BatchSize = batch
-	cfg.Shards = shards
-	flows := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh, err := pipeline.NewSharded(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p := range live.Packets {
-			sh.Feed(live.Packets[p])
-		}
-		sh.Close()
-		flows = sh.Stats().Flows
-	}
-	b.ReportMetric(float64(flows)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
-}
 
 // BenchmarkShardedClassify measures streaming throughput of the
 // flow-sharded engine at 1/2/4/8 shards (shards1 is what NewConcurrent
@@ -292,46 +243,20 @@ func benchShardedEngine(b *testing.B, shards, batch int) {
 // variant is ingress-bound and roughly flat.
 func BenchmarkShardedClassify(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", n), func(b *testing.B) { benchShardedEngine(b, n, 64) })
+		b.Run(fmt.Sprintf("shards%d", n), func(b *testing.B) { benchEngine(b, 64, n, 0) })
 	}
 }
 
 // -------------------------------------------- Quantized serving (PR 3)
-
-// benchQuantWidths is the Table I bitwidth sweep served live.
-var benchQuantWidths = []bitpack.Width{bitpack.W1, bitpack.W2, bitpack.W4, bitpack.W8, bitpack.W16, bitpack.W32}
-
-// benchQuantEngine streams the shared capture through an engine lowered to
-// packed w-bit inference.
-func benchQuantEngine(b *testing.B, w bitpack.Width, batch int) {
-	cfg, live := benchStreamShape(b)
-	cfg.BatchSize = batch
-	cfg.Quantize = w
-	flows := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := pipeline.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p := range live.Packets {
-			eng.Feed(live.Packets[p])
-		}
-		eng.Flush()
-		flows = eng.Stats().Flows
-	}
-	b.ReportMetric(float64(flows)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
-}
 
 // BenchmarkQuantizedClassify measures end-to-end streaming throughput of
 // packed integer inference at every supported bitwidth against the
 // float32 engine, all with 64-flow micro-batches on identical traffic —
 // the serving form of the paper's Table I sweep.
 func BenchmarkQuantizedClassify(b *testing.B) {
-	b.Run("float32", func(b *testing.B) { benchEngine(b, 64) })
-	for _, w := range benchQuantWidths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { benchQuantEngine(b, w, 64) })
+	b.Run("float32", func(b *testing.B) { benchEngine(b, 64, 0, 0) })
+	for _, w := range []bitpack.Width{bitpack.W1, bitpack.W2, bitpack.W4, bitpack.W8, bitpack.W16, bitpack.W32} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { benchEngine(b, 64, 0, w) })
 	}
 }
 
@@ -388,7 +313,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			tel.Verdict(i&7, i&7 != 0, 0.25)
 		}
 	})
-	b.Run("engine", func(b *testing.B) { benchEngine(b, 64) })
+	b.Run("engine", func(b *testing.B) { benchEngine(b, 64, 0, 0) })
 	b.Run("snapshot", func(b *testing.B) {
 		cfg, live := benchStreamShape(b)
 		eng, err := pipeline.New(cfg)

@@ -122,7 +122,8 @@ type Client struct {
 	cfg   ClientConfig
 	conns []*workerConn
 
-	alertMu sync.Mutex // serializes OnAlert/sink delivery across workers
+	alertMu sync.Mutex   // serializes OnAlert/sink delivery across workers
+	flow    netflow.Flow // deliver's alert flow, under alertMu
 
 	pushMu sync.Mutex // one snapshot replication in flight at a time
 
@@ -195,50 +196,40 @@ func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
 		open: make([]byte, 0, maxPacketsPayload), telDec: newTelemetryDecoder(),
 		acks: make(chan ackState, 1), done: make(chan struct{}),
 	}
-	fail := func(err error) (*workerConn, error) {
+	// exchange sends one handshake frame and waits for its ack.
+	exchange := func(t frameType, payload []byte) error {
+		if err := wc.fw.writeFrame(t, payload); err != nil {
+			return err
+		}
+		if err := wc.fw.flush(); err != nil {
+			return err
+		}
+		got, reply, err := wc.fr.next()
+		if err != nil {
+			return err
+		}
+		if got != frameAck {
+			return fmt.Errorf("frame type %d, want ack", got)
+		}
+		a, err := decodeAck(reply)
+		if err == nil && !a.OK {
+			err = fmt.Errorf("worker rejected: %s", a.Msg)
+		}
+		return err
+	}
+	err = writeWireMagic(conn)
+	if err == nil {
+		err = readWireMagic(conn)
+	}
+	if err == nil {
+		err = exchange(frameHello, hello)
+	}
+	if err == nil {
+		err = exchange(frameSnapshot, snap)
+	}
+	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("cluster: worker %s handshake: %w", addr, err)
-	}
-	if err := writeWireMagic(conn); err != nil {
-		return fail(err)
-	}
-	if err := readWireMagic(conn); err != nil {
-		return fail(err)
-	}
-	expectAck := func() error {
-		t, payload, err := wc.fr.next()
-		if err != nil {
-			return err
-		}
-		if t != frameAck {
-			return fmt.Errorf("frame type %d, want ack", t)
-		}
-		a, err := decodeAck(payload)
-		if err != nil {
-			return err
-		}
-		if !a.OK {
-			return fmt.Errorf("worker rejected: %s", a.Msg)
-		}
-		return nil
-	}
-	if err := wc.fw.writeFrame(frameHello, hello); err != nil {
-		return fail(err)
-	}
-	if err := wc.fw.flush(); err != nil {
-		return fail(err)
-	}
-	if err := expectAck(); err != nil {
-		return fail(err)
-	}
-	if err := wc.fw.writeFrame(frameSnapshot, snap); err != nil {
-		return fail(err)
-	}
-	if err := wc.fw.flush(); err != nil {
-		return fail(err)
-	}
-	if err := expectAck(); err != nil {
-		return fail(err)
 	}
 	return wc, nil
 }
@@ -301,18 +292,12 @@ func (c *Client) readLoop(wc *workerConn) {
 // preserved, cross-worker interleaving serialized (the sharded engine's
 // delivery contract, carried over the wire).
 //
-// The reconstructed Flow is a summary: key, initiator, first/last times
-// and both-direction packet/byte totals — exactly the fields the alert
-// record shape (pipeline.AlertRecord) renders. Per-direction statistics
-// beyond the totals stay on the worker.
+// The Flow is a summary, rebuilt in the client's one scratch Flow under
+// the lock, so like an engine's it is valid only during delivery: key,
+// initiator, first/last times and both-direction packet/byte totals —
+// exactly the fields the alert record shape (pipeline.AlertRecord)
+// renders. Per-direction statistics beyond the totals stay on the worker.
 func (c *Client) deliver(wa *wireAlert) {
-	f := &netflow.Flow{
-		Key:       wa.Key,
-		InitSrcIP: wa.InitSrcIP, InitSrcPort: wa.InitSrcPort,
-		FirstTime: wa.FirstTime, LastTime: wa.Time,
-	}
-	f.FwdLen.N = int(wa.Packets)
-	f.FwdLen.Sum = wa.Bytes
 	class := int(wa.Class)
 	var name string
 	if class < len(c.cfg.ClassNames) {
@@ -320,9 +305,15 @@ func (c *Client) deliver(wa *wireAlert) {
 	} else {
 		name = fmt.Sprintf("class%d", class)
 	}
-	a := pipeline.Alert{Flow: f, Class: class, ClassName: name, Time: wa.Time}
 	c.alertMu.Lock()
 	defer c.alertMu.Unlock()
+	c.flow = netflow.Flow{
+		Key:       wa.Key,
+		InitSrcIP: wa.InitSrcIP, InitSrcPort: wa.InitSrcPort,
+		FirstTime: wa.FirstTime, LastTime: wa.Time,
+		FwdLen: netflow.Stats{N: int(wa.Packets), Sum: wa.Bytes},
+	}
+	a := pipeline.Alert{Flow: &c.flow, Class: class, ClassName: name, Time: wa.Time}
 	if c.cfg.OnAlert != nil {
 		c.cfg.OnAlert(a)
 	}

@@ -288,10 +288,7 @@ func (fr *frameReader) readPayload(n int) ([]byte, error) {
 	}
 	buf := make([]byte, 0, reuseCap)
 	for len(buf) < n {
-		c := n - len(buf)
-		if c > reuseCap {
-			c = reuseCap
-		}
+		c := min(n-len(buf), reuseCap)
 		off := len(buf)
 		buf = append(buf, make([]byte, c)...)
 		if _, err := io.ReadFull(fr.r, buf[off:]); err != nil {

@@ -33,7 +33,9 @@ func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.Fl
 	classNames []string, classOf func(traffic.Label) int) (*Dataset, error) {
 	var feats [][]float32
 	var labels []int
-	a := netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, func(f *netflow.Flow) {
+	var a *netflow.Assembler
+	a = netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, func(f *netflow.Flow) {
+		defer a.Recycle(f)
 		label := traffic.Benign
 		if flowLabels != nil {
 			l, ok := flowLabels[f.Key]
@@ -50,11 +52,7 @@ func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.Fl
 		labels = append(labels, c)
 	})
 	var p netflow.Packet
-	for {
-		err := src.Next(&p)
-		if err == io.EOF {
-			break
-		}
+	for err := src.Next(&p); err != io.EOF; err = src.Next(&p) {
 		if err != nil {
 			return nil, err
 		}

@@ -112,18 +112,10 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 	}
 	var trainRows, testRows []int
 	for _, rows := range byClass {
-		if len(rows) == 0 {
-			continue
-		}
 		r.ShuffleInts(rows)
 		nTrain := int(math.Round(trainFrac * float64(len(rows))))
 		if len(rows) >= 2 {
-			if nTrain == 0 {
-				nTrain = 1
-			}
-			if nTrain == len(rows) {
-				nTrain = len(rows) - 1
-			}
+			nTrain = min(max(nTrain, 1), len(rows)-1)
 		}
 		trainRows = append(trainRows, rows[:nTrain]...)
 		testRows = append(testRows, rows[nTrain:]...)

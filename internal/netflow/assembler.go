@@ -24,6 +24,7 @@ const (
 // has let go of it, so the callback may keep the *Flow and may call back
 // into Add, EvictIdle or Flush. A packet it adds is assembled at once; a
 // flow it evicts is skipped by the eviction pass that was under way.
+// Add starts new flows in the ones handed back through Recycle, if any.
 type Assembler struct {
 	// IdleTimeout ends a flow when no packet arrives for this many
 	// seconds (default CICIdleTimeout).
@@ -40,9 +41,15 @@ type Assembler struct {
 	// it back when done, so a pass nested in its callback allocates its
 	// own instead of overwriting the one being walked.
 	victims []*Flow
+	// free holds recycled flows, never more than the table holds live.
+	free []*Flow
+	// passes counts the eviction passes under way. Add reuses a flow only
+	// at zero: a pass must find a victim recycled under it still evicted.
+	passes int
 }
 
-// NewAssembler builds an assembler delivering completed flows to onEvict.
+// NewAssembler builds an assembler delivering completed flows to onEvict,
+// which may keep each *Flow until it passes it to Recycle.
 // Non-positive timeouts select CICIdleTimeout and CICActivityGap.
 func NewAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *Assembler {
 	if idleTimeout <= 0 {
@@ -65,7 +72,12 @@ func NewAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *Assemb
 func (a *Assembler) Add(p *Packet) {
 	f, h, aToB := a.table.lookup(p)
 	if f == nil {
-		f = newFlow(p)
+		if n := len(a.free); n > 0 && a.passes == 0 {
+			f, a.free[n-1], a.free = a.free[n-1], nil, a.free[:n-1]
+		} else {
+			f = new(Flow)
+		}
+		f.start(p)
 		f.hash = h
 		a.table.insert(f)
 		return
@@ -111,6 +123,19 @@ func (a *Assembler) Flush() {
 	a.evictOrdered(victims)
 }
 
+// Recycle hands back, at most once, a flow this assembler delivered, for
+// Add to start a later flow in. It zeroes every field but the evicted
+// mark, so a pointer kept by mistake reads an empty flow. A live f panics.
+func (a *Assembler) Recycle(f *Flow) {
+	if !f.evicted {
+		panic("netflow: Recycle of a live flow")
+	}
+	*f = Flow{evicted: true}
+	if len(a.free) < a.table.live {
+		a.free = append(a.free, f)
+	}
+}
+
 func (a *Assembler) takeVictims() []*Flow {
 	v := a.victims[:0]
 	a.victims = nil
@@ -130,11 +155,13 @@ func (a *Assembler) evictOrdered(victims []*Flow) {
 		}
 		return x.Key.compare(&y.Key)
 	})
+	a.passes++
 	for _, f := range victims {
 		if !f.evicted { // else an earlier victim's callback got to it first
 			a.evict(f)
 		}
 	}
+	a.passes--
 	clear(victims)
 	a.victims = victims
 }
@@ -143,6 +170,9 @@ func (a *Assembler) evictOrdered(victims []*Flow) {
 // out of it before the callback runs.
 func (a *Assembler) evict(f *Flow) {
 	a.table.remove(f)
+	if n := len(a.free); n > a.table.live {
+		a.free[n-1], a.free = nil, a.free[:n-1]
+	}
 	f.finish()
 	a.evicted++
 	if a.onEvict != nil {

@@ -25,11 +25,20 @@ type differ struct {
 	calls     int
 	// invariantsEvery spaces the O(table) invariant check on long runs.
 	invariantsEvery int
+	// recycle makes the got side keep a copy of each flow and Recycle it.
+	recycle bool
 }
 
 func newDiffer(t testing.TB, idleTimeout, activityGap float64) *differ {
 	d := &differ{t: t, invariantsEvery: 1}
-	d.got = netflow.NewAssembler(idleTimeout, activityGap, func(f *netflow.Flow) { d.gotFlows = append(d.gotFlows, f) })
+	d.got = netflow.NewAssembler(idleTimeout, activityGap, func(f *netflow.Flow) {
+		if d.recycle {
+			c := *f
+			d.got.Recycle(f)
+			f = &c
+		}
+		d.gotFlows = append(d.gotFlows, f)
+	})
 	d.want = netflow.NewRefAssembler(idleTimeout, activityGap, func(f *netflow.Flow) { d.wantFlows = append(d.wantFlows, f) })
 	return d
 }
@@ -88,7 +97,8 @@ func (d *differ) compare(call string) {
 //
 // A script is a byte string, so the same cases serve as table tests and
 // as fuzz seeds. Byte 0 is the mode (bit 0: the colliding universe under
-// the zero table seed); every four bytes after it are one step:
+// the zero table seed; bit 1: the assembler under test recycles every
+// flow it delivers); every four bytes after it are one step:
 //
 //	[c k d f]  c <  0xf0: a packet — the clock moves by steps[c%len], key
 //	                      k of the universe, d bit 0 reverses direction
@@ -192,6 +202,7 @@ func runScript(t testing.TB, script []byte, seed *[4]uint64) *differ {
 		keys = collidingUniverse(t)
 		d.got.SetTableSeed([4]uint64{})
 	}
+	d.recycle = script[0]&2 != 0
 	clock := 0.0
 	for ops := script[1:]; len(ops) >= 4 && d.calls < maxSteps; ops = ops[4:] {
 		c, k, dir, flags := ops[0], ops[1], ops[2], ops[3]
@@ -352,9 +363,11 @@ func adversarialScripts() map[string][]byte {
 func TestAssemblerMatchesReferenceOnScripts(t *testing.T) {
 	for name, script := range adversarialScripts() {
 		t.Run(name, func(t *testing.T) {
-			d := runScript(t, script, nil)
-			if len(d.gotFlows) == 0 || d.got.Active() != 0 {
-				t.Fatalf("script evicted %d flows and left %d live", len(d.gotFlows), d.got.Active())
+			for _, recycle := range []byte{0, 2} { // plain, then recycling every flow
+				d := runScript(t, append([]byte{script[0] | recycle}, script[1:]...), nil)
+				if len(d.gotFlows) == 0 || d.got.Active() != 0 {
+					t.Fatalf("mode %d: script evicted %d flows and left %d live", script[0]|recycle, len(d.gotFlows), d.got.Active())
+				}
 			}
 		})
 	}
@@ -455,6 +468,7 @@ func TestTableSeedReachesNoOutput(t *testing.T) {
 func FuzzAssembler(f *testing.F) {
 	for _, script := range adversarialScripts() {
 		f.Add(script)
+		f.Add(append([]byte{script[0] | 2}, script[1:]...))
 	}
 	f.Fuzz(func(t *testing.T, script []byte) { runScript(t, script, nil) })
 }
@@ -520,6 +534,59 @@ func TestReentrantAddOfTheSameFlow(t *testing.T) {
 	if len(delivered) != 2 || delivered[1].TotalPackets() != 2 || a.Active() != 0 {
 		t.Fatalf("%d flows delivered, successor has %d packets, %d live; want 2, 2, 0",
 			len(delivered), delivered[len(delivered)-1].TotalPackets(), a.Active())
+	}
+}
+
+// TestRecycleWaitsForThePass pins the free list's pass rule. The first
+// victim's callback runs a nested pass, which delivers the second victim,
+// recycled at once, and then adds a packet of a new key. Were the new flow
+// started in the second victim's memory, the outer pass would reach it
+// live and evict it early.
+func TestRecycleWaitsForThePass(t *testing.T) {
+	var a *netflow.Assembler
+	delivered := 0
+	a = netflow.NewAssembler(10, 1, func(f *netflow.Flow) {
+		if delivered++; delivered == 1 {
+			a.EvictIdle(100)
+			a.Add(pkt(100, 7, 8, netflow.SYN))
+		}
+		a.Recycle(f)
+	})
+	a.Add(pkt(0, 1, 2, netflow.SYN))
+	a.Add(pkt(1, 3, 4, netflow.SYN))
+	a.Add(pkt(99, 5, 6, netflow.SYN)) // fresh at 100, so the cap admits a recycled flow
+	a.EvictIdle(100)
+	if delivered != 2 || a.Active() != 2 {
+		t.Fatalf("%d flows delivered, %d live; want the two victims delivered and two flows live", delivered, a.Active())
+	}
+}
+
+// TestRecycleBounds: a recycled flow reads empty and starts the next new
+// flow, Recycle of it while live again panics, and the free list never
+// outgrows the live count, so a flushed burst leaves it empty.
+func TestRecycleBounds(t *testing.T) {
+	var a *netflow.Assembler
+	var last *netflow.Flow
+	a = netflow.NewAssembler(10, 1, func(f *netflow.Flow) { last = f; a.Recycle(f) })
+	a.Add(pkt(0, 1, 2, netflow.SYN))
+	a.Add(pkt(0, 3, 4, netflow.SYN))
+	a.Add(pkt(0, 3, 4, netflow.RST))
+	zeroed, free := last.TotalPackets() == 0, a.FreeFlows()
+	a.Add(pkt(0, 5, 6, netflow.SYN))
+	if !zeroed || free != 1 || last.TotalPackets() != 1 || a.FreeFlows() != 0 {
+		t.Fatalf("recycled flow zeroed: %v, %d free; want true, 1, and the next new flow started in it", zeroed, free)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		a.Recycle(last)
+		t.Error("Recycle of a live flow did not panic")
+	}()
+	for i := range byte(200) {
+		a.Add(pkt(1, i, 9, netflow.SYN))
+	}
+	a.Flush()
+	if a.FreeFlows() != 0 || a.Active() != 0 {
+		t.Fatalf("%d flows free after a flushed burst, %d live; want none", a.FreeFlows(), a.Active())
 	}
 }
 

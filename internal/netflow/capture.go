@@ -239,13 +239,7 @@ func ReadCapture(r io.Reader) ([]Packet, error) {
 	// The header count is only a hint and the input may be hostile: cap
 	// it, and let append follow the records actually read. A streaming
 	// capture (-1) has no total until EOF.
-	hint := s.Remaining()
-	if hint < 0 {
-		hint = 0
-	} else if hint > captureHintCap {
-		hint = captureHintCap
-	}
-	packets := make([]Packet, 0, hint)
+	packets := make([]Packet, 0, min(max(s.Remaining(), 0), captureHintCap))
 	var p Packet
 	for {
 		if err := s.Next(&p); err != nil {

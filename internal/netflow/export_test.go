@@ -20,6 +20,13 @@ type RefAssembler struct {
 	evicted                  int
 }
 
+// newFlow starts a flow from its first packet, as the reference does.
+func newFlow(p *Packet) *Flow {
+	f := new(Flow)
+	f.start(p)
+	return f
+}
+
 // NewRefAssembler mirrors NewAssembler, defaults aside.
 func NewRefAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *RefAssembler {
 	return &RefAssembler{idleTimeout: idleTimeout, activityGap: activityGap,
@@ -105,16 +112,19 @@ func (a *Assembler) TableHash(p *Packet) uint64 {
 // TableSlots returns the table's current slot count.
 func (a *Assembler) TableSlots() int { return len(a.table.slots) }
 
+// FreeFlows returns the number of recycled flows waiting for reuse.
+func (a *Assembler) FreeFlows() int { return len(a.free) }
+
 // CheckTable verifies the table and list invariants the assembler relies
 // on: load at most one half, every live flow reachable from its home slot
 // without crossing an empty one, and the last-seen list holding exactly
 // the live flows, doubly linked, in non-decreasing LastTime behind any
-// NaNs.
+// NaNs; and the free list no longer than the live count.
 func (a *Assembler) CheckTable() error {
 	t := &a.table
 	mask := uint64(len(t.slots) - 1)
-	if len(t.slots)&int(mask) != 0 || 2*t.live > len(t.slots) {
-		return fmt.Errorf("%d live flows in %d slots", t.live, len(t.slots))
+	if len(t.slots)&int(mask) != 0 || 2*t.live > len(t.slots) || len(a.free) > t.live {
+		return fmt.Errorf("%d live flows in %d slots, %d free", t.live, len(t.slots), len(a.free))
 	}
 	n := 0
 	for i, f := range t.slots {

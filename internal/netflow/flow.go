@@ -9,7 +9,7 @@ import (
 // a time. The "forward" direction is the direction of the flow's first
 // packet (the initiator), matching CICFlowMeter.
 //
-// A Flow is 448 bytes, one allocation per flow; a flow that sees an
+// A Flow is 448 bytes, one allocation unless recycled; a flow that sees an
 // activity gap adds one activity record. The packet counters are 32-bit
 // and saturate at math.MaxUint32; below that every feature is exact.
 type Flow struct {
@@ -55,10 +55,10 @@ type activity struct {
 	start        float64 // start of the current active period
 }
 
-// newFlow starts a flow from its first packet.
-func newFlow(p *Packet) *Flow {
+// start begins the flow at its first packet, over whatever f held.
+func (f *Flow) start(p *Packet) {
 	key, aToB := KeyOf(p)
-	f := &Flow{
+	*f = Flow{
 		Key:           key,
 		InitSrcIP:     p.SrcIP,
 		InitSrcPort:   p.SrcPort,
@@ -67,7 +67,6 @@ func newFlow(p *Packet) *Flow {
 		FwdSegSizeMin: 1 << 30,
 	}
 	f.update(p, aToB, 0)
-	return f
 }
 
 // isForward reports whether p travels in the initiator's direction.

@@ -14,10 +14,6 @@ import (
 	"cyberhd/internal/traffic"
 )
 
-// stubModel answers benign instantly — for admission tests that never
-// look at verdicts, sparing the training cost of buildModel.
-type stubModel = staticModel
-
 // slowModel spends a fixed wall-clock delay per verdict, turning any
 // feed loop into an overload: ingestion outruns classification by
 // orders of magnitude.
@@ -75,7 +71,7 @@ func tcpPkt(src, dst uint32, sport, dport uint16, at float64, flags uint8) netfl
 // without a wait — until Close, after which it observably refuses (unlike
 // Feed's silent no-op).
 func TestTryFeedEngineAlwaysAdmits(t *testing.T) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +173,7 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 // admitted exactly as fast as the capture clock refills it —
 // deterministically, independent of wall-clock speed.
 func TestGateTenantRateDeterministic(t *testing.T) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +210,7 @@ func TestGateTenantRateDeterministic(t *testing.T) {
 // start new flows (mid-flow packets keep flowing), and quiet evaluation
 // windows relax the state one step at a time back to normal.
 func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +356,7 @@ func TestP99Since(t *testing.T) {
 // policy serves the bare engine (bit-identical lossless path), bounded
 // mode wraps it in the gate.
 func TestRunnerInstallsGateOnlyWhenBounded(t *testing.T) {
-	cfg := fastCfg(stubModel{})
+	cfg := fastCfg(staticModel{})
 	src := netflow.NewSliceSource(nil)
 	r, err := NewRunner(cfg, src)
 	if err != nil {
@@ -458,7 +454,7 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 // cost over the synchronous engine — the overhead bounded mode adds to
 // the hot feed path.
 func BenchmarkOverloadIngress(b *testing.B) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,7 +473,7 @@ func BenchmarkOverloadIngress(b *testing.B) {
 // CIDR label, the attributed counts sum to the reason totals, and the
 // Prometheus surface exports the bounded-cardinality series.
 func TestGateAttributesDropsByTenant(t *testing.T) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +563,7 @@ func (telemetrylessStream) Telemetry() *telemetry.Collector { return nil }
 // dropped), and tenant drops are labeled in CIDR form for both families,
 // read back from the prefix the key carries.
 func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
-	eng, err := New(fastCfg(stubModel{}))
+	eng, err := New(fastCfg(staticModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,8 @@ type Classifier interface {
 
 // Alert is one non-benign verdict.
 type Alert struct {
-	// Flow is the completed flow that triggered the alert.
+	// Flow is the completed flow that triggered the alert, valid only
+	// during the OnAlert or Consume call that receives it: copy what you keep.
 	Flow *netflow.Flow
 	// Class is the predicted class index.
 	Class int
@@ -131,9 +132,9 @@ type Config struct {
 	// mid-traffic; a Sharded engine shares it across all shards. See
 	// Shadow.
 	Shadow *Shadow
-	// OnAlert, when set, receives every alert synchronously. On Engine it
-	// may call Feed, Tick, Flush and Close; those calls apply, in order,
-	// when the flush emitting the alert returns.
+	// OnAlert, when set, receives every alert synchronously, its Flow valid
+	// only for the call. On Engine it may call Feed, Tick, Flush and Close;
+	// those calls apply, in order, when the flush emitting the alert returns.
 	OnAlert func(Alert)
 	// Sinks receive every alert after OnAlert, in order. Delivery follows
 	// the engine's alert contract: serialized, in verdict order (per shard
@@ -422,10 +423,10 @@ func (e *Engine) onFlow(f *netflow.Flow) {
 }
 
 // flushBatch classifies all pending flows through one blocked batch
-// predict, emits their verdicts in arrival order, then applies the calls
-// alert callbacks queued meanwhile, in call order. Each of those calls'
-// own flushes applies what its callbacks queue, so the queue is empty
-// again when this returns.
+// predict, emits their verdicts in arrival order, recycling each flow
+// once its alert is out, then applies the calls alert callbacks queued
+// meanwhile, in call order. Each of those calls' own flushes applies what
+// its callbacks queue, so the queue is empty again when this returns.
 func (e *Engine) flushBatch() {
 	n := len(e.pendFlows)
 	if n == 0 {
@@ -445,6 +446,7 @@ func (e *Engine) flushBatch() {
 	e.flushing = true
 	for i, f := range e.pendFlows {
 		e.verdict(f, e.preds[i], e.pendDone[i])
+		e.asm.Recycle(f) // its alert is out; a callback's Feed waits in deferred
 	}
 	e.flushing = false
 	e.pendFlows = e.pendFlows[:0]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
@@ -83,7 +84,11 @@ func TestNewValidation(t *testing.T) {
 func TestEngineDetectsAttacks(t *testing.T) {
 	cfg, live := buildModel(t)
 	var alerts []Alert
-	cfg.OnAlert = func(a Alert) { alerts = append(alerts, a) }
+	cfg.OnAlert = func(a Alert) {
+		f := *a.Flow // valid only during the call
+		a.Flow = &f
+		alerts = append(alerts, a)
+	}
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,47 +248,45 @@ func TestBatchModeFlushesOnTick(t *testing.T) {
 }
 
 // TestOnFlowAllocFree pins the zero-allocation contract of steady-state
-// classification, in both synchronous and micro-batch mode.
-func TestOnFlowAllocFree(t *testing.T) {
+// serving: a warm engine assembles, classifies and recycles a flow
+// without allocating.
+func TestOnFlowAllocFree(t *testing.T) { checkAllocFree(t, 0) }
+
+// checkAllocFree feeds an engine at each width (0: float32), synchronous
+// and micro-batched, rounds of eight short flows — a SYN and a RST each —
+// over 64 live ones that keep the free list's cap above a round, ticking
+// after each round, and fails on any allocation once warm.
+func checkAllocFree(t *testing.T, widths ...bitpack.Width) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	cfg, live := buildModel(t)
-	// Harvest completed flows to replay directly into onFlow.
-	var flows []*netflow.Flow
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) { flows = append(flows, f) })
-	for i := range live.Packets {
-		a.Add(&live.Packets[i])
-	}
-	a.Flush()
-	if len(flows) < 10 {
-		t.Fatalf("only %d flows harvested", len(flows))
-	}
-	for name, batch := range map[string]int{"sync": 0, "batch": 8} {
-		cfg := cfg
-		cfg.BatchSize = batch
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range flows { // warm pools and pending buffers
-			eng.onFlow(f)
-		}
-		eng.flushBatch()
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			eng.onFlow(flows[i%len(flows)])
-			i++
-		})
-		eng.flushBatch()
-		if allocs != 0 {
-			t.Errorf("%s mode: onFlow allocates %.2f objects per flow", name, allocs)
+	cfg, _ := buildModel(t)
+	for _, w := range widths {
+		for name, batch := range map[string]int{"sync": 0, "batch": 8} {
+			cfg := cfg
+			cfg.Quantize, cfg.BatchSize = w, batch
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range uint32(64) {
+				eng.Feed(tcpPkt(0x0b000000+i, 0x0c000001, 40000, 443, 0, netflow.SYN))
+			}
+			now := 0.0
+			allocs := testing.AllocsPerRun(200, func() {
+				now += 0.001
+				for i := range uint32(8) {
+					eng.Feed(tcpPkt(0x0a000000+i, 0x0c000001, 40000, 443, now, netflow.SYN))
+					eng.Feed(tcpPkt(0x0a000000+i, 0x0c000001, 40000, 443, now, netflow.RST))
+				}
+				eng.Tick(now)
+			})
+			if allocs != 0 {
+				t.Errorf("w=%d %s mode: %.2f allocations per 8 flows", w, name, allocs)
+			}
 		}
 	}
 }
-
-// alwaysAttack alerts on every flow.
-type alwaysAttack = constAttackModel
 
 // TestTickSurvivesOnAlertFeedingBack pins the callback contract, per flow
 // and batched: while Tick evicts, the first alert's callback feeds a packet
@@ -295,13 +298,13 @@ type alwaysAttack = constAttackModel
 func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 	for _, batch := range []int{0, 1, 64} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			cfg := fastCfg(alwaysAttack{})
+			cfg := fastCfg(constAttackModel{})
 			cfg.BatchSize = batch
 			var eng *Engine
-			var alerted []*netflow.Flow // in verdict order
-			var order []int             // the sink's alerts, as indices into alerted
+			var alerted []netflow.Flow // copies, in verdict order
+			var order []int            // the sink's alerts, as indices into alerted
 			cfg.OnAlert = func(a Alert) {
-				alerted = append(alerted, a.Flow)
+				alerted = append(alerted, *a.Flow)
 				if len(alerted) == 1 {
 					eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 200, netflow.ACK))
 					eng.Feed(tcpPkt(0x0a000005, 0x0a000006, 40001, 443, 200, netflow.SYN))
@@ -311,7 +314,11 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 					eng.Flush()
 				}
 			}
-			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { order = append(order, slices.Index(alerted, a.Flow)) })}
+			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) {
+				order = append(order, slices.IndexFunc(alerted, func(f netflow.Flow) bool {
+					return f.Key == a.Flow.Key && f.FirstTime == a.Flow.FirstTime
+				}))
+			})}
 			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -335,5 +342,34 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 				t.Fatalf("flows hold %d packets, engine counted %d, fed 6", pkts, st.Packets)
 			}
 		})
+	}
+}
+
+// TestAlertFlowValidOnlyDuringDelivery pins the alert lifetime contract on
+// Engine and Sharded: the engine recycles a flow once its alert is
+// delivered, so a callback that keeps a.Flow finds it zeroed.
+func TestAlertFlowValidOnlyDuringDelivery(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := fastCfg(constAttackModel{})
+		cfg.Shards = shards
+		var kept []*netflow.Flow
+		packets := 0
+		cfg.OnAlert = func(a Alert) { kept, packets = append(kept, a.Flow), packets+a.Flow.TotalPackets() }
+		s, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range uint32(16) {
+			s.Feed(tcpPkt(0x0a000000+i, 0x0c000001, 40000, 443, 0, netflow.SYN))
+		}
+		s.Close()
+		if len(kept) != 16 || packets != 16 {
+			t.Fatalf("%d shards: %d alerts over %d packets, want 16 and 16", shards, len(kept), packets)
+		}
+		for _, f := range kept {
+			if f.Key != (netflow.FlowKey{}) || f.TotalPackets() != 0 {
+				t.Fatalf("%d shards: a kept alert flow still reads %v, %d packets", shards, f.Key, f.TotalPackets())
+			}
+		}
 	}
 }

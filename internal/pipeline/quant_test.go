@@ -5,7 +5,6 @@ import (
 
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
-	"cyberhd/internal/netflow"
 	"cyberhd/internal/quantize"
 )
 
@@ -135,44 +134,6 @@ func TestQuantizedCOWFeedbackRequantizes(t *testing.T) {
 }
 
 // TestQuantizedOnFlowAllocFree pins the acceptance criterion: steady-state
-// quantized streaming classification allocates zero per flow, in both
-// synchronous and micro-batch mode, at the narrowest and a wide width.
-func TestQuantizedOnFlowAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	cfg, live := buildModel(t)
-	var flows []*netflow.Flow
-	a := netflow.NewAssembler(120, 1, func(f *netflow.Flow) { flows = append(flows, f) })
-	for i := range live.Packets {
-		a.Add(&live.Packets[i])
-	}
-	a.Flush()
-	if len(flows) < 10 {
-		t.Fatalf("only %d flows harvested", len(flows))
-	}
-	for _, w := range []bitpack.Width{bitpack.W1, bitpack.W8} {
-		for name, batch := range map[string]int{"sync": 0, "batch": 8} {
-			cfg := cfg
-			cfg.Quantize = w
-			cfg.BatchSize = batch
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range flows { // warm pools and pending buffers
-				eng.onFlow(f)
-			}
-			eng.flushBatch()
-			i := 0
-			allocs := testing.AllocsPerRun(200, func() {
-				eng.onFlow(flows[i%len(flows)])
-				i++
-			})
-			eng.flushBatch()
-			if allocs != 0 {
-				t.Errorf("w=%d %s mode: onFlow allocates %.2f objects per flow", w, name, allocs)
-			}
-		}
-	}
-}
+// quantized serving allocates zero per flow, in both synchronous and
+// micro-batch mode, at the narrowest and a wide width.
+func TestQuantizedOnFlowAllocFree(t *testing.T) { checkAllocFree(t, bitpack.W1, bitpack.W8) }

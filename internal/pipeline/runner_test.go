@@ -173,11 +173,7 @@ type constAttackModel struct{}
 
 func (constAttackModel) Predict([]float32) int { return 1 }
 
-func (constAttackModel) PredictBatchInto(x *hdc.Matrix, out []int) {
-	for i := range out {
-		out[i] = 1
-	}
-}
+func (m constAttackModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
 
 // tickProbe wraps an Engine recording the capture-clock position of the
 // stream so a sink can timestamp deliveries in capture time.

@@ -226,10 +226,7 @@ func (s *Sharded) Feed(p netflow.Packet) { s.admit(&p, blockUntilAdmitted) }
 // gate, so a concurrent Close waits out at most one admission bound. False
 // when the shard's buffer stayed full, or after Close.
 func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
-	if wait < 0 {
-		wait = 0
-	}
-	return s.admit(&p, wait)
+	return s.admit(&p, max(wait, 0))
 }
 
 // blockUntilAdmitted is admit's wait value for the lossless Feed path.

@@ -110,7 +110,7 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 	cfg.Shards = 3
 	cfg.BatchSize = 64
 	alerts := make(chan Alert, 16)
-	cfg.Model = attackModel{}
+	cfg.Model = constAttackModel{}
 	cfg.OnAlert = func(a Alert) { alerts <- a }
 	sh, err := NewSharded(cfg)
 	if err != nil {
@@ -125,9 +125,6 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 	}
 	sh.Close()
 }
-
-// attackModel predicts class 1 for everything.
-type attackModel = constAttackModel
 
 // TestConcurrentStatsAfterClose: once Close returns, the worker goroutine
 // has exited and Stats is stable and safe to read repeatedly.

@@ -16,7 +16,8 @@ import (
 // callback. A sink must not call back into the engine's Feed, Tick, Flush
 // or Close.
 type AlertSink interface {
-	// Consume receives one alert. Calls are serialized by the engine.
+	// Consume receives one alert. Calls are serialized by the engine,
+	// and a.Flow is valid only until Consume returns.
 	Consume(a Alert)
 }
 
@@ -209,9 +210,7 @@ type limitWindow struct {
 // NewRateLimitSink caps delivery at burst alerts per class per window
 // capture-seconds. burst < 1 is treated as 1; window <= 0 selects 60 s.
 func NewRateLimitSink(inner AlertSink, burst int, window float64) *RateLimitSink {
-	if burst < 1 {
-		burst = 1
-	}
+	burst = max(burst, 1)
 	if window <= 0 {
 		window = 60
 	}
