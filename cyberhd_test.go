@@ -73,15 +73,7 @@ func TestDetectorEngineOnLiveTraffic(t *testing.T) {
 	alerts := 0
 	cfg := det.EngineConfig()
 	cfg.OnAlert = func(Alert) { alerts++ }
-	eng, err := pipeline.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
+	driveByHand(t, cfg, GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77}).Packets)
 	if alerts == 0 {
 		t.Error("no alerts on attack traffic")
 	}
@@ -207,30 +199,13 @@ func TestDetectorSaveLoad(t *testing.T) {
 	}
 
 	// Engines require flow-feature detectors: an NSL-KDD (41-feature)
-	// detector must be rejected up front, and a reloaded CIC detector must
-	// drive an engine.
+	// detector must be rejected up front, and a reloaded CIC detector (the
+	// serving tests' copy, loaded from its saved bytes) must drive an
+	// engine.
 	if _, err := pipeline.New(back.EngineConfig()); err == nil {
 		t.Fatal("engine accepted a non-flow-feature detector")
 	}
-	cic, err := TrainDetector(CICIDS2017(800, 9), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	if st := driveByHand(t, serveDetector(t).EngineConfig(), GenerateTraffic(TrafficConfig{Sessions: 50, Seed: 5}).Packets); st.Flows == 0 {
+		t.Fatal("a reloaded CIC detector's engine classified no flows")
 	}
-	var buf2 bytes.Buffer
-	if err := cic.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	cicBack, err := LoadDetector(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := pipeline.New(cicBack.EngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := GenerateTraffic(TrafficConfig{Sessions: 50, Seed: 5})
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
 }

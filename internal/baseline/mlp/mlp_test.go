@@ -176,26 +176,3 @@ func TestPredictSurvivesCorruptWeights(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkTrainEpoch(b *testing.B) {
-	x, y := blobs(1000, 20, 5, 0.3, 81, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, 5, Options{Hidden: []int{64, 32}, Epochs: 1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredict(b *testing.B) {
-	x, y := blobs(1000, 20, 5, 0.3, 81, 1)
-	n, err := Train(x, y, 5, Options{Hidden: []int{64, 32}, Epochs: 2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.Predict(q)
-	}
-}

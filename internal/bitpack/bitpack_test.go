@@ -290,29 +290,3 @@ func TestNewVectorPanics(t *testing.T) {
 	}()
 	NewVector(10, Width(5))
 }
-
-func BenchmarkDot1Bit8192(b *testing.B) {
-	r := rng.New(1)
-	x := make([]float32, 8192)
-	y := make([]float32, 8192)
-	r.FillNorm(x, 0, 1)
-	r.FillNorm(y, 0, 1)
-	a, c := Quantize(x, W1), Quantize(y, W1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(a, c)
-	}
-}
-
-func BenchmarkDot8Bit8192(b *testing.B) {
-	r := rng.New(1)
-	x := make([]float32, 8192)
-	y := make([]float32, 8192)
-	r.FillNorm(x, 0, 1)
-	r.FillNorm(y, 0, 1)
-	a, c := Quantize(x, W8), Quantize(y, W8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(a, c)
-	}
-}

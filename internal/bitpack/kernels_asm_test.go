@@ -3,7 +3,6 @@
 package bitpack
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -227,46 +226,6 @@ func TestAsmVsScalarDispatch(t *testing.T) {
 func BenchmarkMatVecScalar512x8(b *testing.B) {
 	restoreAVX, restoreAVX2 := useAVX, useAVX2
 	defer func() { useAVX, useAVX2 = restoreAVX, restoreAVX2 }()
-	r := rng.New(1)
-	const dim, classes = 512, 8
-	flat := make([]float32, classes*dim)
-	r.FillNorm(flat, 0, 1)
-	for _, w := range Widths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			m := QuantizeMatrix(flat, classes, dim, w)
-			q := randVec(rng.New(2), dim, w)
-			out := make([]float64, classes)
-			useAVX, useAVX2 = false, false
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatVecInto(m, q, out)
-			}
-			b.StopTimer()
-			useAVX, useAVX2 = restoreAVX, restoreAVX2
-		})
-	}
-}
-
-// BenchmarkQuantizeScalar512 is the scalar-path half of the QuantizeInto
-// comparison.
-func BenchmarkQuantizeScalar512(b *testing.B) {
-	restoreAVX, restoreAVX2 := useAVX, useAVX2
-	defer func() { useAVX, useAVX2 = restoreAVX, restoreAVX2 }()
-	r := rng.New(1)
-	x := make([]float32, 512)
-	r.FillNorm(x, 0, 1)
-	for _, w := range Widths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			v := NewVector(512, w)
-			useAVX, useAVX2 = false, false
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				QuantizeInto(x, w, v)
-			}
-			b.StopTimer()
-			useAVX, useAVX2 = restoreAVX, restoreAVX2
-		})
-	}
+	useAVX, useAVX2 = false, false
+	BenchmarkMatVecWidths512x8(b)
 }

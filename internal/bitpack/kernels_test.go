@@ -431,13 +431,14 @@ func TestScorerRefreshAfterMutation(t *testing.T) {
 	}
 }
 
-func BenchmarkMatVec8Bit512x8(b *testing.B) {
-	r := rng.New(1)
+// benchMatVec times MatVecInto at width w on the serving shape: 8 class
+// rows of 512 dimensions.
+func benchMatVec(b *testing.B, w Width) {
 	const dim, classes = 512, 8
 	flat := make([]float32, classes*dim)
-	r.FillNorm(flat, 0, 1)
-	m := QuantizeMatrix(flat, classes, dim, W8)
-	q := randVec(r, dim, W8)
+	rng.New(1).FillNorm(flat, 0, 1)
+	m := QuantizeMatrix(flat, classes, dim, w)
+	q := randVec(rng.New(2), dim, w)
 	out := make([]float64, classes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -445,71 +446,15 @@ func BenchmarkMatVec8Bit512x8(b *testing.B) {
 	}
 }
 
-func BenchmarkMatVec1Bit512x8(b *testing.B) {
-	r := rng.New(1)
-	const dim, classes = 512, 8
-	flat := make([]float32, classes*dim)
-	r.FillNorm(flat, 0, 1)
-	m := QuantizeMatrix(flat, classes, dim, W1)
-	q := randVec(r, dim, W1)
-	out := make([]float64, classes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVecInto(m, q, out)
-	}
-}
+func BenchmarkMatVec8Bit512x8(b *testing.B) { benchMatVec(b, W8) }
 
-func BenchmarkScorerClassify8Bit(b *testing.B) {
-	r := rng.New(1)
-	const dim, classes = 512, 8
-	flat := make([]float32, classes*dim)
-	r.FillNorm(flat, 0, 1)
-	m := QuantizeMatrix(flat, classes, dim, W8)
-	s := NewScorer(m)
-	q := randVec(r, dim, W8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSinkInt = s.Classify(q)
-	}
-}
-
-var benchSinkInt int
+func BenchmarkMatVec1Bit512x8(b *testing.B) { benchMatVec(b, W1) }
 
 // BenchmarkMatVecWidths512x8 times the blocked panel kernels per width on
-// the serving shape (512-dim, 8 classes); compare against the same run
-// under -tags noasm (or BenchmarkMatVecScalar512x8 on amd64) for the
-// asm-vs-scalar ratio.
+// the serving shape; compare against the same run under -tags noasm (or
+// BenchmarkMatVecScalar512x8 on amd64) for the asm-vs-scalar ratio.
 func BenchmarkMatVecWidths512x8(b *testing.B) {
-	r := rng.New(1)
-	const dim, classes = 512, 8
-	flat := make([]float32, classes*dim)
-	r.FillNorm(flat, 0, 1)
 	for _, w := range Widths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			m := QuantizeMatrix(flat, classes, dim, w)
-			q := randVec(rng.New(2), dim, w)
-			out := make([]float64, classes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatVecInto(m, q, out)
-			}
-		})
-	}
-}
-
-func BenchmarkQuantizeInto512(b *testing.B) {
-	r := rng.New(1)
-	x := make([]float32, 512)
-	r.FillNorm(x, 0, 1)
-	for _, w := range Widths {
-		w := w
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			v := NewVector(512, w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				QuantizeInto(x, w, v)
-			}
-		})
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { benchMatVec(b, w) })
 	}
 }

@@ -176,31 +176,9 @@ func TestSanityGateRejects(t *testing.T) {
 
 	// Labels deliberately rotated off the candidate's own predictions:
 	// accuracy is exactly 0, so any MinAccuracy > 0 must reject.
-	rows := 30
-	sx := hdc.NewMatrix(rows, 8)
-	sy := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		copy(sx.Row(i), x.Row(i))
-		sy[i] = (cand.Predict(x.Row(i)) + 1) % 3
-	}
-	var mp bytes.Buffer
-	w := multipart.NewWriter(&mp)
-	fw, _ := w.CreateFormFile("model", "model.snap")
-	fw.Write(snapshotBytes(t, cand))
-	sw, _ := w.CreateFormFile("sanity", "sanity.gob")
-	if err := EncodeSanityBatch(sw, SanityBatch{X: sx, Y: sy, MinAccuracy: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	resp, err := http.Post(srv.URL+"/model", w.FormDataContentType(), &mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("sanity gate answered %d: %s", resp.StatusCode, b)
+	code, body := uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), sanityFor(t, cand, x, 1, 0.5))
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("sanity gate answered %d: %s", code, body)
 	}
 	if cow.Version() != v0 {
 		t.Fatalf("failed sanity gate bumped version to %d", cow.Version())
@@ -208,55 +186,62 @@ func TestSanityGateRejects(t *testing.T) {
 
 	// A mis-shaped sanity batch is a client error too, and must not
 	// publish either.
-	var mp2 bytes.Buffer
-	w2 := multipart.NewWriter(&mp2)
-	fw2, _ := w2.CreateFormFile("model", "model.snap")
-	fw2.Write(snapshotBytes(t, cand))
-	sw2, _ := w2.CreateFormFile("sanity", "sanity.gob")
-	sw2.Write([]byte("garbage"))
-	w2.Close()
-	resp2, err := http.Post(srv.URL+"/model", w2.FormDataContentType(), &mp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest || cow.Version() != v0 {
+	code, _ = uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), []byte("garbage"))
+	if code != http.StatusBadRequest || cow.Version() != v0 {
 		t.Fatalf("corrupt sanity part: status %d, version %d (want %d, %d)",
-			resp2.StatusCode, cow.Version(), http.StatusBadRequest, v0)
+			code, cow.Version(), http.StatusBadRequest, v0)
 	}
 }
 
 func TestSanityGatePassesWithLabels(t *testing.T) {
 	cow, _, srv := planeServer(t, Config{})
 	cand, x, _ := trainModel(t, 3, 8, 64, 77)
-	rows := 30
-	sx := hdc.NewMatrix(rows, 8)
-	sy := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		copy(sx.Row(i), x.Row(i))
-		sy[i] = cand.Predict(x.Row(i)) // labels the candidate agrees with
-	}
-	var mp bytes.Buffer
-	w := multipart.NewWriter(&mp)
-	fw, _ := w.CreateFormFile("model", "model.snap")
-	fw.Write(snapshotBytes(t, cand))
-	sw, _ := w.CreateFormFile("sanity", "sanity.gob")
-	if err := EncodeSanityBatch(sw, SanityBatch{X: sx, Y: sy, MinAccuracy: 1.0}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	resp, err := http.Post(srv.URL+"/model", w.FormDataContentType(), &mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("labeled sanity pass answered %d: %s", resp.StatusCode, b)
+	// Labels the candidate agrees with.
+	code, body := uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), sanityFor(t, cand, x, 0, 1.0))
+	if code != http.StatusOK {
+		t.Fatalf("labeled sanity pass answered %d: %s", code, body)
 	}
 	if cow.Version() != 2 {
 		t.Fatalf("version %d after accepted upload, want 2", cow.Version())
 	}
+}
+
+// sanityFor encodes a sanity batch of x's first 30 rows, each labeled
+// with cand's verdict on it moved on by shift classes (of 3), that must
+// score minAcc.
+func sanityFor(t *testing.T, cand *core.Model, x *hdc.Matrix, shift int, minAcc float64) []byte {
+	t.Helper()
+	b := SanityBatch{X: hdc.NewMatrix(30, x.Cols), Y: make([]int, 30), MinAccuracy: minAcc}
+	for i := range b.Y {
+		copy(b.X.Row(i), x.Row(i))
+		b.Y[i] = (cand.Predict(x.Row(i)) + shift) % 3
+	}
+	var buf bytes.Buffer
+	if err := EncodeSanityBatch(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// uploadWithSanity posts model with a sanity part to the plane at url, as
+// the two parts of a multipart form, and returns the status and body of
+// the answer.
+func uploadWithSanity(t *testing.T, url string, model, sanity []byte) (int, string) {
+	t.Helper()
+	var mp bytes.Buffer
+	w := multipart.NewWriter(&mp)
+	fw, _ := w.CreateFormFile("model", "model.snap")
+	fw.Write(model)
+	sw, _ := w.CreateFormFile("sanity", "sanity.gob")
+	sw.Write(sanity)
+	w.Close()
+	resp, err := http.Post(url+"/model", w.FormDataContentType(), &mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
 }
 
 func TestShadowAttachPromoteDemote(t *testing.T) {
@@ -372,14 +357,7 @@ func TestConcurrentPromotesPublishOnce(t *testing.T) {
 func TestWidthConflictRejected(t *testing.T) {
 	// A snapshot recording 4-bit serving uploaded to an 8-bit plane is an
 	// operator mistake the plane refuses.
-	m, _, _ := trainModel(t, 3, 8, 64, 11)
-	cow := core.NewCOWModel(m)
-	p, err := New(Config{Model: cow, Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
+	cow, _, srv := planeServer(t, Config{Width: 8})
 
 	cand, _, _ := trainModel(t, 3, 8, 64, 77)
 	candCow := core.NewCOWModel(cand)

@@ -3,29 +3,11 @@ package core
 import (
 	"sync"
 	"testing"
-
-	"cyberhd/internal/encoder"
-	"cyberhd/internal/hdc"
 )
 
-// cowModel trains two bit-identical small models (training is fully
-// seeded) so tests can publish one through a COWModel and compare against
-// the other, or publish the second as a later version.
-func cowModel(t *testing.T) (*Model, *Model, *hdc.Matrix, []int) {
-	t.Helper()
-	x, y := blobs(300, 8, 3, 0.6, 50, 51)
-	train := func() *Model {
-		m, err := Train(encoder.NewRBF(8, 64, 0, 9), x, y, Options{Classes: 3, Epochs: 3, Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	return train(), train(), x, y
-}
-
 func TestCOWPredictMatchesModel(t *testing.T) {
-	m, ref, x, _ := cowModel(t)
+	m, x, _ := toyModel(t, 3, 64, 9)
+	ref, _, _ := toyModel(t, 3, 64, 9)
 	cow := NewCOWModel(m)
 	if cow.Dim() != ref.Dim() || cow.NumClasses() != ref.NumClasses() {
 		t.Fatalf("shape mismatch: %dx%d vs %dx%d", cow.NumClasses(), cow.Dim(), ref.NumClasses(), ref.Dim())
@@ -44,7 +26,8 @@ func TestCOWPredictMatchesModel(t *testing.T) {
 }
 
 func TestCOWSnapshotImmutable(t *testing.T) {
-	m, next, x, _ := cowModel(t)
+	m, x, _ := toyModel(t, 3, 64, 9)
+	next, _, _ := toyModel(t, 3, 64, 9)
 	cow := NewCOWModel(m)
 	old := cow.Snapshot()
 	oldClass := old.Class.Clone()
@@ -80,7 +63,8 @@ func TestCOWSnapshotImmutable(t *testing.T) {
 // runs again on every subsequent publication with the model published,
 // and its artifact rides the snapshot the readers load.
 func TestCOWSetDerive(t *testing.T) {
-	m, next, _, _ := cowModel(t)
+	m, _, _ := toyModel(t, 3, 64, 9)
+	next, _, _ := toyModel(t, 3, 64, 9)
 	cow := NewCOWModel(m)
 	if cow.Snapshot().Derived() != nil {
 		t.Fatal("derived artifact present before SetDerive")
@@ -122,7 +106,7 @@ func TestCOWSetDerive(t *testing.T) {
 // Correctness here is "no race, no torn state": every prediction must be
 // a valid class index and every loaded snapshot internally consistent.
 func TestCOWConcurrentReadersAndWriter(t *testing.T) {
-	m, _, x, _ := cowModel(t)
+	m, x, _ := toyModel(t, 3, 64, 9)
 	cow := NewCOWModel(m)
 	const readers = 4
 	stop := make(chan struct{})
@@ -156,7 +140,7 @@ func TestCOWConcurrentReadersAndWriter(t *testing.T) {
 		}(r)
 	}
 	for pass := 0; pass < 3; pass++ {
-		next, _, _, _ := cowModel(t)
+		next, _, _ := toyModel(t, 3, 64, 9)
 		dims := []int{pass, pass + 8, pass + 16}
 		next.Class.ZeroColumns(dims)
 		next.Enc.Regenerate(dims)

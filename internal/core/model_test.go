@@ -9,26 +9,6 @@ import (
 	"cyberhd/internal/rng"
 )
 
-// blobs builds a k-class Gaussian-mixture problem with class means separated
-// enough to be learnable but noisy enough that a weak model misclassifies.
-func blobs(n, features, k int, noise float64, meanSeed, noiseSeed uint64) (*hdc.Matrix, []int) {
-	mr := rng.New(meanSeed)
-	means := hdc.NewMatrix(k, features)
-	mr.FillNorm(means.Data, 0, 1)
-	r := rng.New(noiseSeed)
-	x := hdc.NewMatrix(n, features)
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i % k
-		y[i] = c
-		row := x.Row(i)
-		for j := 0; j < features; j++ {
-			row[j] = means.At(c, j) + float32(noise*r.Norm())
-		}
-	}
-	return x, y
-}
-
 func TestTrainValidation(t *testing.T) {
 	x, y := blobs(10, 4, 2, 0.1, 100, 1)
 	enc := func() *encoder.RBF { return encoder.NewRBF(4, 32, 0, 1) }
@@ -255,29 +235,5 @@ func TestHistoryAccuracyNonTrivial(t *testing.T) {
 		if h.TrainAcc < 0.5 || h.TrainAcc > 1 {
 			t.Errorf("history[%d].TrainAcc = %v", i, h.TrainAcc)
 		}
-	}
-}
-
-func BenchmarkTrainBaseline512(b *testing.B) {
-	x, y := blobs(1000, 20, 5, 0.3, 108, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := Train(encoder.NewRBF(20, 512, 0, 1), x, y, Options{Classes: 5, Epochs: 3, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredict512(b *testing.B) {
-	x, y := blobs(1000, 20, 5, 0.3, 108, 1)
-	m, err := Train(encoder.NewRBF(20, 512, 0, 1), x, y, Options{Classes: 5, Epochs: 3, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := x.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Predict(q)
 	}
 }

@@ -4,19 +4,7 @@ import (
 	"bytes"
 	"os"
 	"testing"
-
-	"cyberhd/internal/encoder"
 )
-
-func trainSmall(t *testing.T, enc *encoder.RBF) (*Model, interface{}) {
-	t.Helper()
-	x, y := blobs(600, 8, 3, 0.3, 300, 1)
-	m, err := Train(enc, x, y, Options{Classes: 3, Epochs: 3, RegenCycles: 2, RegenRate: 0.1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, nil
-}
 
 // roundTrip writes m the one way models are written and reads it back the
 // one way they are read.
@@ -35,7 +23,7 @@ func roundTrip(t *testing.T, m *Model) *Model {
 
 func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
 	x, _ := blobs(200, 8, 3, 0.3, 300, 2)
-	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	m, _, _ := toyModel(t, 3, 64, 9)
 	back := roundTrip(t, m)
 	if !back.Class.Equal(m.Class) {
 		t.Fatal("class matrix changed")
@@ -54,13 +42,13 @@ func TestSaveLoadRoundTripAllEncoders(t *testing.T) {
 }
 
 func TestLoadedModelContinuesTraining(t *testing.T) {
-	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	m, _, _ := toyModel(t, 3, 64, 9)
 	// Regeneration draws must continue the saved stream: regenerating the
 	// same dims on original and loaded encoders yields identical bases —
 	// from a v2 round trip and from the frozen v1 file of the same model.
 	dims := []int{1, 5, 9}
 	m.Enc.Regenerate(dims)
-	m2, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	m2, _, _ := toyModel(t, 3, 64, 9)
 	fixture, err := os.Open("testdata/model_v1.snapshot")
 	if err != nil {
 		t.Fatal(err)

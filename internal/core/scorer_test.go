@@ -57,23 +57,12 @@ func TestArgmaxCosineReferenceZeroQuery(t *testing.T) {
 	}
 }
 
-// scorerModel trains a small model for scorer-path tests.
-func scorerModel(t testing.TB, classes, dim int) (*Model, *hdc.Matrix, []int) {
-	t.Helper()
-	x, y := blobs(600, 8, classes, 0.3, 200, 1)
-	m, err := Train(encoder.NewRBF(8, dim, 0, 3), x, y, Options{Classes: classes, Epochs: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, x, y
-}
-
 // TestScorerMatchesArgmaxCosine checks the cached-norm kernel argmax
 // against the naive per-call-norm reference. The two paths differ in
 // float rounding (lane-wise float32 vs float64 dots), far below the
 // separation of these well-spread similarities, so the argmax agrees.
 func TestScorerMatchesArgmaxCosine(t *testing.T) {
-	m, x, _ := scorerModel(t, 5, 256)
+	m, x, _ := toyModel(t, 5, 256, 9)
 	h := make([]float32, m.Dim())
 	for i := 0; i < 100; i++ {
 		m.Enc.Encode(x.Row(i), h)
@@ -89,7 +78,7 @@ func TestScorerMatchesArgmaxCosine(t *testing.T) {
 // prediction level: the batch GEMM path must agree exactly with repeated
 // single-query prediction — same kernels, different tiling.
 func TestBatchPredictionBitIdentical(t *testing.T) {
-	m, x, _ := scorerModel(t, 4, 192)
+	m, x, _ := toyModel(t, 4, 192, 9)
 	batch := m.PredictBatch(x)
 	h := make([]float32, m.Dim())
 	for i := 0; i < x.Rows; i++ {
@@ -113,7 +102,7 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 // updates (RefreshRow via updateNormed), column drops (Refresh), and
 // manual row edits.
 func TestScorerNormInvalidation(t *testing.T) {
-	m, x, y := scorerModel(t, 3, 64)
+	m, x, y := toyModel(t, 3, 64, 9)
 	check := func(stage string) {
 		t.Helper()
 		for r, cached := range m.Scorer().norms {
@@ -184,7 +173,7 @@ func TestPredictAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	m, x, y := scorerModel(t, 5, 512)
+	m, x, y := toyModel(t, 5, 512, 9)
 	q := x.Row(0)
 	m.Predict(q) // warm the pools
 	if allocs := testing.AllocsPerRun(100, func() { m.Predict(q) }); allocs != 0 {
@@ -240,7 +229,7 @@ func TestScorerQueryLengthPanics(t *testing.T) {
 // argmax scoring to well under a point — the documented deviation from
 // float64 accumulation must never move headline metrics.
 func TestKernelAccuracyParity(t *testing.T) {
-	m, x, y := scorerModel(t, 5, 256)
+	m, x, y := toyModel(t, 5, 256, 9)
 	preds := m.PredictBatch(x)
 	enc := encoder.EncodeBatch(m.Enc, x)
 	kernelAcc, refAcc, disagree := 0, 0, 0

@@ -10,8 +10,6 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-
-	"cyberhd/internal/encoder"
 )
 
 // snapCOW trains a small model, wraps it in COW and hot-reloads a second
@@ -19,9 +17,9 @@ import (
 // live deployment would snapshot.
 func snapCOW(t *testing.T) (*COWModel, []float32) {
 	t.Helper()
-	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	m, _, _ := toyModel(t, 3, 64, 9)
 	c := NewCOWModel(m)
-	next, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 10))
+	next, _, _ := toyModel(t, 3, 64, 10)
 	if err := c.ReplaceModel(next); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +80,8 @@ func TestSnapshotV1Fallback(t *testing.T) {
 	// A v1 file from before the snapshot format must keep loading:
 	// LoadSnapshot sniffs the missing magic and rebuilds the derived state
 	// (norms via Scorer().Refresh(), version restarted at 1). The frozen fixture
-	// is the v1 form of exactly the model trainSmall trains.
-	m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+	// is the v1 form of exactly the model toyModel(t, 3, 64, 9) trains.
+	m, _, _ := toyModel(t, 3, 64, 9)
 	back, info, err := LoadSnapshotFile("testdata/model_v1.snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,7 @@ func TestSnapshotV1Fallback(t *testing.T) {
 func TestSaveSnapshotBytesPinned(t *testing.T) {
 	const want = "79c7e256becba1f1fe0b75ccc015ec0e481210335320a4f4067b254cf0f4468a"
 	if os.Getenv("CYBERHD_SNAPSHOT_PIN_CHILD") == "1" {
-		m, _ := trainSmall(t, encoder.NewRBF(8, 64, 0, 9))
+		m, _, _ := toyModel(t, 3, 64, 9)
 		h := sha256.New()
 		if err := SaveSnapshot(h, NewCOWModel(m)); err != nil {
 			t.Fatal(err)

@@ -7,37 +7,16 @@ import (
 	"testing"
 
 	"cyberhd/internal/core"
-	"cyberhd/internal/encoder"
-	"cyberhd/internal/hdc"
 	"cyberhd/internal/quantize"
-	"cyberhd/internal/rng"
 )
-
-func widthTestCOW(t *testing.T) (*core.COWModel, *hdc.Matrix) {
-	t.Helper()
-	r := rng.New(17)
-	x := hdc.NewMatrix(120, 6)
-	y := make([]int, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		y[i] = i % 3
-		row := x.Row(i)
-		for j := range row {
-			row[j] = float32(y[i]) + 0.3*r.NormFloat32()
-		}
-	}
-	m, err := core.Train(encoder.NewRBF(6, 32, 0, 5), x, y, core.Options{Classes: 3, Epochs: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.NewCOWModel(m), x
-}
 
 // TestSnapshotRecordsDerivedWidth pins that a COWModel serving through a
 // live quantized derivation saves its width into the snapshot — the
 // record the control plane checks so a snapshot validated at one
 // deployment width is refused by a plane serving another.
 func TestSnapshotRecordsDerivedWidth(t *testing.T) {
-	cow, x := widthTestCOW(t)
+	m, x, _ := core.ToyModel(t, 3, 64, 9)
+	cow := core.NewCOWModel(m)
 	live, err := quantize.AttachLive(cow, 4)
 	if err != nil {
 		t.Fatal(err)

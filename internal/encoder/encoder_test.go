@@ -14,33 +14,27 @@ func randInput(r *rng.Rand, n int) []float32 {
 	return x
 }
 
-// encoders is the table the shared tests range over.
-func encoders(inDim, dim int, seed uint64) map[string]*RBF {
-	return map[string]*RBF{"rbf": NewRBF(inDim, dim, 0, seed)}
-}
-
 func TestEncodeDeterministic(t *testing.T) {
 	r := rng.New(1)
 	x := randInput(r, 8)
-	for name, e := range encoders(8, 128, 42) {
-		a := make([]float32, 128)
-		b := make([]float32, 128)
-		e.Encode(x, a)
-		e.Encode(x, b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s: encode not deterministic at %d", name, i)
-				break
-			}
+	e := NewRBF(8, 128, 0, 42)
+	a := make([]float32, 128)
+	b := make([]float32, 128)
+	e.Encode(x, a)
+	e.Encode(x, b)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("encode not deterministic at %d", i)
+			break
 		}
-		// Same seed, fresh encoder must agree.
-		e2 := encoders(8, 128, 42)[name]
-		e2.Encode(x, b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s: same-seed encoder differs at %d", name, i)
-				break
-			}
+	}
+	// Same seed, fresh encoder must agree.
+	e2 := NewRBF(8, 128, 0, 42)
+	e2.Encode(x, b)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("same-seed encoder differs at %d", i)
+			break
 		}
 	}
 }
@@ -67,15 +61,14 @@ func TestEncodeDimsMatchesEncode(t *testing.T) {
 	r := rng.New(2)
 	x := randInput(r, 10)
 	dims := []int{0, 5, 63, 127}
-	for name, e := range encoders(10, 128, 7) {
-		full := make([]float32, 128)
-		e.Encode(x, full)
-		partial := make([]float32, 128)
-		e.EncodeDims(x, partial, dims)
-		for _, d := range dims {
-			if partial[d] != full[d] {
-				t.Errorf("%s: EncodeDims[%d] = %v, Encode = %v", name, d, partial[d], full[d])
-			}
+	e := NewRBF(10, 128, 0, 7)
+	full := make([]float32, 128)
+	e.Encode(x, full)
+	partial := make([]float32, 128)
+	e.EncodeDims(x, partial, dims)
+	for _, d := range dims {
+		if partial[d] != full[d] {
+			t.Errorf("EncodeDims[%d] = %v, Encode = %v", d, partial[d], full[d])
 		}
 	}
 }
@@ -85,55 +78,48 @@ func TestRegenerateChangesOnlyListedDims(t *testing.T) {
 	x := randInput(r, 12)
 	dims := []int{1, 50, 99}
 	inDims := map[int]bool{1: true, 50: true, 99: true}
-	for name, e := range encoders(12, 100, 11) {
-		before := make([]float32, 100)
-		e.Encode(x, before)
-		e.Regenerate(dims)
-		after := make([]float32, 100)
-		e.Encode(x, after)
-		for d := 0; d < 100; d++ {
-			if !inDims[d] && after[d] != before[d] {
-				t.Errorf("%s: untouched dim %d changed", name, d)
-			}
+	e := NewRBF(12, 100, 0, 11)
+	before := make([]float32, 100)
+	e.Encode(x, before)
+	e.Regenerate(dims)
+	after := make([]float32, 100)
+	e.Encode(x, after)
+	for d := 0; d < 100; d++ {
+		if !inDims[d] && after[d] != before[d] {
+			t.Errorf("untouched dim %d changed", d)
 		}
-		// At least one regenerated dim should actually differ (overwhelmingly
-		// likely with continuous draws).
-		changed := false
-		for _, d := range dims {
-			if after[d] != before[d] {
-				changed = true
-			}
+	}
+	// At least one regenerated dim should actually differ (overwhelmingly
+	// likely with continuous draws).
+	changed := false
+	for _, d := range dims {
+		if after[d] != before[d] {
+			changed = true
 		}
-		if !changed {
-			t.Errorf("%s: regeneration changed nothing", name)
-		}
+	}
+	if !changed {
+		t.Error("regeneration changed nothing")
 	}
 }
 
 func TestRegenerateOutOfRangePanics(t *testing.T) {
-	for name, e := range encoders(4, 16, 1) {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic on bad dim", name)
-				}
-			}()
-			e.Regenerate([]int{16})
-		}()
-	}
+	e := NewRBF(4, 16, 0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on bad dim")
+		}
+	}()
+	e.Regenerate([]int{16})
 }
 
 func TestEncodeLengthMismatchPanics(t *testing.T) {
-	for name, e := range encoders(4, 16, 1) {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic on bad input length", name)
-				}
-			}()
-			e.Encode(make([]float32, 3), make([]float32, 16))
-		}()
-	}
+	e := NewRBF(4, 16, 0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on bad input length")
+		}
+	}()
+	e.Encode(make([]float32, 3), make([]float32, 16))
 }
 
 func TestRBFOutputRange(t *testing.T) {
@@ -285,44 +271,21 @@ func TestNewEncoderPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkRBFEncode512(b *testing.B) {
-	e := NewRBF(41, 512, 0, 1)
-	r := rng.New(1)
-	x := randInput(r, 41)
-	dst := make([]float32, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Encode(x, dst)
-	}
-}
-
-func BenchmarkRBFEncode4096(b *testing.B) {
-	e := NewRBF(41, 4096, 0, 1)
-	r := rng.New(1)
-	x := randInput(r, 41)
-	dst := make([]float32, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Encode(x, dst)
-	}
-}
-
 // TestEncodeBatchBitIdenticalAllEncoders pins the blocked batch kernel
 // (RBF panel GEMM) to row-at-a-time Encode, bitwise.
 func TestEncodeBatchBitIdenticalAllEncoders(t *testing.T) {
 	r := rng.New(61)
 	x := hdc.NewMatrix(333, 9) // sample count straddles chunk boundaries
 	r.FillNorm(x.Data, 0, 1)
-	for name, e := range encoders(9, 100, 17) { // dim not a panel multiple
-		out := EncodeBatch(e, x)
-		want := make([]float32, 100)
-		for i := 0; i < x.Rows; i++ {
-			e.Encode(x.Row(i), want)
-			got := out.Row(i)
-			for d := range want {
-				if got[d] != want[d] {
-					t.Fatalf("%s: row %d dim %d: batch %v != single %v", name, i, d, got[d], want[d])
-				}
+	e := NewRBF(9, 100, 0, 17) // dim not a panel multiple
+	out := EncodeBatch(e, x)
+	want := make([]float32, 100)
+	for i := 0; i < x.Rows; i++ {
+		e.Encode(x.Row(i), want)
+		got := out.Row(i)
+		for d := range want {
+			if got[d] != want[d] {
+				t.Fatalf("row %d dim %d: batch %v != single %v", i, d, got[d], want[d])
 			}
 		}
 	}

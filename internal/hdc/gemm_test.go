@@ -326,29 +326,6 @@ func TestMatMulTAllocFree(t *testing.T) {
 	}
 }
 
-func BenchmarkDotPanelEncodeShape(b *testing.B) {
-	x := make([]float32, 78)
-	m := NewMatrix(512, 78)
-	out := make([]float32, 512)
-	r := rng.New(8)
-	r.FillNorm(x, 0, 1)
-	r.FillNorm(m.Data, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DotPanel(x, m.Data, 78, out)
-	}
-}
-
-func BenchmarkDotPanelScoreShape(b *testing.B) {
-	q := make([]float32, 512)
-	m := NewMatrix(8, 512)
-	out := make([]float32, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DotPanel(q, m.Data, 512, out)
-	}
-}
-
 // BenchmarkPanel64ScoreShape is one adaptive-update similarity pass at
 // the paper's shape: 8 class rows of D = 512 under the float64 contract.
 func BenchmarkPanel64ScoreShape(b *testing.B) {
@@ -364,30 +341,4 @@ func BenchmarkPanel64ScoreShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Dots(q, out)
 	}
-}
-
-func BenchmarkMatMulT(b *testing.B) {
-	a := NewMatrix(256, 78)
-	m := NewMatrix(512, 78)
-	dst := NewMatrix(256, 512)
-	r := rng.New(9)
-	r.FillNorm(a.Data, 0, 1)
-	r.FillNorm(m.Data, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulT(a, m, dst)
-	}
-}
-
-func BenchmarkCos32(b *testing.B) {
-	x := float32(0.7)
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		sink = Cos32(x)
-		x += 0.1
-		if x > 40 {
-			x = -40
-		}
-	}
-	_ = sink
 }

@@ -217,39 +217,6 @@ func TestPcapngRoundTrip(t *testing.T) {
 	}
 }
 
-// reencodePCAP rewrites a classic little-endian nanosecond PCAP (what
-// WritePCAP emits) in byte order bo, with microsecond ticks when micro.
-func reencodePCAP(t *testing.T, raw []byte, bo binary.ByteOrder, micro bool) []byte {
-	t.Helper()
-	le := binary.LittleEndian
-	out := bytes.Clone(raw)
-	magic := uint32(pcapMagicNano)
-	if micro {
-		magic = pcapMagicMicro
-	}
-	bo.PutUint32(out[0:], magic)
-	bo.PutUint16(out[4:], le.Uint16(raw[4:]))
-	bo.PutUint16(out[6:], le.Uint16(raw[6:]))
-	bo.PutUint32(out[16:], le.Uint32(raw[16:]))
-	bo.PutUint32(out[20:], le.Uint32(raw[20:]))
-	for off := 24; off < len(raw); {
-		if off+16 > len(raw) {
-			t.Fatalf("record header at %d runs past the capture", off)
-		}
-		tick := le.Uint32(raw[off+4:])
-		if micro {
-			tick /= 1000
-		}
-		caplen := le.Uint32(raw[off+8:])
-		bo.PutUint32(out[off:], le.Uint32(raw[off:]))
-		bo.PutUint32(out[off+4:], tick)
-		bo.PutUint32(out[off+8:], caplen)
-		bo.PutUint32(out[off+12:], le.Uint32(raw[off+12:]))
-		off += 16 + int(caplen)
-	}
-	return out
-}
-
 // TestPCAPSourceAllocFree pins the package comment's promise: once the
 // first record is read, Next allocates nothing per packet — classic PCAP
 // in both resolutions and byte orders, pcapng, and CaptureScanner over
@@ -282,8 +249,8 @@ func TestPCAPSourceAllocFree(t *testing.T) {
 		open func(io.Reader) (PacketSource, error)
 		n    int
 	}{
-		{"classic-us-le", reencodePCAP(t, classic.Bytes(), binary.LittleEndian, true), pcap, len(pkts)},
-		{"classic-ns-be", reencodePCAP(t, classic.Bytes(), binary.BigEndian, false), pcap, len(pkts)},
+		{"classic-us-le", recastPCAP(t, classic.Bytes(), binary.LittleEndian, true), pcap, len(pkts)},
+		{"classic-ns-be", recastPCAP(t, classic.Bytes(), binary.BigEndian, false), pcap, len(pkts)},
 		{"pcapng", writePcapng(t, pkts), pcap, len(pkts)},
 		{"capture-v1", capV1.Bytes(), capture, len(v4)},
 		{"capture-v2", capV2.Bytes(), capture, len(pkts)},

@@ -2,30 +2,13 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"cyberhd/internal/datasets"
-	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 )
-
-// bitsModel derives the class from the bits of the feature vector, so a
-// flow split at the wrong packet changes its verdict, not just its times.
-type bitsModel struct{}
-
-func (bitsModel) Predict(x []float32) int {
-	var h uint32
-	for _, v := range x {
-		h = h*31 + math.Float32bits(v)
-	}
-	return int(h>>7) & 1
-}
-
-func (m bitsModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
 
 // chunkOp is one step of a hand-driven replay.
 type chunkOp struct {
@@ -117,14 +100,7 @@ func chunkReplay(shards int, phases [3][]int) []chunkOp {
 // Stats of a hand-driven synchronous Engine, and every admitted packet is
 // counted.
 func TestShardedChunkBoundaries(t *testing.T) {
-	cfg := fastCfg(bitsModel{})
-	cfg.Normalizer = &datasets.Normalizer{
-		Mean:   make([]float32, netflow.NumFeatures),
-		InvStd: make([]float32, netflow.NumFeatures),
-	}
-	for i := range cfg.Normalizer.InvStd {
-		cfg.Normalizer.InvStd[i] = 1
-	}
+	cfg := fastCfg(fakeModel{bits: true})
 	type verdict struct {
 		key   netflow.FlowKey
 		class int
@@ -165,10 +141,7 @@ func TestShardedChunkBoundaries(t *testing.T) {
 					want := map[verdict]int{}
 					ecfg := cfg
 					ecfg.OnAlert = collect(want)
-					eng, err := New(ecfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					eng := newEngine(t, ecfg)
 					// checkOpen pins what a phase leaves in each open chunk: a
 					// run of chunk-1 stays open, chunk went out whole, chunk+1
 					// left one packet behind. The feeder is this goroutine, so
@@ -245,7 +218,7 @@ func TestShardedChunkBoundaries(t *testing.T) {
 // must be counted once. Run under -race it is the regression test of the
 // wait-outside-the-lock path.
 func TestShardedFeedersWaitTogether(t *testing.T) {
-	cfg := fastCfg(slowModel{delay: 5 * time.Microsecond})
+	cfg := fastCfg(fakeModel{delay: 5 * time.Microsecond})
 	cfg.Shards = 2
 	s, err := newSharded(cfg, 8) // chunks of 2 packets, 3 channel slots
 	if err != nil {

@@ -12,18 +12,6 @@ import (
 	"cyberhd/internal/quantize"
 )
 
-// tickLog records the boundary time of every Tick delivered.
-type tickLog struct {
-	*Engine
-	ticks []float64
-}
-
-// Tick records and forwards.
-func (l *tickLog) Tick(now float64) {
-	l.ticks = append(l.ticks, now)
-	l.Engine.Tick(now)
-}
-
 // TestRunnerNonFiniteTimesKeepTheClock: a NaN or +Inf packet time, first
 // or mid-capture, neither seeds nor advances the Runner's capture clock.
 // The run ticks at exactly the boundaries, and reaches exactly the
@@ -32,12 +20,7 @@ func (l *tickLog) Tick(now float64) {
 func TestRunnerNonFiniteTimesKeepTheClock(t *testing.T) {
 	run := func(pkts []netflow.Packet) ([]float64, Stats) {
 		t.Helper()
-		cfg := trivialConfig()
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log := &tickLog{Engine: eng}
+		log := &tickLog{Engine: newEngine(t, fastCfg(fakeModel{class: 1}))}
 		r := &Runner{Stream: log, Source: netflow.NewSliceSource(pkts), TickInterval: 1}
 		st, err := r.Run(context.Background())
 		if err != nil {
@@ -46,7 +29,6 @@ func TestRunnerNonFiniteTimesKeepTheClock(t *testing.T) {
 		return log.ticks, st
 	}
 	base := quietGapCapture()
-	odd := netflow.Packet{SrcIP: netflow.AddrV4(3), DstIP: netflow.AddrV4(4), SrcPort: 7, DstPort: 8, Proto: netflow.UDP, Length: 60, HeaderLen: 28}
 	for _, c := range []struct {
 		name string
 		at   int // the odd packet goes in front of base[at]
@@ -57,9 +39,7 @@ func TestRunnerNonFiniteTimesKeepTheClock(t *testing.T) {
 		{"inf-mid", 100, math.Inf(1)},
 	} {
 		with := func(time float64) []netflow.Packet {
-			p := odd
-			p.Time = time
-			return slices.Insert(slices.Clone(base), c.at, p)
+			return slices.Insert(slices.Clone(base), c.at, tcpPkt(3, 4, 7, 8, time, 0))
 		}
 		wantTicks, want := run(with(base[c.at].Time))
 		gotTicks, got := run(with(c.time))
@@ -145,6 +125,65 @@ func TestNaNTimestampClassifiesAtTheTrainingMean(t *testing.T) {
 		st := directDrive(t, run, pkts)
 		if st.Flows != 1 || st.ByClass[c.want] != 1 {
 			t.Fatalf("%s: verdicts by class %v over %d flows, want the one flow in class %d", c.name, st.ByClass, st.Flows, c.want)
+		}
+	}
+}
+
+// TestEngineNonFiniteTimesKeepTheClock: a NaN or +Inf packet time, fed or
+// ticked, does not move the engine's capture clock, so every later
+// verdict's latency stays finite and reaches the histogram the gate's p99
+// signal reads.
+func TestEngineNonFiniteTimesKeepTheClock(t *testing.T) {
+	for _, odd := range []float64{math.NaN(), math.Inf(1)} {
+		eng := newEngine(t, fastCfg(fakeModel{class: 1}))
+		eng.Feed(tcpPkt(9, 9, 9, 9, odd, 0))
+		eng.Tick(odd)
+		for i := range uint32(50) {
+			eng.Feed(tcpPkt(0x0a000000+i, 0x0c000001, 40000, 443, float64(i+1), netflow.SYN))
+			eng.Feed(tcpPkt(0x0a000000+i, 0x0c000001, 40000, 443, float64(i+1), netflow.RST))
+		}
+		eng.Close()
+		if s := eng.Telemetry().Snapshot(); s.Flows != 51 || s.Latency.Count != 51 {
+			t.Fatalf("after a packet at %v: %d of %d verdicts observed, want 51 of 51", odd, s.Latency.Count, s.Flows)
+		}
+	}
+}
+
+// TestGateNonFiniteTimesKeepTheClock: a NaN or +Inf packet time, fed or
+// ticked, moves neither the gate's clock nor the tenant bucket it opens,
+// so a tenant offering 2 packets a second under a rate of 10 is admitted
+// whole after it.
+func TestGateNonFiniteTimesKeepTheClock(t *testing.T) {
+	for _, odd := range []float64{math.NaN(), math.Inf(1)} {
+		g := NewGate(newEngine(t, fastCfg(fakeModel{})), OverloadPolicy{TenantRate: 10})
+		g.Feed(tcpPkt(0x0a000001, 0x0b000001, 999, 80, odd, 0))
+		g.Tick(odd)
+		for i := range 2000 {
+			g.Feed(tcpPkt(0x0a000001, 0x0b000001, uint16(1000+i%50), 80, float64(i+1)/2, 0))
+		}
+		g.Close()
+		if st := g.Stats(); st.Packets != 2001 || st.DroppedTotal() != 0 || g.now != 1000 {
+			t.Fatalf("after a packet at %v: %d admitted, %d dropped, clock at %v; want 2001, 0 and 1000",
+				odd, st.Packets, st.DroppedTotal(), g.now)
+		}
+	}
+}
+
+// TestRateLimitSinkNonFiniteTimes: an alert time that is NaN or +Inf (a
+// flow whose first packet had one) never anchors its class's window, so
+// the finite alerts after it roll windows as usual; inside an open window
+// it counts against the burst.
+func TestRateLimitSinkNonFiniteTimes(t *testing.T) {
+	for _, odd := range []float64{math.NaN(), math.Inf(1)} {
+		delivered := 0
+		sink := NewRateLimitSink(SinkFunc(func(Alert) { delivered++ }), 1, 10)
+		sink.Consume(alertFor(1, odd))
+		for i := range 9 {
+			sink.Consume(alertFor(1, float64(100*(i+1))))
+		}
+		sink.Consume(alertFor(1, odd)) // inside the window opened at 900
+		if delivered != 10 || sink.Suppressed() != 1 {
+			t.Fatalf("first alert at %v: %d delivered, %d suppressed; want 10 and 1", odd, delivered, sink.Suppressed())
 		}
 	}
 }

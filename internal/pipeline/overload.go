@@ -157,10 +157,7 @@ type tokenBucket struct {
 // take refills by capture time and spends one token if available.
 func (b *tokenBucket) take(now, rate, burst float64) bool {
 	if now > b.last {
-		b.tokens += (now - b.last) * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
+		b.tokens = min(b.tokens+(now-b.last)*rate, burst)
 		b.last = now
 	}
 	if b.tokens >= 1 {
@@ -197,9 +194,6 @@ type Gate struct {
 	evals   int                         // evaluations since the last idle sweep
 	lastLat [telemetry.NumLatencyBuckets]int64
 }
-
-// Gate implements the full Stream contract.
-var _ Stream = (*Gate)(nil)
 
 // NewGate wraps inner in a bounded-overload admission gate with the
 // given policy (fields resolved to their defaults; Mode is forced to
@@ -253,9 +247,11 @@ func (g *Gate) FeedWithin(p netflow.Packet, wait time.Duration) bool { return g.
 // been counted into telemetry.
 func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	g.mu.Lock()
-	if p.Time > g.now {
-		g.now = p.Time
+	at := p.Time // a NaN or ±Inf packet time reads as the gate's clock
+	if !finite(at) {
+		at = g.now
 	}
+	g.now = max(g.now, at)
 	// Evaluate the state machine on its packet cadence before deciding
 	// this packet, so the first packet past a threshold already sees the
 	// tightened state.
@@ -268,10 +264,10 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	if g.pol.TenantRate > 0 {
 		b := g.buckets[tenant]
 		if b == nil {
-			b = &tokenBucket{tokens: g.burst, last: p.Time}
+			b = &tokenBucket{tokens: g.burst, last: at}
 			g.buckets[tenant] = b
 		}
-		if !b.take(p.Time, g.pol.TenantRate, g.burst) {
+		if !b.take(at, g.pol.TenantRate, g.burst) {
 			g.drop(tenant, telemetry.DropTenantRate)
 			g.mu.Unlock()
 			return false
@@ -297,7 +293,7 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 		g.drop(tenant, telemetry.DropBackpressure)
 		return false
 	}
-	g.flows[flowKey] = p.Time
+	g.flows[flowKey] = at
 	return true
 }
 
@@ -402,7 +398,7 @@ func p99Since(prev, cur *[telemetry.NumLatencyBuckets]int64) (float64, int64) {
 // clock so flow shed preference expires with the engine's flows.
 func (g *Gate) Tick(now float64) {
 	g.mu.Lock()
-	if now > g.now {
+	if now > g.now && finite(now) {
 		g.now = now
 	}
 	g.mu.Unlock()

@@ -7,74 +7,17 @@ import (
 	"testing"
 	"time"
 
-	"cyberhd/internal/datasets"
-	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/telemetry"
 	"cyberhd/internal/traffic"
 )
-
-// slowModel spends a fixed wall-clock delay per verdict, turning any
-// feed loop into an overload: ingestion outruns classification by
-// orders of magnitude.
-type slowModel struct{ delay time.Duration }
-
-func (m slowModel) Predict([]float32) int {
-	time.Sleep(m.delay)
-	return 0
-}
-
-func (m slowModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
-
-// blockingModel parks every Predict until release closes, signalling
-// entry on entered — the deterministic way to wedge a worker goroutine
-// so ingress buffers fill.
-type blockingModel struct {
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (m *blockingModel) Predict([]float32) int {
-	select {
-	case m.entered <- struct{}{}:
-	default: // drain-time verdicts after release: no listener anymore
-	}
-	<-m.release
-	return 0
-}
-
-func (m *blockingModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
-
-// fastCfg assembles a valid engine config around model with no trained
-// detector: an identity-shaped normalizer and two classes.
-func fastCfg(model Classifier) Config {
-	return Config{
-		Model: model,
-		Normalizer: &datasets.Normalizer{
-			Mean:   make([]float32, netflow.NumFeatures),
-			InvStd: make([]float32, netflow.NumFeatures),
-		},
-		ClassNames: []string{"benign", "attack"},
-	}
-}
-
-// tcpPkt builds one TCP packet at capture time at.
-func tcpPkt(src, dst uint32, sport, dport uint16, at float64, flags uint8) netflow.Packet {
-	return netflow.Packet{
-		Time: at, SrcIP: netflow.AddrV4(src), DstIP: netflow.AddrV4(dst), SrcPort: sport, DstPort: dport,
-		Proto: netflow.TCP, Length: 60, HeaderLen: 40, Flags: flags,
-	}
-}
 
 // TestTryFeedEngineAlwaysAdmits pins the synchronous engine's admission
 // contract: no ingress buffer means FeedWithin always succeeds, with or
 // without a wait — until Close, after which it observably refuses (unlike
 // Feed's silent no-op).
 func TestTryFeedEngineAlwaysAdmits(t *testing.T) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fastCfg(fakeModel{}))
 	p := tcpPkt(1, 2, 10, 20, 0.1, 0)
 	if !eng.FeedWithin(p, 0) {
 		t.Fatal("non-blocking FeedWithin refused on an open synchronous engine")
@@ -98,7 +41,7 @@ func TestTryFeedEngineAlwaysAdmits(t *testing.T) {
 // blocks the worker inside Predict (termination is only checked from a
 // flow's second packet on), then one more packet fills the 1-slot
 // buffer. Three packets offered, all admitted.
-func fillConcurrent(t *testing.T, s Stream, m *blockingModel) {
+func fillConcurrent(t *testing.T, s Stream, m fakeModel) {
 	t.Helper()
 	s.Feed(tcpPkt(1, 2, 10, 20, 0.1, 0))
 	s.Feed(tcpPkt(1, 2, 10, 20, 0.2, netflow.RST)) // terminates the flow -> Predict blocks
@@ -110,61 +53,51 @@ func fillConcurrent(t *testing.T, s Stream, m *blockingModel) {
 	s.Feed(tcpPkt(1, 2, 11, 21, 0.3, 0)) // parks in the 1-slot buffer
 }
 
-// TestTryFeedConcurrentFullBuffer pins the bounded-admission semantics
-// of the background-worker engine: a full ingress buffer refuses a
-// non-blocking FeedWithin immediately and a waiting one after its wait,
-// and admission reopens when the worker drains.
-func TestTryFeedConcurrentFullBuffer(t *testing.T) {
-	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	c, err := NewConcurrent(fastCfg(m), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillConcurrent(t, c, m)
-	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
-	if c.FeedWithin(p, 0) {
-		t.Fatal("non-blocking FeedWithin admitted into a full buffer")
-	}
-	if c.FeedWithin(p, 2*time.Millisecond) {
-		t.Fatal("FeedWithin admitted into a buffer that stayed full")
-	}
-	close(m.release)
-	if !c.FeedWithin(p, 5*time.Second) {
-		t.Fatal("FeedWithin refused after the worker drained")
-	}
-	c.Close()
-	if c.FeedWithin(p, 0) || c.FeedWithin(p, time.Millisecond) {
-		t.Fatal("admission variants admitted after Close")
-	}
-	if got := c.Stats().Packets; got != 4 {
-		t.Fatalf("Packets = %d, want 4", got)
-	}
-}
-
-// TestTryFeedShardedFullBuffer is the sharded spelling of the same
-// contract: the target shard's full buffer refuses, and post-Close both
-// variants return false.
-func TestTryFeedShardedFullBuffer(t *testing.T) {
-	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	cfg := fastCfg(m)
-	cfg.Shards = 1
-	s, err := newSharded(cfg, 1)
+// checkFullBuffer pins the bounded-admission semantics of a wedged
+// one-shard stream with a 1-packet buffer, built by build: a full buffer
+// refuses a non-blocking FeedWithin at once and a waiting one after its
+// wait, admission reopens when the worker drains, post-Close both
+// variants refuse, and every admitted packet is counted.
+func checkFullBuffer(t *testing.T, build func(Config) (*Sharded, error)) {
+	m := wedgedModel()
+	s, err := build(fastCfg(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillConcurrent(t, s, m)
 	p := tcpPkt(1, 2, 12, 22, 0.4, 0)
 	if s.FeedWithin(p, 0) {
-		t.Fatal("non-blocking FeedWithin admitted into a full shard buffer")
+		t.Fatal("non-blocking FeedWithin admitted into a full buffer")
 	}
 	if s.FeedWithin(p, 2*time.Millisecond) {
-		t.Fatal("FeedWithin admitted into a shard buffer that stayed full")
+		t.Fatal("FeedWithin admitted into a buffer that stayed full")
 	}
 	close(m.release)
+	if !s.FeedWithin(p, 5*time.Second) {
+		t.Fatal("FeedWithin refused after the worker drained")
+	}
 	s.Close()
 	if s.FeedWithin(p, 0) || s.FeedWithin(p, time.Millisecond) {
 		t.Fatal("admission variants admitted after Close")
 	}
+	if got := s.Stats().Packets; got != 4 {
+		t.Fatalf("Packets = %d, want 4", got)
+	}
+}
+
+// TestTryFeedConcurrentFullBuffer is checkFullBuffer on the
+// background-worker engine.
+func TestTryFeedConcurrentFullBuffer(t *testing.T) {
+	checkFullBuffer(t, func(cfg Config) (*Sharded, error) { return NewConcurrent(cfg, 1) })
+}
+
+// TestTryFeedShardedFullBuffer is the sharded spelling of the same
+// contract: the target shard's full buffer refuses.
+func TestTryFeedShardedFullBuffer(t *testing.T) {
+	checkFullBuffer(t, func(cfg Config) (*Sharded, error) {
+		cfg.Shards = 1
+		return newSharded(cfg, 1)
+	})
 }
 
 // TestGateTenantRateDeterministic pins per-tenant fairness on the
@@ -173,10 +106,7 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 // admitted exactly as fast as the capture clock refills it —
 // deterministically, independent of wall-clock speed.
 func TestGateTenantRateDeterministic(t *testing.T) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fastCfg(fakeModel{}))
 	g := NewGate(eng, OverloadPolicy{TenantRate: 1})
 	// Noisy tenant 10.0.0.0/24: sixteen flows in the same capture instant,
 	// burst 8 -> 8 admitted, 8 refused.
@@ -210,10 +140,7 @@ func TestGateTenantRateDeterministic(t *testing.T) {
 // start new flows (mid-flow packets keep flowing), and quiet evaluation
 // windows relax the state one step at a time back to normal.
 func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fastCfg(fakeModel{}))
 	g := NewGate(eng, OverloadPolicy{EvalEvery: 1, LatencyBound: 0.5})
 	tel := g.Telemetry()
 
@@ -264,7 +191,7 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 // worker with a full buffer makes the gate's bounded wait expire, and
 // the refusal counts as backpressure, the one drop reason counted.
 func TestGateBackpressureCounted(t *testing.T) {
-	m := &blockingModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	m := wedgedModel()
 	c, err := NewConcurrent(fastCfg(m), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -356,27 +283,16 @@ func TestP99Since(t *testing.T) {
 // policy serves the bare engine (bit-identical lossless path), bounded
 // mode wraps it in the gate.
 func TestRunnerInstallsGateOnlyWhenBounded(t *testing.T) {
-	cfg := fastCfg(staticModel{})
-	src := netflow.NewSliceSource(nil)
-	r, err := NewRunner(cfg, src)
-	if err != nil {
-		t.Fatal(err)
+	cfg := fastCfg(fakeModel{})
+	for _, mode := range []OverloadMode{OverloadLossless, OverloadBounded} {
+		cfg.Overload.Mode = mode
+		r, err := NewRunner(cfg, netflow.NewSliceSource(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStreamKind(t, r.Stream, mode == OverloadBounded, 0)
+		r.Stream.Close()
 	}
-	if _, gated := r.Stream.(*Gate); gated {
-		t.Fatal("lossless default installed a gate")
-	}
-	if _, ok := r.Stream.(*Engine); !ok {
-		t.Fatalf("lossless runner stream is %T, want *Engine", r.Stream)
-	}
-	cfg.Overload.Mode = OverloadBounded
-	r, err = NewRunner(cfg, netflow.NewSliceSource(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Stream.(*Gate); !ok {
-		t.Fatalf("bounded runner stream is %T, want *Gate", r.Stream)
-	}
-	r.Stream.Close()
 }
 
 // TestGatePermissiveBoundedBitIdentical pins determinism under the
@@ -386,11 +302,7 @@ func TestRunnerInstallsGateOnlyWhenBounded(t *testing.T) {
 // counter reads zero.
 func TestGatePermissiveBoundedBitIdentical(t *testing.T) {
 	cfg, live := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := feedAll(NewGate(eng, OverloadPolicy{}), live.Packets)
+	got := feedAll(NewGate(newEngine(t, cfg), OverloadPolicy{}), live.Packets)
 	statsEqual(t, "gated", got, directDrive(t, cfg, live.Packets))
 	if got.DroppedTotal() != 0 {
 		t.Fatalf("permissive gate dropped %d packets", got.DroppedTotal())
@@ -405,7 +317,7 @@ func TestGatePermissiveBoundedBitIdentical(t *testing.T) {
 // for every single packet: offered = admitted + dropped, across stats
 // and telemetry.
 func TestBoundedSaturationAccounting(t *testing.T) {
-	cfg := fastCfg(slowModel{delay: 200 * time.Microsecond})
+	cfg := fastCfg(fakeModel{delay: 200 * time.Microsecond})
 	cfg.Shards = 2
 	live := traffic.Generate(traffic.Config{Sessions: 300, Seed: 5})
 	offered := len(live.Packets)
@@ -450,33 +362,12 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkOverloadIngress measures the gate's per-packet admission
-// cost over the synchronous engine — the overhead bounded mode adds to
-// the hot feed path.
-func BenchmarkOverloadIngress(b *testing.B) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := NewGate(eng, OverloadPolicy{TenantRate: 1e12})
-	p := tcpPkt(1, 2, 10, 20, 0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Time = float64(i) * 1e-6
-		g.Feed(p)
-	}
-}
-
 // TestGateAttributesDropsByTenant pins the per-tenant drop breakdown:
 // every shed packet shows up under its tenant's key with the default
 // CIDR label, the attributed counts sum to the reason totals, and the
 // Prometheus surface exports the bounded-cardinality series.
 func TestGateAttributesDropsByTenant(t *testing.T) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fastCfg(fakeModel{}))
 	g := NewGate(eng, OverloadPolicy{TenantRate: 1})
 	// Two noisy tenants in distinct /24s, offered in the same capture
 	// instant: burst 8 admits eight flows each, the rest shed.
@@ -563,18 +454,13 @@ func (telemetrylessStream) Telemetry() *telemetry.Collector { return nil }
 // dropped), and tenant drops are labeled in CIDR form for both families,
 // read back from the prefix the key carries.
 func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
-	eng, err := New(fastCfg(staticModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fastCfg(fakeModel{}))
 	g := NewGate(telemetrylessStream{eng}, OverloadPolicy{TenantRate: 1})
 	v6pkt := func(host byte, port uint16) netflow.Packet {
-		src := netflow.MustParseAddr("2001:db8:1:2::0")
-		src[15] = host
-		return netflow.Packet{
-			Time: 1.0, SrcIP: src, DstIP: netflow.MustParseAddr("2001:db8:9::1"),
-			SrcPort: port, DstPort: 80, Proto: netflow.TCP, Length: 80, HeaderLen: 60,
-		}
+		p := tcpPkt(0, 0, port, 80, 1.0, 0)
+		p.SrcIP, p.DstIP = netflow.MustParseAddr("2001:db8:1:2::0"), netflow.MustParseAddr("2001:db8:9::1")
+		p.SrcIP[15] = host
+		return p
 	}
 	// A v6 /48 floods in one capture instant: burst 8 -> 8 admitted, 6
 	// refused, all billed to the same /48 tenant.

@@ -180,13 +180,18 @@ type Config struct {
 	Overload OverloadPolicy
 }
 
+// finite reports whether capture time t is a number. Every capture clock —
+// Runner's ticks, Engine's, Gate's and its tenant buckets, RateLimitSink's
+// windows — advances on finite times only, so no NaN or ±Inf stops one.
+func finite(t float64) bool { return t-t == 0 }
+
 // Engine is the synchronous detection pipeline.
 type Engine struct {
 	cfg Config
 	asm *netflow.Assembler
 	tel *telemetry.Collector
 
-	// now is the engine's capture clock: the newest packet or tick
+	// now is the engine's capture clock: the newest finite packet or tick
 	// timestamp seen. Verdict latency is measured against it.
 	now float64
 	// closed makes post-Close operations defined no-ops (Stream contract).
@@ -332,7 +337,7 @@ func (e *Engine) Feed(p netflow.Packet) {
 		return
 	}
 	e.tel.AddPackets(1)
-	if p.Time > e.now {
+	if p.Time > e.now && finite(p.Time) {
 		e.now = p.Time
 	}
 	e.asm.Add(&p)
@@ -359,7 +364,7 @@ func (e *Engine) Tick(now float64) {
 	if e.closed || e.queued(streamMsg{kind: msgTick, tick: now}) {
 		return
 	}
-	if now > e.now {
+	if now > e.now && finite(now) {
 		e.now = now
 	}
 	e.asm.EvictIdle(now)

@@ -1,66 +1,14 @@
 package pipeline
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"cyberhd/internal/bitpack"
-	"cyberhd/internal/core"
-	"cyberhd/internal/datasets"
-	"cyberhd/internal/encoder"
-	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/traffic"
 )
-
-// trained is the detector of the pipeline tests, trained once per test
-// binary and kept as snapshot bytes, with the capture they stream.
-var trained struct {
-	once  sync.Once
-	snap  []byte
-	norm  *datasets.Normalizer
-	names []string
-	live  *traffic.Stream
-	err   error
-}
-
-// buildModel returns an engine config around a private copy of the shared
-// detector, decoded from its snapshot — bit-identical to the model
-// trained, and a test that changes its copy changes no other test's —
-// plus the capture to stream, whose packets are the caller's own.
-func buildModel(t testing.TB) (Config, *traffic.Stream) {
-	t.Helper()
-	trained.once.Do(func() {
-		train := datasets.CICIDS2017(1500, 21)
-		trainSet, _, norm := train.NormalizedSplit(0.9, 3)
-		m, err := core.Train(
-			encoder.NewRBF(trainSet.NumFeatures(), 512, 0, 5),
-			trainSet.X, trainSet.Y,
-			core.Options{Classes: trainSet.NumClasses(), Epochs: 8, RegenCycles: 3, RegenRate: 0.2, LearningRate: 0.1, Seed: 7},
-		)
-		if err != nil {
-			trained.err = err
-			return
-		}
-		var buf bytes.Buffer
-		trained.err = core.SaveSnapshot(&buf, core.NewCOWModel(m))
-		trained.snap, trained.norm, trained.names = buf.Bytes(), norm, train.ClassNames
-		trained.live = traffic.Generate(traffic.Config{Sessions: 400, Seed: 99})
-	})
-	if trained.err != nil {
-		t.Fatal(trained.err)
-	}
-	m, _, err := core.DecodeSnapshot(bytes.NewReader(trained.snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := *trained.live
-	live.Packets = slices.Clone(live.Packets)
-	return Config{Model: m, Normalizer: trained.norm, ClassNames: trained.names}, &live
-}
 
 func TestNewValidation(t *testing.T) {
 	cfg, _ := buildModel(t)
@@ -89,15 +37,7 @@ func TestEngineDetectsAttacks(t *testing.T) {
 		a.Flow = &f
 		alerts = append(alerts, a)
 	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
-	st := eng.Stats()
+	st := directDrive(t, cfg, live.Packets)
 	if st.Packets != len(live.Packets) {
 		t.Fatalf("packets %d != %d", st.Packets, len(live.Packets))
 	}
@@ -139,15 +79,7 @@ func TestEngineDetectsAttacks(t *testing.T) {
 
 func TestEngineStatsByClassSums(t *testing.T) {
 	cfg, live := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		eng.Feed(live.Packets[i])
-	}
-	eng.Flush()
-	st := eng.Stats()
+	st := directDrive(t, cfg, live.Packets)
 	sum := 0
 	for _, n := range st.ByClass {
 		sum += n
@@ -162,11 +94,8 @@ func TestEngineStatsByClassSums(t *testing.T) {
 
 func TestTickEvictsIdleFlows(t *testing.T) {
 	cfg, _ := buildModel(t)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
+	eng := newEngine(t, cfg)
+	eng.Feed(tcpPkt(1, 2, 9, 53, 0, 0))
 	if eng.Stats().Flows != 0 {
 		t.Fatal("flow completed prematurely")
 	}
@@ -175,20 +104,6 @@ func TestTickEvictsIdleFlows(t *testing.T) {
 		t.Fatal("Tick did not evict idle flow")
 	}
 }
-
-// predictRows is the per-row test models' batch method.
-func predictRows(predict func([]float32) int, x *hdc.Matrix, out []int) {
-	for i := range out {
-		out[i] = predict(x.Row(i))
-	}
-}
-
-// staticModel is a Classifier that calls every flow benign.
-type staticModel struct{}
-
-func (staticModel) Predict([]float32) int { return 0 }
-
-func (staticModel) PredictBatchInto(x *hdc.Matrix, out []int) { clear(out) }
 
 func TestConcurrentMatchesSynchronous(t *testing.T) {
 	cfg, live := buildModel(t)
@@ -206,11 +121,7 @@ func TestBatchModeMatchesSync(t *testing.T) {
 	cfg, live := buildModel(t)
 	bcfg := cfg
 	bcfg.BatchSize = 64
-	batched, err := New(bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsEqual(t, "batch64", feedAll(batched, live.Packets), directDrive(t, cfg, live.Packets))
+	statsEqual(t, "batch64", directDrive(t, bcfg, live.Packets), directDrive(t, cfg, live.Packets))
 }
 
 func TestConcurrentCloseIdempotent(t *testing.T) {
@@ -228,11 +139,8 @@ func TestConcurrentCloseIdempotent(t *testing.T) {
 func TestBatchModeFlushesOnTick(t *testing.T) {
 	cfg, _ := buildModel(t)
 	cfg.BatchSize = 64
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
+	eng := newEngine(t, cfg)
+	eng.Feed(tcpPkt(1, 2, 9, 53, 0, 0))
 	eng.Tick(200)
 	st := eng.Stats()
 	if st.Flows != 1 {
@@ -265,10 +173,7 @@ func checkAllocFree(t *testing.T, widths ...bitpack.Width) {
 		for name, batch := range map[string]int{"sync": 0, "batch": 8} {
 			cfg := cfg
 			cfg.Quantize, cfg.BatchSize = w, batch
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng := newEngine(t, cfg)
 			for i := range uint32(64) {
 				eng.Feed(tcpPkt(0x0b000000+i, 0x0c000001, 40000, 443, 0, netflow.SYN))
 			}
@@ -298,7 +203,7 @@ func checkAllocFree(t *testing.T, widths ...bitpack.Width) {
 func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 	for _, batch := range []int{0, 1, 64} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			cfg := fastCfg(constAttackModel{})
+			cfg := fastCfg(fakeModel{class: 1})
 			cfg.BatchSize = batch
 			var eng *Engine
 			var alerted []netflow.Flow // copies, in verdict order
@@ -319,10 +224,7 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 					return f.Key == a.Flow.Key && f.FirstTime == a.Flow.FirstTime
 				}))
 			})}
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eng = newEngine(t, cfg)
 			eng.Feed(tcpPkt(0x0a000001, 0x0a000002, 40000, 443, 0, netflow.SYN))
 			eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 1, netflow.SYN))
 			eng.Tick(200) // past the 120 s idle timeout of both flows
@@ -350,7 +252,7 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 // delivered, so a callback that keeps a.Flow finds it zeroed.
 func TestAlertFlowValidOnlyDuringDelivery(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		cfg := fastCfg(constAttackModel{})
+		cfg := fastCfg(fakeModel{class: 1})
 		cfg.Shards = shards
 		var kept []*netflow.Flow
 		packets := 0

@@ -21,7 +21,7 @@ func TestQuantizeConfigValidation(t *testing.T) {
 		t.Error("sharded accepted invalid width")
 	}
 	bad = cfg
-	bad.Model = staticModel{}
+	bad.Model = fakeModel{}
 	bad.Quantize = bitpack.W8
 	if _, err := New(bad); err == nil {
 		t.Error("accepted unquantizable model type")
@@ -98,10 +98,7 @@ func TestQuantizedCOWFeedbackRequantizes(t *testing.T) {
 	cow := core.NewCOWModel(m)
 	cfg.Model = cow
 	cfg.Quantize = bitpack.W8
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, cfg)
 	v0 := cow.Version()
 	q0, ok := cow.Snapshot().Derived().(*quantize.Model)
 	if !ok {

@@ -144,9 +144,9 @@ func TestShadowZeroDivergence(t *testing.T) {
 	})
 
 	t.Run("rigged divergence accounting", func(t *testing.T) {
-		// staticModel always answers class 0, so divergence must equal the
+		// fakeModel{} always answers class 0, so divergence must equal the
 		// primary's non-benign verdicts exactly, bucketed per primary class.
-		st, snap := run(t, base, NewShadow(), staticModel{})
+		st, snap := run(t, base, NewShadow(), fakeModel{})
 		wantTotal := int64(st.Flows - st.ByClass[0])
 		if got := snap.ShadowDivergedTotal(); got != wantTotal {
 			t.Fatalf("diverged %d, want %d (flows %d, benign %d)", got, wantTotal, st.Flows, st.ByClass[0])
@@ -169,10 +169,7 @@ func TestShadowZeroDivergence(t *testing.T) {
 		tap := NewShadow()
 		cfg.Shadow = tap
 		tap.Set(m)
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, cfg)
 		half := len(live.Packets) / 2
 		for i := 0; i < half; i++ {
 			eng.Feed(live.Packets[i])
@@ -230,13 +227,7 @@ func TestHotReloadHammer(t *testing.T) {
 			cfg.Model = cow
 			cfg.Quantize, cfg.Shards, cfg.BatchSize = tc.width, tc.shards, 32
 			cfg.Telemetry = tel
-			var s Stream
-			var err error
-			if tc.shards > 1 {
-				s, err = NewSharded(cfg)
-			} else {
-				s, err = New(cfg)
-			}
+			s, err := NewStream(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,11 +290,7 @@ func TestGateTransitionsObservable(t *testing.T) {
 	tel := telemetry.New(base.ClassNames)
 	cfg := base
 	cfg.Telemetry = tel
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGate(eng, OverloadPolicy{EvalEvery: 1, LatencyBound: 1.0})
+	g := NewGate(newEngine(t, cfg), OverloadPolicy{EvalEvery: 1, LatencyBound: 1.0})
 	defer g.Close()
 
 	feed := func(n int, from int) {

@@ -138,13 +138,13 @@ loop:
 		}
 		// The capture clock seeds from and advances on finite times only (a
 		// NaN or ±Inf stamp would stop the ticks); the packet is fed anyway.
-		finite := !math.IsNaN(p.Time) && !math.IsInf(p.Time, 0)
-		if finite && first {
+		clocked := finite(p.Time)
+		if clocked && first {
 			nextTick = p.Time + interval
 			nextProg = p.Time + progEvery
 			first = false
 		}
-		if finite && interval > 0 && p.Time >= nextTick {
+		if clocked && interval > 0 && p.Time >= nextTick {
 			// Tick once at the last interval boundary the stream slept
 			// through. Ticks carry boundary times, not packet times, so
 			// eviction is anchored to the capture clock; and because
@@ -158,7 +158,7 @@ loop:
 			nextTick = boundary + interval
 		}
 		r.Stream.Feed(p)
-		if finite && r.Progress != nil && progEvery > 0 && p.Time >= nextProg {
+		if clocked && r.Progress != nil && progEvery > 0 && p.Time >= nextProg {
 			if tel := r.Stream.Telemetry(); tel != nil {
 				r.Progress(tel.Snapshot())
 			}

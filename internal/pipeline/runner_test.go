@@ -9,53 +9,8 @@ import (
 	"testing"
 
 	"cyberhd/internal/bitpack"
-	"cyberhd/internal/datasets"
-	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 )
-
-// statsEqual asserts two stat snapshots are bit-identical.
-func statsEqual(t *testing.T, name string, got, want Stats) {
-	t.Helper()
-	if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts {
-		t.Fatalf("%s: packets/flows/alerts %d/%d/%d != %d/%d/%d",
-			name, got.Packets, got.Flows, got.Alerts, want.Packets, want.Flows, want.Alerts)
-	}
-	if len(got.ByClass) != len(want.ByClass) {
-		t.Fatalf("%s: ByClass len %d != %d", name, len(got.ByClass), len(want.ByClass))
-	}
-	for c := range want.ByClass {
-		if got.ByClass[c] != want.ByClass[c] {
-			t.Fatalf("%s: ByClass[%d] = %d != %d", name, c, got.ByClass[c], want.ByClass[c])
-		}
-	}
-}
-
-// directDrive replays packets the way every pre-Runner caller did: a
-// hand-rolled feed loop with no ticks, then a drain.
-func directDrive(t *testing.T, cfg Config, packets []netflow.Packet) Stats {
-	t.Helper()
-	var s Stream
-	var err error
-	if cfg.Shards > 1 {
-		s, err = NewSharded(cfg)
-	} else {
-		s, err = New(cfg)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return feedAll(s, packets)
-}
-
-// feedAll hand-feeds packets into s, drains it and returns its Stats.
-func feedAll(s Stream, packets []netflow.Packet) Stats {
-	for i := range packets {
-		s.Feed(packets[i])
-	}
-	s.Close()
-	return s.Stats()
-}
 
 // TestRunnerMatchesDirectDrive pins the acceptance contract of the
 // serving runtime: Runner-driven verdicts — auto-ticks included — are
@@ -79,14 +34,7 @@ func TestRunnerMatchesDirectDrive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mut(&cfg)
-			r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, got := runCapture(t, cfg, live.Packets)
 			statsEqual(t, tc.name, got, directDrive(t, cfg, live.Packets))
 			if got.Flows == 0 || got.Alerts == 0 {
 				t.Fatalf("degenerate capture (flows=%d alerts=%d)", got.Flows, got.Alerts)
@@ -166,63 +114,6 @@ func TestRunnerCancelDrainsDeterministically(t *testing.T) {
 	}
 }
 
-// constAttackModel classifies every flow as class 1, through both the
-// per-sample and the micro-batch interface, so every completed flow
-// raises an alert at a deterministic point in the feed order.
-type constAttackModel struct{}
-
-func (constAttackModel) Predict([]float32) int { return 1 }
-
-func (m constAttackModel) PredictBatchInto(x *hdc.Matrix, out []int) { predictRows(m.Predict, x, out) }
-
-// tickProbe wraps an Engine recording the capture-clock position of the
-// stream so a sink can timestamp deliveries in capture time.
-type tickProbe struct {
-	*Engine
-	now float64
-}
-
-// Feed advances the probe clock to the packet's timestamp.
-func (p *tickProbe) Feed(pkt netflow.Packet) { p.now = pkt.Time; p.Engine.Feed(pkt) }
-
-// Tick advances the probe clock to the tick boundary.
-func (p *tickProbe) Tick(t float64) { p.now = t; p.Engine.Tick(t) }
-
-// quietGapCapture builds a hand-crafted capture: one short UDP flow that
-// completes (goes idle) at t≈0.5, followed by a long drumbeat of packets
-// from an unrelated flow, one per second out to t=200. The first flow's
-// verdict can only surface via idle eviction — nothing ever terminates it.
-func quietGapCapture() []netflow.Packet {
-	pkts := []netflow.Packet{
-		{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28},
-		{Time: 0.5, SrcIP: netflow.AddrV4(2), DstIP: netflow.AddrV4(1), SrcPort: 53, DstPort: 9, Proto: netflow.UDP, Length: 200, HeaderLen: 28},
-	}
-	for ts := 1; ts <= 200; ts++ {
-		pkts = append(pkts, netflow.Packet{
-			Time: float64(ts), SrcIP: netflow.AddrV4(7), DstIP: netflow.AddrV4(8), SrcPort: 1000, DstPort: 2000,
-			Proto: netflow.UDP, Length: 100, HeaderLen: 28,
-		})
-	}
-	return pkts
-}
-
-// trivialConfig builds an engine config around constAttackModel: no
-// training, deterministic verdicts, CIC-shaped normalizer.
-func trivialConfig() Config {
-	norm := &datasets.Normalizer{
-		Mean:   make([]float32, netflow.NumFeatures),
-		InvStd: make([]float32, netflow.NumFeatures),
-	}
-	for i := range norm.InvStd {
-		norm.InvStd[i] = 1
-	}
-	return Config{
-		Model:      constAttackModel{},
-		Normalizer: norm,
-		ClassNames: []string{"benign", "attack"},
-	}
-}
-
 // TestRunnerAutoTickBoundsVerdictDelay pins the latency contract: with
 // auto-ticking, a flow that completes (goes idle) mid-capture classifies
 // within the idle timeout + one tick interval of capture time even though it
@@ -234,21 +125,17 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	const idle = netflow.CICIdleTimeout // flow A evictable at 0.5+120 = 120.5s capture time
 
 	run := func(tickInterval float64) (firstAlertAt float64, alerts int) {
-		cfg := trivialConfig()
+		cfg := fastCfg(fakeModel{class: 1})
 		cfg.BatchSize = 64 // far larger than the 2 flows in the capture
 		firstAlertAt = -1
-		probe := &tickProbe{} // the sink timestamps deliveries off its clock
+		probe := &tickLog{} // the sink timestamps deliveries off its clock
 		cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) {
 			alerts++
 			if firstAlertAt < 0 {
 				firstAlertAt = probe.now
 			}
 		})}
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe.Engine = eng
+		probe.Engine = newEngine(t, cfg)
 		r := &Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: tickInterval}
 		if _, err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -287,7 +174,7 @@ func (f *failingSource) Next(p *netflow.Packet) error {
 		return fmt.Errorf("wire fell out")
 	}
 	f.n--
-	*p = netflow.Packet{Time: float64(3 - f.n), SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28}
+	*p = tcpPkt(1, 2, 9, 53, float64(3-f.n), 0)
 	return nil
 }
 
@@ -338,7 +225,7 @@ func TestRunnerSourceErrorDrains(t *testing.T) {
 
 // TestRunnerNilValidation covers the constructor and Run guards.
 func TestRunnerNilValidation(t *testing.T) {
-	cfg := trivialConfig()
+	cfg := fastCfg(fakeModel{class: 1})
 	if _, err := NewRunner(cfg, nil); err == nil {
 		t.Fatal("nil source accepted")
 	}
@@ -358,33 +245,16 @@ func TestRunnerNilValidation(t *testing.T) {
 // serve the deterministic synchronous Engine (per-core sharding is
 // resolved by the caller, as `cyberhd detect -shards 0` does).
 func TestNewRunnerEngineSelection(t *testing.T) {
-	cfg := trivialConfig()
-	src := func() netflow.PacketSource { return netflow.NewSliceSource(nil) }
-
-	for _, n := range []int{0, 1} {
-		cfg.Shards = n
-		r, err := NewRunner(cfg, src())
+	cfg := fastCfg(fakeModel{class: 1})
+	for shards, want := range map[int]int{0: 0, 1: 0, 4: 4} {
+		cfg.Shards = shards
+		r, err := NewRunner(cfg, netflow.NewSliceSource(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := r.Stream.(*Engine); !ok {
-			t.Fatalf("Shards=%d built %T, want *Engine", n, r.Stream)
-		}
+		checkStreamKind(t, r.Stream, false, want)
+		r.Stream.Close()
 	}
-
-	cfg.Shards = 4
-	r, err := NewRunner(cfg, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, ok := r.Stream.(*Sharded)
-	if !ok {
-		t.Fatalf("Shards=4 built %T, want *Sharded", r.Stream)
-	}
-	if sh.NumShards() != 4 {
-		t.Fatalf("built %d shards, want 4", sh.NumShards())
-	}
-	sh.Close()
 }
 
 // TestRunnerTickCollapsesQuietGaps pins that a long silent stretch costs
@@ -392,43 +262,21 @@ func TestNewRunnerEngineSelection(t *testing.T) {
 // newest boundary time, so eviction behaves identically.
 func TestRunnerTickCollapsesQuietGaps(t *testing.T) {
 	pkts := []netflow.Packet{
-		{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28},
+		tcpPkt(1, 2, 9, 53, 0, 0),
 		// 10,000 capture-seconds of silence.
-		{Time: 10_000, SrcIP: netflow.AddrV4(7), DstIP: netflow.AddrV4(8), SrcPort: 1000, DstPort: 2000, Proto: netflow.UDP, Length: 80, HeaderLen: 28},
-		{Time: 10_000.5, SrcIP: netflow.AddrV4(7), DstIP: netflow.AddrV4(8), SrcPort: 1000, DstPort: 2000, Proto: netflow.UDP, Length: 80, HeaderLen: 28},
+		tcpPkt(7, 8, 1000, 2000, 10_000, 0),
+		tcpPkt(7, 8, 1000, 2000, 10_000.5, 0),
 	}
-	cfg := trivialConfig()
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &tickCounter{Engine: eng}
+	probe := &tickLog{Engine: newEngine(t, fastCfg(fakeModel{class: 1}))}
 	r := &Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: 1}
 	st, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.ticks != 1 {
-		t.Fatalf("quiet gap cost %d ticks, want 1", probe.ticks)
-	}
-	if probe.lastTick != 10_000 {
-		t.Fatalf("collapsed tick at %v, want the newest boundary 10000", probe.lastTick)
+	if len(probe.ticks) != 1 || probe.ticks[0] != 10_000 {
+		t.Fatalf("quiet gap cost ticks %v, want one at the newest boundary 10000", probe.ticks)
 	}
 	if st.Flows != 2 { // the t=0 flow evicted by the tick, the other at drain
 		t.Fatalf("flows = %d, want 2", st.Flows)
 	}
-}
-
-// tickCounter counts Tick deliveries.
-type tickCounter struct {
-	*Engine
-	ticks    int
-	lastTick float64
-}
-
-// Tick counts and forwards.
-func (c *tickCounter) Tick(now float64) {
-	c.ticks++
-	c.lastTick = now
-	c.Engine.Tick(now)
 }

@@ -211,9 +211,6 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 	return s, nil
 }
 
-// NumShards returns the worker count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // Feed routes one packet to its flow's shard. It blocks when that shard's
 // ingress buffer is full (lossless by design: an IDS that silently drops
 // packets hides exactly the traffic an attacker would send). Packets must

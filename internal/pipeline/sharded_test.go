@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cyberhd/internal/netflow"
 )
 
 // TestShardedMatchesSingleEngine is the shard/single equivalence contract:
@@ -32,8 +30,8 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh.NumShards() != tc.shards {
-				t.Fatalf("NumShards %d, want %d", sh.NumShards(), tc.shards)
+			if len(sh.shards) != tc.shards {
+				t.Fatalf("%d shards, want %d", len(sh.shards), tc.shards)
 			}
 			statsEqual(t, tc.name, feedAll(sh, live.Packets), want)
 		})
@@ -48,8 +46,8 @@ func TestShardedDefaultsShardsToGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if sh.NumShards() < 1 {
-		t.Fatalf("default shard count %d", sh.NumShards())
+	if len(sh.shards) < 1 {
+		t.Fatalf("default shard count %d", len(sh.shards))
 	}
 }
 
@@ -67,15 +65,7 @@ func TestShardedAlertsSerialized(t *testing.T) {
 		atomic.AddInt64(&inFlight, -1)
 	}
 	cfg.Shards = 4
-	sh, err := NewSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		sh.Feed(live.Packets[i])
-	}
-	sh.Close()
-	st := sh.Stats()
+	st := directDrive(t, cfg, live.Packets)
 	if st.Alerts == 0 {
 		t.Fatal("no alerts on attack-laden capture")
 	}
@@ -110,13 +100,13 @@ func TestShardedTickDrainsBatches(t *testing.T) {
 	cfg.Shards = 3
 	cfg.BatchSize = 64
 	alerts := make(chan Alert, 16)
-	cfg.Model = constAttackModel{}
+	cfg.Model = fakeModel{class: 1}
 	cfg.OnAlert = func(a Alert) { alerts <- a }
 	sh, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
+	sh.Feed(tcpPkt(1, 2, 9, 53, 0, 0))
 	sh.Tick(200) // past the 120 s idle timeout
 	select {
 	case <-alerts:
@@ -134,21 +124,9 @@ func TestConcurrentStatsAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range live.Packets {
-		conc.Feed(p)
-	}
-	conc.Close()
-	first := conc.Stats()
+	first := feedAll(conc, live.Packets)
 	if first.Packets != len(live.Packets) || first.Flows == 0 {
 		t.Fatalf("bad stats after close: %+v", first)
 	}
-	second := conc.Stats()
-	if first.Packets != second.Packets || first.Flows != second.Flows || first.Alerts != second.Alerts {
-		t.Fatalf("stats changed between reads after Close: %+v then %+v", first, second)
-	}
-	for c := range first.ByClass {
-		if first.ByClass[c] != second.ByClass[c] {
-			t.Fatalf("ByClass[%d] changed after Close", c)
-		}
-	}
+	statsEqual(t, "stats changed between reads after Close", conc.Stats(), first)
 }

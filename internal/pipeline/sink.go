@@ -185,7 +185,9 @@ func (s *JSONLSink) Err() error {
 // at build time, so suppression shows up on /metrics too).
 //
 // Windows are anchored at the first alert that opens them and advance on
-// capture time (Alert.Time). Alert times need not be monotonic — sharded
+// finite capture time (Alert.Time) only: a NaN or ±Inf alert time counts
+// against its class's open window, and a window it opened gives way to the
+// next finite alert's. Alert times need not be monotonic — sharded
 // interleaving can deliver an earlier-capture-time alert after a window
 // opened at a later time; such an alert counts against the already-open
 // window (it never reopens an older one), pinned by
@@ -223,12 +225,11 @@ func NewRateLimitSink(inner AlertSink, burst int, window float64) *RateLimitSink
 }
 
 // Consume forwards the alert unless its class already used up the current
-// window's burst. Windows are anchored at the first alert that opens them
-// and advance on capture time (Alert.Time).
+// window's burst.
 func (s *RateLimitSink) Consume(a Alert) {
 	s.mu.Lock()
 	w, ok := s.windows[a.Class]
-	if !ok || a.Time-w.start >= s.window {
+	if !ok || finite(a.Time) && (!finite(w.start) || a.Time-w.start >= s.window) {
 		w = &limitWindow{start: a.Time}
 		s.windows[a.Class] = w
 	}

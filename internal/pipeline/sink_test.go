@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -419,14 +418,7 @@ func TestRateLimitSuppressedInTelemetry(t *testing.T) {
 		c := cfg
 		c.Shards = shards
 		c.Sinks = []AlertSink{rl}
-		r, err := NewRunner(c, netflow.NewSliceSource(live.Packets))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := r.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		r, st := runCapture(t, c, live.Packets)
 		snap := r.Telemetry().Snapshot()
 		if snap.Suppressed == 0 {
 			t.Fatalf("shards=%d: no suppressions recorded on an alert-heavy capture (alerts=%d)", shards, st.Alerts)
@@ -443,19 +435,14 @@ func TestRateLimitSuppressedInTelemetry(t *testing.T) {
 // TestEngineFansAlertsToSinks pins Config.Sinks end to end: OnAlert runs
 // first, then every sink in order, for the same alert.
 func TestEngineFansAlertsToSinks(t *testing.T) {
-	cfg := trivialConfig()
+	cfg := fastCfg(fakeModel{class: 1})
 	var order []string
 	cfg.OnAlert = func(a Alert) { order = append(order, "cb") }
 	cfg.Sinks = []AlertSink{
 		SinkFunc(func(a Alert) { order = append(order, "s1") }),
 		SinkFunc(func(a Alert) { order = append(order, "s2") }),
 	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Feed(netflow.Packet{Time: 0, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 9, DstPort: 53, Proto: netflow.UDP, Length: 80, HeaderLen: 28})
-	eng.Close()
+	feedAll(newEngine(t, cfg), []netflow.Packet{tcpPkt(1, 2, 9, 53, 0, 0)})
 	if strings.Join(order, ",") != "cb,s1,s2" {
 		t.Fatalf("delivery order = %v", order)
 	}
@@ -471,14 +458,7 @@ func TestShardedSerializesSinks(t *testing.T) {
 	var fromCb, fromSink int
 	cfg.OnAlert = func(a Alert) { fromCb++ }
 	cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { fromSink++ })}
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := runCapture(t, cfg, live.Packets)
 	if st.Alerts == 0 || fromCb != st.Alerts || fromSink != st.Alerts {
 		t.Fatalf("alerts=%d callback=%d sink=%d", st.Alerts, fromCb, fromSink)
 	}

@@ -72,10 +72,11 @@ type Stream interface {
 	Telemetry() *telemetry.Collector
 }
 
-// Both engines implement the Stream contract.
+// Both engines, and the Gate in front of either, implement Stream.
 var (
 	_ Stream = (*Engine)(nil)
 	_ Stream = (*Sharded)(nil)
+	_ Stream = (*Gate)(nil)
 )
 
 // NewStream builds the stream cfg describes — the one place the serving

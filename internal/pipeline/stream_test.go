@@ -54,25 +54,7 @@ func TestNewStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			g, gated := s.(*Gate)
-			if gated != (tc.pol.Mode == OverloadBounded) {
-				t.Fatalf("gated = %v under policy %v", gated, tc.pol.Mode)
-			}
-			if gated {
-				s = g.inner
-			}
-			switch e := s.(type) {
-			case *Engine:
-				if tc.wantShards != 0 {
-					t.Fatalf("got the sync Engine, want %d shards", tc.wantShards)
-				}
-			case *Sharded:
-				if e.NumShards() != tc.wantShards {
-					t.Fatalf("got %d shards, want %d", e.NumShards(), tc.wantShards)
-				}
-			default:
-				t.Fatalf("unexpected stream type %T", s)
-			}
+			checkStreamKind(t, s, tc.pol.Mode == OverloadBounded, tc.wantShards)
 		})
 	}
 }
@@ -91,8 +73,8 @@ func TestNewConcurrentIsOneShard(t *testing.T) {
 	cfg.Shards = 5
 	gotStats, gotAlerts := replayRun(t, cfg, pkts, func(c Config) (Stream, error) {
 		s, err := NewConcurrent(c, 7)
-		if err == nil && (s.NumShards() != 1 || cap(s.shards[0].in) != 7) {
-			t.Fatalf("NewConcurrent(cfg, 7): %d shards, ingress capacity %d", s.NumShards(), cap(s.shards[0].in))
+		if err == nil && (len(s.shards) != 1 || cap(s.shards[0].in) != 7) {
+			t.Fatalf("NewConcurrent(cfg, 7): %d shards, ingress capacity %d", len(s.shards), cap(s.shards[0].in))
 		}
 		return s, err
 	})

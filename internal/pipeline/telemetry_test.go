@@ -13,30 +13,18 @@ import (
 // streamsUnderTest builds one of each engine over the same config.
 func streamsUnderTest(t *testing.T, cfg Config) map[string]func() Stream {
 	t.Helper()
+	must := func(s Stream, err error) Stream {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sharded := cfg
+	sharded.Shards = 4
 	return map[string]func() Stream{
-		"engine": func() Stream {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"concurrent": func() Stream {
-			s, err := NewConcurrent(cfg, 256)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"sharded": func() Stream {
-			c := cfg
-			c.Shards = 4
-			s, err := NewSharded(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
+		"engine":     func() Stream { return must(New(cfg)) },
+		"concurrent": func() Stream { return must(NewConcurrent(cfg, 256)) },
+		"sharded":    func() Stream { return must(NewSharded(sharded)) },
 	}
 }
 
@@ -160,34 +148,20 @@ func TestSnapshotDuringLiveFeedRaceFree(t *testing.T) {
 func TestSnapshotEqualsStatsAfterClose(t *testing.T) {
 	cfg, live := buildModel(t)
 	cfg.BatchSize = 8
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range live.Packets {
-		ref.Feed(live.Packets[i])
-	}
-	ref.Close()
-	want := ref.Stats()
+	want := directDrive(t, cfg, live.Packets)
 
 	for name, build := range streamsUnderTest(t, cfg) {
 		t.Run(name, func(t *testing.T) {
 			s := build()
-			for i := range live.Packets {
-				s.Feed(live.Packets[i])
-			}
-			s.Close()
-			st := s.Stats()
-			if !reflect.DeepEqual(st, want) {
+			if st := feedAll(s, live.Packets); !reflect.DeepEqual(st, want) {
 				t.Fatalf("engine diverged from reference:\n%+v\n%+v", st, want)
 			}
 			// The richer telemetry snapshot agrees with the Stats view and
 			// has settled: histogram count equals issued verdicts, nothing
 			// pending.
 			ts := s.Telemetry().Snapshot()
-			if int(ts.Flows) != st.Flows || int(ts.Packets) != st.Packets {
-				t.Fatalf("telemetry snapshot disagrees: %+v vs %+v", ts, st)
+			if int(ts.Flows) != want.Flows || int(ts.Packets) != want.Packets {
+				t.Fatalf("telemetry snapshot disagrees: %+v vs %+v", ts, want)
 			}
 			if ts.Pending() != 0 {
 				t.Fatalf("%d verdicts still pending after Close", ts.Pending())
@@ -207,14 +181,8 @@ func TestVerdictLatencyHistogram(t *testing.T) {
 	cfg, live := buildModel(t)
 
 	t.Run("sync-is-zero", func(t *testing.T) {
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range live.Packets {
-			eng.Feed(live.Packets[i])
-		}
-		eng.Close()
+		eng := newEngine(t, cfg)
+		feedAll(eng, live.Packets)
 		s := eng.Telemetry().Snapshot()
 		if s.Latency.Count == 0 {
 			t.Fatal("no latency observations")
@@ -230,20 +198,12 @@ func TestVerdictLatencyHistogram(t *testing.T) {
 	t.Run("batch-wait-measured", func(t *testing.T) {
 		c := cfg
 		c.BatchSize = 1024 // never fills: the tick drains it
-		eng, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, c)
 		// Two short flows completing at t≈1, then a tick 5 capture-seconds
 		// later: their verdicts waited ~5 s in the batch buffer.
-		mk := func(sport uint16, t0 float64, flags uint8) netflow.Packet {
-			return netflow.Packet{Time: t0, SrcIP: netflow.AddrV4(0x0a000001), DstIP: netflow.AddrV4(0x0a000002),
-				SrcPort: sport, DstPort: 80, Proto: netflow.TCP, Length: 60, HeaderLen: 40,
-				Flags: flags}
-		}
 		for _, sport := range []uint16{2001, 2002} {
-			eng.Feed(mk(sport, 0.5, netflow.SYN))
-			eng.Feed(mk(sport, 0.9, netflow.RST)) // RST terminates the flow
+			eng.Feed(tcpPkt(0x0a000001, 0x0a000002, sport, 80, 0.5, netflow.SYN))
+			eng.Feed(tcpPkt(0x0a000001, 0x0a000002, sport, 80, 0.9, netflow.RST)) // RST terminates the flow
 		}
 		if got := eng.Stats().Flows; got != 2 {
 			t.Fatalf("flows completed = %d, want 2", got)
@@ -298,16 +258,9 @@ func TestRunnerProgress(t *testing.T) {
 	cfg.ProgressInterval = 5
 	var snaps []telemetry.Snapshot
 	cfg.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
-	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, st := runCapture(t, cfg, live.Packets)
 	if r.Telemetry() == nil {
 		t.Fatal("runner has no live telemetry handle")
-	}
-	st, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(snaps) < 2 {
 		t.Fatalf("only %d progress snapshots for a %0.fs capture",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ var served struct {
 
 // trainedDetector returns the shared detector as trained. Its callers
 // only read it; serveDetector hands out copies to change.
-func trainedDetector(t *testing.T) *Detector {
+func trainedDetector(t testing.TB) *Detector {
 	t.Helper()
 	served.once.Do(func() {
 		served.det, served.err = TrainDetector(CICIDS2017(1200, 3), DefaultConfig())
@@ -54,6 +55,16 @@ func serveDetector(t *testing.T) *Detector {
 	return det
 }
 
+// serve runs det.Serve over packets under cfg and returns its stats.
+func serve(t *testing.T, det *Detector, packets []netflow.Packet, cfg EngineConfig) EngineStats {
+	t.Helper()
+	st, err := det.Serve(context.Background(), NewSliceSource(packets), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestServeFillsDetectorFields pins what Serve takes from the detector:
 // the model, normalizer and class names a config leaves unset — and only
 // those, so a config that names its own model serves that one (on the
@@ -65,23 +76,14 @@ func TestServeFillsDetectorFields(t *testing.T) {
 		t.Fatal("EngineConfig() is not the detector's model, normalizer and class names")
 	}
 	live := GenerateTraffic(TrafficConfig{Sessions: 100, Seed: 77})
-	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serve(t, det, live.Packets, base)
+	got := serve(t, det, live.Packets, EngineConfig{})
 	if got.Flows == 0 || got.Flows != want.Flows || got.Alerts != want.Alerts {
 		t.Fatalf("zero config served %+v, the detector's own config %+v", got, want)
 	}
 	cow := NewCOWModel(det.Model)
 	tel := NewTelemetry(det.ClassNames)
-	if _, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{Model: cow, Telemetry: tel, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
+	serve(t, det, live.Packets, EngineConfig{Model: cow, Telemetry: tel, Shards: 4})
 	if s := tel.Snapshot(); s.ModelVersion != cow.Version() || cow.Version() != 1 {
 		t.Fatalf("served model version %d, want the config's COW model at %d, unpublished since its first version",
 			s.ModelVersion, cow.Version())
@@ -115,11 +117,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 
 	var jsonl bytes.Buffer
 	sink := NewJSONLSink(&jsonl)
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{BatchSize: 32, Sinks: []AlertSink{sink}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := serve(t, det, live.Packets, EngineConfig{BatchSize: 32, Sinks: []AlertSink{sink}})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Serve %+v != direct %+v", got, want)
 	}
@@ -141,11 +139,7 @@ func TestServeShardedQuantized(t *testing.T) {
 	cfg.Shards, cfg.BatchSize, cfg.Quantize = 4, 32, W8
 	want := driveByHand(t, cfg, live.Packets)
 
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{Shards: 4, BatchSize: 32, Quantize: W8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := serve(t, det, live.Packets, EngineConfig{Shards: 4, BatchSize: 32, Quantize: W8})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Serve %+v != direct sharded %+v", got, want)
 	}
@@ -194,7 +188,7 @@ func TestServeWithMetrics(t *testing.T) {
 	}
 	var snaps []TelemetrySnapshot
 	scraped := ""
-	st, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{
+	st := serve(t, det, live.Packets, EngineConfig{
 		Telemetry: tel, BatchSize: 16, ProgressInterval: 5,
 		Progress: func(s TelemetrySnapshot) {
 			snaps = append(snaps, s)
@@ -210,9 +204,6 @@ func TestServeWithMetrics(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(scraped, "cyberhd_packets_total") || strings.Contains(scraped, "cyberhd_packets_total 0\n") {
 		t.Fatalf("mid-run scrape shows no traffic:\n%s", scraped)
 	}
@@ -267,22 +258,10 @@ func TestBoundedOverloadPolicy(t *testing.T) {
 
 	// Functional equivalence: lossless default vs permissive bounded
 	// policy (no tenant rate, synchronous engine that always admits).
-	want, err := det.Serve(context.Background(), NewSliceSource(live.Packets), EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.Serve(context.Background(), NewSliceSource(live.Packets),
-		EngineConfig{Overload: OverloadPolicy{Mode: OverloadBounded}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts {
+	want := serve(t, det, live.Packets, EngineConfig{})
+	got := serve(t, det, live.Packets, EngineConfig{Overload: OverloadPolicy{Mode: OverloadBounded}})
+	if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts || !slices.Equal(got.ByClass, want.ByClass) {
 		t.Fatalf("bounded-permissive %+v != lossless %+v", got, want)
-	}
-	for c := range want.ByClass {
-		if got.ByClass[c] != want.ByClass[c] {
-			t.Fatalf("ByClass[%d]: bounded %d != lossless %d", c, got.ByClass[c], want.ByClass[c])
-		}
 	}
 	if want.DroppedTotal() != 0 || got.DroppedTotal() != 0 {
 		t.Fatalf("drop counters nonzero: lossless %d, bounded-permissive %d",
