@@ -426,7 +426,7 @@ func (sv *serving) linger() {
 func cmdDetect(args []string) error {
 	fs, sv := newServing("detect")
 	shards := fs.Int("shards", 1, "engine shards (1 = single in-process engine; 0 = one per core)")
-	saveModel := fs.String("save-model", "", "write the trained model to this file as a model-only v2 snapshot: no normalizer or class names, so POST /model and cyberhd.LoadModelSnapshotFile load it, cyberhd.LoadDetector does not")
+	saveModel := fs.String("save-model", "", "write the trained model to this file as a v2 model snapshot, the bytes POST /model takes (no normalizer or class names)")
 	progress := fs.Float64("progress", 0, "print a progress line to stderr every N capture seconds (0 disables)")
 	fs.Parse(args)
 	if *shards == 0 {

@@ -17,7 +17,8 @@
 // cited in README.md and ARCHITECTURE.md are checked too; CHANGES.md and
 // ROADMAP.md are history and may name tests since removed. A comment that
 // sends the reader to something nobody wrote is reported like a missing
-// doc comment.
+// doc comment. So is a root package name no Go file under cmd/, examples/
+// or bench/ selects (a string or a comment that names it does not count).
 package main
 
 import (
@@ -44,23 +45,24 @@ func main() {
 	}
 	var problems []string
 	for _, dir := range dirs {
-		ps, err := lintDir(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "doclint:", err)
-			os.Exit(1)
-		}
-		problems = append(problems, ps...)
+		problems = append(problems, must(lintDir(dir))...)
 	}
-	dangling, err := lintDocRefs(".")
+	bad := report(problems, "exported identifiers without doc comments")
+	bad = report(must(lintDocRefs(".")), "citations of a file or test that does not exist") || bad
+	bad = report(must(lintFacade(".")), "facade names nothing under cmd/, examples/ or bench/ selects") || bad
+	if bad {
+		os.Exit(1)
+	}
+}
+
+// must returns a check's problems, or exits if the check could not read
+// the tree.
+func must(problems []string, err error) []string {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doclint:", err)
 		os.Exit(1)
 	}
-	bad := report(problems, "exported identifiers without doc comments")
-	bad = report(dangling, "citations of a file or test that does not exist") || bad
-	if bad {
-		os.Exit(1)
-	}
+	return problems
 }
 
 // report prints one sorted block of problem lines and says whether there
@@ -98,28 +100,7 @@ func lintDocRefs(root string) ([]string, error) {
 	tests := map[string]bool{}
 	type citation struct{ where, name string }
 	var cited []citation
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
-				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	err := walkGo(root, parser.ParseComments, func(fset *token.FileSet, path string, file *ast.File) {
 		if strings.HasSuffix(path, "_test.go") {
 			for _, decl := range file.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
@@ -143,7 +124,6 @@ func lintDocRefs(root string) ([]string, error) {
 				}
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -176,13 +156,76 @@ func lintDocRefs(root string) ([]string, error) {
 	return problems, nil
 }
 
+// lintFacade returns one problem line per exported top-level name of the
+// facade package at root that no Go file under cmd/, examples/ or bench/
+// (a nested module, so walked on its own) selects as cyberhd.<Name>.
+func lintFacade(root string) ([]string, error) {
+	selected := map[string]bool{}
+	for _, dir := range []string{"cmd", "examples", "bench"} {
+		err := walkGo(filepath.Join(root, dir), 0, func(_ *token.FileSet, _ string, file *ast.File) {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "cyberhd" {
+						selected[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, root, notTest, 0)
+	var problems []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for name, obj := range file.Scope.Objects {
+				if ast.IsExported(name) && !selected[name] {
+					p := fset.Position(obj.Pos())
+					problems = append(problems, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, name))
+				}
+			}
+		}
+	}
+	return problems, err
+}
+
+// walkGo hands fn every Go file under root, parsed with mode; it skips
+// testdata, hidden directories and modules nested below root.
+func walkGo(root string, mode parser.Mode, fn func(fset *token.FileSet, path string, file *ast.File)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, mode|parser.SkipObjectResolution)
+		if err == nil {
+			fn(fset, path, file)
+		}
+		return err
+	})
+}
+
+// notTest keeps the non-test files of a package.
+func notTest(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
 // lintDir parses every non-test Go file directly in dir and returns one
 // problem line per undocumented exported identifier.
 func lintDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	pkgs, err := parser.ParseDir(fset, dir, notTest, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}

@@ -74,3 +74,62 @@ func TestRepoDocRefsResolve(t *testing.T) {
 		t.Fatalf("citations of files or tests that do not exist:\n%s", strings.Join(got, "\n"))
 	}
 }
+
+// TestLintFacade: a root name selected from a command counts, and so does
+// one selected only from a nested module under bench/; names spelled only
+// in a string literal or a comment are reported, as is one nothing spells.
+// Methods, unexported names and test-file declarations of the root
+// package are not facade names.
+func TestLintFacade(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module cyberhd\n",
+		"cyberhd.go": "package cyberhd\n\n" +
+			"func Used() {}\n\n" +
+			"type T int\n\n" +
+			"func (T) Method() {}\n\n" +
+			"func hidden() {}\n\n" +
+			"var (\n\tInBench   = 1\n\tInString  = 2\n\tInComment = 3\n)\n\n" +
+			"const Unspelled = 4\n",
+		"cyberhd_test.go": "package cyberhd\n\nfunc Helper() {}\n",
+		"cmd/tool/main.go": "package main\n\n" +
+			"import \"cyberhd\"\n\n" +
+			"// cyberhd.InComment is named here only.\n" +
+			"func main() {\n\tvar t cyberhd.T\n\t_ = t\n\tcyberhd.Used()\n\tprintln(\"see cyberhd.InString\")\n}\n",
+		"examples/demo/main.go": "package main\n\nimport \"cyberhd\"\n\nfunc main() { cyberhd.Used() }\n",
+		"bench/go.mod":          "module cyberhd/bench\n\nrequire cyberhd v0.0.0\n",
+		"bench/main.go":         "package main\n\nimport \"cyberhd\"\n\nfunc main() { println(cyberhd.InBench) }\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := lintFacade(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	at := filepath.Join(root, "cyberhd.go")
+	want := []string{at + ":14: InComment", at + ":13: InString", at + ":17: Unspelled"}
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("lintFacade:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRepoFacadeNamesHaveCallers runs the check on this repository: every
+// facade name is selected by a command, an example or the benchmark.
+func TestRepoFacadeNamesHaveCallers(t *testing.T) {
+	got, err := lintFacade("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) > 0 {
+		t.Fatalf("facade names nothing under cmd/, examples/ or bench/ selects:\n%s", strings.Join(got, "\n"))
+	}
+}

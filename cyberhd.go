@@ -28,13 +28,9 @@
 package cyberhd
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"cyberhd/internal/bitpack"
-	"cyberhd/internal/control"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
@@ -200,66 +196,4 @@ func (d *Detector) EffectiveDim() int { return d.Model.EffectiveDim }
 func (d *Detector) String() string {
 	return fmt.Sprintf("cyberhd.Detector{classes=%d, D=%d, D*=%d, testAcc=%.2f%%}",
 		len(d.ClassNames), d.Model.Dim(), d.Model.EffectiveDim, 100*d.TestAccuracy)
-}
-
-// detectorState is the gob wire format of a Detector: an envelope — class
-// names, normalizer, held-out accuracy — around one model snapshot.
-type detectorState struct {
-	Version      int
-	ClassNames   []string
-	Mean, InvStd []float32
-	TestAccuracy float64
-	// Model is a core.SaveSnapshot stream; files written before v2 became
-	// the only model format carry a v1 body here, which the same decoder
-	// reads.
-	Model []byte
-}
-
-// Save serializes the detector — model, normalizer, class names — so a
-// deployment can reload it with LoadDetector and classify identically.
-func (d *Detector) Save(w io.Writer) error {
-	// The COW wrapper exists to be snapshotted and is dropped unwritten,
-	// so d.Model stays the caller's.
-	var model bytes.Buffer
-	if err := core.SaveSnapshot(&model, core.NewCOWModel(d.Model)); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(&detectorState{
-		Version:    1,
-		ClassNames: d.ClassNames,
-		Mean:       d.Normalizer.Mean, InvStd: d.Normalizer.InvStd,
-		TestAccuracy: d.TestAccuracy,
-		Model:        model.Bytes(),
-	})
-}
-
-// LoadDetector reads a detector written by Detector.Save. The model
-// inside clears the control plane's admission gate against the envelope
-// around it — as many classes as there are names, as many encoder inputs
-// as the normalizer has statistics — so a file that decodes is a detector
-// whose Classify cannot index past either.
-func LoadDetector(r io.Reader) (*Detector, error) {
-	var state detectorState
-	if err := gob.NewDecoder(r).Decode(&state); err != nil {
-		return nil, fmt.Errorf("cyberhd: decoding detector: %w", err)
-	}
-	if state.Version != 1 {
-		return nil, fmt.Errorf("cyberhd: unsupported detector version %d", state.Version)
-	}
-	if len(state.Mean) != len(state.InvStd) {
-		return nil, fmt.Errorf("cyberhd: detector normalizer has %d means, %d deviations",
-			len(state.Mean), len(state.InvStd))
-	}
-	m, _, err := control.Admit(bytes.NewReader(state.Model), control.Geometry{
-		Classes: len(state.ClassNames), Inputs: len(state.Mean),
-	}, control.SanityBatch{})
-	if err != nil {
-		return nil, fmt.Errorf("cyberhd: detector model: %w", err)
-	}
-	return &Detector{
-		Model:        m,
-		Normalizer:   &datasets.Normalizer{Mean: state.Mean, InvStd: state.InvStd},
-		ClassNames:   state.ClassNames,
-		TestAccuracy: state.TestAccuracy,
-	}, nil
 }

@@ -293,12 +293,6 @@ func softmax(logits, out []float32) {
 	}
 }
 
-// Predict returns the class with the highest logit for x.
-func (n *Network) Predict(x []float32) int {
-	acts := n.newActivations()
-	return n.predictWith(x, acts)
-}
-
 func (n *Network) predictWith(x []float32, acts *activations) int {
 	logits := n.forward(x, acts)
 	best, bv := 0, float32(math.Inf(-1))

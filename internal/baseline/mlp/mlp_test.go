@@ -101,9 +101,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// PredictBatch reuses one set of activations per chunk; fresh ones
+	// per row must give the same verdicts.
 	batch := n.PredictBatch(x)
 	for _, i := range []int{0, 99, 199} {
-		if p := n.Predict(x.Row(i)); p != batch[i] {
+		if p := n.predictWith(x.Row(i), n.newActivations()); p != batch[i] {
 			t.Fatalf("row %d: %d != %d", i, p, batch[i])
 		}
 	}
@@ -170,8 +172,8 @@ func TestPredictSurvivesCorruptWeights(t *testing.T) {
 	w := n.Weights()
 	w[0][0] = float32(math.Inf(1))
 	w[2][3] = float32(math.Inf(-1))
-	for i := 0; i < x.Rows; i++ {
-		if p := n.Predict(x.Row(i)); p < 0 || p >= 3 {
+	for _, p := range n.PredictBatch(x) {
+		if p < 0 || p >= 3 {
 			t.Fatalf("invalid prediction %d", p)
 		}
 	}

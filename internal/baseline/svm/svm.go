@@ -102,11 +102,6 @@ func (m *Linear) PredictBatch(x *hdc.Matrix) []int {
 	return out
 }
 
-// Evaluate returns accuracy on x, y.
-func (m *Linear) Evaluate(x *hdc.Matrix, y []int) float64 {
-	return accuracy(m.PredictBatch(x), y)
-}
-
 // KernelOptions configures TrainKernel.
 type KernelOptions struct {
 	// Lambda is the Pegasos regularization strength. Defaults to 1e-4.
@@ -219,22 +214,6 @@ func (m *Kernel) Predict(x []float32) int {
 	return best
 }
 
-// PredictBatch classifies every row of x in parallel.
-func (m *Kernel) PredictBatch(x *hdc.Matrix) []int {
-	out := make([]int, x.Rows)
-	hdc.ParallelChunks(x.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.Predict(x.Row(i))
-		}
-	})
-	return out
-}
-
-// Evaluate returns accuracy on x, y.
-func (m *Kernel) Evaluate(x *hdc.Matrix, y []int) float64 {
-	return accuracy(m.PredictBatch(x), y)
-}
-
 func validate(x *hdc.Matrix, y []int, classes int) error {
 	if classes < 2 {
 		return fmt.Errorf("svm: need at least 2 classes, got %d", classes)
@@ -248,14 +227,4 @@ func validate(x *hdc.Matrix, y []int, classes int) error {
 		}
 	}
 	return nil
-}
-
-func accuracy(pred, y []int) float64 {
-	correct := 0
-	for i, p := range pred {
-		if p == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y))
 }

@@ -166,17 +166,6 @@ func (v *Vector) FlipBit(k int) {
 	v.Words[word] ^= 1 << off
 }
 
-// Dequantize writes Scale·q for every element into dst, which must have
-// length Dim.
-func (v *Vector) Dequantize(dst []float32) {
-	if len(dst) != v.Dim {
-		panic("bitpack: Dequantize length mismatch")
-	}
-	for i := 0; i < v.Dim; i++ {
-		dst[i] = v.Scale * float32(v.Get(i))
-	}
-}
-
 // Quantize builds a packed vector of width w from x using symmetric linear
 // quantization: scale = max|x| / MaxQ(w), q = round(x/scale) clamped to the
 // symmetric range. For w == 1 the result is the sign pattern with scale

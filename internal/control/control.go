@@ -21,9 +21,9 @@
 // and the verdict stream bit-identically untouched — pinned by the
 // control-plane tests and the differential-replay suite.
 //
-// Admit is also the gate in front of every other path that turns outside
-// bytes into a serving model: a cluster worker's session-opening snapshot
-// and the model inside a detector file.
+// Admit is also the gate in front of the one other path that turns
+// outside bytes into a serving model: a cluster worker's session-opening
+// snapshot.
 package control
 
 import (
@@ -402,10 +402,10 @@ func (r *rejection) Unwrap() error { return r.err }
 // decode (core.DecodeSnapshot, either format), geometry against want,
 // then a panic-guarded sanity batch scored at want.Width — sb when it has
 // rows, otherwise 64 built-in in-domain vectors that are range-checked
-// only. POST /model, Plane.Apply, a cluster worker's session-opening
-// snapshot and cyberhd.LoadDetector all admit through it and keep only
-// their transport; they differ in where want comes from (the model
-// already serving, the session hello, the detector envelope). Nothing is
+// only. POST /model, Plane.Apply and a cluster worker's session-opening
+// snapshot all admit through it and keep only their transport; they
+// differ in where want comes from (the model already serving, the
+// session hello). Nothing is
 // published here: on success the caller owns a model that has already
 // predicted at the width it will serve at.
 func Admit(r io.Reader, want Geometry, sb SanityBatch) (*core.Model, core.SnapshotInfo, error) {

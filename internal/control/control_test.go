@@ -440,7 +440,7 @@ func TestV1UploadAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, _, err := core.LoadSnapshotFile(fixture)
+	cand, _, err := core.LoadSnapshot(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +622,7 @@ func v2Stream(t *testing.T, st wireState) []byte {
 // TestZeroDimensionModelRefused pins the decode-side shape check: a v1
 // body declaring a 0-dimensional RBF encoder and a 3×0 class matrix
 // satisfies every length-equals-product test, fits the geometry the
-// cluster worker and LoadDetector ask for (Dim unconstrained), predicts
+// cluster worker asks for (Dim unconstrained), predicts
 // class 0 for every sanity row — and used to be admitted as an IDS that
 // never alerts. It is a decode rejection now.
 func TestZeroDimensionModelRefused(t *testing.T) {

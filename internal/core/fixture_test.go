@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"testing"
 
 	"cyberhd/internal/encoder"
@@ -45,3 +46,16 @@ func toyModel(t testing.TB, classes, dim int, seed uint64) (*Model, *hdc.Matrix,
 
 // ToyModel is toyModel for the package's external tests.
 var ToyModel = toyModel
+
+// LoadSnapshotFile opens a snapshot file and reads it through
+// LoadSnapshot. It is a test helper: the golden and round-trip tests name
+// their files by path, while shipped code reads model bytes through
+// control.Admit.
+func LoadSnapshotFile(path string) (*COWModel, SnapshotInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, SnapshotInfo{}, err
+	}
+	defer f.Close()
+	return LoadSnapshot(f)
+}

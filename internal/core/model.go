@@ -303,13 +303,6 @@ func (m *Model) Predict(x []float32) int {
 	return pred
 }
 
-// PredictEncoded classifies an already-encoded hypervector using the
-// scorer's cached row norms (the naive path recomputed every class norm
-// per call).
-func (m *Model) PredictEncoded(h []float32) int {
-	return m.Scorer().PredictEncoded(h)
-}
-
 // PredictBatch classifies every row of x: one blocked batch encode plus
 // one class-matrix GEMM, bit-identical to per-row Predict.
 func (m *Model) PredictBatch(x *hdc.Matrix) []int {

@@ -12,8 +12,8 @@ import (
 // modelState is the gob body of a v1 model file: a bare Model, with the
 // encoder captured through encoder.State (including its RNG
 // continuation). Nothing writes v1 any more — SaveSnapshot's v2 is the
-// only model format written — but files and detector envelopes from
-// earlier releases carry it, so DecodeSnapshot keeps reading it
+// only model format written — but model files from earlier releases
+// carry it, so DecodeSnapshot keeps reading it
 // (testdata/model_v1.snapshot is the frozen pin). It also names the
 // fields the v2 body shares, which is why both rebuild through model().
 type modelState struct {

@@ -66,7 +66,7 @@ func TestScorerMatchesArgmaxCosine(t *testing.T) {
 	h := make([]float32, m.Dim())
 	for i := 0; i < 100; i++ {
 		m.Enc.Encode(x.Row(i), h)
-		got := m.PredictEncoded(h)
+		got := m.Scorer().PredictEncoded(h)
 		naive, _ := argmaxCosine(m.Class, h)
 		if got != naive {
 			t.Fatalf("sample %d: scorer %d != naive argmax %d", i, got, naive)
@@ -83,7 +83,7 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 	h := make([]float32, m.Dim())
 	for i := 0; i < x.Rows; i++ {
 		m.Enc.Encode(x.Row(i), h)
-		if single := m.PredictEncoded(h); single != batch[i] {
+		if single := m.Scorer().PredictEncoded(h); single != batch[i] {
 			t.Fatalf("sample %d: single %d != batch %d", i, single, batch[i])
 		}
 	}

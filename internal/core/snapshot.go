@@ -285,14 +285,3 @@ func SaveSnapshotFile(path string, c *COWModel) error {
 	}
 	return f.Sync()
 }
-
-// LoadSnapshotFile restores a COWModel from a snapshot file in either
-// format.
-func LoadSnapshotFile(path string) (*COWModel, SnapshotInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, SnapshotInfo{}, err
-	}
-	defer f.Close()
-	return LoadSnapshot(f)
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -11,11 +12,18 @@ import (
 // in cmd/experiments and the repository benchmarks.
 var smallCfg = Config{Samples: 1200, Seed: 11}
 
+// nslFig3 is Fig3 over nsl-kdd at smallCfg — one RunComparison — computed
+// once per test binary for the tests that only read it.
+var nslFig3 = sync.OnceValues(func() (map[string][]Result, error) {
+	return Fig3([]string{"nsl-kdd"}, smallCfg)
+})
+
 func TestRunComparisonProducesAllModels(t *testing.T) {
-	res, err := RunComparison("nsl-kdd", smallCfg)
+	results, err := nslFig3()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results["nsl-kdd"]
 	if len(res) != len(ModelNames) {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -43,7 +51,7 @@ func TestRunComparisonUnknownDataset(t *testing.T) {
 }
 
 func TestFig3Rendering(t *testing.T) {
-	results, err := Fig3([]string{"nsl-kdd"}, smallCfg)
+	results, err := nslFig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestFig3Rendering(t *testing.T) {
 }
 
 func TestFig4Rendering(t *testing.T) {
-	results, err := Fig3([]string{"nsl-kdd"}, smallCfg)
+	results, err := nslFig3()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,11 +62,12 @@ func TestProbeOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		tSVM := time.Since(t0)
+		svmAcc, _ := measure(lin, test)
 
 		t.Logf("%-14s n=%d f=%d k=%d | hd05=%.3f hd4k=%.3f cyber=%.3f dnn=%.3f svm=%.3f | t: %.1fs %.1fs %.1fs %.1fs %.1fs",
 			name, train.Len(), f, k,
 			hd05.Evaluate(test.X, test.Y), hd4k.Evaluate(test.X, test.Y), cyber.Evaluate(test.X, test.Y),
-			dnn.Evaluate(test.X, test.Y), lin.Evaluate(test.X, test.Y),
+			dnn.Evaluate(test.X, test.Y), svmAcc,
 			tHD05.Seconds(), tHD4k.Seconds(), tCyber.Seconds(), tDNN.Seconds(), tSVM.Seconds())
 	}
 }

@@ -79,9 +79,6 @@ func (a Addr) V4() uint32 {
 	return uint32(a[12])<<24 | uint32(a[13])<<16 | uint32(a[14])<<8 | uint32(a[15])
 }
 
-// As16 returns the raw 16-byte value.
-func (a Addr) As16() [16]byte { return a }
-
 // Put writes the address to the head of dst in the capture-record and
 // wire encoding and returns the bytes used: the raw 16 bytes when wide,
 // else V4() as 4 little-endian bytes (the v1 encodings; only meaningful

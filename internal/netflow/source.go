@@ -55,9 +55,6 @@ func (s *SliceSource) Next(p *Packet) error {
 	return nil
 }
 
-// Remaining returns how many packets have not been read yet.
-func (s *SliceSource) Remaining() int { return len(s.packets) - s.next }
-
 // File is an open on-disk packet log — internal capture, classic PCAP or
 // pcapng — streamed as a PacketSource in O(1) memory. Close it when done
 // (the runner does not own file handles).

@@ -149,6 +149,12 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	return eng
 }
 
+// gateState reads g's load-shedding state off the OverloadState gauge of
+// its telemetry, the way a scrape does.
+func gateState(g *Gate) OverloadState {
+	return OverloadState(g.Telemetry().Snapshot().OverloadState)
+}
+
 // checkStreamKind fails t unless s is what the engine-choice rule builds:
 // a Gate exactly when gated, in front of the sync Engine for shards 0 and
 // of a Sharded with shards workers otherwise.

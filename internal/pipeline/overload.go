@@ -224,13 +224,6 @@ func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 	return g
 }
 
-// State returns the gate's current load-shedding state.
-func (g *Gate) State() OverloadState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.state
-}
-
 // Feed offers one packet to the admission policy: it is either fed to
 // the wrapped stream within the MaxWait bound or dropped and counted.
 // Unlike the lossless engines' Feed, it never blocks past MaxWait.

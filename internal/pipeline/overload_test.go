@@ -147,7 +147,7 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 	// An admitted flow, pre-spike, with no termination flags: the gate
 	// remembers it as assembled.
 	g.Feed(tcpPkt(1, 2, 10, 20, 1.0, 0))
-	if got := g.State(); got != OverloadNormal {
+	if got := gateState(g); got != OverloadNormal {
 		t.Fatalf("state = %v before any load, want normal", got)
 	}
 
@@ -160,7 +160,7 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 	if g.FeedWithin(newFlow, 0) {
 		t.Fatal("new flow admitted during a latency spike")
 	}
-	if got := g.State(); got != OverloadShedding {
+	if got := gateState(g); got != OverloadShedding {
 		t.Fatalf("state = %v after latency spike, want shedding", got)
 	}
 	if got := g.Stats().Dropped[telemetry.DropNewFlowShed]; got != 1 {
@@ -172,13 +172,13 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 	if !g.FeedWithin(tcpPkt(1, 2, 10, 20, 1.2, 0), 0) {
 		t.Fatal("known-flow packet refused while recovering")
 	}
-	if got := g.State(); got != OverloadPressured {
+	if got := gateState(g); got != OverloadPressured {
 		t.Fatalf("state = %v after one quiet window, want pressured", got)
 	}
 	if !g.FeedWithin(newFlow, 0) {
 		t.Fatal("new flow refused in pressured state (only shedding refuses)")
 	}
-	if got := g.State(); got != OverloadNormal {
+	if got := gateState(g); got != OverloadNormal {
 		t.Fatalf("state = %v after two quiet windows, want normal", got)
 	}
 	if got := tel.Snapshot().OverloadStateName(); got != "normal" {
@@ -350,7 +350,7 @@ func TestBoundedSaturationAccounting(t *testing.T) {
 		t.Fatalf("tenant-rate drops = %d with no tenant rate configured",
 			st.Dropped[telemetry.DropTenantRate])
 	}
-	snap := r.Telemetry().Snapshot()
+	snap := r.Stream.Telemetry().Snapshot()
 	if int(snap.DroppedTotal()) != st.DroppedTotal() {
 		t.Fatalf("telemetry dropped %d != stats dropped %d", snap.DroppedTotal(), st.DroppedTotal())
 	}

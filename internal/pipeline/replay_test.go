@@ -300,26 +300,26 @@ func TestGateTransitionsObservable(t *testing.T) {
 	}
 	// Quiet start: evaluations with no latency observations stay normal.
 	feed(4, 0)
-	if g.State() != OverloadNormal {
-		t.Fatalf("state %v before any pressure", g.State())
+	if gateState(g) != OverloadNormal {
+		t.Fatalf("state %v before any pressure", gateState(g))
 	}
 	// One observation in the (0.5, 1] bucket: p99 = 1.0 > bound/2 →
 	// pressured on the next evaluation.
 	tel.ObserveLatency(0.8)
 	feed(1, 4)
-	if g.State() != OverloadPressured {
-		t.Fatalf("state %v after pressure signal", g.State())
+	if gateState(g) != OverloadPressured {
+		t.Fatalf("state %v after pressure signal", gateState(g))
 	}
 	// An observation in the (2.5, 5] bucket: p99 = 5 > bound → shedding.
 	tel.ObserveLatency(3.0)
 	feed(1, 5)
-	if g.State() != OverloadShedding {
-		t.Fatalf("state %v after latency blowout", g.State())
+	if gateState(g) != OverloadShedding {
+		t.Fatalf("state %v after latency blowout", gateState(g))
 	}
 	// Recovery relaxes one state per quiet evaluation.
 	feed(8, 6)
-	if g.State() != OverloadNormal {
-		t.Fatalf("state %v after recovery window", g.State())
+	if gateState(g) != OverloadNormal {
+		t.Fatalf("state %v after recovery window", gateState(g))
 	}
 
 	// The whole walk must be readable from the admin surface: pressured

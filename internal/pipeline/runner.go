@@ -47,25 +47,6 @@ type Runner struct {
 	ran bool
 }
 
-// Snapshot reads the driven stream's counters — safe from any goroutine
-// while Run is pumping. Zero stats before the runner has a stream.
-func (r *Runner) Snapshot() Stats {
-	if r.Stream == nil {
-		return Stats{}
-	}
-	return r.Stream.Stats()
-}
-
-// Telemetry returns the driven stream's collector — the live handle for
-// mid-run observation (snapshots, latency histogram, Prometheus export).
-// Nil before the runner has a stream.
-func (r *Runner) Telemetry() *telemetry.Collector {
-	if r.Stream == nil {
-		return nil
-	}
-	return r.Stream.Telemetry()
-}
-
 // NewRunner builds the stream cfg describes (see NewStream for the
 // engine and gate choice) and a runner that will pump src through it.
 // Alert fan-out comes from cfg.OnAlert and cfg.Sinks; the auto-tick

@@ -158,7 +158,7 @@ func oracleLine(a Alert) []byte {
 		if x == (netflow.Addr{}) {
 			return "0.0.0.0"
 		}
-		return netip.AddrFrom16(x.As16()).Unmap().String()
+		return netip.AddrFrom16(x).Unmap().String()
 	}
 	rec := AlertRecord{
 		Time: a.Time, Class: a.Class, ClassName: a.ClassName,
@@ -419,7 +419,7 @@ func TestRateLimitSuppressedInTelemetry(t *testing.T) {
 		c.Shards = shards
 		c.Sinks = []AlertSink{rl}
 		r, st := runCapture(t, c, live.Packets)
-		snap := r.Telemetry().Snapshot()
+		snap := r.Stream.Telemetry().Snapshot()
 		if snap.Suppressed == 0 {
 			t.Fatalf("shards=%d: no suppressions recorded on an alert-heavy capture (alerts=%d)", shards, st.Alerts)
 		}

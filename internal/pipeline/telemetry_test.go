@@ -259,7 +259,7 @@ func TestRunnerProgress(t *testing.T) {
 	var snaps []telemetry.Snapshot
 	cfg.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
 	r, st := runCapture(t, cfg, live.Packets)
-	if r.Telemetry() == nil {
+	if r.Stream.Telemetry() == nil {
 		t.Fatal("runner has no live telemetry handle")
 	}
 	if len(snaps) < 2 {
@@ -301,8 +301,8 @@ func TestRunnerSnapshotMidRun(t *testing.T) {
 				return
 			default:
 			}
-			_ = r.Snapshot()
-			_ = r.Telemetry().Snapshot()
+			_ = r.Stream.Stats()
+			_ = r.Stream.Telemetry().Snapshot()
 		}
 	}()
 	st, err := r.Run(context.Background())

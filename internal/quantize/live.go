@@ -72,9 +72,6 @@ func (l *Live) Model() *Model {
 	return q
 }
 
-// Version returns the live snapshot's version.
-func (l *Live) Version() uint64 { return l.cow.Version() }
-
 // Predict encodes x with the live version's encoder and classifies it
 // against the same version's packed class memory.
 func (l *Live) Predict(x []float32) int { return l.Model().Predict(x) }

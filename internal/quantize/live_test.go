@@ -147,13 +147,13 @@ func TestLiveRequantizesOnPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0 := live.Version()
+	v0 := live.COW().Version()
 	q0 := live.Model()
 	if err := cow.ReplaceModel(retrained(t, x, y)); err != nil {
 		t.Fatal(err)
 	}
-	if live.Version() != v0+1 {
-		t.Fatalf("version did not advance by one: %d -> %d", v0, live.Version())
+	if live.COW().Version() != v0+1 {
+		t.Fatalf("version did not advance by one: %d -> %d", v0, live.COW().Version())
 	}
 	q1 := live.Model()
 	if q1 == q0 {

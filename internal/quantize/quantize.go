@@ -71,17 +71,6 @@ func FromCore(m *core.Model, w bitpack.Width) (*Model, error) {
 // package (quantize already imports core).
 func (m *Model) DeriveWidth() int { return int(m.Width) }
 
-// Dim returns the physical hyperspace dimensionality.
-func (m *Model) Dim() int {
-	if len(m.Class.Rows) == 0 {
-		return 0
-	}
-	return m.Class.Rows[0].Dim
-}
-
-// NumClasses returns the number of classes.
-func (m *Model) NumClasses() int { return len(m.Class.Rows) }
-
 // Scorer returns the model's norm-caching packed scorer, building it on
 // first use (models assembled field-by-field have none yet). Safe for
 // concurrent first use from Predict.

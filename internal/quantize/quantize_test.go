@@ -78,8 +78,8 @@ func TestQuantizedShapeAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Dim() != 512 || q.NumClasses() != 4 {
-		t.Fatalf("shape %dx%d", q.NumClasses(), q.Dim())
+	if rows, dim := len(q.Class.Rows), q.Class.Rows[0].Dim; dim != 512 || rows != 4 {
+		t.Fatalf("shape %dx%d", rows, dim)
 	}
 	if want := 4 * 512 * 8; q.MemoryBits() != want {
 		t.Fatalf("MemoryBits = %d, want %d", q.MemoryBits(), want)
@@ -152,8 +152,8 @@ func TestRetrainImprovesOneBit(t *testing.T) {
 	if rAcc < pAcc-0.02 {
 		t.Errorf("retraining hurt 1-bit accuracy: %v -> %v", pAcc, rAcc)
 	}
-	if retrained.Width != bitpack.W1 || retrained.Dim() != m.Class.Cols {
-		t.Errorf("retrained shape wrong: w=%d dim=%d", retrained.Width, retrained.Dim())
+	if retrained.Width != bitpack.W1 || retrained.Class.Rows[0].Dim != m.Class.Cols {
+		t.Errorf("retrained shape wrong: w=%d dim=%d", retrained.Width, retrained.Class.Rows[0].Dim)
 	}
 }
 

@@ -140,20 +140,6 @@ func (r *Rand) Norm() float64 {
 // NormFloat32 returns a standard normal variate as float32.
 func (r *Rand) NormFloat32() float32 { return float32(r.Norm()) }
 
-// Exp returns an exponential variate with rate lambda (mean 1/lambda).
-// It panics if lambda <= 0.
-func (r *Rand) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exp with non-positive lambda")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / lambda
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

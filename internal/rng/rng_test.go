@@ -110,27 +110,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

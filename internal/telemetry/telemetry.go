@@ -154,10 +154,6 @@ func New(classes []string) *Collector {
 // NumClasses returns the number of per-class verdict counters.
 func (c *Collector) NumClasses() int { return len(c.byClass) }
 
-// Classes returns a copy of the class names the per-class counters are
-// labeled with.
-func (c *Collector) Classes() []string { return append([]string(nil), c.classes...) }
-
 // AddPackets counts n ingested packets.
 func (c *Collector) AddPackets(n int) { c.packets.Add(int64(n)) }
 

@@ -22,9 +22,9 @@ import (
 //	    Sinks:     []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)},
 //	})
 //
-// A name is re-exported here only while something under cmd/, examples/
-// or bench/ spells it (CI checks); everything else stays reachable through
-// the values these return.
+// A name is re-exported here only while Go code under cmd/, examples/ or
+// bench/ selects it (cmd/doclint checks); everything else stays reachable
+// through the values these return.
 type (
 	// EngineConfig describes a serving engine: model, normalizer and class
 	// names (Detector.Serve fills the three from the detector), then
@@ -57,7 +57,7 @@ type (
 	Runner = pipeline.Runner
 	// Telemetry is the lock-free counter collector every engine records
 	// into — share one (EngineConfig.Telemetry) to observe a run live from
-	// any goroutine, or read it through Stream.Telemetry / Runner.Telemetry.
+	// any goroutine, or read it through Stream.Telemetry.
 	Telemetry = telemetry.Collector
 	// TelemetrySnapshot is one point-in-time read of a Telemetry
 	// collector: counters plus the verdict-latency histogram.
@@ -154,14 +154,10 @@ var (
 	// its Handler via ServeMetrics.
 	NewControlPlane = control.New
 	// SaveModelSnapshotFile writes a COWModel publication as a versioned
-	// v2 snapshot file: encoder state, class matrix, scorer norms, COW
-	// version and the derived quantized width — everything
-	// LoadModelSnapshotFile needs to restore bit-identical serving.
+	// v2 snapshot file — encoder state, class matrix, scorer norms, COW
+	// version and the derived quantized width: the one model file, which
+	// POST /model restores to bit-identical serving.
 	SaveModelSnapshotFile = core.SaveSnapshotFile
-	// LoadModelSnapshotFile restores a COWModel from a snapshot file in
-	// either persistence format (files from before v2 load too, rebuilding
-	// derived state) and reports what it loaded.
-	LoadModelSnapshotFile = core.LoadSnapshotFile
 )
 
 // EngineConfig returns the detector's base serving configuration: the

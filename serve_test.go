@@ -11,16 +11,18 @@ import (
 	"sync"
 	"testing"
 
+	"cyberhd/internal/core"
+	"cyberhd/internal/datasets"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 )
 
 // served is the CIC detector of the serving tests, trained once per test
-// binary, and its saved bytes.
+// binary, and its model's snapshot bytes.
 var served struct {
 	once sync.Once
 	det  *Detector
-	file []byte
+	snap []byte
 	err  error
 }
 
@@ -32,8 +34,8 @@ func trainedDetector(t testing.TB) *Detector {
 		served.det, served.err = TrainDetector(CICIDS2017(1200, 3), DefaultConfig())
 		if served.err == nil {
 			var buf bytes.Buffer
-			served.err = served.det.Save(&buf)
-			served.file = buf.Bytes()
+			served.err = core.SaveSnapshot(&buf, NewCOWModel(served.det.Model))
+			served.snap = buf.Bytes()
 		}
 	})
 	if served.err != nil {
@@ -42,17 +44,24 @@ func trainedDetector(t testing.TB) *Detector {
 	return served.det
 }
 
-// serveDetector returns a private copy of the shared detector, loaded from
-// its saved bytes: the model is bit-identical to the one trained, and a
-// test that changes its copy changes no other test's.
+// serveDetector returns a private copy of the shared detector, its model
+// decoded from the snapshot bytes: the model is bit-identical to the one
+// trained, and a test that changes its copy changes no other test's.
 func serveDetector(t *testing.T) *Detector {
 	t.Helper()
-	trainedDetector(t)
-	det, err := LoadDetector(bytes.NewReader(served.file))
+	det := trainedDetector(t)
+	m, _, err := core.DecodeSnapshot(bytes.NewReader(served.snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return det
+	return &Detector{
+		Model: m,
+		Normalizer: &datasets.Normalizer{
+			Mean: slices.Clone(det.Normalizer.Mean), InvStd: slices.Clone(det.Normalizer.InvStd),
+		},
+		ClassNames:   slices.Clone(det.ClassNames),
+		TestAccuracy: det.TestAccuracy,
+	}
 }
 
 // serve runs det.Serve over packets under cfg and returns its stats.
