@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"cyberhd/internal/hdc"
+	"cyberhd/internal/metrics"
 	"cyberhd/internal/rng"
 )
 
@@ -318,14 +319,7 @@ func (n *Network) PredictBatch(x *hdc.Matrix) []int {
 
 // Evaluate returns accuracy on x, y.
 func (n *Network) Evaluate(x *hdc.Matrix, y []int) float64 {
-	preds := n.PredictBatch(x)
-	correct := 0
-	for i, p := range preds {
-		if p == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y))
+	return metrics.Accuracy(n.PredictBatch(x), y)
 }
 
 // Weights returns the raw float32 weight slices of every layer (weights

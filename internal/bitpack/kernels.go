@@ -3,7 +3,6 @@ package bitpack
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // This file is the quantized analog of internal/hdc's kernel layer: blocked
@@ -355,7 +354,7 @@ func QuantizeInto(x []float32, w Width, v *Vector) {
 }
 
 // stackClasses is the class-count ceiling for stack-allocated score
-// buffers in Scorer.Classify; beyond it scores come from a pool.
+// buffers in Scorer.Classify; beyond it each call allocates one.
 const stackClasses = 64
 
 // Scorer is the inference-side view of a packed class matrix, mirroring
@@ -372,10 +371,6 @@ const stackClasses = 64
 type Scorer struct {
 	class *Matrix
 	norms []float64
-
-	// scorePool recycles per-query score buffers for class counts beyond
-	// stackClasses.
-	scorePool sync.Pool
 }
 
 // NewScorer builds a scorer over class (shared, not copied) and computes
@@ -395,22 +390,15 @@ func (s *Scorer) Refresh() {
 }
 
 // Classify returns the row index with the highest normalized similarity to
-// the packed query q, allocation-free in steady state. Ties resolve to the
-// lowest index, like Matrix.Classify.
+// the packed query q, allocation-free for up to stackClasses rows. Ties
+// resolve to the lowest index, like Matrix.Classify.
 func (s *Scorer) Classify(q *Vector) int {
-	k := len(s.class.Rows)
 	var stack [stackClasses]float64
 	var scores []float64
-	var pooled *[]float64
-	if k <= stackClasses {
+	if k := len(s.class.Rows); k <= stackClasses {
 		scores = stack[:k]
 	} else {
-		pooled, _ = s.scorePool.Get().(*[]float64)
-		if pooled == nil || cap(*pooled) < k {
-			pooled = new([]float64)
-			*pooled = make([]float64, k)
-		}
-		scores = (*pooled)[:k]
+		scores = make([]float64, k)
 	}
 	MatVecInto(s.class, q, scores)
 	best, bv := -1, math.Inf(-1)
@@ -422,9 +410,6 @@ func (s *Scorer) Classify(q *Vector) int {
 		if v > bv {
 			best, bv = r, v
 		}
-	}
-	if pooled != nil {
-		s.scorePool.Put(pooled)
 	}
 	if best < 0 {
 		return 0

@@ -25,6 +25,7 @@ import (
 
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
+	"cyberhd/internal/metrics"
 	"cyberhd/internal/rng"
 )
 
@@ -54,7 +55,7 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.LearningRate <= 0 {
+	if o.LearningRate <= 0 && !math.IsInf(o.LearningRate, -1) { // validate refuses -Inf
 		o.LearningRate = 0.035
 	}
 	if o.Epochs <= 0 {
@@ -69,8 +70,11 @@ func (o Options) validate() error {
 	if o.Classes < 2 {
 		return fmt.Errorf("core: need at least 2 classes, got %d", o.Classes)
 	}
-	if o.RegenRate < 0 || o.RegenRate >= 1 {
+	if !(o.RegenRate >= 0 && o.RegenRate < 1) { // NaN too
 		return fmt.Errorf("core: regen rate %v outside [0, 1)", o.RegenRate)
+	}
+	if math.IsNaN(o.LearningRate) || math.IsInf(o.LearningRate, 0) {
+		return fmt.Errorf("core: learning rate %v is not finite", o.LearningRate)
 	}
 	return nil
 }
@@ -158,36 +162,29 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 		norms: make([]float64, x.Rows),
 		order: make([]int, x.Rows),
 		preds: make([]int, x.Rows),
-		sims:  make([]float64, opts.Classes),
+		sims:  make([]float64, 4*opts.Classes),
 	}
 
 	// Bootstrap pass (one-shot bundling) gives adaptive learning a
-	// non-degenerate similarity landscape to start from.
+	// non-degenerate similarity landscape to start from; cycle 0 is the
+	// initial round, and every later cycle regenerates first.
 	for i := 0; i < x.Rows; i++ {
 		hdc.Axpy(1, f.enc.Row(i), m.Class.Row(y[i]))
 	}
-	m.Scorer().Refresh()
-
-	m.adaptiveEpochs(f, y, r)
-	m.History = append(m.History, CycleStats{
-		Cycle: 0, EffectiveDim: m.EffectiveDim, TrainAcc: m.evaluateEncoded(f, y),
-	})
-
 	drop := int(opts.RegenRate * float64(enc.Dim()))
-	for cycle := 1; cycle <= opts.RegenCycles; cycle++ {
-		if drop == 0 {
-			break
-		}
+	for cycle := 0; cycle <= opts.RegenCycles && (cycle == 0 || drop > 0); cycle++ {
 		var dims []int
-		if opts.DropSelector != nil {
-			dims = opts.DropSelector(m, drop)
-		} else {
-			dims = m.insignificantDims(drop) // D,E,F,G
+		if cycle > 0 {
+			if opts.DropSelector != nil {
+				dims = opts.DropSelector(m, drop)
+			} else {
+				dims = m.insignificantDims(drop) // D,E,F,G
+			}
+			m.Class.ZeroColumns(dims)
+			enc.Regenerate(dims) // H
+			encoder.EncodeDimsBatch(enc, x, f.enc, dims)
+			m.EffectiveDim += len(dims)
 		}
-		m.Class.ZeroColumns(dims)
-		enc.Regenerate(dims) // H
-		encoder.EncodeDimsBatch(enc, x, f.enc, dims)
-		m.EffectiveDim += len(dims)
 		m.Scorer().Refresh()
 		m.adaptiveEpochs(f, y, r)
 		m.History = append(m.History, CycleStats{
@@ -202,7 +199,8 @@ func Train(enc *encoder.RBF, x *hdc.Matrix, y []int, opts Options) (*Model, erro
 // the training set, the norm of each of its rows (stale whenever the
 // encoding is refreshed; adaptiveEpochs recomputes it on entry, so a row's
 // norm is taken once per round rather than once per visit), the visiting
-// order, the end-of-round predictions and the similarity buffer.
+// order, the end-of-round predictions and the similarities of a block of
+// four visits.
 type fit struct {
 	enc   *hdc.Matrix
 	norms []float64
@@ -214,26 +212,55 @@ type fit struct {
 // adaptiveEpochs runs opts.Epochs passes of similarity-weighted updates
 // over the encoded training set in shuffled order. The norm pass on entry
 // is chunk-parallel; the update loop is sequential and allocation-free.
+// Each run of four visits is scored in one pass over the class panel, and
+// a visit after an update in its run is scored again: a row's dot depends
+// only on that row and the query, so every visit sees the similarities
+// the one-visit loop would, bit for bit. The last len mod 4 visits are
+// scored one at a time.
 func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
-	c := f.enc.Cols
+	c, k := f.enc.Cols, m.Class.Rows
 	hdc.ParallelChunks(f.enc.Rows, func(lo, hi int) { hdc.Norms(f.enc.Data[lo*c:hi*c], c, f.norms[lo:hi]) })
 	for i := range f.order {
 		f.order[i] = i
 	}
+	var h [4][]float32
 	for e := 0; e < m.opts.Epochs; e++ {
 		r.ShuffleInts(f.order)
-		for _, i := range f.order {
-			m.updateNormed(f.enc.Row(i), f.norms[i], y[i], f.sims)
+		order := f.order
+		for ; len(order) >= 4; order = order[4:] {
+			for q, i := range order[:4] {
+				h[q] = f.enc.Row(i)
+			}
+			m.scorer.panel64().Dots4(&h, f.sims)
+			moved := false
+			for q, i := range order[:4] {
+				sims := f.sims[q*k : (q+1)*k]
+				if moved {
+					m.scorer.panel64().Dots(h[q], sims)
+				}
+				m.scorer.cosines(sims, f.norms[i])
+				moved = m.learn(h[q], y[i], sims) || moved
+			}
+		}
+		for _, i := range order {
+			m.updateNormed(f.enc.Row(i), f.norms[i], y[i], f.sims[:k])
 		}
 	}
 }
 
 // updateNormed applies the paper's adaptive rule to an encoded sample of
-// norm hNorm: on misprediction, C_l += η(1−δ_l)·H and C_l' −= η(1−δ_l')·H,
-// where a high similarity δ means the pattern is already represented and
-// the update is scaled down.
+// norm hNorm, scoring it into sims first.
 func (m *Model) updateNormed(h []float32, hNorm float64, label int, sims []float64) bool {
 	m.scorer.Similarities(h, hNorm, sims)
+	return m.learn(h, label, sims)
+}
+
+// learn is the paper's adaptive rule for an encoded sample h whose cosine
+// similarities to the classes are sims: on misprediction, C_l +=
+// η(1−δ_l)·H and C_l' −= η(1−δ_l')·H, where a high similarity δ means the
+// pattern is already represented and the update is scaled down. It
+// reports whether the class memory moved.
+func (m *Model) learn(h []float32, label int, sims []float64) bool {
 	pred := argmax(sims)
 	if pred == label {
 		return false
@@ -328,24 +355,11 @@ func (m *Model) PredictBatchInto(x *hdc.Matrix, out []int) {
 // Evaluate returns accuracy of the model on the feature matrix x with
 // labels y.
 func (m *Model) Evaluate(x *hdc.Matrix, y []int) float64 {
-	preds := m.PredictBatch(x)
-	correct := 0
-	for i, p := range preds {
-		if p == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y))
+	return metrics.Accuracy(m.PredictBatch(x), y)
 }
 
 // evaluateEncoded returns accuracy over the fit's cached encoding.
 func (m *Model) evaluateEncoded(f *fit, y []int) float64 {
 	m.Scorer().PredictBatchEncoded(f.enc, f.preds)
-	correct := 0
-	for i, p := range f.preds {
-		if p == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y))
+	return metrics.Accuracy(f.preds, y)
 }

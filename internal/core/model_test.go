@@ -27,8 +27,11 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(enc(), x, bad, Options{Classes: 2}); err == nil {
 		t.Error("accepted out-of-range label")
 	}
-	if _, err := Train(enc(), x, y, Options{Classes: 2, RegenRate: 1.5}); err == nil {
-		t.Error("accepted regen rate > 1")
+	for _, o := range []Options{{RegenRate: 1.5}, {RegenRate: math.NaN()}, {LearningRate: math.NaN()}, {LearningRate: math.Inf(1)}, {LearningRate: math.Inf(-1)}} {
+		o.Classes, o.RegenCycles = 2, 1
+		if _, err := Train(enc(), x, y, o); err == nil {
+			t.Errorf("accepted regen rate %v, learning rate %v", o.RegenRate, o.LearningRate)
+		}
 	}
 }
 

@@ -22,18 +22,16 @@ import (
 // against everything, the conventions of the float64 reference argmax
 // the package tests hold it to.
 //
-// Similarities, the learning rule's side, scores against the panel: a
-// float64 copy of the class memory that its first call builds and Refresh
-// and RefreshRow then keep current. A predict-only scorer (a model decoded
-// from a snapshot) never builds one.
+// The learning rule's side — Similarities and Train's block loop — scores
+// against the panel: a float64 copy of the class memory, built on first
+// use and kept current by Refresh and RefreshRow. A predict-only scorer
+// (a model decoded from a snapshot) never builds one.
 type Scorer struct {
 	class *hdc.Matrix
 	norms []float64
 	panel *hdc.Panel64
 
-	// scorePool recycles per-query score buffers for class counts too
-	// large for the stack; batchPool recycles batch score matrices.
-	scorePool sync.Pool
+	// batchPool recycles batch score matrices.
 	batchPool sync.Pool
 }
 
@@ -69,11 +67,22 @@ func (s *Scorer) RefreshRow(r int) {
 // float64 dots, bit-identical to hdc.Dot, over the cached row norm times
 // hNorm, which is hdc.Norm(h). A zero norm on either side scores 0.
 func (s *Scorer) Similarities(h []float32, hNorm float64, out []float64) {
+	s.panel64().Dots(h, out)
+	s.cosines(out, hNorm)
+}
+
+// panel64 returns the learning rule's panel, building it on first use.
+func (s *Scorer) panel64() *hdc.Panel64 {
 	if s.panel == nil {
 		s.panel = new(hdc.Panel64)
 		s.panel.Set(s.class)
 	}
-	s.panel.Dots(h, out)
+	return s.panel
+}
+
+// cosines turns the panel dots in out of a query of norm hNorm into its
+// cosines against the classes.
+func (s *Scorer) cosines(out []float64, hNorm float64) {
 	for r, nr := range s.norms {
 		if nr == 0 || hNorm == 0 {
 			out[r] = 0
@@ -84,36 +93,25 @@ func (s *Scorer) Similarities(h []float32, hNorm float64, out []float64) {
 }
 
 // stackClasses is the class-count ceiling for stack-allocated score
-// buffers; beyond it PredictEncoded falls back to the pool.
+// buffers; beyond it PredictEncoded allocates one per call.
 const stackClasses = 64
 
 // PredictEncoded returns the class whose hypervector has the highest
-// cosine similarity to the encoded query h, allocation-free in steady
-// state.
+// cosine similarity to the encoded query h, allocation-free for up to
+// stackClasses classes.
 func (s *Scorer) PredictEncoded(h []float32) int {
 	if len(h) != s.class.Cols {
 		panic("core: PredictEncoded query length mismatch")
 	}
-	k := s.class.Rows
 	var stack [stackClasses]float32
 	var scores []float32
-	var pooled *[]float32
-	if k <= stackClasses {
+	if k := s.class.Rows; k <= stackClasses {
 		scores = stack[:k]
 	} else {
-		pooled, _ = s.scorePool.Get().(*[]float32)
-		if pooled == nil || cap(*pooled) < k {
-			pooled = new([]float32)
-			*pooled = make([]float32, k)
-		}
-		scores = (*pooled)[:k]
+		scores = make([]float32, k)
 	}
 	hdc.DotPanel(h, s.class.Data, s.class.Cols, scores)
-	best := s.argmaxNormed(scores)
-	if pooled != nil {
-		s.scorePool.Put(pooled)
-	}
-	return best
+	return s.argmaxNormed(scores)
 }
 
 // PredictBatchEncoded classifies every row of enc into out (len enc.Rows)

@@ -168,7 +168,7 @@ func TestAdaptiveEpochsAllocatesNothingPerSample(t *testing.T) {
 		enc:   encoder.EncodeBatch(m.Enc, x),
 		norms: make([]float64, x.Rows),
 		order: make([]int, x.Rows),
-		sims:  make([]float64, 8),
+		sims:  make([]float64, 4*8),
 	}
 	r := rng.New(1)
 	if allocs := testing.AllocsPerRun(5, func() { m.adaptiveEpochs(f, y, r) }); allocs > 16 {

@@ -23,68 +23,50 @@ type AblationResult struct {
 // dimensions regenerate.
 func AblationDropStrategy(cfg Config) ([]AblationResult, error) {
 	cfg.defaults()
-	train, test, err := LoadSplit("nsl-kdd", cfg)
-	if err != nil {
-		return nil, err
-	}
-	base := core.Options{
-		Classes: train.NumClasses(), Epochs: CyberEpochs,
-		RegenCycles: RegenCycles, RegenRate: RegenRate,
-		LearningRate: HDLearningRate, Seed: cfg.Seed + 1,
-	}
-	var out []AblationResult
-
-	variance := base
-	m, err := core.Train(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed), train.X, train.Y, variance)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"variance-drop (CyberHD)", m.Evaluate(test.X, test.Y), m.EffectiveDim})
-
-	random := base
 	dropRng := rng.New(cfg.Seed + 7)
-	random.DropSelector = func(m *core.Model, drop int) []int {
-		return dropRng.Perm(m.Dim())[:drop]
-	}
-	m, err = core.Train(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed), train.X, train.Y, random)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"random-drop", m.Evaluate(test.X, test.Y), m.EffectiveDim})
-
-	static := base
-	static.RegenCycles = 0
-	static.Epochs = CyberEpochs * (RegenCycles + 1) // same total passes
-	m, err = core.Train(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed), train.X, train.Y, static)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationResult{"no-regen (static)", m.Evaluate(test.X, test.Y), m.EffectiveDim})
-	return out, nil
+	return ablate(cfg, []string{"variance-drop (CyberHD)", "random-drop", "no-regen (static)"}, func(i int, o *core.Options) {
+		switch i {
+		case 1:
+			o.DropSelector = func(m *core.Model, drop int) []int { return dropRng.Perm(m.Dim())[:drop] }
+		case 2:
+			o.RegenCycles = 0
+			o.Epochs = CyberEpochs * (RegenCycles + 1) // same total passes
+		}
+	})
 }
 
 // AblationRegenRate sweeps the regeneration rate R, the paper's main
 // hyperparameter, at fixed cycle count.
 func AblationRegenRate(cfg Config) ([]AblationResult, error) {
+	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
+	names := make([]string, len(rates))
+	for i, rate := range rates {
+		names[i] = fmt.Sprintf("R=%.0f%%", 100*rate)
+	}
+	return ablate(cfg, names, func(i int, o *core.Options) { o.RegenRate = rates[i] })
+}
+
+// ablate trains one CyberHD model per name on the NSL-KDD split, each from
+// the calibrated options as set(i) changes them, and scores it.
+func ablate(cfg Config, names []string, set func(i int, o *core.Options)) ([]AblationResult, error) {
 	cfg.defaults()
 	train, test, err := LoadSplit("nsl-kdd", cfg)
 	if err != nil {
 		return nil, err
 	}
-	var out []AblationResult
-	for _, rate := range []float64{0.05, 0.1, 0.2, 0.3, 0.4} {
-		opts := core.Options{
+	out := make([]AblationResult, len(names))
+	for i, name := range names {
+		o := core.Options{
 			Classes: train.NumClasses(), Epochs: CyberEpochs,
-			RegenCycles: RegenCycles, RegenRate: rate,
+			RegenCycles: RegenCycles, RegenRate: RegenRate,
 			LearningRate: HDLearningRate, Seed: cfg.Seed + 1,
 		}
-		m, err := core.Train(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed), train.X, train.Y, opts)
+		set(i, &o)
+		m, err := core.Train(encoder.NewRBF(train.NumFeatures(), PhysDim, 0, cfg.Seed), train.X, train.Y, o)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, AblationResult{
-			fmt.Sprintf("R=%.0f%%", 100*rate), m.Evaluate(test.X, test.Y), m.EffectiveDim,
-		})
+		out[i] = AblationResult{name, m.Evaluate(test.X, test.Y), m.EffectiveDim}
 	}
 	return out, nil
 }

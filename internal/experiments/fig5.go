@@ -117,17 +117,10 @@ func WriteFig5(w io.Writer, rows []Fig5Row) {
 	}
 	fmt.Fprintln(w)
 	for _, width := range Fig5Widths {
-		fmt.Fprintf(w, "CyberHD %dbit%s", width, pad(width))
+		fmt.Fprintf(w, "%-14s", fmt.Sprintf("CyberHD %dbit", width))
 		for _, r := range rows {
 			fmt.Fprintf(w, " %7.1f ", 100*r.HDLoss[width])
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func pad(w bitpack.Width) string {
-	if w >= 10 {
-		return " "
-	}
-	return "  "
 }

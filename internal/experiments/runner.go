@@ -10,6 +10,7 @@ import (
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
+	"cyberhd/internal/metrics"
 )
 
 // Default experiment hyperparameters, calibrated once against the paper's
@@ -106,13 +107,7 @@ func measure(m evaluator, test *datasets.Dataset) (float64, time.Duration) {
 	t0 := time.Now()
 	preds := m.PredictBatch(test.X)
 	infer := time.Since(t0)
-	correct := 0
-	for i, p := range preds {
-		if p == test.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(preds)), infer
+	return metrics.Accuracy(preds, test.Y), infer
 }
 
 // TrainCyberHD fits the paper's model with the calibrated defaults.

@@ -8,7 +8,9 @@ package hdc
 // targets, the noasm build tag, or a CPU/OS without YMM state). The
 // learning rule's float64 panel (Panel64) takes the assembly on a CPU
 // with AVX2 and FMA (Intel since Haswell, AMD since Excavator) and the
-// portable Go form otherwise, "avx" included.
+// portable Go form otherwise, "avx" included; its block form, Dots4,
+// scores four queries per pass over the panel on "avx512" and is four
+// Dots calls on every other path.
 func KernelPath() string {
 	switch {
 	case useAVX512:

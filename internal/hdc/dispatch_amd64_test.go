@@ -4,42 +4,33 @@ package hdc
 
 import "testing"
 
-// encodePaths runs f once per EncodePanel dispatch path this CPU can
-// execute — avx512, avx2, generic — with the dispatch flags set for that
-// path, and logs the paths it lacks.
-func encodePaths(t testing.TB, f func(path string)) {
+// dispatchPaths runs f once per dispatch path this CPU can execute — the
+// three names, with the flags hi and lo set to (true, true), (false,
+// true) and (false, false) — and logs the paths it lacks.
+func dispatchPaths(t testing.TB, kind string, names [3]string, hi, lo *bool, f func(path string)) {
 	t.Helper()
-	have512, have2 := useAVX512, useAVX2
-	defer func() { useAVX512, useAVX2 = have512, have2 }()
-	for _, p := range []struct {
-		name         string
-		avx512, avx2 bool
-		have         bool
-	}{
-		{"avx512", true, true, have512},
-		{"avx2", false, true, have2},
-		{"generic", false, false, true},
-	} {
-		if !p.have {
-			t.Logf("encode path %s: not supported by this CPU, skipped", p.name)
+	haveHi, haveLo := *hi, *lo
+	defer func() { *hi, *lo = haveHi, haveLo }()
+	for i, have := range []bool{haveHi && haveLo, haveLo, true} {
+		if !have {
+			t.Logf("%s path %s: not supported by this CPU, skipped", kind, names[i])
 			continue
 		}
-		useAVX512, useAVX2 = p.avx512, p.avx2
-		f(p.name)
+		*hi, *lo = i == 0, i < 2
+		f(names[i])
 	}
 }
 
-// panel64Paths runs f once per Panel64.Dots dispatch path this CPU can
-// execute — fma, generic — with useFMA set for that path.
+// encodePaths runs f once per EncodePanel dispatch path: avx512, avx2,
+// generic.
+func encodePaths(t testing.TB, f func(path string)) {
+	t.Helper()
+	dispatchPaths(t, "encode", [3]string{"avx512", "avx2", "generic"}, &useAVX512, &useAVX2, f)
+}
+
+// panel64Paths runs f once per Panel64 dispatch path: avx512 (the Dots4
+// kernel, beside fma), fma, generic.
 func panel64Paths(t testing.TB, f func(path string)) {
 	t.Helper()
-	have := useFMA
-	defer func() { useFMA = have }()
-	if have {
-		f("fma")
-	} else {
-		t.Logf("panel path fma: not supported by this CPU, skipped")
-	}
-	useFMA = false
-	f("generic")
+	dispatchPaths(t, "panel", [3]string{"avx512", "fma", "generic"}, &useAVX512, &useFMA, f)
 }

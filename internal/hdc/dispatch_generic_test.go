@@ -11,9 +11,9 @@ func encodePaths(t testing.TB, f func(path string)) {
 	f("generic")
 }
 
-// panel64Paths runs f on the one Panel64.Dots path a portable build has.
+// panel64Paths runs f on the one Panel64 path a portable build has.
 func panel64Paths(t testing.TB, f func(path string)) {
 	t.Helper()
-	t.Logf("panel path fma: not in this build, skipped")
+	t.Logf("panel paths avx512, fma: not in this build, skipped")
 	f("generic")
 }

@@ -168,6 +168,23 @@ func (p *Panel64) Dots(x []float32, out []float64) {
 	}
 }
 
+// Dots4 is Dots for four queries, bit for bit: out[q*k : (q+1)*k] is
+// Dots(x[q]) for the panel's k rows. On AVX-512F one pass over the panel
+// serves all four queries; elsewhere it is four Dots calls.
+func (p *Panel64) Dots4(x *[4][]float32, out []float64) {
+	k, n := p.rows, p.cols
+	if len(out) != 4*k || len(x[0]) != n || len(x[1]) != n || len(x[2]) != n || len(x[3]) != n {
+		panic("hdc: Panel64.Dots4 length mismatch")
+	}
+	if useAVX512 && k > 0 && n > 0 {
+		dots64x4AVX512(&x[0][0], &x[1][0], &x[2][0], &x[3][0], &p.data[0], &out[0], n, p.stride, k)
+		return
+	}
+	for q := range x {
+		p.Dots(x[q], out[q*k:(q+1)*k])
+	}
+}
+
 // dotPanelGeneric is the portable DotPanel: DotLanes row by row.
 func dotPanelGeneric(x, b []float32, stride int, out []float32) {
 	n := len(x)

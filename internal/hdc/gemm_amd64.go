@@ -20,6 +20,13 @@ func dotPanelAVX(x, b, out *float32, n, stride, rows int)
 //go:noescape
 func dots64FMA(x *float32, p, out *float64, n, stride, rows int)
 
+// dots64x4AVX512 is Panel64.Dots4 for n, rows >= 1: dots64FMA's lanes and
+// fold for four queries per pass over the panel, two rows per 512-bit
+// accumulator. Implemented in gemm_amd64.s.
+//
+//go:noescape
+func dots64x4AVX512(x0, x1, x2, x3 *float32, p, out *float64, n, stride, rows int)
+
 // encodePanelAVX2 and encodePanelAVX512 are EncodePanel for n, rows >= 1:
 // x[i] broadcast against element i of a group's rows into accumulator
 // i mod 8, fold and bias into dst, then Cos32 over dst, a partial last
@@ -32,7 +39,7 @@ func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
 
 // useAVX gates the float32 dot kernel, useAVX2 and useAVX512 the encode
-// kernel, useFMA the float64 panel kernel. Detection, OS register-state
-// checks included, lives in internal/cpufeat, shared with the packed
-// kernels of internal/bitpack.
+// kernel, useAVX512 also Dots4's, useFMA the float64 panel kernel.
+// Detection, OS register-state checks included, lives in internal/cpufeat,
+// shared with the packed kernels of internal/bitpack.
 var useAVX, useAVX2, useAVX512, useFMA = cpufeat.HasAVX, cpufeat.HasAVX2, cpufeat.HasAVX512F, cpufeat.HasAVX2 && cpufeat.HasFMA

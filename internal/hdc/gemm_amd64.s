@@ -227,15 +227,15 @@ done:
 	VZEROUPPER
 	RET
 
-// FOLD64 writes ((s0+s1)+s2)+s3 to off(DX), where lo holds lanes s0,s1
-// and hi lanes s2,s3 of one float64 accumulator.
-#define FOLD64(lo, hi, off) \
+// FOLD64 writes ((s0+s1)+s2)+s3 to dst, where lo holds lanes s0,s1 and
+// hi lanes s2,s3 of one float64 accumulator.
+#define FOLD64(lo, hi, dst) \
 	VPERMILPD $1, lo, X13 \
 	VADDSD    X13, lo, X13 \
 	VADDSD    hi, X13, X13 \
 	VPERMILPD $1, hi, X14 \
 	VADDSD    X14, X13, X13 \
-	VMOVSD    X13, off(DX)
+	VMOVSD    X13, dst
 
 // P64STEP adds one lane group to a pass of eight rows: BX points at the
 // group's row 0 (32 bytes per row) and Y8 holds the group's widened query
@@ -254,7 +254,7 @@ done:
 // returns once the last real row is stored.
 #define P64STORE(acc, lo, off) \
 	VEXTRACTF128 $1, acc, X9 \
-	FOLD64(lo, X9, off) \
+	FOLD64(lo, X9, off(DX)) \
 	DECQ R10 \
 	JZ   p64done
 
@@ -334,6 +334,155 @@ p64fold:
 	JMP  p64pass
 
 p64done:
+	VZEROUPPER
+	RET
+
+// P4STEP adds one lane group of query q to its four accumulators: Z0..Z3
+// hold the group's eight panel rows, two rows per register.
+#define P4STEP(q, a0, a1, a2, a3) \
+	VFMADD231PD Z0, q, a0 \
+	VFMADD231PD Z1, q, a1 \
+	VFMADD231PD Z2, q, a2 \
+	VFMADD231PD Z3, q, a3
+
+// P4HALF folds the 256-bit half h of accumulator acc, one row of one
+// query, into dst.
+#define P4HALF(h, acc, dst) \
+	VEXTRACTF64X4 $h, acc, Y8 \
+	VEXTRACTF128  $1, Y8, X9 \
+	FOLD64(X8, X9, dst)
+
+// P4ROW stores the row at byte offset off for all four queries from half
+// h of their accumulators, and returns once the last real row is stored.
+#define P4ROW(h, a0, a1, a2, a3, off) \
+	P4HALF(h, a0, off(DX)) \
+	P4HALF(h, a1, off(DX)(R11*1)) \
+	P4HALF(h, a2, off(DX)(R11*2)) \
+	P4HALF(h, a3, off(DX)(R15*1)) \
+	DECQ R10 \
+	JZ   p4done
+
+// func dots64x4AVX512(x0, x1, x2, x3 *float32, p, out *float64, n, stride, rows int)
+//
+// Panel64.Dots4: dots64FMA for four queries in one pass over the panel,
+// out[q*rows+r] for query q. Each pass runs eight panel rows, four 512-bit
+// loads per lane group with two rows in each; every query's group is
+// widened once (VBROADCASTF128 puts it in both 128-bit halves, VCVTPS2PD
+// widens the pair to both 256-bit halves) and feeds four FMAs, so sixteen
+// accumulators hold eight rows of four queries. A tail element is VMOVSS,
+// VCVTPS2PD and VINSERTF64X4 of the same zero-padded group dots64FMA
+// uses. Each 256-bit half folds ((s0+s1)+s2)+s3 through FOLD64, so every
+// output is bit-identical to Dot; padding rows are not stored.
+//
+// Register map: SI,R12,R13,R14=queries, AX=query byte offset, DI=pass
+// base, BX=group cursor, CX=count, R8=n, R9=group stride bytes, R10=rows
+// left, DX=out cursor, R11=output bytes per query, R15=3*R11, Z0..Z3=panel
+// rows, Z4..Z7=queries, Z16..Z31=accumulators (query q rows 2j, 2j+1 in
+// Z16+4q+j), X8,X9,X13,X14=fold temps.
+TEXT ·dots64x4AVX512(SB), NOSPLIT, $0-72
+	MOVQ x0+0(FP), SI
+	MOVQ x1+8(FP), R12
+	MOVQ x2+16(FP), R13
+	MOVQ x3+24(FP), R14
+	MOVQ p+32(FP), DI
+	MOVQ out+40(FP), DX
+	MOVQ n+48(FP), R8
+	MOVQ stride+56(FP), R9
+	SHLQ $5, R9
+	MOVQ rows+64(FP), R10
+	LEAQ (R10*8), R11
+	LEAQ (R11)(R11*2), R15
+
+p4pass:
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	XORQ AX, AX
+	MOVQ DI, BX
+	MOVQ R8, CX
+	SHRQ $2, CX
+	JZ   p4tail
+
+p4loop:
+	VMOVUPD        0(BX), Z0
+	VMOVUPD        64(BX), Z1
+	VMOVUPD        128(BX), Z2
+	VMOVUPD        192(BX), Z3
+	VBROADCASTF128 (SI)(AX*1), Y4
+	VCVTPS2PD      Y4, Z4
+	VBROADCASTF128 (R12)(AX*1), Y5
+	VCVTPS2PD      Y5, Z5
+	VBROADCASTF128 (R13)(AX*1), Y6
+	VCVTPS2PD      Y6, Z6
+	VBROADCASTF128 (R14)(AX*1), Y7
+	VCVTPS2PD      Y7, Z7
+	P4STEP(Z4, Z16, Z17, Z18, Z19)
+	P4STEP(Z5, Z20, Z21, Z22, Z23)
+	P4STEP(Z6, Z24, Z25, Z26, Z27)
+	P4STEP(Z7, Z28, Z29, Z30, Z31)
+	ADDQ $16, AX
+	ADDQ R9, BX
+	DECQ CX
+	JNZ  p4loop
+
+p4tail:
+	MOVQ R8, CX
+	ANDQ $3, CX
+	JZ   p4fold
+
+p4tloop:
+	VMOVUPD      0(BX), Z0
+	VMOVUPD      64(BX), Z1
+	VMOVUPD      128(BX), Z2
+	VMOVUPD      192(BX), Z3
+	VMOVSS       (SI)(AX*1), X4
+	VCVTPS2PD    X4, Y4
+	VINSERTF64X4 $1, Y4, Z4, Z4
+	VMOVSS       (R12)(AX*1), X5
+	VCVTPS2PD    X5, Y5
+	VINSERTF64X4 $1, Y5, Z5, Z5
+	VMOVSS       (R13)(AX*1), X6
+	VCVTPS2PD    X6, Y6
+	VINSERTF64X4 $1, Y6, Z6, Z6
+	VMOVSS       (R14)(AX*1), X7
+	VCVTPS2PD    X7, Y7
+	VINSERTF64X4 $1, Y7, Z7, Z7
+	P4STEP(Z4, Z16, Z17, Z18, Z19)
+	P4STEP(Z5, Z20, Z21, Z22, Z23)
+	P4STEP(Z6, Z24, Z25, Z26, Z27)
+	P4STEP(Z7, Z28, Z29, Z30, Z31)
+	ADDQ $4, AX
+	ADDQ R9, BX
+	DECQ CX
+	JNZ  p4tloop
+
+p4fold:
+	P4ROW(0, Z16, Z20, Z24, Z28, 0)
+	P4ROW(1, Z16, Z20, Z24, Z28, 8)
+	P4ROW(0, Z17, Z21, Z25, Z29, 16)
+	P4ROW(1, Z17, Z21, Z25, Z29, 24)
+	P4ROW(0, Z18, Z22, Z26, Z30, 32)
+	P4ROW(1, Z18, Z22, Z26, Z30, 40)
+	P4ROW(0, Z19, Z23, Z27, Z31, 48)
+	P4ROW(1, Z19, Z23, Z27, Z31, 56)
+	ADDQ $64, DX
+	ADDQ $256, DI
+	JMP  p4pass
+
+p4done:
 	VZEROUPPER
 	RET
 

@@ -21,6 +21,10 @@ func dots64FMA(x *float32, p, out *float64, n, stride, rows int) {
 	panic("hdc: dots64FMA without FMA support")
 }
 
+func dots64x4AVX512(x0, x1, x2, x3 *float32, p, out *float64, n, stride, rows int) {
+	panic("hdc: dots64x4AVX512 without AVX-512 support")
+}
+
 func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int) {
 	panic("hdc: encodePanelAVX2 without AVX2 support")
 }

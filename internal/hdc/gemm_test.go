@@ -123,32 +123,47 @@ func mixedMagnitude(r *rng.Rand, v []float32) {
 	}
 }
 
-// checkDotPanel64 requires every output of Dots on p, which holds m, to
-// equal Dot of its row bit for bit (NaN results only have to be NaN on
-// both sides: payload propagation is not part of the contract).
+// checkDotPanel64 requires every output of Dots and of Dots4 on p, which
+// holds m, to equal Dot of its row bit for bit (NaN results only have to
+// be NaN on both sides: payload propagation is not part of the contract).
+// The four queries are x, then x rotated by q places, negated on odd q.
 func checkDotPanel64(t *testing.T, p *Panel64, m *Matrix, x []float32) {
 	t.Helper()
-	out := make([]float64, m.Rows)
-	p.Dots(x, out)
-	for i := range out {
-		want := Dot(m.Row(i), x)
-		if math.Float64bits(out[i]) != math.Float64bits(want) && !(math.IsNaN(out[i]) && math.IsNaN(want)) {
-			t.Fatalf("fma=%v k=%d n=%d row %d: Dots %v != Dot %v", useFMA, m.Rows, m.Cols, i, out[i], want)
+	k, n := m.Rows, len(x)
+	var qs [4][]float32
+	for q := range qs {
+		qs[q] = append(append([]float32(nil), x[q%max(n, 1):]...), x[:q%max(n, 1)]...)
+		for i := range qs[q] {
+			qs[q][i] *= float32(1 - 2*(q%2))
+		}
+	}
+	one, four := make([]float64, k), make([]float64, 4*k)
+	p.Dots4(&qs, four)
+	for q := range qs {
+		p.Dots(qs[q], one)
+		for i := range one {
+			want := Dot(m.Row(i), qs[q])
+			for form, got := range [2]float64{one[i], four[q*k+i]} {
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("avx512=%v fma=%v k=%d n=%d query %d row %d: Dots%s %v != Dot %v", useAVX512, useFMA, k, n, q, i, [2]string{"", "4"}[form], got, want)
+				}
+			}
 		}
 	}
 }
 
 // TestDotPanel64MatchesDot pins the second lane contract on the float64
-// dot panel, Panel64, on every dispatch path: Dots is Dot, exactly, on
-// every row, for row counts around the eight-row pass, lengths around the
-// lane groups and their tail, values of mixed magnitude, a zero row, a
-// zero query, a row rewritten by SetRow, and storage reused across shapes.
+// dot panel, Panel64, on every dispatch path: Dots and Dots4 are Dot,
+// exactly, on every row, for row counts around the eight-row pass, the
+// ragged lengths around the lane groups and their tail, values of mixed
+// magnitude, a zero row, a zero query, a row rewritten by SetRow, and
+// storage reused across shapes.
 func TestDotPanel64MatchesDot(t *testing.T) {
 	panel64Paths(t, func(string) {
 		r := rng.New(11)
 		var p Panel64
 		for k := 1; k <= 17; k++ {
-			for _, n := range []int{0, 1, 2, 3, 4, 5, 67, 130, 511, 512, 513} {
+			for _, n := range append([]int{0, 4, 5, 130}, raggedSizes...) {
 				m, x := NewMatrix(k, n), make([]float32, n)
 				mixedMagnitude(r, m.Data)
 				Zero(m.Row(k / 2))
@@ -164,32 +179,10 @@ func TestDotPanel64MatchesDot(t *testing.T) {
 	})
 }
 
-// TestDotPanel64AVXMatchesDot calls the assembly directly, so the pin
-// holds even if the dispatch in Dots ever changes.
-func TestDotPanel64AVXMatchesDot(t *testing.T) {
-	if !useFMA {
-		t.Skip("AVX2 and FMA unavailable")
-	}
-	r := rng.New(12)
-	var p Panel64
-	for _, n := range raggedSizes {
-		m, x := NewMatrix(1+r.Intn(17), n), make([]float32, n)
-		mixedMagnitude(r, m.Data)
-		mixedMagnitude(r, x)
-		p.Set(m)
-		got := make([]float64, m.Rows)
-		dots64FMA(&x[0], &p.data[0], &got[0], n, p.stride, m.Rows)
-		for i := range got {
-			if want := Dot(m.Row(i), x); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("n=%d k=%d row %d: asm %v != Dot %v", n, m.Rows, i, got[i], want)
-			}
-		}
-	}
-}
-
 func TestDotPanel64EdgeCases(t *testing.T) {
 	var p Panel64
 	p.Dots(nil, nil) // the zero value is an empty panel
+	p.Dots4(&[4][]float32{}, nil)
 	p.Set(NewMatrix(2, 0))
 	out := []float64{7, 7}
 	if p.Dots(nil, out); out[0] != 0 || out[1] != 0 {
@@ -199,6 +192,7 @@ func TestDotPanel64EdgeCases(t *testing.T) {
 	for name, f := range map[string]func(){
 		"short query":      func() { p.Dots(make([]float32, 3), make([]float64, 2)) },
 		"short output":     func() { p.Dots(make([]float32, 4), make([]float64, 1)) },
+		"short block":      func() { p.Dots4(&[4][]float32{{0, 0, 0, 0}}, make([]float64, 8)) },
 		"row out of range": func() { p.SetRow(2, make([]float32, 4)) },
 		"short row":        func() { p.SetRow(0, make([]float32, 3)) },
 	} {
@@ -326,19 +320,28 @@ func TestMatMulTAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkPanel64ScoreShape is one adaptive-update similarity pass at
-// the paper's shape: 8 class rows of D = 512 under the float64 contract.
+// BenchmarkPanel64ScoreShape is the adaptive rule's similarity pass at the
+// paper's shape, 8 class rows of D = 512 under the float64 contract, timed
+// per query: single is one Dots a query, block one Dots4 per four.
 func BenchmarkPanel64ScoreShape(b *testing.B) {
-	q := make([]float32, 512)
-	m := NewMatrix(8, 512)
-	out := make([]float64, 8)
-	r := rng.New(13)
-	r.FillNorm(q, 0, 1)
+	m, r := NewMatrix(8, 512), rng.New(13)
 	r.FillNorm(m.Data, 0, 1)
+	var qs [4][]float32
+	for q := range qs {
+		qs[q] = make([]float32, 512)
+		r.FillNorm(qs[q], 0, 1)
+	}
 	var p Panel64
 	p.Set(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Dots(q, out)
-	}
+	out := make([]float64, 4*8)
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.Dots(qs[i%4], out[:8])
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		for i := 0; i < b.N; i += 4 {
+			p.Dots4(&qs, out)
+		}
+	})
 }

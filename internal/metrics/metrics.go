@@ -39,6 +39,18 @@ func (c *Confusion) AddAll(actual, predicted []int) {
 	}
 }
 
+// Accuracy returns the share of preds equal to their labels y, the one
+// accuracy every model's Evaluate reports.
+func Accuracy(preds, y []int) float64 {
+	correct := 0
+	for i, p := range preds {
+		if p == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y))
+}
+
 // Accuracy returns the fraction of correct predictions (0 when empty).
 func (c *Confusion) Accuracy() float64 {
 	total, correct := 0, 0

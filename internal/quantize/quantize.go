@@ -21,6 +21,7 @@ import (
 	"cyberhd/internal/core"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
+	"cyberhd/internal/metrics"
 	"cyberhd/internal/rng"
 )
 
@@ -152,14 +153,7 @@ func (m *Model) Evaluate(x *hdc.Matrix, y []int) float64 {
 	if x.Rows != len(y) {
 		panic("quantize: Evaluate label mismatch")
 	}
-	preds := m.PredictBatch(x)
-	total := 0
-	for i, p := range preds {
-		if p == y[i] {
-			total++
-		}
-	}
-	return float64(total) / float64(len(y))
+	return metrics.Accuracy(m.PredictBatch(x), y)
 }
 
 // Clone deep-copies the model (encoder is shared; class memory is copied).
