@@ -209,10 +209,16 @@ func cmdQuantize(args []string) error {
 
 func cmdFaults(args []string) error {
 	fs, ds := newDataset("faults")
-	rate := fs.Float64("rate", 0.1, "fraction of elements hit by a bit flip")
+	rate := fs.Float64("rate", 0.1, "fraction of the class memory's storage bits flipped (the Fig 5 fault model)")
 	bits := fs.Int("bits", 1, "HDC element bitwidth")
 	trials := fs.Int("trials", 5, "injection trials")
 	fs.Parse(args)
+	if !(*rate >= 0 && *rate <= 1) {
+		return fmt.Errorf("faults: -rate %v outside [0, 1]", *rate)
+	}
+	if !bitpack.Width(*bits).Valid() {
+		return fmt.Errorf("faults: -bits %d not one of %v", *bits, bitpack.Widths)
+	}
 
 	det, test, err := ds.train(cyberhd.DefaultConfig())
 	if err != nil {
@@ -227,10 +233,10 @@ func cmdFaults(args []string) error {
 	var lossSum float64
 	for i := 0; i < *trials; i++ {
 		hurt := q.Clone()
-		nFlips := faults.InjectQuantized(hurt.Class, *rate, r)
+		nFlips := faults.InjectQuantizedBits(hurt.Class, *rate, r)
 		acc := hurt.Evaluate(test.X, test.Y)
 		lossSum += clean - acc
-		fmt.Printf("trial %d: %5d elements corrupted, accuracy %.4f (clean %.4f)\n",
+		fmt.Printf("trial %d: %5d bits flipped, accuracy %.4f (clean %.4f)\n",
 			i+1, nFlips, acc, clean)
 	}
 	fmt.Printf("\nmean accuracy loss at %.0f%% error rate, %d-bit: %.2f pp\n",

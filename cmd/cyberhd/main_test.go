@@ -85,7 +85,9 @@ func TestSharedDatasetFlags(t *testing.T) {
 
 // TestSourceErrorsPrecedeTraining pins the ordering fix: a source file
 // that is missing or in no known container fails, naming the file, before
-// any training (or dialing) has happened.
+// any training (or dialing) has happened. So does a faults -rate outside
+// [0, 1] (NaN included, which used to panic in the injector) or a -bits
+// that is no width.
 func TestSourceErrorsPrecedeTraining(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such.cap")
 	unknown := filepath.Join(t.TempDir(), "unknown.bin")
@@ -112,6 +114,12 @@ func TestSourceErrorsPrecedeTraining(t *testing.T) {
 			if out != "" {
 				t.Errorf("%s %v printed before failing:\n%s", name, args, out)
 			}
+		}
+	}
+	for _, args := range [][]string{{"-rate", "NaN"}, {"-rate", "-Inf"}, {"-rate", "1.5"}, {"-bits", "3"}} {
+		out, err := captureStdout(t, func() error { return cmdFaults(args) })
+		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) || out != "" {
+			t.Errorf("faults %v: err = %v after printing %q, want an error naming the flag before training", args, err, out)
 		}
 	}
 }

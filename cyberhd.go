@@ -124,6 +124,7 @@ type Config struct {
 	// Gamma is the RBF encoder bandwidth (<= 0: default).
 	Gamma float64
 	// TrainFraction of samples used for fitting (rest measures TestAccuracy).
+	// A value outside (0, 1), NaN included, selects 0.75.
 	TrainFraction float64
 	// Seed drives all randomness.
 	Seed uint64
@@ -158,7 +159,7 @@ func TrainDetector(ds *Dataset, cfg Config) (*Detector, error) {
 	if cfg.Dim <= 0 {
 		cfg.Dim = 512
 	}
-	if cfg.TrainFraction <= 0 || cfg.TrainFraction >= 1 {
+	if !(cfg.TrainFraction > 0 && cfg.TrainFraction < 1) {
 		cfg.TrainFraction = 0.75
 	}
 	train, test, norm := ds.NormalizedSplit(cfg.TrainFraction, cfg.Seed)

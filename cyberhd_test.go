@@ -1,6 +1,7 @@
 package cyberhd
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -47,6 +48,14 @@ func TestTrainDetectorDefaultsApplied(t *testing.T) {
 	}
 	if det.Model.Dim() != 512 {
 		t.Errorf("default Dim = %d", det.Model.Dim())
+	}
+	// A NaN TrainFraction is out of range like 0, not a one-row split.
+	nan, err := TrainDetector(ds, Config{TrainFraction: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nan.Model.Class.Equal(det.Model.Class) || nan.TestAccuracy != det.TestAccuracy {
+		t.Errorf("TrainFraction NaN trained a different model (accuracy %v, want %v)", nan.TestAccuracy, det.TestAccuracy)
 	}
 }
 

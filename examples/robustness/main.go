@@ -51,14 +51,14 @@ func main() {
 
 	fmt.Printf("%-8s %14s %14s %14s\n", "err rate", "HD 1-bit loss", "HD 8-bit loss", "DNN loss")
 	r := rng.New(99)
-	for _, rate := range []float64{0.01, 0.02, 0.05, 0.10, 0.15} {
+	for _, rate := range experiments.Fig5ErrorRates {
 		h1 := q1.Clone()
 		faults.InjectQuantizedBits(h1.Class, rate, r)
 		h8 := q8.Clone()
 		faults.InjectQuantizedBits(h8.Class, rate, r)
 		hd := dnn.Clone()
 		for _, w := range hd.Weights() {
-			faults.InjectFloat32Bits(w, rate, 1, r)
+			faults.InjectFloat32Bits(w, rate, experiments.Fig5DNNClampMul, r)
 		}
 		fmt.Printf("%7.0f%% %13.1fpp %13.1fpp %13.1fpp\n", 100*rate,
 			100*(clean1-h1.Evaluate(test.X, test.Y)),

@@ -251,7 +251,7 @@ func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
 // updateNormed applies the paper's adaptive rule to an encoded sample of
 // norm hNorm, scoring it into sims first.
 func (m *Model) updateNormed(h []float32, hNorm float64, label int, sims []float64) bool {
-	m.scorer.Similarities(h, hNorm, sims)
+	m.scorer.similarities(h, hNorm, sims)
 	return m.learn(h, label, sims)
 }
 
@@ -268,8 +268,8 @@ func (m *Model) learn(h []float32, label int, sims []float64) bool {
 	eta := m.opts.LearningRate
 	hdc.Axpy(float32(eta*(1-sims[label])), h, m.Class.Row(label))
 	hdc.Axpy(float32(-eta*(1-sims[pred])), h, m.Class.Row(pred))
-	m.scorer.RefreshRow(label)
-	m.scorer.RefreshRow(pred)
+	m.scorer.refreshRow(label)
+	m.scorer.refreshRow(pred)
 	return true
 }
 

@@ -13,7 +13,8 @@ import (
 // hdc.MatMulT for batches). The naive path recomputed every class norm on
 // every prediction; the Scorer recomputes a norm only when its row
 // changes (adaptive updates, dropped columns, reloads), which callers
-// signal through Refresh and RefreshRow.
+// signal through Refresh and the learning rule, row by row, through
+// refreshRow.
 //
 // Argmax note: cosine is dot/(‖row‖·‖query‖), and the query norm is a
 // positive constant across classes, so scoring skips it entirely —
@@ -22,9 +23,9 @@ import (
 // against everything, the conventions of the float64 reference argmax
 // the package tests hold it to.
 //
-// The learning rule's side — Similarities and Train's block loop — scores
+// The learning rule's side — similarities and Train's block loop — scores
 // against the panel: a float64 copy of the class memory, built on first
-// use and kept current by Refresh and RefreshRow. A predict-only scorer
+// use and kept current by Refresh and refreshRow. A predict-only scorer
 // (a model decoded from a snapshot) never builds one.
 type Scorer struct {
 	class *hdc.Matrix
@@ -53,9 +54,9 @@ func (s *Scorer) Refresh() {
 	}
 }
 
-// RefreshRow recomputes the cached norm and panel row of one row. Call
+// refreshRow recomputes the cached norm and panel row of one row. Call
 // after mutating that row (the adaptive update touches two rows per step).
-func (s *Scorer) RefreshRow(r int) {
+func (s *Scorer) refreshRow(r int) {
 	row := s.class.Row(r)
 	s.norms[r] = hdc.Norm(row)
 	if s.panel != nil {
@@ -63,10 +64,10 @@ func (s *Scorer) RefreshRow(r int) {
 	}
 }
 
-// Similarities writes the cosine of h against every class row into out:
+// similarities writes the cosine of h against every class row into out:
 // float64 dots, bit-identical to hdc.Dot, over the cached row norm times
 // hNorm, which is hdc.Norm(h). A zero norm on either side scores 0.
-func (s *Scorer) Similarities(h []float32, hNorm float64, out []float64) {
+func (s *Scorer) similarities(h []float32, hNorm float64, out []float64) {
 	s.panel64().Dots(h, out)
 	s.cosines(out, hNorm)
 }

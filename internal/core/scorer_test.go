@@ -99,7 +99,7 @@ func TestBatchPredictionBitIdentical(t *testing.T) {
 }
 
 // TestScorerNormInvalidation covers the three mutation paths: adaptive
-// updates (RefreshRow via updateNormed), column drops (Refresh), and
+// updates (refreshRow via updateNormed), column drops (Refresh), and
 // manual row edits.
 func TestScorerNormInvalidation(t *testing.T) {
 	m, x, y := toyModel(t, 3, 64, 9)
@@ -128,19 +128,19 @@ func TestSimilarities(t *testing.T) {
 	copy(m.Row(0), []float32{1, 0})
 	copy(m.Row(1), []float32{0, 1})
 	s, q, out := newScorer(m), []float32{1, 1}, make([]float64, 3)
-	s.Similarities(q, hdc.Norm(q), out)
+	s.similarities(q, hdc.Norm(q), out)
 	inv := 1 / math.Sqrt2
 	if math.Abs(out[0]-inv) > 1e-6 || math.Abs(out[1]-inv) > 1e-6 || out[2] != 0 {
-		t.Fatalf("Similarities = %v, want [%v %v 0] (a zero row scores 0)", out, inv, inv)
+		t.Fatalf("similarities = %v, want [%v %v 0] (a zero row scores 0)", out, inv, inv)
 	}
-	if s.Similarities([]float32{0, 0}, 0, out); out[0] != 0 || out[1] != 0 || out[2] != 0 {
-		t.Fatalf("zero query: Similarities = %v, want all 0", out)
+	if s.similarities([]float32{0, 0}, 0, out); out[0] != 0 || out[1] != 0 || out[2] != 0 {
+		t.Fatalf("zero query: similarities = %v, want all 0", out)
 	}
 }
 
 // TestSimilaritiesTracksUpdates drives the learning rule's access pattern
-// — random Axpy into one row then RefreshRow, and a Refresh after dropped
-// columns — and requires Similarities to equal the hdc.Dot / hdc.Norm
+// — random Axpy into one row then refreshRow, and a Refresh after dropped
+// columns — and requires similarities to equal the hdc.Dot / hdc.Norm
 // reference exactly at every step.
 func TestSimilaritiesTracksUpdates(t *testing.T) {
 	r := rng.New(21)
@@ -149,16 +149,16 @@ func TestSimilaritiesTracksUpdates(t *testing.T) {
 	s, h, got := newScorer(class), make([]float32, 130), make([]float64, 9)
 	for step := 0; step < 200; step++ {
 		r.FillNorm(h, 0, 1)
-		s.Similarities(h, hdc.Norm(h), got)
+		s.similarities(h, hdc.Norm(h), got)
 		for c, g := range got {
 			want := hdc.Dot(class.Row(c), h) / (hdc.Norm(class.Row(c)) * hdc.Norm(h))
 			if math.Float64bits(g) != math.Float64bits(want) {
-				t.Fatalf("step %d class %d: Similarities %v != reference %v", step, c, g, want)
+				t.Fatalf("step %d class %d: similarities %v != reference %v", step, c, g, want)
 			}
 		}
 		c := r.Intn(9)
 		hdc.Axpy(r.NormFloat32(), h, class.Row(c))
-		s.RefreshRow(c)
+		s.refreshRow(c)
 		if step == 100 {
 			class.ZeroColumns([]int{0, 3, 64, 129})
 			s.Refresh()

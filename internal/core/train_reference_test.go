@@ -107,7 +107,7 @@ func sameBits(a, b []float32) bool {
 }
 
 // TestTrainMatchesScalarReference: the kernel-layer training loop
-// (Scorer.Similarities on the float64 class panel, query norms once per
+// (Scorer.similarities on the float64 class panel, query norms once per
 // round, panel re-encode of regenerated dimensions) trains the same bytes
 // as the scalar loop it replaced — class memory, regenerated encoder,
 // history and D* — at dimensions on and off the kernels' lane multiples

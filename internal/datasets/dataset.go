@@ -102,7 +102,7 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 // halves. Each class contributes at least one sample to each side when it
 // has at least two samples.
 func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
-	if trainFrac <= 0 || trainFrac >= 1 {
+	if !(trainFrac > 0 && trainFrac < 1) {
 		panic("datasets: trainFrac outside (0, 1)")
 	}
 	r := rng.New(seed)

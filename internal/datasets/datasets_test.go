@@ -139,7 +139,7 @@ func TestSplitStratified(t *testing.T) {
 
 func TestSplitPanicsOnBadFraction(t *testing.T) {
 	d := NSLKDD(100, 1)
-	for _, f := range []float64{0, 1, -0.5} {
+	for _, f := range []float64{0, 1, -0.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -21,13 +21,13 @@ import (
 // One table per detector seed puts the served model beside each candidate
 // explanation on the benchmark's serve_short traffic mix, labelled through
 // the dataset path: a static encoder at the same width, a static encoder
-// at Fig5Dim(W1), quantization-aware retraining of the served model, and
-// the 2-, 4- and 8-bit served models. It asserts only the defect as ROADMAP
-// records it (float ≥ 0.95, W1 as served ≤ 0.70, every seed), so the PR
-// that fixes item 1 turns it red and replaces the bound.
+// at Fig5Dim(W1), and the 2-, 4- and 8-bit served models. It asserts only
+// the defect as ROADMAP records it (float ≥ 0.95, W1 as served ≤ 0.70,
+// every seed), so the PR that fixes item 1 turns it red and replaces the
+// bound.
 func TestServedW1Diagnosis(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains five models per detector seed")
+		t.Skip("trains three models per detector seed")
 	}
 	storm := datasets.FromStream("scan-storm", traffic.Generate(traffic.Config{
 		Sessions: 3000, Duration: 300, Seed: 11,
@@ -70,10 +70,6 @@ func TestServedW1Diagnosis(t *testing.T) {
 			}
 			return q
 		}
-		retrained, err := quantize.Retrain(det.Model, bitpack.W1, train.X, train.Y, BaselineEpochs, HDLearningRate, seed+5)
-		if err != nil {
-			t.Fatal(err)
-		}
 		columns := []struct {
 			name string
 			m    evaluator
@@ -82,7 +78,6 @@ func TestServedW1Diagnosis(t *testing.T) {
 			{"W1 served", served(bitpack.W1)},
 			{fmt.Sprintf("W1 static %d", PhysDim), static(PhysDim)},
 			{fmt.Sprintf("W1 static %d", Fig5Dim(bitpack.W1)), static(Fig5Dim(bitpack.W1))},
-			{"W1 retrained", retrained},
 			{"W2 served", served(bitpack.W2)},
 			{"W4 served", served(bitpack.W4)},
 			{"W8 served", served(bitpack.W8)},

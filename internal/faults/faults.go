@@ -1,13 +1,13 @@
 // Package faults injects hardware errors into model memories for the
 // robustness evaluation (Fig 5).
 //
-// The fault model follows the paper: a hardware error rate p means a
-// fraction p of memory elements each suffer one uniformly-chosen bit flip.
-// For quantized HDC class memories the flip lands in a b-bit two's-
-// complement element (so narrower elements bound the damage); for the DNN
-// baseline it lands in an IEEE-754 float32 weight, where an exponent-bit
-// flip can change the weight by orders of magnitude — the mechanism behind
-// the DNN's fragility in Fig 5.
+// The fault model is a bit-error rate over storage: a hardware error rate
+// p flips a fraction p of the memory's storage bits, chosen uniformly
+// without replacement. A quantized HDC class memory stores Width bits per
+// element, so at a fixed rate an 8-bit element absorbs 8× the flips of a
+// 1-bit one; a DNN stores 32 bits per IEEE-754 float32 weight, where an
+// exponent-bit flip can change the weight by orders of magnitude — the
+// mechanism behind the DNN's fragility in Fig 5.
 package faults
 
 import (
@@ -17,45 +17,14 @@ import (
 	"cyberhd/internal/rng"
 )
 
-// InjectQuantized flips one random bit in a fraction rate of the elements
-// of the packed class memory m, choosing elements without replacement.
-// It returns the number of elements corrupted.
-func InjectQuantized(m *bitpack.Matrix, rate float64, r *rng.Rand) int {
-	if rate < 0 || rate > 1 {
-		panic("faults: rate outside [0, 1]")
-	}
-	// Enumerate elements across rows.
-	total := 0
-	for _, row := range m.Rows {
-		total += row.Dim
-	}
-	n := int(math.Round(rate * float64(total)))
-	if n == 0 {
-		return 0
-	}
-	picks := sampleWithoutReplacement(total, n, r)
-	for _, p := range picks {
-		for _, row := range m.Rows {
-			if p < row.Dim {
-				bit := r.Intn(int(row.Width))
-				row.FlipBit(p*int(row.Width) + bit)
-				break
-			}
-			p -= row.Dim
-		}
-	}
-	return n
-}
-
 // InjectQuantizedBits flips a fraction rate of the *storage bits* of the
 // packed class memory, chosen uniformly without replacement. This is the
 // Fig 5 fault model: at a fixed bit-error rate, an 8-bit element absorbs
 // 8× the flips of a 1-bit element, which is why the paper's robustness
-// degrades with precision. Returns the number of bits flipped.
+// degrades with precision. Returns the number of bits flipped; a rate
+// outside [0, 1], NaN included, panics.
 func InjectQuantizedBits(m *bitpack.Matrix, rate float64, r *rng.Rand) int {
-	if rate < 0 || rate > 1 {
-		panic("faults: rate outside [0, 1]")
-	}
+	checkRate(rate)
 	total := m.StorageBits()
 	n := int(math.Round(rate * float64(total)))
 	for _, k := range sampleWithoutReplacement(total, n, r) {
@@ -66,14 +35,13 @@ func InjectQuantizedBits(m *bitpack.Matrix, rate float64, r *rng.Rand) int {
 
 // InjectFloat32Bits flips a fraction rate of the storage bits of a float32
 // tensor (32 bits per weight), re-rolling flips that would produce NaN and
-// saturating corrupted weights at mul × the pre-fault magnitude range
-// (mul <= 0 selects DefaultClampMul). Returns the number of bits flipped.
+// saturating corrupted weights at mul × the pre-fault magnitude range.
+// Returns the number of bits flipped; a bad rate, or a mul that is not
+// positive, panics.
 func InjectFloat32Bits(w []float32, rate, mul float64, r *rng.Rand) int {
-	if rate < 0 || rate > 1 {
-		panic("faults: rate outside [0, 1]")
-	}
-	if mul <= 0 {
-		mul = DefaultClampMul
+	checkRate(rate)
+	if !(mul > 0) {
+		panic("faults: clamp multiplier not positive")
 	}
 	var maxAbs float32
 	for _, v := range w {
@@ -112,15 +80,12 @@ func InjectFloat32Bits(w []float32, rate, mul float64, r *rng.Rand) int {
 	return n
 }
 
-// DefaultClampMul is the saturation multiplier calibrated so the DNN's
-// loss curve matches the paper's Fig 5 gradient (≈2pp at 1% error rising
-// to ≈45pp at 15%). Without any clamping, a single high-exponent flip
-// multiplies a weight by up to 10³⁸ and a handful of flips destroys the
-// network outright even at a 1% error rate — the paper's graded DNN
-// losses (3.9pp at 1% → 41.2pp at 15%) imply bounded corruption, as on
-// deployment targets whose weight storage saturates (fixed-point or
-// range-calibrated formats).
-const DefaultClampMul = 8
+// checkRate panics unless rate is in [0, 1].
+func checkRate(rate float64) {
+	if !(rate >= 0 && rate <= 1) {
+		panic("faults: rate outside [0, 1]")
+	}
+}
 
 // sampleWithoutReplacement returns k distinct indices from [0, n) using
 // Floyd's algorithm (O(k) expected, no O(n) allocation).

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"math"
+	"math/bits"
+	"strings"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -16,32 +18,46 @@ func packed(t *testing.T, rows, dim int, w bitpack.Width) *bitpack.Matrix {
 	return bitpack.QuantizeMatrix(flat, rows, dim, w)
 }
 
-func countDiffs(a, b *bitpack.Matrix) int {
+// flippedBits counts the storage bits in which a and b differ.
+func flippedBits(a, b *bitpack.Matrix) int {
 	diffs := 0
-	for i := range a.Rows {
-		for j := 0; j < a.Rows[i].Dim; j++ {
-			if a.Rows[i].Get(j) != b.Rows[i].Get(j) {
-				diffs++
-			}
+	for i, row := range a.Rows {
+		for j, w := range row.Words {
+			diffs += bits.OnesCount64(w ^ b.Rows[i].Words[j])
 		}
 	}
 	return diffs
+}
+
+// badRates are the rates every injector must refuse.
+var badRates = []float64{-0.1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// refuses reports whether f panics with one of the package's own messages;
+// a runtime error inside an injector does not count.
+func refuses(f func()) (ok bool) {
+	defer func() {
+		msg, _ := recover().(string)
+		ok = strings.HasPrefix(msg, "faults: ")
+	}()
+	f()
+	return false
 }
 
 func TestInjectQuantizedCorruptsExpectedFraction(t *testing.T) {
 	for _, w := range bitpack.Widths {
 		m := packed(t, 4, 500, w)
 		orig := m.Clone()
-		r := rng.New(uint64(w))
-		n := InjectQuantized(m, 0.1, r)
-		if want := 200; n != want { // 4*500*0.1
-			t.Fatalf("w=%d: reported %d corruptions, want %d", w, n, want)
+		n := InjectQuantizedBits(m, 0.1, rng.New(uint64(w)))
+		if want := int(math.Round(0.1 * float64(orig.StorageBits()))); n != want {
+			t.Fatalf("w=%d: reported %d flips, want %d", w, n, want)
 		}
-		diffs := countDiffs(m, orig)
-		// Every corrupted element must differ (a single bit flip always
-		// changes a two's-complement value, and a 1-bit flip negates).
-		if diffs != n {
-			t.Errorf("w=%d: %d elements differ, %d reported", w, diffs, n)
+		if diffs := flippedBits(m, orig); diffs != n {
+			t.Errorf("w=%d: %d storage bits differ, %d reported", w, diffs, n)
+		}
+		again := orig.Clone()
+		InjectQuantizedBits(again, 0.1, rng.New(uint64(w)))
+		if flippedBits(m, again) != 0 {
+			t.Errorf("w=%d: same-seed injection differs", w)
 		}
 	}
 }
@@ -49,37 +65,34 @@ func TestInjectQuantizedCorruptsExpectedFraction(t *testing.T) {
 func TestInjectQuantizedZeroRate(t *testing.T) {
 	m := packed(t, 2, 100, bitpack.W8)
 	orig := m.Clone()
-	if n := InjectQuantized(m, 0, rng.New(1)); n != 0 {
-		t.Fatalf("rate 0 corrupted %d", n)
+	if n := InjectQuantizedBits(m, 0, rng.New(1)); n != 0 {
+		t.Fatalf("rate 0 flipped %d", n)
 	}
-	if countDiffs(m, orig) != 0 {
+	if flippedBits(m, orig) != 0 {
 		t.Fatal("rate 0 changed memory")
 	}
 }
 
 func TestInjectQuantizedFullRate(t *testing.T) {
-	m := packed(t, 2, 64, bitpack.W1)
-	orig := m.Clone()
-	n := InjectQuantized(m, 1, rng.New(2))
-	if n != 128 {
-		t.Fatalf("full rate corrupted %d, want 128", n)
-	}
-	if diffs := countDiffs(m, orig); diffs != 128 {
-		t.Fatalf("full rate changed %d elements", diffs)
+	for _, w := range bitpack.Widths {
+		m := packed(t, 2, 64, w)
+		orig := m.Clone()
+		total := orig.StorageBits()
+		if n := InjectQuantizedBits(m, 1, rng.New(2)); n != total {
+			t.Fatalf("w=%d: full rate flipped %d, want %d", w, n, total)
+		}
+		if diffs := flippedBits(m, orig); diffs != total {
+			t.Fatalf("w=%d: full rate inverted %d of %d storage bits", w, diffs, total)
+		}
 	}
 }
 
 func TestInjectQuantizedBadRatePanics(t *testing.T) {
 	m := packed(t, 1, 8, bitpack.W1)
-	for _, rate := range []float64{-0.1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rate %v did not panic", rate)
-				}
-			}()
-			InjectQuantized(m, rate, rng.New(1))
-		}()
+	for _, rate := range badRates {
+		if !refuses(func() { InjectQuantizedBits(m, rate, rng.New(1)) }) {
+			t.Errorf("rate %v was not refused", rate)
+		}
 	}
 }
 
@@ -92,7 +105,8 @@ func TestInjectFloat32(t *testing.T) {
 	for _, v := range orig {
 		maxAbs = math.Max(maxAbs, math.Abs(float64(v)))
 	}
-	n := InjectFloat32Bits(w, 0.15, 0, r)
+	const mul = 2
+	n := InjectFloat32Bits(w, 0.15, mul, r)
 	if n != 4800 {
 		t.Fatalf("reported %d bits, want 15%% of 32000", n)
 	}
@@ -104,12 +118,22 @@ func TestInjectFloat32(t *testing.T) {
 		if math.IsNaN(float64(w[i])) {
 			t.Fatalf("NaN produced at %d", i)
 		}
-		if a := math.Abs(float64(w[i])); a > DefaultClampMul*maxAbs*1.0001 {
-			t.Fatalf("word %d = %v escapes the %v× clamp on |w| <= %v", i, w[i], DefaultClampMul, maxAbs)
+		if a := math.Abs(float64(w[i])); a > mul*maxAbs*1.0001 {
+			t.Fatalf("word %d = %v escapes the %v× clamp on |w| <= %v", i, w[i], mul, maxAbs)
 		}
 	}
 	if diffs == 0 || diffs > n {
 		t.Errorf("%d words differ after %d bit flips", diffs, n)
+	}
+	// A bad rate or a non-positive clamp panics.
+	bad := [][2]float64{{0.1, 0}, {0.1, -1}, {0.1, math.NaN()}}
+	for _, rate := range badRates {
+		bad = append(bad, [2]float64{rate, mul})
+	}
+	for _, c := range bad {
+		if !refuses(func() { InjectFloat32Bits(w, c[0], c[1], r) }) {
+			t.Errorf("rate %v, mul %v was not refused", c[0], c[1])
+		}
 	}
 }
 
@@ -136,8 +160,8 @@ func TestInjectFloat32Deterministic(t *testing.T) {
 	rng.New(3).FillNorm(base, 0, 1)
 	a := append([]float32(nil), base...)
 	b := append([]float32(nil), base...)
-	InjectFloat32Bits(a, 0.02, 0, rng.New(42))
-	InjectFloat32Bits(b, 0.02, 0, rng.New(42))
+	InjectFloat32Bits(a, 0.02, 1, rng.New(42))
+	InjectFloat32Bits(b, 0.02, 1, rng.New(42))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same-seed injection differs")

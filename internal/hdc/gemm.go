@@ -41,9 +41,9 @@ import (
 // widened to float64 once, so a visit of the learning rule converts only
 // the query, and a float32×float32 product is exact in float64, so a
 // fused multiply-add rounds exactly where Dot's multiply and add do.
-// core.Scorer owns the panel for whatever moves a class hypervector — the
-// adaptive learning rule in core.Train and quantize.Retrain. Norms stay
-// the sequential float64 sum of Norm.
+// core.Scorer owns the panel for what moves a class hypervector, the
+// adaptive learning rule in core.Train. Norms stay the sequential float64
+// sum of Norm.
 
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,

@@ -22,7 +22,6 @@ import (
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
 	"cyberhd/internal/metrics"
-	"cyberhd/internal/rng"
 )
 
 // Model is a quantized HDC classifier. All prediction paths run through
@@ -165,58 +164,3 @@ func (m *Model) Clone() *Model {
 // MemoryBits returns the class-memory footprint in bits, the quantity that
 // shrinks with bitwidth in Table I.
 func (m *Model) MemoryBits() int { return m.Class.StorageBits() }
-
-// Retrain performs quantization-aware retraining: for `epochs` adaptive
-// passes, predictions come from the packed model (exactly what deployment
-// will compute) while corrections update a float32 shadow of the class
-// memory, which is re-packed after every pass.
-//
-// This matters most at 1-bit: CyberHD's regeneration leaves freshly
-// regenerated dimensions with small magnitudes, and plain sign()
-// quantization weights their noise equally with mature dimensions.
-// Retraining against the binarized decision boundary recovers the loss.
-func Retrain(src *core.Model, w bitpack.Width, x *hdc.Matrix, y []int, epochs int, eta float64, seed uint64) (*Model, error) {
-	if !w.Valid() {
-		return nil, fmt.Errorf("quantize: invalid width %d", w)
-	}
-	if x.Rows != len(y) || x.Rows == 0 {
-		return nil, fmt.Errorf("quantize: %d samples, %d labels", x.Rows, len(y))
-	}
-	if eta <= 0 {
-		eta = 0.05
-	}
-	if epochs <= 0 {
-		epochs = 3
-	}
-	shadow := src.Class.Clone()
-	enc2 := encoder.EncodeBatch(src.Enc, x)
-	packed := bitpack.QuantizeMatrix(shadow.Data, shadow.Rows, shadow.Cols, w)
-	r := rng.New(seed)
-	order := make([]int, x.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	sims := make([]float64, shadow.Rows)
-	// The shadow's norms and float64 panel, kept current: an update
-	// refreshes the two rows it moves.
-	sc := (&core.Model{Class: shadow}).Scorer()
-	qv := bitpack.NewVector(shadow.Cols, w) // packed-query scratch, reused per sample
-	for e := 0; e < epochs; e++ {
-		r.ShuffleInts(order)
-		for _, i := range order {
-			h := enc2.Row(i)
-			bitpack.QuantizeInto(h, w, qv)
-			pred := packed.Classify(qv)
-			if pred == y[i] {
-				continue
-			}
-			sc.Similarities(h, hdc.Norm(h), sims)
-			hdc.Axpy(float32(eta*(1-sims[y[i]])), h, shadow.Row(y[i]))
-			hdc.Axpy(float32(-eta*(1-sims[pred])), h, shadow.Row(pred))
-			sc.RefreshRow(y[i])
-			sc.RefreshRow(pred)
-		}
-		packed = bitpack.QuantizeMatrix(shadow.Data, shadow.Rows, shadow.Cols, w)
-	}
-	return &Model{Width: w, Class: packed, Enc: src.Enc}, nil
-}

@@ -1,9 +1,6 @@
 package quantize
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -125,69 +122,4 @@ func TestEvaluateLabelMismatchPanics(t *testing.T) {
 		}
 	}()
 	q.Evaluate(x, []int{0})
-}
-
-func TestRetrainValidation(t *testing.T) {
-	m, x, y, _, _ := trainedModel(t)
-	if _, err := Retrain(m, bitpack.Width(3), x, y, 2, 0.1, 1); err == nil {
-		t.Error("invalid width accepted")
-	}
-	if _, err := Retrain(m, bitpack.W1, x, y[:3], 2, 0.1, 1); err == nil {
-		t.Error("label mismatch accepted")
-	}
-}
-
-func TestRetrainImprovesOneBit(t *testing.T) {
-	m, x, y, xt, yt := trainedModel(t)
-	plain, err := FromCore(m, bitpack.W1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retrained, err := Retrain(m, bitpack.W1, x, y, 4, 0.1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pAcc := plain.Evaluate(xt, yt)
-	rAcc := retrained.Evaluate(xt, yt)
-	if rAcc < pAcc-0.02 {
-		t.Errorf("retraining hurt 1-bit accuracy: %v -> %v", pAcc, rAcc)
-	}
-	if retrained.Width != bitpack.W1 || retrained.Class.Rows[0].Dim != m.Class.Cols {
-		t.Errorf("retrained shape wrong: w=%d dim=%d", retrained.Width, retrained.Class.Rows[0].Dim)
-	}
-}
-
-// TestRetrainGoldenDigest pins the retrained class memory — packed words
-// and scales — at three widths to digests recorded before Retrain's
-// similarities moved onto a float64 panel kernel with cached norms:
-// quantization-aware retraining is specified bit for bit, like training.
-func TestRetrainGoldenDigest(t *testing.T) {
-	m, x, y, _, _ := trainedModel(t)
-	for w, want := range map[bitpack.Width]uint64{
-		bitpack.W1: 0x26c7a1fe14a5687, bitpack.W4: 0x5429b6a9ea5cd7b, bitpack.W32: 0xfd808b65d6a60bfe,
-	} {
-		q, err := Retrain(m, w, x, y, 4, 0.1, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		for _, r := range q.Class.Rows {
-			binary.Write(h, binary.LittleEndian, r.Words)
-			binary.Write(h, binary.LittleEndian, math.Float32bits(r.Scale))
-		}
-		if got := h.Sum64(); got != want {
-			t.Errorf("W%d: retrained class memory digest %#x, want %#x", w, got, want)
-		}
-	}
-}
-
-func TestRetrainDoesNotMutateSource(t *testing.T) {
-	m, x, y, _, _ := trainedModel(t)
-	before := m.Class.Clone()
-	if _, err := Retrain(m, bitpack.W2, x, y, 2, 0.1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Class.Equal(before) {
-		t.Fatal("Retrain mutated the source model")
-	}
 }
