@@ -544,12 +544,8 @@ func cmdDetect(args []string) error {
 	if tel != nil {
 		s := tel.Snapshot()
 		if s.Latency.Count > 0 {
-			fmt.Printf("verdict latency (capture time): mean %.3fs over %d verdicts",
+			fmt.Printf("verdict latency (capture time): mean %.3fs over %d verdicts\n",
 				s.Latency.Sum/float64(s.Latency.Count), s.Latency.Count)
-			if s.Suppressed > 0 {
-				fmt.Printf(", %d alerts rate-limited", s.Suppressed)
-			}
-			fmt.Println()
 		}
 		fmt.Printf("serving model version: %d\n", cow.Version()) // -metrics always serves through cow
 		if s.ShadowFlows > 0 {

@@ -41,7 +41,7 @@ func rewrite(a, b netflow.Addr, pa, pb uint16) uint32 { return (a.V4() ^ b.V4() 
 // contractTraffic returns the matrix's capture and its pure-v4 subset:
 // generated sessions with a third of the flows moved to an IPv6 site and a
 // third carrying an 802.1Q tag, so the v2 capture records and the
-// cluster's v2 packet and alert frames all carry verdicts, and every time
+// cluster's wide packet and alert records all carry verdicts, and every time
 // on the nanosecond grid, so the PCAP replays bit-identically.
 func contractTraffic() (mixed, v4 []netflow.Packet) {
 	mixed = GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77}).Packets

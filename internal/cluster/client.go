@@ -21,7 +21,7 @@ const DefaultDialTimeout = 10 * time.Second
 
 // ackTimeout bounds the wait for a worker's snapshot-push ack. Generous:
 // validation runs a sanity batch, never the capture.
-const ackTimeout = 60 * time.Second
+var ackTimeout = 60 * time.Second
 
 // ClientConfig assembles a cluster ingest client. Workers, Model,
 // Normalizer and ClassNames are required; everything else mirrors the
@@ -74,36 +74,20 @@ type PushResult struct {
 // workerConn is the ingest side of one worker session.
 type workerConn struct {
 	addr string
-	conn net.Conn
-	fw   *frameWriter
+	out  *writeHalf // packets run and control frames; its error latch is the session's
+	sent int64      // packets routed here; under out.mu
 	fr   *frameReader
 
-	writeMu sync.Mutex // serializes frame writes (feed path vs pushes); guards open and sent
-	open    []byte     // the open packets frame's payload: records fed since the last frame went out
-	sent    int64      // packets routed here
-
-	acks chan ackState
+	acks chan ackState // the ack of the push in flight, and no other
 	done chan struct{} // closed when the read loop exits
 
 	telDec *telemetryDecoder // the session's telemetry stream; read loop only
 
 	mu       sync.Mutex // guards the fields below
-	err      error      // first transport/decode error, latched
 	lastSnap telemetry.Snapshot
 	haveSnap bool
-	settled  bool
 	version  uint64
-}
-
-// fail latches the first error and tears the connection down (unblocking
-// any writer stuck in a send).
-func (wc *workerConn) fail(err error) {
-	wc.mu.Lock()
-	if wc.err == nil {
-		wc.err = err
-	}
-	wc.mu.Unlock()
-	_ = wc.conn.Close()
+	pushed   uint64 // snapshot frames pushed, answered or not
 }
 
 // Client is a cluster ingest node's handle on its worker fleet. It
@@ -170,7 +154,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		wc, err := dialWorker(addr, hello, snap.Bytes())
 		if err != nil {
 			for _, open := range c.conns {
-				_ = open.conn.Close()
+				_ = open.out.conn.Close()
 			}
 			return nil, err
 		}
@@ -191,17 +175,12 @@ func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
 		return nil, fmt.Errorf("cluster: dialing worker %s: %w", addr, err)
 	}
 	wc := &workerConn{
-		addr: addr, conn: conn,
-		fw: newFrameWriter(conn), fr: newFrameReader(conn),
-		open: make([]byte, 0, maxPacketsPayload), telDec: newTelemetryDecoder(),
+		addr: addr, out: newWriteHalf(conn, framePackets, maxRunPayload), fr: newFrameReader(conn), telDec: newTelemetryDecoder(),
 		acks: make(chan ackState, 1), done: make(chan struct{}),
 	}
 	// exchange sends one handshake frame and waits for its ack.
 	exchange := func(t frameType, payload []byte) error {
-		if err := wc.fw.writeFrame(t, payload); err != nil {
-			return err
-		}
-		if err := wc.fw.flush(); err != nil {
+		if err := wc.out.control(t, payload); err != nil {
 			return err
 		}
 		got, reply, err := wc.fr.next()
@@ -239,49 +218,53 @@ func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
 // the waiting push. It exits on the worker's bye or any transport error.
 func (c *Client) readLoop(wc *workerConn) {
 	defer close(wc.done)
-	var wa wireAlert
+	var alerts []wireAlert // the decoded run, reused frame to frame
+	var acked uint64
 	for {
 		t, payload, err := wc.fr.next()
 		if err != nil {
-			wc.fail(fmt.Errorf("cluster: worker %s: %w", wc.addr, err))
+			wc.out.fail(fmt.Errorf("cluster: worker %s: %w", wc.addr, err))
 			return
 		}
 		switch t {
-		case frameAlert, frameAlert2:
-			if err := decodeAlert(t, payload, &wa); err != nil {
-				wc.fail(err)
-				return
+		case frameAlerts:
+			if alerts, err = decodeAlerts(payload, alerts); err == nil {
+				for i := range alerts {
+					c.deliver(&alerts[i])
+				}
 			}
-			c.deliver(&wa)
 		case frameTelemetry:
-			s, settled, err := wc.telDec.decode(payload)
-			if err != nil {
-				wc.fail(err)
-				return
+			var s telemetry.Snapshot
+			if s, err = wc.telDec.decode(payload); err == nil {
+				wc.mu.Lock()
+				wc.lastSnap, wc.haveSnap = s, true
+				if s.ModelVersion != 0 {
+					wc.version = s.ModelVersion
+				}
+				wc.mu.Unlock()
 			}
-			wc.mu.Lock()
-			wc.lastSnap, wc.haveSnap = s, true
-			if settled {
-				wc.settled = true
-			}
-			if s.ModelVersion != 0 {
-				wc.version = s.ModelVersion
-			}
-			wc.mu.Unlock()
 		case frameAck:
-			a, err := decodeAck(payload)
-			if err != nil {
-				wc.fail(err)
-				return
-			}
-			select {
-			case wc.acks <- a:
-			default: // no push waiting; never block the read loop
+			// Acks answer pushes in order. Only the latest push's ack is
+			// parked for it: a late one answers a push that timed out.
+			var a ackState
+			if a, err = decodeAck(payload); err == nil {
+				acked++
+				wc.mu.Lock()
+				if acked == wc.pushed {
+					select {
+					case wc.acks <- a:
+					default: // never block the read loop
+					}
+				}
+				wc.mu.Unlock()
 			}
 		case frameBye:
 			return
 		default:
-			wc.fail(fmt.Errorf("cluster: worker %s sent frame type %d", wc.addr, t))
+			err = fmt.Errorf("cluster: worker %s sent frame type %d", wc.addr, t)
+		}
+		if err != nil {
+			wc.out.fail(err)
 			return
 		}
 	}
@@ -340,55 +323,11 @@ func (c *Client) Feed(p netflow.Packet) {
 		return
 	}
 	wc := c.route(&p)
-	wc.writeMu.Lock()
-	defer wc.writeMu.Unlock()
-	if len(wc.open)+maxTaggedRecord > maxPacketsPayload {
-		wc.closeFrame()
-	}
-	wc.open = appendPacket(wc.open, &p)
+	wc.out.mu.Lock()
+	wc.out.room(maxTaggedPacket)
+	wc.out.open = appendPacket(wc.out.open, &p)
 	wc.sent++
-}
-
-// closeFrame writes the open packets frame, if it holds anything, into
-// the connection's write buffer. Caller holds writeMu.
-func (wc *workerConn) closeFrame() {
-	if len(wc.open) == 0 {
-		return
-	}
-	if !wc.broken() {
-		if err := wc.fw.writeFrame(framePackets, wc.open); err != nil {
-			wc.fail(err)
-		}
-	}
-	wc.open = wc.open[:0]
-}
-
-// control closes the open packets frame, then writes one more frame and
-// flushes the connection — the shape of every tick, flush, bye and
-// snapshot push, which is what keeps them ordered with the packets fed
-// before them. It returns the write error, already latched.
-func (wc *workerConn) control(t frameType, payload []byte) error {
-	wc.writeMu.Lock()
-	defer wc.writeMu.Unlock()
-	wc.closeFrame()
-	if wc.broken() {
-		return fmt.Errorf("connection failed")
-	}
-	err := wc.fw.writeFrame(t, payload)
-	if err == nil {
-		err = wc.fw.flush()
-	}
-	if err != nil {
-		wc.fail(err)
-	}
-	return err
-}
-
-// broken reports whether the connection has latched an error.
-func (wc *workerConn) broken() bool {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.err != nil
+	wc.out.mu.Unlock()
 }
 
 // FeedWithin feeds p, reporting admission. The network client is
@@ -421,7 +360,7 @@ func (c *Client) broadcast(t frameType, payload []byte) {
 		return
 	}
 	for _, wc := range c.conns {
-		_ = wc.control(t, payload) // latched on the connection; Err reports it
+		_ = wc.out.control(t, payload) // latched on the connection; Err reports it
 	}
 }
 
@@ -433,11 +372,11 @@ func (c *Client) Close() {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
 		for _, wc := range c.conns {
-			_ = wc.control(frameBye, nil) // latched on the connection; Err reports it
+			_ = wc.out.control(frameBye, nil) // latched on the connection; Err reports it
 		}
 		for _, wc := range c.conns {
 			<-wc.done // read loop exits on the worker's bye (or error)
-			_ = wc.conn.Close()
+			_ = wc.out.conn.Close()
 		}
 	})
 }
@@ -448,10 +387,7 @@ func (c *Client) Close() {
 // check it after Close.
 func (c *Client) Err() error {
 	for _, wc := range c.conns {
-		wc.mu.Lock()
-		err := wc.err
-		wc.mu.Unlock()
-		if err != nil {
+		if err := wc.out.failed(); err != nil {
 			return err
 		}
 	}
@@ -535,13 +471,16 @@ func (wc *workerConn) push(snap []byte) PushResult {
 	res := PushResult{Worker: wc.addr}
 	wc.mu.Lock()
 	res.Version = wc.version
+	select {
+	case <-wc.acks: // the late ack of an earlier push that timed out
+	default:
+	}
+	wc.pushed++
 	wc.mu.Unlock()
-	if err := wc.control(frameSnapshot, snap); err != nil {
+	if err := wc.out.control(frameSnapshot, snap); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	timeout := time.NewTimer(ackTimeout)
-	defer timeout.Stop()
 	select {
 	case a := <-wc.acks:
 		res.OK, res.Err = a.OK, a.Msg
@@ -551,7 +490,7 @@ func (wc *workerConn) push(snap []byte) PushResult {
 		wc.mu.Unlock()
 	case <-wc.done:
 		res.Err = "connection closed before ack"
-	case <-timeout.C:
+	case <-time.After(ackTimeout):
 		res.Err = "timed out waiting for snapshot ack"
 	}
 	return res
@@ -568,9 +507,9 @@ func (c *Client) WorkerAddrs() []string {
 func (c *Client) SentPerWorker() []int64 {
 	out := make([]int64, len(c.conns))
 	for i, wc := range c.conns {
-		wc.writeMu.Lock()
+		wc.out.mu.Lock()
 		out[i] = wc.sent
-		wc.writeMu.Unlock()
+		wc.out.mu.Unlock()
 	}
 	return out
 }

@@ -207,19 +207,15 @@ func TestClusterSnapshotReplicationGates(t *testing.T) {
 func TestDialRejectsBadConfig(t *testing.T) {
 	m, norm, names := clusterModel(t)
 	cow := core.NewCOWModel(m)
-	if _, err := Dial(ClientConfig{Model: cow, Normalizer: norm, ClassNames: names}); err == nil {
-		t.Error("Dial accepted zero workers")
-	}
-	if _, err := Dial(ClientConfig{Workers: []string{"x"}, Normalizer: norm, ClassNames: names}); err == nil {
-		t.Error("Dial accepted nil model")
-	}
-	if _, err := Dial(ClientConfig{Workers: []string{"x"}, Model: cow, ClassNames: names}); err == nil {
-		t.Error("Dial accepted nil normalizer")
-	}
-	if _, err := Dial(ClientConfig{Workers: []string{"x"}, Model: cow, Normalizer: norm}); err == nil {
-		t.Error("Dial accepted empty class names")
-	}
-	if _, err := Dial(ClientConfig{Workers: []string{"127.0.0.1:1"}, Model: cow, Normalizer: norm, ClassNames: names}); err == nil {
-		t.Error("Dial connected to a dead worker")
+	for what, cfg := range map[string]ClientConfig{
+		"zero workers":         {Model: cow, Normalizer: norm, ClassNames: names},
+		"nil model":            {Workers: []string{"x"}, Normalizer: norm, ClassNames: names},
+		"nil normalizer":       {Workers: []string{"x"}, Model: cow, ClassNames: names},
+		"empty class names":    {Workers: []string{"x"}, Model: cow, Normalizer: norm},
+		"a dead worker's addr": {Workers: []string{"127.0.0.1:1"}, Model: cow, Normalizer: norm, ClassNames: names},
+	} {
+		if _, err := Dial(cfg); err == nil {
+			t.Errorf("Dial accepted %s", what)
+		}
 	}
 }

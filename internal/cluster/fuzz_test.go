@@ -27,21 +27,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	p6 := p
 	p6.SrcIP, p6.DstIP, p6.VLAN = netflow.MustParseAddr("2001:db8::1"), netflow.MustParseAddr("2001:db8::2"), 7
 	pkts := appendPacket(appendPacket(appendPacket(nil, &p), &p6), &p)
-	var wa wireAlert
-	wa.Time, wa.Class, wa.Packets = 9.5, 2, 44
+	wa := wireAlert{Time: 9.5, Class: 2, Packets: 44, Key: netflow.FlowKey{IPA: p.SrcIP, IPB: p.DstIP}, InitSrcIP: p.SrcIP}
+	wa6 := wireAlert{Time: 9.5, Class: 1, Packets: 7, Key: netflow.FlowKey{IPA: p6.SrcIP, IPB: p6.DstIP}, InitSrcIP: p6.SrcIP}
+	alerts := appendAlert(appendAlert(appendAlert(nil, &wa), &wa6), &wa)
 	frames := [][]byte{
 		frameBytes(f, frameHello, hello),
 		frameBytes(f, frameAck, ack),
 		frameBytes(f, frameSnapshot, []byte("not a real snapshot, length is what matters")),
 		frameBytes(f, frameFlush, nil),
 		frameBytes(f, frameBye, nil),
-		// Packets, tick and alert back to back.
-		slices.Concat(frameBytes(f, framePackets, pkts), frameBytes(f, frameTick, encodeTick(17.25)), alertBytes(f, &wa)),
+		// Packets, tick and alerts back to back.
+		slices.Concat(frameBytes(f, framePackets, pkts), frameBytes(f, frameTick, encodeTick(17.25)), frameBytes(f, frameAlerts, alerts)),
 		// Packets frames that pass the CRC and fail record validation: a
 		// truncated trailing record, a bare trailing tag, an unknown tag.
 		frameBytes(f, framePackets, pkts[:len(pkts)-1]),
 		frameBytes(f, framePackets, append(append([]byte(nil), pkts...), recordWide)),
 		frameBytes(f, framePackets, append(append([]byte(nil), pkts...), 9)),
+		// A mixed alerts run, whole and failing record validation.
+		frameBytes(f, frameAlerts, alerts),
+		frameBytes(f, frameAlerts, alerts[:len(alerts)-1]),
+		frameBytes(f, frameAlerts, append(append([]byte(nil), alerts...), 9)),
 	}
 	for _, fr := range frames {
 		f.Add(fr)
@@ -66,10 +71,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(hostileHeader(frameSnapshot, 0xffffffff))
 	f.Add(hostileHeader(frameHello, 1<<20))
 	f.Add(hostileHeader(frameAck, 1<<30))
-	f.Add(hostileHeader(framePackets, 0))                   // empty packets frame
-	f.Add(hostileHeader(framePackets, maxPacketsPayload+1)) // over-cap packets frame
-	f.Add(hostileHeader(4, 32))                             // retired one-record frames
+	f.Add(hostileHeader(framePackets, 0))               // empty packets frame
+	f.Add(hostileHeader(framePackets, maxRunPayload+1)) // over-cap packets frame
+	f.Add(hostileHeader(4, 32))                         // retired one-record frames
 	f.Add(hostileHeader(10, 60))
+	f.Add(hostileHeader(8, 49))
+	f.Add(hostileHeader(11, 85))
 	f.Add(hostileHeader(0, 0))
 	f.Add(hostileHeader(250, 12))
 	f.Add([]byte{})
@@ -100,13 +107,14 @@ func FuzzDecodeFrame(f *testing.F) {
 				if pkts, err := decodePackets(payload, nil); (err == nil) == (pkts == nil) {
 					t.Fatalf("decodePackets returned %d packets and err %v", len(pkts), err)
 				}
+			case frameAlerts:
+				if alerts, err := decodeAlerts(payload, nil); (err == nil) == (alerts == nil) {
+					t.Fatalf("decodeAlerts returned %d alerts and err %v", len(alerts), err)
+				}
 			case frameTick:
 				_, _ = decodeTick(payload)
-			case frameAlert, frameAlert2:
-				var a wireAlert
-				_ = decodeAlert(ft, payload, &a)
 			case frameTelemetry:
-				_, _, _ = tel.decode(payload)
+				_, _ = tel.decode(payload)
 			}
 		}
 	})

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -14,14 +16,15 @@ import (
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
+	"cyberhd/internal/telemetry"
 	"cyberhd/internal/traffic"
 )
 
 // TestHelloProtoMismatchRejectedAtHello pins where a mixed-version pair
-// fails: an ingest node speaking session protocol 1 (one packet per frame,
-// self-describing telemetry) is turned away by the worker's hello ack —
-// which names both versions — and the session ends there, before the
-// snapshot that engine construction waits for was ever read.
+// fails: an ingest node speaking the previous session protocol (whose
+// workers send one alert per frame) is turned away by the worker's hello
+// ack — which names both versions — and the session ends there, before
+// the snapshot that engine construction waits for was ever read.
 func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
 	ended := make(chan string, 1)
 	addrs := startWorkers(t, 1, WorkerConfig{Logf: func(format string, args ...any) {
@@ -34,42 +37,37 @@ func TestHelloProtoMismatchRejectedAtHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeWireMagic(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := readWireMagic(conn); err != nil {
+	if err := errors.Join(writeWireMagic(conn), readWireMagic(conn)); err != nil {
 		t.Fatal(err)
 	}
 	h := testHello()
-	h.Proto = 1
+	h.Proto = helloProto - 1
+	old := fmt.Sprintf("protocol %d", h.Proto)
 	var hello bytes.Buffer
 	if err := gobEncode(&hello, &h); err != nil {
 		t.Fatal(err)
 	}
-	fw, fr := newFrameWriter(conn), newFrameReader(conn)
-	if err := fw.writeFrame(frameHello, hello.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.flush(); err != nil {
+	fr := newFrameReader(conn)
+	if err := newWriteHalf(conn, framePackets, 0).control(frameHello, hello.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := fr.next()
 	if err != nil || ft != frameAck {
-		t.Fatalf("after a protocol-1 hello: frame type %d err %v, want an ack", ft, err)
+		t.Fatalf("after a %s hello: frame type %d err %v, want an ack", old, ft, err)
 	}
 	ack, err := decodeAck(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.OK || !strings.Contains(ack.Msg, "protocol 1") || !strings.Contains(ack.Msg, "speaks 2") {
-		t.Fatalf("hello ack %+v: want a rejection naming protocol 1 and protocol 2", ack)
+	if ack.OK || !strings.Contains(ack.Msg, old) || !strings.Contains(ack.Msg, fmt.Sprintf("speaks %d", helloProto)) {
+		t.Fatalf("hello ack %+v: want a rejection naming %s and protocol %d", ack, old, helloProto)
 	}
 	if _, _, err := fr.next(); err != io.EOF {
 		t.Fatalf("after the rejecting ack: %v, want the session closed (io.EOF)", err)
 	}
 	select {
 	case why := <-ended:
-		if !strings.Contains(why, "protocol 1") {
+		if !strings.Contains(why, old) {
 			t.Fatalf("session ended with %q, want the hello rejection", why)
 		}
 	case <-time.After(5 * time.Second):
@@ -144,61 +142,70 @@ func TestOpeningSnapshotClearsTheGate(t *testing.T) {
 	}
 }
 
-// TestCorruptTelemetryLatchesSessionError pins the failure mode of the
-// per-session telemetry stream: a telemetry frame that passes the CRC but
-// is not the stream's next gob message ends that worker's session with a
-// latched error — the stream cannot resynchronize, so nothing later is
-// trusted — and Close still returns.
-func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
+// fakeWorker serves one session on a loopback listener — magic exchange,
+// hello and opening snapshot acked — then runs script on it. The script's
+// outcome arrives on the returned channel.
+func fakeWorker(t *testing.T, script func(*frameReader, *session) error) (string, <-chan error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	workerErr := make(chan error, 1)
+	t.Cleanup(func() { _ = ln.Close() })
+	errc := make(chan error, 1)
 	go func() {
-		// A worker that completes the handshake, then reports garbage.
-		workerErr <- func() error {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
+		conn, err := ln.Accept()
+		if err != nil {
+			errc <- err
+			return
+		}
+		defer conn.Close()
+		fr, s := newFrameReader(conn), newSession(conn)
+		err = errors.Join(writeWireMagic(conn), readWireMagic(conn))
+		for i := 0; i < 2 && err == nil; i++ { // hello, snapshot
+			if _, _, err = fr.next(); err == nil {
+				err = s.sendAck(ackState{OK: true, Version: 1})
 			}
-			defer conn.Close()
-			if err := writeWireMagic(conn); err != nil {
-				return err
-			}
-			if err := readWireMagic(conn); err != nil {
-				return err
-			}
-			fr, s := newFrameReader(conn), &session{fw: newFrameWriter(conn)}
-			for range 2 { // hello, snapshot
-				if _, _, err := fr.next(); err != nil {
-					return err
-				}
-				if err := s.sendAck(ackState{OK: true, Version: 1}); err != nil {
-					return err
-				}
-			}
-			if err := s.send(frameTelemetry, []byte{0, 0xde, 0xad}); err != nil {
-				return err
-			}
-			_, _, err = fr.next() // the client hangs up
-			if err == nil {
-				return io.ErrNoProgress
-			}
-			return nil
-		}()
+		}
+		if err == nil {
+			err = script(fr, s)
+		}
+		errc <- err
 	}()
+	return ln.Addr().String(), errc
+}
 
+// dialFake dials one fake worker with a small model.
+func dialFake(t *testing.T, addr string) *Client {
+	t.Helper()
 	names := []string{"benign", "attack"}
 	client, err := Dial(ClientConfig{
-		Workers:    []string{ln.Addr().String()},
+		Workers:    []string{addr},
 		Model:      core.NewCOWModel(tinyModel(t, len(names), 8, 64, 5)),
 		Normalizer: zeroNorm(), ClassNames: names,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return client
+}
+
+// TestCorruptTelemetryLatchesSessionError pins the failure mode of the
+// per-session telemetry stream: a telemetry frame that passes the CRC but
+// is not the stream's next gob message ends that worker's session with a
+// latched error — the stream cannot resynchronize, so nothing later is
+// trusted — and Close still returns.
+func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
+	addr, workerErr := fakeWorker(t, func(fr *frameReader, s *session) error {
+		if err := s.out.control(frameTelemetry, []byte{0xde, 0xad}); err != nil {
+			return err
+		}
+		if _, _, err := fr.next(); err == nil { // the client hangs up
+			return io.ErrNoProgress
+		}
+		return nil
+	})
+	client := dialFake(t, addr)
 	select {
 	case <-client.conns[0].done:
 	case <-time.After(5 * time.Second):
@@ -209,6 +216,59 @@ func TestCorruptTelemetryLatchesSessionError(t *testing.T) {
 	}
 	client.Feed(netflow.Packet{Time: 1, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), Proto: netflow.UDP})
 	client.Tick(2)
+	client.Close()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("fake worker: %v", err)
+	}
+}
+
+// TestLateAckDoesNotAnswerTheNextPush pins how pushes pair with acks: a
+// worker that answers a push only after the client gave up on it, then
+// rejects the next push, has the next push report the rejection — not the
+// late acceptance, which answers no push any more. The late ack reaches
+// the client once before the next push is sent (pushes 1 and 2) and once
+// after (pushes 3 and 4).
+func TestLateAckDoesNotAnswerTheNextPush(t *testing.T) {
+	defer func(d time.Duration) { ackTimeout = d }(ackTimeout)
+	ackTimeout = 100 * time.Millisecond
+	gaveUp := make(chan struct{})
+	addr, workerErr := fakeWorker(t, func(fr *frameReader, s *session) error {
+		tel := telemetry.New([]string{"benign", "attack"})
+		tel.AddPackets(1)
+		next := func() error { _, _, err := fr.next(); return err }
+		ack := func(ok bool) func() error {
+			return func() error { return s.sendAck(ackState{OK: ok, Version: 1, Msg: "rejected"}) }
+		}
+		for _, step := range []func() error{
+			next, func() error { <-gaveUp; return nil }, ack(true),
+			func() error { return s.sendTelemetry(tel) }, // shows when the client has read the late ack
+			next, ack(false),
+			next, next, ack(true), ack(false),
+			next, func() error { return s.out.control(frameBye, nil) },
+		} {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	client := dialFake(t, addr) // not closed on failure: the script waits for pushes that never came
+	push := func(n int, want string) {
+		t.Helper()
+		if res, _ := client.PushSnapshotBytes([]byte("snapshot")); res[0].OK || !strings.Contains(res[0].Err, want) {
+			t.Fatalf("push %d: %+v, want an error containing %q", n, res[0], want)
+		}
+	}
+	push(1, "timed out")
+	close(gaveUp)
+	for deadline := time.Now().Add(5 * time.Second); client.WorkerSnapshots()[0].Packets == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the late ack never arrived")
+		}
+	}
+	push(2, "rejected")
+	push(3, "timed out")
+	push(4, "rejected")
 	client.Close()
 	if err := <-workerErr; err != nil {
 		t.Fatalf("fake worker: %v", err)

@@ -33,6 +33,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"net"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/telemetry"
@@ -47,9 +51,11 @@ const wireMagic = "CYHDWIR1"
 type frameType uint8
 
 // Wire frame types. Ingest→worker: hello, snapshot, packets, tick, flush,
-// bye. Worker→ingest: ack, alert, telemetry, bye. Types 4 and 10 carried
-// one packet record per frame under hello protocol 1; they are reserved,
-// not reused, and a peer that sends one is rejected as an unknown type.
+// bye. Worker→ingest: ack, alerts, telemetry, bye. Records travel only in
+// runs, one frame type each way: types 4 and 10 carried one packet record
+// per frame under hello protocol 1, types 8 and 11 one alert record per
+// frame under protocol 2; all four are reserved, not reused, and a peer
+// that sends one is rejected as an unknown type.
 const (
 	frameHello     frameType = 1  // gob helloState: session configuration
 	frameSnapshot  frameType = 2  // v2 model snapshot bytes, verbatim
@@ -57,10 +63,9 @@ const (
 	frameTick      frameType = 5  // capture-clock tick (float64 bits)
 	frameFlush     frameType = 6  // flush all open flows (empty)
 	frameBye       frameType = 7  // end of stream (empty)
-	frameAlert     frameType = 8  // one narrow (v1) alert record: 49 bytes, IPv4 flows
-	frameTelemetry frameType = 9  // settled flag byte + the next message of the session's gob telemetry stream
-	frameAlert2    frameType = 11 // one wide (v2) alert record: 85 bytes, 16-byte addresses
+	frameTelemetry frameType = 9  // the next message of the session's gob telemetry stream
 	framePackets   frameType = 12 // a run of width-tagged capture packet records: tag byte + 32 or 60 bytes each
+	frameAlerts    frameType = 13 // a run of width-tagged alert records: tag byte + 49 or 85 bytes each
 )
 
 // frameHeaderSize is the fixed frame header: type byte, payload length
@@ -76,7 +81,7 @@ const (
 	maxSnapshotPayload  = 1<<28 + 256
 	maxAckPayload       = 1 << 16
 	maxTelemetryPayload = 1 << 20
-	maxPacketsPayload   = 64 << 10 // the reader's retained buffer (reuseCap): ~1985 narrow records
+	maxRunPayload       = 64 << 10 // packets and alerts frames: the reader's retained buffer (reuseCap)
 	tickPayloadSize     = 8
 	alertRecordSize     = 8 + 8 + 4 + 4 + 2 + 2 + 1 + 2 + 4 + 2 + 4 + 8    // 49 bytes
 	alertRecordSizeV2   = 8 + 8 + 16 + 16 + 2 + 2 + 1 + 2 + 16 + 2 + 4 + 8 // 85 bytes
@@ -93,17 +98,15 @@ func payloadBounds(t frameType) (min, max int, ok bool) {
 	case frameAck:
 		return 0, maxAckPayload, true
 	case framePackets:
-		return 1 + netflow.PacketRecordSize, maxPacketsPayload, true
+		return 1 + netflow.PacketRecordSize, maxRunPayload, true
+	case frameAlerts:
+		return 1 + alertRecordSize, maxRunPayload, true
 	case frameTick:
 		return tickPayloadSize, tickPayloadSize, true
 	case frameFlush, frameBye:
 		return 0, 0, true
-	case frameAlert:
-		return alertRecordSize, alertRecordSize, true
 	case frameTelemetry:
 		return 1, maxTelemetryPayload, true
-	case frameAlert2:
-		return alertRecordSizeV2, alertRecordSizeV2, true
 	}
 	return 0, 0, false
 }
@@ -133,7 +136,6 @@ func readWireMagic(r io.Reader) error {
 type frameWriter struct {
 	w   *bufio.Writer
 	hdr [frameHeaderSize]byte
-	rec [alertRecordSizeV2]byte // scratch for alert records
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
@@ -159,15 +161,101 @@ func (fw *frameWriter) writeFrame(t frameType, payload []byte) error {
 
 func (fw *frameWriter) flush() error { return fw.w.Flush() }
 
-// Width tags of the records in a packets frame — the capture format's
-// record versions.
-const (
-	recordNarrow = 1 // v1 record, netflow.PacketRecordSize bytes: IPv4, untagged
-	recordWide   = 2 // v2 record, netflow.PacketRecordSizeV2 bytes: 16-byte addresses + VLAN
-)
+// writeHalf is one end's outgoing side of a cluster connection, and both
+// ends follow its one rule: records collect in an open run — one frame of
+// the end's run type, packets from the ingest node and alerts from a
+// worker — and every other frame closes the run first, so it goes out
+// after every record appended before it.
+type writeHalf struct {
+	mu   sync.Mutex // serializes writers; guards fw, open and held
+	fw   *frameWriter
+	run  frameType // framePackets or frameAlerts
+	open []byte    // the open run's payload
+	held bool      // buffer only: a worker's frame loop is handling a frame
+	conn io.Closer
+	err  atomic.Pointer[error] // the first error, latched; read without mu
+}
 
-// maxTaggedRecord is the most one packet adds to a packets frame.
-const maxTaggedRecord = 1 + netflow.PacketRecordSizeV2
+// newWriteHalf writes runs of type run onto conn; the open run starts
+// with room for size bytes and grows as records need.
+func newWriteHalf(conn net.Conn, run frameType, size int) *writeHalf {
+	return &writeHalf{fw: newFrameWriter(conn), run: run, open: make([]byte, 0, size), conn: conn}
+}
+
+// fail latches err, unless nil, as the first error and closes the
+// connection, unblocking a writer stuck in a send and the read loop. Later
+// writes fail on the closed connection; the first error stays.
+func (w *writeHalf) fail(err error) {
+	if err != nil {
+		first := err // the copy escapes, not err: a nil err allocates nothing
+		w.err.CompareAndSwap(nil, &first)
+		_ = w.conn.Close()
+	}
+}
+
+// failed returns the latched error.
+func (w *writeHalf) failed() error {
+	if err := w.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// room closes the open run if n more bytes might not fit under the cap.
+// Caller holds mu, as for closeRun and sync.
+func (w *writeHalf) room(n int) {
+	if len(w.open)+n > maxRunPayload {
+		w.closeRun()
+	}
+}
+
+// closeRun frames the open run, if it holds anything, into the buffer.
+func (w *writeHalf) closeRun() {
+	if len(w.open) > 0 {
+		w.fail(w.fw.writeFrame(w.run, w.open))
+		w.open = w.open[:0]
+	}
+}
+
+// sync closes the open run and flushes, unless held.
+func (w *writeHalf) sync() {
+	if !w.held {
+		w.closeRun()
+		w.fail(w.fw.flush())
+	}
+}
+
+// control closes the open run, then frames one more frame and syncs —
+// the shape of every frame that is not a record. It returns the latched
+// error.
+func (w *writeHalf) control(t frameType, payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closeRun()
+	w.fail(w.fw.writeFrame(t, payload))
+	w.sync()
+	return w.failed()
+}
+
+// hold switches buffering: while held nothing is flushed, and releasing
+// flushes everything buffered at once. It returns the latched error.
+func (w *writeHalf) hold(on bool) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.held = on
+	w.sync()
+	return w.failed()
+}
+
+// Width tags of the records in a run frame: the narrow record for
+// all-IPv4 (and, for packets, untagged) traffic, the wide one with 16-byte
+// addresses otherwise. A tagged record adds at most maxTagged* bytes.
+const (
+	recordNarrow    = 1 // packets: netflow.PacketRecordSize bytes; alerts: alertRecordSize
+	recordWide      = 2 // packets: netflow.PacketRecordSizeV2 bytes; alerts: alertRecordSizeV2
+	maxTaggedPacket = 1 + netflow.PacketRecordSizeV2
+	maxTaggedAlert  = 1 + alertRecordSizeV2
+)
 
 // appendPacket appends p to a packets-frame payload as one tagged capture
 // record: the v1 record whenever the packet fits it (pure IPv4, untagged),
@@ -187,33 +275,57 @@ func appendPacket(payload []byte, p *netflow.Packet) []byte {
 	return payload
 }
 
-// decodePackets decodes a packets frame payload into dst[:0]. Every
-// record's tag and length is checked as it is reached and any failure
-// returns no packets at all, so a frame is fed whole or not at all.
+// appendAlert appends a to an alerts-frame payload as one tagged record:
+// the narrow record whenever every address is IPv4, the wide one
+// otherwise.
+func appendAlert(payload []byte, a *wireAlert) []byte {
+	n, tag, size := len(payload), byte(recordNarrow), alertRecordSize
+	if !a.encodableV1() {
+		tag, size = recordWide, alertRecordSizeV2
+	}
+	payload = append(payload, make([]byte, 1+size)...)
+	payload[n] = tag
+	encodeAlert(payload[n+1:], a, tag == recordWide)
+	return payload
+}
+
+// decodePackets decodes a packets frame payload into dst[:0] (decodeRun).
 func decodePackets(payload []byte, dst []netflow.Packet) ([]netflow.Packet, error) {
+	return decodeRun("packets", payload, dst, netflow.PacketRecordSize, netflow.PacketRecordSizeV2,
+		netflow.DecodePacketRecord, netflow.DecodePacketRecordV2)
+}
+
+// decodeAlerts decodes an alerts frame payload into dst[:0] (decodeRun).
+func decodeAlerts(payload []byte, dst []wireAlert) ([]wireAlert, error) {
+	return decodeRun("alerts", payload, dst, alertRecordSize, alertRecordSizeV2,
+		func(b []byte, a *wireAlert) { decodeAlert(b, a, false) }, func(b []byte, a *wireAlert) { decodeAlert(b, a, true) })
+}
+
+// decodeRun is the one walk over a run frame's tagged records, narrow or
+// wide bytes each: every record's tag and length is checked as it is
+// reached and any failure returns no records at all, so a frame is fed or
+// delivered whole or not at all.
+func decodeRun[T any](kind string, payload []byte, dst []T, narrow, wide int, decNarrow, decWide func([]byte, *T)) ([]T, error) {
 	dst = dst[:0]
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("cluster: empty packets frame")
+		return nil, fmt.Errorf("cluster: empty %s frame", kind)
 	}
 	for off := 0; off < len(payload); {
-		size, wide := netflow.PacketRecordSize, false
+		size, decode := narrow, decNarrow
 		switch payload[off] {
 		case recordNarrow:
 		case recordWide:
-			size, wide = netflow.PacketRecordSizeV2, true
+			size, decode = wide, decWide
 		default:
-			return nil, fmt.Errorf("cluster: packets frame record %d has unknown width tag %d", len(dst), payload[off])
+			return nil, fmt.Errorf("cluster: %s frame record %d has unknown width tag %d", kind, len(dst), payload[off])
 		}
 		body := payload[off+1:]
 		if len(body) < size {
-			return nil, fmt.Errorf("cluster: packets frame record %d truncated: %d of %d bytes", len(dst), len(body), size)
+			return nil, fmt.Errorf("cluster: %s frame record %d truncated: %d of %d bytes", kind, len(dst), len(body), size)
 		}
-		dst = append(dst, netflow.Packet{})
-		if wide {
-			netflow.DecodePacketRecordV2(body, &dst[len(dst)-1])
-		} else {
-			netflow.DecodePacketRecord(body, &dst[len(dst)-1])
-		}
+		var rec T
+		dst = append(dst, rec)
+		decode(body, &dst[len(dst)-1])
 		off += 1 + size
 	}
 	return dst, nil
@@ -232,7 +344,7 @@ func newFrameReader(r io.Reader) *frameReader {
 }
 
 // reuseCap bounds how large a payload buffer the reader retains between
-// frames — packets, ticks, alerts and acks all fit; a rare multi-MB
+// frames — packets, alerts, ticks and acks all fit; a rare multi-MB
 // snapshot frame is allocated once and released to the GC.
 const reuseCap = 64 << 10
 
@@ -273,24 +385,16 @@ func (fr *frameReader) next() (frameType, []byte, error) {
 // prefix on a truncated stream allocates in proportion to the bytes that
 // actually arrive, not to the claim.
 func (fr *frameReader) readPayload(n int) ([]byte, error) {
+	var buf []byte // past reuseCap: a one-off buffer, grown as the bytes arrive
 	if n <= reuseCap {
 		if cap(fr.buf) < n {
 			fr.buf = make([]byte, n)
 		}
-		buf := fr.buf[:n]
-		if _, err := io.ReadFull(fr.r, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		return buf, nil
+		buf = fr.buf[:0]
 	}
-	buf := make([]byte, 0, reuseCap)
 	for len(buf) < n {
-		c := min(n-len(buf), reuseCap)
-		off := len(buf)
-		buf = append(buf, make([]byte, c)...)
+		off, c := len(buf), min(n-len(buf), reuseCap)
+		buf = slices.Grow(buf, c)[:off+c]
 		if _, err := io.ReadFull(fr.r, buf[off:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -318,9 +422,10 @@ func decodeTick(payload []byte) (float64, error) {
 // separate from the stream magic so the preamble outlives protocol
 // revisions: it covers the hello schema and everything the session sends
 // after it. Version 2 moved packets to the multi-record packets frame and
-// telemetry to one gob stream per session; a version-1 peer is turned away
-// at hello, with both versions named in the ack, never mid-stream.
-const helloProto = 2
+// telemetry to one gob stream per session; version 3 moved alerts to the
+// multi-record alerts frame. An older peer is turned away at hello, with
+// both versions named in the ack, never mid-stream.
+const helloProto = 3
 
 // helloState is the session configuration the ingest node sends before
 // any traffic: everything a worker needs to assemble a pipeline engine
@@ -342,6 +447,11 @@ type helloState struct {
 // any real label set, small enough that a hostile hello cannot balloon
 // the worker through per-class telemetry allocations.
 const maxHelloClasses = 1 << 12
+
+// maxHelloBatchRows bounds the feature rows a hello makes the worker
+// preallocate: each engine, one per shard, holds max(BatchSize, 1) rows of
+// netflow.NumFeatures float32s, so the bound is ~20 MiB (batch 64 × 1024).
+const maxHelloBatchRows = 1 << 16
 
 // encodeHello renders the hello frame payload.
 func encodeHello(h helloState) ([]byte, error) {
@@ -371,11 +481,11 @@ func decodeHello(payload []byte) (helloState, error) {
 		return helloState{}, fmt.Errorf("cluster: hello normalizer has %d/%d features, want %d",
 			len(h.NormMean), len(h.NormInvStd), netflow.NumFeatures)
 	}
-	if h.BatchSize < 0 || h.BatchSize > 1<<20 {
-		return helloState{}, fmt.Errorf("cluster: hello batch size %d out of range", h.BatchSize)
-	}
 	if h.Shards < 0 || h.Shards > 1<<10 {
 		return helloState{}, fmt.Errorf("cluster: hello shard count %d out of range", h.Shards)
+	}
+	if h.BatchSize < 0 || max(h.BatchSize, 1) > maxHelloBatchRows/max(h.Shards, 1) {
+		return helloState{}, fmt.Errorf("cluster: hello batch size %d on %d shards out of range (batch rows ≤ %d)", h.BatchSize, h.Shards, maxHelloBatchRows)
 	}
 	return h, nil
 }
@@ -420,7 +530,7 @@ type wireAlert struct {
 	Bytes       float64
 }
 
-// encodableV1 reports whether the alert fits the legacy v1 record: every
+// encodableV1 reports whether the alert fits the narrow record: every
 // address IPv4.
 func (a *wireAlert) encodableV1() bool {
 	return a.Key.IPA.Is4() && a.Key.IPB.Is4() && a.InitSrcIP.Is4()
@@ -428,7 +538,7 @@ func (a *wireAlert) encodableV1() bool {
 
 // encodeAlert renders an alert record into dst — the one encoder of the
 // alert layout. The caller must ensure a.encodableV1() for a narrow
-// record, which is byte-identical to the pre-v2 wire.
+// record.
 func encodeAlert(dst []byte, a *wireAlert, wide bool) {
 	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(a.Time))
 	binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(a.FirstTime))
@@ -446,22 +556,15 @@ func encodeAlert(dst []byte, a *wireAlert, wide bool) {
 	binary.LittleEndian.PutUint64(b[6:], math.Float64bits(a.Bytes))
 }
 
-// decodeAlert parses an alert frame payload; t picks the address width.
-func decodeAlert(t frameType, payload []byte, a *wireAlert) error {
-	wide, want := false, alertRecordSize
-	if t == frameAlert2 {
-		wide, want = true, alertRecordSizeV2
-	}
-	if len(payload) != want {
-		return fmt.Errorf("cluster: alert frame type %d is %d bytes, want %d", t, len(payload), want)
-	}
+// decodeAlert parses one alert record body of the given width.
+func decodeAlert(body []byte, a *wireAlert, wide bool) {
 	*a = wireAlert{
-		Time:      math.Float64frombits(binary.LittleEndian.Uint64(payload[0:])),
-		FirstTime: math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
+		Time:      math.Float64frombits(binary.LittleEndian.Uint64(body[0:])),
+		FirstTime: math.Float64frombits(binary.LittleEndian.Uint64(body[8:])),
 	}
-	w := a.Key.IPA.Get(payload[16:], wide)
-	a.Key.IPB.Get(payload[16+w:], wide)
-	b := payload[16+2*w:]
+	w := a.Key.IPA.Get(body[16:], wide)
+	a.Key.IPB.Get(body[16+w:], wide)
+	b := body[16+2*w:]
 	a.Key.PortA = binary.LittleEndian.Uint16(b[0:])
 	a.Key.PortB = binary.LittleEndian.Uint16(b[2:])
 	a.Key.Proto = netflow.Proto(b[4])
@@ -471,18 +574,6 @@ func decodeAlert(t frameType, payload []byte, a *wireAlert) error {
 	a.InitSrcPort = binary.LittleEndian.Uint16(b[0:])
 	a.Packets = binary.LittleEndian.Uint32(b[2:])
 	a.Bytes = math.Float64frombits(binary.LittleEndian.Uint64(b[6:]))
-	return nil
-}
-
-// writeAlert frames one alert record, picking the v1 frame for IPv4 flows
-// (byte-identical to the pre-v2 wire) and the v2 frame otherwise.
-func (fw *frameWriter) writeAlert(a *wireAlert) error {
-	if a.encodableV1() {
-		encodeAlert(fw.rec[:alertRecordSize], a, false)
-		return fw.writeFrame(frameAlert, fw.rec[:alertRecordSize])
-	}
-	encodeAlert(fw.rec[:alertRecordSizeV2], a, true)
-	return fw.writeFrame(frameAlert2, fw.rec[:alertRecordSizeV2])
 }
 
 // Telemetry rides one gob stream per session, a message per frame: the
@@ -504,16 +595,10 @@ func newTelemetryEncoder() *telemetryEncoder {
 	return e
 }
 
-// encode renders the next telemetry frame payload: one settled-flag byte
-// (1 = the engine has drained and every counter is final) followed by the
-// snapshot's gob message. The slice is valid until the next call.
-func (e *telemetryEncoder) encode(s telemetry.Snapshot, settled bool) ([]byte, error) {
+// encode renders the next telemetry frame payload: the snapshot's gob
+// message. The slice is valid until the next call.
+func (e *telemetryEncoder) encode(s telemetry.Snapshot) ([]byte, error) {
 	e.buf.Reset()
-	flag := byte(0)
-	if settled {
-		flag = 1
-	}
-	e.buf.WriteByte(flag)
 	if err := e.enc.Encode(&s); err != nil {
 		return nil, fmt.Errorf("cluster: encoding telemetry: %w", err)
 	}
@@ -534,17 +619,14 @@ func newTelemetryDecoder() *telemetryDecoder {
 }
 
 // decode parses the next telemetry frame payload.
-func (d *telemetryDecoder) decode(payload []byte) (s telemetry.Snapshot, settled bool, err error) {
-	if len(payload) < 1 {
-		return s, false, fmt.Errorf("cluster: empty telemetry frame")
-	}
+func (d *telemetryDecoder) decode(payload []byte) (s telemetry.Snapshot, err error) {
 	d.buf.Reset()
-	d.buf.Write(payload[1:])
+	d.buf.Write(payload)
 	if err := d.dec.Decode(&s); err != nil {
-		return telemetry.Snapshot{}, false, fmt.Errorf("cluster: decoding telemetry: %w", err)
+		return telemetry.Snapshot{}, fmt.Errorf("cluster: decoding telemetry: %w", err)
 	}
 	if d.buf.Len() != 0 {
-		return telemetry.Snapshot{}, false, fmt.Errorf("cluster: telemetry frame has %d bytes past its snapshot", d.buf.Len())
+		return telemetry.Snapshot{}, fmt.Errorf("cluster: telemetry frame has %d bytes past its snapshot", d.buf.Len())
 	}
-	return s, payload[0] != 0, nil
+	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,18 +36,16 @@ func frameBytes(t testing.TB, ft frameType, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// alertBytes renders one alert frame to raw bytes.
-func alertBytes(t testing.TB, a *wireAlert) []byte {
+// frameTrip frames payload and reads the frame back, checking its type:
+// the raw frame and the payload read.
+func frameTrip(t testing.TB, ft frameType, payload []byte) (raw, got []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if err := fw.writeAlert(a); err != nil {
-		t.Fatalf("writeAlert: %v", err)
+	raw = frameBytes(t, ft, payload)
+	gotT, got, err := newFrameReader(bytes.NewReader(raw)).next()
+	if err != nil || gotT != ft {
+		t.Fatalf("next: type %d err %v, want type %d", gotT, err, ft)
 	}
-	if err := fw.flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
+	return raw, got
 }
 
 // readOne decodes exactly one frame from raw bytes.
@@ -75,26 +74,14 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeHello: %v", err)
 	}
-	raw := frameBytes(t, frameHello, payload)
-	ft, got, err := readOne(t, raw)
-	if err != nil || ft != frameHello {
-		t.Fatalf("next: type %d err %v", ft, err)
-	}
+	_, got := frameTrip(t, frameHello, payload)
 	h, err := decodeHello(got)
 	if err != nil {
 		t.Fatalf("decodeHello: %v", err)
 	}
 	want.Proto = helloProto
-	if h.BatchSize != want.BatchSize || h.Width != want.Width || h.Shards != want.Shards {
-		t.Fatalf("hello scalar mismatch: %+v", h)
-	}
-	if len(h.ClassNames) != 3 || h.ClassNames[1] != "dos" {
-		t.Fatalf("class names: %v", h.ClassNames)
-	}
-	for i := range want.NormMean {
-		if h.NormMean[i] != want.NormMean[i] || h.NormInvStd[i] != want.NormInvStd[i] {
-			t.Fatalf("normalizer mismatch at %d", i)
-		}
+	if !reflect.DeepEqual(h, want) {
+		t.Fatalf("hello round trip:\n got %+v\nwant %+v", h, want)
 	}
 }
 
@@ -110,6 +97,7 @@ func TestDecodeHelloRejectsInvalid(t *testing.T) {
 		{"short normalizer", func(h *helloState) { h.NormMean = h.NormMean[:3] }, "normalizer"},
 		{"negative batch", func(h *helloState) { h.BatchSize = -1 }, "batch"},
 		{"huge shards", func(h *helloState) { h.Shards = 1 << 20 }, "shard"},
+		{"batch rows over bound", func(h *helloState) { h.BatchSize, h.Shards = 128, 1<<10 }, "batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,10 +129,7 @@ func TestAckRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encodeAck: %v", err)
 		}
-		ft, got, err := readOne(t, frameBytes(t, frameAck, payload))
-		if err != nil || ft != frameAck {
-			t.Fatalf("next: type %d err %v", ft, err)
-		}
+		_, got := frameTrip(t, frameAck, payload)
 		a, err := decodeAck(got)
 		if err != nil {
 			t.Fatalf("decodeAck: %v", err)
@@ -162,16 +147,6 @@ func TestAckRoundTrip(t *testing.T) {
 // (generated before the v1 and v2 codecs were folded into one body): with
 // one encoder and one decoder serving both address widths, a round trip
 // alone cannot tell when the two drift together.
-
-// packetsFrame renders pkts as one packets frame (header + payload).
-func packetsFrame(t testing.TB, pkts ...netflow.Packet) []byte {
-	t.Helper()
-	var payload []byte
-	for i := range pkts {
-		payload = appendPacket(payload, &pkts[i])
-	}
-	return frameBytes(t, framePackets, payload)
-}
 
 func TestPacketFrameRoundTrip(t *testing.T) {
 	// The packets frame is the only way a packet crosses the wire: a run of
@@ -211,15 +186,15 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 			"0c" + "7f000000" + "c1b7690f" + "01" + v4Hex + "02" + v6vlanHex + "01" + replyHex},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw := packetsFrame(t, tc.want...)
+			var payload []byte
+			for i := range tc.want {
+				payload = appendPacket(payload, &tc.want[i])
+			}
+			raw, body := frameTrip(t, framePackets, payload)
 			if got := hex.EncodeToString(raw); got != tc.hex {
 				t.Fatalf("packets frame bytes:\n got %s\nwant %s", got, tc.hex)
 			}
-			ft, payload, err := readOne(t, raw)
-			if err != nil || ft != framePackets {
-				t.Fatalf("next: type %d err %v, want type %d", ft, err, framePackets)
-			}
-			got, err := decodePackets(payload, nil)
+			got, err := decodePackets(body, nil)
 			if err != nil {
 				t.Fatalf("decodePackets: %v", err)
 			}
@@ -230,56 +205,46 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPacketFrameRejects pins the all-or-nothing validation of a packets
-// frame: a payload with a bad record anywhere — even after good ones —
-// decodes to an error and no packets, so the session loop feeds nothing
-// from it; empty and over-cap frames never get past the frame bounds.
+// TestPacketFrameRejects pins the all-or-nothing validation of both run
+// frames, packets and alerts: a payload with a bad record anywhere — even
+// after good ones — decodes to an error and no records, so nothing from it
+// is fed or delivered. (Empty and over-cap run frames never get past the
+// frame bounds: TestHostileLengthPrefix, TestFrameWriterRejectsOutOfBounds.)
 func TestPacketFrameRejects(t *testing.T) {
 	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
-	good := appendPacket(appendPacket(nil, &p), &p)
-	scratch := make([]netflow.Packet, 0, 4)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		errSub  string
+	a := wireAlert{Time: 2.5, Class: 1, Key: netflow.FlowKey{IPA: netflow.AddrV4(1), IPB: netflow.AddrV4(2)}, InitSrcIP: netflow.AddrV4(1)}
+	runs := []struct {
+		ft     frameType
+		good   []byte
+		decode func([]byte) (records any, err error)
 	}{
-		{"truncated trailing record", good[:len(good)-1], "truncated"},
-		{"trailing tag only", append(append([]byte(nil), good...), recordNarrow), "truncated"},
-		{"unknown width tag", append(append([]byte(nil), good...), 3), "width tag"},
-		{"unknown width tag first", append([]byte{0}, good...), "width tag"},
-		{"empty", nil, "empty"},
+		{framePackets, appendPacket(appendPacket(nil, &p), &p),
+			func(b []byte) (any, error) { return decodePackets(b, make([]netflow.Packet, 0, 4)) }},
+		{frameAlerts, appendAlert(appendAlert(nil, &a), &a),
+			func(b []byte) (any, error) { return decodeAlerts(b, make([]wireAlert, 0, 4)) }},
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(good []byte) []byte
+		errSub string
+	}{
+		{"truncated trailing record", func(g []byte) []byte { return g[:len(g)-1] }, "truncated"},
+		{"trailing tag only", func(g []byte) []byte { return append(g, recordNarrow) }, "truncated"},
+		{"unknown width tag", func(g []byte) []byte { return append(g, 3) }, "width tag"},
+		{"unknown width tag first", func(g []byte) []byte { return append([]byte{0}, g...) }, "width tag"},
+		{"empty", func([]byte) []byte { return nil }, "empty"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := decodePackets(tc.payload, scratch)
-			if err == nil || !strings.Contains(err.Error(), tc.errSub) {
-				t.Fatalf("decodePackets: err %v, want substring %q", err, tc.errSub)
-			}
-			if got != nil {
-				t.Fatalf("decodePackets returned %d packets with its error", len(got))
+			for _, run := range runs {
+				records, err := run.decode(tc.mutate(slices.Clip(run.good)))
+				if err == nil || !strings.Contains(err.Error(), tc.errSub) {
+					t.Fatalf("frame type %d: err %v, want substring %q", run.ft, err, tc.errSub)
+				}
+				if !reflect.ValueOf(records).IsNil() {
+					t.Fatalf("frame type %d returned records with its error", run.ft)
+				}
 			}
 		})
-	}
-	// The frame bounds: the writer refuses to frame them, the reader
-	// refuses the length claim before reading a payload byte.
-	fw := newFrameWriter(io.Discard)
-	if err := fw.writeFrame(framePackets, nil); err == nil {
-		t.Fatal("writeFrame accepted an empty packets frame")
-	}
-	if err := fw.writeFrame(framePackets, make([]byte, maxPacketsPayload+1)); err == nil {
-		t.Fatal("writeFrame accepted an over-cap packets frame")
-	}
-	for _, n := range []uint32{0, maxPacketsPayload + 1} {
-		if _, _, err := readOne(t, hostileHeader(framePackets, n)); err == nil ||
-			!strings.Contains(err.Error(), "bounds") {
-			t.Fatalf("packets frame claiming %d bytes: %v", n, err)
-		}
-	}
-	// The retired one-record frames are unknown types now.
-	for _, ft := range []frameType{4, 10} {
-		if _, _, err := readOne(t, hostileHeader(ft, 32)); err == nil ||
-			!strings.Contains(err.Error(), "unknown frame type") {
-			t.Fatalf("reserved frame type %d: %v", ft, err)
-		}
 	}
 }
 
@@ -292,8 +257,10 @@ func hostileHeader(ft frameType, n uint32) []byte {
 }
 
 func TestAlertFrameRoundTrip(t *testing.T) {
-	// An all-IPv4 alert rides the v1 frame byte-identically to the pre-v2
-	// wire; any IPv6 address moves it to the v2 frame.
+	// Alerts cross the wire only in runs, like packets: per alert a width
+	// tag, then the narrow record when every address is IPv4 and the wide
+	// one otherwise. The whole frame is pinned, header included: type 0d,
+	// payload length, CRC32-IEEE of the payload.
 	alert := func(ipa, ipb netflow.Addr) wireAlert {
 		return wireAlert{
 			Time: 98.76, FirstTime: 12.34,
@@ -303,37 +270,36 @@ func TestAlertFrameRoundTrip(t *testing.T) {
 			Packets: 917, Bytes: 123456.5,
 		}
 	}
+	v4 := alert(netflow.AddrV4(0x0a000001), netflow.AddrV4(0xc0a80102))
+	v6 := alert(netflow.MustParseAddr("2001:db8::1"), netflow.MustParseAddr("2001:db8::9"))
+	const (
+		v4Hex = "713d0ad7a3b05840ae47e17a14ae28400100000a0201a8c05000409c0603000201a8c0409c95030000000000000824fe40"
+		v6Hex = "713d0ad7a3b05840ae47e17a14ae284020010db800000000000000000000000120010db80000000000000000000000095000409c06030020010db8000000000000000000000009409c95030000000000000824fe40"
+	)
 	for _, tc := range []struct {
-		name  string
-		frame frameType
-		want  wireAlert
-		hex   string
+		name string
+		want []wireAlert
+		hex  string
 	}{
-		{"v1", frameAlert, alert(netflow.AddrV4(0x0a000001), netflow.AddrV4(0xc0a80102)),
-			"713d0ad7a3b05840ae47e17a14ae28400100000a0201a8c05000409c0603000201a8c0409c95030000000000000824fe40"},
-		{"v2", frameAlert2, alert(netflow.MustParseAddr("2001:db8::1"), netflow.MustParseAddr("2001:db8::9")),
-			"713d0ad7a3b05840ae47e17a14ae284020010db800000000000000000000000120010db80000000000000000000000095000409c06030020010db8000000000000000000000009409c95030000000000000824fe40"},
+		{"v1", []wireAlert{v4}, "0d" + "32000000" + "6cf6760b" + "01" + v4Hex},
+		{"v2", []wireAlert{v6}, "0d" + "56000000" + "b3c78210" + "02" + v6Hex},
+		{"mixed", []wireAlert{v4, v6}, "0d" + "88000000" + "430c8dd9" + "01" + v4Hex + "02" + v6Hex},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ft, payload, err := readOne(t, alertBytes(t, &tc.want))
-			if err != nil || ft != tc.frame {
-				t.Fatalf("next: type %d err %v, want type %d", ft, err, tc.frame)
+			var payload []byte
+			for i := range tc.want {
+				payload = appendAlert(payload, &tc.want[i])
 			}
-			if got := hex.EncodeToString(payload); got != tc.hex {
-				t.Fatalf("alert payload bytes:\n got %s\nwant %s", got, tc.hex)
+			raw, body := frameTrip(t, frameAlerts, payload)
+			if got := hex.EncodeToString(raw); got != tc.hex {
+				t.Fatalf("alerts frame bytes:\n got %s\nwant %s", got, tc.hex)
 			}
-			var got wireAlert
-			if err := decodeAlert(ft, payload, &got); err != nil {
-				t.Fatalf("decodeAlert: %v", err)
+			got, err := decodeAlerts(body, nil)
+			if err != nil {
+				t.Fatalf("decodeAlerts: %v", err)
 			}
-			if got != tc.want {
-				t.Fatalf("alert round trip:\n got %+v\nwant %+v", got, tc.want)
-			}
-			if err := decodeAlert(ft, payload[:20], &got); err == nil {
-				t.Fatal("decodeAlert accepted short payload")
-			}
-			if err := decodeAlert(frameAlert+frameAlert2-ft, payload, &got); err == nil {
-				t.Fatal("decodeAlert accepted the other width's payload")
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("alerts round trip:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}
@@ -351,10 +317,7 @@ func TestWireAlertSaturatesPackets(t *testing.T) {
 
 func TestTickFrameRoundTrip(t *testing.T) {
 	for _, want := range []float64{0, 1, 3600.5, 1e9, -1} {
-		ft, payload, err := readOne(t, frameBytes(t, frameTick, encodeTick(want)))
-		if err != nil || ft != frameTick {
-			t.Fatalf("next: type %d err %v", ft, err)
-		}
+		_, payload := frameTrip(t, frameTick, encodeTick(want))
 		got, err := decodeTick(payload)
 		if err != nil || got != want {
 			t.Fatalf("tick round trip: got %v err %v want %v", got, err, want)
@@ -386,22 +349,15 @@ func TestTelemetryStream(t *testing.T) {
 		if i == 4 {
 			want = telemetry.Snapshot{} // a later, emptier report must not inherit earlier fields
 		}
-		settled := i == 5
-		payload, err := enc.encode(want, settled)
+		payload, err := enc.encode(want)
 		if err != nil {
 			t.Fatalf("encode %d: %v", i, err)
 		}
 		sizes = append(sizes, len(payload))
-		ft, raw, err := readOne(t, frameBytes(t, frameTelemetry, payload))
-		if err != nil || ft != frameTelemetry {
-			t.Fatalf("next: type %d err %v", ft, err)
-		}
-		got, gotSettled, err := dec.decode(raw)
+		_, raw := frameTrip(t, frameTelemetry, payload)
+		got, err := dec.decode(raw)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
-		}
-		if gotSettled != settled {
-			t.Fatalf("snapshot %d settled flag: got %v want %v", i, gotSettled, settled)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot %d round trip:\n got %+v\nwant %+v", i, got, want)
@@ -411,40 +367,39 @@ func TestTelemetryStream(t *testing.T) {
 		t.Fatalf("frame sizes %v: the type description should ride the first frame only", sizes)
 	}
 
-	if _, _, err := dec.decode(nil); err == nil {
+	if _, err := dec.decode(nil); err == nil {
 		t.Fatal("decode accepted an empty payload")
 	}
-	if _, _, err := newTelemetryDecoder().decode([]byte{0, 0xde, 0xad}); err == nil {
+	if _, err := newTelemetryDecoder().decode([]byte{0xde, 0xad}); err == nil {
 		t.Fatal("decode accepted garbage gob")
 	}
 	// A mid-session frame is not self-describing: a fresh decoder has not
 	// seen the type description and must refuse it.
-	late, err := enc.encode(c.Snapshot(), false)
+	late, err := enc.encode(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := newTelemetryDecoder().decode(late); err == nil {
+	if _, err := newTelemetryDecoder().decode(late); err == nil {
 		t.Fatal("a fresh decoder accepted a mid-session telemetry frame")
 	}
 	// Two messages in one frame: the second would desynchronize the stream.
-	one, err := enc.encode(c.Snapshot(), false)
+	one, err := enc.encode(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	double := append(append([]byte(nil), one...), one[1:]...)
-	if _, _, err := dec.decode(late); err != nil {
+	double := append(append([]byte(nil), one...), one...)
+	if _, err := dec.decode(late); err != nil {
 		t.Fatalf("decode in order: %v", err)
 	}
-	if _, _, err := dec.decode(double); err == nil || !strings.Contains(err.Error(), "past its snapshot") {
+	if _, err := dec.decode(double); err == nil || !strings.Contains(err.Error(), "past its snapshot") {
 		t.Fatalf("decode of a two-message frame: %v", err)
 	}
 }
 
 func TestEmptyFrames(t *testing.T) {
 	for _, ft := range []frameType{frameFlush, frameBye} {
-		gotT, payload, err := readOne(t, frameBytes(t, ft, nil))
-		if err != nil || gotT != ft || len(payload) != 0 {
-			t.Fatalf("type %d: got type %d payload %d err %v", ft, gotT, len(payload), err)
+		if _, payload := frameTrip(t, ft, nil); len(payload) != 0 {
+			t.Fatalf("type %d: payload %d bytes", ft, len(payload))
 		}
 	}
 }
@@ -453,25 +408,13 @@ func TestEmptyFrames(t *testing.T) {
 // mutation must surface as an error (header corruption or CRC mismatch),
 // never as a silently different payload.
 func TestFrameCRCFlipDetected(t *testing.T) {
-	payload, err := encodeAck(ackState{OK: true, Version: 5})
-	if err != nil {
-		t.Fatalf("encodeAck: %v", err)
-	}
-	raw := frameBytes(t, frameAck, payload)
+	raw := frameBytes(t, frameAck, []byte("a payload the frame layer never parses"))
 	for i := range raw {
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0x40
-		ft, got, err := readOne(t, mut)
-		if err != nil {
-			continue // detected: good
+		if ft, _, err := readOne(t, mut); err == nil {
+			t.Fatalf("flip at byte %d decoded as type %d without error", i, ft)
 		}
-		// The only acceptable decode is one that still fails downstream
-		// or returns the identical payload with the identical type — a
-		// flipped byte cannot do either for this frame.
-		if ft == frameAck && bytes.Equal(got, payload) {
-			t.Fatalf("flip at byte %d went undetected", i)
-		}
-		t.Fatalf("flip at byte %d decoded as type %d without error", i, ft)
 	}
 }
 
@@ -479,11 +422,7 @@ func TestFrameCRCFlipDetected(t *testing.T) {
 // must return io.EOF only for the zero-byte case and an error (typically
 // io.ErrUnexpectedEOF wrapped) for every partial prefix — never a frame.
 func TestFrameTruncationErrors(t *testing.T) {
-	payload, err := encodeAck(ackState{OK: true, Version: 9, Msg: "hi"})
-	if err != nil {
-		t.Fatalf("encodeAck: %v", err)
-	}
-	raw := frameBytes(t, frameAck, payload)
+	raw := frameBytes(t, frameAck, []byte("a payload the frame layer never parses"))
 	for n := 0; n < len(raw); n++ {
 		_, _, err := readOne(t, raw[:n])
 		if err == nil {
@@ -510,6 +449,12 @@ func TestHostileLengthPrefix(t *testing.T) {
 		{frameAck, 1 << 30, "bounds"},             // above the type cap: no read attempt
 		{frameType(200), 4, "unknown frame type"}, // rejected before the length is considered
 		{frameTick, 7, "bounds"},                  // fixed-size type, wrong length
+		// Run frames hold at least one record and at most the cap.
+		{framePackets, 0, "bounds"}, {framePackets, maxRunPayload + 1, "bounds"},
+		{frameAlerts, 0, "bounds"}, {frameAlerts, maxRunPayload + 1, "bounds"},
+		// The one-record frames of protocols 1 and 2 are reserved.
+		{4, 32, "unknown frame type"}, {10, 60, "unknown frame type"},
+		{8, 49, "unknown frame type"}, {11, 85, "unknown frame type"},
 		// In-bounds snapshot claim (256 MiB) with no payload bytes behind
 		// it: a truncation error, without staging the full claim.
 		{frameSnapshot, 1 << 28, ""},
@@ -526,7 +471,8 @@ func TestFrameWriterRejectsOutOfBounds(t *testing.T) {
 	for _, tc := range []struct {
 		ft frameType
 		n  int
-	}{{frameTick, 3}, {frameType(99), 0}, {frameAck, maxAckPayload + 1}} {
+	}{{frameTick, 3}, {frameType(99), 0}, {frameAck, maxAckPayload + 1},
+		{framePackets, 0}, {framePackets, maxRunPayload + 1}, {frameAlerts, 0}, {frameAlerts, maxRunPayload + 1}} {
 		if err := fw.writeFrame(tc.ft, make([]byte, tc.n)); err == nil {
 			t.Fatalf("writeFrame accepted type %d with %d payload bytes", tc.ft, tc.n)
 		}
@@ -538,20 +484,9 @@ func TestFrameWriterRejectsOutOfBounds(t *testing.T) {
 // never bleeds between frames of different sizes.
 func TestFrameSequence(t *testing.T) {
 	p := netflow.Packet{Time: 1.5, SrcIP: netflow.AddrV4(1), DstIP: netflow.AddrV4(2), SrcPort: 3, DstPort: 4, Proto: netflow.UDP, Length: 100, HeaderLen: 28}
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	for _, f := range []struct {
-		t       frameType
-		payload []byte
-	}{{framePackets, appendPacket(nil, &p)}, {frameTick, encodeTick(2.0)}, {frameFlush, nil}, {frameBye, nil}} {
-		if err := fw.writeFrame(f.t, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr := newFrameReader(bytes.NewReader(buf.Bytes()))
+	raw := slices.Concat(frameBytes(t, framePackets, appendPacket(nil, &p)), frameBytes(t, frameTick, encodeTick(2.0)),
+		frameBytes(t, frameFlush, nil), frameBytes(t, frameBye, nil))
+	fr := newFrameReader(bytes.NewReader(raw))
 	wantTypes := []frameType{framePackets, frameTick, frameFlush, frameBye}
 	for i, want := range wantTypes {
 		ft, _, err := fr.next()

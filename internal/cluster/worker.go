@@ -106,17 +106,19 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// session is one ingest connection being served: the engine driven by the
-// frame loop, and the write half shared between the loop (acks,
-// telemetry) and the engine's alert callbacks.
+// session is one ingest connection being served: the write half shared
+// between the frame loop (acks, telemetry, bye) and the engine's alert
+// callbacks (the alerts run), and the loop's telemetry stream.
 type session struct {
-	fw      *frameWriter
-	writeMu sync.Mutex
-	wErr    error // first write error, latched under writeMu
-	inFrame bool  // the frame loop is handling a frame; under writeMu
-
+	out      *writeHalf
 	telEnc   *telemetryEncoder // the session's telemetry stream; frame loop only
 	lastLive time.Time         // when the last report went out; frame loop only
+}
+
+// newSession starts a session's write half with an empty alerts run: a
+// frame's alerts are few, and the run grows to what they need.
+func newSession(conn net.Conn) *session {
+	return &session{out: newWriteHalf(conn, frameAlerts, 0), telEnc: newTelemetryEncoder()}
 }
 
 // liveReportEvery is the least wall time between two tick-driven live
@@ -124,51 +126,23 @@ type session struct {
 // second; no rollup scrape tells a report this old from a fresh one.
 const liveReportEvery = 100 * time.Millisecond
 
-// write runs one framing call under the write lock, latching the first
-// write error (after which the session loop tears down — the peer is
-// gone, alerts have nowhere to go). Inside a frame it only buffers, and
-// the frame's end flushes everything the frame wrote at once. Outside
-// one — a shard's alert after Sharded.Flush returned — it flushes.
-func (s *session) write(fn func(*frameWriter) error) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.wErr == nil {
-		s.wErr = fn(s.fw)
-	}
-	if s.wErr == nil && !s.inFrame {
-		s.wErr = s.fw.flush()
-	}
-	return s.wErr
-}
-
-// frame marks the frame loop entering or leaving a frame; leaving one
-// flushes, as any write outside a frame does.
-func (s *session) frame(in bool) error {
-	return s.write(func(*frameWriter) error { s.inFrame = in; return nil })
-}
-
-// send frames one payload.
-func (s *session) send(t frameType, payload []byte) error {
-	return s.write(func(fw *frameWriter) error { return fw.writeFrame(t, payload) })
-}
-
 // sendAck frames one ack.
 func (s *session) sendAck(a ackState) error {
 	payload, err := encodeAck(a)
 	if err != nil {
 		return err
 	}
-	return s.send(frameAck, payload)
+	return s.out.control(frameAck, payload)
 }
 
 // sendTelemetry frames one telemetry snapshot.
-func (s *session) sendTelemetry(tel *telemetry.Collector, settled bool) error {
-	payload, err := s.telEnc.encode(tel.Snapshot(), settled)
+func (s *session) sendTelemetry(tel *telemetry.Collector) error {
+	payload, err := s.telEnc.encode(tel.Snapshot())
 	if err != nil {
 		return err
 	}
 	s.lastLive = time.Now()
-	return s.send(frameTelemetry, payload)
+	return s.out.control(frameTelemetry, payload)
 }
 
 // serveConn runs one detection session: magic exchange, hello, initial
@@ -181,8 +155,8 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	if err := readWireMagic(conn); err != nil {
 		return err
 	}
-	fr := newFrameReader(conn)
-	s := &session{fw: newFrameWriter(conn), telEnc: newTelemetryEncoder()}
+	fr, s := newFrameReader(conn), newSession(conn)
+	refuse := func(err error) error { _ = s.sendAck(ackState{Msg: err.Error()}); return err }
 
 	// Session configuration first: everything but the model.
 	t, payload, err := fr.next()
@@ -194,8 +168,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 	h, err := decodeHello(payload)
 	if err != nil {
-		_ = s.sendAck(ackState{Msg: err.Error()})
-		return err
+		return refuse(err)
 	}
 	if err := s.sendAck(ackState{OK: true}); err != nil {
 		return err
@@ -217,15 +190,12 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		Classes: len(h.ClassNames), Inputs: netflow.NumFeatures, Width: bitpack.Width(h.Width),
 	}, control.SanityBatch{})
 	if err != nil {
-		err = fmt.Errorf("cluster: initial snapshot: %w", err)
-		_ = s.sendAck(ackState{Msg: err.Error()})
-		return err
+		return refuse(fmt.Errorf("cluster: initial snapshot: %w", err))
 	}
 	cow := core.RestoreSnapshot(m, info)
 	plane, err := control.New(control.Config{Model: cow, Width: bitpack.Width(h.Width)})
 	if err != nil {
-		_ = s.sendAck(ackState{Msg: err.Error()})
-		return err
+		return refuse(err)
 	}
 
 	tel := telemetry.New(h.ClassNames)
@@ -236,15 +206,18 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		BatchSize:  h.BatchSize, Quantize: bitpack.Width(h.Width),
 		Shards:    h.Shards,
 		Telemetry: tel,
-		OnAlert: func(a pipeline.Alert) {
+		OnAlert: func(a pipeline.Alert) { // joins the open alerts run
 			wa := wireAlertOf(&a)
-			_ = s.write(func(fw *frameWriter) error { return fw.writeAlert(&wa) })
+			s.out.mu.Lock()
+			defer s.out.mu.Unlock()
+			s.out.room(maxTaggedAlert)
+			s.out.open = appendAlert(s.out.open, &wa)
+			s.out.sync()
 		},
 	}
 	eng, err := pipeline.NewStream(cfg)
 	if err != nil {
-		_ = s.sendAck(ackState{Msg: err.Error()})
-		return err
+		return refuse(err)
 	}
 	defer eng.Close()
 	if err := s.sendAck(ackState{OK: true, Version: cow.Version()}); err != nil {
@@ -261,7 +234,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		_ = s.frame(true) // a latched write error surfaces at the frame's end
+		_ = s.out.hold(true) // a latched write error surfaces at the frame's end
 		switch t {
 		case framePackets:
 			if pkts, err = decodePackets(payload, pkts); err != nil {
@@ -276,16 +249,16 @@ func (w *Worker) serveConn(conn net.Conn) error {
 				return err
 			}
 			eng.Tick(now)
-			// A live (unsettled) report keeps the ingest rollup at most
+			// A live report keeps the ingest rollup at most
 			// liveReportEvery stale.
 			if time.Since(s.lastLive) >= liveReportEvery {
-				if err := s.sendTelemetry(tel, false); err != nil {
+				if err := s.sendTelemetry(tel); err != nil {
 					return err
 				}
 			}
 		case frameFlush:
 			eng.Flush()
-			if err := s.sendTelemetry(tel, false); err != nil {
+			if err := s.sendTelemetry(tel); err != nil {
 				return err
 			}
 		case frameSnapshot:
@@ -304,15 +277,15 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			// Deterministic drain, then the settled telemetry the ingest
 			// side folds into its final stats, then our own bye.
 			eng.Close()
-			if err := s.sendTelemetry(tel, true); err != nil {
+			if err := s.sendTelemetry(tel); err != nil {
 				return err
 			}
-			_ = s.send(frameBye, nil)
-			return s.frame(false) // the settled report and bye go out, or the latched write error
+			_ = s.out.control(frameBye, nil)
+			return s.out.hold(false) // the settled report and bye go out, or the latched write error
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %d mid-session", t)
 		}
-		if err := s.frame(false); err != nil {
+		if err := s.out.hold(false); err != nil {
 			return err
 		}
 	}
