@@ -23,8 +23,6 @@ func main() {
 
 	// Each precision runs at its iso-accuracy dimensionality (Table I's
 	// ratios at repo scale): 1-bit needs ~2.4x the dimensions of 8-bit.
-	// Low-precision deployments use static class memories — regeneration
-	// leaves immature dimensions that sign() quantization amplifies.
 	train1 := func(dim int) *cyberhd.Model {
 		enc := cyberhd.NewRBFEncoder(train.NumFeatures(), dim, 0, 5)
 		m, err := cyberhd.Train(enc, train.X, train.Y, cyberhd.TrainOptions{

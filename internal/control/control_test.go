@@ -140,6 +140,8 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 	wrongDim, _, _ := trainModel(t, 3, 8, 32, 5)
 	wrongClasses, _, _ := trainModel(t, 4, 8, 64, 5)
 	wrongInput, _, _ := trainModel(t, 3, 6, 64, 5)
+	masksAll, _, _ := trainModel(t, 3, 8, 64, 5) // a 1-bit model would mask all 64 dims
+	masksAll.History = append(masksAll.History, core.CycleStats{Dropped: 64})
 
 	cases := []struct {
 		name string
@@ -151,6 +153,7 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 		{"wrong dim", snapshotBytes(t, wrongDim), http.StatusConflict},
 		{"wrong classes", snapshotBytes(t, wrongClasses), http.StatusConflict},
 		{"wrong input features", snapshotBytes(t, wrongInput), http.StatusConflict},
+		{"drops every dimension", snapshotBytes(t, masksAll), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, out := postModel(t, srv.URL+"/model", tc.body)

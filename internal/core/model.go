@@ -299,6 +299,18 @@ func (m *Model) insignificantDims(drop int) []int {
 	return out
 }
 
+// ImmatureDims returns the dimensions the last regeneration cycle redrew,
+// as the drop rule ranks them on the trained class matrix: the
+// History[len(History)-1].Dropped lowest-variance columns. Those columns
+// restarted at zero and end training small and noisy. It is nil for a
+// model with no regeneration (BaselineHD) or no History.
+func (m *Model) ImmatureDims() []int {
+	if len(m.History) == 0 || m.History[len(m.History)-1].Dropped == 0 {
+		return nil
+	}
+	return m.insignificantDims(m.History[len(m.History)-1].Dropped)
+}
+
 func argmax(v []float64) int {
 	best, bv := 0, math.Inf(-1)
 	for i, x := range v {

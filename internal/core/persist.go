@@ -77,10 +77,17 @@ func loadV1(r io.Reader) (*Model, error) {
 // encoder restore, dimension cross-check, options, norm cache. Both
 // class dimensions must be positive — the v2 header enforces that
 // before the body is read, a v1 body has only this check: a 3×0 matrix
-// passes every product test and scores every flow as class 0.
+// passes every product test and scores every flow as class 0. A History
+// entry must drop in [0, D), as Train does: the last one's count is how
+// many columns a 1-bit model masks (ImmatureDims).
 func (state *modelState) model() (*Model, error) {
 	if state.ClassRows <= 0 || state.ClassCols <= 0 {
 		return nil, fmt.Errorf("core: degenerate class matrix %d×%d", state.ClassRows, state.ClassCols)
+	}
+	for _, h := range state.History {
+		if h.Dropped < 0 || h.Dropped >= state.ClassCols {
+			return nil, fmt.Errorf("core: cycle %d drops %d dimensions, outside [0, %d)", h.Cycle, h.Dropped, state.ClassCols)
+		}
 	}
 	if len(state.ClassData) != state.ClassRows*state.ClassCols {
 		return nil, fmt.Errorf("core: corrupt class matrix (%d values for %d×%d)",

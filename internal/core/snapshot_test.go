@@ -165,6 +165,17 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xff
 	cases["bit flip"] = flipped
+	// A History entry must drop in [0, D): the last one's count is how many
+	// columns a 1-bit model masks (ImmatureDims).
+	for _, drop := range []int{-1, 64, 1 << 20} {
+		m, _, _ := toyModel(t, 3, 64, 9)
+		m.History[len(m.History)-1].Dropped = drop
+		var b bytes.Buffer
+		if err := SaveSnapshot(&b, NewCOWModel(m)); err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("dropped %d", drop)] = b.Bytes()
+	}
 	for name, data := range cases {
 		if _, _, err := LoadSnapshot(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -71,10 +71,8 @@ func Fig5(cfg Config, trials int) ([]Fig5Row, error) {
 	qModels := make(map[bitpack.Width]*quantize.Model, len(Fig5Widths))
 	qClean := make(map[bitpack.Width]float64, len(Fig5Widths))
 	for _, w := range Fig5Widths {
-		// Static-encoder HDC at the width's iso-accuracy dimensionality:
-		// regeneration leaves freshly redrawn dimensions with immature
-		// magnitudes that plain sign() quantization amplifies, so the
-		// deployment path for ≤2-bit models is a static memory.
+		// Static-encoder HDC at the width's iso-accuracy dimensionality
+		// (Table I's ratios at repo scale).
 		m, err := TrainBaselineHD(train, Fig5Dim(w), cfg.Seed+4)
 		if err != nil {
 			return nil, err

@@ -10,7 +10,8 @@
 // Quantization is post-training: the float32 class hypervectors are packed
 // to b-bit integers (see internal/bitpack); queries are encoded in float
 // and packed with the same scheme before similarity search, so inference
-// runs entirely in the integer domain.
+// runs entirely in the integer domain. At 1 bit, FromCore gives the
+// columns the last regeneration cycle redrew one common sign.
 package quantize
 
 import (
@@ -53,16 +54,24 @@ type Model struct {
 	scorerOnce sync.Once
 }
 
-// FromCore packs the class memory of m at width w.
+// FromCore packs the class memory of m at width w. At W1 it stores +1 in
+// every class row for each dimension in m.ImmatureDims(), small noisy
+// columns that sign() would give full ±1 weight: W1 rows all have norm √D,
+// so a common column adds the same to every class's score and the argmax
+// is exactly that of the dot with those dimensions deleted.
 func FromCore(m *core.Model, w bitpack.Width) (*Model, error) {
 	if !w.Valid() {
 		return nil, fmt.Errorf("quantize: invalid width %d", w)
 	}
-	return &Model{
-		Width: w,
-		Class: bitpack.QuantizeMatrix(m.Class.Data, m.Class.Rows, m.Class.Cols, w),
-		Enc:   m.Enc,
-	}, nil
+	class := bitpack.QuantizeMatrix(m.Class.Data, m.Class.Rows, m.Class.Cols, w)
+	if w == bitpack.W1 {
+		for _, j := range m.ImmatureDims() {
+			for _, row := range class.Rows {
+				row.Set(j, 1)
+			}
+		}
+	}
+	return &Model{Width: w, Class: class, Enc: m.Enc}, nil
 }
 
 // DeriveWidth reports the bitwidth this derived artifact was packed at.

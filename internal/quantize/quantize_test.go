@@ -1,6 +1,7 @@
 package quantize
 
 import (
+	"slices"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -122,4 +123,79 @@ func TestEvaluateLabelMismatchPanics(t *testing.T) {
 		}
 	}()
 	q.Evaluate(x, []int{0})
+}
+
+// TestW1MaskIsExact pins FromCore's W1 mask on a regenerated model: every
+// ImmatureDims column is +1 in every class row, and every verdict is the
+// argmax of the ±1 dot with those columns deleted. At W2–W32, and at W1
+// for a model that never regenerated, the packed words are exactly
+// bitpack.QuantizeMatrix's.
+func TestW1MaskIsExact(t *testing.T) {
+	static, x, y, _, _ := trainedModel(t)
+	// Every fifth label is wrong, so training keeps mispredicting and the
+	// regenerated columns end noisy rather than still zero.
+	noisy := slices.Clone(y)
+	for i := 0; i < len(noisy); i += 5 {
+		noisy[i] = (noisy[i] + 1) % 4
+	}
+	m, err := core.Train(encoder.NewRBF(12, 512, 0, 3), x, noisy,
+		core.Options{Classes: 4, Epochs: 4, RegenCycles: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := m.ImmatureDims()
+	if len(dims) == 0 || len(dims) != m.History[len(m.History)-1].Dropped || static.ImmatureDims() != nil {
+		t.Fatalf("ImmatureDims: %d regenerated, %d static", len(dims), len(static.ImmatureDims()))
+	}
+	q, _ := FromCore(m, bitpack.W1)
+	masked := make([]bool, m.Dim())
+	for _, j := range dims {
+		masked[j] = true
+		for r, row := range q.Class.Rows {
+			if row.Get(j) != 1 {
+				t.Fatalf("masked dim %d of class %d is %d", j, r, row.Get(j))
+			}
+		}
+	}
+	plain := bitpack.QuantizeMatrix(m.Class.Data, m.Class.Rows, m.Class.Cols, bitpack.W1)
+	r, h, moved := rng.New(7), make([]float32, m.Dim()), 0
+	for i := 0; i < 500; i++ {
+		r.FillNorm(h, 0, 1)
+		qv := bitpack.Quantize(h, bitpack.W1)
+		want, best := 0, int64(-1<<62)
+		for c, row := range plain.Rows {
+			var dot int64
+			for j := range h {
+				if !masked[j] {
+					dot += qv.Get(j) * row.Get(j)
+				}
+			}
+			if dot > best {
+				want, best = c, dot
+			}
+		}
+		if got := q.PredictEncoded(h); got != want {
+			t.Fatalf("query %d: served %d, masked reference %d", i, got, want)
+		}
+		if plain.Classify(qv) != want {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the mask moved no verdict; the reference check is vacuous")
+	}
+	for _, w := range bitpack.Widths {
+		for name, src := range map[string]*core.Model{"regenerated": m, "static": static} {
+			if w == bitpack.W1 && src == m {
+				continue
+			}
+			q, _ := FromCore(src, w)
+			ref := bitpack.QuantizeMatrix(src.Class.Data, src.Class.Rows, src.Class.Cols, w)
+			for r := range ref.Rows {
+				if !slices.Equal(q.Class.Rows[r].Words, ref.Rows[r].Words) || q.Class.Rows[r].Scale != ref.Rows[r].Scale {
+					t.Fatalf("%s w=%d class %d: packed words differ from QuantizeMatrix", name, w, r)
+				}
+			}
+		}
+	}
 }
