@@ -10,7 +10,8 @@ package hdc
 // with AVX2 and FMA (Intel since Haswell, AMD since Excavator) and the
 // portable Go form otherwise, "avx" included; its block form, Dots4,
 // scores four queries per pass over the panel on "avx512" and is four
-// Dots calls on every other path.
+// Dots calls on every other path. SignPanel's certified pass runs on
+// "avx512" only; every other path is EncodePanel plus the sign.
 func KernelPath() string {
 	switch {
 	case useAVX512:

@@ -44,6 +44,14 @@ import (
 // core.Scorer owns the panel for what moves a class hypervector, the
 // adaptive learning rule in core.Train. Norms stay the sequential float64
 // sum of Norm.
+//
+// A third contract is sign-exact, not float for float: SignPanel's bits
+// equal Cos32(DotLanes(B[r], x) + bias[r]) >= 0, the sign of EncodePanel's
+// output, on every path. Its AVX-512 path accumulates with fused
+// multiply-adds and computes no cosine, so its sums differ from the
+// unfused ones by a few ulps; a written error bound certifies each bit it
+// keeps, and EncodePanel recomputes every group it cannot certify (see
+// signs.go).
 
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,
@@ -249,16 +257,20 @@ func Cos32(x float32) float32 {
 	n := float32(math.RoundToEven(float64(v)))
 	r := x - n*cosPiHi
 	r -= n * cosPiLo
-	z := r * r
+	p := cosPoly(r * r)
+	// cos(x) = (-1)^n · cos(r): flip the sign bit on odd half-periods.
+	return math.Float32frombits(math.Float32bits(p) ^ uint32(int32(n))<<31)
+}
+
+// cosPoly is Cos32's polynomial, cos r as a function of z = r².
+func cosPoly(z float32) float32 {
 	p := cosC6
 	p = p*z + cosC5
 	p = p*z + cosC4
 	p = p*z + cosC3
 	p = p*z + cosC2
 	p = p*z + cosC1
-	p = p*z + 1
-	// cos(x) = (-1)^n · cos(r): flip the sign bit on odd half-periods.
-	return math.Float32frombits(math.Float32bits(p) ^ uint32(int32(n))<<31)
+	return p*z + 1
 }
 
 // EncodeGroup is the row-group height of an encode panel: sixteen rows,

@@ -38,6 +38,20 @@ func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 //go:noescape
 func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
 
+// encodeSignsAVX512 is SignPanel's certified pass for n, rows >= 1: the
+// fused accumulate of encodePanelAVX512, then per group sixteen sign bits
+// and sixteen certificate bits (see signs.go). Implemented in
+// gemm_amd64.s.
+//
+//go:noescape
+func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32)
+
+// absMaxAVX512 is max_i |x_i| as float32 bits for n >= 1, the ‖x‖∞ of
+// the sign certificate. Implemented in gemm_amd64.s.
+//
+//go:noescape
+func absMaxAVX512(x *float32, n int) uint32
+
 // useAVX gates the float32 dot kernel, useAVX2 and useAVX512 the encode
 // kernel, useAVX512 also Dots4's, useFMA the float64 panel kernel.
 // Detection, OS register-state checks included, lives in internal/cpufeat,

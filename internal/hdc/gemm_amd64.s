@@ -1056,3 +1056,309 @@ e5coslast:
 e5done:
 	VZEROUPPER
 	RET
+
+// SFMA2 adds x[i]·panel[g][i] to one lane class of both groups of a pair
+// with one fused multiply-add each: xoff is the byte offset of x[i] from
+// AX, poff that of the first group's element-i vector from BX, and R11 the
+// group stride.
+#define SFMA2(xoff, poff, a, b) \
+	VBROADCASTSS xoff(AX), Z8 \
+	VFMADD231PS  poff(BX), Z8, a \
+	VFMADD231PS  poff(BX)(R11*1), Z8, b
+
+// SFMA1 is SFMA2 for a single group.
+#define SFMA1(xoff, poff, a) \
+	VBROADCASTSS xoff(AX), Z8 \
+	VFMADD231PS  poff(BX), Z8, a
+
+// SIGN16 turns the sixteen fused pre-activations s' in s into sign bits
+// K4 and certificate bits K2, lanes outside the write-mask m cleared in
+// both: v' = s'·(1/π), n' = v' rounded to even, the sign bit is "n' is
+// even", and a lane is certified when |v'| < 2^14 and |v' − n'| ≤
+// m0 − m1·|v'| (Z26, Z27; v' − n' is exact). Clobbers Z9..Z13, K3.
+#define SIGN16(s, m) \
+	VMULPS       Z24, s, Z9 \
+	VRNDSCALEPS  $0, Z9, Z10 \
+	VSUBPS       Z10, Z9, Z11 \
+	VPANDD       Z25, Z11, Z11 \
+	VPANDD       Z25, Z9, Z12 \
+	VMOVAPS      Z26, Z13 \
+	VFNMADD231PS Z27, Z12, Z13 \
+	VCMPPS       $0x11, Z28, Z12, m, K3 \
+	VCMPPS       $0x12, Z13, Z11, K3, K2 \
+	VCVTTPS2DQ   Z10, Z12 \
+	VPTESTNMD    Z29, Z12, m, K4
+
+// func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32)
+//
+// SignPanel's certified pass over rows panel rows: encodePanelAVX512's
+// accumulate pass with each VMULPS+VADDPS pair replaced by one
+// VFMADD231PS (same lane classes, same fold, bias added last), then
+// SIGN16 on each group instead of the cosine. Group g's sixteen sign bits
+// go to bits 16g.. of signs and its certificate bits to the same bits of
+// cert, one 16-bit store each, bits past rows cleared; groups past rows
+// are not stored at all. The caller recomputes every group whose
+// certificate is not all ones.
+//
+// Register map: SI=x, DI=group base, DX=bias cursor, R9=n, R10=rows left,
+// R11=group bytes (64n), R12=signs cursor, R13=cert cursor, AX=x cursor,
+// BX=element cursor, CX=count, Z0..Z7 and Z16..Z23 accumulators, Z8
+// broadcast, Z24=1/π, Z25=abs mask, Z26=m0, Z27=m1, Z28=2^14, Z29=1, K1
+// the last group's rows, K5 all ones.
+TEXT ·encodeSignsAVX512(SB), NOSPLIT, $0-64
+	MOVQ x+0(FP), SI
+	MOVQ panel+8(FP), DI
+	MOVQ bias+16(FP), DX
+	MOVQ signs+24(FP), R12
+	MOVQ cert+32(FP), R13
+	MOVQ n+40(FP), R9
+	MOVQ rows+48(FP), R10
+	VBROADCASTSS m0+56(FP), Z26
+	VBROADCASTSS m1+60(FP), Z27
+	VBROADCASTSS cosInvPiV<>(SB), Z24
+	MOVL $0x7fffffff, AX
+	VPBROADCASTD AX, Z25
+	MOVL $0x46800000, AX
+	VPBROADCASTD AX, Z28
+	MOVL $1, AX
+	VPBROADCASTD AX, Z29
+	MOVQ R9, R11
+	SHLQ $6, R11
+	TESTQ R10, R10
+	JZ    s5done
+	MOVL $0xffff, AX
+	KMOVW AX, K5
+
+	// K1 masks the rows mod 16 tail (all ones when there is none).
+	MOVQ R10, CX
+	ANDQ $15, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	TESTQ CX, CX
+	JNZ  s5mask
+	MOVL $0xffff, AX
+s5mask:
+	KMOVW AX, K1
+
+s5pair:
+	CMPQ R10, $32
+	JLT  s5group
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   s5ptail
+
+s5ploop:
+	SFMA2(0, 0, Z0, Z16)
+	SFMA2(4, 64, Z1, Z17)
+	SFMA2(8, 128, Z2, Z18)
+	SFMA2(12, 192, Z3, Z19)
+	SFMA2(16, 256, Z4, Z20)
+	SFMA2(20, 320, Z5, Z21)
+	SFMA2(24, 384, Z6, Z22)
+	SFMA2(28, 448, Z7, Z23)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  s5ploop
+
+s5ptail:
+	MOVQ R9, CX
+	ANDQ $7, CX
+	JZ   s5pfold
+	SFMA2(0, 0, Z0, Z16)
+	CMPQ CX, $1
+	JEQ  s5pfold
+	SFMA2(4, 64, Z1, Z17)
+	CMPQ CX, $2
+	JEQ  s5pfold
+	SFMA2(8, 128, Z2, Z18)
+	CMPQ CX, $3
+	JEQ  s5pfold
+	SFMA2(12, 192, Z3, Z19)
+	CMPQ CX, $4
+	JEQ  s5pfold
+	SFMA2(16, 256, Z4, Z20)
+	CMPQ CX, $5
+	JEQ  s5pfold
+	SFMA2(20, 320, Z5, Z21)
+	CMPQ CX, $6
+	JEQ  s5pfold
+	SFMA2(24, 384, Z6, Z22)
+
+s5pfold:
+	VADDPS Z1, Z0, Z0
+	VADDPS Z17, Z16, Z16
+	VADDPS Z2, Z0, Z0
+	VADDPS Z18, Z16, Z16
+	VADDPS Z3, Z0, Z0
+	VADDPS Z19, Z16, Z16
+	VADDPS Z4, Z0, Z0
+	VADDPS Z20, Z16, Z16
+	VADDPS Z5, Z0, Z0
+	VADDPS Z21, Z16, Z16
+	VADDPS Z6, Z0, Z0
+	VADDPS Z22, Z16, Z16
+	VADDPS Z7, Z0, Z0
+	VADDPS Z23, Z16, Z16
+	VADDPS (DX), Z0, Z0
+	VADDPS 64(DX), Z16, Z16
+	SIGN16(Z0, K5)
+	KMOVW K4, (R12)
+	KMOVW K2, (R13)
+	SIGN16(Z16, K5)
+	KMOVW K4, 2(R12)
+	KMOVW K2, 2(R13)
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ $128, DX
+	LEAQ (DI)(R11*2), DI
+	SUBQ $32, R10
+	JNZ  s5pair
+	JMP  s5done
+
+s5group:
+	MOVQ DI, BX
+	MOVQ SI, AX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   s5tail
+
+s5loop:
+	SFMA1(0, 0, Z0)
+	SFMA1(4, 64, Z1)
+	SFMA1(8, 128, Z2)
+	SFMA1(12, 192, Z3)
+	SFMA1(16, 256, Z4)
+	SFMA1(20, 320, Z5)
+	SFMA1(24, 384, Z6)
+	SFMA1(28, 448, Z7)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  s5loop
+
+s5tail:
+	MOVQ R9, CX
+	ANDQ $7, CX
+	JZ   s5fold
+	SFMA1(0, 0, Z0)
+	CMPQ CX, $1
+	JEQ  s5fold
+	SFMA1(4, 64, Z1)
+	CMPQ CX, $2
+	JEQ  s5fold
+	SFMA1(8, 128, Z2)
+	CMPQ CX, $3
+	JEQ  s5fold
+	SFMA1(12, 192, Z3)
+	CMPQ CX, $4
+	JEQ  s5fold
+	SFMA1(16, 256, Z4)
+	CMPQ CX, $5
+	JEQ  s5fold
+	SFMA1(20, 320, Z5)
+	CMPQ CX, $6
+	JEQ  s5fold
+	SFMA1(24, 384, Z6)
+
+s5fold:
+	VADDPS Z1, Z0, Z0
+	VADDPS Z2, Z0, Z0
+	VADDPS Z3, Z0, Z0
+	VADDPS Z4, Z0, Z0
+	VADDPS Z5, Z0, Z0
+	VADDPS Z6, Z0, Z0
+	VADDPS Z7, Z0, Z0
+	VADDPS (DX), Z0, Z0
+	CMPQ R10, $16
+	JLE  s5last
+	SIGN16(Z0, K5)
+	KMOVW K4, (R12)
+	KMOVW K2, (R13)
+	ADDQ $2, R12
+	ADDQ $2, R13
+	ADDQ $64, DX
+	ADDQ R11, DI
+	SUBQ $16, R10
+	JMP  s5group
+
+s5last:
+	SIGN16(Z0, K1)
+	KMOVW K4, (R12)
+	KMOVW K2, (R13)
+
+s5done:
+	VZEROUPPER
+	RET
+
+// func absMaxAVX512(x *float32, n int) uint32
+//
+// max_i |x_i| as float32 bits for n >= 1, sixteen lanes per step, the
+// n mod 16 tail under a zeroing mask: with the sign bits cleared, integer
+// order is magnitude order, and a NaN's bits top every number's.
+TEXT ·absMaxAVX512(SB), NOSPLIT, $0-20
+	MOVQ x+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVL $0x7fffffff, AX
+	VPBROADCASTD AX, Z1
+	VPXORD Z0, Z0, Z0
+
+am5loop:
+	CMPQ CX, $16
+	JLT  am5tail
+	VPANDD  (SI), Z1, Z2
+	VPMAXUD Z2, Z0, Z0
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JMP  am5loop
+
+am5tail:
+	TESTQ CX, CX
+	JZ    am5fold
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	VPANDD.Z (SI), Z1, K1, Z2
+	VPMAXUD  Z2, Z0, Z0
+
+am5fold:
+	VEXTRACTI64X4 $1, Z0, Y2
+	VPMAXUD       Y2, Y0, Y0
+	VEXTRACTI128  $1, Y0, X2
+	VPMAXUD       X2, X0, X0
+	VPSHUFD       $0x4e, X0, X2
+	VPMAXUD       X2, X0, X0
+	VPSHUFD       $0xb1, X0, X2
+	VPMAXUD       X2, X0, X0
+	VMOVD         X0, AX
+	MOVL          AX, ret+16(FP)
+	VZEROUPPER
+	RET

@@ -32,3 +32,11 @@ func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int) {
 func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int) {
 	panic("hdc: encodePanelAVX512 without AVX-512 support")
 }
+
+func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32) {
+	panic("hdc: encodeSignsAVX512 without AVX-512 support")
+}
+
+func absMaxAVX512(x *float32, n int) uint32 {
+	panic("hdc: absMaxAVX512 without AVX-512 support")
+}

@@ -199,3 +199,127 @@ func TestW1MaskIsExact(t *testing.T) {
 		}
 	}
 }
+
+// regenerated trains trainedModel's data with noisy labels and three
+// regeneration cycles, so its W1 memory has masked columns.
+func regenerated(t *testing.T) (*core.Model, *hdc.Matrix) {
+	t.Helper()
+	_, x, y, _, _ := trainedModel(t)
+	noisy := slices.Clone(y)
+	for i := 0; i < len(noisy); i += 5 {
+		noisy[i] = (noisy[i] + 1) % 4
+	}
+	m, err := core.Train(encoder.NewRBF(12, 512, 0, 3), x, noisy,
+		core.Options{Classes: 4, Epochs: 4, RegenCycles: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, x
+}
+
+// checkW1Verdicts requires every W1 verdict on the 500 rows of x, through
+// Predict, PredictBatchInto (batches of 1, 64 and 300, so the parallel
+// path runs too) and PredictEncoded, to equal the stateless full-D
+// reference Class.Classify(bitpack.Quantize(h, W1)), and returns them.
+func checkW1Verdicts(t *testing.T, name string, q *Model, x *hdc.Matrix) []int {
+	t.Helper()
+	want := make([]int, x.Rows)
+	h := make([]float32, q.Enc.Dim())
+	for i := range want {
+		q.Enc.Encode(x.Row(i), h)
+		want[i] = q.Class.Classify(bitpack.Quantize(h, bitpack.W1))
+		if got := q.Predict(x.Row(i)); got != want[i] {
+			t.Fatalf("%s query %d: Predict %d, reference %d", name, i, got, want[i])
+		}
+		if got := q.PredictEncoded(h); got != want[i] {
+			t.Fatalf("%s query %d: PredictEncoded %d, reference %d", name, i, got, want[i])
+		}
+	}
+	for _, batch := range []int{1, 64, 300} {
+		out := make([]int, batch)
+		for lo := 0; lo < x.Rows; lo += batch {
+			n := min(batch, x.Rows-lo)
+			q.PredictBatchInto(&hdc.Matrix{Rows: n, Cols: x.Cols, Data: x.Data[lo*x.Cols : (lo+n)*x.Cols]}, out[:n])
+			for i, got := range out[:n] {
+				if got != want[lo+i] {
+					t.Fatalf("%s batch %d query %d: PredictBatchInto %d, reference %d", name, batch, lo+i, got, want[lo+i])
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestW1LiveViewFollowsFaults flips every masked column of one class on
+// a model that has already predicted, so those columns are live again,
+// and requires Refresh to bring the served verdicts back to the full-D
+// reference. It also pins the view's live set to the columns where the
+// class rows differ, before and after.
+func TestW1LiveViewFollowsFaults(t *testing.T) {
+	m, _ := regenerated(t)
+	q, _ := FromCore(m, bitpack.W1)
+	x := hdc.NewMatrix(500, 12)
+	rng.New(31).FillNorm(x.Data, 0, 1.5)
+	before := checkW1Verdicts(t, "masked", q, x)
+	if live := len(q.view().live); live != m.Dim()-naturallyCommon(q.Class) || live > m.Dim()-len(m.ImmatureDims()) {
+		t.Fatalf("live columns %d, want %d", live, m.Dim()-naturallyCommon(q.Class))
+	}
+	for _, j := range m.ImmatureDims() {
+		q.Class.Rows[2].FlipBit(j)
+	}
+	q.Refresh()
+	after := checkW1Verdicts(t, "flipped", q, x)
+	if slices.Equal(before, after) {
+		t.Fatal("the flips moved no verdict; the check is vacuous")
+	}
+	if live := len(q.view().live); live != m.Dim()-naturallyCommon(q.Class) {
+		t.Fatalf("live columns %d after the flips, want %d", live, m.Dim()-naturallyCommon(q.Class))
+	}
+	v := q.view()
+	got := bitpack.NewVector(len(v.live), bitpack.W1)
+	for c, row := range q.Class.Rows {
+		v.squeeze(row, got)
+		for k, j := range v.live {
+			if got.Get(k) != row.Get(j) {
+				t.Fatalf("class %d: squeezed bit %d is %d, column %d holds %d", c, k, got.Get(k), j, row.Get(j))
+			}
+		}
+	}
+}
+
+// naturallyCommon counts the columns where every class row holds the same
+// element, element by element.
+func naturallyCommon(class *bitpack.Matrix) int {
+	common := 0
+	for j := range class.Rows[0].Dim {
+		same := true
+		for _, row := range class.Rows {
+			same = same && row.Get(j) == class.Rows[0].Get(j)
+		}
+		if same {
+			common++
+		}
+	}
+	return common
+}
+
+// TestW1LiveViewEdges covers a model with no regeneration, which drops
+// only its naturally common columns, and one whose class rows are all
+// equal, where no column is live and every verdict is class 0.
+func TestW1LiveViewEdges(t *testing.T) {
+	static, _, _, xt, _ := trainedModel(t)
+	q, _ := FromCore(static, bitpack.W1)
+	checkW1Verdicts(t, "static", q, xt)
+	if live := len(q.view().live); live != static.Dim()-naturallyCommon(q.Class) || live == static.Dim() {
+		t.Fatalf("static model: %d live columns, %d naturally common", live, naturallyCommon(q.Class))
+	}
+	same := q.Clone()
+	for _, row := range same.Class.Rows[1:] {
+		copy(row.Words, same.Class.Rows[0].Words)
+	}
+	for i, got := range checkW1Verdicts(t, "equal rows", same, xt) {
+		if got != 0 || len(same.view().live) != 0 {
+			t.Fatalf("equal rows, query %d: verdict %d over %d live columns", i, got, len(same.view().live))
+		}
+	}
+}
