@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/cluster"
 	"cyberhd/internal/core"
+	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/quantize"
@@ -67,13 +69,32 @@ func contractTraffic() (mixed, v4 []netflow.Packet) {
 	return mixed, v4
 }
 
+// packedOracle is a b-bit model as the paper defines it, sharing no
+// serving state with quantize.Model: each query is Enc's float encoding
+// packed whole by bitpack.Quantize and scored against the full class
+// memory by the stateless Matrix.Classify, one query at a time. So no
+// live view, sign kernel or compact memory stands between it and a cell.
+type packedOracle struct{ q *quantize.Model }
+
+func (o packedOracle) Predict(x []float32) int {
+	h := make([]float32, o.q.Enc.Dim())
+	o.q.Enc.Encode(x, h)
+	return o.q.Class.Classify(bitpack.Quantize(h, o.q.Width))
+}
+
+func (o packedOracle) PredictBatchInto(x *hdc.Matrix, out []int) {
+	for i := range out {
+		out[i] = o.Predict(x.Row(i))
+	}
+}
+
 // TestContractMatrix is the determinism and conservation contracts as one
 // table: every serving width on every engine at both batch settings must
 // reproduce a hand-driven synchronous engine over the same packets — the
 // same verdict multiset, the same Stats, and offered == processed +
-// dropped with nothing dropped on these lossless paths. The oracle packs
-// its model itself (quantize.FromCore), takes no ticks and reads memory;
-// the cells go through the configured width (Config.Quantize, the
+// dropped with nothing dropped on these lossless paths. The oracle takes
+// no ticks, reads memory, and below float classifies through packedOracle
+// over the class memory quantize.FromCore packs; the cells go through the configured width (Config.Quantize, the
 // cluster's Width), the Runner's auto-tick and drain, and at float and W1
 // also through every packet source netflow.Open reads, a permissive
 // admission gate and a snapshot save→load of the model. Cluster cells
@@ -164,7 +185,7 @@ func TestContractMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Model = q
+			cfg.Model = packedOracle{q}
 		}
 		o := outcome{verdicts: verdicts{}}
 		cfg.OnAlert = o.verdicts.add

@@ -79,17 +79,6 @@ func TestQuantizeFacade(t *testing.T) {
 	}
 }
 
-func TestDetectorEngineOnLiveTraffic(t *testing.T) {
-	det := serveDetector(t)
-	alerts := 0
-	cfg := det.EngineConfig()
-	cfg.OnAlert = func(Alert) { alerts++ }
-	driveByHand(t, cfg, GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77}).Packets)
-	if alerts == 0 {
-		t.Error("no alerts on attack traffic")
-	}
-}
-
 func TestDatasetByNameFacade(t *testing.T) {
 	for _, name := range []string{"nsl-kdd", "unsw-nb15"} {
 		d, ok := DatasetByName(name, 200, 1)

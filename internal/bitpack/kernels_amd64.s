@@ -531,23 +531,48 @@ dlploop:
 // func maxAbsAVX(x *float32, n int) float32
 //
 // max |x_i| over n floats (n a multiple of 8): sign bits cleared with
-// absMask, VMAXPS tree fold. NaN-free inputs assumed.
+// absMask, four VMAXPS accumulators over 32-float steps so the chains
+// overlap, the last n mod 32 floats into the first, then a VMAXPS tree
+// fold. With the signs cleared and no NaN, max is exact in any order.
 TEXT ·maxAbsAVX(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), CX
 	SHLQ $2, CX
 	VMOVUPS absMaskV<>(SB), Y7
 	VXORPS  Y0, Y0, Y0
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
 	XORQ    R11, R11
+	MOVQ    CX, DX
+	ANDQ    $-128, DX
+	JZ      matail
 
-maloop:
-	VMOVUPS (SI)(R11*1), Y1
-	VANDPS  Y7, Y1, Y1
+ma4loop:
+	VANDPS  (SI)(R11*1), Y7, Y1
+	VMAXPS  Y1, Y0, Y0
+	VANDPS  32(SI)(R11*1), Y7, Y1
+	VMAXPS  Y1, Y2, Y2
+	VANDPS  64(SI)(R11*1), Y7, Y1
+	VMAXPS  Y1, Y3, Y3
+	VANDPS  96(SI)(R11*1), Y7, Y1
+	VMAXPS  Y1, Y4, Y4
+	ADDQ    $128, R11
+	CMPQ    R11, DX
+	JLT     ma4loop
+
+matail:
+	CMPQ    R11, CX
+	JGE     mafold
+	VANDPS  (SI)(R11*1), Y7, Y1
 	VMAXPS  Y1, Y0, Y0
 	ADDQ    $32, R11
-	CMPQ    R11, CX
-	JLT     maloop
+	JMP     matail
 
+mafold:
+	VMAXPS       Y2, Y0, Y0
+	VMAXPS       Y4, Y3, Y3
+	VMAXPS       Y3, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
 	VMAXPS       X1, X0, X0
 	VPERMILPS    $0xee, X0, X1

@@ -47,8 +47,9 @@ import (
 //
 // A third contract is sign-exact, not float for float: SignPanel's bits
 // equal Cos32(DotLanes(B[r], x) + bias[r]) >= 0, the sign of EncodePanel's
-// output, on every path. Its AVX-512 path accumulates with fused
-// multiply-adds and computes no cosine, so its sums differ from the
+// output, on every path. Its AVX-512 path takes three queries per pass
+// over each 64-row panel word, lane-major in DotLanes order with fused
+// multiply-adds, and computes no cosine, so its sums differ from the
 // unfused ones by a few ulps; a written error bound certifies each bit it
 // keeps, and EncodePanel recomputes every group it cannot certify (see
 // signs.go).

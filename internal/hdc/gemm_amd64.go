@@ -38,13 +38,13 @@ func encodePanelAVX2(x, panel, bias, dst *float32, n, rows int)
 //go:noescape
 func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int)
 
-// encodeSignsAVX512 is SignPanel's certified pass for n, rows >= 1: the
-// fused accumulate of encodePanelAVX512, then per group sixteen sign bits
-// and sixteen certificate bits (see signs.go). Implemented in
-// gemm_amd64.s.
+// signWordAVX512 is SignPanel's certified pass over one 64-row panel word
+// for q = 1, 2 or 3 queries of n >= 1 elements: query j's sign bits into
+// out[j], its certificate bits into out[3+j], its margin m0[j] (see
+// signs.go); it prefetches the 1 KiB at next. Implemented in gemm_amd64.s.
 //
 //go:noescape
-func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32)
+func signWordAVX512(x0, x1, x2, panel, bias *float32, out *[6]uint64, n, q int, m0 *float32, m1 float32, next *float32)
 
 // absMaxAVX512 is max_i |x_i| as float32 bits for n >= 1, the ‖x‖∞ of
 // the sign certificate. Implemented in gemm_amd64.s.

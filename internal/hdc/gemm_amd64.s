@@ -1057,264 +1057,278 @@ e5done:
 	VZEROUPPER
 	RET
 
-// SFMA2 adds x[i]·panel[g][i] to one lane class of both groups of a pair
-// with one fused multiply-add each: xoff is the byte offset of x[i] from
-// AX, poff that of the first group's element-i vector from BX, and R11 the
-// group stride.
-#define SFMA2(xoff, poff, a, b) \
-	VBROADCASTSS xoff(AX), Z8 \
-	VFMADD231PS  poff(BX), Z8, a \
-	VFMADD231PS  poff(BX)(R11*1), Z8, b
+// The sign kernel's lane-class steps, for one query's four groups: SZERO
+// clears their accumulators; SLOAD loads the four groups' element-i
+// vectors into Z24..Z27 (BX the first, R11 the group stride, R12 three
+// strides); SFMA4 adds them times the query's broadcast b; SFOLD adds the
+// accumulators into the query's running folds.
+#define SZERO(a0, a1, a2, a3) \
+	VPXORD a0, a0, a0 \
+	VPXORD a1, a1, a1 \
+	VPXORD a2, a2, a2 \
+	VPXORD a3, a3, a3
 
-// SFMA1 is SFMA2 for a single group.
-#define SFMA1(xoff, poff, a) \
-	VBROADCASTSS xoff(AX), Z8 \
-	VFMADD231PS  poff(BX), Z8, a
+#define SLOAD \
+	VMOVUPS (BX), Z24 \
+	VMOVUPS (BX)(R11*1), Z25 \
+	VMOVUPS (BX)(R11*2), Z26 \
+	VMOVUPS (BX)(R12*1), Z27
+
+#define SFMA4(b, a0, a1, a2, a3) \
+	VFMADD231PS Z24, b, a0 \
+	VFMADD231PS Z25, b, a1 \
+	VFMADD231PS Z26, b, a2 \
+	VFMADD231PS Z27, b, a3
+
+// SFMAM is SFMA4 straight from memory, for the group vectors at byte
+// offset off: one query has no second use for them.
+#define SFMAM(b, off, a0, a1, a2, a3) \
+	VFMADD231PS off(BX), b, a0 \
+	VFMADD231PS off(BX)(R11*1), b, a1 \
+	VFMADD231PS off(BX)(R11*2), b, a2 \
+	VFMADD231PS off(BX)(R12*1), b, a3
+
+#define SFOLD(f0, f1, f2, f3, a0, a1, a2, a3) \
+	VADDPS a0, f0, f0 \
+	VADDPS a1, f1, f1 \
+	VADDPS a2, f2, f2 \
+	VADDPS a3, f3, f3
+
+// SPASS starts lane class k = R13: CX = ⌈(n − k)/8⌉ products per lane, AX
+// the byte offset of x[k], BX group 0's element-k vector.
+#define SPASS \
+	LEAQ 7(R9), CX \
+	SUBQ R13, CX \
+	SHRQ $3, CX \
+	MOVQ R13, AX \
+	SHLQ $2, AX \
+	MOVQ R13, BX \
+	SHLQ $6, BX \
+	ADDQ DI, BX
 
 // SIGN16 turns the sixteen fused pre-activations s' in s into sign bits
-// K4 and certificate bits K2, lanes outside the write-mask m cleared in
-// both: v' = s'·(1/π), n' = v' rounded to even, the sign bit is "n' is
-// even", and a lane is certified when |v'| < 2^14 and |v' − n'| ≤
-// m0 − m1·|v'| (Z26, Z27; v' − n' is exact). Clobbers Z9..Z13, K3.
-#define SIGN16(s, m) \
-	VMULPS       Z24, s, Z9 \
-	VRNDSCALEPS  $0, Z9, Z10 \
-	VSUBPS       Z10, Z9, Z11 \
-	VPANDD       Z25, Z11, Z11 \
-	VPANDD       Z25, Z9, Z12 \
-	VMOVAPS      Z26, Z13 \
-	VFNMADD231PS Z27, Z12, Z13 \
-	VCMPPS       $0x11, Z28, Z12, m, K3 \
-	VCMPPS       $0x12, Z13, Z11, K3, K2 \
-	VCVTTPS2DQ   Z10, Z12 \
-	VPTESTNMD    Z29, Z12, m, K4
+// K4 and certificate bits K2: v' = s'·(1/π), n' = v' rounded to even, the
+// sign bit is "n' is even", and a lane is certified when |v'| < 2^14 and
+// |v' − n'| ≤ m0 − m1·|v'| (Z26, Z27; v' − n' is exact). Clobbers
+// Z12..Z16, K3.
+#define SIGN16(s) \
+	VMULPS       Z24, s, Z12 \
+	VRNDSCALEPS  $0, Z12, Z13 \
+	VSUBPS       Z13, Z12, Z14 \
+	VPANDD       Z25, Z14, Z14 \
+	VPANDD       Z25, Z12, Z15 \
+	VMOVAPS      Z26, Z16 \
+	VFNMADD231PS Z27, Z15, Z16 \
+	VCMPPS       $0x11, Z28, Z15, K3 \
+	VCMPPS       $0x12, Z16, Z14, K3, K2 \
+	VCVTTPS2DQ   Z13, Z15 \
+	VPTESTNMD    Z29, Z15, K4
 
-// func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32)
+// SQUERY adds the bias to one query's four folds and stores their sign
+// and certificate bits, group g's sixteen at bits 16g of out[j] and
+// out[3+j]; off = 8j.
+#define SQUERY(f0, f1, f2, f3, off) \
+	VADDPS (DX), f0, f0 \
+	SIGN16(f0) \
+	KMOVW  K4, off(R8) \
+	KMOVW  K2, 24+off(R8) \
+	VADDPS 64(DX), f1, f1 \
+	SIGN16(f1) \
+	KMOVW  K4, 2+off(R8) \
+	KMOVW  K2, 26+off(R8) \
+	VADDPS 128(DX), f2, f2 \
+	SIGN16(f2) \
+	KMOVW  K4, 4+off(R8) \
+	KMOVW  K2, 28+off(R8) \
+	VADDPS 192(DX), f3, f3 \
+	SIGN16(f3) \
+	KMOVW  K4, 6+off(R8) \
+	KMOVW  K2, 30+off(R8)
+
+// func signWordAVX512(x0, x1, x2, panel, bias *float32, out *[6]uint64, n, q int, m0 *float32, m1 float32, next *float32)
 //
-// SignPanel's certified pass over rows panel rows: encodePanelAVX512's
-// accumulate pass with each VMULPS+VADDPS pair replaced by one
-// VFMADD231PS (same lane classes, same fold, bias added last), then
-// SIGN16 on each group instead of the cosine. Group g's sixteen sign bits
-// go to bits 16g.. of signs and its certificate bits to the same bits of
-// cert, one 16-bit store each, bits past rows cleared; groups past rows
-// are not stored at all. The caller recomputes every group whose
-// certificate is not all ones.
+// SignPanel's certified pass over one 64-row panel word, four 16-row
+// groups, for q = 1, 2 or 3 queries x0.. of n ≥ 1 elements: query j's
+// sign bits go to out[j] and its certificate bits to out[3+j], with m0[j]
+// its margin. Per lane class k, the products k, k+8, … of each (group,
+// query) accumulate by VFMADD231PS into a zeroed register, which is then
+// added into the pair's running fold (started at −0, and −0 + a = a), and
+// the bias is added last: encodePanelAVX512's additions, fused, in the
+// same order. One load per group vector and one broadcast per query feed
+// 4q multiply-adds. SIGN16 then takes the place of the cosine. The call
+// first prefetches the 1 KiB at next, a piece of the word the caller
+// takes up after this one: a word's first call otherwise waits on its
+// strided lane-class loads from L2.
 //
-// Register map: SI=x, DI=group base, DX=bias cursor, R9=n, R10=rows left,
-// R11=group bytes (64n), R12=signs cursor, R13=cert cursor, AX=x cursor,
-// BX=element cursor, CX=count, Z0..Z7 and Z16..Z23 accumulators, Z8
-// broadcast, Z24=1/π, Z25=abs mask, Z26=m0, Z27=m1, Z28=2^14, Z29=1, K1
-// the last group's rows, K5 all ones.
-TEXT ·encodeSignsAVX512(SB), NOSPLIT, $0-64
-	MOVQ x+0(FP), SI
-	MOVQ panel+8(FP), DI
-	MOVQ bias+16(FP), DX
-	MOVQ signs+24(FP), R12
-	MOVQ cert+32(FP), R13
-	MOVQ n+40(FP), R9
-	MOVQ rows+48(FP), R10
-	VBROADCASTSS m0+56(FP), Z26
-	VBROADCASTSS m1+60(FP), Z27
+// Register map: SI, R14, R15 = x0, x1, x2, DI=panel word, DX=bias,
+// R8=out, R9=n, R10=q, R11=group bytes (64n), R12=3·R11, R13=lane class,
+// AX=x offset, BX=panel cursor, CX=count; Z0..Z11 the folds (query j,
+// group g in Z(4j+g)), Z12..Z23 the lane accumulators alike, Z24..Z27 the
+// group vectors, Z28..Z30 the broadcasts. A lone query (q = 1) takes two
+// lane classes per pass, k into Z12..Z15 and k+1 into Z16..Z19, straight
+// from memory, with R14 counting class k+1's products and CX then the
+// one class k has beyond them. The epilogue reuses Z12..Z16 as
+// SIGN16's scratch and Z24..Z29 for its constants: Z24=1/π, Z25=abs mask,
+// Z26=m0[j], Z27=m1, Z28=2^14, Z29=1.
+TEXT ·signWordAVX512(SB), NOSPLIT, $0-88
+	MOVQ x0+0(FP), SI
+	MOVQ x1+8(FP), R14
+	MOVQ x2+16(FP), R15
+	MOVQ panel+24(FP), DI
+	MOVQ bias+32(FP), DX
+	MOVQ out+40(FP), R8
+	MOVQ n+48(FP), R9
+	MOVQ q+56(FP), R10
+	MOVQ R9, R11
+	SHLQ $6, R11
+	LEAQ (R11)(R11*2), R12
+	MOVL $0x80000000, AX
+	VPBROADCASTD AX, Z0
+	VMOVAPS Z0, Z1
+	VMOVAPS Z0, Z2
+	VMOVAPS Z0, Z3
+	VMOVAPS Z0, Z4
+	VMOVAPS Z0, Z5
+	VMOVAPS Z0, Z6
+	VMOVAPS Z0, Z7
+	VMOVAPS Z0, Z8
+	VMOVAPS Z0, Z9
+	VMOVAPS Z0, Z10
+	VMOVAPS Z0, Z11
+	MOVQ next+80(FP), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	PREFETCHT0 128(AX)
+	PREFETCHT0 192(AX)
+	PREFETCHT0 256(AX)
+	PREFETCHT0 320(AX)
+	PREFETCHT0 384(AX)
+	PREFETCHT0 448(AX)
+	PREFETCHT0 512(AX)
+	PREFETCHT0 576(AX)
+	PREFETCHT0 640(AX)
+	PREFETCHT0 704(AX)
+	PREFETCHT0 768(AX)
+	PREFETCHT0 832(AX)
+	PREFETCHT0 896(AX)
+	PREFETCHT0 960(AX)
+	XORQ R13, R13
+	CMPQ R10, $2
+	JLT  sw1pass
+	JEQ  sw2pass
+
+sw3pass:
+	SPASS
+	SZERO(Z12, Z13, Z14, Z15)
+	SZERO(Z16, Z17, Z18, Z19)
+	SZERO(Z20, Z21, Z22, Z23)
+	TESTQ CX, CX
+	JZ    sw3fold
+
+sw3loop:
+	SLOAD
+	VBROADCASTSS (SI)(AX*1), Z28
+	VBROADCASTSS (R14)(AX*1), Z29
+	VBROADCASTSS (R15)(AX*1), Z30
+	SFMA4(Z28, Z12, Z13, Z14, Z15)
+	SFMA4(Z29, Z16, Z17, Z18, Z19)
+	SFMA4(Z30, Z20, Z21, Z22, Z23)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  sw3loop
+
+sw3fold:
+	SFOLD(Z0, Z1, Z2, Z3, Z12, Z13, Z14, Z15)
+	SFOLD(Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19)
+	SFOLD(Z8, Z9, Z10, Z11, Z20, Z21, Z22, Z23)
+	INCQ R13
+	CMPQ R13, $8
+	JLT  sw3pass
+	JMP  swsigns
+
+sw2pass:
+	SPASS
+	SZERO(Z12, Z13, Z14, Z15)
+	SZERO(Z16, Z17, Z18, Z19)
+	TESTQ CX, CX
+	JZ    sw2fold
+
+sw2loop:
+	SLOAD
+	VBROADCASTSS (SI)(AX*1), Z28
+	VBROADCASTSS (R14)(AX*1), Z29
+	SFMA4(Z28, Z12, Z13, Z14, Z15)
+	SFMA4(Z29, Z16, Z17, Z18, Z19)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ CX
+	JNZ  sw2loop
+
+sw2fold:
+	SFOLD(Z0, Z1, Z2, Z3, Z12, Z13, Z14, Z15)
+	SFOLD(Z4, Z5, Z6, Z7, Z16, Z17, Z18, Z19)
+	INCQ R13
+	CMPQ R13, $8
+	JLT  sw2pass
+	JMP  swsigns
+
+sw1pass:
+	SPASS
+	LEAQ 6(R9), R14
+	SUBQ R13, R14
+	SHRQ $3, R14
+	SUBQ R14, CX
+	SZERO(Z12, Z13, Z14, Z15)
+	SZERO(Z16, Z17, Z18, Z19)
+	TESTQ R14, R14
+	JZ    sw1odd
+
+sw1loop:
+	VBROADCASTSS (SI)(AX*1), Z28
+	VBROADCASTSS 4(SI)(AX*1), Z29
+	SFMAM(Z28, 0, Z12, Z13, Z14, Z15)
+	SFMAM(Z29, 64, Z16, Z17, Z18, Z19)
+	ADDQ $32, AX
+	ADDQ $512, BX
+	DECQ R14
+	JNZ  sw1loop
+
+sw1odd:
+	TESTQ CX, CX
+	JZ    sw1fold
+	VBROADCASTSS (SI)(AX*1), Z28
+	SFMAM(Z28, 0, Z12, Z13, Z14, Z15)
+
+sw1fold:
+	SFOLD(Z0, Z1, Z2, Z3, Z12, Z13, Z14, Z15)
+	SFOLD(Z0, Z1, Z2, Z3, Z16, Z17, Z18, Z19)
+	ADDQ $2, R13
+	CMPQ R13, $8
+	JLT  sw1pass
+
+swsigns:
 	VBROADCASTSS cosInvPiV<>(SB), Z24
 	MOVL $0x7fffffff, AX
 	VPBROADCASTD AX, Z25
+	VBROADCASTSS m1+72(FP), Z27
 	MOVL $0x46800000, AX
 	VPBROADCASTD AX, Z28
 	MOVL $1, AX
 	VPBROADCASTD AX, Z29
-	MOVQ R9, R11
-	SHLQ $6, R11
-	TESTQ R10, R10
-	JZ    s5done
-	MOVL $0xffff, AX
-	KMOVW AX, K5
+	MOVQ m0+64(FP), CX
+	VBROADCASTSS (CX), Z26
+	SQUERY(Z0, Z1, Z2, Z3, 0)
+	CMPQ R10, $2
+	JLT  swdone
+	VBROADCASTSS 4(CX), Z26
+	SQUERY(Z4, Z5, Z6, Z7, 8)
+	CMPQ R10, $3
+	JLT  swdone
+	VBROADCASTSS 8(CX), Z26
+	SQUERY(Z8, Z9, Z10, Z11, 16)
 
-	// K1 masks the rows mod 16 tail (all ones when there is none).
-	MOVQ R10, CX
-	ANDQ $15, CX
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	TESTQ CX, CX
-	JNZ  s5mask
-	MOVL $0xffff, AX
-s5mask:
-	KMOVW AX, K1
-
-s5pair:
-	CMPQ R10, $32
-	JLT  s5group
-	MOVQ DI, BX
-	MOVQ SI, AX
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	VPXORD Z16, Z16, Z16
-	VPXORD Z17, Z17, Z17
-	VPXORD Z18, Z18, Z18
-	VPXORD Z19, Z19, Z19
-	VPXORD Z20, Z20, Z20
-	VPXORD Z21, Z21, Z21
-	VPXORD Z22, Z22, Z22
-	VPXORD Z23, Z23, Z23
-	MOVQ R9, CX
-	SHRQ $3, CX
-	JZ   s5ptail
-
-s5ploop:
-	SFMA2(0, 0, Z0, Z16)
-	SFMA2(4, 64, Z1, Z17)
-	SFMA2(8, 128, Z2, Z18)
-	SFMA2(12, 192, Z3, Z19)
-	SFMA2(16, 256, Z4, Z20)
-	SFMA2(20, 320, Z5, Z21)
-	SFMA2(24, 384, Z6, Z22)
-	SFMA2(28, 448, Z7, Z23)
-	ADDQ $32, AX
-	ADDQ $512, BX
-	DECQ CX
-	JNZ  s5ploop
-
-s5ptail:
-	MOVQ R9, CX
-	ANDQ $7, CX
-	JZ   s5pfold
-	SFMA2(0, 0, Z0, Z16)
-	CMPQ CX, $1
-	JEQ  s5pfold
-	SFMA2(4, 64, Z1, Z17)
-	CMPQ CX, $2
-	JEQ  s5pfold
-	SFMA2(8, 128, Z2, Z18)
-	CMPQ CX, $3
-	JEQ  s5pfold
-	SFMA2(12, 192, Z3, Z19)
-	CMPQ CX, $4
-	JEQ  s5pfold
-	SFMA2(16, 256, Z4, Z20)
-	CMPQ CX, $5
-	JEQ  s5pfold
-	SFMA2(20, 320, Z5, Z21)
-	CMPQ CX, $6
-	JEQ  s5pfold
-	SFMA2(24, 384, Z6, Z22)
-
-s5pfold:
-	VADDPS Z1, Z0, Z0
-	VADDPS Z17, Z16, Z16
-	VADDPS Z2, Z0, Z0
-	VADDPS Z18, Z16, Z16
-	VADDPS Z3, Z0, Z0
-	VADDPS Z19, Z16, Z16
-	VADDPS Z4, Z0, Z0
-	VADDPS Z20, Z16, Z16
-	VADDPS Z5, Z0, Z0
-	VADDPS Z21, Z16, Z16
-	VADDPS Z6, Z0, Z0
-	VADDPS Z22, Z16, Z16
-	VADDPS Z7, Z0, Z0
-	VADDPS Z23, Z16, Z16
-	VADDPS (DX), Z0, Z0
-	VADDPS 64(DX), Z16, Z16
-	SIGN16(Z0, K5)
-	KMOVW K4, (R12)
-	KMOVW K2, (R13)
-	SIGN16(Z16, K5)
-	KMOVW K4, 2(R12)
-	KMOVW K2, 2(R13)
-	ADDQ $4, R12
-	ADDQ $4, R13
-	ADDQ $128, DX
-	LEAQ (DI)(R11*2), DI
-	SUBQ $32, R10
-	JNZ  s5pair
-	JMP  s5done
-
-s5group:
-	MOVQ DI, BX
-	MOVQ SI, AX
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	MOVQ R9, CX
-	SHRQ $3, CX
-	JZ   s5tail
-
-s5loop:
-	SFMA1(0, 0, Z0)
-	SFMA1(4, 64, Z1)
-	SFMA1(8, 128, Z2)
-	SFMA1(12, 192, Z3)
-	SFMA1(16, 256, Z4)
-	SFMA1(20, 320, Z5)
-	SFMA1(24, 384, Z6)
-	SFMA1(28, 448, Z7)
-	ADDQ $32, AX
-	ADDQ $512, BX
-	DECQ CX
-	JNZ  s5loop
-
-s5tail:
-	MOVQ R9, CX
-	ANDQ $7, CX
-	JZ   s5fold
-	SFMA1(0, 0, Z0)
-	CMPQ CX, $1
-	JEQ  s5fold
-	SFMA1(4, 64, Z1)
-	CMPQ CX, $2
-	JEQ  s5fold
-	SFMA1(8, 128, Z2)
-	CMPQ CX, $3
-	JEQ  s5fold
-	SFMA1(12, 192, Z3)
-	CMPQ CX, $4
-	JEQ  s5fold
-	SFMA1(16, 256, Z4)
-	CMPQ CX, $5
-	JEQ  s5fold
-	SFMA1(20, 320, Z5)
-	CMPQ CX, $6
-	JEQ  s5fold
-	SFMA1(24, 384, Z6)
-
-s5fold:
-	VADDPS Z1, Z0, Z0
-	VADDPS Z2, Z0, Z0
-	VADDPS Z3, Z0, Z0
-	VADDPS Z4, Z0, Z0
-	VADDPS Z5, Z0, Z0
-	VADDPS Z6, Z0, Z0
-	VADDPS Z7, Z0, Z0
-	VADDPS (DX), Z0, Z0
-	CMPQ R10, $16
-	JLE  s5last
-	SIGN16(Z0, K5)
-	KMOVW K4, (R12)
-	KMOVW K2, (R13)
-	ADDQ $2, R12
-	ADDQ $2, R13
-	ADDQ $64, DX
-	ADDQ R11, DI
-	SUBQ $16, R10
-	JMP  s5group
-
-s5last:
-	SIGN16(Z0, K1)
-	KMOVW K4, (R12)
-	KMOVW K2, (R13)
-
-s5done:
+swdone:
 	VZEROUPPER
 	RET
 

@@ -33,8 +33,8 @@ func encodePanelAVX512(x, panel, bias, dst *float32, n, rows int) {
 	panic("hdc: encodePanelAVX512 without AVX-512 support")
 }
 
-func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32) {
-	panic("hdc: encodeSignsAVX512 without AVX-512 support")
+func signWordAVX512(x0, x1, x2, panel, bias *float32, out *[6]uint64, n, q int, m0 *float32, m1 float32, next *float32) {
+	panic("hdc: signWordAVX512 without AVX-512 support")
 }
 
 func absMaxAVX512(x *float32, n int) uint32 {

@@ -10,9 +10,13 @@ import "math"
 // SignPanel.EncodeSigns is sign-exact: bit r is Cos32(DotLanes(B_r, x) +
 // b_r) >= 0 on every path, the bit bitpack packs from EncodePanel's output
 // (+0 and −0 give 1, NaN gives 0). The AVX-512 path gets there without the
-// unfused sum and without the cosine. It accumulates with fused
-// multiply-adds in DotLanes' lane order, giving s' where the scalar has s,
-// and keeps v' = s'·(1/π) and n' = v' rounded to even. Cos32 evaluates
+// unfused sum and without the cosine. A call covers one 64-row panel word
+// for up to three queries, each load of a group's vector feeding three
+// multiply-adds, lane-major: lane class j = 0…7 in turn sums its products
+// j, j+8, …, fused, in a fresh register added to the running fold, and the
+// bias comes last. That is DotLanes' order, so s' (where the scalar has s)
+// depends on neither the block nor the query's slot, only on the fusing.
+// It keeps v' = s'·(1/π) and n' = v' rounded to even. Cos32 evaluates
 // p(r²) for r = s − n·π and flips the sign when n is odd, and p > 0 on
 // every float32 z ≤ signZMax (TestCosPolyPositive checks this exhaustively
 // from 1 up, and below 1 p > cos 1 − 1e-5 > ½). So when n = n' and r² ≤
@@ -71,7 +75,7 @@ func NewSignPanel(base, bias []float32, n int) *SignPanel {
 	if n < 0 || len(base) != rows*n {
 		panic("hdc: NewSignPanel base is not len(bias) rows of n")
 	}
-	padded := (rows + EncodeGroup - 1) / EncodeGroup * EncodeGroup
+	padded := (rows + 63) / 64 * 64 // whole words: the certified pass takes four groups
 	p := &SignPanel{panel: make([]float32, padded*n), bias: make([]float32, padded), n: n, rows: rows}
 	copy(p.bias, bias)
 	var l1, bmax float64
@@ -114,8 +118,9 @@ func (p *SignPanel) EncodeSigns(x []float32, dst []uint64) bool {
 
 // EncodeSignsBatch is EncodeSigns for rows [lo, hi) of x: query lo+i
 // writes dst[i·Words() : (i+1)·Words()] and nonzero[i]. It walks the panel
-// one 64-row word at a time across up to 64 queries, so that slice of the
-// panel stays in L1 for all of them.
+// one 64-row word at a time across up to 64 queries, so that word stays
+// in L1 for all of them, and runs the word's certified pass on three of
+// the block's certified queries at a time, adjacent or not.
 func (p *SignPanel) EncodeSignsBatch(x *Matrix, lo, hi int, dst []uint64, nonzero []bool) {
 	words := p.Words()
 	if x.Cols != p.n || lo < 0 || hi > x.Rows || lo > hi || len(dst) != (hi-lo)*words || len(nonzero) != hi-lo {
@@ -123,30 +128,37 @@ func (p *SignPanel) EncodeSignsBatch(x *Matrix, lo, hi int, dst []uint64, nonzer
 	}
 	const block = 64 // queries per pass over the panel
 	var m0 [block]float32
-	var ok [block]bool
+	var order [block]int // the block's certified queries in order, then the rest
 	for b0 := lo; b0 < hi; b0 += block {
-		b1 := min(b0+block, hi)
-		for i := b0; i < b1; i++ {
-			m0[i-b0], ok[i-b0] = p.certificate(x.Row(i))
+		nb, nc := min(block, hi-b0), 0
+		for i, u := b0, nb; i < b0+nb; i++ {
 			nonzero[i-lo] = false
+			if m, ok := p.certificate(x.Row(i)); ok {
+				m0[nc], order[nc] = m, i
+				nc++
+			} else {
+				u--
+				order[u] = i
+			}
 		}
 		for w := range words {
-			r0, rows := w*64, min(64, p.rows-w*64)
+			r0, rows, next := w*64, min(64, p.rows-w*64), (w+1)%words*64*p.n
 			valid := ^uint64(0) >> (64 - rows)
-			for i := b0; i < b1; i++ {
-				xi, out := x.Row(i), &dst[(i-lo)*words+w]
-				nz := true
-				if !ok[i-b0] {
-					*out, nz = p.exactSigns(xi, r0, rows)
-				} else {
-					var cert uint64
-					*out = 0 // the pass stores only the groups it has
-					encodeSignsAVX512(&xi[0], &p.panel[r0*p.n], &p.bias[r0], out, &cert, p.n, rows, m0[i-b0], signSlope)
-					if cert != valid {
-						*out, nz = p.recompute(xi, r0, rows, *out, cert)
-					}
+			for t := 0; t < nb; t += 3 {
+				var out [6]uint64 // an uncertified query's certificate bits stay clear
+				if q := min(3, nc-t); q > 0 {
+					x0, x1, x2 := x.Row(order[t]), x.Row(order[t+min(1, q-1)]), x.Row(order[t+min(2, q-1)])
+					signWordAVX512(&x0[0], &x1[0], &x2[0], &p.panel[r0*p.n], &p.bias[r0], &out, p.n, q, &m0[t], signSlope,
+						&p.panel[min(next+t/3*256, len(p.panel)-1)]) // the next word, 1 KiB a call
 				}
-				nonzero[i-lo] = nonzero[i-lo] || nz
+				for j, i := range order[t:min(t+3, nb)] {
+					signs, cert, nz := out[j]&valid, out[3+j]&valid, true
+					if cert != valid {
+						signs, nz = p.recompute(x.Row(i), r0, rows, signs, cert)
+					}
+					dst[(i-lo)*words+w] = signs
+					nonzero[i-lo] = nonzero[i-lo] || nz
+				}
 			}
 		}
 	}
@@ -165,37 +177,24 @@ func (p *SignPanel) certificate(x []float32) (float32, bool) {
 	return math.Nextafter32(float32(0.5-a), 0), true
 }
 
-// recompute replaces every group of the certified pass's word signs
-// over rows [r0, r0+rows) whose certificate bits cert are not all set
-// with EncodePanel's, and reports whether some row's cosine is neither ±0
-// nor NaN; a certified lane's is neither.
+// recompute replaces the signs of every 16-row group of the panel word at
+// r0 (rows rows) whose certificate bits cert are not all set with
+// EncodePanel's, the scalar by construction, and reports whether some
+// row's cosine is neither ±0 nor NaN; a certified lane's is neither.
 func (p *SignPanel) recompute(x []float32, r0, rows int, signs, cert uint64) (uint64, bool) {
 	nonzero := cert != 0
+	var h [EncodeGroup]float32
 	for g := 0; g < rows; g += EncodeGroup {
-		want := ^uint64(0) >> (64 - min(EncodeGroup, rows-g))
-		if cert>>g&0xffff == want {
-			continue
+		if gr := min(EncodeGroup, rows-g); cert>>g&0xffff != ^uint64(0)>>(64-gr) {
+			EncodePanel(x, p.panel[(r0+g)*p.n:], p.bias[r0+g:], h[:gr])
+			signs &^= 0xffff << g
+			for k, v := range h[:gr] {
+				if v >= 0 {
+					signs |= 1 << (g + k)
+				}
+				nonzero = nonzero || v > 0 || v < 0
+			}
 		}
-		bits, nz := p.exactSigns(x, r0+g, min(EncodeGroup, rows-g))
-		signs = signs&^(0xffff<<g) | bits<<g
-		nonzero = nonzero || nz
 	}
 	return signs, nonzero
-}
-
-// exactSigns runs EncodePanel over rows [lo, lo+rows), rows ≤ 64 with lo
-// on a group boundary, and packs the signs: the scalar bits by
-// construction.
-func (p *SignPanel) exactSigns(x []float32, lo, rows int) (uint64, bool) {
-	var h [64]float32
-	EncodePanel(x, p.panel[lo*p.n:], p.bias[lo:], h[:rows])
-	var bits uint64
-	nonzero := false
-	for i, v := range h[:rows] {
-		if v >= 0 {
-			bits |= 1 << i
-		}
-		nonzero = nonzero || v > 0 || v < 0
-	}
-	return bits, nonzero
 }

@@ -3,6 +3,7 @@ package hdc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cyberhd/internal/rng"
@@ -31,58 +32,91 @@ func TestCosPolyPositive(t *testing.T) {
 	}
 }
 
-// checkEncodeSigns runs EncodeSigns, and EncodeSignsBatch on the same
-// query, on a row-major base matrix and requires every bit to be
-// Cos32(DotLanes(row, x) + bias) >= 0, the bits past the rows clear, and
-// the nonzero report to match the outputs.
+// checkEncodeSigns checks a block of 1–7 distinct queries derived from
+// x: x itself, rescaled rotations of it, and from three queries up one
+// with a NaN, an infinity or a huge element, which no lane certifies.
 func checkEncodeSigns(t *testing.T, path string, x, base, bias []float32) {
 	t.Helper()
-	n, rows := len(x), len(bias)
+	n, b := len(x), 1+(len(x)+len(bias))%7
+	xs := NewMatrix(b, n)
+	for j := range b {
+		for i := range n {
+			xs.Data[j*n+i] = x[(i+j)%n] * (1 - float32(j)/16)
+		}
+	}
+	if b >= 3 && n > 0 {
+		xs.Row(b / 2)[0] = []float32{float32(math.NaN()), float32(math.Inf(b%2*2 - 1)), 1e30}[b%3]
+	}
+	checkSignBlock(t, path, xs, base, bias)
+}
+
+// checkSignBlock runs EncodeSigns on each row of xs, and EncodeSignsBatch
+// on all of them, over a row-major base matrix and requires every bit to
+// be Cos32(DotLanes(row, x) + bias) >= 0, the bits past the rows clear,
+// and the nonzero reports to match the outputs.
+func checkSignBlock(t *testing.T, path string, xs *Matrix, base, bias []float32) {
+	t.Helper()
+	n, rows := xs.Cols, len(bias)
 	p := NewSignPanel(base, bias, n)
-	got := make([]uint64, p.Words())
-	for i := range got {
-		got[i] = ^uint64(0) // stale bits must not survive
-	}
-	nonzero := p.EncodeSigns(x, got)
-	batch, batchNZ := make([]uint64, 2*p.Words()), make([]bool, 2)
-	xm := &Matrix{Rows: 2, Cols: n, Data: append(append([]float32(nil), x...), x...)}
-	p.EncodeSignsBatch(xm, 0, 2, batch, batchNZ)
-	wantNZ := false
-	for r := range p.Words() * 64 {
-		bit := got[r/64] >> (r % 64) & 1
-		want := uint64(0)
-		if r < rows {
-			h := Cos32(DotLanes(base[r*n:][:n:n], x) + bias[r])
-			if h >= 0 {
-				want = 1
+	words, stale := p.Words(), []uint64{^uint64(0)} // stale bits must not survive
+	batch, batchNZ := slices.Repeat(stale, xs.Rows*words), make([]bool, xs.Rows)
+	p.EncodeSignsBatch(xs, 0, xs.Rows, batch, batchNZ)
+	for q := range xs.Rows {
+		x, got := xs.Row(q), slices.Repeat(stale, words)
+		nonzero, wantNZ := p.EncodeSigns(x, got), false
+		for r := range words * 64 {
+			want := uint64(0)
+			if r < rows {
+				h := Cos32(DotLanes(base[r*n:][:n:n], x) + bias[r])
+				if h >= 0 {
+					want = 1
+				}
+				wantNZ = wantNZ || h > 0 || h < 0
 			}
-			wantNZ = wantNZ || h > 0 || h < 0
+			if bit, bb := got[r/64]>>(r%64)&1, batch[q*words+r/64]>>(r%64)&1; bit != want || bb != want {
+				t.Fatalf("%s n=%d rows=%d query %d of %d, row %d: EncodeSigns bit %d, batch bit %d, scalar %d",
+					path, n, rows, q, xs.Rows, r, bit, bb, want)
+			}
 		}
-		if bit != want || batch[r/64] != got[r/64] || batch[p.Words()+r/64] != got[r/64] {
-			t.Fatalf("%s n=%d rows=%d row %d: EncodeSigns bit %d (batch %#x, %#x), scalar %d",
-				path, n, rows, r, bit, batch[r/64], batch[p.Words()+r/64], want)
+		if nonzero != wantNZ || batchNZ[q] != wantNZ {
+			t.Fatalf("%s n=%d rows=%d query %d of %d: nonzero %v (batch %v), scalar %v", path, n, rows, q, xs.Rows, nonzero, batchNZ[q], wantNZ)
 		}
-	}
-	if nonzero != wantNZ || batchNZ[0] != wantNZ || batchNZ[1] != wantNZ {
-		t.Fatalf("%s n=%d rows=%d: nonzero %v (batch %v), scalar %v", path, n, rows, nonzero, batchNZ, wantNZ)
 	}
 }
 
 // TestEncodeSignsMatchesScalar pins the sign kernel on every dispatch path
 // this CPU runs to the scalar predicate at every tail length, group edge
-// and partial last word, with served-range queries (|x| up to 10).
+// and partial last word, with served-range queries (|x| up to 10); and
+// blocks of 1–7, 63, 64 and 65 distinct queries, one of them uncertified,
+// at every group and word edge.
 func TestEncodeSignsMatchesScalar(t *testing.T) {
 	r := rng.New(23)
+	panel := func(n, rows int) (base, bias []float32) {
+		base, bias = make([]float32, rows*n), make([]float32, rows)
+		r.FillNorm(base, 0, 1/math.Sqrt(float64(n)))
+		r.FillUniform(bias, 0, 2*math.Pi)
+		return base, bias
+	}
 	encodePaths(t, func(path string) {
 		for _, n := range encodeInDims {
 			for _, rows := range append(encodeDims, 63, 64, 65, 410) {
 				x := make([]float32, n)
-				base := make([]float32, rows*n)
-				bias := make([]float32, rows)
 				r.FillNorm(x, 0, 3)
-				r.FillNorm(base, 0, 1/math.Sqrt(float64(n)))
-				r.FillUniform(bias, 0, 2*math.Pi)
+				base, bias := panel(n, rows)
 				checkEncodeSigns(t, path, x, base, bias)
+			}
+		}
+		for _, n := range []int{5, 78} {
+			for _, rows := range []int{1, 15, 16, 17, 63, 64, 65, 410} {
+				base, bias := panel(n, rows)
+				for _, b := range []int{1, 2, 3, 4, 5, 6, 7, 63, 64, 65} {
+					xs := NewMatrix(b, n)
+					r.FillNorm(xs.Data, 0, 3)
+					if b > 1 {
+						xs.Row(b / 2)[b%n] = []float32{float32(math.NaN()), float32(math.Inf(-1)), 1e8}[b%3]
+					}
+					checkSignBlock(t, fmt.Sprintf("%s batch %d", path, b), xs, base, bias)
+				}
 			}
 		}
 	})
@@ -149,6 +183,46 @@ func TestEncodeSignsNearBoundary(t *testing.T) {
 	})
 }
 
+// TestSignWordMargins runs the certified pass on one, two and three
+// queries with one margin negative in turn: exactly the slot whose own
+// margin is negative certifies nothing, and every query's certified bits,
+// in its own slot, are its exact signs.
+func TestSignWordMargins(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("certified pass: no AVX-512F on this CPU")
+	}
+	const n = 78
+	r := rng.New(26)
+	base, bias, xs := make([]float32, 64*n), make([]float32, 64), NewMatrix(3, n)
+	r.FillNorm(base, 0, 0.1)
+	r.FillUniform(bias, 0, 2*math.Pi)
+	r.FillNorm(xs.Data, 0, 3)
+	p := NewSignPanel(base, bias, n)
+	for q := 1; q <= 3; q++ {
+		for neg := range q {
+			m0, out := [3]float32{0.4, 0.4, 0.4}, [6]uint64{}
+			m0[neg] = -1
+			signWordAVX512(&xs.Row(0)[0], &xs.Row(1)[0], &xs.Row(2)[0], &p.panel[0], &p.bias[0], &out, n, q, &m0[0], signSlope, &p.panel[0])
+			for j := range q {
+				want, _ := p.recompute(xs.Row(j), 0, 64, 0, 0)
+				if cert := out[3+j]; (cert == 0) != (j == neg) || out[j]&cert != want&cert {
+					t.Fatalf("q=%d, margin of query %d negative: query %d signs %#x cert %#x, exact %#x", q, neg, j, out[j], cert, want)
+				}
+			}
+		}
+	}
+}
+
+// encodeSignsAVX512 is the certified pass for the one query x over the
+// first rows ≤ 64 rows of a panel word: signWordAVX512 with q = 1, the
+// bits past rows cleared.
+func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32) {
+	var out [6]uint64
+	signWordAVX512(x, x, x, panel, bias, &out, n, 1, &m0, m1, panel)
+	valid := ^uint64(0) >> (64 - rows)
+	*signs, *cert = out[0]&valid, out[3]&valid
+}
+
 func popcount(v uint64) int {
 	c := 0
 	for ; v != 0; v &= v - 1 {
@@ -204,14 +278,14 @@ func TestEncodeSignsAllocFree(t *testing.T) {
 }
 
 // FuzzEncodeSigns reads the fuzz bytes as float32 bit patterns — ±0,
-// subnormals, ±Inf, NaN, magnitudes far past 2^15 — split into the query,
-// the phases and the base rows, and holds every dispatch path to the
-// scalar predicate.
+// subnormals, ±Inf, NaN, magnitudes far past 2^15 — split into the
+// phases, the base rows and a block of 1–7 queries, each a different
+// window of them, and holds every dispatch path to the scalar predicate.
 func FuzzEncodeSigns(f *testing.F) {
-	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 128, 1, 0, 0, 0, 0, 0, 128, 127, 0, 0, 128, 255, 255, 255, 127, 127}, uint8(2), uint8(3))
-	f.Add([]byte{219, 15, 201, 63, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 0, 72}, uint8(1), uint8(2))
-	f.Add(make([]byte, 4*40), uint8(9), uint8(17))
-	f.Fuzz(func(t *testing.T, raw []byte, n8, rows8 uint8) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 128, 1, 0, 0, 0, 0, 0, 128, 127, 0, 0, 128, 255, 255, 255, 127, 127}, uint8(2), uint8(3), uint8(4))
+	f.Add([]byte{219, 15, 201, 63, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 0, 72}, uint8(1), uint8(2), uint8(0))
+	f.Add(make([]byte, 4*40), uint8(9), uint8(17), uint8(6))
+	f.Fuzz(func(t *testing.T, raw []byte, n8, rows8, q8 uint8) {
 		v := make([]float32, len(raw)/4)
 		for i := range v {
 			v[i] = math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
@@ -220,12 +294,16 @@ func FuzzEncodeSigns(f *testing.F) {
 		if len(v) < n+rows+1 {
 			return
 		}
-		x, bias, rest := v[:n], v[n:n+rows], v[n+rows:]
+		bias, rest := v[n:n+rows], v[n+rows:]
 		base := make([]float32, rows*n)
 		for i := range base {
 			base[i] = rest[i%len(rest)]
 		}
-		encodePaths(t, func(path string) { checkEncodeSigns(t, path, x, base, bias) })
+		xs := NewMatrix(1+int(q8%7), n)
+		for i := range xs.Data {
+			xs.Data[i] = v[(i/n*(rows+1)+i%n)%len(v)] // query j starts j·(rows+1) in
+		}
+		encodePaths(t, func(path string) { checkSignBlock(t, path, xs, base, bias) })
 	})
 }
 

@@ -138,22 +138,6 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	}
 }
 
-// TestServeShardedQuantized exercises the one-call path at its heaviest:
-// flow-sharded, micro-batched, 8-bit quantized — pinned against a sharded
-// direct drive at the same width.
-func TestServeShardedQuantized(t *testing.T) {
-	det := serveDetector(t)
-	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
-	cfg := det.EngineConfig()
-	cfg.Shards, cfg.BatchSize, cfg.Quantize = 4, 32, W8
-	want := driveByHand(t, cfg, live.Packets)
-
-	got := serve(t, det, live.Packets, EngineConfig{Shards: 4, BatchSize: 32, Quantize: W8})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Serve %+v != direct sharded %+v", got, want)
-	}
-}
-
 // TestServeCancel pins that the facade surfaces cancellation with the
 // partial stats.
 func TestServeCancel(t *testing.T) {
