@@ -509,24 +509,12 @@ func cmdDetect(args []string) error {
 	// shadow); a nil *COWModel would not be a nil Model, so that field is
 	// set only when there is a wrapper to serve through.
 	cfg := cyberhd.EngineConfig{
-		BatchSize:    sv.batch,
-		Quantize:     cyberhd.Width(sv.width),
-		Shards:       *shards,
-		TickInterval: sv.tick,
-		Overload:     sv.pol,
-		Sinks:        sv.sinks,
-		Telemetry:    tel,
-		Shadow:       tap,
+		Model: det.Model, Normalizer: det.Normalizer, ClassNames: det.ClassNames,
+		BatchSize: sv.batch, Quantize: cyberhd.Width(sv.width), Shards: *shards,
+		Overload: sv.pol, Sinks: sv.sinks, Telemetry: tel, Shadow: tap,
 	}
 	if cow != nil {
 		cfg.Model = cow
-	}
-	if *progress > 0 {
-		cfg.ProgressInterval = *progress
-		cfg.Progress = func(s cyberhd.TelemetrySnapshot) {
-			fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
-				s.Packets, s.Flows, s.Alerts, s.Pending())
-		}
 	}
 	// A count of 1 serves the plain single-core engine.
 	if cfg.Shards > 1 {
@@ -534,7 +522,19 @@ func cmdDetect(args []string) error {
 	}
 	sv.banner()
 
-	st, err := det.Serve(context.Background(), sv.src, cfg)
+	r, err := cyberhd.NewServeRunner(cfg, sv.src)
+	if err != nil {
+		return err
+	}
+	r.TickInterval = sv.tick
+	if *progress > 0 {
+		r.ProgressInterval = *progress
+		r.Progress = func(s cyberhd.TelemetrySnapshot) {
+			fmt.Fprintf(os.Stderr, "progress: %d packets, %d flows, %d alerts (%d pending)\n",
+				s.Packets, s.Flows, s.Alerts, s.Pending())
+		}
+	}
+	st, err := r.Run(context.Background())
 	if err != nil {
 		return err
 	}

@@ -34,29 +34,33 @@ func main() {
 			a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes(), a.Flow.Duration())
 	}), 2, 300)
 
-	// Live monitoring, one call: the runner pumps the source into the
-	// engine, auto-ticks from capture timestamps so idle flows evict and
-	// verdicts never stall, drains on end of stream, and returns exact
-	// final stats. (Here the "wire" is the traffic simulator; swap in
+	// Live monitoring: the runner pumps the source into the engine,
+	// auto-ticks from capture timestamps so idle flows evict and verdicts
+	// never stall, drains on end of stream, and returns exact final stats.
+	// (Here the "wire" is the traffic simulator; swap in
 	// cyberhd.OpenCapture for an on-disk capture, pcap or pcapng file, or
 	// any PacketSource.)
 	//
-	// Progress is the operator's mid-run view: a telemetry snapshot every
-	// 120 capture-seconds — throughput, verdict counts, and how long
+	// Progress, a Runner setting, is the operator's mid-run view: a
+	// telemetry snapshot every 120 capture-seconds — throughput, verdict counts, and how long
 	// verdicts waited in micro-batch buffers. The same snapshot backs the
 	// HTTP admin endpoint: cyberhd.ServeMetrics(":9090", tel.Snapshot, nil)
 	// over a collector shared through the config's Telemetry field serves
 	// it as Prometheus /metrics and JSON /stats while the run is live.
 	live := cyberhd.GenerateTraffic(cyberhd.TrafficConfig{Sessions: 1500, Seed: 1234})
-	st, err := det.Serve(context.Background(), cyberhd.NewSliceSource(live.Packets), cyberhd.EngineConfig{
-		Sinks:            []cyberhd.AlertSink{counter, printer},
-		BatchSize:        32,
-		ProgressInterval: 120,
-		Progress: func(s cyberhd.TelemetrySnapshot) {
-			fmt.Printf("  · progress: %d pkts, %d flows, %d alerts (%d suppressed), mean verdict wait %.2fs\n",
-				s.Packets, s.Flows, s.Alerts, s.Suppressed, meanWait(s))
-		},
-	})
+	cfg := det.EngineConfig()
+	cfg.Sinks = []cyberhd.AlertSink{counter, printer}
+	cfg.BatchSize = 32
+	r, err := cyberhd.NewServeRunner(cfg, cyberhd.NewSliceSource(live.Packets))
+	if err != nil {
+		log.Fatal(err)
+	}
+	r.ProgressInterval = 120
+	r.Progress = func(s cyberhd.TelemetrySnapshot) {
+		fmt.Printf("  · progress: %d pkts, %d flows, %d alerts (%d suppressed), mean verdict wait %.2fs\n",
+			s.Packets, s.Flows, s.Alerts, s.Suppressed, meanWait(s))
+	}
+	st, err := r.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/pipeline"
 	"cyberhd/internal/telemetry"
 )
 
@@ -448,11 +449,6 @@ type helloState struct {
 // the worker through per-class telemetry allocations.
 const maxHelloClasses = 1 << 12
 
-// maxHelloBatchRows bounds the feature rows a hello makes the worker
-// preallocate: each engine, one per shard, holds max(BatchSize, 1) rows of
-// netflow.NumFeatures float32s, so the bound is ~20 MiB (batch 64 × 1024).
-const maxHelloBatchRows = 1 << 16
-
 // encodeHello renders the hello frame payload.
 func encodeHello(h helloState) ([]byte, error) {
 	h.Proto = helloProto
@@ -481,11 +477,13 @@ func decodeHello(payload []byte) (helloState, error) {
 		return helloState{}, fmt.Errorf("cluster: hello normalizer has %d/%d features, want %d",
 			len(h.NormMean), len(h.NormInvStd), netflow.NumFeatures)
 	}
-	if h.Shards < 0 || h.Shards > 1<<10 {
+	// The engine bounds (pipeline.MaxShards, pipeline.MaxBatchRows) again,
+	// so a hostile hello is refused as wire input before any engine is built.
+	if h.Shards < 0 || h.Shards > pipeline.MaxShards {
 		return helloState{}, fmt.Errorf("cluster: hello shard count %d out of range", h.Shards)
 	}
-	if h.BatchSize < 0 || max(h.BatchSize, 1) > maxHelloBatchRows/max(h.Shards, 1) {
-		return helloState{}, fmt.Errorf("cluster: hello batch size %d on %d shards out of range (batch rows ≤ %d)", h.BatchSize, h.Shards, maxHelloBatchRows)
+	if h.BatchSize < 0 || max(h.BatchSize, 1) > pipeline.MaxBatchRows/max(h.Shards, 1) {
+		return helloState{}, fmt.Errorf("cluster: hello batch size %d on %d shards out of range (batch rows ≤ %d)", h.BatchSize, h.Shards, pipeline.MaxBatchRows)
 	}
 	return h, nil
 }

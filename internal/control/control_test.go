@@ -364,7 +364,7 @@ func TestWidthConflictRejected(t *testing.T) {
 
 	cand, _, _ := trainModel(t, 3, 8, 64, 77)
 	candCow := core.NewCOWModel(cand)
-	if _, err := quantize.AttachLive(candCow, 4); err != nil {
+	if err := quantize.AttachLive(candCow, 4); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -23,6 +23,14 @@ type Snapshot struct {
 
 	model   *Model
 	derived any
+	serve   classifier // derived when it classifies, else model
+}
+
+// classifier is what a snapshot serves verdicts through: its model, or a
+// derived artifact that classifies (a packed class memory).
+type classifier interface {
+	Predict(x []float32) int
+	PredictBatchInto(x *hdc.Matrix, out []int)
 }
 
 // Derived returns the artifact the COWModel's derive hook built for this
@@ -34,10 +42,11 @@ func (s *Snapshot) Derived() any { return s.derived }
 // artifact. Each publication pairs a trained model with, when a derive
 // hook is installed, the artifact the hook builds from it, and stores the
 // package behind one atomic pointer: readers load it once per verdict and
-// classify through the published model itself, so a verdict is always
-// computed against one consistent version. Nothing mutates a Model after
-// Train returns, so a publication copies and computes nothing beyond the
-// derive hook.
+// classify through the derived artifact when it is a classifier (the
+// packed class memory quantize.AttachLive derives), else through the
+// published model itself, so a verdict is always computed against one
+// consistent version. Nothing mutates a Model after Train returns, so a
+// publication copies and computes nothing beyond the derive hook.
 //
 // Readers (any number of goroutines, no locking):
 //
@@ -78,9 +87,13 @@ func (c *COWModel) publishLocked(m *Model) {
 		Class:   m.Class,
 		Version: c.version,
 		model:   m,
+		serve:   m,
 	}
 	if c.derive != nil {
 		snap.derived = c.derive(m)
+		if d, ok := snap.derived.(classifier); ok {
+			snap.serve = d
+		}
 	}
 	c.snap.Store(snap)
 	if c.onPublish != nil {
@@ -139,9 +152,11 @@ func (c *COWModel) ReplaceModel(m *Model) error {
 // the live model so the live snapshot immediately carries a derived
 // artifact. Every later publication runs fn on the model it publishes,
 // and the result rides the snapshot (Snapshot.Derived), giving readers a
-// consistent (model, artifact) pair behind the same single atomic load.
-// fn must treat m as read-only. quantize.AttachLive uses this hook to
-// quantize the class memory of every published model.
+// consistent (model, artifact) pair behind the same single atomic load;
+// an artifact that classifies (Predict and PredictBatchInto) serves the
+// COWModel's verdicts from then on. fn must treat m as read-only.
+// quantize.AttachLive uses this hook to quantize the class memory of
+// every published model.
 func (c *COWModel) SetDerive(fn func(m *Model) any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,15 +179,16 @@ func (c *COWModel) Dim() int { return c.snap.Load().Class.Cols }
 // NumClasses returns the number of classes.
 func (c *COWModel) NumClasses() int { return c.snap.Load().Class.Rows }
 
-// Predict encodes x with the live snapshot's encoder and classifies it
-// against the same snapshot's class matrix — one atomic load, so the
-// (encoder, class) pair is always consistent. Safe for any number of
-// concurrent callers; allocation-free in steady state.
-func (c *COWModel) Predict(x []float32) int { return c.snap.Load().model.Predict(x) }
+// Predict classifies x through the live snapshot's classifier — its
+// derived artifact when that classifies, else its model — with one atomic
+// load, so the encoder and class memory always come from one version.
+// Safe for any number of concurrent callers; allocation-free in steady
+// state.
+func (c *COWModel) Predict(x []float32) int { return c.snap.Load().serve.Predict(x) }
 
 // PredictBatchInto classifies every row of x into out (len x.Rows)
-// through the blocked encode/score kernels, against one consistent
+// through the live snapshot's classifier, against one consistent
 // snapshot. Safe for concurrent callers.
 func (c *COWModel) PredictBatchInto(x *hdc.Matrix, out []int) {
-	c.snap.Load().model.PredictBatchInto(x, out)
+	c.snap.Load().serve.PredictBatchInto(x, out)
 }

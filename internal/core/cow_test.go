@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"cyberhd/internal/hdc"
 )
 
 func TestCOWPredictMatchesModel(t *testing.T) {
@@ -96,6 +99,36 @@ func TestCOWSetDerive(t *testing.T) {
 	}
 	if snap.Version != v0+2 {
 		t.Fatalf("version %d, want %d", snap.Version, v0+2)
+	}
+}
+
+// constClassifier is a derived artifact that classifies every query as c.
+type constClassifier int
+
+func (c constClassifier) Predict([]float32) int { return int(c) }
+
+func (c constClassifier) PredictBatchInto(_ *hdc.Matrix, out []int) {
+	for i := range out {
+		out[i] = int(c)
+	}
+}
+
+// TestCOWServesDerivedClassifier: an artifact that classifies serves the
+// COWModel's verdicts, single and batch, from the publication that derives
+// it; one that does not leaves the model serving.
+func TestCOWServesDerivedClassifier(t *testing.T) {
+	m, x, _ := toyModel(t, 3, 64, 9)
+	cow := NewCOWModel(m)
+	cow.SetDerive(func(*Model) any { return 7 })
+	out := make([]int, x.Rows)
+	cow.PredictBatchInto(x, out)
+	if !slices.Equal(out, m.PredictBatch(x)) || cow.Predict(x.Row(0)) != out[0] {
+		t.Fatal("a non-classifier artifact changed the verdicts")
+	}
+	cow.SetDerive(func(*Model) any { return constClassifier(7) })
+	cow.PredictBatchInto(x, out)
+	if cow.Predict(x.Row(0)) != 7 || slices.ContainsFunc(out, func(c int) bool { return c != 7 }) {
+		t.Fatalf("derived classifier not served: Predict %d, batch %v", cow.Predict(x.Row(0)), out[:4])
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	m, x, _ := core.ToyModel(t, 3, 64, 9)
 	cow := core.NewCOWModel(m)
-	live, err := quantize.AttachLive(cow, 4)
-	if err != nil {
+	if err := quantize.AttachLive(cow, 4); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -34,12 +33,11 @@ func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	}
 	// The restored float model must re-derive the identical packed
 	// artifact: attach at the same width and compare verdicts.
-	live2, err := quantize.AttachLive(back, 4)
-	if err != nil {
+	if err := quantize.AttachLive(back, 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < x.Rows; i++ {
-		if got, want := live2.Predict(x.Row(i)), live.Predict(x.Row(i)); got != want {
+		if got, want := back.Predict(x.Row(i)), cow.Predict(x.Row(i)); got != want {
 			t.Fatalf("row %d: restored packed model predicts %d, original %d", i, got, want)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cyberhd/internal/bitpack"
+	"cyberhd/internal/datasets"
 )
 
 // smallCfg keeps unit-test runtime reasonable; the full-scale runs happen
@@ -18,28 +19,38 @@ var nslFig3 = sync.OnceValues(func() (map[string][]Result, error) {
 	return Fig3([]string{"nsl-kdd"}, smallCfg)
 })
 
+// TestRunComparisonProducesAllModels trains every model on every paper
+// dataset: nsl-kdd at smallCfg (the run the rendering tests share), the
+// other three at 200 samples, the smallest scale that trains them all.
 func TestRunComparisonProducesAllModels(t *testing.T) {
-	results, err := nslFig3()
+	nsl, err := nslFig3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := results["nsl-kdd"]
-	if len(res) != len(ModelNames) {
-		t.Fatalf("got %d results", len(res))
-	}
-	for i, model := range ModelNames {
-		r := res[i]
-		if r.Model != model {
-			t.Errorf("result %d is %q, want %q", i, r.Model, model)
+	for _, name := range datasets.PaperDatasets() {
+		res := nsl[name]
+		if name != "nsl-kdd" {
+			if res, err = RunComparison(name, Config{Samples: 200, Seed: 11}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if r.Accuracy < 0.3 || r.Accuracy > 1 {
-			t.Errorf("%s accuracy %v implausible", model, r.Accuracy)
+		if len(res) != len(ModelNames) {
+			t.Fatalf("%s: got %d results", name, len(res))
 		}
-		if r.TrainTime <= 0 || r.InferTime <= 0 || r.TestSamples == 0 {
-			t.Errorf("%s has empty timings: %+v", model, r)
-		}
-		if r.PerQuery() <= 0 {
-			t.Errorf("%s PerQuery = %v", model, r.PerQuery())
+		for i, model := range ModelNames {
+			r := res[i]
+			if r.Model != model {
+				t.Errorf("%s: result %d is %q, want %q", name, i, r.Model, model)
+			}
+			if r.Accuracy < 0.3 || r.Accuracy > 1 {
+				t.Errorf("%s: %s accuracy %v implausible", name, model, r.Accuracy)
+			}
+			if r.TrainTime <= 0 || r.InferTime <= 0 || r.TestSamples == 0 {
+				t.Errorf("%s: %s has empty timings: %+v", name, model, r)
+			}
+			if r.PerQuery() <= 0 {
+				t.Errorf("%s: %s PerQuery = %v", name, model, r.PerQuery())
+			}
 		}
 	}
 }

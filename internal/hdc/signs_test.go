@@ -174,7 +174,7 @@ func TestEncodeSignsNearBoundary(t *testing.T) {
 		turned := 0
 		for w := range p.Words() {
 			var signs, cert uint64
-			encodeSignsAVX512(&x[0], &p.panel[w*64*n], &p.bias[w*64], &signs, &cert, n, 64, m0, signSlope)
+			signWordQ1(&x[0], &p.panel[w*64*n], &p.bias[w*64], &signs, &cert, n, 64, m0, signSlope)
 			turned += 64 - popcount(cert)
 		}
 		if !ok || turned == 0 {
@@ -213,10 +213,10 @@ func TestSignWordMargins(t *testing.T) {
 	}
 }
 
-// encodeSignsAVX512 is the certified pass for the one query x over the
+// signWordQ1 is the certified pass for the one query x over the
 // first rows ≤ 64 rows of a panel word: signWordAVX512 with q = 1, the
 // bits past rows cleared.
-func encodeSignsAVX512(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32) {
+func signWordQ1(x, panel, bias *float32, signs, cert *uint64, n, rows int, m0, m1 float32) {
 	var out [6]uint64
 	signWordAVX512(x, x, x, panel, bias, &out, n, 1, &m0, m1, panel)
 	valid := ^uint64(0) >> (64 - rows)

@@ -27,7 +27,7 @@ import (
 )
 
 // Classifier is the model interface the engine drives. core.Model,
-// core.COWModel, quantize.Model and quantize.Live all satisfy it. The
+// core.COWModel and quantize.Model all satisfy it. The
 // engine classifies every flow through PredictBatchInto, which must be
 // bit-identical to per-row Predict so the batch size never changes a
 // verdict.
@@ -112,18 +112,20 @@ type Config struct {
 	// BatchSize > 1 buffers completed flows and classifies them in
 	// micro-batches, trading a bounded verdict delay (at most BatchSize-1
 	// flows, cleared by Tick and Flush) for GEMM-rate throughput. 0 or 1
-	// classifies every flow at once, as a batch of one.
+	// classifies every flow at once, as a batch of one. Batch rows over
+	// all shards are at most MaxBatchRows.
 	BatchSize int
 	// Quantize, when set to a valid bitpack.Width, lowers classification
 	// to packed w-bit integer inference (the paper's Table I bitwidths as
 	// a live serving mode): a *core.Model is packed once at engine build
-	// (quantize.FromCore), and a *core.COWModel is wrapped in
-	// quantize.AttachLive so every publication — a hot reload, a shadow
-	// promotion — quantizes the new class memory atomically with the
-	// snapshot swap. An already-quantized model (*quantize.Model or
-	// *quantize.Live) is accepted if its width matches. Zero serves
-	// float32. Verdicts at a given width are independent of BatchSize and
-	// shard count, exactly like the float path.
+	// (quantize.FromCore), and a *core.COWModel gets quantize.AttachLive,
+	// so every publication — a hot reload, a shadow promotion — quantizes
+	// the new class memory atomically with the snapshot swap and the COW
+	// serves it. An already-quantized *quantize.Model is accepted if its
+	// width matches. Zero serves the model as given: float32, or the
+	// packed memory a COWModel already publishes. Verdicts at a given
+	// width are independent of BatchSize and shard count, exactly like the
+	// float path.
 	Quantize bitpack.Width
 	// Shadow, when set, is the shadow-serving tap: every classified flow
 	// is also scored by the tap's candidate model (when one is attached)
@@ -140,35 +142,19 @@ type Config struct {
 	// the engine's alert contract: serialized, in verdict order (per shard
 	// for Sharded). Sinks must not call Feed, Tick, Flush or Close.
 	Sinks []AlertSink
-	// TickInterval is the auto-tick period in capture seconds used by
-	// Runner and Serve: the runner calls Tick as packet timestamps cross
-	// each interval boundary, so idle flows evict and partial micro-batches
-	// drain without caller cooperation. 0 selects 1 s; negative disables
-	// auto-ticking. Engines themselves never tick spontaneously.
-	TickInterval float64
 	// Telemetry, when set, is the collector the engine records into —
 	// share one collector with a telemetry.Server (or any other observer)
 	// to watch the run live. Its class count must match ClassNames. Nil
 	// builds a private collector, reachable through Stream.Telemetry.
 	// A Sharded engine shares one collector across all shards.
 	Telemetry *telemetry.Collector
-	// Progress, when set, receives telemetry snapshots from Runner and
-	// Serve as packet timestamps cross each ProgressInterval boundary of
-	// the capture clock, plus one final settled snapshot after the drain.
-	// It runs on the runner's goroutine and must not call back into the
-	// stream's Feed, Tick, Flush or Close. Engines ignore it.
-	Progress func(telemetry.Snapshot)
-	// ProgressInterval is the Progress cadence in capture seconds used by
-	// Runner and Serve: 0 selects 10 s, negative disables periodic
-	// snapshots (the final settled snapshot still fires).
-	ProgressInterval float64
 	// Shards is the worker count of NewSharded (<= 0 selects
-	// runtime.GOMAXPROCS). NewStream treats sharding as explicit: only
-	// Shards > 1 builds the sharded engine, anything else serves the
-	// deterministic single-core Engine — resolve "one per core" yourself
-	// (runtime.GOMAXPROCS(0), as `cyberhd detect -shards 0` does) before
-	// handing the config to a runner. Ignored by New; NewConcurrent
-	// overrides it with 1.
+	// runtime.GOMAXPROCS, at most MaxShards). NewStream treats sharding
+	// as explicit: only Shards > 1 builds the sharded engine, anything
+	// else serves the deterministic single-core Engine — resolve "one per
+	// core" yourself (runtime.GOMAXPROCS(0), as `cyberhd detect -shards 0`
+	// does) before handing the config to a runner. New only checks it
+	// against the bounds; NewConcurrent overrides it with 1.
 	Shards int
 	// Overload is the ingress admission policy applied by NewStream (so
 	// by NewRunner and the facade's Serve). The zero value is the lossless
@@ -179,6 +165,17 @@ type Config struct {
 	// NewGate by hand when driving an engine directly).
 	Overload OverloadPolicy
 }
+
+// MaxBatchRows bounds the feature rows a config makes its engines
+// preallocate: each engine, one per shard, holds max(BatchSize, 1) rows
+// of netflow.NumFeatures float32s, so all of them together stay near
+// 20 MiB. MaxShards bounds the shard count, one goroutine and its buffers
+// each. New and NewSharded refuse a config past either before allocating
+// or starting anything; the cluster hello refuses the same off the wire.
+const (
+	MaxBatchRows = 1 << 16
+	MaxShards    = 1 << 10
+)
 
 // finite reports whether capture time t is a number. Every capture clock —
 // Runner's ticks, Engine's, Gate's and its tenant buckets, RateLimitSink's
@@ -233,10 +230,6 @@ func applyQuantize(cfg *Config) error {
 		if m.Width != cfg.Quantize {
 			return fmt.Errorf("pipeline: model already quantized at %d bits, config asks for %d", m.Width, cfg.Quantize)
 		}
-	case *quantize.Live:
-		if m.Width() != cfg.Quantize {
-			return fmt.Errorf("pipeline: live quantized model serves %d bits, config asks for %d", m.Width(), cfg.Quantize)
-		}
 	case *core.Model:
 		q, err := quantize.FromCore(m, cfg.Quantize)
 		if err != nil {
@@ -244,11 +237,9 @@ func applyQuantize(cfg *Config) error {
 		}
 		cfg.Model = q
 	case *core.COWModel:
-		live, err := quantize.AttachLive(m, cfg.Quantize)
-		if err != nil {
+		if err := quantize.AttachLive(m, cfg.Quantize); err != nil {
 			return err
 		}
-		cfg.Model = live
 	default:
 		return fmt.Errorf("pipeline: cannot quantize model type %T (want *core.Model or *core.COWModel)", cfg.Model)
 	}
@@ -256,10 +247,10 @@ func applyQuantize(cfg *Config) error {
 	return nil
 }
 
-// validate checks the required Config fields. It runs before
-// applyQuantize so a rejected config never leaves side effects on the
-// caller's model (quantizing a COWModel installs a derive hook and
-// publishes a new version).
+// validate checks the required Config fields and the allocation bounds.
+// It runs before applyQuantize so a rejected config never leaves side
+// effects on the caller's model (quantizing a COWModel installs a derive
+// hook and publishes a new version).
 func validate(cfg Config) error {
 	if cfg.Model == nil {
 		return fmt.Errorf("pipeline: nil model")
@@ -276,6 +267,12 @@ func validate(cfg Config) error {
 	if cfg.Telemetry != nil && cfg.Telemetry.NumClasses() != len(cfg.ClassNames) {
 		return fmt.Errorf("pipeline: telemetry collector has %d classes, config has %d",
 			cfg.Telemetry.NumClasses(), len(cfg.ClassNames))
+	}
+	if cfg.Shards > MaxShards {
+		return fmt.Errorf("pipeline: %d shards (at most %d)", cfg.Shards, MaxShards)
+	}
+	if max(cfg.BatchSize, 1) > MaxBatchRows/max(cfg.Shards, 1) {
+		return fmt.Errorf("pipeline: batch size %d on %d shards (batch rows at most %d)", cfg.BatchSize, max(cfg.Shards, 1), MaxBatchRows)
 	}
 	return nil
 }
@@ -297,11 +294,8 @@ func resolveTelemetry(cfg *Config) *telemetry.Collector {
 	// Re-resolution from the same config (each shard of a Sharded)
 	// reinstalls the same observer — last write wins, harmless.
 	tel := cfg.Telemetry
-	switch m := cfg.Model.(type) {
-	case *core.COWModel:
+	if m, ok := cfg.Model.(*core.COWModel); ok {
 		m.SetOnPublish(func(v uint64) { tel.SetModelVersion(v) })
-	case *quantize.Live:
-		m.COW().SetOnPublish(func(v uint64) { tel.SetModelVersion(v) })
 	}
 	for _, s := range cfg.Sinks {
 		if rl, ok := s.(*RateLimitSink); ok {

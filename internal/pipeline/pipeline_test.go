@@ -27,6 +27,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("accepted empty class names")
 	}
+	// One past each allocation bound: refused before the ~20 MiB batch
+	// buffer or the thousand shard goroutines exist.
+	for _, over := range []Config{{BatchSize: MaxBatchRows + 1}, {Shards: MaxShards + 1}} {
+		bad = cfg
+		bad.BatchSize, bad.Shards = over.BatchSize, over.Shards
+		if _, err := New(bad); err == nil {
+			t.Errorf("New accepted batch %d on %d shards", bad.BatchSize, bad.Shards)
+		}
+		if _, err := NewSharded(bad); err == nil {
+			t.Errorf("NewSharded accepted batch %d on %d shards", bad.BatchSize, bad.Shards)
+		}
+	}
 }
 
 func TestEngineDetectsAttacks(t *testing.T) {

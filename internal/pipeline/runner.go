@@ -29,8 +29,11 @@ type Runner struct {
 	Stream Stream
 	// Source supplies the time-ordered packets. Required.
 	Source netflow.PacketSource
-	// TickInterval overrides the auto-tick period in capture seconds
-	// (see Config.TickInterval): 0 selects 1 s, negative disables.
+	// TickInterval is the auto-tick period in capture seconds: Run calls
+	// Tick as packet timestamps cross each interval boundary, so idle flows
+	// evict and partial micro-batches drain without caller cooperation.
+	// 0 selects 1 s; negative disables auto-ticking. Engines themselves
+	// never tick spontaneously.
 	TickInterval float64
 	// Progress, when set, receives a telemetry snapshot as packet
 	// timestamps cross each ProgressInterval boundary of the capture
@@ -49,8 +52,9 @@ type Runner struct {
 
 // NewRunner builds the stream cfg describes (see NewStream for the
 // engine and gate choice) and a runner that will pump src through it.
-// Alert fan-out comes from cfg.OnAlert and cfg.Sinks; the auto-tick
-// period from cfg.TickInterval.
+// Alert fan-out comes from cfg.OnAlert and cfg.Sinks. Tick and progress
+// cadence start at the Runner defaults (1 s ticks, no progress): set
+// TickInterval, Progress and ProgressInterval on the result before Run.
 func NewRunner(cfg Config, src netflow.PacketSource) (*Runner, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil packet source")
@@ -59,10 +63,7 @@ func NewRunner(cfg Config, src netflow.PacketSource) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{
-		Stream: s, Source: src, TickInterval: cfg.TickInterval,
-		Progress: cfg.Progress, ProgressInterval: cfg.ProgressInterval,
-	}, nil
+	return &Runner{Stream: s, Source: src}, nil
 }
 
 // Run pumps packets from the source into the stream until the source is

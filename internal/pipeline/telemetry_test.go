@@ -255,10 +255,17 @@ func TestConfigTelemetryShared(t *testing.T) {
 // cadence, with a final settled snapshot equal to the returned stats.
 func TestRunnerProgress(t *testing.T) {
 	cfg, live := buildModel(t)
-	cfg.ProgressInterval = 5
+	r, err := NewRunner(cfg, netflow.NewSliceSource(live.Packets))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snaps []telemetry.Snapshot
-	cfg.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
-	r, st := runCapture(t, cfg, live.Packets)
+	r.ProgressInterval = 5
+	r.Progress = func(s telemetry.Snapshot) { snaps = append(snaps, s) }
+	st, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Stream.Telemetry() == nil {
 		t.Fatal("runner has no live telemetry handle")
 	}

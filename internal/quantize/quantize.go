@@ -3,9 +3,9 @@
 // robustness study (Fig 5), and serves them live: Model drives the packed
 // kernel layer of internal/bitpack (blocked panel dots, cached row norms,
 // pooled query packing) so the streaming engine classifies flows in the
-// integer domain with zero steady-state allocations, and Live pairs a
-// core.COWModel with per-version quantization so hot reloads and packed
-// inference coexist.
+// integer domain with zero steady-state allocations, and AttachLive makes
+// a core.COWModel publish and serve a freshly packed Model with every
+// version, so hot reloads and packed inference coexist.
 //
 // Quantization is post-training: the float32 class hypervectors are packed
 // to b-bit integers (see internal/bitpack); queries are encoded in float

@@ -29,8 +29,9 @@ type (
 	// EngineConfig describes a serving engine: model, normalizer and class
 	// names (Detector.Serve fills the three from the detector), then
 	// micro-batch size, quantized width, shard count, alert callback and
-	// sinks, tick and progress cadence, shared telemetry collector, shadow
-	// tap and overload policy — every field documented on pipeline.Config.
+	// sinks, shared telemetry collector, shadow tap and overload policy —
+	// every field documented on pipeline.Config. Tick and progress cadence
+	// are Runner settings.
 	EngineConfig = pipeline.Config
 	// EngineStats is the engine counter snapshot returned by Stats.
 	EngineStats = pipeline.Stats
@@ -53,7 +54,9 @@ type (
 	SinkFunc = pipeline.SinkFunc
 	// JSONLSink writes one JSON object per alert.
 	JSONLSink = pipeline.JSONLSink
-	// Runner pumps a PacketSource into a Stream under a context.
+	// Runner pumps a PacketSource into a Stream under a context, ticking
+	// and reporting progress on its own TickInterval, Progress and
+	// ProgressInterval settings.
 	Runner = pipeline.Runner
 	// Telemetry is the lock-free counter collector every engine records
 	// into — share one (EngineConfig.Telemetry) to observe a run live from
@@ -172,7 +175,9 @@ func (d *Detector) EngineConfig() EngineConfig {
 // flow-sharded engine, anything else the deterministic single-core
 // engine) and a Runner that will pump src through it: the
 // assembled-but-not-started form of Serve, for callers that need the
-// Runner (custom contexts, access to the Stream) rather than one call.
+// Runner (custom contexts, access to the Stream, a tick period other
+// than 1 s, progress snapshots — set those on the Runner before Run)
+// rather than one call.
 func NewServeRunner(cfg EngineConfig, src PacketSource) (*Runner, error) {
 	return pipeline.NewRunner(cfg, src)
 }
@@ -181,7 +186,8 @@ func NewServeRunner(cfg EngineConfig, src PacketSource) (*Runner, error) {
 // Model, Normalizer and ClassNames come from the detector where cfg
 // leaves them unset, so the zero EngineConfig serves the detector on the
 // single-core float32 engine — pump src through it until the source ends
-// or ctx is cancelled (auto-ticking from capture timestamps), drain
+// or ctx is cancelled (auto-ticking every capture second, with no
+// progress snapshots: NewServeRunner sets either), drain
 // deterministically, and return the final stats. On cancellation the
 // stats cover everything fed before the cancel and err is ctx.Err().
 func (d *Detector) Serve(ctx context.Context, src PacketSource, cfg EngineConfig) (EngineStats, error) {

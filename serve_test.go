@@ -181,22 +181,30 @@ func TestServeWithMetrics(t *testing.T) {
 	}
 	var snaps []TelemetrySnapshot
 	scraped := ""
-	st := serve(t, det, live.Packets, EngineConfig{
-		Telemetry: tel, BatchSize: 16, ProgressInterval: 5,
-		Progress: func(s TelemetrySnapshot) {
-			snaps = append(snaps, s)
-			if scraped == "" && s.Packets > 0 {
-				resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer resp.Body.Close()
-				body, _ := io.ReadAll(resp.Body)
-				scraped = string(body)
+	cfg := det.EngineConfig()
+	cfg.Telemetry, cfg.BatchSize = tel, 16
+	r, err := NewServeRunner(cfg, NewSliceSource(live.Packets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ProgressInterval = 5
+	r.Progress = func(s TelemetrySnapshot) {
+		snaps = append(snaps, s)
+		if scraped == "" && s.Packets > 0 {
+			resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		},
-	})
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			scraped = string(body)
+		}
+	}
+	st, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(scraped, "cyberhd_packets_total") || strings.Contains(scraped, "cyberhd_packets_total 0\n") {
 		t.Fatalf("mid-run scrape shows no traffic:\n%s", scraped)
 	}
