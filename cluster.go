@@ -12,8 +12,8 @@ type (
 	// ClusterWorkerConfig tunes a detector worker; the zero value serves.
 	ClusterWorkerConfig = cluster.WorkerConfig
 	// ClusterClient is an ingest node's handle on its worker fleet. It
-	// implements the engine Stream contract, so the standard Runner (and
-	// Serve loop) drives a cluster exactly like a local engine. Build
+	// implements the engine Stream contract, so the standard Runner
+	// drives a cluster exactly like a local engine. Build
 	// with DialCluster.
 	ClusterClient = cluster.Client
 	// ClusterConfig assembles a ClusterClient: worker addresses, the

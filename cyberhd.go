@@ -12,14 +12,17 @@
 //	det, err := cyberhd.TrainDetector(ds, cyberhd.DefaultConfig())
 //	class := det.Classify(features)
 //
-// Live traffic is one call more: det.Serve pumps any PacketSource through
-// the detection engine an EngineConfig describes and fans alerts to sinks
-// (see serve.go and the serving-runtime section of ARCHITECTURE.md):
+// Live traffic starts from det.EngineConfig(): set the fields the run
+// needs, and a Runner pumps any PacketSource through the detection engine
+// that config describes and fans alerts to sinks (see serve.go and the
+// serving-runtime section of ARCHITECTURE.md):
 //
-//	stats, err := det.Serve(ctx, source, cyberhd.EngineConfig{
-//	    BatchSize: 64,
-//	    Sinks:     []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)},
-//	})
+//	cfg := det.EngineConfig()
+//	cfg.BatchSize = 64
+//	cfg.Sinks = []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)}
+//	r, err := cyberhd.NewServeRunner(cfg, source)
+//	...
+//	stats, err := r.Run(ctx)
 //
 // Lower-level control (a hand-built encoder, quantization, cluster
 // serving, the model control plane) is exposed through type aliases into

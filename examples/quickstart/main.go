@@ -43,8 +43,8 @@ func main() {
 		q.MemoryBits(), 32.0)
 
 	// Next step: live serving. A detector trained on CIC flow features
-	// monitors packet streams in one call — det.Serve(ctx, source, cfg)
-	// pumps any PacketSource through the engine an EngineConfig describes
-	// and fans alerts to its sinks.
+	// monitors packet streams: cyberhd.NewServeRunner(det.EngineConfig(),
+	// source) builds the engine that config describes, and its Run pumps
+	// any PacketSource through it and fans alerts to the config's sinks.
 	// See examples/streaming and examples/quantization.
 }

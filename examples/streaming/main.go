@@ -27,8 +27,8 @@ func main() {
 
 	// Egress: count everything, print a bounded sample. The rate limiter
 	// forwards at most 2 alerts per class per 300 capture-seconds.
-	alertsByClass := map[string]int{}
-	counter := cyberhd.SinkFunc(func(a cyberhd.Alert) { alertsByClass[a.ClassName]++ })
+	alertsByClass := make([]int, len(det.ClassNames))
+	counter := cyberhd.SinkFunc(func(a cyberhd.Alert) { alertsByClass[a.Class]++ })
 	printer := cyberhd.NewRateLimitSink(cyberhd.SinkFunc(func(a cyberhd.Alert) {
 		fmt.Printf("ALERT t=%8.2fs  %-12s  %3d pkts %8.0f bytes  dur %6.2fs\n",
 			a.Time, a.ClassName, a.Flow.TotalPackets(), a.Flow.TotalBytes(), a.Flow.Duration())
@@ -67,9 +67,11 @@ func main() {
 
 	fmt.Printf("\nprocessed %d packets → %d flows, %d alerts (%d printed, %d rate-limited)\n",
 		st.Packets, st.Flows, st.Alerts, st.Alerts-printer.Suppressed(), printer.Suppressed())
-	fmt.Println("alerts by class:")
-	for name, n := range alertsByClass {
-		fmt.Printf("  %-14s %d\n", name, n)
+	fmt.Println("alerts by class:") // in the detector's class order
+	for class, n := range alertsByClass {
+		if n > 0 {
+			fmt.Printf("  %-14s %d\n", det.ClassNames[class], n)
+		}
 	}
 }
 

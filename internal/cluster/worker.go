@@ -17,9 +17,9 @@ import (
 	"cyberhd/internal/telemetry"
 )
 
-// WorkerConfig tunes a detector worker. The zero value serves. A
-// replicated snapshot clears the control plane's built-in sanity batch and
-// is capped at control.DefaultMaxUploadBytes, like an HTTP upload.
+// WorkerConfig tunes a detector worker. The zero value serves. Every
+// snapshot a session receives clears control.Admit, the gate an HTTP
+// upload clears, and is capped at control.DefaultMaxUploadBytes.
 type WorkerConfig struct {
 	// Logf, when set, receives session lifecycle lines (accept, model
 	// swaps, session summaries). Keep it cheap; it runs on session
@@ -188,7 +188,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	// features in, the hello's class names out.
 	m, info, err := control.Admit(bytes.NewReader(payload), control.Geometry{
 		Classes: len(h.ClassNames), Inputs: netflow.NumFeatures, Width: bitpack.Width(h.Width),
-	}, control.SanityBatch{})
+	})
 	if err != nil {
 		return refuse(fmt.Errorf("cluster: initial snapshot: %w", err))
 	}

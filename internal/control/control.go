@@ -10,11 +10,12 @@
 //	POST   /model/demote       — detach the shadow
 //	GET    /model              — serving status (version, geometry, shadow)
 //
-// Uploads are model snapshots: core.SaveSnapshot's v2, or the v1 body
-// earlier releases wrote. Every upload clears Admit — decoded, validated
-// against the serving geometry (hyperspace dimensionality, class count,
-// input feature count, recorded quantization width) and scored on a
-// sanity batch — BEFORE the serving model is touched; publication is one
+// An upload is the request body and nothing else: one model snapshot,
+// core.SaveSnapshot's v2 or the v1 body earlier releases wrote. Every
+// upload clears Admit — decoded, validated against the serving geometry
+// (hyperspace dimensionality, class count, input feature count, recorded
+// quantization width) and scored on the built-in sanity batch — BEFORE
+// the serving model is touched; publication is one
 // atomic COW swap (core.COWModel.ReplaceModel), under which a live
 // quantize.AttachLive derive hook re-packs the class memory
 // automatically. A rejected upload therefore leaves the serving version
@@ -27,12 +28,10 @@
 package control
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"sync"
 
@@ -49,74 +48,8 @@ import (
 // client cannot balloon the process).
 const DefaultMaxUploadBytes = 64 << 20
 
-// builtinSanityRows is the built-in sanity batch size when the operator
-// supplies none.
-const builtinSanityRows = 64
-
-// SanityBatch is the acceptance gate an uploaded model must pass before
-// publication: the candidate predicts every row of X (normalized model-
-// input features) and the upload is rejected if prediction panics,
-// returns an out-of-range class, or — when labels are present — scores
-// below MinAccuracy. Scoring runs at the plane's serving width, so the
-// gate exercises exactly the inference deployment will serve.
-type SanityBatch struct {
-	// X is the feature matrix (rows are normalized model inputs).
-	X *hdc.Matrix
-	// Y, when non-nil, are the expected classes for the rows of X (len
-	// X.Rows); MinAccuracy applies only when labels are present.
-	Y []int
-	// MinAccuracy is the minimum fraction of correct labeled predictions
-	// (0 accepts any accuracy; range checks still apply).
-	MinAccuracy float64
-}
-
-// sanityWire is the gob shape of a caller-supplied sanity batch (the
-// optional "sanity" part of a multipart upload).
-type sanityWire struct {
-	Rows, Cols  int
-	X           []float32
-	Y           []int
-	MinAccuracy float64
-}
-
-// EncodeSanityBatch writes a caller-side sanity batch in the wire format
-// POST /model accepts as the "sanity" part of a multipart upload.
-func EncodeSanityBatch(w io.Writer, sb SanityBatch) error {
-	if sb.X == nil || sb.X.Rows == 0 {
-		return fmt.Errorf("control: empty sanity batch")
-	}
-	if sb.Y != nil && len(sb.Y) != sb.X.Rows {
-		return fmt.Errorf("control: sanity batch has %d rows, %d labels", sb.X.Rows, len(sb.Y))
-	}
-	return gob.NewEncoder(w).Encode(&sanityWire{
-		Rows: sb.X.Rows, Cols: sb.X.Cols, X: sb.X.Data,
-		Y: sb.Y, MinAccuracy: sb.MinAccuracy,
-	})
-}
-
-// decodeSanityBatch reads the wire format back with the same corruption
-// discipline as the snapshot decoder: errors, never panics.
-func decodeSanityBatch(r io.Reader) (SanityBatch, error) {
-	var wire sanityWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return SanityBatch{}, fmt.Errorf("control: decoding sanity batch: %w", err)
-	}
-	// Rows ≤ len(X)/Cols comes first: the product could overflow into a match.
-	if wire.Rows <= 0 || wire.Cols <= 0 || wire.Rows > len(wire.X)/wire.Cols || len(wire.X) != wire.Rows*wire.Cols {
-		return SanityBatch{}, fmt.Errorf("control: corrupt sanity batch (%d values for %d×%d)",
-			len(wire.X), wire.Rows, wire.Cols)
-	}
-	if wire.Y != nil && len(wire.Y) != wire.Rows {
-		return SanityBatch{}, fmt.Errorf("control: sanity batch has %d rows, %d labels", wire.Rows, len(wire.Y))
-	}
-	if !(wire.MinAccuracy >= 0 && wire.MinAccuracy <= 1) { // NaN too: it would switch the gate off
-		return SanityBatch{}, fmt.Errorf("control: sanity batch minimum accuracy %v outside [0, 1]", wire.MinAccuracy)
-	}
-	return SanityBatch{
-		X: &hdc.Matrix{Rows: wire.Rows, Cols: wire.Cols, Data: wire.X},
-		Y: wire.Y, MinAccuracy: wire.MinAccuracy,
-	}, nil
-}
+// sanityRows is the size of the sanity batch every upload is scored on.
+const sanityRows = 64
 
 // Config assembles a Plane.
 type Config struct {
@@ -136,10 +69,9 @@ type Config struct {
 // New, mount Handler on the admin endpoint
 // (telemetry.ListenAndServe). All handlers are safe for concurrent
 // requests; upload validation runs outside the swap, so a slow or
-// rejected upload never stalls or perturbs serving. Every upload clears
-// the built-in sanity batch (64 deterministic in-domain vectors,
-// range-checked only) unless it carries its own, and is capped at
-// DefaultMaxUploadBytes.
+// rejected upload never stalls or perturbs serving. An upload is the
+// raw request body, one snapshot capped at DefaultMaxUploadBytes, and
+// clears Admit like every other model that reaches serving.
 type Plane struct {
 	cow    *core.COWModel
 	width  bitpack.Width
@@ -235,38 +167,11 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want reload or shadow)", mode))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, p.maxUp)
-	model := io.Reader(body)
-	var sanity SanityBatch
-	if ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && ct == "multipart/form-data" {
-		// Multipart form: required "model" part, optional "sanity" part
-		// (EncodeSanityBatch wire format) replacing the built-in batch.
-		if err := r.ParseMultipartForm(p.maxUp); err != nil {
-			httpError(w, http.StatusBadRequest, "parsing multipart upload: "+err.Error())
-			return
-		}
-		mf, _, err := r.FormFile("model")
-		if err != nil {
-			httpError(w, http.StatusBadRequest, `multipart upload needs a "model" part`)
-			return
-		}
-		defer mf.Close()
-		model = mf
-		if sf, _, err := r.FormFile("sanity"); err == nil {
-			defer sf.Close()
-			sb, err := decodeSanityBatch(sf)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			sanity = sb
-		}
-	}
-
-	m, info, err := Admit(model, p.serving(), sanity)
+	m, info, err := Admit(http.MaxBytesReader(w, r.Body, p.maxUp), p.serving())
 	if err != nil {
-		// Which gate refused picks the status: 400 undecodable, 409 wrong
-		// geometry, 422 failed sanity.
+		// Which gate refused picks the status: 400 undecodable (any body
+		// but the snapshot itself), 409 wrong geometry, 422 a prediction
+		// that panicked or left the model's classes.
 		status := http.StatusBadRequest
 		var rej *rejection
 		if errors.As(err, &rej) {
@@ -313,7 +218,7 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 // is the serving version after the call; on error the serving model, its
 // version, and the verdict stream are bit-identically untouched.
 func (p *Plane) Apply(r io.Reader) (uint64, error) {
-	m, _, err := Admit(io.LimitReader(r, p.maxUp), p.serving(), SanityBatch{})
+	m, _, err := Admit(io.LimitReader(r, p.maxUp), p.serving())
 	if err == nil {
 		err = p.cow.ReplaceModel(m)
 	}
@@ -400,15 +305,14 @@ func (r *rejection) Unwrap() error { return r.err }
 
 // Admit is the one gate between outside bytes and a serving model:
 // decode (core.DecodeSnapshot, either format), geometry against want,
-// then a panic-guarded sanity batch scored at want.Width — sb when it has
-// rows, otherwise 64 built-in in-domain vectors that are range-checked
-// only. POST /model, Plane.Apply and a cluster worker's session-opening
-// snapshot all admit through it and keep only their transport; they
-// differ in where want comes from (the model already serving, the
-// session hello). Nothing is
-// published here: on success the caller owns a model that has already
-// predicted at the width it will serve at.
-func Admit(r io.Reader, want Geometry, sb SanityBatch) (*core.Model, core.SnapshotInfo, error) {
+// then a panic-guarded sanity batch of 64 fixed in-domain vectors scored
+// at want.Width and range-checked. POST /model, Plane.Apply and a cluster
+// worker's session-opening snapshot all call it in this one form and keep
+// only their transport; they differ in where want comes from (the model
+// already serving, the session hello). Nothing is published here: on
+// success the caller owns a model that has already predicted at the width
+// it will serve at.
+func Admit(r io.Reader, want Geometry) (*core.Model, core.SnapshotInfo, error) {
 	m, info, err := core.DecodeSnapshot(r)
 	if err != nil {
 		return nil, core.SnapshotInfo{}, &rejection{http.StatusBadRequest, fmt.Errorf("decoding model: %w", err)}
@@ -416,7 +320,7 @@ func Admit(r io.Reader, want Geometry, sb SanityBatch) (*core.Model, core.Snapsh
 	if err := want.check(m, info); err != nil {
 		return nil, core.SnapshotInfo{}, &rejection{http.StatusConflict, err}
 	}
-	if err := runSanity(m, want.Width, sb); err != nil {
+	if err := runSanity(m, want.Width); err != nil {
 		return nil, core.SnapshotInfo{}, &rejection{http.StatusUnprocessableEntity, err}
 	}
 	return m, info, nil
@@ -452,58 +356,36 @@ func servingClassifier(m *core.Model, width bitpack.Width) (pipeline.Classifier,
 	return quantize.FromCore(m, width)
 }
 
-// runSanity scores the candidate on the effective sanity batch at the
-// serving width. A panic during prediction is converted to a rejection —
-// outside bytes must never be able to crash the serving process.
-func runSanity(m *core.Model, width bitpack.Width, sb SanityBatch) (err error) {
+// runSanity scores the candidate at the serving width on sanityRows
+// fixed in-domain vectors (normalized features are zero-mean
+// unit-variance, so unit-interval draws are well within range) and
+// range-checks every verdict: the floor that catches a decoded-but-broken
+// model without asking the operator for labeled data. A panic during
+// prediction is converted to a rejection — outside bytes must never be
+// able to crash the serving process.
+func runSanity(m *core.Model, width bitpack.Width) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sanity batch: prediction panicked: %v", r)
 		}
 	}()
-	if sb.X == nil || sb.X.Rows == 0 {
-		sb = SanityBatch{X: builtinSanity(m.Enc.InDim())}
-	}
-	if sb.X.Cols != m.Enc.InDim() {
-		return fmt.Errorf("sanity batch has %d features, model encodes %d", sb.X.Cols, m.Enc.InDim())
-	}
 	c, err := servingClassifier(m, width)
 	if err != nil {
 		return err
 	}
-	classes := m.NumClasses()
-	correct := 0
-	preds := make([]int, sb.X.Rows)
-	c.PredictBatchInto(sb.X, preds)
-	for i, pred := range preds {
-		if pred < 0 || pred >= classes {
-			return fmt.Errorf("sanity batch: row %d predicted class %d of %d", i, pred, classes)
-		}
-		if sb.Y != nil && pred == sb.Y[i] {
-			correct++
-		}
-	}
-	if sb.Y != nil && sb.MinAccuracy > 0 {
-		acc := float64(correct) / float64(sb.X.Rows)
-		if acc < sb.MinAccuracy {
-			return fmt.Errorf("sanity batch: accuracy %.4f below required %.4f", acc, sb.MinAccuracy)
-		}
-	}
-	return nil
-}
-
-// builtinSanity deterministically generates in-domain feature vectors
-// (normalized features are zero-mean unit-variance, so unit-interval
-// draws are well within range). It only range-checks predictions — the
-// floor that catches a decoded-but-broken model without requiring the
-// operator to ship labeled data.
-func builtinSanity(inDim int) *hdc.Matrix {
-	x := hdc.NewMatrix(builtinSanityRows, inDim)
+	x := hdc.NewMatrix(sanityRows, m.Enc.InDim())
 	r := rng.New(0x5a17b0) // fixed: the gate must be reproducible
 	for i := range x.Data {
 		x.Data[i] = r.Float32()
 	}
-	return x
+	preds := make([]int, x.Rows)
+	c.PredictBatchInto(x, preds)
+	for i, pred := range preds {
+		if pred < 0 || pred >= m.NumClasses() {
+			return fmt.Errorf("sanity batch: row %d predicted class %d of %d", i, pred, m.NumClasses())
+		}
+	}
+	return nil
 }
 
 // writeJSON writes one JSON response.

@@ -2,13 +2,12 @@ package control
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
-	"io"
-	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -77,7 +76,14 @@ func snapshotBytes(t *testing.T, m *core.Model) []byte {
 
 func postModel(t *testing.T, url string, body []byte) (*http.Response, map[string]any) {
 	t.Helper()
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	return postAs(t, url, "application/octet-stream", body)
+}
+
+// postAs posts body to url as content type ctype and decodes the JSON
+// answer.
+func postAs(t *testing.T, url, ctype string, body []byte) (*http.Response, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url, ctype, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +133,8 @@ func TestReloadHappyPath(t *testing.T) {
 
 // TestRejectionsLeaveServingUntouched is the control plane's core
 // contract: every rejection path — corrupt bytes, geometry mismatches,
-// a failed sanity gate — must return before the serving model changes.
+// a body in any format but a snapshot — must return before the serving
+// model changes.
 func TestRejectionsLeaveServingUntouched(t *testing.T) {
 	cow, _, srv := planeServer(t, Config{})
 	v0 := cow.Version()
@@ -142,6 +149,15 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 	wrongInput, _, _ := trainModel(t, 3, 6, 64, 5)
 	masksAll, _, _ := trainModel(t, 3, 8, 64, 5) // a 1-bit model would mask all 64 dims
 	masksAll.History = append(masksAll.History, core.CycleStats{Dropped: 64})
+	// The one upload format is the snapshot itself: a multipart form
+	// wrapping a valid one is refused, not unpacked.
+	valid, _, _ := trainModel(t, 3, 8, 64, 77)
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	part, _ := mw.CreateFormFile("model", "model.snap")
+	part.Write(snapshotBytes(t, valid))
+	mw.Close()
+	ctype := map[string]string{"multipart form around a valid snapshot": mw.FormDataContentType()}
 
 	cases := []struct {
 		name string
@@ -154,9 +170,10 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 		{"wrong classes", snapshotBytes(t, wrongClasses), http.StatusConflict},
 		{"wrong input features", snapshotBytes(t, wrongInput), http.StatusConflict},
 		{"drops every dimension", snapshotBytes(t, masksAll), http.StatusBadRequest},
+		{"multipart form around a valid snapshot", form.Bytes(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, out := postModel(t, srv.URL+"/model", tc.body)
+		resp, out := postAs(t, srv.URL+"/model", cmp.Or(ctype[tc.name], "application/octet-stream"), tc.body)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.code, out)
 		}
@@ -170,81 +187,6 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 			t.Fatalf("%s: rejection changed serving verdicts", tc.name)
 		}
 	}
-}
-
-func TestSanityGateRejects(t *testing.T) {
-	cow, _, srv := planeServer(t, Config{})
-	v0 := cow.Version()
-	cand, x, _ := trainModel(t, 3, 8, 64, 77)
-
-	// Labels deliberately rotated off the candidate's own predictions:
-	// accuracy is exactly 0, so any MinAccuracy > 0 must reject.
-	code, body := uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), sanityFor(t, cand, x, 1, 0.5))
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("sanity gate answered %d: %s", code, body)
-	}
-	if cow.Version() != v0 {
-		t.Fatalf("failed sanity gate bumped version to %d", cow.Version())
-	}
-
-	// A mis-shaped sanity batch is a client error too, and must not
-	// publish either.
-	code, _ = uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), []byte("garbage"))
-	if code != http.StatusBadRequest || cow.Version() != v0 {
-		t.Fatalf("corrupt sanity part: status %d, version %d (want %d, %d)",
-			code, cow.Version(), http.StatusBadRequest, v0)
-	}
-}
-
-func TestSanityGatePassesWithLabels(t *testing.T) {
-	cow, _, srv := planeServer(t, Config{})
-	cand, x, _ := trainModel(t, 3, 8, 64, 77)
-	// Labels the candidate agrees with.
-	code, body := uploadWithSanity(t, srv.URL, snapshotBytes(t, cand), sanityFor(t, cand, x, 0, 1.0))
-	if code != http.StatusOK {
-		t.Fatalf("labeled sanity pass answered %d: %s", code, body)
-	}
-	if cow.Version() != 2 {
-		t.Fatalf("version %d after accepted upload, want 2", cow.Version())
-	}
-}
-
-// sanityFor encodes a sanity batch of x's first 30 rows, each labeled
-// with cand's verdict on it moved on by shift classes (of 3), that must
-// score minAcc.
-func sanityFor(t *testing.T, cand *core.Model, x *hdc.Matrix, shift int, minAcc float64) []byte {
-	t.Helper()
-	b := SanityBatch{X: hdc.NewMatrix(30, x.Cols), Y: make([]int, 30), MinAccuracy: minAcc}
-	for i := range b.Y {
-		copy(b.X.Row(i), x.Row(i))
-		b.Y[i] = (cand.Predict(x.Row(i)) + shift) % 3
-	}
-	var buf bytes.Buffer
-	if err := EncodeSanityBatch(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// uploadWithSanity posts model with a sanity part to the plane at url, as
-// the two parts of a multipart form, and returns the status and body of
-// the answer.
-func uploadWithSanity(t *testing.T, url string, model, sanity []byte) (int, string) {
-	t.Helper()
-	var mp bytes.Buffer
-	w := multipart.NewWriter(&mp)
-	fw, _ := w.CreateFormFile("model", "model.snap")
-	fw.Write(model)
-	sw, _ := w.CreateFormFile("sanity", "sanity.gob")
-	sw.Write(sanity)
-	w.Close()
-	resp, err := http.Post(url+"/model", w.FormDataContentType(), &mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(body)
 }
 
 func TestShadowAttachPromoteDemote(t *testing.T) {
@@ -462,86 +404,6 @@ func TestV1UploadAccepted(t *testing.T) {
 	}
 }
 
-func TestBuiltinSanityCatchesBrokenModel(t *testing.T) {
-	// A model whose norms were zeroed post-decode would score NaN; the
-	// plane's built-in gate only range-checks, so build a model that
-	// predicts out of range instead: one with fewer classes trained, then
-	// hand-corrupted class matrix is hard to fabricate through the public
-	// API — instead pin that the built-in batch runs at all by asserting
-	// a healthy model passes with no server-side batch configured.
-	cow, _, srv := planeServer(t, Config{})
-	cand, _, _ := trainModel(t, 3, 8, 64, 77)
-	resp, out := postModel(t, srv.URL+"/model", snapshotBytes(t, cand))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy model failed built-in sanity: %d %v", resp.StatusCode, out)
-	}
-	if cow.Version() != 2 {
-		t.Fatalf("version %d, want 2", cow.Version())
-	}
-}
-
-func TestEncodeSanityBatchValidation(t *testing.T) {
-	if err := EncodeSanityBatch(io.Discard, SanityBatch{}); err == nil {
-		t.Fatal("empty batch encoded")
-	}
-	x := hdc.NewMatrix(3, 2)
-	if err := EncodeSanityBatch(io.Discard, SanityBatch{X: x, Y: []int{0}}); err == nil {
-		t.Fatal("label/row mismatch encoded")
-	}
-	var buf bytes.Buffer
-	if err := EncodeSanityBatch(&buf, SanityBatch{X: x, Y: []int{0, 1, 0}, MinAccuracy: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeSanityBatch(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.X.Rows != 3 || back.X.Cols != 2 || back.MinAccuracy != 0.5 || len(back.Y) != 3 {
-		t.Fatalf("round trip mangled the batch: %+v", back)
-	}
-	one := []float32{0}
-	for name, w := range map[string]sanityWire{
-		"overflowing shape": {Rows: 4, Cols: 1 << 62},
-		"short data":        {Rows: 3, Cols: 2, X: make([]float32, 5)},
-		"NaN accuracy":      {Rows: 1, Cols: 1, X: one, Y: []int{0}, MinAccuracy: math.NaN()},
-		"accuracy above 1":  {Rows: 1, Cols: 1, X: one, MinAccuracy: 1.5},
-		"negative accuracy": {Rows: 1, Cols: 1, X: one, MinAccuracy: -0.1},
-	} {
-		if _, err := decodeSanityBatch(bytes.NewReader(sanityWireBytes(t, w))); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}
-
-func sanityWireBytes(t testing.TB, w sanityWire) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzDecodeSanityBatch: any bytes decode to an error or to a batch whose
-// data is exactly Rows×Cols values, never a panic.
-func FuzzDecodeSanityBatch(f *testing.F) {
-	var good bytes.Buffer
-	if err := EncodeSanityBatch(&good, SanityBatch{X: hdc.NewMatrix(3, 2), Y: []int{0, 1, 0}, MinAccuracy: 0.5}); err != nil {
-		f.Fatal(err)
-	}
-	for _, n := range []int{good.Len(), good.Len() - 1, good.Len() / 2, 1} {
-		f.Add(good.Bytes()[:n])
-	}
-	f.Add(sanityWireBytes(f, sanityWire{Rows: 4, Cols: 1 << 62}))
-	f.Add(sanityWireBytes(f, sanityWire{Rows: 1 << 62, Cols: 4, X: make([]float32, 4)}))
-	f.Add(sanityWireBytes(f, sanityWire{Rows: -2, Cols: -1, X: make([]float32, 2)}))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		sb, err := decodeSanityBatch(bytes.NewReader(b))
-		if err == nil && (sb.X.Cols <= 0 || len(sb.X.Data)%sb.X.Cols != 0 || len(sb.X.Data)/sb.X.Cols != sb.X.Rows) {
-			t.Fatalf("decoded %d values as %d×%d", len(sb.X.Data), sb.X.Rows, sb.X.Cols)
-		}
-	})
-}
-
 func TestStatusShape(t *testing.T) {
 	_, _, srv := planeServer(t, Config{Width: 4})
 	st := getStatus(t, srv.URL)
@@ -633,7 +495,7 @@ func TestZeroDimensionModelRefused(t *testing.T) {
 		Version: 1, ClassRows: 3, ClassCols: 0,
 		Encoder: encoder.State{Kind: "rbf", Dim: 0, InDim: netflow.NumFeatures},
 	})
-	m, _, err := Admit(bytes.NewReader(body), Geometry{Classes: 3, Inputs: netflow.NumFeatures}, SanityBatch{})
+	m, _, err := Admit(bytes.NewReader(body), Geometry{Classes: 3, Inputs: netflow.NumFeatures})
 	if err == nil {
 		t.Fatalf("admitted a model with Dim() == %d", m.Dim())
 	}
@@ -658,7 +520,7 @@ func TestRetiredEncoderKindsRefused(t *testing.T) {
 		}
 		st.Encoder.Kind = kind
 		stream := v2Stream(t, st)
-		_, _, err := Admit(bytes.NewReader(stream), want, SanityBatch{})
+		_, _, err := Admit(bytes.NewReader(stream), want)
 		if kind == "rbf" { // the hand-framed stream itself is well-formed
 			if err != nil {
 				t.Fatalf("hand-framed rbf snapshot refused: %v", err)
@@ -687,7 +549,7 @@ func TestSanityGuardsPanickingPredict(t *testing.T) {
 		Enc:   encoder.NewRBF(8, 64, 0, 5),
 		Class: &hdc.Matrix{Rows: 3, Cols: 64, Data: make([]float32, 64)},
 	}
-	err := runSanity(m, 0, SanityBatch{})
+	err := runSanity(m, 0)
 	if err == nil || !strings.Contains(err.Error(), "prediction panicked") {
 		t.Fatalf("runSanity over an inconsistent model: %v, want the panic converted", err)
 	}

@@ -157,7 +157,7 @@ type Config struct {
 	// against the bounds; NewConcurrent overrides it with 1.
 	Shards int
 	// Overload is the ingress admission policy applied by NewStream (so
-	// by NewRunner and the facade's Serve). The zero value is the lossless
+	// by NewRunner and the facade's NewServeRunner). The zero value is the lossless
 	// default: no gate is installed and serving is bit-identical to every
 	// release before the overload control plane existed. Overload.Mode ==
 	// OverloadBounded wraps the engine in a Gate — see OverloadPolicy.

@@ -16,8 +16,8 @@ import (
 // timestamps so idle-flow eviction and micro-batch draining never depend
 // on caller cooperation, and closes (drains) the stream when the source
 // ends or the context cancels. Alerts flow to the engine's OnAlert and
-// Config.Sinks as usual — build the stream with NewRunner (or the facade's
-// Serve) to wire sinks in one step.
+// Config.Sinks as usual — build the stream with NewRunner (the facade's
+// NewServeRunner) to wire sinks in one step.
 //
 // A Runner drives one source into one stream exactly once; build a new
 // one per run. Verdicts are bit-identical to hand-feeding the same

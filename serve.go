@@ -1,8 +1,6 @@
 package cyberhd
 
 import (
-	"context"
-
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/control"
 	"cyberhd/internal/core"
@@ -15,19 +13,22 @@ import (
 // Serving runtime surface: the Stream/Source/Sink abstractions and the
 // Runner that ties them together (see the "Serving runtime" section of
 // ARCHITECTURE.md). EngineConfig is the one description of a serving
-// engine; the typical one-call path:
+// engine, and there is one way to serve it: start from the detector's
+// base config, set fields, build a Runner and run it:
 //
-//	stats, err := det.Serve(ctx, cyberhd.NewSliceSource(capture), cyberhd.EngineConfig{
-//	    BatchSize: 64,
-//	    Sinks:     []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)},
-//	})
+//	cfg := det.EngineConfig()
+//	cfg.BatchSize = 64
+//	cfg.Sinks = []cyberhd.AlertSink{cyberhd.NewJSONLSink(os.Stdout)}
+//	r, err := cyberhd.NewServeRunner(cfg, cyberhd.NewSliceSource(capture))
+//	...
+//	stats, err := r.Run(ctx)
 //
 // A name is re-exported here only while Go code under cmd/, examples/ or
 // bench/ selects it (cmd/doclint checks); everything else stays reachable
 // through the values these return.
 type (
 	// EngineConfig describes a serving engine: model, normalizer and class
-	// names (Detector.Serve fills the three from the detector), then
+	// names (Detector.EngineConfig fills the three), then
 	// micro-batch size, quantized width, shard count, alert callback and
 	// sinks, shared telemetry collector, shadow tap and overload policy —
 	// every field documented on pipeline.Config. Tick and progress cadence
@@ -143,8 +144,8 @@ var (
 	// control plane's Handler at "/model" and "/model/".
 	ServeMetrics = telemetry.ListenAndServe
 	// NewGate wraps a hand-built Stream in the bounded-overload admission
-	// gate — Serve and NewServeRunner do this automatically when the
-	// config's Overload policy is bounded.
+	// gate — NewServeRunner does this automatically when the config's
+	// Overload policy is bounded.
 	NewGate = pipeline.NewGate
 	// NewShadowTap returns an empty shadow tap; attach it to an engine
 	// through EngineConfig.Shadow and to a control plane through
@@ -165,44 +166,15 @@ var (
 
 // EngineConfig returns the detector's base serving configuration: the
 // trained model, its normalizer and class names. Set the fields the run
-// needs on the result and pass it to NewServeRunner; Serve starts from the
-// same base.
+// needs on the result and pass it to NewServeRunner.
 func (d *Detector) EngineConfig() EngineConfig {
 	return EngineConfig{Model: d.Model, Normalizer: d.Normalizer, ClassNames: d.ClassNames}
 }
 
 // NewServeRunner builds the engine cfg describes (cfg.Shards > 1 the
 // flow-sharded engine, anything else the deterministic single-core
-// engine) and a Runner that will pump src through it: the
-// assembled-but-not-started form of Serve, for callers that need the
-// Runner (custom contexts, access to the Stream, a tick period other
-// than 1 s, progress snapshots — set those on the Runner before Run)
-// rather than one call.
+// engine) and a Runner that will pump src through it. Set a tick period
+// other than 1 s or progress snapshots on the Runner, then call Run.
 func NewServeRunner(cfg EngineConfig, src PacketSource) (*Runner, error) {
 	return pipeline.NewRunner(cfg, src)
-}
-
-// Serve is the one-call serving path: build the engine cfg describes —
-// Model, Normalizer and ClassNames come from the detector where cfg
-// leaves them unset, so the zero EngineConfig serves the detector on the
-// single-core float32 engine — pump src through it until the source ends
-// or ctx is cancelled (auto-ticking every capture second, with no
-// progress snapshots: NewServeRunner sets either), drain
-// deterministically, and return the final stats. On cancellation the
-// stats cover everything fed before the cancel and err is ctx.Err().
-func (d *Detector) Serve(ctx context.Context, src PacketSource, cfg EngineConfig) (EngineStats, error) {
-	if cfg.Model == nil {
-		cfg.Model = d.Model
-	}
-	if cfg.Normalizer == nil {
-		cfg.Normalizer = d.Normalizer
-	}
-	if cfg.ClassNames == nil {
-		cfg.ClassNames = d.ClassNames
-	}
-	r, err := NewServeRunner(cfg, src)
-	if err != nil {
-		return EngineStats{}, err
-	}
-	return r.Run(ctx)
 }

@@ -64,38 +64,28 @@ func serveDetector(t *testing.T) *Detector {
 	}
 }
 
-// serve runs det.Serve over packets under cfg and returns its stats.
-func serve(t *testing.T, det *Detector, packets []netflow.Packet, cfg EngineConfig) EngineStats {
+// serve runs the Runner NewServeRunner builds for cfg over packets and
+// returns its stats.
+func serve(t *testing.T, cfg EngineConfig, packets []netflow.Packet) EngineStats {
 	t.Helper()
-	st, err := det.Serve(context.Background(), NewSliceSource(packets), cfg)
+	r, err := NewServeRunner(cfg, NewSliceSource(packets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// TestServeFillsDetectorFields pins what Serve takes from the detector:
-// the model, normalizer and class names a config leaves unset — and only
-// those, so a config that names its own model serves that one (on the
-// sharded engine here, which classifying alone never republishes).
-func TestServeFillsDetectorFields(t *testing.T) {
+// TestEngineConfigIsTheDetector pins the base every serving config
+// starts from: the detector's model, normalizer and class names.
+func TestEngineConfigIsTheDetector(t *testing.T) {
 	det := serveDetector(t)
 	base := det.EngineConfig()
 	if base.Model != det.Model || base.Normalizer != det.Normalizer || len(base.ClassNames) != len(det.ClassNames) {
 		t.Fatal("EngineConfig() is not the detector's model, normalizer and class names")
-	}
-	live := GenerateTraffic(TrafficConfig{Sessions: 100, Seed: 77})
-	want := serve(t, det, live.Packets, base)
-	got := serve(t, det, live.Packets, EngineConfig{})
-	if got.Flows == 0 || got.Flows != want.Flows || got.Alerts != want.Alerts {
-		t.Fatalf("zero config served %+v, the detector's own config %+v", got, want)
-	}
-	cow := NewCOWModel(det.Model)
-	tel := NewTelemetry(det.ClassNames)
-	serve(t, det, live.Packets, EngineConfig{Model: cow, Telemetry: tel, Shards: 4})
-	if s := tel.Snapshot(); s.ModelVersion != cow.Version() || cow.Version() != 1 {
-		t.Fatalf("served model version %d, want the config's COW model at %d, unpublished since its first version",
-			s.ModelVersion, cow.Version())
 	}
 }
 
@@ -114,9 +104,9 @@ func driveByHand(t *testing.T, cfg EngineConfig, packets []netflow.Packet) Engin
 	return s.Stats()
 }
 
-// TestServeMatchesDirectEngine pins the one-call path end to end: Serve
-// over a slice source produces stats bit-identical to hand-driving the
-// engine, and the JSONL sink captures every alert.
+// TestServeMatchesDirectEngine pins the serving path end to end: a
+// Runner over a slice source produces stats bit-identical to
+// hand-driving the engine, and the JSONL sink captures every alert.
 func TestServeMatchesDirectEngine(t *testing.T) {
 	det := serveDetector(t)
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
@@ -126,9 +116,10 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 
 	var jsonl bytes.Buffer
 	sink := NewJSONLSink(&jsonl)
-	got := serve(t, det, live.Packets, EngineConfig{BatchSize: 32, Sinks: []AlertSink{sink}})
+	cfg.Sinks = []AlertSink{sink}
+	got := serve(t, cfg, live.Packets)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Serve %+v != direct %+v", got, want)
+		t.Fatalf("Runner %+v != direct %+v", got, want)
 	}
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
@@ -145,7 +136,11 @@ func TestServeCancel(t *testing.T) {
 	live := GenerateTraffic(TrafficConfig{Sessions: 300, Seed: 77})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first packet
-	st, err := det.Serve(ctx, NewSliceSource(live.Packets), EngineConfig{})
+	r, err := NewServeRunner(det.EngineConfig(), NewSliceSource(live.Packets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Run(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -154,7 +149,7 @@ func TestServeCancel(t *testing.T) {
 	}
 }
 
-// TestServeWithMetrics runs Serve beside a ServeMetrics endpoint sharing
+// TestServeWithMetrics runs a Runner beside a ServeMetrics endpoint sharing
 // its collector: the endpoint answers /healthz before the run and
 // /metrics during it (scraped from a progress callback), and the
 // collector's final counters match the returned stats exactly;
@@ -259,8 +254,10 @@ func TestBoundedOverloadPolicy(t *testing.T) {
 
 	// Functional equivalence: lossless default vs permissive bounded
 	// policy (no tenant rate, synchronous engine that always admits).
-	want := serve(t, det, live.Packets, EngineConfig{})
-	got := serve(t, det, live.Packets, EngineConfig{Overload: OverloadPolicy{Mode: OverloadBounded}})
+	want := serve(t, det.EngineConfig(), live.Packets)
+	cfg = det.EngineConfig()
+	cfg.Overload = OverloadPolicy{Mode: OverloadBounded}
+	got := serve(t, cfg, live.Packets)
 	if got.Packets != want.Packets || got.Flows != want.Flows || got.Alerts != want.Alerts || !slices.Equal(got.ByClass, want.ByClass) {
 		t.Fatalf("bounded-permissive %+v != lossless %+v", got, want)
 	}
