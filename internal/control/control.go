@@ -169,15 +169,23 @@ func (p *Plane) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	m, info, err := Admit(http.MaxBytesReader(w, r.Body, p.maxUp), p.serving())
 	if err != nil {
-		// Which gate refused picks the status: 400 undecodable (any body
-		// but the snapshot itself), 409 wrong geometry, 422 a prediction
-		// that panicked or left the model's classes.
-		status := http.StatusBadRequest
+		// Which gate refused picks the status: 413 a body past the upload
+		// cap, 400 undecodable (any body but the snapshot itself, which
+		// the message says), 409 wrong geometry, 422 a prediction that
+		// panicked or left the model's classes.
+		status, msg := http.StatusBadRequest, err.Error()
 		var rej *rejection
-		if errors.As(err, &rej) {
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			status = http.StatusRequestEntityTooLarge
+		case errors.As(err, &rej):
 			status = rej.status
 		}
-		httpError(w, status, err.Error())
+		if status == http.StatusBadRequest {
+			msg = "POST /model takes the raw snapshot bytes: " + msg
+		}
+		httpError(w, status, msg)
 		return
 	}
 
@@ -315,7 +323,7 @@ func (r *rejection) Unwrap() error { return r.err }
 func Admit(r io.Reader, want Geometry) (*core.Model, core.SnapshotInfo, error) {
 	m, info, err := core.DecodeSnapshot(r)
 	if err != nil {
-		return nil, core.SnapshotInfo{}, &rejection{http.StatusBadRequest, fmt.Errorf("decoding model: %w", err)}
+		return nil, core.SnapshotInfo{}, &rejection{http.StatusBadRequest, err}
 	}
 	if err := want.check(m, info); err != nil {
 		return nil, core.SnapshotInfo{}, &rejection{http.StatusConflict, err}

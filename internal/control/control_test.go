@@ -177,8 +177,13 @@ func TestRejectionsLeaveServingUntouched(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.code, out)
 		}
-		if _, ok := out["error"]; !ok {
+		msg, ok := out["error"].(string)
+		if !ok {
 			t.Errorf("%s: rejection carries no error message", tc.name)
+		}
+		if tc.name == "multipart form around a valid snapshot" &&
+			(!strings.HasPrefix(msg, "POST /model takes the raw snapshot bytes: core: decoding model: ") || strings.Count(msg, "decoding model") != 1) {
+			t.Errorf("%s: message %q does not say the body must be the raw snapshot, once", tc.name, msg)
 		}
 		if cow.Version() != v0 {
 			t.Fatalf("%s: rejection bumped serving version to %d", tc.name, cow.Version())
@@ -343,6 +348,16 @@ func TestUploadCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("over-cap upload accepted")
+	}
+	// A valid snapshot past the cap is refused as too large, not as a
+	// body in the wrong format.
+	resp, err = http.Post(srv.URL+"/model", "application/octet-stream", bytes.NewReader(snapshotBytes(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap snapshot answered %d, want 413", resp.StatusCode)
 	}
 	if cow.Version() != 1 {
 		t.Fatalf("over-cap upload bumped version to %d", cow.Version())

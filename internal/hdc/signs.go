@@ -3,13 +3,18 @@ package hdc
 import "math"
 
 // This file is the sign kernel: the RBF encode of EncodePanel cut down to
-// the one bit a 1-bit query keeps of each output.
+// the one bit a 1-bit query keeps of each output. Its one entry point,
+// SignPanel.EncodeSignsBatch, walks the panel a 64-row word at a time and
+// can retire a query between words: a caller that can already name the
+// query's verdict from its first words (quantize's W1 view, whose rows
+// are ranked so the words that separate classes most come first) stops
+// paying for the rest.
 //
 // # The certificate
 //
-// SignPanel.EncodeSigns is sign-exact: bit r is Cos32(DotLanes(B_r, x) +
-// b_r) >= 0 on every path, the bit bitpack packs from EncodePanel's output
-// (+0 and −0 give 1, NaN gives 0). The AVX-512 path gets there without the
+// SignPanel.EncodeSignsBatch is sign-exact: bit r is Cos32(DotLanes(B_r,
+// x) + b_r) >= 0 on every path, the bit bitpack packs from EncodePanel's
+// output (+0 and −0 give 1, NaN gives 0). The AVX-512 path gets there without the
 // unfused sum and without the cosine. A call covers one 64-row panel word
 // for up to three queries, each load of a group's vector feeding three
 // multiply-adds, lane-major: lane class j = 0…7 in turn sums its products
@@ -55,9 +60,9 @@ const signSlope = float32(4e-7)
 // gap to π/2 plus 1e-6 for the reduction's rounding, in half-periods.
 var signEta = (math.Pi/2 - math.Sqrt(float64(signZMax))*(1-0x1p-50) + 1e-6) / math.Pi
 
-// SignPanel is an encode panel prepared for EncodeSigns: rows base rows of
-// n elements in EncodePanel's layout with their phases, plus the row
-// bounds the certificate scales with.
+// SignPanel is an encode panel prepared for EncodeSignsBatch: rows base
+// rows of n elements in EncodePanel's layout with their phases, plus the
+// row bounds the certificate scales with.
 type SignPanel struct {
 	panel, bias []float32
 	n, rows     int
@@ -102,53 +107,50 @@ func NewSignPanel(base, bias []float32, n int) *SignPanel {
 // Words returns the uint64 words one query's bits take.
 func (p *SignPanel) Words() int { return (p.rows + 63) / 64 }
 
-// EncodeSigns writes bit r of dst (bit r%64 of word r/64) = Cos32(
-// DotLanes(B_r, x) + b_r) >= 0 for every row and clears the bits past
-// Rows. It reports whether some row's cosine is neither ±0 nor NaN:
-// bitpack.Quantize stores +1 everywhere instead of signs when no element
-// of a vector is, so a caller packing a wider vector needs to know.
-func (p *SignPanel) EncodeSigns(x []float32, dst []uint64) bool {
-	if len(x) != p.n || len(dst) != p.Words() {
-		panic("hdc: EncodeSigns length mismatch")
-	}
-	var nonzero [1]bool
-	p.EncodeSignsBatch(&Matrix{Rows: 1, Cols: p.n, Data: x}, 0, 1, dst, nonzero[:])
-	return nonzero[0]
-}
-
-// EncodeSignsBatch is EncodeSigns for rows [lo, hi) of x: query lo+i
-// writes dst[i·Words() : (i+1)·Words()] and nonzero[i]. It walks the panel
-// one 64-row word at a time across up to 64 queries, so that word stays
-// in L1 for all of them, and runs the word's certified pass on three of
-// the block's certified queries at a time, adjacent or not.
-func (p *SignPanel) EncodeSignsBatch(x *Matrix, lo, hi int, dst []uint64, nonzero []bool) {
+// EncodeSignsBatch encodes rows [lo, hi) of x to sign bits: query lo+i
+// writes bit r of its words dst[i·Words() : (i+1)·Words()] (bit r%64 of
+// word r/64) = Cos32(DotLanes(B_r, x) + b_r) >= 0 for every row, clears
+// the bits past Rows, and sets nonzero[i] when some row's cosine is
+// neither ±0 nor NaN: bitpack.Quantize stores +1 everywhere instead of
+// signs when no element of a vector is, so a caller packing a wider
+// vector needs to know.
+//
+// It walks the panel one 64-row word at a time across up to 64 queries,
+// so that word stays in L1 for all of them, and runs the word's certified
+// pass on three of the block's certified queries at a time, adjacent or
+// not. When retire is not nil, retire(lo+i, w) runs after word w of every
+// query still in its block, with that word in dst and nonzero[i] covering
+// words 0…w; a true return retires the query, whose later words are then
+// neither computed nor written. A nil retire computes every word.
+func (p *SignPanel) EncodeSignsBatch(x *Matrix, lo, hi int, dst []uint64, nonzero []bool, retire func(i, w int) bool) {
 	words := p.Words()
 	if x.Cols != p.n || lo < 0 || hi > x.Rows || lo > hi || len(dst) != (hi-lo)*words || len(nonzero) != hi-lo {
 		panic("hdc: EncodeSignsBatch length mismatch")
 	}
-	const block = 64 // queries per pass over the panel
-	var m0 [block]float32
-	var order [block]int // the block's certified queries in order, then the rest
+	const block = 64      // queries per pass over the panel
+	var m0 [block]float32 // a certified query's margin, at its place in the block
+	var order [block]int  // the block's unretired certified queries in order, then the rest
 	for b0 := lo; b0 < hi; b0 += block {
 		nb, nc := min(block, hi-b0), 0
 		for i, u := b0, nb; i < b0+nb; i++ {
 			nonzero[i-lo] = false
 			if m, ok := p.certificate(x.Row(i)); ok {
-				m0[nc], order[nc] = m, i
+				m0[i-b0], order[nc] = m, i
 				nc++
 			} else {
 				u--
 				order[u] = i
 			}
 		}
-		for w := range words {
+		for w := 0; w < words && nb > 0; w++ {
 			r0, rows, next := w*64, min(64, p.rows-w*64), (w+1)%words*64*p.n
 			valid := ^uint64(0) >> (64 - rows)
 			for t := 0; t < nb; t += 3 {
 				var out [6]uint64 // an uncertified query's certificate bits stay clear
 				if q := min(3, nc-t); q > 0 {
-					x0, x1, x2 := x.Row(order[t]), x.Row(order[t+min(1, q-1)]), x.Row(order[t+min(2, q-1)])
-					signWordAVX512(&x0[0], &x1[0], &x2[0], &p.panel[r0*p.n], &p.bias[r0], &out, p.n, q, &m0[t], signSlope,
+					i0, i1, i2 := order[t], order[t+min(1, q-1)], order[t+min(2, q-1)]
+					m := [3]float32{m0[i0-b0], m0[i1-b0], m0[i2-b0]}
+					signWordAVX512(&x.Row(i0)[0], &x.Row(i1)[0], &x.Row(i2)[0], &p.panel[r0*p.n], &p.bias[r0], &out, p.n, q, &m[0], signSlope,
 						&p.panel[min(next+t/3*256, len(p.panel)-1)]) // the next word, 1 KiB a call
 				}
 				for j, i := range order[t:min(t+3, nb)] {
@@ -160,6 +162,21 @@ func (p *SignPanel) EncodeSignsBatch(x *Matrix, lo, hi int, dst []uint64, nonzer
 					nonzero[i-lo] = nonzero[i-lo] || nz
 				}
 			}
+			if retire == nil {
+				continue
+			}
+			k, kc := 0, 0 // the queries kept, and the certified among them
+			for t, i := range order[:nb] {
+				if retire(i, w) {
+					continue
+				}
+				if t < nc {
+					kc++
+				}
+				order[k] = i
+				k++
+			}
+			nb, nc = k, kc
 		}
 	}
 }

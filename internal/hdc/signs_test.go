@@ -50,20 +50,32 @@ func checkEncodeSigns(t *testing.T, path string, x, base, bias []float32) {
 	checkSignBlock(t, path, xs, base, bias)
 }
 
-// checkSignBlock runs EncodeSigns on each row of xs, and EncodeSignsBatch
-// on all of them, over a row-major base matrix and requires every bit to
-// be Cos32(DotLanes(row, x) + bias) >= 0, the bits past the rows clear,
-// and the nonzero reports to match the outputs.
+// checkSignBlock runs EncodeSignsBatch on each row of xs alone and on
+// all of them, over a row-major base matrix, and requires every bit to be
+// Cos32(DotLanes(row, x) + bias) >= 0, the bits past the rows clear, and
+// the nonzero reports to match the outputs. A third pass retires query q
+// after word q mod (Words()+1): its retire calls must be words 0…that
+// word in order, once each, and every word computed must be unchanged.
 func checkSignBlock(t *testing.T, path string, xs *Matrix, base, bias []float32) {
 	t.Helper()
 	n, rows := xs.Cols, len(bias)
 	p := NewSignPanel(base, bias, n)
 	words, stale := p.Words(), []uint64{^uint64(0)} // stale bits must not survive
 	batch, batchNZ := slices.Repeat(stale, xs.Rows*words), make([]bool, xs.Rows)
-	p.EncodeSignsBatch(xs, 0, xs.Rows, batch, batchNZ)
+	p.EncodeSignsBatch(xs, 0, xs.Rows, batch, batchNZ, nil)
+	early, earlyNZ, seen := slices.Repeat(stale, xs.Rows*words), make([]bool, xs.Rows), make([]int, xs.Rows)
+	p.EncodeSignsBatch(xs, 0, xs.Rows, early, earlyNZ, func(q, w int) bool {
+		if w != seen[q] || w > q%(words+1) {
+			t.Fatalf("%s n=%d rows=%d query %d: retire saw word %d, want %d", path, n, rows, q, w, seen[q])
+		}
+		seen[q]++
+		return w == q%(words+1)
+	})
 	for q := range xs.Rows {
 		x, got := xs.Row(q), slices.Repeat(stale, words)
-		nonzero, wantNZ := p.EncodeSigns(x, got), false
+		var nz [1]bool
+		p.EncodeSignsBatch(xs, q, q+1, got, nz[:], nil)
+		wantNZ := false
 		for r := range words * 64 {
 			want := uint64(0)
 			if r < rows {
@@ -74,12 +86,16 @@ func checkSignBlock(t *testing.T, path string, xs *Matrix, base, bias []float32)
 				wantNZ = wantNZ || h > 0 || h < 0
 			}
 			if bit, bb := got[r/64]>>(r%64)&1, batch[q*words+r/64]>>(r%64)&1; bit != want || bb != want {
-				t.Fatalf("%s n=%d rows=%d query %d of %d, row %d: EncodeSigns bit %d, batch bit %d, scalar %d",
+				t.Fatalf("%s n=%d rows=%d query %d of %d, row %d: alone bit %d, batch bit %d, scalar %d",
 					path, n, rows, q, xs.Rows, r, bit, bb, want)
 			}
 		}
-		if nonzero != wantNZ || batchNZ[q] != wantNZ {
-			t.Fatalf("%s n=%d rows=%d query %d of %d: nonzero %v (batch %v), scalar %v", path, n, rows, q, xs.Rows, nonzero, batchNZ[q], wantNZ)
+		if nz[0] != wantNZ || batchNZ[q] != wantNZ {
+			t.Fatalf("%s n=%d rows=%d query %d of %d: nonzero %v (batch %v), scalar %v", path, n, rows, q, xs.Rows, nz[0], batchNZ[q], wantNZ)
+		}
+		last := min(q%(words+1), words-1)
+		if seen[q] != last+1 || !slices.Equal(early[q*words:][:last+1], batch[q*words:][:last+1]) || slices.ContainsFunc(early[q*words+last+1:][:words-last-1], func(u uint64) bool { return u != stale[0] }) {
+			t.Fatalf("%s n=%d rows=%d query %d of %d: retired after %d words, %d retire calls, words %x, want %x", path, n, rows, q, xs.Rows, last+1, seen[q], early[q*words:][:words], batch[q*words:][:words])
 		}
 	}
 }
@@ -243,9 +259,9 @@ func TestEncodeSignsEdgeCases(t *testing.T) {
 	p := NewSignPanel(make([]float32, 6), make([]float32, 3), 2)
 	for name, f := range map[string]func(){
 		"short base":  func() { NewSignPanel(make([]float32, 5), make([]float32, 3), 2) },
-		"short query": func() { p.EncodeSigns(make([]float32, 1), make([]uint64, 1)) },
-		"long dst":    func() { p.EncodeSigns(make([]float32, 2), make([]uint64, 2)) },
-		"batch range": func() { p.EncodeSignsBatch(NewMatrix(2, 2), 1, 3, make([]uint64, 2), make([]bool, 2)) },
+		"short query": func() { p.EncodeSignsBatch(NewMatrix(1, 1), 0, 1, make([]uint64, 1), make([]bool, 1), nil) },
+		"long dst":    func() { p.EncodeSignsBatch(NewMatrix(1, 2), 0, 1, make([]uint64, 2), make([]bool, 1), nil) },
+		"batch range": func() { p.EncodeSignsBatch(NewMatrix(2, 2), 1, 3, make([]uint64, 2), make([]bool, 2), nil) },
 	} {
 		func() {
 			defer func() {
@@ -269,10 +285,11 @@ func TestEncodeSignsAllocFree(t *testing.T) {
 	bias[5] = float32(math.Pi/2) - DotLanes(base[5*78:6*78], x.Row(0))
 	p := NewSignPanel(base, bias, 78)
 	dst, nz := make([]uint64, 3*p.Words()), make([]bool, 3)
-	if allocs := testing.AllocsPerRun(20, func() { p.EncodeSigns(x.Row(0), dst[:p.Words()]) }); allocs != 0 {
-		t.Errorf("EncodeSigns allocated %.1f objects per call", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { p.EncodeSignsBatch(x, 0, 1, dst[:p.Words()], nz[:1], nil) }); allocs != 0 {
+		t.Errorf("a single query allocated %.1f objects per call", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { p.EncodeSignsBatch(x, 0, 3, dst, nz) }); allocs != 0 {
+	retire := func(i, w int) bool { return w == i }
+	if allocs := testing.AllocsPerRun(20, func() { p.EncodeSignsBatch(x, 0, 3, dst, nz, retire) }); allocs != 0 {
 		t.Errorf("EncodeSignsBatch allocated %.1f objects per call", allocs)
 	}
 }
@@ -323,12 +340,12 @@ func BenchmarkEncodeSigns(b *testing.B) {
 	encodePaths(b, func(path string) {
 		b.Run(fmt.Sprintf("%s/single", path), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.EncodeSigns(x.Row(i%batch), dst[:p.Words()])
+				p.EncodeSignsBatch(x, i%batch, i%batch+1, dst[:p.Words()], nz[:1], nil)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/batch64", path), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.EncodeSignsBatch(x, 0, batch, dst, nz)
+				p.EncodeSignsBatch(x, 0, batch, dst, nz, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
 		})

@@ -12,10 +12,11 @@
 // and packed with the same scheme before similarity search, so inference
 // runs entirely in the integer domain. At 1 bit, FromCore gives the
 // columns the last regeneration cycle redrew one common sign, and a Model
-// encodes and scores only the columns where its class rows differ,
-// straight to query bits (hdc.SignPanel). What a Model scores against is
-// derived from Class at first use; after mutating Class later, call
-// Refresh.
+// encodes only the columns where its class rows differ, straight to query
+// bits (hdc.SignPanel), those that separate the most class pairs first,
+// and stops encoding a query once its verdict is certain. What a Model
+// scores against is derived from Class at first use; after mutating Class
+// later, call Refresh.
 package quantize
 
 import (
@@ -31,10 +32,11 @@ import (
 	"cyberhd/internal/metrics"
 )
 
-// Model is a quantized HDC classifier. All prediction paths run through
-// the packed kernel layer: queries are packed into pooled scratch and
-// scored against the class memory by a cached-norm bitpack.Scorer, so
-// steady-state Predict and PredictBatchInto perform no allocations.
+// Model is a quantized HDC classifier. At W2–W32 queries are packed into
+// pooled scratch and scored against the class memory by a cached-norm
+// bitpack.Scorer; at W1 they are scored in Hamming distance over the live
+// columns (see view). Steady-state Predict and PredictBatchInto perform
+// no allocations.
 type Model struct {
 	// Width is the element bitwidth of the class memory and queries.
 	Width bitpack.Width
@@ -66,68 +68,52 @@ type Model struct {
 // it is a norm-caching scorer over Class. At W1 it covers only the live
 // columns, where the class rows do not all hold the same bit: every W1 row
 // has norm √D, so a common column adds the same ±1 to every class's dot,
-// and deleting it keeps every strict order and every tie of the scores —
-// the verdict, lowest index first on ties, is Class's. The query bits of
-// the live columns come straight from the encoder's rows for them (signs),
-// and the scorer holds Class cut down to them.
+// and deleting it keeps every strict order and every tie of the scores.
+// Over the K live columns the dot with class c is K − 2·H_c, H_c the
+// Hamming distance, and all cosines share one positive divisor, so the
+// verdict — lowest index first on ties — is the class nearest in H.
+//
+// The live columns are ranked by how many class pairs differ in each, most
+// first, ties by column: the encoder rows (signs), the class rows (class)
+// and the suffix table rem follow that order, so a query's first words
+// carry most of what separates classes. After word w the leading class a
+// (least H so far, lowest index on ties) is the verdict for certain when
+// H_b − H_a > rem[w][a][b] for every other class b, or equals it with
+// a < b: only the rem[w][a][b] later columns where rows a and b differ
+// can move H_b − H_a, each by one. The sign kernel then retires the query
+// (settled). Since |H_b − H_a| after word w is at most the n[a][b] −
+// rem[w][a][b] columns so far where rows a and b differ (n[a][b] over all
+// of them), no query can settle before the first word w where some class
+// a has n[a][b] ≥ 2·rem[w][a][b] for every b; earlier words skip the
+// check.
+//
+// A query scored from its float encoding instead (classifyEncoded) folds
+// every word of its D-bit packed form against the class rows whole: a
+// common column adds the same to every H_c, so the nearest class is the
+// same.
 type view struct {
-	scorer *bitpack.Scorer
-	live   []int          // W1: the live columns of Class, ascending
-	words  []liveWord     // W1: per word of a D-bit query, its live bits
-	signs  *hdc.SignPanel // W1: the live columns' encode rows
+	scorer *bitpack.Scorer // W2–W32
+	// W1: the live columns of Class in rank order; word w of class c's
+	// bits at them, class[w·C + c] for C classes; rem[(w·C + a)·C + b],
+	// the live columns past word w where rows a and b differ; the first
+	// word a query can settle after; the live columns' encode rows; and
+	// word w of class c's D-bit row, rows[w·C + c].
+	live  []int
+	class []uint64
+	rem   []int32
+	first int
+	signs *hdc.SignPanel
+	rows  []uint64
 }
 
-// liveWord is one word's live-bit mask with the six move masks that
-// compress it (Hacker's Delight §7-4), so squeeze packs a word's live bits
-// together in twelve constant-shift steps.
-type liveWord struct {
-	mask uint64
-	move [6]uint64
-	n    int // live bits
-}
-
-func newLiveWord(mask uint64) liveWord {
-	w := liveWord{mask: mask, n: bits.OnesCount64(mask)}
-	m, mk := mask, ^mask<<1 // mk: the zeros to the right of each bit
-	for i := range w.move {
-		mp := mk ^ mk<<1 // parallel suffix: the parity of those zeros
-		mp ^= mp << 2
-		mp ^= mp << 4
-		mp ^= mp << 8
-		mp ^= mp << 16
-		mp ^= mp << 32
-		w.move[i] = mp & m // bits that move right by 2^i at step i
-		m = m ^ w.move[i] | w.move[i]>>(1<<i)
-		mk &^= mp
-	}
-	return w
-}
-
-// compress packs the bits of x under the mask into the low bits, in
-// order: PEXT.
-func (w *liveWord) compress(x uint64) uint64 {
-	x &= w.mask
-	t := x & w.move[0]
-	x = x ^ t | t>>1
-	t = x & w.move[1]
-	x = x ^ t | t>>2
-	t = x & w.move[2]
-	x = x ^ t | t>>4
-	t = x & w.move[3]
-	x = x ^ t | t>>8
-	t = x & w.move[4]
-	x = x ^ t | t>>16
-	t = x & w.move[5]
-	return x ^ t | t>>32
-}
-
-// w1Scratch is pooled W1 query state: a K-bit query for the K live
-// columns, a D-bit one to squeeze it from, and a batch chunk's sign words
-// and nonzero reports.
+// w1Scratch is pooled W1 query state: a batch chunk's sign words, nonzero
+// reports and class distances (one row of C per query), and for a query
+// scored from its float encoding its D-bit packed form.
 type w1Scratch struct {
-	q, full *bitpack.Vector
 	words   []uint64
 	nonzero []bool
+	dist    []int32
+	full    *bitpack.Vector
 }
 
 // FromCore packs the class memory of m at width w. At W1 it stores +1 in
@@ -177,77 +163,117 @@ func (m *Model) buildView() *view {
 	if m.Width != bitpack.W1 {
 		return &view{scorer: bitpack.NewScorer(m.Class)}
 	}
-	v := new(view)
-	v.live, v.words = liveColumns(m.Class, m.Enc.Dim())
-	class := &bitpack.Matrix{Rows: make([]*bitpack.Vector, len(m.Class.Rows))}
-	for c, row := range m.Class.Rows {
-		class.Rows[c] = bitpack.NewVector(len(v.live), bitpack.W1)
-		v.squeeze(row, class.Rows[c])
+	v := &view{live: rankedColumns(m.Class, m.Enc.Dim())}
+	nc, words := len(m.Class.Rows), (len(v.live)+63)/64
+	dw := (m.Enc.Dim() + 63) / 64
+	v.class, v.rem, v.rows = make([]uint64, words*nc), make([]int32, words*nc*nc), make([]uint64, dw*nc)
+	for c, r := range m.Class.Rows {
+		for k, j := range v.live { // gather the row's live bits in rank order
+			v.class[k/64*nc+c] |= r.Words[j/64] >> (j % 64) & 1 << (k % 64)
+		}
+		for w, word := range r.Words[:dw] {
+			v.rows[w*nc+c] = word
+		}
 	}
-	v.scorer = bitpack.NewScorer(class)
+	n := make([]int32, nc*nc) // n[a·C + b]: the live columns where rows a and b differ
+	for w := words - 1; w >= 0; w-- {
+		copy(v.rem[w*nc*nc:], n)
+		for a, ra := range v.class[w*nc:][:nc] {
+			for b, rb := range v.class[w*nc:][:nc] {
+				n[a*nc+b] += int32(bits.OnesCount64(ra ^ rb))
+			}
+		}
+	}
+first:
+	for ; v.first < words-1; v.first++ {
+		for a := range nc {
+			can := true
+			for b, r := range v.rem[(v.first*nc+a)*nc:][:nc] {
+				can = can && n[a*nc+b] >= 2*r
+			}
+			if can {
+				break first
+			}
+		}
+	}
 	st := encoder.CaptureState(m.Enc)
-	n := st.InDim
-	base, bias := make([]float32, len(v.live)*n), make([]float32, len(v.live))
+	in := st.InDim
+	base, bias := make([]float32, len(v.live)*in), make([]float32, len(v.live))
 	for k, j := range v.live {
-		copy(base[k*n:(k+1)*n], st.Base[j*n:(j+1)*n])
+		copy(base[k*in:(k+1)*in], st.Base[j*in:(j+1)*in])
 		bias[k] = st.Bias[j]
 	}
-	v.signs = hdc.NewSignPanel(base, bias, n)
+	v.signs = hdc.NewSignPanel(base, bias, in)
 	return v
 }
 
-// liveColumns lists the live columns of a dim-column W1 class memory,
-// word by word: a column is common when the AND over all rows equals the
-// OR, and live otherwise. It also returns each word's live mask.
-func liveColumns(class *bitpack.Matrix, dim int) ([]int, []liveWord) {
-	live, words := []int{}, []liveWord{}
-	for w := 0; w*64 < dim; w++ {
-		and, or := ^uint64(0), uint64(0)
+// rankedColumns lists the live columns of a dim-column W1 class memory —
+// those where the rows do not all hold the same bit — by how many class
+// pairs differ in each, most first, ties by column.
+func rankedColumns(class *bitpack.Matrix, dim int) []int {
+	type column struct{ j, pairs int }
+	var cols []column
+	for j := range dim {
+		ones := 0
 		for _, row := range class.Rows {
-			and &= row.Words[w]
-			or |= row.Words[w]
+			ones += int(row.Words[j/64] >> (j % 64) & 1)
 		}
-		mask := (and ^ or) & (^uint64(0) >> (64 - min(64, dim-w*64)))
-		words = append(words, newLiveWord(mask))
-		for ; mask != 0; mask &= mask - 1 {
-			live = append(live, w*64+bits.TrailingZeros64(mask))
+		if pairs := ones * (len(class.Rows) - ones); pairs > 0 {
+			cols = append(cols, column{j, pairs})
 		}
 	}
-	return live, words
+	slices.SortStableFunc(cols, func(a, b column) int { return b.pairs - a.pairs })
+	live := make([]int, len(cols))
+	for k, c := range cols {
+		live[k] = c.j
+	}
+	return live
 }
 
-// squeeze packs the live bits of the D-bit W1 vector full into the K-bit
-// q, in column order, one compressed word at a time: a query, or a class
-// row.
-func (v *view) squeeze(full, q *bitpack.Vector) {
-	var acc uint64
-	fill, out := 0, 0 // bits in acc, words of q written
-	for i, word := range full.Words {
-		lw := &v.words[i]
-		x := lw.compress(word)
-		acc |= x << fill
-		if fill += lw.n; fill >= 64 {
-			q.Words[out] = acc
-			out++
-			fill -= 64
-			acc = x >> (lw.n - fill) // the bits that did not fit; 0 when none
-		}
-	}
-	if fill > 0 {
-		q.Words[out] = acc
+// fold adds a word q of a query to its class distances d: class holds
+// the same word of every class row.
+func fold(d []int32, class []uint64, q uint64) {
+	for c, r := range class[:len(d)] {
+		d[c] += int32(bits.OnesCount64(q ^ r))
 	}
 }
 
-// scratch returns pooled W1 query state sized for v.
-func (m *Model) scratch(v *view) *w1Scratch {
+// lead returns the class nearest in d, lowest index on ties: the W1
+// verdict once d covers every word.
+func lead(d []int32) int {
+	a := 0
+	for c, h := range d {
+		if h < d[a] {
+			a = c
+		}
+	}
+	return a
+}
+
+// settled returns the class leading in d after word w and whether no
+// later word can change the verdict (see view).
+func (v *view) settled(d []int32, w int) (int, bool) {
+	a := lead(d)
+	rem := v.rem[(w*len(d)+a)*len(d):][:len(d)]
+	for b, h := range d {
+		if g := h - d[a] - rem[b]; g < 0 || g == 0 && b < a {
+			return a, false
+		}
+	}
+	return a, true
+}
+
+// scratch returns pooled W1 query state sized for n queries of v.
+func (m *Model) scratch(v *view, n int) *w1Scratch {
 	s, _ := m.sPool.Get().(*w1Scratch)
 	if s == nil {
 		s = new(w1Scratch)
 	}
-	if s.q == nil || s.q.Dim != len(v.live) {
-		s.q = bitpack.NewVector(len(v.live), bitpack.W1)
-		s.full = bitpack.NewVector(m.Enc.Dim(), bitpack.W1)
-	}
+	words, nc := v.signs.Words(), len(m.Class.Rows)
+	s.words = slices.Grow(s.words[:0], n*words)[:n*words]
+	s.nonzero = slices.Grow(s.nonzero[:0], n)[:n]
+	s.dist = slices.Grow(s.dist[:0], n*nc)[:n*nc]
+	clear(s.dist)
 	return s
 }
 
@@ -266,7 +292,7 @@ func (m *Model) encode(x []float32) *[]float32 {
 // Predict encodes x, packs it at the model width, and returns the class
 // with the highest integer-domain similarity. Encode and packed-query
 // buffers are pooled, so steady-state calls are allocation-free. At W1
-// the live columns' bits come straight from the sign kernel.
+// it is a batch of one through the sign kernel (classifySigns).
 func (m *Model) Predict(x []float32) int {
 	v := m.view()
 	if v.signs == nil {
@@ -275,33 +301,24 @@ func (m *Model) Predict(x []float32) int {
 		m.hPool.Put(h)
 		return pred
 	}
-	s := m.scratch(v)
-	if !v.signs.EncodeSigns(x, s.q.Words) {
-		m.packFull(v, x, s)
-	}
-	pred := v.scorer.Classify(s.q)
-	m.sPool.Put(s)
-	return pred
+	var out [1]int
+	m.classifySigns(v, &hdc.Matrix{Rows: 1, Cols: len(x), Data: x}, out[:], 0, 1)
+	return out[0]
 }
 
-// packFull packs the W1 query of x into s.q from its full float
-// encoding: the route for a query none of whose live outputs is nonzero,
-// where whether bitpack.Quantize stores signs or all +1 depends on the
-// other columns.
-func (m *Model) packFull(v *view, x []float32, s *w1Scratch) {
-	if len(v.live) == 0 {
-		return // nothing to pack: every class scores the same
+// classifyEncoded packs the encoded query h exactly as bitpack.Quantize(h,
+// W1) packs it and folds every word of it into d, against the class rows
+// whole (see view).
+func (v *view) classifyEncoded(h []float32, s *w1Scratch, d []int32) int {
+	if s.full == nil {
+		s.full = new(bitpack.Vector)
 	}
-	h := m.encode(x)
-	v.pack(*h, s)
-	m.hPool.Put(h)
-}
-
-// pack packs the live columns of the encoded query h into s.q exactly as
-// bitpack.Quantize(h, W1) packs them: quantized whole, then squeezed.
-func (v *view) pack(h []float32, s *w1Scratch) {
 	bitpack.QuantizeInto(h, bitpack.W1, s.full)
-	v.squeeze(s.full, s.q)
+	clear(d)
+	for w, q := range s.full.Words {
+		fold(d, v.rows[w*len(d):], q)
+	}
+	return lead(d)
 }
 
 // PredictBatch classifies every row of x, batch-encoding through the
@@ -342,18 +359,18 @@ func (m *Model) PredictBatchInto(x *hdc.Matrix, out []int) {
 }
 
 // PredictEncoded classifies an already-encoded float hypervector: the
-// query is packed at the model width into pooled scratch — at W1 only its
-// live columns — and scored against the cached-norm class memory through
-// the blocked packed panels.
+// query is packed at the model width into pooled scratch and scored
+// against the cached-norm class memory through the blocked packed panels,
+// or at W1 the live columns' bits are gathered from it and scored over
+// every word.
 func (m *Model) PredictEncoded(h []float32) int {
 	v := m.view()
 	if v.signs != nil {
 		if len(h) != m.Enc.Dim() {
 			panic("quantize: PredictEncoded length mismatch")
 		}
-		s := m.scratch(v)
-		v.pack(h, s)
-		pred := v.scorer.Classify(s.q)
+		s := m.scratch(v, 1)
+		pred := v.classifyEncoded(h, s, s.dist)
 		m.sPool.Put(s)
 		return pred
 	}
@@ -374,20 +391,35 @@ func (m *Model) classifyRows(enc *hdc.Matrix, out []int, lo, hi int) {
 }
 
 // classifySigns is W1 PredictBatchInto over rows [lo, hi) of x: one
-// blocked sign pass over the chunk, then each query scored.
+// blocked sign pass over the chunk that folds each word of a query into
+// its class distances as it lands and retires the query once its verdict
+// is settled. A query with no nonzero live output never retires and is
+// scored from its float encoding: whether bitpack.Quantize stores its
+// signs or all +1 then depends on the other columns.
 func (m *Model) classifySigns(v *view, x *hdc.Matrix, out []int, lo, hi int) {
-	s := m.scratch(v)
-	words := v.signs.Words()
-	s.words = slices.Grow(s.words[:0], (hi-lo)*words)[:(hi-lo)*words]
-	s.nonzero = slices.Grow(s.nonzero[:0], hi-lo)[:hi-lo]
-	v.signs.EncodeSignsBatch(x, lo, hi, s.words, s.nonzero)
+	s := m.scratch(v, hi-lo)
+	words, nc := v.signs.Words(), len(m.Class.Rows)
 	for i := lo; i < hi; i++ {
-		if s.nonzero[i-lo] {
-			copy(s.q.Words, s.words[(i-lo)*words:])
-		} else {
-			m.packFull(v, x.Row(i), s)
+		out[i] = -1
+	}
+	v.signs.EncodeSignsBatch(x, lo, hi, s.words, s.nonzero, func(i, w int) bool {
+		d := s.dist[(i-lo)*nc:][:nc]
+		fold(d, v.class[w*nc:], s.words[(i-lo)*words+w])
+		if !s.nonzero[i-lo] || w < v.first {
+			return false
 		}
-		out[i] = v.scorer.Classify(s.q)
+		pred, ok := v.settled(d, w)
+		if ok {
+			out[i] = pred
+		}
+		return ok
+	})
+	for i := lo; i < hi; i++ {
+		if out[i] < 0 {
+			h := m.encode(x.Row(i))
+			out[i] = v.classifyEncoded(*h, s, s.dist[(i-lo)*nc:][:nc])
+			m.hPool.Put(h)
+		}
 	}
 	m.sPool.Put(s)
 }
