@@ -12,12 +12,13 @@ import (
 // four rows against one query in a single pass over the query words
 // (dotPanel4); a single Dot is a one-row panel with the row repeated. The
 // panel has a pure-Go word-level path plus, on amd64 without the noasm
-// tag, a vectorized fast path (kernels_amd64.s) selected at init via
-// internal/cpufeat — see KernelPath:
+// tag, a vectorized fast path at every width from W4 up (kernels_amd64.s)
+// selected at init via internal/cpufeat — see KernelPath:
 //
 //   - W1: XNOR + bits.OnesCount64 over whole words (matches − mismatches
-//     = Dim − 2·hamming); AVX2 path XORs 256 bits per step and popcounts
-//     them with the nibble-LUT shuffle (VPSHUFB) + VPSADBW.
+//     = Dim − 2·hamming), in Go on every build. W1 serving scores through
+//     quantize's folded view of the live columns, not this panel, so its
+//     callers are Dot, Cosine and the stateless reference Matrix.Classify.
 //   - W2: SWAR — four popcounts per word recover the exact dot of 32
 //     2-bit elements (see dotCrumbsPre), no per-element extraction.
 //   - W4/W8: widened-integer extraction in Go; AVX2 path sign-extends
@@ -138,18 +139,13 @@ func dotPanel4(r0, r1, r2, r3, q *Vector, out []float64) {
 }
 
 // dotPanel1x4 is the 4-row bipolar panel: one XNOR/popcount per row per
-// query word — 4-word AVX2 blocks first, then scalar words, then the
-// partial last word masked to the query's valid bits.
+// query word, then the partial last word masked to the query's valid
+// bits.
 func dotPanel1x4(r0, r1, r2, r3, q *Vector, out []float64) {
 	var h [4]int64
 	full := q.Dim / 64
-	start := 0
-	if useAVX2 && full >= 4 {
-		start = full &^ 3
-		xnorPopcntPanel4AVX2(&r0.Words[0], &r1.Words[0], &r2.Words[0], &r3.Words[0], &q.Words[0], start, &h)
-	}
 	qw := q.Words
-	for k := start; k < full; k++ {
+	for k := 0; k < full; k++ {
 		w := qw[k]
 		h[0] += int64(bits.OnesCount64(r0.Words[k] ^ w))
 		h[1] += int64(bits.OnesCount64(r1.Words[k] ^ w))

@@ -7,8 +7,8 @@ import "cyberhd/internal/cpufeat"
 // useAVX gates the float-side vector kernels (quantization rounding,
 // sign packing, max-abs, and the W32 float64-lane dots — all AVX1
 // encodable); useAVX2 additionally gates the 256-bit integer dot kernels
-// (W1 popcount, W4/W8 byte lanes, W16 word lanes). Detection is shared
-// with internal/hdc via internal/cpufeat.
+// (W4/W8 byte lanes, W16 word lanes). Detection is shared with
+// internal/hdc via internal/cpufeat.
 var useAVX, useAVX2 = cpufeat.HasAVX, cpufeat.HasAVX2
 
 // The assembly kernels below (kernels_amd64.s) all share one contract:
@@ -18,13 +18,6 @@ var useAVX, useAVX2 = cpufeat.HasAVX, cpufeat.HasAVX2
 // reference. Every sum they produce is either an exact integer (W1–W16)
 // or the same 4-lane float64 accumulation as the scalar W32 contract, so
 // the split point never changes a result bit.
-
-// xnorPopcntPanel4AVX2 sets out[r] to the popcount of (a_r[i]^q[i]) over
-// n words (n > 0, multiple of 4) for the four rows a0..a3, 256 bits per
-// step via the nibble-LUT popcount.
-//
-//go:noescape
-func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 
 // dotBytesPanel4AVX2 sets out[r] to Σ a_r,i·q_i over the n·8 signed bytes
 // packed in n words (n > 0, multiple of 4) for the four rows a0..a3,
@@ -56,8 +49,9 @@ func dotShortsPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //go:noescape
 func dotLanes32Panel4AVX(a0, a1, a2, a3, q *uint64, ng int, lanes *[16]float64)
 
-// maxAbsAVX returns max |x_i| over n floats (n > 0, multiple of 8).
-// Inputs must be NaN-free (encoder outputs always are).
+// maxAbsAVX returns max |x_i| over n floats (n > 0, multiple of 8),
+// skipping NaN elements exactly as the scalar loop in maxAbsOf does: 0
+// when every element is NaN.
 //
 //go:noescape
 func maxAbsAVX(x *float32, n int) float32

@@ -4,20 +4,13 @@
 
 // Packed-kernel constants.
 //
-// nibMaskV: 0x0F in every byte — nibble extraction for the LUT popcount
-// and the W4 sign-extension shuffle.
+// nibMaskV: 0x0F in every byte — nibble extraction for the W4
+// sign-extension shuffle.
 DATA nibMaskV<>+0x00(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMaskV<>+0x08(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMaskV<>+0x10(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMaskV<>+0x18(SB)/8, $0x0f0f0f0f0f0f0f0f
 GLOBL nibMaskV<>(SB), RODATA|NOPTR, $32
-
-// popLUTV: popcount of each 4-bit index, per 128-bit lane (VPSHUFB table).
-DATA popLUTV<>+0x00(SB)/8, $0x0302020102010100
-DATA popLUTV<>+0x08(SB)/8, $0x0403030203020201
-DATA popLUTV<>+0x10(SB)/8, $0x0302020102010100
-DATA popLUTV<>+0x18(SB)/8, $0x0403030203020201
-GLOBL popLUTV<>(SB), RODATA|NOPTR, $32
 
 // sxLUTV: sign-extension of each 4-bit two's-complement index to a byte
 // (0..7 → 0..7, 8..15 → −8..−1), per 128-bit lane.
@@ -33,105 +26,6 @@ DATA absMaskV<>+0x08(SB)/8, $0x7fffffff7fffffff
 DATA absMaskV<>+0x10(SB)/8, $0x7fffffff7fffffff
 DATA absMaskV<>+0x18(SB)/8, $0x7fffffff7fffffff
 GLOBL absMaskV<>(SB), RODATA|NOPTR, $32
-
-// func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
-//
-// Per row, the popcount of a_r[i]^q[i] over n (multiple of 4) words: the
-// query is loaded once per step and XORed into each row, 4 words at a
-// time through the nibble-LUT popcount (VPSHUFB) and VPSADBW byte sums
-// into 4 int64 lanes per row, folded at the end. Exact integers, so the
-// Go caller's word split cannot change the result.
-TEXT ·xnorPopcntPanel4AVX2(SB), NOSPLIT, $0-56
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ a2+16(FP), R10
-	MOVQ a3+24(FP), R12
-	MOVQ q+32(FP), SI
-	MOVQ n+40(FP), CX
-	SHLQ $3, CX
-	VMOVDQU nibMaskV<>(SB), Y7
-	VMOVDQU popLUTV<>(SB), Y6
-	VPXOR   Y5, Y5, Y5
-	VPXOR   Y0, Y0, Y0
-	VPXOR   Y1, Y1, Y1
-	VPXOR   Y2, Y2, Y2
-	VPXOR   Y3, Y3, Y3
-	XORQ    R11, R11
-
-xpploop:
-	VMOVDQU (SI)(R11*1), Y8
-
-	VMOVDQU (R8)(R11*1), Y9
-	VPXOR   Y8, Y9, Y9
-	VPAND   Y7, Y9, Y10
-	VPSRLW  $4, Y9, Y11
-	VPAND   Y7, Y11, Y11
-	VPSHUFB Y10, Y6, Y10
-	VPSHUFB Y11, Y6, Y11
-	VPADDB  Y11, Y10, Y10
-	VPSADBW Y5, Y10, Y10
-	VPADDQ  Y10, Y0, Y0
-
-	VMOVDQU (R9)(R11*1), Y9
-	VPXOR   Y8, Y9, Y9
-	VPAND   Y7, Y9, Y10
-	VPSRLW  $4, Y9, Y11
-	VPAND   Y7, Y11, Y11
-	VPSHUFB Y10, Y6, Y10
-	VPSHUFB Y11, Y6, Y11
-	VPADDB  Y11, Y10, Y10
-	VPSADBW Y5, Y10, Y10
-	VPADDQ  Y10, Y1, Y1
-
-	VMOVDQU (R10)(R11*1), Y9
-	VPXOR   Y8, Y9, Y9
-	VPAND   Y7, Y9, Y10
-	VPSRLW  $4, Y9, Y11
-	VPAND   Y7, Y11, Y11
-	VPSHUFB Y10, Y6, Y10
-	VPSHUFB Y11, Y6, Y11
-	VPADDB  Y11, Y10, Y10
-	VPSADBW Y5, Y10, Y10
-	VPADDQ  Y10, Y2, Y2
-
-	VMOVDQU (R12)(R11*1), Y9
-	VPXOR   Y8, Y9, Y9
-	VPAND   Y7, Y9, Y10
-	VPSRLW  $4, Y9, Y11
-	VPAND   Y7, Y11, Y11
-	VPSHUFB Y10, Y6, Y10
-	VPSHUFB Y11, Y6, Y11
-	VPADDB  Y11, Y10, Y10
-	VPSADBW Y5, Y10, Y10
-	VPADDQ  Y10, Y3, Y3
-
-	ADDQ $32, R11
-	CMPQ R11, CX
-	JLT  xpploop
-
-	MOVQ out+48(FP), DX
-	VEXTRACTI128 $1, Y0, X8
-	VPADDQ       X8, X0, X0
-	VPSRLDQ      $8, X0, X8
-	VPADDQ       X8, X0, X0
-	MOVQ         X0, (DX)
-	VEXTRACTI128 $1, Y1, X8
-	VPADDQ       X8, X1, X1
-	VPSRLDQ      $8, X1, X8
-	VPADDQ       X8, X1, X1
-	MOVQ         X1, 8(DX)
-	VEXTRACTI128 $1, Y2, X8
-	VPADDQ       X8, X2, X2
-	VPSRLDQ      $8, X2, X8
-	VPADDQ       X8, X2, X2
-	MOVQ         X2, 16(DX)
-	VEXTRACTI128 $1, Y3, X8
-	VPADDQ       X8, X3, X3
-	VPSRLDQ      $8, X3, X8
-	VPADDQ       X8, X3, X3
-	MOVQ         X3, 24(DX)
-	VZEROUPPER
-	RET
 
 // func dotBytesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64)
 //
@@ -530,10 +424,14 @@ dlploop:
 
 // func maxAbsAVX(x *float32, n int) float32
 //
-// max |x_i| over n floats (n a multiple of 8): sign bits cleared with
-// absMask, four VMAXPS accumulators over 32-float steps so the chains
-// overlap, the last n mod 32 floats into the first, then a VMAXPS tree
-// fold. With the signs cleared and no NaN, max is exact in any order.
+// max |x_i| over the non-NaN x_i of n floats (n a multiple of 8), 0 if
+// there are none: sign bits cleared with absMask, four VMAXPS
+// accumulators over 32-float steps so the chains overlap, the last n mod
+// 32 floats into the first, then a VMAXPS tree fold. Each step names the
+// accumulator as VMAXPS's second source, the operand MAXPS returns when
+// either is NaN, so a NaN lane leaves the accumulator as it was — the
+// scalar loop's f > m skip — and no accumulator is ever NaN. With the
+// signs cleared and no NaN, max is exact in any order.
 TEXT ·maxAbsAVX(SB), NOSPLIT, $0-20
 	MOVQ x+0(FP), SI
 	MOVQ n+8(FP), CX
@@ -550,13 +448,13 @@ TEXT ·maxAbsAVX(SB), NOSPLIT, $0-20
 
 ma4loop:
 	VANDPS  (SI)(R11*1), Y7, Y1
-	VMAXPS  Y1, Y0, Y0
+	VMAXPS  Y0, Y1, Y0
 	VANDPS  32(SI)(R11*1), Y7, Y1
-	VMAXPS  Y1, Y2, Y2
+	VMAXPS  Y2, Y1, Y2
 	VANDPS  64(SI)(R11*1), Y7, Y1
-	VMAXPS  Y1, Y3, Y3
+	VMAXPS  Y3, Y1, Y3
 	VANDPS  96(SI)(R11*1), Y7, Y1
-	VMAXPS  Y1, Y4, Y4
+	VMAXPS  Y4, Y1, Y4
 	ADDQ    $128, R11
 	CMPQ    R11, DX
 	JLT     ma4loop
@@ -565,7 +463,7 @@ matail:
 	CMPQ    R11, CX
 	JGE     mafold
 	VANDPS  (SI)(R11*1), Y7, Y1
-	VMAXPS  Y1, Y0, Y0
+	VMAXPS  Y0, Y1, Y0
 	ADDQ    $32, R11
 	JMP     matail
 

@@ -4,7 +4,6 @@ package bitpack
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 
 	"cyberhd/internal/rng"
@@ -29,30 +28,6 @@ func randWords(r *rng.Rand, n int) []uint64 {
 // asmBlockSizes are word counts the block kernels accept (multiples of 4
 // spanning one to many 256-bit steps).
 var asmBlockSizes = []int{4, 8, 12, 16, 64, 252}
-
-// TestAsmXnorPopcntMatchesGo pins the W1 XNOR panel against the Go word
-// loop: per row, the popcount of row^query summed over whole words.
-func TestAsmXnorPopcntMatchesGo(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("AVX2 unavailable")
-	}
-	r := rng.New(101)
-	for _, n := range asmBlockSizes {
-		rows := [4][]uint64{randWords(r, n), randWords(r, n), randWords(r, n), randWords(r, n)}
-		q := randWords(r, n)
-		var got [4]int64
-		xnorPopcntPanel4AVX2(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &q[0], n, &got)
-		for i, row := range rows {
-			var want int64
-			for k := 0; k < n; k++ {
-				want += int64(bits.OnesCount64(row[k] ^ q[k]))
-			}
-			if got[i] != want {
-				t.Errorf("n=%d row=%d: asm %d != go %d", n, i, got[i], want)
-			}
-		}
-	}
-}
 
 // TestAsmDotBlocksMatchGo pins each integer panel kernel against the Go
 // panel dotPanelIntAccum on random words.
@@ -215,6 +190,38 @@ func TestAsmVsScalarDispatch(t *testing.T) {
 			}
 			if fastNorm != slowNorm {
 				t.Fatalf("w=%d dim=%d: NormSq %v != scalar %v", w, dim, fastNorm, slowNorm)
+			}
+		}
+	}
+	// The max-abs reduction skips NaN elements on both paths, so the scale
+	// matches with a NaN in the first vector block, in the last, in the
+	// scalar tail (at dim 31 and 33) and everywhere; so do the W1 signs
+	// and an all-NaN vector's words. A NaN element's own W2–W32 code is
+	// outside the quantizers' contract and is not compared.
+	nan := float32(math.NaN())
+	for _, w := range Widths {
+		for _, dim := range []int{8, 31, 32, 33, 64, 512} {
+			for _, at := range []int{0, dim&^7 - 1, dim - 1, -1} {
+				x := make([]float32, dim)
+				r.FillNorm(x, 0, 1)
+				for i := range x {
+					if i == at || at < 0 {
+						x[i] = nan
+					}
+				}
+				useAVX, useAVX2 = restoreAVX, restoreAVX2
+				fast := Quantize(x, w)
+				useAVX, useAVX2 = false, false
+				slow := Quantize(x, w)
+				useAVX, useAVX2 = restoreAVX, restoreAVX2
+				if math.Float32bits(fast.Scale) != math.Float32bits(slow.Scale) {
+					t.Fatalf("w=%d dim=%d NaN at %d: scale %v != scalar %v", w, dim, at, fast.Scale, slow.Scale)
+				}
+				for k := range slow.Words {
+					if (w == W1 || at < 0) && fast.Words[k] != slow.Words[k] {
+						t.Fatalf("w=%d dim=%d NaN at %d: word %d %#x != %#x", w, dim, at, k, fast.Words[k], slow.Words[k])
+					}
+				}
 			}
 		}
 	}

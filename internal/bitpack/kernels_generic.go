@@ -11,10 +11,6 @@ const (
 	useAVX2 = false
 )
 
-func xnorPopcntPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
-	panic("bitpack: xnorPopcntPanel4AVX2 without AVX2 support")
-}
-
 func dotBytesPanel4AVX2(a0, a1, a2, a3, q *uint64, n int, out *[4]int64) {
 	panic("bitpack: dotBytesPanel4AVX2 without AVX2 support")
 }

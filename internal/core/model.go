@@ -92,11 +92,12 @@ type CycleStats struct {
 // class.
 type Model struct {
 	Enc *encoder.RBF
-	// Class is the k×D class hypervector matrix. Prediction divides by
-	// cached row norms (see Scorer), so callers that mutate Class
-	// directly — rather than through Train — must call Scorer().Refresh()
-	// afterwards or predictions will use stale norms. A model handed to a
-	// COWModel is published as is and must not be mutated at all.
+	// Class is the k×D class hypervector matrix. Prediction scores a
+	// float64 copy of it over cached row norms (see Scorer), so callers
+	// that mutate Class directly — rather than through Train — must call
+	// Scorer().Refresh() afterwards or predictions will use the old rows.
+	// A model handed to a COWModel is published as is and must not be
+	// mutated at all.
 	Class *hdc.Matrix
 	// EffectiveDim is D* = D + Σ dimensions regenerated during training.
 	EffectiveDim int
@@ -231,12 +232,12 @@ func (m *Model) adaptiveEpochs(f *fit, y []int, r *rng.Rand) {
 			for q, i := range order[:4] {
 				h[q] = f.enc.Row(i)
 			}
-			m.scorer.panel64().Dots4(&h, f.sims)
+			m.scorer.panel.Dots4(&h, f.sims)
 			moved := false
 			for q, i := range order[:4] {
 				sims := f.sims[q*k : (q+1)*k]
 				if moved {
-					m.scorer.panel64().Dots(h[q], sims)
+					m.scorer.panel.Dots(h[q], sims)
 				}
 				m.scorer.cosines(sims, f.norms[i])
 				moved = m.learn(h[q], y[i], sims) || moved
@@ -343,7 +344,7 @@ func (m *Model) Predict(x []float32) int {
 }
 
 // PredictBatch classifies every row of x: one blocked batch encode plus
-// one class-matrix GEMM, bit-identical to per-row Predict.
+// class-panel block scoring, bit-identical to per-row Predict.
 func (m *Model) PredictBatch(x *hdc.Matrix) []int {
 	out := make([]int, x.Rows)
 	m.PredictBatchInto(x, out)

@@ -58,8 +58,8 @@ func TestArgmaxCosineReferenceZeroQuery(t *testing.T) {
 }
 
 // TestScorerMatchesArgmaxCosine checks the cached-norm kernel argmax
-// against the naive per-call-norm reference. The two paths differ in
-// float rounding (lane-wise float32 vs float64 dots), far below the
+// against the naive per-call-norm reference. Both take hdc.Dot's dots;
+// the reference also divides by the query norm, a rounding far below the
 // separation of these well-spread similarities, so the argmax agrees.
 func TestScorerMatchesArgmaxCosine(t *testing.T) {
 	m, x, _ := toyModel(t, 5, 256, 9)
@@ -74,8 +74,72 @@ func TestScorerMatchesArgmaxCosine(t *testing.T) {
 	}
 }
 
+// TestPredictScoresAreDot holds the dots both predict paths argmax over,
+// score on blocks of one to four queries, to hdc.Dot bit for bit, and the
+// verdicts of PredictEncoded and of PredictBatchEncoded — at batch sizes
+// covering the four-row blocks, the tail and the parallel fan-out — to
+// the scalar argmax of hdc.Dot(row, h)/hdc.Norm(row). Queries are
+// in-cluster rows, N(0,1) rows and a zero query; the class memory has a
+// zero row and two equal rows, whose tie goes to the lower index.
+func TestPredictScoresAreDot(t *testing.T) {
+	m, x, _ := toyModel(t, 5, 256, 9)
+	class, k := hdc.NewMatrix(7, 256), 7
+	copy(class.Data, m.Class.Data)
+	copy(class.Row(6), class.Row(2)) // row 5 stays zero
+	s, qs := newScorer(class), hdc.NewMatrix(600, 256)
+	copy(qs.Data, encoder.EncodeBatch(m.Enc, x).Data[:300*256])
+	rng.New(31).FillNorm(qs.Data[300*256:], 0, 1)
+	hdc.Zero(qs.Row(2))
+	want := make([]int, qs.Rows)
+	for i := range want {
+		best, bv := 0, math.Inf(-1)
+		for r := range k {
+			var v float64
+			if nr := hdc.Norm(class.Row(r)); nr > 0 {
+				v = hdc.Dot(class.Row(r), qs.Row(i)) / nr
+			}
+			if v > bv {
+				best, bv = r, v
+			}
+		}
+		want[i] = best
+	}
+	if want[7] != 2 {
+		t.Fatalf("query 7 of class 2 picks %d: the tie between rows 2 and 6 is not exercised", want[7])
+	}
+	dots := make([]float64, 4*k)
+	for i := 0; i < qs.Rows; i += 4 {
+		for n := 1; n <= 4; n++ {
+			q := [][]float32{qs.Row(i), qs.Row(i + 1), qs.Row(i + 2), qs.Row(i + 3)}[:n]
+			s.score(q, dots)
+			for j := range q {
+				for r := range k {
+					if got, d := dots[j*k+r], hdc.Dot(class.Row(r), q[j]); math.Float64bits(got) != math.Float64bits(d) {
+						t.Fatalf("query %d of a block of %d, row %d: score %v != hdc.Dot %v", i+j, n, r, got, d)
+					}
+				}
+			}
+			if got := s.PredictEncoded(qs.Row(i + n - 1)); got != want[i+n-1] {
+				t.Fatalf("query %d: PredictEncoded %d, reference %d", i+n-1, got, want[i+n-1])
+			}
+		}
+	}
+	for _, b := range []int{1, 3, 4, 5, 64, 300} {
+		out := make([]int, b)
+		for lo := 0; lo < qs.Rows; lo += b {
+			n := min(b, qs.Rows-lo)
+			s.PredictBatchEncoded(&hdc.Matrix{Rows: n, Cols: 256, Data: qs.Data[lo*256 : (lo+n)*256]}, out[:n])
+			for j, got := range out[:n] {
+				if got != want[lo+j] {
+					t.Fatalf("batch %d query %d: PredictBatchEncoded %d, reference %d", b, lo+j, got, want[lo+j])
+				}
+			}
+		}
+	}
+}
+
 // TestBatchPredictionBitIdentical is the blocking-determinism test at the
-// prediction level: the batch GEMM path must agree exactly with repeated
+// prediction level: the batch path must agree exactly with repeated
 // single-query prediction — same kernels, different tiling.
 func TestBatchPredictionBitIdentical(t *testing.T) {
 	m, x, _ := toyModel(t, 4, 192, 9)
@@ -223,11 +287,10 @@ func TestScorerQueryLengthPanics(t *testing.T) {
 	s.PredictEncoded(make([]float32, 3))
 }
 
-// TestKernelAccuracyParity pins the float32 kernel path to the float64
+// TestKernelAccuracyParity pins batch prediction to the float64 cosine
 // reference end-to-end: on a trained model over a full test split, the
-// accuracy of kernel-scored batch prediction must match float64 cosine
-// argmax scoring to well under a point — the documented deviation from
-// float64 accumulation must never move headline metrics.
+// accuracy of kernel-scored batch prediction must match argmaxCosine's,
+// which also divides by the query norm, to well under a point.
 func TestKernelAccuracyParity(t *testing.T) {
 	m, x, y := toyModel(t, 5, 256, 9)
 	preds := m.PredictBatch(x)

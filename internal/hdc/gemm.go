@@ -1,13 +1,11 @@
 package hdc
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file is the high-performance kernel layer behind encoding and
-// scoring: multi-row dot panels, cache-blocked matrix products, and the
-// RBF encode kernel with its cosine fused in.
+// scoring: the RBF encode kernel with its cosine fused in, and the
+// float64 class panel that every cosine against the class memory runs
+// through.
 //
 // # Numerics
 //
@@ -23,27 +21,25 @@ import (
 // 8 × float32 = DotLanes: lane j sums the products at indices congruent
 // to j mod 8 with unfused multiply/add, and the lanes fold sequentially
 // (l0+l1+...+l7) into a float32 result that callers widen to float64.
-// DotPanel, MatMulT and everything a serving pass runs — encoding, class
-// scoring — use it: it trades the float64 partial products of Dot for
-// ~an order of magnitude of throughput, and over the vector lengths used
-// here (tens to a few thousand elements of roughly unit scale) the
-// relative error stays within a few 1e-6, well below the discrimination
-// scale of HDC class similarities. DotPanel vectorizes it along a row —
-// one vector lane per lane class, a horizontal fold per output — while
-// EncodePanel vectorizes across rows: each lane class is one vector
+// It is what an encode computes: it trades the float64 partial products
+// of Dot for ~an order of magnitude of throughput over the D×F base
+// matrix, and over the vector lengths used here (tens to a few thousand
+// elements of roughly unit scale) the relative error stays within a few
+// 1e-6, well below the discrimination scale of HDC similarities.
+// EncodePanel vectorizes it across rows: each lane class is one vector
 // accumulator holding that class for sixteen rows, and the fold is seven
-// vertical adds. Both keep each output's operations in DotLanes order.
+// vertical adds, so each output keeps its operations in DotLanes order.
 //
 // 4 × float64 = Dot: each float32 pair is widened and multiplied exactly
 // in float64, lane j sums the products at indices congruent to j mod 4
 // over the whole groups of four, the tail elements go to lane 0, and the
 // fold is ((s0+s1)+s2)+s3. Panel64 is its panel form: the class memory
-// widened to float64 once, so a visit of the learning rule converts only
-// the query, and a float32×float32 product is exact in float64, so a
-// fused multiply-add rounds exactly where Dot's multiply and add do.
-// core.Scorer owns the panel for what moves a class hypervector, the
-// adaptive learning rule in core.Train. Norms stay the sequential float64
-// sum of Norm.
+// widened to float64 once, so a query converts only itself, and a
+// float32×float32 product is exact in float64, so a fused multiply-add
+// rounds exactly where Dot's multiply and add do. core.Scorer owns the
+// panel and scores every cosine against the class memory through it:
+// the adaptive learning rule in core.Train and float verdicts, single and
+// batch. Norms stay the sequential float64 sum of Norm.
 //
 // A third contract is sign-exact, not float for float: SignPanel's bits
 // equal Cos32(DotLanes(B[r], x) + bias[r]) >= 0, the sign of EncodePanel's
@@ -56,8 +52,8 @@ import (
 
 // DotLanes is the scalar reference implementation of the kernel dot
 // product: eight float32 lane accumulators over index classes mod 8,
-// folded sequentially. DotPanel and everything built on it produce
-// bit-identical sums; use Dot when float64 partial products matter.
+// folded sequentially. EncodePanel and SignPanel are built on it; use Dot
+// (or Panel64) when float64 partial products matter.
 func DotLanes(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("hdc: DotLanes length mismatch")
@@ -79,29 +75,6 @@ func DotLanes(a, b []float32) float32 {
 		l[i] += a[i] * b[i]
 	}
 	return l[0] + l[1] + l[2] + l[3] + l[4] + l[5] + l[6] + l[7]
-}
-
-// DotPanel computes out[r] = DotLanes(x, b[r*stride : r*stride+len(x)])
-// for every r in [0, len(out)) — one query against a panel of contiguous
-// rows. It is the inner kernel of MatMulT and class scoring, dispatching
-// to the AVX implementation when available.
-func DotPanel(x, b []float32, stride int, out []float32) {
-	n, rows := len(x), len(out)
-	if stride < n {
-		panic("hdc: panel stride shorter than vector")
-	}
-	if rows > 0 && (rows-1)*stride+n > len(b) {
-		panic("hdc: panel out of range")
-	}
-	if rows == 0 || n == 0 {
-		clear(out)
-		return
-	}
-	if useAVX {
-		dotPanelAVX(&x[0], &b[0], &out[0], n, stride, rows)
-		return
-	}
-	dotPanelGeneric(x, b, stride, out)
 }
 
 // Panel64 is a k×n matrix widened to float64 and interleaved in lane
@@ -191,40 +164,6 @@ func (p *Panel64) Dots4(x *[4][]float32, out []float64) {
 	}
 	for q := range x {
 		p.Dots(x[q], out[q*k:(q+1)*k])
-	}
-}
-
-// dotPanelGeneric is the portable DotPanel: DotLanes row by row.
-func dotPanelGeneric(x, b []float32, stride int, out []float32) {
-	n := len(x)
-	for r := range out {
-		out[r] = DotLanes(x, b[r*stride:][:n:n])
-	}
-}
-
-// MatMulT computes dst = a · bᵀ where a is m×k and b is n×k, so dst is
-// m×n: dst[i][j] is the kernel dot of a's row i with b's row j — one
-// DotPanel over b per row of a, rows fanned out with ParallelChunks. Each
-// output is bit-identical to the naive DotLanes double loop regardless of
-// worker count. b is a class matrix here, small enough to stay in cache
-// across the rows of a.
-func MatMulT(a, b, dst *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("hdc: MatMulT inner dims %d != %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("hdc: MatMulT dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	if Serial(a.Rows) {
-		matMulTRows(a, b, dst, 0, a.Rows)
-		return
-	}
-	ParallelChunks(a.Rows, func(lo, hi int) { matMulTRows(a, b, dst, lo, hi) })
-}
-
-func matMulTRows(a, b, dst *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		DotPanel(a.Row(i), b.Data, b.Cols, dst.Row(i))
 	}
 }
 

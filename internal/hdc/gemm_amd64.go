@@ -4,14 +4,6 @@ package hdc
 
 import "cyberhd/internal/cpufeat"
 
-// dotPanelAVX is the AVX implementation of DotPanel's contract: for each
-// of rows rows of b (stride floats apart) it accumulates x·row in eight
-// float32 lanes with unfused multiply/add and folds them sequentially —
-// bit-identical to DotLanes. Implemented in gemm_amd64.s.
-//
-//go:noescape
-func dotPanelAVX(x, b, out *float32, n, stride, rows int)
-
 // dots64FMA is Panel64.Dots for n, rows >= 1 over a panel whose rows are
 // padded to stride: per lane group one VCVTPS2PD of the query and one
 // VFMADD231PD per row into eight accumulators, folded ((s0+s1)+s2)+s3 —
@@ -52,8 +44,8 @@ func signWordAVX512(x0, x1, x2, panel, bias *float32, out *[6]uint64, n, q int, 
 //go:noescape
 func absMaxAVX512(x *float32, n int) uint32
 
-// useAVX gates the float32 dot kernel, useAVX2 and useAVX512 the encode
-// kernel, useAVX512 also Dots4's, useFMA the float64 panel kernel.
-// Detection, OS register-state checks included, lives in internal/cpufeat,
-// shared with the packed kernels of internal/bitpack.
-var useAVX, useAVX2, useAVX512, useFMA = cpufeat.HasAVX, cpufeat.HasAVX2, cpufeat.HasAVX512F, cpufeat.HasAVX2 && cpufeat.HasFMA
+// useAVX2 and useAVX512 gate the encode kernel, useAVX512 also Dots4's
+// and the sign kernel, useFMA the float64 panel kernel. Detection, OS
+// register-state checks included, lives in internal/cpufeat, shared with
+// the packed kernels of internal/bitpack.
+var useAVX2, useAVX512, useFMA = cpufeat.HasAVX2, cpufeat.HasAVX512F, cpufeat.HasAVX2 && cpufeat.HasFMA

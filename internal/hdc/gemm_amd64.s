@@ -23,210 +23,6 @@ DATA maskTab<>+0x38(SB)/4, $0x00000000
 DATA maskTab<>+0x3c(SB)/4, $0x00000000
 GLOBL maskTab<>(SB), RODATA|NOPTR, $64
 
-// func dotPanelAVX(x, b, out *float32, n, stride, rows int)
-//
-// out[r] = sum_i x[i]*b[r*stride+i], accumulated in 8 float32 lanes
-// (lane = i mod 8, unfused VMULPS+VADDPS) folded sequentially l0..l7 —
-// bit-identical to DotLanes. Four rows per pass share the x loads.
-//
-// Register map: SI=x, DI=panel cursor, DX=out cursor, R8=n,
-// R9=stride bytes, R10=rows left, BX=main-loop byte bound, CX=tail count,
-// R11=byte offset, R12..R15=row pointers, Y0..Y3=accumulators,
-// Y4=x vector, Y5..Y8=row vectors, Y13=tail mask, X9..X12=fold temps.
-TEXT ·dotPanelAVX(SB), NOSPLIT, $0-48
-	MOVQ x+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ out+16(FP), DX
-	MOVQ n+24(FP), R8
-	MOVQ stride+32(FP), R9
-	SHLQ $2, R9
-	MOVQ rows+40(FP), R10
-
-	MOVQ R8, BX
-	ANDQ $-8, BX
-	SHLQ $2, BX
-
-	MOVQ R8, CX
-	ANDQ $7, CX
-	JZ   rows4
-	MOVQ $8, AX
-	SUBQ CX, AX
-	SHLQ $2, AX
-	LEAQ maskTab<>(SB), R11
-	ADDQ AX, R11
-	VMOVDQU (R11), Y13
-
-rows4:
-	CMPQ R10, $4
-	JLT  rows1
-	MOVQ DI, R12
-	LEAQ (DI)(R9*1), R13
-	LEAQ (R13)(R9*1), R14
-	LEAQ (R14)(R9*1), R15
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	XORQ R11, R11
-	CMPQ BX, $0
-	JEQ  tail4
-
-loop4:
-	VMOVUPS (SI)(R11*1), Y4
-	VMOVUPS (R12)(R11*1), Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
-	VMOVUPS (R13)(R11*1), Y6
-	VMULPS  Y4, Y6, Y6
-	VADDPS  Y6, Y1, Y1
-	VMOVUPS (R14)(R11*1), Y7
-	VMULPS  Y4, Y7, Y7
-	VADDPS  Y7, Y2, Y2
-	VMOVUPS (R15)(R11*1), Y8
-	VMULPS  Y4, Y8, Y8
-	VADDPS  Y8, Y3, Y3
-	ADDQ $32, R11
-	CMPQ R11, BX
-	JLT  loop4
-
-tail4:
-	CMPQ CX, $0
-	JEQ  fold4
-	VMASKMOVPS (SI)(R11*1), Y13, Y4
-	VMASKMOVPS (R12)(R11*1), Y13, Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
-	VMASKMOVPS (R13)(R11*1), Y13, Y6
-	VMULPS  Y4, Y6, Y6
-	VADDPS  Y6, Y1, Y1
-	VMASKMOVPS (R14)(R11*1), Y13, Y7
-	VMULPS  Y4, Y7, Y7
-	VADDPS  Y7, Y2, Y2
-	VMASKMOVPS (R15)(R11*1), Y13, Y8
-	VMULPS  Y4, Y8, Y8
-	VADDPS  Y8, Y3, Y3
-
-fold4:
-	VEXTRACTF128 $1, Y0, X9
-	VMOVSHDUP X0, X10
-	VADDSS X10, X0, X11
-	VPERMILPS $0xaa, X0, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X0, X10
-	VADDSS X10, X11, X11
-	VADDSS X9, X11, X11
-	VMOVSHDUP X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xaa, X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X9, X10
-	VADDSS X10, X11, X11
-	VMOVSS X11, (DX)
-
-	VEXTRACTF128 $1, Y1, X9
-	VMOVSHDUP X1, X10
-	VADDSS X10, X1, X11
-	VPERMILPS $0xaa, X1, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X1, X10
-	VADDSS X10, X11, X11
-	VADDSS X9, X11, X11
-	VMOVSHDUP X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xaa, X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X9, X10
-	VADDSS X10, X11, X11
-	VMOVSS X11, 4(DX)
-
-	VEXTRACTF128 $1, Y2, X9
-	VMOVSHDUP X2, X10
-	VADDSS X10, X2, X11
-	VPERMILPS $0xaa, X2, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X2, X10
-	VADDSS X10, X11, X11
-	VADDSS X9, X11, X11
-	VMOVSHDUP X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xaa, X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X9, X10
-	VADDSS X10, X11, X11
-	VMOVSS X11, 8(DX)
-
-	VEXTRACTF128 $1, Y3, X9
-	VMOVSHDUP X3, X10
-	VADDSS X10, X3, X11
-	VPERMILPS $0xaa, X3, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X3, X10
-	VADDSS X10, X11, X11
-	VADDSS X9, X11, X11
-	VMOVSHDUP X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xaa, X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X9, X10
-	VADDSS X10, X11, X11
-	VMOVSS X11, 12(DX)
-
-	ADDQ $16, DX
-	LEAQ (R15)(R9*1), DI
-	SUBQ $4, R10
-	JMP  rows4
-
-rows1:
-	CMPQ R10, $0
-	JEQ  done
-	VXORPS Y0, Y0, Y0
-	XORQ R11, R11
-	CMPQ BX, $0
-	JEQ  tail1
-
-loop1:
-	VMOVUPS (SI)(R11*1), Y4
-	VMOVUPS (DI)(R11*1), Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
-	ADDQ $32, R11
-	CMPQ R11, BX
-	JLT  loop1
-
-tail1:
-	CMPQ CX, $0
-	JEQ  fold1
-	VMASKMOVPS (SI)(R11*1), Y13, Y4
-	VMASKMOVPS (DI)(R11*1), Y13, Y5
-	VMULPS  Y4, Y5, Y5
-	VADDPS  Y5, Y0, Y0
-
-fold1:
-	VEXTRACTF128 $1, Y0, X9
-	VMOVSHDUP X0, X10
-	VADDSS X10, X0, X11
-	VPERMILPS $0xaa, X0, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X0, X10
-	VADDSS X10, X11, X11
-	VADDSS X9, X11, X11
-	VMOVSHDUP X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xaa, X9, X10
-	VADDSS X10, X11, X11
-	VPERMILPS $0xff, X9, X10
-	VADDSS X10, X11, X11
-	VMOVSS X11, (DX)
-
-	ADDQ $4, DX
-	ADDQ R9, DI
-	DECQ R10
-	JMP  rows1
-
-done:
-	VZEROUPPER
-	RET
-
 // FOLD64 writes ((s0+s1)+s2)+s3 to dst, where lo holds lanes s0,s1 and
 // hi lanes s2,s3 of one float64 accumulator.
 #define FOLD64(lo, hi, dst) \

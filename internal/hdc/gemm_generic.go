@@ -7,15 +7,10 @@ package hdc
 // portable kernels, which are bit-identical to the AVX paths by
 // construction.
 const (
-	useAVX    = false
 	useAVX2   = false
 	useAVX512 = false
 	useFMA    = false
 )
-
-func dotPanelAVX(x, b, out *float32, n, stride, rows int) {
-	panic("hdc: dotPanelAVX without AVX support")
-}
 
 func dots64FMA(x *float32, p, out *float64, n, stride, rows int) {
 	panic("hdc: dots64FMA without FMA support")

@@ -35,84 +35,6 @@ func TestDotLanesMismatchPanics(t *testing.T) {
 	DotLanes([]float32{1}, []float32{1, 2})
 }
 
-// TestDotPanelMatchesDotLanes pins the kernel contract: the dispatched
-// panel kernel (AVX when available) must be bit-identical to the scalar
-// DotLanes reference on every row, for ragged lengths, row counts around
-// the 4-row tile, and strides larger than the vector.
-func TestDotPanelMatchesDotLanes(t *testing.T) {
-	t.Logf("useAVX=%v", useAVX)
-	r := rng.New(2)
-	for _, n := range raggedSizes {
-		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13} {
-			stride := n + r.Intn(3)
-			x := make([]float32, n)
-			b := make([]float32, rows*stride+n)
-			r.FillNorm(x, 0, 1)
-			r.FillNorm(b, 0, 1)
-			out := make([]float32, rows)
-			DotPanel(x, b, stride, out)
-			for i := range out {
-				want := DotLanes(x, b[i*stride:][:n:n])
-				if out[i] != want {
-					t.Fatalf("n=%d rows=%d stride=%d row %d: DotPanel %v != DotLanes %v",
-						n, rows, stride, i, out[i], want)
-				}
-			}
-		}
-	}
-}
-
-// TestDotPanelAVXMatchesGeneric cross-checks the two implementations
-// directly (redundant with the DotLanes test, but it pins asm against Go
-// even if the reference ever drifts).
-func TestDotPanelAVXMatchesGeneric(t *testing.T) {
-	if !useAVX {
-		t.Skip("AVX unavailable")
-	}
-	r := rng.New(3)
-	for _, n := range raggedSizes {
-		rows := 1 + r.Intn(9)
-		x := make([]float32, n)
-		b := make([]float32, rows*n)
-		r.FillNorm(x, 0, 1)
-		r.FillNorm(b, 0, 1)
-		got := make([]float32, rows)
-		want := make([]float32, rows)
-		dotPanelAVX(&x[0], &b[0], &got[0], n, n, rows)
-		dotPanelGeneric(x, b, n, want)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d rows=%d row %d: asm %v != generic %v", n, rows, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestDotPanelEdgeCases(t *testing.T) {
-	out := []float32{7, 7}
-	DotPanel(nil, nil, 0, out)
-	if out[0] != 0 || out[1] != 0 {
-		t.Errorf("empty vectors should zero the output, got %v", out)
-	}
-	DotPanel([]float32{1}, []float32{2}, 1, nil) // rows == 0: no-op
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic on short stride")
-			}
-		}()
-		DotPanel(make([]float32, 4), make([]float32, 8), 2, make([]float32, 1))
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic on panel overrun")
-			}
-		}()
-		DotPanel(make([]float32, 4), make([]float32, 7), 4, make([]float32, 2))
-	}()
-}
-
 // mixedMagnitude fills v with normal draws scaled across ~16 decades, so
 // float64 sums of their products round differently under any other
 // association than Dot's.
@@ -229,57 +151,6 @@ func FuzzDotPanel64(f *testing.F) {
 	})
 }
 
-// matMulTNaive is the unblocked reference: the kernel dot of every row
-// pair, no tiling, no parallelism.
-func matMulTNaive(a, b, dst *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			dst.Set(i, j, DotLanes(a.Row(i), b.Row(j)))
-		}
-	}
-}
-
-// TestMatMulTMatchesNaive is the blocking-determinism test: the
-// cache-blocked, chunk-parallel product must be bit-identical to the
-// naive double loop on shapes that do not divide the panel or tile sizes.
-func TestMatMulTMatchesNaive(t *testing.T) {
-	r := rng.New(4)
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 2}, {4, 8, 4}, {7, 78, 13}, {33, 17, 29},
-		{5, 512, 10}, {300, 41, 130}, {64, 78, 512},
-	}
-	for _, s := range shapes {
-		a := NewMatrix(s.m, s.k)
-		b := NewMatrix(s.n, s.k)
-		r.FillNorm(a.Data, 0, 1)
-		r.FillNorm(b.Data, 0, 1)
-		got := NewMatrix(s.m, s.n)
-		want := NewMatrix(s.m, s.n)
-		MatMulT(a, b, got)
-		matMulTNaive(a, b, want)
-		if !got.Equal(want) {
-			t.Fatalf("%dx%d·(%dx%d)ᵀ: blocked != naive", s.m, s.k, s.n, s.k)
-		}
-	}
-}
-
-func TestMatMulTShapePanics(t *testing.T) {
-	cases := []func(){
-		func() { MatMulT(NewMatrix(2, 3), NewMatrix(2, 4), NewMatrix(2, 2)) },
-		func() { MatMulT(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3)) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestMatrixResize(t *testing.T) {
 	m := NewMatrix(4, 8)
 	data := &m.Data[0]
@@ -307,16 +178,6 @@ func TestCos32Accuracy(t *testing.T) {
 	t.Logf("worst abs err %g", worst)
 	if worst > 1e-6 {
 		t.Errorf("Cos32 worst error %g exceeds 1e-6", worst)
-	}
-}
-
-func TestMatMulTAllocFree(t *testing.T) {
-	a := NewMatrix(32, 78)
-	b := NewMatrix(512, 78)
-	dst := NewMatrix(32, 512)
-	allocs := testing.AllocsPerRun(20, func() { MatMulT(a, b, dst) })
-	if allocs != 0 {
-		t.Errorf("MatMulT allocated %.1f objects per call", allocs)
 	}
 }
 

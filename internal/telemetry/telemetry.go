@@ -130,7 +130,7 @@ type Collector struct {
 // attributed to a code path. Engines attach it via SetKernels; it rides
 // along in every Snapshot and on the /stats and /metrics surfaces.
 type Kernels struct {
-	// Float is the float32 kernel path (hdc: GEMM panels, cosine).
+	// Float is the float kernel path (hdc: encode and class panels).
 	Float string `json:"float"`
 	// Packed is the quantized kernel path (bitpack: packed dots,
 	// quantization).

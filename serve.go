@@ -105,8 +105,8 @@ const (
 )
 
 // Kernels reports which kernel implementations this build+CPU selected at
-// startup: the float32 path (hdc encode and dot kernels — "avx512",
-// "avx2", "avx" or "generic") and the quantized path (bitpack packed dots
+// startup: the float path (hdc encode and class-panel kernels —
+// "avx512", "avx2" or "generic") and the quantized path (bitpack packed dots
 // and quantizers — "avx2", "avx" or "popcnt-swar"). Engines stamp the
 // same report into their telemetry collector, so live runs expose it at
 // /stats ("kernels") and /metrics (cyberhd_kernel_info); this function
