@@ -9,7 +9,7 @@
 //	cyberhd faults -dataset nsl-kdd -rate 0.1 -bits 1      # robustness spot check
 //	cyberhd detect -train 3000 -sessions 1000              # end-to-end live detection
 //	cyberhd detect -shards 0 -batch 64                     # flow-sharded, one engine per core
-//	cyberhd detect -width 4 -batch 64                      # packed 4-bit integer inference
+//	cyberhd detect -width 1 -batch 64                      # 1-bit (W1) packed inference
 //	cyberhd detect -capture traffic.cap -jsonl alerts.jsonl # O(1)-memory replay, JSONL alerts
 //	cyberhd detect -metrics :9090                          # live /metrics, /stats, /healthz
 //	cyberhd serve -listen 127.0.0.1:9301                   # cluster detector worker
@@ -280,7 +280,7 @@ func newServing(cmd string) (*flag.FlagSet, *serving) {
 	fs.Uint64Var(&sv.seed, "seed", 42, "random seed")
 	fs.StringVar(&sv.capture, "capture", "", "replay a packet log instead of generating live traffic: a binary capture, or a PCAP or pcapng file through the decode stack (Ethernet/VLAN/IPv4/IPv6) — told apart by magic, streamed in O(1) memory")
 	fs.IntVar(&sv.batch, "batch", 0, "micro-batch size per engine (0 = classify per flow)")
-	fs.IntVar(&sv.width, "width", 0, "quantized inference bitwidth: 1, 2, 4, 8, 16 or 32 (0 = float32)")
+	fs.IntVar(&sv.width, "width", 0, "serving width: 0 (float32) or 1 (W1 packed inference); W2–W32 are offline, in quantize and faults")
 	fs.Float64Var(&sv.tick, "tick", 1, "auto-tick interval in capture seconds (bounds batched-verdict delay; < 0 disables)")
 	fs.StringVar(&sv.overload, "overload", "lossless", "ingress admission policy: lossless (blocking, never drops) or bounded (bounded-latency admission with counted shedding)")
 	fs.Float64Var(&sv.pol.TenantRate, "tenant-rate", 0, "bounded mode: cap each tenant (v4 /24 or v6 /48 of the canonical flow key) at this many packets per capture second (0 disables)")
@@ -295,8 +295,8 @@ func newServing(cmd string) (*flag.FlagSet, *serving) {
 // alert sinks — all before the (slow) training step, so a typo'd flag or
 // path fails at once. After a nil return the caller defers close.
 func (sv *serving) open() error {
-	if sv.width != 0 && !bitpack.Width(sv.width).Valid() {
-		return fmt.Errorf("%s: -width %d not one of %v", sv.cmd, sv.width, bitpack.Widths)
+	if err := pipeline.CheckWidth(bitpack.Width(sv.width)); err != nil {
+		return fmt.Errorf("%s: -width: %w", sv.cmd, err)
 	}
 	switch {
 	case sv.overload == "bounded":

@@ -85,9 +85,9 @@ func TestSharedDatasetFlags(t *testing.T) {
 
 // TestSourceErrorsPrecedeTraining pins the ordering fix: a source file
 // that is missing or in no known container fails, naming the file, before
-// any training (or dialing) has happened. So does a faults -rate outside
-// [0, 1] (NaN included, which used to panic in the injector) or a -bits
-// that is no width.
+// any training (or dialing) has happened, and so does a -width no engine
+// serves. So does a faults -rate outside [0, 1] (NaN included, which used
+// to panic in the injector) or a -bits that is no width.
 func TestSourceErrorsPrecedeTraining(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such.cap")
 	unknown := filepath.Join(t.TempDir(), "unknown.bin")
@@ -101,6 +101,7 @@ func TestSourceErrorsPrecedeTraining(t *testing.T) {
 		}{
 			{[]string{"-capture", unknown}, "unknown.bin: netflow: not a pcap or pcapng capture (magic deadbeef)"},
 			{[]string{"-capture", missing}, "no-such.cap"},
+			{[]string{"-width", "8"}, pipeline.CheckWidth(8).Error()},
 		} {
 			args := tc.args
 			if name == "ingest" {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func contractTraffic() (mixed, v4 []netflow.Packet) {
 	return mixed, v4
 }
 
-// packedOracle is a b-bit model as the paper defines it, sharing no
+// packedOracle is the W1 model as the paper defines it, sharing no
 // serving state with quantize.Model: each query is Enc's float encoding
 // packed whole by bitpack.Quantize and scored against the full class
 // memory by the stateless Matrix.Classify, one query at a time. So no
@@ -79,7 +80,7 @@ type packedOracle struct{ q *quantize.Model }
 func (o packedOracle) Predict(x []float32) int {
 	h := make([]float32, o.q.Enc.Dim())
 	o.q.Enc.Encode(x, h)
-	return o.q.Class.Classify(bitpack.Quantize(h, o.q.Width))
+	return o.q.Class.Classify(bitpack.Quantize(h, bitpack.W1))
 }
 
 func (o packedOracle) PredictBatchInto(x *hdc.Matrix, out []int) {
@@ -89,16 +90,18 @@ func (o packedOracle) PredictBatchInto(x *hdc.Matrix, out []int) {
 }
 
 // TestContractMatrix is the determinism and conservation contracts as one
-// table: every serving width on every engine at both batch settings must
-// reproduce a hand-driven synchronous engine over the same packets — the
-// same verdict multiset, the same Stats, and offered == processed +
-// dropped with nothing dropped on these lossless paths. The oracle takes
-// no ticks, reads memory, and below float classifies through packedOracle
-// over the class memory quantize.FromCore packs; the cells go through the configured width (Config.Quantize, the
-// cluster's Width), the Runner's auto-tick and drain, and at float and W1
-// also through every packet source netflow.Open reads, a permissive
-// admission gate and a snapshot save→load of the model. Cluster cells
-// also conserve packets per worker.
+// table: both serving widths, float and W1, on every engine at both batch
+// settings must reproduce a hand-driven synchronous engine over the same
+// packets — the same verdict multiset, the same Stats, and offered ==
+// processed + dropped with nothing dropped on these lossless paths. The
+// oracle takes no ticks, reads memory, and at W1 classifies through
+// packedOracle over the class memory quantize.FromCore packs; the cells
+// go through the configured width (Config.Quantize, the cluster's Width),
+// the Runner's auto-tick and drain, every packet source netflow.Open
+// reads, a permissive admission gate and a snapshot save→load of the
+// model. Cluster cells also conserve packets per worker. The offline
+// widths W2–W32 keep their rows as refusal cells: every engine refuses
+// to build at them, with pipeline.CheckWidth's message.
 func TestContractMatrix(t *testing.T) {
 	det := trainedDetector(t)
 	mixed, v4 := contractTraffic()
@@ -133,9 +136,8 @@ func TestContractMatrix(t *testing.T) {
 		}
 		return path
 	}
-	// Every cell runs the first variant. At float and W1 each engine ×
-	// batch pair runs all four, so every source, both gate settings and
-	// both models meet every pair.
+	// Each serving width × engine × batch cell runs all four variants, so
+	// every source, both gate settings and both models meet every cell.
 	variants := []struct {
 		source     string
 		v4         bool   // replays the pure-v4 subset
@@ -217,14 +219,24 @@ func TestContractMatrix(t *testing.T) {
 	}
 
 	for _, w := range []Width{0, W1, W2, W4, W8, W16, W32} {
-		wants := [2]outcome{oracle(w, mixed), oracle(w, v4)}
-		n := 1
-		if w == 0 || w == W1 {
-			n = len(variants)
+		if want := pipeline.CheckWidth(w); want != nil {
+			for _, e := range engines {
+				for _, batch := range []int{0, 64} {
+					t.Run(fmt.Sprintf("w%d/%s/batch%d", w, e.name, batch), func(t *testing.T) {
+						cfg := det.EngineConfig()
+						cfg.Quantize, cfg.BatchSize = w, batch
+						if _, err := e.build(cfg, cow); err == nil || !strings.Contains(err.Error(), want.Error()) {
+							t.Fatalf("build at an offline width: %v, want %q", err, want)
+						}
+					})
+				}
+			}
+			continue
 		}
+		wants := [2]outcome{oracle(w, mixed), oracle(w, v4)}
 		for _, e := range engines {
 			for _, batch := range []int{0, 64} {
-				for i, v := range variants[:n] {
+				for i, v := range variants {
 					name := fmt.Sprintf("w%d/%s/batch%d", w, e.name, batch)
 					if i > 0 {
 						name += "/" + v.source

@@ -52,7 +52,9 @@ type (
 	// TrainOptions configures HDC training (core semantics: RegenCycles=0
 	// is a static BaselineHD model).
 	TrainOptions = core.Options
-	// Width is a quantization bitwidth (1, 2, 4, 8, 16 or 32).
+	// Width is a quantization bitwidth. Quantize packs at 1, 2, 4, 8, 16
+	// or 32 (the paper's offline Table I and Fig 5 widths); engines, the
+	// control plane and cluster workers serve 0 (float32) and W1 only.
 	Width = bitpack.Width
 	// COWModel is the concurrency-safe model wrapper: classification reads
 	// immutable atomic snapshots while hot reloads publish new versions

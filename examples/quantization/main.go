@@ -1,12 +1,12 @@
-// Quantized streaming: the Table I bitwidth sweep as a live serving mode.
-// One detector is trained, then the same capture is served at every
-// supported bitwidth through the serving runtime (EngineConfig.Quantize —
-// the same path as `cyberhd detect -width N`): completed
-// flows are encoded in float, packed to w-bit integers, and scored
-// against the packed class memory by XNOR/popcount (1-bit) or
-// widened-integer (2–32 bit) kernels. Verdict counts, class-memory
-// footprint and the modeled FPGA efficiency are reported per width,
-// against the float32 engine on identical traffic.
+// Quantized inference: the two serving widths live, and the Table I
+// bitwidth sweep offline. One detector is trained, then the same capture
+// is served at float32 and at W1 through the serving runtime
+// (EngineConfig.Quantize — the same path as `cyberhd detect -width 1`):
+// completed flows are encoded and scored against the float class memory,
+// or straight to query bits against the 1-bit one by XNOR/popcount.
+// W2–W32 are not served; cyberhd.Quantize packs them offline, and the
+// sweep reports their class-memory footprint, held-out accuracy and the
+// modeled FPGA efficiency per width.
 //
 //	go run ./examples/quantization
 package main
@@ -52,9 +52,13 @@ func main() {
 	}
 
 	base, baseDur := stream(0)
-	fmt.Printf("float32 engine: %d flows, %d alerts, %d-bit class memory, %.0f flows/s\n\n",
+	fmt.Printf("float32 engine: %d flows, %d alerts, %d-bit class memory, %.0f flows/s\n",
 		base.Flows, base.Alerts, det.Model.NumClasses()*det.Model.Dim()*32,
 		float64(base.Flows)/baseDur.Seconds())
+	w1, w1Dur := stream(cyberhd.W1)
+	fmt.Printf("W1 engine:      %d flows, %d alerts, %d-bit class memory, %.0f flows/s\n\n",
+		w1.Flows, w1.Alerts, det.Model.NumClasses()*det.Model.Dim(),
+		float64(w1.Flows)/w1Dur.Seconds())
 
 	rows, err := hwmodel.Table(hwmodel.DefaultCPU(), hwmodel.DefaultFPGA(), hwmodel.PaperEffectiveDims)
 	if err != nil {
@@ -65,20 +69,23 @@ func main() {
 		fpgaEff[r.Width] = r.FPGAEff
 	}
 
-	fmt.Printf("%-6s %8s %8s %12s %10s %10s\n",
-		"bits", "flows", "alerts", "memory", "flows/s", "FPGA eff")
+	// The offline sweep scores a held-out labeled set, normalized with the
+	// detector's training statistics.
+	test := cyberhd.CICIDS2017(2000, 8)
+	det.Normalizer.Apply(test)
+	fmt.Printf("offline sweep (float32 accuracy %.4f):\n", det.Model.Evaluate(test.X, test.Y))
+	fmt.Printf("%-6s %12s %10s %10s\n", "bits", "memory", "accuracy", "FPGA eff")
 	for _, w := range []cyberhd.Width{cyberhd.W32, cyberhd.W16, cyberhd.W8, cyberhd.W4, cyberhd.W2, cyberhd.W1} {
-		st, dur := stream(w)
 		q, err := cyberhd.Quantize(det.Model, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-6d %8d %8d %11db %10.0f %9.1fx\n",
-			w, st.Flows, st.Alerts, q.MemoryBits(), float64(st.Flows)/dur.Seconds(), fpgaEff[w])
+		fmt.Printf("%-6d %11db %10.4f %9.1fx\n",
+			w, q.MemoryBits(), q.Evaluate(test.X, test.Y), fpgaEff[w])
 	}
 
-	fmt.Println("\nverdicts at a given width are independent of batch size and shard")
-	fmt.Println("count; alert drift versus float32 is quantization error at fixed")
-	fmt.Println("D=512 — Table I grows Effective D as precision falls to recover it.")
+	fmt.Println("\nserved verdicts are independent of batch size and shard count;")
+	fmt.Println("alert drift versus float32 is quantization error at fixed D=512 —")
+	fmt.Println("Table I grows Effective D as precision falls to recover it.")
 	fmt.Println("FPGA efficiencies are modeled (Alveo U50-class, Table I convention).")
 }

@@ -16,7 +16,6 @@ package bitpack
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Width is a supported element bitwidth.
@@ -170,7 +169,9 @@ func (v *Vector) FlipBit(k int) {
 // quantization: scale = max|x| / MaxQ(w), q = round(x/scale) clamped to the
 // symmetric range. For w == 1 the result is the sign pattern with scale
 // max|x| (scale only matters for dequantization magnitude, not similarity).
-// QuantizeInto is the storage-reusing form for pooled query packing.
+// max|x| skips NaN elements; a NaN element packs as 0 at W2–W32 and as −1
+// at W1, on every platform and build. QuantizeInto is the storage-reusing
+// form for pooled query packing.
 func Quantize(x []float32, w Width) *Vector {
 	v := NewVector(len(x), w)
 	quantizeBody(x, w, v)
@@ -178,10 +179,10 @@ func Quantize(x []float32, w Width) *Vector {
 }
 
 // quantizeBody packs x into the zeroed, correctly-sized vector v — the
-// shared implementation of Quantize and QuantizeInto. Packing is
-// word-at-a-time (elements accumulate into a register before one store),
-// producing exactly the values a per-element Set loop would: the packed
-// query path runs once per streamed flow, so this is a hot kernel.
+// shared implementation of Quantize and QuantizeInto. W1 packs sign bits
+// (the served query path: maxAbsAVX and packSignsAVX where AVX is on);
+// W2–W32, which only offline evaluation packs, go through the one scalar
+// loop quantizeScalar.
 func quantizeBody(x []float32, w Width, v *Vector) {
 	maxAbs := maxAbsOf(x)
 	if maxAbs == 0 {
@@ -200,19 +201,13 @@ func quantizeBody(x []float32, w Width, v *Vector) {
 	maxQ := w.MaxQ()
 	scale := maxAbs / float64(maxQ)
 	v.Scale = float32(scale)
-	start := 0
-	if useAVX {
-		start = quantizeVector(x, w, scale, float64(maxQ), v)
-	}
-	if start < len(x) {
-		quantizeScalarFrom(x, start, w, scale, maxQ, v)
-	}
+	quantizeScalar(x, w, scale, maxQ, v)
 }
 
-// maxAbsOf returns max |x_i| as a float64. Absolute value and max are
-// exact in float32 and the final widening is exact, so this equals the
-// all-float64 reference reduction bit-for-bit; the AVX path covers whole
-// 8-lane blocks and the scalar loop the tail.
+// maxAbsOf returns max |x_i| as a float64, skipping NaN elements. Absolute
+// value and max are exact in float32 and the final widening is exact, so
+// this equals the all-float64 reference reduction bit-for-bit; the AVX
+// path covers whole 8-lane blocks and the scalar loop the tail.
 func maxAbsOf(x []float32) float64 {
 	var m float32
 	start := 0
@@ -231,127 +226,30 @@ func maxAbsOf(x []float32) float64 {
 	return float64(m)
 }
 
-// quantizeVector routes the leading elements of x through the vectorized
-// quantizers and returns how many it packed — always a multiple of the
-// vector's elements-per-word, so the scalar continuation starts on a word
-// boundary. The assembly performs the exact IEEE sequence of the scalar
-// quantizer (float64 divide, round-to-even, clamp, truncate), so every
-// stored element is bit-identical. W8/W16/W32 lanes are written straight
-// into v.Words; W4/W2 quantize through an int8 scratch that SWAR
-// squeezes re-pack (two's-complement truncation to the low w bits, the
-// same masking the scalar packer applies).
-func quantizeVector(x []float32, w Width, scale, maxQ float64, v *Vector) int {
-	switch w {
-	case W8:
-		if n := len(x) &^ 15; n >= 16 {
-			quantizeI8AVX(&v.Words[0], &x[0], n, scale, maxQ)
-			return n
-		}
-	case W16:
-		if n := len(x) &^ 7; n >= 8 {
-			quantizeI16AVX(&v.Words[0], &x[0], n, scale, maxQ)
-			return n
-		}
-	case W32:
-		if n := len(x) &^ 3; n >= 4 {
-			quantizeI32AVX(&v.Words[0], &x[0], n, scale, maxQ)
-			return n
-		}
-	case W4:
-		if n := len(x) &^ 15; n >= 16 {
-			sp := quantizeScratch(x, n, scale, maxQ)
-			s := *sp
-			for k := 0; k < n/8; k += 2 {
-				v.Words[k>>1] = squeezeNibbles(s[k], s[k+1])
-			}
-			scratchPool.Put(sp)
-			return n
-		}
-	case W2:
-		// n must stay a multiple of 32 (a whole W2 word) on top of the
-		// quantizer's own multiple-of-16 requirement.
-		if n := len(x) &^ 31; n >= 32 {
-			sp := quantizeScratch(x, n, scale, maxQ)
-			s := *sp
-			for k := 0; k < n/8; k += 4 {
-				v.Words[k>>2] = squeezeCrumbs(s[k], s[k+1], s[k+2], s[k+3])
-			}
-			scratchPool.Put(sp)
-			return n
-		}
-	}
-	return 0
-}
-
-// scratchPool recycles the word buffers the W4/W2 vector quantizers
-// expand into, keeping QuantizeInto allocation-free in steady state.
-var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// quantizeScratch quantizes n elements (multiple of 16) of x as int8
-// bytes into a pooled word buffer of n/8 words; callers read it through
-// the returned container and Put the container back when done.
-func quantizeScratch(x []float32, n int, scale, maxQ float64) *[]uint64 {
-	sp := scratchPool.Get().(*[]uint64)
-	s := *sp
-	if need := n / 8; cap(s) < need {
-		s = make([]uint64, need)
-	} else {
-		s = s[:need]
-	}
-	*sp = s
-	quantizeI8AVX(&s[0], &x[0], n, scale, maxQ)
-	return sp
-}
-
-// squeezeNibbles compresses two words of int8 bytes (16 elements) into
-// one word of 4-bit elements, keeping each byte's low nibble — the
-// two's-complement truncation the scalar packer's mask performs.
-func squeezeNibbles(lo, hi uint64) uint64 {
-	return uint64(squeezeWordNibbles(lo)) | uint64(squeezeWordNibbles(hi))<<32
-}
-
-// squeezeWordNibbles folds the low nibbles of 8 bytes into 32 bits.
-func squeezeWordNibbles(u uint64) uint32 {
-	u &= 0x0F0F0F0F0F0F0F0F
-	u = (u | u>>4) & 0x00FF00FF00FF00FF
-	u = (u | u>>8) & 0x0000FFFF0000FFFF
-	return uint32(u | u>>16)
-}
-
-// squeezeCrumbs compresses four words of int8 bytes (32 elements) into
-// one word of 2-bit elements, keeping each byte's low crumb.
-func squeezeCrumbs(a, b, c, d uint64) uint64 {
-	return uint64(squeezeWordCrumbs(a)) | uint64(squeezeWordCrumbs(b))<<16 |
-		uint64(squeezeWordCrumbs(c))<<32 | uint64(squeezeWordCrumbs(d))<<48
-}
-
-// squeezeWordCrumbs folds the low crumbs of 8 bytes into 16 bits.
-func squeezeWordCrumbs(u uint64) uint16 {
-	u &= 0x0303030303030303
-	u = (u | u>>6) & 0x000F000F000F000F
-	u = (u | u>>12) & 0x000000FF000000FF
-	return uint16(u | u>>24)
-}
-
-// quantizeScalarFrom packs elements [start, len(x)) of x — start must sit
-// on a word boundary — word-at-a-time, the scalar reference every vector
-// path is pinned against: q = round-to-even(x/scale) clamped to ±maxQ.
-func quantizeScalarFrom(x []float32, start int, w Width, scale float64, maxQ int64, v *Vector) {
+// quantizeScalar packs x word-at-a-time (elements accumulate into a
+// register before one store), producing exactly the values a per-element
+// Set loop would: q = round-to-even(x/scale) clamped to ±maxQ, and a NaN
+// element packs as 0 on every platform (Go leaves the integer conversion
+// of NaN to the implementation: math.MinInt64 on amd64, 0 on arm64).
+func quantizeScalar(x []float32, w Width, scale float64, maxQ int64, v *Vector) {
 	per := 64 / int(w)
 	mask := uint64(1)<<uint(w) - 1
-	i := start
-	for k := start / per; k < len(v.Words); k++ {
+	i := 0
+	for k := range v.Words {
 		slots := per
 		if n := len(x) - i; n < per {
 			slots = n
 		}
 		var word uint64
 		for slot := 0; slot < slots; slot++ {
-			q := int64(math.RoundToEven(float64(x[i]) / scale))
-			if q > maxQ {
-				q = maxQ
-			} else if q < -maxQ {
-				q = -maxQ
+			var q int64
+			if f := float64(x[i]) / scale; f == f {
+				q = int64(math.RoundToEven(f))
+				if q > maxQ {
+					q = maxQ
+				} else if q < -maxQ {
+					q = -maxQ
+				}
 			}
 			word |= (uint64(q) & mask) << uint(slot*int(w))
 			i++

@@ -100,6 +100,41 @@ func TestQuantizeZeroVector(t *testing.T) {
 	}
 }
 
+// TestQuantizeNaNPacksAsZero pins one NaN rule on every build: at W2–W32
+// a NaN element packs as 0, at W1 as −1 (x_i >= 0 fails), and an all-NaN
+// vector packs like an all-zero one. Every other element, and the scale,
+// are those of the vector with its NaNs set to 0, since max-abs skips NaN.
+func TestQuantizeNaNPacksAsZero(t *testing.T) {
+	r := rng.New(606)
+	for _, w := range Widths {
+		for _, n := range []int{8, 31, 64, 512} {
+			for _, at := range []int{0, n - 1, -1} {
+				x := make([]float32, n)
+				r.FillNorm(x, 0, 1)
+				zeroed := append([]float32(nil), x...)
+				for i := range x {
+					if i == at || at < 0 {
+						x[i], zeroed[i] = float32(math.NaN()), 0
+					}
+				}
+				got, ref := Quantize(x, w), Quantize(zeroed, w)
+				if got.Scale != ref.Scale {
+					t.Fatalf("w=%d n=%d NaN at %d: scale %v, want %v", w, n, at, got.Scale, ref.Scale)
+				}
+				for i := range x {
+					want := ref.Get(i)
+					if x[i] != x[i] && w == W1 && at >= 0 {
+						want = -1
+					}
+					if q := got.Get(i); q != want {
+						t.Fatalf("w=%d n=%d NaN at %d: element %d packs %d, want %d", w, n, at, i, q, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDot1MatchesNaive(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

@@ -6,9 +6,10 @@ import (
 )
 
 // This file is the quantized analog of internal/hdc's kernel layer: blocked
-// batch kernels over packed words, so the streaming engine can score flows
-// in the integer domain at GEMM rates instead of element-at-a-time Get
-// loops. Each width has exactly one dot kernel, a 4-row panel that scores
+// batch kernels over packed words, so the offline W2–W32 evaluation
+// (Table I, Fig 5) scores in the integer domain at GEMM rates instead of
+// element-at-a-time Get loops; disabling the AVX2 kernels made it 7–8×
+// slower per query at D = 512. Each width has exactly one dot kernel, a 4-row panel that scores
 // four rows against one query in a single pass over the query words
 // (dotPanel4); a single Dot is a one-row panel with the row repeated. The
 // panel has a pure-Go word-level path plus, on amd64 without the noasm
@@ -415,10 +416,11 @@ func (s *Scorer) Classify(q *Vector) int {
 
 // KernelPath reports the packed-kernel implementation selected at init,
 // so benchmarks and the serving /stats surface can attribute numbers to a
-// code path: "avx2" (vector dot kernels + vector quantization), "avx"
-// (vector quantization and W32 lanes; SWAR/popcount dots), or
-// "popcnt-swar" (pure-Go word kernels — non-amd64 targets, the noasm
-// build tag, or a CPU/OS without YMM state).
+// code path: "avx2" (the W4–W16 integer dot kernels on top of "avx"),
+// "avx" (vector max-abs and sign packing for W1 queries, and the W32
+// float64 lanes; SWAR/popcount dots), or "popcnt-swar" (pure-Go word
+// kernels — non-amd64 targets, the noasm build tag, or a CPU/OS without
+// YMM state). W2–W32 queries quantize in Go on every path.
 func KernelPath() string {
 	switch {
 	case useAVX2:

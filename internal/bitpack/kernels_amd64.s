@@ -539,120 +539,3 @@ psloop:
 
 	VZEROUPPER
 	RET
-
-// func quantizeI8AVX(dst *uint64, x *float32, n int, scale, maxQ float64)
-//
-// 16 elements per step: float32 → float64 (exact), IEEE double divide by
-// scale, VROUNDPD $0 (round to nearest even = math.RoundToEven), clamp
-// to ±maxQ, truncate to int32 (exact on integral values), pack to int8.
-// Values are already clamped, so the pack saturation never fires. Every
-// operation rounds identically to the scalar quantizer, so the bytes are
-// bit-identical.
-TEXT ·quantizeI8AVX(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD scale+24(FP), Y14
-	VBROADCASTSD maxQ+32(FP), Y13
-	VXORPD       Y12, Y12, Y12
-	VSUBPD       Y13, Y12, Y12
-
-q8loop:
-	VCVTPS2PD  (SI), Y0
-	VCVTPS2PD  16(SI), Y1
-	VCVTPS2PD  32(SI), Y2
-	VCVTPS2PD  48(SI), Y3
-	VDIVPD     Y14, Y0, Y0
-	VDIVPD     Y14, Y1, Y1
-	VDIVPD     Y14, Y2, Y2
-	VDIVPD     Y14, Y3, Y3
-	VROUNDPD   $0, Y0, Y0
-	VROUNDPD   $0, Y1, Y1
-	VROUNDPD   $0, Y2, Y2
-	VROUNDPD   $0, Y3, Y3
-	VMINPD     Y13, Y0, Y0
-	VMINPD     Y13, Y1, Y1
-	VMINPD     Y13, Y2, Y2
-	VMINPD     Y13, Y3, Y3
-	VMAXPD     Y12, Y0, Y0
-	VMAXPD     Y12, Y1, Y1
-	VMAXPD     Y12, Y2, Y2
-	VMAXPD     Y12, Y3, Y3
-	VCVTTPD2DQY Y0, X0
-	VCVTTPD2DQY Y1, X1
-	VCVTTPD2DQY Y2, X2
-	VCVTTPD2DQY Y3, X3
-	VPACKSSDW  X1, X0, X0
-	VPACKSSDW  X3, X2, X2
-	VPACKSSWB  X2, X0, X0
-	VMOVDQU    X0, (DI)
-	ADDQ       $64, SI
-	ADDQ       $16, DI
-	SUBQ       $16, CX
-	JNZ        q8loop
-
-	VZEROUPPER
-	RET
-
-// func quantizeI16AVX(dst *uint64, x *float32, n int, scale, maxQ float64)
-//
-// quantizeI8AVX at int16 granularity: 8 elements per step, one VPACKSSDW.
-TEXT ·quantizeI16AVX(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD scale+24(FP), Y14
-	VBROADCASTSD maxQ+32(FP), Y13
-	VXORPD       Y12, Y12, Y12
-	VSUBPD       Y13, Y12, Y12
-
-q16loop:
-	VCVTPS2PD  (SI), Y0
-	VCVTPS2PD  16(SI), Y1
-	VDIVPD     Y14, Y0, Y0
-	VDIVPD     Y14, Y1, Y1
-	VROUNDPD   $0, Y0, Y0
-	VROUNDPD   $0, Y1, Y1
-	VMINPD     Y13, Y0, Y0
-	VMINPD     Y13, Y1, Y1
-	VMAXPD     Y12, Y0, Y0
-	VMAXPD     Y12, Y1, Y1
-	VCVTTPD2DQY Y0, X0
-	VCVTTPD2DQY Y1, X1
-	VPACKSSDW  X1, X0, X0
-	VMOVDQU    X0, (DI)
-	ADDQ       $32, SI
-	ADDQ       $16, DI
-	SUBQ       $8, CX
-	JNZ        q16loop
-
-	VZEROUPPER
-	RET
-
-// func quantizeI32AVX(dst *uint64, x *float32, n int, scale, maxQ float64)
-//
-// quantizeI8AVX at int32 granularity: 4 elements per step, stored direct.
-TEXT ·quantizeI32AVX(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD scale+24(FP), Y14
-	VBROADCASTSD maxQ+32(FP), Y13
-	VXORPD       Y12, Y12, Y12
-	VSUBPD       Y13, Y12, Y12
-
-q32loop:
-	VCVTPS2PD  (SI), Y0
-	VDIVPD     Y14, Y0, Y0
-	VROUNDPD   $0, Y0, Y0
-	VMINPD     Y13, Y0, Y0
-	VMAXPD     Y12, Y0, Y0
-	VCVTTPD2DQY Y0, X0
-	VMOVDQU    X0, (DI)
-	ADDQ       $16, SI
-	ADDQ       $16, DI
-	SUBQ       $4, CX
-	JNZ        q32loop
-
-	VZEROUPPER
-	RET

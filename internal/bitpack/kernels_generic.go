@@ -34,15 +34,3 @@ func maxAbsAVX(x *float32, n int) float32 {
 func packSignsAVX(dst *uint64, x *float32, nw int) {
 	panic("bitpack: packSignsAVX without AVX support")
 }
-
-func quantizeI8AVX(dst *uint64, x *float32, n int, scale, maxQ float64) {
-	panic("bitpack: quantizeI8AVX without AVX support")
-}
-
-func quantizeI16AVX(dst *uint64, x *float32, n int, scale, maxQ float64) {
-	panic("bitpack: quantizeI16AVX without AVX support")
-}
-
-func quantizeI32AVX(dst *uint64, x *float32, n int, scale, maxQ float64) {
-	panic("bitpack: quantizeI32AVX without AVX support")
-}

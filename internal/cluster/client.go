@@ -43,7 +43,8 @@ type ClientConfig struct {
 	ClassNames []string
 	// BatchSize is each worker's micro-batch size (pipeline.Config.BatchSize).
 	BatchSize int
-	// Width is each worker's serving quantization width (pipeline.Config.Quantize).
+	// Width is each worker's serving width (pipeline.Config.Quantize): 0
+	// (float32) or 1. Workers refuse any other at the hello.
 	Width bitpack.Width
 	// WorkerShards is each worker's internal shard count
 	// (pipeline.Config.Shards; 0/1 = single-core engine per worker).

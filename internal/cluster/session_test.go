@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/netflow"
@@ -84,34 +85,38 @@ func zeroNorm() *datasets.Normalizer {
 // goes through the same decode → geometry → sanity gate as every later
 // one: a model the session could not serve — an encoder narrower than a
 // flow's features, more classes than the hello named — is refused in the
-// snapshot ack with the reason, and the worker is still there for the
-// next session. Before the gate the first of these was acked and the
-// first completed flow took the whole worker process down with
-// "RBF.Encode length mismatch". (The gate's panic guard is pinned where
+// snapshot ack with the reason (a width no engine serves, in the hello's
+// ack), and the worker is still there for the next session. Before the
+// gate the first of these was acked and the first completed flow took
+// the whole worker process down with "RBF.Encode length mismatch". (The gate's panic guard is pinned where
 // it lives: control's TestSanityGuardsPanickingPredict.)
 func TestOpeningSnapshotClearsTheGate(t *testing.T) {
 	names := []string{"benign", "dos", "scan"}
 	norm := zeroNorm()
 	pkts := traffic.Generate(traffic.Config{Sessions: 60, Seed: 3}).Packets
 	addrs := startWorkers(t, 1, WorkerConfig{})
-	dial := func(m *core.Model) (*Client, error) {
+	dial := func(m *core.Model, w bitpack.Width) (*Client, error) {
 		return Dial(ClientConfig{
 			Workers: addrs, Model: core.NewCOWModel(m),
-			Normalizer: norm, ClassNames: names,
+			Normalizer: norm, ClassNames: names, Width: w,
 		})
 	}
 
 	type refused struct {
 		name   string
 		model  *core.Model
+		width  bitpack.Width
 		reason string
 	}
+	fits := tinyModel(t, len(names), netflow.NumFeatures, 64, 5)
 	cases := []refused{
-		{"input width", tinyModel(t, len(names), 10, 64, 5), "10 input features"},
-		{"class count", tinyModel(t, len(names)+1, netflow.NumFeatures, 64, 5), "4 classes"},
+		{"input width", tinyModel(t, len(names), 10, 64, 5), 0, "10 input features"},
+		{"class count", tinyModel(t, len(names)+1, netflow.NumFeatures, 64, 5), 0, "4 classes"},
+		// Refused at the hello, so Admit never scores a sanity batch at W2.
+		{"offline width", fits, bitpack.W2, "cluster: hello " + pipeline.CheckWidth(2).Error()},
 	}
 	for _, tc := range cases {
-		client, err := dial(tc.model)
+		client, err := dial(tc.model, tc.width)
 		if err == nil {
 			t.Errorf("%s: worker acked the snapshot", tc.name)
 			// ... and this is what it does with its first completed flow.
@@ -129,7 +134,7 @@ func TestOpeningSnapshotClearsTheGate(t *testing.T) {
 	}
 
 	// Same worker, next session, a model that fits.
-	client, err := dial(tinyModel(t, len(names), netflow.NumFeatures, 64, 5))
+	client, err := dial(fits, 0)
 	if err != nil {
 		t.Fatalf("well-formed session after the rejected ones: %v", err)
 	}

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 	"cyberhd/internal/telemetry"
@@ -477,8 +478,12 @@ func decodeHello(payload []byte) (helloState, error) {
 		return helloState{}, fmt.Errorf("cluster: hello normalizer has %d/%d features, want %d",
 			len(h.NormMean), len(h.NormInvStd), netflow.NumFeatures)
 	}
-	// The engine bounds (pipeline.MaxShards, pipeline.MaxBatchRows) again,
-	// so a hostile hello is refused as wire input before any engine is built.
+	// The engine's rules (served widths, pipeline.MaxShards,
+	// pipeline.MaxBatchRows) again, so a hostile hello is refused as wire
+	// input before any snapshot is admitted or engine built.
+	if err := pipeline.CheckWidth(bitpack.Width(h.Width)); err != nil {
+		return helloState{}, fmt.Errorf("cluster: hello %w", err)
+	}
 	if h.Shards < 0 || h.Shards > pipeline.MaxShards {
 		return helloState{}, fmt.Errorf("cluster: hello shard count %d out of range", h.Shards)
 	}

@@ -64,7 +64,7 @@ func testHello() helloState {
 	return helloState{
 		ClassNames: []string{"benign", "dos", "scan"},
 		NormMean:   mean, NormInvStd: inv,
-		BatchSize: 64, Width: 8, Shards: 2,
+		BatchSize: 64, Width: 1, Shards: 2,
 	}
 }
 

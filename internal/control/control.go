@@ -55,10 +55,11 @@ const sanityRows = 64
 type Config struct {
 	// Model is the serving COWModel uploads publish into. Required.
 	Model *core.COWModel
-	// Width is the serving quantization width (0 = float32). Uploads
-	// recording a different nonzero width are rejected, and shadow
-	// candidates are packed at this width so divergence measures model
-	// drift, not quantization error.
+	// Width is the serving width: 0 (float32) or 1, as
+	// pipeline.CheckWidth says; New refuses any other. Uploads recording
+	// a different nonzero width are rejected, and shadow candidates are
+	// packed at this width so divergence measures model drift, not
+	// quantization error.
 	Width bitpack.Width
 	// Shadow, when set, is the engine-attached tap shadow uploads and
 	// promote/demote operate on; without it shadow mode is rejected.
@@ -91,8 +92,8 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("control: nil serving model")
 	}
-	if cfg.Width != 0 && !cfg.Width.Valid() {
-		return nil, fmt.Errorf("control: invalid width %d", cfg.Width)
+	if err := pipeline.CheckWidth(cfg.Width); err != nil {
+		return nil, fmt.Errorf("control: %w", err)
 	}
 	return &Plane{
 		cow: cfg.Model, width: cfg.Width, shadow: cfg.Shadow,
@@ -286,9 +287,9 @@ type Geometry struct {
 	// Classes and Inputs are the class count and the encoder's input
 	// feature count.
 	Classes, Inputs int
-	// Width is the serving quantization width (0 = float32): the sanity
-	// batch is scored at it, and a snapshot recording a different nonzero
-	// width is refused.
+	// Width is the serving width, 0 (float32) or 1: the sanity batch is
+	// scored at it, and a snapshot recording a different nonzero width is
+	// refused. Admit refuses any other Width before it decodes a byte.
 	Width bitpack.Width
 }
 
@@ -321,6 +322,9 @@ func (r *rejection) Unwrap() error { return r.err }
 // success the caller owns a model that has already predicted at the width
 // it will serve at.
 func Admit(r io.Reader, want Geometry) (*core.Model, core.SnapshotInfo, error) {
+	if err := pipeline.CheckWidth(want.Width); err != nil {
+		return nil, core.SnapshotInfo{}, &rejection{http.StatusConflict, err}
+	}
 	m, info, err := core.DecodeSnapshot(r)
 	if err != nil {
 		return nil, core.SnapshotInfo{}, &rejection{http.StatusBadRequest, err}

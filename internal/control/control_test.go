@@ -305,15 +305,17 @@ func TestConcurrentPromotesPublishOnce(t *testing.T) {
 }
 
 func TestWidthConflictRejected(t *testing.T) {
-	// A snapshot recording 4-bit serving uploaded to an 8-bit plane is an
-	// operator mistake the plane refuses.
-	cow, _, srv := planeServer(t, Config{Width: 8})
+	// A snapshot recording 4-bit serving (as releases that served W4 wrote
+	// them) uploaded to a 1-bit plane is an operator mistake the plane
+	// refuses.
+	cow, _, srv := planeServer(t, Config{Width: 1})
 
 	cand, _, _ := trainModel(t, 3, 8, 64, 77)
 	candCow := core.NewCOWModel(cand)
-	if err := quantize.AttachLive(candCow, 4); err != nil {
-		t.Fatal(err)
-	}
+	candCow.SetDerive(func(m *core.Model) any {
+		q, _ := quantize.FromCore(m, 4)
+		return q
+	})
 	var buf bytes.Buffer
 	if err := core.SaveSnapshot(&buf, candCow); err != nil {
 		t.Fatal(err)
@@ -325,8 +327,24 @@ func TestWidthConflictRejected(t *testing.T) {
 	if cow.Version() != 1 {
 		t.Fatalf("rejection bumped version to %d", cow.Version())
 	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "4") || !strings.Contains(msg, "8") {
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "4-bit") || !strings.Contains(msg, "1-bit") {
 		t.Fatalf("error does not name both widths: %q", msg)
+	}
+}
+
+// TestOfflineWidthsRefused: the plane serves float32 and W1 only. New
+// refuses a W4 plane, and Admit refuses a W4 geometry before it decodes
+// a byte, so no sanity batch ever runs at an offline width — both with
+// pipeline.CheckWidth's message.
+func TestOfflineWidthsRefused(t *testing.T) {
+	want := pipeline.CheckWidth(4).Error()
+	if _, err := New(Config{Model: new(core.COWModel), Width: 4}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New at W4: %v, want %q", err, want)
+	}
+	_, _, err := Admit(strings.NewReader("not a snapshot"), Geometry{Classes: 3, Inputs: 8, Width: 4})
+	var rej *rejection
+	if !errors.As(err, &rej) || rej.status != http.StatusConflict || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Admit at W4: %v, want a 409 refusal %q", err, want)
 	}
 }
 
@@ -420,9 +438,9 @@ func TestV1UploadAccepted(t *testing.T) {
 }
 
 func TestStatusShape(t *testing.T) {
-	_, _, srv := planeServer(t, Config{Width: 4})
+	_, _, srv := planeServer(t, Config{Width: 1})
 	st := getStatus(t, srv.URL)
-	if st.Version != 1 || st.Classes != 3 || st.Dim != 64 || st.Width != 4 || st.ShadowActive {
+	if st.Version != 1 || st.Classes != 3 || st.Dim != 64 || st.Width != 1 || st.ShadowActive {
 		t.Fatalf("unexpected status %+v", st)
 	}
 }

@@ -252,7 +252,8 @@ func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
 // newer version. m is published as is, as with NewCOWModel.
 // Quantized serving state is re-derived, not deserialized: hand the model
 // to a pipeline config with Quantize set (or call quantize.AttachLive)
-// and the recorded SnapshotInfo.DerivedWidth is reproduced bit for bit.
+// and a recorded W1 SnapshotInfo.DerivedWidth is reproduced bit for bit
+// (W1 is the one packed width serving takes).
 func RestoreSnapshot(m *Model, info SnapshotInfo) *COWModel {
 	c := &COWModel{version: info.ModelVersion - 1}
 	c.mu.Lock()

@@ -17,9 +17,7 @@ import (
 func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	m, x, _ := core.ToyModel(t, 3, 64, 9)
 	cow := core.NewCOWModel(m)
-	if err := quantize.AttachLive(cow, 4); err != nil {
-		t.Fatal(err)
-	}
+	quantize.AttachLive(cow)
 	var buf bytes.Buffer
 	if err := core.SaveSnapshot(&buf, cow); err != nil {
 		t.Fatal(err)
@@ -28,14 +26,12 @@ func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DerivedWidth != 4 {
-		t.Fatalf("snapshot recorded width %d, serving was 4-bit", info.DerivedWidth)
+	if info.DerivedWidth != 1 {
+		t.Fatalf("snapshot recorded width %d, serving was 1-bit", info.DerivedWidth)
 	}
 	// The restored float model must re-derive the identical packed
-	// artifact: attach at the same width and compare verdicts.
-	if err := quantize.AttachLive(back, 4); err != nil {
-		t.Fatal(err)
-	}
+	// artifact: attach and compare verdicts.
+	quantize.AttachLive(back)
 	for i := 0; i < x.Rows; i++ {
 		if got, want := back.Predict(x.Row(i)), cow.Predict(x.Row(i)); got != want {
 			t.Fatalf("row %d: restored packed model predicts %d, original %d", i, got, want)

@@ -60,9 +60,6 @@ func TestServedW1Diagnosis(t *testing.T) {
 		}{
 			{"float", det.Model},
 			{"W1 served", served(bitpack.W1)},
-			{"W2 served", served(bitpack.W2)},
-			{"W4 served", served(bitpack.W4)},
-			{"W8 served", served(bitpack.W8)},
 		}
 
 		// rows[0] is accuracy, rows[1+k] the recall of classes[k].

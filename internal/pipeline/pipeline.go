@@ -115,17 +115,16 @@ type Config struct {
 	// classifies every flow at once, as a batch of one. Batch rows over
 	// all shards are at most MaxBatchRows.
 	BatchSize int
-	// Quantize, when set to a valid bitpack.Width, lowers classification
-	// to packed w-bit integer inference (the paper's Table I bitwidths as
-	// a live serving mode): a *core.Model is packed once at engine build
-	// (quantize.FromCore), and a *core.COWModel gets quantize.AttachLive,
-	// so every publication — a hot reload, a shadow promotion — quantizes
-	// the new class memory atomically with the snapshot swap and the COW
-	// serves it. An already-quantized *quantize.Model is accepted if its
-	// width matches. Zero serves the model as given: float32, or the
-	// packed memory a COWModel already publishes. Verdicts at a given
-	// width are independent of BatchSize and shard count, exactly like the
-	// float path.
+	// Quantize is the serving width, 0 (float32) or bitpack.W1 (see
+	// CheckWidth). W1 lowers classification to 1-bit inference: a
+	// *core.Model is packed once at engine build (quantize.FromCore), and
+	// a *core.COWModel gets quantize.AttachLive, so every publication — a
+	// hot reload, a shadow promotion — packs the new class memory
+	// atomically with the snapshot swap and the COW serves it. Zero
+	// serves the model as given: float32, a W1 *quantize.Model, or the
+	// packed memory a COWModel already publishes. A *quantize.Model at any
+	// other width is refused. Verdicts at a given width are independent
+	// of BatchSize and shard count, exactly like the float path.
 	Quantize bitpack.Width
 	// Shadow, when set, is the shadow-serving tap: every classified flow
 	// is also scored by the tap's candidate model (when one is attached)
@@ -214,22 +213,27 @@ type Engine struct {
 	deferred []streamMsg
 }
 
-// applyQuantize resolves cfg.Quantize: the model is lowered to packed
-// cfg.Quantize-bit inference and the field cleared, so engines built from
-// the resolved config (each shard of a Sharded) share one quantized
-// classifier instead of re-packing per shard.
+// CheckWidth is the one rule for what serving accepts: float32 (0) and
+// W1. Every serving surface — Config.Quantize, the control plane, the
+// cluster hello and the CLI's -width — asks it. W2–W32 are the paper's
+// offline bitwidths, packed by quantize.FromCore for Table I and Fig 5.
+func CheckWidth(w bitpack.Width) error {
+	if w == 0 || w == bitpack.W1 {
+		return nil
+	}
+	return fmt.Errorf("width %d is not served (serving widths are 0 = float32 and 1); W2–W32 exist offline, in cyberhd quantize / faults and experiments", w)
+}
+
+// applyQuantize resolves cfg.Quantize: the model is lowered to W1
+// inference and the field cleared, so engines built from the resolved
+// config (each shard of a Sharded) share one packed classifier instead of
+// re-packing per shard.
 func applyQuantize(cfg *Config) error {
 	if cfg.Quantize == 0 {
 		return nil
 	}
-	if !cfg.Quantize.Valid() {
-		return fmt.Errorf("pipeline: invalid quantize width %d (want one of %v)", cfg.Quantize, bitpack.Widths)
-	}
 	switch m := cfg.Model.(type) {
-	case *quantize.Model:
-		if m.Width != cfg.Quantize {
-			return fmt.Errorf("pipeline: model already quantized at %d bits, config asks for %d", m.Width, cfg.Quantize)
-		}
+	case *quantize.Model: // W1 already (validate)
 	case *core.Model:
 		q, err := quantize.FromCore(m, cfg.Quantize)
 		if err != nil {
@@ -237,9 +241,7 @@ func applyQuantize(cfg *Config) error {
 		}
 		cfg.Model = q
 	case *core.COWModel:
-		if err := quantize.AttachLive(m, cfg.Quantize); err != nil {
-			return err
-		}
+		quantize.AttachLive(m)
 	default:
 		return fmt.Errorf("pipeline: cannot quantize model type %T (want *core.Model or *core.COWModel)", cfg.Model)
 	}
@@ -267,6 +269,14 @@ func validate(cfg Config) error {
 	if cfg.Telemetry != nil && cfg.Telemetry.NumClasses() != len(cfg.ClassNames) {
 		return fmt.Errorf("pipeline: telemetry collector has %d classes, config has %d",
 			cfg.Telemetry.NumClasses(), len(cfg.ClassNames))
+	}
+	if err := CheckWidth(cfg.Quantize); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	if q, ok := cfg.Model.(*quantize.Model); ok {
+		if err := CheckWidth(q.Width); err != nil {
+			return fmt.Errorf("pipeline: quantized model: %w", err)
+		}
 	}
 	if cfg.Shards > MaxShards {
 		return fmt.Errorf("pipeline: %d shards (at most %d)", cfg.Shards, MaxShards)

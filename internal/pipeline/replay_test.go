@@ -56,7 +56,7 @@ func TestDifferentialReplaySaveLoadServe(t *testing.T) {
 	if err := core.SaveSnapshot(&snap, core.NewCOWModel(m)); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []bitpack.Width{0, bitpack.W1, bitpack.W4, bitpack.W8} {
+	for _, w := range []bitpack.Width{0, bitpack.W1} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("w%d_shards%d", w, shards), func(t *testing.T) {
 				loaded, info, err := core.LoadSnapshot(bytes.NewReader(snap.Bytes()))
@@ -116,13 +116,13 @@ func TestShadowZeroDivergence(t *testing.T) {
 	})
 
 	t.Run("identical quantized", func(t *testing.T) {
-		// Primary serves 4-bit through a live derivation; the shadow is an
+		// Primary serves W1 through a live derivation; the shadow is an
 		// independent pack of the same weights at the same width — still
 		// exactly zero divergence, because quantization is deterministic.
 		cfg := base
 		cfg.Model = core.NewCOWModel(m)
-		cfg.Quantize = bitpack.W4
-		q, err := quantize.FromCore(m, bitpack.W4)
+		cfg.Quantize = bitpack.W1
+		q, err := quantize.FromCore(m, bitpack.W1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestHotReloadHammer(t *testing.T) {
 		shards int
 	}{
 		{"float sharded", 0, 4},
-		{"quantized4 single", bitpack.W4, 1},
+		{"quantized1 single", bitpack.W1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cow := core.NewCOWModel(m)

@@ -15,8 +15,8 @@ import (
 // TestRunnerMatchesDirectDrive pins the acceptance contract of the
 // serving runtime: Runner-driven verdicts — auto-ticks included — are
 // bit-identical to a hand-rolled feed loop, for the float synchronous
-// engine, the micro-batched engine, quantized serving at 1 and 8 bits,
-// and the flow-sharded engine. Auto-ticks only move idle evictions
+// engine, the micro-batched engine, W1 serving, and the flow-sharded
+// engine. Auto-ticks only move idle evictions
 // earlier in the feed order; they never change which flows exist or how
 // they featurize.
 func TestRunnerMatchesDirectDrive(t *testing.T) {
@@ -28,7 +28,6 @@ func TestRunnerMatchesDirectDrive(t *testing.T) {
 		{"float-sync", func(c *Config) {}},
 		{"float-batch64", func(c *Config) { c.BatchSize = 64 }},
 		{"quant-w1-batch64", func(c *Config) { c.Quantize, c.BatchSize = bitpack.W1, 64 }},
-		{"quant-w8", func(c *Config) { c.Quantize = bitpack.W8 }},
 		{"sharded4-batch64", func(c *Config) { c.Shards, c.BatchSize = 4, 64 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

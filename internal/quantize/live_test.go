@@ -77,29 +77,6 @@ func TestScorerAgreesWithClassify(t *testing.T) {
 	}
 }
 
-func TestAttachLiveInvalidWidth(t *testing.T) {
-	m, _, _, _, _ := trainedModel(t)
-	if err := AttachLive(core.NewCOWModel(m), bitpack.Width(5)); err == nil {
-		t.Fatal("accepted invalid width")
-	}
-}
-
-// TestAttachLiveWidthConflict: one COWModel serves one width — same-width
-// re-attach is fine, a different width must be rejected.
-func TestAttachLiveWidthConflict(t *testing.T) {
-	m, _, _, _, _ := trainedModel(t)
-	cow := core.NewCOWModel(m)
-	if err := AttachLive(cow, bitpack.W8); err != nil {
-		t.Fatal(err)
-	}
-	if err := AttachLive(cow, bitpack.W8); err != nil {
-		t.Errorf("same-width re-attach rejected: %v", err)
-	}
-	if err := AttachLive(cow, bitpack.W2); err == nil {
-		t.Error("different-width attach accepted")
-	}
-}
-
 // TestLiveMatchesFromCore: with no publication in flight, an attached
 // COWModel must predict exactly like a one-shot FromCore at the same width.
 // Before the attach it serves its float model, which disagrees with the
@@ -122,9 +99,7 @@ func TestLiveMatchesFromCore(t *testing.T) {
 	if !slices.Equal(out, float) {
 		t.Fatal("unattached COWModel does not serve its float model")
 	}
-	if err := AttachLive(cow, bitpack.W1); err != nil {
-		t.Fatal(err)
-	}
+	AttachLive(cow)
 	cow.PredictBatchInto(xt, out)
 	for i := range want {
 		if out[i] != want[i] {
@@ -152,9 +127,7 @@ func retrained(t *testing.T, x *hdc.Matrix, y []int) *core.Model {
 func TestLiveRequantizesOnPublish(t *testing.T) {
 	m, x, y, _, _ := trainedModel(t)
 	cow := core.NewCOWModel(m)
-	if err := AttachLive(cow, bitpack.W8); err != nil {
-		t.Fatal(err)
-	}
+	AttachLive(cow)
 	v0 := cow.Version()
 	q0 := cow.Snapshot().Derived().(*Model)
 	if err := cow.ReplaceModel(retrained(t, x, y)); err != nil {
@@ -167,7 +140,7 @@ func TestLiveRequantizesOnPublish(t *testing.T) {
 	if q1 == q0 {
 		t.Fatal("publication did not rebuild the quantized model")
 	}
-	if q1.Width != bitpack.W8 {
+	if q1.Width != bitpack.W1 {
 		t.Fatalf("re-quantized at width %d", q1.Width)
 	}
 	// The new packed memory must differ from the old somewhere.
@@ -201,7 +174,7 @@ func TestLiveConcurrentPredictAndUpdate(t *testing.T) {
 	}
 	b := retrained(t, x, shifted)
 	verdicts := func(m *core.Model) []int {
-		q, err := FromCore(m, bitpack.W2)
+		q, err := FromCore(m, bitpack.W1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +185,7 @@ func TestLiveConcurrentPredictAndUpdate(t *testing.T) {
 		t.Fatal("the two models agree on every row; the test is vacuous")
 	}
 	cow := core.NewCOWModel(a)
-	if err := AttachLive(cow, bitpack.W2); err != nil {
-		t.Fatal(err)
-	}
+	AttachLive(cow)
 	check := func(r, p int) bool {
 		if p != wa[r] && p != wb[r] {
 			t.Errorf("row %d: verdict %d is neither model's (%d, %d)", r, p, wa[r], wb[r])

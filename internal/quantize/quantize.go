@@ -1,11 +1,12 @@
 // Package quantize lowers trained HDC models to reduced-precision class
 // memories for the paper's cross-platform evaluation (Table I) and
-// robustness study (Fig 5), and serves them live: Model drives the packed
-// kernel layer of internal/bitpack (blocked panel dots, cached row norms,
-// pooled query packing) so the streaming engine classifies flows in the
-// integer domain with zero steady-state allocations, and AttachLive makes
-// a core.COWModel publish and serve a freshly packed Model with every
-// version, so hot reloads and packed inference coexist.
+// robustness study (Fig 5), and serves them live at W1: Model drives the
+// packed kernel layer of internal/bitpack (blocked panel dots, cached row
+// norms, pooled query packing) with zero steady-state allocations, and
+// AttachLive makes a core.COWModel publish and serve a freshly packed W1
+// Model with every version, so hot reloads and packed inference coexist.
+// W2–W32 Models are offline only: the serving surfaces refuse them
+// (pipeline.CheckWidth).
 //
 // Quantization is post-training: the float32 class hypervectors are packed
 // to b-bit integers (see internal/bitpack); queries are encoded in float

@@ -106,8 +106,8 @@ const (
 
 // Kernels reports which kernel implementations this build+CPU selected at
 // startup: the float path (hdc encode and class-panel kernels —
-// "avx512", "avx2" or "generic") and the quantized path (bitpack packed dots
-// and quantizers — "avx2", "avx" or "popcnt-swar"). Engines stamp the
+// "avx512", "avx2" or "generic") and the packed path (bitpack.KernelPath:
+// "avx2", "avx" or "popcnt-swar"). Engines stamp the
 // same report into their telemetry collector, so live runs expose it at
 // /stats ("kernels") and /metrics (cyberhd_kernel_info); this function
 // answers the question without building an engine — e.g. in startup
