@@ -11,6 +11,11 @@ import (
 const (
 	// CICIdleTimeout ends a flow when no packet arrives for this long.
 	CICIdleTimeout = 120.0
+	// NoReplyTimeout ends a flow that has seen no backward packet when no
+	// packet arrives for this long, or for the idle timeout if that is
+	// shorter: an unanswered probe is reported seconds after its last
+	// packet, not minutes, and stops holding table space.
+	NoReplyTimeout = 5.0
 	// CICActivityGap splits a flow's active periods when consecutive
 	// packets are further apart than this.
 	CICActivityGap = 1.0
@@ -18,7 +23,9 @@ const (
 
 // Assembler groups a time-ordered packet stream into bidirectional flows
 // and evicts them when complete. Eviction happens on TCP termination
-// (both FINs or a RST), on idle timeout, or on Flush.
+// (both FINs or a RST), on idle timeout, or on Flush. A flow that has
+// seen no backward packet times out after min(IdleTimeout,
+// NoReplyTimeout); one that has, after IdleTimeout.
 //
 // Every flow is delivered to onEvict exactly once, after the assembler
 // has let go of it, so the callback may keep the *Flow and may call back
@@ -27,7 +34,8 @@ const (
 // Add starts new flows in the ones handed back through Recycle, if any.
 type Assembler struct {
 	// IdleTimeout ends a flow when no packet arrives for this many
-	// seconds (default CICIdleTimeout).
+	// seconds (default CICIdleTimeout), or a flow with no backward packet
+	// yet after NoReplyTimeout if that is shorter.
 	IdleTimeout float64
 	// ActivityGap splits a flow's active periods when consecutive packets
 	// are further apart than this many seconds (default CICActivityGap).
@@ -68,7 +76,8 @@ func NewAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *Assemb
 
 // Add folds one packet into its flow. Packets must arrive in time order:
 // the flows that come out are defined either way, but a timestamp that
-// runs backward costs a walk back over every flow seen since.
+// runs backward costs a walk back along its flow's own last-seen list
+// (no-reply or replied) over every flow on it seen since.
 func (a *Assembler) Add(p *Packet) {
 	f, h, aToB := a.table.lookup(p)
 	if f == nil {
@@ -82,7 +91,7 @@ func (a *Assembler) Add(p *Packet) {
 		a.table.insert(f)
 		return
 	}
-	if p.Time-f.LastTime > a.IdleTimeout {
+	if p.Time-f.LastTime > a.timeout(f.list) {
 		// The old flow expired; evict it and start fresh. Look the key
 		// up again: the callback may have added a packet of this flow.
 		a.evict(f)
@@ -93,22 +102,36 @@ func (a *Assembler) Add(p *Packet) {
 	f.update(p, aToB, a.ActivityGap)
 	if f.terminated(p) {
 		a.evict(f)
+	} else if f.list == noReply && f.BwdLen.N > 0 {
+		a.table.reply(f)
 	} else if f.LastTime != last {
 		a.table.touch(f)
 	}
 }
 
+// timeout returns how long a flow on the given last-seen list may go
+// without a packet.
+func (a *Assembler) timeout(list uint8) float64 {
+	if list == replied {
+		return a.IdleTimeout
+	}
+	return min(a.IdleTimeout, NoReplyTimeout)
+}
+
 // EvictIdle evicts every flow idle at time now, oldest first (by first
 // packet, 5-tuple tie-break). Call periodically when the stream has gaps
 // (e.g. live capture). The cost is in the flows evicted, not the flows
-// live: victims come off the head of the last-seen list.
+// live: victims come off the heads of the two last-seen lists.
 func (a *Assembler) EvictIdle(now float64) {
 	victims := a.takeVictims()
-	for f := a.table.head; f != nil; f = f.next {
-		if now-f.LastTime > a.IdleTimeout {
-			victims = append(victims, f)
-		} else if f.LastTime == f.LastTime {
-			break // every flow behind a fresh one is fresh; a NaN says nothing
+	for l := range uint8(numLists) {
+		idle := a.timeout(l)
+		for f := a.table.head[l]; f != nil; f = f.next {
+			if now-f.LastTime > idle {
+				victims = append(victims, f)
+			} else if f.LastTime == f.LastTime {
+				break // every flow behind a fresh one is fresh; a NaN says nothing
+			}
 		}
 	}
 	a.evictOrdered(victims)
@@ -117,8 +140,10 @@ func (a *Assembler) EvictIdle(now float64) {
 // Flush evicts all in-progress flows (end of capture), oldest first.
 func (a *Assembler) Flush() {
 	victims := a.takeVictims()
-	for f := a.table.head; f != nil; f = f.next {
-		victims = append(victims, f)
+	for _, f := range a.table.head {
+		for ; f != nil; f = f.next {
+			victims = append(victims, f)
+		}
 	}
 	a.evictOrdered(victims)
 }
@@ -144,7 +169,7 @@ func (a *Assembler) takeVictims() []*Flow {
 
 // evictOrdered delivers a batch of evictions in a deterministic order —
 // by first-packet time, 5-tuple tie-break — whatever order the table or
-// the list held them in. Downstream consumers depend on this: derived
+// the lists held them in. Downstream consumers depend on this: derived
 // datasets get reproducible row order, end-of-capture alert order is
 // stable across runs, and a sharded engine's drain is deterministic per
 // shard. It then returns the scratch slice to the assembler.

@@ -31,9 +31,9 @@ func (t *ticker) crossed(now float64) (boundary float64, ok bool) {
 
 // BenchmarkAssembler times the packet path alone — Add, the 1 s ticks and
 // the final Flush — on captures in the shapes of the benchmark of
-// record's serve_bulk (elephant flows) and serve_short (scan storm, ~13k
-// live flows) workloads, so this layer can be profiled without the
-// nested bench/ module.
+// record's serve_bulk (elephant flows) and serve_short (scan storm, ~1k
+// live flows at a tick) workloads, so this layer can be profiled without
+// the nested bench/ module.
 func BenchmarkAssembler(b *testing.B) {
 	for _, shape := range []struct {
 		name string

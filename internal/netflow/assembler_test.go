@@ -98,29 +98,35 @@ func (d *differ) compare(call string) {
 // A script is a byte string, so the same cases serve as table tests and
 // as fuzz seeds. Byte 0 is the mode (bit 0: the colliding universe under
 // the zero table seed; bit 1: the assembler under test recycles every
-// flow it delivers); every four bytes after it are one step:
+// flow it delivers; bit 2: IdleTimeout scriptShortIdle); every four
+// bytes after it are one step:
 //
 //	[c k d f]  c <  0xf0: a packet — the clock moves by steps[c%len], key
 //	                      k of the universe, d bit 0 reverses direction
 //	                      and its other bits size the packet, f is the
-//	                      TCP flag byte
+//	                      TCP flag byte; the NaN step stamps the packet
+//	                      NaN and leaves the clock where it is
 //	           c >= 0xf0: EvictIdle(clock + tickAt[c&15 % len]), or Flush
 //	                      when c is 0xff
 //
-// Scripts run with IdleTimeout 10 and ActivityGap 1, and end in a Flush.
+// Scripts run with IdleTimeout 10 (mode bit 2: scriptShortIdle) and
+// ActivityGap 1, and end in a Flush.
 
-// steps mixes in-order gaps on both sides of the activity gap and the
-// idle timeout with repeated and backward timestamps.
-var steps = []float64{0, 0.001, 0.01, 0.25, 0.5, 1, 1.5, 3, 9.5, 10, 10.5, 25, -0.001, -0.5, -3, -11}
+// steps mixes in-order gaps on both sides of the activity gap, the
+// no-reply timeout and the idle timeout with repeated, backward and NaN
+// timestamps.
+var steps = []float64{0, 0.001, 0.01, 0.25, 0.5, 1, 1.5, 3, 5, 5.01, 9.5, 10, 10.5, 25, -0.001, -0.5, -3, -11, math.NaN()}
 
 // tickAt puts ticks on, between and behind capture-second boundaries,
-// and on either side of the idle timeout.
-var tickAt = []float64{0, 0.5, -0.5, 1, 9.99, 10, 10.01, 11.5, 30, -20}
+// and on either side of the no-reply and the idle timeout.
+var tickAt = []float64{0, 0.5, -0.5, 1, 5, 5.01, 9.99, 10, 10.01, 11.5, 30, -20}
 
 const (
 	scriptIdle = 10
-	scriptGap  = 1
-	maxSteps   = 4096 // bounds one fuzz execution
+	// scriptShortIdle is under NoReplyTimeout, so it bounds both lists.
+	scriptShortIdle = 2.5
+	scriptGap       = 1
+	maxSteps        = 4096 // bounds one fuzz execution
 )
 
 // universe is the keys a script's k byte selects from, each as a packet
@@ -190,7 +196,11 @@ func collidingUniverse(t testing.TB) []netflow.Packet {
 // one. Mode bit 0 overrides either with the zero seed.
 func runScript(t testing.TB, script []byte, seed *[4]uint64) *differ {
 	t.Helper()
-	d := newDiffer(t, scriptIdle, scriptGap)
+	idle := float64(scriptIdle)
+	if len(script) > 0 && script[0]&4 != 0 {
+		idle = scriptShortIdle
+	}
+	d := newDiffer(t, idle, scriptGap)
 	if len(script) == 0 {
 		return d
 	}
@@ -212,12 +222,16 @@ func runScript(t testing.TB, script []byte, seed *[4]uint64) *differ {
 		case c >= 0xf0:
 			d.tick(clock + tickAt[int(c&15)%len(tickAt)])
 		default:
-			clock += steps[int(c)%len(steps)]
 			p := keys[int(k)%len(keys)]
 			if dir&1 != 0 {
 				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
 			}
-			p.Time = clock
+			if step := steps[int(c)%len(steps)]; math.IsNaN(step) {
+				p.Time = step
+			} else {
+				clock += step
+				p.Time = clock
+			}
 			p.HeaderLen = 40
 			p.Length = 40 + int(dir>>1)*11
 			if p.Proto == netflow.TCP {
@@ -260,7 +274,7 @@ func stepOf(v float64) int { return mustIndex(steps, v) }
 func tickOf(v float64) int { return mustIndex(tickAt, v) }
 
 func mustIndex(s []float64, v float64) int {
-	i := slices.Index(s, v)
+	i := slices.IndexFunc(s, func(x float64) bool { return x == v || math.IsNaN(x) && math.IsNaN(v) })
 	if i < 0 {
 		panic(fmt.Sprintf("%v is not in %v", v, s))
 	}
@@ -357,6 +371,59 @@ func adversarialScripts() map[string][]byte {
 		}
 	}
 	scripts["backward-time"] = *s
+
+	// No-reply flows against NoReplyTimeout: a packet after exactly 5 s
+	// of silence continues its flow, one just past 5 s starts a new one,
+	// and a reply just past 5 s starts a new flow with the responder as
+	// initiator; ticks on either side of 5 s behind the last packet.
+	s = newScript(0)
+	s.pkt(stepOf(0.25), 1, false, syn).pkt(stepOf(5), 1, false, syn).
+		pkt(stepOf(0.25), 2, false, syn).pkt(stepOf(5.01), 2, false, syn).
+		pkt(stepOf(0.5), 3, false, syn).pkt(stepOf(5.01), 3, true, syn|ack).pkt(stepOf(0.5), 3, false, ack).
+		pkt(stepOf(1), 6, false, syn).tick(tickOf(5)).tick(tickOf(5.01)).
+		pkt(stepOf(0.5), 7, true, 0).pkt(stepOf(5), 7, true, 0).tick(tickOf(5)).tick(tickOf(5.01))
+	scripts["no-reply-timeout"] = *s
+
+	// A reply inside 5 s moves the flow to the replied list: 9.5 s of
+	// silence and ticks past 5 s leave it live, and it idles out only at
+	// the idle timeout. Its neighbours that got no reply time out around
+	// it.
+	s = newScript(0)
+	for k := 10; k < 16; k++ {
+		s.pkt(stepOf(0.25), k, false, syn)
+		if k%2 == 0 {
+			s.pkt(stepOf(1), k, true, syn|ack)
+		}
+	}
+	s.tick(tickOf(5.01)).pkt(stepOf(9.5), 10, false, ack).tick(tickOf(5.01)).tick(tickOf(9.99)).
+		pkt(stepOf(1), 12, true, ack).tick(tickOf(10.01)).tick(tickOf(30))
+	scripts["replied-outlives-no-reply"] = *s
+
+	// Flows whose last-seen time is NaN at the head of each list, with
+	// timed flows on both lists behind them that idle out: a NaN first
+	// packet, one answered by a timed reply and one by a NaN reply, and a
+	// timed flow that gets a NaN packet later.
+	nan := stepOf(math.NaN())
+	s = newScript(0)
+	s.pkt(stepOf(0.5), 20, false, syn).pkt(nan, 21, false, syn).pkt(nan, 22, false, syn).
+		pkt(stepOf(0.25), 22, true, syn|ack).pkt(nan, 23, false, syn).pkt(nan, 23, true, syn|ack).
+		pkt(stepOf(0.25), 24, false, syn).pkt(stepOf(0.25), 24, true, syn|ack).pkt(nan, 24, false, ack).
+		pkt(stepOf(0.25), 25, false, syn).pkt(stepOf(0.25), 26, false, syn).pkt(stepOf(0.01), 26, true, ack).
+		tick(tickOf(5.01)).tick(tickOf(11.5)).pkt(stepOf(25), 21, true, ack).pkt(stepOf(0.01), 22, false, ack).
+		tick(tickOf(30))
+	scripts["nan-on-both-lists"] = *s
+
+	// An idle timeout under NoReplyTimeout bounds both lists.
+	s = newScript(4)
+	for k := 30; k < 40; k++ {
+		s.pkt(stepOf(0.5), k, false, syn)
+		if k%3 == 0 {
+			s.pkt(stepOf(0.01), k, true, syn|ack)
+		}
+	}
+	s.tick(tickOf(1)).pkt(stepOf(1.5), 30, false, ack).pkt(stepOf(1.5), 31, false, ack).
+		tick(tickOf(1)).pkt(stepOf(3), 33, true, ack).pkt(stepOf(3), 34, false, ack).tick(tickOf(5))
+	scripts["idle-under-no-reply"] = *s
 	return scripts
 }
 
@@ -454,7 +521,8 @@ func TestTableSeedReachesNoOutput(t *testing.T) {
 		for _, seed := range [][4]uint64{{1, 2, 3, 4}, {^uint64(0), 0, ^uint64(0), 0}, {0x9e3779b97f4a7c15, 5, 7, 11}} {
 			d := runScript(t, script, &seed)
 			same := slices.EqualFunc(d.gotFlows, base.gotFlows, func(x, y *netflow.Flow) bool {
-				return x.Key == y.Key && x.FirstTime == y.FirstTime && x.LastTime == y.LastTime && x.TotalPackets() == y.TotalPackets()
+				return x.Key == y.Key && math.Float64bits(x.FirstTime) == math.Float64bits(y.FirstTime) &&
+					math.Float64bits(x.LastTime) == math.Float64bits(y.LastTime) && x.TotalPackets() == y.TotalPackets()
 			})
 			if !same {
 				t.Errorf("%s: seed %x delivers different flows than the random seed", name, seed)

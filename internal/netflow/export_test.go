@@ -12,7 +12,8 @@ import (
 // unexported seed, hash and invariants.
 
 // RefAssembler is the reference: a map keyed by FlowKey, a walk over
-// every live flow per EvictIdle, sort.Slice over the victims.
+// every live flow per EvictIdle, sort.Slice over the victims, and each
+// flow's timeout read off its backward packet count.
 type RefAssembler struct {
 	idleTimeout, activityGap float64
 	flows                    map[FlowKey]*Flow
@@ -36,7 +37,7 @@ func NewRefAssembler(idleTimeout, activityGap float64, onEvict func(*Flow)) *Ref
 func (a *RefAssembler) Add(p *Packet) {
 	key, aToB := KeyOf(p)
 	f, ok := a.flows[key]
-	if ok && p.Time-f.LastTime > a.idleTimeout {
+	if ok && p.Time-f.LastTime > a.timeout(f) {
 		a.evict(f)
 		ok = false
 	}
@@ -50,10 +51,19 @@ func (a *RefAssembler) Add(p *Packet) {
 	}
 }
 
+// timeout is the idle timeout, or NoReplyTimeout if that is shorter and
+// f has no backward packet.
+func (a *RefAssembler) timeout(f *Flow) float64 {
+	if f.BwdLen.N == 0 && NoReplyTimeout < a.idleTimeout {
+		return NoReplyTimeout
+	}
+	return a.idleTimeout
+}
+
 func (a *RefAssembler) EvictIdle(now float64) {
 	var victims []*Flow
 	for _, f := range a.flows {
-		if now-f.LastTime > a.idleTimeout {
+		if now-f.LastTime > a.timeout(f) {
 			victims = append(victims, f)
 		}
 	}
@@ -71,7 +81,11 @@ func (a *RefAssembler) Flush() {
 func (a *RefAssembler) evictOrdered(victims []*Flow) {
 	sort.Slice(victims, func(i, j int) bool {
 		x, y := victims[i], victims[j]
-		if x.FirstTime != y.FirstTime {
+		if xn, yn := x.FirstTime != x.FirstTime, y.FirstTime != y.FirstTime; xn || yn {
+			if xn != yn {
+				return xn // NaN first times sort first
+			}
+		} else if x.FirstTime != y.FirstTime {
 			return x.FirstTime < y.FirstTime
 		}
 		return x.Key.compare(&y.Key) < 0
@@ -117,9 +131,11 @@ func (a *Assembler) FreeFlows() int { return len(a.free) }
 
 // CheckTable verifies the table and list invariants the assembler relies
 // on: load at most one half, every live flow reachable from its home slot
-// without crossing an empty one, and the last-seen list holding exactly
-// the live flows, doubly linked, in non-decreasing LastTime behind any
-// NaNs; and the free list no longer than the live count.
+// without crossing an empty one, and the two last-seen lists holding
+// exactly the live flows between them, each flow on the list its backward
+// packet count names, each list doubly linked, in non-decreasing
+// LastTime behind any NaNs; and the free list no longer than the live
+// count.
 func (a *Assembler) CheckTable() error {
 	t := &a.table
 	mask := uint64(len(t.slots) - 1)
@@ -145,21 +161,29 @@ func (a *Assembler) CheckTable() error {
 		return fmt.Errorf("%d occupied slots, live = %d", n, t.live)
 	}
 	n = 0
-	var prev *Flow
-	for f := t.head; f != nil; prev, f = f, f.next {
-		n++
-		if n > t.live {
-			return fmt.Errorf("list longer than the %d live flows", t.live)
+	for l := range uint8(numLists) {
+		var prev *Flow
+		for f := t.head[l]; f != nil; prev, f = f, f.next {
+			n++
+			if n > t.live {
+				return fmt.Errorf("lists longer than the %d live flows", t.live)
+			}
+			if f.prev != prev {
+				return fmt.Errorf("flow %v: prev link does not match the flow before it", f.Key)
+			}
+			if f.list != l || (f.BwdLen.N > 0) != (l == replied) {
+				return fmt.Errorf("flow %v with %d backward packets (list mark %d) is on list %d", f.Key, f.BwdLen.N, f.list, l)
+			}
+			if prev != nil && prev.LastTime == prev.LastTime && !(prev.LastTime <= f.LastTime) {
+				return fmt.Errorf("list %d out of order: LastTime %v before %v", l, prev.LastTime, f.LastTime)
+			}
 		}
-		if f.prev != prev {
-			return fmt.Errorf("flow %v: prev link does not match the flow before it", f.Key)
-		}
-		if prev != nil && prev.LastTime == prev.LastTime && !(prev.LastTime <= f.LastTime) {
-			return fmt.Errorf("list out of order: LastTime %v before %v", prev.LastTime, f.LastTime)
+		if t.tail[l] != prev {
+			return fmt.Errorf("list %d does not end at its tail", l)
 		}
 	}
-	if t.tail != prev || n != t.live {
-		return fmt.Errorf("list holds %d flows (tail ok: %v), live = %d", n, t.tail == prev, t.live)
+	if n != t.live {
+		return fmt.Errorf("lists hold %d flows, live = %d", n, t.live)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ type Flow struct {
 	finA, finB bool
 	// The assembler's bookkeeping, next to Key so that a table probe and
 	// a list move touch one cache line of a neighbouring flow: the table
-	// hash of Key and the links of the last-seen list.
+	// hash of Key and the links of its last-seen list.
 	hash       uint64
 	prev, next *Flow
 	// InitSrcIP/InitSrcPort identify the initiator (first packet source).
@@ -28,6 +28,9 @@ type Flow struct {
 	// evicted marks a finished flow, so an eviction pass whose callback
 	// re-entered the assembler skips it.
 	evicted bool
+	// list is the last-seen list the flow is on: noReply until its first
+	// backward packet, replied from then on.
+	list uint8
 
 	FirstTime, LastTime float64
 	lastFwdTime         float64

@@ -18,16 +18,25 @@ import (
 // are no tombstones and an emptied table probes like a new one. The
 // table never shrinks (nor did the map).
 //
-// By last-seen time: an intrusive list, head to tail in non-decreasing
-// LastTime (flows whose LastTime is NaN, which compares with nothing,
-// collect at the head). Idle eviction reads victims off the head and
-// stops at the first flow still fresh; nothing walks the slots.
+// By last-seen time: two intrusive lists, one of the flows that have seen
+// no backward packet and one of the flows that have, because the two
+// time out differently. Each runs head to tail in non-decreasing LastTime
+// (flows whose LastTime is NaN, which compares with nothing, collect at
+// the head). Idle eviction reads victims off each head and stops at the
+// first flow still fresh; nothing walks the slots.
 type flowTable struct {
 	slots      []*Flow
 	live       int
 	seed       [4]uint64
-	head, tail *Flow
+	head, tail [numLists]*Flow
 }
+
+// The last-seen lists, indexed by Flow.list.
+const (
+	noReply = iota // no backward packet yet
+	replied        // at least one backward packet
+	numLists
+)
 
 // minSlots is the table's first allocation.
 const minSlots = 64
@@ -104,7 +113,7 @@ func (t *flowTable) place(f *Flow) {
 	t.slots[i] = f
 }
 
-// remove takes f, found by identity, out of the table and the list.
+// remove takes f, found by identity, out of the table and its list.
 func (t *flowTable) remove(f *Flow) {
 	mask := uint64(len(t.slots) - 1)
 	i := f.hash & mask
@@ -126,39 +135,40 @@ func (t *flowTable) remove(f *Flow) {
 	t.unlink(f)
 }
 
-// link threads f, not on the list, at its place in LastTime order,
-// walking back from the tail: one step for a packet stream in time order,
-// as many as there are later-seen flows for a timestamp that runs
-// backward.
+// link threads f, on no list, into list f.list at its place in LastTime
+// order, walking back from the tail: one step for a packet stream in time
+// order, as many as there are later-seen flows on that list for a
+// timestamp that runs backward. The walk stops at a NaN, so a timed flow
+// never passes the NaNs at the head; a NaN flow passes every timed one.
 func (t *flowTable) link(f *Flow) {
-	at := t.tail
-	for at != nil && !(at.LastTime <= f.LastTime) {
+	at := t.tail[f.list]
+	for at != nil && at.LastTime == at.LastTime && !(at.LastTime <= f.LastTime) {
 		at = at.prev
 	}
 	f.prev = at
 	if at == nil {
-		f.next, t.head = t.head, f
+		f.next, t.head[f.list] = t.head[f.list], f
 	} else {
 		f.next, at.next = at.next, f
 	}
 	if f.next == nil {
-		t.tail = f
+		t.tail[f.list] = f
 	} else {
 		f.next.prev = f
 	}
 }
 
-// unlink takes f off the list and clears its links: an evicted flow
+// unlink takes f off its list and clears its links: an evicted flow
 // outlives the table in its consumers' hands and must not pin its old
 // neighbours.
 func (t *flowTable) unlink(f *Flow) {
 	if f.prev == nil {
-		t.head = f.next
+		t.head[f.list] = f.next
 	} else {
 		f.prev.next = f.next
 	}
 	if f.next == nil {
-		t.tail = f.prev
+		t.tail[f.list] = f.prev
 	} else {
 		f.next.prev = f.prev
 	}
@@ -171,4 +181,12 @@ func (t *flowTable) touch(f *Flow) {
 		t.unlink(f)
 		t.link(f)
 	}
+}
+
+// reply moves f, whose first backward packet has just been folded in,
+// from the no-reply list to its place on the replied list.
+func (t *flowTable) reply(f *Flow) {
+	t.unlink(f)
+	f.list = replied
+	t.link(f)
 }

@@ -163,17 +163,74 @@ func TestAssemblerIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestEvictIdle: replied flows leave through the idle timeout, not the
+// shorter NoReplyTimeout.
 func TestEvictIdle(t *testing.T) {
 	evicted := 0
 	a := NewAssembler(10, 1, func(*Flow) { evicted++ })
 	a.Add(&Packet{Time: 0, SrcIP: AddrV4(1), DstIP: AddrV4(2), SrcPort: 1, DstPort: 2, Proto: UDP, Length: 50, HeaderLen: 28})
+	a.Add(&Packet{Time: 0, SrcIP: AddrV4(2), DstIP: AddrV4(1), SrcPort: 2, DstPort: 1, Proto: UDP, Length: 50, HeaderLen: 28})
 	a.Add(&Packet{Time: 5, SrcIP: AddrV4(3), DstIP: AddrV4(4), SrcPort: 3, DstPort: 4, Proto: UDP, Length: 50, HeaderLen: 28})
+	a.Add(&Packet{Time: 5, SrcIP: AddrV4(4), DstIP: AddrV4(3), SrcPort: 4, DstPort: 3, Proto: UDP, Length: 50, HeaderLen: 28})
 	a.EvictIdle(12) // first flow idle 12 s > 10, second only 7 s
 	if evicted != 1 || a.Active() != 1 {
 		t.Fatalf("evicted=%d active=%d", evicted, a.Active())
 	}
 	if a.Evicted() != 1 {
 		t.Fatalf("Evicted() = %d", a.Evicted())
+	}
+}
+
+// TestNoReplyTimeout pins the per-state timeout: a flow with no backward
+// packet ends after NoReplyTimeout of silence, a replied one after the
+// idle timeout, and an idle timeout under NoReplyTimeout bounds both.
+func TestNoReplyTimeout(t *testing.T) {
+	var flows []*Flow
+	a := NewAssembler(CICIdleTimeout, 1, func(f *Flow) { flows = append(flows, f) })
+	probe := func(at float64, port uint16) *Packet {
+		return &Packet{Time: at, SrcIP: AddrV4(1), DstIP: AddrV4(2), SrcPort: 40000, DstPort: port, Proto: TCP, Length: 40, HeaderLen: 40, Flags: SYN}
+	}
+	reply := func(p *Packet, at float64) *Packet {
+		q := *p
+		q.Time, q.SrcIP, q.DstIP, q.SrcPort, q.DstPort, q.Flags = at, p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, SYN|ACK
+		return &q
+	}
+	a.Add(probe(0, 1))
+	a.Add(probe(5, 1)) // exactly 5 s idle: the same flow
+	a.Add(probe(0, 2))
+	a.Add(probe(5.25, 2)) // past 5 s: a new flow
+	if len(flows) != 1 || flows[0].TotalPackets() != 1 || a.Active() != 2 {
+		t.Fatalf("%d flows evicted, %d live; want the port-2 probe evicted and two flows live", len(flows), a.Active())
+	}
+	p := probe(0, 3)
+	a.Add(p)
+	a.Add(reply(p, 5.25)) // a reply past 5 s starts a new flow, the responder its initiator
+	if len(flows) != 2 || a.Active() != 3 {
+		t.Fatalf("%d flows evicted, %d live after a late reply; want 2 and 3", len(flows), a.Active())
+	}
+	p = probe(0, 4)
+	a.Add(p)
+	a.Add(reply(p, 1)) // a reply inside 5 s: the flow keeps the idle timeout
+	a.EvictIdle(100)
+	if len(flows) != 5 || a.Active() != 1 || flows[4].InitSrcIP != AddrV4(2) {
+		t.Fatalf("%d flows evicted, %d live; want every unanswered flow evicted, the late reply's with initiator %v, and the replied flow live",
+			len(flows), a.Active(), AddrV4(2))
+	}
+	a.Add(probe(101, 4)) // 100 s of silence, under the idle timeout
+	if len(flows) != 5 || a.Active() != 1 {
+		t.Fatalf("a replied flow silent 100 s ended: %d evicted, %d live", len(flows), a.Active())
+	}
+
+	// An idle timeout under NoReplyTimeout bounds both lists.
+	flows = flows[:0]
+	a = NewAssembler(2, 1, func(f *Flow) { flows = append(flows, f) })
+	p = probe(0, 1)
+	a.Add(p)
+	a.Add(reply(p, 0))
+	a.Add(probe(0, 2))
+	a.EvictIdle(2.5)
+	if len(flows) != 2 || a.Active() != 0 {
+		t.Fatalf("idle timeout 2: %d flows evicted at 2.5 s, %d live; want both evicted", len(flows), a.Active())
 	}
 }
 

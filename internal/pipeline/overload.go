@@ -94,8 +94,11 @@ const (
 	DefaultEvalEvery = 256
 	// DefaultFlowIdle is how long (capture seconds) after its last
 	// packet the gate remembers an admitted flow for shed preference —
-	// the assembler's idle timeout, so the gate's notion of "already
-	// assembled" tracks the engine's.
+	// the assembler's idle timeout. The gate does not track replies, so
+	// it remembers a flow with no backward packet longer than the
+	// engine keeps it (netflow.NoReplyTimeout) and leans toward
+	// admitting that flow's later packets. Keeping the gate's flow memory
+	// on the assembler's flow table would align the two.
 	DefaultFlowIdle = netflow.CICIdleTimeout
 )
 

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"cyberhd/internal/bitpack"
@@ -161,6 +163,97 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	}
 	if gotAt < 200 {
 		t.Fatalf("with ticking disabled the verdict surfaced at %.2f, expected only at drain (>= 200)", gotAt)
+	}
+}
+
+// TestRunnerNoReplyVerdictDelay pins the per-state timeout end to end:
+// with auto-ticking, a SYN-only probe that gets no answer alerts within
+// netflow.NoReplyTimeout + one tick interval of its last packet, while a
+// flow that got a reply still waits for CICIdleTimeout. The rule is per
+// flow, so the flow-sharded engine delivers the same verdicts.
+func TestRunnerNoReplyVerdictDelay(t *testing.T) {
+	// Flow R (port 9) is answered at 0.5 s; eight probes (ports 100–107)
+	// send a SYN and a retransmit 3 s later, inside the no-reply
+	// timeout, so each is one flow; a drumbeat keeps the clock moving.
+	pkts := []netflow.Packet{tcpPkt(1, 2, 9, 53, 0, 0), tcpPkt(2, 1, 53, 9, 0.5, 0)}
+	lastProbe := map[uint16]float64{}
+	for i := range uint16(8) {
+		at := 0.6 + 0.1*float64(i)
+		pkts = append(pkts, tcpPkt(10+uint32(i), 4, 100+i, 22, at, netflow.SYN))
+		lastProbe[100+i] = at + 3
+	}
+	for i := range uint16(8) {
+		pkts = append(pkts, tcpPkt(10+uint32(i), 4, 100+i, 22, lastProbe[100+i], netflow.SYN))
+	}
+	for ts := 5; ts <= 200; ts++ {
+		pkts = append(pkts, tcpPkt(7, 8, 1000, 2000, float64(ts), 0))
+	}
+	slices.SortStableFunc(pkts, func(x, y netflow.Packet) int { return cmp.Compare(x.Time, y.Time) })
+
+	type verdict struct {
+		key           netflow.FlowKey
+		first, last   float64
+		fwd, bwd      int
+		class         int
+		at            float64 // capture time of delivery, sync engine only
+		initiatorPort uint16
+	}
+	cfg := fastCfg(fakeModel{class: 1})
+	cfg.BatchSize = 64
+	var got []verdict
+	record := func(now func() float64) AlertSink {
+		return SinkFunc(func(a Alert) {
+			f := a.Flow
+			got = append(got, verdict{f.Key, f.FirstTime, f.LastTime, f.FwdLen.N, f.BwdLen.N, a.Class, now(), f.InitSrcPort})
+		})
+	}
+
+	probe := &tickLog{}
+	cfg.Sinks = []AlertSink{record(func() float64 { return probe.now })}
+	probe.Engine = newEngine(t, cfg)
+	if _, err := (&Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	syncVerdicts := got
+	if len(syncVerdicts) != 10 {
+		t.Fatalf("%d alerts, want 10: the replied flow, eight probes and the drumbeat", len(syncVerdicts))
+	}
+	for _, v := range syncVerdicts {
+		switch port := v.initiatorPort; {
+		case port == 9:
+			if v.bwd != 1 || v.at <= 0.5+netflow.CICIdleTimeout || v.at > 0.5+netflow.CICIdleTimeout+1 {
+				t.Errorf("replied flow alerted at %.2f with %d backward packets, want one and within (%.1f, %.1f]",
+					v.at, v.bwd, 0.5+netflow.CICIdleTimeout, 0.5+netflow.CICIdleTimeout+1)
+			}
+		case port >= 100 && port < 108:
+			last := lastProbe[port]
+			if v.fwd != 2 || v.at <= last+netflow.NoReplyTimeout || v.at > last+netflow.NoReplyTimeout+1 {
+				t.Errorf("probe %d (last packet %.1f, %d packets) alerted at %.2f, want its 2 packets within (%.1f, %.1f]",
+					port, last, v.fwd, v.at, last+netflow.NoReplyTimeout, last+netflow.NoReplyTimeout+1)
+			}
+		case port == 1000:
+			if v.at < 200 {
+				t.Errorf("drumbeat alerted at %.2f, want at the drain", v.at)
+			}
+		default:
+			t.Errorf("unexpected alert for %v", v.key)
+		}
+	}
+
+	canon := func(vs []verdict) []verdict {
+		vs = slices.Clone(vs)
+		for i := range vs {
+			vs[i].at = 0
+		}
+		slices.SortFunc(vs, func(x, y verdict) int { return cmp.Compare(x.initiatorPort, y.initiatorPort) })
+		return vs
+	}
+	got = nil
+	cfg.Shards = 4
+	cfg.Sinks = []AlertSink{record(func() float64 { return 0 })}
+	runCapture(t, cfg, pkts)
+	if want, sharded := canon(syncVerdicts), canon(got); !slices.Equal(sharded, want) {
+		t.Fatalf("Sharded(4) verdicts differ from the sync engine's:\n got  %v\n want %v", sharded, want)
 	}
 }
 

@@ -32,7 +32,8 @@ import (
 // LatencyBuckets are the verdict-latency histogram's upper bounds in
 // capture seconds, chosen around the serving runtime's latency sources:
 // sub-tick micro-batch waits at the low end (default TickInterval is
-// 1 s), idle-eviction sweeps up to the CIC 120 s idle timeout at the top.
+// 1 s), unanswered flows at the 5 s no-reply timeout, and idle-eviction
+// sweeps up to the CIC 120 s idle timeout at the top.
 // An implicit +Inf bucket catches everything beyond the last bound.
 var LatencyBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 15, 60, 120}
 
