@@ -481,11 +481,22 @@ func cmdDetect(args []string) error {
 
 	// The control plane serves through a COW wrapper over the trained
 	// model so uploads publish atomically against concurrent reads; the
-	// snapshot file captures the same publication.
+	// snapshot file captures the same publication. The serving width is
+	// the model's, chosen here before anything serves or saves it: at
+	// -width 1 the detector is packed once, and that W1 model serves and
+	// scores.
 	var cow *cyberhd.COWModel
+	var w1 *quantize.Model
 	var tap *cyberhd.ShadowTap
 	if *saveModel != "" || sv.metrics != nil {
 		cow = cyberhd.NewCOWModel(det.Model)
+		if sv.width != 0 {
+			w1 = cyberhd.AttachW1(cow)
+		}
+	} else if sv.width != 0 {
+		if w1, err = cyberhd.Quantize(det.Model, cyberhd.Width(sv.width)); err != nil {
+			return err
+		}
 	}
 	if *saveModel != "" {
 		if err := cyberhd.SaveModelSnapshotFile(*saveModel, cow); err != nil {
@@ -506,15 +517,18 @@ func cmdDetect(args []string) error {
 	}
 
 	// A nil collector or tap is the field's default (private collector, no
-	// shadow); a nil *COWModel would not be a nil Model, so that field is
-	// set only when there is a wrapper to serve through.
+	// shadow); a nil *COWModel or *quantize.Model would not be a nil
+	// Model, so that field is set to the one there is to serve through.
 	cfg := cyberhd.EngineConfig{
 		Model: det.Model, Normalizer: det.Normalizer, ClassNames: det.ClassNames,
-		BatchSize: sv.batch, Quantize: cyberhd.Width(sv.width), Shards: *shards,
+		BatchSize: sv.batch, Shards: *shards,
 		Overload: sv.pol, Sinks: sv.sinks, Telemetry: tel, Shadow: tap,
 	}
-	if cow != nil {
+	switch {
+	case cow != nil:
 		cfg.Model = cow
+	case w1 != nil:
+		cfg.Model = w1
 	}
 	// A count of 1 serves the plain single-core engine.
 	if cfg.Shards > 1 {
@@ -556,17 +570,13 @@ func cmdDetect(args []string) error {
 
 	// Score verdicts against ground truth where available (generated
 	// traffic only — captures carry no labels), using the same inference
-	// the engine served: the packed quantized model when -width is set.
+	// the engine served: the W1 model when -width is set.
 	if sv.live != nil {
 		truth := datasets.FromStream("live", sv.live, det.ClassNames, func(l traffic.Label) int { return int(l) })
 		det.Normalizer.Apply(truth)
 		predict := det.Model.PredictBatch
-		if sv.width != 0 {
-			q, err := quantize.FromCore(det.Model, bitpack.Width(sv.width))
-			if err != nil {
-				return err
-			}
-			predict = q.PredictBatch
+		if w1 != nil {
+			predict = w1.PredictBatch
 		}
 		if truth.Len() > 0 {
 			conf := metrics.NewConfusion(det.ClassNames)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cyberhd"
+	"cyberhd/internal/core"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
 )
@@ -320,6 +321,37 @@ func TestQuantizeAndFaultsScoreTheHeldOutSplit(t *testing.T) {
 		}
 		if oneBit == nil || !strings.Contains(out, "(clean "+oneBit[1]+")") {
 			t.Errorf("-seed %s: faults' clean accuracy is not quantize's 1-bit line %v:\n%s", seed, oneBit, out)
+		}
+	}
+}
+
+// TestDetectW1SavesAndServesVersionOne: `detect -width 1` chooses W1
+// where it builds the model, before saving it, and packing is no
+// publication: the snapshot records the width at version 1, and with no
+// upload in between the run reports serving version 1.
+func TestDetectW1SavesAndServesVersionOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.snap")
+	out, err := captureStdout(t, func() error {
+		return cmdDetect([]string{"-width", "1", "-train", "300", "-sessions", "100", "-metrics", "127.0.0.1:0", "-save-model", path})
+	})
+	if err != nil {
+		t.Fatalf("detect: %v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, info, err := core.DecodeSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DerivedWidth != 1 || info.ModelVersion != 1 {
+		t.Errorf("snapshot records width %d at version %d, want 1 at 1", info.DerivedWidth, info.ModelVersion)
+	}
+	for _, line := range []string{`(?m)^model snapshot: .* \(version 1\)$`, `(?m)^serving model version: 1$`} {
+		if !regexp.MustCompile(line).MatchString(out) {
+			t.Errorf("no line matches %s in:\n%s", line, out)
 		}
 	}
 }

@@ -96,12 +96,16 @@ func (o packedOracle) PredictBatchInto(x *hdc.Matrix, out []int) {
 // processed + dropped with nothing dropped on these lossless paths. The
 // oracle takes no ticks, reads memory, and at W1 classifies through
 // packedOracle over the class memory quantize.FromCore packs; the cells
-// go through the configured width (Config.Quantize, the cluster's Width),
-// the Runner's auto-tick and drain, every packet source netflow.Open
-// reads, a permissive admission gate and a snapshot save→load of the
-// model. Cluster cells also conserve packets per worker. The offline
-// widths W2–W32 keep their rows as refusal cells: every engine refuses
-// to build at them, with pipeline.CheckWidth's message.
+// serve the width their model carries — engines a quantize.FromCore
+// pack, snapshot variants a loaded COWModel bound by AttachW1, the
+// cluster its hello's Width — through the Runner's auto-tick and drain,
+// every packet source netflow.Open reads, a permissive admission gate
+// and a snapshot save→load of the model. Cluster cells also conserve
+// packets per worker. The offline widths W2–W32 keep their rows as
+// refusal cells: every engine refuses a model packed at them, and the
+// cluster the width, with pipeline.CheckWidth's message. No cell writes
+// to the model it is handed: the shared COWModel ends at version 1 with
+// nothing derived.
 func TestContractMatrix(t *testing.T) {
 	det := trainedDetector(t)
 	mixed, v4 := contractTraffic()
@@ -153,22 +157,24 @@ func TestContractMatrix(t *testing.T) {
 	// engine runs out, and no load evaluation within the capture.
 	admitAll := pipeline.OverloadPolicy{MaxWait: time.Hour, EvalEvery: math.MaxInt}
 
-	dial := func(shards int) func(EngineConfig, *COWModel) (Stream, error) {
-		return func(cfg EngineConfig, m *COWModel) (Stream, error) {
+	// Engines serve cfg.Model; the cluster replicates m and serves it at
+	// width w.
+	dial := func(shards int) func(EngineConfig, *COWModel, Width) (Stream, error) {
+		return func(cfg EngineConfig, m *COWModel, w Width) (Stream, error) {
 			return cluster.Dial(cluster.ClientConfig{
 				Workers: fleet, Model: m, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
-				BatchSize: cfg.BatchSize, Width: cfg.Quantize, OnAlert: cfg.OnAlert,
+				BatchSize: cfg.BatchSize, Width: w, OnAlert: cfg.OnAlert,
 				WorkerShards: shards,
 			})
 		}
 	}
 	engines := []struct {
 		name  string
-		build func(EngineConfig, *COWModel) (Stream, error)
+		build func(EngineConfig, *COWModel, Width) (Stream, error)
 	}{
-		{"sync", func(cfg EngineConfig, _ *COWModel) (Stream, error) { return pipeline.NewStream(cfg) }},
-		{"concurrent", func(cfg EngineConfig, _ *COWModel) (Stream, error) { return pipeline.NewConcurrent(cfg, 0) }},
-		{"sharded-4", func(cfg EngineConfig, _ *COWModel) (Stream, error) {
+		{"sync", func(cfg EngineConfig, _ *COWModel, _ Width) (Stream, error) { return pipeline.NewStream(cfg) }},
+		{"concurrent", func(cfg EngineConfig, _ *COWModel, _ Width) (Stream, error) { return pipeline.NewConcurrent(cfg, 0) }},
+		{"sharded-4", func(cfg EngineConfig, _ *COWModel, _ Width) (Stream, error) {
 			cfg.Shards = 4
 			return pipeline.NewStream(cfg)
 		}},
@@ -219,13 +225,22 @@ func TestContractMatrix(t *testing.T) {
 	}
 
 	for _, w := range []Width{0, W1, W2, W4, W8, W16, W32} {
+		// served is the model engines are handed at w.
+		var served pipeline.Classifier = det.Model
+		if w != 0 {
+			q, err := quantize.FromCore(det.Model, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served = q
+		}
 		if want := pipeline.CheckWidth(w); want != nil {
 			for _, e := range engines {
 				for _, batch := range []int{0, 64} {
 					t.Run(fmt.Sprintf("w%d/%s/batch%d", w, e.name, batch), func(t *testing.T) {
 						cfg := det.EngineConfig()
-						cfg.Quantize, cfg.BatchSize = w, batch
-						if _, err := e.build(cfg, cow); err == nil || !strings.Contains(err.Error(), want.Error()) {
+						cfg.Model, cfg.BatchSize = served, batch
+						if _, err := e.build(cfg, cow, w); err == nil || !strings.Contains(err.Error(), want.Error()) {
 							t.Fatalf("build at an offline width: %v, want %q", err, want)
 						}
 					})
@@ -254,16 +269,19 @@ func TestContractMatrix(t *testing.T) {
 						}
 						got := verdicts{}
 						cfg := det.EngineConfig()
-						cfg.Quantize, cfg.BatchSize, cfg.OnAlert = w, batch, got.add
+						cfg.Model, cfg.BatchSize, cfg.OnAlert = served, batch, got.add
 						model := cow
 						if v.load {
 							loaded, _, err := core.LoadSnapshot(bytes.NewReader(snap.Bytes()))
 							if err != nil {
 								t.Fatal(err)
 							}
+							if w == W1 {
+								AttachW1(loaded)
+							}
 							cfg.Model, model = loaded, loaded
 						}
-						stream, err := e.build(cfg, model)
+						stream, err := e.build(cfg, model, w)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -320,5 +338,8 @@ func TestContractMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+	if cow.Version() != 1 || cow.Snapshot().Derived() != nil {
+		t.Fatalf("the cells wrote to the shared model: version %d, derived %T", cow.Version(), cow.Snapshot().Derived())
 	}
 }

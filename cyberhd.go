@@ -111,6 +111,13 @@ var (
 	// version in. The model is published as is — do not mutate it
 	// afterwards.
 	NewCOWModel = core.NewCOWModel
+	// AttachW1 makes a COWModel serve W1, the one packed serving width,
+	// and returns the W1 model it packed for the live version; every
+	// later publication is packed as it is published. The version does
+	// not advance. Attach right after NewCOWModel (or a snapshot load),
+	// before anything serves or saves the model: an engine serves its
+	// model exactly as handed to it.
+	AttachW1 = quantize.AttachLive
 )
 
 // Config is the one-call training configuration for TrainDetector.

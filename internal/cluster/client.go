@@ -43,8 +43,10 @@ type ClientConfig struct {
 	ClassNames []string
 	// BatchSize is each worker's micro-batch size (pipeline.Config.BatchSize).
 	BatchSize int
-	// Width is each worker's serving width (pipeline.Config.Quantize): 0
-	// (float32) or 1. Workers refuse any other at the hello.
+	// Width is each worker's serving width: 0 (float32) or 1; workers
+	// refuse any other at the hello. Each worker packs the model it
+	// restores from the opening snapshot at this width (quantize.AttachLive
+	// at W1), so Model itself may be float.
 	Width bitpack.Width
 	// WorkerShards is each worker's internal shard count
 	// (pipeline.Config.Shards; 0/1 = single-core engine per worker).
@@ -159,7 +161,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 			}
 			return nil, err
 		}
-		wc.version = cfg.Model.Version()
 		c.conns = append(c.conns, wc)
 	}
 	for _, wc := range c.conns {
@@ -179,7 +180,8 @@ func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
 		addr: addr, out: newWriteHalf(conn, framePackets, maxRunPayload), fr: newFrameReader(conn), telDec: newTelemetryDecoder(),
 		acks: make(chan ackState, 1), done: make(chan struct{}),
 	}
-	// exchange sends one handshake frame and waits for its ack.
+	// exchange sends one handshake frame and waits for its ack; the
+	// snapshot's ack carries the version the worker serves.
 	exchange := func(t frameType, payload []byte) error {
 		if err := wc.out.control(t, payload); err != nil {
 			return err
@@ -195,6 +197,7 @@ func dialWorker(addr string, hello, snap []byte) (*workerConn, error) {
 		if err == nil && !a.OK {
 			err = fmt.Errorf("worker rejected: %s", a.Msg)
 		}
+		wc.version = a.Version
 		return err
 	}
 	err = writeWireMagic(conn)

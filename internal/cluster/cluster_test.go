@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
@@ -125,81 +127,76 @@ func tinyModel(t *testing.T, classes, inDim, dim int, seed uint64) *core.Model {
 	return m
 }
 
-// TestClusterSnapshotReplicationGates pins the replication contract: a
-// pushed snapshot clears each worker's control-plane gates or leaves that
-// worker's serving version untouched — garbage fails decode, a
-// wrong-geometry model fails validation, and a well-formed snapshot
-// swaps every worker to one new version atomically.
+// TestClusterSnapshotReplicationGates pins the replication contract at
+// both serving widths: a pushed snapshot clears each worker's
+// control-plane gates or leaves that worker's serving version untouched —
+// garbage fails decode, a wrong-geometry model fails validation, and a
+// well-formed snapshot swaps every worker to one new version atomically.
+// A worker serves the version the client's model carries: after the dial,
+// after a push of a newly published model and in the settled telemetry,
+// W1 included (packing at the hello's width is no publication).
 func TestClusterSnapshotReplicationGates(t *testing.T) {
-	m, norm, names := clusterModel(t)
-	addrs := startWorkers(t, 2, WorkerConfig{})
-	cow := core.NewCOWModel(m)
-	client, err := Dial(ClientConfig{
-		Workers: addrs, Model: cow,
-		Normalizer: norm, ClassNames: names,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	for _, w := range []bitpack.Width{0, bitpack.W1} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			m, norm, names := clusterModel(t)
+			addrs := startWorkers(t, 2, WorkerConfig{})
+			cow := core.NewCOWModel(m)
+			client, err := Dial(ClientConfig{
+				Workers: addrs, Model: cow,
+				Normalizer: norm, ClassNames: names, Width: w,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			servesCOW := func(when string) {
+				t.Helper()
+				for i, v := range client.WorkerVersions() {
+					if v != cow.Version() {
+						t.Fatalf("%s: worker %d serves version %d, the client's model is at %d", when, i, v, cow.Version())
+					}
+				}
+			}
+			servesCOW("after dial")
 
-	before := client.WorkerVersions()
+			// Garbage fails decode and a wrong-geometry model validation on
+			// every worker, and no version moves.
+			var wrong bytes.Buffer
+			if err := core.SaveSnapshot(&wrong, core.NewCOWModel(tinyModel(t, len(names), 8, 64, 17))); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range [][]byte{[]byte("definitely not a model snapshot"), wrong.Bytes()} {
+				results, err := client.PushSnapshotBytes(bad)
+				if err == nil {
+					t.Fatal("a bad push reported success")
+				}
+				for _, r := range results {
+					if r.OK || r.Err == "" {
+						t.Fatalf("worker %s accepted a bad snapshot: %+v", r.Worker, r)
+					}
+				}
+				servesCOW("after a rejected push")
+			}
 
-	// Garbage: rejected at decode on every worker, versions untouched.
-	results, err := client.PushSnapshotBytes([]byte("definitely not a model snapshot"))
-	if err == nil {
-		t.Fatal("garbage push reported success")
-	}
-	for _, r := range results {
-		if r.OK || r.Err == "" {
-			t.Fatalf("worker %s accepted garbage: %+v", r.Worker, r)
-		}
-	}
-	for i, v := range client.WorkerVersions() {
-		if v != before[i] {
-			t.Fatalf("worker %d version moved %d -> %d on a rejected push", i, before[i], v)
-		}
-	}
-
-	// Wrong geometry: decodes fine, rejected at validation, versions
-	// untouched.
-	var buf bytes.Buffer
-	if err := core.SaveSnapshot(&buf, core.NewCOWModel(tinyModel(t, len(names), 8, 64, 17))); err != nil {
-		t.Fatal(err)
-	}
-	results, err = client.PushSnapshotBytes(buf.Bytes())
-	if err == nil {
-		t.Fatal("geometry-mismatch push reported success")
-	}
-	for _, r := range results {
-		if r.OK {
-			t.Fatalf("worker %s accepted a wrong-geometry model: %+v", r.Worker, r)
-		}
-	}
-	for i, v := range client.WorkerVersions() {
-		if v != before[i] {
-			t.Fatalf("worker %d version moved %d -> %d on a rejected push", i, before[i], v)
-		}
-	}
-
-	// A well-formed snapshot of the serving model: accepted everywhere,
-	// every worker advances exactly one version.
-	results, err = client.PushSnapshot()
-	if err != nil {
-		t.Fatalf("valid push failed: %v", err)
-	}
-	for i, r := range results {
-		if !r.OK {
-			t.Fatalf("worker %s rejected a valid snapshot: %s", r.Worker, r.Err)
-		}
-		if r.Version != before[i]+1 {
-			t.Fatalf("worker %d version %d after push, want %d", i, r.Version, before[i]+1)
-		}
-	}
-	for i, v := range client.WorkerVersions() {
-		if v != before[i]+1 {
-			t.Fatalf("worker %d version %d, want %d", i, v, before[i]+1)
-		}
+			// The client publishes a new version and replicates it: accepted
+			// everywhere, every worker advances exactly one version.
+			next, _, _ := clusterModel(t)
+			if err := cow.ReplaceModel(next); err != nil {
+				t.Fatal(err)
+			}
+			results, err := client.PushSnapshot()
+			if err != nil {
+				t.Fatalf("valid push failed: %v", err)
+			}
+			for _, r := range results {
+				if !r.OK || r.Version != cow.Version() {
+					t.Fatalf("worker %s: valid push %+v, want accepted at version %d", r.Worker, r, cow.Version())
+				}
+			}
+			servesCOW("after a push")
+			client.Close()
+			servesCOW("in the settled telemetry")
+		})
 	}
 }
 

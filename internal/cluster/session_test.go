@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -370,5 +371,45 @@ func TestShardedWorkerAlertsFlushWithoutClose(t *testing.T) {
 	}
 	if want.Load() == 0 {
 		t.Fatal("reference run produced no alerts; the check is vacuous")
+	}
+}
+
+// TestCloseRacingPushSnapshot: Close racing a snapshot push returns
+// promptly, well inside the push's ack timeout; a push that lost the race
+// fails and reports the version served before it, one that won reports
+// the version its worker acked; and no goroutine of the session outlives
+// it on either side.
+func TestCloseRacingPushSnapshot(t *testing.T) {
+	m, norm, names := clusterModel(t)
+	addrs := startWorkers(t, 2, WorkerConfig{})
+	base := runtime.NumGoroutine()
+	client, err := Dial(ClientConfig{Workers: addrs, Model: core.NewCOWModel(m), Normalizer: norm, ClassNames: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := client.WorkerVersions()
+	pushed := make(chan []PushResult)
+	go func() {
+		results, _ := client.PushSnapshot()
+		pushed <- results
+	}()
+	start := time.Now()
+	client.Close()
+	results := <-pushed
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close and the racing push took %v", d)
+	}
+	for i, r := range results {
+		switch {
+		case r.OK && r.Version != before[i]+1:
+			t.Errorf("worker %s: accepted push reports version %d, want %d", r.Worker, r.Version, before[i]+1)
+		case !r.OK && (r.Err == "" || r.Version != before[i]):
+			t.Errorf("worker %s: failed push reports version %d (want %d) with error %q", r.Worker, r.Version, before[i], r.Err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Dial", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/pipeline"
+	"cyberhd/internal/quantize"
 	"cyberhd/internal/telemetry"
 )
 
@@ -192,7 +193,12 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	if err != nil {
 		return refuse(fmt.Errorf("cluster: initial snapshot: %w", err))
 	}
+	// The hello's width is the model's: chosen here, once, before the
+	// engine reads it, at the version the snapshot carried.
 	cow := core.RestoreSnapshot(m, info)
+	if h.Width == int(bitpack.W1) {
+		quantize.AttachLive(cow)
+	}
 	plane, err := control.New(control.Config{Model: cow, Width: bitpack.Width(h.Width)})
 	if err != nil {
 		return refuse(err)
@@ -203,9 +209,9 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		Model:      cow,
 		Normalizer: &datasets.Normalizer{Mean: h.NormMean, InvStd: h.NormInvStd},
 		ClassNames: h.ClassNames,
-		BatchSize:  h.BatchSize, Quantize: bitpack.Width(h.Width),
-		Shards:    h.Shards,
-		Telemetry: tel,
+		BatchSize:  h.BatchSize,
+		Shards:     h.Shards,
+		Telemetry:  tel,
 		OnAlert: func(a pipeline.Alert) { // joins the open alerts run
 			wa := wireAlertOf(&a)
 			s.out.mu.Lock()

@@ -16,11 +16,12 @@
 // (hyperspace dimensionality, class count, input feature count, recorded
 // quantization width) and scored on the built-in sanity batch — BEFORE
 // the serving model is touched; publication is one
-// atomic COW swap (core.COWModel.ReplaceModel), under which a live
-// quantize.AttachLive derive hook re-packs the class memory
-// automatically. A rejected upload therefore leaves the serving version
-// and the verdict stream bit-identically untouched — pinned by the
-// control-plane tests and the differential-replay suite.
+// atomic COW swap (core.COWModel.ReplaceModel), under which the
+// quantize.AttachLive derive hook of a W1 model — installed once by
+// whoever built it, never by the plane or an engine — re-packs the class
+// memory automatically. A rejected upload therefore leaves the serving
+// version and the verdict stream bit-identically untouched — pinned by
+// the control-plane tests and the differential-replay suite.
 //
 // Admit is also the gate in front of the one other path that turns
 // outside bytes into a serving model: a cluster worker's session-opening
@@ -59,7 +60,8 @@ type Config struct {
 	// pipeline.CheckWidth says; New refuses any other. Uploads recording
 	// a different nonzero width are rejected, and shadow candidates are
 	// packed at this width so divergence measures model drift, not
-	// quantization error.
+	// quantization error. It describes Model and never changes it: at W1
+	// Model's builder has bound it with quantize.AttachLive.
 	Width bitpack.Width
 	// Shadow, when set, is the engine-attached tap shadow uploads and
 	// promote/demote operate on; without it shadow mode is rejected.

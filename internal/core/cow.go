@@ -60,17 +60,16 @@ func (s *Snapshot) Derived() any { return s.derived }
 // including pipeline.Sharded, where per-core workers classify while the
 // control plane hot-reloads the model.
 type COWModel struct {
-	mu        sync.Mutex // serializes publications; guards version, derive, onPublish
-	version   uint64
-	derive    func(m *Model) any
-	onPublish func(version uint64)
-	snap      atomic.Pointer[Snapshot]
+	mu      sync.Mutex // serializes publications; guards version and derive
+	version uint64
+	derive  func(m *Model) any
+	snap    atomic.Pointer[Snapshot]
 }
 
 // NewCOWModel publishes m as version 1. m is published as is, not
 // copied: callers must not mutate it afterwards.
 func NewCOWModel(m *Model) *COWModel {
-	c := &COWModel{}
+	c := &COWModel{version: 1}
 	c.mu.Lock()
 	c.publishLocked(m)
 	c.mu.Unlock()
@@ -78,10 +77,9 @@ func NewCOWModel(m *Model) *COWModel {
 }
 
 // publishLocked pairs m with, when a derive hook is installed, a freshly
-// derived artifact, and swaps the package in as the live snapshot.
-// Callers hold c.mu.
-func (c *COWModel) publishLocked(m *Model) {
-	c.version++
+// derived artifact, and swaps the package in as the live snapshot at the
+// current version. Callers hold c.mu and set the version first.
+func (c *COWModel) publishLocked(m *Model) *Snapshot {
 	snap := &Snapshot{
 		Enc:     m.Enc,
 		Class:   m.Class,
@@ -96,25 +94,7 @@ func (c *COWModel) publishLocked(m *Model) {
 		}
 	}
 	c.snap.Store(snap)
-	if c.onPublish != nil {
-		c.onPublish(c.version)
-	}
-}
-
-// SetOnPublish installs fn as the publication observer: it runs after
-// every snapshot swap with the newly published version, and once
-// immediately with the current version so gauges initialize. Engines use
-// this to surface the serving model version in telemetry
-// (cyberhd_model_version). fn runs under the publication lock — keep it
-// to a counter store and never call back into the model. Last installer
-// wins.
-func (c *COWModel) SetOnPublish(fn func(version uint64)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onPublish = fn
-	if fn != nil {
-		fn(c.version)
-	}
+	return snap
 }
 
 // ReplaceModel publishes m as the next model version with one atomic
@@ -144,24 +124,26 @@ func (c *COWModel) ReplaceModel(m *Model) error {
 		return fmt.Errorf("core: ReplaceModel: model dim %d, serving %d",
 			m.Class.Cols, serving.Cols)
 	}
+	c.version++
 	c.publishLocked(m)
 	return nil
 }
 
-// SetDerive installs fn as the snapshot derivation hook and republishes
-// the live model so the live snapshot immediately carries a derived
-// artifact. Every later publication runs fn on the model it publishes,
-// and the result rides the snapshot (Snapshot.Derived), giving readers a
-// consistent (model, artifact) pair behind the same single atomic load;
-// an artifact that classifies (Predict and PredictBatchInto) serves the
-// COWModel's verdicts from then on. fn must treat m as read-only.
-// quantize.AttachLive uses this hook to quantize the class memory of
-// every published model.
-func (c *COWModel) SetDerive(fn func(m *Model) any) {
+// SetDerive installs fn as the snapshot derivation hook, derives the
+// artifact for the live model and returns the snapshot carrying it. The
+// version does not advance: the model has not changed. Every later
+// publication runs fn on the model it publishes, and the result rides the
+// snapshot (Snapshot.Derived), giving readers a consistent (model,
+// artifact) pair behind the same single atomic load; an artifact that
+// classifies (Predict and PredictBatchInto) serves the COWModel's
+// verdicts from then on. fn must treat m as read-only. Whoever builds the
+// COWModel installs the hook once, before serving it:
+// quantize.AttachLive uses it to serve W1.
+func (c *COWModel) SetDerive(fn func(m *Model) any) *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.derive = fn
-	c.publishLocked(c.snap.Load().model)
+	return c.publishLocked(c.snap.Load().model)
 }
 
 // Snapshot returns the live snapshot. Successive calls may return

@@ -170,9 +170,8 @@ func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
 		// Not a v2 stream (or shorter than one magic header): hand the
 		// whole stream to the v1 decoder, whose gob layer reports the
 		// error for genuinely corrupt input. v1 recorded no width for a
-		// quantized artifact, so re-attachment is the serving config's job
-		// (pipeline engines run quantize.AttachLive when Config.Quantize
-		// is set).
+		// quantized artifact, so serving W1 from one is the restorer's
+		// call (quantize.AttachLive on the restored COWModel).
 		m, err := loadV1(br)
 		if err != nil {
 			return nil, SnapshotInfo{}, err
@@ -250,12 +249,12 @@ func DecodeSnapshot(r io.Reader) (*Model, SnapshotInfo, error) {
 // version counter, so verdicts are bit-identical to the process that
 // wrote the snapshot and the first post-restore reload is observably a
 // newer version. m is published as is, as with NewCOWModel.
-// Quantized serving state is re-derived, not deserialized: hand the model
-// to a pipeline config with Quantize set (or call quantize.AttachLive)
-// and a recorded W1 SnapshotInfo.DerivedWidth is reproduced bit for bit
-// (W1 is the one packed width serving takes).
+// Quantized serving state is re-derived, not deserialized: call
+// quantize.AttachLive on the result before serving it and a recorded W1
+// SnapshotInfo.DerivedWidth is reproduced bit for bit, at the same
+// version (W1 is the one packed width serving takes).
 func RestoreSnapshot(m *Model, info SnapshotInfo) *COWModel {
-	c := &COWModel{version: info.ModelVersion - 1}
+	c := &COWModel{version: info.ModelVersion}
 	c.mu.Lock()
 	c.publishLocked(m)
 	c.mu.Unlock()

@@ -13,7 +13,8 @@ import (
 // TestSnapshotRecordsDerivedWidth pins that a COWModel serving through a
 // live quantized derivation saves its width into the snapshot — the
 // record the control plane checks so a snapshot validated at one
-// deployment width is refused by a plane serving another.
+// deployment width is refused by a plane serving another — at the
+// version it was built with: attaching changes no model.
 func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	m, x, _ := core.ToyModel(t, 3, 64, 9)
 	cow := core.NewCOWModel(m)
@@ -28,6 +29,9 @@ func TestSnapshotRecordsDerivedWidth(t *testing.T) {
 	}
 	if info.DerivedWidth != 1 {
 		t.Fatalf("snapshot recorded width %d, serving was 1-bit", info.DerivedWidth)
+	}
+	if info.ModelVersion != 1 {
+		t.Fatalf("snapshot recorded version %d, want 1: attaching is no publication", info.ModelVersion)
 	}
 	// The restored float model must re-derive the identical packed
 	// artifact: attach and compare verdicts.

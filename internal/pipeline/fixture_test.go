@@ -9,11 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
 	"cyberhd/internal/datasets"
 	"cyberhd/internal/encoder"
 	"cyberhd/internal/hdc"
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/quantize"
 	"cyberhd/internal/traffic"
 )
 
@@ -61,6 +63,30 @@ func buildModel(t testing.TB) (Config, *traffic.Stream) {
 	live := *trained.live
 	live.Packets = slices.Clone(live.Packets)
 	return Config{Model: m, Normalizer: trained.norm, ClassNames: trained.names}, &live
+}
+
+// atWidth returns cfg serving its *core.Model at width w: the model
+// itself at 0, else its quantize.FromCore pack.
+func atWidth(t testing.TB, cfg Config, w bitpack.Width) Config {
+	t.Helper()
+	if w != 0 {
+		q, err := quantize.FromCore(cfg.Model.(*core.Model), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Model = q
+	}
+	return cfg
+}
+
+// cowAt wraps m in a COWModel serving width w: W1 attaches the live
+// packing hook (quantize.AttachLive), at version 1 like any other.
+func cowAt(m *core.Model, w bitpack.Width) *core.COWModel {
+	cow := core.NewCOWModel(m)
+	if w == bitpack.W1 {
+		quantize.AttachLive(cow)
+	}
+	return cow
 }
 
 // fakeModel is the tests' stand-in classifier. Every verdict is class, or

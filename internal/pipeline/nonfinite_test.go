@@ -120,8 +120,8 @@ func TestNaNTimestampClassifiesAtTheTrainingMean(t *testing.T) {
 		{"w1-sync", bitpack.W1, 0, w1.Predict(want)},
 		{"w1-batch64", bitpack.W1, 64, w1.Predict(want)},
 	} {
-		run := cfg
-		run.Quantize, run.BatchSize = c.width, c.batch
+		run := atWidth(t, cfg, c.width)
+		run.BatchSize = c.batch
 		st := directDrive(t, run, pkts)
 		if st.Flows != 1 || st.ByClass[c.want] != 1 {
 			t.Fatalf("%s: verdicts by class %v over %d flows, want the one flow in class %d", c.name, st.ByClass, st.Flows, c.want)

@@ -30,7 +30,8 @@ import (
 // core.COWModel and quantize.Model all satisfy it. The
 // engine classifies every flow through PredictBatchInto, which must be
 // bit-identical to per-row Predict so the batch size never changes a
-// verdict.
+// verdict. An engine only reads its model: the serving width and the
+// version are the model's own.
 type Classifier interface {
 	// Predict returns the class index for one normalized feature vector.
 	Predict(x []float32) int
@@ -101,7 +102,13 @@ func StatsOf(s telemetry.Snapshot) Stats {
 
 // Config assembles an Engine.
 type Config struct {
-	// Model classifies normalized feature vectors. Required.
+	// Model classifies normalized feature vectors, served exactly as
+	// given: a float32 *core.Model, a W1 *quantize.Model
+	// (quantize.FromCore), or a *core.COWModel serving whatever it
+	// publishes — W1 once its builder ran quantize.AttachLive. A
+	// *quantize.Model at any other width is refused (CheckWidth).
+	// Verdicts are independent of BatchSize and shard count at either
+	// width. Required.
 	Model Classifier
 	// Normalizer maps raw flow features to the model's input space
 	// (fitted on the training split). Required.
@@ -115,17 +122,6 @@ type Config struct {
 	// classifies every flow at once, as a batch of one. Batch rows over
 	// all shards are at most MaxBatchRows.
 	BatchSize int
-	// Quantize is the serving width, 0 (float32) or bitpack.W1 (see
-	// CheckWidth). W1 lowers classification to 1-bit inference: a
-	// *core.Model is packed once at engine build (quantize.FromCore), and
-	// a *core.COWModel gets quantize.AttachLive, so every publication — a
-	// hot reload, a shadow promotion — packs the new class memory
-	// atomically with the snapshot swap and the COW serves it. Zero
-	// serves the model as given: float32, a W1 *quantize.Model, or the
-	// packed memory a COWModel already publishes. A *quantize.Model at any
-	// other width is refused. Verdicts at a given width are independent
-	// of BatchSize and shard count, exactly like the float path.
-	Quantize bitpack.Width
 	// Shadow, when set, is the shadow-serving tap: every classified flow
 	// is also scored by the tap's candidate model (when one is attached)
 	// and verdict divergence is counted into telemetry, without affecting
@@ -214,7 +210,7 @@ type Engine struct {
 }
 
 // CheckWidth is the one rule for what serving accepts: float32 (0) and
-// W1. Every serving surface — Config.Quantize, the control plane, the
+// W1. Every serving surface — Config.Model, the control plane, the
 // cluster hello and the CLI's -width — asks it. W2–W32 are the paper's
 // offline bitwidths, packed by quantize.FromCore for Table I and Fig 5.
 func CheckWidth(w bitpack.Width) error {
@@ -224,35 +220,7 @@ func CheckWidth(w bitpack.Width) error {
 	return fmt.Errorf("width %d is not served (serving widths are 0 = float32 and 1); W2–W32 exist offline, in cyberhd quantize / faults and experiments", w)
 }
 
-// applyQuantize resolves cfg.Quantize: the model is lowered to W1
-// inference and the field cleared, so engines built from the resolved
-// config (each shard of a Sharded) share one packed classifier instead of
-// re-packing per shard.
-func applyQuantize(cfg *Config) error {
-	if cfg.Quantize == 0 {
-		return nil
-	}
-	switch m := cfg.Model.(type) {
-	case *quantize.Model: // W1 already (validate)
-	case *core.Model:
-		q, err := quantize.FromCore(m, cfg.Quantize)
-		if err != nil {
-			return err
-		}
-		cfg.Model = q
-	case *core.COWModel:
-		quantize.AttachLive(m)
-	default:
-		return fmt.Errorf("pipeline: cannot quantize model type %T (want *core.Model or *core.COWModel)", cfg.Model)
-	}
-	cfg.Quantize = 0
-	return nil
-}
-
 // validate checks the required Config fields and the allocation bounds.
-// It runs before applyQuantize so a rejected config never leaves side
-// effects on the caller's model (quantizing a COWModel installs a derive
-// hook and publishes a new version).
 func validate(cfg Config) error {
 	if cfg.Model == nil {
 		return fmt.Errorf("pipeline: nil model")
@@ -269,9 +237,6 @@ func validate(cfg Config) error {
 	if cfg.Telemetry != nil && cfg.Telemetry.NumClasses() != len(cfg.ClassNames) {
 		return fmt.Errorf("pipeline: telemetry collector has %d classes, config has %d",
 			cfg.Telemetry.NumClasses(), len(cfg.ClassNames))
-	}
-	if err := CheckWidth(cfg.Quantize); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
 	}
 	if q, ok := cfg.Model.(*quantize.Model); ok {
 		if err := CheckWidth(q.Width); err != nil {
@@ -298,14 +263,11 @@ func resolveTelemetry(cfg *Config) *telemetry.Collector {
 		cfg.Telemetry = telemetry.New(cfg.ClassNames)
 	}
 	cfg.Telemetry.SetKernels(telemetry.Kernels{Float: hdc.KernelPath(), Packed: bitpack.KernelPath()})
-	// Versioned models stamp every COW publication into the collector
-	// (cyberhd_model_version), so hot reloads and shadow promotions are
-	// observable from /stats and /metrics.
-	// Re-resolution from the same config (each shard of a Sharded)
-	// reinstalls the same observer — last write wins, harmless.
-	tel := cfg.Telemetry
+	// A versioned model's collector reads the live version at every
+	// snapshot (cyberhd_model_version), so hot reloads and shadow
+	// promotions are observable from /stats and /metrics.
 	if m, ok := cfg.Model.(*core.COWModel); ok {
-		m.SetOnPublish(func(v uint64) { tel.SetModelVersion(v) })
+		cfg.Telemetry.SetVersionSource(m.Version)
 	}
 	for _, s := range cfg.Sinks {
 		if rl, ok := s.(*RateLimitSink); ok {
@@ -318,9 +280,6 @@ func resolveTelemetry(cfg *Config) *telemetry.Collector {
 // New validates cfg and builds an engine.
 func New(cfg Config) (*Engine, error) {
 	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	if err := applyQuantize(&cfg); err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, tel: resolveTelemetry(&cfg)}

@@ -183,8 +183,8 @@ func checkAllocFree(t *testing.T, widths ...bitpack.Width) {
 	cfg, _ := buildModel(t)
 	for _, w := range widths {
 		for name, batch := range map[string]int{"sync": 0, "batch": 8} {
-			cfg := cfg
-			cfg.Quantize, cfg.BatchSize = w, batch
+			cfg := atWidth(t, cfg, w)
+			cfg.BatchSize = batch
 			eng := newEngine(t, cfg)
 			for i := range uint32(64) {
 				eng.Feed(tcpPkt(0x0b000000+i, 0x0c000001, 40000, 443, 0, netflow.SYN))

@@ -66,13 +66,16 @@ func TestDifferentialReplaySaveLoadServe(t *testing.T) {
 				if info.Format != core.SnapshotFormatV2 {
 					t.Fatalf("snapshot decoded as format %d", info.Format)
 				}
-				// A fresh COW wrapper per run: a live quantized derivation
-				// binds the wrapper to one width for its lifetime.
+				// A fresh COW wrapper per run: the width is the
+				// wrapper's, chosen when it is built.
+				if w == bitpack.W1 {
+					quantize.AttachLive(loaded)
+				}
 				var st [2]Stats
 				var alerts [2][]string
-				for i, model := range []Classifier{core.NewCOWModel(m), loaded} {
+				for i, model := range []Classifier{cowAt(m, w), loaded} {
 					cfg := base
-					cfg.Model, cfg.Quantize, cfg.Shards, cfg.BatchSize = model, w, shards, 32
+					cfg.Model, cfg.Shards, cfg.BatchSize = model, shards, 32
 					st[i], alerts[i] = replayRun(t, cfg, live.Packets, NewStream)
 				}
 				statsEqual(t, "save/load/serve", st[1], st[0])
@@ -120,8 +123,7 @@ func TestShadowZeroDivergence(t *testing.T) {
 		// independent pack of the same weights at the same width — still
 		// exactly zero divergence, because quantization is deterministic.
 		cfg := base
-		cfg.Model = core.NewCOWModel(m)
-		cfg.Quantize = bitpack.W1
+		cfg.Model = cowAt(m, bitpack.W1)
 		q, err := quantize.FromCore(m, bitpack.W1)
 		if err != nil {
 			t.Fatal(err)
@@ -221,11 +223,11 @@ func TestHotReloadHammer(t *testing.T) {
 		{"quantized1 single", bitpack.W1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cow := core.NewCOWModel(m)
+			cow := cowAt(m, tc.width)
 			tel := telemetry.New(base.ClassNames)
 			cfg := base
 			cfg.Model = cow
-			cfg.Quantize, cfg.Shards, cfg.BatchSize = tc.width, tc.shards, 32
+			cfg.Shards, cfg.BatchSize = tc.shards, 32
 			cfg.Telemetry = tel
 			s, err := NewStream(cfg)
 			if err != nil {

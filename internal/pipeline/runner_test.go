@@ -29,7 +29,7 @@ func TestRunnerMatchesDirectDrive(t *testing.T) {
 	}{
 		{"float-sync", func(c *Config) {}},
 		{"float-batch64", func(c *Config) { c.BatchSize = 64 }},
-		{"quant-w1-batch64", func(c *Config) { c.Quantize, c.BatchSize = bitpack.W1, 64 }},
+		{"quant-w1-batch64", func(c *Config) { *c = atWidth(t, *c, bitpack.W1); c.BatchSize = 64 }},
 		{"sharded4-batch64", func(c *Config) { c.Shards, c.BatchSize = 4, 64 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

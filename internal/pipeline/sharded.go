@@ -136,11 +136,6 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	// Resolve quantization once so every shard scores against the same
-	// packed classifier.
-	if err := applyQuantize(&cfg); err != nil {
-		return nil, err
-	}
 	n := cfg.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cyberhd/internal/bitpack"
 	"cyberhd/internal/netflow"
 )
 
@@ -18,13 +19,14 @@ import (
 func TestNewStream(t *testing.T) {
 	cfg, _ := buildModel(t)
 
-	// Invalid configs first, while no engine of this test has run: one
-	// caught by validate, one by applyQuantize, both asking for shards.
+	// Invalid configs first, while no engine of this test has run: no
+	// model, and a model at a width serving refuses, both asking for
+	// shards.
 	before := runtime.NumGoroutine()
-	noModel, badWidth := cfg, cfg
+	noModel, badWidth := cfg, atWidth(t, cfg, bitpack.W4)
 	noModel.Shards, noModel.Model = 3, nil
-	badWidth.Shards, badWidth.Quantize = 3, 3
-	for name, bad := range map[string]Config{"nil model": noModel, "width 3": badWidth} {
+	badWidth.Shards = 3
+	for name, bad := range map[string]Config{"nil model": noModel, "width 4": badWidth} {
 		if s, err := NewStream(bad); err == nil || s != nil {
 			t.Fatalf("%s: NewStream = (%v, %v), want (nil, error)", name, s, err)
 		}

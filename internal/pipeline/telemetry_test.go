@@ -6,7 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"cyberhd/internal/bitpack"
+	"cyberhd/internal/core"
 	"cyberhd/internal/netflow"
+	"cyberhd/internal/quantize"
 	"cyberhd/internal/telemetry"
 )
 
@@ -247,6 +250,44 @@ func TestConfigTelemetryShared(t *testing.T) {
 	}
 	if _, err := NewSharded(bad); err == nil {
 		t.Fatal("sharded accepted collector with mismatched class count")
+	}
+}
+
+// TestSharedCOWVersionGauges: engines only read their model. Two engines
+// on one COWModel its builder bound to W1, each with its own collector,
+// leave its version and packed memory as they found them, and after one
+// hot reload, which re-packs, both collectors report the version it
+// serves.
+func TestSharedCOWVersionGauges(t *testing.T) {
+	cfg, _ := buildModel(t)
+	m := cfg.Model.(*core.Model)
+	cow := core.NewCOWModel(m)
+	quantize.AttachLive(cow)
+	v0, q0 := cow.Version(), cow.Snapshot().Derived()
+	var tels []*telemetry.Collector
+	for _, shards := range []int{1, 2} {
+		c := cfg
+		c.Model, c.Shards, c.Telemetry = cow, shards, telemetry.New(cfg.ClassNames)
+		s, err := NewStream(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tels = append(tels, c.Telemetry)
+	}
+	if cow.Version() != v0 || cow.Snapshot().Derived() != q0 {
+		t.Fatalf("building engines republished the model: version %d -> %d", v0, cow.Version())
+	}
+	if err := cow.ReplaceModel(perturbedCopy(m)); err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := cow.Snapshot().Derived().(*quantize.Model); !ok || q == q0 || q.Width != bitpack.W1 {
+		t.Fatalf("the reload did not re-pack the class memory at W1: %T", cow.Snapshot().Derived())
+	}
+	for i, tel := range tels {
+		if got := tel.Snapshot().ModelVersion; got != cow.Version() {
+			t.Errorf("engine %d: telemetry reports version %d, the model serves %d", i, got, cow.Version())
+		}
 	}
 }
 

@@ -80,7 +80,8 @@ func TestScorerAgreesWithClassify(t *testing.T) {
 // TestLiveMatchesFromCore: with no publication in flight, an attached
 // COWModel must predict exactly like a one-shot FromCore at the same width.
 // Before the attach it serves its float model, which disagrees with the
-// 1-bit one on some of these off-cluster queries.
+// 1-bit one on some of these off-cluster queries. The attach returns the
+// packed Model the live snapshot serves and leaves the version at 1.
 func TestLiveMatchesFromCore(t *testing.T) {
 	m, _, _, _, _ := trainedModel(t)
 	xt := hdc.NewMatrix(500, 12)
@@ -99,7 +100,10 @@ func TestLiveMatchesFromCore(t *testing.T) {
 	if !slices.Equal(out, float) {
 		t.Fatal("unattached COWModel does not serve its float model")
 	}
-	AttachLive(cow)
+	if q := AttachLive(cow); q == nil || cow.Snapshot().Derived() != q || cow.Version() != 1 {
+		t.Fatalf("AttachLive returned %p, the live snapshot derives %p at version %d, want the same at 1",
+			q, cow.Snapshot().Derived(), cow.Version())
+	}
 	cow.PredictBatchInto(xt, out)
 	for i := range want {
 		if out[i] != want[i] {

@@ -3,8 +3,9 @@
 // robustness study (Fig 5), and serves them live at W1: Model drives the
 // packed kernel layer of internal/bitpack (blocked panel dots, cached row
 // norms, pooled query packing) with zero steady-state allocations, and
-// AttachLive makes a core.COWModel publish and serve a freshly packed W1
-// Model with every version, so hot reloads and packed inference coexist.
+// AttachLive makes a core.COWModel serve a packed W1 Model: the live
+// version's at once, a freshly packed one with every later version, so
+// hot reloads and packed inference coexist.
 // W2–W32 Models are offline only: the serving surfaces refuse them
 // (pipeline.CheckWidth).
 //

@@ -13,7 +13,7 @@ import (
 // counters, their Prometheus rendering and their /stats JSON shape.
 func TestControlPlaneCounters(t *testing.T) {
 	c := New([]string{"benign", "dos", "probe"})
-	c.SetModelVersion(3)
+	c.SetVersionSource(func() uint64 { return 3 })
 	c.ShadowVerdict(1, true)
 	c.ShadowVerdict(1, true)
 	c.ShadowVerdict(2, false)

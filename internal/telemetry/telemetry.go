@@ -105,10 +105,10 @@ type Collector struct {
 	overloadState       atomic.Int32
 	overloadTransitions [len(OverloadStateNames)]atomic.Int64
 
-	// model control plane counters: the serving model's COW publication
-	// version, shadow-scored flows and per-class verdict divergence
-	// (indexed by the primary model's verdict class).
-	modelVersion   atomic.Uint64
+	// model control plane counters: where a snapshot reads the serving
+	// model's COW publication version, shadow-scored flows and per-class
+	// verdict divergence (indexed by the primary model's verdict class).
+	modelVersion   atomic.Pointer[func() uint64]
 	shadowFlows    atomic.Int64
 	shadowDiverged []atomic.Int64
 
@@ -263,11 +263,12 @@ func (c *Collector) OverloadTransition(s int32) {
 	}
 }
 
-// SetModelVersion publishes the serving model's COW publication version.
-// Safe from any goroutine; last write wins (engines install it as the
-// COWModel's publication observer, so hot reloads and shadow promotions
-// move the gauge).
-func (c *Collector) SetModelVersion(v uint64) { c.modelVersion.Store(v) }
+// SetVersionSource registers where snapshots read the serving model's
+// COW publication version: every Snapshot calls fn. Engines register
+// their COWModel's Version at build, so hot reloads and shadow
+// promotions move the gauge, and every collector on a shared model
+// reports the live version. Safe from any goroutine; last write wins.
+func (c *Collector) SetVersionSource(fn func() uint64) { c.modelVersion.Store(&fn) }
 
 // ShadowVerdict records one shadow-model scoring of a flow: the
 // shadow-flow counter, plus the per-class divergence counter (indexed by
@@ -421,11 +422,13 @@ func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Suppressed:     c.suppressed.Load(),
 		OverloadState:  c.overloadState.Load(),
-		ModelVersion:   c.modelVersion.Load(),
 		Alerts:         c.alerts.Load(),
 		Classes:        c.classes,
 		ByClass:        make([]int64, len(c.byClass)),
 		ShadowDiverged: make([]int64, len(c.shadowDiverged)),
+	}
+	if fn := c.modelVersion.Load(); fn != nil {
+		s.ModelVersion = (*fn)()
 	}
 	// Tenant attribution before the reason totals (the gate counts the
 	// reason first, then attributes), so a mid-run snapshot never shows

@@ -29,10 +29,11 @@ import (
 type (
 	// EngineConfig describes a serving engine: model, normalizer and class
 	// names (Detector.EngineConfig fills the three), then
-	// micro-batch size, quantized width, shard count, alert callback and
-	// sinks, shared telemetry collector, shadow tap and overload policy —
-	// every field documented on pipeline.Config. Tick and progress cadence
-	// are Runner settings.
+	// micro-batch size, shard count, alert callback and sinks, shared
+	// telemetry collector, shadow tap and overload policy — every field
+	// documented on pipeline.Config. The serving width is the model's:
+	// set Model to a Quantize(m, W1) pack, or to a COWModel bound by
+	// AttachW1. Tick and progress cadence are Runner settings.
 	EngineConfig = pipeline.Config
 	// EngineStats is the engine counter snapshot returned by Stats.
 	EngineStats = pipeline.Stats
