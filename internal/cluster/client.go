@@ -309,29 +309,35 @@ func (c *Client) deliver(wa *wireAlert) {
 	}
 }
 
-// route returns the worker owning p's flow: FlowKey.Hash % N, the sharded
-// engine's modulus contract — both directions of a flow land on one
-// worker, so flow assembly there sees exactly its per-flow subsequence.
-func (c *Client) route(p *netflow.Packet) *workerConn {
-	return c.conns[int(p.ShardKey()%uint64(len(c.conns)))]
-}
+// Feed routes one packet to its flow's worker: a run of one (FeedRun).
+func (c *Client) Feed(p netflow.Packet) { c.FeedRun([]netflow.Packet{p}) }
 
-// Feed routes one packet to its flow's worker: the packet joins that
-// worker's open packets frame, and the frame goes out when it is full or
-// at the next Tick, Flush, Close or snapshot push. Lossless: a slow worker
-// blocks the feed (TCP backpressure), it never drops. No-op after Close;
-// after the worker's connection failed, packets are discarded frame by
-// frame (the error surfaces on Err and Close).
-func (c *Client) Feed(p netflow.Packet) {
+// FeedRun routes pkts to their flows' workers in order: each packet joins
+// its worker's open packets frame, and the frame goes out when it is full
+// or at the next Tick, Flush, Close or snapshot push. Packets route by
+// FlowKey.Hash % N, the sharded engine's modulus contract
+// (pipeline.RunRouter): both directions of a flow land on one worker, so
+// flow assembly there sees exactly its per-flow subsequence. Each
+// worker's lock is taken once for all of its packets among every 64 of
+// the run. Lossless: a slow worker blocks the feed (TCP backpressure), it
+// never drops. No-op after Close; after the worker's connection failed,
+// packets are discarded frame by frame (the error surfaces on Err and
+// Close).
+func (c *Client) FeedRun(pkts []netflow.Packet) {
 	if c.closed.Load() {
 		return
 	}
-	wc := c.route(&p)
-	wc.out.mu.Lock()
-	wc.out.room(maxTaggedPacket)
-	wc.out.open = appendPacket(wc.out.open, &p)
-	wc.sent++
-	wc.out.mu.Unlock()
+	r := pipeline.RouteRun(pkts, len(c.conns))
+	for j, win, sel := r.Next(); sel != nil; j, win, sel = r.Next() {
+		wc := c.conns[j]
+		wc.out.mu.Lock()
+		for _, i := range sel {
+			wc.out.room(maxTaggedPacket)
+			wc.out.open = appendPacket(wc.out.open, &win[i])
+		}
+		wc.sent += int64(len(sel))
+		wc.out.mu.Unlock()
+	}
 }
 
 // FeedWithin feeds p, reporting admission. The network client is

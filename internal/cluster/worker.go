@@ -246,9 +246,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			if pkts, err = decodePackets(payload, pkts); err != nil {
 				return err
 			}
-			for i := range pkts {
-				eng.Feed(pkts[i])
-			}
+			pipeline.FeedRun(eng, pkts)
 		case frameTick:
 			now, err := decodeTick(payload)
 			if err != nil {

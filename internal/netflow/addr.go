@@ -19,12 +19,17 @@ type Addr [16]byte
 // big-endian uint32 (the old address representation).
 func AddrV4(ip uint32) Addr {
 	var a Addr
-	a[10], a[11] = 0xff, 0xff
-	a[12] = byte(ip >> 24)
-	a[13] = byte(ip >> 16)
-	a[14] = byte(ip >> 8)
-	a[15] = byte(ip)
+	a.setV4(ip)
 	return a
+}
+
+// setV4 writes the v4-mapped form of ip into a in place, as two 64-bit
+// words. Built byte by byte in a temporary and copied whole, the 16-byte
+// load would wait on the narrow stores before it (a store-forwarding
+// stall on every decoded address).
+func (a *Addr) setV4(ip uint32) {
+	binary.LittleEndian.PutUint64(a[:8], 0)
+	binary.BigEndian.PutUint64(a[8:], 0xffff<<32|uint64(ip))
 }
 
 // IPv4 packs four octets into the v4-mapped address representation.
@@ -97,7 +102,7 @@ func (a *Addr) Get(src []byte, wide bool) int {
 	if wide {
 		return copy(a[:], src[:16])
 	}
-	*a = AddrV4(binary.LittleEndian.Uint32(src))
+	a.setV4(binary.LittleEndian.Uint32(src))
 	return 4
 }
 

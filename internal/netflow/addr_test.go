@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"cyberhd/internal/rng"
 )
 
 func TestAddrParseStringRoundTrip(t *testing.T) {
@@ -30,6 +32,42 @@ func TestAddrParseStringRoundTrip(t *testing.T) {
 	var zero Addr
 	if !zero.Is4() || zero.V4() != 0 || zero.String() != "0.0.0.0" {
 		t.Errorf("zero Addr: Is4=%v V4=%d String=%q", zero.Is4(), zero.V4(), zero.String())
+	}
+}
+
+// TestAddrV4WritesAgree pins the three ways an IPv4 address becomes an
+// Addr — AddrV4, a narrow record's Get and a PCAP frame's decodeIPv4 — to
+// the same 16 bytes as the byte-by-byte v4-mapped layout, over every
+// byte of a destination that held garbage before.
+func TestAddrV4WritesAgree(t *testing.T) {
+	ips := []uint32{0, 0xFFFFFFFF}
+	r := rng.New(11)
+	for range 1000 {
+		ips = append(ips, r.Uint32())
+	}
+	garbage := Addr{0: 0xaa, 1: 0x55, 9: 0xaa, 10: 0x11, 15: 0x77}
+	for _, ip := range ips {
+		var want Addr
+		want[10], want[11] = 0xff, 0xff
+		binary.BigEndian.PutUint32(want[12:], ip)
+		if got := AddrV4(ip); got != want {
+			t.Fatalf("AddrV4(%08x) = %x, want %x", ip, got, want)
+		}
+		var rec [4]byte
+		binary.LittleEndian.PutUint32(rec[:], ip)
+		got := garbage
+		if n := got.Get(rec[:], false); n != 4 || got != want {
+			t.Fatalf("Get(%08x) = %x (%d bytes), want %x", ip, got, n, want)
+		}
+		frame := make([]byte, 28) // IPv4 header, then a UDP header
+		frame[0], frame[9] = 0x45, byte(UDP)
+		binary.BigEndian.PutUint16(frame[2:], 28)
+		binary.BigEndian.PutUint32(frame[12:], ip)
+		binary.BigEndian.PutUint32(frame[16:], ^ip)
+		p := Packet{SrcIP: garbage, DstIP: garbage}
+		if !decodeIPv4(&p, frame, 1, 0) || p.SrcIP != want || p.DstIP != AddrV4(^ip) {
+			t.Fatalf("decodeIPv4(%08x) = %x → %x, want %x → %x", ip, p.SrcIP, p.DstIP, want, AddrV4(^ip))
+		}
 	}
 }
 

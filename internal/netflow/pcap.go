@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // PCAP/pcapng front door: a dependency-free streaming PacketSource over
@@ -69,9 +70,10 @@ const (
 type PCAPSource struct {
 	br      *bufio.Reader // maxPCAPBlock bytes: records are peeked whole, then discarded
 	ng      bool          // pcapng container (classic otherwise)
-	bo      binary.ByteOrder
-	tsdiv   float64 // classic: ticks per second (1e6 or 1e9)
-	link    uint32  // classic: the capture's single link type
+	swap    bool          // the capture (pcapng: the section) is big-endian; see u32
+	section bool          // pcapng: a section header has fixed the byte order
+	tsdiv   float64       // classic: ticks per second (1e6 or 1e9)
+	link    uint32        // classic: the capture's single link type
 	ifaces  []pcapIface
 	skipped int
 }
@@ -113,29 +115,49 @@ func NewPCAPSource(r io.Reader) (*PCAPSource, error) {
 		s.ng = true
 		return s, nil
 	case le == pcapMagicMicro:
-		return s.classicHeader(binary.LittleEndian, 1e6)
+		return s.classicHeader(false, 1e6)
 	case be == pcapMagicMicro:
-		return s.classicHeader(binary.BigEndian, 1e6)
+		return s.classicHeader(true, 1e6)
 	case le == pcapMagicNano:
-		return s.classicHeader(binary.LittleEndian, 1e9)
+		return s.classicHeader(false, 1e9)
 	case be == pcapMagicNano:
-		return s.classicHeader(binary.BigEndian, 1e9)
+		return s.classicHeader(true, 1e9)
 	}
 	return nil, fmt.Errorf("netflow: not a pcap or pcapng capture (magic %02x%02x%02x%02x)",
 		magic[0], magic[1], magic[2], magic[3])
 }
 
-// classicHeader consumes the 24-byte classic global header.
-func (s *PCAPSource) classicHeader(bo binary.ByteOrder, tsdiv float64) (*PCAPSource, error) {
+// classicHeader consumes the 24-byte classic global header of a capture
+// written big-endian when swap is set.
+func (s *PCAPSource) classicHeader(swap bool, tsdiv float64) (*PCAPSource, error) {
 	hdr, err := s.peek(24)
 	if err != nil {
 		return nil, fmt.Errorf("netflow: pcap header: %w", err)
 	}
-	s.bo = bo
+	s.swap = swap
 	s.tsdiv = tsdiv
-	s.link = bo.Uint32(hdr[20:])
+	s.link = s.u32(hdr[20:])
 	_, _ = s.br.Discard(24)
 	return s, nil
+}
+
+// u32 and u16 read a header field in the capture's byte order: a
+// little-endian load, byte-swapped when the capture is big-endian. Both
+// inline, where a binary.ByteOrder value cost a dynamic call per field.
+func (s *PCAPSource) u32(b []byte) uint32 {
+	v := binary.LittleEndian.Uint32(b)
+	if s.swap {
+		v = bits.ReverseBytes32(v)
+	}
+	return v
+}
+
+func (s *PCAPSource) u16(b []byte) uint16 {
+	v := binary.LittleEndian.Uint16(b)
+	if s.swap {
+		v = bits.ReverseBytes16(v)
+	}
+	return v
 }
 
 // peek returns the next n bytes in place, without consuming them (n is at
@@ -193,10 +215,10 @@ func (s *PCAPSource) nextClassic() (pcapFrame, int, error) {
 		}
 		return pcapFrame{}, 0, fmt.Errorf("netflow: pcap record header: %w", err)
 	}
-	sec := s.bo.Uint32(hdr[0:])
-	tick := s.bo.Uint32(hdr[4:])
-	caplen := s.bo.Uint32(hdr[8:])
-	orig := s.bo.Uint32(hdr[12:])
+	sec := s.u32(hdr[0:])
+	tick := s.u32(hdr[4:])
+	caplen := s.u32(hdr[8:])
+	orig := s.u32(hdr[12:])
 	if caplen > maxPCAPPacket {
 		return pcapFrame{}, 0, fmt.Errorf("netflow: pcap record claims %d captured bytes", caplen)
 	}
@@ -231,11 +253,11 @@ func (s *PCAPSource) nextNG() (pcapFrame, int, error) {
 			}
 			continue
 		}
-		if s.bo == nil {
+		if !s.section {
 			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block before section header")
 		}
-		typ := s.bo.Uint32(bh[0:])
-		total := s.bo.Uint32(bh[4:])
+		typ := s.u32(bh[0:])
+		total := s.u32(bh[4:])
 		if total < 12 || total%4 != 0 || total > maxPCAPBlock {
 			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block length %d", total)
 		}
@@ -243,7 +265,7 @@ func (s *PCAPSource) nextNG() (pcapFrame, int, error) {
 		if err != nil {
 			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block body: %w", err)
 		}
-		if trail := s.bo.Uint32(block[total-4:]); trail != total {
+		if trail := s.u32(block[total-4:]); trail != total {
 			return pcapFrame{}, 0, fmt.Errorf("netflow: pcapng block length mismatch (%d vs %d)", total, trail)
 		}
 		body := block[8 : total-4]
@@ -276,13 +298,14 @@ func (s *PCAPSource) sectionHeader() error {
 	bom := head[8:12]
 	switch {
 	case binary.LittleEndian.Uint32(bom) == pcapngByteOrder:
-		s.bo = binary.LittleEndian
+		s.swap = false
 	case binary.BigEndian.Uint32(bom) == pcapngByteOrder:
-		s.bo = binary.BigEndian
+		s.swap = true
 	default:
 		return fmt.Errorf("netflow: pcapng byte-order magic %02x%02x%02x%02x", bom[0], bom[1], bom[2], bom[3])
 	}
-	total := s.bo.Uint32(head[4:])
+	s.section = true
+	total := s.u32(head[4:])
 	if total < 28 || total%4 != 0 || total > maxPCAPBlock {
 		return fmt.Errorf("netflow: pcapng section header length %d", total)
 	}
@@ -292,7 +315,7 @@ func (s *PCAPSource) sectionHeader() error {
 	if err != nil {
 		return fmt.Errorf("netflow: pcapng section header: %w", err)
 	}
-	if trail := s.bo.Uint32(block[total-4:]); trail != total {
+	if trail := s.u32(block[total-4:]); trail != total {
 		return fmt.Errorf("netflow: pcapng section header length mismatch (%d vs %d)", total, trail)
 	}
 	_, _ = s.br.Discard(int(total))
@@ -306,10 +329,10 @@ func (s *PCAPSource) interfaceBlock(body []byte) error {
 	if len(body) < 8 {
 		return fmt.Errorf("netflow: pcapng interface block %d bytes", len(body))
 	}
-	iface := pcapIface{link: uint32(s.bo.Uint16(body[0:])), tsdiv: 1e6}
+	iface := pcapIface{link: uint32(s.u16(body[0:])), tsdiv: 1e6}
 	for opts := body[8:]; len(opts) >= 4; {
-		code := s.bo.Uint16(opts[0:])
-		olen := int(s.bo.Uint16(opts[2:]))
+		code := s.u16(opts[0:])
+		olen := int(s.u16(opts[2:]))
 		if code == pcapngOptEnd {
 			break
 		}
@@ -343,13 +366,13 @@ func (s *PCAPSource) enhancedPacket(body []byte) (pcapFrame, error) {
 	if len(body) < 20 {
 		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet block %d bytes", len(body))
 	}
-	ifc := s.bo.Uint32(body[0:])
+	ifc := s.u32(body[0:])
 	if int(ifc) >= len(s.ifaces) {
 		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet references interface %d of %d", ifc, len(s.ifaces))
 	}
-	ts := uint64(s.bo.Uint32(body[4:]))<<32 | uint64(s.bo.Uint32(body[8:]))
-	caplen := int(s.bo.Uint32(body[12:]))
-	orig := int(s.bo.Uint32(body[16:]))
+	ts := uint64(s.u32(body[4:]))<<32 | uint64(s.u32(body[8:]))
+	caplen := int(s.u32(body[12:]))
+	orig := int(s.u32(body[16:]))
 	if caplen < 0 || caplen > len(body)-20 {
 		return pcapFrame{}, fmt.Errorf("netflow: pcapng packet claims %d captured bytes in a %d-byte block", caplen, len(body))
 	}
@@ -366,7 +389,7 @@ func (s *PCAPSource) simplePacket(body []byte) (pcapFrame, error) {
 	if len(body) < 4 {
 		return pcapFrame{}, fmt.Errorf("netflow: pcapng simple packet block %d bytes", len(body))
 	}
-	orig := int(s.bo.Uint32(body[0:]))
+	orig := int(s.u32(body[0:]))
 	data := body[4:]
 	if orig >= 0 && orig < len(data) {
 		data = data[:orig]
@@ -442,13 +465,12 @@ func decodeIPv4(p *Packet, data []byte, ts float64, vlan uint16) bool {
 	if totlen < ihl {
 		totlen = len(data)
 	}
-	src := binary.BigEndian.Uint32(data[12:])
-	dst := binary.BigEndian.Uint32(data[16:])
 	if !decodeTransport(p, Proto(data[9]), data[ihl:]) {
 		return false
 	}
 	p.Time = ts
-	p.SrcIP, p.DstIP = AddrV4(src), AddrV4(dst)
+	p.SrcIP.setV4(binary.BigEndian.Uint32(data[12:]))
+	p.DstIP.setV4(binary.BigEndian.Uint32(data[16:]))
 	p.Length = totlen
 	p.HeaderLen += ihl
 	p.VLAN = vlan

@@ -238,22 +238,40 @@ func feedAll(s Stream, packets []netflow.Packet) Stats {
 	return s.Stats()
 }
 
-// tickLog wraps an Engine, recording the capture-clock position of the
+// tickLog wraps a Stream, recording the capture-clock position of the
 // stream — the newest packet or tick — and the boundary time of every
-// Tick delivered.
+// Tick delivered, with the count of packets fed before it. It feeds a run
+// one Feed per packet, so the clock reads each packet's time while it is
+// ingested; with runs set it hands the run to the stream's own FeedRun
+// whole.
 type tickLog struct {
-	*Engine
+	Stream
+	runs  bool
 	now   float64
 	ticks []float64
+	fed   int
+	fedAt []int
 }
 
 // Feed advances the clock to the packet's timestamp.
-func (l *tickLog) Feed(p netflow.Packet) { l.now = p.Time; l.Engine.Feed(p) }
+func (l *tickLog) Feed(p netflow.Packet) { l.now, l.fed = p.Time, l.fed+1; l.Stream.Feed(p) }
+
+// FeedRun feeds the run (the promoted method would skip Feed).
+func (l *tickLog) FeedRun(pkts []netflow.Packet) {
+	if l.runs && len(pkts) > 0 {
+		l.now, l.fed = pkts[len(pkts)-1].Time, l.fed+len(pkts)
+		FeedRun(l.Stream, pkts)
+		return
+	}
+	for i := range pkts {
+		l.Feed(pkts[i])
+	}
+}
 
 // Tick records the tick, advances the clock to it and forwards.
 func (l *tickLog) Tick(now float64) {
-	l.now, l.ticks = now, append(l.ticks, now)
-	l.Engine.Tick(now)
+	l.now, l.ticks, l.fedAt = now, append(l.ticks, now), append(l.fedAt, l.fed)
+	l.Stream.Tick(now)
 }
 
 // runCapture serves packets through the Runner NewRunner builds from cfg

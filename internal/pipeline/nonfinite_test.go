@@ -20,7 +20,7 @@ import (
 func TestRunnerNonFiniteTimesKeepTheClock(t *testing.T) {
 	run := func(pkts []netflow.Packet) ([]float64, Stats) {
 		t.Helper()
-		log := &tickLog{Engine: newEngine(t, fastCfg(fakeModel{class: 1}))}
+		log := &tickLog{Stream: newEngine(t, fastCfg(fakeModel{class: 1}))}
 		r := &Runner{Stream: log, Source: netflow.NewSliceSource(pkts), TickInterval: 1}
 		st, err := r.Run(context.Background())
 		if err != nil {

@@ -15,6 +15,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cyberhd/internal/bitpack"
@@ -292,18 +293,32 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Feed processes one packet. Packets must arrive in time order. After
-// Close it is a defined no-op.
-func (e *Engine) Feed(p netflow.Packet) {
-	// The one-packet slice is built only mid-flush.
-	if e.closed || e.flushing && e.queued(streamMsg{pkts: []netflow.Packet{p}}) {
+// Feed processes one packet: a run of one. Packets must arrive in time
+// order. After Close it is a defined no-op.
+func (e *Engine) Feed(p netflow.Packet) { e.FeedRun([]netflow.Packet{p}) }
+
+// FeedRun processes pkts in order, exactly as one Feed per packet would,
+// but checks for Close and a flush in progress, and counts the packets,
+// once per run. A type that embeds an Engine and overrides Feed must
+// override FeedRun too: the promoted FeedRun never calls its Feed. An
+// alert callback that closes the engine mid-run leaves the rest of the run
+// neither ingested nor counted; one that feeds has its packets applied,
+// in order, when the flush emitting its alert returns. After Close it is
+// a defined no-op.
+func (e *Engine) FeedRun(pkts []netflow.Packet) {
+	// A copy of the run is made only mid-flush.
+	if e.closed || len(pkts) == 0 || e.flushing && e.queued(streamMsg{pkts: slices.Clone(pkts)}) {
 		return
 	}
-	e.tel.AddPackets(1)
-	if p.Time > e.now && finite(p.Time) {
-		e.now = p.Time
+	n := 0
+	for ; n < len(pkts) && !e.closed; n++ {
+		p := &pkts[n]
+		if p.Time > e.now && finite(p.Time) {
+			e.now = p.Time
+		}
+		e.asm.Add(p)
 	}
-	e.asm.Add(&p)
+	e.tel.AddPackets(n)
 }
 
 // FeedWithin processes one packet synchronously, reporting whether it was

@@ -259,6 +259,48 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 	}
 }
 
+// TestFeedRunReentrancy pins what alert callbacks may do mid-run on the
+// synchronous engine, per flow and batched: a callback that closes the
+// engine leaves the rest of the run neither ingested nor counted, and one
+// that feeds has its packets applied, in order, after the flush that
+// emitted the alert and before the run's next packet.
+func TestFeedRunReentrancy(t *testing.T) {
+	run := make([]netflow.Packet, 0, 6) // three SYN+RST flows, ports 1–3
+	for port := range uint16(3) {
+		run = append(run, tcpPkt(1, 2, port+1, 443, 0, netflow.SYN), tcpPkt(1, 2, port+1, 443, 0, netflow.RST))
+	}
+	for _, batch := range []int{0, 1} {
+		for _, closes := range []bool{false, true} {
+			var eng *Engine
+			var ports []uint16
+			cfg := fastCfg(fakeModel{class: 1})
+			cfg.BatchSize = batch
+			cfg.OnAlert = func(a Alert) {
+				if ports = append(ports, a.Flow.Key.PortA); len(ports) > 1 {
+					return
+				}
+				if closes {
+					eng.Close()
+					return
+				}
+				eng.Feed(tcpPkt(1, 2, 9, 443, 0, netflow.SYN))
+				eng.Feed(tcpPkt(1, 2, 9, 443, 0, netflow.RST))
+			}
+			eng = newEngine(t, cfg)
+			eng.FeedRun(run)
+			eng.Close()
+			want, wantPkts := []uint16{1, 9, 2, 3}, 8
+			if closes {
+				want, wantPkts = []uint16{1}, 2
+			}
+			if st := eng.Stats(); !slices.Equal(ports, want) || st.Packets != wantPkts || st.Flows != len(want) {
+				t.Fatalf("batch %d closes %v: alerts on ports %v, %d packets, %d flows; want %v, %d and %d",
+					batch, closes, ports, st.Packets, st.Flows, want, wantPkts, len(want))
+			}
+		}
+	}
+}
+
 // TestAlertFlowValidOnlyDuringDelivery pins the alert lifetime contract on
 // Engine and Sharded: the engine recycles a flow once its alert is
 // delivered, so a callback that keeps a.Flow finds it zeroed.

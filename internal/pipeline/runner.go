@@ -19,6 +19,14 @@ import (
 // Config.Sinks as usual — build the stream with NewRunner (the facade's
 // NewServeRunner) to wire sinks in one step.
 //
+// Packets cross into the stream in runs of at most 64, read into a
+// buffer the Runner owns and handed over in one call — FeedRun, or one
+// Feed per packet for a stream without it (see FeedRun). A run ends
+// before a packet that crosses a tick boundary, after one that crosses a
+// progress boundary, and wherever the source ends or the context
+// cancels, so every tick, snapshot and verdict lands where one Feed per
+// packet puts it.
+//
 // A Runner drives one source into one stream exactly once; build a new
 // one per run. Verdicts are bit-identical to hand-feeding the same
 // packets: auto-ticks only move evictions earlier in the feed order,
@@ -48,6 +56,9 @@ type Runner struct {
 
 	// ran guards single-use: a second Run would re-drive a closed stream.
 	ran bool
+	// run holds the packets read from the source and not yet fed. It is
+	// allocated with the Runner, so Run allocates nothing.
+	run [maxRun]netflow.Packet
 }
 
 // NewRunner builds the stream cfg describes (see NewStream for the
@@ -71,9 +82,10 @@ func NewRunner(cfg Config, src netflow.PacketSource) (*Runner, error) {
 // first — then closes the stream (deterministic drain: every fed packet's
 // flow completes and classifies) and returns its final Stats.
 //
-// On cancellation Run finishes the packet in flight, drains, and returns
-// the stats together with ctx.Err(); on a source failure it drains and
-// returns the wrapped source error. A nil ctx runs to end of source.
+// On cancellation Run feeds every packet it has read, drains, and returns
+// the stats together with ctx.Err(); on a source failure it feeds what it
+// read, drains and returns the wrapped source error. A nil ctx runs to
+// end of source.
 func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	if r.Stream == nil || r.Source == nil {
 		return Stats{}, fmt.Errorf("pipeline: runner needs both a stream and a source")
@@ -95,7 +107,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 		progEvery = 10
 	}
 	done := ctx.Done()
-	var p netflow.Packet
+	buf, n := r.run[:], 0 // buf[:n] is read and not yet fed
 	var nextTick, nextProg float64
 	first := true
 	var err error
@@ -107,7 +119,8 @@ loop:
 			break loop
 		default:
 		}
-		if serr := r.Source.Next(&p); serr != nil {
+		p := &buf[n]
+		if serr := r.Source.Next(p); serr != nil {
 			if errors.Is(serr, io.EOF) {
 				break
 			}
@@ -127,6 +140,11 @@ loop:
 			first = false
 		}
 		if clocked && interval > 0 && p.Time >= nextTick {
+			// The run ends before the packet that crosses a tick boundary,
+			// so the tick lands after every earlier packet.
+			FeedRun(r.Stream, buf[:n])
+			buf[0], n = *p, 0
+			p = &buf[0]
 			// Tick once at the last interval boundary the stream slept
 			// through. Ticks carry boundary times, not packet times, so
 			// eviction is anchored to the capture clock; and because
@@ -139,8 +157,15 @@ loop:
 			r.Stream.Tick(boundary)
 			nextTick = boundary + interval
 		}
-		r.Stream.Feed(p)
-		if clocked && r.Progress != nil && progEvery > 0 && p.Time >= nextProg {
+		n++
+		progress := clocked && r.Progress != nil && progEvery > 0 && p.Time >= nextProg
+		if progress || n == len(buf) {
+			// The run ends after the packet that crosses a progress
+			// boundary, so the snapshot counts it.
+			FeedRun(r.Stream, buf[:n])
+			n = 0
+		}
+		if progress {
 			if tel := r.Stream.Telemetry(); tel != nil {
 				r.Progress(tel.Snapshot())
 			}
@@ -151,6 +176,9 @@ loop:
 			nextProg = boundary + progEvery
 		}
 	}
+	// Cancelled, at end of source or on its error: every packet read is
+	// fed before the drain.
+	FeedRun(r.Stream, buf[:n])
 	r.Stream.Close()
 	if r.Progress != nil {
 		if tel := r.Stream.Telemetry(); tel != nil {

@@ -136,7 +136,7 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 				firstAlertAt = probe.now
 			}
 		})}
-		probe.Engine = newEngine(t, cfg)
+		probe.Stream = newEngine(t, cfg)
 		r := &Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: tickInterval}
 		if _, err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestRunnerNoReplyVerdictDelay(t *testing.T) {
 
 	probe := &tickLog{}
 	cfg.Sinks = []AlertSink{record(func() float64 { return probe.now })}
-	probe.Engine = newEngine(t, cfg)
+	probe.Stream = newEngine(t, cfg)
 	if _, err := (&Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestRunnerTickCollapsesQuietGaps(t *testing.T) {
 		tcpPkt(7, 8, 1000, 2000, 10_000, 0),
 		tcpPkt(7, 8, 1000, 2000, 10_000.5, 0),
 	}
-	probe := &tickLog{Engine: newEngine(t, fastCfg(fakeModel{class: 1}))}
+	probe := &tickLog{Stream: newEngine(t, fastCfg(fakeModel{class: 1}))}
 	r := &Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: 1}
 	st, err := r.Run(context.Background())
 	if err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,9 @@ import (
 // lossless ingress channel.
 //
 // The unit of handoff is a chunk of packets, not a packet. Feed appends to
-// its shard's open chunk and the chunk crosses the channel when it fills
-// (maxChunk packets, fewer under a small buffer); Tick, Flush and Close
+// its shard's open chunk (FeedRun appends a run's packets, taking each
+// shard's mutex once per run) and the chunk crosses the channel when it
+// fills (maxChunk packets, fewer under a small buffer); Tick, Flush and Close
 // hand every shard's open chunk off together with their own effect, so a
 // packet waits in an open chunk for at most one tick and the order of
 // packets and control effects per shard is exactly the order they were
@@ -221,16 +223,35 @@ func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 	return s.admit(&p, max(wait, 0))
 }
 
+// FeedRun routes pkts to their flows' shards in order, exactly as one
+// Feed per packet would, but takes each shard's mutex once for all of its
+// packets among every maxRun of the run (RunRouter), not once per packet.
+// Lossless and blocking like Feed. After Close it is a defined no-op.
+func (s *Sharded) FeedRun(pkts []netflow.Packet) {
+	r := RouteRun(pkts, len(s.shards))
+	for j, win, sel := r.Next(); sel != nil; j, win, sel = r.Next() {
+		w := &s.shards[j]
+		w.mu.Lock()
+		// A handoff that waits releases the mutex, so the close gate is
+		// read again before every packet.
+		for _, i := range sel {
+			if w.closing {
+				break
+			}
+			w.push(&win[i], blockUntilAdmitted)
+		}
+		w.mu.Unlock()
+	}
+}
+
 // blockUntilAdmitted is admit's wait value for the lossless Feed path.
 const blockUntilAdmitted time.Duration = -1
 
-// admit is the one ingress path: it picks the packet's shard — by flow
-// hash, or shard 0 outright when there is only one to pick — and under
-// that shard's mutex checks its close gate and appends to its open chunk.
-// The packet that fills the chunk is admitted only with the chunk handed
-// off, waiting for a channel slot forever (blockUntilAdmitted), not at all
-// (0) or for at most wait. False means the packet was not ingested: the
-// engine is closed or the shard's buffer stayed full.
+// admit is the one-packet ingress path: it picks the packet's shard — by
+// flow hash, or shard 0 outright when there is only one to pick — and
+// under that shard's mutex checks its close gate and pushes the packet.
+// False means the packet was not ingested: the engine is closed or the
+// shard's buffer stayed full.
 func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
 	w := &s.shards[0]
 	if n := uint64(len(s.shards)); n > 1 {
@@ -238,14 +259,87 @@ func (s *Sharded) admit(p *netflow.Packet, wait time.Duration) bool {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closing {
-		return false
-	}
+	return !w.closing && w.push(p, wait)
+}
+
+// push is the one admission step of admit and FeedRun: it appends p to
+// the open chunk, and the packet that fills the chunk is admitted only
+// with the chunk handed off, waiting for a channel slot forever
+// (blockUntilAdmitted), not at all (0) or for at most wait. Caller holds
+// w.mu and has checked the close gate.
+func (w *shardWorker) push(p *netflow.Packet, wait time.Duration) bool {
 	if len(w.open)+1 < cap(w.open) {
 		w.open = append(w.open, *p)
 		return true
 	}
 	return w.handoff(p, streamMsg{}, wait)
+}
+
+// maxRun is the most packets the Runner hands a stream in one call, and
+// the window RunRouter partitions at a time.
+const maxRun = 64
+
+// RunRouter partitions a run of packets among n shards by flow hash —
+// Packet.ShardKey % n, the modulus contract the sharded engine and the
+// cluster client share — so that a caller takes each shard's lock once
+// per group of its packets rather than once per packet. It works through
+// the run maxRun packets at a time; within each window, Next returns every
+// shard with packets there once, with the indices of its packets in feed
+// order. Build one with RouteRun.
+type RunRouter struct {
+	rest  []netflow.Packet // the packets after the window
+	win   []netflow.Packet // the window, at most maxRun packets
+	n     uint64
+	left  uint64         // bit i: window packet i not yet returned
+	shard [maxRun]uint16 // each window packet's shard
+	sel   [maxRun]uint8  // the group Next returns
+}
+
+// RouteRun returns a router over pkts for n shards.
+func RouteRun(pkts []netflow.Packet, n int) RunRouter {
+	return RunRouter{rest: pkts, n: uint64(n)}
+}
+
+// Next returns the next shard with packets in the run, the window they
+// are in and their indices in it, in feed order; sel is valid until the
+// next call, and a nil sel ends the run.
+func (r *RunRouter) Next() (shard int, win []netflow.Packet, sel []uint8) {
+	if r.left == 0 {
+		if len(r.rest) == 0 {
+			return 0, nil, nil
+		}
+		m := min(len(r.rest), maxRun)
+		r.win, r.rest = r.rest[:m], r.rest[m:]
+		r.left = ^uint64(0) >> (64 - m)
+		switch {
+		case r.n == 1:
+			clear(r.shard[:m])
+		case r.n&(r.n-1) == 0: // a power of two: the modulus is a mask, not a divide
+			for i := range r.win {
+				r.shard[i] = uint16(r.win[i].ShardKey() & (r.n - 1))
+			}
+		default:
+			for i := range r.win {
+				r.shard[i] = uint16(r.win[i].ShardKey() % r.n)
+			}
+		}
+	}
+	// Every packet of this shard is still to be returned: each shard's
+	// group takes all of its packets in the window at once.
+	first := bits.TrailingZeros64(r.left)
+	// The scan is branch-free: on two shards a branch would be a coin toss.
+	j, k, taken := r.shard[first], 0, uint64(0)
+	for i := first; i < len(r.win); i++ {
+		hit := uint64(0)
+		if r.shard[i] == j {
+			hit = 1
+		}
+		r.sel[k] = uint8(i)
+		k += int(hit)
+		taken |= hit << i
+	}
+	r.left &^= taken
+	return int(j), r.win, r.sel[:k]
 }
 
 // handoff sends the shard's open chunk — completed by p when p is non-nil

@@ -19,6 +19,9 @@ import (
 //   - Feed ingests one packet. Packets must arrive in capture-time order
 //     (per flow for Sharded). Ingestion is lossless: a concurrent
 //     implementation blocks when its buffers fill, it never drops.
+//     Engine, Sharded and the cluster Client also ingest a run of
+//     packets in one FeedRun call, exactly as one Feed per packet would;
+//     the FeedRun function uses it wherever a stream has it.
 //   - FeedWithin is the admission-controlled variant: it never blocks
 //     past its wait (a non-positive wait does not block at all) and
 //     reports whether the packet was admitted. A false return means the
@@ -33,11 +36,13 @@ import (
 //   - Tick and Flush are ordered with packets: their effects apply after
 //     every previously fed packet and before any later one (per shard for
 //     Sharded). On Engine they act synchronously; on Sharded they enqueue
-//     and return. Sharded hands packets to its shards in chunks and the
-//     cluster Client in multi-record frames; both close their open batch
-//     with every Tick, Flush and Close, so batching never reorders a
-//     packet against a control call and never holds one back for longer
-//     than one tick.
+//     and return. Packets cross every boundary in batches: the Runner
+//     hands a stream runs of packets, Sharded hands its shards chunks and
+//     the cluster Client its workers multi-record frames. A tick always
+//     closes each of them — the Runner cuts its run before the tick, and
+//     the other two send their open batch with every Tick, Flush and
+//     Close — so batching never reorders a packet against a control call
+//     and never holds one back for longer than one tick.
 //   - Close stops ingestion, completes all in-progress flows, drains every
 //     pending micro-batch and buffered packet, and waits until all of it
 //     has classified — Close ≡ drain, deterministically, on every
@@ -72,12 +77,33 @@ type Stream interface {
 	Telemetry() *telemetry.Collector
 }
 
-// Both engines, and the Gate in front of either, implement Stream.
+// Both engines, and the Gate in front of either, implement Stream; the
+// engines take runs too.
 var (
-	_ Stream = (*Engine)(nil)
-	_ Stream = (*Sharded)(nil)
-	_ Stream = (*Gate)(nil)
+	_ Stream    = (*Engine)(nil)
+	_ Stream    = (*Sharded)(nil)
+	_ Stream    = (*Gate)(nil)
+	_ runFeeder = (*Engine)(nil)
+	_ runFeeder = (*Sharded)(nil)
 )
+
+// runFeeder is a Stream that ingests a run of packets in one call:
+// Engine, Sharded and the cluster Client.
+type runFeeder interface {
+	FeedRun(pkts []netflow.Packet)
+}
+
+// FeedRun feeds pkts to s in order: in one FeedRun call when s has one,
+// else one Feed per packet (the Gate, a caller's own Stream).
+func FeedRun(s Stream, pkts []netflow.Packet) {
+	if rf, ok := s.(runFeeder); ok {
+		rf.FeedRun(pkts)
+		return
+	}
+	for i := range pkts {
+		s.Feed(pkts[i])
+	}
+}
 
 // NewStream builds the stream cfg describes — the one place the serving
 // path chooses an engine, shared by NewRunner and the cluster worker.
@@ -131,9 +157,7 @@ const (
 
 // dispatch applies one ingress message to an engine.
 func (e *Engine) dispatch(m streamMsg) {
-	for i := range m.pkts {
-		e.Feed(m.pkts[i])
-	}
+	e.FeedRun(m.pkts)
 	switch m.kind {
 	case msgTick:
 		e.Tick(m.tick)

@@ -47,6 +47,7 @@ func TestPostCloseOpsAreNoOps(t *testing.T) {
 
 			// None of these may panic, and none may move a counter.
 			s.Feed(live.Packets[0])
+			FeedRun(s, live.Packets[:5])
 			s.Tick(1e9)
 			s.Flush()
 			s.Close() // still idempotent
@@ -60,36 +61,46 @@ func TestPostCloseOpsAreNoOps(t *testing.T) {
 
 // TestPostCloseConcurrentFeeders hammers Feed/Tick/Flush from several
 // goroutines racing one Close — the "send on closed channel" window the
-// lifecycle fix removes. Run with -race.
+// lifecycle fix removes — with the packets fed one by one or, in the runs
+// rows, by FeedRun 40 at a time. Run with -race.
 func TestPostCloseConcurrentFeeders(t *testing.T) {
 	cfg, live := buildModel(t)
 	for name, build := range streamsUnderTest(t, cfg) {
 		if name == "engine" {
 			continue // the synchronous engine is single-goroutine by contract
 		}
-		t.Run(name, func(t *testing.T) {
-			s := build()
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					<-start
-					for i := range live.Packets[:400] {
-						s.Feed(live.Packets[i])
-						if i%97 == 0 {
-							s.Tick(live.Packets[i].Time)
-						}
-					}
-					s.Flush()
-				}(w)
+		for _, runs := range []bool{false, true} {
+			if runs {
+				name += "_runs"
 			}
-			close(start)
-			s.Close() // races the feeders on purpose
-			wg.Wait()
-			s.Close()
-		})
+			t.Run(name, func(t *testing.T) {
+				s := build()
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for w := 0; w < 4; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						<-start
+						for i := range live.Packets[:400] {
+							if !runs {
+								s.Feed(live.Packets[i])
+							} else if i%40 == 0 {
+								FeedRun(s, live.Packets[i:i+40])
+							}
+							if i%97 == 0 {
+								s.Tick(live.Packets[i].Time)
+							}
+						}
+						s.Flush()
+					}(w)
+				}
+				close(start)
+				s.Close() // races the feeders on purpose
+				wg.Wait()
+				s.Close()
+			})
+		}
 	}
 }
 
