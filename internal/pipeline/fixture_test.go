@@ -243,14 +243,15 @@ func feedAll(s Stream, packets []netflow.Packet) Stats {
 // Tick delivered, with the count of packets fed before it. It feeds a run
 // one Feed per packet, so the clock reads each packet's time while it is
 // ingested; with runs set it hands the run to the stream's own FeedRun
-// whole.
+// whole. longest is the longest run it was handed.
 type tickLog struct {
 	Stream
-	runs  bool
-	now   float64
-	ticks []float64
-	fed   int
-	fedAt []int
+	runs    bool
+	now     float64
+	ticks   []float64
+	fed     int
+	fedAt   []int
+	longest int
 }
 
 // Feed advances the clock to the packet's timestamp.
@@ -258,7 +259,7 @@ func (l *tickLog) Feed(p netflow.Packet) { l.now, l.fed = p.Time, l.fed+1; l.Str
 
 // FeedRun feeds the run (the promoted method would skip Feed).
 func (l *tickLog) FeedRun(pkts []netflow.Packet) {
-	if l.runs && len(pkts) > 0 {
+	if l.longest = max(l.longest, len(pkts)); l.runs && len(pkts) > 0 {
 		l.now, l.fed = pkts[len(pkts)-1].Time, l.fed+len(pkts)
 		FeedRun(l.Stream, pkts)
 		return

@@ -299,26 +299,31 @@ func (e *Engine) Feed(p netflow.Packet) { e.FeedRun([]netflow.Packet{p}) }
 
 // FeedRun processes pkts in order, exactly as one Feed per packet would,
 // but checks for Close and a flush in progress, and counts the packets,
-// once per run. A type that embeds an Engine and overrides Feed must
-// override FeedRun too: the promoted FeedRun never calls its Feed. An
-// alert callback that closes the engine mid-run leaves the rest of the run
-// neither ingested nor counted; one that feeds has its packets applied,
-// in order, when the flush emitting its alert returns. After Close it is
-// a defined no-op.
+// once per run. The run is counted before its first packet is ingested,
+// so no reader sees a flow or verdict ahead of the packets that made it.
+// A type that embeds an Engine and overrides Feed must override FeedRun
+// too: the promoted FeedRun never calls its Feed. An alert callback that
+// closes the engine mid-run leaves the rest of the run not ingested, and
+// uncounted again by the time FeedRun returns; one that feeds has its
+// packets applied, in order, when the flush emitting its alert returns.
+// After Close it is a defined no-op.
 func (e *Engine) FeedRun(pkts []netflow.Packet) {
 	// A copy of the run is made only mid-flush.
 	if e.closed || len(pkts) == 0 || e.flushing && e.queued(streamMsg{pkts: slices.Clone(pkts)}) {
 		return
 	}
-	n := 0
-	for ; n < len(pkts) && !e.closed; n++ {
+	e.tel.AddPackets(len(pkts))
+	for n := range pkts {
+		if e.closed {
+			e.tel.AddPackets(n - len(pkts))
+			return
+		}
 		p := &pkts[n]
 		if p.Time > e.now && finite(p.Time) {
 			e.now = p.Time
 		}
 		e.asm.Add(p)
 	}
-	e.tel.AddPackets(n)
 }
 
 // FeedWithin processes one packet synchronously, reporting whether it was

@@ -263,7 +263,8 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 // synchronous engine, per flow and batched: a callback that closes the
 // engine leaves the rest of the run neither ingested nor counted, and one
 // that feeds has its packets applied, in order, after the flush that
-// emitted the alert and before the run's next packet.
+// emitted the alert and before the run's next packet. A callback never
+// sees a flow counted ahead of its packets.
 func TestFeedRunReentrancy(t *testing.T) {
 	run := make([]netflow.Packet, 0, 6) // three SYN+RST flows, ports 1–3
 	for port := range uint16(3) {
@@ -276,7 +277,10 @@ func TestFeedRunReentrancy(t *testing.T) {
 			cfg := fastCfg(fakeModel{class: 1})
 			cfg.BatchSize = batch
 			cfg.OnAlert = func(a Alert) {
-				if ports = append(ports, a.Flow.Key.PortA); len(ports) > 1 {
+				if ports = append(ports, a.Flow.Key.PortA); eng.Stats().Packets < 2*len(ports) {
+					t.Errorf("alert %d with %d packets counted", len(ports), eng.Stats().Packets)
+				}
+				if len(ports) > 1 {
 					return
 				}
 				if closes {

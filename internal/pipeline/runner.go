@@ -25,7 +25,10 @@ import (
 // before a packet that crosses a tick boundary, after one that crosses a
 // progress boundary, and wherever the source ends or the context
 // cancels, so every tick, snapshot and verdict lands where one Feed per
-// packet puts it.
+// packet puts it. The read-ahead delays a verdict only on a slow source:
+// a packet waits for at most 63 later packets or one tick interval of
+// capture time. With auto-ticking off no tick bounds that wait, so each
+// packet is fed as soon as it is read.
 //
 // A Runner drives one source into one stream exactly once; build a new
 // one per run. Verdicts are bit-identical to hand-feeding the same
@@ -108,6 +111,9 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	}
 	done := ctx.Done()
 	buf, n := r.run[:], 0 // buf[:n] is read and not yet fed
+	if interval < 0 {
+		buf = r.run[:1]
+	}
 	var nextTick, nextProg float64
 	first := true
 	var err error

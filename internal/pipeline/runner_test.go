@@ -125,7 +125,7 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	pkts := quietGapCapture()
 	const idle = netflow.CICIdleTimeout // flow A evictable at 0.5+120 = 120.5s capture time
 
-	run := func(tickInterval float64) (firstAlertAt float64, alerts int) {
+	run := func(tickInterval float64) (firstAlertAt float64, alerts, longest int) {
 		cfg := fastCfg(fakeModel{class: 1})
 		cfg.BatchSize = 64 // far larger than the 2 flows in the capture
 		firstAlertAt = -1
@@ -141,13 +141,13 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 		if _, err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return firstAlertAt, alerts
+		return firstAlertAt, alerts, probe.longest
 	}
 
 	// Auto-tick at 1 s: flow A's verdict lands at the first tick boundary
 	// past its idle deadline — within one interval of 120.5s — not at the
 	// end of the 200 s capture.
-	gotAt, alerts := run(1)
+	gotAt, alerts, _ := run(1)
 	if alerts != 2 { // flow A plus the drumbeat flow at drain
 		t.Fatalf("expected 2 alerts, got %d", alerts)
 	}
@@ -156,10 +156,11 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 	}
 
 	// Ticking disabled: the verdict waits for the end-of-capture drain,
-	// where the probe clock has already reached the last packet.
-	gotAt, alerts = run(-1)
-	if alerts != 2 {
-		t.Fatalf("expected 2 alerts, got %d", alerts)
+	// where the probe clock has already reached the last packet. No tick
+	// bounds a run then, so the Runner feeds packet by packet.
+	gotAt, alerts, longest := run(-1)
+	if alerts != 2 || longest != 1 {
+		t.Fatalf("expected 2 alerts in runs of 1, got %d in runs of up to %d", alerts, longest)
 	}
 	if gotAt < 200 {
 		t.Fatalf("with ticking disabled the verdict surfaced at %.2f, expected only at drain (>= 200)", gotAt)

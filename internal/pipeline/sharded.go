@@ -311,14 +311,9 @@ func (r *RunRouter) Next() (shard int, win []netflow.Packet, sel []uint8) {
 		m := min(len(r.rest), maxRun)
 		r.win, r.rest = r.rest[:m], r.rest[m:]
 		r.left = ^uint64(0) >> (64 - m)
-		switch {
-		case r.n == 1:
-			clear(r.shard[:m])
-		case r.n&(r.n-1) == 0: // a power of two: the modulus is a mask, not a divide
-			for i := range r.win {
-				r.shard[i] = uint16(r.win[i].ShardKey() & (r.n - 1))
-			}
-		default:
+		if r.n == 1 {
+			clear(r.shard[:m]) // one shard: no hash to take, as in admit
+		} else {
 			for i := range r.win {
 				r.shard[i] = uint16(r.win[i].ShardKey() % r.n)
 			}

@@ -42,7 +42,9 @@ import (
 //     closes each of them — the Runner cuts its run before the tick, and
 //     the other two send their open batch with every Tick, Flush and
 //     Close — so batching never reorders a packet against a control call
-//     and never holds one back for longer than one tick.
+//     and never holds one back for longer than one tick. With no ticks,
+//     the Runner feeds each packet as it reads it, while a chunk or frame
+//     waits until it fills or a Flush or Close sends it.
 //   - Close stops ingestion, completes all in-progress flows, drains every
 //     pending micro-batch and buffered packet, and waits until all of it
 //     has classified — Close ≡ drain, deterministically, on every
