@@ -619,7 +619,6 @@ func cmdServe(args []string) error {
 func cmdIngest(args []string) error {
 	fs, sv := newServing("ingest")
 	workers := fs.String("workers", "", "comma-separated worker addresses (required)")
-	workerShards := fs.Int("worker-shards", 1, "engine shards inside each worker (1 = single engine per worker)")
 	fs.Parse(args)
 	fleet := strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' || r == ' ' })
 	if len(fleet) == 0 {
@@ -654,14 +653,13 @@ func cmdIngest(args []string) error {
 		return err
 	}
 	client, err := cyberhd.DialCluster(cyberhd.ClusterConfig{
-		Workers:      fleet,
-		Model:        cyberhd.NewCOWModel(det.Model),
-		Normalizer:   det.Normalizer,
-		ClassNames:   det.ClassNames,
-		BatchSize:    sv.batch,
-		Width:        cyberhd.Width(sv.width),
-		WorkerShards: *workerShards,
-		Sinks:        sv.sinks,
+		Workers:    fleet,
+		Model:      cyberhd.NewCOWModel(det.Model),
+		Normalizer: det.Normalizer,
+		ClassNames: det.ClassNames,
+		BatchSize:  sv.batch,
+		Width:      cyberhd.Width(sv.width),
+		Sinks:      sv.sinks,
 	})
 	if err != nil {
 		return err

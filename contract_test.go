@@ -159,15 +159,6 @@ func TestContractMatrix(t *testing.T) {
 
 	// Engines serve cfg.Model; the cluster replicates m and serves it at
 	// width w.
-	dial := func(shards int) func(EngineConfig, *COWModel, Width) (Stream, error) {
-		return func(cfg EngineConfig, m *COWModel, w Width) (Stream, error) {
-			return cluster.Dial(cluster.ClientConfig{
-				Workers: fleet, Model: m, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
-				BatchSize: cfg.BatchSize, Width: w, OnAlert: cfg.OnAlert,
-				WorkerShards: shards,
-			})
-		}
-	}
 	engines := []struct {
 		name  string
 		build func(EngineConfig, *COWModel, Width) (Stream, error)
@@ -178,8 +169,12 @@ func TestContractMatrix(t *testing.T) {
 			cfg.Shards = 4
 			return pipeline.NewStream(cfg)
 		}},
-		{"cluster-2", dial(0)},
-		{"cluster-2-sharded", dial(2)},
+		{"cluster-2", func(cfg EngineConfig, m *COWModel, w Width) (Stream, error) {
+			return cluster.Dial(cluster.ClientConfig{
+				Workers: fleet, Model: m, Normalizer: cfg.Normalizer, ClassNames: cfg.ClassNames,
+				BatchSize: cfg.BatchSize, Width: w, OnAlert: cfg.OnAlert,
+			})
+		}},
 	}
 
 	type outcome struct {

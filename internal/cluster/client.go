@@ -27,11 +27,13 @@ var ackTimeout = 60 * time.Second
 // Normalizer and ClassNames are required; everything else mirrors the
 // matching pipeline.Config field and is forwarded to every worker so the
 // cluster serves exactly the configuration a single-process engine would.
-// Each connection attempt is bounded by DefaultDialTimeout.
+// Each worker serves its share on one synchronous pipeline engine. Each
+// connection attempt is bounded by DefaultDialTimeout.
 type ClientConfig struct {
 	// Workers are the detector node addresses (host:port). The partition
 	// function is FlowKey.Hash % len(Workers) — the sharded engine's
-	// modulus contract — so worker order is part of the replay identity.
+	// modulus contract, and the only partition a worker's flows see — so
+	// worker order is part of the replay identity.
 	Workers []string
 	// Model is the serving authority: its snapshot is replicated to every
 	// worker at dial and on every PushSnapshot. Required.
@@ -48,13 +50,10 @@ type ClientConfig struct {
 	// restores from the opening snapshot at this width (quantize.AttachLive
 	// at W1), so Model itself may be float.
 	Width bitpack.Width
-	// WorkerShards is each worker's internal shard count
-	// (pipeline.Config.Shards; 0/1 = single-core engine per worker).
-	WorkerShards int
 	// OnAlert, when set, observes every merged alert. Calls are
 	// serialized across workers (the sharded engine's callback contract);
-	// interleaving between workers is unspecified, per-worker order is
-	// preserved.
+	// interleaving between workers is unspecified, and each worker's
+	// alerts arrive in its engine's verdict order.
 	OnAlert func(pipeline.Alert)
 	// Sinks receive every merged alert after OnAlert, serialized the same
 	// way.
@@ -143,7 +142,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	hello, err := encodeHello(helloState{
 		ClassNames: cfg.ClassNames,
 		NormMean:   cfg.Normalizer.Mean, NormInvStd: cfg.Normalizer.InvStd,
-		BatchSize: cfg.BatchSize, Width: int(cfg.Width), Shards: cfg.WorkerShards,
+		BatchSize: cfg.BatchSize, Width: int(cfg.Width),
 	})
 	if err != nil {
 		return nil, err

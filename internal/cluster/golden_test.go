@@ -179,22 +179,19 @@ func versusSingle(t *testing.T, pkts []netflow.Packet) ([]string, pipeline.Stats
 }
 
 // TestClientFeedRunMatchesFeed pins the client's FeedRun to one Feed per
-// packet on a 2-worker cluster, its workers single-core and 2-shard: the
-// capture fed by hand in runs of every shape — empty, one packet, 2,000
-// packets (a full packets frame, and past every routing window on a
-// worker), runs across the ticks — gives the same Stats and, per worker,
-// the same alerts: in order on a single-core worker, as a set on a
-// sharded one.
+// packet on a 2-worker cluster: the capture fed by hand in runs of every
+// shape — empty, one packet, 2,000 packets (a full packets frame), runs
+// across the ticks — gives the same Stats and, per worker, the same
+// alerts in the same order.
 func TestClientFeedRunMatchesFeed(t *testing.T) {
 	m, norm, names := clusterModel(t)
 	pkts := traffic.Generate(traffic.Config{Sessions: 400, Seed: 99}).Packets
 	addrs := startWorkers(t, 2, WorkerConfig{})
 	lens := []int{0, 1, 2000, 63, 64, 65, 7, 0, 300}
-	drive := func(shards int, runs bool) (pipeline.Stats, [2][]string) {
+	drive := func(runs bool) (pipeline.Stats, [2][]string) {
 		var alerts [2][]string // per worker
 		c, err := Dial(ClientConfig{
-			Workers: addrs, Model: core.NewCOWModel(m), Normalizer: norm, ClassNames: names,
-			BatchSize: 8, WorkerShards: shards,
+			Workers: addrs, Model: core.NewCOWModel(m), Normalizer: norm, ClassNames: names, BatchSize: 8,
 			OnAlert: func(a pipeline.Alert) {
 				i := a.Flow.Key.Hash() % 2
 				alerts[i] = append(alerts[i], goldenFingerprint(a))
@@ -221,22 +218,16 @@ func TestClientFeedRunMatchesFeed(t *testing.T) {
 		if err := c.Err(); err != nil {
 			t.Fatalf("cluster transport error: %v", err)
 		}
-		if shards > 1 {
-			sort.Strings(alerts[0])
-			sort.Strings(alerts[1])
-		}
 		return c.Stats(), alerts
 	}
-	for _, shards := range []int{0, 2} {
-		wantSt, want := drive(shards, false)
-		gotSt, got := drive(shards, true)
-		if len(want[0]) == 0 || len(want[1]) == 0 {
-			t.Fatalf("shards %d: a worker raised no alerts; the comparison is vacuous", shards)
-		}
-		if !reflect.DeepEqual(gotSt, wantSt) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards %d: FeedRun %+v, %d+%d alerts; Feed %+v, %d+%d alerts",
-				shards, gotSt, len(got[0]), len(got[1]), wantSt, len(want[0]), len(want[1]))
-		}
+	wantSt, want := drive(false)
+	gotSt, got := drive(true)
+	if len(want[0]) == 0 || len(want[1]) == 0 {
+		t.Fatal("a worker raised no alerts; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(gotSt, wantSt) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("FeedRun %+v, %d+%d alerts; Feed %+v, %d+%d alerts",
+			gotSt, len(got[0]), len(got[1]), wantSt, len(want[0]), len(want[1]))
 	}
 }
 

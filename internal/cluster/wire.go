@@ -3,7 +3,7 @@
 // over TCP and merges their alert and telemetry streams back, with model
 // snapshots replicated to every worker through the control-plane gates.
 //
-// The layer is deliberately thin. A worker session drives an ordinary
+// The layer is deliberately thin. A worker session drives one synchronous
 // pipeline engine; the ingest side implements pipeline.Stream, so the
 // standard Runner replays any PacketSource into a cluster exactly as it
 // would into a local engine. Partitioning follows the sharded engine's
@@ -425,9 +425,10 @@ func decodeTick(payload []byte) (float64, error) {
 // revisions: it covers the hello schema and everything the session sends
 // after it. Version 2 moved packets to the multi-record packets frame and
 // telemetry to one gob stream per session; version 3 moved alerts to the
-// multi-record alerts frame. An older peer is turned away at hello, with
-// both versions named in the ack, never mid-stream.
-const helloProto = 3
+// multi-record alerts frame; version 4 dropped the hello's shard count, so
+// a worker serves one synchronous engine. An older peer is turned away at
+// hello, with both versions named in the ack, never mid-stream.
+const helloProto = 4
 
 // helloState is the session configuration the ingest node sends before
 // any traffic: everything a worker needs to assemble a pipeline engine
@@ -442,7 +443,6 @@ type helloState struct {
 	NormInvStd []float32
 	BatchSize  int
 	Width      int
-	Shards     int
 }
 
 // maxHelloClasses bounds the class list a hello may declare — far above
@@ -478,17 +478,14 @@ func decodeHello(payload []byte) (helloState, error) {
 		return helloState{}, fmt.Errorf("cluster: hello normalizer has %d/%d features, want %d",
 			len(h.NormMean), len(h.NormInvStd), netflow.NumFeatures)
 	}
-	// The engine's rules (served widths, pipeline.MaxShards,
-	// pipeline.MaxBatchRows) again, so a hostile hello is refused as wire
-	// input before any snapshot is admitted or engine built.
+	// The engine's rules (served widths, pipeline.MaxBatchRows) again, so
+	// a hostile hello is refused as wire input before any snapshot is
+	// admitted or engine built.
 	if err := pipeline.CheckWidth(bitpack.Width(h.Width)); err != nil {
 		return helloState{}, fmt.Errorf("cluster: hello %w", err)
 	}
-	if h.Shards < 0 || h.Shards > pipeline.MaxShards {
-		return helloState{}, fmt.Errorf("cluster: hello shard count %d out of range", h.Shards)
-	}
-	if h.BatchSize < 0 || max(h.BatchSize, 1) > pipeline.MaxBatchRows/max(h.Shards, 1) {
-		return helloState{}, fmt.Errorf("cluster: hello batch size %d on %d shards out of range (batch rows ≤ %d)", h.BatchSize, h.Shards, pipeline.MaxBatchRows)
+	if h.BatchSize < 0 || h.BatchSize > pipeline.MaxBatchRows {
+		return helloState{}, fmt.Errorf("cluster: hello batch size %d out of range (batch rows ≤ %d)", h.BatchSize, pipeline.MaxBatchRows)
 	}
 	return h, nil
 }

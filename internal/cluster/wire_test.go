@@ -64,7 +64,7 @@ func testHello() helloState {
 	return helloState{
 		ClassNames: []string{"benign", "dos", "scan"},
 		NormMean:   mean, NormInvStd: inv,
-		BatchSize: 64, Width: 1, Shards: 2,
+		BatchSize: 64, Width: 1,
 	}
 }
 
@@ -96,8 +96,8 @@ func TestDecodeHelloRejectsInvalid(t *testing.T) {
 		{"too many classes", func(h *helloState) { h.ClassNames = make([]string, maxHelloClasses+1) }, "classes"},
 		{"short normalizer", func(h *helloState) { h.NormMean = h.NormMean[:3] }, "normalizer"},
 		{"negative batch", func(h *helloState) { h.BatchSize = -1 }, "batch"},
-		{"huge shards", func(h *helloState) { h.Shards = 1 << 20 }, "shard"},
-		{"batch rows over bound", func(h *helloState) { h.BatchSize, h.Shards = 128, 1<<10 }, "batch"},
+		{"protocol 3", func(h *helloState) { h.Proto = 3 }, "session protocol 3"},
+		{"batch rows over bound", func(h *helloState) { h.BatchSize = pipeline.MaxBatchRows + 1 }, "batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

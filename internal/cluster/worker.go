@@ -107,9 +107,10 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// session is one ingest connection being served: the write half shared
-// between the frame loop (acks, telemetry, bye) and the engine's alert
-// callbacks (the alerts run), and the loop's telemetry stream.
+// session is one ingest connection being served: the write half,
+// through which the frame loop sends acks, telemetry and bye and the
+// engine's alert callback (called on the frame loop) the alerts run, and
+// the loop's telemetry stream.
 type session struct {
 	out      *writeHalf
 	telEnc   *telemetryEncoder // the session's telemetry stream; frame loop only
@@ -204,13 +205,14 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		return refuse(err)
 	}
 
+	// One synchronous engine: every alert is raised inside a frame, while
+	// the frame loop holds the write half, so it leaves with the frame.
 	tel := telemetry.New(h.ClassNames)
-	cfg := pipeline.Config{
+	eng, err := pipeline.New(pipeline.Config{
 		Model:      cow,
 		Normalizer: &datasets.Normalizer{Mean: h.NormMean, InvStd: h.NormInvStd},
 		ClassNames: h.ClassNames,
 		BatchSize:  h.BatchSize,
-		Shards:     h.Shards,
 		Telemetry:  tel,
 		OnAlert: func(a pipeline.Alert) { // joins the open alerts run
 			wa := wireAlertOf(&a)
@@ -218,10 +220,8 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			defer s.out.mu.Unlock()
 			s.out.room(maxTaggedAlert)
 			s.out.open = appendAlert(s.out.open, &wa)
-			s.out.sync()
 		},
-	}
-	eng, err := pipeline.NewStream(cfg)
+	})
 	if err != nil {
 		return refuse(err)
 	}
@@ -246,7 +246,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			if pkts, err = decodePackets(payload, pkts); err != nil {
 				return err
 			}
-			pipeline.FeedRun(eng, pkts)
+			eng.FeedRun(pkts)
 		case frameTick:
 			now, err := decodeTick(payload)
 			if err != nil {

@@ -46,7 +46,8 @@ func WriteCSV(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a dataset written by WriteCSV.
+// ReadCSV parses a dataset written by WriteCSV. It returns a dataset
+// only when it is valid (Validate): a non-finite value is an error.
 func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	first, err := br.ReadString('\n')
@@ -70,8 +71,9 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 	if len(header) < 2 || header[len(header)-1] != "label" {
 		return nil, fmt.Errorf("datasets: header must end with label column")
 	}
+	// The csv reader holds every row to the header's field count.
 	featureNames := header[:len(header)-1]
-	var rows [][]float32
+	var data []float32
 	var labels []int
 	for {
 		rec, err := cr.Read()
@@ -79,37 +81,32 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("datasets: reading row %d: %w", len(rows)+1, err)
+			return nil, fmt.Errorf("datasets: reading row %d: %w", len(labels)+1, err)
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("datasets: row %d has %d fields, want %d", len(rows)+1, len(rec), len(header))
-		}
-		x := make([]float32, len(featureNames))
-		for j := range x {
-			v, err := strconv.ParseFloat(rec[j], 32)
+		for j, f := range rec[:len(featureNames)] {
+			v, err := strconv.ParseFloat(f, 32)
 			if err != nil {
-				return nil, fmt.Errorf("datasets: row %d col %d: %w", len(rows)+1, j, err)
+				return nil, fmt.Errorf("datasets: row %d col %d: %w", len(labels)+1, j, err)
 			}
-			x[j] = float32(v)
+			data = append(data, float32(v))
 		}
 		c, ok := classIdx[rec[len(rec)-1]]
 		if !ok {
-			return nil, fmt.Errorf("datasets: row %d has unknown class %q", len(rows)+1, rec[len(rec)-1])
+			return nil, fmt.Errorf("datasets: row %d has unknown class %q", len(labels)+1, rec[len(rec)-1])
 		}
-		rows = append(rows, x)
 		labels = append(labels, c)
 	}
 	ds := &Dataset{
 		Name:         name,
 		FeatureNames: featureNames,
 		ClassNames:   classNames,
-		X:            hdc.NewMatrix(len(rows), len(featureNames)),
+		X:            &hdc.Matrix{Rows: len(labels), Cols: len(featureNames), Data: data},
 		Y:            labels,
 	}
-	for i, x := range rows {
-		copy(ds.X.Row(i), x)
+	if err := ds.Validate(); err != nil {
+		return nil, err
 	}
-	return ds, ds.Validate()
+	return ds, nil
 }
 
 // SaveCSV writes d to path.

@@ -3,6 +3,7 @@ package datasets
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"cyberhd/internal/hdc"
@@ -252,12 +253,42 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad-number": "# classes: x\na,label\nfoo,x\n",
 		"bad-class":  "# classes: x\na,label\n1,zzz\n",
 		"short-row":  "# classes: x\na,b,label\n1,x\n",
+		"non-finite": "# classes: x\na,label\nNaN,x\n",
 	}
 	for name, s := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(s), "t"); err == nil {
-			t.Errorf("%s: no error", name)
+		if d, err := ReadCSV(bytes.NewBufferString(s), "t"); err == nil || d != nil {
+			t.Errorf("%s: error %v with dataset %v", name, err, d)
 		}
 	}
+}
+
+// FuzzReadCSV feeds the reader behind `cyberhd train|quantize|faults -in`
+// hostile bytes: it must never panic, and any dataset it returns must be
+// valid and come back equal through WriteCSV and ReadCSV. Seeds: a small
+// synthesized set and its truncations.
+func FuzzReadCSV(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteCSV(&seed, NSLKDD(6, 1)); err != nil {
+		f.Fatal(err)
+	}
+	for n := seed.Len(); n > 0; n = n * 2 / 3 {
+		f.Add(seed.Bytes()[:n])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d, err := ReadCSV(bytes.NewReader(in), "fuzz")
+		if (err == nil) != (d != nil && d.Validate() == nil) {
+			t.Fatalf("ReadCSV returned dataset %v with error %v", d, err)
+		} else if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, d); err != nil {
+			t.Fatalf("WriteCSV of a dataset ReadCSV returned: %v", err)
+		}
+		if back, err := ReadCSV(&out, "fuzz"); err != nil || !reflect.DeepEqual(back, d) {
+			t.Fatalf("round trip: %v\n got %+v\nwant %+v\nbytes %q", err, back, d, out.Bytes())
+		}
+	})
 }
 
 func TestSaveLoadCSVFile(t *testing.T) {

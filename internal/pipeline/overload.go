@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"time"
@@ -94,11 +95,10 @@ const (
 	DefaultEvalEvery = 256
 	// DefaultFlowIdle is how long (capture seconds) after its last
 	// packet the gate remembers an admitted flow for shed preference —
-	// the assembler's idle timeout. The gate does not track replies, so
-	// it remembers a flow with no backward packet longer than the
-	// engine keeps it (netflow.NoReplyTimeout) and leans toward
-	// admitting that flow's later packets. Keeping the gate's flow memory
-	// on the assembler's flow table would align the two.
+	// the assembler's idle timeout. Like the assembler, the gate forgets
+	// a flow with no backward packet after netflow.NoReplyTimeout, if
+	// that is shorter, so it sheds what the engine would start as a new
+	// flow.
 	DefaultFlowIdle = netflow.CICIdleTimeout
 )
 
@@ -190,12 +190,26 @@ type Gate struct {
 
 	mu      sync.Mutex
 	state   OverloadState
-	now     float64                     // newest capture timestamp seen
-	flows   map[netflow.FlowKey]float64 // admitted flows → last-seen capture time
-	buckets map[uint64]*tokenBucket     // tenant → budget
-	offered int                         // packets since the last state evaluation
-	evals   int                         // evaluations since the last idle sweep
+	now     float64                      // newest capture timestamp seen
+	flows   map[netflow.FlowKey]gateFlow // admitted flows
+	buckets map[uint64]*tokenBucket      // tenant → budget
+	offered int                          // packets since the last state evaluation
+	evals   int                          // evaluations since the last idle sweep
 	lastLat [telemetry.NumLatencyBuckets]int64
+}
+
+// gateFlow is what the gate remembers of an admitted flow: when it was
+// last seen, its initiator's direction (netflow.KeyOf) and whether a
+// packet against that direction was admitted.
+type gateFlow struct {
+	last          float64
+	aToB, replied bool
+}
+
+// expired reports whether the engine's assembler would start a new flow
+// for a packet of f at capture time now (netflow.Assembler's timeouts).
+func (f gateFlow) expired(now float64) bool {
+	return now-f.last > DefaultFlowIdle || !f.replied && now-f.last > netflow.NoReplyTimeout
 }
 
 // NewGate wraps inner in a bounded-overload admission gate with the
@@ -212,7 +226,7 @@ func NewGate(inner Stream, pol OverloadPolicy) *Gate {
 		pol:     pol.withDefaults(),
 		burst:   max(2*pol.TenantRate, 8),
 		tel:     inner.Telemetry(),
-		flows:   make(map[netflow.FlowKey]float64),
+		flows:   make(map[netflow.FlowKey]gateFlow),
 		buckets: make(map[uint64]*tokenBucket),
 	}
 	if g.tel == nil {
@@ -255,7 +269,7 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	if g.offered >= g.pol.EvalEvery {
 		g.evaluate()
 	}
-	flowKey, _ := netflow.KeyOf(&p)
+	flowKey, aToB := netflow.KeyOf(&p)
 	tenant := flowKey.Tenant()
 	if g.pol.TenantRate > 0 {
 		b := g.buckets[tenant]
@@ -269,10 +283,8 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 			return false
 		}
 	}
-	last, known := g.flows[flowKey]
-	if known && g.now-last > DefaultFlowIdle {
-		known = false // the engine's assembler will treat this as a new flow too
-	}
+	fl, known := g.flows[flowKey]
+	known = known && !fl.expired(g.now) // else the engine's assembler starts a new flow too
 	if g.state == OverloadShedding && !known {
 		g.drop(tenant, telemetry.DropNewFlowShed)
 		g.mu.Unlock()
@@ -289,7 +301,10 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 		g.drop(tenant, telemetry.DropBackpressure)
 		return false
 	}
-	g.flows[flowKey] = at
+	if !known {
+		fl = gateFlow{aToB: aToB}
+	}
+	g.flows[flowKey] = gateFlow{at, fl.aToB, fl.replied || aToB != fl.aToB}
 	return true
 }
 
@@ -337,16 +352,8 @@ func (g *Gate) evaluate() {
 	g.evals++
 	if g.evals >= 64 || len(g.flows) > 1<<16 {
 		g.evals = 0
-		for k, last := range g.flows {
-			if g.now-last > DefaultFlowIdle {
-				delete(g.flows, k)
-			}
-		}
-		for k, b := range g.buckets {
-			if g.now-b.last > DefaultFlowIdle {
-				delete(g.buckets, k)
-			}
-		}
+		maps.DeleteFunc(g.flows, func(_ netflow.FlowKey, fl gateFlow) bool { return fl.expired(g.now) })
+		maps.DeleteFunc(g.buckets, func(_ uint64, b *tokenBucket) bool { return g.now-b.last > DefaultFlowIdle })
 	}
 }
 

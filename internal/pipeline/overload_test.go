@@ -187,6 +187,27 @@ func TestGateShedsNewFlowsUnderLatency(t *testing.T) {
 	g.Close()
 }
 
+// TestGateForgetsUnansweredFlows: the gate expires a flow by the
+// assembler's rule, so under shedding a one-way flow idle past
+// netflow.NoReplyTimeout is a new flow and shed, while a replied flow idle
+// as long is still known and admitted.
+func TestGateForgetsUnansweredFlows(t *testing.T) {
+	g := NewGate(newEngine(t, fastCfg(fakeModel{})), OverloadPolicy{EvalEvery: math.MaxInt})
+	g.Feed(tcpPkt(1, 2, 10, 20, 1, 0)) // one-way
+	g.Feed(tcpPkt(3, 4, 30, 40, 1, 0))
+	g.Feed(tcpPkt(4, 3, 40, 30, 1, 0)) // its reply
+	g.state = OverloadShedding         // no evaluation ever relaxes it
+	if g.FeedWithin(tcpPkt(1, 2, 10, 20, 7, 0), 0) {
+		t.Error("a one-way flow idle for 6 s was admitted as known while shedding")
+	}
+	if !g.FeedWithin(tcpPkt(3, 4, 30, 40, 7, 0), 0) {
+		t.Error("a replied flow idle for 6 s was shed")
+	}
+	if got := g.Stats().Dropped[telemetry.DropNewFlowShed]; got != 1 {
+		t.Fatalf("new-flow sheds = %d, want 1", got)
+	}
+}
+
 // TestGateBackpressureCounted pins the third drop reason: a wedged
 // worker with a full buffer makes the gate's bounded wait expire, and
 // the refusal counts as backpressure, the one drop reason counted.

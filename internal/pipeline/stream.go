@@ -108,7 +108,8 @@ func FeedRun(s Stream, pkts []netflow.Packet) {
 }
 
 // NewStream builds the stream cfg describes — the one place the serving
-// path chooses an engine, shared by NewRunner and the cluster worker.
+// path chooses an engine, behind NewRunner. (A cluster worker serves one
+// synchronous Engine, built with New.)
 // Sharding is an explicit choice, not a default: cfg.Shards > 1 builds
 // the flow-sharded multi-core engine with that many shards (stats stay
 // bit-identical, but alert interleaving across shards is
