@@ -31,7 +31,7 @@ func FromStream(name string, s *traffic.Stream, classNames []string, classOf fun
 // resulting classes.
 func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.FlowKey]traffic.Label,
 	classNames []string, classOf func(traffic.Label) int) (*Dataset, error) {
-	var feats [][]float32
+	var data []float32
 	var labels []int
 	var a *netflow.Assembler
 	a = netflow.NewAssembler(netflow.CICIdleTimeout, netflow.CICActivityGap, func(f *netflow.Flow) {
@@ -48,7 +48,7 @@ func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.Fl
 		if c < 0 {
 			return
 		}
-		feats = append(feats, f.Features())
+		data = f.AppendFeatures(data)
 		labels = append(labels, c)
 	})
 	var p netflow.Packet
@@ -63,11 +63,8 @@ func FromSource(name string, src netflow.PacketSource, flowLabels map[netflow.Fl
 		Name:         name,
 		FeatureNames: netflow.FeatureNames(),
 		ClassNames:   classNames,
-		X:            hdc.NewMatrix(len(feats), netflow.NumFeatures),
+		X:            &hdc.Matrix{Rows: len(labels), Cols: netflow.NumFeatures, Data: data},
 		Y:            labels,
-	}
-	for i, f := range feats {
-		copy(ds.X.Row(i), f)
 	}
 	return ds, nil
 }

@@ -103,17 +103,13 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// Features extracts the 78-element CIC-style feature vector from a
-// completed flow. Call only after the assembler evicts the flow (finish
-// has run). A packet counter past math.MaxUint32 reports the ceiling;
-// Min and Max of an empty Stats report 0.
-func (f *Flow) Features() []float32 {
-	return f.AppendFeatures(make([]float32, 0, NumFeatures))
-}
-
-// AppendFeatures appends the NumFeatures feature values to v and returns
-// the extended slice — the allocation-free form of Features for callers
-// that reuse buffers (the streaming engine's classification hot path).
+// AppendFeatures appends the 78-element CIC-style feature vector of a
+// completed flow to v and returns the extended slice; callers that reuse
+// v (the streaming engine's classification hot path, the dataset
+// builder's one flat matrix) allocate nothing per flow. Call only after
+// the assembler evicts the flow (finish has run). A packet counter past
+// math.MaxUint32 reports the ceiling; Min and Max of an empty Stats
+// report 0.
 func (f *Flow) AppendFeatures(v []float32) []float32 {
 	dur := f.Duration()
 	// Merging the directional Welford states keeps the exact std.

@@ -250,7 +250,7 @@ func TestFeatureVectorShapeAndNames(t *testing.T) {
 	for _, p := range tcpExchange(0) {
 		a.Add(p)
 	}
-	v := flows[0].Features()
+	v := flows[0].AppendFeatures(nil)
 	if len(v) != NumFeatures {
 		t.Fatalf("feature vector length %d", len(v))
 	}
@@ -267,7 +267,7 @@ func TestFeatureSemantics(t *testing.T) {
 	for _, p := range tcpExchange(0) {
 		a.Add(p)
 	}
-	v := flows[0].Features()
+	v := flows[0].AppendFeatures(nil)
 	name := FeatureNames()
 	get := func(n string) float64 {
 		for i, fn := range name {
@@ -313,7 +313,7 @@ func TestSinglePacketFlowFeaturesFinite(t *testing.T) {
 	a := NewAssembler(120, 1, func(f *Flow) { flows = append(flows, f) })
 	a.Add(&Packet{Time: 1, SrcIP: AddrV4(9), DstIP: AddrV4(8), SrcPort: 5, DstPort: 53, Proto: UDP, Length: 64, HeaderLen: 28})
 	a.Flush()
-	v := flows[0].Features()
+	v := flows[0].AppendFeatures(nil)
 	for i, x := range v {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 			t.Fatalf("feature %d (%s) not finite on 1-packet flow: %v", i, featureNames[i], x)

@@ -84,7 +84,7 @@ func TestNaNTimestampClassifiesAtTheTrainingMean(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("assembled %d flows, want 1", len(flows))
 	}
-	raw := flows[0].Features()
+	raw := flows[0].AppendFeatures(nil)
 	got, want := slices.Clone(raw), slices.Clone(raw)
 	nans := 0
 	for c, v := range raw {

@@ -13,10 +13,8 @@
 package traffic
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"cyberhd/internal/netflow"
 	"cyberhd/internal/rng"
@@ -91,11 +89,26 @@ func DefaultMix() map[Label]float64 {
 	}
 }
 
+// pageLen is the number of packets in one emission page.
+const pageLen = 4096
+
+// pair is one packet's time key and its emission index.
+type pair struct {
+	key uint64
+	idx int
+}
+
 // gen carries generator state.
 type gen struct {
-	r        *rng.Rand
-	pkts     []netflow.Packet
-	labels   map[netflow.FlowKey]Label
+	r *rng.Rand
+	// pages hold the n packets emitted so far, in emission order; a full
+	// page is never copied, so no packet moves until the final gather.
+	pages  []*[pageLen]netflow.Packet
+	n      int
+	labels map[netflow.FlowKey]Label
+	// prev is the latest packet emitted, in its page; a run of packets
+	// of one flow probes labels once.
+	prev     *netflow.Packet
 	nextPort uint16
 	nextHost uint32
 	// pace and szm are per-session jitter multipliers on inter-packet
@@ -106,7 +119,10 @@ type gen struct {
 	szm  float64
 }
 
-// Generate synthesizes a labeled packet stream.
+// Generate synthesizes a labeled packet stream. Packets come out in
+// capture-time order, and packets with equal times keep the order in
+// which the session generators emitted them; that order is part of the
+// stream, as much as the packets themselves.
 func Generate(cfg Config) *Stream {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 1000
@@ -135,9 +151,74 @@ func Generate(cfg Config) *Stream {
 		label := Label(g.r.Categorical(weights))
 		g.session(label, start)
 	}
-	// Every generated time is finite, so cmp.Compare orders exactly as <.
-	slices.SortStableFunc(g.pkts, func(a, b netflow.Packet) int { return cmp.Compare(a.Time, b.Time) })
-	return &Stream{Packets: g.pkts, Labels: g.labels}
+	return &Stream{Packets: g.capture(), Labels: g.labels}
+}
+
+// capture returns the emitted packets in time order: one (time key,
+// emission index) pair per packet, sorted, then one gather into an
+// exact-length slice. Each packet moves twice, into its page and out.
+func (g *gen) capture() []netflow.Packet {
+	ps := make([]pair, g.n)
+	for i := range ps {
+		ps[i] = pair{timeKey(g.pages[i/pageLen][i%pageLen].Time), i}
+	}
+	ps = sortPairs(ps)
+	out := make([]netflow.Packet, g.n)
+	for i, p := range ps {
+		out[i] = g.pages[p.idx/pageLen][p.idx%pageLen]
+	}
+	return out
+}
+
+// timeKey maps t to a key whose unsigned order is cmp.Compare's order on
+// float64: a non-negative value gets its sign bit set, a negative one has
+// every bit flipped, −0 keys as +0 (they compare equal), and NaN keys as
+// 0, below −Inf (cmp.Compare puts NaN first and ties NaNs).
+func timeKey(t float64) uint64 {
+	switch {
+	case t != t:
+		return 0
+	case t == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(t)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortPairs sorts ps by key, keeping pairs with equal keys in their input
+// order, with one LSD radix pass per key byte. A byte that every key
+// shares takes no pass. It returns the sorted slice, which is ps or the
+// scratch slice the passes alternate with.
+func sortPairs(ps []pair) []pair {
+	tmp := make([]pair, len(ps))
+	var counts [8][256]int
+	for _, p := range ps {
+		for d := range counts {
+			counts[d][byte(p.key>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if len(ps) == 0 || c[byte(ps[0].key>>shift)] == len(ps) {
+			continue
+		}
+		sum := 0
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		for _, p := range ps {
+			b := byte(p.key >> shift)
+			tmp[c[b]] = p
+			c[b]++
+		}
+		ps, tmp = tmp, ps
+	}
+	return ps
 }
 
 // client allocates a unique (IP, port) pair so session flows never collide.
@@ -216,11 +297,28 @@ func (g *gen) session(label Label, start float64) {
 
 // emit appends a packet and registers the flow label on first sight.
 func (g *gen) emit(p netflow.Packet, label Label) {
-	key, _ := netflow.KeyOf(&p)
-	if _, seen := g.labels[key]; !seen {
-		g.labels[key] = label
+	if g.prev == nil || !sameFlow(&p, g.prev) {
+		key, _ := netflow.KeyOf(&p)
+		if _, seen := g.labels[key]; !seen {
+			g.labels[key] = label
+		}
 	}
-	g.pkts = append(g.pkts, p)
+	i := g.n % pageLen
+	if i == 0 {
+		g.pages = append(g.pages, new([pageLen]netflow.Packet))
+	}
+	pg := g.pages[len(g.pages)-1]
+	pg[i] = p
+	g.prev = &pg[i]
+	g.n++
+}
+
+// sameFlow reports whether a and b have one flow key: the same protocol
+// and the same two endpoints, in either direction.
+func sameFlow(a, b *netflow.Packet) bool {
+	return a.Proto == b.Proto &&
+		(a.SrcIP == b.SrcIP && a.DstIP == b.DstIP && a.SrcPort == b.SrcPort && a.DstPort == b.DstPort ||
+			a.SrcIP == b.DstIP && a.DstIP == b.SrcIP && a.SrcPort == b.DstPort && a.DstPort == b.SrcPort)
 }
 
 // tcp emits one TCP packet.

@@ -1,9 +1,12 @@
 package traffic
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"cyberhd/internal/netflow"
@@ -11,9 +14,9 @@ import (
 
 // TestGenerateGoldenDigest pins Generate's output — every packet field in
 // stream order, and the label of every packet's flow — for a default-mix
-// and a scan-heavy config, to digests recorded while the time sort was
-// still sort.SliceStable: the stable order among equal timestamps is part
-// of the stream.
+// and a scan-heavy config. Generate's order contract (capture time, equal
+// times in emission order) is part of the stream, so these digests hold
+// whichever sort keeps it.
 func TestGenerateGoldenDigest(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -206,11 +209,115 @@ func TestFeaturesFiniteAcrossAllTraffic(t *testing.T) {
 	flows := flowsByLabel(t, s)
 	for label, fs := range flows {
 		for _, f := range fs {
-			for i, v := range f.Features() {
+			for i, v := range f.AppendFeatures(nil) {
 				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 					t.Fatalf("%s flow: feature %d not finite", label, i)
 				}
 			}
 		}
+	}
+}
+
+type orderCase struct {
+	name  string
+	times []float64
+}
+
+// timeOrderCases are inputs whose stable time order sortPairs must
+// reproduce: ties, signed zeros, every float64 class, presorted and
+// reversed runs, and keys that differ in one byte only.
+var timeOrderCases = func() []orderCase {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	var runs, sorted, reversed, lowByte, highByte []float64
+	for i := range 200 {
+		runs = append(runs, float64(i/20%3), 7)
+		sorted = append(sorted, float64(i)/8)
+		reversed = append(reversed, float64(200-i)/8)
+		b := uint64(i*37%256) ^ uint64(i%3)
+		lowByte = append(lowByte, math.Float64frombits(0x4045_1234_5678_9a00|b))
+		highByte = append(highByte, math.Float64frombits(b<<56|0x0012_3456_789a_bcde))
+	}
+	return []orderCase{
+		{"empty", nil},
+		{"one", []float64{3}},
+		{"two reversed", []float64{2, 1}},
+		{"two tied", []float64{1, 1}},
+		{"runs of ties", runs},
+		{"signed zeros", []float64{0, negZero, 1, negZero, 0, -1, negZero}},
+		{"every class", []float64{1, -1, 5e-324, -5e-324, math.Inf(1), nan, math.Inf(-1), 0, negNaN,
+			math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308, nan, -2.5}},
+		{"already sorted", sorted},
+		{"reversed", reversed},
+		{"low byte only", lowByte},
+		{"high byte only", highByte},
+	}
+}()
+
+// timeOrder returns the permutation sortPairs puts times in.
+func timeOrder(times []float64) []int {
+	ps := make([]pair, len(times))
+	for i, t := range times {
+		ps[i] = pair{timeKey(t), i}
+	}
+	out := make([]int, 0, len(ps))
+	for _, p := range sortPairs(ps) {
+		out = append(out, p.idx)
+	}
+	return out
+}
+
+// stableOrder is the reference: the permutation a stable sort by
+// cmp.Compare puts times in.
+func stableOrder(times []float64) []int {
+	out := make([]int, len(times))
+	for i := range out {
+		out[i] = i
+	}
+	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
+	return out
+}
+
+func TestTimeOrderMatchesStableSort(t *testing.T) {
+	for _, tc := range timeOrderCases {
+		if got, want := timeOrder(tc.times), stableOrder(tc.times); !slices.Equal(got, want) {
+			t.Errorf("%s: order %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// FuzzTimeOrder reads each 8 bytes as one float64 bit pattern, up to 64
+// values, and requires sortPairs's permutation to equal the stable sort's.
+// The cap keeps the engine's minimizer from stalling a 20 s run on one
+// long input; the table test covers the long runs.
+func FuzzTimeOrder(f *testing.F) {
+	for _, tc := range timeOrderCases {
+		var in []byte
+		for _, t := range tc.times {
+			in = binary.LittleEndian.AppendUint64(in, math.Float64bits(t))
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		times := make([]float64, min(len(in)/8, 64))
+		for i := range times {
+			times[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		}
+		if got, want := timeOrder(times), stableOrder(times); !slices.Equal(got, want) {
+			t.Fatalf("times %v: order %v, want %v", times, got, want)
+		}
+	})
+}
+
+// BenchmarkGenerate times the synthesizer at the serving workloads'
+// set-up shape (1500 sessions) and at cyberhd's default -train (3000).
+func BenchmarkGenerate(b *testing.B) {
+	for _, sessions := range []int{1500, 3000} {
+		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Generate(Config{Sessions: sessions, Seed: 1})
+			}
+		})
 	}
 }
