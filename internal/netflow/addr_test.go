@@ -3,6 +3,7 @@ package netflow
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"cyberhd/internal/rng"
@@ -91,27 +92,22 @@ func TestAddrCompareMatchesV4Order(t *testing.T) {
 	}
 }
 
-// TestHashV4MixesFourBytes pins the hash byte-width rule directly: a v4
-// key must produce exactly the FNV-1a stream the uint32 representation
-// fed (4 address bytes, least-significant first), and a v6 key must mix
-// all 16 bytes (high bytes change the hash).
-func TestHashV4MixesFourBytes(t *testing.T) {
+// TestFlowKeyHashIsTheFold pins FlowKey.Hash to the fold written out
+// scalar: the public partition key words, a v4-mapped address as the
+// words (0, 0xffff<<32 | ip), ports and protocol in one word. A v6 key
+// must fold all 16 address bytes (high bytes change the hash).
+func TestFlowKeyHashIsTheFold(t *testing.T) {
 	k := FlowKey{IPA: AddrV4(0x0A000102), IPB: AddrV4(0x0B010203), PortA: 443, PortB: 51000, Proto: TCP}
-	h := uint64(fnvOffset64)
-	mix := func(v uint64, n int) {
-		for i := 0; i < n; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime64
-			v >>= 8
-		}
+	mum := func(x, y uint64) uint64 {
+		hi, lo := bits.Mul64(x, y)
+		return hi ^ lo
 	}
-	mix(0x0A000102, 4)
-	mix(0x0B010203, 4)
-	mix(443, 2)
-	mix(51000, 2)
-	mix(uint64(TCP), 1)
+	h := mum(0^0xa0761d6478bd642f, 0xffff0A000102^0xe7037ed1a0b428db) ^
+		mum(0^0x8ebc6af09c88c6e3, 0xffff0B010203^0x589965cc75374cc3)
+	pp := uint64(443)<<32 | 51000<<16 | uint64(TCP)
+	h = mum(h^pp, pp^0xe7037ed1a0b428db^0x9e3779b97f4a7c15)
 	if k.Hash() != h {
-		t.Fatalf("v4 hash %x != reference 4-byte mix %x", k.Hash(), h)
+		t.Fatalf("v4 hash %x != the written-out fold %x", k.Hash(), h)
 	}
 
 	a := MustParseAddr("2001:db8::1")

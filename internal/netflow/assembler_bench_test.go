@@ -2,6 +2,7 @@ package netflow_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cyberhd/internal/netflow"
@@ -62,6 +63,34 @@ func BenchmarkAssembler(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
 			b.ReportMetric(float64(len(pkts))*float64(b.N)/float64(flows), "pkts/flow")
+		})
+	}
+}
+
+// BenchmarkShardKey times the partition hash per packet over a generated
+// capture's tuples, as they are (v4) and with both addresses lifted into
+// IPv6 by a nonzero first byte (v6).
+func BenchmarkShardKey(b *testing.B) {
+	v4 := traffic.Generate(traffic.Config{Sessions: 500, Seed: 1}).Packets
+	v6 := slices.Clone(v4)
+	for i := range v6 {
+		v6[i].SrcIP[0], v6[i].DstIP[0] = 0x20, 0x20
+	}
+	for _, c := range []struct {
+		name string
+		pkts []netflow.Packet
+	}{{"v4", v4}, {"v6", v6}} {
+		b.Run(c.name, func(b *testing.B) {
+			var keep uint64
+			for i := 0; i < b.N; i++ {
+				for j := range c.pkts {
+					keep ^= c.pkts[j].ShardKey()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.pkts)), "ns/pkt")
+			if keep == 1 {
+				b.Log(keep) // keeps the loop from being optimized away
+			}
 		})
 	}
 }

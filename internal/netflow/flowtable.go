@@ -2,7 +2,6 @@ package netflow
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"math/rand/v2"
 )
 
@@ -13,10 +12,10 @@ import (
 // ends at an empty slot. The hash is seeded per table from a random
 // source, like the built-in map's: a sender who picks 5-tuples cannot aim
 // them at one probe run. It is kept on the Flow, never leaves the table
-// and orders no output — FlowKey.Hash is the partition function, not
-// this. Removal shifts the rest of the run back over the hole, so there
-// are no tombstones and an emptied table probes like a new one. The
-// table never shrinks (nor did the map).
+// and orders no output. FlowKey.Hash, the partition function, is the
+// same fold under public words (see fold). Removal shifts the rest of the
+// run back over the hole, so there are no tombstones and an emptied table
+// probes like a new one. The table never shrinks (nor did the map).
 //
 // By last-seen time: two intrusive lists, one of the flows that have seen
 // no backward packet and one of the flows that have, because the two
@@ -48,30 +47,14 @@ func newFlowTable() flowTable {
 	}
 }
 
-// mum is the multiply-fold step of wyhash: the two halves of the 128-bit
-// product, xored.
-func mum(x, y uint64) uint64 {
-	hi, lo := bits.Mul64(x, y)
-	return hi ^ lo
-}
-
 // lookup finds p's flow without building its key. It returns the live
 // flow or nil, the table hash of p's key (to keep on a new flow), and
-// whether p travels A→B. Orientation and hash come from the same four
-// word loads (see Addr.words). Every
-// multiplicand of the hash carries a secret word, so no input of the
-// sender's choosing zeroes a product.
+// whether p travels A→B. The hash is the partition hash's fold under the
+// table's secret words, so no input of the sender's choosing zeroes a
+// product, and it shares nothing with the shard p was routed by.
 func (t *flowTable) lookup(p *Packet) (f *Flow, h uint64, aToB bool) {
-	a0, a1 := p.SrcIP.words()
-	b0, b1 := p.DstIP.words()
-	pa, pb := uint64(p.SrcPort), uint64(p.DstPort)
-	aToB = p.aToB()
-	if !aToB {
-		a0, a1, b0, b1, pa, pb = b0, b1, a0, a1, pb, pa
-	}
-	pp := pa<<32 | pb<<16 | uint64(p.Proto)
-	h = mum(a0^t.seed[0], a1^t.seed[1]) ^ mum(b0^t.seed[2], b1^t.seed[3])
-	h = mum(h^pp, t.seed[1]^0x9e3779b97f4a7c15)
+	a0, a1, b0, b1, pp, aToB := p.tuple()
+	h = fold(&t.seed, a0, a1, b0, b1, pp)
 	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		f = t.slots[i]

@@ -10,8 +10,10 @@ import (
 )
 
 // loadGoldenHashes parses testdata/golden_v1_hashes.txt: one line per
-// flow key in first-appearance order, recorded by the pre-refactor uint32
-// implementation — "ipa ipb porta portb proto hash hash%4 tenant24".
+// flow key in first-appearance order — "ipa ipb porta portb proto hash
+// hash%4 tenant24". The keys and tenants were recorded by the
+// pre-refactor uint32 implementation; hash and hash%4 are the partition
+// fold's under its public key, which no format carries.
 type goldenHash struct {
 	key    FlowKey
 	hash   uint64
@@ -61,8 +63,9 @@ func loadGoldenHashes(t *testing.T) []goldenHash {
 // TestGoldenV1CaptureCompat is the netflow half of the IPv4 compatibility
 // contract: the golden v1 capture (written by the pre-refactor uint32
 // implementation) must load, re-save byte-identically through both
-// writers, and reproduce the recorded FlowKey.Hash values, Hash%4 shard
-// assignments, /24 tenants, and KeyOf canonical orientation exactly.
+// writers, and reproduce the recorded /24 tenants and KeyOf canonical
+// orientation exactly. It also pins the partition hash: the recorded
+// FlowKey.Hash values and Hash%4 shard assignments.
 func TestGoldenV1CaptureCompat(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_v1.cap")
 	if err != nil {

@@ -1,51 +1,61 @@
 package netflow
 
-import "cmp"
-
-// FNV-1a 64-bit constants.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
+import (
+	"cmp"
+	"math/bits"
 )
 
-// mix8, mix16 and mix32 fold the low 1, 2 and 4 bytes of v into an FNV-1a
-// state, least-significant byte first.
-func mix8(h uint64, v uint64) uint64  { return (h ^ v&0xff) * fnvPrime64 }
-func mix16(h uint64, v uint64) uint64 { return mix8(mix8(h, v), v>>8) }
-func mix32(h uint64, v uint64) uint64 { return mix16(mix16(h, v), v>>16) }
+// partitionKey is the fixed, public key of the partition hash: wyhash's
+// default secret. It is the same in every process, so a packet routes to
+// the same shard or worker in each, and a sender who knows it can aim
+// flows at one shard, as it could under any unkeyed hash. The flow table
+// folds the same tuple under secret words of its own (flowTable.seed).
+var partitionKey = [4]uint64{0xa0761d6478bd642f, 0xe7037ed1a0b428db, 0x8ebc6af09c88c6e3, 0x589965cc75374cc3}
 
-// mixAddr folds an address into an FNV-1a state. IPv4 addresses mix
-// exactly the 4 mapped bytes, least-significant first — the byte stream
-// the old uint32 representation produced — so every existing IPv4 hash,
-// `Hash % N` shard assignment, and cluster partition is byte-identical.
-// IPv6 addresses mix all 16 bytes in the same low-to-high order.
-func mixAddr(h uint64, a *Addr) uint64 {
-	hi, lo := a.words()
-	h = mix32(h, lo)
-	if a.Is4() {
-		return h
-	}
-	return mix32(mix32(mix32(h, lo>>32), hi), hi>>32)
+// fold hashes a canonical 5-tuple under the key words k: the two
+// addresses as words (see Addr.words) and pp, the ports and protocol
+// packed as portA<<32 | portB<<16 | proto. It is three multiply-folds,
+// wyhash's mum step (the two halves of a 128-bit product, xored), with a
+// key word in every multiplicand. pp goes into both multiplicands of the
+// last: on one side only, the ports of one address pair would move the
+// output by a fixed step per port, and under the public key that step
+// put runs of consecutive ports on one shard.
+func fold(k *[4]uint64, a0, a1, b0, b1, pp uint64) uint64 {
+	ah, al := bits.Mul64(a0^k[0], a1^k[1])
+	bh, bl := bits.Mul64(b0^k[2], b1^k[3])
+	h, l := bits.Mul64(ah^al^bh^bl^pp, pp^k[1]^0x9e3779b97f4a7c15)
+	return h ^ l
 }
 
-// Hash returns a 64-bit FNV-1a hash of the canonical bidirectional
+// tuple returns p's 5-tuple in canonical orientation as fold takes it,
+// and whether p travels A→B: the orientation with the byte-wise smaller
+// endpoint first, which for IPv4 pairs is numeric order. Orientation and
+// hash input come from the same four word loads.
+func (p *Packet) tuple() (a0, a1, b0, b1, pp uint64, aToB bool) {
+	a0, a1 = p.SrcIP.words()
+	b0, b1 = p.DstIP.words()
+	pa, pb := uint64(p.SrcPort), uint64(p.DstPort)
+	// (b0, b1, pb) - (a0, a1, pa) borrows iff p travels B→A. The compare
+	// takes no branch: on two-way traffic its outcome is a coin toss.
+	_, c := bits.Sub64(pb, pa, 0)
+	_, c = bits.Sub64(b1, a1, c)
+	_, c = bits.Sub64(b0, a0, c)
+	if aToB = c == 0; !aToB {
+		a0, a1, b0, b1, pa, pb = b0, b1, a0, a1, pb, pa
+	}
+	return a0, a1, b0, b1, pa<<32 | pb<<16 | uint64(p.Proto), aToB
+}
+
+// Hash returns the partition hash of the canonical bidirectional
 // 5-tuple. Both directions of a flow map to the same FlowKey (see KeyOf)
 // and therefore to the same hash, which is what makes the hash usable as
 // a shard key: every packet of a flow lands on the same shard, so flow
-// assembly never splits across workers. IPv4 keys hash exactly as they
-// did when addresses were uint32 (see mixAddr).
+// assembly never splits across workers. No format carries it: it only
+// picks a shard or worker inside one process.
 func (k FlowKey) Hash() uint64 {
-	return hashTuple(&k.IPA, &k.IPB, k.PortA, k.PortB, k.Proto)
-}
-
-// hashTuple is Hash over a 5-tuple already in canonical orientation.
-func hashTuple(ipA, ipB *Addr, portA, portB uint16, proto Proto) uint64 {
-	h := uint64(fnvOffset64)
-	h = mixAddr(h, ipA)
-	h = mixAddr(h, ipB)
-	h = mix16(h, uint64(portA))
-	h = mix16(h, uint64(portB))
-	return mix8(h, uint64(proto))
+	a0, a1 := k.IPA.words()
+	b0, b1 := k.IPB.words()
+	return fold(&partitionKey, a0, a1, b0, b1, uint64(k.PortA)<<32|uint64(k.PortB)<<16|uint64(k.Proto))
 }
 
 // compare is a total order over flow keys, used as the deterministic
@@ -68,10 +78,8 @@ func (k *FlowKey) compare(o *FlowKey) int {
 
 // ShardKey returns the flow-partitioning hash of p's bidirectional flow:
 // Hash of the canonical FlowKey, identical for both directions of the
-// same flow.
+// same flow, without building the key.
 func (p *Packet) ShardKey() uint64 {
-	if p.aToB() {
-		return hashTuple(&p.SrcIP, &p.DstIP, p.SrcPort, p.DstPort, p.Proto)
-	}
-	return hashTuple(&p.DstIP, &p.SrcIP, p.DstPort, p.SrcPort, p.Proto)
+	a0, a1, b0, b1, pp, _ := p.tuple()
+	return fold(&partitionKey, a0, a1, b0, b1, pp)
 }

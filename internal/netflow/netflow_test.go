@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -376,25 +377,81 @@ func TestFlowKeyHashDirectionInvariant(t *testing.T) {
 	}
 }
 
-// TestFlowKeyHashDistribution: distinct 5-tuples must spread reasonably
-// evenly over a shard count (no degenerate clumping from the mixing).
+// TestFlowKeyHashDistribution: distinct 5-tuples must spread evenly over
+// the shard counts engines and clusters use, in each address family (no
+// clumping from the fold): 50 hosts with 40 consecutive ports each, the
+// shape that clumps when a port moves the hash by a fixed step. % 2 reads
+// only the fold's low bit.
 func TestFlowKeyHashDistribution(t *testing.T) {
-	const shards = 8
-	var counts [shards]int
-	n := 0
-	for ip := byte(1); ip <= 50; ip++ {
-		for port := uint16(1000); port < 1040; port++ {
-			p := &Packet{SrcIP: IPv4(192, 168, 0, ip), DstIP: IPv4(10, 0, 0, 1), SrcPort: port, DstPort: 443, Proto: TCP}
-			counts[p.ShardKey()%shards]++
-			n++
+	host := func(s string, i byte) Addr { a := MustParseAddr(s); a[15] += i; return a }
+	for _, fam := range []struct{ name, src, dst string }{
+		{"v4", "192.168.0.0", "10.0.0.1"},
+		{"v6", "2001:db8::", "2001:db8:ffff::9"},
+		{"mixed", "2001:db8::", "10.0.0.1"},
+	} {
+		for _, shards := range []uint64{2, 3, 4, 8} {
+			t.Run(fmt.Sprintf("%s/mod%d", fam.name, shards), func(t *testing.T) {
+				counts := make([]int, shards)
+				n := 0
+				for ip := byte(1); ip <= 50; ip++ {
+					for port := uint16(1000); port < 1040; port++ {
+						p := &Packet{SrcIP: host(fam.src, ip), DstIP: host(fam.dst, 0), SrcPort: port, DstPort: 443, Proto: TCP}
+						counts[p.ShardKey()%shards]++
+						n++
+					}
+				}
+				// Chi-square against an even spread: a random hash keeps it
+				// near its shards-1 degrees of freedom, so allow six
+				// standard deviations of sqrt(2·dof) above that.
+				want, chi2 := float64(n)/float64(shards), 0.0
+				for _, c := range counts {
+					chi2 += (float64(c) - want) * (float64(c) - want) / want
+				}
+				if dof := float64(shards - 1); chi2 > dof+6*math.Sqrt(2*dof) {
+					t.Fatalf("shards got %v of %d flows: chi-square %.1f", counts, n, chi2)
+				}
+			})
 		}
 	}
-	want := n / shards
-	for s, c := range counts {
-		if c < want/2 || c > want*2 {
-			t.Fatalf("shard %d got %d of %d flows (expected ~%d)", s, c, n, want)
+}
+
+// FuzzShardKey checks ShardKey against the key it stands for: for both
+// directions of an arbitrary tuple it must equal KeyOf(p).Hash(), and
+// KeyOf must orient by Addr.Compare, then port. Mode bits make the
+// first or second endpoint v4-mapped, or the two addresses equal.
+func FuzzShardKey(f *testing.F) {
+	v6 := MustParseAddr("2001:db8::1")
+	f.Add(v6[:], v6[:], uint16(443), uint16(40000), byte(TCP), byte(0))
+	f.Add(v6[:], v6[:], uint16(53), uint16(53), byte(UDP), byte(3))
+	f.Add(v6[:], v6[:], uint16(9), uint16(8), byte(TCP), byte(5))
+	f.Fuzz(func(t *testing.T, a, b []byte, pa, pb uint16, proto, mode byte) {
+		var src, dst Addr
+		copy(src[:], a)
+		copy(dst[:], b)
+		if mode&1 != 0 {
+			src = AddrV4(src.V4())
 		}
-	}
+		if mode&2 != 0 {
+			dst = AddrV4(dst.V4())
+		}
+		if mode&4 != 0 {
+			dst = src
+		}
+		fwd := Packet{SrcIP: src, DstIP: dst, SrcPort: pa, DstPort: pb, Proto: Proto(proto)}
+		bwd := Packet{SrcIP: dst, DstIP: src, SrcPort: pb, DstPort: pa, Proto: Proto(proto)}
+		for _, p := range []*Packet{&fwd, &bwd} {
+			k, aToB := KeyOf(p)
+			if c := k.IPA.Compare(k.IPB); c > 0 || c == 0 && k.PortA > k.PortB {
+				t.Fatalf("KeyOf(%+v) = %+v is not in canonical order", *p, k)
+			}
+			if aToB != (k.IPA == p.SrcIP && k.PortA == p.SrcPort) {
+				t.Fatalf("KeyOf(%+v) orientation %v does not match key %+v", *p, aToB, k)
+			}
+			if p.ShardKey() != k.Hash() {
+				t.Fatalf("ShardKey(%+v) = %x, KeyOf(p).Hash() = %x", *p, p.ShardKey(), k.Hash())
+			}
+		}
+	})
 }
 
 // TestFlowKeyHashDistinguishesTuples: tuple fields must all contribute.

@@ -94,15 +94,8 @@ type FlowKey struct {
 // "A→B" canonical orientation (the orientation with the byte-wise smaller
 // endpoint first — for IPv4 pairs this is the old numeric order).
 func KeyOf(p *Packet) (FlowKey, bool) {
-	if p.aToB() {
-		return FlowKey{p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto}, true
+	if _, _, _, _, _, aToB := p.tuple(); !aToB {
+		return FlowKey{p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, p.Proto}, false
 	}
-	return FlowKey{p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, p.Proto}, false
-}
-
-// aToB reports whether p travels in its key's canonical orientation.
-func (p *Packet) aToB() bool {
-	s0, s1 := p.SrcIP.words()
-	d0, d1 := p.DstIP.words()
-	return s0 < d0 || (s0 == d0 && (s1 < d1 || (s1 == d1 && p.SrcPort <= p.DstPort)))
+	return FlowKey{p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.Proto}, true
 }

@@ -109,7 +109,7 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	if progEvery == 0 {
 		progEvery = 10
 	}
-	done := ctx.Done()
+	done := ctx.Done()    // nil for a context that never cancels: no poll
 	buf, n := r.run[:], 0 // buf[:n] is read and not yet fed
 	if interval < 0 {
 		buf = r.run[:1]
@@ -119,11 +119,13 @@ func (r *Runner) Run(ctx context.Context) (Stats, error) {
 	var err error
 loop:
 	for {
-		select {
-		case <-done:
-			err = ctx.Err()
-			break loop
-		default:
+		if done != nil {
+			select {
+			case <-done:
+				err = ctx.Err()
+				break loop
+			default:
+			}
 		}
 		p := &buf[n]
 		if serr := r.Source.Next(p); serr != nil {
