@@ -213,10 +213,10 @@ func TestShardedChunkBoundaries(t *testing.T) {
 
 // TestShardedFeedersWaitTogether puts several feeders — blocking and
 // bounded-wait — and a ticker behind shard channels that are nearly always
-// full, so they wait for slots side by side and hand the shard mutex back
-// and forth while they do: every feeder must get through and every packet
-// must be counted once. Run under -race it is the regression test of the
-// wait-outside-the-lock path.
+// full, so they queue on the shard mutex, each waiting for a slot in turn
+// while it holds it: every feeder must get through and every packet must
+// be counted once. Run under -race it is the regression test of the
+// handoff wait under the shard mutex.
 func TestShardedFeedersWaitTogether(t *testing.T) {
 	cfg := fastCfg(fakeModel{delay: 5 * time.Microsecond})
 	cfg.Shards = 2

@@ -178,8 +178,12 @@ func (b *tokenBucket) take(now, rate, burst float64) bool {
 // both sides of the accounting invariant offered = Packets + ΣDropped.
 //
 // Like the engines it wraps, a Gate expects packets from one goroutine
-// in capture-time order; its internal state is nonetheless mutex-held,
-// so a misbehaving second feeder corrupts nothing.
+// in capture-time order. It admits a packet in one critical section —
+// decide, deliver within the wait, record — so a second goroutine feeding
+// it corrupts nothing but waits its turn, its own wait included. For the
+// same reason, an alert callback of a synchronous Engine behind the Gate
+// must not call the Gate's Feed, FeedWithin or Close: the admission that
+// raised the alert still holds the gate lock.
 type Gate struct {
 	inner  Stream
 	pol    OverloadPolicy
@@ -189,6 +193,7 @@ type Gate struct {
 	occ    occupier // nil when the wrapped stream has no ingress buffer
 
 	mu      sync.Mutex
+	closed  bool // set by Close: admit refuses, uncounted
 	state   OverloadState
 	now     float64                      // newest capture timestamp seen
 	flows   map[netflow.FlowKey]gateFlow // admitted flows
@@ -251,12 +256,18 @@ func (g *Gate) Feed(p netflow.Packet) { g.admit(p, g.pol.MaxWait) }
 // makes a full buffer refuse immediately.
 func (g *Gate) FeedWithin(p netflow.Packet, wait time.Duration) bool { return g.admit(p, wait) }
 
-// admit runs the admission policy for one packet: tenant bucket, state
-// evaluation, flow-aware shedding, then bounded-wait delivery. Returns
-// whether the packet reached the wrapped stream; every false return has
-// been counted into telemetry.
+// admit runs the admission policy for one packet under the gate lock:
+// tenant bucket, state evaluation, flow-aware shedding, then bounded-wait
+// delivery. Returns whether the packet reached the wrapped stream; every
+// false return before Close has been counted into telemetry, and after
+// Close admit refuses without counting, as the Stream contract's
+// post-Close no-ops move no counter.
 func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return false
+	}
 	at := p.Time // a NaN or ±Inf packet time reads as the gate's clock
 	if !finite(at) {
 		at = g.now
@@ -279,7 +290,6 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 		}
 		if !b.take(at, g.pol.TenantRate, g.burst) {
 			g.drop(tenant, telemetry.DropTenantRate)
-			g.mu.Unlock()
 			return false
 		}
 	}
@@ -287,17 +297,9 @@ func (g *Gate) admit(p netflow.Packet, wait time.Duration) bool {
 	known = known && !fl.expired(g.now) // else the engine's assembler starts a new flow too
 	if g.state == OverloadShedding && !known {
 		g.drop(tenant, telemetry.DropNewFlowShed)
-		g.mu.Unlock()
 		return false
 	}
-	g.mu.Unlock()
-
-	// Deliver outside the gate lock: only the admission wait may block,
-	// never another feeder's bookkeeping.
-	ok := g.inner.FeedWithin(p, wait)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !ok {
+	if !g.inner.FeedWithin(p, wait) {
 		g.drop(tenant, telemetry.DropBackpressure)
 		return false
 	}
@@ -349,8 +351,10 @@ func (g *Gate) evaluate() {
 		g.setState(g.state - 1)
 	}
 
+	// Between sweeps at most 64·EvalEvery new flows pile up, and no sweep
+	// can remove a live flow.
 	g.evals++
-	if g.evals >= 64 || len(g.flows) > 1<<16 {
+	if g.evals >= 64 {
 		g.evals = 0
 		maps.DeleteFunc(g.flows, func(_ netflow.FlowKey, fl gateFlow) bool { return fl.expired(g.now) })
 		maps.DeleteFunc(g.buckets, func(_ uint64, b *tokenBucket) bool { return g.now-b.last > DefaultFlowIdle })
@@ -411,8 +415,16 @@ func (g *Gate) Tick(now float64) {
 // Flush forwards the end-of-capture flush.
 func (g *Gate) Flush() { g.inner.Flush() }
 
-// Close drains and retires the wrapped stream.
-func (g *Gate) Close() { g.inner.Close() }
+// Close shuts the gate, so later Feed and FeedWithin calls refuse without
+// counting a drop, then drains and retires the wrapped stream. An
+// admission in flight on another goroutine is waited out first, its
+// delivery wait included.
+func (g *Gate) Close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.inner.Close()
+}
 
 // Stats reads the wrapped stream's counters (drops included — gate and
 // engine share one collector; a gate-private collector's drops are

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,6 +101,48 @@ func TestTryFeedShardedFullBuffer(t *testing.T) {
 		cfg.Shards = 1
 		return newSharded(cfg, 1)
 	})
+}
+
+// TestCloseWaitsOutParkedSenders races Close against two senders parked
+// on a wedged one-packet shard: one in FeedWithin with an hour's wait,
+// holding the shard mutex in its handoff, and one in lossless Feed behind
+// it. Once the model is released all three calls must return without a
+// panic (a Close that ended the channel without taking the shard mutex
+// would send the parked one onto a closed channel), and Packets must be
+// the fill, plus FeedWithin's admission, plus at most the Feed packet,
+// which counts only if it got in before the close gate shut.
+func TestCloseWaitsOutParkedSenders(t *testing.T) {
+	m := wedgedModel()
+	cfg := fastCfg(m)
+	cfg.Shards = 1
+	s, err := newSharded(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillConcurrent(t, s, m)
+	parked := make(chan bool, 1)
+	go func() { parked <- s.FeedWithin(tcpPkt(1, 2, 12, 22, 0.4, 0), time.Hour) }()
+	for w := &s.shards[0]; w.mu.TryLock(); runtime.Gosched() { // not parked yet
+		w.mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); s.Feed(tcpPkt(1, 2, 13, 23, 0.5, 0)) }()
+	go func() { defer wg.Done(); s.Close() }()
+	for s.closeMu.TryRLock() { // Close has yet to take the write side
+		s.closeMu.RUnlock()
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond) // lets Feed and Close reach the shard mutex
+	close(m.release)
+	want := 3
+	if <-parked {
+		want++
+	}
+	wg.Wait()
+	if got := s.Stats().Packets; got != want && got != want+1 {
+		t.Fatalf("Packets = %d, want %d or %d", got, want, want+1)
+	}
 }
 
 // TestGateTenantRateDeterministic pins per-tenant fairness on the
@@ -205,6 +250,22 @@ func TestGateForgetsUnansweredFlows(t *testing.T) {
 	}
 	if got := g.Stats().Dropped[telemetry.DropNewFlowShed]; got != 1 {
 		t.Fatalf("new-flow sheds = %d, want 1", got)
+	}
+}
+
+// TestGateFlowMemoryBounded floods the gate with unanswered flows, one
+// per packet at a steady capture rate: after every evaluation the flow map
+// holds at most the flows seen within netflow.NoReplyTimeout plus the
+// 64·EvalEvery new flows one sweep interval can add.
+func TestGateFlowMemoryBounded(t *testing.T) {
+	const evalEvery, rate = 16, 1024 // rate in flows per capture second
+	g := NewGate(newEngine(t, fastCfg(fakeModel{})), OverloadPolicy{LatencyBound: 1e9, EvalEvery: evalEvery})
+	live := int(netflow.NoReplyTimeout*rate) + 1
+	for i := range 16 * rate {
+		g.Feed(tcpPkt(0x0b000000+uint32(i), 0x0a000002, 40000, 80, float64(i)/rate, netflow.SYN))
+		if bound := min(i+1, live) + 64*evalEvery; g.offered == 0 && len(g.flows) > bound {
+			t.Fatalf("after packet %d: %d flows remembered, bound %d", i, len(g.flows), bound)
+		}
 	}
 }
 
@@ -513,5 +574,30 @@ func TestGatePrivateTelemetryAndV6TenantLabels(t *testing.T) {
 	}
 	if labels["10.0.0.0/24"] != 3 {
 		t.Fatalf("v4 tenant label missing or miscounted: %v", labels)
+	}
+}
+
+// BenchmarkGateAdmit times one admission per op through a permissive gate
+// over the synchronous engine with a constant model, cycling over 2¹⁴ or
+// 2¹⁷ already-admitted replied flows.
+func BenchmarkGateAdmit(b *testing.B) {
+	for _, flows := range []int{1 << 14, 1 << 17} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			g := NewGate(newEngine(b, fastCfg(fakeModel{})), OverloadPolicy{LatencyBound: 1e9})
+			pkts := make([]netflow.Packet, flows)
+			for i := range pkts {
+				src := 0x0b000000 + uint32(i)
+				g.Feed(tcpPkt(src, 0x0a000002, 40000, 80, 0, 0))
+				g.Feed(tcpPkt(0x0a000002, src, 80, 40000, 0.5, 0))
+				pkts[i] = tcpPkt(src, 0x0a000002, 40000, 80, 1, 0)
+			}
+			i := 0
+			for b.Loop() {
+				g.Feed(pkts[i])
+				if i++; i == flows {
+					i = 0
+				}
+			}
+		})
 	}
 }

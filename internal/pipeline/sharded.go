@@ -37,6 +37,10 @@ import (
 //
 //   - Ingress is lossless: Feed blocks when a shard's buffer is full, it
 //     never drops. Packets of one flow are processed in feed order.
+//   - A waiting feeder keeps its shard's mutex: a wait bounds one feeder,
+//     and a second goroutine feeding the same shard waits its turn. That
+//     costs concurrent feeders nothing else (no data race, no send on a
+//     closed channel, lossless Feed, exact counts).
 //   - OnAlert callbacks and sinks are serialized (never concurrent) and
 //     arrive in verdict order within a shard — i.e. per flow key.
 //     Interleaving across shards is unspecified. Callbacks and sinks must
@@ -74,10 +78,6 @@ type shardWorker struct {
 	in   chan streamMsg
 	done chan struct{}
 
-	// space carries at most one wake-up for feeders waiting on a full
-	// channel: the worker offers one after every receive, and a feeder
-	// that stops waiting passes one on.
-	space chan struct{}
 	// taken counts the packets the worker has received off the channel.
 	taken atomic.Int64
 	// free returns drained chunks from the worker to the feeders. The
@@ -86,17 +86,16 @@ type shardWorker struct {
 	// waits on it: a handoff leaves at most slots+1 chunks elsewhere.
 	free chan []netflow.Packet
 
-	mu   sync.Mutex       // guards open, sent, closing and waiting
+	// mu guards open, sent and closing, and is held across a handoff's
+	// wait for a channel slot: the worker never takes it, so the wait ends
+	// when the worker takes a message or the wait runs out.
+	mu   sync.Mutex
 	open []netflow.Packet // packets admitted but not yet handed off; never full between calls
 	sent int64            // packets handed off to the channel
-	// closing is the shard's close gate: once Close sets it, admit
-	// refuses. waiting counts senders parked in handoff with mu released;
-	// Close waits on idle until it is zero before it ends the channel, so
-	// a sender already waiting is waited out, never sent onto a closed
-	// channel.
+	// closing is the shard's close gate: once Close sets it, admit and
+	// FeedRun refuse. Close sets it under mu, so a sender mid-handoff is
+	// waited out, never sent onto a closed channel.
 	closing bool
-	waiting int
-	idle    sync.Cond // L is &mu
 }
 
 // maxChunk is the largest run of packets one channel send carries: big
@@ -178,14 +177,12 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 			return nil, err
 		}
 		s.shards[i] = shardWorker{
-			eng:   eng,
-			in:    make(chan streamMsg, slots), // slots*chunk packets: buffer less the open chunk
-			done:  make(chan struct{}),
-			space: make(chan struct{}, 1),
-			free:  make(chan []netflow.Packet, slots+2),
-			open:  make([]netflow.Packet, 0, chunk),
+			eng:  eng,
+			in:   make(chan streamMsg, slots), // slots*chunk packets: buffer less the open chunk
+			done: make(chan struct{}),
+			free: make(chan []netflow.Packet, slots+2),
+			open: make([]netflow.Packet, 0, chunk),
 		}
-		s.shards[i].idle.L = &s.shards[i].mu
 		for range slots + 1 {
 			s.shards[i].free <- make([]netflow.Packet, 0, chunk)
 		}
@@ -196,7 +193,6 @@ func newSharded(cfg Config, buffer int) (*Sharded, error) {
 			defer close(w.done)
 			for m := range w.in {
 				w.taken.Add(int64(len(m.pkts)))
-				w.wake()
 				w.eng.dispatch(m)
 				if m.pkts != nil {
 					w.free <- m.pkts[:0]
@@ -216,9 +212,9 @@ func (s *Sharded) Feed(p netflow.Packet) { s.admit(&p, blockUntilAdmitted) }
 
 // FeedWithin routes one packet to its flow's shard, waiting at most wait
 // for buffer space (not at all when wait <= 0), reporting whether it was
-// admitted. Like Feed, a waiting sender is counted at its shard's close
-// gate, so a concurrent Close waits out at most one admission bound. False
-// when the shard's buffer stayed full, or after Close.
+// admitted. The wait holds the shard's mutex, so a concurrent Close waits
+// out at most one admission bound, and another feeder of the shard waits
+// behind it. False when the shard's buffer stayed full, or after Close.
 func (s *Sharded) FeedWithin(p netflow.Packet, wait time.Duration) bool {
 	return s.admit(&p, max(wait, 0))
 }
@@ -232,13 +228,10 @@ func (s *Sharded) FeedRun(pkts []netflow.Packet) {
 	for j, win, sel := r.Next(); sel != nil; j, win, sel = r.Next() {
 		w := &s.shards[j]
 		w.mu.Lock()
-		// A handoff that waits releases the mutex, so the close gate is
-		// read again before every packet.
-		for _, i := range sel {
-			if w.closing {
-				break
+		if !w.closing {
+			for _, i := range sel {
+				w.push(&win[i], blockUntilAdmitted)
 			}
-			w.push(&win[i], blockUntilAdmitted)
 		}
 		w.mu.Unlock()
 	}
@@ -339,68 +332,40 @@ func (r *RunRouter) Next() (shard int, win []netflow.Packet, sel []uint8) {
 
 // handoff sends the shard's open chunk — completed by p when p is non-nil
 // — and m's control effect to the worker as one message, then opens a
-// fresh chunk. It waits for a channel slot as admit's wait says; while it
-// waits it releases w.mu, so other feeders are never held behind this
-// one's wait, and it rebuilds the message from whatever the open chunk is
-// when it gets the lock back. While it waits it is counted in w.waiting,
-// so Close does not end the channel under it. On false nothing was sent
-// and the open chunk is as it was. Caller holds w.mu.
+// fresh chunk. It waits for a channel slot as admit's wait says, forever
+// (blockUntilAdmitted), not at all (0) or for at most wait, and holds w.mu
+// while it waits: the worker never takes it, and any other sender of the
+// shard, Close included, waits its turn. On false nothing was sent and the
+// open chunk is as it was. Caller holds w.mu.
 func (w *shardWorker) handoff(p *netflow.Packet, m streamMsg, wait time.Duration) bool {
-	var timeout <-chan time.Time // nil never fires: blockUntilAdmitted
-	for waited := false; ; waited = true {
-		m.pkts = nil
-		if p != nil {
-			m.pkts = append(w.open, *p) // w.open itself stays one short of full
-		} else if len(w.open) > 0 {
-			m.pkts = w.open
-		}
-		select {
-		case w.in <- m:
-			if m.pkts != nil {
-				w.sent += int64(len(m.pkts))
-				w.open = <-w.free
-			}
-			return true
-		default:
-		}
-		if wait == 0 {
-			return false
-		}
-		if !waited {
-			// Whoever stops waiting passes the wake-up on, so a receive
-			// that frees two slots cannot strand a second waiter.
-			defer w.wake()
-			if wait > 0 {
-				t := time.NewTimer(wait)
-				defer t.Stop()
-				timeout = t.C
-			}
-		}
-		w.waiting++
-		w.mu.Unlock()
-		expired := false
-		select {
-		case <-w.space:
-		case <-timeout:
-			expired = true
-		}
-		w.mu.Lock()
-		if w.waiting--; w.waiting == 0 && w.closing {
-			w.idle.Broadcast()
-		}
-		if expired {
-			return false
-		}
+	if p != nil {
+		m.pkts = append(w.open, *p) // w.open itself stays one short of full
+	} else if len(w.open) > 0 {
+		m.pkts = w.open
 	}
-}
-
-// wake offers one wake-up to the feeders waiting in handoff; one already
-// pending is enough.
-func (w *shardWorker) wake() {
 	select {
-	case w.space <- struct{}{}:
+	case w.in <- m:
 	default:
+		switch {
+		case wait == 0:
+			return false
+		case wait < 0:
+			w.in <- m
+		default:
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			select {
+			case w.in <- m:
+			case <-t.C:
+				return false
+			}
+		}
 	}
+	if m.pkts != nil {
+		w.sent += int64(len(m.pkts))
+		w.open = <-w.free
+	}
+	return true
 }
 
 // occupancy reports the packets waiting on the fullest shard — open chunk
@@ -455,6 +420,8 @@ func (s *Sharded) broadcast(m streamMsg) {
 
 // Close stops ingestion, drains every shard, flushes all in-progress
 // flows and pending micro-batches, and waits for every worker to exit.
+// A feeder waiting for a slot holds its shard's mutex, so Close waits it
+// out: until its shard takes a chunk, or its FeedWithin wait runs out.
 // Idempotent; every call waits for the full drain.
 func (s *Sharded) Close() {
 	s.once.Do(func() {
@@ -465,14 +432,11 @@ func (s *Sharded) Close() {
 		s.closed = true
 		for i := range s.shards {
 			w := &s.shards[i]
+			// Taking the mutex waits out a sender mid-handoff; with the
+			// gate shut the open chunk is final, so hand it off and end
+			// the channel.
 			w.mu.Lock()
-			// Shut the shard's gate, then wait out the senders already
-			// parked in handoff: after that the open chunk is final, so
-			// hand it off and end the channel.
 			w.closing = true
-			for w.waiting > 0 {
-				w.idle.Wait()
-			}
 			if len(w.open) > 0 {
 				w.handoff(nil, streamMsg{}, blockUntilAdmitted)
 			}

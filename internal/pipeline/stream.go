@@ -28,7 +28,9 @@ import (
 //     packet was NOT ingested — the caller owns the drop (the overload
 //     Gate counts it into telemetry). On the synchronous Engine admission
 //     always succeeds (there is no ingress buffer to fill); on Sharded it
-//     fails when the shard's buffer stays full for the whole wait.
+//     fails when the shard's buffer stays full for the whole wait. A wait
+//     bounds one feeder: a second goroutine feeding the same shard or
+//     Gate waits its turn, behind the first one's wait.
 //   - Post-Close, FeedWithin returns false — unlike Feed, whose
 //     post-Close no-op is silent, the admission variant makes the refusal
 //     observable so a gate never miscounts a packet fed to a retired

@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"cyberhd/internal/bitpack"
 	"cyberhd/internal/core"
@@ -13,7 +15,8 @@ import (
 	"cyberhd/internal/telemetry"
 )
 
-// streamsUnderTest builds one of each engine over the same config.
+// streamsUnderTest builds one of each engine over the same config, and a
+// permissive Gate in front of the sharded one.
 func streamsUnderTest(t *testing.T, cfg Config) map[string]func() Stream {
 	t.Helper()
 	must := func(s Stream, err error) Stream {
@@ -28,6 +31,9 @@ func streamsUnderTest(t *testing.T, cfg Config) map[string]func() Stream {
 		"engine":     func() Stream { return must(New(cfg)) },
 		"concurrent": func() Stream { return must(NewConcurrent(cfg, 256)) },
 		"sharded":    func() Stream { return must(NewSharded(sharded)) },
+		"gate": func() Stream {
+			return NewGate(must(NewSharded(sharded)), OverloadPolicy{MaxWait: time.Hour, EvalEvery: math.MaxInt})
+		},
 	}
 }
 
