@@ -348,7 +348,10 @@ func (sv *serving) open() error {
 
 // close releases the source file, the JSONL file and the -metrics
 // endpoint. The source is only read; the JSONL file's checked flush and
-// close are finish's, these the backstop for error returns.
+// close are finish's, these the backstop for error returns. Every path
+// has closed its stream by then — Runner.Run closes it on every return,
+// and ingest's deferred client.Close runs before this one — so no sink
+// goroutine still writes into jsonlBuf while it flushes.
 func (sv *serving) close() {
 	if sv.file != nil {
 		sv.file.Close()

@@ -130,13 +130,21 @@ type Config struct {
 	// mid-traffic; a Sharded engine shares it across all shards. See
 	// Shadow.
 	Shadow *Shadow
-	// OnAlert, when set, receives every alert synchronously, its Flow valid
-	// only for the call. On Engine it may call Feed, Tick, Flush and Close;
-	// those calls apply, in order, when the flush emitting the alert returns.
+	// OnAlert, when set, receives every alert synchronously — on Engine,
+	// on the goroutine feeding it — its Flow valid only for the call. On
+	// Engine it may call Feed, Tick, Flush and Close; those calls apply, in
+	// order, when the flush emitting the alert returns.
 	OnAlert func(Alert)
 	// Sinks receive every alert after OnAlert, in order. Delivery follows
 	// the engine's alert contract: serialized, in verdict order (per shard
-	// for Sharded). Sinks must not call Feed, Tick, Flush or Close.
+	// for Sharded). The sync Engine runs them on one goroutine of its own,
+	// started at its first handoff and ended by Close, and hands them copies
+	// of the alerts' flows in runs: when 64 alerts wait, and when the Feed,
+	// FeedRun, Tick or Flush that raised them returns. Flush and Close
+	// return once every sink has consumed every alert; a feeder that gets
+	// 512 alerts ahead of the sinks waits. Sharded runs them on its shard
+	// goroutines. Sinks must not call Feed, Tick, Flush or Close; a sink
+	// that panics is not recovered.
 	Sinks []AlertSink
 	// Telemetry, when set, is the collector the engine records into —
 	// share one collector with a telemetry.Server (or any other observer)
@@ -178,7 +186,10 @@ const (
 // windows — advances on finite times only, so no NaN or ±Inf stops one.
 func finite(t float64) bool { return t-t == 0 }
 
-// Engine is the synchronous detection pipeline.
+// Engine is the synchronous detection pipeline. Everything but its sinks
+// runs on the goroutine that calls it; Config.Sinks run on one goroutine
+// of the engine's own, which Close ends, so close an Engine that has
+// sinks.
 type Engine struct {
 	cfg Config
 	asm *netflow.Assembler
@@ -208,6 +219,9 @@ type Engine struct {
 	// see alerts in verdict order.
 	flushing bool
 	deferred []streamMsg
+
+	// out runs cfg.Sinks on their own goroutine; nil without sinks.
+	out *egress
 }
 
 // CheckWidth is the one rule for what serving accepts: float32 (0) and
@@ -290,6 +304,9 @@ func New(cfg Config) (*Engine, error) {
 	e.pendFlows = make([]*netflow.Flow, 0, n)
 	e.pendDone = make([]float64, 0, n)
 	e.preds = make([]int, n)
+	if len(cfg.Sinks) > 0 {
+		e.out = newEgress(cfg.Sinks)
+	}
 	return e, nil
 }
 
@@ -324,6 +341,9 @@ func (e *Engine) FeedRun(pkts []netflow.Packet) {
 		}
 		e.asm.Add(p)
 	}
+	if e.out != nil {
+		e.out.handoff()
+	}
 }
 
 // FeedWithin processes one packet synchronously, reporting whether it was
@@ -352,28 +372,41 @@ func (e *Engine) Tick(now float64) {
 	}
 	e.asm.EvictIdle(now)
 	e.flushBatch()
+	if e.out != nil {
+		e.out.handoff()
+	}
 }
 
-// Flush completes all in-progress flows (end of capture) and classifies
-// everything still pending in the micro-batch buffer. After Close it is
-// a defined no-op.
+// Flush completes all in-progress flows (end of capture), classifies
+// everything still pending in the micro-batch buffer, and returns once
+// every sink has consumed every alert. After Close it is a defined no-op.
 func (e *Engine) Flush() {
 	if e.closed || e.queued(streamMsg{kind: msgFlush}) {
 		return
 	}
 	e.asm.Flush()
 	e.flushBatch()
+	if e.out != nil {
+		e.out.drain()
+	}
 }
 
 // Close drains the engine — for the synchronous Engine this is exactly
-// Flush — and retires it: later Feed/Tick/Flush calls are defined
-// no-ops, per the Stream contract. Idempotent.
+// Flush — ends its sink goroutine and retires it: later Feed/Tick/Flush
+// calls are defined no-ops, per the Stream contract. Idempotent, also
+// when an alert callback closes the engine during this Close's Flush.
 func (e *Engine) Close() {
 	if e.closed || e.queued(streamMsg{kind: msgClose}) {
 		return
 	}
 	e.Flush()
+	if e.closed {
+		return // a callback's Close ran inside the Flush
+	}
 	e.closed = true
+	if e.out != nil {
+		e.out.close()
+	}
 }
 
 // Stats returns a snapshot of the engine counters. Safe from any
@@ -455,13 +488,13 @@ func (e *Engine) verdict(f *netflow.Flow, class int, doneAt float64) {
 	}
 	alert := class != 0
 	e.tel.Verdict(class, alert, e.now-doneAt)
-	if alert && (e.cfg.OnAlert != nil || len(e.cfg.Sinks) > 0) {
+	if alert && (e.cfg.OnAlert != nil || e.out != nil) {
 		a := Alert{Flow: f, Class: class, ClassName: e.cfg.ClassNames[class], Time: f.LastTime}
 		if e.cfg.OnAlert != nil {
 			e.cfg.OnAlert(a)
 		}
-		for _, s := range e.cfg.Sinks {
-			s.Consume(a)
+		if e.out != nil {
+			e.out.add(&a)
 		}
 	}
 }

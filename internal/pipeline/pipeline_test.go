@@ -219,7 +219,7 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 			cfg.BatchSize = batch
 			var eng *Engine
 			var alerted []netflow.Flow // copies, in verdict order
-			var order []int            // the sink's alerts, as indices into alerted
+			var sunk []netflow.Flow    // the sink's copies, in its order
 			cfg.OnAlert = func(a Alert) {
 				alerted = append(alerted, *a.Flow)
 				if len(alerted) == 1 {
@@ -231,11 +231,9 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 					eng.Flush()
 				}
 			}
-			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) {
-				order = append(order, slices.IndexFunc(alerted, func(f netflow.Flow) bool {
-					return f.Key == a.Flow.Key && f.FirstTime == a.Flow.FirstTime
-				}))
-			})}
+			// The sink runs on the engine's sink goroutine, so it keeps its
+			// own copies, matched against alerted after Close.
+			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { sunk = append(sunk, *a.Flow) })}
 			eng = newEngine(t, cfg)
 			eng.Feed(tcpPkt(0x0a000001, 0x0a000002, 40000, 443, 0, netflow.SYN))
 			eng.Feed(tcpPkt(0x0a000003, 0x0a000004, 40000, 443, 1, netflow.SYN))
@@ -244,6 +242,12 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 			eng.Close()
 			if st := eng.Stats(); n != 5 || st.Flows != 5 || st.Alerts != 5 {
 				t.Fatalf("%d alerts by the end of Tick, then %d flows and %d alerts after Close; want 5 each", n, st.Flows, st.Alerts)
+			}
+			var order []int // the sink's alerts, as indices into alerted
+			for _, a := range sunk {
+				order = append(order, slices.IndexFunc(alerted, func(f netflow.Flow) bool {
+					return f.Key == a.Key && f.FirstTime == a.FirstTime
+				}))
 			}
 			if !slices.Equal(order, []int{0, 1, 2, 3, 4}) { // so the 5 flows are distinct
 				t.Fatalf("sink saw the verdicts in order %v", order)
@@ -264,7 +268,9 @@ func TestTickSurvivesOnAlertFeedingBack(t *testing.T) {
 // engine leaves the rest of the run neither ingested nor counted, and one
 // that feeds has its packets applied, in order, after the flush that
 // emitted the alert and before the run's next packet. A callback never
-// sees a flow counted ahead of its packets.
+// sees a flow counted ahead of its packets. One that closes an engine
+// with sinks during its end-of-capture drain leaves every alert with the
+// sinks and nothing to panic on.
 func TestFeedRunReentrancy(t *testing.T) {
 	run := make([]netflow.Packet, 0, 6) // three SYN+RST flows, ports 1–3
 	for port := range uint16(3) {
@@ -300,6 +306,33 @@ func TestFeedRunReentrancy(t *testing.T) {
 			if st := eng.Stats(); !slices.Equal(ports, want) || st.Packets != wantPkts || st.Flows != len(want) {
 				t.Fatalf("batch %d closes %v: alerts on ports %v, %d packets, %d flows; want %v, %d and %d",
 					batch, closes, ports, st.Packets, st.Flows, want, wantPkts, len(want))
+			}
+		}
+	}
+	// With sinks, a callback that closes the engine while Flush or Close
+	// drains it: the callback's Close runs inside the drain, and the drain
+	// neither hands alerts to the ended sink goroutine nor ends it twice.
+	for _, batch := range []int{0, 64} {
+		for _, drain := range []string{"Flush", "Close"} {
+			var eng *Engine
+			var called, sunk []uint16
+			cfg := fastCfg(fakeModel{class: 1})
+			cfg.BatchSize = batch
+			cfg.OnAlert = func(a Alert) { called = append(called, a.Flow.Key.PortA); eng.Close() }
+			cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) { sunk = append(sunk, a.Flow.Key.PortA) })}
+			eng = newEngine(t, cfg)
+			eng.FeedRun(run[0:1])
+			eng.FeedRun(run[2:3])
+			eng.FeedRun(run[4:5]) // three SYNs: every verdict waits for the drain
+			if drain == "Flush" {
+				eng.Flush()
+			} else {
+				eng.Close()
+			}
+			eng.Close()
+			if st := eng.Stats(); !slices.Equal(called, []uint16{1, 2, 3}) || !slices.Equal(sunk, called) || st.Packets != 3 {
+				t.Fatalf("batch %d, closed during %s: OnAlert saw ports %v, the sink %v, %d packets counted; want 1 2 3 twice and 3",
+					batch, drain, called, sunk, st.Packets)
 			}
 		}
 	}

@@ -129,13 +129,15 @@ func TestRunnerAutoTickBoundsVerdictDelay(t *testing.T) {
 		cfg := fastCfg(fakeModel{class: 1})
 		cfg.BatchSize = 64 // far larger than the 2 flows in the capture
 		firstAlertAt = -1
-		probe := &tickLog{} // the sink timestamps deliveries off its clock
-		cfg.Sinks = []AlertSink{SinkFunc(func(a Alert) {
+		// OnAlert runs on the feeder, so it timestamps verdicts off the
+		// probe's clock; a sink runs on its own goroutine, after the fact.
+		probe := &tickLog{}
+		cfg.OnAlert = func(a Alert) {
 			alerts++
 			if firstAlertAt < 0 {
 				firstAlertAt = probe.now
 			}
-		})}
+		}
 		probe.Stream = newEngine(t, cfg)
 		r := &Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: tickInterval}
 		if _, err := r.Run(context.Background()); err != nil {
@@ -202,15 +204,17 @@ func TestRunnerNoReplyVerdictDelay(t *testing.T) {
 	cfg := fastCfg(fakeModel{class: 1})
 	cfg.BatchSize = 64
 	var got []verdict
-	record := func(now func() float64) AlertSink {
-		return SinkFunc(func(a Alert) {
+	// The verdicts are recorded by OnAlert, which runs on the feeder and so
+	// reads the probe's clock as the verdict is made.
+	record := func(now func() float64) func(Alert) {
+		return func(a Alert) {
 			f := a.Flow
 			got = append(got, verdict{f.Key, f.FirstTime, f.LastTime, f.FwdLen.N, f.BwdLen.N, a.Class, now(), f.InitSrcPort})
-		})
+		}
 	}
 
 	probe := &tickLog{}
-	cfg.Sinks = []AlertSink{record(func() float64 { return probe.now })}
+	cfg.OnAlert = record(func() float64 { return probe.now })
 	probe.Stream = newEngine(t, cfg)
 	if _, err := (&Runner{Stream: probe, Source: netflow.NewSliceSource(pkts), TickInterval: 1}).Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -251,7 +255,7 @@ func TestRunnerNoReplyVerdictDelay(t *testing.T) {
 	}
 	got = nil
 	cfg.Shards = 4
-	cfg.Sinks = []AlertSink{record(func() float64 { return 0 })}
+	cfg.OnAlert = record(func() float64 { return 0 })
 	runCapture(t, cfg, pkts)
 	if want, sharded := canon(syncVerdicts), canon(got); !slices.Equal(sharded, want) {
 		t.Fatalf("Sharded(4) verdicts differ from the sync engine's:\n got  %v\n want %v", sharded, want)

@@ -13,8 +13,13 @@ import (
 // AlertSink consumes the non-benign verdicts of a serving engine — the
 // egress half of the serving runtime. Engines deliver serialized and in
 // verdict order (per shard for Sharded), after any Config.OnAlert
-// callback. A sink must not call back into the engine's Feed, Tick, Flush
-// or Close.
+// callback. The sync Engine runs its sinks on one goroutine of its own:
+// they receive alerts in runs, each handed over by the time the engine
+// call that raised it returns, and Flush and Close return once every
+// alert is consumed. Sharded runs them on its shard goroutines, the
+// cluster Client on its read loops. A sink must not call back into the
+// engine's Feed, Tick, Flush or Close, and a sink that panics is not
+// recovered: the panic ends the process.
 type AlertSink interface {
 	// Consume receives one alert. Calls are serialized by the engine,
 	// and a.Flow is valid only until Consume returns.
@@ -67,7 +72,10 @@ type AlertRecord struct {
 // JSONLSink writes one JSON object per alert (JSON Lines) to a writer —
 // the wire format of AlertRecord, byte for byte what encoding/json writes
 // for it (FuzzJSONLSink pins the equality). Each line reaches the writer
-// in its own Write, so a line-buffered consumer sees every alert at once.
+// in its own Write, from whichever goroutine the engine runs its sinks on
+// (AlertSink), as the alert is consumed: on the sync Engine that is its
+// sink goroutine, which has the alert by the time the call that raised it
+// returns, and every line is written by the time Flush or Close returns.
 // Writes are serialized by the sink's own lock, so one JSONLSink may fan
 // in from several engines; the first write error latches and suppresses
 // further output (check Err after Close of the stream).

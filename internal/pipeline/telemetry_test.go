@@ -68,9 +68,16 @@ func TestPostCloseOpsAreNoOps(t *testing.T) {
 // TestPostCloseConcurrentFeeders hammers Feed/Tick/Flush from several
 // goroutines racing one Close — the "send on closed channel" window the
 // lifecycle fix removes — with the packets fed one by one or, in the runs
-// rows, by FeedRun 40 at a time. Run with -race.
+// rows, by FeedRun 40 at a time. Close starts once every feeder has had
+// its first call admitted, so it lands mid-stream. Every flow alerts, so
+// the alerted flows must hold exactly the packets counted: none lost
+// between admission and a verdict, none counted after Close. Run with
+// -race.
 func TestPostCloseConcurrentFeeders(t *testing.T) {
 	cfg, live := buildModel(t)
+	cfg.Model = fakeModel{class: 1}
+	var alerts, alertPkts int // delivery is serialized
+	cfg.OnAlert = func(a Alert) { alerts, alertPkts = alerts+1, alertPkts+a.Flow.TotalPackets() }
 	for name, build := range streamsUnderTest(t, cfg) {
 		if name == "engine" {
 			continue // the synchronous engine is single-goroutine by contract
@@ -80,11 +87,13 @@ func TestPostCloseConcurrentFeeders(t *testing.T) {
 				name += "_runs"
 			}
 			t.Run(name, func(t *testing.T) {
+				alerts, alertPkts = 0, 0
 				s := build()
-				var wg sync.WaitGroup
+				var wg, admitted sync.WaitGroup
 				start := make(chan struct{})
 				for w := 0; w < 4; w++ {
 					wg.Add(1)
+					admitted.Add(1)
 					go func(w int) {
 						defer wg.Done()
 						<-start
@@ -94,6 +103,9 @@ func TestPostCloseConcurrentFeeders(t *testing.T) {
 							} else if i%40 == 0 {
 								FeedRun(s, live.Packets[i:i+40])
 							}
+							if i == 0 {
+								admitted.Done()
+							}
 							if i%97 == 0 {
 								s.Tick(live.Packets[i].Time)
 							}
@@ -102,9 +114,23 @@ func TestPostCloseConcurrentFeeders(t *testing.T) {
 					}(w)
 				}
 				close(start)
+				admitted.Wait()
 				s.Close() // races the feeders on purpose
 				wg.Wait()
 				s.Close()
+				first := 1 // packets in a feeder's first call
+				if runs {
+					first = 40
+				}
+				st := s.Stats()
+				if st.Packets < 4*first || st.Packets > 4*400 || st.DroppedTotal() != 0 {
+					t.Fatalf("%d packets counted and %d dropped of 1600 offered, want at least the %d admitted before Close and no drop",
+						st.Packets, st.DroppedTotal(), 4*first)
+				}
+				if alertPkts != st.Packets || alerts != st.Flows || st.Alerts != st.Flows {
+					t.Fatalf("%d alerts over flows of %d packets; counted %d packets, %d flows, %d alerts",
+						alerts, alertPkts, st.Packets, st.Flows, st.Alerts)
+				}
 			})
 		}
 	}
